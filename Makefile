@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench benchsmoke cachesmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos ci
+.PHONY: build test vet race bench benchcheck benchsmoke cachesmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos ci
 
 TARGETS    := r2000 r2000s m88000 i860 rs6000 toyp
 STRATEGIES := naive postpass ips rase local
@@ -25,6 +25,14 @@ race:
 bench:
 	$(GO) test -bench . -benchmem
 	$(GO) run ./cmd/marionstats -cachestats -benchjson BENCH_cache.json
+
+# bench/ is its own module, so `go build ./...` and `go test ./...`
+# never compile it; vet and test it here so a change to the
+# driver/core/server API it builds against cannot break the benchmark
+# unnoticed.
+benchcheck:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # One-iteration benchmark pass: keeps BenchmarkSelect /
 # BenchmarkParallelBackend and friends compiling and running under CI
@@ -92,4 +100,4 @@ tracesmoke:
 chaos:
 	$(GO) run ./cmd/marionstats -faultmatrix
 
-ci: build vet test race benchsmoke cachesmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos
+ci: build vet test race benchcheck benchsmoke cachesmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos

@@ -162,8 +162,8 @@ func ablationCycles(b *testing.B, opts strategy.Options, target string, ids []in
 	var total int64
 	for _, id := range ids {
 		k := livermore.ByID(id)
-		c, err := driver.Compile(fmt.Sprintf("loop%d.c", id), k.Source, driver.Config{
-			Target: target, Strategy: strategy.Postpass, Options: opts,
+		c, err := driver.Compile(target, fmt.Sprintf("loop%d.c", id), k.Source, driver.Config{
+			Strategy: strategy.Postpass, Options: opts,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -235,8 +235,7 @@ func BenchmarkAblationEdgeTypes(b *testing.B) {
 				est = 0
 				for _, id := range ids {
 					k := livermore.ByID(id)
-					c, err := driver.Compile(fmt.Sprintf("loop%d.c", id), k.Source, driver.Config{
-						Target:   "r2000",
+					c, err := driver.Compile("r2000", fmt.Sprintf("loop%d.c", id), k.Source, driver.Config{
 						Strategy: strategy.Postpass,
 						Options:  strategy.Options{Sched: sched.Options{Dag: cdag.Options{NoAnti: noAnti}}},
 					})

@@ -72,10 +72,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"marion/internal/cache"
-	"marion/internal/core"
 	"marion/internal/driver"
 	"marion/internal/faults"
 	"marion/internal/iltext"
@@ -83,6 +81,7 @@ import (
 	"marion/internal/overload"
 	"marion/internal/pipeline"
 	"marion/internal/strategy"
+	"marion/internal/targets"
 	"marion/internal/trace"
 	"marion/internal/verify"
 )
@@ -127,88 +126,146 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		for _, t := range core.Targets() {
+		for _, t := range targets.Names() {
 			fmt.Fprintln(stdout, t)
 		}
 		return 0
 	}
+
+	// What to compile: a quarantine bundle's IL under its recorded
+	// configuration, or the one file named on the command line. Flags the
+	// user set explicitly override a bundle's recording, so a bundle can
+	// be minimized interactively.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	u := unit{target: *target, out: *out, stats: *stats}
+	stratName, spec := *strat, *faultSpec
+	var bundle *overload.Bundle
 	if *replay != "" {
 		if fs.NArg() != 0 {
 			fmt.Fprintln(stderr, "usage: marionc -replay <bundle-dir>")
 			return 2
 		}
-		return runReplay(fs, *replay, stdout, stderr)
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: marionc [-target T] [-strategy S] [-verify] file.c")
-		return 2
-	}
-	file := fs.Arg(0)
-	src, err := os.ReadFile(file)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	isIL := strings.HasSuffix(file, ".il")
-	if *emitIL {
-		var mod *ir.Module
-		if isIL {
-			mod, err = iltext.Parse(file, string(src)) // normalizing re-print
-		} else {
-			mod, err = driver.Frontend(file, string(src))
-		}
+		b, il, err := overload.LoadBundle(*replay)
 		if err != nil {
 			return fail(stderr, err)
 		}
-		return emit(stdout, stderr, *out, iltext.Print(mod))
+		bundle = b
+		u.file, u.src, u.isIL = filepath.Join(*replay, overload.ILFile), il, true
+		if !set["target"] {
+			u.target = b.Target
+		}
+		if !set["strategy"] {
+			stratName = b.Strategy
+		}
+		if !set["faults"] {
+			// A replay is armed only by an explicit -faults, never by an
+			// ambient $MARION_FAULTS.
+			spec = ""
+		}
+	} else {
+		if fs.NArg() != 1 {
+			fmt.Fprintln(stderr, "usage: marionc [-target T] [-strategy S] [-verify] file.c")
+			return 2
+		}
+		u.file = fs.Arg(0)
+		src, err := os.ReadFile(u.file)
+		if err != nil {
+			return fail(stderr, err)
+		}
+		u.src, u.isIL = string(src), strings.HasSuffix(u.file, ".il")
+		if *emitIL {
+			var mod *ir.Module
+			if u.isIL {
+				mod, err = iltext.Parse(u.file, u.src) // normalizing re-print
+			} else {
+				mod, err = driver.Frontend(u.file, u.src)
+			}
+			if err != nil {
+				return fail(stderr, err)
+			}
+			return emit(stdout, stderr, *out, iltext.Print(mod))
+		}
 	}
-	kind, err := strategy.ParseKind(*strat)
+
+	// The back end configuration, built from the flags exactly once.
+	kind, err := strategy.ParseKind(stratName)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	fset, err := faults.Parse(*faultSpec)
+	fset, err := faults.Parse(spec)
 	if err != nil {
 		fmt.Fprintln(stderr, "marionc:", err)
 		return 2
 	}
-	gen, err := core.New(*target, kind)
-	if err != nil {
-		return fail(stderr, err)
+	cfg := driver.Config{
+		Strategy: kind,
+		Workers:  *workers,
+		Verify:   *doVerify,
+		Budget:   *timeout,
+		Strict:   *strict,
+		Faults:   fset,
 	}
-	gen.Workers = *workers
-	gen.Verify = *doVerify
-	gen.Budget = time.Duration(*timeout)
-	gen.Strict = *strict
-	gen.Faults = fset
 	if *useCache || *cacheDir != "" {
 		ch, err := cache.New(cache.Options{Dir: *cacheDir})
 		if err != nil {
 			// The memory tier still works; warn and continue.
 			fmt.Fprintln(stderr, "marionc: warning:", err)
 		}
-		gen.Cache = ch
+		cfg.Cache = ch
 	}
-	var root *trace.Span
 	if *doTrace {
-		root = trace.New(trace.NewID(), "marionc")
-		gen.Span = root
+		cfg.Span = trace.New(trace.NewID(), "marionc")
 	}
-	var res *core.Result
-	if isIL {
-		res, err = gen.CompileIL(file, string(src))
-	} else {
-		res, err = gen.Compile(file, string(src))
+	if bundle != nil {
+		rec := bundle.Options.Config(cfg)
+		if set["workers"] {
+			rec.Workers = cfg.Workers
+		}
+		if set["timeout"] {
+			rec.Budget = cfg.Budget
+		}
+		if set["strict"] {
+			rec.Strict = cfg.Strict
+		}
+		rec.Verify = rec.Verify || cfg.Verify
+		cfg = rec
+		fmt.Fprintf(stderr, "marionc: replaying %s: %s/%s after %d failure(s): %s\n",
+			*replay, u.target, cfg.Strategy, bundle.Failures, bundle.Reason)
 	}
-	dumpTrace(stderr, root, err)
+	return compileAndReport(stdout, stderr, u, cfg)
+}
+
+// unit is one translation unit to compile and where its report goes.
+type unit struct {
+	target    string
+	file, src string
+	isIL      bool   // textual IL: skip the C front end
+	out       string // -o
+	stats     bool   // -stats
+}
+
+// compileAndReport compiles u under cfg and reports the way marionc
+// does — trace dump, degradation notes, assembly, -stats, verifier
+// findings — returning the exit status. The normal and -replay paths
+// both end here.
+func compileAndReport(stdout, stderr io.Writer, u unit, cfg driver.Config) int {
+	compile := driver.Compile
+	if u.isIL {
+		compile = driver.CompileIL
+	}
+	res, err := compile(u.target, u.file, u.src, cfg)
+	dumpTrace(stderr, cfg.Span, err)
 	if err != nil {
 		return fail(stderr, err)
 	}
 	for _, d := range res.Degradations {
 		fmt.Fprintf(stderr, "marionc: note: %s\n", d.String())
 	}
-	if code := emit(stdout, stderr, *out, res.Program.Print()); code != 0 {
+	if code := emit(stdout, stderr, u.out, res.Prog.Print()); code != 0 {
 		return code
 	}
-	if *stats {
+	if u.stats {
 		var names []string
 		for n := range res.Stats {
 			names = append(names, n)
@@ -220,77 +277,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 				"%s: est %d cycles, %d spills (%d slots), %d alloc rounds, %d schedule passes\n",
 				n, st.EstimatedCycles, st.Spills, st.SpillSlots, st.AllocRounds, st.SchedulePasses)
 		}
-		if gen.Cache != nil {
-			cs := gen.Cache.Stats()
+		if cfg.Cache != nil {
+			cs := cfg.Cache.Stats()
 			fmt.Fprintf(stderr,
 				"cache: %d hit(s) (%d mem, %d disk), %d miss(es), %d store(s), %d eviction(s), %d reject(s)\n",
 				cs.Hits(), cs.MemHits, cs.DiskHits, cs.Misses, cs.Stores, cs.Evictions, cs.Rejects)
 		}
-	}
-	if *doVerify && !res.Verify.Empty() {
-		printFindings(stderr, res.Verify)
-		return 1
-	}
-	return 0
-}
-
-// runReplay compiles a quarantine bundle (internal/overload) under its
-// recorded target, strategy, and options. Flags the user set explicitly
-// override the recording, so a bundle can be minimized interactively.
-func runReplay(fs *flag.FlagSet, dir string, stdout, stderr io.Writer) int {
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	str := func(name, recorded string) string {
-		if set[name] {
-			return fs.Lookup(name).Value.String()
-		}
-		return recorded
-	}
-
-	b, il, err := overload.LoadBundle(dir)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	kind, err := strategy.ParseKind(str("strategy", b.Strategy))
-	if err != nil {
-		return fail(stderr, err)
-	}
-	fset, err := faults.Parse(str("faults", ""))
-	if err != nil {
-		fmt.Fprintln(stderr, "marionc:", err)
-		return 2
-	}
-	cfg := driver.Config{
-		Target:       str("target", b.Target),
-		Strategy:     kind,
-		LinearSelect: b.Options.LinearSelect,
-		Verify:       b.Options.Verify || set["verify"],
-		Workers:      b.Options.Workers,
-		Budget:       time.Duration(b.Options.BudgetMs) * time.Millisecond,
-		Strict:       b.Options.Strict,
-		Faults:       fset,
-	}
-	if set["workers"] {
-		fmt.Sscan(fs.Lookup("workers").Value.String(), &cfg.Workers)
-	}
-	if set["timeout"] {
-		cfg.Budget, _ = time.ParseDuration(fs.Lookup("timeout").Value.String())
-	}
-	if set["strict"] {
-		cfg.Strict = fs.Lookup("strict").Value.String() == "true"
-	}
-
-	fmt.Fprintf(stderr, "marionc: replaying %s: %s/%s after %d failure(s): %s\n",
-		dir, cfg.Target, cfg.Strategy, b.Failures, b.Reason)
-	res, err := driver.CompileIL(filepath.Join(dir, overload.ILFile), il, cfg)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	for _, d := range res.Degradations {
-		fmt.Fprintf(stderr, "marionc: note: %s\n", d.String())
-	}
-	if code := emit(stdout, stderr, str("o", ""), res.Prog.Print()); code != 0 {
-		return code
 	}
 	if cfg.Verify && !res.Verify.Empty() {
 		printFindings(stderr, res.Verify)

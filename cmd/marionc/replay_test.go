@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -79,6 +81,70 @@ func TestReplayOverrides(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Error("replay -strategy postpass differs from a direct postpass compile")
+	}
+}
+
+// parentConfigJSON is a quarantine config.json exactly as mariond wrote
+// it before the wire options became one type: the on-disk format is a
+// compatibility surface, so it is pinned here as a literal, not
+// re-marshalled from today's struct.
+const parentConfigJSON = `{
+  "key": "r2000/rase",
+  "target": "r2000",
+  "strategy": "rase",
+  "reason": "injected fault at serve (r2000/rase)",
+  "failures": 2,
+  "options": {
+    "workers": 1,
+    "verify": true,
+    "strict": true,
+    "linear_select": true,
+    "budget_ms": 30000
+  }
+}
+`
+
+// TestReplayParentFormatConfig replays a bundle whose config.json is
+// the parent format's literal bytes: it must compile byte-identically
+// to a direct compile of the same IL, and every recorded option must
+// reach the back end (strict turns an injected failure fatal; an
+// explicit -strict=false overrides the recording).
+func TestReplayParentFormatConfig(t *testing.T) {
+	il := mustReadBundleIL(t, buildBundle(t, "r2000", "rase"))
+	dir := t.TempDir()
+	for name, text := range map[string]string{overload.ConfigFile: parentConfigJSON, overload.ILFile: il} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var got, want, errb strings.Builder
+	if code := run([]string{"-replay", dir}, &got, &errb); code != 0 {
+		t.Fatalf("replay exit %d: %s", code, errb.String())
+	}
+	ilFile := writeTemp(t, "q.il", il)
+	if code := run([]string{"-target", "r2000", "-strategy", "rase", "-verify", ilFile},
+		&want, &errb); code != 0 {
+		t.Fatalf("direct compile exit %d: %s", code, errb.String())
+	}
+	if got.String() != want.String() {
+		t.Error("replay of a parent-format bundle differs from a direct compile")
+	}
+
+	// The recorded strict=true is honored: the injected failure is fatal.
+	got.Reset()
+	errb.Reset()
+	if code := run([]string{"-replay", dir, "-faults", "select:err@fn=one"}, &got, &errb); code != 1 {
+		t.Fatalf("strict replay under a fault: exit %d, want 1: %s", code, errb.String())
+	}
+	// An explicit flag beats the recording: the same fault now degrades.
+	errb.Reset()
+	if code := run([]string{"-replay", dir, "-faults", "select:err@fn=one", "-strict=false"},
+		&got, &errb); code != 0 {
+		t.Fatalf("-strict=false replay: exit %d: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "one: degraded rase") {
+		t.Errorf("missing degradation note:\n%s", errb.String())
 	}
 }
 

@@ -9,14 +9,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"marion/internal/asm"
-	"marion/internal/cache"
-	"marion/internal/cc"
 	"marion/internal/driver"
-	"marion/internal/faults"
-	"marion/internal/ilgen"
 	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/mach"
@@ -25,7 +20,6 @@ import (
 	"marion/internal/sim"
 	"marion/internal/strategy"
 	"marion/internal/targets"
-	"marion/internal/trace"
 	"marion/internal/verify"
 )
 
@@ -45,47 +39,24 @@ const (
 func Targets() []string { return targets.Names() }
 
 // CodeGenerator is a constructed code generator: machine tables derived
-// from a description plus a strategy.
+// from a description plus the back end options (pipeline.Config:
+// Strategy, Workers, Verify, Budget, Cache, ... — embedded, so every
+// option the back end has is settable as gen.<Field> and reaches the
+// pipeline unchanged).
 //
 // A CodeGenerator is safe for concurrent use: once its fields are set,
-// any number of goroutines may call Compile, CompileIL, CompileModule
-// and their Ctx variants on the same generator. The shared state is all
-// either immutable after construction (Machine is finalized once and
-// never written by compilation; the configuration fields are read-only
-// during a compile) or internally synchronized (Cache and the metrics
-// registry are lock-striped/atomic). Each compilation builds its own
-// module, program and statistics, and the per-function worker pool is
-// per-call. The one rule: do not mutate the exported fields while
-// compiles are in flight — reconfigure by building a new generator.
+// any number of goroutines may call Compile, CompileIL and their Ctx
+// variants on the same generator. The shared state is all either
+// immutable after construction (Machine is finalized once and never
+// written by compilation; the configuration fields are read-only during
+// a compile) or internally synchronized (Cache and the metrics registry
+// are lock-striped/atomic). Each compilation builds its own module,
+// program and statistics, and the per-function worker pool is per-call.
+// The one rule: do not mutate the exported fields while compiles are in
+// flight — reconfigure by building a new generator.
 type CodeGenerator struct {
-	Machine  *mach.Machine
-	Strategy Strategy
-	Options  strategy.Options
-	// Workers bounds the per-function back end worker pool
-	// (<= 0 means runtime.GOMAXPROCS(0)); any value produces
-	// byte-identical output.
-	Workers int
-	// Verify runs the machine-description-driven verifier
-	// (internal/verify) over the emitted code; findings land in
-	// Result.Verify.
-	Verify bool
-	// Budget is the per-function wall-clock deadline; 0 means none. A
-	// function exceeding it fails with a typed budget error (and, unless
-	// Strict is set, is retried down the degradation ladder).
-	Budget time.Duration
-	// Strict disables the graceful-degradation ladder.
-	Strict bool
-	// Faults arms the deterministic fault-injection harness
-	// (internal/faults) for chaos testing.
-	Faults *faults.Set
-	// Cache, when non-nil, is the content-addressed compilation cache
-	// (internal/cache) consulted per function before the back end runs;
-	// hits are byte-identical to a fresh compile.
-	Cache *cache.Cache
-	// Span, when non-nil, is the parent trace span under which the back
-	// end records per-function, per-attempt and per-phase spans (see
-	// internal/trace). Nil means tracing is off.
-	Span *trace.Span
+	Machine *mach.Machine
+	pipeline.Config
 }
 
 // New builds a code generator for a shipped target.
@@ -94,7 +65,7 @@ func New(target string, strat Strategy) (*CodeGenerator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CodeGenerator{Machine: m, Strategy: strat}, nil
+	return &CodeGenerator{Machine: m, Config: pipeline.Config{Strategy: strat}}, nil
 }
 
 // NewFromDescription builds a code generator from Maril description text
@@ -104,7 +75,7 @@ func NewFromDescription(name, source string, strat Strategy) (*CodeGenerator, er
 	if err != nil {
 		return nil, err
 	}
-	return &CodeGenerator{Machine: m, Strategy: strat}, nil
+	return &CodeGenerator{Machine: m, Config: pipeline.Config{Strategy: strat}}, nil
 }
 
 // Result is a compiled translation unit plus per-function statistics.
@@ -130,11 +101,7 @@ func (g *CodeGenerator) Compile(filename, source string) (*Result, error) {
 // an HTTP request deadline (or any caller cancellation) interrupts the
 // back end instead of hanging behind it.
 func (g *CodeGenerator) CompileCtx(ctx context.Context, filename, source string) (*Result, error) {
-	file, err := cc.Compile(filename, source)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := ilgen.Lower(file)
+	mod, err := driver.Frontend(filename, source)
 	if err != nil {
 		return nil, err
 	}
@@ -156,18 +123,9 @@ func (g *CodeGenerator) CompileILCtx(ctx context.Context, filename, source strin
 	return g.CompileModuleCtx(ctx, mod)
 }
 
-// CompileModule compiles an already-lowered IL module.
-func (g *CodeGenerator) CompileModule(mod *ir.Module) (*Result, error) {
-	return g.CompileModuleCtx(context.Background(), mod)
-}
-
-// CompileModuleCtx is CompileModule with cancellation.
+// CompileModuleCtx compiles an already-lowered IL module.
 func (g *CodeGenerator) CompileModuleCtx(ctx context.Context, mod *ir.Module) (*Result, error) {
-	c, err := driver.CompileModuleCtx(ctx, g.Machine, mod, driver.Config{
-		Strategy: g.Strategy, Options: g.Options, Workers: g.Workers,
-		Verify: g.Verify, Budget: g.Budget, Strict: g.Strict, Faults: g.Faults,
-		Cache: g.Cache, Span: g.Span,
-	})
+	c, err := driver.CompileModuleCtx(ctx, g.Machine, mod, g.Config)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"marion/internal/cache"
+	"marion/internal/pipeline"
 	"marion/internal/sim"
 )
 
@@ -130,5 +133,65 @@ func TestTargetsList(t *testing.T) {
 	}
 	if len(want) != 0 {
 		t.Errorf("missing targets: %v (have %v)", want, names)
+	}
+}
+
+const twoFuncs = `
+int dbl(int x) { return x + x; }
+int mac(int a, int b, int c) { return a * b + c; }
+`
+
+// The generator embeds pipeline.Config, so it can express every back
+// end option — including the two its hand-copied field list had
+// drifted away from. CacheOnly with an empty cache must turn every
+// function into an ErrCacheOnlyMiss diagnostic instead of compiling.
+func TestGeneratorCacheOnly(t *testing.T) {
+	gen, err := New("r2000", Postpass)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen.Cache, gen.CacheOnly = ch, true
+
+	_, err = gen.Compile("t.c", twoFuncs)
+	var diags *pipeline.Diagnostics
+	if !errors.As(err, &diags) {
+		t.Fatalf("err = %v, want *pipeline.Diagnostics", err)
+	}
+	all := diags.All()
+	if len(all) != 2 {
+		t.Fatalf("got %d diagnostics, want one per function (2): %v", len(all), err)
+	}
+	for _, d := range all {
+		if !errors.Is(d.Err, pipeline.ErrCacheOnlyMiss) {
+			t.Errorf("%s: err = %v, want ErrCacheOnlyMiss", d.Func, d.Err)
+		}
+	}
+}
+
+// LinearSelect reaches the selector through the generator and produces
+// assembly byte-identical to the indexed path.
+func TestGeneratorLinearSelect(t *testing.T) {
+	for _, target := range []string{"r2000", "i860"} {
+		idx, err := New(target, IPS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lin := *idx
+		lin.LinearSelect = true
+		a, err := idx.Compile("t.c", twoFuncs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := lin.Compile("t.c", twoFuncs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Program.Print() != b.Program.Print() {
+			t.Errorf("%s: linear selection changed the assembly", target)
+		}
 	}
 }

@@ -37,9 +37,9 @@ func TestCacheColdWarmByteIdentical(t *testing.T) {
 		for _, strat := range cacheStrategies {
 			t.Run(target+"/"+strat.String(), func(t *testing.T) {
 				c := newTestCache(t, "")
-				cfg := Config{Target: target, Strategy: strat, Cache: c}
+				cfg := Config{Strategy: strat, Cache: c}
 
-				cold, err := Compile("tiny.c", tinyProg, cfg)
+				cold, err := Compile(target, "tiny.c", tinyProg, cfg)
 				if err != nil {
 					t.Fatalf("cold: %v", err)
 				}
@@ -48,7 +48,7 @@ func TestCacheColdWarmByteIdentical(t *testing.T) {
 					t.Fatalf("cold run hit the empty cache: %+v", cs)
 				}
 
-				warm, err := Compile("tiny.c", tinyProg, cfg)
+				warm, err := Compile(target, "tiny.c", tinyProg, cfg)
 				if err != nil {
 					t.Fatalf("warm: %v", err)
 				}
@@ -76,9 +76,9 @@ func TestCacheColdWarmByteIdentical(t *testing.T) {
 // the worker count.
 func TestCacheWarmAcrossWorkerCounts(t *testing.T) {
 	c := newTestCache(t, "")
-	base := Config{Target: "r2000", Strategy: strategy.RASE, Cache: c}
+	base := Config{Strategy: strategy.RASE, Cache: c}
 
-	cold, err := Compile("tiny.c", tinyProg, base)
+	cold, err := Compile("r2000", "tiny.c", tinyProg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCacheWarmAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		cfg := base
 		cfg.Workers = workers
-		warm, err := Compile("tiny.c", tinyProg, cfg)
+		warm, err := Compile("r2000", "tiny.c", tinyProg, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -105,10 +105,10 @@ func TestCacheWarmAcrossWorkerCounts(t *testing.T) {
 func TestCachePoisonedEntryRejected(t *testing.T) {
 	dir := t.TempDir()
 	cfgFor := func(c *cache.Cache) Config {
-		return Config{Target: "m88000", Strategy: strategy.Postpass, Cache: c}
+		return Config{Strategy: strategy.Postpass, Cache: c}
 	}
 
-	cold, err := Compile("tiny.c", tinyProg, cfgFor(newTestCache(t, dir)))
+	cold, err := Compile("m88000", "tiny.c", tinyProg, cfgFor(newTestCache(t, dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCachePoisonedEntryRejected(t *testing.T) {
 	// A fresh cache over the poisoned directory: every lookup must
 	// reject, recompile, and re-store a good entry.
 	c2 := newTestCache(t, dir)
-	warm, err := Compile("tiny.c", tinyProg, cfgFor(c2))
+	warm, err := Compile("m88000", "tiny.c", tinyProg, cfgFor(c2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCachePoisonedEntryRejected(t *testing.T) {
 
 	// Third run: the healed entries serve.
 	c3 := newTestCache(t, dir)
-	again, err := Compile("tiny.c", tinyProg, cfgFor(c3))
+	again, err := Compile("m88000", "tiny.c", tinyProg, cfgFor(c3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +170,8 @@ func TestCacheDisabledUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newTestCache(t, "")
-	out, err := Compile("tiny.c", tinyProg, Config{
-		Target: "toyp", Strategy: strategy.Postpass, Faults: set, Cache: c,
+	out, err := Compile("toyp", "tiny.c", tinyProg, Config{
+		Strategy: strategy.Postpass, Faults: set, Cache: c,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,8 +193,8 @@ func TestRetryTimeSeparatedFromPhaseTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Compile("tiny.c", tinyProg, Config{
-		Target: "toyp", Strategy: strategy.Postpass, Faults: set,
+	out, err := Compile("toyp", "tiny.c", tinyProg, Config{
+		Strategy: strategy.Postpass, Faults: set,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,12 +218,12 @@ func TestRetryTimeSeparatedFromPhaseTimes(t *testing.T) {
 // reports the same (clean) verifier outcome as the cold one.
 func TestCacheHitVerifyReport(t *testing.T) {
 	c := newTestCache(t, "")
-	cfg := Config{Target: "rs6000", Strategy: strategy.IPS, Verify: true, Cache: c}
-	cold, err := Compile("tiny.c", tinyProg, cfg)
+	cfg := Config{Strategy: strategy.IPS, Verify: true, Cache: c}
+	cold, err := Compile("rs6000", "tiny.c", tinyProg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Compile("tiny.c", tinyProg, cfg)
+	warm, err := Compile("rs6000", "tiny.c", tinyProg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,7 @@ import (
 	"time"
 
 	"marion/internal/asm"
-	"marion/internal/cache"
 	"marion/internal/cc"
-	"marion/internal/faults"
 	"marion/internal/ilgen"
 	"marion/internal/iltext"
 	"marion/internal/ir"
@@ -26,50 +24,16 @@ import (
 	"marion/internal/sel"
 	"marion/internal/strategy"
 	"marion/internal/targets"
-	"marion/internal/trace"
 	"marion/internal/verify"
 )
 
 // DataBase is the absolute address where globals are laid out.
 const DataBase = 0x2000
 
-// Config selects a target and a strategy.
-type Config struct {
-	Target   string
-	Strategy strategy.Kind
-	Options  strategy.Options
-	// LinearSelect disables the selection template index and memo
-	// caches (the brute-force reference path; see sel.Options.Linear).
-	LinearSelect bool
-	// Verify runs the machine-description-driven verifier
-	// (internal/verify) over every compiled function; the merged
-	// findings land in Compiled.Verify. Findings are not compile
-	// errors — callers decide whether they are fatal.
-	Verify bool
-	// Workers bounds the per-function back end worker pool;
-	// <= 0 means runtime.GOMAXPROCS(0). Output is identical for any
-	// worker count.
-	Workers int
-	// Budget is the per-function wall-clock deadline (0 = none); see
-	// pipeline.Config.Budget.
-	Budget time.Duration
-	// Strict disables the graceful-degradation ladder: failures are
-	// reported instead of retried on weaker strategies.
-	Strict bool
-	// Faults arms the deterministic fault-injection harness.
-	Faults *faults.Set
-	// Cache, when non-nil, is the content-addressed compilation cache
-	// consulted per function before the back end runs; see
-	// pipeline.Config.Cache for the admission policy.
-	Cache *cache.Cache
-	// CacheOnly serves functions exclusively from the cache; misses
-	// become pipeline.ErrCacheOnlyMiss diagnostics instead of compiles.
-	// The server's deepest brownout level.
-	CacheOnly bool
-	// Span, when non-nil, is the parent trace span for the back end run;
-	// see pipeline.Config.Span. Nil means tracing is off.
-	Span *trace.Span
-}
+// Config is the back end's option set. It is declared once, in
+// internal/pipeline where every field is consumed, and passed down
+// unchanged by every layer above (core, server, the CLIs).
+type Config = pipeline.Config
 
 // Compiled is the result of one compilation.
 type Compiled struct {
@@ -102,17 +66,9 @@ type Compiled struct {
 	CacheHits int
 }
 
-// Compile compiles a C translation unit for the configured target.
-func Compile(name, src string, cfg Config) (*Compiled, error) {
-	return CompileCtx(context.Background(), name, src, cfg)
-}
-
-// CompileCtx is Compile with cancellation: the context reaches the
-// scheduler and allocator cycle loops through the pipeline, so a
-// cancelled caller (an HTTP request, a deadline) stops the back end
-// instead of waiting for it.
-func CompileCtx(ctx context.Context, name, src string, cfg Config) (*Compiled, error) {
-	m, err := targets.Load(cfg.Target)
+// Compile compiles a C translation unit for a shipped target.
+func Compile(target, name, src string, cfg Config) (*Compiled, error) {
+	m, err := targets.Load(target)
 	if err != nil {
 		return nil, err
 	}
@@ -120,18 +76,13 @@ func CompileCtx(ctx context.Context, name, src string, cfg Config) (*Compiled, e
 	if err != nil {
 		return nil, err
 	}
-	return CompileModuleCtx(ctx, m, mod, cfg)
+	return CompileModule(m, mod, cfg)
 }
 
-// CompileIL compiles textual IL (see internal/iltext) for the
-// configured target, bypassing the C front end.
-func CompileIL(name, src string, cfg Config) (*Compiled, error) {
-	return CompileILCtx(context.Background(), name, src, cfg)
-}
-
-// CompileILCtx is CompileIL with cancellation.
-func CompileILCtx(ctx context.Context, name, src string, cfg Config) (*Compiled, error) {
-	m, err := targets.Load(cfg.Target)
+// CompileIL compiles textual IL (see internal/iltext) for a shipped
+// target, bypassing the C front end.
+func CompileIL(target, name, src string, cfg Config) (*Compiled, error) {
+	m, err := targets.Load(target)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +90,7 @@ func CompileILCtx(ctx context.Context, name, src string, cfg Config) (*Compiled,
 	if err != nil {
 		return nil, err
 	}
-	return CompileModuleCtx(ctx, m, mod, cfg)
+	return CompileModule(m, mod, cfg)
 }
 
 // Frontend runs the C front end alone: source text to a lowered IL
@@ -157,9 +108,12 @@ func CompileModule(m *mach.Machine, mod *ir.Module, cfg Config) (*Compiled, erro
 	return CompileModuleCtx(context.Background(), m, mod, cfg)
 }
 
-// CompileModuleCtx is CompileModule with cancellation. When any
-// function fails, the returned error is a *pipeline.Diagnostics listing
-// every failing function with its phase.
+// CompileModuleCtx is CompileModule with cancellation: the context
+// reaches the scheduler and allocator cycle loops through the pipeline,
+// so a cancelled caller (an HTTP request, a deadline) stops the back end
+// instead of waiting for it. When any function fails, the returned error
+// is a *pipeline.Diagnostics listing every failing function with its
+// phase.
 func CompileModuleCtx(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg Config) (*Compiled, error) {
 	out := &Compiled{
 		Machine:    m,
@@ -187,20 +141,7 @@ func CompileModuleCtx(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg 
 		out.Prog.Globals = append(out.Prog.Globals, g)
 	}
 
-	p := pipeline.Backend()
-	results, diags := p.Run(ctx, m, mod.Funcs, pipeline.Config{
-		Strategy:     cfg.Strategy,
-		Options:      cfg.Options,
-		LinearSelect: cfg.LinearSelect,
-		Verify:       cfg.Verify,
-		Workers:      cfg.Workers,
-		Budget:       cfg.Budget,
-		Strict:       cfg.Strict,
-		Faults:       cfg.Faults,
-		Cache:        cfg.Cache,
-		CacheOnly:    cfg.CacheOnly,
-		Span:         cfg.Span,
-	})
+	results, diags := pipeline.Backend().Run(ctx, m, mod.Funcs, cfg)
 	if err := diags.Err(); err != nil {
 		return nil, err
 	}

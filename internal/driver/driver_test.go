@@ -35,7 +35,7 @@ int fib(int n) {
 
 func compile(t *testing.T, strat strategy.Kind) *Compiled {
 	t.Helper()
-	c, err := Compile("tiny.c", tinyProg, Config{Target: "toyp", Strategy: strat})
+	c, err := Compile("toyp", "tiny.c", tinyProg, Config{Strategy: strat})
 	if err != nil {
 		t.Fatalf("compile (%v): %v", strat, err)
 	}

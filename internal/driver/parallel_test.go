@@ -54,15 +54,11 @@ func TestParallelDeterminism(t *testing.T) {
 	for _, target := range targets.Names() {
 		for _, kind := range allKinds {
 			t.Run(fmt.Sprintf("%s/%s", target, kind), func(t *testing.T) {
-				seq, err := driver.Compile("par.c", parProg, driver.Config{
-					Target: target, Strategy: kind, Workers: 1,
-				})
+				seq, err := driver.Compile(target, "par.c", parProg, driver.Config{Strategy: kind, Workers: 1})
 				if err != nil {
 					t.Fatalf("workers=1: %v", err)
 				}
-				par, err := driver.Compile("par.c", parProg, driver.Config{
-					Target: target, Strategy: kind, Workers: 8,
-				})
+				par, err := driver.Compile(target, "par.c", parProg, driver.Config{Strategy: kind, Workers: 8})
 				if err != nil {
 					t.Fatalf("workers=8: %v", err)
 				}
@@ -166,9 +162,7 @@ func TestDiagnosticsReportAllFailures(t *testing.T) {
 // TestPhaseTimesPopulated checks the per-phase timing sink survives the
 // trip through the pool.
 func TestPhaseTimesPopulated(t *testing.T) {
-	c, err := driver.Compile("par.c", parProg, driver.Config{
-		Target: "r2000", Strategy: strategy.Postpass,
-	})
+	c, err := driver.Compile("r2000", "par.c", parProg, driver.Config{Strategy: strategy.Postpass})
 	if err != nil {
 		t.Fatal(err)
 	}

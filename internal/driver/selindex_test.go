@@ -18,15 +18,11 @@ func TestIndexedSelectionIdentical(t *testing.T) {
 	for _, target := range targets.Names() {
 		for _, kind := range allKinds {
 			t.Run(fmt.Sprintf("%s/%s", target, kind), func(t *testing.T) {
-				idx, err := driver.Compile("par.c", parProg, driver.Config{
-					Target: target, Strategy: kind,
-				})
+				idx, err := driver.Compile(target, "par.c", parProg, driver.Config{Strategy: kind})
 				if err != nil {
 					t.Fatalf("indexed: %v", err)
 				}
-				lin, err := driver.Compile("par.c", parProg, driver.Config{
-					Target: target, Strategy: kind, LinearSelect: true,
-				})
+				lin, err := driver.Compile(target, "par.c", parProg, driver.Config{Strategy: kind, LinearSelect: true})
 				if err != nil {
 					t.Fatalf("linear: %v", err)
 				}

@@ -110,8 +110,8 @@ func CompileSuite(target string, kind strategy.Kind, workers int) ([]*driver.Com
 	var out []*driver.Compiled
 	for i := range livermore.Kernels {
 		k := &livermore.Kernels[i]
-		c, err := driver.Compile(fmt.Sprintf("loop%d.c", k.ID), k.Source, driver.Config{
-			Target: target, Strategy: kind, Workers: workers,
+		c, err := driver.Compile(target, fmt.Sprintf("loop%d.c", k.ID), k.Source, driver.Config{
+			Strategy: kind, Workers: workers,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s loop%d: %w", target, kind, k.ID, err)
@@ -316,8 +316,8 @@ double frag() {
 // Figure7 compiles the fragment for the i860 and renders the schedule of
 // the main block, showing packed long-instruction words.
 func Figure7() (string, error) {
-	c, err := driver.Compile("fig7.c", Figure7Source, driver.Config{
-		Target: "i860", Strategy: strategy.Postpass,
+	c, err := driver.Compile("i860", "fig7.c", Figure7Source, driver.Config{
+		Strategy: strategy.Postpass,
 	})
 	if err != nil {
 		return "", err
@@ -408,8 +408,8 @@ func SelectionStats(targetNames []string, workers int) ([]SelStatsRow, error) {
 			var selTime time.Duration
 			for i := range livermore.Kernels {
 				k := &livermore.Kernels[i]
-				c, err := driver.Compile(fmt.Sprintf("loop%d.c", k.ID), k.Source, driver.Config{
-					Target: tn, Strategy: strategy.Postpass,
+				c, err := driver.Compile(tn, fmt.Sprintf("loop%d.c", k.ID), k.Source, driver.Config{
+					Strategy:     strategy.Postpass,
 					LinearSelect: linear, Workers: workers,
 				})
 				if err != nil {

@@ -38,7 +38,7 @@ func roundTrip(t *testing.T, name, csrc, target string, strat strategy.Kind) {
 		t.Errorf("print not idempotent:\n--- first\n%s\n--- second\n%s", text, text2)
 	}
 
-	cfg := driver.Config{Target: target, Strategy: strat}
+	cfg := driver.Config{Strategy: strat}
 	m := mustMachine(t, target)
 	progA, err := driver.CompileModule(m, modA, cfg)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestRoundTripLivermore(t *testing.T) {
 	compareModules(t, mod, mod2, "")
 
 	m := mustMachine(t, "r2000")
-	cfg := driver.Config{Target: "r2000", Strategy: strategy.Postpass}
+	cfg := driver.Config{Strategy: strategy.Postpass}
 	progA, err := driver.CompileModule(m, mod, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ block L0 depth 0
 (asgn int t2 (add int (reg int t0) (mul int (reg int t1) (const int 3))))
 (ret int (reg int t2))
 `
-	c, err := driver.CompileIL("hand.il", src, driver.Config{Target: "r2000", Strategy: strategy.Postpass})
+	c, err := driver.CompileIL("r2000", "hand.il", src, driver.Config{Strategy: strategy.Postpass})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 // allocator: any finding is a build error.
 func Build(k *Kernel, target string, strat strategy.Kind) (*driver.Compiled, error) {
 	name := fmt.Sprintf("loop%d.c", k.ID)
-	c, err := driver.Compile(name, k.Source, driver.Config{
-		Target: target, Strategy: strat, Verify: true,
+	c, err := driver.Compile(target, name, k.Source, driver.Config{
+		Strategy: strat, Verify: true,
 	})
 	if err != nil {
 		return nil, err

@@ -1,8 +1,8 @@
 // Package metrics is Marion's lightweight observability layer: a named
 // registry of lock-free counters and fixed-bucket histograms, shared by
 // the compilation cache (hit/miss/eviction counts) and the pipeline
-// (per-phase wall-time distributions), with optional expvar export and
-// pprof label helpers.
+// (per-phase wall-time distributions). A Snapshot is what /statz and the
+// Prometheus exposition (prom.go) render.
 //
 // All instruments are safe for concurrent use from the parallel
 // per-function back end workers: counters are single atomics and
@@ -12,12 +12,7 @@
 package metrics
 
 import (
-	"context"
-	"encoding/json"
-	"expvar"
-	"fmt"
 	"math"
-	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -242,35 +237,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[n] = h.Snapshot()
 	}
 	return s
-}
-
-// String renders the snapshot as JSON (it also makes Registry an
-// expvar.Var).
-func (r *Registry) String() string {
-	b, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		return fmt.Sprintf("%q", err.Error())
-	}
-	return string(b)
-}
-
-// PublishExpvar exports the registry under the given expvar name.
-// Publishing the same name twice is a no-op (expvar itself panics on
-// re-publication, which would make repeated CLI runs in one test
-// process fragile).
-func (r *Registry) PublishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, r)
-}
-
-// Do runs fn with pprof labels attached to the goroutine, so CPU and
-// goroutine profiles of the parallel back end attribute samples to a
-// pipeline phase or function. Pairs are alternating key/value strings.
-func Do(ctx context.Context, fn func(context.Context), pairs ...string) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pprof.Do(ctx, pprof.Labels(pairs...), fn)
 }

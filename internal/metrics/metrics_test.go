@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"sync"
 	"testing"
@@ -40,11 +38,7 @@ func TestGauge(t *testing.T) {
 	if r.Gauge("limit") != g {
 		t.Fatal("same name returned different gauges")
 	}
-	var s Snapshot
-	if err := json.Unmarshal([]byte(r.String()), &s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Gauges["limit"] != 5 {
+	if s := r.Snapshot(); s.Gauges["limit"] != 5 {
 		t.Fatalf("snapshot gauges = %v", s.Gauges)
 	}
 	// A registry with no gauges omits the section entirely, keeping old
@@ -85,55 +79,22 @@ func TestHistogramSameInstance(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndExpvar(t *testing.T) {
+// TestSnapshotJSON: a snapshot survives a JSON round trip with its
+// counters and histograms intact.
+func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Add(3)
 	r.Histogram("h", []float64{1}).Observe(0.5)
+	b, err := json.Marshal(r.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var s Snapshot
-	if err := json.Unmarshal([]byte(r.String()), &s); err != nil {
+	if err := json.Unmarshal(b, &s); err != nil {
 		t.Fatal(err)
 	}
 	if s.Counters["a"] != 3 || s.Histograms["h"].Count != 1 {
 		t.Fatalf("snapshot = %+v", s)
-	}
-	r.PublishExpvar("marion-test-metrics")
-	r.PublishExpvar("marion-test-metrics") // second publish must not panic
-	if expvar.Get("marion-test-metrics") == nil {
-		t.Fatal("expvar not published")
-	}
-}
-
-// TestExpvarRoundTrip reads the registry back through the expvar
-// interface — the same path mariond's /debug/vars serves — and checks
-// the exported JSON tracks live instrument updates.
-func TestExpvarRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("served").Add(2)
-	r.Histogram("lat", []float64{1, 10}).Observe(0.5)
-	r.PublishExpvar("marion-test-roundtrip")
-
-	v := expvar.Get("marion-test-roundtrip")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	var s Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &s); err != nil {
-		t.Fatalf("expvar output is not snapshot JSON: %v", err)
-	}
-	if s.Counters["served"] != 2 {
-		t.Fatalf("served = %d, want 2", s.Counters["served"])
-	}
-	if h := s.Histograms["lat"]; h.Count != 1 || len(h.Counts) != 3 {
-		t.Fatalf("lat = %+v", h)
-	}
-
-	// The export is live, not a publish-time copy.
-	r.Counter("served").Add(3)
-	if err := json.Unmarshal([]byte(v.String()), &s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Counters["served"] != 5 {
-		t.Fatalf("after update served = %d, want 5", s.Counters["served"])
 	}
 }
 
@@ -199,13 +160,5 @@ func TestHistogramSnapshotConcurrent(t *testing.T) {
 		if c != total/int64(len(vals)) {
 			t.Fatalf("bucket %d = %d, want %d", i, c, total/int64(len(vals)))
 		}
-	}
-}
-
-func TestDoLabels(t *testing.T) {
-	ran := false
-	Do(nil, func(ctx context.Context) { ran = true }, "phase", "select")
-	if !ran {
-		t.Fatal("Do did not run fn")
 	}
 }

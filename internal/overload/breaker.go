@@ -2,7 +2,6 @@ package overload
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -160,15 +159,10 @@ func (bs *Breakers) Cancel(key string) {
 // Failure records a breaker-relevant failure under key and reports
 // whether this failure tripped the breaker open (a trip is the moment
 // to write a quarantine bundle). A failed half-open probe re-opens —
-// that also counts as a trip.
-func (bs *Breakers) Failure(key string) (tripped bool) {
-	return bs.FailureTraced(key, nil)
-}
-
-// FailureTraced is Failure with a trace span: a trip is recorded as a
-// "breaker.trip" event on sp (nil sp traces nothing), so the request
-// that tripped a key carries the moment in its own trace.
-func (bs *Breakers) FailureTraced(key string, sp *trace.Span) (tripped bool) {
+// that also counts as a trip. A trip is recorded as a "breaker.trip"
+// event on sp (nil sp traces nothing), so the request that tripped a
+// key carries the moment in its own trace.
+func (bs *Breakers) Failure(key string, sp *trace.Span) (tripped bool) {
 	now := bs.cfg.Clock()
 	bs.mu.Lock()
 	b := bs.m[key]
@@ -206,25 +200,6 @@ func (bs *Breakers) FailureTraced(key string, sp *trace.Span) (tripped bool) {
 	return tripped
 }
 
-// AtRisk reports whether the NEXT failure under key could trip the
-// breaker — callers use it to capture replay state (the quarantine
-// bundle's IL) before running work that might be the tripping request.
-func (bs *Breakers) AtRisk(key string) bool {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	b := bs.m[key]
-	if b == nil {
-		return bs.cfg.Threshold <= 1
-	}
-	switch b.state {
-	case Closed:
-		return b.fails >= bs.cfg.Threshold-1
-	case HalfOpen:
-		return true
-	}
-	return false
-}
-
 // States renders every tracked key's state, for /statz: "closed",
 // "closed(n fails)", "open", "half-open".
 func (bs *Breakers) States() map[string]string {
@@ -241,20 +216,6 @@ func (bs *Breakers) States() map[string]string {
 		}
 		out[k] = s
 	}
-	return out
-}
-
-// OpenKeys lists the keys that are currently open or half-open, sorted.
-func (bs *Breakers) OpenKeys() []string {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	var out []string
-	for k, b := range bs.m {
-		if b.state != Closed {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -6,6 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
+
+	"marion/internal/pipeline"
 )
 
 // Bundle is the replayable quarantine record a breaker trip leaves
@@ -24,18 +27,46 @@ type Bundle struct {
 	Reason string `json:"reason"`
 	// Failures is the consecutive-failure count at trip time.
 	Failures int `json:"failures"`
-	// Options are the driver knobs the request compiled under.
+	// Options are the back end options the request compiled under.
 	Options BundleOptions `json:"options"`
 }
 
-// BundleOptions are the code-changing driver options captured for
-// replay.
+// BundleOptions are the back end options that cross a wire: a client
+// sets them per request (server.CompileOptions is this type) and a
+// quarantine bundle records them for replay. Zero values mean "the
+// receiver's default".
 type BundleOptions struct {
-	Workers      int   `json:"workers,omitempty"`
-	Verify       bool  `json:"verify,omitempty"`
-	Strict       bool  `json:"strict,omitempty"`
-	LinearSelect bool  `json:"linear_select,omitempty"`
-	BudgetMs     int64 `json:"budget_ms,omitempty"`
+	// Workers bounds the per-function back end pool (default: the
+	// server's per-request worker count). Output is byte-identical for
+	// any value.
+	Workers int `json:"workers,omitempty"`
+	// Verify runs the machine-description-driven verifier; findings are
+	// returned (they do not fail the request).
+	Verify bool `json:"verify,omitempty"`
+	// Strict disables the graceful-degradation ladder.
+	Strict bool `json:"strict,omitempty"`
+	// LinearSelect forces the unindexed selection reference path.
+	LinearSelect bool `json:"linear_select,omitempty"`
+	// BudgetMs is the per-function compilation budget in milliseconds
+	// (default: the server's). A request deadline still applies on top:
+	// whichever expires first interrupts the function.
+	BudgetMs int64 `json:"budget_ms,omitempty"`
+}
+
+// Config maps the wire options onto the back end's option struct — the
+// one place the two meet, shared by the request path and by
+// `marionc -replay`. base supplies everything the wire does not carry
+// (cache, faults, span) plus the Workers and Budget defaults that a zero
+// wire value leaves in force.
+func (o BundleOptions) Config(base pipeline.Config) pipeline.Config {
+	base.Verify, base.Strict, base.LinearSelect = o.Verify, o.Strict, o.LinearSelect
+	if o.Workers > 0 {
+		base.Workers = o.Workers
+	}
+	if o.BudgetMs > 0 {
+		base.Budget = time.Duration(o.BudgetMs) * time.Millisecond
+	}
+	return base
 }
 
 // ILFile and ConfigFile are the bundle's member names.

@@ -28,8 +28,9 @@
 //     bundle.go writes the replayable quarantine bundle a trip leaves
 //     behind.
 //
-// The package has no HTTP or compiler dependencies; internal/server
-// wires it to requests.
+// The package has no HTTP dependency and touches the compiler only
+// through pipeline.Config (the bundle's options map onto it);
+// internal/server wires it to requests.
 package overload
 
 import (
@@ -157,8 +158,7 @@ type Limiter struct {
 	succ    int     // in-SLO completions since the last limit change
 	lastDec time.Time
 
-	evicted, shedFull, expired int64
-	increases, decreases       int64
+	evicted int64
 }
 
 // NewLimiter builds a Limiter.
@@ -177,15 +177,11 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 // The context's deadline drives doomed-shedding: when the remaining
 // deadline is below the EWMA service estimate, queueing cannot help and
 // the request is shed as ShedDoomed.
-func (l *Limiter) Acquire(ctx context.Context) (release func(o Outcome), dec Decision) {
-	return l.AcquireTraced(ctx, nil)
-}
-
-// AcquireTraced is Acquire with a trace span: admission-path decisions
-// that are otherwise invisible to the caller — an up-front doomed shed,
-// a later in-queue eviction when the service estimate moves — are
-// recorded as events on sp (nil sp traces nothing).
-func (l *Limiter) AcquireTraced(ctx context.Context, sp *trace.Span) (release func(o Outcome), dec Decision) {
+//
+// Admission-path decisions that are otherwise invisible to the caller —
+// an up-front doomed shed, a later in-queue eviction when the service
+// estimate moves — are recorded as events on sp (nil sp traces nothing).
+func (l *Limiter) Acquire(ctx context.Context, sp *trace.Span) (release func(o Outcome), dec Decision) {
 	l.mu.Lock()
 	if l.inflight < l.limit && len(l.queue) == 0 {
 		l.inflight++
@@ -193,7 +189,6 @@ func (l *Limiter) AcquireTraced(ctx context.Context, sp *trace.Span) (release fu
 		return l.releaser(time.Now()), Admitted
 	}
 	if len(l.queue) >= l.cfg.MaxQueue {
-		l.shedFull++
 		l.mu.Unlock()
 		return nil, ShedFull
 	}
@@ -231,7 +226,6 @@ func (l *Limiter) AcquireTraced(ctx context.Context, sp *trace.Span) (release fu
 		default:
 			l.removeLocked(w)
 		}
-		l.expired++
 		l.mu.Unlock()
 		return nil, Expired
 	}
@@ -274,7 +268,6 @@ func (l *Limiter) observeLocked(d time.Duration, ok bool) {
 		if l.succ >= l.limit && l.limit < l.cfg.Max {
 			l.limit++
 			l.succ = 0
-			l.increases++
 		}
 		return
 	}
@@ -292,7 +285,6 @@ func (l *Limiter) observeLocked(d time.Duration, ok bool) {
 	if next < l.limit {
 		l.limit = next
 		l.lastDec = now
-		l.decreases++
 	}
 }
 
@@ -393,11 +385,10 @@ func (l *Limiter) Prime(d time.Duration) {
 
 // LimiterSnapshot is a point-in-time view for /statz.
 type LimiterSnapshot struct {
-	Limit, Inflight, Queued              int
-	Evicted, ShedFull, Expired           int64
-	Increases, Decreases                 int64
-	EstimateSeconds, Pressure            float64
-	Capacity /* initial limit */, MaxCap int
+	Limit, Inflight, Queued   int
+	MaxCap                    int // the adaptive limit's ceiling
+	Evicted                   int64
+	EstimateSeconds, Pressure float64
 }
 
 // Snapshot reads the limiter's current state.
@@ -407,10 +398,8 @@ func (l *Limiter) Snapshot() LimiterSnapshot {
 	defer l.mu.Unlock()
 	return LimiterSnapshot{
 		Limit: l.limit, Inflight: l.inflight, Queued: len(l.queue),
-		Evicted: l.evicted, ShedFull: l.shedFull, Expired: l.expired,
-		Increases: l.increases, Decreases: l.decreases,
+		MaxCap: l.cfg.Max, Evicted: l.evicted,
 		EstimateSeconds: l.est, Pressure: p,
-		Capacity: l.cfg.Initial, MaxCap: l.cfg.Max,
 	}
 }
 
@@ -419,26 +408,4 @@ func (l *Limiter) Limit() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.limit
-}
-
-// Inflight returns the number of held slots.
-func (l *Limiter) Inflight() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inflight
-}
-
-// Queued returns the number of waiting requests.
-func (l *Limiter) Queued() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.queue)
-}
-
-// Evicted returns the count of doomed-deadline sheds (up-front and
-// in-queue).
-func (l *Limiter) Evicted() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.evicted
 }

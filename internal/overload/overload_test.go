@@ -15,12 +15,12 @@ import (
 func TestLimiterAdmitAndQueue(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 1})
 
-	rel, dec := l.Acquire(context.Background())
+	rel, dec := l.Acquire(context.Background(), nil)
 	if dec != Admitted || rel == nil {
 		t.Fatalf("first acquire: %v", dec)
 	}
-	if l.Inflight() != 1 {
-		t.Fatalf("inflight = %d, want 1", l.Inflight())
+	if l.Snapshot().Inflight != 1 {
+		t.Fatalf("inflight = %d, want 1", l.Snapshot().Inflight)
 	}
 
 	// Second acquire queues; third sheds (queue full).
@@ -30,12 +30,12 @@ func TestLimiterAdmitAndQueue(t *testing.T) {
 	}
 	c := make(chan got)
 	go func() {
-		r, d := l.Acquire(context.Background())
+		r, d := l.Acquire(context.Background(), nil)
 		c <- got{r, d}
 	}()
-	waitFor(t, func() bool { return l.Queued() == 1 })
+	waitFor(t, func() bool { return l.Snapshot().Queued == 1 })
 
-	if _, dec := l.Acquire(context.Background()); dec != ShedFull {
+	if _, dec := l.Acquire(context.Background(), nil); dec != ShedFull {
 		t.Fatalf("over-queue acquire: %v, want ShedFull", dec)
 	}
 
@@ -45,21 +45,21 @@ func TestLimiterAdmitAndQueue(t *testing.T) {
 		t.Fatalf("queued acquire: %v, want Admitted", g.dec)
 	}
 	g.rel(Done)
-	if l.Inflight() != 0 || l.Queued() != 0 {
-		t.Fatalf("inflight %d queued %d after releases", l.Inflight(), l.Queued())
+	if l.Snapshot().Inflight != 0 || l.Snapshot().Queued != 0 {
+		t.Fatalf("inflight %d queued %d after releases", l.Snapshot().Inflight, l.Snapshot().Queued)
 	}
 }
 
 func TestLimiterDoomedShedUpFront(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
-	rel, _ := l.Acquire(context.Background())
+	rel, _ := l.Acquire(context.Background(), nil)
 	defer rel(Done)
 
 	// No estimate yet: a short deadline queues (and expires) rather than
 	// being guessed at.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, dec := l.Acquire(ctx); dec != Expired {
+	if _, dec := l.Acquire(ctx, nil); dec != Expired {
 		t.Fatalf("pre-estimate short deadline: %v, want Expired", dec)
 	}
 
@@ -69,24 +69,24 @@ func TestLimiterDoomedShedUpFront(t *testing.T) {
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel2()
 	start := time.Now()
-	_, dec := l.Acquire(ctx2)
+	_, dec := l.Acquire(ctx2, nil)
 	if dec != ShedDoomed {
 		t.Fatalf("doomed acquire: %v, want ShedDoomed", dec)
 	}
 	if time.Since(start) > 40*time.Millisecond {
 		t.Error("doomed shed waited instead of returning immediately")
 	}
-	if l.Evicted() != 1 {
-		t.Errorf("evicted = %d, want 1", l.Evicted())
+	if l.Snapshot().Evicted != 1 {
+		t.Errorf("evicted = %d, want 1", l.Snapshot().Evicted)
 	}
 	// A long deadline still queues.
 	ctx3, cancel3 := context.WithCancel(context.Background())
 	done := make(chan Decision, 1)
 	go func() {
-		_, d := l.Acquire(ctx3)
+		_, d := l.Acquire(ctx3, nil)
 		done <- d
 	}()
-	waitFor(t, func() bool { return l.Queued() == 1 })
+	waitFor(t, func() bool { return l.Snapshot().Queued == 1 })
 	cancel3()
 	if d := <-done; d != Expired {
 		t.Fatalf("cancelled queued acquire: %v, want Expired", d)
@@ -95,17 +95,17 @@ func TestLimiterDoomedShedUpFront(t *testing.T) {
 
 func TestLimiterSweepEvictsQueuedDoomed(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
-	rel, _ := l.Acquire(context.Background())
+	rel, _ := l.Acquire(context.Background(), nil)
 
 	// Queue a waiter with a 100ms deadline while no estimate exists.
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	done := make(chan Decision, 1)
 	go func() {
-		_, d := l.Acquire(ctx)
+		_, d := l.Acquire(ctx, nil)
 		done <- d
 	}()
-	waitFor(t, func() bool { return l.Queued() == 1 })
+	waitFor(t, func() bool { return l.Snapshot().Queued == 1 })
 
 	// The release's sample sets the estimate far above the waiter's
 	// remaining deadline; the sweep must evict it as doomed. Prime
@@ -123,7 +123,7 @@ func TestLimiterAIMD(t *testing.T) {
 
 	// Additive increase: one full round of in-SLO completions per +1.
 	fast := func() {
-		rel, dec := l.Acquire(context.Background())
+		rel, dec := l.Acquire(context.Background(), nil)
 		if dec != Admitted {
 			t.Fatalf("acquire: %v", dec)
 		}
@@ -144,14 +144,14 @@ func TestLimiterAIMD(t *testing.T) {
 
 	// Multiplicative decrease on an over-SLO sample: 4 -> 2 (x0.7,
 	// floored), never below Min; paced to one cut per SLO interval.
-	rel, _ := l.Acquire(context.Background())
+	rel, _ := l.Acquire(context.Background(), nil)
 	time.Sleep(2 * slo)
 	rel(Done)
 	if got := l.Limit(); got != 2 {
 		t.Fatalf("limit after over-SLO sample = %d, want 2", got)
 	}
 	// A second slow sample inside the pacing window must not cut again.
-	rel2, _ := l.Acquire(context.Background())
+	rel2, _ := l.Acquire(context.Background(), nil)
 	rel2(Breached)
 	if got := l.Limit(); got != 2 {
 		t.Fatalf("limit cut twice within one SLO interval: %d", got)
@@ -166,7 +166,7 @@ func TestLimiterSkippedNoSample(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 2, Min: 1, Max: 8, MaxQueue: 4, SLO: slo})
 	l.Prime(5 * time.Second)
 	for i := 0; i < 50; i++ {
-		rel, dec := l.Acquire(context.Background())
+		rel, dec := l.Acquire(context.Background(), nil)
 		if dec != Admitted {
 			t.Fatalf("acquire %d: %v", i, dec)
 		}
@@ -178,15 +178,15 @@ func TestLimiterSkippedNoSample(t *testing.T) {
 	if est := l.Snapshot().EstimateSeconds; est != 5 {
 		t.Fatalf("estimate moved on skipped releases: %v, want 5", est)
 	}
-	if l.Inflight() != 0 {
-		t.Fatalf("inflight leaked: %d", l.Inflight())
+	if l.Snapshot().Inflight != 0 {
+		t.Fatalf("inflight leaked: %d", l.Snapshot().Inflight)
 	}
 }
 
 func TestLimiterFixedWithoutSLO(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 3, MaxQueue: 1})
 	for i := 0; i < 10; i++ {
-		rel, dec := l.Acquire(context.Background())
+		rel, dec := l.Acquire(context.Background(), nil)
 		if dec != Admitted {
 			t.Fatal(dec)
 		}
@@ -219,11 +219,11 @@ func TestLimiterPressure(t *testing.T) {
 	if p := l.Pressure(); p != 0 {
 		t.Fatalf("idle pressure = %v", p)
 	}
-	r1, _ := l.Acquire(context.Background())
+	r1, _ := l.Acquire(context.Background(), nil)
 	if p := l.Pressure(); p != 0.25 {
 		t.Fatalf("half-busy pressure = %v, want 0.25", p)
 	}
-	r2, _ := l.Acquire(context.Background())
+	r2, _ := l.Acquire(context.Background(), nil)
 	if p := l.Pressure(); p != 0.5 {
 		t.Fatalf("all-slots-busy pressure = %v, want 0.5", p)
 	}
@@ -233,10 +233,10 @@ func TestLimiterPressure(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l.Acquire(ctx)
+			l.Acquire(ctx, nil)
 		}()
 	}
-	waitFor(t, func() bool { return l.Queued() == 2 })
+	waitFor(t, func() bool { return l.Snapshot().Queued == 2 })
 	if p := l.Pressure(); p != 1 {
 		t.Fatalf("full-queue pressure = %v, want 1", p)
 	}
@@ -256,10 +256,10 @@ func TestLimiterConcurrency(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			defer cancel()
-			rel, dec := l.Acquire(ctx)
+			rel, dec := l.Acquire(ctx, nil)
 			if dec == Admitted {
 				admitted.Store(i, true)
-				if l.Inflight() > l.Snapshot().MaxCap {
+				if l.Snapshot().Inflight > l.Snapshot().MaxCap {
 					t.Error("inflight exceeded max limit")
 				}
 				rel(Done)
@@ -269,8 +269,8 @@ func TestLimiterConcurrency(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if l.Inflight() != 0 || l.Queued() != 0 {
-		t.Fatalf("leaked state: inflight %d queued %d", l.Inflight(), l.Queued())
+	if l.Snapshot().Inflight != 0 || l.Snapshot().Queued != 0 {
+		t.Fatalf("leaked state: inflight %d queued %d", l.Snapshot().Inflight, l.Snapshot().Queued)
 	}
 }
 
@@ -402,13 +402,10 @@ func TestBreakerTripRerouteProbeReset(t *testing.T) {
 	if ok, probe := bs.Allow(key); !ok || probe {
 		t.Fatalf("fresh key Allow = %v, %v", ok, probe)
 	}
-	if bs.Failure(key) {
+	if bs.Failure(key, nil) {
 		t.Fatal("tripped below threshold")
 	}
-	if !bs.AtRisk(key) {
-		t.Error("one failure below threshold should be at-risk")
-	}
-	if !bs.Failure(key) {
+	if !bs.Failure(key, nil) {
 		t.Fatal("threshold failure did not trip")
 	}
 	if ok, _ := bs.Allow(key); ok {
@@ -428,7 +425,7 @@ func TestBreakerTripRerouteProbeReset(t *testing.T) {
 		t.Fatal("second concurrent probe admitted")
 	}
 	// Probe fails: re-open (counts as a trip), fresh cooldown.
-	if !bs.Failure(key) {
+	if !bs.Failure(key, nil) {
 		t.Fatal("failed probe did not re-trip")
 	}
 	if ok, _ := bs.Allow(key); ok {
@@ -453,14 +450,11 @@ func TestBreakerTripRerouteProbeReset(t *testing.T) {
 	}
 
 	// Success resets a closed streak too.
-	bs.Failure(key)
+	bs.Failure(key, nil)
 	bs.Success(key)
-	bs.Failure(key)
+	bs.Failure(key, nil)
 	if st := bs.States()[key]; st != "closed(1 fails)" {
 		t.Fatalf("streak state = %q", st)
-	}
-	if len(bs.OpenKeys()) != 0 {
-		t.Errorf("OpenKeys = %v, want none", bs.OpenKeys())
 	}
 }
 
@@ -473,7 +467,7 @@ func TestBreakerCancelProbe(t *testing.T) {
 	bs := NewBreakers(BreakerConfig{Threshold: 1, Cooldown: time.Second, Clock: clk.now})
 	key := Key("r2000", "rase")
 
-	if !bs.Failure(key) {
+	if !bs.Failure(key, nil) {
 		t.Fatal("threshold-1 failure did not trip")
 	}
 	clk.advance(1100 * time.Millisecond)

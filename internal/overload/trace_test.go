@@ -27,14 +27,14 @@ func findEvent(tr *trace.Trace, name string) map[string]string {
 // carrying the estimate that doomed the request.
 func TestAcquireTracedDoomedEvent(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
-	rel, _ := l.Acquire(context.Background())
+	rel, _ := l.Acquire(context.Background(), nil)
 	defer rel(Done)
 	l.Prime(10 * time.Second)
 
 	root := trace.New("req", "compile")
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, dec := l.AcquireTraced(ctx, root.Child("admission")); dec != ShedDoomed {
+	if _, dec := l.Acquire(ctx, root.Child("admission")); dec != ShedDoomed {
 		t.Fatalf("decision = %v, want ShedDoomed", dec)
 	}
 	attrs := findEvent(root.Finish("shed-doomed", 429), "overload.evict")
@@ -50,17 +50,17 @@ func TestAcquireTracedDoomedEvent(t *testing.T) {
 // with the in-queue reason.
 func TestAcquireTracedQueueEvictionEvent(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
-	rel, _ := l.Acquire(context.Background())
+	rel, _ := l.Acquire(context.Background(), nil)
 
 	root := trace.New("req", "compile")
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	done := make(chan Decision, 1)
 	go func() {
-		_, d := l.AcquireTraced(ctx, root.Child("admission"))
+		_, d := l.Acquire(ctx, root.Child("admission"))
 		done <- d
 	}()
-	waitFor(t, func() bool { return l.Queued() == 1 })
+	waitFor(t, func() bool { return l.Snapshot().Queued == 1 })
 	l.Prime(10 * time.Second)
 	rel(Done)
 	if d := <-done; d != ShedDoomed {
@@ -72,11 +72,10 @@ func TestAcquireTracedQueueEvictionEvent(t *testing.T) {
 	}
 }
 
-// Acquire delegates to AcquireTraced with no span — same decisions, no
-// trace required.
+// A nil span is free: same decisions, no trace required.
 func TestAcquireNilSpan(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
-	rel, dec := l.AcquireTraced(context.Background(), nil)
+	rel, dec := l.Acquire(context.Background(), nil)
 	if dec != Admitted {
 		t.Fatalf("decision = %v, want Admitted", dec)
 	}
@@ -92,7 +91,7 @@ func TestFailureTracedEvents(t *testing.T) {
 	key := Key("r2000", "rase")
 
 	root := trace.New("req1", "compile")
-	if bs.FailureTraced(key, root) {
+	if bs.Failure(key, root) {
 		t.Fatal("tripped below threshold")
 	}
 	attrs := findEvent(root.Finish("failed", 422), "breaker.failure")
@@ -101,7 +100,7 @@ func TestFailureTracedEvents(t *testing.T) {
 	}
 
 	root2 := trace.New("req2", "compile")
-	if !bs.FailureTraced(key, root2) {
+	if !bs.Failure(key, root2) {
 		t.Fatal("threshold failure did not trip")
 	}
 	tr2 := root2.Finish("failed", 422)
@@ -114,7 +113,7 @@ func TestFailureTracedEvents(t *testing.T) {
 
 	// Nil span: same verdicts, no trace.
 	bs2 := NewBreakers(BreakerConfig{Threshold: 1, Cooldown: time.Second, Clock: clk.now})
-	if !bs2.FailureTraced(key, nil) {
+	if !bs2.Failure(key, nil) {
 		t.Fatal("nil-span failure did not trip")
 	}
 }

@@ -47,21 +47,15 @@ type Ctx struct {
 	// function; the select phase sets it.
 	Func *asm.Func
 
-	Strategy strategy.Kind
-	Options  strategy.Options
-	// LinearSelect disables the selection template index and memo
-	// caches (sel.Options.Linear): the reference brute-force path.
-	LinearSelect bool
-
-	// VerifyEnabled turns on the verify phase (Config.Verify).
-	VerifyEnabled bool
+	// Cfg is the run's Config specialised to this attempt: Strategy is
+	// the ladder rung being tried, Options carries the attempt's deadline
+	// and fault injector, and Span is the attempt's trace span (nil when
+	// tracing is off; phases may annotate it).
+	Cfg Config
 
 	// Attempt is 0 for the primary compilation and counts up the
 	// degradation ladder's retries.
 	Attempt int
-	// Span is this attempt's trace span (nil when tracing is off);
-	// phases may annotate it.
-	Span *trace.Span
 	// Inject fires this attempt's armed fault-injection sites; nil
 	// injects nothing.
 	Inject *faults.Injector
@@ -118,7 +112,7 @@ func Backend() *Pipeline {
 			return nil
 		}},
 		{Name: "select", Run: func(c *Ctx) error {
-			af, counters, err := sel.SelectOpts(c.Machine, c.IR, sel.Options{Linear: c.LinearSelect})
+			af, counters, err := sel.SelectOpts(c.Machine, c.IR, sel.Options{Linear: c.Cfg.LinearSelect})
 			c.Sel = counters
 			if err != nil {
 				return err
@@ -127,7 +121,7 @@ func Backend() *Pipeline {
 			return nil
 		}},
 		{Name: "strategy", Run: func(c *Ctx) error {
-			st, err := strategy.Apply(c.Machine, c.Func, c.Strategy, c.Options)
+			st, err := strategy.Apply(c.Machine, c.Func, c.Cfg.Strategy, c.Cfg.Options)
 			if err != nil {
 				return err
 			}
@@ -135,18 +129,21 @@ func Backend() *Pipeline {
 			return nil
 		}},
 		{Name: "verify", Run: func(c *Ctx) error {
-			if !c.VerifyEnabled || c.Func == nil {
+			if !c.Cfg.Verify || c.Func == nil {
 				return nil
 			}
 			c.Verify = verify.Func(c.Machine, c.Func, verify.Options{
-				IssueOnly: c.Options.Sched.CurrentCycleOnly,
+				IssueOnly: c.Cfg.Options.Sched.CurrentCycleOnly,
 			})
 			return nil
 		}},
 	}}
 }
 
-// Config tunes one pipeline run.
+// Config tunes one pipeline run. It is the single declaration of the
+// back end's options: driver.Config is an alias of it, core.CodeGenerator
+// embeds it, and the server and CLIs build one value and pass it down,
+// so a new option is added here and nowhere else.
 type Config struct {
 	Strategy strategy.Kind
 	Options  strategy.Options
@@ -154,10 +151,11 @@ type Config struct {
 	// reference path (see sel.Options.Linear).
 	LinearSelect bool
 	// Verify runs the emitted-code verifier (internal/verify) over
-	// every function after the strategy phase.
+	// every function after the strategy phase. Findings are data, not
+	// compile errors — callers decide whether they are fatal.
 	Verify bool
 	// Workers bounds the per-function worker pool; <= 0 means
-	// runtime.GOMAXPROCS(0).
+	// runtime.GOMAXPROCS(0). Output is identical for any worker count.
 	Workers int
 
 	// Budget is the per-function wall-clock deadline, enforced through
@@ -434,22 +432,11 @@ func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *i
 		defer cancel()
 	}
 	inj := faults.New(cfg.Faults, actx, fn.Name, index, attempt)
-	opts := cfg.Options
-	opts.Deadline = actx
-	opts.Inject = inj
+	cfg.Strategy, cfg.Span = kind, asp
+	cfg.Options.Deadline = actx
+	cfg.Options.Inject = inj
 
-	c := &Ctx{
-		Context:       actx,
-		Machine:       m,
-		IR:            fn,
-		Strategy:      kind,
-		Options:       opts,
-		LinearSelect:  cfg.LinearSelect,
-		VerifyEnabled: cfg.Verify,
-		Attempt:       attempt,
-		Span:          asp,
-		Inject:        inj,
-	}
+	c := &Ctx{Context: actx, Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Inject: inj}
 	for _, ph := range p.Phases {
 		if err := actx.Err(); err != nil {
 			asp.Attr("error", ph.Name)
@@ -474,9 +461,9 @@ func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *i
 		// the machine description before it replaces the real thing.
 		rsp := asp.Child("reverify")
 		rep := c.Verify
-		if !c.VerifyEnabled {
+		if !cfg.Verify {
 			rep = verify.Func(c.Machine, c.Func, verify.Options{
-				IssueOnly: opts.Sched.CurrentCycleOnly,
+				IssueOnly: cfg.Options.Sched.CurrentCycleOnly,
 			})
 		}
 		rsp.End()

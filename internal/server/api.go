@@ -3,6 +3,7 @@ package server
 
 import (
 	"marion/internal/cache"
+	"marion/internal/overload"
 	"marion/internal/strategy"
 	"marion/internal/trace"
 )
@@ -38,24 +39,11 @@ type CompileRequest struct {
 	Options *CompileOptions `json:"options,omitempty"`
 }
 
-// CompileOptions are the per-request knobs a client may set.
-type CompileOptions struct {
-	// Workers bounds the per-function back end pool for this request
-	// (default: the server's per-request worker count). Output is
-	// byte-identical for any value.
-	Workers int `json:"workers,omitempty"`
-	// Verify runs the machine-description-driven verifier; findings are
-	// returned (they do not fail the request).
-	Verify bool `json:"verify,omitempty"`
-	// Strict disables the graceful-degradation ladder.
-	Strict bool `json:"strict,omitempty"`
-	// BudgetMs is the per-function compilation budget in milliseconds
-	// (default: the server's). The request deadline still applies on
-	// top: whichever expires first interrupts the function.
-	BudgetMs int64 `json:"budget_ms,omitempty"`
-	// LinearSelect forces the unindexed selection reference path.
-	LinearSelect bool `json:"linear_select,omitempty"`
-}
+// CompileOptions are the per-request knobs a client may set. It is the
+// same wire type a quarantine bundle records (declared once, in
+// internal/overload, together with its mapping onto the back end
+// configuration).
+type CompileOptions = overload.BundleOptions
 
 // CompileResponse is the body of a successful POST /compile.
 type CompileResponse struct {

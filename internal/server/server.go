@@ -195,11 +195,12 @@ type Server struct {
 	draining atomic.Bool
 	warn     error // non-fatal setup problems (cache disk tier)
 
-	// pipeFaults is the pipeline-site subset of Config.Faults, handed to
-	// the driver; serve-site-only specs must NOT reach the pipeline (an
-	// armed set disables the compilation cache, which would mask the
-	// cache-only brownout level under chaos).
-	pipeFaults *faults.Set
+	// base is the back end configuration every request starts from: the
+	// server's Workers and Budget defaults, the shared cache, and the
+	// pipeline-site subset of Config.Faults. Serve-site-only specs must
+	// NOT reach the pipeline (an armed set disables the compilation
+	// cache, which would mask the cache-only brownout level under chaos).
+	base driver.Config
 
 	seqMu sync.Mutex
 	seq   map[string]int // per-breaker-key request sequence (fault index)
@@ -246,7 +247,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.limitGauge.Set(int64(s.lim.Limit()))
 	s.ring = trace.NewRing(cfg.TraceRing, cfg.TraceSLO)
-	s.pipeFaults = pipelineFaults(cfg.Faults)
 	if cfg.Brownout {
 		s.brown = overload.NewBrownout(overload.BrownoutConfig{Clock: cfg.Clock})
 		s.stop = make(chan struct{})
@@ -272,8 +272,13 @@ func New(cfg Config) (*Server, error) {
 		Registry: cfg.Registry,
 	})
 	s.cache, s.warn = ch, warn
+	s.base = driver.Config{
+		Workers: cfg.Workers,
+		Budget:  cfg.Budget,
+		Cache:   ch,
+		Faults:  pipelineFaults(cfg.Faults),
+	}
 
-	cfg.Registry.PublishExpvar("marion")
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/compile", s.handleCompile)
@@ -299,9 +304,6 @@ func (s *Server) Warning() error { return s.warn }
 // Handler returns the daemon's root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Cache exposes the shared compilation cache (for stats and tests).
-func (s *Server) Cache() *cache.Cache { return s.cache }
-
 // Targets returns the names of the machines this server serves.
 func (s *Server) Targets() []string { return s.cfg.Targets }
 
@@ -310,9 +312,6 @@ func (s *Server) Targets() []string { return s.cfg.Targets }
 // Retry-After. In-flight requests are unaffected; the owner finishes
 // them with http.Server.Shutdown and then calls Close.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close stops the brownout observer, flushes the shared cache's disk
 // tier (entries whose disk write was lost are rewritten) and returns
@@ -400,7 +399,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.lim.RetryAfter()))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.lim.RetryAfter())))
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -493,16 +492,48 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// reqState accumulates what the access log and the finished trace need
-// to know about one request; serveCompile fills it as it goes.
-type reqState struct {
-	id       string
-	outcome  string
-	target   string
-	strategy string
-	queueMs  float64
-	brownout int
-	cache    string
+// compileReq is one POST /compile as it moves through the request
+// stages (identify -> admit -> lower -> plan -> compile -> respond).
+// Each stage reads what earlier stages filled in and adds its own part;
+// the access log and the finished trace read the same struct.
+type compileReq struct {
+	w       *statusWriter
+	r       *http.Request
+	started time.Time
+	id      string
+	root    *trace.Span // nil when tracing is off
+	// outcome is the request's one-word verdict: "ok", or whatever the
+	// rejecting stage reported.
+	outcome string
+
+	// identify
+	req      CompileRequest
+	m        *mach.Machine
+	kind     strategy.Kind // the strategy asked for
+	deadline time.Duration
+	ctx      context.Context // the request context bounded by deadline
+
+	// admit
+	queueMs float64 // wait for an admission slot
+	level   int     // brownout level observed at admission
+	// slot is what the release of the admission slot will report; only a
+	// request that reached the compile upgrades it from Skipped.
+	slot overload.Outcome
+
+	// lower
+	mod *ir.Module
+
+	// plan
+	opts     CompileOptions // the wire options as planned (brownout applied)
+	cfg      driver.Config  // what the back end runs under
+	strategy string         // cfg.Strategy once planned; "" before
+	bkey     string         // breaker key the compile runs under
+	reroute  string
+	notes    []string // what brownout changed
+
+	// compile
+	elapsed time.Duration // server-side time up to the end of the compile
+	cache   string        // "hit" / "partial" / "miss"
 }
 
 // statusWriter captures the response status for the trace and the
@@ -523,131 +554,72 @@ func (w *statusWriter) WriteHeader(code int) {
 // echoes the request ID, lands one access-log line, and (with tracing
 // on) leaves one finished trace in the ring.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	started := time.Now()
+	rq := &compileReq{
+		w:       &statusWriter{ResponseWriter: w, status: http.StatusOK},
+		r:       r,
+		started: time.Now(),
+		outcome: "ok",
+		slot:    overload.Skipped,
+	}
 	s.requests.Inc()
 
 	// Request identity: the client's ID when it is safe to echo and log
 	// (trace.ValidID), a server-generated one otherwise. Set on the
 	// answer before any handler path can write headers.
-	id := r.Header.Get(RequestIDHeader)
-	if !trace.ValidID(id) {
-		id = trace.NewID()
+	rq.id = r.Header.Get(RequestIDHeader)
+	if !trace.ValidID(rq.id) {
+		rq.id = trace.NewID()
 	}
-	w.Header().Set(RequestIDHeader, id)
-
-	var root *trace.Span
+	w.Header().Set(RequestIDHeader, rq.id)
 	if s.ring != nil {
-		root = trace.New(id, "compile")
+		rq.root = trace.New(rq.id, "compile")
 	}
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	st := &reqState{id: id, outcome: "ok"}
-	defer s.finishRequest(st, root, sw, started)
+	defer s.finishRequest(rq)
 
-	s.serveCompile(sw, r, started, root, st)
+	s.serveCompile(rq)
 }
 
 // finishRequest closes out one request: finishes the root span into the
 // ring and emits the structured access-log line.
-func (s *Server) finishRequest(st *reqState, root *trace.Span, sw *statusWriter, started time.Time) {
-	s.ring.Add(root.Finish(st.outcome, sw.status))
+func (s *Server) finishRequest(rq *compileReq) {
+	s.ring.Add(rq.root.Finish(rq.outcome, rq.w.status))
 	if s.cfg.AccessLog == nil {
 		return
 	}
 	s.cfg.AccessLog.LogAttrs(context.Background(), slog.LevelInfo, "access",
-		slog.String("id", st.id),
-		slog.Int("status", sw.status),
-		slog.Float64("latency_ms", float64(time.Since(started))/float64(time.Millisecond)),
-		slog.String("outcome", st.outcome),
-		slog.String("target", st.target),
-		slog.String("strategy", st.strategy),
-		slog.Float64("queue_ms", st.queueMs),
-		slog.Int("brownout_level", st.brownout),
-		slog.String("cache", st.cache),
+		slog.String("id", rq.id),
+		slog.Int("status", rq.w.status),
+		slog.Float64("latency_ms", float64(time.Since(rq.started))/float64(time.Millisecond)),
+		slog.String("outcome", rq.outcome),
+		slog.String("target", rq.req.Target),
+		slog.String("strategy", rq.strategy),
+		slog.Float64("queue_ms", rq.queueMs),
+		slog.Int("brownout_level", rq.level),
+		slog.String("cache", rq.cache),
 	)
 }
 
-func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, started time.Time, root *trace.Span, st *reqState) {
-	if r.Method != http.MethodPost {
-		st.outcome = "bad-request"
-		w.Header().Set("Allow", http.MethodPost)
-		s.fail(w, http.StatusMethodNotAllowed, "POST only", nil)
+// serveCompile drives one request through the stages. A stage that
+// rejects the request has already answered it and recorded its outcome;
+// the driver just stops. It alone owns the two cleanups that must run
+// on every path: the deadline's cancel and the admission slot's
+// release.
+//
+// Lowering runs before planning: plan may be handed a breaker's single
+// half-open probe, which only a compile can resolve, so everything that
+// can still reject the request for its own content comes first.
+func (s *Server) serveCompile(rq *compileReq) {
+	if !s.identify(rq) {
 		return
 	}
-	if s.draining.Load() {
-		st.outcome = "draining"
-		s.reject(w, http.StatusServiceUnavailable, "draining", nil)
-		return
-	}
-
-	var req CompileRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		st.outcome = "bad-request"
-		s.fail(w, http.StatusBadRequest, "bad request body: "+err.Error(), nil)
-		return
-	}
-	st.target = req.Target
-	root.Attr("target", req.Target)
-	m, ok := s.machines[req.Target]
-	if !ok {
-		st.outcome = "bad-request"
-		s.fail(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown target %q (serving %v)", req.Target, s.cfg.Targets), nil)
-		return
-	}
-	stratName := req.Strategy
-	if stratName == "" {
-		stratName = "postpass"
-	}
-	kind, err := strategy.ParseKind(stratName)
-	if err != nil {
-		st.outcome = "bad-request"
-		s.fail(w, http.StatusBadRequest, err.Error(), nil)
-		return
-	}
-
-	// The request deadline: client header, clamped, or the default. It
-	// propagates through context into the scheduler and allocator loops.
-	deadline := s.cfg.DefaultDeadline
-	if h := r.Header.Get(DeadlineHeader); h != "" {
-		ms, perr := strconv.ParseInt(h, 10, 64)
-		if perr != nil || ms <= 0 {
-			st.outcome = "bad-request"
-			s.fail(w, http.StatusBadRequest, "bad "+DeadlineHeader+" header", nil)
-			return
-		}
-		deadline = min(time.Duration(ms)*time.Millisecond, s.cfg.MaxDeadline)
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	// The request deadline propagates through context into the scheduler
+	// and allocator loops.
+	ctx, cancel := context.WithTimeout(rq.r.Context(), rq.deadline)
 	defer cancel()
+	rq.ctx = ctx
 
-	// Admission: a free slot admits immediately; otherwise wait in the
-	// bounded queue, be shed (queue full, or doomed: remaining deadline
-	// below the service estimate), or expire while queued.
-	queued := time.Now()
-	asp := root.Child("admission")
-	release, dec := s.lim.AcquireTraced(ctx, asp)
-	asp.Attr("decision", dec.String())
-	asp.End()
-	st.queueMs = float64(time.Since(queued)) / float64(time.Millisecond)
-	s.queueSec.ObserveDuration(time.Since(queued))
-	switch dec {
-	case overload.ShedFull:
-		st.outcome = "shed-full"
-		s.shed.Inc()
-		s.reject(w, http.StatusTooManyRequests, "over capacity, retry later", nil)
-		return
-	case overload.ShedDoomed:
-		st.outcome = "shed-doomed"
-		s.shed.Inc()
-		s.evictedC.Inc()
-		s.reject(w, http.StatusTooManyRequests,
-			"remaining deadline below the service estimate; shed instead of queued", nil)
-		return
-	case overload.Expired:
-		st.outcome = "expired"
-		s.expired.Inc()
-		s.fail(w, http.StatusGatewayTimeout, "deadline expired while queued", nil)
+	release, ok := s.admit(rq)
+	if !ok {
 		return
 	}
 	// The release feeds the AIMD/EWMA controller only when the request
@@ -655,163 +627,246 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, started ti
 	// circuit-broken strategies) return the slot without a sample, so a
 	// flood of invalid requests can neither shrink the service estimate
 	// (mass-evicting queued work as doomed) nor inflate the adaptive
-	// limit past what real compiles sustain. The compile path below
-	// upgrades outcome to Done or Breached.
-	outcome := overload.Skipped
-	defer func() { release(outcome) }()
-	s.limitGauge.Set(int64(s.lim.Limit()))
+	// limit past what real compiles sustain.
+	defer func() { release(rq.slot) }()
 
-	// Brownout: the level observed at admission decides how much
-	// fidelity this request gets.
-	lvl := 0
-	if s.brown != nil {
-		lvl = s.brown.Observe(s.lim.Pressure())
-		s.levelGauge.Set(int64(lvl))
-		if lvl > 0 {
-			root.Event("brownout", "level", strconv.Itoa(lvl))
-		}
-	}
-	st.brownout = lvl
-
-	lsp := root.Child("lower")
-	mod, status, lerr := s.lower(&req)
-	lsp.End()
-	if lerr != nil {
-		st.outcome = "bad-request"
-		s.failed.Inc()
-		s.fail(w, status, lerr.Error(), nil)
+	if !s.lower(rq) || !s.plan(rq) {
 		return
 	}
-
-	opts := req.Options
-	if opts == nil {
-		opts = &CompileOptions{}
+	if res, ok := s.compile(rq); ok {
+		s.respond(rq, res)
 	}
-	effective, verifyOn, cacheOnly, notes := applyBrownout(lvl, kind, opts.Verify)
+}
 
-	// Circuit breaker: an open (target, strategy) reroutes down the
-	// fallback chain to the first healthy rung.
-	bkey := overload.Key(req.Target, effective.String())
-	reroute := ""
-	if s.breakers != nil {
-		if allowed, _ := s.breakers.Allow(bkey); !allowed {
-			orig := bkey
-			found := false
-			for _, rung := range strategy.FallbackChain(effective) {
-				k := overload.Key(req.Target, rung.String())
-				if ok, _ := s.breakers.Allow(k); ok {
-					effective, bkey, found = rung, k, true
-					break
-				}
-			}
-			if !found {
-				st.outcome = "circuit-open"
-				s.failed.Inc()
-				s.reject(w, http.StatusServiceUnavailable,
-					"every strategy for this target is circuit-broken, retry later", nil)
-				return
-			}
-			reroute = orig + " -> " + bkey
-			root.Event("breaker.reroute", "from", orig, "to", bkey)
-			s.rerouted.Inc()
+// identify decodes the request and resolves what it names: target ->
+// machine, strategy -> kind, deadline header -> duration.
+func (s *Server) identify(rq *compileReq) bool {
+	if rq.r.Method != http.MethodPost {
+		rq.w.Header().Set("Allow", http.MethodPost)
+		return s.answer(rq, "bad-request", http.StatusMethodNotAllowed, "POST only", nil)
+	}
+	if s.draining.Load() {
+		return s.answer(rq, "draining", http.StatusServiceUnavailable, "draining", nil)
+	}
+	body := http.MaxBytesReader(rq.w, rq.r.Body, s.cfg.MaxSourceBytes)
+	if err := json.NewDecoder(body).Decode(&rq.req); err != nil {
+		return s.answer(rq, "bad-request", http.StatusBadRequest, "bad request body: "+err.Error(), nil)
+	}
+	rq.root.Attr("target", rq.req.Target)
+	var ok bool
+	if rq.m, ok = s.machines[rq.req.Target]; !ok {
+		return s.answer(rq, "bad-request", http.StatusBadRequest,
+			fmt.Sprintf("unknown target %q (serving %v)", rq.req.Target, s.cfg.Targets), nil)
+	}
+	stratName := rq.req.Strategy
+	if stratName == "" {
+		stratName = "postpass"
+	}
+	var err error
+	if rq.kind, err = strategy.ParseKind(stratName); err != nil {
+		return s.answer(rq, "bad-request", http.StatusBadRequest, err.Error(), nil)
+	}
+	// The request deadline: client header, clamped, or the default.
+	rq.deadline = s.cfg.DefaultDeadline
+	if h := rq.r.Header.Get(DeadlineHeader); h != "" {
+		ms, perr := strconv.ParseInt(h, 10, 64)
+		if perr != nil || ms <= 0 {
+			return s.answer(rq, "bad-request", http.StatusBadRequest, "bad "+DeadlineHeader+" header", nil)
+		}
+		rq.deadline = min(time.Duration(ms)*time.Millisecond, s.cfg.MaxDeadline)
+	}
+	return true
+}
+
+// admit takes an admission slot: a free slot admits immediately;
+// otherwise the request waits in the bounded queue, is shed (queue
+// full, or doomed: remaining deadline below the service estimate), or
+// expires while queued. The measured wait is the request's queue_ms —
+// in the response, the access log and server.queue.seconds alike. The
+// brownout level is observed here, at admission, and decides how much
+// fidelity plan gives the request.
+func (s *Server) admit(rq *compileReq) (release func(overload.Outcome), ok bool) {
+	queued := time.Now()
+	asp := rq.root.Child("admission")
+	release, dec := s.lim.Acquire(rq.ctx, asp)
+	asp.Attr("decision", dec.String())
+	asp.End()
+	wait := time.Since(queued)
+	rq.queueMs = float64(wait) / float64(time.Millisecond)
+	s.queueSec.ObserveDuration(wait)
+	switch dec {
+	case overload.ShedFull:
+		s.shed.Inc()
+		return nil, s.answer(rq, "shed-full", http.StatusTooManyRequests, "over capacity, retry later", nil)
+	case overload.ShedDoomed:
+		s.shed.Inc()
+		s.evictedC.Inc()
+		return nil, s.answer(rq, "shed-doomed", http.StatusTooManyRequests,
+			"remaining deadline below the service estimate; shed instead of queued", nil)
+	case overload.Expired:
+		s.expired.Inc()
+		return nil, s.answer(rq, "expired", http.StatusGatewayTimeout, "deadline expired while queued", nil)
+	}
+	s.limitGauge.Set(int64(s.lim.Limit()))
+	if s.brown != nil {
+		rq.level = s.brown.Observe(s.lim.Pressure())
+		s.levelGauge.Set(int64(rq.level))
+		if rq.level > 0 {
+			rq.root.Event("brownout", "level", strconv.Itoa(rq.level))
 		}
 	}
-	st.strategy = effective.String()
-	root.Attr("strategy", effective.String())
+	return release, true
+}
 
-	dcfg := driver.Config{
-		Strategy:     effective,
-		Workers:      s.cfg.Workers,
-		Verify:       verifyOn,
-		Strict:       opts.Strict,
-		Budget:       s.cfg.Budget,
-		LinearSelect: opts.LinearSelect,
-		Cache:        s.cache,
-		CacheOnly:    cacheOnly,
-		Faults:       s.pipeFaults,
+// lower runs the front end: request source to an IL module.
+func (s *Server) lower(rq *compileReq) bool {
+	lsp := rq.root.Child("lower")
+	mod, err := lowerSource(&rq.req)
+	lsp.End()
+	if err != nil {
+		s.failed.Inc()
+		return s.answer(rq, "bad-request", http.StatusBadRequest, err.Error(), nil)
 	}
-	if opts.Workers > 0 {
-		dcfg.Workers = opts.Workers
-	}
-	if opts.BudgetMs > 0 {
-		dcfg.Budget = time.Duration(opts.BudgetMs) * time.Millisecond
-	}
+	rq.mod = mod
+	return true
+}
 
-	csp := root.Child("compile")
-	dcfg.Span = csp
-	res, cerr := s.compileGuarded(ctx, m, mod, dcfg, bkey, csp)
-	csp.End()
+// plan decides what the back end will run under: the brownout level
+// cuts fidelity, the circuit breakers pick the (target, strategy) that
+// may run, and the wire options are mapped onto the server's base
+// configuration.
+func (s *Server) plan(rq *compileReq) bool {
+	if rq.req.Options != nil {
+		rq.opts = *rq.req.Options
+	}
+	kind, verifyOn, cacheOnly, notes := applyBrownout(rq.level, rq.kind, rq.opts.Verify)
+	rq.opts.Verify, rq.notes = verifyOn, notes
+
+	kind, ok := s.route(rq, kind)
+	if !ok {
+		s.failed.Inc()
+		return s.answer(rq, "circuit-open", http.StatusServiceUnavailable,
+			"every strategy for this target is circuit-broken, retry later", nil)
+	}
+	rq.strategy = kind.String()
+	rq.root.Attr("strategy", rq.strategy)
+
+	rq.cfg = rq.opts.Config(s.base)
+	rq.cfg.Strategy, rq.cfg.CacheOnly = kind, cacheOnly
+	return true
+}
+
+// route asks the circuit breakers which strategy may run: an open
+// (target, strategy) reroutes down the fallback chain to the first
+// healthy rung. It reports false when every rung is open.
+func (s *Server) route(rq *compileReq, kind strategy.Kind) (strategy.Kind, bool) {
+	rq.bkey = overload.Key(rq.req.Target, kind.String())
+	if s.breakers == nil {
+		return kind, true
+	}
+	if allowed, _ := s.breakers.Allow(rq.bkey); allowed {
+		return kind, true
+	}
+	orig := rq.bkey
+	for _, rung := range strategy.FallbackChain(kind) {
+		k := overload.Key(rq.req.Target, rung.String())
+		if ok, _ := s.breakers.Allow(k); ok {
+			rq.bkey, rq.reroute = k, orig+" -> "+k
+			rq.root.Event("breaker.reroute", "from", orig, "to", k)
+			s.rerouted.Inc()
+			return rung, true
+		}
+	}
+	return kind, false
+}
+
+// compile runs the planned compile, settles the admission slot's and
+// the breaker's verdicts, and answers a failed compile itself.
+func (s *Server) compile(rq *compileReq) (*driver.Compiled, bool) {
+	rq.cfg.Span = rq.root.Child("compile")
+	res, err := s.compileGuarded(rq)
+	rq.cfg.Span.End()
 	// This request reached the compile: its service time is an SLO
 	// sample, counted against the SLO when its deadline cut it off.
-	if ctx.Err() != nil {
-		outcome = overload.Breached
-	} else {
-		outcome = overload.Done
+	rq.slot = overload.Done
+	if rq.ctx.Err() != nil {
+		rq.slot = overload.Breached
 	}
-	if s.breakers != nil {
-		switch {
-		case breakerRelevant(cerr):
-			if s.breakers.FailureTraced(bkey, root) {
-				s.quarantine(&req, bkey, effective, dcfg, cerr)
-			}
-		case cacheOnly:
-			// A cache-only attempt never exercised the pipeline: it can
-			// neither close a half-open breaker nor reset a failure
-			// streak. Return the probe slot without a verdict.
-			s.breakers.Cancel(bkey)
-		default:
-			// Anything else — success, a user error, a client deadline —
-			// resolves the attempt so a half-open probe can never wedge.
-			s.breakers.Success(bkey)
-		}
+	s.settleBreaker(rq, err)
+	if err != nil {
+		s.compileFailed(rq, err)
+		return nil, false
 	}
-	if cerr != nil {
-		diags := toDiags(cerr)
-		if cacheOnly && cacheOnlyMiss(cerr) {
-			// Deepest brownout level: only warm functions are served.
-			st.outcome = "shed-cache-only"
-			s.shed.Inc()
-			s.reject(w, http.StatusTooManyRequests,
-				"brownout cache-only: not in cache, retry later", diags)
-			return
+	rq.cache = cacheStatus(res.CacheHits, len(rq.mod.Funcs))
+	s.accepted.Inc()
+	rq.elapsed = time.Since(rq.started)
+	s.compileSec.ObserveDuration(rq.elapsed)
+	return res, true
+}
+
+// settleBreaker resolves the attempt plan opened under rq.bkey.
+func (s *Server) settleBreaker(rq *compileReq, err error) {
+	if s.breakers == nil {
+		return
+	}
+	switch {
+	case breakerRelevant(err):
+		if s.breakers.Failure(rq.bkey, rq.root) {
+			s.quarantine(rq, err)
 		}
-		if ctx.Err() != nil {
-			// The request deadline (or a gone client) interrupted the
-			// back end: the structured per-function diagnostics say
-			// exactly which functions were cut off where.
-			st.outcome = "expired"
-			s.expired.Inc()
-			s.fail(w, http.StatusGatewayTimeout, "deadline exceeded: "+ctx.Err().Error(), diags)
-			return
-		}
-		st.outcome = "failed"
+	case rq.cfg.CacheOnly:
+		// A cache-only attempt never exercised the pipeline: it can
+		// neither close a half-open breaker nor reset a failure
+		// streak. Return the probe slot without a verdict.
+		s.breakers.Cancel(rq.bkey)
+	default:
+		// Anything else — success, a user error, a client deadline —
+		// resolves the attempt so a half-open probe can never wedge.
+		s.breakers.Success(rq.bkey)
+	}
+}
+
+// compileFailed answers a compile that returned an error.
+func (s *Server) compileFailed(rq *compileReq, err error) {
+	diags := toDiags(err)
+	switch {
+	case rq.cfg.CacheOnly && cacheOnlyMiss(err):
+		// Deepest brownout level: only warm functions are served.
+		s.shed.Inc()
+		s.answer(rq, "shed-cache-only", http.StatusTooManyRequests,
+			"brownout cache-only: not in cache, retry later", diags)
+	case rq.ctx.Err() != nil:
+		// The request deadline (or a gone client) interrupted the back
+		// end: the structured per-function diagnostics say exactly which
+		// functions were cut off where.
+		s.expired.Inc()
+		s.answer(rq, "expired", http.StatusGatewayTimeout, "deadline exceeded: "+rq.ctx.Err().Error(), diags)
+	default:
 		s.failed.Inc()
 		msg := "compile failed"
 		if len(diags) == 0 {
 			// Not a per-function diagnostic (a serve-level fault or
 			// panic): the error itself is the only detail there is.
-			msg = "compile failed: " + cerr.Error()
+			msg = "compile failed: " + err.Error()
 		}
-		s.fail(w, http.StatusUnprocessableEntity, msg, diags)
-		return
+		s.answer(rq, "failed", http.StatusUnprocessableEntity, msg, diags)
 	}
+}
 
-	st.cache = cacheStatus(res.CacheHits, len(mod.Funcs))
-	s.accepted.Inc()
-	elapsed := time.Since(started)
-	s.compileSec.ObserveDuration(elapsed)
+// respond shapes the success body.
+func (s *Server) respond(rq *compileReq, res *driver.Compiled) {
 	resp := &CompileResponse{
-		Target:         req.Target,
-		Strategy:       effective.String(),
+		Target:         rq.req.Target,
+		Strategy:       rq.strategy,
 		Assembly:       res.Prog.Print(),
 		Stats:          res.Stats,
 		RetrySeconds:   res.RetryTime.Seconds(),
-		QueueMs:        float64(time.Since(queued).Milliseconds()),
-		ElapsedMs:      float64(elapsed) / float64(time.Millisecond),
-		BrownoutLevel:  lvl,
-		Brownout:       notes,
-		BreakerReroute: reroute,
-		RequestID:      st.id,
+		QueueMs:        rq.queueMs,
+		ElapsedMs:      float64(rq.elapsed) / float64(time.Millisecond),
+		BrownoutLevel:  rq.level,
+		Brownout:       rq.notes,
+		BreakerReroute: rq.reroute,
+		RequestID:      rq.id,
 		CacheHits:      res.CacheHits,
 	}
 	for _, d := range res.Degradations {
@@ -828,7 +883,7 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, started ti
 			resp.PhaseSeconds[ph] = d.Seconds()
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(rq.w, http.StatusOK, resp)
 }
 
 // applyBrownout maps a brownout level onto one request's fidelity:
@@ -875,7 +930,7 @@ func capStrategy(k strategy.Kind) strategy.Kind {
 // site and last-resort panic isolation (the pipeline already isolates
 // phase panics; this guard covers the serve site and anything outside
 // the pipeline's recover).
-func (s *Server) compileGuarded(ctx context.Context, m *mach.Machine, mod *ir.Module, dcfg driver.Config, key string, sp *trace.Span) (res *driver.Compiled, err error) {
+func (s *Server) compileGuarded(rq *compileReq) (res *driver.Compiled, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &servePanicError{val: r}
@@ -884,8 +939,8 @@ func (s *Server) compileGuarded(ctx context.Context, m *mach.Machine, mod *ir.Mo
 	if !s.cfg.Faults.Empty() {
 		// The serve site under its own span: a hang-mode fault parks here
 		// until the deadline, and the span is what shows it.
-		fsp := sp.Child("serve")
-		inj := faults.New(s.cfg.Faults, ctx, key, s.nextSeq(key), 0)
+		fsp := rq.cfg.Span.Child("serve")
+		inj := faults.New(s.cfg.Faults, rq.ctx, rq.bkey, s.nextSeq(rq.bkey), 0)
 		ferr := inj.Fire("serve")
 		fsp.End()
 		if ferr != nil {
@@ -893,7 +948,7 @@ func (s *Server) compileGuarded(ctx context.Context, m *mach.Machine, mod *ir.Mo
 			return nil, ferr
 		}
 	}
-	return driver.CompileModuleCtx(ctx, m, mod, dcfg)
+	return driver.CompileModuleCtx(rq.ctx, rq.m, rq.mod, rq.cfg)
 }
 
 // cacheStatus classifies how much of a module the compilation cache
@@ -971,81 +1026,75 @@ func cacheOnlyMiss(err error) bool {
 // under concurrency the tripping request cannot be predicted up front
 // (other in-flight failures under the same key advance the streak), so
 // capturing before the compile could leave the trip without a bundle.
-func (s *Server) quarantine(req *CompileRequest, key string, kind strategy.Kind, dcfg driver.Config, reason error) {
+// The bundle records the planned wire options with the server defaults
+// that were in force filled in, so `marionc -replay` maps them back onto
+// the same configuration.
+func (s *Server) quarantine(rq *compileReq, reason error) {
 	if s.cfg.QuarantineDir == "" {
 		return
 	}
-	mod, _, err := s.lower(req)
+	mod, err := lowerSource(&rq.req)
 	if err != nil {
 		return // cannot happen: the same source lowered earlier this request
 	}
 	s.quarC.Inc()
+	opts := rq.opts
+	opts.Workers, opts.BudgetMs = rq.cfg.Workers, rq.cfg.Budget.Milliseconds()
 	_, _ = overload.WriteBundle(s.cfg.QuarantineDir, &overload.Bundle{
-		Key:      key,
-		Target:   req.Target,
-		Strategy: kind.String(),
+		Key:      rq.bkey,
+		Target:   rq.req.Target,
+		Strategy: rq.strategy,
 		Reason:   reason.Error(),
 		Failures: s.cfg.BreakerThreshold,
-		Options: overload.BundleOptions{
-			Workers:      dcfg.Workers,
-			Verify:       dcfg.Verify,
-			Strict:       dcfg.Strict,
-			LinearSelect: dcfg.LinearSelect,
-			BudgetMs:     dcfg.Budget.Milliseconds(),
-		},
+		Options:  opts,
 	}, iltext.Print(mod))
 }
 
-// reject answers a load-shedding status (429/503) with the computed
-// Retry-After in both the header and the JSON body.
-func (s *Server) reject(w http.ResponseWriter, status int, msg string, diags []Diag) {
-	ra := s.lim.RetryAfter()
-	secs := retryAfterSeconds(ra)
-	w.Header().Set("Retry-After", secs)
-	n, _ := strconv.Atoi(secs)
-	writeJSON(w, status, &ErrorResponse{
-		Error:             msg,
-		Diagnostics:       diags,
-		RetryAfterSeconds: float64(n),
-		BrownoutLevel:     s.level(),
-	})
+// answer writes a non-2xx /compile answer and records the answering
+// stage's outcome. The load-shedding statuses (429/503) carry the
+// computed Retry-After in both the header and the JSON body; a 504
+// (deadline expired) carries the hint and the brownout level in the
+// body only: the same request may well succeed once load clears. It
+// returns false — "this stage did not pass the request on" — so a
+// stage can end with `return s.answer(...)`.
+func (s *Server) answer(rq *compileReq, outcome string, status int, msg string, diags []Diag) bool {
+	rq.outcome = outcome
+	resp := &ErrorResponse{Error: msg, Diagnostics: diags}
+	switch status {
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		secs := retryAfterSeconds(s.lim.RetryAfter())
+		if status != http.StatusGatewayTimeout {
+			rq.w.Header().Set("Retry-After", strconv.Itoa(secs))
+		}
+		resp.RetryAfterSeconds, resp.BrownoutLevel = float64(secs), s.level()
+	}
+	writeJSON(rq.w, status, resp)
+	return false
 }
 
 // retryAfterSeconds renders a Retry-After duration as whole seconds,
 // rounded up, floor 1 (the header's granularity).
-func retryAfterSeconds(d time.Duration) string {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
+func retryAfterSeconds(d time.Duration) int {
+	return max(1, int(math.Ceil(d.Seconds())))
 }
 
-// lower turns request source into an IL module per the request
+// lowerSource turns request source into an IL module per the request
 // language.
-func (s *Server) lower(req *CompileRequest) (*ir.Module, int, error) {
+func lowerSource(req *CompileRequest) (*ir.Module, error) {
 	name := req.Filename
 	switch req.Lang {
 	case "", "c":
 		if name == "" {
 			name = "input.c"
 		}
-		mod, err := driver.Frontend(name, req.Source)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		return mod, 0, nil
+		return driver.Frontend(name, req.Source)
 	case "il":
 		if name == "" {
 			name = "input.il"
 		}
-		mod, err := iltext.Parse(name, req.Source)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		return mod, 0, nil
+		return iltext.Parse(name, req.Source)
 	}
-	return nil, http.StatusBadRequest, fmt.Errorf("unknown lang %q (want \"c\" or \"il\")", req.Lang)
+	return nil, fmt.Errorf("unknown lang %q (want \"c\" or \"il\")", req.Lang)
 }
 
 // toDiags flattens a back end error into wire diagnostics.
@@ -1060,19 +1109,6 @@ func toDiags(err error) []Diag {
 		out[i] = Diag{Func: d.Func, Phase: d.Phase, Error: d.Err.Error()}
 	}
 	return out
-}
-
-// fail answers a compile failure. A 504 (deadline expired) also
-// carries the computed Retry-After hint and brownout level in the
-// body: the same request may well succeed once load clears.
-func (s *Server) fail(w http.ResponseWriter, status int, msg string, diags []Diag) {
-	resp := &ErrorResponse{Error: msg, Diagnostics: diags}
-	if status == http.StatusGatewayTimeout {
-		n, _ := strconv.Atoi(retryAfterSeconds(s.lim.RetryAfter()))
-		resp.RetryAfterSeconds = float64(n)
-		resp.BrownoutLevel = s.level()
-	}
-	writeJSON(w, status, resp)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

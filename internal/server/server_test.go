@@ -97,7 +97,7 @@ func TestCompileMatchesDriver(t *testing.T) {
 			t.Fatalf("%s: status %d: %s", target, w.Code, w.Body.String())
 		}
 		resp := decode[CompileResponse](t, w)
-		want, err := driver.Compile("add.c", addC, driver.Config{Target: target, Strategy: strategy.Postpass})
+		want, err := driver.Compile(target, "add.c", addC, driver.Config{Strategy: strategy.Postpass})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,12 +129,12 @@ func TestCacheSharedAcrossRequests(t *testing.T) {
 	s := newTestServer(t, Config{})
 	req := CompileRequest{Source: addC, Filename: "add.c", Target: "r2000"}
 	a := post(t, s, req, nil)
-	before := s.Cache().Stats().Hits()
+	before := s.cache.Stats().Hits()
 	b := post(t, s, req, nil)
 	if a.Code != 200 || b.Code != 200 {
 		t.Fatalf("status %d/%d", a.Code, b.Code)
 	}
-	if hits := s.Cache().Stats().Hits(); hits <= before {
+	if hits := s.cache.Stats().Hits(); hits <= before {
 		t.Errorf("second request did not hit the shared cache (hits %d -> %d)", before, hits)
 	}
 	if a.Body.String() != b.Body.String() {
@@ -187,7 +187,7 @@ func TestBadRequests(t *testing.T) {
 // deterministically.
 func occupySlot(t *testing.T, s *Server) func(overload.Outcome) {
 	t.Helper()
-	rel, dec := s.lim.Acquire(context.Background())
+	rel, dec := s.lim.Acquire(context.Background(), nil)
 	if dec != overload.Admitted {
 		t.Fatalf("could not occupy slot: %v", dec)
 	}
@@ -204,7 +204,7 @@ func TestAdmissionShed(t *testing.T) {
 	req := CompileRequest{Source: addC, Target: "r2000"}
 	queued := make(chan *httptest.ResponseRecorder)
 	go func() { queued <- post(t, s, req, nil) }()
-	waitFor(t, func() bool { return s.lim.Queued() == 1 })
+	waitFor(t, func() bool { return s.lim.Snapshot().Queued == 1 })
 
 	w := post(t, s, req, nil)
 	if w.Code != http.StatusTooManyRequests {
@@ -279,8 +279,8 @@ func TestDoomedShed(t *testing.T) {
 	if !strings.Contains(resp.Error, "shed") {
 		t.Errorf("error %q does not explain the shed", resp.Error)
 	}
-	if s.lim.Evicted() != 1 {
-		t.Errorf("evicted = %d, want 1", s.lim.Evicted())
+	if s.lim.Snapshot().Evicted != 1 {
+		t.Errorf("evicted = %d, want 1", s.lim.Snapshot().Evicted)
 	}
 }
 
@@ -316,7 +316,7 @@ func TestDrain(t *testing.T) {
 	rel := occupySlot(t, s) // make the next request queue after admission
 	inflight := make(chan *httptest.ResponseRecorder)
 	go func() { inflight <- post(t, s, req, nil) }()
-	waitFor(t, func() bool { return s.lim.Queued() == 1 })
+	waitFor(t, func() bool { return s.lim.Snapshot().Queued == 1 })
 
 	s.BeginDrain()
 
@@ -531,9 +531,7 @@ func TestBreakerTripRerouteReset(t *testing.T) {
 	if b.Key != "r2000/rase" || b.Strategy != "rase" || !strings.Contains(b.Reason, "injected") {
 		t.Fatalf("bundle = %+v", b)
 	}
-	if rep, err := driver.CompileIL("replay.il", il, driver.Config{
-		Target: b.Target, Strategy: strategy.RASE,
-	}); err != nil || len(rep.Prog.Funcs) == 0 {
+	if rep, err := driver.CompileIL(b.Target, "replay.il", il, driver.Config{Strategy: strategy.RASE}); err != nil || len(rep.Prog.Funcs) == 0 {
 		t.Fatalf("bundle does not replay: %v", err)
 	}
 

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"marion/internal/faults"
 	"marion/internal/metrics"
+	"marion/internal/overload"
 	"marion/internal/trace"
 )
 
@@ -144,15 +146,7 @@ func TestAccessLog(t *testing.T) {
 		t.Fatalf("bad target: %d", bad.Code)
 	}
 
-	var lines []map[string]any
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var rec map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("access line is not JSON: %v: %s", err, sc.Text())
-		}
-		lines = append(lines, rec)
-	}
+	lines := accessLines(t, &buf)
 	if len(lines) != 2 {
 		t.Fatalf("got %d access lines, want 2", len(lines))
 	}
@@ -172,6 +166,177 @@ func TestAccessLog(t *testing.T) {
 	}
 	if lines[1]["outcome"] != "bad-request" || lines[1]["status"] != float64(400) {
 		t.Errorf("rejection line = %v", lines[1])
+	}
+}
+
+// accessLines parses everything the access log has written so far, one
+// JSON record per line.
+func accessLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
+	t.Helper()
+	var lines []map[string]any
+	sc := bufio.NewScanner(buf)
+	for sc.Scan() {
+		var rec map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("access line is not JSON: %v: %s", err, sc.Text())
+		}
+		lines = append(lines, rec)
+	}
+	return lines
+}
+
+// queue_ms is the wait for an admission slot — the same figure in the
+// response body, the access log and server.queue.seconds — not the
+// whole request. A compile held ~100ms by a hang fault (its budget
+// converts the hang into a degradation, so the request still succeeds)
+// must report a queue_ms far below its elapsed_ms.
+func TestQueueMsIsAdmissionWait(t *testing.T) {
+	fset, err := faults.Parse("select:hang")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	s := newTestServer(t, Config{
+		Faults:    fset,
+		AccessLog: slog.New(slog.NewJSONHandler(&buf, nil)),
+	})
+	w := post(t, s, CompileRequest{Source: addC, Target: "r2000",
+		Options: &CompileOptions{BudgetMs: 100}}, nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("compile: %d: %s", w.Code, w.Body.String())
+	}
+	resp := decode[CompileResponse](t, w)
+	if len(resp.Degradations) == 0 || resp.ElapsedMs < 100 {
+		t.Fatalf("compile was not held by the fault: elapsed %vms, degradations %v",
+			resp.ElapsedMs, resp.Degradations)
+	}
+	if resp.QueueMs*10 > resp.ElapsedMs {
+		t.Errorf("queue_ms = %v includes the compile (elapsed_ms = %v)", resp.QueueMs, resp.ElapsedMs)
+	}
+	lines := accessLines(t, &buf)
+	if len(lines) != 1 || lines[0]["queue_ms"] != resp.QueueMs {
+		t.Errorf("access-log queue_ms = %v, response queue_ms = %v", lines, resp.QueueMs)
+	}
+}
+
+// TestStageOutcomes drives one request into every early exit of the
+// request stages and checks each exit's contract: its HTTP status,
+// exactly one access-log line carrying its outcome, the admission slot
+// handed back (inflight returns to 0), and the right overload.Outcome
+// on release — only a request that reached the compile may feed the
+// limiter's service-time estimate.
+func TestStageOutcomes(t *testing.T) {
+	mustFaults := func(spec string) *faults.Set {
+		fset, err := faults.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fset
+	}
+	addReq := CompileRequest{Source: addC, Target: "r2000"}
+	short := map[string]string{DeadlineHeader: "30"}
+	// hold takes the only slot without ever feeding the estimate.
+	hold := func(t *testing.T, s *Server) func() {
+		rel := occupySlot(t, s)
+		return func() { rel(overload.Skipped) }
+	}
+	cases := []struct {
+		name    string // defaults to outcome
+		outcome string
+		cfg     Config
+		// prep puts the server in the state that forces the exit; the
+		// returned func undoes it so in-flight work can finish.
+		prep    func(t *testing.T, s *Server) (undo func())
+		req     CompileRequest
+		hdr     map[string]string
+		status  int
+		sampled bool // the slot's release fed the service estimate
+	}{
+		{name: "bad-request@identify", outcome: "bad-request", status: http.StatusBadRequest,
+			req: CompileRequest{Source: addC, Target: "vax"}},
+		{name: "bad-request@lower", outcome: "bad-request", status: http.StatusBadRequest,
+			req: CompileRequest{Source: "int f( {", Target: "r2000"}}, // rejected holding a slot
+		{outcome: "draining", req: addReq, status: http.StatusServiceUnavailable,
+			prep: func(t *testing.T, s *Server) func() { s.BeginDrain(); return nil }},
+		{outcome: "shed-full", req: addReq, status: http.StatusTooManyRequests,
+			cfg: Config{MaxInflight: 1, MaxQueue: 1},
+			prep: func(t *testing.T, s *Server) func() {
+				undo := hold(t, s)
+				queued := make(chan int)
+				go func() { queued <- post(t, s, addReq, nil).Code }()
+				waitFor(t, func() bool { return s.lim.Snapshot().Queued == 1 })
+				return func() {
+					undo()
+					if code := <-queued; code != http.StatusOK {
+						t.Errorf("queued request: status %d", code)
+					}
+				}
+			}},
+		{outcome: "shed-doomed", req: addReq, hdr: short, status: http.StatusTooManyRequests,
+			cfg: Config{MaxInflight: 1, MaxQueue: 4},
+			prep: func(t *testing.T, s *Server) func() {
+				s.lim.Prime(2 * time.Second) // est >> the 30ms deadline
+				return hold(t, s)
+			}},
+		{outcome: "expired", req: addReq, hdr: short, status: http.StatusGatewayTimeout,
+			cfg: Config{MaxInflight: 1, MaxQueue: 4}, prep: hold},
+		{outcome: "circuit-open", status: http.StatusServiceUnavailable,
+			req: CompileRequest{Source: addC, Target: "r2000", Strategy: "safe"},
+			cfg: Config{BreakerThreshold: 1, BreakerCooldown: time.Hour, Clock: fixedClock()},
+			prep: func(t *testing.T, s *Server) func() {
+				s.breakers.Failure("r2000/safe", nil) // safe is the last rung
+				return nil
+			}},
+		{outcome: "shed-cache-only", req: addReq, status: http.StatusTooManyRequests, sampled: true,
+			cfg: Config{Brownout: true, Clock: fixedClock()},
+			prep: func(t *testing.T, s *Server) func() {
+				s.brown.Force(overload.LevelCacheOnly)
+				return func() { s.Close() }
+			}},
+		{outcome: "failed", req: addReq, status: http.StatusUnprocessableEntity, sampled: true,
+			cfg: Config{Faults: mustFaults("serve:err")}},
+	}
+	for _, c := range cases {
+		if c.name == "" {
+			c.name = c.outcome
+		}
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			c.cfg.AccessLog = slog.New(slog.NewJSONHandler(&buf, nil))
+			s := newTestServer(t, c.cfg)
+			var undo func()
+			if c.prep != nil {
+				undo = c.prep(t, s)
+			}
+			before := s.lim.Snapshot().EstimateSeconds
+			w := post(t, s, c.req, c.hdr)
+			sampled := s.lim.Snapshot().EstimateSeconds != before
+			if undo != nil {
+				undo()
+			}
+
+			if w.Code != c.status {
+				t.Errorf("status %d, want %d: %s", w.Code, c.status, w.Body.String())
+			}
+			if sampled != c.sampled {
+				t.Errorf("service estimate sampled = %v, want %v", sampled, c.sampled)
+			}
+			if st := decode[Statz](t, get(s, "/statz")); st.Inflight != 0 || st.Queued != 0 {
+				t.Errorf("slot not released: inflight %d, queued %d", st.Inflight, st.Queued)
+			}
+			n := 0
+			for _, rec := range accessLines(t, &buf) {
+				if rec["outcome"] == c.outcome {
+					n++
+					if rec["status"] != float64(c.status) {
+						t.Errorf("access line status = %v, want %d", rec["status"], c.status)
+					}
+				}
+			}
+			if n != 1 {
+				t.Errorf("%d access lines with outcome %q, want exactly 1", n, c.outcome)
+			}
+		})
 	}
 }
 

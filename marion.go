@@ -21,6 +21,20 @@
 //	    }`)
 //	fmt.Print(res.Program.Print())
 //
+// Entry points. A CodeGenerator comes from New (a shipped target) or
+// NewFromDescription (Maril text) and compiles with
+//
+//	gen.Compile(file, src)               C subset
+//	gen.CompileIL(file, src)             textual IL (internal/iltext)
+//	gen.CompileCtx, gen.CompileILCtx     the same, cancellable
+//	gen.CompileModuleCtx(ctx, mod)       an already-lowered IL module
+//
+// It is configured by setting the back end options it embeds —
+// gen.Strategy, gen.Workers, gen.Verify, gen.Budget, gen.Strict,
+// gen.Cache, ... — which are declared once (internal/pipeline.Config)
+// and shared by every layer down to the phases that read them.
+// Execute and NewSession run compiled code on the simulator.
+//
 // See examples/ for runnable programs and EXPERIMENTS.md for the
 // reproduction of the paper's tables and figures.
 package marion
