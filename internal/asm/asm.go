@@ -104,26 +104,6 @@ func New(tmpl *mach.Instr, args ...Operand) *Inst {
 	return &Inst{Tmpl: tmpl, Args: args, Cycle: -1}
 }
 
-// Defs appends the register operands written by the instruction to buf.
-func (in *Inst) Defs(buf []Operand) []Operand {
-	for _, i := range in.Tmpl.DefOps {
-		if in.Args[i].IsReg() {
-			buf = append(buf, in.Args[i])
-		}
-	}
-	return buf
-}
-
-// Uses appends the register operands read by the instruction to buf.
-func (in *Inst) Uses(buf []Operand) []Operand {
-	for _, i := range in.Tmpl.UseOps {
-		if in.Args[i].IsReg() {
-			buf = append(buf, in.Args[i])
-		}
-	}
-	return buf
-}
-
 func (in *Inst) String() string {
 	var sb strings.Builder
 	sb.WriteString(in.Tmpl.Mnemonic)

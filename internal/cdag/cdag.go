@@ -59,13 +59,6 @@ type Options struct {
 	NoProtect bool
 }
 
-// regKey identifies a register for dependence tracking: physical
-// registers positive, pseudo-registers shifted negative.
-type regKey int64
-
-func pseudoKey(p asm.PseudoID) regKey { return regKey(-int64(p) - 1) }
-func physKey(p mach.PhysID) regKey    { return regKey(p) }
-
 // Build constructs the code DAG for a block.
 func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 	g := &Graph{M: m}
@@ -73,11 +66,13 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 		g.Nodes = append(g.Nodes, &Node{Index: i, Inst: in})
 	}
 
-	lastDef := map[regKey]int{}    // key -> node index of last writer
-	lastDefOp := map[regKey]int{}  // key -> template operand index of that def
-	lastUses := map[regKey][]int{} // key -> readers since last def
-	lastMemWrite := -1             // last store/call
-	memReads := []int{}            // loads since last store/call
+	// Tracking tables, keyed by the one asm.RegKey. They are only ever
+	// indexed, never ranged over, so map order cannot reach edge order.
+	lastDef := map[asm.RegKey]int{}    // key -> node index of last writer
+	lastDefOp := map[asm.RegKey]int{}  // key -> template operand index of that def
+	lastUses := map[asm.RegKey][]int{} // key -> readers since last def
+	lastMemWrite := -1                 // last store/call
+	memReads := []int{}                // loads since last store/call
 	// Temporal latch pairing is per (latch, sequence identity): the
 	// selector emits each %seq expansion with a unique SeqID, so a
 	// reader's producer is its own sequence's writer regardless of how
@@ -113,22 +108,6 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 		g.Nodes[to].Preds = append(g.Nodes[to].Preds, Edge{To: from, Latency: lat, Type: t, Clock: clock})
 	}
 
-	// regKeys expands an operand into dependence-tracking keys; a half
-	// operand conservatively covers the whole wide register.
-	regKeys := func(op asm.Operand) []regKey {
-		switch op.Kind {
-		case asm.OpPseudo, asm.OpPseudoHalf:
-			return []regKey{pseudoKey(op.Pseudo)}
-		case asm.OpPhys:
-			var keys []regKey
-			for _, a := range m.Aliases(op.Phys) {
-				keys = append(keys, physKey(a))
-			}
-			return keys
-		}
-		return nil
-	}
-
 	// Instructions already scheduled into packed words (equal Cycle
 	// values, as when a strategy reschedules a block) execute with
 	// read-before-write semantics WITHIN the word: all reads observe
@@ -145,7 +124,7 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 		}
 
 		type defUpd struct {
-			k     regKey
+			k     asm.RegKey
 			i, op int
 		}
 		var defUpds []defUpd
@@ -159,32 +138,17 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 			in := b.Insts[i]
 			tmpl := in.Tmpl
 
-			// Type 1: true dependences through registers.
-			use := func(k regKey, usedOpIdx int) {
-				if d, ok := lastDef[k]; ok {
-					lat := TrueLatency(m, b.Insts[d], in, lastDefOp[k], usedOpIdx)
+			// Type 1: true dependences through registers. A half operand
+			// conservatively covers the whole wide register.
+			for u := in.RegUses(m); u.Next(); {
+				if u.Hard {
+					continue // reads of hard-wired registers carry no dependence
+				}
+				if d, ok := lastDef[u.Key]; ok {
+					lat := TrueLatency(m, b.Insts[d], in, lastDefOp[u.Key], u.Op)
 					addEdge(d, i, lat, True, -1)
 				}
-				lastUses[k] = append(lastUses[k], i)
-			}
-			for _, oi := range tmpl.UseOps {
-				op := in.Args[oi]
-				if !op.IsReg() {
-					continue
-				}
-				if op.Kind == asm.OpPhys {
-					if _, hard := m.IsHard(op.Phys); hard {
-						continue // reads of hard-wired registers carry no dependence
-					}
-				}
-				for _, k := range regKeys(op) {
-					use(k, oi)
-				}
-			}
-			for _, p := range in.ImpUses {
-				for _, a := range m.Aliases(p) {
-					use(physKey(a), -1)
-				}
+				lastUses[u.Key] = append(lastUses[u.Key], i)
 			}
 
 			// Temporal register reads (paired within the sequence).
@@ -220,30 +184,16 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 
 			// Defs: type 3 anti and output edges against pre-word state;
 			// the tracking update is deferred to the end of the word.
-			def := func(k regKey, opIdx int) {
+			for d := in.RegDefs(m); d.Next(); {
 				if !opts.NoAnti {
-					if d, ok := lastDef[k]; ok {
-						addEdge(d, i, 1, Anti, -1) // output dependence
+					if prev, ok := lastDef[d.Key]; ok {
+						addEdge(prev, i, 1, Anti, -1) // output dependence
 					}
-					for _, u := range lastUses[k] {
+					for _, u := range lastUses[d.Key] {
 						addEdge(u, i, 0, Anti, -1) // anti dependence
 					}
 				}
-				defUpds = append(defUpds, defUpd{k, i, opIdx})
-			}
-			for _, oi := range tmpl.DefOps {
-				op := in.Args[oi]
-				if !op.IsReg() {
-					continue
-				}
-				for _, k := range regKeys(op) {
-					def(k, oi)
-				}
-			}
-			for _, p := range in.ImpDefs {
-				for _, a := range m.Aliases(p) {
-					def(physKey(a), -1)
-				}
+				defUpds = append(defUpds, defUpd{d.Key, i, d.Op})
 			}
 
 			// Temporal register writes. No anti/output edges are built:

@@ -73,34 +73,53 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
+// compileSuite compiles the merged Livermore module (28 functions).
+func compileSuite(t *testing.T, target string, kind strategy.Kind, workers int) *driver.Compiled {
+	t.Helper()
+	mod, err := livermore.SuiteModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := targets.Load(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := driver.CompileModule(m, mod, driver.Config{Strategy: kind, Workers: workers})
+	if err != nil {
+		t.Fatalf("%s/%s workers=%d: %v", target, kind, workers, err)
+	}
+	if len(c.Prog.Funcs) != len(mod.Funcs) {
+		t.Fatalf("%s workers=%d: %d functions compiled, want %d", target, workers, len(c.Prog.Funcs), len(mod.Funcs))
+	}
+	return c
+}
+
 // TestSuiteParallelDeterminism repeats the check on a large module (all
 // Livermore kernels merged, 28 functions), where worker interleaving is
-// actually exercised.
+// actually exercised, on every target.
 func TestSuiteParallelDeterminism(t *testing.T) {
-	compile := func(workers int) string {
-		mod, err := livermore.SuiteModule()
-		if err != nil {
-			t.Fatal(err)
+	for _, target := range targets.Names() {
+		seq := compileSuite(t, target, strategy.Postpass, 1).Prog.Print()
+		par := compileSuite(t, target, strategy.Postpass, 8).Prog.Print()
+		if seq != par {
+			t.Errorf("%s: suite assembly differs between workers=1 and workers=8", target)
 		}
-		m, err := targets.Load("r2000")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := driver.CompileModule(m, mod, driver.Config{
-			Strategy: strategy.Postpass, Workers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(c.Prog.Funcs) != len(mod.Funcs) {
-			t.Fatalf("workers=%d: %d functions compiled, want %d", workers, len(c.Prog.Funcs), len(mod.Funcs))
-		}
-		return c.Prog.Print()
 	}
-	seq := compile(1)
-	par := compile(8)
-	if seq != par {
-		t.Error("suite assembly differs between workers=1 and workers=8")
+}
+
+// TestI860RunToRunDeterminism: the i860 is the one shipped target whose
+// Livermore blocks keep two clocks' temporal groups outstanding in the
+// same cycle, which sched.Run used to place in map order. Eight compiles
+// must be one program.
+func TestI860RunToRunDeterminism(t *testing.T) {
+	for _, kind := range []strategy.Kind{strategy.Postpass, strategy.IPS, strategy.RASE} {
+		first := compileSuite(t, "i860", kind, 0).Prog.Print()
+		for run := 1; run < 8; run++ {
+			if compileSuite(t, "i860", kind, 0).Prog.Print() != first {
+				t.Errorf("i860/%s: compile %d differs from compile 0", kind, run)
+				break
+			}
+		}
 	}
 }
 

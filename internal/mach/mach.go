@@ -88,6 +88,23 @@ func (rs *RegSet) Holds(t ir.Type) bool {
 	return false
 }
 
+// HoldsLoose reports whether the set can hold a value of IL type t,
+// treating narrow integers and pointers as int-width. It is the one
+// answer for both readers of an operand's register set: the glue
+// transformer (xform) and the selector.
+func (rs *RegSet) HoldsLoose(t ir.Type) bool {
+	if rs.Holds(t) {
+		return true
+	}
+	switch t {
+	case ir.I8, ir.I16, ir.U32, ir.Ptr:
+		return rs.Holds(ir.I32) || rs.Holds(ir.Ptr)
+	case ir.I32:
+		return rs.Holds(ir.Ptr)
+	}
+	return false
+}
+
 // RegRef names one register: a set plus an index within the set.
 type RegRef struct {
 	Set   *RegSet

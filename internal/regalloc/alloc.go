@@ -64,26 +64,12 @@ func AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Result, error) 
 	res := &Result{Assignment: map[asm.PseudoID]mach.PhysID{}}
 	if opts.SpillGlobals {
 		var globals []asm.PseudoID
-		seen := map[asm.PseudoID]*asm.Block{}
-		cross := map[asm.PseudoID]bool{}
-		for _, b := range af.Blocks {
-			for _, in := range b.Insts {
-				for _, a := range in.Args {
-					if a.Kind != asm.OpPseudo && a.Kind != asm.OpPseudoHalf {
-						continue
-					}
-					if fb, ok := seen[a.Pseudo]; ok && fb != b {
-						cross[a.Pseudo] = true
-					} else {
-						seen[a.Pseudo] = b
-					}
-				}
+		_, cross := af.PseudoHomes()
+		for p, c := range cross {
+			if c {
+				globals = append(globals, asm.PseudoID(p))
 			}
 		}
-		for p := range cross {
-			globals = append(globals, p)
-		}
-		sort.Slice(globals, func(a, b int) bool { return globals[a] < globals[b] })
 		res.Spills += len(globals)
 		if err := insertSpills(m, af, res, globals); err != nil {
 			return nil, err
@@ -162,7 +148,8 @@ func build(m *mach.Machine, af *asm.Func) *graph {
 	g := &graph{adj: make([]map[asm.PseudoID]bool, n), forbid: make([]map[mach.PhysID]bool, n)}
 	liveOut := liveness(m, af)
 
-	interfere := func(d lkey, live liveSet, moveSrc lkey, haveSrc bool) {
+	interfere := func(d asm.RegKey, live liveSet, moveSrc asm.RegKey, haveSrc bool) {
+		// Map order is harmless: adj and forbid are sets.
 		for l := range live {
 			if l == d {
 				continue
@@ -173,12 +160,12 @@ func build(m *mach.Machine, af *asm.Func) *graph {
 				continue
 			}
 			switch {
-			case d.isPseudo() && l.isPseudo():
-				g.addEdge(d.pseudo(), l.pseudo())
-			case d.isPseudo():
-				g.addForbid(d.pseudo(), l.phys(), m)
-			case l.isPseudo():
-				g.addForbid(l.pseudo(), d.phys(), m)
+			case d.IsPseudo(m) && l.IsPseudo(m):
+				g.addEdge(d.Pseudo(m), l.Pseudo(m))
+			case d.IsPseudo(m):
+				g.addForbid(d.Pseudo(m), l.Phys(), m)
+			case l.IsPseudo(m):
+				g.addForbid(l.Pseudo(m), d.Phys(), m)
 			}
 		}
 	}
@@ -190,25 +177,32 @@ func build(m *mach.Machine, af *asm.Func) *graph {
 		}
 		for j := len(b.Insts) - 1; j >= 0; j-- {
 			in := b.Insts[j]
-			defs, uses := defsUses(m, in)
-			var moveSrc lkey
-			haveSrc := false
-			if in.Tmpl.Move && len(uses) == 1 {
-				moveSrc = uses[0]
-				haveSrc = true
+			moveSrc, haveSrc := moveSource(m, in)
+			for d := in.RegDefs(m); d.Next(); {
+				interfere(d.Key, live, moveSrc, haveSrc)
 			}
-			for _, d := range defs {
-				interfere(d, live, moveSrc, haveSrc)
-			}
-			for _, d := range defs {
-				delete(live, d)
-			}
-			for _, u := range uses {
-				live[u] = true
-			}
+			live.step(m, in)
 		}
 	}
 	return g
+}
+
+// moveSource returns the register a copy reads when it reads exactly one
+// (a def through a half operand counts as a read, as in liveSet.step).
+func moveSource(m *mach.Machine, in *asm.Inst) (src asm.RegKey, ok bool) {
+	if !in.Tmpl.Move {
+		return 0, false
+	}
+	n := 0
+	for d := in.RegDefs(m); d.Next(); {
+		if d.Half {
+			src, n = d.Key, n+1
+		}
+	}
+	for u := in.RegUses(m); u.Next(); {
+		src, n = u.Key, n+1
+	}
+	return src, n == 1
 }
 
 // degreeWeight is how many of my set's registers one neighbor can block.
@@ -282,19 +276,16 @@ func colorOnce(m *mach.Machine, af *asm.Func, res *Result) ([]asm.PseudoID, erro
 		colorsOf[rs] = regs
 	}
 
+	// Only pseudos some instruction still mentions take part.
+	home, _ := af.PseudoHomes()
 	present := make([]bool, n)
-	for _, b := range af.Blocks {
-		for _, in := range b.Insts {
-			for _, a := range in.Args {
-				if a.Kind == asm.OpPseudo || a.Kind == asm.OpPseudoHalf {
-					present[a.Pseudo] = true
-				}
-			}
-		}
+	for p, hb := range home {
+		present[p] = hb != nil
 	}
 
 	weightedDeg := func(p asm.PseudoID, removed []bool) int {
 		d := 0
+		// Map order is harmless: a sum.
 		for nb := range g.adj[p] {
 			if !removed[nb] && present[nb] {
 				d += degreeWeight(af.Pseudos[p].Set, af.Pseudos[nb].Set)
@@ -377,6 +368,8 @@ func colorOnce(m *mach.Machine, af *asm.Func, res *Result) ([]asm.PseudoID, erro
 	for i := len(stack) - 1; i >= 0; i-- {
 		p := stack[i]
 		set := af.Pseudos[p].Set
+		// Map order is harmless below: blocked is a set, and the color
+		// is then the first free one in colorsOf's fixed order.
 		blocked := map[mach.PhysID]bool{}
 		for ph := range g.forbid[p] {
 			blocked[ph] = true
@@ -453,13 +446,19 @@ func insertSpills(m *mach.Machine, af *asm.Func, res *Result, spilled []asm.Pseu
 				}
 				return ir.I32
 			}
-			isUse := map[int]bool{}
-			isDef := map[int]bool{}
-			for _, oi := range in.Tmpl.UseOps {
-				isUse[oi] = true
+			// Operand roles as bit sets over the template operand index;
+			// the rewrite below must visit operands in index order, since
+			// that order numbers the temporaries.
+			var isUse, isDef uint64
+			for u := in.RegUses(m); u.Next(); {
+				if u.Op >= 0 {
+					isUse |= 1 << u.Op
+				}
 			}
-			for _, oi := range in.Tmpl.DefOps {
-				isDef[oi] = true
+			for d := in.RegDefs(m); d.Next(); {
+				if d.Op >= 0 {
+					isDef |= 1 << d.Op
+				}
 			}
 			for oi := range in.Args {
 				a := in.Args[oi]
@@ -474,7 +473,8 @@ func insertSpills(m *mach.Machine, af *asm.Func, res *Result, spilled []asm.Pseu
 				t := tmpFor(a.Pseudo)
 				off := spillOffset(af, s)
 				ty := spillType(set)
-				if isUse[oi] || a.Kind == asm.OpPseudoHalf && isDef[oi] {
+				use, def := isUse>>oi&1 != 0, isDef>>oi&1 != 0
+				if use || a.Kind == asm.OpPseudoHalf && def {
 					if len(loads) == 0 || loads[len(loads)-1].Args[0].Pseudo != t {
 						ld, err := sel.BuildLoad(m, af, asm.Reg(t), fp, off, ty)
 						if err != nil {
@@ -483,7 +483,7 @@ func insertSpills(m *mach.Machine, af *asm.Func, res *Result, spilled []asm.Pseu
 						loads = append(loads, ld)
 					}
 				}
-				if isDef[oi] {
+				if def {
 					st, err := sel.BuildStore(m, af, asm.Reg(t), fp, off, ty)
 					if err != nil {
 						return err
@@ -533,19 +533,20 @@ func usedCalleeSave(m *mach.Machine, af *asm.Func, res *Result) []mach.PhysID {
 	used := map[mach.PhysID]bool{}
 	for _, b := range af.Blocks {
 		for _, in := range b.Insts {
-			for _, oi := range in.Tmpl.DefOps {
-				if a := in.Args[oi]; a.Kind == asm.OpPhys {
-					for _, al := range m.Aliases(a.Phys) {
-						if calleeSave[al] {
-							used[al] = true
-						}
-					}
+			for d := in.RegDefs(m); d.Next(); {
+				// Explicit defs only: a call's implicit defs are the
+				// caller-save set and the return address, which frame()
+				// saves on UsesCalls.
+				if p := d.Key.Phys(); d.Op >= 0 && calleeSave[p] {
+					used[p] = true
 				}
 			}
 		}
 	}
 	// A wide register save covers its narrow overlaps: drop registers
-	// whose covering wider register is also saved.
+	// whose covering wider register is also saved. (Map order is
+	// harmless: only narrower registers are dropped, on account of wider
+	// ones, and the survivors are sorted.)
 	for p := range used {
 		for _, al := range m.Aliases(p) {
 			if al != p && used[al] && m.PhysRef(al).Set.Size > m.PhysRef(p).Set.Size {

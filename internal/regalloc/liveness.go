@@ -10,53 +10,24 @@ import (
 	"marion/internal/mach"
 )
 
-// lkey is a liveness key: pseudo ids negative-shifted, phys ids positive
-// (one key per physical register; aliasing handled at interference time).
-type lkey int64
+// liveSet is keyed by asm.RegKey: one key per physical register
+// (aliasing handled at interference time) or pseudo. Every range over
+// one is a set copy, union or comparison, so map order cannot reach the
+// allocation.
+type liveSet map[asm.RegKey]bool
 
-func pk(p asm.PseudoID) lkey { return lkey(-int64(p) - 1) }
-func hk(p mach.PhysID) lkey  { return lkey(p) }
-
-func (k lkey) isPseudo() bool       { return k < 0 }
-func (k lkey) pseudo() asm.PseudoID { return asm.PseudoID(-int64(k) - 1) }
-func (k lkey) phys() mach.PhysID    { return mach.PhysID(k) }
-
-type liveSet map[lkey]bool
-
-// defsUses returns the keys defined and used by an instruction. A half
-// operand counts as both (a partial write preserves the other half).
-func defsUses(m *mach.Machine, in *asm.Inst) (defs, uses []lkey) {
-	addOp := func(list []lkey, a asm.Operand) []lkey {
-		switch a.Kind {
-		case asm.OpPseudo, asm.OpPseudoHalf:
-			return append(list, pk(a.Pseudo))
-		case asm.OpPhys:
-			for _, al := range m.Aliases(a.Phys) {
-				list = append(list, hk(al))
-			}
-		}
-		return list
-	}
-	for _, oi := range in.Tmpl.DefOps {
-		defs = addOp(defs, in.Args[oi])
-		if in.Args[oi].Kind == asm.OpPseudoHalf {
-			uses = addOp(uses, in.Args[oi])
+// step moves live backward across one instruction: defs die, uses are
+// born. A def through a half operand is also a use (a partial write
+// preserves the other half).
+func (live liveSet) step(m *mach.Machine, in *asm.Inst) {
+	for d := in.RegDefs(m); d.Next(); {
+		if !d.Half {
+			delete(live, d.Key)
 		}
 	}
-	for _, oi := range in.Tmpl.UseOps {
-		uses = addOp(uses, in.Args[oi])
+	for u := in.RegUses(m); u.Next(); {
+		live[u.Key] = true
 	}
-	for _, p := range in.ImpDefs {
-		for _, al := range m.Aliases(p) {
-			defs = append(defs, hk(al))
-		}
-	}
-	for _, p := range in.ImpUses {
-		for _, al := range m.Aliases(p) {
-			uses = append(uses, hk(al))
-		}
-	}
-	return defs, uses
 }
 
 // liveness computes live-out sets per block by iterative backward
@@ -91,13 +62,7 @@ func liveness(m *mach.Machine, af *asm.Func) map[*asm.Block]liveSet {
 				in[k] = true
 			}
 			for j := len(b.Insts) - 1; j >= 0; j-- {
-				defs, uses := defsUses(m, b.Insts[j])
-				for _, d := range defs {
-					delete(in, d)
-				}
-				for _, u := range uses {
-					in[u] = true
-				}
+				in.step(m, b.Insts[j])
 			}
 			if !sameSet(out, liveOut[b]) || !sameSet(in, liveIn[b]) {
 				changed = true

@@ -181,7 +181,7 @@ int f(int a) {
 	entry := af.Blocks[0]
 	found := false
 	for k := range live[entry] {
-		if k.isPseudo() {
+		if k.IsPseudo(m) {
 			found = true
 		}
 	}

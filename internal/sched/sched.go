@@ -73,27 +73,12 @@ type Result struct {
 }
 
 // LiveOutPseudos returns the pseudos of af that are live across basic
-// block boundaries (referenced in more than one block, or rooted in a
-// global IL pseudo-register).
-func LiveOutPseudos(af *asm.Func) map[asm.PseudoID]bool {
+// block boundaries: referenced in more than one block (cross, from
+// af.PseudoHomes), or rooted in a global IL pseudo-register.
+func LiveOutPseudos(af *asm.Func, cross []bool) map[asm.PseudoID]bool {
 	out := map[asm.PseudoID]bool{}
-	first := map[asm.PseudoID]*asm.Block{}
-	for _, b := range af.Blocks {
-		for _, in := range b.Insts {
-			for _, a := range in.Args {
-				if a.Kind != asm.OpPseudo && a.Kind != asm.OpPseudoHalf {
-					continue
-				}
-				if fb, ok := first[a.Pseudo]; ok && fb != b {
-					out[a.Pseudo] = true
-				} else {
-					first[a.Pseudo] = b
-				}
-			}
-		}
-	}
 	for p, info := range af.Pseudos {
-		if info.IR >= 0 && af.IR != nil && af.IR.Regs[info.IR].Global {
+		if cross[p] || info.IR >= 0 && af.IR != nil && af.IR.Regs[info.IR].Global {
 			out[asm.PseudoID(p)] = true
 		}
 	}
@@ -181,8 +166,12 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 	// of clock k. Edges from instructions placed this cycle take effect
 	// only at the next cycle (the clock ticks once per instruction word),
 	// which is what allows a new sequence head to pack with the group.
-	pending := map[int]map[int]bool{}
-	newPending := map[int]map[int]bool{}
+	// Both are member lists indexed by clock id, so groups are visited
+	// in ascending clock order by construction: when two clocks' groups
+	// are placeable in the same cycle (i860), the visit order is the
+	// order they are placed, and printed, in.
+	pending := make([][]int, len(m.Clocks))
+	newPending := make([][]int, len(m.Clocks))
 	placedThisCycle := map[int]bool{}
 
 	// Rule 1: an instruction affecting clock k may only be placed in a
@@ -195,7 +184,7 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 		if k < 0 {
 			return true
 		}
-		for mem := range pending[k] {
+		for _, mem := range pending[k] {
 			if mem != i && !placedThisCycle[mem] {
 				return false
 			}
@@ -220,33 +209,37 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 	usesLeft := map[asm.PseudoID]int{}
 	live := map[asm.PseudoID]bool{}
 	pressure := map[*mach.RegSet]int{}
+	// Only pseudo operands count: a half operand stands for its whole
+	// wide pseudo, and physical registers (hence every implicit effect)
+	// are outside the limit.
+	pseudoOf := func(k asm.RegKey) (asm.PseudoID, bool) {
+		return k.Pseudo(m), k.IsPseudo(m)
+	}
 	if opts.MaxLive != nil {
 		for _, nd := range g.Nodes {
-			for _, oi := range nd.Inst.Tmpl.UseOps {
-				a := nd.Inst.Args[oi]
-				if a.Kind == asm.OpPseudo || a.Kind == asm.OpPseudoHalf {
-					usesLeft[a.Pseudo]++
+			for u := nd.Inst.RegUses(m); u.Next(); {
+				if p, ok := pseudoOf(u.Key); ok {
+					usesLeft[p]++
 				}
 			}
 		}
 	}
 	pressureDelta := func(in *asm.Inst) map[*mach.RegSet]int {
 		d := map[*mach.RegSet]int{}
-		for _, oi := range in.Tmpl.DefOps {
-			a := in.Args[oi]
-			if (a.Kind == asm.OpPseudo || a.Kind == asm.OpPseudoHalf) && !live[a.Pseudo] {
-				d[af.Pseudos[a.Pseudo].Set]++
+		for e := in.RegDefs(m); e.Next(); {
+			if p, ok := pseudoOf(e.Key); ok && !live[p] {
+				d[af.Pseudos[p].Set]++
 			}
 		}
 		// An operand may appear several times in one instruction; it dies
 		// here when this instruction holds ALL its remaining uses.
 		occ := map[asm.PseudoID]int{}
-		for _, oi := range in.Tmpl.UseOps {
-			a := in.Args[oi]
-			if a.Kind == asm.OpPseudo || a.Kind == asm.OpPseudoHalf {
-				occ[a.Pseudo]++
+		for u := in.RegUses(m); u.Next(); {
+			if p, ok := pseudoOf(u.Key); ok {
+				occ[p]++
 			}
 		}
+		// Map order is harmless: each entry adjusts its own set's count.
 		for p, c := range occ {
 			if live[p] && usesLeft[p] == c && !opts.LiveOut[p] {
 				d[af.Pseudos[p].Set]--
@@ -258,6 +251,7 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 		if opts.MaxLive == nil {
 			return true
 		}
+		// Map order is harmless: the answer is a conjunction over sets.
 		for set, d := range pressureDelta(in) {
 			lim, ok := opts.MaxLive[set]
 			if !ok {
@@ -273,21 +267,19 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 		if opts.MaxLive == nil {
 			return
 		}
-		for _, oi := range in.Tmpl.UseOps {
-			a := in.Args[oi]
-			if a.Kind == asm.OpPseudo || a.Kind == asm.OpPseudoHalf {
-				usesLeft[a.Pseudo]--
-				if usesLeft[a.Pseudo] <= 0 && !opts.LiveOut[a.Pseudo] && live[a.Pseudo] {
-					live[a.Pseudo] = false
-					pressure[af.Pseudos[a.Pseudo].Set]--
+		for u := in.RegUses(m); u.Next(); {
+			if p, ok := pseudoOf(u.Key); ok {
+				usesLeft[p]--
+				if usesLeft[p] <= 0 && !opts.LiveOut[p] && live[p] {
+					live[p] = false
+					pressure[af.Pseudos[p].Set]--
 				}
 			}
 		}
-		for _, oi := range in.Tmpl.DefOps {
-			a := in.Args[oi]
-			if (a.Kind == asm.OpPseudo || a.Kind == asm.OpPseudoHalf) && !live[a.Pseudo] {
-				live[a.Pseudo] = true
-				pressure[af.Pseudos[a.Pseudo].Set]++
+		for e := in.RegDefs(m); e.Next(); {
+			if p, ok := pseudoOf(e.Key); ok && !live[p] {
+				live[p] = true
+				pressure[af.Pseudos[p].Set]++
 			}
 		}
 	}
@@ -305,18 +297,13 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 				earliest[e.To] = c
 			}
 			if e.Type == cdag.True && e.Clock >= 0 {
-				if newPending[e.Clock] == nil {
-					newPending[e.Clock] = map[int]bool{}
-				}
-				newPending[e.Clock][e.To] = true
+				newPending[e.Clock] = addMember(newPending[e.Clock], e.To)
 			}
 		}
 		// The node itself leaves any group it belonged to.
-		for _, grp := range pending {
-			delete(grp, i)
-		}
-		for _, grp := range newPending {
-			delete(grp, i)
+		for k := range pending {
+			pending[k] = dropMember(pending[k], i)
+			newPending[k] = dropMember(newPending[k], i)
 		}
 		res.Order = append(res.Order, i)
 		res.Cycles = append(res.Cycles, cycle)
@@ -366,7 +353,7 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 				}
 			}
 			for k, grp := range pending {
-				for mem := range grp {
+				for _, mem := range grp {
 					msg += fmt.Sprintf("  pending[clock %d] member [%d] %s scheduled=%v\n",
 						k, mem, g.Nodes[mem].Inst, scheduled[mem])
 				}
@@ -420,7 +407,7 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 				}
 				members := make([]int, 0, len(grp))
 				ok := true
-				for mem := range grp {
+				for _, mem := range grp {
 					if scheduled[mem] || predsLeft[mem] != 0 || earliest[mem] > cycle || !groupRule1OK(mem, k0) {
 						ok = false
 						break
@@ -517,46 +504,76 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 		}
 		// Temporal edges from this cycle's placements become outstanding.
 		for k, grp := range newPending {
-			if pending[k] == nil {
-				pending[k] = map[int]bool{}
+			for _, mem := range grp {
+				pending[k] = addMember(pending[k], mem)
 			}
-			for mem := range grp {
-				pending[k][mem] = true
-			}
-			delete(newPending, k)
+			newPending[k] = grp[:0]
 		}
 	}
 	// Block cost: issue cycles plus the delay-slot nops Apply will
-	// insert after EVERY control transfer (§4.4) — not just a transfer
-	// placed last. Replay Apply's shift arithmetic over the placements
-	// (cycles are nondecreasing along res.Order, so iterating in
-	// placement order visits them in issue order, exactly as Apply's
-	// stable sort does) so that the estimate equals the post-Apply
-	// SchedCost even for blocks with mid-block calls.
-	cost := 0
-	shift := 0
+	// insert. Cycles are nondecreasing along res.Order, so placement
+	// order is issue order, exactly as Apply's stable sort sees it.
+	var lay slotLayout
 	for k, i := range res.Order {
-		t := g.Nodes[i].Inst.Tmpl
-		c := res.Cycles[k] + shift
-		if c > cost {
-			cost = c
-		}
-		if t.Transfers() {
-			slots := t.Slots
-			if slots < 0 {
-				slots = -slots
-			}
-			if slots > 0 {
-				if c+slots > cost {
-					cost = c + slots
-				}
-				shift += slots
-			}
-		}
+		lay.place(g.Nodes[i].Inst.Tmpl, res.Cycles[k])
 	}
-	res.Cost = cost + 1
+	res.Cost = lay.cost()
 	return res, nil
 }
+
+// addMember adds node i to a temporal group's member list.
+func addMember(grp []int, i int) []int {
+	for _, mem := range grp {
+		if mem == i {
+			return grp
+		}
+	}
+	return append(grp, i)
+}
+
+// dropMember removes node i from a temporal group's member list.
+func dropMember(grp []int, i int) []int {
+	for k, mem := range grp {
+		if mem == i {
+			return append(grp[:k], grp[k+1:]...)
+		}
+	}
+	return grp
+}
+
+// slotLayout is the one statement of the delay-slot layout (§4.4:
+// "Marion always fills branch delay slots with nops"): EVERY control
+// transfer — a mid-block call as much as a final branch, since the
+// instructions that follow a call in emission order would otherwise
+// execute in its delay slots before control reaches the callee — is
+// followed by |Slots| nop cycles, and everything after it issues that
+// many cycles later. Run prices a schedule with it and Apply commits
+// the schedule with it, so the estimate equals the post-Apply SchedCost
+// by construction.
+type slotLayout struct {
+	shift int // nop cycles inserted so far
+	last  int // last cycle occupied so far, nops included
+}
+
+// place lays out the next instruction in issue order: at is the cycle it
+// issues in once the nops of earlier transfers are in, slots the number
+// of nops that follow it.
+func (l *slotLayout) place(t *mach.Instr, cycle int) (at, slots int) {
+	at = cycle + l.shift
+	if t.Transfers() {
+		if slots = t.Slots; slots < 0 {
+			slots = -slots
+		}
+	}
+	l.shift += slots
+	if at+slots > l.last {
+		l.last = at + slots
+	}
+	return at, slots
+}
+
+// cost is the block's cycle count for everything placed so far.
+func (l *slotLayout) cost() int { return l.last + 1 }
 
 // worthStalling reports whether an unscheduled instruction that satisfies
 // the pressure limit is merely waiting on operand latency; if so, the
@@ -586,44 +603,26 @@ func Apply(m *mach.Machine, b *asm.Block, res Result) {
 	}
 	sort.SliceStable(insts, func(a, b int) bool { return insts[a].Cycle < insts[b].Cycle })
 
-	// Fill the delay slots of EVERY control transfer with nops (§4.4:
-	// "Marion always fills branch delay slots with nops"). Mid-block
-	// calls need this too: the instructions that follow a call in
-	// emission order would otherwise execute in its delay slots before
-	// control reaches the callee. Subsequent cycles shift accordingly.
 	var out []*asm.Inst
-	shift := 0
+	var lay slotLayout
 	for _, in := range insts {
-		in.Cycle += shift
+		var slots int
+		in.Cycle, slots = lay.place(in.Tmpl, in.Cycle)
 		out = append(out, in)
-		if in.Tmpl.Transfers() {
-			slots := in.Tmpl.Slots
-			if slots < 0 {
-				slots = -slots
-			}
-			for s := 0; s < slots; s++ {
-				nop := asm.New(m.Nop)
-				nop.Cycle = in.Cycle + 1 + s
-				out = append(out, nop)
-			}
-			shift += slots
+		for s := 0; s < slots; s++ {
+			nop := asm.New(m.Nop)
+			nop.Cycle = in.Cycle + 1 + s
+			out = append(out, nop)
 		}
 	}
 	b.Insts = out
-	maxCycle := 0
-	for _, in := range out {
-		if in.Cycle > maxCycle {
-			maxCycle = in.Cycle
-		}
-	}
-	b.SchedCost = maxCycle + 1
+	b.SchedCost = lay.cost()
 }
 
 // Schedule builds the code DAG, runs the list scheduler and commits the
 // result; it returns the block's estimated cycle count.
 func Schedule(m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) (int, error) {
-	g := cdag.Build(m, b, opts.Dag)
-	res, err := Run(m, af, b, g, opts)
+	res, err := plan(m, af, b, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -634,10 +633,11 @@ func Schedule(m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) (int, e
 // Estimate runs the scheduler without committing, returning the
 // estimated block cost (used by RASE's schedule-cost estimates).
 func Estimate(m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) (int, error) {
-	g := cdag.Build(m, b, opts.Dag)
-	res, err := Run(m, af, b, g, opts)
-	if err != nil {
-		return 0, err
-	}
-	return res.Cost, nil
+	res, err := plan(m, af, b, opts)
+	return res.Cost, err
+}
+
+// plan builds the block's code DAG and schedules it, committing nothing.
+func plan(m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) (Result, error) {
+	return Run(m, af, b, cdag.Build(m, b, opts.Dag), opts)
 }

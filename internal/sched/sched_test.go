@@ -298,7 +298,8 @@ func TestScheduleRegisterPressureLimit(t *testing.T) {
 
 	af2, b2 := mk()
 	lim := map[*mach.RegSet]int{r: 2}
-	mustSchedule(t, m, af2, b2, Options{MaxLive: lim, LiveOut: LiveOutPseudos(af2)})
+	_, cross := af2.PseudoHomes()
+	mustSchedule(t, m, af2, b2, Options{MaxLive: lim, LiveOut: LiveOutPseudos(af2, cross)})
 	limited := maxLive(b2, af2)
 
 	if free < 3 {

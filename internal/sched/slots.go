@@ -38,28 +38,15 @@ func FillDelaySlots(m *mach.Machine, af *asm.Func) int {
 	return filled
 }
 
-// regsOf collects an instruction's register identities (physical with
-// aliases expanded, or pseudo) for the given operand indices.
-func regsOf(m *mach.Machine, in *asm.Inst, idxs []int) map[int64]bool {
-	out := map[int64]bool{}
-	for _, oi := range idxs {
-		a := in.Args[oi]
-		switch a.Kind {
-		case asm.OpPhys:
-			for _, al := range m.Aliases(a.Phys) {
-				out[int64(al)] = true
+// overlap reports whether two (unstarted) register walks name a common
+// register: physical registers meet through their aliases, a half
+// operand stands for its whole wide pseudo, and implicit effects count.
+func overlap(a, b asm.Effects) bool {
+	for a.Next() {
+		for w := b; w.Next(); {
+			if w.Key == a.Key {
+				return true
 			}
-		case asm.OpPseudo, asm.OpPseudoHalf:
-			out[-1-int64(a.Pseudo)] = true
-		}
-	}
-	return out
-}
-
-func overlaps(a, b map[int64]bool) bool {
-	for k := range a {
-		if b[k] {
-			return true
 		}
 	}
 	return false
@@ -102,13 +89,6 @@ func fillBlock(m *mach.Machine, b *asm.Block) int {
 			// computation. Only the nops the scheduler placed are legal.
 			continue
 		}
-		trUses := regsOf(m, tr, tr.Tmpl.UseOps)
-		for _, p := range tr.ImpUses {
-			for _, al := range m.Aliases(p) {
-				trUses[int64(al)] = true
-			}
-		}
-
 		for s := 1; s <= slots && bi+s < len(b.Insts); s++ {
 			slot := b.Insts[bi+s]
 			if slot.Tmpl != m.Nop {
@@ -130,9 +110,7 @@ func fillBlock(m *mach.Machine, b *asm.Block) int {
 					}
 					continue
 				}
-				xDefs := regsOf(m, x, t.DefOps)
-				xUses := regsOf(m, x, t.UseOps)
-				if overlaps(xDefs, trUses) {
+				if overlap(x.RegDefs(m), tr.RegUses(m)) {
 					continue
 				}
 				ok := true
@@ -141,19 +119,8 @@ func fillBlock(m *mach.Machine, b *asm.Block) int {
 					if mid == slot {
 						continue
 					}
-					mDefs := regsOf(m, mid, mid.Tmpl.DefOps)
-					mUses := regsOf(m, mid, mid.Tmpl.UseOps)
-					for _, p := range mid.ImpDefs {
-						for _, al := range m.Aliases(p) {
-							mDefs[int64(al)] = true
-						}
-					}
-					for _, p := range mid.ImpUses {
-						for _, al := range m.Aliases(p) {
-							mUses[int64(al)] = true
-						}
-					}
-					if overlaps(mDefs, xDefs) || overlaps(mUses, xDefs) || overlaps(mDefs, xUses) {
+					if overlap(mid.RegDefs(m), x.RegDefs(m)) || overlap(mid.RegUses(m), x.RegDefs(m)) ||
+						overlap(mid.RegDefs(m), x.RegUses(m)) {
 						ok = false
 						break
 					}

@@ -367,6 +367,7 @@ func buildSeq(m *mach.Machine, af *asm.Func, tmpl *mach.Instr, args []asm.Operan
 	return out, nil
 }
 
+// operandSetOf returns the register set an operand value lives in, or nil.
 func operandSetOf(m *mach.Machine, af *asm.Func, op asm.Operand) *mach.RegSet {
 	switch op.Kind {
 	case asm.OpPseudo:

@@ -178,21 +178,6 @@ func (s *selector) pseudoFor(r ir.RegID) (asm.PseudoID, error) {
 	return p, nil
 }
 
-// holdsLoose reports whether a register set can hold a value of IL type
-// t, treating narrow integers and pointers as int-width.
-func holdsLoose(rs *mach.RegSet, t ir.Type) bool {
-	if rs.Holds(t) {
-		return true
-	}
-	switch t {
-	case ir.I8, ir.I16, ir.U32, ir.Ptr:
-		return rs.Holds(ir.I32) || rs.Holds(ir.Ptr)
-	case ir.I32:
-		return rs.Holds(ir.Ptr)
-	}
-	return false
-}
-
 // typeOK checks an instruction's type constraint against a node type.
 func typeOK(tc, nt ir.Type) bool {
 	if tc == ir.Void || tc == nt {
@@ -201,21 +186,6 @@ func typeOK(tc, nt ir.Type) bool {
 	// int-family leniency: (int) matches unsigned and pointer values.
 	intFam := func(t ir.Type) bool { return t == ir.I32 || t == ir.U32 || t == ir.Ptr }
 	return intFam(tc) && intFam(nt)
-}
-
-// operandSet returns the register set an operand value lives in, or nil.
-func (s *selector) operandSet(op asm.Operand) *mach.RegSet {
-	switch op.Kind {
-	case asm.OpPseudo:
-		return s.af.Pseudos[op.Pseudo].Set
-	case asm.OpPhys:
-		for _, rs := range s.m.RegSets {
-			if op.Phys >= rs.PhysBase && op.Phys < rs.PhysBase+mach.PhysID(rs.Count()) {
-				return rs
-			}
-		}
-	}
-	return nil
 }
 
 // stmt selects one statement root.
@@ -376,11 +346,11 @@ func (s *selector) match(n *ir.Node, dst *asm.Operand) (asm.Operand, error) {
 		// The destination set must be able to hold the value.
 		switch dstSpec.Kind {
 		case mach.OperandReg:
-			if !holdsLoose(dstSpec.Set, n.Type) {
+			if !dstSpec.Set.HoldsLoose(n.Type) {
 				continue
 			}
 			if dst != nil {
-				if ds := s.operandSet(*dst); ds != nil && ds != dstSpec.Set {
+				if ds := operandSetOf(s.m, s.af, *dst); ds != nil && ds != dstSpec.Set {
 					continue
 				}
 			}
@@ -582,7 +552,7 @@ func (s *selector) canSelectSlow(n *ir.Node) bool {
 			continue
 		}
 		dstSpec := tmpl.Operands[lv.OpIdx]
-		if dstSpec.Kind != mach.OperandReg || !holdsLoose(dstSpec.Set, n.Type) {
+		if dstSpec.Kind != mach.OperandReg || !dstSpec.Set.HoldsLoose(n.Type) {
 			continue
 		}
 		if n.Op == ir.Load && tmpl.TypeConstraint == ir.Void {
@@ -610,7 +580,7 @@ func (s *selector) matchSem(p *mach.Sem, n *ir.Node, tmpl *mach.Instr, binds []b
 		b := &binds[p.OpIdx]
 		switch spec.Kind {
 		case mach.OperandReg:
-			if !holdsLoose(spec.Set, n.Type) {
+			if !spec.Set.HoldsLoose(n.Type) {
 				return false
 			}
 			// A constant can bind to a hard-wired register.
@@ -639,7 +609,7 @@ func (s *selector) matchSem(p *mach.Sem, n *ir.Node, tmpl *mach.Instr, binds []b
 				}
 				return false
 			}
-			if !holdsLoose(spec.Set, n.Type) {
+			if !spec.Set.HoldsLoose(n.Type) {
 				return false
 			}
 			if b.node != nil && b.node != n {
@@ -850,7 +820,7 @@ func (s *selector) coerce(op asm.Operand, set *mach.RegSet) (asm.Operand, error)
 	if set == nil {
 		return op, nil
 	}
-	cur := s.operandSet(op)
+	cur := operandSetOf(s.m, s.af, op)
 	if cur == set {
 		return op, nil
 	}

@@ -50,31 +50,23 @@ func (s *Sim) exec(fi int) error {
 		// structural hazard remains.
 		t := s.cycle
 		for _, in := range word {
-			for _, oi := range in.Tmpl.UseOps {
-				a := in.Args[oi]
-				if a.Kind != asm.OpPhys {
+			for u := in.RegUses(s.m); u.Next(); {
+				// Executable code is fully allocated: physical registers
+				// only. Reads of hard-wired registers never wait.
+				if u.Key.IsPseudo(s.m) || u.Hard {
 					continue
 				}
-				if _, hard := s.m.IsHard(a.Phys); hard {
-					continue
-				}
-				for _, al := range s.m.Aliases(a.Phys) {
-					ready := s.regReady[al]
-					if p := s.producer[al]; p != nil {
-						if w := s.producerCycle[al] + int64(cdag.TrueLatency(s.m, p, in, 0, 0)); w > ready {
-							ready = w
-						}
-					}
-					if ready > t {
-						t = ready
+				al := u.Key.Phys()
+				ready := s.regReady[al]
+				// An explicit operand waits out its producer's latency
+				// (%aux included); an implicit read only the ready time.
+				if p := s.producer[al]; p != nil && u.Op >= 0 {
+					if w := s.producerCycle[al] + int64(cdag.TrueLatency(s.m, p, in, 0, 0)); w > ready {
+						ready = w
 					}
 				}
-			}
-			for _, p := range in.ImpUses {
-				for _, al := range s.m.Aliases(p) {
-					if s.regReady[al] > t {
-						t = s.regReady[al]
-					}
+				if ready > t {
+					t = ready
 				}
 			}
 			for _, ts := range in.Tmpl.ReadsTRegs {

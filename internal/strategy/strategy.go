@@ -95,6 +95,7 @@ func KindNames() []string {
 
 // ParseKind converts a strategy name.
 func ParseKind(s string) (Kind, error) {
+	// Map order is harmless: names are unique.
 	for k, n := range kindNames {
 		if n == s {
 			return k, nil
@@ -208,7 +209,8 @@ func Apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options) (*Stats, erro
 		}
 		pre := opts.Sched
 		pre.MaxLive = limit
-		pre.LiveOut = sched.LiveOutPseudos(af)
+		_, cross := af.PseudoHomes()
+		pre.LiveOut = sched.LiveOutPseudos(af, cross)
 		if err := scheduleAllPrepass(m, af, st, opts.Inject, pre); err != nil {
 			return nil, err
 		}
@@ -365,25 +367,8 @@ func stripNops(m *mach.Machine, b *asm.Block) {
 // register-usage nodes; the spill-cost scaling is our equivalent over
 // the same Chaitin-Briggs allocator.)
 func raseEstimates(m *mach.Machine, af *asm.Func, st *Stats, opts Options) error {
-	// Which pseudos are local to exactly one block?
-	blockOf := map[asm.PseudoID]*asm.Block{}
-	shared := map[asm.PseudoID]bool{}
-	for _, b := range af.Blocks {
-		for _, in := range b.Insts {
-			for _, a := range in.Args {
-				if a.Kind != asm.OpPseudo && a.Kind != asm.OpPseudoHalf {
-					continue
-				}
-				if fb, ok := blockOf[a.Pseudo]; ok && fb != b {
-					shared[a.Pseudo] = true
-				} else {
-					blockOf[a.Pseudo] = b
-				}
-			}
-		}
-	}
-
-	liveOut := sched.LiveOutPseudos(af)
+	home, cross := af.PseudoHomes()
+	liveOut := sched.LiveOutPseudos(af, cross)
 	for _, b := range af.Blocks {
 		free, err := sched.Estimate(m, af, b, opts.Sched)
 		if err != nil {
@@ -409,8 +394,9 @@ func raseEstimates(m *mach.Machine, af *asm.Func, st *Stats, opts Options) error
 		if penalty < 1 {
 			penalty = 1
 		}
-		for p, fb := range blockOf {
-			if fb == b && !shared[p] {
+		// Pseudos local to this block pay the penalty.
+		for p, hb := range home {
+			if hb == b && !cross[p] {
 				af.Pseudos[p].SpillCost *= penalty
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"marion/internal/ir"
+	"marion/internal/mach"
+	"marion/internal/maril"
 )
 
 func TestLoadAllTargets(t *testing.T) {
@@ -97,5 +99,83 @@ func TestM88000Pairs(t *testing.T) {
 	}
 	if len(m.AuxLats) != 2 {
 		t.Errorf("aux lats = %d", len(m.AuxLats))
+	}
+}
+
+// narrowLoose is the answer the glue transformer's private copy of
+// HoldsLoose used to give: int-width leniency through an int set only,
+// where the selector's copy also went through a pointer-only set.
+func narrowLoose(rs *mach.RegSet, t ir.Type) bool {
+	if rs.Holds(t) {
+		return true
+	}
+	switch t {
+	case ir.I8, ir.I16, ir.U32, ir.Ptr:
+		return rs.Holds(ir.I32)
+	}
+	return false
+}
+
+var ilTypes = []ir.Type{ir.Void, ir.I8, ir.I16, ir.I32, ir.U32, ir.F32, ir.F64, ir.Ptr}
+
+// TestHoldsLooseShippedSets pins that on every register set of every
+// shipped target the two former copies agree, so folding them into
+// RegSet.HoldsLoose changed no glue or selection decision.
+func TestHoldsLooseShippedSets(t *testing.T) {
+	for _, name := range Names() {
+		m, err := Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rs := range m.RegSets {
+			for _, ty := range ilTypes {
+				if got, want := rs.HoldsLoose(ty), narrowLoose(rs, ty); got != want {
+					t.Errorf("%s %s: HoldsLoose(%s) = %v, the glue copy said %v", name, rs.Name, ty, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestHoldsLoosePointerOnlySet is the description on which the copies
+// disagreed: an address-register set that holds only ptr. The selector
+// took int-width values there and the glue transformer declined them;
+// the one HoldsLoose takes them.
+func TestHoldsLoosePointerOnlySet(t *testing.T) {
+	m, err := maril.Parse("addrregs", `
+declare {
+    %reg r[0:3] (int);
+    %reg a[0:3] (ptr);
+    %resource EX;
+    %memory m[0:1000];
+}
+cwvm {
+    %general (int) r; %general (ptr) a;
+    %allocable r[1:2]; %calleesave r[2:2];
+    %sp r[3]; %fp r[3]; %retaddr r[0];
+}
+instr {
+    %instr add r, r, r {$1 = $2 + $3;} [EX] (1,1,0)
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := m.RegSet("a")
+	for _, ty := range []ir.Type{ir.I8, ir.I16, ir.I32, ir.U32, ir.Ptr} {
+		if !a.HoldsLoose(ty) {
+			t.Errorf("a: HoldsLoose(%s) = false", ty)
+		}
+		if ty != ir.Ptr && narrowLoose(a, ty) {
+			t.Errorf("a: the glue copy already took %s; the test lost its point", ty)
+		}
+	}
+	for _, ty := range []ir.Type{ir.Void, ir.F32, ir.F64} {
+		if a.HoldsLoose(ty) {
+			t.Errorf("a: HoldsLoose(%s) = true", ty)
+		}
+	}
+	if r := m.RegSet("r"); !r.HoldsLoose(ir.Ptr) || r.HoldsLoose(ir.F64) {
+		t.Error("r: int set must take ptr and refuse double")
 	}
 }

@@ -84,28 +84,13 @@ func fits(n *ir.Node, d *mach.ImmDef) bool {
 	return d.Fits(n.IVal)
 }
 
-// holdsLoose reports whether a register set can hold values of IL type t,
-// treating narrow integers as int-width.
-func holdsLoose(rs *mach.RegSet, t ir.Type) bool {
-	if rs.Holds(t) {
-		return true
-	}
-	if t == ir.I8 || t == ir.I16 || t == ir.U32 {
-		return rs.Holds(ir.I32)
-	}
-	if t == ir.Ptr {
-		return rs.Holds(ir.I32)
-	}
-	return false
-}
-
 func matchSem(p *mach.Sem, n *ir.Node, ops []mach.OperandSpec, b *bindings) bool {
 	switch p.Kind {
 	case mach.SemOperand:
 		spec := ops[p.OpIdx]
 		switch spec.Kind {
 		case mach.OperandReg:
-			if !holdsLoose(spec.Set, n.Type) {
+			if !spec.Set.HoldsLoose(n.Type) {
 				return false
 			}
 		case mach.OperandImm:
