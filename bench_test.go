@@ -7,11 +7,13 @@ package marion
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
 	"marion/internal/cdag"
 	"marion/internal/driver"
 	"marion/internal/experiments"
+	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/maril"
 	"marion/internal/sched"
@@ -332,6 +334,47 @@ func BenchmarkParallelBackend(b *testing.B) {
 				b.StartTimer()
 			}
 		})
+	}
+}
+
+// BenchmarkBigBlock measures the back end on one straight-line block of
+// 24, 64 and 96 statements (functions big24/big64/big96 of the golden
+// big-block fixture) under RASE, the strategy with the most scheduling
+// passes: how compile time and allocation grow with block length, per
+// target. Lowering runs outside the timer.
+func BenchmarkBigBlock(b *testing.B) {
+	src, err := os.ReadFile("internal/driver/testdata/bigblock.c")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, target := range []string{"r2000", "m88000", "i860"} {
+		m, err := targets.Load(target)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, stmts := range []int{24, 64, 96} {
+			b.Run(fmt.Sprintf("%s/%d", target, stmts), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					// The back end mutates the IL in place, so each run
+					// gets a freshly lowered function.
+					mod, err := driver.Frontend("bigblock.c", string(src))
+					if err != nil {
+						b.Fatal(err)
+					}
+					fn := mod.Lookup(fmt.Sprintf("big%d", stmts))
+					if fn == nil {
+						b.Fatalf("fixture has no big%d", stmts)
+					}
+					mod.Funcs = []*ir.Func{fn}
+					b.StartTimer()
+					if _, err := driver.CompileModule(m, mod, driver.Config{Strategy: strategy.RASE, Workers: 1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -43,10 +43,11 @@ type Node struct {
 	Preds []Edge // Preds[i].To is the predecessor index
 }
 
-// Graph is the code DAG of one basic block.
+// Graph is the code DAG of one basic block. Schedulers only read it, so
+// one graph serves every scheduling run over the same block state.
 type Graph struct {
 	M     *mach.Machine
-	Nodes []*Node
+	Nodes []Node
 }
 
 // Options control which edge types are built (the strategy's choice,
@@ -59,54 +60,147 @@ type Options struct {
 	NoProtect bool
 }
 
+// builder collects the dependence edges of one block as a flat list in
+// discovery order; finish lays them out as the nodes' Succs and Preds.
+type builder struct {
+	edges []pendingEdge
+	// last[from] is the index in edges of from's most recent out-edge,
+	// or -1. Build discovers edges grouped by destination, in thread
+	// order, so an edge from -> to already exists exactly when from's
+	// most recent out-edge goes to to.
+	last []int32
+	// clocks[k] records that some temporal edge on clock k exists (nil
+	// until the first one), so protect skips clocks the block never uses.
+	clocks  []bool
+	nclocks int
+}
+
+type pendingEdge struct {
+	from, to, lat, clock int32
+	typ                  EdgeType
+	// next chains the protection edges into one node: the following
+	// one's index + 1, or 0 (see protect).
+	next int32
+}
+
+// push appends e and returns its index. The list doubles when full:
+// append's 1.25x steps would copy a long block's edges five times over.
+func (bl *builder) push(e pendingEdge) int32 {
+	if len(bl.edges) == cap(bl.edges) {
+		grown := make([]pendingEdge, len(bl.edges), 2*cap(bl.edges)+8)
+		copy(grown, bl.edges)
+		bl.edges = grown
+	}
+	bl.edges = append(bl.edges, e)
+	return int32(len(bl.edges) - 1)
+}
+
+// add records the dependence from -> to, keeping one edge per pair with
+// the strictest latency. A temporal edge merged into a register edge
+// between the same pair keeps its type and clock: to is a member of the
+// temporal sequence whichever dependence was found first.
+func (bl *builder) add(from, to, lat int, t EdgeType, clock int) {
+	if from == to {
+		return
+	}
+	if clock >= 0 {
+		if bl.clocks == nil {
+			bl.clocks = make([]bool, bl.nclocks)
+		}
+		bl.clocks[clock] = true
+	}
+	if j := bl.last[from]; j >= 0 && int(bl.edges[j].to) == to {
+		e := &bl.edges[j]
+		if int32(lat) > e.lat {
+			e.lat = int32(lat)
+		}
+		if clock >= 0 {
+			e.typ, e.clock = t, int32(clock)
+		}
+		return
+	}
+	bl.last[from] = bl.push(pendingEdge{from: int32(from), to: int32(to), lat: int32(lat), clock: int32(clock), typ: t})
+}
+
+// finish carves every node's Succs and Preds, in discovery order, out of
+// two arrays sized by a counting pass.
+func (bl *builder) finish(g *Graph) {
+	n := len(g.Nodes)
+	deg := make([]int32, 2*n)
+	out, in := deg[:n], deg[n:]
+	for _, e := range bl.edges {
+		out[e.from]++
+		in[e.to]++
+	}
+	all := make([]Edge, 2*len(bl.edges))
+	succs, preds := all[:len(bl.edges)], all[len(bl.edges):]
+	so, po := 0, 0
+	for i := range g.Nodes {
+		nd := &g.Nodes[i]
+		nd.Succs = succs[so : so : so+int(out[i])]
+		nd.Preds = preds[po : po : po+int(in[i])]
+		so += int(out[i])
+		po += int(in[i])
+	}
+	for _, e := range bl.edges {
+		from, to := &g.Nodes[e.from], &g.Nodes[e.to]
+		from.Succs = append(from.Succs, Edge{To: int(e.to), Latency: int(e.lat), Type: e.typ, Clock: int(e.clock)})
+		to.Preds = append(to.Preds, Edge{To: int(e.from), Latency: int(e.lat), Type: e.typ, Clock: int(e.clock)})
+	}
+}
+
+// regState is the dependence-tracking state of one register key: its
+// last writer and the readers since. Node indices are stored plus one so
+// the zero value means "none".
+type regState struct {
+	def   int32 // last writer + 1
+	defOp int32 // template operand index of that def
+	// The chain of readers since the last def, oldest first: the first
+	// and last link's index + 1 in Build's readers.
+	firstUse, lastUse int32
+}
+
+// reader is one link of a register's reader chain.
+type reader struct {
+	node int32
+	next int32 // following link + 1, or 0
+}
+
 // Build constructs the code DAG for a block.
 func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
-	g := &Graph{M: m}
+	n := len(b.Insts)
+	g := &Graph{M: m, Nodes: make([]Node, n)}
+	bl := builder{edges: make([]pendingEdge, 0, 2*n+8), last: make([]int32, n), nclocks: len(m.Clocks)}
+	// The register tracking table is indexed by the one dense
+	// asm.RegKey: physical registers, then the pseudos the block
+	// mentions.
+	keys := m.NumPhys
 	for i, in := range b.Insts {
-		g.Nodes = append(g.Nodes, &Node{Index: i, Inst: in})
+		g.Nodes[i] = Node{Index: i, Inst: in}
+		bl.last[i] = -1
+		for _, a := range in.Args {
+			if a.Kind == asm.OpPseudo || a.Kind == asm.OpPseudoHalf {
+				if k := int(asm.PseudoKey(m, a.Pseudo)) + 1; k > keys {
+					keys = k
+				}
+			}
+		}
 	}
-
-	// Tracking tables, keyed by the one asm.RegKey. They are only ever
-	// indexed, never ranged over, so map order cannot reach edge order.
-	lastDef := map[asm.RegKey]int{}    // key -> node index of last writer
-	lastDefOp := map[asm.RegKey]int{}  // key -> template operand index of that def
-	lastUses := map[asm.RegKey][]int{} // key -> readers since last def
-	lastMemWrite := -1                 // last store/call
-	memReads := []int{}                // loads since last store/call
+	regs := make([]regState, keys)
+	readers := make([]reader, 0, 2*n+4)
+	lastMemWrite := -1 // last store/call
+	var memReads []int // loads since last store/call
 	// Temporal latch pairing is per (latch, sequence identity): the
 	// selector emits each %seq expansion with a unique SeqID, so a
 	// reader's producer is its own sequence's writer regardless of how
-	// sequences were interleaved by earlier scheduling passes.
+	// sequences were interleaved by earlier scheduling passes. The map
+	// is only ever indexed, never ranged over, and stays nil on blocks
+	// without temporal sub-operations.
 	type tkey struct {
 		ts  *mach.RegSet
 		seq int
 	}
-	lastTWrite := map[tkey]int{}
-	tReads := map[tkey][]int{}
-
-	addEdge := func(from, to int, lat int, t EdgeType, clock int) {
-		if from == to || from < 0 {
-			return
-		}
-		// Duplicate suppression: keep the strictest label per (from,to).
-		for i := range g.Nodes[from].Succs {
-			e := &g.Nodes[from].Succs[i]
-			if e.To == to {
-				if lat > e.Latency {
-					e.Latency = lat
-					for j := range g.Nodes[to].Preds {
-						p := &g.Nodes[to].Preds[j]
-						if p.To == from && p.Type == e.Type {
-							p.Latency = lat
-						}
-					}
-				}
-				return
-			}
-		}
-		g.Nodes[from].Succs = append(g.Nodes[from].Succs, Edge{To: to, Latency: lat, Type: t, Clock: clock})
-		g.Nodes[to].Preds = append(g.Nodes[to].Preds, Edge{To: from, Latency: lat, Type: t, Clock: clock})
-	}
+	var lastTWrite map[tkey]int
 
 	// Instructions already scheduled into packed words (equal Cycle
 	// values, as when a strategy reschedules a block) execute with
@@ -114,24 +208,25 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 	// pre-word state, the clock ticks once. The DAG must honor that, so
 	// tracking-state updates from a word's defs commit only after the
 	// whole word is processed.
+	type defUpd struct {
+		k     asm.RegKey
+		i, op int
+	}
+	var defUpds []defUpd
+	type twUpd struct {
+		k tkey
+		i int
+	}
+	var twUpds []twUpd
 	wordStart := 0
-	for wordStart < len(b.Insts) {
+	for wordStart < n {
 		wordEnd := wordStart + 1
 		if b.Insts[wordStart].Cycle >= 0 {
-			for wordEnd < len(b.Insts) && b.Insts[wordEnd].Cycle == b.Insts[wordStart].Cycle {
+			for wordEnd < n && b.Insts[wordEnd].Cycle == b.Insts[wordStart].Cycle {
 				wordEnd++
 			}
 		}
-
-		type defUpd struct {
-			k     asm.RegKey
-			i, op int
-		}
-		var defUpds []defUpd
-		var twUpds []struct {
-			k tkey
-			i int
-		}
+		defUpds, twUpds = defUpds[:0], twUpds[:0]
 		newMemWrite := -1
 
 		for i := wordStart; i < wordEnd; i++ {
@@ -144,21 +239,26 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 				if u.Hard {
 					continue // reads of hard-wired registers carry no dependence
 				}
-				if d, ok := lastDef[u.Key]; ok {
-					lat := TrueLatency(m, b.Insts[d], in, lastDefOp[u.Key], u.Op)
-					addEdge(d, i, lat, True, -1)
+				r := &regs[u.Key]
+				if r.def != 0 {
+					d := int(r.def - 1)
+					bl.add(d, i, TrueLatency(m, b.Insts[d], in, int(r.defOp), u.Op), True, -1)
 				}
-				lastUses[u.Key] = append(lastUses[u.Key], i)
+				readers = append(readers, reader{node: int32(i)})
+				link := int32(len(readers))
+				if r.lastUse != 0 {
+					readers[r.lastUse-1].next = link
+				} else {
+					r.firstUse = link
+				}
+				r.lastUse = link
 			}
 
 			// Temporal register reads (paired within the sequence).
 			for _, ts := range tmpl.ReadsTRegs {
-				k := tkey{ts, in.SeqID}
-				if d, ok := lastTWrite[k]; ok {
-					lat := b.Insts[d].Tmpl.Latency
-					addEdge(d, i, lat, True, ts.Clock)
+				if d, ok := lastTWrite[tkey{ts, in.SeqID}]; ok {
+					bl.add(d, i, b.Insts[d].Tmpl.Latency, True, ts.Clock)
 				}
-				tReads[k] = append(tReads[k], i)
 			}
 
 			// Type 2: memory ordering.
@@ -167,16 +267,16 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 				writes := tmpl.WritesMem || tmpl.IsCall
 				if reads && !writes {
 					if lastMemWrite >= 0 {
-						addEdge(lastMemWrite, i, 1, Memory, -1)
+						bl.add(lastMemWrite, i, 1, Memory, -1)
 					}
 					memReads = append(memReads, i)
 				}
 				if writes {
 					if lastMemWrite >= 0 {
-						addEdge(lastMemWrite, i, 1, Memory, -1)
+						bl.add(lastMemWrite, i, 1, Memory, -1)
 					}
 					for _, r := range memReads {
-						addEdge(r, i, 1, Memory, -1)
+						bl.add(r, i, 1, Memory, -1)
 					}
 					newMemWrite = i
 				}
@@ -186,11 +286,12 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 			// the tracking update is deferred to the end of the word.
 			for d := in.RegDefs(m); d.Next(); {
 				if !opts.NoAnti {
-					if prev, ok := lastDef[d.Key]; ok {
-						addEdge(prev, i, 1, Anti, -1) // output dependence
+					r := regs[d.Key]
+					if r.def != 0 {
+						bl.add(int(r.def-1), i, 1, Anti, -1) // output dependence
 					}
-					for _, u := range lastUses[d.Key] {
-						addEdge(u, i, 0, Anti, -1) // anti dependence
+					for l := r.firstUse; l != 0; l = readers[l-1].next {
+						bl.add(int(readers[l-1].node), i, 0, Anti, -1) // anti dependence
 					}
 				}
 				defUpds = append(defUpds, defUpd{d.Key, i, d.Op})
@@ -201,22 +302,19 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 			// by scheduling Rule 1 plus the protection pass — anti edges
 			// would forbid the packing the EAP mechanism exists for.
 			for _, ts := range tmpl.WritesTRegs {
-				twUpds = append(twUpds, struct {
-					k tkey
-					i int
-				}{tkey{ts, in.SeqID}, i})
+				twUpds = append(twUpds, twUpd{tkey{ts, in.SeqID}, i})
 			}
 		}
 
 		// Commit the word's state updates.
 		for _, u := range defUpds {
-			lastDef[u.k] = u.i
-			lastDefOp[u.k] = u.op
-			delete(lastUses, u.k)
+			regs[u.k] = regState{def: int32(u.i + 1), defOp: int32(u.op)}
 		}
 		for _, u := range twUpds {
+			if lastTWrite == nil {
+				lastTWrite = map[tkey]int{}
+			}
 			lastTWrite[u.k] = u.i
-			delete(tReads, u.k)
 		}
 		if newMemWrite >= 0 {
 			lastMemWrite = newMemWrite
@@ -227,14 +325,14 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 
 	// Control transfers stay last: every other node precedes the final
 	// branch/jump/ret/nothing.
-	if n := len(b.Insts); n > 0 && b.Insts[n-1].Tmpl.Transfers() {
+	if n > 0 && b.Insts[n-1].Tmpl.Transfers() {
 		for i := 0; i < n-1; i++ {
-			addEdge(i, n-1, 0, Extra, -1)
+			bl.add(i, n-1, 0, Extra, -1)
 		}
 	}
-
-	if !opts.NoProtect {
-		g.protect(addEdge)
+	bl.finish(g)
+	if !opts.NoProtect && bl.clocks != nil && bl.protect(g) {
+		bl.finish(g)
 	}
 	return g
 }

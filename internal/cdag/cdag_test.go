@@ -205,3 +205,56 @@ func TestHeights(t *testing.T) {
 		t.Errorf("roots = %v", roots)
 	}
 }
+
+const temporalDesc = `
+declare {
+    %clock clk_m;
+    %reg r[0:3] (int, ptr);
+    %reg f[0:7] (double);
+    %reg ml (double; clk_m) +temporal;
+    %resource M1, FWBr;
+}
+cwvm {
+    %general (int, ptr) r; %general (double) f;
+    %allocable f[0:7]; %calleesave f[6:7];
+    %sp r[3]; %fp r[2]; %retaddr r[1]; %hard r[0] 0;
+    %result f[0] (double);
+}
+instr {
+    %instr Ml f, f (double; clk_m) {ml = $1 * $2;} [M1] (1,2,0)
+    %instr FWA f, f (double; clk_m) {$1 = ml + $2;} [FWBr] (1,1,0)
+}
+`
+
+// TestTemporalEdgeSurvivesMerge: when one pair of instructions is
+// ordered both through a register and through a temporal latch, the one
+// edge kept for the pair must stay temporal — whichever dependence was
+// found first — or the consumer drops out of the producer's temporal
+// group and Rule 1 is not enforced for it. Build finds the register
+// dependence first.
+func TestTemporalEdgeSurvivesMerge(t *testing.T) {
+	m, err := maril.Parse("test", temporalDesc)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	f := m.RegSet("f")
+	// The producer writes the latch and, implicitly, f3; the consumer
+	// reads both.
+	prod := asm.New(m.InstrByLabel("Ml"), asm.Reg(0), asm.Reg(1))
+	prod.ImpDefs = []mach.PhysID{f.Phys(3)}
+	cons := asm.New(m.InstrByLabel("FWA"), asm.Reg(2), asm.Phys(f.Phys(3)))
+	prod.SeqID, cons.SeqID = 1, 1
+	g := Build(m, block(prod, cons), Options{})
+
+	if len(g.Nodes[0].Succs) != 1 || len(g.Nodes[1].Preds) != 1 {
+		t.Fatalf("want one merged edge, got succs %+v preds %+v", g.Nodes[0].Succs, g.Nodes[1].Preds)
+	}
+	want := Edge{To: 1, Latency: 2, Type: True, Clock: 0}
+	if e := g.Nodes[0].Succs[0]; e != want {
+		t.Errorf("Succs edge = %+v, want %+v", e, want)
+	}
+	want.To = 0
+	if e := g.Nodes[1].Preds[0]; e != want {
+		t.Errorf("Preds edge = %+v, want %+v", e, want)
+	}
+}

@@ -21,8 +21,14 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.sha256 from the
 
 const goldenFile = "testdata/golden.sha256"
 
-// goldenLine compiles the Livermore suite module and every
-// examples/c/*.c for one target/strategy and renders the golden line:
+// bigBlockFixture holds straight-line blocks of 24, 64 and 96
+// statements (functions big24, big64, big96): the long code DAGs the
+// Livermore loops and examples/c lack.
+const bigBlockFixture = "testdata/bigblock.c"
+
+// goldenLine compiles the Livermore suite module, every examples/c/*.c
+// and the big-block fixture for one target/strategy and renders the
+// golden line:
 //
 //	<target>/<strategy> <sha256 of every unit's Prog.Print()> <unit>:<fn>=<8 hex>...
 //
@@ -36,7 +42,7 @@ func goldenLine(t *testing.T, target string, kind strategy.Kind) (line string, b
 		t.Fatalf("no examples/c sources: %v", err)
 	}
 	sort.Strings(srcs)
-	for _, path := range srcs {
+	for _, path := range append(srcs, bigBlockFixture) {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -66,9 +72,9 @@ func goldenLine(t *testing.T, target string, kind strategy.Kind) (line string, b
 }
 
 // TestGoldenDigests pins the emitted assembly of every target x
-// strategy over the Livermore suite and examples/c to the digests in
-// testdata/golden.sha256, so "byte-identical" refactors are checked and
-// not asserted. Run with -update to rewrite the file after a change
+// strategy over the Livermore suite, examples/c and the big-block
+// fixture to the digests in testdata/golden.sha256, so "byte-identical"
+// refactors are checked and not asserted. Run with -update to rewrite the file after a change
 // that is meant to alter the output.
 func TestGoldenDigests(t *testing.T) {
 	want := map[string]string{}

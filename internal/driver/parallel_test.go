@@ -3,6 +3,7 @@ package driver_test
 import (
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -118,6 +119,33 @@ func TestI860RunToRunDeterminism(t *testing.T) {
 			if compileSuite(t, "i860", kind, 0).Prog.Print() != first {
 				t.Errorf("i860/%s: compile %d differs from compile 0", kind, run)
 				break
+			}
+		}
+	}
+}
+
+// TestBigBlockRunToRunDeterminism compiles the big-block fixture twice
+// on every target under every strategy: long blocks are where the code
+// DAG's protection pass and the scheduler's ready list do most of their
+// work, and two compiles must be one program.
+func TestBigBlockRunToRunDeterminism(t *testing.T) {
+	src, err := os.ReadFile(bigBlockFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range targets.Names() {
+		for _, kind := range allKinds {
+			var first string
+			for run := 0; run < 2; run++ {
+				c, err := driver.Compile(target, "bigblock.c", string(src), driver.Config{Strategy: kind})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", target, kind, err)
+				}
+				if asm := c.Prog.Print(); run == 0 {
+					first = asm
+				} else if asm != first {
+					t.Errorf("%s/%s: second compile differs from the first", target, kind)
+				}
 			}
 		}
 	}

@@ -97,32 +97,68 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 	}
 	heights := g.Heights()
 
-	predsLeft := make([]int, n)
-	earliest := make([]int, n)
-	for i, nd := range g.Nodes {
-		predsLeft[i] = len(nd.Preds)
+	// Per-node state. placedCycle[i] is the cycle node i was placed in,
+	// -1 while it is unscheduled; comparing it with the current cycle
+	// answers "placed in this instruction word?".
+	ints := make([]int, 5*n)
+	predsLeft, earliest, placedCycle := ints[:n], ints[n:2*n], ints[2*n:3*n]
+	placedNow := 0 // nodes placed in the current cycle
+
+	// The candidates: ready holds every unscheduled node whose
+	// predecessors are all placed and whose operands have arrived
+	// (earliest <= cycle), kept sorted by the priority order — height
+	// descending, code-thread index ascending (thread order alone for
+	// FIFO and Sequential) — which is total, so the list has one order.
+	// waiting holds the nodes whose predecessors are all placed but whose
+	// operands are still in flight; they move to ready at the top of the
+	// cycle that reaches their earliest.
+	before := func(a, b int) bool {
+		if !opts.FIFO && !opts.Sequential && heights[a] != heights[b] {
+			return heights[a] > heights[b]
+		}
+		return a < b
 	}
-	scheduled := make([]bool, n)
-	placedCycle := make([]int, n)
-	for i := range placedCycle {
+	ready, waiting := ints[3*n:3*n:4*n], ints[4*n:4*n]
+	readyPos := func(i int) int {
+		lo, hi := 0, len(ready)
+		for lo < hi {
+			if mid := (lo + hi) / 2; before(ready[mid], i) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	makeReady := func(i int) {
+		at := readyPos(i)
+		ready = append(ready, 0)
+		copy(ready[at+1:], ready[at:])
+		ready[at] = i
+	}
+	for i := range g.Nodes {
+		predsLeft[i] = len(g.Nodes[i].Preds)
 		placedCycle[i] = -1
+		if predsLeft[i] == 0 {
+			makeReady(i)
+		}
 	}
 
-	// Structural hazard state: busy[c] is the union of resources used at
-	// absolute cycle c by in-flight instructions.
-	var busy []mach.ResSet
-	resAt := func(c int) mach.ResSet {
-		if c < len(busy) {
-			return busy[c]
+	// Structural hazard state: the union of resources used at each cycle
+	// by in-flight instructions. Only the current cycle and the few after
+	// it that a resource vector spans are ever looked at, so busy is a
+	// ring over that window (absolute cycle c lives in slot c mod its
+	// length) and a slot is cleared as the schedule moves past its cycle.
+	window := 1
+	for i := range g.Nodes {
+		if l := len(g.Nodes[i].Inst.Tmpl.ResVec); l > window {
+			window = l
 		}
-		return 0
 	}
+	busy := make([]mach.ResSet, window)
 	reserve := func(start int, vec []mach.ResSet) {
 		for c, rs := range vec {
-			for start+c >= len(busy) {
-				busy = append(busy, 0)
-			}
-			busy[start+c] |= rs
+			busy[(start+c)%window] |= rs
 		}
 	}
 	hazardFree := func(start int, vec []mach.ResSet) bool {
@@ -130,10 +166,10 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 			return true
 		}
 		if opts.CurrentCycleOnly {
-			return !vec[0].Intersects(resAt(start))
+			return !vec[0].Intersects(busy[start%window])
 		}
 		for c, rs := range vec {
-			if rs.Intersects(resAt(start + c)) {
+			if rs.Intersects(busy[(start+c)%window]) {
 				return false
 			}
 		}
@@ -172,7 +208,6 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 	// order they are placed, and printed, in.
 	pending := make([][]int, len(m.Clocks))
 	newPending := make([][]int, len(m.Clocks))
-	placedThisCycle := map[int]bool{}
 
 	// Rule 1: an instruction affecting clock k may only be placed in a
 	// cycle where every outstanding destination of a temporal edge on k
@@ -180,12 +215,13 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 	// would destroy latch values those destinations still need. Note a
 	// group member that merely READS k's latches (e.g. a chaining sub-op
 	// that affects a different clock) may be placed alone.
+	cycle := 0
 	rule1For := func(i, k int) bool {
 		if k < 0 {
 			return true
 		}
 		for _, mem := range pending[k] {
-			if mem != i && !placedThisCycle[mem] {
+			if mem != i && placedCycle[mem] != cycle {
 				return false
 			}
 		}
@@ -205,59 +241,92 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 		return rule1For(i, k)
 	}
 
-	// Register pressure state (IPS prepass limit).
-	usesLeft := map[asm.PseudoID]int{}
-	live := map[asm.PseudoID]bool{}
-	pressure := map[*mach.RegSet]int{}
-	// Only pseudo operands count: a half operand stands for its whole
-	// wide pseudo, and physical registers (hence every implicit effect)
-	// are outside the limit.
+	// Register pressure state (IPS prepass limit). Only pseudo operands
+	// count: a half operand stands for its whole wide pseudo, and
+	// physical registers (hence every implicit effect) are outside the
+	// limit. Only limited register sets are tracked, in description
+	// order; usesLeft and live are indexed by pseudo.
+	type setPressure struct {
+		set              *mach.RegSet
+		max, cur, change int
+	}
+	var limited []setPressure
+	var usesLeft []int32
+	var live []bool
+	var useBuf []asm.PseudoID // the candidate's pseudo uses, repeats included
+	limitedSet := func(p asm.PseudoID) *setPressure {
+		for j := range limited {
+			if limited[j].set == af.Pseudos[p].Set {
+				return &limited[j]
+			}
+		}
+		return nil
+	}
 	pseudoOf := func(k asm.RegKey) (asm.PseudoID, bool) {
 		return k.Pseudo(m), k.IsPseudo(m)
 	}
 	if opts.MaxLive != nil {
-		for _, nd := range g.Nodes {
-			for u := nd.Inst.RegUses(m); u.Next(); {
+		for _, rs := range m.RegSets {
+			if lim, ok := opts.MaxLive[rs]; ok {
+				limited = append(limited, setPressure{set: rs, max: lim})
+			}
+		}
+		usesLeft = make([]int32, len(af.Pseudos))
+		live = make([]bool, len(af.Pseudos))
+		for i := range g.Nodes {
+			for u := g.Nodes[i].Inst.RegUses(m); u.Next(); {
 				if p, ok := pseudoOf(u.Key); ok {
 					usesLeft[p]++
 				}
 			}
 		}
 	}
-	pressureDelta := func(in *asm.Inst) map[*mach.RegSet]int {
-		d := map[*mach.RegSet]int{}
-		for e := in.RegDefs(m); e.Next(); {
-			if p, ok := pseudoOf(e.Key); ok && !live[p] {
-				d[af.Pseudos[p].Set]++
-			}
-		}
-		// An operand may appear several times in one instruction; it dies
-		// here when this instruction holds ALL its remaining uses.
-		occ := map[asm.PseudoID]int{}
-		for u := in.RegUses(m); u.Next(); {
-			if p, ok := pseudoOf(u.Key); ok {
-				occ[p]++
-			}
-		}
-		// Map order is harmless: each entry adjusts its own set's count.
-		for p, c := range occ {
-			if live[p] && usesLeft[p] == c && !opts.LiveOut[p] {
-				d[af.Pseudos[p].Set]--
-			}
-		}
-		return d
-	}
+	// pressureOK reports whether placing in now keeps every limited set
+	// within its limit: the instruction's net change per set is the
+	// values it starts minus the values whose last uses it holds.
 	pressureOK := func(in *asm.Inst) bool {
 		if opts.MaxLive == nil {
 			return true
 		}
-		// Map order is harmless: the answer is a conjunction over sets.
-		for set, d := range pressureDelta(in) {
-			lim, ok := opts.MaxLive[set]
-			if !ok {
-				continue
+		for j := range limited {
+			limited[j].change = 0
+		}
+		for e := in.RegDefs(m); e.Next(); {
+			if p, ok := pseudoOf(e.Key); ok && !live[p] {
+				if sp := limitedSet(p); sp != nil {
+					sp.change++
+				}
 			}
-			if d > 0 && pressure[set]+d > lim {
+		}
+		// An operand may appear several times in one instruction; it dies
+		// here when this instruction holds ALL its remaining uses.
+		useBuf = useBuf[:0]
+		for u := in.RegUses(m); u.Next(); {
+			if p, ok := pseudoOf(u.Key); ok {
+				useBuf = append(useBuf, p)
+			}
+		}
+	uses:
+		for k, p := range useBuf {
+			for _, q := range useBuf[:k] {
+				if q == p {
+					continue uses // counted at its first appearance
+				}
+			}
+			held := int32(1)
+			for _, q := range useBuf[k+1:] {
+				if q == p {
+					held++
+				}
+			}
+			if live[p] && usesLeft[p] == held && !opts.LiveOut[p] {
+				if sp := limitedSet(p); sp != nil {
+					sp.change--
+				}
+			}
+		}
+		for j := range limited {
+			if sp := &limited[j]; sp.change > 0 && sp.cur+sp.change > sp.max {
 				return false
 			}
 		}
@@ -272,22 +341,30 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 				usesLeft[p]--
 				if usesLeft[p] <= 0 && !opts.LiveOut[p] && live[p] {
 					live[p] = false
-					pressure[af.Pseudos[p].Set]--
+					if sp := limitedSet(p); sp != nil {
+						sp.cur--
+					}
 				}
 			}
 		}
 		for e := in.RegDefs(m); e.Next(); {
 			if p, ok := pseudoOf(e.Key); ok && !live[p] {
 				live[p] = true
-				pressure[af.Pseudos[p].Set]++
+				if sp := limitedSet(p); sp != nil {
+					sp.cur++
+				}
 			}
 		}
 	}
 
-	place := func(i, cycle int) {
-		scheduled[i] = true
+	res.Order = make([]int, 0, n)
+	res.Cycles = make([]int, 0, n)
+	// place puts ready node i into the current cycle's word.
+	place := func(i int) {
 		placedCycle[i] = cycle
-		placedThisCycle[i] = true
+		placedNow++
+		at := readyPos(i)
+		ready = append(ready[:at], ready[at+1:]...)
 		reserve(cycle, g.Nodes[i].Inst.Tmpl.ResVec)
 		classAdd(g.Nodes[i].Inst.Tmpl.Class)
 		pressureApply(g.Nodes[i].Inst)
@@ -298,6 +375,16 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 			}
 			if e.Type == cdag.True && e.Clock >= 0 {
 				newPending[e.Clock] = addMember(newPending[e.Clock], e.To)
+			}
+			// With its last predecessor placed the successor becomes a
+			// candidate — for this very word when no latency separates
+			// them — or waits for its operands.
+			if predsLeft[e.To] == 0 {
+				if earliest[e.To] <= cycle {
+					makeReady(e.To)
+				} else {
+					waiting = append(waiting, e.To)
+				}
 			}
 		}
 		// The node itself leaves any group it belonged to.
@@ -313,9 +400,23 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 	if maxCycles <= 0 {
 		maxCycles = DefaultMaxCycles
 	}
+	// worthStalling reports whether an unscheduled instruction that
+	// satisfies the pressure limit is merely waiting on operand latency;
+	// if so, the scheduler stalls instead of forcing a pressure-violating
+	// candidate.
+	worthStalling := func() bool {
+		for _, i := range waiting {
+			if pressureOK(g.Nodes[i].Inst) {
+				return true
+			}
+		}
+		return false
+	}
+
 	remaining := n
-	cycle := 0
 	lastProgress := 0
+	nextSeq := 0      // Sequential: the lowest unscheduled thread index
+	var members []int // the temporal group being placed
 	for remaining > 0 {
 		// Greedy list scheduling with Rule 1 can wedge on code whose
 		// register-reuse anti-dependences interleave temporal sequences
@@ -347,7 +448,7 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 			// plumbing as a per-function diagnostic.
 			msg := fmt.Sprintf("deadlock at cycle %d, %d of %d unscheduled\n", cycle, remaining, n)
 			for i := 0; i < n; i++ {
-				if !scheduled[i] {
+				if placedCycle[i] < 0 {
 					msg += fmt.Sprintf("  [%d] %s predsLeft=%d earliest=%d affects=%d\n",
 						i, g.Nodes[i].Inst, predsLeft[i], earliest[i], g.Nodes[i].Inst.Tmpl.AffectsClock)
 				}
@@ -355,11 +456,11 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 			for k, grp := range pending {
 				for _, mem := range grp {
 					msg += fmt.Sprintf("  pending[clock %d] member [%d] %s scheduled=%v\n",
-						k, mem, g.Nodes[mem].Inst, scheduled[mem])
+						k, mem, g.Nodes[mem].Inst, placedCycle[mem] >= 0)
 				}
 			}
 			for i := 0; i < n; i++ {
-				msg += fmt.Sprintf("  node[%d] seq=%d sched=%v %s preds:", i, g.Nodes[i].Inst.SeqID, scheduled[i], g.Nodes[i].Inst)
+				msg += fmt.Sprintf("  node[%d] seq=%d sched=%v %s preds:", i, g.Nodes[i].Inst.SeqID, placedCycle[i] >= 0, g.Nodes[i].Inst)
 				for _, e := range g.Nodes[i].Preds {
 					msg += fmt.Sprintf(" (%d,l%d,t%d,c%d)", e.To, e.Latency, e.Type, e.Clock)
 				}
@@ -367,31 +468,19 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 			}
 			return res, &budget.LimitError{Stage: "sched", Steps: maxCycles, Detail: msg}
 		}
-		placedThisCycle = map[int]bool{}
+		placedNow = 0
 		wordClass, wordHasClass = mach.ClassSet{}, false
 
-		// Candidates ready this cycle. In sequential mode only the lowest
-		// unscheduled thread index is eligible.
-		ready := func() []int {
-			var r []int
-			for i := 0; i < n; i++ {
-				if !scheduled[i] && predsLeft[i] == 0 && earliest[i] <= cycle {
-					r = append(r, i)
-				}
-				if opts.Sequential && !scheduled[i] {
-					break
-				}
+		// Operands that arrive this cycle make their readers candidates.
+		stillWaiting := waiting[:0]
+		for _, i := range waiting {
+			if earliest[i] <= cycle {
+				makeReady(i)
+			} else {
+				stillWaiting = append(stillWaiting, i)
 			}
-			if !opts.FIFO && !opts.Sequential {
-				sort.Slice(r, func(a, b int) bool {
-					if heights[r[a]] != heights[r[b]] {
-						return heights[r[a]] > heights[r[b]]
-					}
-					return r[a] < r[b] // code-thread tie break
-				})
-			}
-			return r
 		}
+		waiting = stillWaiting
 
 		// First, place outstanding temporal groups atomically. A member
 		// may itself affect another clock (chaining sub-operations like
@@ -405,10 +494,10 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 				if len(grp) == 0 {
 					continue
 				}
-				members := make([]int, 0, len(grp))
+				members = members[:0]
 				ok := true
 				for _, mem := range grp {
-					if scheduled[mem] || predsLeft[mem] != 0 || earliest[mem] > cycle || !groupRule1OK(mem, k0) {
+					if placedCycle[mem] >= 0 || predsLeft[mem] != 0 || earliest[mem] > cycle || !groupRule1OK(mem, k0) {
 						ok = false
 						break
 					}
@@ -449,7 +538,7 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 				}
 				if ok {
 					for _, mem := range members {
-						place(mem, cycle)
+						place(mem)
 					}
 					groupProgress = true
 				}
@@ -462,10 +551,20 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 		for progress {
 			progress = false
 			fallback = -1
-			if opts.NoPack && len(placedThisCycle) > 0 {
+			if opts.NoPack && placedNow > 0 {
 				break // one instruction per cycle: no multi-issue fill
 			}
-			for _, i := range ready() {
+			cands := ready
+			if opts.Sequential {
+				// Only the lowest unscheduled thread index is eligible.
+				for nextSeq < n && placedCycle[nextSeq] >= 0 {
+					nextSeq++
+				}
+				if cands = nil; len(ready) > 0 && ready[0] == nextSeq {
+					cands = ready[:1]
+				}
+			}
+			for _, i := range cands {
 				t := g.Nodes[i].Inst.Tmpl
 				if !rule1OK(i) {
 					continue
@@ -482,24 +581,25 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 					}
 					continue
 				}
-				place(i, cycle)
+				place(i) // reorders ready: rescan from the top
 				progress = true
 				break
 			}
 		}
 
-		if len(placedThisCycle) == 0 && fallback >= 0 && !worthStalling(g, scheduled, predsLeft, earliest, cycle, pressureOK) {
+		if placedNow == 0 && fallback >= 0 && !worthStalling() {
 			// Every acceptable candidate is pressure-blocked and no
 			// latency-waiter would help: force the best candidate so the
 			// limit cannot stall the schedule forever (IPS escape hatch).
-			place(fallback, cycle)
+			place(fallback)
 		}
 
-		if len(placedThisCycle) > 0 {
+		if placedNow > 0 {
 			lastProgress = cycle
 		}
 		remaining = n - len(res.Order)
 		if remaining > 0 {
+			busy[cycle%window] = 0
 			cycle++
 		}
 		// Temporal edges from this cycle's placements become outstanding.
@@ -575,18 +675,6 @@ func (l *slotLayout) place(t *mach.Instr, cycle int) (at, slots int) {
 // cost is the block's cycle count for everything placed so far.
 func (l *slotLayout) cost() int { return l.last + 1 }
 
-// worthStalling reports whether an unscheduled instruction that satisfies
-// the pressure limit is merely waiting on operand latency; if so, the
-// scheduler stalls instead of forcing a pressure-violating candidate.
-func worthStalling(g *cdag.Graph, scheduled []bool, predsLeft, earliest []int, cycle int, pressureOK func(*asm.Inst) bool) bool {
-	for i := range g.Nodes {
-		if !scheduled[i] && predsLeft[i] == 0 && earliest[i] > cycle && pressureOK(g.Nodes[i].Inst) {
-			return true
-		}
-	}
-	return false
-}
-
 // Apply commits a schedule to the block: instructions are reordered by
 // issue cycle, Cycle fields are set, and branch delay slots are filled
 // with nops.
@@ -622,22 +710,10 @@ func Apply(m *mach.Machine, b *asm.Block, res Result) {
 // Schedule builds the code DAG, runs the list scheduler and commits the
 // result; it returns the block's estimated cycle count.
 func Schedule(m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) (int, error) {
-	res, err := plan(m, af, b, opts)
+	res, err := Run(m, af, b, cdag.Build(m, b, opts.Dag), opts)
 	if err != nil {
 		return 0, err
 	}
 	Apply(m, b, res)
 	return res.Cost, nil
-}
-
-// Estimate runs the scheduler without committing, returning the
-// estimated block cost (used by RASE's schedule-cost estimates).
-func Estimate(m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) (int, error) {
-	res, err := plan(m, af, b, opts)
-	return res.Cost, err
-}
-
-// plan builds the block's code DAG and schedules it, committing nothing.
-func plan(m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) (Result, error) {
-	return Run(m, af, b, cdag.Build(m, b, opts.Dag), opts)
 }

@@ -106,11 +106,7 @@ func mustRun(t *testing.T, m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.
 
 func mustEstimate(t *testing.T, m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) int {
 	t.Helper()
-	cost, err := Estimate(m, af, b, opts)
-	if err != nil {
-		t.Fatalf("estimate: %v", err)
-	}
-	return cost
+	return mustRun(t, m, af, b, cdag.Build(m, b, opts.Dag), opts).Cost
 }
 
 func TestScheduleFillsLoadDelay(t *testing.T) {
@@ -395,6 +391,103 @@ func TestFigure6DeadlockProtection(t *testing.T) {
 	if pos[1] > pos[0] {
 		t.Errorf("p must be scheduled before q: order %v", res.Order)
 	}
+	t.Run("across clocks", testProtectionAcrossClocks)
+}
+
+// eap2Desc has two clocks and a chaining sub-operation (A1M reads the
+// multiplier's latch and advances the adder), the i860's a1m in small.
+const eap2Desc = `
+declare {
+    %clock clk_m;
+    %clock clk_a;
+    %reg r[0:3] (int, ptr);
+    %reg f[0:7] (double);
+    %reg ml (double; clk_m) +temporal;
+    %reg al (double; clk_a) +temporal;
+    %resource M1, A1, FWBr, AWBr, IEX;
+}
+cwvm {
+    %general (int, ptr) r; %general (double) f;
+    %allocable f[0:7]; %calleesave f[6:7];
+    %sp r[3]; %fp r[2]; %retaddr r[1]; %hard r[0] 0;
+    %result f[0] (double);
+}
+instr {
+    %instr Ml f, f (double; clk_m) {ml = $1 * $2;} [M1] (1,1,0)
+    %instr FWB1 f (double; clk_m) {$1 = ml;} [FWBr] (1,1,0)
+    %instr MTRANS f, f (double; clk_m) {$1 = $2;} [M1] (1,1,0)
+    %instr Al f, f (double; clk_a) {al = $1 + $2;} [A1] (1,1,0)
+    %instr A1M f (double; clk_a) {al = ml + $1;} [A1] (1,1,0)
+    %instr AWB f (double; clk_a) {$1 = al;} [AWBr] (1,1,0)
+    %instr iadd r, r, r {$1 = $2 + $3;} [IEX] (1,1,0)
+}
+`
+
+// testProtectionAcrossClocks: the clock-0 pass inserts a protection edge
+// that runs BACKWARD in thread order (p -> q, as in Figure 6), and the
+// clock-1 pass must see through it: z reaches back to the adder
+// sequence's head a only along a -> p -> q -> z. An edge z -> a would
+// close a cycle. (A reachability closure computed for clock 1 by a
+// reverse sweep over the thread misses the path and inserts it.)
+func testProtectionAcrossClocks(t *testing.T) {
+	m := loadDesc(t, eap2Desc)
+	inst := func(label string, seq int, args ...asm.Operand) *asm.Inst {
+		in := asm.New(m.InstrByLabel(label), args...)
+		in.SeqID = seq
+		return in
+	}
+	_, b := newBlock(
+		inst("Al", 1, asm.Reg(4), asm.Reg(5)),     // 0 a: heads adder sequence 1, reads t4
+		inst("Ml", 2, asm.Reg(0), asm.Reg(1)),     // 1 q: heads multiplier sequence 2
+		inst("MTRANS", 0, asm.Reg(4), asm.Reg(3)), // 2 p: affects clk_m, redefines t4 (a -> p)
+		inst("FWB1", 2, asm.Reg(4)),               // 3 r: q's temporal destination, redefines t4 (p -> r)
+		inst("A1M", 2, asm.Reg(6)),                // 4 z: reads q's latch, affects clk_a, reads t6
+		inst("AWB", 1, asm.Reg(6)),                // 5 w: a's temporal destination, redefines t6 (z -> w)
+	)
+
+	g := cdag.Build(m, b, cdag.Options{})
+	has := func(from, to int) bool {
+		for _, e := range g.Nodes[from].Succs {
+			if e.To == to {
+				return true
+			}
+		}
+		return false
+	}
+	for _, e := range [][2]int{{0, 2}, {1, 3}, {2, 3}, {1, 4}, {0, 5}, {4, 5}} {
+		if !has(e[0], e[1]) {
+			t.Fatalf("dependence edge %d -> %d missing; the test's premise is gone", e[0], e[1])
+		}
+	}
+	if !has(2, 1) {
+		t.Fatalf("clock-0 protection edge p -> q missing; succs of p: %+v", g.Nodes[2].Succs)
+	}
+	if has(4, 0) {
+		t.Fatalf("clock-1 pass inserted z -> a, closing the cycle a -> p -> q -> z -> a")
+	}
+	// The block itself is not schedulable under Rule 1 (z advances clk_a
+	// while a's latch is outstanding, and a must precede z), so the check
+	// stops at the graph: it must still be acyclic.
+	left := make([]int, len(g.Nodes))
+	var free []int
+	for i := range g.Nodes {
+		if left[i] = len(g.Nodes[i].Preds); left[i] == 0 {
+			free = append(free, i)
+		}
+	}
+	sorted := 0
+	for ; len(free) > 0; sorted++ {
+		i := free[len(free)-1]
+		free = free[:len(free)-1]
+		for _, e := range g.Nodes[i].Succs {
+			if left[e.To]--; left[e.To] == 0 {
+				free = append(free, e.To)
+			}
+		}
+	}
+	if sorted != len(g.Nodes) {
+		t.Errorf("graph has a cycle: only %d of %d nodes sort topologically", sorted, len(g.Nodes))
+	}
 }
 
 func TestScheduleCurrentCycleOnly(t *testing.T) {
@@ -413,5 +506,45 @@ func TestScheduleCurrentCycleOnly(t *testing.T) {
 	cur := mustEstimate(t, m, af, b, Options{CurrentCycleOnly: true})
 	if cur > full {
 		t.Errorf("current-cycle-only should be no more conservative: %d vs %d", cur, full)
+	}
+}
+
+// TestStallCyclesAllocateNothing: a schedule that spends most of its
+// cycles waiting on operand latency must not allocate more than the same
+// graph scheduled back to back — nothing in Run's cycle loop allocates
+// per cycle.
+func TestStallCyclesAllocateNothing(t *testing.T) {
+	m := loadDesc(t, pipeDesc)
+	r := m.RegSet("r")
+	ld := m.InstrByLabel("ld")
+	// A pointer chase: each load waits out the previous one's latency.
+	insts := []*asm.Inst{asm.New(ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0))}
+	for i := 1; i < 12; i++ {
+		insts = append(insts, asm.New(ld, asm.Reg(asm.PseudoID(i)), asm.Reg(asm.PseudoID(i-1)), asm.Imm(0)))
+	}
+	af, b := newBlock(insts...)
+	mkPseudos(af, r, len(insts))
+
+	setLatency := func(g *cdag.Graph, lat int) {
+		for i := range g.Nodes {
+			for j := range g.Nodes[i].Succs {
+				g.Nodes[i].Succs[j].Latency = lat
+			}
+			for j := range g.Nodes[i].Preds {
+				g.Nodes[i].Preds[j].Latency = lat
+			}
+		}
+	}
+	slow, fast := cdag.Build(m, b, cdag.Options{}), cdag.Build(m, b, cdag.Options{})
+	setLatency(slow, 8)
+	setLatency(fast, 1)
+	if stalls := mustRun(t, m, af, b, slow, Options{}).Cost - mustRun(t, m, af, b, fast, Options{}).Cost; stalls < 50 {
+		t.Fatalf("only %d stall cycles; the test wants at least 50", stalls)
+	}
+	allocs := func(g *cdag.Graph) float64 {
+		return testing.AllocsPerRun(10, func() { mustRun(t, m, af, b, g, Options{}) })
+	}
+	if s, f := allocs(slow), allocs(fast); s > f {
+		t.Errorf("Run allocates %v times with stall cycles, %v without", s, f)
 	}
 }

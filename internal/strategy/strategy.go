@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"marion/internal/asm"
+	"marion/internal/cdag"
 	"marion/internal/faults"
 	"marion/internal/ir"
 	"marion/internal/mach"
@@ -368,29 +369,30 @@ func stripNops(m *mach.Machine, b *asm.Block) {
 // the same Chaitin-Briggs allocator.)
 func raseEstimates(m *mach.Machine, af *asm.Func, st *Stats, opts Options) error {
 	home, cross := af.PseudoHomes()
-	liveOut := sched.LiveOutPseudos(af, cross)
+	tight := opts.Sched
+	tight.MaxLive = map[*mach.RegSet]int{}
+	for _, rs := range m.RegSets {
+		if k := len(m.AllocableIn(rs)); k > 2 {
+			tight.MaxLive[rs] = k - 2
+		}
+	}
+	tight.LiveOut = sched.LiveOutPseudos(af, cross)
 	for _, b := range af.Blocks {
-		free, err := sched.Estimate(m, af, b, opts.Sched)
+		// Both estimates schedule the same block state, so they share
+		// one code DAG: the scheduler only reads it.
+		g := cdag.Build(m, b, opts.Sched.Dag)
+		free, err := sched.Run(m, af, b, g, opts.Sched)
+		if err != nil {
+			return err
+		}
+		st.SchedulePasses++
+		constrained, err := sched.Run(m, af, b, g, tight)
 		if err != nil {
 			return err
 		}
 		st.SchedulePasses++
 
-		tight := opts.Sched
-		tight.MaxLive = map[*mach.RegSet]int{}
-		for _, rs := range m.RegSets {
-			if k := len(m.AllocableIn(rs)); k > 2 {
-				tight.MaxLive[rs] = k - 2
-			}
-		}
-		tight.LiveOut = liveOut
-		constrained, err := sched.Estimate(m, af, b, tight)
-		if err != nil {
-			return err
-		}
-		st.SchedulePasses++
-
-		penalty := float64(constrained-free) + 1
+		penalty := float64(constrained.Cost-free.Cost) + 1
 		if penalty < 1 {
 			penalty = 1
 		}
@@ -400,7 +402,7 @@ func raseEstimates(m *mach.Machine, af *asm.Func, st *Stats, opts Options) error
 				af.Pseudos[p].SpillCost *= penalty
 			}
 		}
-		b.SchedCost = free
+		b.SchedCost = free.Cost
 	}
 	return nil
 }
