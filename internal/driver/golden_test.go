@@ -26,9 +26,15 @@ const goldenFile = "testdata/golden.sha256"
 // Livermore loops and examples/c lack.
 const bigBlockFixture = "testdata/bigblock.c"
 
+// pressureFixture holds functions with 26 to 56 simultaneously live
+// values (pint32, pdbl30, pmixloop, pcall26, pdblloop36): they spill on
+// every target, which the Livermore loops and examples/c almost never
+// do, so the allocator's spill choice and spill order reach the digest.
+const pressureFixture = "testdata/pressure.c"
+
 // goldenLine compiles the Livermore suite module, every examples/c/*.c
-// and the big-block fixture for one target/strategy and renders the
-// golden line:
+// and the big-block and pressure fixtures for one target/strategy and
+// renders the golden line:
 //
 //	<target>/<strategy> <sha256 of every unit's Prog.Print()> <unit>:<fn>=<8 hex>...
 //
@@ -42,7 +48,7 @@ func goldenLine(t *testing.T, target string, kind strategy.Kind) (line string, b
 		t.Fatalf("no examples/c sources: %v", err)
 	}
 	sort.Strings(srcs)
-	for _, path := range append(srcs, bigBlockFixture) {
+	for _, path := range append(srcs, bigBlockFixture, pressureFixture) {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -72,10 +78,11 @@ func goldenLine(t *testing.T, target string, kind strategy.Kind) (line string, b
 }
 
 // TestGoldenDigests pins the emitted assembly of every target x
-// strategy over the Livermore suite, examples/c and the big-block
-// fixture to the digests in testdata/golden.sha256, so "byte-identical"
-// refactors are checked and not asserted. Run with -update to rewrite the file after a change
-// that is meant to alter the output.
+// strategy over the Livermore suite, examples/c and the big-block and
+// pressure fixtures to the digests in testdata/golden.sha256, so
+// "byte-identical" refactors are checked and not asserted. Run with
+// -update to rewrite the file after a change that is meant to alter the
+// output.
 func TestGoldenDigests(t *testing.T) {
 	want := map[string]string{}
 	if data, err := os.ReadFile(goldenFile); err == nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -124,12 +125,10 @@ func TestI860RunToRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestBigBlockRunToRunDeterminism compiles the big-block fixture twice
-// on every target under every strategy: long blocks are where the code
-// DAG's protection pass and the scheduler's ready list do most of their
-// work, and two compiles must be one program.
-func TestBigBlockRunToRunDeterminism(t *testing.T) {
-	src, err := os.ReadFile(bigBlockFixture)
+// compileTwice compiles a fixture twice on every target under every
+// strategy; two compiles must be one program.
+func compileTwice(t *testing.T, fixture string) {
+	src, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestBigBlockRunToRunDeterminism(t *testing.T) {
 		for _, kind := range allKinds {
 			var first string
 			for run := 0; run < 2; run++ {
-				c, err := driver.Compile(target, "bigblock.c", string(src), driver.Config{Strategy: kind})
+				c, err := driver.Compile(target, filepath.Base(fixture), string(src), driver.Config{Strategy: kind})
 				if err != nil {
 					t.Fatalf("%s/%s: %v", target, kind, err)
 				}
@@ -150,6 +149,15 @@ func TestBigBlockRunToRunDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestBigBlockRunToRunDeterminism: long blocks are where the code DAG's
+// protection pass and the scheduler's ready list do most of their work.
+func TestBigBlockRunToRunDeterminism(t *testing.T) { compileTwice(t, bigBlockFixture) }
+
+// TestPressureRunToRunDeterminism: spilling functions are where the
+// allocator's tie-breaks (simplify order, spill candidate, spill-list
+// order, colour order) reach the output.
+func TestPressureRunToRunDeterminism(t *testing.T) { compileTwice(t, pressureFixture) }
 
 // brokenModule builds a module whose named functions cannot be selected
 // (a statement no instruction template matches), plus one good one.

@@ -1,0 +1,6 @@
+package regalloc
+
+// The corpus differential lives in package regalloc_test (it needs
+// internal/driver and internal/livermore, which import this package);
+// this is its door to the oracle.
+var ReferenceAllocate = referenceAllocate
