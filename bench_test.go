@@ -10,12 +10,14 @@ import (
 	"os"
 	"testing"
 
+	"marion/internal/asm"
 	"marion/internal/cdag"
 	"marion/internal/driver"
 	"marion/internal/experiments"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/maril"
+	"marion/internal/regalloc"
 	"marion/internal/sched"
 	"marion/internal/sel"
 	"marion/internal/sim"
@@ -418,6 +420,95 @@ func BenchmarkSelect(b *testing.B) {
 				b.ReportMetric(float64(tried), "templates-tried")
 			})
 		}
+	}
+}
+
+// BenchmarkRegalloc measures register allocation alone, per target: on
+// the Livermore suite (28 short-block functions, the cold_loops shape)
+// and on the big-block fixture's 96-statement function (the densest
+// interference graph in the corpus). Lowering, the glue transform and
+// selection run outside the timer; allocation rewrites the selected code
+// in place, so each iteration selects afresh.
+func BenchmarkRegalloc(b *testing.B) {
+	src, err := os.ReadFile("internal/driver/testdata/bigblock.c")
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs := []struct {
+		name string
+		fns  func() ([]*ir.Func, error)
+	}{
+		{"livermore", func() ([]*ir.Func, error) {
+			mod, err := livermore.SuiteModule()
+			if err != nil {
+				return nil, err
+			}
+			return mod.Funcs, nil
+		}},
+		{"big96", func() ([]*ir.Func, error) {
+			mod, err := driver.Frontend("bigblock.c", string(src))
+			if err != nil {
+				return nil, err
+			}
+			return []*ir.Func{mod.Lookup("big96")}, nil
+		}},
+	}
+	for _, target := range []string{"r2000", "m88000", "i860"} {
+		m, err := targets.Load(target)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, in := range inputs {
+			b.Run(target+"/"+in.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					fns, err := in.fns()
+					if err != nil {
+						b.Fatal(err)
+					}
+					afs := make([]*asm.Func, len(fns))
+					for j, fn := range fns {
+						xform.Apply(m, fn)
+						if afs[j], err = sel.Select(m, fn); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+					for _, af := range afs {
+						if _, err := regalloc.Allocate(m, af); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkXform measures the glue transform alone over the Livermore
+// suite, per target. It rewrites the IL in place, so each iteration
+// lowers afresh outside the timer.
+func BenchmarkXform(b *testing.B) {
+	for _, target := range []string{"r2000", "m88000", "i860"} {
+		m, err := targets.Load(target)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(target, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				mod, err := livermore.SuiteModule()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for _, fn := range mod.Funcs {
+					xform.Apply(m, fn)
+				}
+			}
+		})
 	}
 }
 

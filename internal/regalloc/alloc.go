@@ -20,9 +20,10 @@ const DefaultMaxRounds = 24
 
 // Result describes a completed allocation.
 type Result struct {
-	// Assignment maps each pseudo to its physical register (spilled
-	// pseudos are rewritten away before the final round).
-	Assignment map[asm.PseudoID]mach.PhysID
+	// Assignment[p] is pseudo p's physical register: mach.NoPhys for a
+	// pseudo no instruction mentions (spilled pseudos are rewritten away
+	// before the final round).
+	Assignment []mach.PhysID
 	// SpillSlots is the number of 8-byte spill slots used.
 	SpillSlots int
 	// Spills counts pseudo-registers sent to memory across all rounds.
@@ -61,17 +62,10 @@ func Allocate(m *mach.Machine, af *asm.Func) (*Result, error) {
 
 // AllocateOpts is Allocate with explicit options.
 func AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Result, error) {
-	res := &Result{Assignment: map[asm.PseudoID]mach.PhysID{}}
+	a := newAllocator(m, af)
+	res := a.res
 	if opts.SpillGlobals {
-		var globals []asm.PseudoID
-		_, cross := af.PseudoHomes()
-		for p, c := range cross {
-			if c {
-				globals = append(globals, asm.PseudoID(p))
-			}
-		}
-		res.Spills += len(globals)
-		if err := insertSpills(m, af, res, globals); err != nil {
+		if _, err := a.spillGlobals(); err != nil {
 			return nil, err
 		}
 	}
@@ -94,7 +88,7 @@ func AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Result, error) 
 			}
 		}
 		res.Rounds = round + 1
-		spilled, err := colorOnce(m, af, res)
+		spilled, err := a.colorOnce()
 		if err != nil {
 			return nil, err
 		}
@@ -102,89 +96,319 @@ func AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Result, error) 
 			break
 		}
 		res.Spills += len(spilled)
-		if err := insertSpills(m, af, res, spilled); err != nil {
+		if err := a.insertSpills(spilled); err != nil {
 			return nil, err
 		}
 	}
-	rewrite(m, af, res)
-	res.UsedCalleeSave = usedCalleeSave(m, af, res)
+	a.rewrite()
+	res.UsedCalleeSave = a.usedCalleeSave()
 	return res, nil
 }
 
-// graph is the interference graph over pseudos, plus per-pseudo
-// forbidden physical registers from interference with precolored/live
-// physical registers.
-type graph struct {
-	adj    []map[asm.PseudoID]bool
-	forbid []map[mach.PhysID]bool
+// spillGlobals sends every pseudo that more than one block mentions to
+// memory, as a round's spill list would be, and returns them.
+func (a *allocator) spillGlobals() ([]asm.PseudoID, error) {
+	var globals []asm.PseudoID
+	_, cross := a.af.PseudoHomes()
+	for p, c := range cross {
+		if c {
+			globals = append(globals, asm.PseudoID(p))
+		}
+	}
+	a.res.Spills += len(globals)
+	return globals, a.insertSpills(globals)
 }
 
-func (g *graph) addEdge(a, b asm.PseudoID) {
-	if a == b {
-		return
-	}
-	if g.adj[a] == nil {
-		g.adj[a] = map[asm.PseudoID]bool{}
-	}
-	if g.adj[b] == nil {
-		g.adj[b] = map[asm.PseudoID]bool{}
-	}
-	g.adj[a][b] = true
-	g.adj[b][a] = true
+// allocator is the state of one AllocateOpts call: the machine's
+// colouring facts, built once, and scratch sized to the function, reused
+// by every build-colour-spill round and dropped with the call.
+type allocator struct {
+	m   *mach.Machine
+	af  *asm.Func
+	res *Result
+
+	// Machine-only facts. Register sets are named by their index in
+	// m.RegSets.
+	physWords  int             // words of a bitset over PhysID
+	k          []int           // per set: number of colours
+	colors     [][]mach.PhysID // per set: colours, caller-save first, then ascending
+	weight     []int           // [mine*len(k)+nb]: degreeWeight of a neighbour in set nb
+	calleeSave bitset          // over PhysID
+	blockOf    []int32         // IR block ID -> index in af.Blocks, -1 when absent
+
+	// Per pseudo, over all rounds: index of its register set.
+	set []uint8
+
+	// Per round (resize carves the bitsets out of one slab).
+	n         int // len(af.Pseudos) this round
+	slab      []uint64
+	keyWords  int      // words of a liveSet row: NumPhys+n bits
+	liveRows  []uint64 // per block: live-in row, live-out row
+	live      liveSet  // the row being stepped
+	matrix    bitset   // interference, triangular: bit hi(hi-1)/2+lo for lo < hi
+	forbid    []uint64 // per pseudo: physical registers it may not take
+	present   bitset   // pseudos some instruction mentions
+	removed   bitset   // pseudos simplify has pushed (or that are not present)
+	low       bitset   // un-removed pseudos with deg < k
+	blocked   bitset   // select's scratch, over PhysID
+	adjStart  []int32  // adjacency of p is adj[adjStart[p]:adjStart[p+1]]
+	adj       []asm.PseudoID
+	deg       []int // weighted degree among un-removed neighbours, plus |forbid|
+	stack     []asm.PseudoID
+	remaining int
+
+	// insertSpills' scratch.
+	slot []int32 // per pseudo: spill slot, -1 when not being spilled
 }
 
-func (g *graph) addForbid(p asm.PseudoID, phys mach.PhysID, m *mach.Machine) {
-	if g.forbid[p] == nil {
-		g.forbid[p] = map[mach.PhysID]bool{}
+// newAllocator derives the machine's colouring facts: K and the colour
+// order per register set, caller-save first (so callee-save stays
+// untouched when possible).
+func newAllocator(m *mach.Machine, af *asm.Func) *allocator {
+	a := &allocator{m: m, af: af, res: &Result{}, physWords: words(m.NumPhys)}
+	a.calleeSave = make(bitset, a.physWords)
+	for _, rr := range m.Cwvm.CalleeSave {
+		for i := rr.Lo; i <= rr.Hi; i++ {
+			a.calleeSave.set(int(rr.Set.Phys(i)))
+		}
 	}
-	for _, al := range m.Aliases(phys) {
-		g.forbid[p][al] = true
-	}
-}
-
-// build constructs the interference graph from liveness.
-func build(m *mach.Machine, af *asm.Func) *graph {
-	n := len(af.Pseudos)
-	g := &graph{adj: make([]map[asm.PseudoID]bool, n), forbid: make([]map[mach.PhysID]bool, n)}
-	liveOut := liveness(m, af)
-
-	interfere := func(d asm.RegKey, live liveSet, moveSrc asm.RegKey, haveSrc bool) {
-		// Map order is harmless: adj and forbid are sets.
-		for l := range live {
-			if l == d {
-				continue
-			}
-			// Chaitin's move exception: the destination of a copy does
-			// not interfere with its source.
-			if haveSrc && l == moveSrc {
-				continue
-			}
-			switch {
-			case d.IsPseudo(m) && l.IsPseudo(m):
-				g.addEdge(d.Pseudo(m), l.Pseudo(m))
-			case d.IsPseudo(m):
-				g.addForbid(d.Pseudo(m), l.Phys(), m)
-			case l.IsPseudo(m):
-				g.addForbid(l.Pseudo(m), d.Phys(), m)
+	// Registers that must never be allocated, even if a description's
+	// %allocable ranges (or their %equiv overlaps) include them: the
+	// stack/frame pointers, the return address, the global pointer and
+	// hard-wired registers.
+	reserved := make(bitset, a.physWords)
+	addReserved := func(r mach.RegRef) {
+		if r.Valid() {
+			for _, al := range m.Aliases(r.Phys()) {
+				reserved.set(int(al))
 			}
 		}
 	}
+	addReserved(m.Cwvm.SP)
+	addReserved(m.Cwvm.FP)
+	addReserved(m.Cwvm.RetAddr)
+	addReserved(m.Cwvm.GlobalPtr)
+	for _, h := range m.Cwvm.Hard {
+		addReserved(h.Ref)
+	}
+	sets := len(m.RegSets)
+	a.k = make([]int, sets)
+	a.colors = make([][]mach.PhysID, sets)
+	a.weight = make([]int, sets*sets)
+	for si, rs := range m.RegSets {
+		regs := m.AllocableIn(rs)
+		keep := regs[:0]
+	next:
+		for _, r := range regs {
+			for _, al := range m.Aliases(r) {
+				if reserved.has(int(al)) {
+					continue next
+				}
+			}
+			keep = append(keep, r)
+		}
+		sort.Slice(keep, func(i, j int) bool {
+			ci, cj := a.calleeSave.has(int(keep[i])), a.calleeSave.has(int(keep[j]))
+			if ci != cj {
+				return !ci
+			}
+			return keep[i] < keep[j]
+		})
+		a.k[si] = len(keep)
+		a.colors[si] = keep
+		for sj, nb := range m.RegSets {
+			a.weight[si*sets+sj] = degreeWeight(rs, nb)
+		}
+	}
 
+	maxID := -1
 	for _, b := range af.Blocks {
-		live := liveSet{}
-		for k := range liveOut[b] {
-			live[k] = true
+		maxID = max(maxID, b.IR.ID)
+	}
+	a.blockOf = make([]int32, maxID+1)
+	for i := range a.blockOf {
+		a.blockOf[i] = -1
+	}
+	for i, b := range af.Blocks {
+		a.blockOf[b.IR.ID] = int32(i)
+	}
+	return a
+}
+
+// resized returns s with length n and every element zero, reusing its
+// storage when that is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// resize sizes the round's scratch to the function as it now stands
+// (insertSpills adds temporaries between rounds) and clears it.
+func (a *allocator) resize() {
+	n := len(a.af.Pseudos)
+	if done := len(a.set); done < n {
+		a.set = append(make([]uint8, 0, n), a.set...)
+		for _, info := range a.af.Pseudos[done:] {
+			si := 0
+			for a.m.RegSets[si] != info.Set {
+				si++
+			}
+			a.set = append(a.set, uint8(si))
 		}
+	}
+	a.n = n
+	a.keyWords = words(a.m.NumPhys + n)
+	blocks, pw := len(a.af.Blocks), words(n)
+	a.slab = resized(a.slab, (2*blocks+1)*a.keyWords+words(n*(n-1)/2)+n*a.physWords+3*pw+a.physWords)
+	rest := a.slab
+	take := func(k int) []uint64 {
+		s := rest[:k:k]
+		rest = rest[k:]
+		return s
+	}
+	a.liveRows = take(2 * blocks * a.keyWords)
+	a.live = take(a.keyWords)
+	a.matrix = take(words(n * (n - 1) / 2))
+	a.forbid = take(n * a.physWords)
+	a.present, a.removed, a.low = take(pw), take(pw), take(pw)
+	a.blocked = take(a.physWords)
+	a.adjStart = resized(a.adjStart, n+1)
+	a.deg = resized(a.deg, n)
+	a.stack = resized(a.stack, n)[:0]
+}
+
+func (a *allocator) liveIn(block int) liveSet {
+	return a.liveRows[2*block*a.keyWords:][:a.keyWords]
+}
+
+func (a *allocator) liveOut(block int) liveSet {
+	return a.liveRows[(2*block+1)*a.keyWords:][:a.keyWords]
+}
+
+func (a *allocator) forbidRow(p int) bitset {
+	return a.forbid[p*a.physWords:][:a.physWords]
+}
+
+// build constructs the interference graph from liveness and sets up
+// simplify: adjacency vectors, weighted degrees, the low-degree set.
+func (a *allocator) build() {
+	a.resize()
+	m, af := a.m, a.af
+	// Only pseudos some instruction still mentions take part.
+	for _, b := range af.Blocks {
+		for _, in := range b.Insts {
+			for _, arg := range in.Args {
+				if arg.Kind == asm.OpPseudo || arg.Kind == asm.OpPseudoHalf {
+					a.present.set(int(arg.Pseudo))
+				}
+			}
+		}
+	}
+	a.liveness()
+
+	// Pass 1: the bit matrix suppresses duplicate edges while adjStart
+	// counts each node's neighbours.
+	for bi, b := range af.Blocks {
+		copy(a.live, a.liveOut(bi))
 		for j := len(b.Insts) - 1; j >= 0; j-- {
 			in := b.Insts[j]
+			// Chaitin's move exception: the destination of a copy does
+			// not interfere with its source.
 			moveSrc, haveSrc := moveSource(m, in)
-			for d := in.RegDefs(m); d.Next(); {
-				interfere(d.Key, live, moveSrc, haveSrc)
+			if !haveSrc {
+				moveSrc = -1
 			}
-			live.step(m, in)
+			for d := in.RegDefs(m); d.Next(); {
+				a.interfere(d.Key, moveSrc)
+			}
+			a.live.step(m, in)
 		}
 	}
-	return g
+
+	// Pass 2: one adjacency slab, filled from the matrix rows.
+	total := int32(0)
+	for p := 0; p < a.n; p++ {
+		total, a.adjStart[p] = total+a.adjStart[p], total
+	}
+	a.adjStart[a.n] = total
+	a.adj = resized(a.adj, int(total))
+	fill := a.deg    // borrowed as the per-node fill cursor
+	hi, base := 1, 0 // matrix row hi is bits [base, base+hi)
+	for i := a.matrix.next(0); i >= 0; i = a.matrix.next(i + 1) {
+		for i >= base+hi {
+			base += hi
+			hi++
+		}
+		lo := i - base
+		a.adj[int(a.adjStart[hi])+fill[hi]] = asm.PseudoID(lo)
+		a.adj[int(a.adjStart[lo])+fill[lo]] = asm.PseudoID(hi)
+		fill[hi]++
+		fill[lo]++
+	}
+
+	sets := len(a.k)
+	a.remaining = 0
+	for p := 0; p < a.n; p++ {
+		if !a.present.has(p) {
+			a.removed.set(p)
+			continue
+		}
+		// Forbidden physical registers eat colors permanently.
+		d := a.forbidRow(p).count()
+		for _, nb := range a.neighbours(p) {
+			d += a.weight[int(a.set[p])*sets+int(a.set[nb])]
+		}
+		a.deg[p] = d
+		if d < a.k[a.set[p]] {
+			a.low.set(p)
+		}
+		a.remaining++
+	}
+}
+
+func (a *allocator) neighbours(p int) []asm.PseudoID {
+	return a.adj[a.adjStart[p]:a.adjStart[p+1]]
+}
+
+// interfere records that register d, defined here, conflicts with
+// everything in a.live except itself and the move source: a pseudo pair
+// becomes an edge, a pseudo against a physical register forbids that
+// register's aliases to the pseudo.
+func (a *allocator) interfere(d, moveSrc asm.RegKey) {
+	m := a.m
+	for i := a.live.next(0); i >= 0; i = a.live.next(i + 1) {
+		switch l := asm.RegKey(i); {
+		case l == d || l == moveSrc:
+		case d.IsPseudo(m) && l.IsPseudo(m):
+			a.addEdge(int(d.Pseudo(m)), int(l.Pseudo(m)))
+		case d.IsPseudo(m):
+			a.addForbid(d.Pseudo(m), l.Phys())
+		case l.IsPseudo(m):
+			a.addForbid(l.Pseudo(m), d.Phys())
+		}
+	}
+}
+
+func (a *allocator) addForbid(p asm.PseudoID, phys mach.PhysID) {
+	row := a.forbidRow(int(p))
+	for _, al := range a.m.Aliases(phys) {
+		row.set(int(al))
+	}
+}
+
+func (a *allocator) addEdge(p, q int) {
+	if p < q {
+		p, q = q, p
+	}
+	if i := p*(p-1)/2 + q; !a.matrix.has(i) {
+		a.matrix.set(i)
+		a.adjStart[p]++
+		a.adjStart[q]++
+	}
 }
 
 // moveSource returns the register a copy reads when it reads exactly one
@@ -219,171 +443,94 @@ func degreeWeight(mySet, nSet *mach.RegSet) int {
 
 // colorOnce builds and colors the graph; it returns the pseudos chosen
 // for spilling (empty when coloring succeeded).
-func colorOnce(m *mach.Machine, af *asm.Func, res *Result) ([]asm.PseudoID, error) {
-	g := build(m, af)
-	n := len(af.Pseudos)
+func (a *allocator) colorOnce() ([]asm.PseudoID, error) {
+	a.build()
+	for a.remaining > 0 {
+		a.remove(a.pick())
+	}
+	return a.selectColors()
+}
 
-	// K per register set, and the per-set allocable registers ordered
-	// caller-save first (so callee-save stays untouched when possible).
-	kOf := map[*mach.RegSet]int{}
-	colorsOf := map[*mach.RegSet][]mach.PhysID{}
-	calleeSave := map[mach.PhysID]bool{}
-	for _, rr := range m.Cwvm.CalleeSave {
-		for i := rr.Lo; i <= rr.Hi; i++ {
-			calleeSave[rr.Set.Phys(i)] = true
+// pick chooses the next pseudo to push. Simplify: the lowest-numbered
+// un-removed node with degree < K. When there is none, the optimistic
+// push (Briggs): the cheapest spill candidate — the first strict minimum
+// of cost over degree in index order — is pushed anyway; it may still
+// receive a color.
+func (a *allocator) pick() asm.PseudoID {
+	if p := a.low.next(0); p >= 0 {
+		return asm.PseudoID(p)
+	}
+	best, first := asm.PseudoID(-1), asm.PseudoID(-1)
+	bestCost := 0.0
+	for p := 0; p < a.n; p++ {
+		if a.removed.has(p) {
+			continue
+		}
+		if first < 0 {
+			first = asm.PseudoID(p)
+		}
+		info := &a.af.Pseudos[p]
+		if info.NoSpill {
+			continue
+		}
+		cost := info.SpillCost / float64(max(a.deg[p], 1))
+		if best < 0 || cost < bestCost {
+			best, bestCost = asm.PseudoID(p), cost
 		}
 	}
-	// Registers that must never be allocated, even if a description's
-	// %allocable ranges (or their %equiv overlaps) include them: the
-	// stack/frame pointers, the return address, the global pointer and
-	// hard-wired registers.
-	reserved := map[mach.PhysID]bool{}
-	addReserved := func(r mach.RegRef) {
-		if r.Valid() {
-			for _, al := range m.Aliases(r.Phys()) {
-				reserved[al] = true
-			}
-		}
+	if best < 0 {
+		// Only NoSpill nodes remain with high degree; push the first (it
+		// will either color or fail hard in selectColors).
+		return first
 	}
-	addReserved(m.Cwvm.SP)
-	addReserved(m.Cwvm.FP)
-	addReserved(m.Cwvm.RetAddr)
-	addReserved(m.Cwvm.GlobalPtr)
-	for _, h := range m.Cwvm.Hard {
-		addReserved(h.Ref)
-	}
-	for _, rs := range m.RegSets {
-		var regs []mach.PhysID
-		for _, r := range m.AllocableIn(rs) {
-			ok := true
-			for _, al := range m.Aliases(r) {
-				if reserved[al] {
-					ok = false
-				}
-			}
-			if ok {
-				regs = append(regs, r)
-			}
-		}
-		sort.Slice(regs, func(a, b int) bool {
-			ca, cb := calleeSave[regs[a]], calleeSave[regs[b]]
-			if ca != cb {
-				return !ca
-			}
-			return regs[a] < regs[b]
-		})
-		kOf[rs] = len(regs)
-		colorsOf[rs] = regs
-	}
+	return best
+}
 
-	// Only pseudos some instruction still mentions take part.
-	home, _ := af.PseudoHomes()
-	present := make([]bool, n)
-	for p, hb := range home {
-		present[p] = hb != nil
-	}
-
-	weightedDeg := func(p asm.PseudoID, removed []bool) int {
-		d := 0
-		// Map order is harmless: a sum.
-		for nb := range g.adj[p] {
-			if !removed[nb] && present[nb] {
-				d += degreeWeight(af.Pseudos[p].Set, af.Pseudos[nb].Set)
-			}
+// remove pushes p and takes its weight off each un-removed neighbour,
+// once: degrees only fall, so a neighbour enters the low set at most
+// once and nothing is ever rescanned.
+func (a *allocator) remove(p asm.PseudoID) {
+	a.removed.set(int(p))
+	a.low.clear(int(p))
+	a.stack = append(a.stack, p)
+	a.remaining--
+	sets := len(a.k)
+	for _, nb := range a.neighbours(int(p)) {
+		if a.removed.has(int(nb)) {
+			continue
 		}
-		// Forbidden physical registers eat colors permanently.
-		d += len(g.forbid[p])
-		return d
-	}
-
-	removed := make([]bool, n)
-	var stack []asm.PseudoID
-	remaining := 0
-	for p := 0; p < n; p++ {
-		if present[p] {
-			remaining++
-		} else {
-			removed[p] = true
+		a.deg[nb] -= a.weight[int(a.set[nb])*sets+int(a.set[p])]
+		if a.deg[nb] < a.k[a.set[nb]] {
+			a.low.set(int(nb))
 		}
 	}
+}
 
-	for remaining > 0 {
-		// Simplify: remove a node with degree < K.
-		picked := asm.PseudoID(-1)
-		for p := 0; p < n; p++ {
-			if removed[p] {
-				continue
-			}
-			set := af.Pseudos[p].Set
-			if weightedDeg(asm.PseudoID(p), removed) < kOf[set] {
-				picked = asm.PseudoID(p)
-				break
-			}
-		}
-		if picked < 0 {
-			// Optimistic push (Briggs): pick the cheapest spill candidate
-			// and push it anyway; it may still receive a color.
-			best := asm.PseudoID(-1)
-			bestCost := 0.0
-			for p := 0; p < n; p++ {
-				if removed[p] {
-					continue
-				}
-				info := af.Pseudos[p]
-				if info.NoSpill {
-					continue
-				}
-				d := weightedDeg(asm.PseudoID(p), removed)
-				if d == 0 {
-					d = 1
-				}
-				cost := info.SpillCost / float64(d)
-				if best < 0 || cost < bestCost {
-					best, bestCost = asm.PseudoID(p), cost
-				}
-			}
-			if best < 0 {
-				// Only NoSpill nodes remain with high degree; push the
-				// first (it will either color or fail hard below).
-				for p := 0; p < n; p++ {
-					if !removed[p] {
-						best = asm.PseudoID(p)
-						break
-					}
-				}
-			}
-			picked = best
-		}
-		removed[picked] = true
-		stack = append(stack, picked)
-		remaining--
-	}
-
-	// Select phase: pop and color.
-	assigned := make([]mach.PhysID, n)
+// selectColors pops in reverse push order and gives each pseudo the
+// first colour of its set that neither its forbidden registers nor an
+// alias of a coloured neighbour blocks. The pseudos left without one, in
+// pop order, are the round's spill list.
+func (a *allocator) selectColors() ([]asm.PseudoID, error) {
+	m, af := a.m, a.af
+	assigned := resized(a.res.Assignment, a.n)
 	for i := range assigned {
 		assigned[i] = mach.NoPhys
 	}
+	a.res.Assignment = assigned
 	var spills []asm.PseudoID
-	for i := len(stack) - 1; i >= 0; i-- {
-		p := stack[i]
-		set := af.Pseudos[p].Set
-		// Map order is harmless below: blocked is a set, and the color
-		// is then the first free one in colorsOf's fixed order.
-		blocked := map[mach.PhysID]bool{}
-		for ph := range g.forbid[p] {
-			blocked[ph] = true
-		}
-		for nb := range g.adj[p] {
+	for i := len(a.stack) - 1; i >= 0; i-- {
+		p := a.stack[i]
+		copy(a.blocked, a.forbidRow(int(p)))
+		for _, nb := range a.neighbours(int(p)) {
 			if c := assigned[nb]; c != mach.NoPhys {
 				for _, al := range m.Aliases(c) {
-					blocked[al] = true
+					a.blocked.set(int(al))
 				}
 			}
 		}
 		got := mach.NoPhys
-		for _, c := range colorsOf[set] {
-			if !blocked[c] {
+		for _, c := range a.colors[a.set[p]] {
+			if !a.blocked.has(int(c)) {
 				got = c
 				break
 			}
@@ -391,23 +538,14 @@ func colorOnce(m *mach.Machine, af *asm.Func, res *Result) ([]asm.PseudoID, erro
 		if got == mach.NoPhys {
 			if af.Pseudos[p].NoSpill {
 				return nil, fmt.Errorf("%s: spill temporary t%d cannot be colored (register set %s too small)",
-					af.Name, p, set.Name)
+					af.Name, p, af.Pseudos[p].Set.Name)
 			}
 			spills = append(spills, p)
 			continue
 		}
 		assigned[p] = got
 	}
-
-	if len(spills) > 0 {
-		return spills, nil
-	}
-	for p := 0; p < n; p++ {
-		if present[p] {
-			res.Assignment[asm.PseudoID(p)] = assigned[p]
-		}
-	}
-	return nil, nil
+	return spills, nil
 }
 
 // spillOffset returns the FP-relative offset of spill slot s.
@@ -415,66 +553,84 @@ func spillOffset(af *asm.Func, s int) int64 {
 	return -int64(af.IR.LocalFrame) - 8*int64(s+1)
 }
 
+func spillType(set *mach.RegSet) ir.Type {
+	if set.Size == 8 {
+		return ir.F64
+	}
+	return ir.I32
+}
+
 // insertSpills rewrites every reference to a spilled pseudo through a
-// fresh temporary with a load/store to its frame slot.
-func insertSpills(m *mach.Machine, af *asm.Func, res *Result, spilled []asm.PseudoID) error {
-	slot := map[asm.PseudoID]int{}
+// fresh temporary with a load/store to its frame slot. Instructions that
+// mention no spilled pseudo cost one slot lookup per operand, and blocks
+// without one keep their instruction slice.
+func (a *allocator) insertSpills(spilled []asm.PseudoID) error {
+	m, af := a.m, a.af
+	a.slot = resized(a.slot, len(af.Pseudos))
+	for i := range a.slot {
+		a.slot[i] = -1
+	}
 	for _, p := range spilled {
-		slot[p] = res.SpillSlots
-		res.SpillSlots++
+		a.slot[p] = int32(a.res.SpillSlots)
+		a.res.SpillSlots++
 	}
 	fp := m.Cwvm.FP.Phys()
 
+	// One temporary per spilled pseudo per instruction.
+	type tmp struct{ of, is asm.PseudoID }
+	var tmps []tmp
+	var loads, stores []*asm.Inst
 	for _, b := range af.Blocks {
-		var out []*asm.Inst
-		for _, in := range b.Insts {
-			var loads, stores []*asm.Inst
-			// One temporary per spilled pseudo per instruction.
-			tmps := map[asm.PseudoID]asm.PseudoID{}
-			tmpFor := func(p asm.PseudoID) asm.PseudoID {
-				if t, ok := tmps[p]; ok {
-					return t
-				}
-				t := af.NewPseudo(af.Pseudos[p].Set, ir.NoReg)
-				af.Pseudos[t].NoSpill = true
-				tmps[p] = t
-				return t
-			}
-			spillType := func(set *mach.RegSet) ir.Type {
-				if set.Size == 8 {
-					return ir.F64
-				}
-				return ir.I32
-			}
+		var out []*asm.Inst // nil until the block's first spilled operand
+		for ii, in := range b.Insts {
+			tmps, loads, stores = tmps[:0], loads[:0], stores[:0]
 			// Operand roles as bit sets over the template operand index;
 			// the rewrite below must visit operands in index order, since
 			// that order numbers the temporaries.
 			var isUse, isDef uint64
-			for u := in.RegUses(m); u.Next(); {
-				if u.Op >= 0 {
-					isUse |= 1 << u.Op
-				}
-			}
-			for d := in.RegDefs(m); d.Next(); {
-				if d.Op >= 0 {
-					isDef |= 1 << d.Op
-				}
-			}
 			for oi := range in.Args {
-				a := in.Args[oi]
-				if a.Kind != asm.OpPseudo && a.Kind != asm.OpPseudoHalf {
+				arg := in.Args[oi]
+				if arg.Kind != asm.OpPseudo && arg.Kind != asm.OpPseudoHalf {
 					continue
 				}
-				s, isSpilled := slot[a.Pseudo]
-				if !isSpilled {
+				s := a.slot[arg.Pseudo]
+				if s < 0 {
 					continue
 				}
-				set := af.Pseudos[a.Pseudo].Set
-				t := tmpFor(a.Pseudo)
-				off := spillOffset(af, s)
+				if len(tmps) == 0 {
+					// The instruction's first spilled operand: only now is
+					// it worth knowing which operands are read and written,
+					// and that the block needs a new instruction slice.
+					for u := in.RegUses(m); u.Next(); {
+						if u.Op >= 0 {
+							isUse |= 1 << u.Op
+						}
+					}
+					for d := in.RegDefs(m); d.Next(); {
+						if d.Op >= 0 {
+							isDef |= 1 << d.Op
+						}
+					}
+					if out == nil {
+						out = append(make([]*asm.Inst, 0, len(b.Insts)+2), b.Insts[:ii]...)
+					}
+				}
+				set := af.Pseudos[arg.Pseudo].Set
+				t := asm.NoPseudo
+				for _, have := range tmps {
+					if have.of == arg.Pseudo {
+						t = have.is
+					}
+				}
+				if t == asm.NoPseudo {
+					t = af.NewPseudo(set, ir.NoReg)
+					af.Pseudos[t].NoSpill = true
+					tmps = append(tmps, tmp{arg.Pseudo, t})
+				}
+				off := spillOffset(af, int(s))
 				ty := spillType(set)
 				use, def := isUse>>oi&1 != 0, isDef>>oi&1 != 0
-				if use || a.Kind == asm.OpPseudoHalf && def {
+				if use || arg.Kind == asm.OpPseudoHalf && def {
 					if len(loads) == 0 || loads[len(loads)-1].Args[0].Pseudo != t {
 						ld, err := sel.BuildLoad(m, af, asm.Reg(t), fp, off, ty)
 						if err != nil {
@@ -490,74 +646,74 @@ func insertSpills(m *mach.Machine, af *asm.Func, res *Result, spilled []asm.Pseu
 					}
 					stores = append(stores, st)
 				}
-				na := a
-				na.Pseudo = t
-				in.Args[oi] = na
+				arg.Pseudo = t
+				in.Args[oi] = arg
 			}
-			out = append(out, loads...)
-			out = append(out, in)
-			out = append(out, stores...)
+			if out != nil {
+				out = append(out, loads...)
+				out = append(out, in)
+				out = append(out, stores...)
+			}
 		}
-		b.Insts = out
+		if out != nil {
+			b.Insts = out
+		}
 	}
 	return nil
 }
 
 // rewrite replaces pseudo operands with their assigned physical
 // registers; half operands resolve through the alias table.
-func rewrite(m *mach.Machine, af *asm.Func, res *Result) {
-	for _, b := range af.Blocks {
+func (a *allocator) rewrite() {
+	assigned := a.res.Assignment
+	for _, b := range a.af.Blocks {
 		for _, in := range b.Insts {
-			for i, a := range in.Args {
-				switch a.Kind {
+			for i, arg := range in.Args {
+				switch arg.Kind {
 				case asm.OpPseudo:
-					in.Args[i] = asm.Phys(res.Assignment[a.Pseudo])
+					in.Args[i] = asm.Phys(assigned[arg.Pseudo])
 				case asm.OpPseudoHalf:
-					whole := res.Assignment[a.Pseudo]
-					al := m.Aliases(whole)
-					in.Args[i] = asm.Phys(al[1+a.Half])
+					al := a.m.Aliases(assigned[arg.Pseudo])
+					in.Args[i] = asm.Phys(al[1+arg.Half])
 				}
 			}
 		}
 	}
 }
 
-// usedCalleeSave reports which callee-save registers appear as defs.
-func usedCalleeSave(m *mach.Machine, af *asm.Func, res *Result) []mach.PhysID {
-	calleeSave := map[mach.PhysID]bool{}
-	for _, rr := range m.Cwvm.CalleeSave {
-		for i := rr.Lo; i <= rr.Hi; i++ {
-			calleeSave[rr.Set.Phys(i)] = true
-		}
-	}
-	used := map[mach.PhysID]bool{}
-	for _, b := range af.Blocks {
+// usedCalleeSave reports which callee-save registers appear as defs, in
+// ascending order.
+func (a *allocator) usedCalleeSave() []mach.PhysID {
+	m := a.m
+	used := make(bitset, a.physWords)
+	for _, b := range a.af.Blocks {
 		for _, in := range b.Insts {
 			for d := in.RegDefs(m); d.Next(); {
 				// Explicit defs only: a call's implicit defs are the
 				// caller-save set and the return address, which frame()
 				// saves on UsesCalls.
-				if p := d.Key.Phys(); d.Op >= 0 && calleeSave[p] {
-					used[p] = true
+				if p := int(d.Key); d.Op >= 0 && a.calleeSave.has(p) {
+					used.set(p)
 				}
 			}
 		}
 	}
-	// A wide register save covers its narrow overlaps: drop registers
-	// whose covering wider register is also saved. (Map order is
-	// harmless: only narrower registers are dropped, on account of wider
-	// ones, and the survivors are sorted.)
-	for p := range used {
+	n := used.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]mach.PhysID, 0, n)
+next:
+	for i := used.next(0); i >= 0; i = used.next(i + 1) {
+		p := mach.PhysID(i)
+		// A wide register save covers its narrow overlaps: drop
+		// registers whose covering wider register is also saved.
 		for _, al := range m.Aliases(p) {
-			if al != p && used[al] && m.PhysRef(al).Set.Size > m.PhysRef(p).Set.Size {
-				delete(used, p)
+			if al != p && used.has(int(al)) && m.PhysRef(al).Set.Size > m.PhysRef(p).Set.Size {
+				continue next
 			}
 		}
-	}
-	var out []mach.PhysID
-	for p := range used {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }

@@ -66,27 +66,37 @@ func text(m *mach.Machine, af *asm.Func) string {
 	return p.Print()
 }
 
-// differ allocates two identical selections of one function, one with
-// AllocateOpts and one with the reference, and requires the same
-// outcome: the same error, or the same Result and instruction text. It
-// returns the reference's result (nil on error).
-func differ(t *testing.T, where string, m *mach.Machine, got, want *asm.Func, opts regalloc.Options) *regalloc.Result {
+// differ allocates three identical selections of one function — with
+// AllocateOpts, with the degree-checking stepped driver and with the
+// reference — and requires one outcome: the same error, or the same
+// Result, per-round spill lists and instruction text. It returns the
+// reference's result (nil on error).
+func differ(t *testing.T, where string, m *mach.Machine, afs [3]*asm.Func, opts regalloc.Options) *regalloc.Result {
 	t.Helper()
-	g, gerr := regalloc.AllocateOpts(m, got, opts)
-	w, _, werr := regalloc.ReferenceAllocate(m, want, opts)
-	if gerr != nil || werr != nil {
-		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
-			t.Errorf("%s: error %v, reference %v", where, gerr, werr)
+	g, gerr := regalloc.AllocateOpts(m, afs[0], opts)
+	s, srounds, serr := regalloc.SteppedAllocate(t, m, afs[1], opts)
+	w, wrounds, werr := regalloc.ReferenceAllocate(m, afs[2], opts)
+	if !reflect.DeepEqual(srounds, wrounds) {
+		t.Errorf("%s: per-round spill lists %v, reference %v", where, srounds, wrounds)
+	}
+	if gerr != nil || serr != nil || werr != nil {
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || fmt.Sprint(serr) != fmt.Sprint(werr) {
+			t.Errorf("%s: error %v (stepped: %v), reference %v", where, gerr, serr, werr)
 		}
 		return nil
 	}
-	if g.Rounds != w.Rounds || g.Spills != w.Spills || g.SpillSlots != w.SpillSlots ||
-		!reflect.DeepEqual(g.UsedCalleeSave, w.UsedCalleeSave) {
-		t.Errorf("%s: rounds/spills/slots/callee-save %d/%d/%d/%v, reference %d/%d/%d/%v", where,
-			g.Rounds, g.Spills, g.SpillSlots, g.UsedCalleeSave, w.Rounds, w.Spills, w.SpillSlots, w.UsedCalleeSave)
+	for _, r := range []*regalloc.Result{g, s} {
+		if r.Rounds != w.Rounds || r.Spills != w.Spills || r.SpillSlots != w.SpillSlots ||
+			!reflect.DeepEqual(r.UsedCalleeSave, w.UsedCalleeSave) {
+			t.Errorf("%s: rounds/spills/slots/callee-save %d/%d/%d/%v, reference %d/%d/%d/%v", where,
+				r.Rounds, r.Spills, r.SpillSlots, r.UsedCalleeSave, w.Rounds, w.Spills, w.SpillSlots, w.UsedCalleeSave)
+		}
 	}
-	if a, b := text(m, got), text(m, want); a != b {
-		t.Errorf("%s: allocated code differs from the reference's\n--- got ---\n%s--- reference ---\n%s", where, a, b)
+	want := text(m, afs[2])
+	for _, af := range afs[:2] {
+		if got := text(m, af); got != want {
+			t.Errorf("%s: allocated code differs from the reference's\n--- got ---\n%s--- reference ---\n%s", where, got, want)
+		}
 	}
 	return w
 }
@@ -103,11 +113,15 @@ func TestAllocateMatchesReferenceOnCorpus(t *testing.T) {
 		}
 		for _, opts := range []regalloc.Options{{}, {SpillGlobals: true}} {
 			fns, spilled := 0, 0
-			a, b := corpus(t), corpus(t)
-			for mi := range a {
-				for fi, fn := range a[mi].Funcs {
-					where := fmt.Sprintf("%s %s:%s globals=%v", target, a[mi].Name, fn.Name, opts.SpillGlobals)
-					res := differ(t, where, m, selected(t, m, fn), selected(t, m, b[mi].Funcs[fi]), opts)
+			mods := [3][]*ir.Module{corpus(t), corpus(t), corpus(t)}
+			for mi := range mods[0] {
+				for fi, fn := range mods[0][mi].Funcs {
+					where := fmt.Sprintf("%s %s:%s globals=%v", target, mods[0][mi].Name, fn.Name, opts.SpillGlobals)
+					var afs [3]*asm.Func
+					for j := range afs {
+						afs[j] = selected(t, m, mods[j][mi].Funcs[fi])
+					}
+					res := differ(t, where, m, afs, opts)
 					fns++
 					if res != nil && res.Spills > 0 {
 						spilled++
@@ -142,7 +156,7 @@ func TestAllocateMatchesReferenceOnGenerated(t *testing.T) {
 		for i := 0; i < genPerTarget; i++ {
 			src := genSource(r, genShapeFor(r))
 			where := fmt.Sprintf("%s generated #%d", target, i)
-			var afs [2]*asm.Func
+			var afs [3]*asm.Func
 			for j := range afs {
 				mod, err := driver.Frontend("gen.c", src)
 				if err != nil {
@@ -150,7 +164,7 @@ func TestAllocateMatchesReferenceOnGenerated(t *testing.T) {
 				}
 				afs[j] = selected(t, m, mod.Lookup("f"))
 			}
-			res := differ(t, where, m, afs[0], afs[1], regalloc.Options{})
+			res := differ(t, where, m, afs, regalloc.Options{})
 			if t.Failed() {
 				t.Fatalf("%s: source:\n%s", where, src)
 			}

@@ -2,5 +2,8 @@ package regalloc
 
 // The corpus differential lives in package regalloc_test (it needs
 // internal/driver and internal/livermore, which import this package);
-// this is its door to the oracle.
-var ReferenceAllocate = referenceAllocate
+// these are its doors to the oracle and to the degree-checking driver.
+var (
+	ReferenceAllocate = referenceAllocate
+	SteppedAllocate   = steppedAllocate
+)

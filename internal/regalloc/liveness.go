@@ -3,18 +3,57 @@
 // (paper §2.2). Interference is computed from the instruction order
 // presented to the allocator; register pairs (%equiv overlaps) and
 // precolored physical registers are handled through alias sets.
+//
+// Every table is dense and sized to the function: liveness is one bitset
+// row over asm.RegKey per block, interference is Chaitin's pair of a
+// triangular bit matrix (test-and-set) and per-node adjacency vectors
+// (iteration), and simplification keeps weighted degrees incrementally.
+// DESIGN.md §5 "Allocator data structures and tie-breaks" states the
+// layout and the choices that reach the output.
 package regalloc
 
 import (
+	"math/bits"
+
 	"marion/internal/asm"
 	"marion/internal/mach"
 )
 
-// liveSet is keyed by asm.RegKey: one key per physical register
-// (aliasing handled at interference time) or pseudo. Every range over
-// one is a set copy, union or comparison, so map order cannot reach the
-// allocation.
-type liveSet map[asm.RegKey]bool
+// bitset is a fixed-size set of small non-negative integers.
+type bitset []uint64
+
+// words is the length of a bitset over [0, n).
+func words(n int) int { return (n + 63) >> 6 }
+
+func (s bitset) has(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (s bitset) set(i int)      { s[i>>6] |= 1 << (uint(i) & 63) }
+func (s bitset) clear(i int)    { s[i>>6] &^= 1 << (uint(i) & 63) }
+
+// next returns the smallest member that is at least i, or -1.
+func (s bitset) next(i int) int {
+	for w := i >> 6; w < len(s); w++ {
+		word := s[w]
+		if w == i>>6 {
+			word &^= 1<<(uint(i)&63) - 1
+		}
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+func (s bitset) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// liveSet is a bitset indexed by asm.RegKey: one bit per physical
+// register (aliasing handled at interference time) or pseudo.
+type liveSet = bitset
 
 // step moves live backward across one instruction: defs die, uses are
 // born. A def through a half operand is also a use (a partial write
@@ -22,66 +61,50 @@ type liveSet map[asm.RegKey]bool
 func (live liveSet) step(m *mach.Machine, in *asm.Inst) {
 	for d := in.RegDefs(m); d.Next(); {
 		if !d.Half {
-			delete(live, d.Key)
+			live.clear(int(d.Key))
 		}
 	}
 	for u := in.RegUses(m); u.Next(); {
-		live[u.Key] = true
+		live.set(int(u.Key))
 	}
 }
 
-// liveness computes live-out sets per block by iterative backward
-// dataflow over the CFG.
-func liveness(m *mach.Machine, af *asm.Func) map[*asm.Block]liveSet {
-	liveIn := map[*asm.Block]liveSet{}
-	liveOut := map[*asm.Block]liveSet{}
-	for _, b := range af.Blocks {
-		liveIn[b] = liveSet{}
-		liveOut[b] = liveSet{}
-	}
-	// Map IR blocks to asm blocks for successor lookup.
-	byIR := map[interface{}]*asm.Block{}
-	for _, b := range af.Blocks {
-		byIR[b.IR] = b
-	}
-	changed := true
-	for changed {
+// liveness fills the per-block live-out rows by iterative backward
+// dataflow over the CFG. Rows only grow from empty towards the least
+// fixpoint, so a block's live-in is recomputed only when its live-out
+// gained a register.
+func (a *allocator) liveness() {
+	af := a.af
+	for first, changed := true, true; changed; first = false {
 		changed = false
 		for i := len(af.Blocks) - 1; i >= 0; i-- {
 			b := af.Blocks[i]
-			out := liveSet{}
+			out, grew := a.liveOut(i), first
 			for _, s := range b.IR.Succs {
-				if sb := byIR[s]; sb != nil {
-					for k := range liveIn[sb] {
-						out[k] = true
+				if s.ID >= len(a.blockOf) || a.blockOf[s.ID] < 0 {
+					continue
+				}
+				for w, v := range a.liveIn(int(a.blockOf[s.ID])) {
+					if v&^out[w] != 0 {
+						out[w] |= v
+						grew = true
 					}
 				}
 			}
-			in := liveSet{}
-			for k := range out {
-				in[k] = true
+			if !grew {
+				continue
 			}
+			copy(a.live, out)
 			for j := len(b.Insts) - 1; j >= 0; j-- {
-				in.step(m, b.Insts[j])
+				a.live.step(a.m, b.Insts[j])
 			}
-			if !sameSet(out, liveOut[b]) || !sameSet(in, liveIn[b]) {
-				changed = true
+			in := a.liveIn(i)
+			for w, v := range a.live {
+				if v != in[w] {
+					in[w] = v
+					changed = true
+				}
 			}
-			liveOut[b] = out
-			liveIn[b] = in
 		}
 	}
-	return liveOut
-}
-
-func sameSet(a, b liveSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }

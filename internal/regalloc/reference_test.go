@@ -1,10 +1,11 @@
 package regalloc
 
 // The map-based allocator this package shipped through PR 14, kept
-// verbatim as the differential oracle for the dense-table rewrite:
-// liveness as one map per block, interference as []map[PseudoID]bool,
-// and a simplify loop that recomputes every weighted degree on every
-// step. It shares insertSpills, rewrite and usedCalleeSave (and the pure
+// verbatim (but for handing over its assignment as a slice) as the
+// differential oracle for the dense-table rewrite: liveness as one map
+// per block, interference as []map[PseudoID]bool, and a simplify loop
+// that recomputes every weighted degree on every step. It shares
+// spillGlobals, insertSpills, rewrite and usedCalleeSave (and the pure
 // helpers moveSource and degreeWeight) with the package; everything that
 // decides a colour or a spill is private to this file.
 
@@ -23,18 +24,12 @@ import (
 // first, when set), which numbers the spill slots.
 func referenceAllocate(m *mach.Machine, af *asm.Func, opts Options) (*Result, [][]asm.PseudoID, error) {
 	var rounds [][]asm.PseudoID
-	res := &Result{Assignment: map[asm.PseudoID]mach.PhysID{}}
+	a := newAllocator(m, af)
+	res := a.res
 	if opts.SpillGlobals {
-		var globals []asm.PseudoID
-		_, cross := af.PseudoHomes()
-		for p, c := range cross {
-			if c {
-				globals = append(globals, asm.PseudoID(p))
-			}
-		}
-		res.Spills += len(globals)
+		globals, err := a.spillGlobals()
 		rounds = append(rounds, globals)
-		if err := insertSpills(m, af, res, globals); err != nil {
+		if err != nil {
 			return nil, rounds, err
 		}
 	}
@@ -66,12 +61,12 @@ func referenceAllocate(m *mach.Machine, af *asm.Func, opts Options) (*Result, []
 		}
 		rounds = append(rounds, spilled)
 		res.Spills += len(spilled)
-		if err := insertSpills(m, af, res, spilled); err != nil {
+		if err := a.insertSpills(spilled); err != nil {
 			return nil, rounds, err
 		}
 	}
-	rewrite(m, af, res)
-	res.UsedCalleeSave = usedCalleeSave(m, af, res)
+	a.rewrite()
+	res.UsedCalleeSave = a.usedCalleeSave()
 	return res, rounds, nil
 }
 
@@ -412,10 +407,6 @@ func refColorOnce(m *mach.Machine, af *asm.Func, res *Result) ([]asm.PseudoID, e
 	if len(spills) > 0 {
 		return spills, nil
 	}
-	for p := 0; p < n; p++ {
-		if present[p] {
-			res.Assignment[asm.PseudoID(p)] = assigned[p]
-		}
-	}
+	res.Assignment = assigned
 	return nil, nil
 }

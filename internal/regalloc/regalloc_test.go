@@ -176,12 +176,13 @@ int f(int a) {
     return x - 1;
 }`
 	m, af := selectOn(t, src, "f")
-	live := liveness(m, af)
+	a := newAllocator(m, af)
+	a.resize()
+	a.liveness()
 	// x's pseudo must be live out of the entry block.
-	entry := af.Blocks[0]
 	found := false
-	for k := range live[entry] {
-		if k.IsPseudo(m) {
+	for p := range af.Pseudos {
+		if a.liveOut(0).has(int(asm.PseudoKey(m, asm.PseudoID(p)))) {
 			found = true
 		}
 	}

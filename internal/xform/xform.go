@@ -16,7 +16,14 @@ func Apply(m *mach.Machine, fn *ir.Func) {
 	if len(m.Glues) == 0 {
 		return
 	}
-	x := &xformer{m: m, memo: map[*ir.Node]*ir.Node{}}
+	operands := 0
+	for _, g := range m.Glues {
+		operands = max(operands, len(g.Operands))
+	}
+	x := &xformer{m: m, memo: map[*ir.Node]*ir.Node{}, b: bindings{
+		nodes:  make([]*ir.Node, operands),
+		blocks: make([]*ir.Block, operands),
+	}}
 	for _, b := range fn.Blocks {
 		for i, s := range b.Stmts {
 			b.Stmts[i] = x.rewrite(s)
@@ -28,6 +35,10 @@ func Apply(m *mach.Machine, fn *ir.Func) {
 type xformer struct {
 	m    *mach.Machine
 	memo map[*ir.Node]*ir.Node
+	// b is the one scratch every match attempt of this Apply call binds
+	// into: kids are rewritten before their parent is matched, so no two
+	// attempts overlap.
+	b bindings
 }
 
 // rewrite processes kids bottom-up, then tries the glue rules once at n.
@@ -41,8 +52,8 @@ func (x *xformer) rewrite(n *ir.Node) *ir.Node {
 	}
 	out := n
 	for _, g := range x.m.Glues {
-		if b, ok := matchGlue(g, n); ok {
-			out = instantiate(g.RHS, b, n)
+		if matchGlue(g, n, &x.b) {
+			out = build(g.RHS, &x.b, n.Type)
 			break
 		}
 	}
@@ -57,13 +68,19 @@ type bindings struct {
 	blocks []*ir.Block
 }
 
-func matchGlue(g *mach.GlueRule, n *ir.Node) (*bindings, bool) {
-	b := &bindings{
-		nodes:  make([]*ir.Node, len(g.Operands)),
-		blocks: make([]*ir.Block, len(g.Operands)),
+// matchGlue matches rule g at n, leaving the metavariables in b. Nearly
+// every attempt fails on the root operator, so that is tested before b
+// is touched; b is then cleared, because matchSem reads it (a
+// metavariable appearing twice must bind the same subtree) and the
+// previous attempt, matched or not, left its bindings behind.
+func matchGlue(g *mach.GlueRule, n *ir.Node, b *bindings) bool {
+	if !rootMatches(g.LHS, n) {
+		return false
 	}
+	clear(b.nodes)
+	clear(b.blocks)
 	if !matchSem(g.LHS, n, g.Operands, b) {
-		return nil, false
+		return false
 	}
 	if g.Guard != nil {
 		v := fits(b.nodes[g.Guard.OpIdx], g.Guard.Def)
@@ -71,10 +88,24 @@ func matchGlue(g *mach.GlueRule, n *ir.Node) (*bindings, bool) {
 			v = !v
 		}
 		if !v {
-			return nil, false
+			return false
 		}
 	}
-	return b, true
+	return true
+}
+
+// rootMatches reports whether n has the operator pattern p demands at
+// its root; matchSem applies it at every level before descending.
+func rootMatches(p *mach.Sem, n *ir.Node) bool {
+	switch p.Kind {
+	case mach.SemOp:
+		return n.Op == p.Op && len(n.Kids) == len(p.Kids)
+	case mach.SemCvt:
+		return n.Op == ir.Cvt && n.Type == p.CvtTo
+	case mach.SemIfGoto:
+		return n.Op == ir.Branch
+	}
+	return true
 }
 
 func fits(n *ir.Node, d *mach.ImmDef) bool {
@@ -114,7 +145,7 @@ func matchSem(p *mach.Sem, n *ir.Node, ops []mach.OperandSpec, b *bindings) bool
 		return n.Op == ir.Const && n.Type.IsInt() && n.IVal == p.IVal
 
 	case mach.SemOp:
-		if n.Op != p.Op || len(n.Kids) != len(p.Kids) {
+		if !rootMatches(p, n) {
 			return false
 		}
 		for i := range p.Kids {
@@ -125,14 +156,10 @@ func matchSem(p *mach.Sem, n *ir.Node, ops []mach.OperandSpec, b *bindings) bool
 		return true
 
 	case mach.SemCvt:
-		return n.Op == ir.Cvt && n.Type == p.CvtTo &&
-			matchSem(p.Kids[0], n.Kids[0], ops, b)
+		return rootMatches(p, n) && matchSem(p.Kids[0], n.Kids[0], ops, b)
 
 	case mach.SemIfGoto:
-		if n.Op != ir.Branch {
-			return false
-		}
-		if !matchSem(p.Kids[0], n.Kids[0], ops, b) {
+		if !rootMatches(p, n) || !matchSem(p.Kids[0], n.Kids[0], ops, b) {
 			return false
 		}
 		b.blocks[p.OpIdx] = n.Target
@@ -141,13 +168,8 @@ func matchSem(p *mach.Sem, n *ir.Node, ops []mach.OperandSpec, b *bindings) bool
 	return false
 }
 
-// instantiate builds the replacement tree for a matched rule. orig is the
-// matched node, whose type seeds type synthesis at the root.
-func instantiate(p *mach.Sem, b *bindings, orig *ir.Node) *ir.Node {
-	n := build(p, b, orig.Type)
-	return n
-}
-
+// build instantiates the replacement tree for a matched rule; want is
+// the matched node's type at the root, which seeds type synthesis.
 func build(p *mach.Sem, b *bindings, want ir.Type) *ir.Node {
 	switch p.Kind {
 	case mach.SemOperand:

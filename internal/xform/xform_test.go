@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"marion/internal/ir"
+	"marion/internal/mach"
 	"marion/internal/targets"
 )
 
@@ -113,5 +114,75 @@ func TestGlueSharedSubtreeRewrittenOnce(t *testing.T) {
 	Apply(m, fn)
 	if b.Stmts[0].Kids[0] != b.Stmts[1].Kids[0] {
 		t.Error("sharing broken by rewrite")
+	}
+}
+
+// TestMatchGlueMissAllocatesNothing: nearly every (rule x node) attempt
+// is a miss, so a miss may not touch the heap — neither one rejected on
+// the root operator nor one that gets past the root and fails below it.
+func TestMatchGlueMissAllocatesNothing(t *testing.T) {
+	fn := ir.NewFunc("f", ir.Void)
+	tgt := fn.NewBlock()
+	leaf := ir.NewReg(ir.F64, fn.NewReg(ir.F64, "x"))
+	misses := map[string]*ir.Node{
+		"root":       ir.New(ir.Neg, ir.F64, leaf),
+		"below root": {Op: ir.Branch, Kids: []*ir.Node{leaf}, Target: tgt},
+	}
+	rules := 0
+	for _, target := range targets.Names() {
+		m, err := targets.Load(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := bindings{nodes: make([]*ir.Node, 8), blocks: make([]*ir.Block, 8)}
+		for gi, g := range m.Glues {
+			rules++
+			for name, n := range misses {
+				if matchGlue(g, n, &b) {
+					t.Fatalf("%s glue %d matches the %q miss %s", target, gi, name, n)
+				}
+				if allocs := testing.AllocsPerRun(10, func() { matchGlue(g, n, &b) }); allocs != 0 {
+					t.Errorf("%s glue %d: a miss (%s) allocates %.0f times", target, gi, name, allocs)
+				}
+			}
+		}
+	}
+	if rules == 0 {
+		t.Error("no target declares a glue rule")
+	}
+}
+
+// TestGlueRepeatedMetavariableAfterFailedAttempt: match attempts share
+// one scratch, and matchSem reads it — a metavariable appearing twice
+// must bind the same subtree. A rule that binds $1 and then fails (here
+// on its guard) must not leave that binding for the next rule to trip
+// over: the second rule, which repeats $1 and $2, still matches.
+func TestGlueRepeatedMetavariableAfterFailedAttempt(t *testing.T) {
+	ints := &mach.RegSet{Name: "r", Types: []ir.Type{ir.I32}, Size: 4}
+	reg := mach.OperandSpec{Kind: mach.OperandReg, Set: ints}
+	sum := func() *mach.Sem { return mach.NewSemOp(ir.Add, mach.NewSemOperand(0), mach.NewSemOperand(1)) }
+	m := &mach.Machine{Glues: []*mach.GlueRule{
+		{ // $1 * $2 ==> $1 - $2  if fits($2, zero): binds both factors, then fails
+			Operands: []mach.OperandSpec{reg, reg},
+			LHS:      mach.NewSemOp(ir.Mul, mach.NewSemOperand(0), mach.NewSemOperand(1)),
+			RHS:      mach.NewSemOp(ir.Sub, mach.NewSemOperand(0), mach.NewSemOperand(1)),
+			Guard:    &mach.GlueGuard{OpIdx: 1, Def: &mach.ImmDef{Name: "zero"}},
+		},
+		{ // ($1 + $2) * ($1 + $2) ==> $1 - $2
+			Operands: []mach.OperandSpec{reg, reg},
+			LHS:      mach.NewSemOp(ir.Mul, sum(), sum()),
+			RHS:      mach.NewSemOp(ir.Sub, mach.NewSemOperand(0), mach.NewSemOperand(1)),
+		},
+	}}
+	fn := ir.NewFunc("f", ir.Void)
+	b := fn.NewBlock()
+	p := ir.NewReg(ir.I32, fn.NewReg(ir.I32, "p"))
+	q := ir.NewReg(ir.I32, fn.NewReg(ir.I32, "q"))
+	square := ir.New(ir.Mul, ir.I32, ir.New(ir.Add, ir.I32, p, q), ir.New(ir.Add, ir.I32, p, q))
+	b.Stmts = []*ir.Node{{Op: ir.Asgn, Type: ir.I32, Reg: fn.NewReg(ir.I32, "d"), Kids: []*ir.Node{square}}}
+	Apply(m, fn)
+	got := b.Stmts[0].Kids[0]
+	if got.Op != ir.Sub || got.Kids[0] != p || got.Kids[1] != q {
+		t.Errorf("second rule did not match after the first bound and failed: %s", b.Stmts[0])
 	}
 }
