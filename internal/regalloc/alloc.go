@@ -18,6 +18,12 @@ import (
 // otherwise iterate forever.
 const DefaultMaxRounds = 24
 
+// maxPseudos caps the pseudo-registers of one function (spill
+// temporaries included). The interference matrix takes n(n-1)/2 bits:
+// 256 MiB here, and a function a request body can hold would otherwise
+// ask for gigabytes and take the process down with it.
+const maxPseudos = 1 << 16
+
 // Result describes a completed allocation.
 type Result struct {
 	// Assignment[p] is pseudo p's physical register: mach.NoPhys for a
@@ -65,7 +71,7 @@ func AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Result, error) 
 	a := newAllocator(m, af)
 	res := a.res
 	if opts.SpillGlobals {
-		if _, err := a.spillGlobals(); err != nil {
+		if err := a.spillGlobals(); err != nil {
 			return nil, err
 		}
 	}
@@ -87,6 +93,10 @@ func AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Result, error) 
 				return nil, err
 			}
 		}
+		if n := len(af.Pseudos); n > maxPseudos {
+			return nil, &budget.LimitError{Stage: "regalloc", Steps: maxPseudos,
+				Detail: fmt.Sprintf("%s: %d pseudo-registers", af.Name, n)}
+		}
 		res.Rounds = round + 1
 		spilled, err := a.colorOnce()
 		if err != nil {
@@ -106,8 +116,8 @@ func AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Result, error) 
 }
 
 // spillGlobals sends every pseudo that more than one block mentions to
-// memory, as a round's spill list would be, and returns them.
-func (a *allocator) spillGlobals() ([]asm.PseudoID, error) {
+// memory, as a round's spill list would be.
+func (a *allocator) spillGlobals() error {
 	var globals []asm.PseudoID
 	_, cross := a.af.PseudoHomes()
 	for p, c := range cross {
@@ -116,7 +126,7 @@ func (a *allocator) spillGlobals() ([]asm.PseudoID, error) {
 		}
 	}
 	a.res.Spills += len(globals)
-	return globals, a.insertSpills(globals)
+	return a.insertSpills(globals)
 }
 
 // allocator is the state of one AllocateOpts call: the machine's
@@ -134,7 +144,8 @@ type allocator struct {
 	colors     [][]mach.PhysID // per set: colours, caller-save first, then ascending
 	weight     []int           // [mine*len(k)+nb]: degreeWeight of a neighbour in set nb
 	calleeSave bitset          // over PhysID
-	blockOf    []int32         // IR block ID -> index in af.Blocks, -1 when absent
+	succStart  []int32         // CFG successors of block i are succ[succStart[i]:succStart[i+1]],
+	succ       []int32         // as indices into af.Blocks
 
 	// Per pseudo, over all rounds: index of its register set.
 	set []uint8
@@ -221,16 +232,20 @@ func newAllocator(m *mach.Machine, af *asm.Func) *allocator {
 		}
 	}
 
-	maxID := -1
-	for _, b := range af.Blocks {
-		maxID = max(maxID, b.IR.ID)
-	}
-	a.blockOf = make([]int32, maxID+1)
-	for i := range a.blockOf {
-		a.blockOf[i] = -1
-	}
+	// Successors by block index, resolved once through the IR block's
+	// identity (its ID is whatever the IL text's label said).
+	index := make(map[*ir.Block]int32, len(af.Blocks))
 	for i, b := range af.Blocks {
-		a.blockOf[b.IR.ID] = int32(i)
+		index[b.IR] = int32(i)
+	}
+	a.succStart = make([]int32, len(af.Blocks)+1)
+	for i, b := range af.Blocks {
+		for _, s := range b.IR.Succs {
+			if si, ok := index[s]; ok {
+				a.succ = append(a.succ, si)
+			}
+		}
+		a.succStart[i+1] = int32(len(a.succ))
 	}
 	return a
 }

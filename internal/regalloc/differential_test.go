@@ -6,11 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"marion/internal/asm"
 	"marion/internal/driver"
+	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/mach"
@@ -129,6 +132,89 @@ func TestAllocateMatchesReferenceOnCorpus(t *testing.T) {
 				}
 			}
 			t.Logf("%s globals=%v: %d functions, %d spilled", target, opts.SpillGlobals, fns, spilled)
+		}
+	}
+}
+
+// sparseLabelIL is a loop around an if/else whose else block carries the
+// label hugeLabel. An IL-text label is the block's ir.Block.ID verbatim,
+// and mariond compiles IL text from the request body.
+const (
+	hugeLabel     = "L1500000000"
+	sparseLabelIL = `module sparse.il
+global a int size 256 array
+
+func f ret int
+reg t0 int "n"
+reg t1 int "i"
+reg t2 int "s"
+param n int size 4 offset 0 reg t0
+frame 0
+block L0 depth 0
+(asgn int t2 (def $0 (const int 0)))
+(asgn int t1 $0)
+(jump L1)
+block L1 depth 1
+(branch L4 (ge int (reg int t1) (reg int t0)))
+block L2 depth 1
+(branch ` + hugeLabel + ` (le int (load int (add ptr (add ptr (addr a) (shl int (reg int t1) (const int 2))) (const int 0))) (const int 3)))
+block L5 depth 1
+(asgn int t2 (add int (reg int t2) (load int (add ptr (add ptr (addr a) (shl int (reg int t1) (const int 2))) (const int 0)))))
+(jump L6)
+block ` + hugeLabel + ` depth 1
+(asgn int t2 (sub int (reg int t2) (reg int t1)))
+block L6 depth 1
+(asgn int t1 (add int (reg int t1) (const int 1)))
+(jump L1)
+block L4 depth 0
+(ret int (reg int t2))
+`
+)
+
+// TestAllocateSparseBlockIDs: no table of the allocator may be sized by
+// a block ID. A function with one huge label allocates like the
+// reference, in memory that fits the function, to the text the same
+// function gives under a small label; and the rest of the back end
+// compiles it under every strategy with the emitted-code verifier on.
+func TestAllocateSparseBlockIDs(t *testing.T) {
+	parse := func(m *mach.Machine, src string) *asm.Func {
+		mod, err := iltext.Parse("sparse.il", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return selected(t, m, mod.Lookup("f"))
+	}
+	for _, target := range targets.Names() {
+		m, err := targets.Load(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []regalloc.Options{{}, {SpillGlobals: true}} {
+			where := fmt.Sprintf("%s sparse labels globals=%v", target, opts.SpillGlobals)
+			afs := [3]*asm.Func{parse(m, sparseLabelIL), parse(m, sparseLabelIL), parse(m, sparseLabelIL)}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			differ(t, where, m, afs, opts)
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+				t.Errorf("%s: three allocations of a seven-block function allocated %d bytes", where, got)
+			}
+			small := parse(m, strings.ReplaceAll(sparseLabelIL, hugeLabel, "L7"))
+			if _, err := regalloc.AllocateOpts(m, small, opts); err != nil {
+				t.Fatalf("%s: small label: %v", where, err)
+			}
+			if got, want := text(m, afs[0]), strings.ReplaceAll(text(m, small), "L7", hugeLabel); got != want {
+				t.Errorf("%s: huge label:\n%s\nsmall label:\n%s", where, got, want)
+			}
+		}
+		for k := strategy.Naive; k <= strategy.Safe; k++ {
+			c, err := driver.CompileIL(target, "sparse.il", sparseLabelIL, driver.Config{Strategy: k, Verify: true, Strict: true})
+			if err != nil {
+				t.Fatalf("%s %s: compile: %v", target, k, err)
+			}
+			if !c.Verify.Empty() {
+				t.Fatalf("%s %s: verifier findings:\n%s", target, k, c.Verify)
+			}
 		}
 	}
 }

@@ -80,11 +80,8 @@ func (a *allocator) liveness() {
 		for i := len(af.Blocks) - 1; i >= 0; i-- {
 			b := af.Blocks[i]
 			out, grew := a.liveOut(i), first
-			for _, s := range b.IR.Succs {
-				if s.ID >= len(a.blockOf) || a.blockOf[s.ID] < 0 {
-					continue
-				}
-				for w, v := range a.liveIn(int(a.blockOf[s.ID])) {
+			for _, s := range a.succ[a.succStart[i]:a.succStart[i+1]] {
+				for w, v := range a.liveIn(int(s)) {
 					if v&^out[w] != 0 {
 						out[w] |= v
 						grew = true

@@ -20,16 +20,15 @@ import (
 )
 
 // referenceAllocate is AllocateOpts on the reference structures. It
-// also returns each round's spill list (SpillGlobals' forced spills
-// first, when set), which numbers the spill slots.
+// also returns each colouring round's spill list, which numbers the
+// spill slots (after SpillGlobals' forced spills, which the shared
+// spillGlobals picks).
 func referenceAllocate(m *mach.Machine, af *asm.Func, opts Options) (*Result, [][]asm.PseudoID, error) {
 	var rounds [][]asm.PseudoID
 	a := newAllocator(m, af)
 	res := a.res
 	if opts.SpillGlobals {
-		globals, err := a.spillGlobals()
-		rounds = append(rounds, globals)
-		if err != nil {
+		if err := a.spillGlobals(); err != nil {
 			return nil, rounds, err
 		}
 	}

@@ -1,11 +1,14 @@
 package regalloc
 
 import (
+	"errors"
 	"testing"
 
 	"marion/internal/asm"
+	"marion/internal/budget"
 	"marion/internal/cc"
 	"marion/internal/ilgen"
+	"marion/internal/ir"
 	"marion/internal/mach"
 	"marion/internal/sel"
 	"marion/internal/targets"
@@ -188,5 +191,21 @@ int f(int a) {
 	}
 	if !found {
 		t.Error("no pseudo live out of entry block")
+	}
+}
+
+// TestAllocatePseudoCap pins the size budget: the interference matrix is
+// quadratic in the pseudo-registers, so a function with more than
+// maxPseudos of them is a typed budget error, returned before anything
+// is sized to it.
+func TestAllocatePseudoCap(t *testing.T) {
+	m, af := selectOn(t, spillPressureSrc, "f")
+	for len(af.Pseudos) <= maxPseudos {
+		af.NewPseudo(af.Pseudos[0].Set, ir.NoReg)
+	}
+	_, err := AllocateOpts(m, af, Options{})
+	var le *budget.LimitError
+	if !errors.As(err, &le) || le.Stage != "regalloc" || le.Steps != maxPseudos {
+		t.Fatalf("err = %v, want the regalloc pseudo-register cap", err)
 	}
 }
