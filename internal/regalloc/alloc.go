@@ -235,10 +235,13 @@ func newAllocator(m *mach.Machine, af *asm.Func) *allocator {
 	// Successors by block index, resolved once through the IR block's
 	// identity (its ID is whatever the IL text's label said).
 	index := make(map[*ir.Block]int32, len(af.Blocks))
+	edges := 0
 	for i, b := range af.Blocks {
 		index[b.IR] = int32(i)
+		edges += len(b.IR.Succs)
 	}
 	a.succStart = make([]int32, len(af.Blocks)+1)
+	a.succ = make([]int32, 0, edges)
 	for i, b := range af.Blocks {
 		for _, s := range b.IR.Succs {
 			if si, ok := index[s]; ok {
