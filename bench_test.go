@@ -11,12 +11,15 @@ import (
 	"testing"
 
 	"marion/internal/asm"
+	"marion/internal/cache"
 	"marion/internal/cdag"
 	"marion/internal/driver"
 	"marion/internal/experiments"
+	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/maril"
+	"marion/internal/metrics"
 	"marion/internal/regalloc"
 	"marion/internal/sched"
 	"marion/internal/sel"
@@ -511,6 +514,102 @@ func BenchmarkXform(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWarmHit measures what a compile request costs when every
+// function is in the cache, on the Livermore suite module (28
+// functions) for r2000/postpass: the whole hit through the pipeline and
+// the printer, and each leaf it is made of — parsing the module's
+// textual IL, fingerprinting, decoding the cached entries, printing.
+// One op is the whole module.
+func BenchmarkWarmHit(b *testing.B) {
+	m, err := targets.Load("r2000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := cache.New(cache.Options{Registry: metrics.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := driver.Config{Strategy: strategy.Postpass, Workers: 1, Cache: c}
+	compile := func() (*ir.Module, *driver.Compiled) {
+		mod, err := livermore.SuiteModule()
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := driver.CompileModule(m, mod, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return mod, out
+	}
+	compile() // cold: fills the cache
+	// A module that was only ever served from the cache: its globals
+	// are laid out and its IL is as the front end left it.
+	mod, warm := compile()
+	if warm.CacheHits != len(mod.Funcs) {
+		b.Fatalf("%d hits of %d", warm.CacheHits, len(mod.Funcs))
+	}
+	text := iltext.Print(mod)
+	cfgKey := cache.ConfigKey(cfg.Strategy, cfg.Options, cfg.LinearSelect)
+	payloads := make([][]byte, len(mod.Funcs))
+	for i, fn := range mod.Funcs {
+		var ok bool
+		if payloads[i], ok = c.Get(cache.FuncKey(fn.Fingerprint(), m.Fingerprint(), cfgKey)); !ok {
+			b.Fatalf("%s: not in the cache", fn.Name)
+		}
+	}
+
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out, err := driver.CompileModule(m, mod, cfg)
+			if err != nil || out.CacheHits != len(mod.Funcs) {
+				b.Fatalf("%v, %d hits", err, out.CacheHits)
+			}
+			sink = out.Prog.Print()
+		}
+	})
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(text)))
+		for i := 0; i < b.N; i++ {
+			if _, err := iltext.Parse(mod.Name, text); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fingerprint", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, fn := range mod.Funcs {
+				sinkDigest = fn.Fingerprint()
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j, fn := range mod.Funcs {
+				if _, err := cache.Decode(payloads[j], m, fn); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("print", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = warm.Prog.Print()
+		}
+		b.SetBytes(int64(len(sink)))
+	})
+}
+
+// Results the compiler must not discard.
+var (
+	sink       string
+	sinkDigest ir.Digest
+)
 
 // BenchmarkSimulator measures raw simulator throughput.
 func BenchmarkSimulator(b *testing.B) {

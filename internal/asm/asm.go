@@ -5,8 +5,7 @@
 package asm
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"marion/internal/ir"
 	"marion/internal/mach"
@@ -57,25 +56,34 @@ func (o Operand) IsReg() bool {
 	return o.Kind == OpPseudo || o.Kind == OpPhys || o.Kind == OpPseudoHalf
 }
 
-func (o Operand) String() string {
+// Append appends the operand's assembly text to dst. It is the one
+// operand formatter: String and Program.Print both go through it.
+func (o Operand) Append(dst []byte) []byte {
 	switch o.Kind {
 	case OpPseudo:
-		return fmt.Sprintf("t%d", o.Pseudo)
+		return strconv.AppendInt(append(dst, 't'), int64(o.Pseudo), 10)
 	case OpPhys:
-		return fmt.Sprintf("p%d", o.Phys)
+		return strconv.AppendInt(append(dst, 'p'), int64(o.Phys), 10)
 	case OpPseudoHalf:
 		if o.Half == 0 {
-			return fmt.Sprintf("lo(t%d)", o.Pseudo)
+			dst = append(dst, "lo(t"...)
+		} else {
+			dst = append(dst, "hi(t"...)
 		}
-		return fmt.Sprintf("hi(t%d)", o.Pseudo)
+		return append(strconv.AppendInt(dst, int64(o.Pseudo), 10), ')')
 	case OpImm:
-		return fmt.Sprintf("%d", o.Imm)
+		return strconv.AppendInt(dst, o.Imm, 10)
 	case OpBlock:
-		return o.Block.Name()
+		return o.Block.AppendName(dst)
 	case OpSym:
-		return o.Sym.Name
+		return append(dst, o.Sym.Name...)
 	}
-	return "?"
+	return append(dst, '?')
+}
+
+func (o Operand) String() string {
+	var buf [24]byte
+	return string(o.Append(buf[:0]))
 }
 
 // Inst is one instruction: a machine template plus actual operands.
@@ -104,18 +112,24 @@ func New(tmpl *mach.Instr, args ...Operand) *Inst {
 	return &Inst{Tmpl: tmpl, Args: args, Cycle: -1}
 }
 
-func (in *Inst) String() string {
-	var sb strings.Builder
-	sb.WriteString(in.Tmpl.Mnemonic)
+// Append appends the instruction's assembly text — mnemonic, then the
+// operands separated by ", " — to dst.
+func (in *Inst) Append(dst []byte) []byte {
+	dst = append(dst, in.Tmpl.Mnemonic...)
 	for i, a := range in.Args {
 		if i == 0 {
-			sb.WriteByte(' ')
+			dst = append(dst, ' ')
 		} else {
-			sb.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		sb.WriteString(a.String())
+		dst = a.Append(dst)
 	}
-	return sb.String()
+	return dst
+}
+
+func (in *Inst) String() string {
+	var buf [64]byte
+	return string(in.Append(buf[:0]))
 }
 
 // PseudoInfo describes one back end pseudo-register.
@@ -206,27 +220,48 @@ func (p *Program) Lookup(name string) *Func {
 	return nil
 }
 
+// printBytesPerInst sizes Print's buffer: the Livermore suite prints at
+// 18 to 20 bytes an instruction on every target, labels and headers
+// included; a wordier program grows the buffer.
+const printBytesPerInst = 24
+
 // Print renders the program as assembly text.
 func (p *Program) Print() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "; target %s\n", p.Machine.Name)
+	insts := 0
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			insts += len(b.Insts)
+		}
+	}
+	buf := make([]byte, 0, 64+32*len(p.Globals)+printBytesPerInst*insts)
+	buf = append(buf, "; target "...)
+	buf = append(buf, p.Machine.Name...)
+	buf = append(buf, '\n')
 	for _, g := range p.Globals {
-		fmt.Fprintf(&sb, ".data %s size=%d addr=%d\n", g.Name, g.Size, g.Offset)
+		buf = append(buf, ".data "...)
+		buf = append(buf, g.Name...)
+		buf = strconv.AppendInt(append(buf, " size="...), int64(g.Size), 10)
+		buf = strconv.AppendInt(append(buf, " addr="...), int64(g.Offset), 10)
+		buf = append(buf, '\n')
 	}
 	for _, f := range p.Funcs {
-		fmt.Fprintf(&sb, "\n%s:  ; frame=%d\n", f.Name, f.FrameSize)
+		buf = append(buf, '\n')
+		buf = append(buf, f.Name...)
+		buf = strconv.AppendInt(append(buf, ":  ; frame="...), int64(f.FrameSize), 10)
+		buf = append(buf, '\n')
 		for _, b := range f.Blocks {
-			fmt.Fprintf(&sb, "%s:\n", b.Label())
+			buf = append(b.IR.AppendName(buf), ":\n"...)
 			lastCycle := -2
 			for _, in := range b.Insts {
-				pack := " "
+				pack := byte(' ')
 				if in.Cycle >= 0 && in.Cycle == lastCycle {
-					pack = "|" // packed with the previous instruction
+					pack = '|' // packed with the previous instruction
 				}
 				lastCycle = in.Cycle
-				fmt.Fprintf(&sb, "  %s %s\n", pack, in.String())
+				buf = append(buf, ' ', ' ', pack, ' ')
+				buf = append(in.Append(buf), '\n')
 			}
 		}
 	}
-	return sb.String()
+	return string(buf)
 }

@@ -186,65 +186,56 @@ func (e *enc) operand(a asm.Operand) error {
 	return nil
 }
 
+// The fewest bytes Encode spends on one of the things Decode counts
+// before allocating: a register id is one varint; a pseudo is three
+// varints, a float64 and a bool; a block is its IR index, cost and
+// instruction count; an instruction is its template index, three
+// counts, cycle and sequence id; an operand is its kind byte.
+const (
+	minPhysBytes    = 1
+	minPseudoBytes  = 3 + 8 + 1
+	minBlockBytes   = 3
+	minInstBytes    = 6
+	minOperandBytes = 1
+)
+
 // Decode rebuilds a compiled function from an encoded payload, binding
 // templates, register sets, blocks and symbols against the current
 // machine and IR function. Any structural mismatch (index out of
 // range, unknown symbol name, truncation) returns an error — the
 // caller treats it as a miss and rejects the entry.
+//
+// Blocks, instructions and operands are carved from slabs sized by the
+// counts the payload states, so every count is first held to what the
+// bytes still unread could encode: a corrupt count costs an error, not
+// an allocation, and Decode allocates O(len(payload)) whatever the
+// payload says.
 func Decode(payload []byte, m *mach.Machine, fn *ir.Func) (*Entry, error) {
-	d := &dec{b: payload}
-	if v := d.str(); v != "entry-v1" {
+	d := &dec{b: payload, m: m, fn: fn}
+	if v := d.bytes(); string(v) != "entry-v1" {
 		return nil, fmt.Errorf("cache: unknown entry version %q", v)
 	}
-
-	// Name -> symbol table for globals and callees, harvested from the
-	// current IR (every symbol compiled code can reference appears in
-	// the pristine IR the fingerprint hashed).
-	named := map[string]*ir.Sym{}
-	seen := map[*ir.Node]bool{}
-	var harvest func(n *ir.Node)
-	harvest = func(n *ir.Node) {
-		if n == nil || seen[n] {
-			return
-		}
-		seen[n] = true
-		if n.Sym != nil {
-			if prev, ok := named[n.Sym.Name]; ok && prev != n.Sym {
-				// Ambiguous name: refuse rather than guess.
-				named[n.Sym.Name] = nil
-			} else if !ok {
-				named[n.Sym.Name] = n.Sym
-			}
-		}
-		for _, k := range n.Kids {
-			harvest(k)
-		}
-	}
-	for _, b := range fn.Blocks {
-		for _, s := range b.Stmts {
-			harvest(s)
-		}
-	}
+	d.harvest()
 
 	af := &asm.Func{Name: fn.Name, IR: fn}
 	af.FrameSize = int(d.i())
 	af.Outgoing = int(d.i())
 	af.UsesCalls = d.bool()
 	af.SpillSlots = int(d.i())
-	n := d.u()
-	if d.err == nil && n > uint64(len(payload)) {
-		return nil, errors.New("cache: callee-save count out of range")
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		af.CalleeSaved = append(af.CalleeSaved, mach.PhysID(d.i()))
+	var err error
+	if af.CalleeSaved, err = d.physList("callee-save"); err != nil {
+		return nil, err
 	}
 
-	n = d.u()
-	if d.err == nil && n > uint64(len(payload)) {
-		return nil, errors.New("cache: pseudo count out of range")
+	n, err := d.count("pseudo", minPseudoBytes)
+	if err != nil {
+		return nil, err
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var pi asm.PseudoInfo
+	if n > 0 {
+		af.Pseudos = make([]asm.PseudoInfo, n)
+	}
+	for i := range af.Pseudos {
+		pi := &af.Pseudos[i]
 		si := d.i()
 		if si >= 0 {
 			if si >= int64(len(m.RegSets)) {
@@ -256,32 +247,35 @@ func Decode(payload []byte, m *mach.Machine, fn *ir.Func) (*Entry, error) {
 		pi.Precolor = mach.PhysID(d.i())
 		pi.SpillCost = d.f()
 		pi.NoSpill = d.bool()
-		af.Pseudos = append(af.Pseudos, pi)
 	}
 
-	nb := d.u()
-	if d.err == nil && nb > uint64(len(payload)) {
-		return nil, errors.New("cache: block count out of range")
+	nb, err := d.count("block", minBlockBytes)
+	if err != nil {
+		return nil, err
 	}
-	for i := uint64(0); i < nb && d.err == nil; i++ {
+	blocks := make([]asm.Block, nb)
+	af.Blocks = make([]*asm.Block, nb)
+	for i := range blocks {
+		b := &blocks[i]
+		af.Blocks[i] = b
 		bi := d.u()
 		if d.err != nil || bi >= uint64(len(fn.Blocks)) {
 			return nil, errors.New("cache: IR block index out of range")
 		}
-		b := &asm.Block{IR: fn.Blocks[bi]}
+		b.IR = fn.Blocks[bi]
 		b.SchedCost = int(d.i())
-		ni := d.u()
-		if d.err == nil && ni > uint64(len(payload)) {
-			return nil, errors.New("cache: instruction count out of range")
+		ni, err := d.count("instruction", minInstBytes)
+		if err != nil {
+			return nil, err
 		}
-		for j := uint64(0); j < ni && d.err == nil; j++ {
-			in, err := d.inst(m, fn, named, len(af.Pseudos))
-			if err != nil {
+		insts := make([]asm.Inst, ni)
+		b.Insts = make([]*asm.Inst, ni)
+		for j := range insts {
+			b.Insts[j] = &insts[j]
+			if err := d.inst(&insts[j], len(af.Pseudos)); err != nil {
 				return nil, err
 			}
-			b.Insts = append(b.Insts, in)
 		}
-		af.Blocks = append(af.Blocks, b)
 	}
 
 	ent := &Entry{Func: af}
@@ -303,51 +297,122 @@ func Decode(payload []byte, m *mach.Machine, fn *ir.Func) (*Entry, error) {
 	return ent, nil
 }
 
-func (d *dec) inst(m *mach.Machine, fn *ir.Func, named map[string]*ir.Sym, numPseudos int) (*asm.Inst, error) {
-	ti := d.u()
-	if d.err != nil || ti >= uint64(len(m.Instrs)) {
-		return nil, errors.New("cache: template index out of range")
-	}
-	in := &asm.Inst{Tmpl: m.Instrs[ti]}
-	na := d.u()
-	if d.err != nil || na > uint64(len(d.b))+1 {
-		return nil, errors.New("cache: operand count out of range")
-	}
-	for i := uint64(0); i < na; i++ {
-		a, err := d.operand(fn, named, numPseudos)
-		if err != nil {
-			return nil, err
+// harvest builds the name -> symbol table for globals and callees from
+// the current IR (every symbol compiled code can reference appears in
+// the pristine IR the fingerprint hashed).
+func (d *dec) harvest() {
+	d.named = map[string]*ir.Sym{}
+	w := ir.NewWalk()
+	for _, b := range d.fn.Blocks {
+		for _, s := range b.Stmts {
+			d.harvestNode(w, s)
 		}
-		in.Args = append(in.Args, a)
 	}
+}
+
+func (d *dec) harvestNode(w ir.Walk, n *ir.Node) {
+	if n == nil || !w.Visit(n) {
+		return
+	}
+	if n.Sym != nil {
+		if prev, ok := d.named[n.Sym.Name]; ok && prev != n.Sym {
+			// Ambiguous name: refuse rather than guess.
+			d.named[n.Sym.Name] = nil
+		} else if !ok {
+			d.named[n.Sym.Name] = n.Sym
+		}
+	}
+	for _, k := range n.Kids {
+		d.harvestNode(w, k)
+	}
+}
+
+// count reads how many of something follow, refusing a number the
+// unread bytes could not encode at minBytes apiece.
+func (d *dec) count(what string, minBytes int) (int, error) {
 	n := d.u()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		in.ImpUses = append(in.ImpUses, mach.PhysID(d.i()))
+	if d.err != nil {
+		return 0, d.err
 	}
-	n = d.u()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		in.ImpDefs = append(in.ImpDefs, mach.PhysID(d.i()))
+	if n > uint64(len(d.b)/minBytes) {
+		return 0, fmt.Errorf("cache: %s count out of range", what)
+	}
+	return int(n), nil
+}
+
+// physList reads a counted list of physical register ids; an empty list
+// is nil.
+func (d *dec) physList(what string) ([]mach.PhysID, error) {
+	n, err := d.count(what, minPhysBytes)
+	if n == 0 || err != nil {
+		return nil, err
+	}
+	ids := make([]mach.PhysID, n)
+	for i := range ids {
+		ids[i] = mach.PhysID(d.i())
+	}
+	return ids, d.err
+}
+
+// operands returns n zeroed operands carved from the function's shared
+// slab; the caller has held n to the unread byte count. A chunk of the
+// slab is sized for the bytes unread at five bytes an operand: Encode
+// spends 4.6 to 6.8 (kind, value, and a share of the instruction's own
+// six) from the first instruction on, so a real entry takes one chunk
+// and sometimes a small second. Whatever the payload's shape, what a
+// chunk strands when the next instruction does not fit is fewer
+// operands than that instruction has, so all chunks together hold
+// under 2.2*len(payload) operands.
+func (d *dec) operands(n int) []asm.Operand {
+	if n > cap(d.ops)-len(d.ops) {
+		d.ops = make([]asm.Operand, 0, max(n, len(d.b)/5))
+	}
+	at := len(d.ops)
+	d.ops = d.ops[:at+n]
+	return d.ops[at : at+n : at+n]
+}
+
+func (d *dec) inst(in *asm.Inst, numPseudos int) error {
+	ti := d.u()
+	if d.err != nil || ti >= uint64(len(d.m.Instrs)) {
+		return errors.New("cache: template index out of range")
+	}
+	in.Tmpl = d.m.Instrs[ti]
+	na, err := d.count("operand", minOperandBytes)
+	if err != nil {
+		return err
+	}
+	if na > 0 {
+		in.Args = d.operands(na)
+	}
+	for i := range in.Args {
+		if err := d.operand(&in.Args[i], numPseudos); err != nil {
+			return err
+		}
+	}
+	if in.ImpUses, err = d.physList("implicit use"); err != nil {
+		return err
+	}
+	if in.ImpDefs, err = d.physList("implicit def"); err != nil {
+		return err
 	}
 	in.Cycle = int(d.i())
 	in.SeqID = int(d.i())
-	if d.err != nil {
-		return nil, d.err
-	}
-	return in, nil
+	return d.err
 }
 
-func (d *dec) operand(fn *ir.Func, named map[string]*ir.Sym, numPseudos int) (asm.Operand, error) {
-	var a asm.Operand
+func (d *dec) operand(a *asm.Operand, numPseudos int) error {
+	fn := d.fn
 	k := d.byte()
 	if d.err != nil {
-		return a, d.err
+		return d.err
 	}
 	a.Kind = asm.OperandKind(k)
 	switch a.Kind {
 	case asm.OpPseudo:
 		a.Pseudo = asm.PseudoID(d.i())
 		if int(a.Pseudo) >= numPseudos {
-			return a, errors.New("cache: pseudo id out of range")
+			return errors.New("cache: pseudo id out of range")
 		}
 	case asm.OpPhys:
 		a.Phys = mach.PhysID(d.i())
@@ -355,14 +420,14 @@ func (d *dec) operand(fn *ir.Func, named map[string]*ir.Sym, numPseudos int) (as
 		a.Pseudo = asm.PseudoID(d.i())
 		a.Half = int(d.i())
 		if int(a.Pseudo) >= numPseudos {
-			return a, errors.New("cache: pseudo id out of range")
+			return errors.New("cache: pseudo id out of range")
 		}
 	case asm.OpImm:
 		a.Imm = d.i()
 	case asm.OpBlock:
 		bi := d.u()
 		if d.err != nil || bi >= uint64(len(fn.Blocks)) {
-			return a, errors.New("cache: branch target index out of range")
+			return errors.New("cache: branch target index out of range")
 		}
 		a.Block = fn.Blocks[bi]
 	case asm.OpSym:
@@ -371,30 +436,30 @@ func (d *dec) operand(fn *ir.Func, named map[string]*ir.Sym, numPseudos int) (as
 		case symParam:
 			i := d.u()
 			if d.err != nil || i >= uint64(len(fn.Params)) {
-				return a, errors.New("cache: parameter index out of range")
+				return errors.New("cache: parameter index out of range")
 			}
 			a.Sym = fn.Params[i]
 		case symLocal:
 			i := d.u()
 			if d.err != nil || i >= uint64(len(fn.Locals)) {
-				return a, errors.New("cache: local index out of range")
+				return errors.New("cache: local index out of range")
 			}
 			a.Sym = fn.Locals[i]
 		case symNamed:
-			name := d.str()
-			s := named[name]
+			name := d.bytes()
+			s := d.named[string(name)]
 			if s == nil {
-				return a, fmt.Errorf("cache: unresolved symbol %q", name)
+				return fmt.Errorf("cache: unresolved symbol %q", name)
 			}
 			a.Sym = s
 		default:
-			return a, errors.New("cache: bad symbol class")
+			return errors.New("cache: bad symbol class")
 		}
 	case asm.OpNone:
 	default:
-		return a, fmt.Errorf("cache: bad operand kind %d", k)
+		return fmt.Errorf("cache: bad operand kind %d", k)
 	}
-	return a, d.err
+	return d.err
 }
 
 // enc appends a varint-based stream.
@@ -431,6 +496,11 @@ func (e *enc) str(s string) {
 type dec struct {
 	b   []byte
 	err error
+
+	m     *mach.Machine
+	fn    *ir.Func
+	named map[string]*ir.Sym // globals and callees of fn, by name; nil = ambiguous
+	ops   []asm.Operand      // the operand slab's current chunk
 }
 
 var errTruncated = errors.New("cache: truncated entry")
@@ -489,16 +559,17 @@ func (d *dec) byte() byte {
 
 func (d *dec) bool() bool { return d.byte() != 0 }
 
-func (d *dec) str() string {
+// bytes reads a length-prefixed string as a view of the payload.
+func (d *dec) bytes() []byte {
 	n := d.u()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.b)) {
 		d.err = errTruncated
-		return ""
+		return nil
 	}
-	s := string(d.b[:n])
+	s := d.b[:n]
 	d.b = d.b[n:]
 	return s
 }

@@ -26,7 +26,8 @@
 // or a call used both as a statement and as a value — is written once
 // as (def $N ...) and referenced as $N thereafter, preserving the DAG:
 // the shared computation happens once, exactly as in the in-memory IL.
-// Comments run from '#' to end of line.
+// Comments run from '#' to end of line; a quoted name must close on the
+// line that opens it.
 package iltext
 
 import (
@@ -286,13 +287,21 @@ func formatFloat(v float64) string {
 // set, and global pseudo-registers are marked.
 func Parse(name, src string) (*ir.Module, error) {
 	p := &parser{
-		toks:      tokenize(src),
+		src:       src,
+		line:      1,
 		mod:       &ir.Module{Name: name},
 		globals:   map[string]*ir.Sym{},
 		ambiguous: map[string]bool{},
 		fsyms:     map[string]*ir.Sym{},
 	}
-	if err := p.file(); err != nil {
+	err := p.file()
+	if p.lexErr != nil {
+		// The parser saw the input end where the lexer gave up, and
+		// either accepted that or complained about it; the lexer's
+		// reason is the one to report.
+		err = p.lexErr
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	return p.mod, nil
@@ -304,54 +313,16 @@ type token struct {
 	line int
 }
 
-func tokenize(src string) []token {
-	var toks []token
-	line := 1
-	for i := 0; i < len(src); {
-		c := src[i]
-		switch {
-		case c == '\n':
-			line++
-			i++
-		case c == ' ' || c == '\t' || c == '\r':
-			i++
-		case c == '#':
-			for i < len(src) && src[i] != '\n' {
-				i++
-			}
-		case c == '(' || c == ')':
-			toks = append(toks, token{text: string(c), line: line})
-			i++
-		case c == '"':
-			j := i + 1
-			for j < len(src) && src[j] != '"' && src[j] != '\n' {
-				if src[j] == '\\' {
-					j++
-				}
-				j++
-			}
-			lit := src[i : min(j+1, len(src))]
-			if s, err := strconv.Unquote(lit); err == nil {
-				toks = append(toks, token{text: s, str: true, line: line})
-			} else {
-				toks = append(toks, token{text: lit, str: true, line: line})
-			}
-			i = j + 1
-		default:
-			j := i
-			for j < len(src) && !strings.ContainsAny(string(src[j]), " \t\r\n()\"#") {
-				j++
-			}
-			toks = append(toks, token{text: src[i:j], line: line})
-			i = j
-		}
-	}
-	return toks
-}
-
 type parser struct {
-	toks      []token
-	pos       int
+	// Lexer state: the parser looks one token ahead and never backs up,
+	// so tokens are cut from src on demand.
+	src    string
+	off    int // next unread byte of src
+	line   int // line of src[off]
+	tok    token
+	have   bool  // tok is the lookahead
+	lexErr error // set once by lex; the input ends there
+
 	mod       *ir.Module
 	globals   map[string]*ir.Sym
 	ambiguous map[string]bool
@@ -365,19 +336,86 @@ type parser struct {
 	defs   map[int]*ir.Node
 }
 
-func (p *parser) peek() (token, bool) {
-	if p.pos >= len(p.toks) {
-		return token{}, false
+// delim reports whether c ends a bare word.
+func delim(c byte) bool {
+	switch c {
+	case ' ', '\t', '\r', '\n', '(', ')', '"', '#':
+		return true
 	}
-	return p.toks[p.pos], true
+	return false
 }
+
+// lex cuts the next token from the source. It reports false at the end
+// of the input, and — after recording lexErr — at a string literal that
+// its line does not close.
+func (p *parser) lex() (token, bool) {
+	src := p.src
+	for i := p.off; i < len(src); {
+		switch c := src[i]; {
+		case c == '\n':
+			p.line++
+			i++
+		case c == ' ' || c == '\t' || c == '\r':
+			i++
+		case c == '#':
+			for i < len(src) && src[i] != '\n' {
+				i++
+			}
+		case c == '(' || c == ')':
+			p.off = i + 1
+			return token{text: src[i : i+1], line: p.line}, true
+		case c == '"':
+			line := p.line
+			j := i + 1
+			for j < len(src) && src[j] != '"' && src[j] != '\n' {
+				if src[j] == '\\' {
+					j++
+					if j < len(src) && src[j] == '\n' {
+						p.line++
+					}
+				}
+				j++
+			}
+			if j >= len(src) || src[j] != '"' {
+				p.off = len(src)
+				p.lexErr = fmt.Errorf("line %d: unterminated string literal", line)
+				return token{}, false
+			}
+			p.off = j + 1
+			lit := src[i : j+1]
+			if s, err := strconv.Unquote(lit); err == nil {
+				lit = s
+			}
+			return token{text: lit, str: true, line: line}, true
+		default:
+			j := i
+			for j < len(src) && !delim(src[j]) {
+				j++
+			}
+			p.off = j
+			return token{text: src[i:j], line: p.line}, true
+		}
+	}
+	p.off = len(src)
+	return token{}, false
+}
+
+func (p *parser) peek() (token, bool) {
+	if !p.have {
+		p.tok, p.have = p.lex()
+	}
+	return p.tok, p.have
+}
+
+// advance consumes the token peek returned.
+func (p *parser) advance() { p.have = false }
 
 func (p *parser) next() (token, error) {
 	t, ok := p.peek()
 	if !ok {
 		return token{}, fmt.Errorf("unexpected end of input")
 	}
-	p.pos++
+	p.advance()
 	return t, nil
 }
 
@@ -439,14 +477,14 @@ func (p *parser) file() error {
 		}
 		switch t.text {
 		case "module":
-			p.pos++
+			p.advance()
 			n, err := p.atom("module name")
 			if err != nil {
 				return err
 			}
 			p.mod.Name = n.text
 		case "global":
-			p.pos++
+			p.advance()
 			if err := p.global(); err != nil {
 				return err
 			}
@@ -454,7 +492,7 @@ func (p *parser) file() error {
 			if err := p.endFunc(); err != nil {
 				return err
 			}
-			p.pos++
+			p.advance()
 			if err := p.funcHeader(); err != nil {
 				return err
 			}
@@ -500,10 +538,10 @@ func (p *parser) global() error {
 		}
 		switch t.text {
 		case "array":
-			p.pos++
+			p.advance()
 			s.IsArray = true
 		case "initi":
-			p.pos++
+			p.advance()
 			for p.nextIsNumber() {
 				v, err := p.parseInt("initi value")
 				if err != nil {
@@ -512,7 +550,7 @@ func (p *parser) global() error {
 				s.InitI = append(s.InitI, v)
 			}
 		case "initf":
-			p.pos++
+			p.advance()
 			for p.nextIsNumber() {
 				t, _ := p.next()
 				v, perr := strconv.ParseFloat(t.text, 64)
@@ -566,7 +604,7 @@ func (p *parser) funcHeader() error {
 func (p *parser) funcItem(t token) error {
 	switch t.text {
 	case "reg":
-		p.pos++
+		p.advance()
 		id, err := p.regToken()
 		if err != nil {
 			return err
@@ -580,14 +618,14 @@ func (p *parser) funcItem(t token) error {
 		}
 		name := ""
 		if nt, ok := p.peek(); ok && nt.str {
-			p.pos++
+			p.advance()
 			name = nt.text
 		}
 		p.fn.NewReg(ty, name)
 		return nil
 
 	case "param":
-		p.pos++
+		p.advance()
 		s, err := p.frameSym(ir.SymParam)
 		if err != nil {
 			return err
@@ -615,20 +653,20 @@ func (p *parser) funcItem(t token) error {
 		return nil
 
 	case "local":
-		p.pos++
+		p.advance()
 		s, err := p.frameSym(ir.SymLocal)
 		if err != nil {
 			return err
 		}
 		if nt, ok := p.peek(); ok && nt.text == "array" {
-			p.pos++
+			p.advance()
 			s.IsArray = true
 		}
 		p.fn.Locals = append(p.fn.Locals, s)
 		return nil
 
 	case "frame":
-		p.pos++
+		p.advance()
 		v, err := p.parseInt("frame size")
 		if err != nil {
 			return err
@@ -637,7 +675,7 @@ func (p *parser) funcItem(t token) error {
 		return nil
 
 	case "block":
-		p.pos++
+		p.advance()
 		id, err := p.labelToken()
 		if err != nil {
 			return err
@@ -768,7 +806,7 @@ func (p *parser) operand() (*ir.Node, error) {
 		return nil, fmt.Errorf("unexpected end of input")
 	}
 	if strings.HasPrefix(t.text, "$") && t.text != "(" {
-		p.pos++
+		p.advance()
 		id, err := strconv.Atoi(t.text[1:])
 		if err != nil {
 			return nil, p.errf(t, "bad node reference %q", t.text)
@@ -972,6 +1010,9 @@ func (p *parser) form(head token) (*ir.Node, error) {
 		return nil, err
 	}
 	n := &ir.Node{Op: op, Type: ty}
+	if want := arity(op); want > 0 {
+		n.Kids = make([]*ir.Node, 0, want)
+	}
 	for {
 		t, ok := p.peek()
 		if !ok || t.text == ")" {

@@ -1,0 +1,188 @@
+package ir_test
+
+import (
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"marion/internal/cc"
+	"marion/internal/ilgen"
+	"marion/internal/ir"
+	"marion/internal/livermore"
+)
+
+// corpus lowers Livermore, every examples/c source and the driver's
+// big-block and pressure fixtures: the functions golden.sha256 pins.
+func corpus(t testing.TB) []*ir.Module {
+	t.Helper()
+	suite, err := livermore.SuiteModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs, err := filepath.Glob("../../examples/c/*.c")
+	if err != nil || len(srcs) == 0 {
+		t.Fatalf("no examples/c sources: %v", err)
+	}
+	sort.Strings(srcs)
+	srcs = append(srcs, "../driver/testdata/bigblock.c", "../driver/testdata/pressure.c")
+	mods := []*ir.Module{suite}
+	for _, path := range srcs {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := cc.Compile(filepath.Base(path), string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, err := ilgen.Lower(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods = append(mods, mod)
+	}
+	return mods
+}
+
+// callTwice is the one shape the C front end shares across statements:
+// a call appended as a statement root and consumed as a value by a
+// later one, so a root is also somebody's kid.
+func callTwice() *ir.Func {
+	fn := ir.NewFunc("f", ir.I32)
+	r := fn.NewReg(ir.I32, "r")
+	arg := ir.New(ir.Add, ir.I32, ir.NewReg(ir.I32, r), ir.NewConst(ir.I32, 1))
+	call := &ir.Node{Op: ir.Call, Type: ir.I32, Sym: &ir.Sym{Name: "g", Kind: ir.SymFunc}, Kids: []*ir.Node{arg, arg}}
+	b0, b1 := fn.NewBlock(), fn.NewBlock()
+	b0.AddEdge(b1)
+	b0.Stmts = []*ir.Node{call, {Op: ir.Asgn, Type: ir.I32, Reg: r, Kids: []*ir.Node{call}}}
+	b1.Stmts = []*ir.Node{{Op: ir.Ret, Type: ir.I32, Kids: []*ir.Node{ir.NewReg(ir.I32, r)}}}
+	return fn
+}
+
+// undeclared mentions a register its function never declared and a
+// symbol-less address: IR only a test builds, which the reference
+// fingerprints without complaint.
+func undeclared() *ir.Func {
+	fn := ir.NewFunc("f", ir.Void)
+	fn.ParamRegs = []ir.RegID{ir.NoReg, 7}
+	b := fn.NewBlock()
+	b.Stmts = []*ir.Node{
+		{Op: ir.Asgn, Type: ir.I32, Reg: 7, Kids: []*ir.Node{ir.NewReg(ir.I32, 9)}},
+		{Op: ir.Asgn, Type: ir.I32, Reg: 9, Kids: []*ir.Node{{Op: ir.Addr, Type: ir.Ptr}}},
+		{Op: ir.Ret},
+	}
+	return fn
+}
+
+func corpusFuncs(t testing.TB) []*ir.Func {
+	fns := []*ir.Func{callTwice(), undeclared()}
+	for _, mod := range corpus(t) {
+		fns = append(fns, mod.Funcs...)
+	}
+	return fns
+}
+
+// The buffered, node-stamping Fingerprint hashes the byte stream the
+// streaming one did: equal digests — so equal cache keys — on the
+// corpus, on renumbered clones, and on a second walk over nodes still
+// carrying the first walk's stamps.
+func TestFingerprintMatchesReference(t *testing.T) {
+	fns := corpusFuncs(t)
+	if len(fns) < 40 {
+		t.Fatalf("corpus has only %d functions", len(fns))
+	}
+	seen := map[ir.Digest]string{}
+	for i, fn := range fns {
+		want := ir.ReferenceFingerprint(fn)
+		if got := fn.Fingerprint(); got != want {
+			t.Fatalf("%s: digest %s, reference %s", fn.Name, got, want)
+		}
+		if got := fn.Fingerprint(); got != want {
+			t.Fatalf("%s: second walk gave %s, want %s", fn.Name, got, want)
+		}
+		seen[want] = fn.Name
+		if fn.Name == "f" {
+			continue // hand-built: permuteNames wants declared registers
+		}
+		c := fn.Clone()
+		permuteNames(c, rand.New(rand.NewSource(int64(i))))
+		if got, ref := c.Fingerprint(), ir.ReferenceFingerprint(c); got != want || ref != want {
+			t.Fatalf("%s: renumbered clone: digest %s, reference %s, original %s", fn.Name, got, ref, want)
+		}
+	}
+	if len(seen) < len(fns)*3/4 {
+		t.Fatalf("only %d distinct digests over %d functions", len(seen), len(fns))
+	}
+}
+
+// parentCounts snapshots Node.Parents of every node reachable from the
+// block, in walk order.
+func parentCounts(b *ir.Block) []int {
+	var out []int
+	walkNodes(b.Stmts, func(n *ir.Node) { out = append(out, n.Parents) })
+	return out
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// CountParents and MarkGlobalRegs, with their visited sets on the
+// nodes, compute what the map-based versions did — also on a function
+// walked twice back to back, and between fingerprint walks.
+func TestWalksMatchReference(t *testing.T) {
+	shared := 0
+	for _, fn := range corpusFuncs(t) {
+		for _, b := range fn.Blocks {
+			ir.ReferenceCountParents(b)
+			want := parentCounts(b)
+			for _, p := range want {
+				if p > 1 {
+					shared++
+				}
+			}
+			for round := 0; round < 2; round++ {
+				walkNodes(b.Stmts, func(n *ir.Node) { n.Parents = -5 })
+				b.CountParents()
+				if got := parentCounts(b); !equalInts(got, want) {
+					t.Fatalf("%s %s round %d: Parents %v, reference %v", fn.Name, b.Name(), round, got, want)
+				}
+				fn.Fingerprint()
+			}
+		}
+
+		global := func(mark func()) []bool {
+			out := make([]bool, len(fn.Regs))
+			for i := range fn.Regs {
+				fn.Regs[i].Global = false
+			}
+			mark()
+			for i := range fn.Regs {
+				out[i] = fn.Regs[i].Global
+			}
+			return out
+		}
+		want := global(func() { ir.ReferenceMarkGlobalRegs(fn) })
+		for round := 0; round < 2; round++ {
+			got := global(fn.MarkGlobalRegs)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s round %d: t%d global = %v, reference %v", fn.Name, round, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("corpus has no multi-parent node: the comparison is vacuous")
+	}
+}

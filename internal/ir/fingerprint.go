@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
 )
 
@@ -25,36 +24,37 @@ type Digest [32]byte
 // String returns the digest as lowercase hex.
 func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 
-// fpWriter accumulates the canonical byte stream into a hash. All
-// multi-byte values are written in fixed little-endian form; strings
-// and slices are length-prefixed so field boundaries cannot alias.
+// fpWriter accumulates the canonical byte stream, hashed once at the
+// end. All multi-byte values are written in fixed little-endian form;
+// strings and slices are length-prefixed so field boundaries cannot
+// alias.
 type fpWriter struct {
-	h   hash.Hash
-	buf [8]byte
+	buf []byte
 
 	// Canonical renumbering state. Pseudo-registers are numbered in
 	// first-use order of the deterministic walk; blocks by their
 	// position in Func.Blocks; nodes and symbols by first visit (a
 	// revisit hashes a backreference, so DAG sharing — which changes
-	// what the selector emits — is part of the fingerprint).
-	reg    map[RegID]uint64
-	node   map[*Node]uint64
-	sym    map[*Sym]uint64
-	block  map[*Block]uint64
-	fn     *Func
-	nextID uint64
+	// what the selector emits — is part of the fingerprint). A node's
+	// number lives on the node (Node.num, valid while Node.walk is this
+	// walk's epoch); a register's in reg, indexed by RegID, or — for a
+	// register the function never declared — in undeclared.
+	walk       Walk
+	reg        []uint64
+	undeclared map[RegID]uint64
+	sym        map[*Sym]uint64
+	block      map[*Block]uint64
+	fn         *Func
+	nextID     uint64
 }
 
-func (w *fpWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
-}
+func (w *fpWriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 
 func (w *fpWriter) i64(v int64) { w.u64(uint64(v)) }
 
 func (w *fpWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
 
-func (w *fpWriter) byte(b byte) { w.h.Write([]byte{b}) }
+func (w *fpWriter) byte(b byte) { w.buf = append(w.buf, b) }
 
 func (w *fpWriter) bool(b bool) {
 	if b {
@@ -66,7 +66,7 @@ func (w *fpWriter) bool(b bool) {
 
 func (w *fpWriter) str(s string) {
 	w.u64(uint64(len(s)))
-	w.h.Write([]byte(s))
+	w.buf = append(w.buf, s...)
 }
 
 // regID hashes the canonical number of a pseudo-register, assigning the
@@ -77,20 +77,32 @@ func (w *fpWriter) regID(r RegID) {
 		w.byte(0xF0)
 		return
 	}
-	id, ok := w.reg[r]
-	if !ok {
-		id = w.nextID
-		w.nextID++
-		w.reg[r] = id
-		w.byte(0xF1)
-		w.u64(id)
-		if int(r) < len(w.fn.Regs) {
-			w.byte(byte(w.fn.Regs[r].Type))
-		}
+	// Both tables hold number+1, so zero means "not numbered yet".
+	declared := uint(r) < uint(len(w.reg))
+	var id uint64
+	if declared {
+		id = w.reg[r]
+	} else {
+		id = w.undeclared[r]
+	}
+	if id != 0 {
+		w.byte(0xF2)
+		w.u64(id - 1)
 		return
 	}
-	w.byte(0xF2)
+	id = w.nextID
+	w.nextID++
+	w.byte(0xF1)
 	w.u64(id)
+	if declared {
+		w.reg[r] = id + 1
+		w.byte(byte(w.fn.Regs[r].Type))
+		return
+	}
+	if w.undeclared == nil {
+		w.undeclared = map[RegID]uint64{}
+	}
+	w.undeclared[r] = id + 1
 }
 
 // symRef hashes a symbol by first-visit identity. The first visit hashes
@@ -151,14 +163,13 @@ func (w *fpWriter) nodeWalk(n *Node) {
 		w.byte(0xC0)
 		return
 	}
-	if id, ok := w.node[n]; ok {
+	if !w.walk.Visit(n) {
 		w.byte(0xC2)
-		w.u64(id)
+		w.u64(n.num)
 		return
 	}
-	id := w.nextID
+	n.num = w.nextID
 	w.nextID++
-	w.node[n] = id
 	w.byte(0xC1)
 	w.byte(byte(n.Op))
 	w.byte(byte(n.Type))
@@ -181,18 +192,31 @@ func (w *fpWriter) nodeWalk(n *Node) {
 	}
 }
 
+// Initial capacity of the fingerprint buffer, guessed from what is known
+// before the walk. The corpus golden.sha256 pins streams 60–140 bytes per
+// statement; a longer stream grows the buffer.
+const (
+	fpBytesPerStmt = 128
+	fpBytesFixed   = 512
+)
+
 // Fingerprint computes the canonical digest of the function. The walk
 // touches only slices in declaration/source order (never Go maps), so
 // the digest is deterministic across processes, worker counts and
 // map-iteration order, and invariant under block-ID and RegID
-// renumbering (see Digest).
+// renumbering (see Digest). It stamps the nodes it visits (see Walk),
+// so the caller must own the function.
 func (f *Func) Fingerprint() Digest {
+	stmts := 0
+	for _, b := range f.Blocks {
+		stmts += len(b.Stmts)
+	}
 	w := &fpWriter{
-		h:     sha256.New(),
-		reg:   map[RegID]uint64{},
-		node:  map[*Node]uint64{},
-		sym:   map[*Sym]uint64{},
-		block: map[*Block]uint64{},
+		buf:   make([]byte, 0, fpBytesPerStmt*stmts+fpBytesFixed),
+		walk:  NewWalk(),
+		reg:   make([]uint64, len(f.Regs)),
+		sym:   make(map[*Sym]uint64, len(f.Params)+len(f.Locals)),
+		block: make(map[*Block]uint64, len(f.Blocks)),
 		fn:    f,
 	}
 	w.str("marion-ir-fp-v1")
@@ -232,7 +256,5 @@ func (f *Func) Fingerprint() Digest {
 		}
 	}
 
-	var d Digest
-	w.h.Sum(d[:0])
-	return d
+	return sha256.Sum256(w.buf)
 }

@@ -4,7 +4,11 @@
 // between the front end and the retargetable back end.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"sync/atomic"
+)
 
 // Type is the type of an IL value. Marion supports the signed C native
 // types plus unsigned 32-bit integers and pointers.
@@ -164,19 +168,51 @@ const NoReg RegID = -1
 type Node struct {
 	Op   Op
 	Type Type
+	From Type  // Cvt source type
+	Reg  RegID // Reg, Asgn destination
 	Kids []*Node
 
 	IVal   int64   // Const (integer), also holds char values
 	FVal   float64 // Const (float)
-	Reg    RegID   // Reg, Asgn destination
 	Sym    *Sym    // Addr, Call
-	From   Type    // Cvt source type
 	Target *Block  // Branch, Jump
 
 	// Parents is the number of parents the node has within its block's
 	// statement DAG; maintained by CountParents. A node with more than
 	// one parent is a local common subexpression.
 	Parents int
+
+	// Walk scratch (see Walk): the epoch of the last walk that visited
+	// the node, and that walk's own number for it. Like Parents, it
+	// belongs to whoever owns the function for the moment.
+	walk uint64
+	num  uint64
+}
+
+// walkEpoch hands out walk identities. Only uniqueness matters; no walk
+// reads another's epoch.
+var walkEpoch atomic.Uint64
+
+// Walk is the visited set of one traversal of a function's statement
+// DAGs, kept on the nodes themselves: a node is visited when its stamp
+// equals the walk's epoch, so starting a walk clears nothing and
+// allocates nothing. Stamping writes to the node, so only the goroutine
+// that owns the function — the one that may also rewrite its
+// statements or call CountParents — may walk it. Clone copies stamps;
+// they are stale in the copy because every walk has a fresh epoch.
+// The zero Walk is not a walk: start one with NewWalk.
+type Walk struct{ epoch uint64 }
+
+// NewWalk starts a traversal that has visited nothing.
+func NewWalk() Walk { return Walk{epoch: walkEpoch.Add(1)} }
+
+// Visit marks n visited and reports whether this was its first visit.
+func (w Walk) Visit(n *Node) bool {
+	if n.walk == w.epoch {
+		return false
+	}
+	n.walk = w.epoch
+	return true
 }
 
 // NewConst returns an integer constant node of the given type.
@@ -318,7 +354,15 @@ type Block struct {
 }
 
 // Name returns the block's label, unique within its function.
-func (b *Block) Name() string { return fmt.Sprintf("L%d", b.ID) }
+func (b *Block) Name() string {
+	var buf [12]byte
+	return string(b.AppendName(buf[:0]))
+}
+
+// AppendName appends the block's label to dst.
+func (b *Block) AppendName(dst []byte) []byte {
+	return strconv.AppendInt(append(dst, 'L'), int64(b.ID), 10)
+}
 
 // AddEdge records a CFG edge from b to s.
 func (b *Block) AddEdge(s *Block) {
@@ -469,63 +513,61 @@ func (m *Module) Lookup(name string) *Func {
 // CountParents recomputes Node.Parents for every node reachable from the
 // block's statement roots. Statement roots themselves get Parents == 0.
 func (b *Block) CountParents() {
-	seen := map[*Node]bool{}
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		for _, k := range n.Kids {
-			k.Parents++
-			if !seen[k] {
-				seen[k] = true
-				walk(k)
-			}
+	zero := NewWalk()
+	for _, s := range b.Stmts {
+		zero.zeroParents(s)
+	}
+	count := NewWalk()
+	for _, s := range b.Stmts {
+		count.addParents(s)
+	}
+}
+
+func (w Walk) zeroParents(n *Node) {
+	n.Parents = 0
+	for _, k := range n.Kids {
+		if w.Visit(k) {
+			w.zeroParents(k)
 		}
 	}
-	var clear func(n *Node)
-	clear = func(n *Node) {
-		n.Parents = 0
-		for _, k := range n.Kids {
-			if !seen[k] {
-				seen[k] = true
-				clear(k)
-			}
+}
+
+func (w Walk) addParents(n *Node) {
+	for _, k := range n.Kids {
+		k.Parents++
+		if w.Visit(k) {
+			w.addParents(k)
 		}
-	}
-	for _, s := range b.Stmts {
-		clear(s)
-	}
-	seen = map[*Node]bool{}
-	for _, s := range b.Stmts {
-		walk(s)
 	}
 }
 
 // MarkGlobalRegs sets RegInfo.Global for every pseudo-register referenced
 // in more than one basic block.
 func (f *Func) MarkGlobalRegs() {
-	firstBlock := make(map[RegID]int)
-	var visit func(n *Node, bid int, seen map[*Node]bool)
-	visit = func(n *Node, bid int, seen map[*Node]bool) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		if n.Op == Reg || n.Op == Asgn {
-			if fb, ok := firstBlock[n.Reg]; ok {
-				if fb != bid {
-					f.Regs[n.Reg].Global = true
-				}
-			} else {
-				firstBlock[n.Reg] = bid
-			}
-		}
-		for _, k := range n.Kids {
-			visit(k, bid, seen)
+	// first[r] is 1 + the index of the first block that mentions r.
+	first := make([]int, len(f.Regs))
+	for i, b := range f.Blocks {
+		w := NewWalk()
+		for _, s := range b.Stmts {
+			f.markRegs(w, s, first, i+1)
 		}
 	}
-	for _, b := range f.Blocks {
-		seen := map[*Node]bool{}
-		for _, s := range b.Stmts {
-			visit(s, b.ID, seen)
+}
+
+func (f *Func) markRegs(w Walk, n *Node, first []int, bid int) {
+	if !w.Visit(n) {
+		return
+	}
+	// A register the function never declared has no RegInfo to mark.
+	if (n.Op == Reg || n.Op == Asgn) && uint(n.Reg) < uint(len(first)) {
+		switch fb := first[n.Reg]; {
+		case fb == 0:
+			first[n.Reg] = bid
+		case fb != bid:
+			f.Regs[n.Reg].Global = true
 		}
+	}
+	for _, k := range n.Kids {
+		f.markRegs(w, k, first, bid)
 	}
 }

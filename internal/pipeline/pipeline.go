@@ -338,7 +338,7 @@ func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *i
 			res.Timings = []PhaseTiming{{
 				Phase: "cache", Time: time.Since(start), Strategy: cfg.Strategy,
 			}}
-			phaseHist("cache").ObserveDuration(time.Since(start))
+			cacheHist.ObserveDuration(time.Since(start))
 			return res
 		}
 		csp.Attr("result", "miss")
@@ -484,6 +484,14 @@ func phaseHist(phase string) *metrics.Histogram {
 	return metrics.Default().Histogram("pipeline.phase."+phase+".seconds", metrics.TimeBuckets)
 }
 
+// The two phases that are not in Pipeline.Phases run once per function
+// whatever the phase list is; a hit observes nothing else, so their
+// histograms are looked up once, not per function.
+var (
+	cacheHist      = phaseHist("cache")
+	cachestoreHist = phaseHist("cachestore")
+)
+
 // cacheLookup tries to serve fn from the cache. A blob that fails
 // structural decode (stale format, wrong module shape) is rejected so
 // the slot heals with a fresh compile. The returned Result mirrors a
@@ -538,7 +546,7 @@ func (p *Pipeline) cacheStore(key cache.Key, m *mach.Machine, fn *ir.Func, cfg C
 	res.Timings = append(res.Timings, PhaseTiming{
 		Phase: "cachestore", Time: elapsed, Strategy: res.Strategy,
 	})
-	phaseHist("cachestore").ObserveDuration(elapsed)
+	cachestoreHist.ObserveDuration(elapsed)
 }
 
 // runPhase runs one phase with panic isolation: a panic in any phase
