@@ -343,10 +343,10 @@ func BenchmarkParallelBackend(b *testing.B) {
 }
 
 // BenchmarkBigBlock measures the back end on one straight-line block of
-// 24, 64 and 96 statements (functions big24/big64/big96 of the golden
-// big-block fixture) under RASE, the strategy with the most scheduling
-// passes: how compile time and allocation grow with block length, per
-// target. Lowering runs outside the timer.
+// 24, 64, 96 and 128 statements (functions big24/big64/big96/big128 of
+// the golden big-block fixture) under RASE, the strategy with the most
+// scheduling passes: how compile time and allocation grow with block
+// length, per target. Lowering runs outside the timer.
 func BenchmarkBigBlock(b *testing.B) {
 	src, err := os.ReadFile("internal/driver/testdata/bigblock.c")
 	if err != nil {
@@ -357,7 +357,7 @@ func BenchmarkBigBlock(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, stmts := range []int{24, 64, 96} {
+		for _, stmts := range []int{24, 64, 96, 128} {
 			b.Run(fmt.Sprintf("%s/%d", target, stmts), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

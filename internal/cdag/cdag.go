@@ -26,13 +26,14 @@ const (
 	Extra  EdgeType = 4 // branch-last and temporal-protection edges
 )
 
-// Edge is one dependence edge.
+// Edge is one dependence edge. It is twelve bytes: a long i860 block has
+// thousands of them, each stored twice (Succs and Preds).
 type Edge struct {
-	To      int
-	Latency int
-	Type    EdgeType
+	To      int32
+	Latency int32
 	// Clock is the EAP clock index for temporal edges, -1 otherwise.
-	Clock int
+	Clock int16
+	Type  EdgeType
 }
 
 // Node is one instruction in the code DAG.
@@ -44,7 +45,9 @@ type Node struct {
 }
 
 // Graph is the code DAG of one basic block. Schedulers only read it, so
-// one graph serves every scheduling run over the same block state.
+// one graph serves every scheduling run over the same block state. A
+// graph lives in the Scratch that built it: the next Build on that
+// scratch overwrites it.
 type Graph struct {
 	M     *mach.Machine
 	Nodes []Node
@@ -60,92 +63,169 @@ type Options struct {
 	NoProtect bool
 }
 
-// builder collects the dependence edges of one block as a flat list in
-// discovery order; finish lays them out as the nodes' Succs and Preds.
-type builder struct {
-	edges []pendingEdge
-	// last[from] is the index in edges of from's most recent out-edge,
-	// or -1. Build discovers edges grouped by destination, in thread
-	// order, so an edge from -> to already exists exactly when from's
-	// most recent out-edge goes to to.
-	last []int32
-	// clocks[k] records that some temporal edge on clock k exists (nil
-	// until the first one), so protect skips clocks the block never uses.
-	clocks  []bool
-	nclocks int
+// Scratch is the storage code DAGs are built in: the node slab, the edge
+// arena and every table Build and the protection pass work from. The
+// zero value is ready to use. Building block after block on one scratch
+// allocates only when a block outgrows what an earlier one left, but
+// each Build invalidates the graph the previous one returned, so a
+// scratch has one owner (strategy.Apply keeps one per function) and is
+// never shared between goroutines.
+type Scratch struct {
+	graph Graph // graph.Nodes is the node slab
+
+	// Build discovers edges grouped by destination, in thread order, so
+	// the discovery list IS the Preds array: node i's predecessors are
+	// preds[start[i]:start[i+1]], stored once. layout carves the Succs out
+	// of the arena, edges, which it sizes from the edge count; the few
+	// protection edges join the lists they belong to afterwards (link), a
+	// full list moving to the arena's tail.
+	preds, edges []Edge
+	// Per node: where its Preds begin, its out-degree, and the index in
+	// preds of its most recent out-edge (-1: none). An edge from -> to
+	// already exists exactly when from's most recent out-edge lies in the
+	// range of the node being built.
+	start, out, last []int32
+	ints             []int32 // the three above
+	open             int32   // start of the node being built
+
+	regs     []regState
+	readers  []reader
+	memReads []int // loads since last store/call
+	tWrites  map[tkey]int
+	defUpds  []defUpd
+	twUpds   []twUpd
+	// clocks[k] records that some temporal edge on clock k exists, so
+	// protect skips clocks the block never uses; temporal, that any does.
+	clocks   []bool
+	temporal bool
+
+	// The protection pass's tables (see protect).
+	seq   []seqState
+	reach closure
+	words []uint64
+	done  []bool
 }
 
-type pendingEdge struct {
-	from, to, lat, clock int32
-	typ                  EdgeType
-	// next chains the protection edges into one node: the following
-	// one's index + 1, or 0 (see protect).
-	next int32
+// Temporal latch pairing is per (latch, sequence identity): the selector
+// emits each %seq expansion with a unique SeqID, so a reader's producer
+// is its own sequence's writer regardless of how sequences were
+// interleaved by earlier scheduling passes.
+type tkey struct {
+	ts  *mach.RegSet
+	seq int
 }
 
-// push appends e and returns its index. The list doubles when full:
-// append's 1.25x steps would copy a long block's edges five times over.
-func (bl *builder) push(e pendingEdge) int32 {
-	if len(bl.edges) == cap(bl.edges) {
-		grown := make([]pendingEdge, len(bl.edges), 2*cap(bl.edges)+8)
-		copy(grown, bl.edges)
-		bl.edges = grown
+// Instructions already scheduled into packed words (equal Cycle values,
+// as when a strategy reschedules a block) execute with read-before-write
+// semantics WITHIN the word: all reads observe pre-word state, the clock
+// ticks once. The DAG must honor that, so tracking-state updates from a
+// word's defs commit only after the whole word is processed.
+type defUpd struct {
+	k     asm.RegKey
+	i, op int
+}
+
+type twUpd struct {
+	k tkey
+	i int
+}
+
+// sized returns buf with length n, reallocated when it is too short. The
+// contents are whatever the last use left.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	bl.edges = append(bl.edges, e)
-	return int32(len(bl.edges) - 1)
+	return buf[:n]
 }
 
-// add records the dependence from -> to, keeping one edge per pair with
-// the strictest latency. A temporal edge merged into a register edge
-// between the same pair keeps its type and clock: to is a member of the
-// temporal sequence whichever dependence was found first.
-func (bl *builder) add(from, to, lat int, t EdgeType, clock int) {
+// push appends e to the discovery list. The list doubles when full:
+// append's 1.25x steps would copy a long block's edges five times over.
+func (s *Scratch) push(e Edge) {
+	if len(s.preds) == cap(s.preds) {
+		grown := make([]Edge, len(s.preds), 2*cap(s.preds)+8)
+		copy(grown, s.preds)
+		s.preds = grown
+	}
+	s.preds = append(s.preds, e)
+}
+
+// carve cuts an empty list with room for k edges off the arena's tail.
+// When the arena is full a larger one takes its place; the lists cut
+// earlier stay where they are, in the old array, which the graph's nodes
+// keep alive.
+func (s *Scratch) carve(k int) []Edge {
+	at := len(s.edges)
+	if at+k > cap(s.edges) {
+		s.edges, at = make([]Edge, 0, cap(s.edges)+cap(s.edges)/2+k), 0
+	}
+	s.edges = s.edges[:at+k]
+	return s.edges[at : at : at+k]
+}
+
+// link appends e to one node's edge list after layout, moving a full
+// list to the arena's tail with room to double.
+func (s *Scratch) link(list *[]Edge, e Edge) {
+	l := *list
+	if len(l) == cap(l) {
+		l = append(s.carve(2*len(l)+2), l...)
+	}
+	*list = append(l, e)
+}
+
+// add records the dependence from -> to, where to is the node being
+// built, keeping one edge per pair with the strictest latency. A
+// temporal edge merged into a register edge between the same pair keeps
+// its type and clock: to is a member of the temporal sequence whichever
+// dependence was found first.
+func (s *Scratch) add(from, to, lat int, t EdgeType, clock int) {
 	if from == to {
 		return
 	}
 	if clock >= 0 {
-		if bl.clocks == nil {
-			bl.clocks = make([]bool, bl.nclocks)
-		}
-		bl.clocks[clock] = true
+		s.clocks[clock], s.temporal = true, true
 	}
-	if j := bl.last[from]; j >= 0 && int(bl.edges[j].to) == to {
-		e := &bl.edges[j]
-		if int32(lat) > e.lat {
-			e.lat = int32(lat)
+	if j := s.last[from]; j >= s.open {
+		e := &s.preds[j]
+		if int32(lat) > e.Latency {
+			e.Latency = int32(lat)
 		}
 		if clock >= 0 {
-			e.typ, e.clock = t, int32(clock)
+			e.Type, e.Clock = t, int16(clock)
 		}
 		return
 	}
-	bl.last[from] = bl.push(pendingEdge{from: int32(from), to: int32(to), lat: int32(lat), clock: int32(clock), typ: t})
+	s.last[from] = int32(len(s.preds))
+	s.out[from]++
+	s.push(Edge{To: int32(from), Latency: int32(lat), Type: t, Clock: int16(clock)})
 }
 
-// finish carves every node's Succs and Preds, in discovery order, out of
-// two arrays sized by a counting pass.
-func (bl *builder) finish(g *Graph) {
-	n := len(g.Nodes)
-	deg := make([]int32, 2*n)
-	out, in := deg[:n], deg[n:]
-	for _, e := range bl.edges {
-		out[e.from]++
-		in[e.to]++
+// layout points every node's Preds at its range of the discovery list
+// and carves its Succs, in discovery order, out of the arena, which gets
+// half as much again for the lists the protection pass will move.
+func (s *Scratch) layout() {
+	room := len(s.preds)
+	if s.temporal {
+		room += room/2 + 16
 	}
-	all := make([]Edge, 2*len(bl.edges))
-	succs, preds := all[:len(bl.edges)], all[len(bl.edges):]
-	so, po := 0, 0
-	for i := range g.Nodes {
-		nd := &g.Nodes[i]
-		nd.Succs = succs[so : so : so+int(out[i])]
-		nd.Preds = preds[po : po : po+int(in[i])]
-		so += int(out[i])
-		po += int(in[i])
+	if s.edges = s.edges[:0]; cap(s.edges) < room {
+		s.edges = make([]Edge, 0, room)
 	}
-	for _, e := range bl.edges {
-		from, to := &g.Nodes[e.from], &g.Nodes[e.to]
-		from.Succs = append(from.Succs, Edge{To: int(e.to), Latency: int(e.lat), Type: e.typ, Clock: int(e.clock)})
-		to.Preds = append(to.Preds, Edge{To: int(e.from), Latency: int(e.lat), Type: e.typ, Clock: int(e.clock)})
+	succs := s.carve(len(s.preds))
+	nodes := s.graph.Nodes
+	so := 0
+	for i := range nodes {
+		nd := &nodes[i]
+		nd.Preds = s.preds[s.start[i]:s.start[i+1]:s.start[i+1]]
+		nd.Succs = succs[so : so : so+int(s.out[i])]
+		so += int(s.out[i])
+	}
+	for to := range nodes {
+		for _, e := range nodes[to].Preds {
+			from := &nodes[e.To]
+			e.To = int32(to)
+			from.Succs = append(from.Succs, e)
+		}
 	}
 }
 
@@ -166,18 +246,32 @@ type reader struct {
 	next int32 // following link + 1, or 0
 }
 
-// Build constructs the code DAG for a block.
+// Build constructs the code DAG for a block in a scratch of its own.
 func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
+	return new(Scratch).Build(m, b, opts)
+}
+
+// Build constructs the code DAG for a block, overwriting the graph the
+// scratch held before.
+func (s *Scratch) Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 	n := len(b.Insts)
-	g := &Graph{M: m, Nodes: make([]Node, n)}
-	bl := builder{edges: make([]pendingEdge, 0, 2*n+8), last: make([]int32, n), nclocks: len(m.Clocks)}
+	s.graph = Graph{M: m, Nodes: sized(s.graph.Nodes, n)}
+	s.ints = sized(s.ints, 3*n+1)
+	s.start, s.out, s.last = s.ints[:n+1], s.ints[n+1:2*n+1], s.ints[2*n+1:]
+	clear(s.out)
+	// A straight-line block has up to four edges an instruction.
+	if s.preds = s.preds[:0]; cap(s.preds) < 4*n+16 {
+		s.preds = make([]Edge, 0, 4*n+16)
+	}
+	s.clocks, s.temporal = sized(s.clocks, len(m.Clocks)), false
+	clear(s.clocks)
 	// The register tracking table is indexed by the one dense
 	// asm.RegKey: physical registers, then the pseudos the block
 	// mentions.
 	keys := m.NumPhys
 	for i, in := range b.Insts {
-		g.Nodes[i] = Node{Index: i, Inst: in}
-		bl.last[i] = -1
+		s.graph.Nodes[i] = Node{Index: i, Inst: in}
+		s.last[i] = -1
 		for _, a := range in.Args {
 			if a.Kind == asm.OpPseudo || a.Kind == asm.OpPseudoHalf {
 				if k := int(asm.PseudoKey(m, a.Pseudo)) + 1; k > keys {
@@ -186,38 +280,20 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 			}
 		}
 	}
-	regs := make([]regState, keys)
-	readers := make([]reader, 0, 2*n+4)
+	s.regs = sized(s.regs, keys)
+	clear(s.regs)
+	regs := s.regs
+	if s.readers = s.readers[:0]; cap(s.readers) < 2*n+4 {
+		s.readers = make([]reader, 0, 2*n+4)
+	}
+	readers := s.readers
 	lastMemWrite := -1 // last store/call
-	var memReads []int // loads since last store/call
-	// Temporal latch pairing is per (latch, sequence identity): the
-	// selector emits each %seq expansion with a unique SeqID, so a
-	// reader's producer is its own sequence's writer regardless of how
-	// sequences were interleaved by earlier scheduling passes. The map
-	// is only ever indexed, never ranged over, and stays nil on blocks
-	// without temporal sub-operations.
-	type tkey struct {
-		ts  *mach.RegSet
-		seq int
-	}
-	var lastTWrite map[tkey]int
+	memReads := s.memReads[:0]
+	// The latch table is only ever indexed, never ranged over, and stays
+	// nil until a block has temporal sub-operations.
+	clear(s.tWrites)
+	defUpds, twUpds := s.defUpds, s.twUpds
 
-	// Instructions already scheduled into packed words (equal Cycle
-	// values, as when a strategy reschedules a block) execute with
-	// read-before-write semantics WITHIN the word: all reads observe
-	// pre-word state, the clock ticks once. The DAG must honor that, so
-	// tracking-state updates from a word's defs commit only after the
-	// whole word is processed.
-	type defUpd struct {
-		k     asm.RegKey
-		i, op int
-	}
-	var defUpds []defUpd
-	type twUpd struct {
-		k tkey
-		i int
-	}
-	var twUpds []twUpd
 	wordStart := 0
 	for wordStart < n {
 		wordEnd := wordStart + 1
@@ -232,6 +308,8 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 		for i := wordStart; i < wordEnd; i++ {
 			in := b.Insts[i]
 			tmpl := in.Tmpl
+			s.open = int32(len(s.preds))
+			s.start[i] = s.open
 
 			// Type 1: true dependences through registers. A half operand
 			// conservatively covers the whole wide register.
@@ -242,7 +320,7 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 				r := &regs[u.Key]
 				if r.def != 0 {
 					d := int(r.def - 1)
-					bl.add(d, i, TrueLatency(m, b.Insts[d], in, int(r.defOp), u.Op), True, -1)
+					s.add(d, i, TrueLatency(m, b.Insts[d], in, int(r.defOp), u.Op), True, -1)
 				}
 				readers = append(readers, reader{node: int32(i)})
 				link := int32(len(readers))
@@ -256,8 +334,8 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 
 			// Temporal register reads (paired within the sequence).
 			for _, ts := range tmpl.ReadsTRegs {
-				if d, ok := lastTWrite[tkey{ts, in.SeqID}]; ok {
-					bl.add(d, i, b.Insts[d].Tmpl.Latency, True, ts.Clock)
+				if d, ok := s.tWrites[tkey{ts, in.SeqID}]; ok {
+					s.add(d, i, b.Insts[d].Tmpl.Latency, True, ts.Clock)
 				}
 			}
 
@@ -267,16 +345,16 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 				writes := tmpl.WritesMem || tmpl.IsCall
 				if reads && !writes {
 					if lastMemWrite >= 0 {
-						bl.add(lastMemWrite, i, 1, Memory, -1)
+						s.add(lastMemWrite, i, 1, Memory, -1)
 					}
 					memReads = append(memReads, i)
 				}
 				if writes {
 					if lastMemWrite >= 0 {
-						bl.add(lastMemWrite, i, 1, Memory, -1)
+						s.add(lastMemWrite, i, 1, Memory, -1)
 					}
 					for _, r := range memReads {
-						bl.add(r, i, 1, Memory, -1)
+						s.add(r, i, 1, Memory, -1)
 					}
 					newMemWrite = i
 				}
@@ -288,10 +366,10 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 				if !opts.NoAnti {
 					r := regs[d.Key]
 					if r.def != 0 {
-						bl.add(int(r.def-1), i, 1, Anti, -1) // output dependence
+						s.add(int(r.def-1), i, 1, Anti, -1) // output dependence
 					}
 					for l := r.firstUse; l != 0; l = readers[l-1].next {
-						bl.add(int(readers[l-1].node), i, 0, Anti, -1) // anti dependence
+						s.add(int(readers[l-1].node), i, 0, Anti, -1) // anti dependence
 					}
 				}
 				defUpds = append(defUpds, defUpd{d.Key, i, d.Op})
@@ -311,10 +389,10 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 			regs[u.k] = regState{def: int32(u.i + 1), defOp: int32(u.op)}
 		}
 		for _, u := range twUpds {
-			if lastTWrite == nil {
-				lastTWrite = map[tkey]int{}
+			if s.tWrites == nil {
+				s.tWrites = map[tkey]int{}
 			}
-			lastTWrite[u.k] = u.i
+			s.tWrites[u.k] = u.i
 		}
 		if newMemWrite >= 0 {
 			lastMemWrite = newMemWrite
@@ -322,19 +400,24 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 		}
 		wordStart = wordEnd
 	}
+	s.readers, s.memReads, s.defUpds, s.twUpds = readers, memReads, defUpds, twUpds
 
 	// Control transfers stay last: every other node precedes the final
-	// branch/jump/ret/nothing.
+	// branch/jump/ret/nothing. A node with an out-edge precedes one that
+	// has none, so the sinks alone need the edge.
 	if n > 0 && b.Insts[n-1].Tmpl.Transfers() {
 		for i := 0; i < n-1; i++ {
-			bl.add(i, n-1, 0, Extra, -1)
+			if s.out[i] == 0 {
+				s.add(i, n-1, 0, Extra, -1)
+			}
 		}
 	}
-	bl.finish(g)
-	if !opts.NoProtect && bl.clocks != nil && bl.protect(g) {
-		bl.finish(g)
+	s.start[n] = int32(len(s.preds))
+	s.layout()
+	if !opts.NoProtect && s.temporal {
+		s.protect()
 	}
-	return g
+	return &s.graph
 }
 
 // TrueLatency returns the edge label for a true dependence from producer

@@ -2,6 +2,7 @@ package cdag
 
 import (
 	"testing"
+	"unsafe"
 
 	"marion/internal/asm"
 	"marion/internal/ir"
@@ -48,11 +49,19 @@ func block(insts ...*asm.Inst) *asm.Block {
 
 func findEdge(g *Graph, from, to int) (Edge, bool) {
 	for _, e := range g.Nodes[from].Succs {
-		if e.To == to {
+		if int(e.To) == to {
 			return e, true
 		}
 	}
 	return Edge{}, false
+}
+
+// TestEdgeIsSmall: a long block has thousands of edges, each stored in
+// a Succs and a Preds list; the arena's size is this times two.
+func TestEdgeIsSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Edge{}); size > 12 {
+		t.Errorf("sizeof(Edge) = %d, want at most 12", size)
+	}
 }
 
 func TestTrueDependenceLatency(t *testing.T) {
@@ -166,6 +175,21 @@ func TestBranchStaysLast(t *testing.T) {
 	}
 	if e, _ := findEdge(g, 0, 2); e.Type != True {
 		t.Errorf("branch operand edge should be true dep, got %v", e.Type)
+	}
+
+	// A node that precedes the branch through a successor needs no edge
+	// of its own: only the sinks get one.
+	b.Insts = []*asm.Inst{
+		asm.New(add, asm.Reg(0), asm.Reg(1), asm.Reg(2)),
+		asm.New(add, asm.Reg(3), asm.Reg(0), asm.Reg(0)),
+		asm.New(beq, asm.Reg(4), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
+	}
+	g = Build(m, b, Options{})
+	if _, ok := findEdge(g, 1, 2); !ok {
+		t.Error("sink not ordered before branch")
+	}
+	if _, ok := findEdge(g, 0, 2); ok {
+		t.Error("edge to the branch from a node that reaches it through its successor")
 	}
 }
 

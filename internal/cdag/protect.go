@@ -2,6 +2,15 @@ package cdag
 
 import "math/bits"
 
+// seqState is a node's place among the temporal sequences of the clock
+// being processed: the head of its sequence (following that clock's
+// temporal predecessor edges transitively), and whether it is a non-head
+// member.
+type seqState struct {
+	head   int32
+	member bool
+}
+
 // protect implements the temporal-sequence protection pass (paper §4.6,
 // Figure 6). For each clock k, a temporal sequence is a chain of nodes
 // connected by temporal edges ON THAT CLOCK (a chaining sub-operation
@@ -9,162 +18,144 @@ import "math/bits"
 // heads its own adder sequence). An alternate entry into sequence T is
 // an edge (y,x) whose destination x is in T but is not T's head; for
 // every such entry, each ancestor z of y (y included) that affects k
-// gets an extra edge z -> head(T) (or from the head of z's own sequence
-// when the direct edge would create a cycle). This ensures every
-// k-affecting ancestor of any sequence member is scheduled before the
-// sequence's head, which makes deadlock under scheduling Rule 1
-// impossible.
+// must precede head(T) (or the head of z's own sequence must, when
+// z -> head(T) would create a cycle). This ensures every k-affecting
+// ancestor of any sequence member is scheduled before the sequence's
+// head, which makes deadlock under scheduling Rule 1 impossible.
 //
-// Both questions — "which nodes are ancestors of y?" and "would z -> h
-// create a cycle?" — are answered from the block's reachability closure
-// (see closure), built when the first alternate entry is found and kept
-// current as protection edges go in: an entry costs one pass over a
-// bitset row plus constant work per k-affecting ancestor, where the
-// paper's backward search costs O(e) per entry. The closure takes
-// 2*n*ceil(n/64) words, and a protection edge that opens a new path
-// costs O(n*n/64) word operations to account for. The edges an entry
-// inserts all end at its head h and start outside h's descendants, so
-// they leave both y's ancestors and h's descendants as they were: the
-// order ancestors are visited in cannot change the edges inserted.
+// The paper states that as an edge per ancestor. A list scheduler
+// consumes only the partial order, and a latency-0 edge z -> h that
+// parallels a path from z to h changes nothing it looks at: h's height
+// does not enter z's any higher than through the path, h cannot become
+// ready before the path's last node is placed, which is after z, and
+// h's earliest cycle is by then no earlier than z's. So an edge goes in
+// only when z does not reach h already, and an entry's ancestors are
+// visited nearest first (descending thread index, which is reverse
+// topological order but for protection edges): the edge from a near
+// ancestor puts every ancestor of it on a path to h, where the far
+// ancestor's edge would spare none. The graph has the closure of the
+// paper's edge set with a subset of its edges — on long i860 blocks a
+// hundredth of them.
 //
-// g holds the dependence edges found so far (bl.finish has run). The
-// protection edges are appended to bl.edges, and protect reports whether
-// there are any, in which case the caller lays the graph out again: on
-// long i860 blocks they outnumber the dependence edges several times
-// over, so they are not appended to the nodes one by one.
-func (bl *builder) protect(g *Graph) bool {
+// Every question — "which nodes are ancestors of y?", "would z -> h
+// create a cycle?", "does z reach h already?" — is answered from the
+// block's reachability closure (see closure), built when the first
+// alternate entry is found and kept current as protection edges go in.
+// The closure takes 2*n*ceil(n/64) words, and a protection edge costs
+// O(n*n/64) word operations to account for. The edges an entry inserts
+// all end at its head h and start outside h's descendants, so they
+// leave both y's ancestors and h's descendants as they were: the order
+// ancestors are visited in decides which implied edges are skipped,
+// never the closure.
+//
+// The graph is laid out already; the edges that survive join their
+// nodes' lists one by one (link).
+func (s *Scratch) protect() {
+	g := &s.graph
 	n := len(g.Nodes)
-	base := len(bl.edges)
-
-	// Per-node scratch, shared by every clock and entry.
-	type scratch struct {
-		// head: the head of the node's clock-k temporal sequence
-		// (following clock-k temporal predecessor edges transitively);
-		// member marks non-head members.
-		head   int32
-		member bool
-		// direct == mark: the node has an edge to h already.
-		direct int32
-		// The protection edges INTO the node, oldest first: the first
-		// and last one's index + 1 in bl.edges, chained by their next.
-		firstProt, lastProt int32
-	}
-	nodes := make([]scratch, n)
-	var reach *closure
-	var affects []uint64 // the set of nodes that advance clock affectsOf
-	affectsOf := -1
-	mark := int32(0)
+	s.seq = sized(s.seq, n)
+	seq := s.seq
+	reach := &s.reach
+	reach.words = 0 // not built yet
+	affectsOf := -1 // the clock reach.affects holds the tickers of
 
 	// The clock being processed and the head of the sequence being
 	// entered.
 	var k int
 	var h int32
 
-	// insert adds the protection edge from -> h unless the pair is
-	// ordered by a direct edge already.
-	insert := func(from int32) {
-		if nodes[from].direct == mark {
-			return
+	// order makes from precede h.
+	order := func(from int32) {
+		if reach.reaches(int(from), int(h)) {
+			return // by a path: the edge would constrain nothing
 		}
-		nodes[from].direct = mark
-		l := bl.push(pendingEdge{from: from, to: h, clock: -1, typ: Extra}) + 1
-		if t := &nodes[h]; t.lastProt != 0 {
-			bl.edges[t.lastProt-1].next = l
-			t.lastProt = l
-		} else {
-			t.firstProt, t.lastProt = l, l
-		}
+		s.link(&g.Nodes[from].Succs, Edge{To: h, Type: Extra, Clock: -1})
+		s.link(&g.Nodes[h].Preds, Edge{To: from, Type: Extra, Clock: -1})
 		reach.addEdge(int(from), int(h))
 	}
 	// entry handles the alternate entry from y into h's sequence.
 	entry := func(y int) {
-		if reach == nil {
-			reach = g.newClosure()
-			affects = make([]uint64, reach.words)
+		if reach.words == 0 {
+			s.buildClosure()
 		}
 		if affectsOf != k {
 			affectsOf = k
-			clear(affects)
+			clear(reach.affects)
 			for z := range g.Nodes {
 				if g.Nodes[z].Inst.Tmpl.AffectsClock == k {
-					affects[z>>6] |= 1 << (uint(z) & 63)
+					reach.affects[z>>6] |= 1 << (uint(z) & 63)
 				}
 			}
 		}
-		for w, x := range reach.anc(y) {
+		// The ancestors that reach h already — on a long block nearly
+		// all of them — are passed over a word at a time.
+		anc, above := reach.anc(y), reach.anc(int(h))
+		for w := len(anc) - 1; w >= 0; w-- {
+			x := anc[w]
 			if w == y>>6 {
 				x |= 1 << (uint(y) & 63)
 			}
-			for x &= affects[w]; x != 0; x &= x - 1 {
-				z := int32(w<<6 + bits.TrailingZeros64(x))
-				if hz := nodes[z].head; hz == h {
+			for x &= reach.affects[w] &^ above[w]; x != 0; {
+				b := bits.Len64(x) - 1
+				x &^= 1 << uint(b)
+				z := int32(w<<6 + b)
+				if hz := seq[z].head; hz == h {
 					continue // h itself, or a member of its sequence
 				} else if !reach.reaches(int(h), int(z)) {
-					insert(z)
+					order(z)
 				} else if hz != z && !reach.reaches(int(h), int(hz)) {
-					insert(hz)
+					order(hz)
 				}
 			}
 		}
 	}
 
-	for k = range bl.clocks {
-		if !bl.clocks[k] {
+	for k = range s.clocks {
+		if !s.clocks[k] {
 			continue
 		}
 		for i := range g.Nodes {
-			nd := &nodes[i]
+			nd := &seq[i]
 			nd.head, nd.member = int32(i), false
 			for _, e := range g.Nodes[i].Preds {
-				if e.Type == True && e.Clock == k {
+				if e.Type == True && int(e.Clock) == k {
 					// Temporal sources precede their destinations in the
 					// code thread, so their head is final.
-					nd.head = nodes[e.To].head
+					nd.head = seq[e.To].head
 					nd.member = true
 				}
 			}
 		}
 
 		for i := range g.Nodes {
-			if !nodes[i].member {
+			if !seq[i].member {
 				continue
 			}
-			h = nodes[i].head
-			// Mark the nodes that already have an edge to h, so that a
-			// pair rediscovered from another entry is not inserted twice.
-			mark++
-			for _, e := range g.Nodes[h].Preds {
-				nodes[e.To].direct = mark
-			}
-			for l := nodes[h].firstProt; l != 0; l = bl.edges[l-1].next {
-				nodes[bl.edges[l-1].from].direct = mark
-			}
+			h = seq[i].head
 			// Protection edges end at heads of clock k, never at the
 			// member i, so i's predecessors do not change under this loop;
 			// a head of an earlier clock's sequence can be a member here,
 			// and the protection edges into it are entries like any other.
 			for _, e := range g.Nodes[i].Preds {
-				if e.Type == True && e.Clock == k && nodes[e.To].head == h {
+				if e.Type == True && int(e.Clock) == k && seq[e.To].head == h {
 					continue // the in-sequence temporal edge itself
 				}
-				entry(e.To)
-			}
-			for l := nodes[i].firstProt; l != 0; l = bl.edges[l-1].next {
-				entry(int(bl.edges[l-1].from))
+				entry(int(e.To))
 			}
 		}
 	}
-	return len(bl.edges) > base
 }
 
 // closure is the reachability closure of a graph, as two n-row bitset
 // matrices of ceil(n/64) words per row: row a of desc holds the nodes
 // reachable from a by one or more edges, row a of up the nodes a is
-// reachable from. It is built from the edges in g's Succs, which must be
-// all there are at that point; addEdge accounts for every later one.
+// reachable from. It is built from the edges in the graph's Succs, which
+// must be all there are at that point; addEdge accounts for every later
+// one. affects is one more row: protect's set of nodes that advance the
+// clock it is working on.
 type closure struct {
-	words    int // per row
-	desc, up []uint64
+	words             int // per row
+	desc, up, affects []uint64
 }
 
 func (c *closure) row(m []uint64, a int) []uint64 { return m[a*c.words : (a+1)*c.words] }
@@ -177,51 +168,48 @@ func (c *closure) reaches(a, b int) bool {
 	return a == b || c.desc[a*c.words+b>>6]&(1<<(uint(b)&63)) != 0
 }
 
-func (g *Graph) newClosure() *closure {
-	n := len(g.Nodes)
-	c := &closure{words: (n + 63) / 64}
-	both := make([]uint64, 2*n*c.words)
-	c.desc, c.up = both[:n*c.words], both[n*c.words:]
-	// Descendants by memoized depth-first search: it does not depend on
-	// edges running forward in thread order.
-	done := make([]bool, n)
-	var fill func(a int)
-	fill = func(a int) {
-		done[a] = true // edges are acyclic by construction
-		ra := c.row(c.desc, a)
-		for _, e := range g.Nodes[a].Succs {
-			if !done[e.To] {
-				fill(e.To)
-			}
-			for w, x := range c.row(c.desc, e.To) {
-				ra[w] |= x
-			}
-			ra[e.To>>6] |= 1 << (uint(e.To) & 63)
-		}
+// buildClosure fills s.reach from the laid-out graph.
+func (s *Scratch) buildClosure() {
+	n := len(s.graph.Nodes)
+	c := &s.reach
+	c.words = (n + 63) / 64
+	s.words = sized(s.words, (2*n+1)*c.words)
+	clear(s.words)
+	c.desc, c.up, c.affects = s.words[:n*c.words], s.words[n*c.words:2*n*c.words], s.words[2*n*c.words:]
+	s.done = sized(s.done, 2*n)
+	clear(s.done)
+	for a := 0; a < n; a++ {
+		s.fill(c.desc, s.done[:n], false, a)
+		s.fill(c.up, s.done[n:], true, a)
 	}
-	for a := range g.Nodes {
-		if !done[a] {
-			fill(a)
-		}
-		// Ancestors are the transpose.
-		for w, x := range c.row(c.desc, a) {
-			for ; x != 0; x &= x - 1 {
-				d := w<<6 + bits.TrailingZeros64(x)
-				c.up[d*c.words+a>>6] |= 1 << (uint(a) & 63)
-			}
-		}
-	}
-	return c
 }
 
-// addEdge accounts for a new edge from -> to: from and its ancestors now
-// reach to and its descendants. Nothing changes when from reached to
-// already — the common case, since an edge from a sequence's member to
-// a later head usually parallels a dependence path.
-func (c *closure) addEdge(from, to int) {
-	if c.reaches(from, to) {
+// fill computes a's row of rows — its descendants, or with up its
+// ancestors — by memoized depth-first search: it does not depend on
+// edges running forward in thread order.
+func (s *Scratch) fill(rows []uint64, done []bool, up bool, a int) {
+	if done[a] {
 		return
 	}
+	done[a] = true // edges are acyclic by construction
+	edges := s.graph.Nodes[a].Succs
+	if up {
+		edges = s.graph.Nodes[a].Preds
+	}
+	ra := s.reach.row(rows, a)
+	for _, e := range edges {
+		to := int(e.To)
+		s.fill(rows, done, up, to)
+		for w, x := range s.reach.row(rows, to) {
+			ra[w] |= x
+		}
+		ra[to>>6] |= 1 << (uint(to) & 63)
+	}
+}
+
+// addEdge accounts for a new edge from -> to, which from did not reach
+// before: from and its ancestors now reach to and its descendants.
+func (c *closure) addEdge(from, to int) {
 	c.spread(c.desc, c.up, from, to)
 	c.spread(c.up, c.desc, to, from)
 }
@@ -261,29 +249,33 @@ func (g *Graph) Roots() []int {
 
 // Heights computes, for every node, the maximum latency-weighted distance
 // to any leaf — the paper's list scheduling priority heuristic.
-func (g *Graph) Heights() []int {
-	// Protection edges may run backward in thread order, so use a memoized
-	// DFS rather than a reverse sweep.
-	n := len(g.Nodes)
-	h := make([]int, n)
-	done := make([]bool, n)
-	var dfs func(i int) int
-	dfs = func(i int) int {
-		if done[i] {
-			return h[i]
-		}
-		done[i] = true // edges are acyclic by construction
+func (g *Graph) Heights() []int { return g.HeightsInto(nil) }
+
+// HeightsInto is Heights computed in buf when buf is long enough.
+func (g *Graph) HeightsInto(buf []int) []int {
+	h := sized(buf, len(g.Nodes))
+	for i := range h {
+		h[i] = -1 // not computed yet
+	}
+	for i := range h {
+		g.height(h, i)
+	}
+	return h
+}
+
+// height fills in and returns h[i]. Protection edges may run backward in
+// thread order, so this is a memoized search rather than a reverse
+// sweep; edges are acyclic by construction.
+func (g *Graph) height(h []int, i int) int {
+	if h[i] < 0 {
+		h[i] = 0
 		best := 0
 		for _, e := range g.Nodes[i].Succs {
-			if d := e.Latency + dfs(e.To); d > best {
+			if d := int(e.Latency) + g.height(h, int(e.To)); d > best {
 				best = d
 			}
 		}
 		h[i] = best
-		return best
 	}
-	for i := range g.Nodes {
-		dfs(i)
-	}
-	return h
+	return h[i]
 }

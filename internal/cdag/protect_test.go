@@ -2,43 +2,64 @@ package cdag_test
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
 	"marion/internal/asm"
 	"marion/internal/cdag"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/mach"
 	"marion/internal/regalloc"
+	"marion/internal/sched"
 	"marion/internal/sel"
 	"marion/internal/strategy"
 	"marion/internal/targets"
 	"marion/internal/xform"
 )
 
-// protectReference is the protection pass as it stood before the
-// descendant closure: a fresh backward search per alternate entry and a
-// fresh forward reachability search per clock-affecting ancestor. It is
-// the oracle the closure-based pass is compared against, and works on
-// the exported graph only.
+// addReferenceEdge adds the latency-0 Extra edge from -> to unless the
+// pair has an edge already.
+func addReferenceEdge(g *cdag.Graph, from, to int) {
+	for _, e := range g.Nodes[from].Succs {
+		if int(e.To) == to {
+			return
+		}
+	}
+	g.Nodes[from].Succs = append(g.Nodes[from].Succs, cdag.Edge{To: int32(to), Type: cdag.Extra, Clock: -1})
+	g.Nodes[to].Preds = append(g.Nodes[to].Preds, cdag.Edge{To: int32(from), Type: cdag.Extra, Clock: -1})
+}
+
+// branchLastReference is the branch-last rule as the paper states it
+// (§4.1): every other node gets an edge to the final control transfer.
+func branchLastReference(g *cdag.Graph) {
+	n := len(g.Nodes)
+	if n == 0 || !g.Nodes[n-1].Inst.Tmpl.Transfers() {
+		return
+	}
+	for i := 0; i < n-1; i++ {
+		addReferenceEdge(g, i, n-1)
+	}
+}
+
+// protectReference is the protection pass as the paper states it
+// (§4.6): a backward search per alternate entry, a forward reachability
+// search per clock-affecting ancestor, and an edge for every ancestor
+// found, implied by a path or not. It is the oracle the shipped pass is
+// compared against — for the partial order and the schedule, not the
+// edge list — and works on the exported graph only.
 func protectReference(g *cdag.Graph) {
 	n := len(g.Nodes)
 	if n == 0 || len(g.M.Clocks) == 0 {
 		return
 	}
-	addEdge := func(from, to int) {
-		for _, e := range g.Nodes[from].Succs {
-			if e.To == to {
-				return
-			}
-		}
-		g.Nodes[from].Succs = append(g.Nodes[from].Succs, cdag.Edge{To: to, Type: cdag.Extra, Clock: -1})
-		g.Nodes[to].Preds = append(g.Nodes[to].Preds, cdag.Edge{To: from, Type: cdag.Extra, Clock: -1})
-	}
+	addEdge := func(from, to int) { addReferenceEdge(g, from, to) }
 
 	// reach reports whether there is a path from a to b (for cycle
 	// avoidance when inserting protection edges).
@@ -52,7 +73,7 @@ func protectReference(g *cdag.Graph) {
 		}
 		seen[a] = true
 		for _, e := range g.Nodes[a].Succs {
-			if reach(e.To, b, seen) {
+			if reach(int(e.To), b, seen) {
 				return true
 			}
 		}
@@ -67,7 +88,7 @@ func protectReference(g *cdag.Graph) {
 		}
 		for i := range g.Nodes {
 			for _, e := range g.Nodes[i].Preds {
-				if e.Type == cdag.True && e.Clock == k {
+				if e.Type == cdag.True && int(e.Clock) == k {
 					headK[i] = headK[e.To]
 					isMember[i] = true
 				}
@@ -80,11 +101,11 @@ func protectReference(g *cdag.Graph) {
 			}
 			h := headK[i]
 			for _, e := range g.Nodes[i].Preds {
-				if e.Type == cdag.True && e.Clock == k && headK[e.To] == h {
+				if e.Type == cdag.True && int(e.Clock) == k && headK[e.To] == h {
 					continue // the in-sequence temporal edge itself
 				}
 				visited := make([]bool, n)
-				stack := []int{e.To}
+				stack := []int{int(e.To)}
 				for len(stack) > 0 {
 					z := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
@@ -101,7 +122,7 @@ func protectReference(g *cdag.Graph) {
 						}
 					}
 					for _, pe := range g.Nodes[z].Preds {
-						stack = append(stack, pe.To)
+						stack = append(stack, int(pe.To))
 					}
 				}
 			}
@@ -109,42 +130,128 @@ func protectReference(g *cdag.Graph) {
 	}
 }
 
-// edgeSet renders a graph's edges, as seen from Succs and from Preds,
-// in a canonical order.
-func edgeSet(g *cdag.Graph) (succs, preds []string) {
-	for i, nd := range g.Nodes {
-		for _, e := range nd.Succs {
-			succs = append(succs, fmt.Sprintf("%d->%d l%d t%d c%d", i, e.To, e.Latency, e.Type, e.Clock))
-		}
-		for _, e := range nd.Preds {
-			preds = append(preds, fmt.Sprintf("%d->%d l%d t%d c%d", e.To, i, e.Latency, e.Type, e.Clock))
+// closureOf returns the reachability closure of g: row a lists, as a
+// bitset, the nodes a reaches by one or more edges.
+func closureOf(g *cdag.Graph) [][]uint64 {
+	n := len(g.Nodes)
+	rows := make([][]uint64, n)
+	var fill func(a int)
+	fill = func(a int) {
+		rows[a] = make([]uint64, (n+63)/64)
+		for _, e := range g.Nodes[a].Succs {
+			if rows[e.To] == nil {
+				fill(int(e.To))
+			}
+			for w, x := range rows[e.To] {
+				rows[a][w] |= x
+			}
+			rows[a][e.To>>6] |= 1 << (uint(e.To) & 63)
 		}
 	}
-	sort.Strings(succs)
-	sort.Strings(preds)
-	return succs, preds
+	for a := range g.Nodes {
+		if rows[a] == nil {
+			fill(a)
+		}
+	}
+	return rows
 }
 
-// checkBlock compares the protection pass with the reference on one
-// block; it returns the number of protection edges the block needed.
-func checkBlock(t *testing.T, m *mach.Machine, b *asm.Block, where string) int {
+// edgeSet returns a graph's Succs edges keyed by (from, to), checking
+// on the way that Preds holds the same edges.
+func edgeSet(t *testing.T, g *cdag.Graph, where string) map[[2]int32]cdag.Edge {
+	t.Helper()
+	set := map[[2]int32]cdag.Edge{}
+	for i, nd := range g.Nodes {
+		for _, e := range nd.Succs {
+			set[[2]int32{int32(i), e.To}] = e
+		}
+	}
+	preds := 0
+	for i, nd := range g.Nodes {
+		for _, e := range nd.Preds {
+			preds++
+			s, ok := set[[2]int32{e.To, int32(i)}]
+			if s.To = e.To; !ok || s != e {
+				t.Errorf("%s: Preds edge %d->%d %+v is not in Succs", where, e.To, i, e)
+			}
+		}
+	}
+	if preds != len(set) {
+		t.Errorf("%s: %d edges in Preds, %d distinct in Succs", where, preds, len(set))
+	}
+	return set
+}
+
+// schedOptions returns the option sets the strategies schedule a block
+// of af under: the default, the ablations, IPS's prepass limit and
+// RASE's tight estimate.
+func schedOptions(m *mach.Machine, af *asm.Func) map[string]sched.Options {
+	_, cross := af.PseudoHomes()
+	liveOut := sched.LiveOutPseudos(af, cross)
+	ips, rase := map[*mach.RegSet]int{}, map[*mach.RegSet]int{}
+	for _, rs := range m.RegSets {
+		if k := len(m.AllocableIn(rs)); k > 0 {
+			ips[rs] = max(k-1, 2)
+			if k > 2 {
+				rase[rs] = k - 2
+			}
+		}
+	}
+	return map[string]sched.Options{
+		"default":          {},
+		"FIFO":             {FIFO: true},
+		"CurrentCycleOnly": {CurrentCycleOnly: true},
+		"ips":              {MaxLive: ips, LiveOut: liveOut},
+		"rase":             {MaxLive: rase, LiveOut: liveOut},
+	}
+}
+
+// blockStats counts what checkBlock saw.
+type blockStats struct {
+	states, edges, refEdges int // Extra edges: shipped, reference
+}
+
+// checkBlock holds the shipped graph of one block state to what is
+// promised of it against the reference graph — the dependence edges
+// plus the paper's branch-last and protection edge sets, every edge
+// present: the same reachability closure, a subset of the edges, and
+// the same schedule from sched.Run under every option set.
+func checkBlock(t *testing.T, m *mach.Machine, af *asm.Func, b *asm.Block, where string, st *blockStats) {
 	t.Helper()
 	got := cdag.Build(m, b, cdag.Options{})
 	want := cdag.Build(m, b, cdag.Options{NoProtect: true})
-	before, _ := edgeSet(want)
+	branchLastReference(want)
 	protectReference(want)
-	gs, gp := edgeSet(got)
-	ws, wp := edgeSet(want)
-	if fmt.Sprint(gs) != fmt.Sprint(ws) {
-		t.Errorf("%s: successor edges differ from the reference\n got %v\nwant %v", where, gs, ws)
+
+	if !reflect.DeepEqual(closureOf(got), closureOf(want)) {
+		t.Errorf("%s: reachability closure differs from the reference's", where)
 	}
-	if fmt.Sprint(gp) != fmt.Sprint(wp) {
-		t.Errorf("%s: predecessor edges differ from the reference\n got %v\nwant %v", where, gp, wp)
+	ws := edgeSet(t, want, where+" (reference)")
+	for at, e := range edgeSet(t, got, where) {
+		if w, ok := ws[at]; !ok || w != e {
+			t.Errorf("%s: edge %d->%d %+v is not in the reference", where, at[0], at[1], e)
+		}
 	}
-	if fmt.Sprint(gs) != fmt.Sprint(gp) {
-		t.Errorf("%s: Succs and Preds disagree", where)
+	for name, opts := range schedOptions(m, af) {
+		gr, gerr := sched.Run(m, af, b, got, opts)
+		wr, werr := sched.Run(m, af, b, want, opts)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(gr, wr) {
+			t.Errorf("%s: %s schedule differs from the reference graph's:\n got %v %v\nwant %v %v", where, name, gr, gerr, wr, werr)
+		}
 	}
-	return len(ws) - len(before)
+	st.states++
+	for i := range got.Nodes {
+		for _, e := range got.Nodes[i].Succs {
+			if e.Type == cdag.Extra {
+				st.edges++
+			}
+		}
+		for _, e := range want.Nodes[i].Succs {
+			if e.Type == cdag.Extra {
+				st.refEdges++
+			}
+		}
+	}
 }
 
 // stripped returns the block as a strategy hands it to a rescheduling
@@ -162,19 +269,21 @@ func stripped(m *mach.Machine, b *asm.Block) *asm.Block {
 	return out
 }
 
-// TestProtectMatchesReference: on every clocked target, the closure
-// protection pass inserts exactly the reference's edges on every block
-// of Livermore, examples/c and the big-block fixture — as selected, as
-// allocated, and as emitted by postpass, ips and rase (both as packed
-// words and stripped for rescheduling, which is the order the second
-// scheduling pass sees temporal sequences interleaved in).
+// TestProtectMatchesReference: on r2000 and m88000 (the branch-last
+// rule) and on every clocked target (the protection pass as well), the
+// shipped graph of every block of Livermore, examples/c, the big-block
+// and pressure fixtures and the generated high-pressure bodies has the
+// reference's closure, a subset of its edges and its schedules — as
+// selected, as allocated, and as emitted by postpass, ips and rase (both
+// as packed words and stripped for rescheduling, which is the order the
+// second scheduling pass sees temporal sequences interleaved in).
 func TestProtectMatchesReference(t *testing.T) {
 	srcs, err := filepath.Glob("../../examples/c/*.c")
 	if err != nil || len(srcs) == 0 {
 		t.Fatalf("no examples/c sources: %v", err)
 	}
 	sort.Strings(srcs)
-	srcs = append(srcs, "../driver/testdata/bigblock.c")
+	srcs = append(srcs, "../driver/testdata/bigblock.c", "../driver/testdata/pressure.c")
 	// Lowering is repeated per use: selection and strategies consume
 	// the module they are given.
 	modules := func() []*ir.Module {
@@ -194,6 +303,15 @@ func TestProtectMatchesReference(t *testing.T) {
 			}
 			mods = append(mods, mod)
 		}
+		r := rand.New(rand.NewSource(1991))
+		for i := 0; i < generated; i++ {
+			name := fmt.Sprintf("gen%d.c", i)
+			mod, err := driver.Frontend(name, gentest.Source(r, gentest.ShapeFor(r)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mods = append(mods, mod)
+		}
 		return mods
 	}
 
@@ -203,11 +321,12 @@ func TestProtectMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(m.Clocks) == 0 {
+		if len(m.Clocks) > 0 {
+			clocked++
+		} else if target != "r2000" && target != "m88000" {
 			continue
 		}
-		clocked++
-		blocks, edges := 0, 0
+		var st blockStats
 		for _, mod := range modules() {
 			for _, fn := range mod.Funcs {
 				xform.Apply(m, fn)
@@ -216,15 +335,13 @@ func TestProtectMatchesReference(t *testing.T) {
 					t.Fatalf("%s %s: select: %v", target, fn.Name, err)
 				}
 				for bi, b := range af.Blocks {
-					edges += checkBlock(t, m, b, fmt.Sprintf("%s %s:%s block %d selected", target, mod.Name, fn.Name, bi))
-					blocks++
+					checkBlock(t, m, af, b, fmt.Sprintf("%s %s:%s block %d selected", target, mod.Name, fn.Name, bi), &st)
 				}
 				if _, err := regalloc.Allocate(m, af); err != nil {
 					t.Fatalf("%s %s: allocate: %v", target, fn.Name, err)
 				}
 				for bi, b := range af.Blocks {
-					edges += checkBlock(t, m, b, fmt.Sprintf("%s %s:%s block %d allocated", target, mod.Name, fn.Name, bi))
-					blocks++
+					checkBlock(t, m, af, b, fmt.Sprintf("%s %s:%s block %d allocated", target, mod.Name, fn.Name, bi), &st)
 				}
 			}
 		}
@@ -237,19 +354,21 @@ func TestProtectMatchesReference(t *testing.T) {
 				for _, af := range c.Prog.Funcs {
 					for bi, b := range af.Blocks {
 						where := fmt.Sprintf("%s/%s %s:%s block %d", target, kind, mod.Name, af.Name, bi)
-						edges += checkBlock(t, m, b, where+" emitted")
-						edges += checkBlock(t, m, stripped(m, b), where+" stripped")
-						blocks += 2
+						checkBlock(t, m, af, b, where+" emitted", &st)
+						checkBlock(t, m, af, stripped(m, b), where+" stripped", &st)
 					}
 				}
 			}
 		}
-		if edges == 0 {
-			t.Errorf("%s: no block of the corpus needed a protection edge", target)
+		if st.edges == 0 || st.edges >= st.refEdges {
+			t.Errorf("%s: %d Extra edges where the reference has %d: the corpus shows no implied edge being dropped", target, st.edges, st.refEdges)
 		}
-		t.Logf("%s: %d block states, %d protection edges", target, blocks, edges)
+		t.Logf("%s: %d block states, %d Extra edges, %d in the reference", target, st.states, st.edges, st.refEdges)
 	}
 	if clocked == 0 {
 		t.Error("no registered target declares a clock")
 	}
 }
+
+// generated is the number of gentest functions the corpus is widened by.
+const generated = 24

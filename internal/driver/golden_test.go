@@ -21,9 +21,9 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.sha256 from the
 
 const goldenFile = "testdata/golden.sha256"
 
-// bigBlockFixture holds straight-line blocks of 24, 64 and 96
-// statements (functions big24, big64, big96): the long code DAGs the
-// Livermore loops and examples/c lack.
+// bigBlockFixture holds straight-line blocks of 24, 64, 96 and 128
+// statements (functions big24, big64, big96, big128): the long code DAGs
+// the Livermore loops and examples/c lack.
 const bigBlockFixture = "testdata/bigblock.c"
 
 // pressureFixture holds functions with 26 to 56 simultaneously live

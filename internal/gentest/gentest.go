@@ -1,4 +1,7 @@
-package regalloc_test
+// Package gentest generates seeded high-pressure C functions for the
+// differential tests of the back end (register allocation, code-DAG
+// protection, scheduling): bodies the golden corpus under-samples.
+package gentest
 
 import (
 	"fmt"
@@ -6,22 +9,22 @@ import (
 	"strings"
 )
 
-// genShape is one generated function's pressure profile.
-type genShape struct {
+// Shape is one generated function's pressure profile.
+type Shape struct {
 	ints, doubles int  // simultaneously live values of each type
 	stmts         int  // statements in the body
 	loop          bool // body inside one counted loop
 }
 
-// genShapeFor draws a shape: 6-40 live values, biased towards the high
+// ShapeFor draws a shape: 6-40 live values, biased towards the high
 // end (a 24-register file only spills above ~26), all-int, all-double or
 // an even mix.
-func genShapeFor(r *rand.Rand) genShape {
+func ShapeFor(r *rand.Rand) Shape {
 	live := 6 + r.Intn(15)
 	if r.Intn(10) < 7 {
 		live = 28 + r.Intn(13)
 	}
-	s := genShape{stmts: 8 + r.Intn(33), loop: r.Intn(2) == 0}
+	s := Shape{stmts: 8 + r.Intn(33), loop: r.Intn(2) == 0}
 	switch r.Intn(5) {
 	case 0, 1:
 		s.ints = live
@@ -34,11 +37,11 @@ func genShapeFor(r *rand.Rand) genShape {
 	return s
 }
 
-// genSource renders a function named f: every value is loaded from a
+// Source renders a function named f: every value is loaded from a
 // global at the top and stored back at the bottom, so all of them are
 // live across the whole body; the body (straight-line, or inside one
 // loop) redefines random values from random others.
-func genSource(r *rand.Rand, s genShape) string {
+func Source(r *rand.Rand, s Shape) string {
 	var sb strings.Builder
 	ops := []string{"+", "-", "*"}
 	fmt.Fprintf(&sb, "int gi[%d];\ndouble gd[%d];\n", s.ints+1, s.doubles+1)

@@ -200,8 +200,9 @@ func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 	// early but populated late (join blocks) move to their start point.
 	g.fn.Blocks = g.layout
 	g.pruneUnreachable()
+	regVer := make([]uint32, len(g.fn.Regs))
 	for _, b := range g.fn.Blocks {
-		cseBlock(b)
+		cseBlock(b, regVer)
 	}
 	g.fn.MarkGlobalRegs()
 	return g.fn, nil

@@ -163,12 +163,11 @@ func (w *fpWriter) nodeWalk(n *Node) {
 		w.byte(0xC0)
 		return
 	}
-	if !w.walk.Visit(n) {
+	if num := w.walk.Number(n, w.nextID); num != w.nextID {
 		w.byte(0xC2)
-		w.u64(n.num)
+		w.u64(num)
 		return
 	}
-	n.num = w.nextID
 	w.nextID++
 	w.byte(0xC1)
 	w.byte(byte(n.Op))

@@ -215,6 +215,16 @@ func (w Walk) Visit(n *Node) bool {
 	return true
 }
 
+// Number returns the number this walk gave n, which is next when n had
+// none yet: a caller numbering nodes in first-visit order advances next
+// whenever it gets next back.
+func (w Walk) Number(n *Node, next uint64) uint64 {
+	if w.Visit(n) {
+		n.num = next
+	}
+	return n.num
+}
+
 // NewConst returns an integer constant node of the given type.
 func NewConst(t Type, v int64) *Node { return &Node{Op: Const, Type: t, IVal: v} }
 

@@ -13,6 +13,7 @@ import (
 
 	"marion/internal/asm"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
@@ -240,7 +241,7 @@ func TestAllocateMatchesReferenceOnGenerated(t *testing.T) {
 		r := rand.New(rand.NewSource(1991))
 		spilled, deep := 0, 0
 		for i := 0; i < genPerTarget; i++ {
-			src := genSource(r, genShapeFor(r))
+			src := gentest.Source(r, gentest.ShapeFor(r))
 			where := fmt.Sprintf("%s generated #%d", target, i)
 			var afs [3]*asm.Func
 			for j := range afs {

@@ -85,23 +85,77 @@ func LiveOutPseudos(af *asm.Func, cross []bool) map[asm.PseudoID]bool {
 	return out
 }
 
-// Run schedules the block's code DAG without mutating the block. A
-// non-nil error means the scheduler deadlocked — a machine description
-// whose constraints admit no schedule (must be impossible for valid
-// descriptions; see the protection pass).
+// Scratch is the storage scheduling works in: the code DAG's (Dag) and
+// the tables of Run's cycle loop. The zero value is ready to use. A
+// strategy keeps one per function and schedules every block, in every
+// pass, on it, so only a block longer than any before it allocates —
+// beyond each Result's Order and Cycles, which are the caller's. A graph
+// built on Dag is overwritten by the next Build or Schedule, and a
+// scratch is never shared between goroutines.
+type Scratch struct {
+	Dag cdag.Scratch
+
+	ints, heights       []int
+	busy                []mach.ResSet
+	pending, newPending [][]int
+	members             []int
+	limited             []setPressure
+	usesLeft            []int32
+	live                []bool
+	useBuf              []asm.PseudoID
+}
+
+// setPressure is the register pressure of one limited register set.
+type setPressure struct {
+	set              *mach.RegSet
+	max, cur, change int
+}
+
+// sized returns buf with length n, reallocated when it is too short. The
+// contents are whatever the last use left.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// groups returns buf as one empty member list per clock, keeping the
+// lists' storage.
+func groups(buf [][]int, clocks int) [][]int {
+	buf = sized(buf, clocks)
+	for k := range buf {
+		buf[k] = buf[k][:0]
+	}
+	return buf
+}
+
+// Run schedules the block's code DAG without mutating the block, in a
+// scratch of its own. A non-nil error means the scheduler deadlocked — a
+// machine description whose constraints admit no schedule (must be
+// impossible for valid descriptions; see the protection pass).
 func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Options) (Result, error) {
+	return new(Scratch).Run(m, af, b, g, opts)
+}
+
+// Run is the package's Run on s's tables. g may be any graph, built on
+// s.Dag or not.
+func (s *Scratch) Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Options) (Result, error) {
 	n := len(g.Nodes)
 	res := Result{}
 	if n == 0 {
 		return res, nil
 	}
-	heights := g.Heights()
+	s.heights = g.HeightsInto(s.heights)
+	heights := s.heights
 
 	// Per-node state. placedCycle[i] is the cycle node i was placed in,
 	// -1 while it is unscheduled; comparing it with the current cycle
 	// answers "placed in this instruction word?".
-	ints := make([]int, 5*n)
+	s.ints = sized(s.ints, 5*n)
+	ints := s.ints
 	predsLeft, earliest, placedCycle := ints[:n], ints[n:2*n], ints[2*n:3*n]
+	clear(earliest)
 	placedNow := 0 // nodes placed in the current cycle
 
 	// The candidates: ready holds every unscheduled node whose
@@ -155,7 +209,9 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 			window = l
 		}
 	}
-	busy := make([]mach.ResSet, window)
+	s.busy = sized(s.busy, window)
+	busy := s.busy
+	clear(busy)
 	reserve := func(start int, vec []mach.ResSet) {
 		for c, rs := range vec {
 			busy[(start+c)%window] |= rs
@@ -206,8 +262,8 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 	// in ascending clock order by construction: when two clocks' groups
 	// are placeable in the same cycle (i860), the visit order is the
 	// order they are placed, and printed, in.
-	pending := make([][]int, len(m.Clocks))
-	newPending := make([][]int, len(m.Clocks))
+	s.pending, s.newPending = groups(s.pending, len(m.Clocks)), groups(s.newPending, len(m.Clocks))
+	pending, newPending := s.pending, s.newPending
 
 	// Rule 1: an instruction affecting clock k may only be placed in a
 	// cycle where every outstanding destination of a temporal edge on k
@@ -246,14 +302,9 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 	// physical registers (hence every implicit effect) are outside the
 	// limit. Only limited register sets are tracked, in description
 	// order; usesLeft and live are indexed by pseudo.
-	type setPressure struct {
-		set              *mach.RegSet
-		max, cur, change int
-	}
-	var limited []setPressure
+	limited := s.limited[:0]
 	var usesLeft []int32
 	var live []bool
-	var useBuf []asm.PseudoID // the candidate's pseudo uses, repeats included
 	limitedSet := func(p asm.PseudoID) *setPressure {
 		for j := range limited {
 			if limited[j].set == af.Pseudos[p].Set {
@@ -271,8 +322,11 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 				limited = append(limited, setPressure{set: rs, max: lim})
 			}
 		}
-		usesLeft = make([]int32, len(af.Pseudos))
-		live = make([]bool, len(af.Pseudos))
+		s.limited = limited
+		s.usesLeft, s.live = sized(s.usesLeft, len(af.Pseudos)), sized(s.live, len(af.Pseudos))
+		usesLeft, live = s.usesLeft, s.live
+		clear(usesLeft)
+		clear(live)
 		for i := range g.Nodes {
 			for u := g.Nodes[i].Inst.RegUses(m); u.Next(); {
 				if p, ok := pseudoOf(u.Key); ok {
@@ -300,12 +354,13 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 		}
 		// An operand may appear several times in one instruction; it dies
 		// here when this instruction holds ALL its remaining uses.
-		useBuf = useBuf[:0]
+		useBuf := s.useBuf[:0] // the candidate's pseudo uses, repeats included
 		for u := in.RegUses(m); u.Next(); {
 			if p, ok := pseudoOf(u.Key); ok {
 				useBuf = append(useBuf, p)
 			}
 		}
+		s.useBuf = useBuf
 	uses:
 		for k, p := range useBuf {
 			for _, q := range useBuf[:k] {
@@ -369,21 +424,22 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 		classAdd(g.Nodes[i].Inst.Tmpl.Class)
 		pressureApply(g.Nodes[i].Inst)
 		for _, e := range g.Nodes[i].Succs {
-			predsLeft[e.To]--
-			if c := cycle + e.Latency; c > earliest[e.To] {
-				earliest[e.To] = c
+			to := int(e.To)
+			predsLeft[to]--
+			if c := cycle + int(e.Latency); c > earliest[to] {
+				earliest[to] = c
 			}
 			if e.Type == cdag.True && e.Clock >= 0 {
-				newPending[e.Clock] = addMember(newPending[e.Clock], e.To)
+				newPending[e.Clock] = addMember(newPending[e.Clock], to)
 			}
 			// With its last predecessor placed the successor becomes a
 			// candidate — for this very word when no latency separates
 			// them — or waits for its operands.
-			if predsLeft[e.To] == 0 {
-				if earliest[e.To] <= cycle {
-					makeReady(e.To)
+			if predsLeft[to] == 0 {
+				if earliest[to] <= cycle {
+					makeReady(to)
 				} else {
-					waiting = append(waiting, e.To)
+					waiting = append(waiting, to)
 				}
 			}
 		}
@@ -415,19 +471,8 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 
 	remaining := n
 	lastProgress := 0
-	nextSeq := 0      // Sequential: the lowest unscheduled thread index
-	var members []int // the temporal group being placed
+	nextSeq := 0 // Sequential: the lowest unscheduled thread index
 	for remaining > 0 {
-		// Greedy list scheduling with Rule 1 can wedge on code whose
-		// register-reuse anti-dependences interleave temporal sequences
-		// (a non-backtracking scheduler took a wrong turn). The code
-		// thread itself is always a valid order, so fall back to strict
-		// sequential placement for this block.
-		if !opts.Sequential && cycle-lastProgress > 4096 {
-			seq := opts
-			seq.Sequential = true
-			return Run(m, af, b, g, seq)
-		}
 		if opts.Context != nil && cycle&255 == 0 {
 			if err := opts.Context.Err(); err != nil {
 				if err == context.DeadlineExceeded {
@@ -494,7 +539,7 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 				if len(grp) == 0 {
 					continue
 				}
-				members = members[:0]
+				members := s.members[:0] // the temporal group being placed
 				ok := true
 				for _, mem := range grp {
 					if placedCycle[mem] >= 0 || predsLeft[mem] != 0 || earliest[mem] > cycle || !groupRule1OK(mem, k0) {
@@ -503,6 +548,7 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 					}
 					members = append(members, mem)
 				}
+				s.members = members
 				if !ok {
 					continue
 				}
@@ -596,6 +642,23 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 
 		if placedNow > 0 {
 			lastProgress = cycle
+		} else if !opts.Sequential && len(waiting) == 0 && cycle-lastProgress >= window {
+			// Greedy list scheduling with Rule 1 can wedge (a
+			// non-backtracking scheduler took a wrong turn): on
+			// pre-allocation code, where sequences of independent
+			// statements are all candidates at once and a head placed
+			// between another sequence's head and its members can never
+			// be followed, and on code whose register-reuse
+			// anti-dependences interleave temporal sequences. Nothing was
+			// placed, no operand is in flight, the busy ring has drained
+			// and no temporal edge is about to become outstanding: the
+			// next cycle would find exactly this state, and so would
+			// every one after it. The code thread itself is always a
+			// valid order, so fall back to strict sequential placement
+			// for this block.
+			seq := opts
+			seq.Sequential = true
+			return s.Run(m, af, b, g, seq)
 		}
 		remaining = n - len(res.Order)
 		if remaining > 0 {
@@ -710,7 +773,12 @@ func Apply(m *mach.Machine, b *asm.Block, res Result) {
 // Schedule builds the code DAG, runs the list scheduler and commits the
 // result; it returns the block's estimated cycle count.
 func Schedule(m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) (int, error) {
-	res, err := Run(m, af, b, cdag.Build(m, b, opts.Dag), opts)
+	return new(Scratch).Schedule(m, af, b, opts)
+}
+
+// Schedule is the package's Schedule on s's tables.
+func (s *Scratch) Schedule(m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) (int, error) {
+	res, err := s.Run(m, af, b, s.Dag.Build(m, b, opts.Dag), opts)
 	if err != nil {
 		return 0, err
 	}

@@ -448,7 +448,7 @@ func testProtectionAcrossClocks(t *testing.T) {
 	g := cdag.Build(m, b, cdag.Options{})
 	has := func(from, to int) bool {
 		for _, e := range g.Nodes[from].Succs {
-			if e.To == to {
+			if int(e.To) == to {
 				return true
 			}
 		}
@@ -481,7 +481,7 @@ func testProtectionAcrossClocks(t *testing.T) {
 		free = free[:len(free)-1]
 		for _, e := range g.Nodes[i].Succs {
 			if left[e.To]--; left[e.To] == 0 {
-				free = append(free, e.To)
+				free = append(free, int(e.To))
 			}
 		}
 	}
@@ -525,7 +525,7 @@ func TestStallCyclesAllocateNothing(t *testing.T) {
 	af, b := newBlock(insts...)
 	mkPseudos(af, r, len(insts))
 
-	setLatency := func(g *cdag.Graph, lat int) {
+	setLatency := func(g *cdag.Graph, lat int32) {
 		for i := range g.Nodes {
 			for j := range g.Nodes[i].Succs {
 				g.Nodes[i].Succs[j].Latency = lat

@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"marion/internal/asm"
-	"marion/internal/cdag"
 	"marion/internal/faults"
 	"marion/internal/ir"
 	"marion/internal/mach"
@@ -149,8 +148,18 @@ type Options struct {
 }
 
 // Apply runs the full back end pipeline of the given strategy on a
-// selected function: scheduling, allocation, prologue/epilogue.
+// selected function: scheduling, allocation, prologue/epilogue. Every
+// block of the function, in every scheduling pass, is built and
+// scheduled on one scratch, which lives as long as the call.
 func Apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options) (*Stats, error) {
+	sc := new(sched.Scratch)
+	return apply(m, af, kind, opts, func() *sched.Scratch { return sc })
+}
+
+// apply is Apply with the scratch each block is built and scheduled on
+// supplied by the caller, block by block: the reuse test hands every
+// block a fresh one and compares.
+func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, scratch func() *sched.Scratch) (*Stats, error) {
 	st := &Stats{}
 
 	// The per-function budget context reaches every bounded loop.
@@ -172,7 +181,7 @@ func Apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options) (*Stats, erro
 		}
 		o := opts.Sched
 		o.FIFO = true
-		if err := scheduleAll(m, af, st, opts.Inject, o); err != nil {
+		if err := scheduleAll(m, af, scratch, st, opts.Inject, o, false); err != nil {
 			return nil, err
 		}
 
@@ -184,7 +193,7 @@ func Apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options) (*Stats, erro
 		o.Sequential = true
 		o.NoPack = true
 		o.MaxLive = nil
-		if err := scheduleAll(m, af, st, opts.Inject, o); err != nil {
+		if err := scheduleAll(m, af, scratch, st, opts.Inject, o, false); err != nil {
 			return nil, err
 		}
 
@@ -192,7 +201,7 @@ func Apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options) (*Stats, erro
 		if _, err := allocate(m, af, st, opts); err != nil {
 			return nil, err
 		}
-		if err := scheduleAll(m, af, st, opts.Inject, opts.Sched); err != nil {
+		if err := scheduleAll(m, af, scratch, st, opts.Inject, opts.Sched, false); err != nil {
 			return nil, err
 		}
 
@@ -212,24 +221,24 @@ func Apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options) (*Stats, erro
 		pre.MaxLive = limit
 		_, cross := af.PseudoHomes()
 		pre.LiveOut = sched.LiveOutPseudos(af, cross)
-		if err := scheduleAllPrepass(m, af, st, opts.Inject, pre); err != nil {
+		if err := scheduleAll(m, af, scratch, st, opts.Inject, pre, true); err != nil {
 			return nil, err
 		}
 		if _, err := allocate(m, af, st, opts); err != nil {
 			return nil, err
 		}
-		if err := scheduleAll(m, af, st, opts.Inject, opts.Sched); err != nil {
+		if err := scheduleAll(m, af, scratch, st, opts.Inject, opts.Sched, false); err != nil {
 			return nil, err
 		}
 
 	case RASE:
-		if err := raseEstimates(m, af, st, opts); err != nil {
+		if err := raseEstimates(m, af, scratch, st, opts); err != nil {
 			return nil, err
 		}
 		if _, err := allocate(m, af, st, opts); err != nil {
 			return nil, err
 		}
-		if err := scheduleAll(m, af, st, opts.Inject, opts.Sched); err != nil {
+		if err := scheduleAll(m, af, scratch, st, opts.Inject, opts.Sched, false); err != nil {
 			return nil, err
 		}
 	}
@@ -286,33 +295,14 @@ func elideMoves(af *asm.Func) {
 }
 
 // scheduleAll schedules every block and records the summed estimate.
-func scheduleAll(m *mach.Machine, af *asm.Func, st *Stats, inj *faults.Injector, opts sched.Options) error {
-	if err := inj.Fire("sched"); err != nil {
-		return err
-	}
-	total := 0
-	for _, b := range af.Blocks {
-		stripNops(m, b)
-		c, err := sched.Schedule(m, af, b, opts)
-		if err != nil {
-			return err
-		}
-		total += c
-		st.SchedulePasses++
-	}
-	st.EstimatedCycles = total
-	return nil
-}
-
-// scheduleAllPrepass is scheduleAll for PRE-allocation passes, with one
-// safeguard: blocks containing explicitly-advanced-pipeline
-// sub-operations keep their selection order (FIFO). A prepass reorder
-// would interleave temporal sequences; the allocator's register reuse
-// then adds cross-sequence anti-dependences that can make the
-// interleaving unschedulable under Rule 1. The post-allocation pass,
-// which starts from sequence-contiguous order, performs the temporal
-// overlap instead (as Postpass does).
-func scheduleAllPrepass(m *mach.Machine, af *asm.Func, st *Stats, inj *faults.Injector, opts sched.Options) error {
+// A PRE-allocation pass (prepass) has one safeguard: blocks containing
+// explicitly-advanced-pipeline sub-operations keep their selection
+// order. A prepass reorder would interleave temporal sequences; the
+// allocator's register reuse then adds cross-sequence anti-dependences
+// that can make the interleaving unschedulable under Rule 1. The
+// post-allocation pass, which starts from sequence-contiguous order,
+// performs the temporal overlap instead (as Postpass does).
+func scheduleAll(m *mach.Machine, af *asm.Func, scratch func() *sched.Scratch, st *Stats, inj *faults.Injector, opts sched.Options, prepass bool) error {
 	if err := inj.Fire("sched"); err != nil {
 		return err
 	}
@@ -320,13 +310,13 @@ func scheduleAllPrepass(m *mach.Machine, af *asm.Func, st *Stats, inj *faults.In
 	for _, b := range af.Blocks {
 		stripNops(m, b)
 		o := opts
-		if blockHasTemporal(b) {
+		if prepass && blockHasTemporal(b) {
 			// Strict order: even FIFO priority would interleave
 			// sequences by filling stall cycles with later sub-ops.
 			o.Sequential = true
 			o.MaxLive = nil
 		}
-		c, err := sched.Schedule(m, af, b, o)
+		c, err := scratch().Schedule(m, af, b, o)
 		if err != nil {
 			return err
 		}
@@ -367,7 +357,7 @@ func stripNops(m *mach.Machine, b *asm.Block) {
 // schedule needs them. (The paper replaces local pseudos with per-block
 // register-usage nodes; the spill-cost scaling is our equivalent over
 // the same Chaitin-Briggs allocator.)
-func raseEstimates(m *mach.Machine, af *asm.Func, st *Stats, opts Options) error {
+func raseEstimates(m *mach.Machine, af *asm.Func, scratch func() *sched.Scratch, st *Stats, opts Options) error {
 	home, cross := af.PseudoHomes()
 	tight := opts.Sched
 	tight.MaxLive = map[*mach.RegSet]int{}
@@ -380,13 +370,14 @@ func raseEstimates(m *mach.Machine, af *asm.Func, st *Stats, opts Options) error
 	for _, b := range af.Blocks {
 		// Both estimates schedule the same block state, so they share
 		// one code DAG: the scheduler only reads it.
-		g := cdag.Build(m, b, opts.Sched.Dag)
-		free, err := sched.Run(m, af, b, g, opts.Sched)
+		sc := scratch()
+		g := sc.Dag.Build(m, b, opts.Sched.Dag)
+		free, err := sc.Run(m, af, b, g, opts.Sched)
 		if err != nil {
 			return err
 		}
 		st.SchedulePasses++
-		constrained, err := sched.Run(m, af, b, g, tight)
+		constrained, err := sc.Run(m, af, b, g, tight)
 		if err != nil {
 			return err
 		}
