@@ -256,24 +256,36 @@ func (n *Node) IsIntConst(v int64) bool {
 // clone has the same shape — and the same Fingerprint — as the
 // original. No node of the clone aliases a node of the original.
 func (n *Node) Clone() *Node {
-	return n.cloneMemo(map[*Node]*Node{})
+	return (&cloner{walk: NewWalk()}).node(n)
 }
 
-func (n *Node) cloneMemo(memo map[*Node]*Node) *Node {
+// cloner copies statement DAGs: walk numbers the original's nodes in
+// first-visit order (so cloning stamps what it copies), copies holds each
+// one's copy by number, and blocks, when set, remaps branch targets.
+type cloner struct {
+	walk   Walk
+	copies []*Node
+	blocks map[*Block]*Block
+}
+
+func (c *cloner) node(n *Node) *Node {
 	if n == nil {
 		return nil
 	}
-	if c, ok := memo[n]; ok {
-		return c
+	if id := c.walk.Number(n, uint64(len(c.copies))); id < uint64(len(c.copies)) {
+		return c.copies[id]
 	}
-	c := &Node{}
-	*c = *n
-	memo[n] = c
-	c.Kids = make([]*Node, len(n.Kids))
+	cp := &Node{}
+	*cp = *n
+	c.copies = append(c.copies, cp)
+	if c.blocks != nil && n.Target != nil {
+		cp.Target = c.blocks[n.Target]
+	}
+	cp.Kids = make([]*Node, len(n.Kids))
 	for i, k := range n.Kids {
-		c.Kids[i] = k.cloneMemo(memo)
+		cp.Kids[i] = c.node(k)
 	}
-	return c
+	return cp
 }
 
 func (n *Node) String() string {
@@ -447,8 +459,8 @@ func (f *Func) SetNextBlockID(n int) { f.nextBlock = n }
 // blocks. Symbols are shared — the back end never mutates them
 // per-attempt (globals are laid out once per module, local offsets come
 // from the front end) — so a clone can be compiled independently of the
-// original: the degradation ladder retries a failed function on a
-// pristine clone because glue transformation rewrites the IL in place.
+// original. Cloning stamps the original's nodes (see Walk), so only the
+// goroutine that owns f may clone it.
 func (f *Func) Clone() *Func {
 	nf := &Func{
 		Name:       f.Name,
@@ -466,27 +478,7 @@ func (f *Func) Clone() *Func {
 		blocks[b] = nb
 		nf.Blocks = append(nf.Blocks, nb)
 	}
-	nodes := map[*Node]*Node{}
-	var cloneNode func(n *Node) *Node
-	cloneNode = func(n *Node) *Node {
-		if n == nil {
-			return nil
-		}
-		if c, ok := nodes[n]; ok {
-			return c
-		}
-		c := &Node{}
-		*c = *n
-		nodes[n] = c
-		if n.Target != nil {
-			c.Target = blocks[n.Target]
-		}
-		c.Kids = make([]*Node, len(n.Kids))
-		for i, k := range n.Kids {
-			c.Kids[i] = cloneNode(k)
-		}
-		return c
-	}
+	c := cloner{walk: NewWalk(), blocks: blocks}
 	for _, b := range f.Blocks {
 		nb := blocks[b]
 		for _, s := range b.Succs {
@@ -497,10 +489,34 @@ func (f *Func) Clone() *Func {
 		}
 		nb.Stmts = make([]*Node, len(b.Stmts))
 		for i, s := range b.Stmts {
-			nb.Stmts[i] = cloneNode(s)
+			nb.Stmts[i] = c.node(s)
 		}
 	}
 	return nf
+}
+
+// NodeCount returns the number of distinct nodes in the function's
+// statement DAGs: the size the back end's per-function work and tables
+// scale with. It walks (stamps) f.
+func (f *Func) NodeCount() int {
+	w, n := NewWalk(), 0
+	for _, b := range f.Blocks {
+		for _, s := range b.Stmts {
+			n += w.count(s)
+		}
+	}
+	return n
+}
+
+func (w Walk) count(n *Node) int {
+	if !w.Visit(n) {
+		return 0
+	}
+	c := 1
+	for _, k := range n.Kids {
+		c += w.count(k)
+	}
+	return c
 }
 
 // Module is a translation unit: globals plus functions.

@@ -36,7 +36,10 @@ var (
 
 // trimStack captures the current stack normalized for determinism:
 // goroutine numbers and frame-argument addresses vary with scheduling,
-// worker count and heap layout; the frames themselves do not.
+// worker count and heap layout, and the frames below runPhase with who
+// ran the function — a spawned worker or the caller of Run, whose own
+// frames are no business of a diagnostic. What is left, the panic site
+// down to runPhase, does not vary.
 func trimStack() string {
 	s := goroutineIDs.ReplaceAllString(string(debug.Stack()), "goroutine N")
 	s = hexAddrs.ReplaceAllString(s, "0x?")
@@ -46,5 +49,13 @@ func trimStack() string {
 			s = s[:j+1] + s[i:]
 		}
 	}
-	return strings.TrimRight(s, "\n")
+	// Keep runPhase's two lines (function, file:line) and nothing below.
+	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, "marion/internal/pipeline.runPhase(") {
+			lines = lines[:min(i+2, len(lines))]
+			break
+		}
+	}
+	return strings.Join(lines, "\n")
 }

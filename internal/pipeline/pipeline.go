@@ -16,7 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"marion/internal/asm"
@@ -59,6 +61,10 @@ type Ctx struct {
 	// Inject fires this attempt's armed fault-injection sites; nil
 	// injects nothing.
 	Inject *faults.Injector
+	// Undo logs every write the glue transform makes into IR. The ladder
+	// owns it and replays it when the attempt fails — also when the xform
+	// phase panicked part-way, which is why the phase logs through Ctx.
+	Undo *xform.Log
 
 	// Stats is the per-function statistics sink, filled by the strategy
 	// phase.
@@ -108,7 +114,7 @@ type Pipeline struct {
 func Backend() *Pipeline {
 	return &Pipeline{Phases: []Phase{
 		{Name: "xform", Run: func(c *Ctx) error {
-			xform.Apply(c.Machine, c.IR)
+			c.Undo.Apply(c.Machine, c.IR)
 			return nil
 		}},
 		{Name: "select", Run: func(c *Ctx) error {
@@ -270,31 +276,44 @@ func (p *Pipeline) Run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, c
 		}
 	}
 
-	jobs := make(chan int)
+	// Longest function first (LPT, the list scheduler's max-distance rule
+	// applied to the worker pool): the function that bounds the wall time
+	// never starts last. results[i] keeps source order whatever ran when.
+	order := make([]int, len(funcs))
+	size := make([]int, len(funcs))
+	for i, fn := range funcs {
+		order[i], size[i] = i, fn.NodeCount()
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return size[b] - size[a] })
+
+	// One loop claims indices from one cursor; the caller runs it beside
+	// workers-1 spawned goroutines, so a single worker is the caller alone.
+	var cursor atomic.Int64
+	work := func() {
+		for {
+			k := int(cursor.Add(1)) - 1
+			if k >= len(order) {
+				return
+			}
+			i := order[k]
+			// A cancelled context starts no new function: every index
+			// still unclaimed gets its diagnostic instead.
+			if err := ctx.Err(); err != nil {
+				diags.Add(i, funcs[i].Name, "pipeline", err)
+				continue
+			}
+			results[i] = p.runOne(ctx, m, i, funcs[i], cfg, keys, diags)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				results[i] = p.runOne(ctx, m, i, funcs[i], cfg, keys, diags)
-			}
+			work()
 		}()
 	}
-	for i := range funcs {
-		// A cancelled context stops spawning work: check before every
-		// dispatch so no new function starts after cancellation.
-		if err := ctx.Err(); err != nil {
-			diags.Add(i, funcs[i].Name, "pipeline", err)
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			diags.Add(i, funcs[i].Name, "pipeline", ctx.Err())
-		case jobs <- i:
-		}
-	}
-	close(jobs)
+	work()
 	wg.Wait()
 	return results, diags
 }
@@ -314,8 +333,11 @@ type keyParts struct {
 
 // runOne compiles a single function, walking the degradation ladder on
 // failure: the configured strategy first, then (unless Config.Strict)
-// each fallback rung on a pristine clone of the IR, with every fallback
-// result re-checked by internal/verify before acceptance. When every
+// each fallback rung, with every fallback result re-checked by
+// internal/verify before acceptance. The glue transform is the one phase
+// that writes to the IL, and it logs its writes: a failed attempt's log
+// is replayed backwards, so every rung starts from the IL as lowered and
+// a function that fails on every rung is left as it was found. When every
 // rung fails, the PRIMARY attempt's error is recorded as the
 // diagnostic, annotated with the number of failed fallbacks.
 //
@@ -355,27 +377,16 @@ func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *i
 	if !cfg.Strict {
 		rungs = append(rungs, strategy.FallbackChain(cfg.Strategy)...)
 	}
-	// Glue transformation rewrites the IL in place, so retries need a
-	// pristine copy taken before the primary attempt touches it.
-	var pristine *ir.Func
-	if len(rungs) > 1 {
-		pristine = fn.Clone()
-	}
-
 	var firstErr error
 	var firstPhase string
 	// prior accumulates the tagged phase timings of failed attempts so
 	// the accepted attempt's Result reports all work spent, not just the
 	// successful rung's share.
 	var prior []PhaseTiming
+	var undo xform.Log
 	for attempt, kind := range rungs {
-		irFn := fn
-		if attempt > 0 {
-			irFn = pristine.Clone()
-		}
-		res, timings, phase, err := p.tryOne(ctx, m, index, irFn, cfg, kind, attempt, fnSpan)
+		res, timings, phase, err := p.tryOne(ctx, m, index, fn, cfg, kind, attempt, &undo, fnSpan)
 		if err == nil {
-			res.IR = fn // report under the module's own *ir.Func
 			res.Timings = append(prior, res.Timings...)
 			if attempt > 0 {
 				fnSpan.Attr("degraded", kind.String())
@@ -392,6 +403,7 @@ func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *i
 			}
 			return res
 		}
+		undo.Undo(fn)
 		prior = append(prior, timings...)
 		if attempt == 0 {
 			firstErr, firstPhase = err, phase
@@ -419,7 +431,7 @@ func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *i
 // Fallback attempts (attempt > 0) are re-checked by internal/verify
 // before acceptance, whether or not Config.Verify is set: a degraded
 // result is only accepted when it proves clean.
-func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *ir.Func, cfg Config, kind strategy.Kind, attempt int, fnSpan *trace.Span) (*Result, []PhaseTiming, string, error) {
+func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *ir.Func, cfg Config, kind strategy.Kind, attempt int, undo *xform.Log, fnSpan *trace.Span) (*Result, []PhaseTiming, string, error) {
 	asp := fnSpan.Child("attempt")
 	asp.Attr("strategy", kind.String())
 	asp.AttrInt("n", int64(attempt))
@@ -436,7 +448,7 @@ func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *i
 	cfg.Options.Deadline = actx
 	cfg.Options.Inject = inj
 
-	c := &Ctx{Context: actx, Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Inject: inj}
+	c := &Ctx{Context: actx, Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Inject: inj, Undo: undo}
 	for _, ph := range p.Phases {
 		if err := actx.Err(); err != nil {
 			asp.Attr("error", ph.Name)

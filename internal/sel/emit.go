@@ -35,17 +35,14 @@ func (s *selector) selectStore(n *ir.Node) error {
 				continue
 			}
 		}
-		binds := make([]binding, len(tmpl.Operands))
-		if !s.matchSem(tmpl.Sem.Kids[0].Kids[0], n.Kids[0], tmpl, binds) {
-			continue
-		}
-		if !s.matchSem(rv, n.Kids[1], tmpl, binds) {
-			continue
-		}
-		if !s.bindsSelectable(tmpl, binds) {
+		mark, binds := s.pushBinds(tmpl)
+		if !s.matchSem(tmpl.Sem.Kids[0].Kids[0], n.Kids[0], tmpl, binds) ||
+			!s.matchSem(rv, n.Kids[1], tmpl, binds) || !s.bindsSelectable(tmpl, binds) {
+			s.binds = s.binds[:mark]
 			continue
 		}
 		_, err := s.emitMatched(tmpl, binds, -1, nil)
+		s.binds = s.binds[:mark]
 		return err
 	}
 	return fmt.Errorf("no store pattern matches %s (type %s) on %s", n, n.Type, s.m.Name)
@@ -64,15 +61,14 @@ func (s *selector) selectBranch(n *ir.Node) error {
 		if !tmpl.IsBranch {
 			continue
 		}
-		binds := make([]binding, len(tmpl.Operands))
+		mark, binds := s.pushBinds(tmpl)
 		binds[tmpl.BranchOp] = binding{op: asm.Operand{Kind: asm.OpBlock, Block: n.Target}, hasOp: true}
-		if !s.matchSem(tmpl.Sem.Kids[0], n.Kids[0], tmpl, binds) {
-			continue
-		}
-		if !s.bindsSelectable(tmpl, binds) {
+		if !s.matchSem(tmpl.Sem.Kids[0], n.Kids[0], tmpl, binds) || !s.bindsSelectable(tmpl, binds) {
+			s.binds = s.binds[:mark]
 			continue
 		}
 		_, err := s.emitMatched(tmpl, binds, -1, nil)
+		s.binds = s.binds[:mark]
 		return err
 	}
 	return fmt.Errorf("no branch pattern matches %s on %s", n, s.m.Name)
@@ -84,9 +80,9 @@ func (s *selector) selectJump(n *ir.Node) error {
 		if !tmpl.IsJump {
 			continue
 		}
-		args := make([]asm.Operand, len(tmpl.Operands))
+		args := s.slab.args(len(tmpl.Operands))
 		args[tmpl.BranchOp] = asm.Operand{Kind: asm.OpBlock, Block: n.Target}
-		s.emit(asm.New(tmpl, args...))
+		s.emit(s.slab.inst(tmpl, args))
 		return nil
 	}
 	return fmt.Errorf("machine %s has no jump instruction", s.m.Name)
@@ -114,7 +110,7 @@ func (s *selector) selectRet(n *ir.Node) error {
 	if tmpl == nil {
 		return fmt.Errorf("machine %s has no return instruction", s.m.Name)
 	}
-	in := asm.New(tmpl, make([]asm.Operand, len(tmpl.Operands))...)
+	in := s.slab.inst(tmpl, s.slab.args(len(tmpl.Operands)))
 	in.ImpUses = append(imp, s.m.Cwvm.RetAddr.Phys())
 	s.emit(in)
 	return nil
@@ -187,9 +183,9 @@ func (s *selector) selectCall(n *ir.Node) (asm.Operand, error) {
 	if callTmpl == nil {
 		return asm.Operand{}, fmt.Errorf("machine %s has no call instruction", s.m.Name)
 	}
-	args := make([]asm.Operand, len(callTmpl.Operands))
+	args := s.slab.args(len(callTmpl.Operands))
 	args[callTmpl.BranchOp] = asm.Operand{Kind: asm.OpSym, Sym: n.Sym}
-	in := asm.New(callTmpl, args...)
+	in := s.slab.inst(callTmpl, args)
 	in.ImpUses = argRegs
 	in.ImpDefs = append(s.m.CallerSave(), s.m.Cwvm.RetAddr.Phys())
 	for _, r := range s.m.Cwvm.Results {
@@ -215,18 +211,11 @@ func (s *selector) selectCall(n *ir.Node) (asm.Operand, error) {
 }
 
 // move emits a register-to-register move (a no-op when dst == src).
-func (s *selector) move(dst, src asm.Operand) error {
-	if dst == src {
-		return nil
+func (s *selector) move(dst, src asm.Operand) (err error) {
+	if dst != src {
+		s.out, err = appendMove(&s.slab, s.m, s.af, s.out, dst, src)
 	}
-	ins, err := BuildMove(s.m, s.af, dst, src)
-	if err != nil {
-		return err
-	}
-	for _, in := range ins {
-		s.emit(in)
-	}
-	return nil
+	return err
 }
 
 // Emitter is the interface *func escape functions use to generate code.
@@ -249,7 +238,7 @@ func (e *Emitter) Move(dst, src asm.Operand) error { return e.s.move(dst, src) }
 // HalfOf returns the low (0) or high (1) overlapping half of a wide
 // register operand.
 func (e *Emitter) HalfOf(op asm.Operand, half int) (asm.Operand, error) {
-	return e.s.halfOf(op, half)
+	return halfOf(e.s.m, op, half)
 }
 
 // Escape is a user-written expansion function referenced by a *func
@@ -296,21 +285,58 @@ func FindMoveTmpl(m *mach.Machine, set *mach.RegSet) *mach.Instr {
 	return fallback
 }
 
+// slab hands out the operand lists and instructions the selector emits
+// for one function from chunks sized by the function's IL node count
+// (chunk; a function takes about 1.4 operands and 0.6 instructions a
+// node, so four or five chunks), so a small function pays for small
+// chunks. The zero slab allocates each one separately, which is what
+// the exported builders want: the strategies and the allocator add a
+// few instructions each, whenever.
+type slab struct {
+	chunk int
+	ops   []asm.Operand
+	insts []asm.Inst
+}
+
+// args returns n zeroed operands nothing else refers to.
+func (a *slab) args(n int) []asm.Operand {
+	if n > cap(a.ops)-len(a.ops) {
+		a.ops = make([]asm.Operand, 0, max(n, a.chunk/3))
+	}
+	top := len(a.ops)
+	a.ops = a.ops[:top+n]
+	return a.ops[top : top+n : top+n]
+}
+
+// inst is asm.New on the slab.
+func (a *slab) inst(tmpl *mach.Instr, args []asm.Operand) *asm.Inst {
+	if len(a.insts) == cap(a.insts) {
+		a.insts = make([]asm.Inst, 0, max(1, a.chunk/6))
+	}
+	a.insts = append(a.insts, asm.Inst{Tmpl: tmpl, Args: args, Cycle: -1})
+	return &a.insts[len(a.insts)-1]
+}
+
 // BuildMove builds the instruction(s) moving src into dst (same set).
 func BuildMove(m *mach.Machine, af *asm.Func, dst, src asm.Operand) ([]*asm.Inst, error) {
+	return appendMove(new(slab), m, af, nil, dst, src)
+}
+
+// appendMove appends BuildMove's instructions to out.
+func appendMove(a *slab, m *mach.Machine, af *asm.Func, out []*asm.Inst, dst, src asm.Operand) ([]*asm.Inst, error) {
 	set := operandSetOf(m, af, dst)
 	if set == nil {
 		set = operandSetOf(m, af, src)
 	}
 	if set == nil {
-		return nil, fmt.Errorf("move %s <- %s: cannot determine register set", dst, src)
+		return out, fmt.Errorf("move %s <- %s: cannot determine register set", dst, src)
 	}
 	tmpl := FindMoveTmpl(m, set)
 	if tmpl == nil {
-		return nil, fmt.Errorf("machine %s has no move for register set %s", m.Name, set.Name)
+		return out, fmt.Errorf("machine %s has no move for register set %s", m.Name, set.Name)
 	}
 	lv, rv := tmpl.Sem.Kids[0], tmpl.Sem.Kids[1]
-	args := make([]asm.Operand, len(tmpl.Operands))
+	args := a.args(len(tmpl.Operands))
 	for i, spec := range tmpl.Operands {
 		switch {
 		case i == lv.OpIdx:
@@ -324,47 +350,56 @@ func BuildMove(m *mach.Machine, af *asm.Func, dst, src asm.Operand) ([]*asm.Inst
 		}
 	}
 	if len(tmpl.Seq) > 0 {
-		return buildSeq(m, af, tmpl, args)
+		return appendSeq(a, m, af, out, tmpl, args)
 	}
-	return []*asm.Inst{asm.New(tmpl, args...)}, nil
+	return append(out, a.inst(tmpl, args)), nil
 }
 
-func buildSeq(m *mach.Machine, af *asm.Func, tmpl *mach.Instr, args []asm.Operand) ([]*asm.Inst, error) {
-	var out []*asm.Inst
+// appendSeq appends the items of a %seq template with operand wiring.
+// All items share a fresh sequence identity for temporal-latch pairing.
+func appendSeq(a *slab, m *mach.Machine, af *asm.Func, out []*asm.Inst, tmpl *mach.Instr, args []asm.Operand) ([]*asm.Inst, error) {
 	seqID := af.NewSeqID()
 	for _, item := range tmpl.Seq {
-		sub := make([]asm.Operand, len(item.Args))
-		for i, a := range item.Args {
-			switch a.Kind {
+		sub := a.args(len(item.Args))
+		for i, arg := range item.Args {
+			switch arg.Kind {
 			case mach.SeqOperand:
-				sub[i] = args[a.OpIdx]
+				sub[i] = args[arg.OpIdx]
 			case mach.SeqConst:
-				sub[i] = asm.Imm(a.IVal)
+				sub[i] = asm.Imm(arg.IVal)
 			case mach.SeqLoHalf, mach.SeqHiHalf:
 				half := 0
-				if a.Kind == mach.SeqHiHalf {
+				if arg.Kind == mach.SeqHiHalf {
 					half = 1
 				}
-				op := args[a.OpIdx]
-				switch op.Kind {
-				case asm.OpPseudo:
-					sub[i] = asm.Operand{Kind: asm.OpPseudoHalf, Pseudo: op.Pseudo, Half: half}
-				case asm.OpPhys:
-					al := m.Aliases(op.Phys)
-					if len(al) < 2+half {
-						return nil, fmt.Errorf("register %s has no halves", m.PhysName(op.Phys))
-					}
-					sub[i] = asm.Phys(al[1+half])
-				default:
-					return nil, fmt.Errorf("lo/hi of non-register %s", op)
+				h, err := halfOf(m, args[arg.OpIdx], half)
+				if err != nil {
+					return out, fmt.Errorf("%%seq %s: %w", tmpl.Mnemonic, err)
 				}
+				sub[i] = h
 			}
 		}
-		in := asm.New(item.Instr, sub...)
+		in := a.inst(item.Instr, sub)
 		in.SeqID = seqID
 		out = append(out, in)
 	}
 	return out, nil
+}
+
+// halfOf returns the operand for the low/high overlapping half of a wide
+// register operand.
+func halfOf(m *mach.Machine, op asm.Operand, half int) (asm.Operand, error) {
+	switch op.Kind {
+	case asm.OpPseudo:
+		return asm.Operand{Kind: asm.OpPseudoHalf, Pseudo: op.Pseudo, Half: half}, nil
+	case asm.OpPhys:
+		al := m.Aliases(op.Phys)
+		if len(al) < 2+half {
+			return asm.Operand{}, fmt.Errorf("register %s has no overlapping halves", m.PhysName(op.Phys))
+		}
+		return asm.Phys(al[1+half]), nil
+	}
+	return asm.Operand{}, fmt.Errorf("lo/hi of non-register operand %s", op)
 }
 
 // operandSetOf returns the register set an operand value lives in, or nil.

@@ -63,14 +63,19 @@ func Select(m *mach.Machine, fn *ir.Func) (*asm.Func, error) {
 // SelectOpts is Select with tuning options, also returning the
 // selection work counters.
 func SelectOpts(m *mach.Machine, fn *ir.Func, opts Options) (*asm.Func, Counters, error) {
+	nodes := fn.NodeCount()
 	s := &selector{
 		m:        m,
 		irFn:     fn,
-		af:       &asm.Func{Name: fn.Name, IR: fn},
-		selected: map[*ir.Node]asm.Operand{},
-		irPseudo: map[ir.RegID]asm.PseudoID{},
+		af:       &asm.Func{Name: fn.Name, IR: fn, Blocks: make([]*asm.Block, len(fn.Blocks))},
+		irPseudo: make([]asm.PseudoID, len(fn.Regs)),
 		linear:   opts.Linear || !m.SelIndexed(),
+		memo:     make([]nodeMemo, nodes),
+		out:      make([]*asm.Inst, 0, nodes),
+		binds:    make([]binding, 0, 32),
+		slab:     slab{chunk: nodes},
 	}
+	s.af.Pseudos = make([]asm.PseudoInfo, 0, len(fn.Regs)+nodes/2)
 	// Bind parameters to pseudo-registers up front so the entry moves
 	// (inserted by the strategy) target the right pseudos.
 	for _, r := range fn.ParamRegs {
@@ -80,56 +85,125 @@ func SelectOpts(m *mach.Machine, fn *ir.Func, opts Options) (*asm.Func, Counters
 			}
 		}
 	}
-	for _, b := range fn.Blocks {
-		ab := &asm.Block{IR: b}
-		s.af.Blocks = append(s.af.Blocks, ab)
-		s.cur = ab
-		s.selected = map[*ir.Node]asm.Operand{}
-		s.canSel, s.canSelInto = nil, nil
+	blocks := make([]asm.Block, len(fn.Blocks))
+	for i, b := range fn.Blocks {
+		s.cur = &blocks[i]
+		s.cur.IR = b
+		s.af.Blocks[i] = s.cur
+		s.walk, s.next, s.selOps = ir.NewWalk(), 0, append(s.selOps[:0], asm.Operand{})
+		s.dropFeasibility()
+		start := len(s.out)
 		for _, stmt := range b.Stmts {
 			if err := s.stmt(stmt); err != nil {
 				return nil, s.counters, fmt.Errorf("%s: %w", fn.Name, err)
 			}
 		}
+		// Capped: code inserted here later must not grow into the next
+		// block's stretch.
+		s.cur.Insts = s.out[start:len(s.out):len(s.out)]
 	}
 	return s.af, s.counters, nil
 }
 
-// intoKey keys the canSelectInto memo: a node and the fixed register it
-// must land in.
-type intoKey struct {
+// nodeMemo is what the selector knows about one IL node of the current
+// block, indexed by the number the block's walk gave the node: selection
+// reads the IL and writes only its walk stamps.
+type nodeMemo struct {
+	// sel is the index in selOps of the register operand already holding
+	// the node's value; 0 (selOps[0] is no operand) when none does yet.
+	sel int32
+	// can is canSelect's memoized answer (0 unknown, 1 no, 2 yes), valid
+	// while gen is the selector's.
+	gen uint32
+	can uint8
+}
+
+// intoAnswer is one memoized canSelectInto answer.
+type intoAnswer struct {
 	n    *ir.Node
 	phys mach.PhysID
+	ok   bool
 }
 
 type selector struct {
-	m        *mach.Machine
-	irFn     *ir.Func
-	af       *asm.Func
-	cur      *asm.Block
-	selected map[*ir.Node]asm.Operand // per-block: values already in registers
-	irPseudo map[ir.RegID]asm.PseudoID
+	m    *mach.Machine
+	irFn *ir.Func
+	af   *asm.Func
+	cur  *asm.Block
+	// irPseudo is 1 + the asm pseudo of each IL pseudo-register, 0 for
+	// none yet; out is every instruction emitted so far, a finished
+	// block's Insts being its stretch of it.
+	irPseudo []asm.PseudoID
+	out      []*asm.Inst
 
 	// linear selects the unindexed, unmemoized reference path.
 	linear   bool
 	counters Counters
 
-	// Feasibility memos. Both caches are pure functions of the machine
-	// tables and s.selected, so they stay valid exactly until selected
-	// gains an entry (noteSelected) or is reset for a new block.
-	canSel     map[*ir.Node]bool
-	canSelInto map[intoKey]bool
+	// walk numbers the current block's nodes in first-visit order, next
+	// being the next number; memo has an entry per node of the function,
+	// so no block outgrows it; selOps are the block's remembered values.
+	walk   ir.Walk
+	next   uint64
+	memo   []nodeMemo
+	selOps []asm.Operand
+
+	// Feasibility memos: nodeMemo.can and, for the few fixed-register
+	// operands, the list intos. Both are pure functions of the machine
+	// tables and the remembered values, so they stay valid exactly until
+	// a value is remembered (noteSelected) or a new block starts: either
+	// bumps gen, orphaning every can at once, and empties intos.
+	gen   uint32
+	intos []intoAnswer
+
+	// binds is the stack match attempts take their bindings from: an
+	// attempt pushes one binding per template operand (pushBinds) and
+	// pops to its mark when it fails or has emitted.
+	binds []binding
+	slab  slab
 }
 
-func (s *selector) emit(in *asm.Inst) { s.cur.Insts = append(s.cur.Insts, in) }
+// state returns n's memo entry, numbering n on its first visit.
+func (s *selector) state(n *ir.Node) *nodeMemo {
+	id := s.walk.Number(n, s.next)
+	if id == s.next {
+		s.next++
+		s.memo[id] = nodeMemo{}
+	}
+	return &s.memo[id]
+}
+
+// selected returns the register operand already holding n's value.
+func (s *selector) selected(n *ir.Node) (asm.Operand, bool) {
+	i := s.state(n).sel
+	return s.selOps[i], i != 0
+}
+
+func (s *selector) dropFeasibility() {
+	s.gen++
+	s.intos = s.intos[:0]
+}
+
+// pushBinds pushes zeroed bindings for a match attempt on tmpl; the
+// caller pops them with s.binds = s.binds[:mark].
+func (s *selector) pushBinds(tmpl *mach.Instr) (mark int, binds []binding) {
+	mark = len(s.binds)
+	for range tmpl.Operands {
+		s.binds = append(s.binds, binding{})
+	}
+	return mark, s.binds[mark:]
+}
+
+func (s *selector) emit(in *asm.Inst) { s.out = append(s.out, in) }
 
 // noteSelected caches the operand of a selected node and drops the
 // feasibility memos: a new entry can flip canSelect (a call result
 // becomes available) and canSelectInto (a value now pinned to a pseudo
 // can no longer be produced in a fixed register) in either direction.
 func (s *selector) noteSelected(n *ir.Node, op asm.Operand) {
-	s.selected[n] = op
-	s.canSel, s.canSelInto = nil, nil
+	s.state(n).sel = int32(len(s.selOps))
+	s.selOps = append(s.selOps, op)
+	s.dropFeasibility()
 }
 
 // valueTmpls returns the candidate templates for matching value node n:
@@ -165,8 +239,8 @@ func (s *selector) addCost(op asm.Operand) {
 
 // pseudoFor returns the asm pseudo for an IL pseudo-register.
 func (s *selector) pseudoFor(r ir.RegID) (asm.PseudoID, error) {
-	if p, ok := s.irPseudo[r]; ok {
-		return p, nil
+	if p := s.irPseudo[r]; p != 0 {
+		return p - 1, nil
 	}
 	t := s.irFn.RegType(r)
 	set := s.m.Cwvm.GeneralSet(t)
@@ -174,7 +248,7 @@ func (s *selector) pseudoFor(r ir.RegID) (asm.PseudoID, error) {
 		return asm.NoPseudo, fmt.Errorf("no general register set holds type %s", t)
 	}
 	p := s.af.NewPseudo(set, r)
-	s.irPseudo[r] = p
+	s.irPseudo[r] = p + 1
 	return p, nil
 }
 
@@ -227,7 +301,7 @@ func (s *selector) selectInto(n *ir.Node, dst asm.Operand) error {
 	// the equivalent path in value does) — without it, CSE reached
 	// through assignment destinations undercounts and skews
 	// Chaitin/Briggs spill choices.
-	if op, ok := s.selected[n]; ok {
+	if op, ok := s.selected(n); ok {
 		s.addCost(op)
 		return s.move(dst, op)
 	}
@@ -258,7 +332,7 @@ func (s *selector) selectInto(n *ir.Node, dst asm.Operand) error {
 
 // value selects n into some register and returns the operand.
 func (s *selector) value(n *ir.Node) (asm.Operand, error) {
-	if op, ok := s.selected[n]; ok {
+	if op, ok := s.selected(n); ok {
 		s.addCost(op)
 		return op, nil
 	}
@@ -319,30 +393,42 @@ type binding struct {
 	hasOp bool
 }
 
+// valuePattern reports whether tmpl can produce the value of n at all,
+// and returns its destination's operand index and spec. It must assign
+// to a register operand (stores and temporal-register writers are not
+// value patterns) an expression, not a bare register: an identity move
+// would bind the node to itself and recurse forever, and moves are
+// emitted explicitly. It must take n's type; and an untyped load needs a
+// settable destination exactly as wide as the access (float loads need
+// a typed template).
+func valuePattern(tmpl *mach.Instr, n *ir.Node) (int, mach.OperandSpec, bool) {
+	if tmpl.Sem.Kind != mach.SemAssign || tmpl.Sem.Kids[0].Kind != mach.SemOperand {
+		return 0, mach.OperandSpec{}, false
+	}
+	if rv := tmpl.Sem.Kids[1]; rv.Kind == mach.SemOperand {
+		if k := tmpl.Operands[rv.OpIdx].Kind; k == mach.OperandReg || k == mach.OperandFixedReg {
+			return 0, mach.OperandSpec{}, false
+		}
+	}
+	dstIdx := tmpl.Sem.Kids[0].OpIdx
+	dst := tmpl.Operands[dstIdx]
+	if !typeOK(tmpl.TypeConstraint, n.Type) || n.Op == ir.Load && tmpl.TypeConstraint == ir.Void &&
+		(dst.Kind != mach.OperandReg || n.Type.Size() != dst.Set.Size || n.Type.IsFloat()) {
+		return 0, mach.OperandSpec{}, false
+	}
+	return dstIdx, dst, true
+}
+
 // match tries every plausible instruction template in description order
 // against value node n; dst, when non-nil, requests the result in that
 // operand.
 func (s *selector) match(n *ir.Node, dst *asm.Operand) (asm.Operand, error) {
 	for _, tmpl := range s.valueTmpls(n) {
 		s.counters.Tried++
-		if tmpl.Sem.Kind != mach.SemAssign {
+		dstIdx, dstSpec, ok := valuePattern(tmpl, n)
+		if !ok {
 			continue
 		}
-		lv := tmpl.Sem.Kids[0]
-		if lv.Kind != mach.SemOperand {
-			continue // stores and temporal-register writers are not value patterns
-		}
-		// Identity moves ({$1 = $2;} over registers) would bind the node
-		// to itself and recurse forever; moves are emitted explicitly.
-		if rv := tmpl.Sem.Kids[1]; rv.Kind == mach.SemOperand {
-			if k := tmpl.Operands[rv.OpIdx].Kind; k == mach.OperandReg || k == mach.OperandFixedReg {
-				continue
-			}
-		}
-		if !typeOK(tmpl.TypeConstraint, n.Type) {
-			continue
-		}
-		dstSpec := tmpl.Operands[lv.OpIdx]
 		// The destination set must be able to hold the value.
 		switch dstSpec.Kind {
 		case mach.OperandReg:
@@ -366,26 +452,16 @@ func (s *selector) match(n *ir.Node, dst *asm.Operand) (asm.Operand, error) {
 		default:
 			continue
 		}
-		// Loads must match the access width exactly.
-		if n.Op == ir.Load && tmpl.TypeConstraint == ir.Void {
-			if dstSpec.Kind != mach.OperandReg || n.Type.Size() != dstSpec.Set.Size {
-				continue
-			}
-			if n.Type.IsFloat() {
-				continue // float loads need a typed template
-			}
-		}
-
-		binds := make([]binding, len(tmpl.Operands))
-		if !s.matchSem(tmpl.Sem.Kids[1], n, tmpl, binds) {
-			continue
-		}
+		mark, binds := s.pushBinds(tmpl)
 		// Brute force with backtracking (paper §2.1): if a bound subtree
 		// cannot be selected by any pattern, proceed to the next pattern.
-		if !s.bindsSelectable(tmpl, binds) {
+		if !s.matchSem(tmpl.Sem.Kids[1], n, tmpl, binds) || !s.bindsSelectable(tmpl, binds) {
+			s.binds = s.binds[:mark]
 			continue
 		}
-		return s.emitMatched(tmpl, binds, lv.OpIdx, dst)
+		op, err := s.emitMatched(tmpl, binds, dstIdx, dst)
+		s.binds = s.binds[:mark]
+		return op, err
 	}
 	return asm.Operand{}, fmt.Errorf("no pattern matches %s (type %s) on %s", n, n.Type, s.m.Name)
 }
@@ -416,23 +492,21 @@ func (s *selector) bindsSelectable(tmpl *mach.Instr, binds []binding) bool {
 // physical register phys. Results are memoized per (node, register)
 // until s.selected changes.
 func (s *selector) canSelectInto(n *ir.Node, phys mach.PhysID) bool {
-	if op, ok := s.selected[n]; ok {
+	if op, ok := s.selected(n); ok {
 		return op.Kind == asm.OpPhys && op.Phys == phys
 	}
 	if s.linear {
 		return s.canSelectIntoSlow(n, phys)
 	}
-	k := intoKey{n, phys}
-	if v, ok := s.canSelInto[k]; ok {
-		s.counters.MemoHits++
-		return v
+	for _, a := range s.intos {
+		if a.n == n && a.phys == phys {
+			s.counters.MemoHits++
+			return a.ok
+		}
 	}
 	s.counters.MemoMisses++
 	v := s.canSelectIntoSlow(n, phys)
-	if s.canSelInto == nil {
-		s.canSelInto = map[intoKey]bool{}
-	}
-	s.canSelInto[k] = v
+	s.intos = append(s.intos, intoAnswer{n, phys, v})
 	return v
 }
 
@@ -446,39 +520,16 @@ func (s *selector) canSelectIntoSlow(n *ir.Node, phys mach.PhysID) bool {
 	}
 	for _, tmpl := range tmpls {
 		s.counters.Tried++
-		if tmpl.Sem.Kind != mach.SemAssign {
+		// valuePattern approves no untyped load into a fixed register,
+		// as match emits none.
+		_, dstSpec, ok := valuePattern(tmpl, n)
+		if !ok || dstSpec.Kind != mach.OperandFixedReg || dstSpec.Phys() != phys {
 			continue
 		}
-		lv := tmpl.Sem.Kids[0]
-		if lv.Kind != mach.SemOperand {
-			continue
-		}
-		if rv := tmpl.Sem.Kids[1]; rv.Kind == mach.SemOperand {
-			if k := tmpl.Operands[rv.OpIdx].Kind; k == mach.OperandReg || k == mach.OperandFixedReg {
-				continue
-			}
-		}
-		if !typeOK(tmpl.TypeConstraint, n.Type) {
-			continue
-		}
-		dstSpec := tmpl.Operands[lv.OpIdx]
-		if dstSpec.Kind != mach.OperandFixedReg || dstSpec.Phys() != phys {
-			continue
-		}
-		// Untyped loads carry the same width/float guard match applies;
-		// match additionally requires a settable (OperandReg)
-		// destination for them, so a fixed-register candidate can never
-		// emit and must not be approved here either.
-		if n.Op == ir.Load && tmpl.TypeConstraint == ir.Void {
-			if dstSpec.Kind != mach.OperandReg || n.Type.Size() != dstSpec.Set.Size || n.Type.IsFloat() {
-				continue
-			}
-		}
-		binds := make([]binding, len(tmpl.Operands))
-		if !s.matchSem(tmpl.Sem.Kids[1], n, tmpl, binds) {
-			continue
-		}
-		if s.bindsSelectable(tmpl, binds) {
+		mark, binds := s.pushBinds(tmpl)
+		ok = s.matchSem(tmpl.Sem.Kids[1], n, tmpl, binds) && s.bindsSelectable(tmpl, binds)
+		s.binds = s.binds[:mark]
+		if ok {
 			return true
 		}
 	}
@@ -494,7 +545,7 @@ func (s *selector) canSelectIntoSlow(n *ir.Node, phys mach.PhysID) bool {
 // can never approve a template whose emission then fails. Template-scan
 // results are memoized per node until s.selected changes.
 func (s *selector) canSelect(n *ir.Node, want *mach.RegSet) bool {
-	if _, ok := s.selected[n]; ok {
+	if _, ok := s.selected(n); ok {
 		return true
 	}
 	switch n.Op {
@@ -511,16 +562,20 @@ func (s *selector) canSelect(n *ir.Node, want *mach.RegSet) bool {
 	if s.linear {
 		return s.canSelectSlow(n)
 	}
-	if v, ok := s.canSel[n]; ok {
+	st := s.state(n)
+	if st.gen != s.gen {
+		st.gen, st.can = s.gen, 0
+	}
+	if st.can != 0 {
 		s.counters.MemoHits++
-		return v
+		return st.can == 2
 	}
 	s.counters.MemoMisses++
 	v := s.canSelectSlow(n)
-	if s.canSel == nil {
-		s.canSel = map[*ir.Node]bool{}
+	st.can = 1
+	if v {
+		st.can = 2
 	}
-	s.canSel[n] = v
 	return v
 }
 
@@ -536,35 +591,14 @@ func (s *selector) canSelectSlow(n *ir.Node) bool {
 	}
 	for _, tmpl := range tmpls {
 		s.counters.Tried++
-		if tmpl.Sem.Kind != mach.SemAssign {
+		_, dstSpec, ok := valuePattern(tmpl, n)
+		if !ok || dstSpec.Kind != mach.OperandReg || !dstSpec.Set.HoldsLoose(n.Type) {
 			continue
 		}
-		lv := tmpl.Sem.Kids[0]
-		if lv.Kind != mach.SemOperand {
-			continue
-		}
-		if rv := tmpl.Sem.Kids[1]; rv.Kind == mach.SemOperand {
-			if k := tmpl.Operands[rv.OpIdx].Kind; k == mach.OperandReg || k == mach.OperandFixedReg {
-				continue
-			}
-		}
-		if !typeOK(tmpl.TypeConstraint, n.Type) {
-			continue
-		}
-		dstSpec := tmpl.Operands[lv.OpIdx]
-		if dstSpec.Kind != mach.OperandReg || !dstSpec.Set.HoldsLoose(n.Type) {
-			continue
-		}
-		if n.Op == ir.Load && tmpl.TypeConstraint == ir.Void {
-			if n.Type.Size() != dstSpec.Set.Size || n.Type.IsFloat() {
-				continue
-			}
-		}
-		binds := make([]binding, len(tmpl.Operands))
-		if !s.matchSem(tmpl.Sem.Kids[1], n, tmpl, binds) {
-			continue
-		}
-		if s.bindsSelectable(tmpl, binds) {
+		mark, binds := s.pushBinds(tmpl)
+		ok = s.matchSem(tmpl.Sem.Kids[1], n, tmpl, binds) && s.bindsSelectable(tmpl, binds)
+		s.binds = s.binds[:mark]
+		if ok {
 			return true
 		}
 	}
@@ -684,7 +718,7 @@ func hasFlag(flags []string, name string) bool {
 // emitMatched selects bound subtrees and emits the instruction. dstIdx is
 // the template operand index of the destination.
 func (s *selector) emitMatched(tmpl *mach.Instr, binds []binding, dstIdx int, dst *asm.Operand) (asm.Operand, error) {
-	args := make([]asm.Operand, len(tmpl.Operands))
+	args := s.slab.args(len(tmpl.Operands))
 	for i, spec := range tmpl.Operands {
 		if i == dstIdx {
 			continue
@@ -752,7 +786,7 @@ func (s *selector) emitMatched(tmpl *mach.Instr, binds []binding, dstIdx int, ds
 
 // emitExpanded emits a template instance, expanding %seq items and *func
 // escapes.
-func (s *selector) emitExpanded(tmpl *mach.Instr, args []asm.Operand) error {
+func (s *selector) emitExpanded(tmpl *mach.Instr, args []asm.Operand) (err error) {
 	switch {
 	case tmpl.EscapeFunc != "":
 		esc := escapes[tmpl.EscapeFunc]
@@ -761,57 +795,11 @@ func (s *selector) emitExpanded(tmpl *mach.Instr, args []asm.Operand) error {
 		}
 		return esc(&Emitter{s: s}, tmpl, args)
 	case len(tmpl.Seq) > 0:
-		return s.expandSeq(tmpl, args)
+		s.out, err = appendSeq(&s.slab, s.m, s.af, s.out, tmpl, args)
+		return err
 	}
-	s.emit(asm.New(tmpl, args...))
+	s.emit(s.slab.inst(tmpl, args))
 	return nil
-}
-
-// expandSeq emits the items of a %seq template with operand wiring. All
-// items share a fresh sequence identity for temporal-latch pairing.
-func (s *selector) expandSeq(tmpl *mach.Instr, args []asm.Operand) error {
-	seqID := s.af.NewSeqID()
-	for _, item := range tmpl.Seq {
-		sub := make([]asm.Operand, len(item.Args))
-		for i, a := range item.Args {
-			switch a.Kind {
-			case mach.SeqOperand:
-				sub[i] = args[a.OpIdx]
-			case mach.SeqConst:
-				sub[i] = asm.Imm(a.IVal)
-			case mach.SeqLoHalf, mach.SeqHiHalf:
-				half := 0
-				if a.Kind == mach.SeqHiHalf {
-					half = 1
-				}
-				h, err := s.halfOf(args[a.OpIdx], half)
-				if err != nil {
-					return fmt.Errorf("%%seq %s: %w", tmpl.Mnemonic, err)
-				}
-				sub[i] = h
-			}
-		}
-		in := asm.New(item.Instr, sub...)
-		in.SeqID = seqID
-		s.emit(in)
-	}
-	return nil
-}
-
-// halfOf returns the operand for the low/high overlapping half of a wide
-// register operand.
-func (s *selector) halfOf(op asm.Operand, half int) (asm.Operand, error) {
-	switch op.Kind {
-	case asm.OpPseudo:
-		return asm.Operand{Kind: asm.OpPseudoHalf, Pseudo: op.Pseudo, Half: half}, nil
-	case asm.OpPhys:
-		al := s.m.Aliases(op.Phys)
-		if len(al) < 2+half {
-			return asm.Operand{}, fmt.Errorf("register %s has no overlapping halves", s.m.PhysName(op.Phys))
-		}
-		return asm.Phys(al[1+half]), nil
-	}
-	return asm.Operand{}, fmt.Errorf("lo/hi of non-register operand %s", op)
 }
 
 // coerce ensures op lives in the wanted register set, inserting a move

@@ -13,6 +13,26 @@ import (
 // first matching rule wins), so rules whose right-hand side embeds their
 // own left-hand side terminate.
 func Apply(m *mach.Machine, fn *ir.Func) {
+	new(Log).Apply(m, fn)
+}
+
+// Log is the undo log of Apply: every write the rewrite makes into the
+// function's own IL — a kid slot of a node, a statement slot of a block,
+// and only when the rewritten node differs — is recorded before it
+// happens, so Undo puts the IL back exactly, also after a panic part-way
+// through Apply. Nodes a rule built are not logged: nothing reaches them
+// once the slots are restored.
+type Log struct {
+	writes []write
+}
+
+type write struct {
+	slot **ir.Node
+	old  *ir.Node
+}
+
+// Apply is the package's Apply, recording its writes in l.
+func (l *Log) Apply(m *mach.Machine, fn *ir.Func) {
 	if len(m.Glues) == 0 {
 		return
 	}
@@ -20,45 +40,83 @@ func Apply(m *mach.Machine, fn *ir.Func) {
 	for _, g := range m.Glues {
 		operands = max(operands, len(g.Operands))
 	}
-	x := &xformer{m: m, memo: map[*ir.Node]*ir.Node{}, b: bindings{
+	x := &xformer{m: m, log: l, walk: ir.NewWalk(), b: bindings{
 		nodes:  make([]*ir.Node, operands),
 		blocks: make([]*ir.Block, operands),
 	}}
 	for _, b := range fn.Blocks {
-		for i, s := range b.Stmts {
-			b.Stmts[i] = x.rewrite(s)
+		for i := range b.Stmts {
+			x.rewriteSlot(&b.Stmts[i])
 		}
+	}
+	// Counting parents starts walks of its own: not before ours is over.
+	for _, b := range fn.Blocks {
+		b.CountParents()
+	}
+}
+
+// Undo replays the log backwards and empties it, leaving fn's IL —
+// Fingerprint, iltext.Print, parent counts — as before l's Apply calls.
+func (l *Log) Undo(fn *ir.Func) {
+	if len(l.writes) == 0 {
+		return
+	}
+	for i := len(l.writes) - 1; i >= 0; i-- {
+		*l.writes[i].slot = l.writes[i].old
+	}
+	l.writes = l.writes[:0]
+	for _, b := range fn.Blocks {
 		b.CountParents()
 	}
 }
 
 type xformer struct {
-	m    *mach.Machine
-	memo map[*ir.Node]*ir.Node
+	m   *mach.Machine
+	log *Log
+	// walk marks the nodes already rewritten; replaced maps the few of
+	// them a rule replaced to their replacement (nil until one is).
+	walk     ir.Walk
+	replaced map[*ir.Node]*ir.Node
 	// b is the one scratch every match attempt of this Apply call binds
 	// into: kids are rewritten before their parent is matched, so no two
 	// attempts overlap.
 	b bindings
 }
 
+// rewriteSlot rewrites the node a kid or statement slot holds; when that
+// yields a different node it logs the slot, then redirects it.
+func (x *xformer) rewriteSlot(slot **ir.Node) {
+	if out := x.rewrite(*slot); out != *slot {
+		x.log.writes = append(x.log.writes, write{slot, *slot})
+		*slot = out
+	}
+}
+
 // rewrite processes kids bottom-up, then tries the glue rules once at n.
 // Shared subtrees are rewritten once (sharing preserved).
 func (x *xformer) rewrite(n *ir.Node) *ir.Node {
-	if out, ok := x.memo[n]; ok {
-		return out
+	if !x.walk.Visit(n) {
+		if x.replaced != nil {
+			if out, ok := x.replaced[n]; ok {
+				return out
+			}
+		}
+		return n
 	}
-	for i, k := range n.Kids {
-		n.Kids[i] = x.rewrite(k)
+	for i := range n.Kids {
+		x.rewriteSlot(&n.Kids[i])
 	}
-	out := n
 	for _, g := range x.m.Glues {
 		if matchGlue(g, n, &x.b) {
-			out = build(g.RHS, &x.b, n.Type)
-			break
+			out := build(g.RHS, &x.b, n.Type)
+			if x.replaced == nil {
+				x.replaced = map[*ir.Node]*ir.Node{}
+			}
+			x.replaced[n] = out
+			return out
 		}
 	}
-	x.memo[n] = out
-	return out
+	return n
 }
 
 // bindings maps glue metavariables (0-based) to matched IL subtrees; a

@@ -186,3 +186,33 @@ func TestGlueRepeatedMetavariableAfterFailedAttempt(t *testing.T) {
 		t.Errorf("second rule did not match after the first bound and failed: %s", b.Stmts[0])
 	}
 }
+
+// TestApplyWithoutMatchIsCheap: most functions contain nothing a glue
+// rule rewrites. Such an Apply logs no write and allocates its xformer
+// and the two binding slices only — the replaced map is neither made (a
+// fourth allocation) nor, being nil, indexed.
+func TestApplyWithoutMatchIsCheap(t *testing.T) {
+	fn := ir.NewFunc("f", ir.Void)
+	b := fn.NewBlock()
+	x := ir.NewReg(ir.I32, fn.NewReg(ir.I32, "x"))
+	sum := ir.New(ir.Add, ir.I32, x, ir.NewConst(ir.I32, 4))
+	for i := 0; i < 8; i++ { // sum is shared: second visits take the walk's early exit
+		b.Stmts = append(b.Stmts, &ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: fn.NewReg(ir.I32, ""), Kids: []*ir.Node{ir.New(ir.Mul, ir.I32, sum, sum)}})
+	}
+	b.Stmts = append(b.Stmts, &ir.Node{Op: ir.Ret})
+	before := b.Stmts[0].String()
+	for _, target := range targets.Names() {
+		m, err := targets.Load(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var l Log
+		allocs := testing.AllocsPerRun(10, func() { l.Apply(m, fn) })
+		if len(l.writes) != 0 || b.Stmts[0].String() != before {
+			t.Fatalf("%s: a glue rule matched; the test lost its point", target)
+		}
+		if allocs > 3 {
+			t.Errorf("%s: Apply on a function no rule matches allocates %.0f times, want <= 3", target, allocs)
+		}
+	}
+}
