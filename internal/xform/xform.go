@@ -107,7 +107,7 @@ func (x *xformer) rewrite(n *ir.Node) *ir.Node {
 		x.rewriteSlot(&n.Kids[i])
 	}
 	for _, g := range x.m.Glues {
-		if matchGlue(g, n, &x.b) {
+		if rootMatches(g.LHS, n) && matchGlue(g, n, &x.b) {
 			out := build(g.RHS, &x.b, n.Type)
 			if x.replaced == nil {
 				x.replaced = map[*ir.Node]*ir.Node{}
