@@ -225,7 +225,7 @@ type Emitter struct{ s *selector }
 func (e *Emitter) Machine() *mach.Machine { return e.s.m }
 
 // Emit appends an instruction to the current block.
-func (e *Emitter) Emit(tmpl *mach.Instr, args ...asm.Operand) { e.s.emit(asm.New(tmpl, args...)) }
+func (e *Emitter) Emit(tmpl *mach.Instr, args ...asm.Operand) { e.s.emit(e.s.slab.inst(tmpl, args)) }
 
 // NewPseudo allocates a scratch pseudo-register in the given set.
 func (e *Emitter) NewPseudo(set *mach.RegSet) asm.Operand {

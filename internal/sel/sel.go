@@ -490,7 +490,7 @@ func (s *selector) bindsSelectable(tmpl *mach.Instr, binds []binding) bool {
 
 // canSelectInto reports whether n can be produced in the specific
 // physical register phys. Results are memoized per (node, register)
-// until s.selected changes.
+// until a value is remembered.
 func (s *selector) canSelectInto(n *ir.Node, phys mach.PhysID) bool {
 	if op, ok := s.selected(n); ok {
 		return op.Kind == asm.OpPhys && op.Phys == phys
@@ -543,7 +543,7 @@ func (s *selector) canSelectIntoSlow(n *ir.Node, phys mach.PhysID) bool {
 // that register belongs to the wanted set — the same condition
 // matchSem/hardPhys enforce when the binding is emitted, so feasibility
 // can never approve a template whose emission then fails. Template-scan
-// results are memoized per node until s.selected changes.
+// results are memoized per node until a value is remembered.
 func (s *selector) canSelect(n *ir.Node, want *mach.RegSet) bool {
 	if _, ok := s.selected(n); ok {
 		return true

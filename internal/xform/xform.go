@@ -92,8 +92,8 @@ func (x *xformer) rewriteSlot(slot **ir.Node) {
 	}
 }
 
-// rewrite processes kids bottom-up, then tries the glue rules once at n.
-// Shared subtrees are rewritten once (sharing preserved).
+// rewrite processes kids bottom-up, then tries each glue rule once at n,
+// its root first (that test inlines). Shared subtrees are rewritten once.
 func (x *xformer) rewrite(n *ir.Node) *ir.Node {
 	if !x.walk.Visit(n) {
 		if x.replaced != nil {
