@@ -4,10 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench benchcheck benchsmoke cachesmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos ci
-
-TARGETS    := r2000 r2000s m88000 i860 rs6000 toyp
-STRATEGIES := naive postpass ips rase local
+.PHONY: build test vet race bench benchcheck benchsmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos ci
 
 build:
 	$(GO) build ./...
@@ -24,7 +21,6 @@ race:
 
 bench:
 	$(GO) test -bench . -benchmem
-	$(GO) run ./cmd/marionstats -cachestats -benchjson BENCH_cache.json
 
 # bench/ is its own module, so `go build ./...` and `go test ./...`
 # never compile it; vet and test it here so a change to the
@@ -40,27 +36,14 @@ benchcheck:
 benchsmoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
 
-# Compilation-cache smoke: one cold/warm Livermore pass per strategy at
-# a single worker count; byte-identical warm output and a full hit rate
-# are enforced inside the bench (a violation is a non-zero exit).
-cachesmoke:
-	$(GO) run ./cmd/marionstats -cachestats -workers 4
-
 # Emitted-code verification sweep: the machine-description-driven
-# verifier (internal/verify) over the Livermore suite and every
-# examples/c source, on every target under every strategy. Expected
-# output is an all-zero finding matrix; any finding fails the build.
+# verifier (internal/verify) over the Livermore suite on every target
+# under every strategy. Expected output is an all-zero finding matrix;
+# any finding fails the build. (examples/c and the driver's fixtures get
+# the same sweep inside `go test`: TestGoldenDigests compiles them with
+# the verifier on.)
 verify-all:
 	$(GO) run ./cmd/marionstats -verify
-	@for f in examples/c/*.c; do \
-	  for t in $(TARGETS); do \
-	    for s in $(STRATEGIES); do \
-	      $(GO) run ./cmd/marionc -target $$t -strategy $$s -verify $$f > /dev/null \
-	        || { echo "verify-all: $$f $$t/$$s FAILED"; exit 1; }; \
-	    done; \
-	  done; \
-	  echo "verify-all: $$f clean on all targets/strategies"; \
-	done
 
 # Compile-service smoke: boot a race-instrumented mariond on an
 # ephemeral port, burst it past its admission budget (asserting a clean
@@ -100,4 +83,4 @@ tracesmoke:
 chaos:
 	$(GO) run ./cmd/marionstats -faultmatrix
 
-ci: build vet test race benchcheck benchsmoke cachesmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos
+ci: build vet test race benchcheck benchsmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos

@@ -12,8 +12,6 @@
 //	marionstats -selstats       # selection index/memoization work counts
 //	marionstats -verify         # emitted-code verification matrix (expect all-zero)
 //	marionstats -faultmatrix    # chaos sweep: per-site/per-target degradation matrix
-//	marionstats -cachestats     # compilation cache: cold vs warm Livermore compiles
-//	marionstats -cachestats -benchjson BENCH_cache.json
 //	marionstats -all
 package main
 
@@ -36,12 +34,8 @@ func main() {
 		"run the emitted-code verifier over the Livermore suite on every target x strategy")
 	faultmatrix := flag.Bool("faultmatrix", false,
 		"chaos sweep: inject every fault site x mode on every target x strategy; any outright failure or verifier finding is fatal")
-	cachestats := flag.Bool("cachestats", false,
-		"compilation-cache bench: cold vs warm Livermore compiles (byte-identical output enforced)")
-	benchjson := flag.String("benchjson", "",
-		"with -cachestats, also write the rows as JSON to this file")
 	all := flag.Bool("all", false, "everything")
-	target := flag.String("target", "r2000", "target for tables 3/4, speedups and -cachestats")
+	target := flag.String("target", "r2000", "target for tables 3/4 and speedups")
 	loops := flag.Int("loops", 1, "kernel repetition count")
 	workers := flag.Int("workers", 0, "parallel back end workers (0 = GOMAXPROCS)")
 	flag.Parse()
@@ -163,26 +157,6 @@ func main() {
 					return fmt.Errorf("%s:%s %s/%s: %d failure(s), %d finding(s)",
 						c.Site, c.Mode, c.Target, c.Strategy, c.Failed, c.Findings)
 				}
-			}
-			return nil
-		})
-	}
-	if *all || *cachestats {
-		run("cachestats", func() error {
-			// With an explicit -workers, bench just that pool size;
-			// otherwise sweep the determinism-relevant counts.
-			workersList := []int{1, 4, 8}
-			if *workers != 0 {
-				workersList = []int{*workers}
-			}
-			rows, err := experiments.CacheBench(*target,
-				[]strategy.Kind{strategy.Postpass, strategy.RASE}, workersList)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatCacheBench(rows))
-			if *benchjson != "" {
-				return experiments.WriteCacheBenchJSON(*benchjson, rows)
 			}
 			return nil
 		})

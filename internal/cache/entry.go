@@ -27,8 +27,10 @@ type Entry struct {
 // m.Instrs, register sets to their index in m.RegSets, IR blocks to
 // their position in fn.Blocks, and symbols to (class, index) for
 // parameters/locals or to their name for globals and functions — all
-// of which the cache key pins (the machine fingerprint covers template
-// order; the IR digest covers block order, frame layout and referenced
+// of which the cache key pins (the machine fingerprint is the digest of
+// the description text, and TestDescriptionTablesPinned in
+// internal/targets holds the template and register-set order derived
+// from it; the IR digest covers block order, frame layout and referenced
 // symbol names). Decode reverses the flattening against the *current*
 // machine and IR, so a hit emits labels and symbols of the module
 // being compiled, byte-identical to a cold compile.

@@ -22,9 +22,7 @@ func ConfigKey(kind strategy.Kind, opts strategy.Options, linearSelect bool) [32
 	w.str("marion-cfg-key-v1")
 	w.u64(uint64(kind))
 	w.bool(linearSelect)
-	w.i64(int64(opts.IPSReserve))
 	w.bool(opts.FillDelaySlots)
-	w.i64(int64(opts.MaxAllocRounds))
 
 	s := opts.Sched
 	w.bool(s.CurrentCycleOnly)

@@ -39,7 +39,10 @@ const pressureFixture = "testdata/pressure.c"
 //	<target>/<strategy> <sha256 of every unit's Prog.Print()> <unit>:<fn>=<8 hex>...
 //
 // The trailing per-function digests are what lets a mismatch name the
-// first function that changed; byFn holds each function's assembly.
+// first function that changed; byFn holds each function's assembly. The
+// source units are compiled with the verifier on and must come out clean
+// (it only reports, so the digests are the same either way); the suite
+// module's turn is `marionstats -verify` under `make verify-all`.
 func goldenLine(t *testing.T, target string, kind strategy.Kind) (line string, byFn map[string]string) {
 	t.Helper()
 	units := []*driver.Compiled{compileSuite(t, target, kind, 0)}
@@ -53,9 +56,12 @@ func goldenLine(t *testing.T, target string, kind strategy.Kind) (line string, b
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := driver.Compile(target, filepath.Base(path), string(src), driver.Config{Strategy: kind})
+		c, err := driver.Compile(target, filepath.Base(path), string(src), driver.Config{Strategy: kind, Verify: true})
 		if err != nil {
 			t.Fatalf("%s/%s %s: %v", target, kind, path, err)
+		}
+		if !c.Verify.Empty() {
+			t.Errorf("%s/%s %s: verifier findings:\n%s", target, kind, path, c.Verify)
 		}
 		units = append(units, c)
 	}

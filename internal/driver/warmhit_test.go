@@ -1,6 +1,7 @@
 package driver_test
 
 import (
+	"reflect"
 	"testing"
 
 	"marion/internal/asm"
@@ -9,6 +10,7 @@ import (
 	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
+	"marion/internal/mach"
 	"marion/internal/metrics"
 	"marion/internal/strategy"
 	"marion/internal/targets"
@@ -23,21 +25,14 @@ const (
 	parseAllocsPerFn = 300
 )
 
-// TestWarmHitAllocBudget holds the cache-hit path — fingerprint, key,
-// Get, Decode, Print — and iltext.Parse to an allocation budget, so a
-// regression on the warm path fails `go test` and not only the
-// benchmark. (It lives here and not in cache_test.go because that file
-// is package driver, which livermore imports.)
-func TestWarmHitAllocBudget(t *testing.T) {
-	m, err := targets.Load("r2000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cache.New(cache.Options{Registry: metrics.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := driver.Config{Strategy: strategy.Postpass, Workers: 1, Cache: c}
+// coldWarm compiles the Livermore suite module twice against the fresh
+// cache in cfg, each time from a freshly lowered module as a recompile
+// would, and holds the second compile to the first: the same assembly,
+// Stats and Sel counters, and one hit for every function, each of which
+// the first compile stored. It returns the warm compile's module
+// (globals laid out, IL as lowered).
+func coldWarm(t *testing.T, m *mach.Machine, cfg driver.Config) (mod *ir.Module, cold, warm *driver.Compiled) {
+	t.Helper()
 	compile := func() (*ir.Module, *driver.Compiled) {
 		mod, err := livermore.SuiteModule()
 		if err != nil {
@@ -49,12 +44,61 @@ func TestWarmHitAllocBudget(t *testing.T) {
 		}
 		return mod, out
 	}
-	_, cold := compile()
-	// The module of a warm compile: globals laid out, IL as lowered.
-	mod, warm := compile()
-	if warm.CacheHits != len(mod.Funcs) {
-		t.Fatalf("%d hits of %d", warm.CacheHits, len(mod.Funcs))
+	_, cold = compile()
+	stored := cfg.Cache.Stats()
+	mod, warm = compile()
+	hits := cfg.Cache.Stats().Hits() - stored.Hits()
+	if n := int64(len(mod.Funcs)); stored.Stores != n || hits != n || warm.CacheHits != len(mod.Funcs) {
+		t.Fatalf("%d functions: %d stored, %d cache hits, %d served", n, stored.Stores, hits, warm.CacheHits)
 	}
+	if warm.Prog.Print() != cold.Prog.Print() {
+		t.Error("warm assembly differs from cold")
+	}
+	if !reflect.DeepEqual(warm.Stats, cold.Stats) {
+		t.Error("warm Stats differ from cold")
+	}
+	if warm.Sel != cold.Sel {
+		t.Errorf("warm Sel %+v, cold %+v", warm.Sel, cold.Sel)
+	}
+	return mod, cold, warm
+}
+
+func freshCache(t *testing.T) *cache.Cache {
+	t.Helper()
+	c, err := cache.New(cache.Options{Registry: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestWarmEqualsColdOnLivermore is the gate the retired cold/warm
+// Livermore bench enforced, at the worker count CI ran it with.
+func TestWarmEqualsColdOnLivermore(t *testing.T) {
+	m, err := targets.Load("r2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []strategy.Kind{strategy.Postpass, strategy.RASE} {
+		t.Run(kind.String(), func(t *testing.T) {
+			coldWarm(t, m, driver.Config{Strategy: kind, Workers: 4, Cache: freshCache(t)})
+		})
+	}
+}
+
+// TestWarmHitAllocBudget holds the cache-hit path — fingerprint, key,
+// Get, Decode, Print — and iltext.Parse to an allocation budget, so a
+// regression on the warm path fails `go test` and not only the
+// benchmark. (It lives here and not in cache_test.go because that file
+// is package driver, which livermore imports.)
+func TestWarmHitAllocBudget(t *testing.T) {
+	m, err := targets.Load("r2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := freshCache(t)
+	cfg := driver.Config{Strategy: strategy.Postpass, Workers: 1, Cache: c}
+	mod, cold, warm := coldWarm(t, m, cfg)
 	want := cold.Prog.Print()
 
 	machFP := m.Fingerprint()

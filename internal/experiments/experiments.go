@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -356,28 +355,6 @@ func Figure7() (string, error) {
 	}
 	fmt.Fprintf(&sb, "%d instructions in %d words\n", instrs, words)
 	return sb.String(), nil
-}
-
-// ---------------------------------------------------------------------
-// Kernel-level verification sweep used by tools and tests.
-
-// VerifyAll checks every kernel/target/strategy combination given.
-func VerifyAll(targetNames []string, kinds []strategy.Kind, loops int) error {
-	var errs []string
-	for _, tn := range targetNames {
-		for _, st := range kinds {
-			for i := range livermore.Kernels {
-				if err := livermore.Verify(&livermore.Kernels[i], tn, st, loops); err != nil {
-					errs = append(errs, err.Error())
-				}
-			}
-		}
-	}
-	if len(errs) > 0 {
-		sort.Strings(errs)
-		return fmt.Errorf("%d failures:\n%s", len(errs), strings.Join(errs, "\n"))
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------

@@ -200,15 +200,7 @@ func (m *Machine) Finalize() error {
 	// operator so the selector only iterates plausible candidates.
 	m.buildSelIndex()
 
-	if err := m.validate(); err != nil {
-		return err
-	}
-
-	// Content digest for the compilation cache: a pure function of the
-	// loaded description, computed once so per-function cache keys are
-	// a cheap hash away.
-	m.fingerprint = m.computeFingerprint()
-	return nil
+	return m.validate()
 }
 
 func (m *Machine) finalizeInstr(in *Instr) error {

@@ -1,288 +1,14 @@
 package mach
 
-import (
-	"crypto/sha256"
-	"encoding/binary"
-	"hash"
-	"math"
-
-	"marion/internal/ir"
-)
-
-// Fingerprint returns the machine description's content digest,
-// computed once by Finalize. Everything the back end derives code from
-// — register sets, resources, immediate/label/memory definitions,
-// clocks, long-word elements, every instruction template with its
-// semantics, resource usage, latencies, delay slots and packing class,
-// auxiliary latencies, glue rules and the CWVM runtime model — is
-// hashed in declaration order, so the digest identifies the description
-// across retargets and doubles as the machine component of the
-// compilation-cache key (internal/cache). Two independently loaded
-// copies of the same description fingerprint equal; any description
-// edit that could change emitted code changes the digest.
+// Fingerprint returns the digest of the description text the machine was
+// parsed from, recorded by maril.ParseInfo: it identifies the description
+// across retargets and is the machine component of the compilation-cache
+// key (internal/cache). Two loads of the same text are equal; any edit to
+// the text or the machine name changes it. A machine that did not come
+// from maril.Parse has the zero fingerprint, which pipeline.Run reads as
+// "no cache for this run".
 func (m *Machine) Fingerprint() [32]byte { return m.fingerprint }
 
-type machFP struct {
-	h   hash.Hash
-	buf [8]byte
-}
-
-func (w *machFP) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
-}
-
-func (w *machFP) i64(v int64)   { w.u64(uint64(v)) }
-func (w *machFP) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *machFP) byte(b byte)   { w.h.Write([]byte{b}) }
-
-func (w *machFP) bool(b bool) {
-	if b {
-		w.byte(1)
-	} else {
-		w.byte(0)
-	}
-}
-
-func (w *machFP) str(s string) {
-	w.u64(uint64(len(s)))
-	w.h.Write([]byte(s))
-}
-
-// regSet hashes a register-set reference by name (unique per machine);
-// nil hashes a sentinel.
-func (w *machFP) regSet(rs *RegSet) {
-	if rs == nil {
-		w.byte(0xA0)
-		return
-	}
-	w.byte(0xA1)
-	w.str(rs.Name)
-}
-
-func (w *machFP) regRef(r RegRef) {
-	w.regSet(r.Set)
-	w.i64(int64(r.Index))
-}
-
-func (w *machFP) operand(o OperandSpec) {
-	w.byte(byte(o.Kind))
-	w.regSet(o.Set)
-	w.i64(int64(o.Index))
-	if o.Def != nil {
-		w.str(o.Def.Name)
-		w.i64(o.Def.Lo)
-		w.i64(o.Def.Hi)
-	} else {
-		w.byte(0xA2)
-	}
-	if o.Lab != nil {
-		w.str(o.Lab.Name)
-		w.i64(o.Lab.Lo)
-		w.i64(o.Lab.Hi)
-		w.bool(o.Lab.Relative)
-	} else {
-		w.byte(0xA3)
-	}
-}
-
-func (w *machFP) sem(s *Sem) {
-	if s == nil {
-		w.byte(0xB0)
-		return
-	}
-	w.byte(0xB1)
-	w.byte(byte(s.Kind))
-	w.byte(byte(s.Op))
-	w.i64(int64(s.OpIdx))
-	w.i64(s.IVal)
-	w.f64(s.FVal)
-	w.bool(s.IsFloat)
-	if s.Mem != nil {
-		w.str(s.Mem.Name)
-	} else {
-		w.byte(0xB2)
-	}
-	w.regSet(s.TReg)
-	w.byte(byte(s.CvtTo))
-	w.u64(uint64(len(s.Kids)))
-	for _, k := range s.Kids {
-		w.sem(k)
-	}
-}
-
-func (w *machFP) instr(in *Instr) {
-	w.str(in.Mnemonic)
-	w.str(in.Label)
-	w.u64(uint64(len(in.Operands)))
-	for _, o := range in.Operands {
-		w.operand(o)
-	}
-	w.byte(byte(in.TypeConstraint))
-	w.i64(int64(in.AffectsClock))
-	w.sem(in.Sem)
-	w.u64(uint64(len(in.Res)))
-	for _, cyc := range in.Res {
-		w.u64(uint64(len(cyc)))
-		for _, r := range cyc {
-			w.i64(int64(r))
-		}
-	}
-	w.i64(int64(in.Cost))
-	w.i64(int64(in.Latency))
-	w.i64(int64(in.Slots))
-	w.bool(in.Move)
-	w.str(in.EscapeFunc)
-	w.u64(uint64(len(in.Seq)))
-	for _, it := range in.Seq {
-		w.str(it.InstrName)
-		w.u64(uint64(len(it.Args)))
-		for _, a := range it.Args {
-			w.byte(byte(a.Kind))
-			w.i64(int64(a.OpIdx))
-			w.i64(a.IVal)
-		}
-	}
-	for _, word := range in.Class {
-		w.u64(word)
-	}
-}
-
-// computeFingerprint hashes the full description-derived machine model.
-// Only slices in declaration order are walked (the one map-backed table,
-// Cwvm.General, is iterated over the closed ir.Type universe), so the
-// digest is deterministic across processes.
-func (m *Machine) computeFingerprint() [32]byte {
-	w := &machFP{h: sha256.New()}
-	w.str("marion-mach-fp-v1")
-	w.str(m.Name)
-
-	w.u64(uint64(len(m.RegSets)))
-	for _, rs := range m.RegSets {
-		w.str(rs.Name)
-		w.i64(int64(rs.Lo))
-		w.i64(int64(rs.Hi))
-		w.u64(uint64(len(rs.Types)))
-		for _, t := range rs.Types {
-			w.byte(byte(t))
-		}
-		w.bool(rs.Temporal)
-		w.i64(int64(rs.Clock))
-		w.i64(int64(rs.Size))
-	}
-	w.u64(uint64(len(m.Equivs)))
-	for _, eq := range m.Equivs {
-		w.regSet(eq.Wide)
-		w.regSet(eq.Narrow)
-		w.i64(int64(eq.WideBase))
-		w.i64(int64(eq.NarrowBase))
-		w.i64(int64(eq.Ratio))
-	}
-	w.u64(uint64(len(m.Resources)))
-	for _, r := range m.Resources {
-		w.str(r)
-	}
-	w.u64(uint64(len(m.Defs)))
-	for _, d := range m.Defs {
-		w.str(d.Name)
-		w.i64(d.Lo)
-		w.i64(d.Hi)
-		w.u64(uint64(len(d.Flags)))
-		for _, f := range d.Flags {
-			w.str(f)
-		}
-	}
-	w.u64(uint64(len(m.Labels)))
-	for _, l := range m.Labels {
-		w.str(l.Name)
-		w.i64(l.Lo)
-		w.i64(l.Hi)
-		w.bool(l.Relative)
-	}
-	w.u64(uint64(len(m.Memories)))
-	for _, d := range m.Memories {
-		w.str(d.Name)
-		w.i64(d.Lo)
-		w.i64(d.Hi)
-	}
-	w.u64(uint64(len(m.Clocks)))
-	for _, c := range m.Clocks {
-		w.str(c)
-	}
-	w.u64(uint64(len(m.Elements)))
-	for _, e := range m.Elements {
-		w.str(e)
-	}
-
-	w.u64(uint64(len(m.Instrs)))
-	for _, in := range m.Instrs {
-		w.instr(in)
-	}
-	w.u64(uint64(len(m.AuxLats)))
-	for _, a := range m.AuxLats {
-		w.str(a.First)
-		w.str(a.Second)
-		w.i64(int64(a.FirstOp))
-		w.i64(int64(a.SecondOp))
-		w.i64(int64(a.Latency))
-	}
-	w.u64(uint64(len(m.Glues)))
-	for _, g := range m.Glues {
-		w.u64(uint64(len(g.Operands)))
-		for _, o := range g.Operands {
-			w.operand(o)
-		}
-		w.sem(g.LHS)
-		w.sem(g.RHS)
-		if g.Guard != nil {
-			w.bool(g.Guard.Negate)
-			w.i64(int64(g.Guard.OpIdx))
-			w.str(g.Guard.Def.Name)
-		} else {
-			w.byte(0xA4)
-		}
-	}
-
-	// CWVM runtime model.
-	c := &m.Cwvm
-	for t := ir.Void; t <= ir.Ptr; t++ {
-		w.regSet(c.General[t])
-	}
-	w.u64(uint64(len(c.Allocable)))
-	for _, rr := range c.Allocable {
-		w.regSet(rr.Set)
-		w.i64(int64(rr.Lo))
-		w.i64(int64(rr.Hi))
-	}
-	w.u64(uint64(len(c.CalleeSave)))
-	for _, rr := range c.CalleeSave {
-		w.regSet(rr.Set)
-		w.i64(int64(rr.Lo))
-		w.i64(int64(rr.Hi))
-	}
-	w.regRef(c.SP)
-	w.regRef(c.FP)
-	w.regRef(c.RetAddr)
-	w.regRef(c.GlobalPtr)
-	w.u64(uint64(len(c.Hard)))
-	for _, h := range c.Hard {
-		w.regRef(h.Ref)
-		w.i64(h.Value)
-	}
-	w.u64(uint64(len(c.Args)))
-	for _, a := range c.Args {
-		w.byte(byte(a.Type))
-		w.regRef(a.Ref)
-		w.i64(int64(a.Pos))
-	}
-	w.u64(uint64(len(c.Results)))
-	for _, r := range c.Results {
-		w.regRef(r.Ref)
-		w.byte(byte(r.Type))
-	}
-	w.i64(int64(c.StackArgOffset))
-
-	var d [32]byte
-	w.h.Sum(d[:0])
-	return d
-}
+// SetFingerprint records the description digest; maril.ParseInfo is the
+// one caller.
+func (m *Machine) SetFingerprint(d [32]byte) { m.fingerprint = d }

@@ -447,8 +447,7 @@ type Machine struct {
 	NumPhys  int
 	aliasTab [][]PhysID // per PhysID: overlapping PhysIDs (incl. self)
 	selIdx   *SelIndex  // operator-indexed template tables (selindex.go)
-	// fingerprint is the description content digest, computed once by
-	// Finalize (see Fingerprint).
+	// fingerprint is the digest of the description text (see Fingerprint).
 	fingerprint [32]byte
 
 	regSetByName map[string]*RegSet

@@ -137,6 +137,10 @@ func TestFinalizeDerivedTables(t *testing.T) {
 	if v, ok := m.IsHard(r.Phys(0)); !ok || v != 0 {
 		t.Error("hard register lost")
 	}
+	// Only a parsed description text gives a machine an identity.
+	if m.Fingerprint() != ([32]byte{}) {
+		t.Error("Finalize fingerprinted a machine no description was parsed into")
+	}
 }
 
 // TestAssignArgsSlotModel checks the collision case that motivated slot

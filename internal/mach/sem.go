@@ -2,7 +2,6 @@ package mach
 
 import (
 	"fmt"
-	"strings"
 
 	"marion/internal/ir"
 )
@@ -161,31 +160,4 @@ func (s *Sem) OperandRefs() (defs, uses []int) {
 		}
 	}
 	return defs, uses
-}
-
-func indent(sb *strings.Builder, n int) {
-	for i := 0; i < n; i++ {
-		sb.WriteByte(' ')
-	}
-}
-
-// Dump returns a multi-line representation useful in tests.
-func (s *Sem) Dump() string {
-	var sb strings.Builder
-	var rec func(n *Sem, d int)
-	rec = func(n *Sem, d int) {
-		indent(&sb, d*2)
-		switch n.Kind {
-		case SemOp:
-			fmt.Fprintf(&sb, "op %s\n", n.Op)
-		default:
-			fmt.Fprintf(&sb, "%s\n", n)
-			return
-		}
-		for _, k := range n.Kids {
-			rec(k, d+1)
-		}
-	}
-	rec(s, 0)
-	return sb.String()
 }

@@ -1,6 +1,7 @@
 package maril
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"marion/internal/ir"
@@ -23,7 +24,17 @@ func Parse(file, src string) (*mach.Machine, error) {
 	return m, err
 }
 
-// ParseInfo is Parse plus section statistics.
+// srcTag versions the machine fingerprint. Cache entries bind templates
+// and register sets by their position in the tables Parse and Finalize
+// build, so a change that derives differently ordered tables from the
+// same text must bump it, or a -cachedir written before the change
+// decodes to the wrong templates after it. TestDescriptionTablesPinned
+// (internal/targets) fails when that happens.
+const srcTag = "marion-mach-src-v1"
+
+// ParseInfo is Parse plus section statistics. The machine it returns is
+// fingerprinted by the text it was parsed from: sha256 of srcTag, the
+// machine name (asm.Program.Print emits it) and src.
 func ParseInfo(file, src string) (*mach.Machine, *Info, error) {
 	p := &parser{lx: newLexer(file, src), m: mach.NewMachine(file), info: &Info{}}
 	if err := p.advance(); err != nil {
@@ -36,6 +47,7 @@ func ParseInfo(file, src string) (*mach.Machine, *Info, error) {
 	if err := p.m.Finalize(); err != nil {
 		return nil, nil, &Error{File: file, Line: 0, Msg: err.Error()}
 	}
+	p.m.SetFingerprint(sha256.Sum256([]byte(srcTag + "\x00" + p.m.Name + "\x00" + src)))
 	return p.m, p.info, nil
 }
 

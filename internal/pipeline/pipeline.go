@@ -181,10 +181,11 @@ type Config struct {
 	Faults *faults.Set
 
 	// CacheOnly serves functions exclusively from the cache: a miss (or
-	// a disabled cache — nil Cache, or armed Faults) is reported as an
-	// ErrCacheOnlyMiss diagnostic instead of compiling. This is the
-	// server's deepest brownout level — under extreme overload mariond
-	// keeps answering for warm code at near-zero cost and sheds the rest.
+	// a disabled cache — nil Cache, armed Faults, or a machine with no
+	// fingerprint) is reported as an ErrCacheOnlyMiss diagnostic instead
+	// of compiling. This is the server's deepest brownout level — under
+	// extreme overload mariond keeps answering for warm code at near-zero
+	// cost and sheds the rest.
 	CacheOnly bool
 
 	// Span, when non-nil, is the parent trace span for the whole run;
@@ -201,7 +202,9 @@ type Config struct {
 	// off, the admission check runs internal/verify anyway and a dirty
 	// result is simply not cached. The cache is ignored entirely when
 	// Faults is armed: injected failures must not poison the cache, and
-	// hits must not mask the sites under test.
+	// hits must not mask the sites under test. It is ignored too for a
+	// machine with the zero fingerprint (one maril.Parse did not build):
+	// nothing identifies it, so it must share entries with no other.
 	Cache *cache.Cache
 }
 
@@ -266,10 +269,10 @@ func (p *Pipeline) Run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, c
 	}
 
 	// The machine and config components of the cache key are shared by
-	// every function in the run; compute them once. Armed faults disable
-	// the cache (see Config.Cache).
+	// every function in the run; compute them once. Armed faults and a
+	// machine with no fingerprint disable the cache (see Config.Cache).
 	var keys *keyParts
-	if cfg.Cache != nil && cfg.Faults == nil {
+	if cfg.Cache != nil && cfg.Faults == nil && m.Fingerprint() != ([32]byte{}) {
 		keys = &keyParts{
 			mach: m.Fingerprint(),
 			cfg:  cache.ConfigKey(cfg.Strategy, cfg.Options, cfg.LinearSelect),
@@ -290,6 +293,9 @@ func (p *Pipeline) Run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, c
 	// workers-1 spawned goroutines, so a single worker is the caller alone.
 	var cursor atomic.Int64
 	work := func() {
+		// This worker's histogram of each phase, filled in by the first
+		// function it compiles (tryOne); a run of hits looks none up.
+		var hists []*metrics.Histogram
 		for {
 			k := int(cursor.Add(1)) - 1
 			if k >= len(order) {
@@ -302,7 +308,7 @@ func (p *Pipeline) Run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, c
 				diags.Add(i, funcs[i].Name, "pipeline", err)
 				continue
 			}
-			results[i] = p.runOne(ctx, m, i, funcs[i], cfg, keys, diags)
+			results[i] = p.runOne(ctx, m, i, funcs[i], cfg, keys, &hists, diags)
 		}
 	}
 	var wg sync.WaitGroup
@@ -345,7 +351,7 @@ type keyParts struct {
 // address (the fingerprint is taken here, before the glue transform
 // mutates the IR); a hit bypasses every phase. A verify-clean primary
 // result is stored back; degraded results never are.
-func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *ir.Func, cfg Config, keys *keyParts, diags *Diagnostics) *Result {
+func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *ir.Func, cfg Config, keys *keyParts, hists *[]*metrics.Histogram, diags *Diagnostics) *Result {
 	fnSpan := cfg.Span.Child("fn:" + fn.Name)
 	defer fnSpan.End()
 
@@ -385,7 +391,7 @@ func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *i
 	var prior []PhaseTiming
 	var undo xform.Log
 	for attempt, kind := range rungs {
-		res, timings, phase, err := p.tryOne(ctx, m, index, fn, cfg, kind, attempt, &undo, fnSpan)
+		res, timings, phase, err := p.tryOne(ctx, m, index, fn, cfg, kind, attempt, &undo, hists, fnSpan)
 		if err == nil {
 			res.Timings = append(prior, res.Timings...)
 			if attempt > 0 {
@@ -431,7 +437,7 @@ func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *i
 // Fallback attempts (attempt > 0) are re-checked by internal/verify
 // before acceptance, whether or not Config.Verify is set: a degraded
 // result is only accepted when it proves clean.
-func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *ir.Func, cfg Config, kind strategy.Kind, attempt int, undo *xform.Log, fnSpan *trace.Span) (*Result, []PhaseTiming, string, error) {
+func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *ir.Func, cfg Config, kind strategy.Kind, attempt int, undo *xform.Log, hists *[]*metrics.Histogram, fnSpan *trace.Span) (*Result, []PhaseTiming, string, error) {
 	asp := fnSpan.Child("attempt")
 	asp.Attr("strategy", kind.String())
 	asp.AttrInt("n", int64(attempt))
@@ -448,8 +454,16 @@ func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *i
 	cfg.Options.Deadline = actx
 	cfg.Options.Inject = inj
 
+	// The lookup builds a name and read-locks the registry every worker
+	// shares, so it is done once per worker and run, not per function.
+	if *hists == nil {
+		*hists = make([]*metrics.Histogram, len(p.Phases))
+		for i, ph := range p.Phases {
+			(*hists)[i] = phaseHist(ph.Name)
+		}
+	}
 	c := &Ctx{Context: actx, Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Inject: inj, Undo: undo}
-	for _, ph := range p.Phases {
+	for i, ph := range p.Phases {
 		if err := actx.Err(); err != nil {
 			asp.Attr("error", ph.Name)
 			return nil, c.Timings, ph.Name, budgetize(ph.Name, err, ctx, cfg.Budget)
@@ -462,7 +476,7 @@ func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *i
 		c.Timings = append(c.Timings, PhaseTiming{
 			Phase: ph.Name, Time: elapsed, Attempt: attempt, Strategy: kind,
 		})
-		phaseHist(ph.Name).ObserveDuration(elapsed)
+		(*hists)[i].ObserveDuration(elapsed)
 		if err != nil {
 			asp.Attr("error", ph.Name)
 			return nil, c.Timings, ph.Name, budgetize(ph.Name, err, ctx, cfg.Budget)
@@ -497,8 +511,8 @@ func phaseHist(phase string) *metrics.Histogram {
 }
 
 // The two phases that are not in Pipeline.Phases run once per function
-// whatever the phase list is; a hit observes nothing else, so their
-// histograms are looked up once, not per function.
+// whatever the phase list is, so their histograms are looked up once per
+// process; tryOne looks up the listed phases' once per worker and run.
 var (
 	cacheHist      = phaseHist("cache")
 	cachestoreHist = phaseHist("cachestore")

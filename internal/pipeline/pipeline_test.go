@@ -10,6 +10,8 @@ import (
 	"marion/internal/cc"
 	"marion/internal/ilgen"
 	"marion/internal/ir"
+	"marion/internal/maril"
+	"marion/internal/metrics"
 	"marion/internal/pipeline"
 	"marion/internal/strategy"
 	"marion/internal/targets"
@@ -19,6 +21,22 @@ const twoFuncs = `
 int one() { return 1; }
 int twice(int x) { return x + x; }
 `
+
+// lowerTwoFuncs lowers twoFuncs afresh: the glue transform mutates IL in
+// place, so each run of a cache test gets its own module — cache keys
+// fingerprint the pristine IR.
+func lowerTwoFuncs(t *testing.T) *ir.Module {
+	t.Helper()
+	file, err := cc.Compile("two.c", twoFuncs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := ilgen.Lower(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mod
+}
 
 func TestBackendPhaseOrder(t *testing.T) {
 	p := pipeline.Backend()
@@ -109,20 +127,7 @@ func TestCacheOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The glue transform mutates IL in place, so each run gets a freshly
-	// lowered module — cache keys fingerprint the pristine IR.
-	lower := func() *ir.Module {
-		t.Helper()
-		file, err := cc.Compile("two.c", twoFuncs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mod, err := ilgen.Lower(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mod
-	}
+	lower := func() *ir.Module { return lowerTwoFuncs(t) }
 	c, err := cache.New(cache.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -171,6 +176,40 @@ func TestCacheOnly(t *testing.T) {
 	_, diags = pipeline.Backend().Run(context.Background(), m, lower().Funcs, noCache)
 	if diags.Empty() || !errors.Is(diags.All()[0].Err, pipeline.ErrCacheOnlyMiss) {
 		t.Fatalf("cacheless cache-only diagnostics = %v", diags.Err())
+	}
+}
+
+// TestZeroFingerprintDisablesCache: a machine with no fingerprint (one
+// maril.Parse did not build) compiles as usual but never touches the
+// cache — nothing identifies it, so an entry could be another machine's.
+func TestZeroFingerprintDisablesCache(t *testing.T) {
+	src, err := targets.Source("r2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := maril.Parse("r2000.maril", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetFingerprint([32]byte{})
+	c, err := cache.New(cache.Options{Registry: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		results, diags := pipeline.Backend().Run(context.Background(), m, lowerTwoFuncs(t).Funcs,
+			pipeline.Config{Strategy: strategy.Postpass, Cache: c})
+		if err := diags.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range results {
+			if r == nil || r.Func == nil || r.CacheHit {
+				t.Fatalf("pass %d result %d: %+v", pass, i, r)
+			}
+		}
+	}
+	if s := c.Stats(); s != (cache.Stats{}) {
+		t.Errorf("the cache was used: %+v", s)
 	}
 }
 

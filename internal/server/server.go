@@ -215,8 +215,8 @@ type Server struct {
 	compileSec, queueSec      *metrics.Histogram
 }
 
-// New loads and finalizes every configured target exactly once (the
-// per-machine fingerprint is computed at finalize time) and builds the
+// New loads and finalizes every configured target exactly once (each
+// machine is fingerprinted as its description is parsed) and builds the
 // shared cache. A cache disk-tier error disables only the disk tier;
 // it is reported by Warning, not returned.
 func New(cfg Config) (*Server, error) {

@@ -124,17 +124,11 @@ type Stats struct {
 // Options tune strategy behavior (mostly for ablation benches).
 type Options struct {
 	Sched sched.Options
-	// IPSReserve is subtracted from the register limit IPS uses.
-	IPSReserve int
 	// FillDelaySlots enables the optional post-scheduling pass (§4.4)
 	// that replaces delay-slot nops with safe instructions hoisted from
 	// above the transfer. Off by default: the paper's Marion always
 	// emits nops. The Safe rung ignores it (nops stay nops).
 	FillDelaySlots bool
-
-	// MaxAllocRounds caps the register allocator's build-color-spill
-	// loop (0 means regalloc.DefaultMaxRounds).
-	MaxAllocRounds int
 
 	// Deadline, when non-nil, is the per-function budget context: the
 	// scheduler's cycle loop and the allocator's round loop poll it, so
@@ -210,7 +204,7 @@ func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, scratch func(
 		limit := map[*mach.RegSet]int{}
 		for _, rs := range m.RegSets {
 			if k := len(m.AllocableIn(rs)); k > 0 {
-				l := k - 1 - opts.IPSReserve
+				l := k - 1
 				if l < 2 {
 					l = 2
 				}
@@ -260,7 +254,6 @@ func allocateOpts(m *mach.Machine, af *asm.Func, st *Stats, opts Options, aopts 
 	if err := opts.Inject.Fire("regalloc"); err != nil {
 		return nil, err
 	}
-	aopts.MaxRounds = opts.MaxAllocRounds
 	aopts.Context = opts.Deadline
 	res, err := regalloc.AllocateOpts(m, af, aopts)
 	if err != nil {

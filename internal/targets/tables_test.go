@@ -1,0 +1,62 @@
+package targets
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/tables.sha256 from the current tables")
+
+const tablesFile = "testdata/tables.sha256"
+
+// TestDescriptionTablesPinned holds what cache.Decode binds by position
+// — a template by its index in m.Instrs, a register set by its index in
+// m.RegSets, a physical register by its PhysID — to a committed digest
+// per target. The machine fingerprint is the digest of the description
+// text, so a change to maril.Parse or mach.Finalize that derives other
+// tables from the same text leaves the cache key alone, and a -cachedir
+// written before the change would decode to the wrong templates after it.
+func TestDescriptionTablesPinned(t *testing.T) {
+	want := map[string]string{}
+	if data, err := os.ReadFile(tablesFile); err == nil {
+		for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			name, sum, _ := strings.Cut(l, " ")
+			want[name] = sum
+		}
+	} else if !*update {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	for _, name := range Names() {
+		m, err := Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, in := range m.Instrs {
+			fmt.Fprintf(h, "instr %d %q %q\n", in.Index, in.Mnemonic, in.Label)
+		}
+		for _, rs := range m.RegSets {
+			fmt.Fprintf(h, "regset %q %d\n", rs.Name, rs.PhysBase)
+		}
+		got := fmt.Sprintf("%x", h.Sum(nil))
+		fmt.Fprintf(&out, "%s %s\n", name, got)
+		if !*update && got != want[name] {
+			t.Errorf("%s: m.Instrs or m.RegSets changed (digest %s, pinned %s).\n"+
+				"If the description text changed, rerun with -update. If it did not, Parse or Finalize now\n"+
+				"derive other tables from the same text, and cache entries bind both by index: bump srcTag\n"+
+				"in internal/maril/parser.go (maril.ParseInfo) so entries older builds wrote to a -cachedir\n"+
+				"miss, then rerun with -update.", name, got, want[name])
+		}
+	}
+	if *update {
+		if err := os.WriteFile(tablesFile, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
