@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -193,6 +194,16 @@ func TestConfigKey(t *testing.T) {
 	b := ConfigKey(k, o, l)
 	if a != b {
 		t.Fatal("config key not deterministic")
+	}
+	// The default configuration's key as every build so far computed it:
+	// an on-disk cache written by an older build must keep hitting.
+	if got := hex.EncodeToString(a[:]); got != "491bc7af2cfe866f639d411f56da882758ce6780c5092e86f5a145c0e321bf96" {
+		t.Fatalf("ConfigKey(RASE, Options{}, false) = %s: the key's byte layout moved", got)
+	}
+	o1 := o
+	o1.Sched.LiveOut = []bool{false, true}
+	if ConfigKey(k, o1, l) == a {
+		t.Fatal("live-out set not in key")
 	}
 	if ConfigKey(strategy.IPS, o, l) == a {
 		t.Fatal("strategy kind not in key")

@@ -6,7 +6,6 @@ import (
 	"hash"
 	"sort"
 
-	"marion/internal/asm"
 	"marion/internal/ir"
 	"marion/internal/strategy"
 )
@@ -53,19 +52,11 @@ func ConfigKey(kind strategy.Kind, opts strategy.Options, linearSelect bool) [32
 		}
 	}
 	// LiveOut is per-function state computed inside the strategy; a
-	// caller-provided map would make the key function-specific, so hash
-	// it too (sorted) rather than silently ignoring it.
+	// caller-provided one would make the key function-specific, so hash
+	// it too rather than silently ignoring it.
 	w.u64(uint64(len(s.LiveOut)))
-	if len(s.LiveOut) > 0 {
-		ids := make([]int, 0, len(s.LiveOut))
-		for id := range s.LiveOut {
-			ids = append(ids, int(id))
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			w.i64(int64(id))
-			w.bool(s.LiveOut[asm.PseudoID(id)])
-		}
+	for _, live := range s.LiveOut {
+		w.bool(live)
 	}
 
 	var d [32]byte

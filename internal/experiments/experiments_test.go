@@ -47,8 +47,11 @@ func TestTable2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
+	if len(rows) != 7 { // the paper's four phases and the three whole-tree totals
 		t.Fatalf("rows = %d", len(rows))
+	}
+	if rows[4].Lines <= rows[0].Lines+rows[1].Lines+rows[2].Lines+rows[3].Lines || rows[5].Lines < 1000 || rows[6].Lines < 1000 {
+		t.Errorf("whole-tree totals %d / %d / %d do not contain the phases", rows[4].Lines, rows[5].Lines, rows[6].Lines)
 	}
 	for _, r := range rows {
 		if r.Lines < 100 {

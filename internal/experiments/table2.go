@@ -1,9 +1,11 @@
 package experiments
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"strings"
 )
@@ -32,46 +34,52 @@ var table2Groups = []struct {
 	{"Strategy-dependent (SD)", []string{"internal/strategy"}},
 }
 
-// Table2 counts source lines under the repository root.
+// Table2 counts source lines under the repository root: the paper's
+// phases, then every Go line of the tree in the three parts a simplicity
+// PR reports (ROADMAP item 9). Hidden directories (.git, the benchmark's
+// build cache) are skipped.
 func Table2(root string) ([]Table2Row, error) {
+	perDir := map[string]int{}
+	totals := []Table2Row{
+		{Phase: "Whole tree: Go outside bench/, tests excluded"},
+		{Phase: "Whole tree: tests outside bench/"},
+		{Phase: "Whole tree: bench/"},
+	}
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && p != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(p, ".go"):
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		rel, lines := filepath.ToSlash(rel), bytes.Count(src, []byte("\n"))
+		switch {
+		case strings.HasPrefix(rel, "bench/"):
+			totals[2].Lines += lines
+		case strings.HasSuffix(rel, "_test.go"):
+			totals[1].Lines += lines
+		default:
+			totals[0].Lines += lines
+			perDir[path.Dir(rel)] += lines
+		}
+		return nil
+	})
 	var rows []Table2Row
 	for _, g := range table2Groups {
 		total := 0
 		for _, d := range g.dirs {
-			n, err := countGoLines(filepath.Join(root, d))
-			if err != nil {
-				return nil, err
-			}
-			total += n
+			total += perDir[d]
 		}
 		rows = append(rows, Table2Row{Phase: g.phase, Lines: total})
 	}
-	return rows, nil
-}
-
-func countGoLines(dir string) (int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			return 0, err
-		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-		for sc.Scan() {
-			total++
-		}
-		f.Close()
-	}
-	return total, nil
+	return append(rows, totals...), err
 }
 
 // FormatTable2 renders Table 2 as text.

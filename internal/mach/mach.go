@@ -23,9 +23,6 @@ func (r ResSet) Has(id ResID) bool { return r&(1<<uint(id)) != 0 }
 // Intersects reports whether two resource sets share a resource.
 func (r ResSet) Intersects(o ResSet) bool { return r&o != 0 }
 
-// Union returns the union of two resource sets.
-func (r ResSet) Union(o ResSet) ResSet { return r | o }
-
 // ClassSet is a bitmask over a machine's long-instruction-word elements
 // (the "class elements" of §4.5). Up to 256 elements are supported.
 type ClassSet [4]uint64

@@ -14,9 +14,6 @@ func TestResSet(t *testing.T) {
 	if !a.Intersects(b) {
 		t.Error("should intersect")
 	}
-	if a.Union(b) != 0b1110 {
-		t.Error("union wrong")
-	}
 	if !a.Has(1) || a.Has(0) {
 		t.Error("Has wrong")
 	}

@@ -138,12 +138,16 @@ func Backend() *Pipeline {
 			if !c.Cfg.Verify || c.Func == nil {
 				return nil
 			}
-			c.Verify = verify.Func(c.Machine, c.Func, verify.Options{
-				IssueOnly: c.Cfg.Options.Sched.CurrentCycleOnly,
-			})
+			c.Verify = verifyFunc(c.Machine, c.Func, &c.Cfg)
 			return nil
 		}},
 	}}
+}
+
+// verifyFunc checks emitted code against the machine description under
+// the hazard rule cfg scheduled it with.
+func verifyFunc(m *mach.Machine, af *asm.Func, cfg *Config) *verify.Report {
+	return verify.Func(m, af, verify.Options{IssueOnly: cfg.Options.Sched.CurrentCycleOnly})
 }
 
 // Config tunes one pipeline run. It is the single declaration of the
@@ -488,9 +492,7 @@ func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *i
 		rsp := asp.Child("reverify")
 		rep := c.Verify
 		if !cfg.Verify {
-			rep = verify.Func(c.Machine, c.Func, verify.Options{
-				IssueOnly: cfg.Options.Sched.CurrentCycleOnly,
-			})
+			rep = verifyFunc(c.Machine, c.Func, &cfg)
 		}
 		rsp.End()
 		if !rep.Empty() {
@@ -556,9 +558,7 @@ func (p *Pipeline) cacheStore(key cache.Key, m *mach.Machine, fn *ir.Func, cfg C
 	start := time.Now()
 	rep := res.Verify
 	if rep == nil {
-		rep = verify.Func(m, res.Func, verify.Options{
-			IssueOnly: cfg.Options.Sched.CurrentCycleOnly,
-		})
+		rep = verifyFunc(m, res.Func, &cfg)
 	}
 	if !rep.Empty() {
 		return

@@ -548,3 +548,64 @@ func TestStallCyclesAllocateNothing(t *testing.T) {
 		t.Errorf("Run allocates %v times with stall cycles, %v without", s, f)
 	}
 }
+
+// fanDesc has a latch with two readers that hold a shared write-back bus
+// one cycle after they issue: RDA and RDB use different stages at issue
+// and the same one the cycle after.
+const fanDesc = `
+declare {
+    %clock clk_m;
+    %reg r[0:3] (int, ptr);
+    %reg f[0:7] (double);
+    %reg ml (double; clk_m) +temporal;
+    %resource M1, RA, RB, WB;
+}
+cwvm {
+    %general (int, ptr) r; %general (double) f;
+    %allocable f[0:7]; %calleesave f[6:7];
+    %sp r[3]; %fp r[2]; %retaddr r[1]; %hard r[0] 0;
+    %result f[0] (double);
+}
+instr {
+    %instr Ml f, f (double; clk_m) {ml = $1 * $2;} [M1] (1,1,0)
+    %instr RDA f (double) {$1 = ml;} [RA; WB] (1,1,0)
+    %instr RDB f (double) {$1 = ml;} [RB; WB] (1,1,0)
+}
+`
+
+// TestTemporalGroupChecksWholeVectors: the members of a temporal group
+// are placed in one word only when their whole resource vectors are
+// disjoint, not just their issue cycles. RDA and RDB both read Ml's
+// latch, so they form clock clk_m's group; neither advances the clock, so
+// Rule 1 lets them issue apart, and the write-back bus makes them. (Under
+// CurrentCycleOnly the issue cycle is all that is compared, as for every
+// other pair of instructions.)
+func TestTemporalGroupChecksWholeVectors(t *testing.T) {
+	m := loadDesc(t, fanDesc)
+	block := func() (*asm.Func, *asm.Block) {
+		af, b := newBlock(
+			asm.New(m.InstrByLabel("Ml"), asm.Reg(0), asm.Reg(1)),
+			asm.New(m.InstrByLabel("RDA"), asm.Reg(2)),
+			asm.New(m.InstrByLabel("RDB"), asm.Reg(3)),
+		)
+		mkPseudos(af, m.RegSet("f"), 4)
+		return af, b
+	}
+	af, b := block()
+	res := mustRun(t, m, af, b, cdag.Build(m, b, cdag.Options{}), Options{})
+	issued := map[int]int{}
+	for k, i := range res.Order {
+		issued[i] = res.Cycles[k]
+	}
+	if issued[1] == issued[2] {
+		t.Errorf("RDA and RDB both issue in cycle %d and meet on WB in cycle %d", issued[1], issued[1]+1)
+	}
+	if res.Cost != 3 {
+		t.Errorf("cost %d, want 3: Ml, RDA and RDB issue one a cycle", res.Cost)
+	}
+	af, b = block()
+	res = mustRun(t, m, af, b, cdag.Build(m, b, cdag.Options{}), Options{CurrentCycleOnly: true})
+	if res.Cycles[1] != res.Cycles[2] {
+		t.Errorf("under CurrentCycleOnly the readers issue in cycles %d and %d, want one word", res.Cycles[1], res.Cycles[2])
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"marion/internal/asm"
 	"marion/internal/cdag"
-	"marion/internal/mach"
 )
 
 // exec runs from the entry of function fi until the halt sentinel is
@@ -13,13 +12,11 @@ import (
 func (s *Sim) exec(fi int) error {
 	pc := pcOf(fi, 0)
 
-	// A pending control transfer: taken after slotsLeft more
-	// instructions execute (branch delay slots).
+	// A pending control transfer: taken after pendSlots more
+	// instructions execute (branch delay slots); none while it is 0.
 	var pendTarget uint32
 	pendSlots := 0
-	pendActive := false
 	var curBlock *asm.Block
-	lastCycle := s.cycle
 
 	for {
 		if s.cycle > s.opts.MaxCycles {
@@ -46,83 +43,31 @@ func (s *Sim) exec(fi int) error {
 		}
 		word := insts[i:end]
 
-		// Scoreboard: the word issues when operands are ready and no
-		// structural hazard remains.
-		t := s.cycle
-		for _, in := range word {
-			for u := in.RegUses(s.m); u.Next(); {
-				// Executable code is fully allocated: physical registers
-				// only. Reads of hard-wired registers never wait.
-				if u.Key.IsPseudo(s.m) || u.Hard {
-					continue
-				}
-				al := u.Key.Phys()
-				ready := s.regReady[al]
-				// An explicit operand waits out its producer's latency
-				// (%aux included); an implicit read only the ready time.
-				if p := s.producer[al]; p != nil && u.Op >= 0 {
-					if w := s.producerCycle[al] + int64(cdag.TrueLatency(s.m, p, in, 0, 0)); w > ready {
-						ready = w
-					}
-				}
-				if ready > t {
-					t = ready
-				}
-			}
-			for _, ts := range in.Tmpl.ReadsTRegs {
-				if w := s.latchReady[ts]; w > t {
-					t = w
-				}
-			}
-		}
-	structural:
-		for {
-			for _, in := range word {
-				for c, rs := range in.Tmpl.ResVec {
-					if rs.Intersects(s.busyAt(t + int64(c))) {
-						t++
-						continue structural
-					}
-				}
-			}
-			break
-		}
-
-		// Issue: reserve resources.
-		for _, in := range word {
-			for c, rs := range in.Tmpl.ResVec {
-				s.reserve(t+int64(c), rs)
-			}
-		}
+		t := s.issue(word)
 		s.stats.Words++
 		s.stats.Instrs += int64(len(word))
 		if curBlock != nil {
-			s.stats.BlockCycles[curBlock] += t + 1 - lastCycle
+			s.stats.BlockCycles[curBlock] += t + 1 - s.cycle
 		}
-		lastCycle = t + 1
-		if s.trace != nil {
+		if s.opts.Trace != nil {
 			for _, in := range word {
-				s.trace("cyc %4d (stall %d): %s", t, t-s.cycle, in)
+				s.opts.Trace("cyc %4d (stall %d): %s", t, t-s.cycle, in)
 			}
 		}
 
 		// Execute the word in two phases: all reads, then all writes.
-		var transferIn *asm.Inst
-		taken := false
+		var transferIn *asm.Inst // the word's taken control transfer
 		ctx := &execCtx{}
 		for _, in := range word {
-			tk, err := s.execute(in, ctx)
+			taken, err := s.execute(in, ctx)
 			if err != nil {
 				return err
 			}
-			if in.Tmpl.Transfers() {
-				if tk {
-					if transferIn != nil {
-						return fmt.Errorf("sim: two control transfers in one word")
-					}
-					transferIn = in
-					taken = true
+			if taken && in.Tmpl.Transfers() {
+				if transferIn != nil {
+					return fmt.Errorf("sim: two control transfers in one word")
 				}
+				transferIn = in
 			}
 		}
 		for _, w := range ctx.memWrites {
@@ -130,7 +75,7 @@ func (s *Sim) exec(fi int) error {
 		}
 		for _, w := range ctx.latchWrites {
 			s.latches[w.set] = w.bits
-			s.setLatchReady(w.set, t+int64(w.in.Tmpl.Latency))
+			s.latchReady[w.set] = max(s.latchReady[w.set], t+int64(w.in.Tmpl.Latency))
 		}
 		for _, w := range ctx.regWrites {
 			s.setReg(w.phys, w.bits)
@@ -144,8 +89,8 @@ func (s *Sim) exec(fi int) error {
 		nextPC := pcOf(f, end)
 
 		// Control transfer resolution.
-		if taken {
-			if pendActive {
+		if transferIn != nil {
+			if pendSlots > 0 {
 				return fmt.Errorf("sim: control transfer inside delay slots")
 			}
 			slots := transferIn.Tmpl.Slots
@@ -177,68 +122,77 @@ func (s *Sim) exec(fi int) error {
 				target = uint32(s.getReg(s.m.Cwvm.RetAddr.Phys()))
 			}
 			if slots == 0 {
-				if target == haltPC {
-					s.cycle = t + 1
-					s.stats.Cycles = s.cycle
-					return nil
-				}
-				pc = target
-				s.cycle = t + 1
-				continue
+				nextPC = target
+			} else {
+				pendTarget, pendSlots = target, slots
 			}
-			pendActive, pendTarget, pendSlots = true, target, slots
-		} else if pendActive {
-			pendSlots -= len(word)
-			if pendSlots <= 0 {
-				pendActive = false
-				if pendTarget == haltPC {
-					s.cycle = t + 1
-					s.stats.Cycles = s.cycle
-					return nil
-				}
-				pc = pendTarget
-				s.cycle = t + 1
-				continue
+		} else if pendSlots > 0 {
+			if pendSlots -= len(word); pendSlots <= 0 {
+				pendSlots, nextPC = 0, pendTarget
 			}
 		}
 
 		pc = nextPC
 		s.cycle = t + 1
+		if pc == haltPC {
+			s.stats.Cycles = s.cycle
+			return nil
+		}
 	}
 }
 
-func (s *Sim) busyAt(c int64) mach.ResSet {
-	idx := c - s.busyBase
-	if idx < 0 || idx >= int64(len(s.busy)) {
-		return 0
+// issue is the scoreboard: it returns the cycle word issues in — the
+// first, from s.cycle on, at which its operands are ready and the
+// reservation table has every pipeline stage its members need — and
+// reserves those stages. The table's current cycle is s.cycle on entry
+// and the cycle after the issue on return.
+func (s *Sim) issue(word []*asm.Inst) int64 {
+	t := s.cycle
+	for _, in := range word {
+		for u := in.RegUses(s.m); u.Next(); {
+			// Executable code is fully allocated: physical registers
+			// only. Reads of hard-wired registers never wait.
+			if u.Key.IsPseudo(s.m) || u.Hard {
+				continue
+			}
+			al := u.Key.Phys()
+			ready := s.regReady[al]
+			// An explicit operand waits out its producer's latency
+			// (%aux included); an implicit read only the ready time.
+			if p := s.producer[al]; p != nil && u.Op >= 0 {
+				if w := s.producerCycle[al] + int64(cdag.TrueLatency(s.m, p, in, 0, 0)); w > ready {
+					ready = w
+				}
+			}
+			if ready > t {
+				t = ready
+			}
+		}
+		for _, ts := range in.Tmpl.ReadsTRegs {
+			if w := s.latchReady[ts]; w > t {
+				t = w
+			}
+		}
 	}
-	return s.busy[idx]
+	s.table.Advance(int(t - s.cycle))
+	for !s.fits(word) {
+		s.table.Advance(1)
+		t++
+	}
+	for _, in := range word {
+		s.table.Reserve(in.Tmpl.ResVec)
+	}
+	s.table.Advance(1)
+	return t
 }
 
-func (s *Sim) reserve(c int64, rs mach.ResSet) {
-	// Slide the window forward lazily.
-	if len(s.busy) == 0 {
-		s.busyBase = c
+// fits reports whether no member of word meets a structural hazard in
+// the table's current cycle.
+func (s *Sim) fits(word []*asm.Inst) bool {
+	for _, in := range word {
+		if !s.table.Fits(in.Tmpl.ResVec, false) {
+			return false
+		}
 	}
-	for c-s.busyBase >= int64(len(s.busy)) {
-		s.busy = append(s.busy, 0)
-	}
-	if c >= s.busyBase {
-		s.busy[c-s.busyBase] |= rs
-	}
-	// Trim entries far in the past to bound memory.
-	if int64(len(s.busy)) > 4096 {
-		drop := int64(len(s.busy)) - 2048
-		s.busy = append(s.busy[:0], s.busy[drop:]...)
-		s.busyBase += drop
-	}
-}
-
-func (s *Sim) setLatchReady(set *mach.RegSet, when int64) {
-	if s.latchReady == nil {
-		s.latchReady = map[*mach.RegSet]int64{}
-	}
-	if when > s.latchReady[set] {
-		s.latchReady[set] = when
-	}
+	return true
 }

@@ -82,10 +82,8 @@ type Sim struct {
 	latches    map[*mach.RegSet]uint64 // temporal registers
 	latchReady map[*mach.RegSet]int64
 
-	busy     []mach.ResSet // resource reservation window
-	busyBase int64         // absolute cycle of busy[0]
-	cycle    int64
-	trace    func(format string, args ...interface{})
+	table mach.ResTable // structural hazards; its current cycle is cycle
+	cycle int64
 
 	stats Stats
 }
@@ -109,7 +107,6 @@ func New(prog *asm.Program, opts Options) *Sim {
 		producerCycle: make([]int64, m.NumPhys),
 		latches:       map[*mach.RegSet]uint64{},
 	}
-	s.trace = opts.Trace
 	if opts.Cache.Enable {
 		s.cache = newCache(opts.Cache)
 	}
@@ -144,21 +141,6 @@ func New(prog *asm.Program, opts Options) *Sim {
 	}
 	return s
 }
-
-// Mem gives test harnesses raw access to simulated memory.
-func (s *Sim) Mem() *memory { return s.mem }
-
-// WriteF64 pokes a double into memory (for preparing workloads).
-func (s *Sim) WriteF64(addr uint32, v float64) { s.mem.write(addr, 8, math.Float64bits(v)) }
-
-// ReadF64 reads a double from memory.
-func (s *Sim) ReadF64(addr uint32) float64 { return math.Float64frombits(s.mem.read(addr, 8)) }
-
-// WriteI32 pokes an int.
-func (s *Sim) WriteI32(addr uint32, v int32) { s.mem.write(addr, 4, uint64(uint32(v))) }
-
-// ReadI32 reads an int.
-func (s *Sim) ReadI32(addr uint32) int32 { return int32(s.mem.read(addr, 4)) }
 
 // setReg writes a register, honoring overlap aliases and hard wiring.
 func (s *Sim) setReg(p mach.PhysID, bits uint64) {
@@ -228,13 +210,14 @@ func (s *Sim) Run(fname string, args ...Value) (*Stats, error) {
 	// (memory and cache state persist deliberately, so an init call can
 	// prepare data for a measured kernel call).
 	s.cycle = 0
-	s.busy = s.busy[:0]
-	s.busyBase = 0
-	for i := range s.regReady {
-		s.regReady[i] = 0
-		s.producer[i] = nil
-		s.producerCycle[i] = 0
+	window := 0
+	for _, in := range s.m.Instrs {
+		window = max(window, len(in.ResVec))
 	}
+	s.table.Reset(window)
+	clear(s.regReady)
+	clear(s.producer)
+	clear(s.producerCycle)
 	s.latchReady = map[*mach.RegSet]int64{}
 
 	// CWVM runtime setup: stack pointer, return address sentinel,

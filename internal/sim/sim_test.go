@@ -334,3 +334,28 @@ func TestDilationAndWords(t *testing.T) {
 		t.Errorf("f(1) = %d", st.RetI)
 	}
 }
+
+// TestRunsAreIndependentTimings: each Run starts from an empty scoreboard
+// and reservation table, so a second Run of the same entry reports the
+// cycles of the first. The function never uses its product, so it returns
+// while r2000's mul still holds the multiplier (fourteen cycles), and the
+// second run wants the multiplier before that claim would lapse.
+func TestRunsAreIndependentTimings(t *testing.T) {
+	src := `void f(int a, int b) { int x = a * b; }`
+	c, err := driver.Compile("r2000", "t.c", src, driver.Config{Strategy: strategy.Postpass})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	s := New(c.Prog, Options{})
+	first, err := s.Run("f", Int(6), Int(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Run("f", Int(6), Int(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cycles != second.Cycles || first.Words != second.Words {
+		t.Errorf("first run %d cycles / %d words, second %d / %d", first.Cycles, first.Words, second.Cycles, second.Words)
+	}
+}

@@ -167,61 +167,31 @@ func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, scratch func(
 		return nil, err
 	}
 
+	// Every strategy ends the same way, allocation and then a scheduling
+	// pass over the allocated code; they differ in what comes first and
+	// in the options of the two.
+	post := opts.Sched
+	var aopts regalloc.Options
 	switch kind {
 	case Naive, Local:
-		aopts := regalloc.Options{SpillGlobals: kind == Local}
-		if _, err := allocateOpts(m, af, st, opts, aopts); err != nil {
-			return nil, err
-		}
-		o := opts.Sched
-		o.FIFO = true
-		if err := scheduleAll(m, af, scratch, st, opts.Inject, o, false); err != nil {
-			return nil, err
-		}
+		aopts.SpillGlobals = kind == Local
+		post.FIFO = true
 
 	case Safe:
-		if _, err := allocate(m, af, st, opts); err != nil {
-			return nil, err
-		}
-		o := opts.Sched
-		o.Sequential = true
-		o.NoPack = true
-		o.MaxLive = nil
-		if err := scheduleAll(m, af, scratch, st, opts.Inject, o, false); err != nil {
-			return nil, err
-		}
-
-	case Postpass:
-		if _, err := allocate(m, af, st, opts); err != nil {
-			return nil, err
-		}
-		if err := scheduleAll(m, af, scratch, st, opts.Inject, opts.Sched, false); err != nil {
-			return nil, err
-		}
+		post.Sequential, post.NoPack, post.MaxLive = true, true, nil
 
 	case IPS:
 		// Prepass: schedule with a limit on local register use.
-		limit := map[*mach.RegSet]int{}
+		pre := opts.Sched
+		pre.MaxLive = map[*mach.RegSet]int{}
 		for _, rs := range m.RegSets {
 			if k := len(m.AllocableIn(rs)); k > 0 {
-				l := k - 1
-				if l < 2 {
-					l = 2
-				}
-				limit[rs] = l
+				pre.MaxLive[rs] = max(k-1, 2)
 			}
 		}
-		pre := opts.Sched
-		pre.MaxLive = limit
 		_, cross := af.PseudoHomes()
 		pre.LiveOut = sched.LiveOutPseudos(af, cross)
 		if err := scheduleAll(m, af, scratch, st, opts.Inject, pre, true); err != nil {
-			return nil, err
-		}
-		if _, err := allocate(m, af, st, opts); err != nil {
-			return nil, err
-		}
-		if err := scheduleAll(m, af, scratch, st, opts.Inject, opts.Sched, false); err != nil {
 			return nil, err
 		}
 
@@ -229,12 +199,12 @@ func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, scratch func(
 		if err := raseEstimates(m, af, scratch, st, opts); err != nil {
 			return nil, err
 		}
-		if _, err := allocate(m, af, st, opts); err != nil {
-			return nil, err
-		}
-		if err := scheduleAll(m, af, scratch, st, opts.Inject, opts.Sched, false); err != nil {
-			return nil, err
-		}
+	}
+	if err := allocate(m, af, st, opts, aopts); err != nil {
+		return nil, err
+	}
+	if err := scheduleAll(m, af, scratch, st, opts.Inject, post, false); err != nil {
+		return nil, err
 	}
 
 	if opts.FillDelaySlots && kind != Safe {
@@ -246,18 +216,14 @@ func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, scratch func(
 	return st, frame(m, af)
 }
 
-func allocate(m *mach.Machine, af *asm.Func, st *Stats, opts Options) (*regalloc.Result, error) {
-	return allocateOpts(m, af, st, opts, regalloc.Options{})
-}
-
-func allocateOpts(m *mach.Machine, af *asm.Func, st *Stats, opts Options, aopts regalloc.Options) (*regalloc.Result, error) {
+func allocate(m *mach.Machine, af *asm.Func, st *Stats, opts Options, aopts regalloc.Options) error {
 	if err := opts.Inject.Fire("regalloc"); err != nil {
-		return nil, err
+		return err
 	}
 	aopts.Context = opts.Deadline
 	res, err := regalloc.AllocateOpts(m, af, aopts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	st.Spills += res.Spills
 	st.SpillSlots = res.SpillSlots
@@ -265,7 +231,7 @@ func allocateOpts(m *mach.Machine, af *asm.Func, st *Stats, opts Options, aopts 
 	af.SpillSlots = res.SpillSlots
 	af.CalleeSaved = res.UsedCalleeSave
 	elideMoves(af)
-	return res, nil
+	return nil
 }
 
 // elideMoves drops register moves whose source and destination were
