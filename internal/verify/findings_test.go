@@ -1,0 +1,228 @@
+package verify_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"marion/internal/asm"
+	"marion/internal/driver"
+	"marion/internal/livermore"
+	"marion/internal/mach"
+	"marion/internal/strategy"
+	"marion/internal/targets"
+	"marion/internal/verify"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/findings.sha256 from the current verifier")
+
+const findingsFile = "testdata/findings.sha256"
+
+// namedFunc is one compiled function, named <unit>:<function>.
+type namedFunc struct {
+	name string
+	f    *asm.Func
+}
+
+// compileUnits compiles the Livermore suite, examples/c and the
+// driver's spill-heavy fixture (whose calls and i860 sequences the loops
+// lack) for one target and strategy.
+func compileUnits(t *testing.T, target string, strat strategy.Kind) (*mach.Machine, []namedFunc) {
+	t.Helper()
+	m, err := targets.Load(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := livermore.SuiteModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := driver.CompileModule(m, mod, driver.Config{Strategy: strat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := []*driver.Compiled{c}
+	srcs, err := filepath.Glob("../../examples/c/*.c")
+	if err != nil || len(srcs) == 0 {
+		t.Fatalf("no examples/c sources: %v", err)
+	}
+	sort.Strings(srcs)
+	for _, path := range append(srcs, "../driver/testdata/pressure.c") {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := driver.Compile(target, filepath.Base(path), string(src), driver.Config{Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		units = append(units, c)
+	}
+	var out []namedFunc
+	for _, c := range units {
+		for _, f := range c.Prog.Funcs {
+			out = append(out, namedFunc{c.Prog.Name + ":" + f.Name, f})
+		}
+	}
+	return m, out
+}
+
+// cloneFunc copies a function deeply enough for a mutator or perturb to
+// edit the copy without touching the original: blocks, instruction
+// lists, instructions and their operands.
+func cloneFunc(af *asm.Func) *asm.Func {
+	c := *af
+	c.Blocks = make([]*asm.Block, len(af.Blocks))
+	for bi, b := range af.Blocks {
+		nb := *b
+		nb.Insts = make([]*asm.Inst, len(b.Insts))
+		for i, in := range b.Insts {
+			ni := *in
+			ni.Args = slices.Clone(in.Args)
+			nb.Insts[i] = &ni
+		}
+		c.Blocks[bi] = &nb
+	}
+	return &c
+}
+
+// perturb applies a seeded mix of schedule edits to every block of a
+// compiled function: shift one scheduled instruction's cycle by up to
+// two, swap two neighbours (exchanging their cycles, so the order stays
+// nondecreasing and only dependences move), or merge the next word into
+// this one. Between them they break every invariant the verifier checks.
+func perturb(af *asm.Func, rng *rand.Rand) {
+	for _, b := range af.Blocks {
+		n := len(b.Insts)
+		for k := 0; n >= 2 && k < 1+n/4; k++ {
+			i := rng.Intn(n - 1)
+			a, c := b.Insts[i], b.Insts[i+1]
+			if a.Cycle < 0 || c.Cycle < 0 {
+				continue
+			}
+			switch rng.Intn(3) {
+			case 0:
+				d := rng.Intn(4) - 2
+				if d >= 0 {
+					d++
+				}
+				a.Cycle = max(0, a.Cycle+d)
+			case 1:
+				b.Insts[i], b.Insts[i+1] = c, a
+				a.Cycle, c.Cycle = c.Cycle, a.Cycle
+			case 2:
+				for j, old := i+1, c.Cycle; old != a.Cycle && j < n && b.Insts[j].Cycle == old; j++ {
+					b.Insts[j].Cycle = a.Cycle
+				}
+			}
+		}
+	}
+}
+
+// findingsLine verifies every function after an edit and renders the
+// golden line:
+//
+//	<case> <sha256 of every Report.String()> <kind>=<count>... <unit>:<fn>=<8 hex>...
+func findingsLine(name string, m *mach.Machine, funcs []namedFunc, opts verify.Options, edit func(*mach.Machine, *asm.Func)) string {
+	whole := sha256.New()
+	counts := make([]int, len(verify.Kinds()))
+	var fns []string
+	for _, nf := range funcs {
+		f := cloneFunc(nf.f)
+		edit(m, f)
+		rep := verify.Func(m, f, opts)
+		text := rep.String()
+		whole.Write([]byte(text + "\n"))
+		for _, fd := range rep.Findings {
+			counts[fd.Kind]++
+		}
+		sum := sha256.Sum256([]byte(text))
+		fns = append(fns, fmt.Sprintf("%s=%x", nf.name, sum[:4]))
+	}
+	var ks []string
+	for _, k := range verify.Kinds() {
+		ks = append(ks, fmt.Sprintf("%s=%d", k, counts[k]))
+	}
+	return fmt.Sprintf("%s %x %s %s", name, whole.Sum(nil), strings.Join(ks, " "), strings.Join(fns, " "))
+}
+
+// TestFindingsGolden pins what the verifier says, finding by finding, to
+// testdata/findings.sha256: the Livermore suite, examples/c and the
+// driver's pressure fixture compiled for every target under postpass and
+// rase, verified clean, after each exported mutator applied to every
+// function, and after a seeded perturbation (plus that perturbation once
+// under IssueOnly). The file was written by the verifier before its
+// working state became dense tables and is the oracle for that rewrite;
+// -update rewrites it and is meant only for a change that sets out to
+// alter a finding.
+func TestFindingsGolden(t *testing.T) {
+	want := map[string]string{}
+	if data, err := os.ReadFile(findingsFile); err == nil {
+		for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			want[strings.SplitN(l, " ", 2)[0]] = l
+		}
+	} else if !*update {
+		t.Fatal(err)
+	}
+	edits := []struct {
+		name string
+		fn   func(*mach.Machine, *asm.Func)
+	}{
+		{"clean", func(*mach.Machine, *asm.Func) {}},
+		{"BreakLatency", func(m *mach.Machine, f *asm.Func) { verify.BreakLatency(m, f) }},
+		{"DeleteDelaySlotNop", func(m *mach.Machine, f *asm.Func) { verify.DeleteDelaySlotNop(m, f) }},
+		{"MergeIllegalPair", func(m *mach.Machine, f *asm.Func) { verify.MergeIllegalPair(m, f) }},
+		{"ReassignRegister", func(m *mach.Machine, f *asm.Func) { verify.ReassignRegister(m, f) }},
+		{"CorruptSequence", func(m *mach.Machine, f *asm.Func) { verify.CorruptSequence(m, f) }},
+	}
+	var out bytes.Buffer
+	check := func(got string) {
+		out.WriteString(got + "\n")
+		key := strings.SplitN(got, " ", 2)[0]
+		if *update || got == want[key] {
+			return
+		}
+		w, g := strings.Fields(want[key]), strings.Fields(got)
+		if len(w) < 2 {
+			t.Errorf("%s: no golden line", key)
+			return
+		}
+		t.Errorf("%s: digest %s, golden %s", key, g[1], w[1])
+		for i := 2; i < len(g); i++ {
+			if i >= len(w) || g[i] != w[i] {
+				t.Errorf("%s: first difference %s, golden %s", key, g[i], w[min(i, len(w)-1)])
+				break
+			}
+		}
+	}
+	for _, target := range targets.Names() {
+		for _, strat := range []strategy.Kind{strategy.Postpass, strategy.RASE} {
+			m, funcs := compileUnits(t, target, strat)
+			prefix := fmt.Sprintf("%s/%s/", target, strat)
+			for _, e := range edits {
+				check(findingsLine(prefix+e.name, m, funcs, verify.Options{}, e.fn))
+			}
+			var rng *rand.Rand
+			shake := func(_ *mach.Machine, f *asm.Func) { perturb(f, rng) }
+			rng = rand.New(rand.NewSource(1))
+			check(findingsLine(prefix+"perturb", m, funcs, verify.Options{}, shake))
+			if target == "m88000" && strat == strategy.Postpass {
+				rng = rand.New(rand.NewSource(1))
+				check(findingsLine(prefix+"perturb-issueonly", m, funcs, verify.Options{IssueOnly: true}, shake))
+			}
+		}
+	}
+	if *update {
+		if err := os.WriteFile(findingsFile, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
