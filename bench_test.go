@@ -26,6 +26,7 @@ import (
 	"marion/internal/sim"
 	"marion/internal/strategy"
 	"marion/internal/targets"
+	"marion/internal/verify"
 	"marion/internal/xform"
 )
 
@@ -484,6 +485,60 @@ func BenchmarkRegalloc(b *testing.B) {
 						}
 					}
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkVerify measures the emitted-code verifier alone, per target:
+// on the Livermore suite and on the big-block fixture's 96-statement
+// function, both compiled under Postpass outside the timer. Verification
+// only reads the code, so every iteration verifies the same functions;
+// ns/fn is the time per verified function.
+func BenchmarkVerify(b *testing.B) {
+	src, err := os.ReadFile("internal/driver/testdata/bigblock.c")
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs := []struct {
+		name string
+		mod  func() (*ir.Module, error)
+	}{
+		{"livermore", livermore.SuiteModule},
+		{"big96", func() (*ir.Module, error) {
+			mod, err := driver.Frontend("bigblock.c", string(src))
+			if err != nil {
+				return nil, err
+			}
+			mod.Funcs = []*ir.Func{mod.Lookup("big96")}
+			return mod, nil
+		}},
+	}
+	for _, target := range []string{"r2000", "m88000", "i860"} {
+		m, err := targets.Load(target)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, in := range inputs {
+			b.Run(target+"/"+in.name, func(b *testing.B) {
+				mod, err := in.mod()
+				if err != nil {
+					b.Fatal(err)
+				}
+				c, err := driver.CompileModule(m, mod, driver.Config{Strategy: strategy.Postpass})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, af := range c.Prog.Funcs {
+						if rep := verify.Func(m, af, verify.Options{}); !rep.Empty() {
+							b.Fatal(rep)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.Prog.Funcs)), "ns/fn")
 			})
 		}
 	}

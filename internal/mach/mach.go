@@ -567,9 +567,22 @@ func (m *Machine) CallerSave() []PhysID {
 	return out
 }
 
-// AllocableIn returns the allocable physical registers belonging to set rs.
+// NumAllocableIn returns the number of allocable physical registers
+// belonging to set rs.
+func (m *Machine) NumAllocableIn(rs *RegSet) int {
+	n := 0
+	for _, rr := range m.Cwvm.Allocable {
+		if rr.Set == rs {
+			n += max(rr.Hi-rr.Lo+1, 0)
+		}
+	}
+	return n
+}
+
+// AllocableIn returns the allocable physical registers belonging to set
+// rs, in a fresh slice the caller may reorder.
 func (m *Machine) AllocableIn(rs *RegSet) []PhysID {
-	var out []PhysID
+	out := make([]PhysID, 0, m.NumAllocableIn(rs))
 	for _, rr := range m.Cwvm.Allocable {
 		if rr.Set == rs {
 			for i := rr.Lo; i <= rr.Hi; i++ {

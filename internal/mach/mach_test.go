@@ -1,6 +1,7 @@
 package mach
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -189,6 +190,28 @@ func TestCallerSave(t *testing.T) {
 	// Allocable r2..r5, d1..d2 minus callee-save r4,r5: r2,r3,d1,d2.
 	if len(cs) != 4 {
 		t.Errorf("caller save = %v", cs)
+	}
+}
+
+// TestAllocableIn checks the allocable registers of each set, their
+// count, and that the slice is built in one allocation.
+func TestAllocableIn(t *testing.T) {
+	m := buildTestMachine(t)
+	r, d := m.RegSet("r"), m.RegSet("d")
+	for _, tc := range []struct {
+		set  *RegSet
+		want []PhysID
+	}{
+		{r, []PhysID{r.Phys(2), r.Phys(3), r.Phys(4), r.Phys(5)}},
+		{d, []PhysID{d.Phys(1), d.Phys(2)}},
+	} {
+		got := m.AllocableIn(tc.set)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) || m.NumAllocableIn(tc.set) != len(tc.want) {
+			t.Errorf("%s: AllocableIn = %v, NumAllocableIn = %d; want %v", tc.set.Name, got, m.NumAllocableIn(tc.set), tc.want)
+		}
+		if n := testing.AllocsPerRun(10, func() { m.AllocableIn(tc.set) }); n != 1 {
+			t.Errorf("%s: AllocableIn makes %v allocations, want 1", tc.set.Name, n)
+		}
 	}
 }
 

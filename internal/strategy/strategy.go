@@ -185,7 +185,7 @@ func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, scratch func(
 		pre := opts.Sched
 		pre.MaxLive = map[*mach.RegSet]int{}
 		for _, rs := range m.RegSets {
-			if k := len(m.AllocableIn(rs)); k > 0 {
+			if k := m.NumAllocableIn(rs); k > 0 {
 				pre.MaxLive[rs] = max(k-1, 2)
 			}
 		}
@@ -321,7 +321,7 @@ func raseEstimates(m *mach.Machine, af *asm.Func, scratch func() *sched.Scratch,
 	tight := opts.Sched
 	tight.MaxLive = map[*mach.RegSet]int{}
 	for _, rs := range m.RegSets {
-		if k := len(m.AllocableIn(rs)); k > 2 {
+		if k := m.NumAllocableIn(rs); k > 2 {
 			tight.MaxLive[rs] = k - 2
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // external test package, which compares it with the asm walker the
 // transformation side uses. Non-test verify code never sees the walker.
 func OracleDefs(in *asm.Inst) (out []mach.PhysID) {
-	(&verifier{}).instDefs(in, true, func(p mach.PhysID) { out = append(out, p) })
+	(&verifier{}).instDefs(in, func(p mach.PhysID) { out = append(out, p) })
 	return out
 }
 

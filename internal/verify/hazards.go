@@ -1,24 +1,29 @@
 package verify
 
 import (
+	"slices"
+
 	"marion/internal/asm"
-	"marion/internal/mach"
 )
 
-// defInfo remembers the last write to a dataflow location within a
-// block.
-type defInfo struct {
-	idx   int  // writing instruction's index
-	time  int  // issue cycle of the write
-	sched bool // writer carries a scheduler cycle (Cycle >= 0)
+// loc is the per-block state of one dataflow location, valid while its
+// stamps equal the verifier's current block and word.
+type loc struct {
+	block int32 // stamp: the fields below describe this block
+	idx   int32 // last writing instruction's index
+	time  int32 // issue cycle of that write
+	sched bool  // the writer carries a scheduler cycle (Cycle >= 0)
+	// stamp: wordIdx wrote the location in this word
+	word, wordIdx int32
 }
 
-// latchOwner remembers the live value of one +temporal latch.
+// latchOwner remembers the live value of one +temporal latch set.
 type latchOwner struct {
-	seq  int // sequence identity of the writer (asm.Inst.SeqID)
-	idx  int // writing instruction's index
-	time int // issue cycle of the write
-	lat  int // writer's latency
+	block int32 // stamp: live while it equals the current block
+	seq   int   // sequence identity of the writer (asm.Inst.SeqID)
+	idx   int   // writing instruction's index
+	time  int   // issue cycle of the write
+	lat   int   // writer's latency
 }
 
 // checkDataHazards replays a block's dataflow word by word and checks
@@ -32,90 +37,88 @@ type latchOwner struct {
 // after scheduling (Cycle < 0) rely on hardware interlocks by design.
 // Dependences never cross block boundaries (the scheduler's unit is the
 // basic block; inter-block timing is the simulator's interlock
-// problem), so all state resets per block.
-func (v *verifier) checkDataHazards(bi int, b *asm.Block, ws []word) {
-	lastDef := map[regKey]defInfo{}
-	owner := map[*mach.RegSet]latchOwner{}
+// problem), so all state resets per block: a new block stamp retires
+// every location and latch at once.
+func (v *verifier) checkDataHazards(bi int, b *asm.Block, times []int) {
+	v.block++
 	lastMem := -1 // time of the last memory-writing word, -1 if none
 
-	for _, w := range ws {
+	for i, j := 0, 0; i < len(b.Insts); i = j {
+		j = wordEnd(times, i)
+		t := times[i]
 		// Read phase: every use observes the state before this word.
-		for _, i := range w.insts {
-			in := b.Insts[i]
+		for k := i; k < j; k++ {
+			in := b.Insts[k]
 			for _, opIdx := range in.Tmpl.UseOps {
 				o := in.Args[opIdx]
 				if o.IsReg() {
-					v.checkUse(bi, b, w, i, in, o, lastDef)
+					v.checkUse(bi, b, t, k, in, o)
 				}
 			}
 			for _, p := range in.ImpUses {
-				v.checkUse(bi, b, w, i, in, asm.Phys(p), lastDef)
+				v.checkUse(bi, b, t, k, in, asm.Phys(p))
 			}
 			for _, ts := range in.Tmpl.ReadsTRegs {
-				ow, ok := owner[ts]
+				ow := v.latches[slices.Index(v.m.RegSets, ts)]
 				switch {
-				case !ok:
-					v.addf(bi, i, w.time, KindTemporal,
+				case ow.block != v.block:
+					v.addf(bi, k, t, KindTemporal,
 						"%s reads latch set %s holding no live value (never written, or its clock ticked)",
 						in.Tmpl.Mnemonic, ts.Name)
 				case ow.seq != in.SeqID:
-					v.addf(bi, i, w.time, KindTemporal,
+					v.addf(bi, k, t, KindTemporal,
 						"%s (seq %d) reads latch set %s written by a different sequence (%s, seq %d)",
 						in.Tmpl.Mnemonic, in.SeqID, ts.Name, b.Insts[ow.idx].Tmpl.Mnemonic, ow.seq)
-				case w.time-ow.time < ow.lat:
-					v.addf(bi, i, w.time, KindTemporal,
+				case t-ow.time < ow.lat:
+					v.addf(bi, k, t, KindTemporal,
 						"%s reads latch set %s %d cycle(s) after its write (latency %d)",
-						in.Tmpl.Mnemonic, ts.Name, w.time-ow.time, ow.lat)
+						in.Tmpl.Mnemonic, ts.Name, t-ow.time, ow.lat)
 				}
 			}
 		}
 
-		// Memory ordering: stores have latency 1 to every subsequent
-		// memory reference, so a memory write may never share a word
-		// with another memory reference, and no later reference may
-		// issue in the same cycle as an earlier write. Calls count as
+		// Memory ordering: a store has latency 1 to every later memory
+		// reference, so a scheduled memory reference listed after a
+		// memory write in the same word is flagged ({st; ld}, {st; st}).
+		// One listed before the write reads pre-word memory, a legal
+		// anti-dependence ({ld; st}). Earlier words issue in earlier
+		// cycles, so only a write of this word can match. Calls count as
 		// both (the callee may read and write anything).
-		memAt := func(in *asm.Inst) (ref, write bool) {
-			t := in.Tmpl
-			ref = t.ReadsMem || t.WritesMem || t.IsCall
-			write = t.WritesMem || t.IsCall
-			return
-		}
-		for _, i := range w.insts {
-			in := b.Insts[i]
-			ref, write := memAt(in)
-			if !ref {
+		for k := i; k < j; k++ {
+			in := b.Insts[k]
+			tm := in.Tmpl
+			if !tm.ReadsMem && !tm.WritesMem && !tm.IsCall {
 				continue
 			}
-			if in.Cycle >= 0 && lastMem >= 0 && w.time <= lastMem {
-				v.addf(bi, i, w.time, KindLatency,
+			if in.Cycle >= 0 && lastMem >= 0 && t <= lastMem {
+				v.addf(bi, k, t, KindLatency,
 					"memory reference %s issues in the same cycle as an earlier memory write",
-					in.Tmpl.Mnemonic)
+					tm.Mnemonic)
 			}
-			if write && in.Cycle >= 0 {
-				lastMem = w.time
+			if (tm.WritesMem || tm.IsCall) && in.Cycle >= 0 {
+				lastMem = t
 			}
 		}
 
 		// Write phase: commit register defs, temporal-latch writes and
 		// detect two writes to one location in a single word.
-		wordDefs := map[regKey]int{}
-		for _, i := range w.insts {
-			in := b.Insts[i]
+		v.word++
+		for k := i; k < j; k++ {
+			in := b.Insts[k]
 			sched := in.Cycle >= 0
 			for _, opIdx := range in.Tmpl.DefOps {
 				o := in.Args[opIdx]
 				if !o.IsReg() || v.isHardPhys(o) {
 					continue
 				}
-				for _, k := range v.keys(o) {
-					if pi, dup := wordDefs[k]; dup && sched && b.Insts[pi].Cycle >= 0 {
-						v.addf(bi, i, w.time, KindRegister,
+				for _, key := range v.keys(o) {
+					l := &v.locs[key]
+					if l.word == v.word && sched && b.Insts[l.wordIdx].Cycle >= 0 {
+						v.addf(bi, k, t, KindRegister,
 							"%s and %s both write %s in one instruction word",
-							b.Insts[pi].Tmpl.Mnemonic, in.Tmpl.Mnemonic, v.regName(k))
+							b.Insts[l.wordIdx].Tmpl.Mnemonic, in.Tmpl.Mnemonic, v.regName(key))
 					}
-					wordDefs[k] = i
-					lastDef[k] = defInfo{idx: i, time: w.time, sched: sched}
+					*l = loc{block: v.block, idx: int32(k), time: int32(t), sched: sched, word: v.word, wordIdx: int32(k)}
 				}
 			}
 			for _, p := range in.ImpDefs {
@@ -124,16 +127,18 @@ func (v *verifier) checkDataHazards(bi int, b *asm.Block, ws []word) {
 				// double-write check: they are a summary, not a write
 				// port.
 				for _, a := range v.m.Aliases(p) {
-					lastDef[regKey(a)] = defInfo{idx: i, time: w.time, sched: sched}
+					l := &v.locs[a]
+					l.block, l.idx, l.time, l.sched = v.block, int32(k), int32(t), sched
 				}
 			}
 			for _, ts := range in.Tmpl.WritesTRegs {
-				if ow, ok := owner[ts]; ok && ow.time == w.time {
-					v.addf(bi, i, w.time, KindTemporal,
+				ow := &v.latches[slices.Index(v.m.RegSets, ts)]
+				if ow.block == v.block && ow.time == t {
+					v.addf(bi, k, t, KindTemporal,
 						"%s and %s both write latch set %s in one instruction word",
 						b.Insts[ow.idx].Tmpl.Mnemonic, in.Tmpl.Mnemonic, ts.Name)
 				}
-				owner[ts] = latchOwner{seq: in.SeqID, idx: i, time: w.time, lat: in.Tmpl.Latency}
+				*ow = latchOwner{block: v.block, seq: in.SeqID, idx: k, time: t, lat: in.Tmpl.Latency}
 			}
 		}
 
@@ -141,41 +146,42 @@ func (v *verifier) checkDataHazards(bi int, b *asm.Block, ws []word) {
 		// k shifts every latch clocked by k. A latch written this word
 		// holds the new value; any other latch of that clock loses its
 		// value — a later read of it is a use-after-advance.
-		var ticked [64]bool
-		anyTick := false
-		for _, i := range w.insts {
-			if ck := b.Insts[i].Tmpl.AffectsClock; ck >= 0 && ck < len(ticked) {
-				ticked[ck] = true
-				anyTick = true
+		ticked := false
+		for k := i; k < j; k++ {
+			if ck := b.Insts[k].Tmpl.AffectsClock; ck >= 0 && ck < len(v.tickAt) {
+				v.tickAt[ck] = int(v.word)
+				ticked = true
 			}
 		}
-		if anyTick {
-			for ts, ow := range owner {
-				if ts.Clock >= 0 && ts.Clock < len(ticked) && ticked[ts.Clock] && ow.time < w.time {
-					delete(owner, ts)
+		if ticked {
+			for l, ts := range v.m.RegSets {
+				ow := &v.latches[l]
+				if ow.block == v.block && ts.Clock >= 0 && ts.Clock < len(v.tickAt) &&
+					v.tickAt[ts.Clock] == int(v.word) && ow.time < t {
+					ow.block = 0
 				}
 			}
 		}
 	}
 }
 
-// checkUse verifies one register read against the last write of every
-// location it observes.
-func (v *verifier) checkUse(bi int, b *asm.Block, w word, i int, in *asm.Inst, o asm.Operand, lastDef map[regKey]defInfo) {
-	if v.isHardPhys(o) {
+// checkUse verifies one register read at cycle t against the last write
+// of every location it observes.
+func (v *verifier) checkUse(bi int, b *asm.Block, t, i int, in *asm.Inst, o asm.Operand) {
+	if in.Cycle < 0 || v.isHardPhys(o) {
 		return // reads of hard-wired registers carry no dependence
 	}
 	for _, k := range v.keys(o) {
-		d, ok := lastDef[k]
-		if !ok || !d.sched || in.Cycle < 0 {
+		d := v.locs[k]
+		if d.block != v.block || !d.sched {
 			continue
 		}
 		prod := b.Insts[d.idx]
 		lat := v.latencyOf(prod, in)
-		if w.time-d.time < lat {
-			v.addf(bi, i, w.time, KindLatency,
+		if dist := t - int(d.time); dist < lat {
+			v.addf(bi, i, t, KindLatency,
 				"%s uses %s %d cycle(s) after %s writes it (latency %d)",
-				in.Tmpl.Mnemonic, v.regName(k), w.time-d.time, prod.Tmpl.Mnemonic, lat)
+				in.Tmpl.Mnemonic, v.regName(k), dist, prod.Tmpl.Mnemonic, lat)
 		}
 	}
 }

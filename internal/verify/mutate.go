@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"slices"
+
 	"marion/internal/asm"
 	"marion/internal/mach"
 )
@@ -18,18 +20,12 @@ import (
 // (KindLatency).
 func BreakLatency(m *mach.Machine, af *asm.Func) bool {
 	for _, b := range af.Blocks {
-		cycleUsed := map[int]bool{}
-		for _, in := range b.Insts {
-			if in.Cycle >= 0 {
-				cycleUsed[in.Cycle] = true
-			}
-		}
 		for i, prod := range b.Insts {
 			if prod.Cycle < 0 || prod.Tmpl.Latency < 2 || prod.Tmpl.Transfers() {
 				continue
 			}
 			target := prod.Cycle + 1
-			if cycleUsed[target] {
+			if slices.ContainsFunc(b.Insts, func(in *asm.Inst) bool { return in.Cycle == target }) {
 				continue
 			}
 			for _, dOp := range prod.Tmpl.DefOps {
@@ -83,16 +79,13 @@ func findConsumer(b *asm.Block, i int, p mach.PhysID, lat int) int {
 // block order stays cycle-sorted.
 func moveTo(b *asm.Block, j, cycle int) {
 	in := b.Insts[j]
-	b.Insts = append(b.Insts[:j], b.Insts[j+1:]...)
+	b.Insts = slices.Delete(b.Insts, j, j+1)
 	in.Cycle = cycle
-	at := len(b.Insts)
-	for k, other := range b.Insts {
-		if other.Cycle > cycle {
-			at = k
-			break
-		}
+	at := slices.IndexFunc(b.Insts, func(o *asm.Inst) bool { return o.Cycle > cycle })
+	if at < 0 {
+		at = len(b.Insts)
 	}
-	b.Insts = append(b.Insts[:at], append([]*asm.Inst{in}, b.Insts[at:]...)...)
+	b.Insts = slices.Insert(b.Insts, at, in)
 }
 
 // DeleteDelaySlotNop removes the first nop sitting in a control

@@ -9,17 +9,9 @@ import (
 // bitset is a dense set over physical register ids.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
 func (s bitset) has(i int) bool { return s[i/64]&(1<<uint(i%64)) != 0 }
 func (s bitset) set(i int)      { s[i/64] |= 1 << uint(i%64) }
 func (s bitset) clear(i int)    { s[i/64] &^= 1 << uint(i%64) }
-
-func (s bitset) clone() bitset {
-	o := make(bitset, len(s))
-	copy(o, s)
-	return o
-}
 
 func (s bitset) fill() {
 	for i := range s {
@@ -51,37 +43,49 @@ func (s bitset) unionWith(o bitset) bool {
 	return changed
 }
 
-// cfg holds block indices and edges of a function's control flow graph,
-// mapped onto the asm blocks.
-type cfg struct {
-	succs [][]int
-	preds [][]int
+// sets is a run of equally sized bitsets in one slice.
+type sets struct {
+	w     int // words per set
+	words []uint64
 }
 
-func (v *verifier) buildCFG() *cfg {
-	idx := map[*ir.Block]int{}
+func (ss sets) at(i int) bitset { return bitset(ss.words[i*ss.w : (i+1)*ss.w : (i+1)*ss.w]) }
+
+// newSets carves n empty sets over the physical registers off the
+// call's bitset slab.
+func (v *verifier) newSets(n int) sets {
+	ss := sets{w: (v.m.NumPhys + 63) / 64}
+	ss.words, v.bits = v.bits[:n*ss.w], v.bits[n*ss.w:]
+	return ss
+}
+
+func (v *verifier) newSet() bitset { return v.newSets(1).at(0) }
+
+// buildCFG maps the IR successor edges onto block indices (succs). It
+// reports false for a hand-built function without CFG info.
+func (v *verifier) buildCFG() bool {
+	idx := make(map[*ir.Block]int, len(v.af.Blocks))
 	for bi, b := range v.af.Blocks {
 		if b.IR == nil {
-			return nil // hand-built function without CFG info
+			return false
 		}
 		idx[b.IR] = bi
 	}
-	g := &cfg{
-		succs: make([][]int, len(v.af.Blocks)),
-		preds: make([][]int, len(v.af.Blocks)),
-	}
+	n := 0
 	for bi, b := range v.af.Blocks {
+		v.succAt[bi] = n
 		for _, s := range b.IR.Succs {
-			si, ok := idx[s]
-			if !ok {
-				continue
+			if si, ok := idx[s]; ok {
+				v.succ[n] = si
+				n++
 			}
-			g.succs[bi] = append(g.succs[bi], si)
-			g.preds[si] = append(g.preds[si], bi)
 		}
 	}
-	return g
+	v.succAt[len(v.af.Blocks)] = n
+	return true
 }
+
+func (v *verifier) succs(bi int) []int { return v.succ[v.succAt[bi]:v.succAt[bi+1]] }
 
 // markAliased sets a register and every register overlapping it.
 func (v *verifier) markAliased(s bitset, p mach.PhysID) {
@@ -90,15 +94,14 @@ func (v *verifier) markAliased(s bitset, p mach.PhysID) {
 	}
 }
 
-// entryDefined is the set of registers that legitimately hold a value
+// entryDefined adds to s the registers that legitimately hold a value
 // on function entry: the stack/frame/return-address/global registers,
 // hard-wired registers, the callee-save set (the caller's values — the
 // function may read them only after saving, but "defined" they are),
 // and the argument registers this function's signature binds.
-func (v *verifier) entryDefined() bitset {
-	s := newBitset(v.m.NumPhys)
+func (v *verifier) entryDefined(s bitset) {
 	c := &v.m.Cwvm
-	for _, ref := range []mach.RegRef{c.SP, c.FP, c.RetAddr, c.GlobalPtr} {
+	for _, ref := range [...]mach.RegRef{c.SP, c.FP, c.RetAddr, c.GlobalPtr} {
 		if ref.Valid() {
 			v.markAliased(s, ref.Phys())
 		}
@@ -112,17 +115,40 @@ func (v *verifier) entryDefined() bitset {
 		}
 	}
 	if fn := v.af.IR; fn != nil && len(fn.Params) > 0 {
-		types := make([]ir.Type, len(fn.Params))
-		for i, sym := range fn.Params {
-			types[i] = sym.Type
+		var buf [8]ir.Type
+		types := buf[:0]
+		for _, sym := range fn.Params {
+			types = append(types, sym.Type)
 		}
-		for _, loc := range c.AssignArgs(types) {
-			if loc.InReg {
-				v.markAliased(s, loc.Ref.Phys())
+		for _, arg := range c.AssignArgs(types) {
+			if arg.InReg {
+				v.markAliased(s, arg.Ref.Phys())
 			}
 		}
 	}
-	return s
+}
+
+// genKill returns every block's upward-exposed uses and its defs over
+// physical registers, alias-expanded on both sides (matching the
+// allocator's own liveness model).
+func (v *verifier) genKill() (use, def sets) {
+	use, def = v.newSets(len(v.af.Blocks)), v.newSets(len(v.af.Blocks))
+	for bi, b := range v.af.Blocks {
+		u, d := use.at(bi), def.at(bi)
+		for _, in := range b.Insts {
+			v.instUses(in, func(p mach.PhysID) {
+				for _, a := range v.m.Aliases(p) {
+					if !d.has(int(a)) {
+						u.set(int(a))
+					}
+				}
+			})
+			v.instDefs(in, func(p mach.PhysID) {
+				v.markAliased(d, p)
+			})
+		}
+	}
+	return use, def
 }
 
 // checkDefiniteAssignment proves no instruction reads a physical
@@ -130,154 +156,111 @@ func (v *verifier) entryDefined() bitset {
 // (intersection over predecessors) over the emitted code. This
 // validates the allocator end to end — a wrong coloring, a lost spill
 // reload or a miswired entry move all surface as a read of a register
-// no prior instruction (on some path) defined.
-func (v *verifier) checkDefiniteAssignment() {
-	g := v.buildCFG()
-	if g == nil || len(v.af.Blocks) == 0 {
-		return
-	}
-	n := len(v.af.Blocks)
-	ins := make([]bitset, n)
-	for i := range ins {
-		ins[i] = newBitset(v.m.NumPhys)
-		if i == 0 {
-			copy(ins[i], v.entryDefined())
-		} else {
-			ins[i].fill() // top: refined by intersection
-		}
+// no prior instruction (on some path) defined. A block's transfer
+// function only adds registers, so its out-set is its in-set plus def.
+func (v *verifier) checkDefiniteAssignment(def sets) {
+	ins, out := v.newSets(len(v.af.Blocks)), v.newSet()
+	v.entryDefined(ins.at(0))
+	for bi := 1; bi < len(v.af.Blocks); bi++ {
+		ins.at(bi).fill() // top: refined by intersection
 	}
 	for changed := true; changed; {
 		changed = false
 		for bi := range v.af.Blocks {
-			out := ins[bi].clone()
-			v.daFlow(bi, out, false)
-			for _, si := range g.succs[bi] {
-				if ins[si].intersectWith(out) {
+			copy(out, ins.at(bi))
+			out.unionWith(def.at(bi))
+			for _, si := range v.succs(bi) {
+				if ins.at(si).intersectWith(out) {
 					changed = true
 				}
 			}
 		}
 	}
 	for bi := range v.af.Blocks {
-		v.daFlow(bi, ins[bi].clone(), true)
+		copy(out, ins.at(bi))
+		v.daFlow(bi, out)
 	}
 }
 
 // daFlow runs the definite-assignment transfer function over one block,
-// word-phased (reads in a word observe pre-word state). With report
-// set it emits findings for uses of possibly-undefined registers.
-func (v *verifier) daFlow(bi int, s bitset, report bool) {
+// word-phased (reads in a word observe pre-word state), and reports
+// uses of possibly-undefined registers.
+func (v *verifier) daFlow(bi int, s bitset) {
 	b := v.af.Blocks[bi]
-	times := v.times[bi]
-	checkUse := func(i int, o asm.Operand) {
-		if o.Kind != asm.OpPhys || v.isHardPhys(o) {
-			return
-		}
-		if !s.has(int(o.Phys)) {
-			v.addf(bi, i, times[i], KindRegister,
-				"%s reads %s, which is not written on every path to this point",
-				b.Insts[i].Tmpl.Mnemonic, v.m.PhysName(o.Phys))
-		}
-	}
-	for i := 0; i < len(b.Insts); {
-		j := i
-		for j < len(b.Insts) && times[j] == times[i] {
-			j++
-		}
-		if report {
-			for k := i; k < j; k++ {
-				in := b.Insts[k]
-				for _, opIdx := range in.Tmpl.UseOps {
-					checkUse(k, in.Args[opIdx])
+	times := v.blockTimes(bi)
+	for i, j := 0, 0; i < len(b.Insts); i = j {
+		j = wordEnd(times, i)
+		for k := i; k < j; k++ {
+			v.instUses(b.Insts[k], func(p mach.PhysID) {
+				if _, hard := v.m.IsHard(p); !hard && !s.has(int(p)) {
+					v.addf(bi, k, times[k], KindRegister,
+						"%s reads %s, which is not written on every path to this point",
+						b.Insts[k].Tmpl.Mnemonic, v.m.PhysName(p))
 				}
-				for _, p := range in.ImpUses {
-					checkUse(k, asm.Phys(p))
-				}
-			}
+			})
 		}
 		for k := i; k < j; k++ {
-			in := b.Insts[k]
-			for _, opIdx := range in.Tmpl.DefOps {
-				if o := in.Args[opIdx]; o.Kind == asm.OpPhys {
-					v.markAliased(s, o.Phys)
-				}
-			}
-			for _, p := range in.ImpDefs {
-				v.markAliased(s, p)
-			}
+			v.instDefs(b.Insts[k], func(p mach.PhysID) { v.markAliased(s, p) })
 		}
-		i = j
 	}
 }
 
 // checkClobbers runs a backward liveness pass over the emitted code and
-// checks (1) that no call clobbers a live non-result value — the
-// caller-save discipline the allocator must maintain — and (2) that no
-// instruction writes a callee-save register the function did not save
-// in its prologue.
-func (v *verifier) checkClobbers() {
-	g := v.buildCFG()
-	if g == nil || len(v.af.Blocks) == 0 {
-		return
+// checks that no call clobbers a live non-result value — the
+// caller-save discipline the allocator must maintain.
+func (v *verifier) checkClobbers(use, def sets) {
+	if len(v.snapAt) == 0 {
+		return // no call with a clobber set (alloc sizes snapAt by them)
 	}
 	n := len(v.af.Blocks)
-
-	// Per-block gen/kill over physical registers, alias-expanded on
-	// both sides (matching the allocator's own liveness model).
-	use := make([]bitset, n)
-	def := make([]bitset, n)
-	for bi, b := range v.af.Blocks {
-		use[bi] = newBitset(v.m.NumPhys)
-		def[bi] = newBitset(v.m.NumPhys)
-		for _, in := range b.Insts {
-			v.instUses(in, func(p mach.PhysID) {
-				for _, a := range v.m.Aliases(p) {
-					if !def[bi].has(int(a)) {
-						use[bi].set(int(a))
-					}
-				}
-			})
-			v.instDefs(in, true, func(p mach.PhysID) {
-				v.markAliased(def[bi], p)
-			})
-		}
-	}
-	liveIn := make([]bitset, n)
-	liveOut := make([]bitset, n)
-	for i := range liveIn {
-		liveIn[i] = newBitset(v.m.NumPhys)
-		liveOut[i] = newBitset(v.m.NumPhys)
-	}
+	liveIn, liveOut := v.newSets(n), v.newSets(n)
 	for changed := true; changed; {
 		changed = false
 		for bi := n - 1; bi >= 0; bi-- {
-			for _, si := range g.succs[bi] {
-				if liveOut[bi].unionWith(liveIn[si]) {
+			out := liveOut.at(bi)
+			for _, si := range v.succs(bi) {
+				if out.unionWith(liveIn.at(si)) {
 					changed = true
 				}
 			}
-			in := use[bi].clone()
+			in, u, d := liveIn.at(bi), use.at(bi), def.at(bi)
 			for w := range in {
-				in[w] |= liveOut[bi][w] &^ def[bi][w]
-			}
-			if liveIn[bi].unionWith(in) {
-				changed = true
+				if x := in[w] | u[w] | out[w]&^d[w]; x != in[w] {
+					in[w], changed = x, true
+				}
 			}
 		}
 	}
 
-	results := newBitset(v.m.NumPhys)
+	results := v.newSet()
 	for _, r := range v.m.Cwvm.Results {
 		v.markAliased(results, r.Ref.Phys())
 	}
 
+	// A call's check reads the live set entering the first instruction
+	// after its delay slots; only those sets are kept, numbered in
+	// snapAt as the backward walk over a block with calls passes them.
+	live, nsnap := v.newSet(), 0
 	for bi, b := range v.af.Blocks {
-		// liveBefore[i]: the live set entering instruction i.
-		liveBefore := make([]bitset, len(b.Insts))
-		live := liveOut[bi].clone()
+		times, snapAt := v.blockTimes(bi), v.snapAt[v.first[bi]:v.first[bi+1]]
+		calls := false
+		for i, in := range b.Insts {
+			if !clobbers(in) {
+				continue
+			}
+			calls = true
+			if j := afterSlots(times, i, in); j < len(times) && snapAt[j] == 0 {
+				nsnap++
+				snapAt[j] = nsnap
+			}
+		}
+		if !calls {
+			continue
+		}
+		copy(live, liveOut.at(bi))
 		for i := len(b.Insts) - 1; i >= 0; i-- {
 			in := b.Insts[i]
-			v.instDefs(in, true, func(p mach.PhysID) {
+			v.instDefs(in, func(p mach.PhysID) {
 				for _, a := range v.m.Aliases(p) {
 					live.clear(int(a))
 				}
@@ -285,26 +268,17 @@ func (v *verifier) checkClobbers() {
 			v.instUses(in, func(p mach.PhysID) {
 				v.markAliased(live, p)
 			})
-			liveBefore[i] = live.clone()
+			if sn := snapAt[i]; sn > 0 {
+				copy(v.snaps.at(sn-1), live)
+			}
 		}
-		times := v.times[bi]
 		for i, in := range b.Insts {
-			if !in.Tmpl.IsCall || len(in.ImpDefs) == 0 {
+			if !clobbers(in) {
 				continue
 			}
-			// The call's delay-slot instructions execute before control
-			// reaches the callee: the clobber takes effect after them.
-			slots := in.Tmpl.Slots
-			if slots < 0 {
-				slots = -slots
-			}
-			j := i + 1
-			for j < len(b.Insts) && times[j] <= times[i]+slots {
-				j++
-			}
-			after := liveOut[bi]
-			if j < len(b.Insts) {
-				after = liveBefore[j]
+			after := liveOut.at(bi)
+			if j := afterSlots(times, i, in); j < len(times) {
+				after = v.snaps.at(snapAt[j] - 1)
 			}
 			for _, p := range in.ImpDefs {
 				if after.has(int(p)) && !results.has(int(p)) {
@@ -315,42 +289,53 @@ func (v *verifier) checkClobbers() {
 			}
 		}
 	}
+}
 
-	v.checkCalleeSaveDiscipline()
+// clobbers reports whether in is a call with a clobber set.
+func clobbers(in *asm.Inst) bool { return in.Tmpl.IsCall && len(in.ImpDefs) > 0 }
+
+// afterSlots returns the first instruction after call i's delay slots:
+// they execute before control reaches the callee, so the clobber takes
+// effect after them.
+func afterSlots(times []int, i int, in *asm.Inst) int {
+	slots := max(in.Tmpl.Slots, -in.Tmpl.Slots) // annulled slots count too
+	j := i + 1
+	for j < len(times) && times[j] <= times[i]+slots {
+		j++
+	}
+	return j
 }
 
 // checkCalleeSaveDiscipline flags writes to callee-save registers the
 // function's prologue does not save.
 func (v *verifier) checkCalleeSaveDiscipline() {
-	csave := newBitset(v.m.NumPhys)
+	csave := v.newSet()
 	for _, rr := range v.m.Cwvm.CalleeSave {
 		for i := rr.Lo; i <= rr.Hi; i++ {
 			csave.set(int(rr.Set.Phys(i)))
 		}
 	}
-	saved := newBitset(v.m.NumPhys)
+	saved := v.newSet()
 	for _, p := range v.af.CalleeSaved {
 		v.markAliased(saved, p)
 	}
 	c := &v.m.Cwvm
-	for _, ref := range []mach.RegRef{c.SP, c.FP, c.RetAddr, c.GlobalPtr} {
+	for _, ref := range [...]mach.RegRef{c.SP, c.FP, c.RetAddr, c.GlobalPtr} {
 		if ref.Valid() {
 			v.markAliased(saved, ref.Phys())
 		}
 	}
 	for bi, b := range v.af.Blocks {
-		times := v.times[bi]
+		times := v.blockTimes(bi)
 		for i, in := range b.Insts {
 			for _, opIdx := range in.Tmpl.DefOps {
 				o := in.Args[opIdx]
-				if o.Kind != asm.OpPhys || v.isHardPhys(o) {
+				if o.Kind != asm.OpPhys || !csave.has(int(o.Phys)) || saved.has(int(o.Phys)) || v.isHardPhys(o) {
 					continue
 				}
-				if csave.has(int(o.Phys)) && !saved.has(int(o.Phys)) {
-					v.addf(bi, i, times[i], KindRegister,
-						"%s writes callee-save register %s, which the function does not save",
-						in.Tmpl.Mnemonic, v.m.PhysName(o.Phys))
-				}
+				v.addf(bi, i, times[i], KindRegister,
+					"%s writes callee-save register %s, which the function does not save",
+					in.Tmpl.Mnemonic, v.m.PhysName(o.Phys))
 			}
 		}
 	}
@@ -368,17 +353,15 @@ func (v *verifier) instUses(in *asm.Inst, f func(mach.PhysID)) {
 	}
 }
 
-// instDefs calls f for every physical register the instruction writes;
-// implicit defs (call clobber summaries) are included when imp is set.
-func (v *verifier) instDefs(in *asm.Inst, imp bool, f func(mach.PhysID)) {
+// instDefs calls f for every physical register the instruction writes,
+// implicit defs (call clobber summaries) included.
+func (v *verifier) instDefs(in *asm.Inst, f func(mach.PhysID)) {
 	for _, opIdx := range in.Tmpl.DefOps {
 		if o := in.Args[opIdx]; o.Kind == asm.OpPhys {
 			f(o.Phys)
 		}
 	}
-	if imp {
-		for _, p := range in.ImpDefs {
-			f(p)
-		}
+	for _, p := range in.ImpDefs {
+		f(p)
 	}
 }

@@ -22,32 +22,40 @@ import (
 // afterwards (Cycle < 0, e.g. back-to-back callee-save ld.d restores
 // whose MEMS cycles overlap on the 88000) was never hazard-checked and
 // relies on the hardware's structural-hazard stalls by design.
-func (v *verifier) checkResources(bi int, b *asm.Block, ws []word) {
-	busy := map[int]mach.ResSet{}
-	for _, w := range ws {
-		for _, i := range w.insts {
-			in := b.Insts[i]
+func (v *verifier) checkResources(bi int, b *asm.Block, times []int) {
+	// busy is a ring over the cycles a word's vectors can reach: no
+	// vector is longer than it, so cycles before the word are retired.
+	busy, past := v.busy, 0
+	clear(busy)
+	for i, j := 0, 0; i < len(b.Insts); i = j {
+		j = wordEnd(times, i)
+		t := times[i]
+		for past = max(past, t-len(busy)); past < t; past++ {
+			busy[past%len(busy)] = 0
+		}
+		for k := i; k < j; k++ {
+			in := b.Insts[k]
 			if in.Cycle < 0 {
 				continue
 			}
 			for c, rs := range in.Tmpl.ResVec {
-				if conflict := busy[w.time+c] & rs; conflict != 0 && (c == 0 || !v.opts.IssueOnly) {
-					v.addf(bi, i, w.time, KindResource,
+				if conflict := busy[(t+c)%len(busy)] & rs; conflict != 0 && (c == 0 || !v.opts.IssueOnly) {
+					v.addf(bi, k, t, KindResource,
 						"%s oversubscribes resource(s) %s at cycle %d",
-						in.Tmpl.Mnemonic, v.resNames(conflict), w.time+c)
+						in.Tmpl.Mnemonic, v.resNames(conflict), t+c)
 				}
-				busy[w.time+c] |= rs
+				busy[(t+c)%len(busy)] |= rs
 			}
 		}
 
-		if len(w.insts) < 2 {
+		if j-i < 2 {
 			continue
 		}
 		// Long-word packing legality.
 		var cls mach.ClassSet
 		hasClass := false
-		for _, i := range w.insts {
-			c := b.Insts[i].Tmpl.Class
+		for k := i; k < j; k++ {
+			c := b.Insts[k].Tmpl.Class
 			if c.IsEmpty() {
 				continue // not a long-word element; packs freely
 			}
@@ -57,9 +65,9 @@ func (v *verifier) checkResources(bi int, b *asm.Block, ws []word) {
 			}
 			cls = cls.Intersect(c)
 			if cls.IsEmpty() {
-				v.addf(bi, i, w.time, KindResource,
+				v.addf(bi, k, t, KindResource,
 					"%s cannot pack into this word: no common long-word element (%s)",
-					b.Insts[i].Tmpl.Mnemonic, v.wordShape(b, w))
+					b.Insts[k].Tmpl.Mnemonic, wordShape(b.Insts[i:j]))
 				break
 			}
 		}
@@ -67,13 +75,10 @@ func (v *verifier) checkResources(bi int, b *asm.Block, ws []word) {
 }
 
 // wordShape renders a word's mnemonics for a finding message.
-func (v *verifier) wordShape(b *asm.Block, w word) string {
-	s := ""
-	for k, i := range w.insts {
-		if k > 0 {
-			s += "|"
-		}
-		s += b.Insts[i].Tmpl.Mnemonic
+func wordShape(word []*asm.Inst) string {
+	s := word[0].Tmpl.Mnemonic
+	for _, in := range word[1:] {
+		s += "|" + in.Tmpl.Mnemonic
 	}
 	return s
 }
@@ -86,60 +91,64 @@ func (v *verifier) wordShape(b *asm.Block, w word) string {
 // shadow. Negative slot counts are "taken only" (annulled) slots,
 // where any non-nop would be skipped on fall-through, so only nops are
 // legal there.
-func (v *verifier) checkControl(bi int, b *asm.Block, ws []word) {
-	byTime := map[int]int{}
-	for wi, w := range ws {
-		byTime[w.time] = wi
-	}
-	for _, w := range ws {
+func (v *verifier) checkControl(bi int, b *asm.Block, times []int) {
+	for i, j := 0, 0; i < len(b.Insts); i = j {
+		j = wordEnd(times, i)
 		first := -1
-		for _, i := range w.insts {
-			if !b.Insts[i].Tmpl.Transfers() {
+		for k := i; k < j; k++ {
+			if !b.Insts[k].Tmpl.Transfers() {
 				continue
 			}
 			if first >= 0 {
-				v.addf(bi, i, w.time, KindControl,
+				v.addf(bi, k, times[k], KindControl,
 					"%s shares an instruction word with control transfer %s",
-					b.Insts[i].Tmpl.Mnemonic, b.Insts[first].Tmpl.Mnemonic)
+					b.Insts[k].Tmpl.Mnemonic, b.Insts[first].Tmpl.Mnemonic)
 				continue
 			}
-			first = i
-			v.checkSlots(bi, b, ws, byTime, w, i)
+			first = k
+			v.checkSlots(bi, b, times, k, j)
 		}
 	}
 }
 
-func (v *verifier) checkSlots(bi int, b *asm.Block, ws []word, byTime map[int]int, w word, ti int) {
+// checkSlots checks the delay slots of transfer ti, whose word ends
+// before instruction next. Words issue in increasing cycles, so the word
+// at each slot's cycle, if any, is the next one not yet passed.
+func (v *verifier) checkSlots(bi int, b *asm.Block, times []int, ti, next int) {
 	in := b.Insts[ti]
 	slots := in.Tmpl.Slots
 	annulled := slots < 0
 	if annulled {
 		slots = -slots
 	}
+	k := next
 	for s := 1; s <= slots; s++ {
-		wi, ok := byTime[w.time+s]
-		if !ok {
-			v.addf(bi, ti, w.time, KindControl,
+		at := times[ti] + s
+		for k < len(times) && times[k] < at {
+			k++
+		}
+		if k == len(times) || times[k] != at {
+			v.addf(bi, ti, times[ti], KindControl,
 				"delay slot %d of %s is missing: no instruction word at cycle %d",
-				s, in.Tmpl.Mnemonic, w.time+s)
+				s, in.Tmpl.Mnemonic, at)
 			continue
 		}
-		for _, si := range ws[wi].insts {
-			sin := b.Insts[si]
+		for ; k < len(times) && times[k] == at; k++ {
+			sin := b.Insts[k]
 			if sin.Tmpl == v.m.Nop {
 				continue
 			}
 			switch {
 			case sin.Tmpl.Transfers():
-				v.addf(bi, si, ws[wi].time, KindControl,
+				v.addf(bi, k, at, KindControl,
 					"control transfer %s sits in a delay slot of %s",
 					sin.Tmpl.Mnemonic, in.Tmpl.Mnemonic)
 			case annulled:
-				v.addf(bi, si, ws[wi].time, KindControl,
+				v.addf(bi, k, at, KindControl,
 					"%s sits in a taken-only (annulled) delay slot of %s: it is skipped on fall-through",
 					sin.Tmpl.Mnemonic, in.Tmpl.Mnemonic)
 			case !slotSafe(sin):
-				v.addf(bi, si, ws[wi].time, KindControl,
+				v.addf(bi, k, at, KindControl,
 					"%s is not safe in a delay slot of %s",
 					sin.Tmpl.Mnemonic, in.Tmpl.Mnemonic)
 			}

@@ -2,16 +2,10 @@ package verify
 
 import "marion/internal/asm"
 
-// word is one long instruction word: the set of instructions issued in
-// the same cycle of a block's in-order timeline.
-type word struct {
-	time  int   // issue cycle relative to the block start
-	insts []int // indices into b.Insts
-}
-
 // timeline groups a block's instructions into issue words and assigns
 // each word a cycle, reconstructing the in-order issue timeline the
-// machine sees.
+// machine sees. A word is a run of consecutive instructions with equal
+// times.
 //
 // Scheduled instructions (Cycle >= 0) carry the scheduler's issue
 // cycle: consecutive instructions with equal cycles form one word, and
@@ -25,9 +19,9 @@ type word struct {
 //
 // A scheduled cycle that decreases along the block is reported as a
 // malformed schedule.
-func (v *verifier) timeline(bi int, b *asm.Block) []word {
-	var ws []word
-	times := make([]int, len(b.Insts))
+func (v *verifier) timeline(bi int, b *asm.Block) []int {
+	v.first[bi+1] = v.first[bi] + len(b.Insts)
+	times := v.blockTimes(bi)
 	t := -1
 	prev := -1 // last scheduled cycle seen, -1 before the first
 	for i := 0; i < len(b.Insts); {
@@ -51,14 +45,25 @@ func (v *verifier) timeline(bi int, b *asm.Block) []word {
 		if c >= 0 {
 			prev = c
 		}
-		w := word{time: t}
 		for k := i; k < j; k++ {
-			w.insts = append(w.insts, k)
 			times[k] = t
 		}
-		ws = append(ws, w)
 		i = j
 	}
-	v.times[bi] = times
-	return ws
+	return times
+}
+
+// blockTimes returns the issue cycles of block bi's instructions.
+func (v *verifier) blockTimes(bi int) []int {
+	return v.times[v.first[bi]:v.first[bi+1]]
+}
+
+// wordEnd returns one past the last instruction of the word starting at
+// instruction i.
+func wordEnd(times []int, i int) int {
+	j := i + 1
+	for j < len(times) && times[j] == times[i] {
+		j++
+	}
+	return j
 }

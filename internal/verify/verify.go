@@ -166,7 +166,7 @@ type Options struct {
 // Func verifies one compiled function against its machine description
 // and returns the findings (never nil).
 func Func(m *mach.Machine, af *asm.Func, opts Options) *Report {
-	v := &verifier{m: m, af: af, opts: opts, report: &Report{}}
+	v := verifier{m: m, af: af, opts: opts, report: &Report{}}
 	v.run()
 	return v.report
 }
@@ -183,28 +183,91 @@ func Program(p *asm.Program, opts Options) *Report {
 	return r
 }
 
-// verifier carries the per-function verification state.
+// verifier carries the per-function verification state in dense tables
+// sized once per call, not per-block maps or per-instruction slices. A
+// dataflow location is a physical register, or NumPhys+p for
+// pseudo-register p (pre-allocation code in unit tests).
 type verifier struct {
 	m      *mach.Machine
 	af     *asm.Func
 	opts   Options
 	report *Report
 
-	// times[b][i] is the issue cycle of instruction i of block b on the
-	// block's in-order timeline (see timeline.go).
-	times [][]int
+	// times[first[b]+i] is the issue cycle of instruction i of block b
+	// on the block's in-order timeline (see timeline.go).
+	times, first []int
+	// The CFG: block b's successors are succ[succAt[b]:succAt[b+1]].
+	succAt, succ []int
+	// snapAt[first[b]+j] numbers (from 1) the live-set snapshot taken
+	// before instruction j for a call's clobber check (checkClobbers).
+	snapAt []int
+	tickAt []int // per clock: the word stamp of its last tick
+
+	locs    []loc         // per dataflow location, stamped per block/word
+	latches []latchOwner  // per register set (latch) in m.RegSets
+	busy    []mach.ResSet // stages claimed, per block cycle mod len(busy)
+	bits    []uint64      // bitset slab, carved by newSets
+	snaps   sets          // one bitset per clobber snapshot
+
+	block, word int32 // stamps of the current block and word
+	pseudo      [1]mach.PhysID
 }
 
 func (v *verifier) run() {
-	v.times = make([][]int, len(v.af.Blocks))
+	v.alloc()
 	for bi, b := range v.af.Blocks {
-		ws := v.timeline(bi, b)
-		v.checkDataHazards(bi, b, ws)
-		v.checkResources(bi, b, ws)
-		v.checkControl(bi, b, ws)
+		times := v.timeline(bi, b)
+		v.checkDataHazards(bi, b, times)
+		v.checkResources(bi, b, times)
+		v.checkControl(bi, b, times)
 	}
-	v.checkDefiniteAssignment()
-	v.checkClobbers()
+	if !v.buildCFG() || len(v.af.Blocks) == 0 {
+		return
+	}
+	use, def := v.genKill()
+	v.checkDefiniteAssignment(def)
+	v.checkClobbers(use, def)
+	v.checkCalleeSaveDiscipline()
+}
+
+// alloc sizes every table for the function in one pass over its
+// instructions.
+func (v *verifier) alloc() {
+	nb, nInst, nEdge, nCall, nPseudo, maxRes := len(v.af.Blocks), 0, 0, 0, 0, 0
+	for _, b := range v.af.Blocks {
+		nInst += len(b.Insts)
+		if b.IR != nil {
+			nEdge += len(b.IR.Succs)
+		}
+		for _, in := range b.Insts {
+			maxRes = max(maxRes, len(in.Tmpl.ResVec))
+			if clobbers(in) {
+				nCall++
+			}
+			for _, o := range in.Args {
+				if o.Kind == asm.OpPseudo || o.Kind == asm.OpPseudoHalf {
+					nPseudo = max(nPseudo, int(o.Pseudo)+1)
+				}
+			}
+		}
+	}
+	nSnapAt := nInst * min(nCall, 1) // read only for calls
+	ints := make([]int, nInst+nSnapAt+2*(nb+1)+nEdge+len(v.m.Clocks))
+	carve := func(n int) []int {
+		s := ints[:n:n]
+		ints = ints[n:]
+		return s
+	}
+	v.times, v.snapAt, v.first, v.succAt = carve(nInst), carve(nSnapAt), carve(nb+1), carve(nb+1)
+	v.succ, v.tickAt = carve(nEdge), carve(len(v.m.Clocks))
+	v.locs = make([]loc, v.m.NumPhys+nPseudo)
+	v.latches = make([]latchOwner, len(v.m.RegSets))
+	w := (v.m.NumPhys + 63) / 64
+	// Bitsets: per block DA in-set, use, def, live-in and live-out; five
+	// scratch/whole-function sets; one snapshot per call.
+	bits := make([]uint64, w*(5*nb+5+nCall))
+	v.bits, v.snaps = bits[:w*(5*nb+5)], sets{w: w, words: bits[w*(5*nb+5):]}
+	v.busy = make([]mach.ResSet, max(maxRes, 1))
 }
 
 func (v *verifier) addf(bi, idx, cycle int, k Kind, format string, args ...any) {
@@ -218,25 +281,16 @@ func (v *verifier) addf(bi, idx, cycle int, k Kind, format string, args ...any) 
 	})
 }
 
-// regKey names one dataflow location: a physical register (>= 0) or a
-// pseudo-register (< 0; pre-allocation code in unit tests).
-type regKey int64
-
-func pseudoKey(p asm.PseudoID) regKey { return regKey(-int64(p) - 1) }
-
-// keys expands an operand into the dataflow locations it touches; a
-// physical register expands to every alias (wide/narrow overlap).
-func (v *verifier) keys(o asm.Operand) []regKey {
+// keys returns the dataflow locations an operand touches: a physical
+// register expands to every alias (wide/narrow overlap). The result is
+// valid until the next call.
+func (v *verifier) keys(o asm.Operand) []mach.PhysID {
 	switch o.Kind {
 	case asm.OpPhys:
-		as := v.m.Aliases(o.Phys)
-		ks := make([]regKey, len(as))
-		for i, a := range as {
-			ks[i] = regKey(a)
-		}
-		return ks
+		return v.m.Aliases(o.Phys)
 	case asm.OpPseudo, asm.OpPseudoHalf:
-		return []regKey{pseudoKey(o.Pseudo)}
+		v.pseudo[0] = mach.PhysID(v.m.NumPhys + int(o.Pseudo))
+		return v.pseudo[:]
 	}
 	return nil
 }
@@ -286,9 +340,9 @@ func (v *verifier) resNames(rs mach.ResSet) string {
 }
 
 // regName renders a dataflow location for a finding message.
-func (v *verifier) regName(k regKey) string {
-	if k < 0 {
-		return fmt.Sprintf("t%d", -int64(k)-1)
+func (v *verifier) regName(k mach.PhysID) string {
+	if int(k) >= v.m.NumPhys {
+		return fmt.Sprintf("t%d", int(k)-v.m.NumPhys)
 	}
-	return v.m.PhysName(mach.PhysID(k))
+	return v.m.PhysName(k)
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // unitDesc is a minimal machine for hand-built schedules: a 3-cycle
-// load, a 1-cycle add, and an %aux override that stretches the
-// load->add latency to 5 when the add's first source is the loaded
-// register.
+// load, a store that claims no stage the load's issue cycle does, a
+// 1-cycle add, and an %aux override that stretches the load->add latency
+// to 5 when the add's first source is the loaded register.
 const unitDesc = `
 declare {
     %reg r[0:7] (int, ptr);
@@ -30,6 +30,7 @@ cwvm {
 }
 instr {
     %instr ld r, r, #imm {$1 = m[$2 + $3];} [IEX; MEM] (1,3,0)
+    %instr st r, r, #imm {m[$2 + $3] = $1;} [MEM] (1,1,0)
     %instr add r, r, r {$1 = $2 + $3;} [IEX] (1,1,0)
     %instr nop {;} [IEX] (1,1,0)
     %aux ld : add (1.$1 == 2.$2) (5)
@@ -117,6 +118,37 @@ func TestAuxLatencyOverride(t *testing.T) {
 	i1.Cycle = 5
 	if rep := verify.Func(m, af, verify.Options{}); !rep.Empty() {
 		t.Errorf("schedule legal under %%aux flagged:\n%s", rep)
+	}
+}
+
+// TestSameWordMemoryOrder pins the same-word memory rule: a memory
+// reference listed after a memory write in its word is flagged, one
+// listed before it reads pre-word memory (a legal anti-dependence).
+func TestSameWordMemoryOrder(t *testing.T) {
+	m, err := maril.Parse("unit", unitDesc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := asm.Phys(m.RegSet("r").Phys(6))
+	for _, tc := range []struct {
+		name       string
+		storeFirst bool
+		want       int
+	}{{"st;ld", true, 1}, {"ld;st", false, 0}} {
+		ld := asm.New(m.InstrByLabel("ld"), asm.Reg(0), fp, asm.Imm(0))
+		st := asm.New(m.InstrByLabel("st"), asm.Reg(1), fp, asm.Imm(4))
+		ld.Cycle, st.Cycle = 0, 0
+		insts := []*asm.Inst{ld, st}
+		if tc.storeFirst {
+			insts[0], insts[1] = st, ld
+		}
+		af := unitFunc(t, insts...)
+		af.NewPseudo(m.RegSet("r"), ir.NoReg)
+		af.NewPseudo(m.RegSet("r"), ir.NoReg)
+		rep := verify.Func(m, af, verify.Options{})
+		if rep.Count(verify.KindLatency) != tc.want || len(rep.Findings) != tc.want {
+			t.Errorf("{%s}: want %d latency finding(s) and nothing else; report:\n%s", tc.name, tc.want, rep)
+		}
 	}
 }
 
