@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench benchcheck benchsmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos ci
+.PHONY: build test vet race bench benchcheck benchsmoke verify-all chaos ci
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,10 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The race detector is the guardrail for the parallel back end.
+# The race detector is the guardrail for the parallel back end. Both
+# this and `test` run cmd/mariond's TestServeDrills, which boots the
+# daemon in-process and runs the load, overload and trace drills
+# against it over TCP.
 race:
 	$(GO) test -race ./...
 
@@ -45,36 +48,6 @@ benchsmoke:
 verify-all:
 	$(GO) run ./cmd/marionstats -verify
 
-# Compile-service smoke: boot a race-instrumented mariond on an
-# ephemeral port, burst it past its admission budget (asserting a clean
-# 2xx/429 split and byte-identical repeat bodies), byte-compare served
-# assembly against marionc for every example source, then SIGTERM and
-# require a clean drain with a flushed disk cache tier. Emits
-# BENCH_serve.json.
-loadsmoke:
-	GO="$(GO)" sh scripts/loadsmoke.sh
-
-# Overload smoke: boot a race-instrumented mariond with the adaptive
-# limiter, brownout ladder, and circuit breakers armed (plus a
-# deterministic serve-site fault against r2000/rase), trip a breaker
-# and require rerouting plus a replayable quarantine bundle, burst 4x
-# past capacity with mixed deadlines and require brownout engagement,
-# a clean shed (no 5xx storm), and full recovery to pressure level 0;
-# post-recovery output must again be byte-identical to marionc. Emits
-# BENCH_brownout.json.
-brownoutsmoke:
-	GO="$(GO)" sh scripts/brownoutsmoke.sh
-
-# Observability smoke: boot a race-instrumented mariond with a trace
-# ring, a 100ms trace SLO, a JSON access log, and one deterministic
-# serve-site hang; burst it and require that /metrics parses as
-# Prometheus text exposition, /tracez retains the SLO-breaching
-# expired trace with a >=95%-coverage span tree, every access-log line
-# is JSON carrying the slow request's ID exactly once, and output is
-# byte-identical to marionc with tracing on and off (-trace-ring 0).
-tracesmoke:
-	GO="$(GO)" sh scripts/tracesmoke.sh
-
 # Chaos sweep: arm every fault-injection site x mode (panic, err, hang)
 # on every target under every strategy and prove the process never
 # dies — each faulted function walks the degradation ladder and the
@@ -83,4 +56,4 @@ tracesmoke:
 chaos:
 	$(GO) run ./cmd/marionstats -faultmatrix
 
-ci: build vet test race benchcheck benchsmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos
+ci: build vet test race benchcheck benchsmoke verify-all chaos

@@ -67,7 +67,12 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	// The signal handler is installed before anything else, so a
+	// SIGTERM that arrives while the daemon boots still drains it.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
 // openAccessLog builds the structured access logger from the -accesslog
@@ -93,9 +98,10 @@ func openAccessLog(dest string, stdout, stderr io.Writer) (*slog.Logger, func(),
 	return slog.New(slog.NewJSONHandler(w, nil)), nop, nil
 }
 
-// run is main with its environment made explicit. Exit status: 0 clean
-// drain, 1 runtime failure, 2 usage error.
-func run(args []string, stdout, stderr io.Writer) int {
+// run is main with its environment made explicit: it serves until ctx
+// is cancelled, then drains. Exit status: 0 clean drain, 1 runtime
+// failure, 2 usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mariond", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8527", "listen address (port 0 picks a free port)")
@@ -205,18 +211,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "mariond: serving %s on %s\n",
 		strings.Join(s.Targets(), ","), ln.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	select {
 	case err := <-errc:
 		fmt.Fprintln(stderr, "mariond:", err)
 		return 1
-	case got := <-sig:
-		fmt.Fprintf(stdout, "mariond: %v: draining\n", got)
+	case <-ctx.Done():
+		fmt.Fprintln(stdout, "mariond: draining")
 		s.BeginDrain()
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
+		if err := hs.Shutdown(dctx); err != nil {
 			fmt.Fprintln(stderr, "mariond: drain timed out:", err)
 			hs.Close()
 		}

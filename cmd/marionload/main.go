@@ -3,50 +3,35 @@
 // Usage:
 //
 //	marionload -addr 127.0.0.1:8527 -n 200 -c 16
-//	marionload -addr $ADDR -n 400 -c 32 -json BENCH_serve.json
-//	marionload -addr $ADDR -n 300 -c 24 -deadlines 30,5000 -require-brownout
-//	marionload -addr $ADDR -one examples/c/livermore.c -target r2000
+//	marionload -addr $ADDR -n 400 -c 32 -json serve.json
+//	marionload -addr $ADDR -n 300 -c 24 -deadline 30,5000 -retries 2
 //
-// The default mode fires -n compile requests from -c concurrent
-// clients, cycling through the shipped example sources, the configured
-// targets and strategies, and reports throughput, client-observed
-// latency quantiles (p50/p99), the 2xx/429/other split, and the
-// server's cache hit rate (read from /statz). With -json the same
-// numbers are written as a benchmark artifact.
+// It fires -n compile requests from -c concurrent clients, cycling
+// through the sources, the targets and the strategies, and reports
+// throughput, client-observed latency quantiles (p50/p99), the
+// 2xx/429/other split, and the server's cache hit rate and brownout
+// state (read from /statz). With -json the same numbers are written to
+// a file.
 //
 // Requests go through internal/client, so -retries, -backoff, and
 // -hedge exercise the resilient-client path: shed requests back off
 // per the server's computed Retry-After, and hedged requests race a
-// second attempt against tail latency. -deadlines cycles a mix of
-// per-request deadlines to provoke deadline-aware queue eviction.
-//
-// -check repeats every distinct request key and fails if the server
-// ever answers the same key with different assembly bytes (the cache
-// must be invisible). -require-shed fails the run if the server never
-// shed load; -require-brownout and -require-reroute likewise require
-// that the brownout ladder engaged or a circuit breaker rerouted a
-// request. -recover waits after the burst until the server reports
-// pressure level 0 again, failing if it never does. -max-other
-// tolerates a bounded number of non-2xx/429 answers (chaos drills
-// inject real failures).
-//
-// -one sends a single request and prints the returned assembly to
-// stdout, so scripts can byte-compare served output against marionc.
+// second attempt against tail latency. -deadline sets the per-request
+// deadline; a comma list cycles a mix of deadlines across requests to
+// provoke deadline-aware queue eviction.
 //
 // Every answer carries the server-echoed X-Marion-Request-Id; after a
 // burst, -slowest N lists the IDs of the N slowest answered requests
 // so they can be looked up in the server's trace ring
-// (GET /tracez?id=<id>). -tracecheck skips the burst and instead
-// audits the server's observability surface: GET /metrics must parse
-// as Prometheus text exposition and include the request counter,
-// GET /tracez must retain an SLO-breaching expired trace whose span
-// tree covers >=95% of its wall time, and — with -accesslog FILE —
-// every access-log line must be valid JSON carrying that trace's
-// request ID exactly once.
+// (GET /tracez?id=<id>).
+//
+// The exit status is 0 when the burst ran, whatever the server
+// answered, 1 when it could not (unreadable sources, an unwritable
+// -json file), and 2 on a usage error. cmd/mariond's TestServeDrills
+// is where the service's behaviour under such a burst is asserted.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -63,16 +48,14 @@ import (
 	"time"
 
 	"marion/internal/client"
-	"marion/internal/metrics"
 	"marion/internal/server"
-	"marion/internal/trace"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// Report is the BENCH_serve.json artifact.
+// Report is the run's summary, printed and (with -json) written out.
 type Report struct {
 	Requests    int     `json:"requests"`
 	Concurrency int     `json:"concurrency"`
@@ -104,8 +87,7 @@ type Report struct {
 	BrownoutMax int `json:"brownout_max"` // highest brownout level seen in any answer
 	Rerouted    int `json:"rerouted"`     // answers rerouted by a circuit breaker
 
-	// Server-side state read from /statz after the run (and after
-	// -recover's wait, when set).
+	// Server-side state read from /statz after the run.
 	Evicted            int64 `json:"evicted"`              // doomed requests shed from the queue
 	BreakersOpen       int   `json:"breakers_open"`        // breakers still open at the end
 	FinalPressureLevel int   `json:"final_pressure_level"` // brownout level at the end
@@ -121,56 +103,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	targetList := fs.String("targets", "r2000,m88000", "comma-separated targets to cycle")
 	stratList := fs.String("strategies", "postpass", "comma-separated strategies to cycle")
 	srcGlob := fs.String("sources", "", "glob of .c sources to cycle (default: built-in snippets)")
-	deadlineMs := fs.Int("deadline", 0, "per-request deadline header in ms (0 = server default)")
-	deadlines := fs.String("deadlines", "",
-		"comma-separated deadline ms values cycled across requests (overrides -deadline)")
+	deadlines := fs.String("deadline", "0",
+		"per-request deadline header in ms (0 = server default); a comma list is cycled across requests")
 	retries := fs.Int("retries", 0, "client retries per request on shed/unavailable answers")
 	backoff := fs.Duration("backoff", 100*time.Millisecond, "base client backoff between retries")
 	hedge := fs.Duration("hedge", 0, "hedge delay: race a second request after this wait (0 = off)")
-	check := fs.Bool("check", false, "repeat each distinct request and require byte-identical bodies")
-	requireShed := fs.Bool("require-shed", false, "fail unless at least one request was shed (429)")
-	requireBrownout := fs.Bool("require-brownout", false,
-		"fail unless at least one answer was compiled under brownout (level > 0)")
-	requireReroute := fs.Bool("require-reroute", false,
-		"fail unless at least one answer was rerouted by a circuit breaker")
-	recoverWait := fs.Duration("recover", 0,
-		"after the burst, wait up to this long for the server to report pressure level 0")
-	maxOther := fs.Int("max-other", 0, "tolerate up to this many non-2xx/429 answers")
-	one := fs.String("one", "", "send one request for this .c file and print the assembly")
-	oneTarget := fs.String("target", "r2000", "target for -one")
-	oneStrategy := fs.String("strategy", "postpass", "strategy for -one")
 	slowest := fs.Int("slowest", 5,
 		"after the burst, print the request IDs of the N slowest answered requests")
-	tracecheck := fs.Bool("tracecheck", false,
-		"audit the server's /metrics and /tracez surfaces instead of running a burst")
-	accessLogPath := fs.String("accesslog", "",
-		"with -tracecheck: the server's JSON access log file to cross-check against /tracez")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	base := "http://" + *addr
-
-	if *tracecheck {
-		return runTraceCheck(base, *accessLogPath, stdout, stderr)
+	deadlineList, err := parseDeadlines(*deadlines)
+	if err != nil {
+		fmt.Fprintln(stderr, "marionload:", err)
+		return 2
 	}
 
 	cl := client.New(client.Config{
-		BaseURL:     base,
+		BaseURL:     "http://" + *addr,
 		HTTPClient:  &http.Client{Timeout: 5 * time.Minute},
 		MaxRetries:  *retries,
 		BaseBackoff: *backoff,
 		Hedge:       *hedge,
 	})
-
-	if *one != "" {
-		return runOne(cl, *one, *oneTarget, *oneStrategy, stdout, stderr)
-	}
-
-	deadlineList, err := parseDeadlines(*deadlines, *deadlineMs)
-	if err != nil {
-		fmt.Fprintln(stderr, "marionload:", err)
-		return 2
-	}
 
 	srcs, err := loadSources(*srcGlob)
 	if err != nil {
@@ -182,22 +137,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	type job struct {
 		req      *server.CompileRequest
-		key      string
 		deadline time.Duration
 	}
 	jobs := make([]job, *n)
 	for i := range jobs {
 		src := srcs[i%len(srcs)]
-		target := targets[(i/len(srcs))%len(targets)]
-		strat := strats[(i/len(srcs)/len(targets))%len(strats)]
 		jobs[i] = job{
 			req: &server.CompileRequest{
 				Source:   src.text,
 				Filename: src.name,
-				Target:   target,
-				Strategy: strat,
+				Target:   targets[(i/len(srcs))%len(targets)],
+				Strategy: strats[(i/len(srcs)/len(targets))%len(strats)],
 			},
-			key:      src.name + "|" + target + "|" + strat,
 			deadline: deadlineList[i%len(deadlineList)],
 		}
 	}
@@ -205,12 +156,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		mu          sync.Mutex
 		latencies   []float64
-		samples     []sample              // every answered request, 2xx or not
-		bodies      = map[string][]byte{} // key -> first OK assembly (-check)
+		samples     []sample // every answered request, 2xx or not
 		brownoutMax int
 		ok, shed    atomic.Int64
 		other       atomic.Int64
-		mismatch    atomic.Int64
 		retried     atomic.Int64
 		sheds       atomic.Int64
 		hedged      atomic.Int64
@@ -242,16 +191,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if res.Hedged {
 					hedged.Add(1)
 				}
+				ms := float64(lat) / float64(time.Millisecond)
 				mu.Lock()
-				samples = append(samples, sample{
-					ms:     float64(lat) / float64(time.Millisecond),
-					id:     res.RequestID,
-					status: res.Status,
-				})
+				samples = append(samples, sample{ms: ms, id: res.RequestID, status: res.Status})
 				mu.Unlock()
 				switch {
 				case res.Status >= 200 && res.Status < 300:
 					ok.Add(1)
+					mu.Lock()
+					latencies = append(latencies, ms)
 					if res.Resp != nil {
 						if res.Resp.BrownoutLevel > 0 {
 							degraded.Add(1)
@@ -259,18 +207,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 						if res.Resp.BreakerReroute != "" {
 							rerouted.Add(1)
 						}
-					}
-					mu.Lock()
-					latencies = append(latencies, float64(lat)/float64(time.Millisecond))
-					if res.Resp != nil && res.Resp.BrownoutLevel > brownoutMax {
-						brownoutMax = res.Resp.BrownoutLevel
-					}
-					if *check && res.Resp != nil {
-						if prev, seen := bodies[jobs[i].key]; !seen {
-							bodies[jobs[i].key] = []byte(res.Resp.Assembly)
-						} else if !bytes.Equal(prev, []byte(res.Resp.Assembly)) {
-							mismatch.Add(1)
-						}
+						brownoutMax = max(brownoutMax, res.Resp.BrownoutLevel)
 					}
 					mu.Unlock()
 				case res.Status == http.StatusTooManyRequests:
@@ -305,8 +242,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sort.Float64s(latencies)
 	rep.P50Ms = quantile(latencies, 0.50)
 	rep.P99Ms = quantile(latencies, 0.99)
-
-	recovered := fillStatz(cl, &rep, *recoverWait, stderr)
+	fillStatz(cl, &rep, stderr)
 
 	fmt.Fprintf(stdout,
 		"marionload: %d requests, %d clients, %.2fs (%.1f rps)\n"+
@@ -327,32 +263,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "marionload:", err)
 			return 1
 		}
-	}
-	if mismatch.Load() > 0 {
-		fmt.Fprintf(stderr, "marionload: FAIL: %d non-identical repeat responses\n", mismatch.Load())
-		return 1
-	}
-	if *requireShed && rep.Shed == 0 && rep.TransientSheds == 0 {
-		fmt.Fprintln(stderr, "marionload: FAIL: no request was shed (admission control never engaged)")
-		return 1
-	}
-	if *requireBrownout && rep.Degraded == 0 {
-		fmt.Fprintln(stderr, "marionload: FAIL: no answer was compiled under brownout")
-		return 1
-	}
-	if *requireReroute && rep.Rerouted == 0 {
-		fmt.Fprintln(stderr, "marionload: FAIL: no answer was rerouted by a circuit breaker")
-		return 1
-	}
-	if *recoverWait > 0 && !recovered {
-		fmt.Fprintf(stderr, "marionload: FAIL: pressure level still %d after %v\n",
-			rep.FinalPressureLevel, *recoverWait)
-		return 1
-	}
-	if rep.Other > *maxOther {
-		fmt.Fprintf(stderr, "marionload: FAIL: %d request(s) neither 2xx nor 429 (max %d)\n",
-			rep.Other, *maxOther)
-		return 1
 	}
 	return 0
 }
@@ -375,243 +285,36 @@ func printSlowest(stdout io.Writer, samples []sample, n int) {
 		return
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i].ms > samples[j].ms })
-	if n > len(samples) {
-		n = len(samples)
-	}
+	n = min(n, len(samples))
 	fmt.Fprintf(stdout, "  slowest %d (look up with GET /tracez?id=<id>):\n", n)
 	for _, s := range samples[:n] {
 		fmt.Fprintf(stdout, "    %8.1fms  status %d  id=%s\n", s.ms, s.status, s.id)
 	}
 }
 
-// runTraceCheck audits the observability surface of a running mariond:
-// /metrics must be valid Prometheus text exposition containing the
-// request counter; /tracez must retain an SLO-breaching expired trace
-// whose span tree accounts for >=95% of its wall time and includes the
-// admission and compile spans; and, when an access log file is given,
-// every line must be structured JSON and the slow trace's request ID
-// must appear in exactly one line.
-func runTraceCheck(base, accessLog string, stdout, stderr io.Writer) int {
-	httpc := &http.Client{Timeout: 30 * time.Second}
-
-	// 1. /metrics parses as Prometheus text exposition.
-	body, err := fetch(httpc, base+"/metrics")
+// fillStatz reads the server's end-of-run state into the report.
+func fillStatz(cl *client.Client, rep *Report, stderr io.Writer) {
+	st, err := cl.Statz(context.Background())
 	if err != nil {
-		fmt.Fprintln(stderr, "marionload: tracecheck:", err)
-		return 1
+		fmt.Fprintln(stderr, "marionload: statz:", err)
+		return
 	}
-	nsamples, err := metrics.ParsePrometheusText(bytes.NewReader(body))
-	if err != nil {
-		fmt.Fprintln(stderr, "marionload: tracecheck: /metrics is not valid Prometheus text:", err)
-		return 1
-	}
-	if !bytes.Contains(body, []byte("marion_server_requests")) {
-		fmt.Fprintln(stderr, "marionload: tracecheck: /metrics lacks marion_server_requests")
-		return 1
-	}
-	fmt.Fprintf(stdout, "marionload: tracecheck: /metrics ok (%d samples)\n", nsamples)
-
-	// 2. /tracez retains a breaching expired trace with a full span tree.
-	body, err = fetch(httpc, base+"/tracez")
-	if err != nil {
-		fmt.Fprintln(stderr, "marionload: tracecheck:", err)
-		return 1
-	}
-	var tz server.Tracez
-	if err := json.Unmarshal(body, &tz); err != nil {
-		fmt.Fprintln(stderr, "marionload: tracecheck: /tracez:", err)
-		return 1
-	}
-	var slow *trace.Summary
-	for i := range tz.Traces {
-		s := &tz.Traces[i]
-		if s.Breach && s.Outcome == "expired" && (slow == nil || s.DurationUs > slow.DurationUs) {
-			slow = s
+	rep.Evicted = st.Evicted
+	rep.FinalPressureLevel = st.PressureLevel
+	for _, state := range st.Breakers {
+		if state == "open" {
+			rep.BreakersOpen++
 		}
 	}
-	if slow == nil {
-		fmt.Fprintf(stderr,
-			"marionload: tracecheck: no SLO-breaching expired trace among %d retained\n",
-			len(tz.Traces))
-		return 1
-	}
-	body, err = fetch(httpc, base+"/tracez?id="+slow.ID)
-	if err != nil {
-		fmt.Fprintln(stderr, "marionload: tracecheck:", err)
-		return 1
-	}
-	var tr trace.Trace
-	if err := json.Unmarshal(body, &tr); err != nil {
-		fmt.Fprintln(stderr, "marionload: tracecheck: /tracez?id:", err)
-		return 1
-	}
-	names := map[string]bool{}
-	for _, sp := range tr.Spans {
-		names[sp.Name] = true
-	}
-	for _, want := range []string{"admission", "compile"} {
-		if !names[want] {
-			fmt.Fprintf(stderr, "marionload: tracecheck: trace %s has no %q span\n", tr.ID, want)
-			return 1
-		}
-	}
-	if cov := tr.Coverage(); cov < 0.95 {
-		fmt.Fprintf(stderr,
-			"marionload: tracecheck: trace %s spans cover only %.0f%% of wall time\n",
-			tr.ID, cov*100)
-		return 1
-	}
-	fmt.Fprintf(stdout,
-		"marionload: tracecheck: /tracez ok (slow trace %s: %.1fms, %d spans, %.0f%% covered)\n",
-		tr.ID, float64(tr.DurationUs)/1e3, len(tr.Spans), tr.Coverage()*100)
-
-	// 3. The access log is line-delimited JSON and carries the slow
-	// trace's request ID exactly once.
-	if accessLog == "" {
-		return 0
-	}
-	if code := checkAccessLog(accessLog, tr.ID, stdout, stderr); code != 0 {
-		return code
-	}
-	return 0
-}
-
-// checkAccessLog validates the structured access log: every line must
-// be JSON with the required fields, and wantID must tag exactly one.
-func checkAccessLog(path, wantID string, stdout, stderr io.Writer) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(stderr, "marionload: tracecheck:", err)
-		return 1
-	}
-	required := []string{"id", "status", "latency_ms", "outcome", "target", "strategy"}
-	lines, hits := 0, 0
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		lines++
-		var rec map[string]any
-		if err := json.Unmarshal(line, &rec); err != nil {
-			fmt.Fprintf(stderr, "marionload: tracecheck: access log line %d is not JSON: %v\n",
-				lines, err)
-			return 1
-		}
-		if msg, _ := rec["msg"].(string); msg != "access" {
-			fmt.Fprintf(stderr, "marionload: tracecheck: access log line %d has msg=%q\n",
-				lines, rec["msg"])
-			return 1
-		}
-		for _, k := range required {
-			if _, ok := rec[k]; !ok {
-				fmt.Fprintf(stderr, "marionload: tracecheck: access log line %d lacks %q\n",
-					lines, k)
-				return 1
-			}
-		}
-		if id, _ := rec["id"].(string); id == wantID {
-			hits++
-		}
-	}
-	if lines == 0 {
-		fmt.Fprintf(stderr, "marionload: tracecheck: access log %s is empty\n", path)
-		return 1
-	}
-	if hits != 1 {
-		fmt.Fprintf(stderr,
-			"marionload: tracecheck: request ID %s appears in %d access log lines (want 1)\n",
-			wantID, hits)
-		return 1
-	}
-	fmt.Fprintf(stdout, "marionload: tracecheck: access log ok (%d lines, id %s logged once)\n",
-		lines, wantID)
-	return 0
-}
-
-// fetch GETs a URL and returns the body, failing on non-200.
-func fetch(httpc *http.Client, url string) ([]byte, error) {
-	resp, err := httpc.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	return body, nil
-}
-
-// runOne sends a single compile and prints the assembly, for scripts
-// that byte-compare served output against marionc.
-func runOne(cl *client.Client, file, target, strat string, stdout, stderr io.Writer) int {
-	src, err := os.ReadFile(file)
-	if err != nil {
-		fmt.Fprintln(stderr, "marionload:", err)
-		return 1
-	}
-	res, err := cl.Compile(context.Background(), &server.CompileRequest{
-		Source: string(src), Filename: file, Target: target, Strategy: strat,
-	}, 0)
-	if err != nil {
-		fmt.Fprintln(stderr, "marionload:", err)
-		return 1
-	}
-	if res.Status != http.StatusOK || res.Resp == nil {
-		msg := ""
-		if res.ErrBody != nil {
-			msg = res.ErrBody.Error
-		}
-		fmt.Fprintf(stderr, "marionload: status %d: %s\n", res.Status, msg)
-		return 1
-	}
-	fmt.Fprint(stdout, res.Resp.Assembly)
-	return 0
-}
-
-// fillStatz reads the server's end-of-run state into the report. With
-// wait > 0 it polls until the server reports pressure level 0 (full
-// brownout recovery) or the wait expires, and reports which happened.
-func fillStatz(cl *client.Client, rep *Report, wait time.Duration, stderr io.Writer) bool {
-	deadline := time.Now().Add(wait)
-	recovered := false
-	for {
-		st, err := cl.Statz(context.Background())
-		if err != nil {
-			fmt.Fprintln(stderr, "marionload: statz:", err)
-			return false
-		}
-		rep.Evicted = st.Evicted
-		rep.FinalPressureLevel = st.PressureLevel
-		rep.BreakersOpen = 0
-		for _, state := range st.Breakers {
-			if state == "open" {
-				rep.BreakersOpen++
-			}
-		}
-		if lookups := st.Cache.Hits() + st.Cache.Misses; lookups > 0 {
-			rep.HitRate = float64(st.Cache.Hits()) / float64(lookups)
-		}
-		if st.PressureLevel == 0 {
-			recovered = true
-		}
-		if recovered || wait <= 0 || time.Now().After(deadline) {
-			return recovered
-		}
-		time.Sleep(100 * time.Millisecond)
+	if lookups := st.Cache.Hits() + st.Cache.Misses; lookups > 0 {
+		rep.HitRate = float64(st.Cache.Hits()) / float64(lookups)
 	}
 }
 
-// parseDeadlines builds the per-request deadline cycle: the -deadlines
-// list when given, else the single -deadline value (possibly zero,
-// meaning the server default).
-func parseDeadlines(list string, single int) ([]time.Duration, error) {
-	if list == "" {
-		return []time.Duration{time.Duration(single) * time.Millisecond}, nil
-	}
+// parseDeadlines builds the per-request deadline cycle from -deadline:
+// one value or a comma list of milliseconds, 0 meaning the server
+// default.
+func parseDeadlines(list string) ([]time.Duration, error) {
 	var out []time.Duration
 	for _, p := range strings.Split(list, ",") {
 		if p = strings.TrimSpace(p); p == "" {
@@ -619,12 +322,12 @@ func parseDeadlines(list string, single int) ([]time.Duration, error) {
 		}
 		ms, err := strconv.Atoi(p)
 		if err != nil || ms < 0 {
-			return nil, fmt.Errorf("bad -deadlines entry %q", p)
+			return nil, fmt.Errorf("bad -deadline entry %q", p)
 		}
 		out = append(out, time.Duration(ms)*time.Millisecond)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("-deadlines given but empty")
+		return nil, fmt.Errorf("-deadline given but empty")
 	}
 	return out, nil
 }

@@ -1,7 +1,7 @@
 // Prometheus text exposition (version 0.0.4) for the registry, plus a
 // strict parser for it: the writer renders every instrument —
 // counters, gauges, and histograms with cumulative buckets — and the
-// parser is the smoke-test oracle proving the output is something a
+// parser is the test oracle proving the output is something a
 // real Prometheus scraper would accept.
 package metrics
 

@@ -105,7 +105,7 @@ func TestPromName(t *testing.T) {
 }
 
 // What WritePrometheus renders must satisfy the strict parser — the
-// invariant tracesmoke enforces against a live server.
+// invariant cmd/mariond's TestServeDrills enforces against a live server.
 func TestPromRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("server.requests").Add(7)

@@ -88,7 +88,7 @@ func decode[T any](t *testing.T, w *httptest.ResponseRecorder) *T {
 
 // TestCompileMatchesDriver requires the served assembly to be
 // byte-identical to an in-process driver compile of the same unit —
-// the same guarantee the loadsmoke script checks against marionc.
+// the same guarantee cmd/mariond's TestServeDrills checks over TCP.
 func TestCompileMatchesDriver(t *testing.T) {
 	s := newTestServer(t, Config{})
 	for _, target := range []string{"r2000", "m88000"} {

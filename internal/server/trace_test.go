@@ -340,8 +340,8 @@ func TestStageOutcomes(t *testing.T) {
 	}
 }
 
-// GET /metrics must satisfy the same strict Prometheus parser the
-// smoke test uses.
+// GET /metrics must satisfy the same strict Prometheus parser
+// cmd/mariond's TestServeDrills uses.
 func TestMetricsEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})
 	post(t, s, CompileRequest{Source: addC, Target: "r2000"}, nil)
