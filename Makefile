@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench benchcheck benchsmoke verify-all chaos ci
+.PHONY: build test vet race bench benchcheck benchsmoke chaos ci
 
 build:
 	$(GO) build ./...
@@ -39,14 +39,11 @@ benchcheck:
 benchsmoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
 
-# Emitted-code verification sweep: the machine-description-driven
-# verifier (internal/verify) over the Livermore suite on every target
-# under every strategy. Expected output is an all-zero finding matrix;
-# any finding fails the build. (examples/c and the driver's fixtures get
-# the same sweep inside `go test`: TestGoldenDigests compiles them with
-# the verifier on.)
-verify-all:
-	$(GO) run ./cmd/marionstats -verify
+# The emitted-code verification sweep runs inside `go test`:
+# TestLivermoreCorpusClean (internal/verify) compiles the Livermore
+# suite on every target under every strategy with the verifier on, and
+# TestGoldenDigests does the same for examples/c and the driver's
+# fixtures. Any finding fails the test.
 
 # Chaos sweep: arm every fault-injection site x mode (panic, err, hang)
 # on every target under every strategy and prove the process never
@@ -56,4 +53,4 @@ verify-all:
 chaos:
 	$(GO) run ./cmd/marionstats -faultmatrix
 
-ci: build vet test race benchcheck benchsmoke verify-all chaos
+ci: build vet test race benchcheck benchsmoke chaos

@@ -106,9 +106,10 @@ const parentConfigJSON = `{
 
 // TestReplayParentFormatConfig replays a bundle whose config.json is
 // the parent format's literal bytes: it must compile byte-identically
-// to a direct compile of the same IL, and every recorded option must
-// reach the back end (strict turns an injected failure fatal; an
-// explicit -strict=false overrides the recording).
+// to a direct compile of the same IL, every option the wire still
+// carries must reach the back end (strict turns an injected failure
+// fatal; -strict=false overrides it), and the retired linear_select
+// key is ignored.
 func TestReplayParentFormatConfig(t *testing.T) {
 	il := mustReadBundleIL(t, buildBundle(t, "r2000", "rase"))
 	dir := t.TempDir()

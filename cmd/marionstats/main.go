@@ -10,7 +10,6 @@
 //	marionstats -speedup        # strategy comparison
 //	marionstats -fig7           # i860 dual-operation schedule
 //	marionstats -selstats       # selection index/memoization work counts
-//	marionstats -verify         # emitted-code verification matrix (expect all-zero)
 //	marionstats -faultmatrix    # chaos sweep: per-site/per-target degradation matrix
 //	marionstats -all
 package main
@@ -30,8 +29,6 @@ func main() {
 	speedup := flag.Bool("speedup", false, "strategy speedup comparison")
 	fig7 := flag.Bool("fig7", false, "Figure 7: i860 dual-operation schedule")
 	selstats := flag.Bool("selstats", false, "selection template-index and memoization work counts")
-	verifyFlag := flag.Bool("verify", false,
-		"run the emitted-code verifier over the Livermore suite on every target x strategy")
 	faultmatrix := flag.Bool("faultmatrix", false,
 		"chaos sweep: inject every fault site x mode on every target x strategy; any outright failure or verifier finding is fatal")
 	all := flag.Bool("all", false, "everything")
@@ -120,24 +117,6 @@ func main() {
 				return err
 			}
 			fmt.Print(experiments.FormatSelStats(rows))
-			return nil
-		})
-	}
-	if *all || *verifyFlag {
-		run("verify", func() error {
-			rows, err := experiments.VerifyMatrix(core.Targets(),
-				[]strategy.Kind{strategy.Naive, strategy.Postpass, strategy.IPS,
-					strategy.RASE, strategy.Local},
-				*workers)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatVerifyMatrix(rows))
-			for _, r := range rows {
-				if r.Findings > 0 {
-					return fmt.Errorf("%s/%s: %d finding(s)", r.Target, r.Strategy, r.Findings)
-				}
-			}
 			return nil
 		})
 	}

@@ -52,13 +52,3 @@ func (e *LimitError) Error() string {
 
 // Is makes errors.Is(err, budget.ErrExceeded) hold for every LimitError.
 func (e *LimitError) Is(target error) bool { return target == ErrExceeded }
-
-// Steps returns a step-cap violation for a bounded loop.
-func Steps(stage string, cap int) error {
-	return &LimitError{Stage: stage, Steps: cap}
-}
-
-// Deadline returns a wall-clock violation for the given stage.
-func Deadline(stage string, d time.Duration) error {
-	return &LimitError{Stage: stage, Elapsed: d}
-}

@@ -26,6 +26,9 @@ import (
 	"marion/internal/trace"
 )
 
+// maxBackoff caps the exponential backoff between retries.
+const maxBackoff = 5 * time.Second
+
 // Config tunes a Client. The zero value (plus BaseURL) is a plain
 // single-attempt client.
 type Config struct {
@@ -39,8 +42,6 @@ type Config struct {
 	// BaseBackoff seeds the exponential backoff (doubled per retry);
 	// <= 0 means 100ms.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the backoff; <= 0 means 5s.
-	MaxBackoff time.Duration
 	// MaxRetryAfter caps how long a server Retry-After hint is honored
 	// (a hint beyond it waits only this long); <= 0 means 30s.
 	MaxRetryAfter time.Duration
@@ -60,9 +61,6 @@ func (c *Config) fill() {
 	}
 	if c.BaseBackoff <= 0 {
 		c.BaseBackoff = 100 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
 	}
 	if c.MaxRetryAfter <= 0 {
 		c.MaxRetryAfter = 30 * time.Second
@@ -384,8 +382,8 @@ func decodeInto(res *Result, resp *http.Response) (time.Duration, error) {
 // Retry-After hint (capped at MaxRetryAfter) when that is longer.
 func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 	b := c.cfg.BaseBackoff << uint(attempt)
-	if b > c.cfg.MaxBackoff || b <= 0 {
-		b = c.cfg.MaxBackoff
+	if b > maxBackoff || b <= 0 {
+		b = maxBackoff
 	}
 	d := time.Duration(c.cfg.Rand() * float64(b))
 	if retryAfter > c.cfg.MaxRetryAfter {

@@ -42,7 +42,7 @@ const pressureFixture = "testdata/pressure.c"
 // first function that changed; byFn holds each function's assembly. The
 // source units are compiled with the verifier on and must come out clean
 // (it only reports, so the digests are the same either way); the suite
-// module's turn is `marionstats -verify` under `make verify-all`.
+// module's turn is TestLivermoreCorpusClean in internal/verify.
 func goldenLine(t *testing.T, target string, kind strategy.Kind) (line string, byFn map[string]string) {
 	t.Helper()
 	units := []*driver.Compiled{compileSuite(t, target, kind, 0)}

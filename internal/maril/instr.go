@@ -1,9 +1,6 @@
 package maril
 
-import (
-	"marion/internal/ir"
-	"marion/internal/mach"
-)
+import "marion/internal/mach"
 
 func (p *parser) instrSection() error {
 	for p.tok.Kind == TokDirective {
@@ -604,5 +601,3 @@ func (p *parser) glueDecl() error {
 	p.m.Glues = append(p.m.Glues, g)
 	return nil
 }
-
-var _ = ir.Void // keep the import when the file is edited

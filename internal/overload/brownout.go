@@ -44,95 +44,72 @@ func LevelString(l int) string {
 	return "level(?)"
 }
 
-// BrownoutConfig tunes the hysteresis of the ladder.
+// The ladder's hysteresis constants.
+const (
+	// enterPressure is the pressure at or above which the level rises:
+	// the wait queue half full (see Limiter.Pressure).
+	enterPressure = 0.75
+	// exitPressure is the pressure at or below which recovery begins.
+	// Between the two the level holds — that band is the hysteresis
+	// that stops flapping.
+	exitPressure = 0.45
+	// riseDwell is the minimum dwell between two raises, so a single
+	// burst climbs the ladder level-by-level, not in one jump.
+	riseDwell = 50 * time.Millisecond
+	// holdDwell is how long pressure must stay at or below exitPressure
+	// before each one-level recovery step.
+	holdDwell = 500 * time.Millisecond
+)
+
+// BrownoutConfig tunes the ladder.
 type BrownoutConfig struct {
-	// MaxLevel caps the ladder (default LevelCacheOnly).
-	MaxLevel int
-	// Enter is the pressure at or above which the level rises (default
-	// 0.75 — the wait queue half full; see Limiter.Pressure).
-	Enter float64
-	// Exit is the pressure at or below which recovery begins (default
-	// 0.45). Between Exit and Enter the level holds — that band is the
-	// hysteresis that stops flapping.
-	Exit float64
-	// Rise is the minimum dwell between two raises (default 50ms), so a
-	// single burst climbs the ladder level-by-level, not in one jump.
-	Rise time.Duration
-	// Hold is how long pressure must stay at or below Exit before each
-	// one-level recovery step (default 500ms).
-	Hold time.Duration
 	// Clock is the time source (default time.Now); injectable so the
 	// hysteresis is deterministic under test.
 	Clock func() time.Time
 }
 
-func (c *BrownoutConfig) fill() {
-	if c.MaxLevel <= 0 {
-		c.MaxLevel = LevelCacheOnly
-	}
-	if c.Enter <= 0 {
-		c.Enter = 0.75
-	}
-	if c.Exit <= 0 {
-		c.Exit = 0.45
-	}
-	if c.Exit >= c.Enter {
-		c.Exit = c.Enter / 2
-	}
-	if c.Rise <= 0 {
-		c.Rise = 50 * time.Millisecond
-	}
-	if c.Hold <= 0 {
-		c.Hold = 500 * time.Millisecond
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
-}
-
-// Brownout is the hysteretic degradation ladder. Observe is fed the
-// limiter's pressure signal (from request handling and from a periodic
-// tick, so recovery happens even when no requests arrive).
+// Brownout is the hysteretic degradation ladder, LevelNormal through
+// LevelCacheOnly. Observe is fed the limiter's pressure signal (from
+// request handling and from a periodic tick, so recovery happens even
+// when no requests arrive).
 type Brownout struct {
 	mu   sync.Mutex
 	cfg  BrownoutConfig
 	lvl  int
 	last time.Time // time of the last level change
-	calm time.Time // since when pressure has stayed <= Exit (zero: it hasn't)
-
-	raised, lowered int64
+	calm time.Time // since when pressure has stayed <= exitPressure (zero: it hasn't)
 }
 
 // NewBrownout builds a Brownout at level 0.
 func NewBrownout(cfg BrownoutConfig) *Brownout {
-	cfg.fill()
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
+	}
 	return &Brownout{cfg: cfg}
 }
 
 // Observe feeds one pressure sample and returns the (possibly changed)
-// level. Rising is fast (one level per Rise interval while pressure
-// stays at or above Enter); falling is slow (one level per Hold of
-// continuously calm pressure).
+// level. Rising is fast (one level per riseDwell while pressure stays
+// at or above enterPressure); falling is slow (one level per holdDwell
+// of continuously calm pressure).
 func (b *Brownout) Observe(p float64) int {
 	now := b.cfg.Clock()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch {
-	case p >= b.cfg.Enter:
+	case p >= enterPressure:
 		b.calm = time.Time{}
-		if b.lvl < b.cfg.MaxLevel && (b.lvl == 0 || now.Sub(b.last) >= b.cfg.Rise) {
+		if b.lvl < LevelCacheOnly && (b.lvl == 0 || now.Sub(b.last) >= riseDwell) {
 			b.lvl++
 			b.last = now
-			b.raised++
 		}
-	case p <= b.cfg.Exit:
+	case p <= exitPressure:
 		if b.calm.IsZero() {
 			b.calm = now
 		}
-		if b.lvl > 0 && now.Sub(b.calm) >= b.cfg.Hold && now.Sub(b.last) >= b.cfg.Hold {
+		if b.lvl > 0 && now.Sub(b.calm) >= holdDwell && now.Sub(b.last) >= holdDwell {
 			b.lvl--
 			b.last = now
-			b.lowered++
 		}
 	default:
 		// Hysteresis band: hold the level, restart the calm clock.
@@ -153,26 +130,7 @@ func (b *Brownout) Level() int {
 func (b *Brownout) Force(level int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if level < 0 {
-		level = 0
-	}
-	if level > b.cfg.MaxLevel {
-		level = b.cfg.MaxLevel
-	}
-	b.lvl = level
+	b.lvl = min(max(level, LevelNormal), LevelCacheOnly)
 	b.last = b.cfg.Clock()
 	b.calm = time.Time{}
-}
-
-// BrownoutSnapshot is a point-in-time view for /statz.
-type BrownoutSnapshot struct {
-	Level           int
-	Raised, Lowered int64
-}
-
-// Snapshot reads the ladder's current state.
-func (b *Brownout) Snapshot() BrownoutSnapshot {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BrownoutSnapshot{Level: b.lvl, Raised: b.raised, Lowered: b.lowered}
 }

@@ -45,8 +45,6 @@ type BundleOptions struct {
 	Verify bool `json:"verify,omitempty"`
 	// Strict disables the graceful-degradation ladder.
 	Strict bool `json:"strict,omitempty"`
-	// LinearSelect forces the unindexed selection reference path.
-	LinearSelect bool `json:"linear_select,omitempty"`
 	// BudgetMs is the per-function compilation budget in milliseconds
 	// (default: the server's). A request deadline still applies on top:
 	// whichever expires first interrupts the function.
@@ -59,7 +57,7 @@ type BundleOptions struct {
 // (cache, faults, span) plus the Workers and Budget defaults that a zero
 // wire value leaves in force.
 func (o BundleOptions) Config(base pipeline.Config) pipeline.Config {
-	base.Verify, base.Strict, base.LinearSelect = o.Verify, o.Strict, o.LinearSelect
+	base.Verify, base.Strict = o.Verify, o.Strict
 	if o.Workers > 0 {
 		base.Workers = o.Workers
 	}

@@ -90,50 +90,38 @@ const (
 	Skipped
 )
 
+// The AIMD controller's fixed constants. The adaptive limit stays in
+// [minLimit, maxLimitFactor * Initial].
+const (
+	minLimit       = 1
+	maxLimitFactor = 4
+	// decreaseFactor is the multiplicative-decrease ratio applied when
+	// a sample breaches the SLO. Decreases are paced: at most one per
+	// SLO interval, so one burst of slow completions does not collapse
+	// the limit to minLimit.
+	decreaseFactor = 0.7
+	// alpha is the EWMA smoothing factor for the service-time estimate.
+	alpha = 0.3
+)
+
 // LimiterConfig tunes a Limiter.
 type LimiterConfig struct {
 	// Initial is the starting concurrency limit (and the permanent one
 	// when SLO is zero). <= 0 means 1.
 	Initial int
-	// Min and Max bound the adaptive limit. Defaults: 1 and
-	// 4 * Initial.
-	Min, Max int
 	// SLO is the target service time driving AIMD adaptation; zero
 	// keeps the limit fixed at Initial (the static-semaphore behavior).
 	SLO time.Duration
 	// MaxQueue bounds the wait queue; <= 0 means 2 * Initial.
 	MaxQueue int
-	// DecreaseFactor is the multiplicative-decrease ratio applied when
-	// a sample breaches the SLO (0 means 0.7). Decreases are paced: at
-	// most one per SLO interval, so one burst of slow completions does
-	// not collapse the limit to Min.
-	DecreaseFactor float64
-	// Alpha is the EWMA smoothing factor for the service-time estimate
-	// (0 means 0.3).
-	Alpha float64
 }
 
 func (c *LimiterConfig) fill() {
 	if c.Initial <= 0 {
 		c.Initial = 1
 	}
-	if c.Min <= 0 {
-		c.Min = 1
-	}
-	if c.Max <= 0 {
-		c.Max = 4 * c.Initial
-	}
-	if c.Max < c.Initial {
-		c.Max = c.Initial
-	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 2 * c.Initial
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		c.DecreaseFactor = 0.7
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
 	}
 }
 
@@ -256,7 +244,7 @@ func (l *Limiter) observeLocked(d time.Duration, ok bool) {
 	if l.est == 0 {
 		l.est = s
 	} else {
-		l.est = l.cfg.Alpha*s + (1-l.cfg.Alpha)*l.est
+		l.est = alpha*s + (1-alpha)*l.est
 	}
 	if l.cfg.SLO <= 0 {
 		return
@@ -265,7 +253,7 @@ func (l *Limiter) observeLocked(d time.Duration, ok bool) {
 		l.succ++
 		// One full round of in-SLO completions at the current limit
 		// earns one more slot (additive increase).
-		if l.succ >= l.limit && l.limit < l.cfg.Max {
+		if l.succ >= l.limit && l.limit < maxLimitFactor*l.cfg.Initial {
 			l.limit++
 			l.succ = 0
 		}
@@ -278,10 +266,7 @@ func (l *Limiter) observeLocked(d time.Duration, ok bool) {
 	if now.Sub(l.lastDec) < l.cfg.SLO {
 		return
 	}
-	next := int(math.Floor(float64(l.limit) * l.cfg.DecreaseFactor))
-	if next < l.cfg.Min {
-		next = l.cfg.Min
-	}
+	next := max(int(math.Floor(float64(l.limit)*decreaseFactor)), minLimit)
 	if next < l.limit {
 		l.limit = next
 		l.lastDec = now
@@ -386,7 +371,6 @@ func (l *Limiter) Prime(d time.Duration) {
 // LimiterSnapshot is a point-in-time view for /statz.
 type LimiterSnapshot struct {
 	Limit, Inflight, Queued   int
-	MaxCap                    int // the adaptive limit's ceiling
 	Evicted                   int64
 	EstimateSeconds, Pressure float64
 }
@@ -397,8 +381,7 @@ func (l *Limiter) Snapshot() LimiterSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return LimiterSnapshot{
-		Limit: l.limit, Inflight: l.inflight, Queued: len(l.queue),
-		MaxCap: l.cfg.Max, Evicted: l.evicted,
+		Limit: l.limit, Inflight: l.inflight, Queued: len(l.queue), Evicted: l.evicted,
 		EstimateSeconds: l.est, Pressure: p,
 	}
 }

@@ -119,7 +119,7 @@ func TestLimiterSweepEvictsQueuedDoomed(t *testing.T) {
 
 func TestLimiterAIMD(t *testing.T) {
 	slo := 10 * time.Millisecond
-	l := NewLimiter(LimiterConfig{Initial: 2, Min: 1, Max: 8, MaxQueue: 4, SLO: slo})
+	l := NewLimiter(LimiterConfig{Initial: 2, MaxQueue: 4, SLO: slo})
 
 	// Additive increase: one full round of in-SLO completions per +1.
 	fast := func() {
@@ -143,7 +143,7 @@ func TestLimiterAIMD(t *testing.T) {
 	}
 
 	// Multiplicative decrease on an over-SLO sample: 4 -> 2 (x0.7,
-	// floored), never below Min; paced to one cut per SLO interval.
+	// floored), never below 1; paced to one cut per SLO interval.
 	rel, _ := l.Acquire(context.Background(), nil)
 	time.Sleep(2 * slo)
 	rel(Done)
@@ -163,7 +163,7 @@ func TestLimiterAIMD(t *testing.T) {
 // invalid requests must move neither the estimate nor the limit.
 func TestLimiterSkippedNoSample(t *testing.T) {
 	slo := 10 * time.Millisecond
-	l := NewLimiter(LimiterConfig{Initial: 2, Min: 1, Max: 8, MaxQueue: 4, SLO: slo})
+	l := NewLimiter(LimiterConfig{Initial: 2, MaxQueue: 4, SLO: slo})
 	l.Prime(5 * time.Second)
 	for i := 0; i < 50; i++ {
 		rel, dec := l.Acquire(context.Background(), nil)
@@ -247,7 +247,7 @@ func TestLimiterPressure(t *testing.T) {
 }
 
 func TestLimiterConcurrency(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 4, Max: 8, MaxQueue: 64, SLO: time.Millisecond})
+	l := NewLimiter(LimiterConfig{Initial: 4, MaxQueue: 64, SLO: time.Millisecond})
 	var wg sync.WaitGroup
 	var admitted, other sync.Map
 	for i := 0; i < 200; i++ {
@@ -259,8 +259,8 @@ func TestLimiterConcurrency(t *testing.T) {
 			rel, dec := l.Acquire(ctx, nil)
 			if dec == Admitted {
 				admitted.Store(i, true)
-				if l.Snapshot().Inflight > l.Snapshot().MaxCap {
-					t.Error("inflight exceeded max limit")
+				if n := l.Snapshot().Inflight; n > 4*4 {
+					t.Errorf("inflight %d exceeded 4 x Initial", n)
 				}
 				rel(Done)
 			} else {
@@ -298,11 +298,7 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func TestBrownoutHysteresis(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := NewBrownout(BrownoutConfig{
-		Enter: 0.75, Exit: 0.45,
-		Rise: 50 * time.Millisecond, Hold: 500 * time.Millisecond,
-		Clock: clk.now,
-	})
+	b := NewBrownout(BrownoutConfig{Clock: clk.now})
 
 	// First high sample raises immediately; further raises are paced.
 	if lvl := b.Observe(0.9); lvl != 1 {
@@ -330,7 +326,7 @@ func TestBrownoutHysteresis(t *testing.T) {
 		t.Fatalf("band observation changed level: %d", lvl)
 	}
 
-	// Recovery: calm pressure must persist for Hold per step, one level
+	// Recovery: calm pressure must persist for 500ms per step, one level
 	// at a time.
 	if lvl := b.Observe(0.1); lvl != LevelCacheOnly {
 		t.Fatalf("instant recovery: %d", lvl)
@@ -355,11 +351,6 @@ func TestBrownoutHysteresis(t *testing.T) {
 	clk.advance(501 * time.Millisecond)
 	if lvl := b.Observe(0.1); lvl != LevelNormal {
 		t.Fatalf("full recovery: %d, want 0", lvl)
-	}
-
-	snap := b.Snapshot()
-	if snap.Raised != 4 || snap.Lowered != 4 {
-		t.Errorf("snapshot raised/lowered = %d/%d, want 4/4", snap.Raised, snap.Lowered)
 	}
 }
 

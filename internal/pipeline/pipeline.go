@@ -38,10 +38,6 @@ import (
 // Ctx carries one function through the pipeline. Phases read their
 // inputs from it and write their outputs back into it.
 type Ctx struct {
-	// Context cancels the run: workers stop picking up functions once it
-	// is done, and phases may poll it during long computations.
-	Context context.Context
-
 	Machine *mach.Machine
 	// IR is the lowered function entering the back end.
 	IR *ir.Func
@@ -51,8 +47,9 @@ type Ctx struct {
 
 	// Cfg is the run's Config specialised to this attempt: Strategy is
 	// the ladder rung being tried, Options carries the attempt's deadline
-	// and fault injector, and Span is the attempt's trace span (nil when
-	// tracing is off; phases may annotate it).
+	// (Options.Deadline, the context phases poll during long
+	// computations) and fault injector, and Span is the attempt's trace
+	// span (nil when tracing is off; phases may annotate it).
 	Cfg Config
 
 	// Attempt is 0 for the primary compilation and counts up the
@@ -80,7 +77,7 @@ type Ctx struct {
 }
 
 // PhaseTiming is one phase's wall time for one function, tagged with
-// the degradation-ladder attempt and strategy rung that ran the phase.
+// the degradation-ladder attempt that ran the phase.
 // A function's Result carries the timings of every attempt, including
 // failed rungs; aggregators that want "time attributed to the emitted
 // code" must filter on the accepted attempt (Result.Fallback tells
@@ -93,8 +90,6 @@ type PhaseTiming struct {
 	// Attempt is the ladder rung index that ran this phase (0 = the
 	// configured strategy, matching Ctx.Attempt).
 	Attempt int
-	// Strategy is the rung's strategy kind.
-	Strategy strategy.Kind
 }
 
 // Phase is one named pipeline step with the uniform signature.
@@ -367,9 +362,7 @@ func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *i
 		if res := p.cacheLookup(key, m, fn, cfg); res != nil {
 			csp.Attr("result", "hit")
 			csp.End()
-			res.Timings = []PhaseTiming{{
-				Phase: "cache", Time: time.Since(start), Strategy: cfg.Strategy,
-			}}
+			res.Timings = []PhaseTiming{{Phase: "cache", Time: time.Since(start)}}
 			cacheHist.ObserveDuration(time.Since(start))
 			return res
 		}
@@ -466,7 +459,7 @@ func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *i
 			(*hists)[i] = phaseHist(ph.Name)
 		}
 	}
-	c := &Ctx{Context: actx, Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Inject: inj, Undo: undo}
+	c := &Ctx{Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Inject: inj, Undo: undo}
 	for i, ph := range p.Phases {
 		if err := actx.Err(); err != nil {
 			asp.Attr("error", ph.Name)
@@ -477,9 +470,7 @@ func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *i
 		err := runPhase(c, ph)
 		elapsed := time.Since(start)
 		psp.End()
-		c.Timings = append(c.Timings, PhaseTiming{
-			Phase: ph.Name, Time: elapsed, Attempt: attempt, Strategy: kind,
-		})
+		c.Timings = append(c.Timings, PhaseTiming{Phase: ph.Name, Time: elapsed, Attempt: attempt})
 		(*hists)[i].ObserveDuration(elapsed)
 		if err != nil {
 			asp.Attr("error", ph.Name)
@@ -569,9 +560,7 @@ func (p *Pipeline) cacheStore(key cache.Key, m *mach.Machine, fn *ir.Func, cfg C
 	}
 	cfg.Cache.Put(key, payload)
 	elapsed := time.Since(start)
-	res.Timings = append(res.Timings, PhaseTiming{
-		Phase: "cachestore", Time: elapsed, Strategy: res.Strategy,
-	})
+	res.Timings = append(res.Timings, PhaseTiming{Phase: "cachestore", Time: elapsed})
 	cachestoreHist.ObserveDuration(elapsed)
 }
 

@@ -68,6 +68,9 @@ import (
 	"marion/internal/trace"
 )
 
+// maxSourceBytes bounds a /compile request body.
+const maxSourceBytes = 4 << 20
+
 // Config tunes a Server. The zero value serves every shipped target
 // with sensible production defaults.
 type Config struct {
@@ -92,8 +95,6 @@ type Config struct {
 	// <= 0 means 1 (cross-request parallelism is the daemon's bread and
 	// butter; within-request parallelism is the client's opt-in).
 	Workers int
-	// MaxSourceBytes bounds the request body; <= 0 means 4 MiB.
-	MaxSourceBytes int64
 	// CacheBytes sizes the shared in-memory cache tier (<= 0: 64 MiB).
 	CacheBytes int64
 	// CacheDir, when non-empty, persists the shared cache on disk.
@@ -161,9 +162,6 @@ func (c *Config) fill() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = 4 << 20
 	}
 	if len(c.Targets) == 0 {
 		c.Targets = targets.Names()
@@ -648,7 +646,7 @@ func (s *Server) identify(rq *compileReq) bool {
 	if s.draining.Load() {
 		return s.answer(rq, "draining", http.StatusServiceUnavailable, "draining", nil)
 	}
-	body := http.MaxBytesReader(rq.w, rq.r.Body, s.cfg.MaxSourceBytes)
+	body := http.MaxBytesReader(rq.w, rq.r.Body, maxSourceBytes)
 	if err := json.NewDecoder(body).Decode(&rq.req); err != nil {
 		return s.answer(rq, "bad-request", http.StatusBadRequest, "bad request body: "+err.Error(), nil)
 	}

@@ -146,6 +146,29 @@ func TestCacheSharedAcrossRequests(t *testing.T) {
 	}
 }
 
+// TestLinearSelectNotOnWire: the reference selector is not a wire
+// option. A request naming it is the plain request, so it hits every
+// function the plain request stored instead of compiling them again.
+func TestLinearSelectNotOnWire(t *testing.T) {
+	s := newTestServer(t, Config{})
+	req := CompileRequest{Source: addC, Filename: "add.c", Target: "r2000"}
+	if w := post(t, s, req, nil); w.Code != http.StatusOK {
+		t.Fatalf("plain request: status %d: %s", w.Code, w.Body.String())
+	}
+	body, err := json.Marshal(map[string]any{"source": addC, "filename": "add.c", "target": "r2000",
+		"options": map[string]bool{"linear_select": true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := postRaw(s, body, nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("linear_select request: status %d: %s", w.Code, w.Body.String())
+	}
+	if resp := decode[CompileResponse](t, w); resp.CacheHits != len(resp.Stats) {
+		t.Errorf("linear_select request: cache_hits %d, want all %d functions", resp.CacheHits, len(resp.Stats))
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	s := newTestServer(t, Config{})
 	cases := []struct {

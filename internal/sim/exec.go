@@ -19,8 +19,8 @@ func (s *Sim) exec(fi int) error {
 	var curBlock *asm.Block
 
 	for {
-		if s.cycle > s.opts.MaxCycles {
-			return fmt.Errorf("sim: cycle limit %d exceeded (infinite loop?)", s.opts.MaxCycles)
+		if s.cycle > maxCycles {
+			return fmt.Errorf("sim: cycle limit %d exceeded (infinite loop?)", int64(maxCycles))
 		}
 		f, i := pcFunc(pc), pcInst(pc)
 		if f >= len(s.code) || i >= len(s.code[f]) {

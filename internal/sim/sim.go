@@ -28,12 +28,17 @@ func DefaultCache() CacheConfig {
 	return CacheConfig{Enable: true, Lines: 256, LineSize: 16, MissPenalty: 6}
 }
 
+const (
+	// maxCycles aborts a run that outlives any real kernel (an
+	// infinite loop in generated code).
+	maxCycles = 4_000_000_000
+	// stackTop is the initial stack (and frame) pointer.
+	stackTop = 0x400000
+)
+
 // Options configure a run.
 type Options struct {
-	Cache     CacheConfig
-	MaxCycles int64 // abort limit; 0 means 4e9
-	// StackTop is the initial stack pointer (default 0x400000).
-	StackTop uint32
+	Cache CacheConfig
 	// Trace, when set, receives one line per issued instruction.
 	Trace func(format string, args ...interface{})
 }
@@ -90,12 +95,6 @@ type Sim struct {
 
 // New loads a program into a fresh simulator.
 func New(prog *asm.Program, opts Options) *Sim {
-	if opts.MaxCycles == 0 {
-		opts.MaxCycles = 4_000_000_000
-	}
-	if opts.StackTop == 0 {
-		opts.StackTop = 0x400000
-	}
 	m := prog.Machine
 	s := &Sim{
 		prog: prog, m: m, opts: opts,
@@ -222,8 +221,8 @@ func (s *Sim) Run(fname string, args ...Value) (*Stats, error) {
 
 	// CWVM runtime setup: stack pointer, return address sentinel,
 	// argument registers.
-	s.setReg(s.m.Cwvm.SP.Phys(), uint64(s.opts.StackTop))
-	s.setReg(s.m.Cwvm.FP.Phys(), uint64(s.opts.StackTop))
+	s.setReg(s.m.Cwvm.SP.Phys(), stackTop)
+	s.setReg(s.m.Cwvm.FP.Phys(), stackTop)
 	s.setReg(s.m.Cwvm.RetAddr.Phys(), haltPC)
 	types := make([]ir.Type, len(args))
 	for i, a := range args {
@@ -246,9 +245,9 @@ func (s *Sim) Run(fname string, args ...Value) (*Stats, error) {
 		// Stack argument: the callee reads it at fp+off, and its frame
 		// pointer equals our initial stack pointer.
 		if a.Float {
-			s.mem.write(s.opts.StackTop+uint32(loc.StackOff), 8, math.Float64bits(a.F))
+			s.mem.write(stackTop+uint32(loc.StackOff), 8, math.Float64bits(a.F))
 		} else {
-			s.mem.write(s.opts.StackTop+uint32(loc.StackOff), 4, uint64(uint32(a.I)))
+			s.mem.write(stackTop+uint32(loc.StackOff), 4, uint64(uint32(a.I)))
 		}
 	}
 

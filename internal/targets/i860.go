@@ -1,7 +1,5 @@
 package targets
 
-func init() { Register("i860", i860Maril) }
-
 // i860Maril models the Intel i860's dual-instruction mode and explicitly
 // advanced floating point pipelines (paper §4.5-4.6, Figures 4, 5 and 7):
 //

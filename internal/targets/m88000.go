@@ -1,7 +1,5 @@
 package targets
 
-func init() { Register("m88000", m88000Maril) }
-
 // m88000Maril models the Motorola 88100: a single-issue RISC whose
 // doubles live in PAIRS of the 32 general registers (the %equiv overlay,
 // exercising register-pair allocation and the paper's *movd half-register

@@ -1,7 +1,5 @@
 package targets
 
-func init() { Register("r2000", r2000Maril) }
-
 // r2000Maril models the MIPS R2000: a single-issue five-stage pipeline
 // with a coprocessor-1 floating point unit, branch-compare instructions
 // (beq/bne plus slt for relations), a floating point condition flag

@@ -1,7 +1,5 @@
 package targets
 
-func init() { Register("rs6000", rs6000Maril) }
-
 // rs6000Maril realizes the paper's §5 claim that Marion "should be able
 // to model multiple instruction issue on the IBM RS/6000 by giving each
 // functional unit a separate set of resources": a POWER-like machine

@@ -12,24 +12,21 @@ import (
 	"marion/internal/maril"
 )
 
-// Desc is a named description source.
-type Desc struct {
-	Name   string
-	Source string
+// sources maps each shipped target name to its Maril description.
+// Custom descriptions go through core.NewFromDescription instead.
+var sources = map[string]string{
+	"toyp":   toypMaril,
+	"r2000":  r2000Maril,
+	"r2000s": r2000sMaril(),
+	"m88000": m88000Maril,
+	"i860":   i860Maril,
+	"rs6000": rs6000Maril,
 }
 
-var registry = map[string]*Desc{}
-
-// Register adds a description to the registry; used by the per-target
-// source files and available to user programs for custom targets.
-func Register(name, source string) {
-	registry[name] = &Desc{Name: name, Source: source}
-}
-
-// Names returns the registered target names, sorted.
+// Names returns the shipped target names, sorted.
 func Names() []string {
 	var out []string
-	for n := range registry {
+	for n := range sources {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -38,11 +35,11 @@ func Names() []string {
 
 // Source returns the Maril source text of a target.
 func Source(name string) (string, error) {
-	d, ok := registry[name]
+	src, ok := sources[name]
 	if !ok {
 		return "", fmt.Errorf("targets: unknown target %q (have %v)", name, Names())
 	}
-	return d.Source, nil
+	return src, nil
 }
 
 var (
@@ -51,7 +48,7 @@ var (
 	infos = map[string]*maril.Info{}
 )
 
-// Load parses and finalizes a registered target description. Results are
+// Load parses and finalizes a shipped target description. Results are
 // cached; machines are treated as immutable after load.
 func Load(name string) (*mach.Machine, error) {
 	m, _, err := LoadInfo(name)

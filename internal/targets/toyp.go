@@ -1,7 +1,5 @@
 package targets
 
-func init() { Register("toyp", toypMaril) }
-
 // toypMaril is the paper's toy processor (Figures 1-3), extended with the
 // instructions needed to compile the full C subset: multiply/divide,
 // relational values, conversions, calls and 32-bit constant synthesis.
