@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench benchcheck benchsmoke chaos ci
+.PHONY: build test vet race bench benchcheck benchsmoke ci
 
 build:
 	$(GO) build ./...
@@ -39,18 +39,13 @@ benchcheck:
 benchsmoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
 
-# The emitted-code verification sweep runs inside `go test`:
+# The emitted-code verification and chaos sweeps run inside `go test`:
 # TestLivermoreCorpusClean (internal/verify) compiles the Livermore
 # suite on every target under every strategy with the verifier on, and
 # TestGoldenDigests does the same for examples/c and the driver's
-# fixtures. Any finding fails the test.
+# fixtures; TestFaultMatrix (internal/experiments) arms every
+# fault-injection site x mode on every target under every strategy, and
+# each faulted function must degrade and re-verify clean. Any finding
+# or outright failure fails the test.
 
-# Chaos sweep: arm every fault-injection site x mode (panic, err, hang)
-# on every target under every strategy and prove the process never
-# dies — each faulted function walks the degradation ladder and the
-# fallback output re-verifies clean. Any outright failure or verifier
-# finding fails the build.
-chaos:
-	$(GO) run ./cmd/marionstats -faultmatrix
-
-ci: build vet test race benchcheck benchsmoke chaos
+ci: build vet test race benchcheck benchsmoke

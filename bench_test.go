@@ -12,7 +12,6 @@ import (
 
 	"marion/internal/asm"
 	"marion/internal/cache"
-	"marion/internal/cdag"
 	"marion/internal/driver"
 	"marion/internal/experiments"
 	"marion/internal/iltext"
@@ -21,7 +20,6 @@ import (
 	"marion/internal/maril"
 	"marion/internal/metrics"
 	"marion/internal/regalloc"
-	"marion/internal/sched"
 	"marion/internal/sel"
 	"marion/internal/sim"
 	"marion/internal/strategy"
@@ -200,7 +198,7 @@ func BenchmarkAblationHeuristic(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				cycles = ablationCycles(b, strategy.Options{Sched: sched.Options{FIFO: fifo}}, "r2000", ids)
+				cycles = ablationCycles(b, strategy.Options{FIFO: fifo}, "r2000", ids)
 			}
 			b.ReportMetric(float64(cycles), "simcycles")
 		})
@@ -219,7 +217,7 @@ func BenchmarkAblationHazardCheck(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				cycles = ablationCycles(b, strategy.Options{Sched: sched.Options{CurrentCycleOnly: cur}}, "r2000", ids)
+				cycles = ablationCycles(b, strategy.Options{CurrentCycleOnly: cur}, "r2000", ids)
 			}
 			b.ReportMetric(float64(cycles), "simcycles")
 		})
@@ -245,7 +243,7 @@ func BenchmarkAblationEdgeTypes(b *testing.B) {
 					k := livermore.ByID(id)
 					c, err := driver.Compile("r2000", fmt.Sprintf("loop%d.c", id), k.Source, driver.Config{
 						Strategy: strategy.Postpass,
-						Options:  strategy.Options{Sched: sched.Options{Dag: cdag.Options{NoAnti: noAnti}}},
+						Options:  strategy.Options{NoAnti: noAnti},
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -274,7 +272,7 @@ func BenchmarkAblationEAP(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				cycles = ablationCycles(b, strategy.Options{Sched: sched.Options{FIFO: fifo}}, "i860", ids)
+				cycles = ablationCycles(b, strategy.Options{FIFO: fifo}, "i860", ids)
 			}
 			b.ReportMetric(float64(cycles), "simcycles")
 		})

@@ -10,7 +10,6 @@
 //	marionstats -speedup        # strategy comparison
 //	marionstats -fig7           # i860 dual-operation schedule
 //	marionstats -selstats       # selection index/memoization work counts
-//	marionstats -faultmatrix    # chaos sweep: per-site/per-target degradation matrix
 //	marionstats -all
 package main
 
@@ -19,7 +18,6 @@ import (
 	"fmt"
 	"os"
 
-	"marion/internal/core"
 	"marion/internal/experiments"
 	"marion/internal/strategy"
 )
@@ -29,8 +27,6 @@ func main() {
 	speedup := flag.Bool("speedup", false, "strategy speedup comparison")
 	fig7 := flag.Bool("fig7", false, "Figure 7: i860 dual-operation schedule")
 	selstats := flag.Bool("selstats", false, "selection template-index and memoization work counts")
-	faultmatrix := flag.Bool("faultmatrix", false,
-		"chaos sweep: inject every fault site x mode on every target x strategy; any outright failure or verifier finding is fatal")
 	all := flag.Bool("all", false, "everything")
 	target := flag.String("target", "r2000", "target for tables 3/4 and speedups")
 	loops := flag.Int("loops", 1, "kernel repetition count")
@@ -117,26 +113,6 @@ func main() {
 				return err
 			}
 			fmt.Print(experiments.FormatSelStats(rows))
-			return nil
-		})
-	}
-	if *all || *faultmatrix {
-		run("faultmatrix", func() error {
-			tnames := core.Targets()
-			cells, err := experiments.FaultMatrix(tnames,
-				[]strategy.Kind{strategy.Naive, strategy.Postpass, strategy.IPS,
-					strategy.RASE, strategy.Local},
-				*workers)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatFaultMatrix(cells, tnames))
-			for _, c := range cells {
-				if c.Failed > 0 || c.Findings > 0 {
-					return fmt.Errorf("%s:%s %s/%s: %d failure(s), %d finding(s)",
-						c.Site, c.Mode, c.Target, c.Strategy, c.Failed, c.Findings)
-				}
-			}
 			return nil
 		})
 	}

@@ -43,13 +43,16 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // changes so stale disk tiers read as misses, not decode errors.
 var magic = []byte("MCE1")
 
+// numShards is the memory tier's lock-stripe count. A key's shard is its
+// first byte modulo numShards, and each shard holds an even share of
+// Options.MaxBytes.
+const numShards = 16
+
 // Options configure a Cache.
 type Options struct {
 	// MaxBytes bounds the in-memory tier (sum of blob sizes);
 	// <= 0 means 64 MiB.
 	MaxBytes int64
-	// Shards is the lock-stripe count; <= 0 means 16.
-	Shards int
 	// Dir, when non-empty, enables the on-disk tier rooted there (the
 	// directory is created if needed).
 	Dir string
@@ -77,7 +80,7 @@ func (s Stats) Hits() int64 { return s.MemHits + s.DiskHits }
 // Cache is the two-tier content-addressed store. All methods are safe
 // for concurrent use.
 type Cache struct {
-	shards []shard
+	shards [numShards]shard
 	perCap int64
 	dir    string
 
@@ -106,16 +109,12 @@ func New(o Options) (*Cache, error) {
 	if o.MaxBytes <= 0 {
 		o.MaxBytes = 64 << 20
 	}
-	if o.Shards <= 0 {
-		o.Shards = 16
-	}
 	reg := o.Registry
 	if reg == nil {
 		reg = metrics.Default()
 	}
 	c := &Cache{
-		shards:    make([]shard, o.Shards),
-		perCap:    o.MaxBytes / int64(o.Shards),
+		perCap:    o.MaxBytes / numShards,
 		dir:       o.Dir,
 		memHits:   reg.Counter("cache.hits.mem"),
 		diskHits:  reg.Counter("cache.hits.disk"),

@@ -48,32 +48,34 @@ func TestMemoryHit(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// One shard so the LRU order is globally observable; cap small
-	// enough (the floor, 64 KiB) that a few large blobs force eviction.
-	c, err := New(Options{MaxBytes: 1, Shards: 1, Registry: metrics.NewRegistry()})
+	// Keys that all fall in shard 0 so the LRU order is observable; cap
+	// small enough (the per-shard floor, 64 KiB) that a few large blobs
+	// force eviction.
+	c, err := New(Options{MaxBytes: 1, Registry: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := func(i int) Key { return testKey(i * numShards) }
 	blob := make([]byte, 30<<10)
 	for i := 0; i < 3; i++ {
-		c.Put(testKey(i), blob)
+		c.Put(key(i), blob)
 	}
 	// 3 x 30KiB > 64KiB: the first (least recent) entry must be gone.
-	if _, ok := c.Get(testKey(0)); ok {
+	if _, ok := c.Get(key(0)); ok {
 		t.Fatal("LRU victim still present")
 	}
-	if _, ok := c.Get(testKey(2)); !ok {
+	if _, ok := c.Get(key(2)); !ok {
 		t.Fatal("most recent entry evicted")
 	}
 	if c.Stats().Evictions == 0 {
 		t.Fatal("no evictions counted")
 	}
 	// Touch entry 1, add another: entry 1 must survive over entry 2.
-	if _, ok := c.Get(testKey(1)); !ok {
+	if _, ok := c.Get(key(1)); !ok {
 		t.Fatal("entry 1 missing before touch test")
 	}
-	c.Put(testKey(3), blob)
-	if _, ok := c.Get(testKey(1)); !ok {
+	c.Put(key(3), blob)
+	if _, ok := c.Get(key(1)); !ok {
 		t.Fatal("recently used entry evicted before older one")
 	}
 }
@@ -200,26 +202,23 @@ func TestConfigKey(t *testing.T) {
 	if got := hex.EncodeToString(a[:]); got != "491bc7af2cfe866f639d411f56da882758ce6780c5092e86f5a145c0e321bf96" {
 		t.Fatalf("ConfigKey(RASE, Options{}, false) = %s: the key's byte layout moved", got)
 	}
-	o1 := o
-	o1.Sched.LiveOut = []bool{false, true}
-	if ConfigKey(k, o1, l) == a {
-		t.Fatal("live-out set not in key")
-	}
 	if ConfigKey(strategy.IPS, o, l) == a {
 		t.Fatal("strategy kind not in key")
 	}
 	if ConfigKey(k, o, true) == a {
 		t.Fatal("linear select not in key")
 	}
-	o2 := o
-	o2.Sched.NoPack = true
-	if ConfigKey(k, o2, l) == a {
-		t.Fatal("sched options not in key")
-	}
-	o3 := o
-	o3.FillDelaySlots = true
-	if ConfigKey(k, o3, l) == a {
-		t.Fatal("fill-delay-slots not in key")
+	for name, set := range map[string]func(*strategy.Options){
+		"FIFO":             func(o *strategy.Options) { o.FIFO = true },
+		"CurrentCycleOnly": func(o *strategy.Options) { o.CurrentCycleOnly = true },
+		"NoAnti":           func(o *strategy.Options) { o.NoAnti = true },
+		"FillDelaySlots":   func(o *strategy.Options) { o.FillDelaySlots = true },
+	} {
+		o1 := o
+		set(&o1)
+		if ConfigKey(k, o1, l) == a {
+			t.Errorf("%s not in key", name)
+		}
 	}
 }
 

@@ -4,60 +4,39 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
-	"sort"
 
 	"marion/internal/ir"
 	"marion/internal/strategy"
 )
 
 // ConfigKey digests every pipeline knob that can change emitted code:
-// the strategy kind, the linear-selection toggle, and the strategy /
-// scheduler / DAG options. Per-run plumbing that cannot change the
-// result — deadlines, fault injectors, worker counts, whether the
+// the strategy kind, the linear-selection toggle, and the four scheduler
+// design choices of strategy.Options. Per-run plumbing that cannot change
+// the result — deadlines, fault injectors, worker counts, whether the
 // verifier *reports* — is deliberately excluded, so runs that differ
 // only in parallelism or budgets share cache entries.
+//
+// The zeros stand where scheduler settings the strategy now sets per
+// pass (strict order, no packing, the cycle cap, the DAG's memory and
+// protection edges, the live-value limits and live-out set) were once
+// hashed; no caller could make them other than zero. They keep the byte
+// stream, and so every disk cache written before, unchanged.
 func ConfigKey(kind strategy.Kind, opts strategy.Options, linearSelect bool) [32]byte {
 	w := &keyFP{h: sha256.New()}
 	w.str("marion-cfg-key-v1")
 	w.u64(uint64(kind))
 	w.bool(linearSelect)
 	w.bool(opts.FillDelaySlots)
-
-	s := opts.Sched
-	w.bool(s.CurrentCycleOnly)
-	w.bool(s.FIFO)
-	w.bool(s.Sequential)
-	w.bool(s.NoPack)
-	w.i64(int64(s.MaxCycles))
-	w.bool(s.Dag.NoAnti)
-	w.bool(s.Dag.NoMemory)
-	w.bool(s.Dag.NoProtect)
-
-	// MaxLive is keyed by register set; register-set names are unique
-	// within a machine, so sorting by name makes the walk deterministic.
-	w.u64(uint64(len(s.MaxLive)))
-	if len(s.MaxLive) > 0 {
-		type kv struct {
-			name string
-			n    int
-		}
-		kvs := make([]kv, 0, len(s.MaxLive))
-		for rs, n := range s.MaxLive {
-			kvs = append(kvs, kv{rs.Name, n})
-		}
-		sort.Slice(kvs, func(a, b int) bool { return kvs[a].name < kvs[b].name })
-		for _, e := range kvs {
-			w.str(e.name)
-			w.i64(int64(e.n))
-		}
-	}
-	// LiveOut is per-function state computed inside the strategy; a
-	// caller-provided one would make the key function-specific, so hash
-	// it too rather than silently ignoring it.
-	w.u64(uint64(len(s.LiveOut)))
-	for _, live := range s.LiveOut {
-		w.bool(live)
-	}
+	w.bool(opts.CurrentCycleOnly)
+	w.bool(opts.FIFO)
+	w.bool(false) // Sequential
+	w.bool(false) // NoPack
+	w.i64(0)      // MaxCycles
+	w.bool(opts.NoAnti)
+	w.bool(false) // NoMemory
+	w.bool(false) // NoProtect
+	w.u64(0)      // MaxLive entries
+	w.u64(0)      // LiveOut entries
 
 	var d [32]byte
 	w.h.Sum(d[:0])

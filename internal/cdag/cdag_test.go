@@ -220,13 +220,14 @@ func TestHeights(t *testing.T) {
 		asm.New(add, asm.Reg(3), asm.Reg(4), asm.Reg(5)),         // h = 0 (independent)
 	)
 	g := Build(m, b, Options{})
-	h := g.Heights()
+	h := g.HeightsInto(nil)
 	if h[0] != 4 || h[1] != 1 || h[2] != 0 || h[3] != 0 {
 		t.Errorf("heights = %v", h)
 	}
-	roots := g.Roots()
-	if len(roots) != 2 || roots[0] != 0 || roots[1] != 3 {
-		t.Errorf("roots = %v", roots)
+	for i, nd := range g.Nodes {
+		if root := i == 0 || i == 3; root != (len(nd.Preds) == 0) {
+			t.Errorf("node %d has %d predecessors", i, len(nd.Preds))
+		}
 	}
 }
 

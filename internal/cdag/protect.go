@@ -236,22 +236,9 @@ func (c *closure) spread(m, opposite []uint64, a, b int) {
 	}
 }
 
-// Roots returns the indices of nodes with no predecessors.
-func (g *Graph) Roots() []int {
-	var out []int
-	for i, nd := range g.Nodes {
-		if len(nd.Preds) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Heights computes, for every node, the maximum latency-weighted distance
-// to any leaf — the paper's list scheduling priority heuristic.
-func (g *Graph) Heights() []int { return g.HeightsInto(nil) }
-
-// HeightsInto is Heights computed in buf when buf is long enough.
+// HeightsInto computes, for every node, the maximum latency-weighted
+// distance to any leaf — the paper's list scheduling priority heuristic
+// — in buf when buf is long enough.
 func (g *Graph) HeightsInto(buf []int) []int {
 	h := sized(buf, len(g.Nodes))
 	for i := range h {

@@ -10,8 +10,6 @@
 //	entry := site ':' mode option*
 //	option := '@fn=' NAME-or-INDEX   fire only for this function
 //	        | '@all'                 fire on fallback attempts too
-//	        | '@p=' FLOAT            fire probability (deterministic hash)
-//	        | '@seed=' UINT          seed for the @p hash
 //	        | '@max=' UINT           fire only for the first N indexes
 //
 // Modes:
@@ -26,10 +24,10 @@
 //
 //	select:panic@fn=3
 //	sched:hang;regalloc:err@fn=inner
-//	strategy:panic@p=0.5@seed=7
+//	strategy:panic@max=2
 //
 // Selection is a pure function of (site, function name, function index,
-// attempt, seed) — never of time, goroutine identity or worker count —
+// attempt) — never of time, goroutine identity or worker count —
 // so a spec misbehaves identically on every run.
 //
 // Beyond the pipeline sites (Sites), the compile service arms faults at
@@ -44,7 +42,6 @@ package faults
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 )
@@ -83,7 +80,8 @@ func ParseMode(s string) (Mode, error) {
 
 // Sites is the PIPELINE injection-site catalogue: every named point in
 // the back end where a fault can be armed, in pipeline order. The
-// chaos sweep (experiments.FaultMatrix) iterates exactly this list.
+// chaos sweep (TestFaultMatrix in internal/experiments) iterates exactly
+// this list.
 func Sites() []string {
 	return []string{"xform", "select", "strategy", "sched", "regalloc", "frame", "verify"}
 }
@@ -120,10 +118,6 @@ type Fault struct {
 	// fault fires only on the primary attempt (attempt 0), so the
 	// degradation ladder's retries run clean.
 	All bool
-	// Prob < 1 arms the fault probabilistically via a deterministic
-	// hash of (Seed, Site, function, attempt); 0 means always.
-	Prob float64
-	Seed uint64
 	// Max > 0 restricts the fault to the first Max indexes (index <
 	// Max). Pipeline sites index by source order, so @max bounds which
 	// functions fire; the server's serve site indexes by per-key request
@@ -139,9 +133,6 @@ func (f Fault) String() string {
 	}
 	if f.All {
 		s += "@all"
-	}
-	if f.Prob > 0 && f.Prob < 1 {
-		s += fmt.Sprintf("@p=%g@seed=%d", f.Prob, f.Seed)
 	}
 	if f.Max > 0 {
 		s += fmt.Sprintf("@max=%d", f.Max)
@@ -204,18 +195,6 @@ func Parse(spec string) (*Set, error) {
 				f.All = true
 			case key == "fn" && hasVal:
 				f.Fn = val
-			case key == "p" && hasVal:
-				p, err := strconv.ParseFloat(val, 64)
-				if err != nil || p < 0 || p > 1 {
-					return nil, fmt.Errorf("fault %q: bad probability %q", entry, val)
-				}
-				f.Prob = p
-			case key == "seed" && hasVal:
-				n, err := strconv.ParseUint(val, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("fault %q: bad seed %q", entry, val)
-				}
-				f.Seed = n
 			case key == "max" && hasVal:
 				n, err := strconv.ParseUint(val, 10, 64)
 				if err != nil || n == 0 {
@@ -244,17 +223,7 @@ func (f *Fault) matches(fn string, index, attempt int) bool {
 			return false
 		}
 	}
-	if f.Max > 0 && uint64(index) >= f.Max {
-		return false
-	}
-	if f.Prob > 0 && f.Prob < 1 {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d|%s|%s|%d", f.Seed, f.Site, fn, attempt)
-		if float64(h.Sum64()%1e9)/1e9 >= f.Prob {
-			return false
-		}
-	}
-	return true
+	return f.Max == 0 || uint64(index) < f.Max
 }
 
 // InjectedError is the error an err-mode fault returns from its site.
@@ -333,16 +302,4 @@ func (in *Injector) Fire(site string) error {
 		return fmt.Errorf("injected hang at %s (%s): %w", site, in.fn, in.ctx.Err())
 	}
 	return nil
-}
-
-// SiteModes returns every site:mode combination of the catalogue in
-// pipeline order — the chaos sweep's axis.
-func SiteModes() []string {
-	var out []string
-	for _, s := range Sites() {
-		for _, m := range Modes() {
-			out = append(out, s+":"+m.String())
-		}
-	}
-	return out
 }

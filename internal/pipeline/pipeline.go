@@ -142,7 +142,7 @@ func Backend() *Pipeline {
 // verifyFunc checks emitted code against the machine description under
 // the hazard rule cfg scheduled it with.
 func verifyFunc(m *mach.Machine, af *asm.Func, cfg *Config) *verify.Report {
-	return verify.Func(m, af, verify.Options{IssueOnly: cfg.Options.Sched.CurrentCycleOnly})
+	return verify.Func(m, af, verify.Options{IssueOnly: cfg.Options.CurrentCycleOnly})
 }
 
 // Config tunes one pipeline run. It is the single declaration of the
@@ -462,8 +462,15 @@ func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *i
 	c := &Ctx{Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Inject: inj, Undo: undo}
 	for i, ph := range p.Phases {
 		if err := actx.Err(); err != nil {
-			asp.Attr("error", ph.Name)
-			return nil, c.Timings, ph.Name, budgetize(ph.Name, err, ctx, cfg.Budget)
+			// Before the first phase no phase has started, so the
+			// attempt is reported as the claim loop reports a function
+			// it never began.
+			at := ph.Name
+			if i == 0 {
+				at = "pipeline"
+			}
+			asp.Attr("error", at)
+			return nil, c.Timings, at, budgetize(at, err, ctx, cfg.Budget)
 		}
 		psp := asp.Child(ph.Name)
 		start := time.Now()

@@ -27,7 +27,7 @@ func TestScheduleMaxCyclesCap(t *testing.T) {
 		asm.New(fadd, asm.Reg(5), asm.Reg(4), asm.Reg(4)),
 	)
 	mkPseudos(af, f, 6)
-	_, err := Schedule(m, af, b, Options{MaxCycles: 1})
+	_, err := new(Scratch).Schedule(m, af, b, Options{MaxCycles: 1})
 	if !errors.Is(err, budget.ErrExceeded) {
 		t.Fatalf("err = %v, want budget.ErrExceeded", err)
 	}
@@ -67,7 +67,7 @@ func TestScheduleContextDeadline(t *testing.T) {
 	expired, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
 	af, b := mkBlock()
-	_, err := Schedule(m, af, b, Options{Context: expired})
+	_, err := new(Scratch).Schedule(m, af, b, Options{Context: expired})
 	if !errors.Is(err, budget.ErrExceeded) {
 		t.Errorf("deadline err = %v, want budget.ErrExceeded", err)
 	}
@@ -75,7 +75,7 @@ func TestScheduleContextDeadline(t *testing.T) {
 	cancelled, stop := context.WithCancel(context.Background())
 	stop()
 	af2, b2 := mkBlock()
-	_, err = Schedule(m, af2, b2, Options{Context: cancelled})
+	_, err = new(Scratch).Schedule(m, af2, b2, Options{Context: cancelled})
 	if !errors.Is(err, context.Canceled) || errors.Is(err, budget.ErrExceeded) {
 		t.Errorf("cancel err = %v, want plain context.Canceled", err)
 	}

@@ -209,13 +209,8 @@ func Apply(m *mach.Machine, b *asm.Block, res Result) {
 	b.SchedCost = lay.cost()
 }
 
-// Schedule builds the code DAG, runs the list scheduler and commits the
-// result; it returns the block's estimated cycle count.
-func Schedule(m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) (int, error) {
-	return new(Scratch).Schedule(m, af, b, opts)
-}
-
-// Schedule is the package's Schedule on s's tables.
+// Schedule builds the code DAG on s.Dag, runs the list scheduler and
+// commits the result; it returns the block's estimated cycle count.
 func (s *Scratch) Schedule(m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) (int, error) {
 	res, err := s.Run(m, af, b, s.Dag.Build(m, b, opts.Dag), opts)
 	if err != nil {

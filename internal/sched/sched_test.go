@@ -88,7 +88,7 @@ func mkPseudos(af *asm.Func, set *mach.RegSet, n int) {
 
 func mustSchedule(t *testing.T, m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) int {
 	t.Helper()
-	cost, err := Schedule(m, af, b, opts)
+	cost, err := new(Scratch).Schedule(m, af, b, opts)
 	if err != nil {
 		t.Fatalf("schedule: %v", err)
 	}

@@ -1,10 +1,8 @@
 // Package strategy implements Marion's code generation strategies — the
 // component that directs the invocation of and level of communication
 // between instruction scheduling and global register allocation (paper
-// §2). Four strategies are provided:
+// §2). Six strategies are provided:
 //
-//   - Naive: no scheduling (in-order issue), the local-optimization-only
-//     baseline standing in for "cc -O1".
 //   - Postpass: global register allocation followed by scheduling
 //     (Gibbons & Muchnick).
 //   - IPS: integrated prepass scheduling — schedule with a limit on
@@ -12,6 +10,12 @@
 //   - RASE: register allocation with schedule estimates — gather
 //     schedule cost estimates, allocate with them, final scheduling
 //     (Bradlee, Eggers & Henry).
+//   - Naive: global allocation, then one pass that picks candidates in
+//     code-thread order (FIFO priority) — the no-heuristic baseline.
+//   - Local: Naive with local-only allocation (SpillGlobals: every
+//     cross-block value lives in memory), the stand-in for the paper's
+//     "cc -O1" comparator.
+//   - Safe: the bottom rung of the degradation ladder.
 //
 // The strategy also owns function prologue/epilogue generation and final
 // frame layout, built from description-derived instructions.
@@ -24,6 +28,7 @@ import (
 	"strings"
 
 	"marion/internal/asm"
+	"marion/internal/cdag"
 	"marion/internal/faults"
 	"marion/internal/ir"
 	"marion/internal/mach"
@@ -121,9 +126,23 @@ type Stats struct {
 	SlotsFilled int
 }
 
-// Options tune strategy behavior (mostly for ablation benches).
+// Options are the paper's four scheduler design choices (§4), which the
+// ablation benchmarks turn on one at a time, plus the per-attempt
+// deadline and fault injector the pipeline fills in. Everything else a
+// scheduling pass needs (register limits, live-out sets, strict order,
+// packing) the strategy sets per pass.
 type Options struct {
-	Sched sched.Options
+	// FIFO disables the max-distance priority: candidates are picked in
+	// code-thread order (sched.Options.FIFO).
+	FIFO bool
+	// CurrentCycleOnly checks structural hazards at the issue cycle only,
+	// as the paper's implementation does (§4.3); the verifier then checks
+	// under the same rule (sched.Options.CurrentCycleOnly).
+	CurrentCycleOnly bool
+	// NoAnti omits the type-3 (anti and output) edges from the code DAG
+	// (§4.1; cdag.Options.NoAnti). Unsafe after allocation: for measuring
+	// what the edges cost the schedule only.
+	NoAnti bool
 	// FillDelaySlots enables the optional post-scheduling pass (§4.4)
 	// that replaces delay-slot nops with safe instructions hoisted from
 	// above the transfer. Off by default: the paper's Marion always
@@ -156,9 +175,13 @@ func Apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options) (*Stats, erro
 func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, scratch func() *sched.Scratch) (*Stats, error) {
 	st := &Stats{}
 
-	// The per-function budget context reaches every bounded loop.
-	if opts.Deadline != nil && opts.Sched.Context == nil {
-		opts.Sched.Context = opts.Deadline
+	// Every pass starts from the caller's design choices; the per-function
+	// budget context reaches every bounded loop.
+	base := sched.Options{
+		FIFO:             opts.FIFO,
+		CurrentCycleOnly: opts.CurrentCycleOnly,
+		Dag:              cdag.Options{NoAnti: opts.NoAnti},
+		Context:          opts.Deadline,
 	}
 
 	// Parameter binding moves come first; they are ordinary instructions
@@ -170,7 +193,7 @@ func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, scratch func(
 	// Every strategy ends the same way, allocation and then a scheduling
 	// pass over the allocated code; they differ in what comes first and
 	// in the options of the two.
-	post := opts.Sched
+	post := base
 	var aopts regalloc.Options
 	switch kind {
 	case Naive, Local:
@@ -182,7 +205,7 @@ func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, scratch func(
 
 	case IPS:
 		// Prepass: schedule with a limit on local register use.
-		pre := opts.Sched
+		pre := base
 		pre.MaxLive = map[*mach.RegSet]int{}
 		for _, rs := range m.RegSets {
 			if k := m.NumAllocableIn(rs); k > 0 {
@@ -196,7 +219,7 @@ func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, scratch func(
 		}
 
 	case RASE:
-		if err := raseEstimates(m, af, scratch, st, opts); err != nil {
+		if err := raseEstimates(m, af, scratch, st, base); err != nil {
 			return nil, err
 		}
 	}
@@ -316,9 +339,9 @@ func stripNops(m *mach.Machine, b *asm.Block) {
 // schedule needs them. (The paper replaces local pseudos with per-block
 // register-usage nodes; the spill-cost scaling is our equivalent over
 // the same Chaitin-Briggs allocator.)
-func raseEstimates(m *mach.Machine, af *asm.Func, scratch func() *sched.Scratch, st *Stats, opts Options) error {
+func raseEstimates(m *mach.Machine, af *asm.Func, scratch func() *sched.Scratch, st *Stats, opts sched.Options) error {
 	home, cross := af.PseudoHomes()
-	tight := opts.Sched
+	tight := opts
 	tight.MaxLive = map[*mach.RegSet]int{}
 	for _, rs := range m.RegSets {
 		if k := m.NumAllocableIn(rs); k > 2 {
@@ -330,8 +353,8 @@ func raseEstimates(m *mach.Machine, af *asm.Func, scratch func() *sched.Scratch,
 		// Both estimates schedule the same block state, so they share
 		// one code DAG: the scheduler only reads it.
 		sc := scratch()
-		g := sc.Dag.Build(m, b, opts.Sched.Dag)
-		free, err := sc.Run(m, af, b, g, opts.Sched)
+		g := sc.Dag.Build(m, b, opts.Dag)
+		free, err := sc.Run(m, af, b, g, opts)
 		if err != nil {
 			return err
 		}
