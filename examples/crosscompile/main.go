@@ -55,7 +55,7 @@ func main() {
 		words := 0
 		f := res.Program.Lookup("saxpy")
 		for _, b := range f.Blocks {
-			lastC := -2
+			lastC := int32(-2)
 			for _, in := range b.Insts {
 				instrs++
 				if in.Cycle < 0 || in.Cycle != lastC {

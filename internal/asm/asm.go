@@ -6,6 +6,7 @@ package asm
 
 import (
 	"strconv"
+	"unsafe"
 
 	"marion/internal/ir"
 	"marion/internal/mach"
@@ -31,12 +32,14 @@ const (
 	OpSym   // function or global symbol (call target / address)
 )
 
-// Operand is one actual operand of an instruction.
+// Operand is one actual operand of an instruction. The field order
+// packs it into 32 bytes (TestLayout pins that): the four small fields
+// share one word.
 type Operand struct {
 	Kind   OperandKind
-	Pseudo PseudoID
+	Half   uint8 // 0 = low, 1 = high (OpPseudoHalf)
 	Phys   mach.PhysID
-	Half   int // 0 = low, 1 = high (OpPseudoHalf)
+	Pseudo PseudoID
 	Imm    int64
 	Block  *ir.Block
 	Sym    *ir.Sym
@@ -86,25 +89,50 @@ func (o Operand) String() string {
 	return string(o.Append(buf[:0]))
 }
 
-// Inst is one instruction: a machine template plus actual operands.
+// Inst is one instruction: a machine template plus actual operands. It
+// is 48 bytes (TestLayout pins that): the implicit effects only calls
+// and returns have sit behind one pointer.
 type Inst struct {
 	Tmpl *mach.Instr
 	Args []Operand
 
-	// Implicit physical register effects (used for calls: argument
-	// registers used, caller-save set clobbered).
-	ImpUses []mach.PhysID
-	ImpDefs []mach.PhysID
+	// Imp holds the implicit physical register effects, nil for all
+	// but calls and returns. Read it through ImpUses and ImpDefs.
+	Imp *Implicit
 
 	// Cycle is the issue cycle assigned by the scheduler, relative to the
 	// start of the basic block; instructions with equal cycles are packed
 	// into one long instruction word. -1 before scheduling.
-	Cycle int
+	Cycle int32
 
 	// SeqID groups the sub-operations of one %seq (or escape) expansion:
 	// temporal-latch dataflow is paired within a sequence, so the pairing
 	// survives arbitrary scheduling reorders. 0 = not part of a sequence.
-	SeqID int
+	SeqID int32
+}
+
+// Implicit is an instruction's implicit physical register effects: for
+// a call the argument registers it reads and the caller-save set it
+// clobbers, for a return the result and return-address registers.
+type Implicit struct {
+	Uses []mach.PhysID
+	Defs []mach.PhysID
+}
+
+// ImpUses returns the registers the instruction reads implicitly.
+func (in *Inst) ImpUses() []mach.PhysID {
+	if in.Imp == nil {
+		return nil
+	}
+	return in.Imp.Uses
+}
+
+// ImpDefs returns the registers the instruction writes implicitly.
+func (in *Inst) ImpDefs() []mach.PhysID {
+	if in.Imp == nil {
+		return nil
+	}
+	return in.Imp.Defs
 }
 
 // New returns an instruction instance for the given template.
@@ -173,7 +201,7 @@ type Func struct {
 	// return address saved).
 	UsesCalls bool
 	// seqCounter feeds NewSeqID.
-	seqCounter int
+	seqCounter int32
 	// CalleeSaved lists the callee-save registers the allocator used.
 	CalleeSaved []mach.PhysID
 	// SpillSlots is the number of 8-byte spill slots in the frame.
@@ -181,7 +209,7 @@ type Func struct {
 }
 
 // NewSeqID returns a fresh sequence identity for a %seq expansion.
-func (f *Func) NewSeqID() int {
+func (f *Func) NewSeqID() int32 {
 	f.seqCounter++
 	return f.seqCounter
 }
@@ -251,7 +279,7 @@ func (p *Program) Print() string {
 		buf = append(buf, '\n')
 		for _, b := range f.Blocks {
 			buf = append(b.IR.AppendName(buf), ":\n"...)
-			lastCycle := -2
+			lastCycle := int32(-2)
 			for _, in := range b.Insts {
 				pack := byte(' ')
 				if in.Cycle >= 0 && in.Cycle == lastCycle {
@@ -263,5 +291,6 @@ func (p *Program) Print() string {
 			}
 		}
 	}
-	return string(buf)
+	// buf is never written again, so the string can share its bytes.
+	return unsafe.String(unsafe.SliceData(buf), len(buf))
 }

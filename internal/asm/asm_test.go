@@ -163,8 +163,7 @@ func TestEffectsImplicitAndHard(t *testing.T) {
 	}
 	r, d := m.RegSet("r"), m.RegSet("d")
 	call := New(m.InstrByLabel("bsr"), Operand{Kind: OpSym, Sym: &ir.Sym{Name: "g"}})
-	call.ImpUses = []mach.PhysID{r.Phys(2)}
-	call.ImpDefs = []mach.PhysID{d.Phys(1), r.Phys(9)}
+	call.Imp = &Implicit{Uses: []mach.PhysID{r.Phys(2)}, Defs: []mach.PhysID{d.Phys(1), r.Phys(9)}}
 	want := []effect{{Key: PhysKey(r.Phys(2)), Op: -1}, {Key: PhysKey(d.Phys(1)), Op: -1}}
 	if got := collect(call.RegUses(m)); !reflect.DeepEqual(got, want) {
 		t.Errorf("call uses = %v, want %v", got, want)
@@ -197,8 +196,7 @@ func TestEffectsAllocateNothing(t *testing.T) {
 	}
 	r, d := m.RegSet("r"), m.RegSet("d")
 	in := New(m.InstrByLabel("fadd.d"), Reg(0), Phys(d.Phys(3)), Operand{Kind: OpPseudoHalf, Pseudo: 2})
-	in.ImpUses = []mach.PhysID{r.Phys(2)}
-	in.ImpDefs = m.CallerSave()
+	in.Imp = &Implicit{Uses: []mach.PhysID{r.Phys(2)}, Defs: m.CallerSave()}
 	n := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		for e := in.RegDefs(m); e.Next(); {

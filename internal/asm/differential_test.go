@@ -116,7 +116,7 @@ func TestFormatterHandCases(t *testing.T) {
 	add := &mach.Instr{Mnemonic: "add"}
 	nop := &mach.Instr{Mnemonic: "nop"}
 	long := &mach.Instr{Mnemonic: strings.Repeat("pfmul.ss.", 12)}
-	at := func(in *asm.Inst, cycle int) *asm.Inst { in.Cycle = cycle; return in }
+	at := func(in *asm.Inst, cycle int32) *asm.Inst { in.Cycle = cycle; return in }
 	block := &asm.Block{IR: b0, Insts: []*asm.Inst{
 		asm.New(nop), // unscheduled: Cycle -1 never packs
 		asm.New(nop),

@@ -58,12 +58,12 @@ type Effects struct {
 
 // RegDefs walks the registers in writes.
 func (in *Inst) RegDefs(m *mach.Machine) Effects {
-	return Effects{m: m, in: in, ops: in.Tmpl.DefOps, imp: in.ImpDefs}
+	return Effects{m: m, in: in, ops: in.Tmpl.DefOps, imp: in.ImpDefs()}
 }
 
 // RegUses walks the registers in reads.
 func (in *Inst) RegUses(m *mach.Machine) Effects {
-	return Effects{m: m, in: in, ops: in.Tmpl.UseOps, imp: in.ImpUses}
+	return Effects{m: m, in: in, ops: in.Tmpl.UseOps, imp: in.ImpUses()}
 }
 
 // Next advances to the next effect; it returns false when the walk is

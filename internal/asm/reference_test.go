@@ -54,7 +54,7 @@ func referencePrint(p *Program) string {
 		fmt.Fprintf(&sb, "\n%s:  ; frame=%d\n", f.Name, f.FrameSize)
 		for _, b := range f.Blocks {
 			fmt.Fprintf(&sb, "%s:\n", fmt.Sprintf("L%d", b.IR.ID))
-			lastCycle := -2
+			lastCycle := int32(-2)
 			for _, in := range b.Insts {
 				pack := " "
 				if in.Cycle >= 0 && in.Cycle == lastCycle {

@@ -120,12 +120,12 @@ func (e *enc) inst(in *asm.Inst) error {
 			return err
 		}
 	}
-	e.u(uint64(len(in.ImpUses)))
-	for _, p := range in.ImpUses {
+	e.u(uint64(len(in.ImpUses())))
+	for _, p := range in.ImpUses() {
 		e.i(int64(p))
 	}
-	e.u(uint64(len(in.ImpDefs)))
-	for _, p := range in.ImpDefs {
+	e.u(uint64(len(in.ImpDefs())))
+	for _, p := range in.ImpDefs() {
 		e.i(int64(p))
 	}
 	e.i(int64(in.Cycle))
@@ -201,6 +201,10 @@ const (
 	minOperandBytes = 1
 )
 
+// impsPerChunk is how many implicit effects a chunk of Decode's slab of
+// them holds: a function has a return or two and seldom a call.
+const impsPerChunk = 2
+
 // Decode rebuilds a compiled function from an encoded payload, binding
 // templates, register sets, blocks and symbols against the current
 // machine and IR function. Any structural mismatch (index out of
@@ -219,7 +223,14 @@ func Decode(payload []byte, m *mach.Machine, fn *ir.Func) (*Entry, error) {
 	}
 	d.harvest()
 
-	af := &asm.Func{Name: fn.Name, IR: fn}
+	// The Entry and its Func share one allocation.
+	box := &struct {
+		ent Entry
+		fn  asm.Func
+	}{}
+	ent, af := &box.ent, &box.fn
+	ent.Func = af
+	af.Name, af.IR = fn.Name, fn
 	af.FrameSize = int(d.i())
 	af.Outgoing = int(d.i())
 	af.UsesCalls = d.bool()
@@ -246,7 +257,11 @@ func Decode(payload []byte, m *mach.Machine, fn *ir.Func) (*Entry, error) {
 			pi.Set = m.RegSets[si]
 		}
 		pi.IR = ir.RegID(d.i())
-		pi.Precolor = mach.PhysID(d.i())
+		if pc := d.i(); pc == int64(mach.NoPhys) {
+			pi.Precolor = mach.NoPhys
+		} else {
+			pi.Precolor = d.phys(pc)
+		}
 		pi.SpillCost = d.f()
 		pi.NoSpill = d.bool()
 	}
@@ -280,7 +295,6 @@ func Decode(payload []byte, m *mach.Machine, fn *ir.Func) (*Entry, error) {
 		}
 	}
 
-	ent := &Entry{Func: af}
 	ent.Stats.Spills = int(d.i())
 	ent.Stats.SpillSlots = int(d.i())
 	ent.Stats.AllocRounds = int(d.i())
@@ -342,6 +356,25 @@ func (d *dec) count(what string, minBytes int) (int, error) {
 	return int(n), nil
 }
 
+// phys holds a decoded physical register id to the machine's registers,
+// latching an error for one outside them.
+func (d *dec) phys(v int64) mach.PhysID {
+	if d.err == nil && (v < 0 || v >= int64(d.m.NumPhys)) {
+		d.err = errors.New("cache: physical register id out of range")
+	}
+	return mach.PhysID(v)
+}
+
+// int32 reads a value stored in an int32 field, latching an error for
+// one the field cannot hold.
+func (d *dec) int32(what string) int32 {
+	v := d.i()
+	if d.err == nil && v != int64(int32(v)) {
+		d.err = fmt.Errorf("cache: %s out of range", what)
+	}
+	return int32(v)
+}
+
 // physList reads a counted list of physical register ids; an empty list
 // is nil.
 func (d *dec) physList(what string) ([]mach.PhysID, error) {
@@ -351,9 +384,43 @@ func (d *dec) physList(what string) ([]mach.PhysID, error) {
 	}
 	ids := make([]mach.PhysID, n)
 	for i := range ids {
-		ids[i] = mach.PhysID(d.i())
+		ids[i] = d.phys(d.i())
 	}
 	return ids, d.err
+}
+
+// implicit reads an instruction's implicit effects, a counted list of
+// uses then one of defs, and returns nil for two empty lists. The lists
+// share one allocation: the uses are skipped to read the defs count,
+// then decoded. The Implicit is carved from the function's slab.
+func (d *dec) implicit() (*asm.Implicit, error) {
+	nu, err := d.count("implicit use", minPhysBytes)
+	if err != nil {
+		return nil, err
+	}
+	uses := d.b
+	for range nu {
+		d.i()
+	}
+	nd, err := d.count("implicit def", minPhysBytes)
+	if nu+nd == 0 || err != nil {
+		return nil, err
+	}
+	ids := make([]mach.PhysID, nu+nd)
+	defs := d.b
+	d.b = uses
+	for i := range nu {
+		ids[i] = d.phys(d.i())
+	}
+	d.b = defs
+	for i := nu; i < len(ids); i++ {
+		ids[i] = d.phys(d.i())
+	}
+	if len(d.imps) == cap(d.imps) {
+		d.imps = make([]asm.Implicit, 0, impsPerChunk)
+	}
+	d.imps = append(d.imps, asm.Implicit{Uses: ids[:nu:nu], Defs: ids[nu:]})
+	return &d.imps[len(d.imps)-1], d.err
 }
 
 // operands returns n zeroed operands carved from the function's shared
@@ -392,14 +459,11 @@ func (d *dec) inst(in *asm.Inst, numPseudos int) error {
 			return err
 		}
 	}
-	if in.ImpUses, err = d.physList("implicit use"); err != nil {
+	if in.Imp, err = d.implicit(); err != nil {
 		return err
 	}
-	if in.ImpDefs, err = d.physList("implicit def"); err != nil {
-		return err
-	}
-	in.Cycle = int(d.i())
-	in.SeqID = int(d.i())
+	in.Cycle = d.int32("cycle")
+	in.SeqID = d.int32("sequence id")
 	return d.err
 }
 
@@ -417,13 +481,17 @@ func (d *dec) operand(a *asm.Operand, numPseudos int) error {
 			return errors.New("cache: pseudo id out of range")
 		}
 	case asm.OpPhys:
-		a.Phys = mach.PhysID(d.i())
+		a.Phys = d.phys(d.i())
 	case asm.OpPseudoHalf:
 		a.Pseudo = asm.PseudoID(d.i())
-		a.Half = int(d.i())
+		h := d.i()
 		if int(a.Pseudo) >= numPseudos {
 			return errors.New("cache: pseudo id out of range")
 		}
+		if h != 0 && h != 1 {
+			return errors.New("cache: operand half out of range")
+		}
+		a.Half = uint8(h)
 	case asm.OpImm:
 		a.Imm = d.i()
 	case asm.OpBlock:
@@ -503,6 +571,7 @@ type dec struct {
 	fn    *ir.Func
 	named map[string]*ir.Sym // globals and callees of fn, by name; nil = ambiguous
 	ops   []asm.Operand      // the operand slab's current chunk
+	imps  []asm.Implicit     // the implicit effects slab's current chunk
 }
 
 var errTruncated = errors.New("cache: truncated entry")

@@ -39,8 +39,8 @@ int walk(int n, int seed) {
 // unread before it allocates, so the worst payload is one that spends
 // its bytes where memory per byte is highest: a block count claiming
 // three bytes a block (16 B/B), then an instruction count claiming six
-// bytes an instruction (17 B/B), then operand counts claiming one byte
-// an operand (48 B/B, times 2.2 for the slab's chunking); the fixed
+// bytes an instruction (9 B/B), then operand counts claiming one byte
+// an operand (32 B/B, times 2.2 for the slab's chunking); the fixed
 // part is the symbol table harvested from the IR, which the payload
 // does not control.
 const (
@@ -123,12 +123,27 @@ type countSite struct {
 	value     uint64
 }
 
+// valueSite is one register id, operand half, cycle or sequence id in
+// an encoded entry: what it is and where its varint sits.
+type valueSite struct {
+	what      string
+	off, size int
+	value     int64
+}
+
 // countSites walks an entry-v1 payload and returns every count in it.
-// It is the test's own reading of the format Encode writes.
 func countSites(t *testing.T, p []byte) []countSite {
 	t.Helper()
+	counts, _ := entrySites(t, p)
+	return counts
+}
+
+// entrySites walks an entry-v1 payload and returns every count and every
+// value site in it. It is the test's own reading of the format Encode
+// writes.
+func entrySites(t *testing.T, p []byte) (counts []countSite, values []valueSite) {
+	t.Helper()
 	pos := 0
-	var sites []countSite
 	u := func() uint64 {
 		v, n := binary.Uvarint(p[pos:])
 		if n <= 0 {
@@ -147,13 +162,21 @@ func countSites(t *testing.T, p []byte) []countSite {
 	count := func(what string) int {
 		off := pos
 		v := u()
-		sites = append(sites, countSite{what, off, pos - off, v})
+		counts = append(counts, countSite{what, off, pos - off, v})
 		return int(v)
+	}
+	val := func(what string) {
+		v, n := binary.Varint(p[pos:])
+		if n <= 0 {
+			t.Fatalf("bad varint at %d", pos)
+		}
+		values = append(values, valueSite{what, pos, n, v})
+		pos += n
 	}
 	str := func() { pos += int(u()) }
 	physList := func(what string) {
 		for n := count(what); n > 0; n-- {
-			i()
+			val(what + " id")
 		}
 	}
 
@@ -166,7 +189,7 @@ func countSites(t *testing.T, p []byte) []countSite {
 	for n := count("pseudo"); n > 0; n-- {
 		i()
 		i()
-		i()
+		val("precolor")
 		pos += 8 + 1
 	}
 	for nb := count("block"); nb > 0; nb-- {
@@ -178,11 +201,13 @@ func countSites(t *testing.T, p []byte) []countSite {
 				kind := asm.OperandKind(p[pos])
 				pos++
 				switch kind {
-				case asm.OpPseudo, asm.OpPhys, asm.OpImm:
+				case asm.OpPseudo, asm.OpImm:
 					i()
+				case asm.OpPhys:
+					val("operand phys")
 				case asm.OpPseudoHalf:
 					i()
-					i()
+					val("operand half")
 				case asm.OpBlock:
 					u()
 				case asm.OpSym:
@@ -198,8 +223,8 @@ func countSites(t *testing.T, p []byte) []countSite {
 			}
 			physList("implicit use")
 			physList("implicit def")
-			i()
-			i()
+			val("cycle")
+			val("sequence id")
 		}
 	}
 	for n := 0; n < 9; n++ {
@@ -208,7 +233,14 @@ func countSites(t *testing.T, p []byte) []countSite {
 	if pos != len(p) {
 		t.Fatalf("walked %d of %d bytes", pos, len(p))
 	}
-	return sites
+	return counts, values
+}
+
+// replaceValue returns p with the value at s replaced by v.
+func replaceValue(p []byte, s valueSite, v int64) []byte {
+	out := append([]byte(nil), p[:s.off]...)
+	out = binary.AppendVarint(out, v)
+	return append(out, p[s.off+s.size:]...)
 }
 
 // inflate returns p with the count at s replaced by v.
@@ -301,6 +333,94 @@ func TestDecodeHostileCounts(t *testing.T) {
 		}
 	}
 	t.Logf("%d entries, %d probes; the costliest failing Decode allocated %.0f%% of its limit", len(entries), probes, 100*worst)
+}
+
+// Every value Decode stores in a field narrower than the varint it
+// reads — a physical register id (an int16), an operand half (a uint8),
+// a cycle or sequence id (an int32) — replaced by one the field cannot
+// hold is an error, not a value wrapped into one that prints as
+// something else. NoPhys is admitted only as a precolor. Each site is
+// also rewritten to a legal value first, which must decode: the error
+// is the value's, not the rewrite's.
+func TestDecodeHostileValues(t *testing.T) {
+	var entries []realEntry
+	for _, cfg := range []struct {
+		target string
+		kind   strategy.Kind
+	}{
+		{"i860", strategy.RASE},
+		{"m88000", strategy.IPS},
+		{"toyp", strategy.Postpass},
+	} {
+		_, es := realEntries(t, cfg.target, cfg.kind, lowerHostile(t))
+		entries = append(entries, es...)
+	}
+	const wrap16, wrap32 = 1 << 16, 1 << 32
+	seen := map[string]int{}
+	probes := 0
+	for _, e := range entries {
+		decode := func(p []byte, what string, v int64, wantErr bool) {
+			probes++
+			_, err := cache.Decode(p, e.m, e.fn)
+			switch {
+			case wantErr && err == nil:
+				t.Fatalf("%s: %s %d decoded without error", e.fn.Name, what, v)
+			case !wantErr && err != nil:
+				t.Fatalf("%s: %s %d: %v", e.fn.Name, what, v, err)
+			}
+		}
+		numPhys := int64(e.m.NumPhys)
+		counts, values := entrySites(t, e.payload)
+		pseudos := false
+		for _, c := range counts {
+			pseudos = pseudos || c.what == "pseudo" && c.value > 0
+		}
+		for _, s := range values {
+			seen[s.what]++
+			var good, bad []int64
+			switch s.what {
+			case "callee-save id", "implicit use id", "implicit def id", "operand phys":
+				good = []int64{0, numPhys - 1}
+				bad = []int64{-1, -2, numPhys, math.MaxInt16 + 1, wrap16 + s.value, math.MinInt64}
+			case "precolor":
+				good = []int64{-1, 0, numPhys - 1}
+				bad = []int64{-2, numPhys, wrap16 - 1, wrap16 + s.value, math.MaxInt64}
+			case "cycle", "sequence id":
+				good = []int64{0, math.MaxInt32, math.MinInt32}
+				bad = []int64{math.MaxInt32 + 1, math.MinInt32 - 1, wrap32 + s.value}
+			default:
+				t.Fatalf("unexpected value site %q", s.what)
+			}
+			for _, v := range good {
+				decode(replaceValue(e.payload, s, v), s.what, v, false)
+			}
+			for _, v := range bad {
+				decode(replaceValue(e.payload, s, v), s.what, v, true)
+			}
+			if s.what != "operand phys" || !pseudos {
+				continue
+			}
+			// Compiled code holds no lo/hi half operands (the allocator
+			// resolves them), so one is made here out of a register
+			// operand: the kind byte before the id, then pseudo 0 and the
+			// half in the id's place.
+			for _, h := range []int64{0, 1, 2, -1, 1 << 8, 1<<8 + 1} {
+				seen["operand half"]++
+				p := append([]byte(nil), e.payload[:s.off-1]...)
+				p = append(p, byte(asm.OpPseudoHalf))
+				p = binary.AppendVarint(p, 0)
+				p = binary.AppendVarint(p, h)
+				p = append(p, e.payload[s.off+s.size:]...)
+				decode(p, "operand half", h, h != 0 && h != 1)
+			}
+		}
+	}
+	for _, what := range []string{"callee-save id", "implicit use id", "implicit def id", "operand phys", "precolor", "cycle", "sequence id", "operand half"} {
+		if seen[what] == 0 {
+			t.Errorf("no %s in the corpus", what)
+		}
+	}
+	t.Logf("%d entries, %d probes", len(entries), probes)
 }
 
 // A hostile entry under a live key is a miss that heals: the pipeline

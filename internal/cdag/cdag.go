@@ -112,7 +112,7 @@ type Scratch struct {
 // interleaved by earlier scheduling passes.
 type tkey struct {
 	ts  *mach.RegSet
-	seq int
+	seq int32
 }
 
 // Instructions already scheduled into packed words (equal Cycle values,

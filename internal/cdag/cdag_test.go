@@ -266,7 +266,7 @@ func TestTemporalEdgeSurvivesMerge(t *testing.T) {
 	// The producer writes the latch and, implicitly, f3; the consumer
 	// reads both.
 	prod := asm.New(m.InstrByLabel("Ml"), asm.Reg(0), asm.Reg(1))
-	prod.ImpDefs = []mach.PhysID{f.Phys(3)}
+	prod.Imp = &asm.Implicit{Defs: []mach.PhysID{f.Phys(3)}}
 	cons := asm.New(m.InstrByLabel("FWA"), asm.Reg(2), asm.Phys(f.Phys(3)))
 	prod.SeqID, cons.SeqID = 1, 1
 	g := Build(m, block(prod, cons), Options{})

@@ -146,7 +146,7 @@ func TestScheduledCyclesAssigned(t *testing.T) {
 	c := compile(t, strategy.Postpass)
 	for _, f := range c.Prog.Funcs {
 		for _, b := range f.Blocks {
-			last := -1
+			last := int32(-1)
 			for _, in := range b.Insts {
 				if in.Cycle >= 0 {
 					if in.Cycle < last {

@@ -2,6 +2,7 @@ package driver_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"marion/internal/asm"
@@ -19,16 +20,19 @@ import (
 // Allocations per function on the Livermore suite module for
 // r2000/postpass: a cache hit (Get, Decode, Print), the same hit through
 // driver.CompileModule with tracing off, the parse of the module's
-// textual IL, and the C front end over the kernels' sources. Each is
-// about 15 % above what the code allocated when the ceilings were set:
-// 41.6, 45.2, 97.5 and 165.8, against 41.6, 46.2, 260.2 and 495.4 before
-// the front ends carved nodes from slabs and a run without tracing
-// stopped naming a span per function.
+// textual IL, and the C front end over the kernels' sources; and the
+// bytes the two hits allocate. Each is about 15 % above what the code
+// allocated when the ceilings were set: 41.5, 37.0, 97.5 and 165.8
+// allocations, 21 648 and 15 126 bytes, against 41.6, 45.2, 97.5, 165.8,
+// 31 025 and 27 284 before asm.Inst and asm.Operand shrank and the
+// pipeline's workers kept their fingerprint scratch.
 const (
 	hitAllocsPerFn        = 48
-	compileHitAllocsPerFn = 52
+	compileHitAllocsPerFn = 43
 	parseAllocsPerFn      = 112
 	frontendAllocsPerFn   = 190
+	hitBytesPerFn         = 24900
+	compileHitBytesPerFn  = 17400
 )
 
 // coldWarm compiles the Livermore suite module twice against the fresh
@@ -111,7 +115,7 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	machFP := m.Fingerprint()
 	cfgKey := cache.ConfigKey(cfg.Strategy, cfg.Options, cfg.LinearSelect)
 	var got string
-	hit := testing.AllocsPerRun(10, func() {
+	hit, hitBytes := perRun(10, func() {
 		prog := asm.Program{Machine: m, Name: mod.Name, Globals: warm.Prog.Globals}
 		prog.Funcs = make([]*asm.Func, 0, len(mod.Funcs))
 		for _, fn := range mod.Funcs {
@@ -134,7 +138,7 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	if cfg.Span != nil {
 		t.Fatal("the compile below is to run with tracing off")
 	}
-	compileHit := testing.AllocsPerRun(10, func() {
+	compileHit, compileHitBytes := perRun(10, func() {
 		out, err := driver.CompileModule(m, mod, cfg)
 		if err != nil || out.CacheHits != len(mod.Funcs) {
 			t.Fatalf("%v, %d hits", err, out.CacheHits)
@@ -142,12 +146,12 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	})
 
 	text := iltext.Print(mod)
-	parse := testing.AllocsPerRun(10, func() {
+	parse, _ := perRun(10, func() {
 		if _, err := iltext.Parse(mod.Name, text); err != nil {
 			t.Fatal(err)
 		}
 	})
-	frontend := testing.AllocsPerRun(10, func() {
+	frontend, _ := perRun(10, func() {
 		for i := range livermore.Kernels {
 			if _, err := driver.Frontend("loop.c", livermore.Kernels[i].Source); err != nil {
 				t.Fatal(err)
@@ -158,18 +162,37 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	n := float64(len(mod.Funcs))
 	t.Logf("per function: hit %.1f allocations, through CompileModule %.1f, parse %.1f, C front end %.1f",
 		hit/n, compileHit/n, parse/n, frontend/n)
+	t.Logf("per function: hit %.0f bytes, through CompileModule %.0f", hitBytes/n, compileHitBytes/n)
 	for _, c := range []struct {
-		what   string
-		allocs float64
-		budget int
+		what, unit string
+		got        float64
+		budget     int
 	}{
-		{"a cache hit", hit, hitAllocsPerFn},
-		{"a cache hit through CompileModule", compileHit, compileHitAllocsPerFn},
-		{"iltext.Parse", parse, parseAllocsPerFn},
-		{"the C front end", frontend, frontendAllocsPerFn},
+		{"a cache hit", "times", hit, hitAllocsPerFn},
+		{"a cache hit through CompileModule", "times", compileHit, compileHitAllocsPerFn},
+		{"iltext.Parse", "times", parse, parseAllocsPerFn},
+		{"the C front end", "times", frontend, frontendAllocsPerFn},
+		{"a cache hit", "bytes", hitBytes, hitBytesPerFn},
+		{"a cache hit through CompileModule", "bytes", compileHitBytes, compileHitBytesPerFn},
 	} {
-		if c.allocs/n > float64(c.budget) {
-			t.Errorf("%s allocates %.1f times per function, budget %d", c.what, c.allocs/n, c.budget)
+		if c.got/n > float64(c.budget) {
+			t.Errorf("%s allocates %.1f %s per function, budget %d", c.what, c.got/n, c.unit, c.budget)
 		}
 	}
+}
+
+// perRun is testing.AllocsPerRun reporting bytes beside the count: what
+// one call of f allocates on average over runs calls, after a warm-up
+// call, with one P so that nothing else runs in between.
+func perRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

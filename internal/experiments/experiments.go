@@ -326,7 +326,7 @@ func Figure7() (string, error) {
 	sb.WriteString("Figure 7: Marion i860 Postpass schedule of a=(x+b)+(a*z); return y+z\n")
 	sb.WriteString("Cycle  instruction (| = packed into the same long word)\n")
 	for _, b := range f.Blocks {
-		last := -2
+		last := int32(-2)
 		for _, in := range b.Insts {
 			mark := " "
 			cyc := "     "
@@ -344,7 +344,7 @@ func Figure7() (string, error) {
 	// Pack statistics.
 	words, instrs := 0, 0
 	for _, b := range f.Blocks {
-		lastC := -2
+		lastC := int32(-2)
 		for _, in := range b.Insts {
 			instrs++
 			if in.Cycle < 0 || in.Cycle != lastC {

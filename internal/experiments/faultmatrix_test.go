@@ -12,8 +12,10 @@ import (
 	"marion/internal/targets"
 )
 
-// chaosBudget bounds each per-function attempt so hang-mode faults
-// resolve into typed budget errors instead of stalling the sweep.
+// chaosBudget bounds each per-function attempt of a hang cell, so a
+// hang-mode fault resolves into a typed budget error instead of stalling
+// the sweep. Panic and error cells never wait and run with no budget,
+// so how fast a loaded machine runs them cannot decide their verdict.
 const chaosBudget = 30 * time.Millisecond
 
 // chaosSrc is the module every cell compiles: small enough that the
@@ -52,6 +54,10 @@ func TestFaultMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					var budget time.Duration
+					if mode == faults.Hang {
+						budget = chaosBudget
+					}
 					for _, st := range strats {
 						// A fresh module per compile: the back end
 						// rewrites the IL in place.
@@ -61,7 +67,7 @@ func TestFaultMatrix(t *testing.T) {
 						}
 						c, err := driver.CompileModule(m, mod, driver.Config{
 							Strategy: st, Workers: 2,
-							Verify: true, Budget: chaosBudget, Faults: set,
+							Verify: true, Budget: budget, Faults: set,
 						})
 						var diags *pipeline.Diagnostics
 						switch {

@@ -94,6 +94,10 @@ func TestFingerprintMatchesReference(t *testing.T) {
 		t.Fatalf("corpus has only %d functions", len(fns))
 	}
 	seen := map[ir.Digest]string{}
+	// One scratch for the whole corpus, as a pipeline worker keeps one:
+	// every function after the first finds it holding the last one's
+	// buffer, tables and maps.
+	var scratch ir.FingerprintScratch
 	for i, fn := range fns {
 		want := ir.ReferenceFingerprint(fn)
 		if got := fn.Fingerprint(); got != want {
@@ -101,6 +105,9 @@ func TestFingerprintMatchesReference(t *testing.T) {
 		}
 		if got := fn.Fingerprint(); got != want {
 			t.Fatalf("%s: second walk gave %s, want %s", fn.Name, got, want)
+		}
+		if got := scratch.Fingerprint(fn); got != want {
+			t.Fatalf("%s: reused scratch gave %s, want %s", fn.Name, got, want)
 		}
 		seen[want] = fn.Name
 		if fn.Name == "f" {
@@ -110,6 +117,9 @@ func TestFingerprintMatchesReference(t *testing.T) {
 		permuteNames(c, rand.New(rand.NewSource(int64(i))))
 		if got, ref := c.Fingerprint(), ir.ReferenceFingerprint(c); got != want || ref != want {
 			t.Fatalf("%s: renumbered clone: digest %s, reference %s, original %s", fn.Name, got, ref, want)
+		}
+		if got := scratch.Fingerprint(c); got != want {
+			t.Fatalf("%s: renumbered clone on the reused scratch: digest %s, original %s", fn.Name, got, want)
 		}
 	}
 	if len(seen) < len(fns)*3/4 {

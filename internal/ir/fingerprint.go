@@ -204,20 +204,50 @@ const (
 // the digest is deterministic across processes, worker counts and
 // map-iteration order, and invariant under block-ID and RegID
 // renumbering (see Digest). It stamps the nodes it visits (see Walk),
-// so the caller must own the function.
+// so the caller must own the function. It builds its scratch afresh; a
+// caller fingerprinting one function after another keeps a
+// FingerprintScratch instead.
 func (f *Func) Fingerprint() Digest {
+	var s FingerprintScratch
+	return s.Fingerprint(f)
+}
+
+// FingerprintScratch is Func.Fingerprint's working state — the byte
+// stream, the register table and the symbol and block maps — kept from
+// one function to the next so that a warm one allocates nothing. The
+// zero value is ready; one goroutine uses it at a time.
+type FingerprintScratch struct{ w fpWriter }
+
+// Fingerprint is f.Fingerprint() on the scratch: the same stream into
+// the same hash, so the same digest.
+func (s *FingerprintScratch) Fingerprint(f *Func) Digest {
 	stmts := 0
 	for _, b := range f.Blocks {
 		stmts += len(b.Stmts)
 	}
-	w := &fpWriter{
-		buf:   make([]byte, 0, fpBytesPerStmt*stmts+fpBytesFixed),
-		walk:  NewWalk(),
-		reg:   make([]uint64, len(f.Regs)),
-		sym:   make(map[*Sym]uint64, len(f.Params)+len(f.Locals)),
-		block: make(map[*Block]uint64, len(f.Blocks)),
-		fn:    f,
+	w := &s.w
+	if n := fpBytesPerStmt*stmts + fpBytesFixed; cap(w.buf) < n {
+		w.buf = make([]byte, 0, n)
+	} else {
+		w.buf = w.buf[:0]
 	}
+	w.walk = NewWalk()
+	if cap(w.reg) < len(f.Regs) {
+		w.reg = make([]uint64, len(f.Regs))
+	} else {
+		w.reg = w.reg[:len(f.Regs)]
+		clear(w.reg)
+	}
+	clear(w.undeclared)
+	if w.sym == nil {
+		w.sym = make(map[*Sym]uint64, len(f.Params)+len(f.Locals))
+		w.block = make(map[*Block]uint64, len(f.Blocks))
+	} else {
+		clear(w.sym)
+		clear(w.block)
+	}
+	w.fn, w.nextID = f, 0
+
 	w.str("marion-ir-fp-v1")
 	w.byte(byte(f.RetType))
 	w.i64(int64(f.LocalFrame))

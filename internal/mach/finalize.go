@@ -112,8 +112,16 @@ func (m *Machine) Finalize() error {
 	// Dense physical register numbering.
 	m.NumPhys = 0
 	for _, rs := range m.RegSets {
-		rs.PhysBase = PhysID(m.NumPhys)
 		m.NumPhys += rs.Count()
+	}
+	if m.NumPhys > MaxPhys {
+		return fmt.Errorf("machine %s declares %d physical registers; a PhysID numbers at most %d",
+			m.Name, m.NumPhys, MaxPhys)
+	}
+	base := 0
+	for _, rs := range m.RegSets {
+		rs.PhysBase = PhysID(base)
+		base += rs.Count()
 	}
 
 	// Alias table from register overlaps.

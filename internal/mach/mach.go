@@ -6,6 +6,7 @@ package mach
 
 import (
 	"fmt"
+	"math"
 
 	"marion/internal/ir"
 )
@@ -45,10 +46,14 @@ func (c *ClassSet) Add(id int) { c[id/64] |= 1 << uint(id%64) }
 func (c ClassSet) Has(id int) bool { return c[id/64]&(1<<uint(id%64)) != 0 }
 
 // PhysID is a dense index over all physical registers of a machine.
-type PhysID int
+type PhysID int16
 
 // NoPhys means "no physical register".
 const NoPhys PhysID = -1
+
+// MaxPhys is the most physical registers a machine may declare: every
+// PhysID from 0 to MaxPhys-1 fits the type.
+const MaxPhys = math.MaxInt16 + 1
 
 // RegSet is an array of registers declared with %reg.
 type RegSet struct {

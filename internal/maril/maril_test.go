@@ -1,6 +1,7 @@
 package maril
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -373,5 +374,38 @@ instr {
 	al = m.Aliases(r.Phys(2))
 	if len(al) != 2 || al[1] != d.Phys(1) {
 		t.Errorf("r2 aliases = %v, want d1", al)
+	}
+}
+
+// A machine numbers its physical registers densely in a mach.PhysID, so
+// a description declaring more than the type can number is refused by
+// name, not numbered modulo its range. Exactly mach.MaxPhys is accepted.
+func TestTooManyPhysicalRegisters(t *testing.T) {
+	desc := func(hi int) string {
+		return fmt.Sprintf(`
+declare { %%reg r[0:31] (int); %%reg x[0:%d] (int); %%resource A; }
+cwvm { %%general (int) r; %%allocable r[0:1]; %%calleesave r[1:1];
+       %%sp r[1]; %%fp r[1]; %%retaddr r[0]; }
+instr { %%instr add r, r, r {$1 = $2 + $3;} [A] (1,1,0) }`, hi)
+	}
+	hi := mach.MaxPhys - 32 - 1 // x[0:hi] brings the total to MaxPhys
+	m, err := Parse("wide", desc(hi))
+	if err != nil {
+		t.Fatalf("%d registers: %v", mach.MaxPhys, err)
+	}
+	if m.NumPhys != mach.MaxPhys {
+		t.Fatalf("NumPhys = %d, want %d", m.NumPhys, mach.MaxPhys)
+	}
+	if last := m.RegSet("x").Phys(hi); int(last) != mach.MaxPhys-1 {
+		t.Fatalf("last register numbered %d, want %d", last, mach.MaxPhys-1)
+	}
+	_, err = Parse("wider", desc(hi+1))
+	if err == nil {
+		t.Fatalf("%d registers accepted", mach.MaxPhys+1)
+	}
+	for _, want := range []string{"wider", fmt.Sprint(mach.MaxPhys + 1)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }

@@ -337,6 +337,9 @@ type worker struct {
 	// compiled; its slab holds the nodes the rewrites build, for every
 	// function the worker compiles. It is made by the first miss.
 	undo *xform.Log
+	// fp is the fingerprint's scratch, reset by every function the
+	// worker looks up in the cache.
+	fp ir.FingerprintScratch
 }
 
 // keyParts carries the per-run cache key components; nil means the
@@ -372,7 +375,7 @@ func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *i
 	if keys != nil {
 		start := time.Now()
 		csp := fnSpan.Child("cache")
-		key = cache.FuncKey(fn.Fingerprint(), keys.mach, keys.cfg)
+		key = cache.FuncKey(w.fp.Fingerprint(fn), keys.mach, keys.cfg)
 		if res := p.cacheLookup(key, m, fn, cfg); res != nil {
 			csp.Attr("result", "hit")
 			csp.End()

@@ -57,7 +57,7 @@ func TestEstimateAppliesMidBlockCallSlots(t *testing.T) {
 	irb := fn.NewBlock()
 	af := &asm.Func{Name: "t", IR: fn}
 	call := asm.New(jal, asm.Operand{Kind: asm.OpSym, Sym: &ir.Sym{Name: "g", Kind: ir.SymFunc}})
-	call.ImpDefs = m.CallerSave()
+	call.Imp = &asm.Implicit{Defs: m.CallerSave()}
 	b := &asm.Block{IR: irb, Insts: []*asm.Inst{
 		asm.New(add, asm.Reg(0), asm.Phys(r.Phys(4)), asm.Phys(r.Phys(4))),
 		call,

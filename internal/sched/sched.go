@@ -196,12 +196,12 @@ func Apply(m *mach.Machine, b *asm.Block, res Result) {
 	var lay slotLayout
 	for k, i := range res.Order {
 		in := b.Insts[i]
-		var slots int
-		in.Cycle, slots = lay.place(in.Tmpl, res.Cycles[k])
+		c, slots := lay.place(in.Tmpl, res.Cycles[k])
+		in.Cycle = int32(c)
 		out = append(out, in)
 		for s := 0; s < slots; s++ {
 			nop := asm.New(m.Nop)
-			nop.Cycle = in.Cycle + 1 + s
+			nop.Cycle = int32(c + 1 + s)
 			out = append(out, nop)
 		}
 	}

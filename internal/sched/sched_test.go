@@ -334,7 +334,7 @@ func TestTemporalPipelineOverlap(t *testing.T) {
 		}
 	}
 	// Rule 1: the second Ml may not issue before the first sequence's M2.
-	var m2c, ml2c = -1, -1
+	var m2c, ml2c int32 = -1, -1
 	seenMl := false
 	for _, in := range b.Insts {
 		switch {
@@ -431,7 +431,7 @@ instr {
 // reverse sweep over the thread misses the path and inserts it.)
 func testProtectionAcrossClocks(t *testing.T) {
 	m := loadDesc(t, eap2Desc)
-	inst := func(label string, seq int, args ...asm.Operand) *asm.Inst {
+	inst := func(label string, seq int32, args ...asm.Operand) *asm.Inst {
 		in := asm.New(m.InstrByLabel(label), args...)
 		in.SeqID = seq
 		return in

@@ -65,7 +65,7 @@ func slotResourceFree(b *asm.Block, x, slot *asm.Inst) bool {
 		}
 		for cx, rx := range x.Tmpl.ResVec {
 			for cy, ry := range y.Tmpl.ResVec {
-				if slot.Cycle+cx == y.Cycle+cy && rx&ry != 0 {
+				if int(slot.Cycle)+cx == int(y.Cycle)+cy && rx&ry != 0 {
 					return false
 				}
 			}
@@ -99,7 +99,7 @@ func fillBlock(m *mach.Machine, b *asm.Block) int {
 				x := b.Insts[ci]
 				t := x.Tmpl
 				if t.Transfers() || t == m.Nop ||
-					len(x.ImpDefs) > 0 || len(x.ImpUses) > 0 ||
+					len(x.ImpDefs()) > 0 || len(x.ImpUses()) > 0 ||
 					len(t.ReadsTRegs) > 0 || len(t.WritesTRegs) > 0 ||
 					t.AffectsClock >= 0 {
 					// Stop at other transfers entirely: everything above
@@ -153,9 +153,7 @@ func fillBlock(m *mach.Machine, b *asm.Block) int {
 	// Recompute the block cost from the final cycles.
 	maxCycle := 0
 	for _, in := range b.Insts {
-		if in.Cycle > maxCycle {
-			maxCycle = in.Cycle
-		}
+		maxCycle = max(maxCycle, int(in.Cycle))
 	}
 	if len(b.Insts) > 0 {
 		b.SchedCost = maxCycle + 1

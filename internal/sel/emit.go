@@ -111,7 +111,7 @@ func (s *selector) selectRet(n *ir.Node) error {
 		return fmt.Errorf("machine %s has no return instruction", s.m.Name)
 	}
 	in := s.slab.inst(tmpl, s.slab.args(len(tmpl.Operands)))
-	in.ImpUses = append(imp, s.m.Cwvm.RetAddr.Phys())
+	in.Imp = s.slab.implicit(append(imp, s.m.Cwvm.RetAddr.Phys()), nil)
 	s.emit(in)
 	return nil
 }
@@ -186,11 +186,11 @@ func (s *selector) selectCall(n *ir.Node) (asm.Operand, error) {
 	args := s.slab.args(len(callTmpl.Operands))
 	args[callTmpl.BranchOp] = asm.Operand{Kind: asm.OpSym, Sym: n.Sym}
 	in := s.slab.inst(callTmpl, args)
-	in.ImpUses = argRegs
-	in.ImpDefs = append(s.m.CallerSave(), s.m.Cwvm.RetAddr.Phys())
+	defs := append(s.m.CallerSave(), s.m.Cwvm.RetAddr.Phys())
 	for _, r := range s.m.Cwvm.Results {
-		in.ImpDefs = append(in.ImpDefs, r.Ref.Phys())
+		defs = append(defs, r.Ref.Phys())
 	}
+	in.Imp = s.slab.implicit(argRegs, defs)
 	s.emit(in)
 
 	// Result.
@@ -291,11 +291,14 @@ func FindMoveTmpl(m *mach.Machine, set *mach.RegSet) *mach.Instr {
 // node, so four or five chunks), so a small function pays for small
 // chunks. The zero slab allocates each one separately, which is what
 // the exported builders want: the strategies and the allocator add a
-// few instructions each, whenever.
+// few instructions each, whenever. The implicit effects of returns and
+// calls come from a chunk of two: a function has a return or two and
+// seldom a call.
 type slab struct {
 	chunk int
 	ops   []asm.Operand
 	insts []asm.Inst
+	imps  []asm.Implicit
 }
 
 // args returns n zeroed operands nothing else refers to.
@@ -315,6 +318,15 @@ func (a *slab) inst(tmpl *mach.Instr, args []asm.Operand) *asm.Inst {
 	}
 	a.insts = append(a.insts, asm.Inst{Tmpl: tmpl, Args: args, Cycle: -1})
 	return &a.insts[len(a.insts)-1]
+}
+
+// implicit returns the implicit effects uses and defs.
+func (a *slab) implicit(uses, defs []mach.PhysID) *asm.Implicit {
+	if len(a.imps) == cap(a.imps) {
+		a.imps = make([]asm.Implicit, 0, 2)
+	}
+	a.imps = append(a.imps, asm.Implicit{Uses: uses, Defs: defs})
+	return &a.imps[len(a.imps)-1]
 }
 
 // BuildMove builds the instruction(s) moving src into dst (same set).
@@ -391,7 +403,7 @@ func appendSeq(a *slab, m *mach.Machine, af *asm.Func, out []*asm.Inst, tmpl *ma
 func halfOf(m *mach.Machine, op asm.Operand, half int) (asm.Operand, error) {
 	switch op.Kind {
 	case asm.OpPseudo:
-		return asm.Operand{Kind: asm.OpPseudoHalf, Pseudo: op.Pseudo, Half: half}, nil
+		return asm.Operand{Kind: asm.OpPseudoHalf, Pseudo: op.Pseudo, Half: uint8(half)}, nil
 	case asm.OpPhys:
 		al := m.Aliases(op.Phys)
 		if len(al) < 2+half {

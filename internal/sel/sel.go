@@ -72,9 +72,9 @@ func SelectOpts(m *mach.Machine, fn *ir.Func, opts Options) (*asm.Func, Counters
 		linear:   opts.Linear || !m.SelIndexed(),
 		memo:     make([]nodeMemo, nodes),
 		out:      make([]*asm.Inst, 0, nodes),
-		binds:    make([]binding, 0, 32),
 		slab:     slab{chunk: nodes},
 	}
+	s.binds = s.bindBuf[:0]
 	s.af.Pseudos = make([]asm.PseudoInfo, 0, len(fn.Regs)+nodes/2)
 	// Bind parameters to pseudo-registers up front so the entry moves
 	// (inserted by the strategy) target the right pseudos.
@@ -158,9 +158,11 @@ type selector struct {
 
 	// binds is the stack match attempts take their bindings from: an
 	// attempt pushes one binding per template operand (pushBinds) and
-	// pops to its mark when it fails or has emitted.
-	binds []binding
-	slab  slab
+	// pops to its mark when it fails or has emitted. It starts in
+	// bindBuf, part of the selector's own allocation.
+	binds   []binding
+	bindBuf [32]binding
+	slab    slab
 }
 
 // state returns n's memo entry, numbering n on its first visit.

@@ -201,12 +201,12 @@ int f(int a) { return g(a) + 1; }`, "f")
 	if call == nil {
 		t.Fatalf("no call:\n%s", asmText(af))
 	}
-	if len(call.ImpDefs) == 0 || len(call.ImpUses) != 1 {
-		t.Errorf("call implicit effects: uses=%v defs=%v", call.ImpUses, call.ImpDefs)
+	if len(call.ImpDefs()) == 0 || len(call.ImpUses()) != 1 {
+		t.Errorf("call implicit effects: uses=%v defs=%v", call.ImpUses(), call.ImpDefs())
 	}
 	r := m.RegSet("r")
-	if call.ImpUses[0] != r.Phys(2) {
-		t.Errorf("first int arg should be r2, got %v", call.ImpUses[0])
+	if call.ImpUses()[0] != r.Phys(2) {
+		t.Errorf("first int arg should be r2, got %v", call.ImpUses()[0])
 	}
 	if !af.UsesCalls {
 		t.Error("UsesCalls not set")

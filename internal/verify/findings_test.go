@@ -114,7 +114,7 @@ func perturb(af *asm.Func, rng *rand.Rand) {
 				if d >= 0 {
 					d++
 				}
-				a.Cycle = max(0, a.Cycle+d)
+				a.Cycle = max(0, a.Cycle+int32(d))
 			case 1:
 				b.Insts[i], b.Insts[i+1] = c, a
 				a.Cycle, c.Cycle = c.Cycle, a.Cycle

@@ -20,7 +20,7 @@ type loc struct {
 // latchOwner remembers the live value of one +temporal latch set.
 type latchOwner struct {
 	block int32 // stamp: live while it equals the current block
-	seq   int   // sequence identity of the writer (asm.Inst.SeqID)
+	seq   int32 // sequence identity of the writer (asm.Inst.SeqID)
 	idx   int   // writing instruction's index
 	time  int   // issue cycle of the write
 	lat   int   // writer's latency
@@ -55,7 +55,7 @@ func (v *verifier) checkDataHazards(bi int, b *asm.Block, times []int) {
 					v.checkUse(bi, b, t, k, in, o)
 				}
 			}
-			for _, p := range in.ImpUses {
+			for _, p := range in.ImpUses() {
 				v.checkUse(bi, b, t, k, in, asm.Phys(p))
 			}
 			for _, ts := range in.Tmpl.ReadsTRegs {
@@ -121,7 +121,7 @@ func (v *verifier) checkDataHazards(bi int, b *asm.Block, times []int) {
 					*l = loc{block: v.block, idx: int32(k), time: int32(t), sched: sched, word: v.word, wordIdx: int32(k)}
 				}
 			}
-			for _, p := range in.ImpDefs {
+			for _, p := range in.ImpDefs() {
 				// Implicit defs (a call's clobber set) participate in
 				// dependence tracking but not in the same-word
 				// double-write check: they are a summary, not a write

@@ -60,7 +60,7 @@ func findConsumer(b *asm.Block, i int, p mach.PhysID, lat int) int {
 				uses = true
 			}
 		}
-		if uses && !in.Tmpl.Transfers() && in.Cycle-prod.Cycle >= lat {
+		if uses && !in.Tmpl.Transfers() && int(in.Cycle-prod.Cycle) >= lat {
 			return j
 		}
 		for _, dOp := range in.Tmpl.DefOps {
@@ -77,7 +77,7 @@ func findConsumer(b *asm.Block, i int, p mach.PhysID, lat int) int {
 
 // moveTo reissues instruction j at the given cycle, repositioning it so
 // block order stays cycle-sorted.
-func moveTo(b *asm.Block, j, cycle int) {
+func moveTo(b *asm.Block, j int, cycle int32) {
 	in := b.Insts[j]
 	b.Insts = slices.Delete(b.Insts, j, j+1)
 	in.Cycle = cycle

@@ -280,7 +280,7 @@ func (v *verifier) checkClobbers(use, def sets) {
 			if j := afterSlots(times, i, in); j < len(times) {
 				after = v.snaps.at(snapAt[j] - 1)
 			}
-			for _, p := range in.ImpDefs {
+			for _, p := range in.ImpDefs() {
 				if after.has(int(p)) && !results.has(int(p)) {
 					v.addf(bi, i, times[i], KindRegister,
 						"%s clobbers %s, which is live after the call",
@@ -292,7 +292,7 @@ func (v *verifier) checkClobbers(use, def sets) {
 }
 
 // clobbers reports whether in is a call with a clobber set.
-func clobbers(in *asm.Inst) bool { return in.Tmpl.IsCall && len(in.ImpDefs) > 0 }
+func clobbers(in *asm.Inst) bool { return in.Tmpl.IsCall && len(in.ImpDefs()) > 0 }
 
 // afterSlots returns the first instruction after call i's delay slots:
 // they execute before control reaches the callee, so the clobber takes
@@ -348,7 +348,7 @@ func (v *verifier) instUses(in *asm.Inst, f func(mach.PhysID)) {
 			f(o.Phys)
 		}
 	}
-	for _, p := range in.ImpUses {
+	for _, p := range in.ImpUses() {
 		f(p)
 	}
 }
@@ -361,7 +361,7 @@ func (v *verifier) instDefs(in *asm.Inst, f func(mach.PhysID)) {
 			f(o.Phys)
 		}
 	}
-	for _, p := range in.ImpDefs {
+	for _, p := range in.ImpDefs() {
 		f(p)
 	}
 }

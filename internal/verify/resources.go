@@ -163,7 +163,7 @@ func (v *verifier) checkSlots(bi int, b *asm.Block, times []int, ti, next int) {
 func slotSafe(in *asm.Inst) bool {
 	t := in.Tmpl
 	return !t.Transfers() &&
-		len(in.ImpUses) == 0 && len(in.ImpDefs) == 0 &&
+		len(in.ImpUses()) == 0 && len(in.ImpDefs()) == 0 &&
 		len(t.ReadsTRegs) == 0 && len(t.WritesTRegs) == 0 &&
 		t.AffectsClock < 0
 }

@@ -25,10 +25,10 @@ func (v *verifier) timeline(bi int, b *asm.Block) []int {
 	t := -1
 	prev := -1 // last scheduled cycle seen, -1 before the first
 	for i := 0; i < len(b.Insts); {
-		c := b.Insts[i].Cycle
+		c := int(b.Insts[i].Cycle)
 		j := i + 1
 		if c >= 0 {
-			for j < len(b.Insts) && b.Insts[j].Cycle == c {
+			for j < len(b.Insts) && int(b.Insts[j].Cycle) == c {
 				j++
 			}
 		}
