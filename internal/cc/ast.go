@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"marion/internal/ir"
@@ -180,7 +181,7 @@ type Obj struct {
 	Name string
 	Kind ObjKind
 	Type *CType
-	Line int
+	Line int32
 	// InitI / InitF hold constant initializer data for globals.
 	InitI []int64
 	InitF []float64
@@ -201,28 +202,37 @@ const (
 	ECond   // ?: with C condition, L true-arm, R false-arm
 	ECall   // L = callee (EIdent), Args
 	EIndex  // L[R]
-	ECast   // (CastType)L
+	ECast   // (Type)L
 	EPreIncDec
 	EPostIncDec
 )
 
-// Expr is an expression AST node. Type is filled by the type checker.
+// Expr is an expression AST node. Type is filled by the type checker,
+// except an ECast's, which the parser sets to the cast's target. A unit
+// is parsed into thousands of these, so the layout is kept tight
+// (TestLayout pins it).
 type Expr struct {
 	Kind ExprKind
 	Op   Tok
+	Line int32
 	L, R *Expr
 	C    *Expr // ECond condition
 	Args []*Expr
 
 	Name string
 	Obj  *Obj // resolved by sema for EIdent / ECall callee
+	// IVal is an EIntLit's value and an EFloatLit's IEEE bits: read
+	// those through Float.
 	IVal int64
-	FVal float64
 
-	CastType *CType
-	Type     *CType
-	Line     int
+	Type *CType
 }
+
+// Float returns the value of an EFloatLit, whose bits IVal holds.
+func (e *Expr) Float() float64 { return math.Float64frombits(uint64(e.IVal)) }
+
+// floatBits is the IVal of a float literal of value v.
+func floatBits(v float64) int64 { return int64(math.Float64bits(v)) }
 
 // StmtKind classifies a statement node.
 type StmtKind uint8
@@ -241,23 +251,23 @@ const (
 	SEmpty
 )
 
-// Stmt is a statement AST node.
+// Stmt is a statement AST node; TestLayout pins its size as Expr's.
 type Stmt struct {
 	Kind StmtKind
-	E    *Expr // SExpr, SReturn value
-	Init *Stmt // SFor init (SExpr or SDecl)
-	Cond *Expr
-	Post *Expr
-	Body *Stmt
-	Else *Stmt
-	List []*Stmt // SBlock
-	Decl *Obj    // SDecl
-	// DeclInit is the initializer of a local declaration.
-	DeclInit *Expr
 	// NoScope marks a synthetic block (a multi-declarator declaration)
 	// that must not open a new scope.
 	NoScope bool
-	Line    int
+	Line    int32
+	E       *Expr // SExpr, SReturn value
+	Init    *Stmt // SFor init (SExpr or SDecl)
+	Cond    *Expr
+	Post    *Expr
+	Body    *Stmt
+	Else    *Stmt
+	List    []*Stmt // SBlock
+	Decl    *Obj    // SDecl
+	// DeclInit is the initializer of a local declaration.
+	DeclInit *Expr
 }
 
 // FuncDecl is a function definition.
@@ -267,7 +277,7 @@ type FuncDecl struct {
 	Body   *Stmt
 	// Locals is filled by sema: every local declared anywhere in the body.
 	Locals []*Obj
-	Line   int
+	Line   int32
 }
 
 // File is a parsed translation unit.

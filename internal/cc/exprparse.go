@@ -117,7 +117,7 @@ func (p *parser) unaryExpr() (*Expr, error) {
 				return k, nil
 			}
 			if k.Kind == EFloatLit {
-				k.FVal = -k.FVal
+				k.IVal = floatBits(-k.Float())
 				return k, nil
 			}
 		}
@@ -169,7 +169,7 @@ func (p *parser) unaryExpr() (*Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return p.slab.expr(Expr{Kind: ECast, CastType: ty, L: k, Line: line}), nil
+			return p.slab.expr(Expr{Kind: ECast, Type: ty, L: k, Line: line}), nil
 		}
 	}
 	return p.postfixExpr()
@@ -241,8 +241,8 @@ func (p *parser) primaryExpr() (*Expr, error) {
 		v := p.tok.IVal
 		return p.slab.expr(Expr{Kind: EIntLit, IVal: v, Line: line}), p.advance()
 	case TFloatLit:
-		v := p.tok.FVal
-		return p.slab.expr(Expr{Kind: EFloatLit, FVal: v, Line: line}), p.advance()
+		v := floatBits(p.tok.FVal)
+		return p.slab.expr(Expr{Kind: EFloatLit, IVal: v, Line: line}), p.advance()
 	case TIdent:
 		name := p.tok.Text
 		return p.slab.expr(Expr{Kind: EIdent, Name: name, Line: line}), p.advance()

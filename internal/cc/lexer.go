@@ -121,7 +121,7 @@ type Token struct {
 	Text string
 	IVal int64
 	FVal float64
-	Line int
+	Line int32
 }
 
 // Error is a front end diagnostic.
@@ -137,11 +137,11 @@ type lexer struct {
 	file string
 	src  string
 	pos  int
-	line int
+	line int32
 }
 
 func (lx *lexer) errf(format string, args ...interface{}) *Error {
-	return &Error{File: lx.file, Line: lx.line, Msg: fmt.Sprintf(format, args...)}
+	return &Error{File: lx.file, Line: int(lx.line), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (lx *lexer) at(off int) byte {

@@ -39,7 +39,7 @@ func (p *parser) stmtList(base int) []*Stmt {
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
-	return &Error{File: p.lx.file, Line: p.tok.Line, Msg: fmt.Sprintf(format, args...)}
+	return &Error{File: p.lx.file, Line: int(p.tok.Line), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *parser) advance() error {
@@ -603,7 +603,7 @@ func (p *parser) evalConst(e *Expr) (int64, float64, bool, error) {
 	case EIntLit:
 		return e.IVal, 0, false, nil
 	case EFloatLit:
-		return 0, e.FVal, true, nil
+		return 0, e.Float(), true, nil
 	case EUnary:
 		iv, fv, isF, err := p.evalConst(e.L)
 		if err != nil {
@@ -676,7 +676,7 @@ func (p *parser) evalConst(e *Expr) (int64, float64, bool, error) {
 		if err != nil {
 			return 0, 0, false, err
 		}
-		if e.CastType.IsFloat() {
+		if e.Type.IsFloat() {
 			if !isF {
 				fv = float64(iv)
 			}

@@ -5,7 +5,7 @@ import "fmt"
 // Check resolves names and types the file, inserting implicit conversions
 // so that the lowering pass sees fully typed, explicitly converted trees.
 func Check(f *File) error {
-	s := &sema{file: f.Name, scopes: []map[string]*Obj{{}}, slab: &f.slab}
+	s := &sema{file: f.Name, globals: map[string]*Obj{}, slab: &f.slab}
 	for _, g := range f.Globals {
 		if err := s.declare(g); err != nil {
 			return err
@@ -34,37 +34,57 @@ func Check(f *File) error {
 }
 
 type sema struct {
-	file   string
-	scopes []map[string]*Obj
-	fn     *FuncDecl
-	loops  int
+	file string
+	// globals is the file scope. The scopes of a function body are one
+	// stack, locals, innermost name last; marks[i] is the length locals
+	// had when the i-th open scope began. A scope holds few names, so
+	// scanning them beats hashing, and closing one allocates nothing.
+	globals map[string]*Obj
+	locals  []*Obj
+	marks   []int
+	fn      *FuncDecl
+	loops   int
 	// slab is the parser's: the casts sema inserts are carved from it.
 	slab *slab
 }
 
-func (s *sema) errf(line int, format string, args ...interface{}) error {
-	return &Error{File: s.file, Line: line, Msg: fmt.Sprintf(format, args...)}
+func (s *sema) errf(line int32, format string, args ...interface{}) error {
+	return &Error{File: s.file, Line: int(line), Msg: fmt.Sprintf(format, args...)}
 }
 
-func (s *sema) push() { s.scopes = append(s.scopes, map[string]*Obj{}) }
-func (s *sema) pop()  { s.scopes = s.scopes[:len(s.scopes)-1] }
+func (s *sema) push() { s.marks = append(s.marks, len(s.locals)) }
 
+func (s *sema) pop() {
+	top := len(s.marks) - 1
+	s.locals, s.marks = s.locals[:s.marks[top]], s.marks[:top]
+}
+
+// declare adds o to the innermost open scope, the file scope when no
+// function's is open.
 func (s *sema) declare(o *Obj) error {
-	top := s.scopes[len(s.scopes)-1]
-	if _, ok := top[o.Name]; ok {
-		return s.errf(o.Line, "redeclaration of %q", o.Name)
+	if len(s.marks) == 0 {
+		if _, ok := s.globals[o.Name]; ok {
+			return s.errf(o.Line, "redeclaration of %q", o.Name)
+		}
+		s.globals[o.Name] = o
+		return nil
 	}
-	top[o.Name] = o
+	for _, l := range s.locals[s.marks[len(s.marks)-1]:] {
+		if l.Name == o.Name {
+			return s.errf(o.Line, "redeclaration of %q", o.Name)
+		}
+	}
+	s.locals = append(s.locals, o)
 	return nil
 }
 
 func (s *sema) lookup(name string) *Obj {
-	for i := len(s.scopes) - 1; i >= 0; i-- {
-		if o, ok := s.scopes[i][name]; ok {
+	for i := len(s.locals) - 1; i >= 0; i-- {
+		if o := s.locals[i]; o.Name == name {
 			return o
 		}
 	}
-	return nil
+	return s.globals[name]
 }
 
 func (s *sema) checkFunc(fd *FuncDecl) error {
@@ -221,14 +241,14 @@ func (s *sema) convert(e *Expr, ty *CType) *Expr {
 		return e
 	}
 	if e.Type.IsArith() && ty.IsArith() {
-		return s.slab.expr(Expr{Kind: ECast, CastType: ty, L: e, Type: ty, Line: e.Line})
+		return s.slab.expr(Expr{Kind: ECast, L: e, Type: ty, Line: e.Line})
 	}
 	if e.Type.Kind == KPtr && ty.Kind == KPtr {
 		// Pointer conversions are free (same representation).
-		return s.slab.expr(Expr{Kind: ECast, CastType: ty, L: e, Type: ty, Line: e.Line})
+		return s.slab.expr(Expr{Kind: ECast, L: e, Type: ty, Line: e.Line})
 	}
 	if e.Kind == EIntLit && e.IVal == 0 && ty.Kind == KPtr {
-		return s.slab.expr(Expr{Kind: ECast, CastType: ty, L: e, Type: ty, Line: e.Line})
+		return s.slab.expr(Expr{Kind: ECast, L: e, Type: ty, Line: e.Line})
 	}
 	return nil
 }
@@ -474,17 +494,17 @@ func (s *sema) checkExpr(e *Expr) error {
 			return err
 		}
 		decay(e.L)
-		if !e.CastType.IsScalar() && e.CastType.Kind != KVoid {
-			return s.errf(e.Line, "bad cast target %s", e.CastType)
+		// The parser put the cast's target in Type.
+		if !e.Type.IsScalar() && e.Type.Kind != KVoid {
+			return s.errf(e.Line, "bad cast target %s", e.Type)
 		}
 		if !e.L.Type.IsScalar() {
 			return s.errf(e.Line, "bad cast operand")
 		}
-		if e.L.Type.Kind == KPtr && e.CastType.IsFloat() ||
-			e.L.Type.IsFloat() && e.CastType.Kind == KPtr {
+		if e.L.Type.Kind == KPtr && e.Type.IsFloat() ||
+			e.L.Type.IsFloat() && e.Type.Kind == KPtr {
 			return s.errf(e.Line, "cannot cast between pointer and floating type")
 		}
-		e.Type = e.CastType
 
 	case EPreIncDec, EPostIncDec:
 		if err := s.checkExpr(e.L); err != nil {

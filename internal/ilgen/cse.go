@@ -1,7 +1,7 @@
 package ilgen
 
 import (
-	"math"
+	"unsafe"
 
 	"marion/internal/ir"
 )
@@ -19,6 +19,45 @@ type cseKey struct {
 	t, from ir.Type
 }
 
+// hash mixes the key's fields into a table position. A symbol is
+// hashed by its address, which the Go heap never moves; equality still
+// compares the keys whole, so the hash decides probe order only.
+func (k *cseKey) hash() uint64 {
+	h := k.payload*0x9e3779b97f4a7c15 ^ uint64(uintptr(unsafe.Pointer(k.sym)))
+	h ^= (uint64(uint32(k.a))<<32 | uint64(uint32(k.b))) * 0xc2b2ae3d27d4eb4f
+	h ^= uint64(k.op) | uint64(k.t)<<8 | uint64(k.from)<<16
+	h ^= h >> 31
+	h *= 0xbf58476d1ce4e5b9
+	return h ^ h>>29
+}
+
+// cseEntry is one value of the block: its key and canonical node.
+type cseEntry struct {
+	key  cseKey
+	node *ir.Node
+}
+
+// cseTable value-numbers one block at a time and is kept for a whole
+// unit. Its hash index is open-addressed over a slice that is resized
+// for each block to twice the block's tree nodes (a power of two), so
+// clearing it costs the block, not the largest block seen so far, as
+// clearing a Go map would; the entries it points at are appended and
+// dropped wholesale. regVer holds the current function's register
+// versions, indexed by RegID: they only ever grow, and the index is
+// emptied between blocks, so no version is shared across blocks.
+type cseTable struct {
+	index   []int32 // 1 + the entry at a position, 0 when empty
+	mask    uint64
+	entries []cseEntry
+	regVer  []uint32
+
+	// Per block: canonical nodes are numbered on the nodes themselves
+	// by walk; memEpoch counts the stores and calls so far.
+	walk     ir.Walk
+	nextID   uint32
+	memEpoch uint64
+}
+
 // countNodes is the size of the expression under n as a tree.
 func countNodes(n *ir.Node) int {
 	c := 1
@@ -28,83 +67,114 @@ func countNodes(n *ir.Node) int {
 	return c
 }
 
-// cseBlock value-numbers the statement trees of one block, sharing
+// function starts a function with regs pseudo-registers, all at
+// version 0.
+func (t *cseTable) function(regs int) {
+	if cap(t.regVer) < regs {
+		t.regVer = make([]uint32, regs)
+	} else {
+		t.regVer = t.regVer[:regs]
+		clear(t.regVer)
+	}
+}
+
+// block value-numbers the statement trees of one block, sharing
 // identical pure subexpressions so they become multi-parent DAG nodes
 // ("local common subexpressions", paper §2.1). Register reads are
 // versioned by intervening assignments and loads by intervening stores
-// and calls, so sharing never crosses a redefinition. regVer holds the
-// function's register versions, indexed by RegID; they only ever grow,
-// and the memo is the block's own, so no version is shared across blocks.
-func cseBlock(b *ir.Block, regVer []uint32) {
+// and calls, so sharing never crosses a redefinition.
+func (t *cseTable) block(b *ir.Block) {
 	nodes := 0
 	for _, s := range b.Stmts {
 		nodes += countNodes(s)
 	}
-	memo := make(map[cseKey]*ir.Node, nodes)
-	// Canonical nodes are numbered on the nodes themselves.
-	walk, nextID := ir.NewWalk(), uint64(1)
-	idOf := func(n *ir.Node) int32 {
-		id := walk.Number(n, nextID)
-		if id == nextID {
-			nextID++
-		}
-		return int32(id)
+	size := 8
+	for size < 2*nodes {
+		size <<= 1
 	}
-	memEpoch := uint64(0)
-
-	var canon func(n *ir.Node) *ir.Node
-	canon = func(n *ir.Node) *ir.Node {
-		for i, k := range n.Kids {
-			n.Kids[i] = canon(k)
-		}
-		k := cseKey{op: n.Op, t: n.Type}
-		switch n.Op {
-		case ir.Const:
-			// A constant carries its value in IVal or, for a floating
-			// type, in FVal (ir.NewConst, ir.NewFConst). Floats are keyed
-			// on their bits: +0.0 and -0.0 are different values, and a
-			// NaN is the same value as itself.
-			if k.payload = uint64(n.IVal); n.Type.IsFloat() {
-				k.payload = math.Float64bits(n.FVal)
-			}
-		case ir.Addr:
-			k.sym = n.Sym
-		case ir.Frame, ir.Stack:
-			// no extra key
-		case ir.Reg:
-			k.payload = uint64(uint32(n.Reg))<<32 | uint64(regVer[n.Reg])
-		case ir.Load:
-			k.a, k.payload = idOf(n.Kids[0]), memEpoch
-		case ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Rem, ir.Neg, ir.And, ir.Or,
-			ir.Xor, ir.Not, ir.Shl, ir.Shr, ir.High, ir.Low, ir.Cmp,
-			ir.Eq, ir.Ne, ir.Lt, ir.Le, ir.Gt, ir.Ge:
-			k.a = idOf(n.Kids[0])
-			if len(n.Kids) > 1 {
-				k.b = idOf(n.Kids[1])
-			}
-		case ir.Cvt:
-			k.a, k.from = idOf(n.Kids[0]), n.From
-		default:
-			// Side-effecting or control nodes are never shared.
-			return n
-		}
-		if prev, ok := memo[k]; ok {
-			return prev
-		}
-		memo[k] = n
-		return n
+	if cap(t.index) < size {
+		t.index = make([]int32, size)
+	} else {
+		t.index = t.index[:size]
+		clear(t.index)
 	}
+	t.mask = uint64(size - 1)
+	if cap(t.entries) < nodes {
+		t.entries = make([]cseEntry, 0, nodes)
+	} else {
+		t.entries = t.entries[:0]
+	}
+	t.walk, t.nextID, t.memEpoch = ir.NewWalk(), 1, 0
 
 	for _, s := range b.Stmts {
 		for i, k := range s.Kids {
-			s.Kids[i] = canon(k)
+			s.Kids[i] = t.canon(k)
 		}
 		switch s.Op {
 		case ir.Asgn:
-			regVer[s.Reg]++
+			t.regVer[s.Reg]++
 		case ir.Store, ir.Call:
-			memEpoch++
+			t.memEpoch++
 		}
 	}
 	b.CountParents()
+}
+
+// idOf is the canonical id of a canonical node.
+func (t *cseTable) idOf(n *ir.Node) int32 {
+	id := t.walk.Number(n, t.nextID)
+	if id == t.nextID {
+		t.nextID++
+	}
+	return int32(id)
+}
+
+// canon canonicalizes the kids of n and returns the node that first
+// computed n's value in the block, n itself when none did.
+func (t *cseTable) canon(n *ir.Node) *ir.Node {
+	for i, k := range n.Kids {
+		n.Kids[i] = t.canon(k)
+	}
+	k := cseKey{op: n.Op, t: n.Type}
+	switch n.Op {
+	case ir.Const:
+		// A constant carries its value in IVal, a floating one as its
+		// bits (Node.Float), so floats are keyed on their bits: +0.0
+		// and -0.0 are different values, and a NaN is the same value as
+		// itself.
+		k.payload = uint64(n.IVal)
+	case ir.Addr:
+		k.sym = n.Sym
+	case ir.Frame, ir.Stack:
+		// no extra key
+	case ir.Reg:
+		k.payload = uint64(uint32(n.Reg))<<32 | uint64(t.regVer[n.Reg])
+	case ir.Load:
+		k.a, k.payload = t.idOf(n.Kids[0]), t.memEpoch
+	case ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Rem, ir.Neg, ir.And, ir.Or,
+		ir.Xor, ir.Not, ir.Shl, ir.Shr, ir.High, ir.Low, ir.Cmp,
+		ir.Eq, ir.Ne, ir.Lt, ir.Le, ir.Gt, ir.Ge:
+		k.a = t.idOf(n.Kids[0])
+		if len(n.Kids) > 1 {
+			k.b = t.idOf(n.Kids[1])
+		}
+	case ir.Cvt:
+		k.a, k.from = t.idOf(n.Kids[0]), n.From
+	default:
+		// Side-effecting or control nodes are never shared.
+		return n
+	}
+	// The index holds at most one entry per tree node of the block, so
+	// it is never more than half full and the probe ends.
+	for i := k.hash() & t.mask; ; i = (i + 1) & t.mask {
+		e := t.index[i]
+		if e == 0 {
+			t.entries = append(t.entries, cseEntry{k, n})
+			t.index[i] = int32(len(t.entries))
+			return n
+		}
+		if t.entries[e-1].key == k {
+			return t.entries[e-1].node
+		}
+	}
 }

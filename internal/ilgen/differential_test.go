@@ -52,7 +52,7 @@ func dump(b *ir.Block) string {
 			return
 		}
 		num[n] = len(num)
-		fmt.Fprintf(&sb, "(%d:%v %v %v r%d i%d f%x p%d", num[n], n.Op, n.Type, n.From, n.Reg, n.IVal, math.Float64bits(n.FVal), n.Parents)
+		fmt.Fprintf(&sb, "(%d:%v %v %v r%d i%d p%d", num[n], n.Op, n.Type, n.From, n.Reg, n.IVal, n.Parents)
 		if n.Sym != nil {
 			sb.WriteString(" " + n.Sym.Name)
 		}
@@ -71,7 +71,7 @@ func dump(b *ir.Block) string {
 
 // TestCSEMatchesReference: on every function of Livermore, examples/c,
 // the driver's big-block and pressure fixtures and the generated
-// high-pressure bodies, cseBlock shares exactly the nodes the reference
+// high-pressure bodies, the pass shares exactly the nodes the reference
 // shares. (None of these sources holds a -0.0 or a NaN constant, the
 // one place the two are meant to differ: TestCSEConstantsByBits.)
 func TestCSEMatchesReference(t *testing.T) {
@@ -98,6 +98,9 @@ func TestCSEMatchesReference(t *testing.T) {
 		units = append(units, unit{fmt.Sprintf("gen%d.c", i), gentest.Source(r, gentest.ShapeFor(r))})
 	}
 
+	// One table for the whole corpus, as Lower keeps one for a unit:
+	// every block finds it sized and filled by a different block.
+	var tab ilgen.CSETable
 	fns, shared := 0, 0
 	for _, u := range units {
 		file, err := cc.Compile(u.name, u.src)
@@ -111,9 +114,8 @@ func TestCSEMatchesReference(t *testing.T) {
 		for _, fn := range mod.Funcs {
 			fns++
 			got, want := trees(fn), trees(fn)
-			regVer := make([]uint32, len(fn.Regs))
+			ilgen.CSEFunc(&tab, got, len(fn.Regs))
 			for bi := range got {
-				ilgen.CSEBlock(got[bi], regVer)
 				ilgen.ReferenceCSE(want[bi])
 				g, w := dump(got[bi]), dump(want[bi])
 				if g != w {
@@ -140,12 +142,12 @@ func TestCSEConstantsByBits(t *testing.T) {
 		return ir.New(ir.Store, ir.F64, ir.New(ir.Frame, ir.Ptr), ir.NewFConst(ir.F64, v))
 	}
 	b := &ir.Block{Stmts: []*ir.Node{store(0), store(negZero), store(0), store(nan), store(nan), store(1.5), store(1.5)}}
-	ilgen.CSEBlock(b, nil)
+	ilgen.CSEFunc(new(ilgen.CSETable), []*ir.Block{b}, 0)
 	val := func(i int) *ir.Node { return b.Stmts[i].Kids[1] }
 	if val(0) == val(1) {
 		t.Error("+0.0 and -0.0 share a node")
 	}
-	if val(0) != val(2) || math.Signbit(val(0).FVal) || !math.Signbit(val(1).FVal) {
+	if val(0) != val(2) || math.Signbit(val(0).Float()) || !math.Signbit(val(1).Float()) {
 		t.Error("the two +0.0 do not share a node, or a zero changed sign")
 	}
 	if val(3) != val(4) {

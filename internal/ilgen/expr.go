@@ -142,7 +142,7 @@ func (g *gen) expr(e *cc.Expr) (*ir.Node, error) {
 
 	case cc.EFloatLit:
 		t := e.Type.IR()
-		s := g.floatConst(e.FVal, t)
+		s := g.floatConst(e.Float(), t)
 		return g.load(g.slab.Addr(s), 0, t), nil
 
 	case cc.EIdent:
@@ -279,9 +279,9 @@ func (g *gen) cast(v *ir.Node, from, to ir.Type) *ir.Node {
 	if v.IsConst() {
 		switch {
 		case from.IsFloat() && to.IsFloat():
-			return g.slab.FConst(to, v.FVal)
+			return g.slab.FConst(to, v.Float())
 		case from.IsFloat() && to.IsInt():
-			return g.slab.Const(to, int64(v.FVal))
+			return g.slab.Const(to, int64(v.Float()))
 		case from.IsInt() && to.IsFloat():
 			// Floating constants must live in memory.
 			s := g.floatConst(float64(v.IVal), to)

@@ -4,6 +4,7 @@ package ilgen
 
 import (
 	"fmt"
+	"math"
 
 	"marion/internal/cc"
 	"marion/internal/ir"
@@ -43,9 +44,11 @@ func Lower(file *cc.File) (*ir.Module, error) {
 	return g.m, nil
 }
 
+// fpoolKey names a pooled constant by its bits, not its value: -0.0
+// and +0.0 compare equal but are different constants.
 type fpoolKey struct {
-	v float64
-	t ir.Type
+	bits uint64
+	t    ir.Type
 }
 
 type gen struct {
@@ -62,9 +65,13 @@ type gen struct {
 	conts  []*ir.Block
 	depth  int // current loop nesting depth
 	// layout records blocks in the order they are started: the emission
-	// order, which defines branch fallthrough.
+	// order, which defines branch fallthrough. started is indexed by
+	// block ID, dense from NewBlock, and kept from function to function.
 	layout  []*ir.Block
-	started map[*ir.Block]bool
+	started []bool
+
+	// cse is the unit's value-numbering table, reused block to block.
+	cse cseTable
 
 	// slab holds the unit's nodes and kid lists; stack collects a call's
 	// arguments, which are carved once all are lowered. workLeft counts
@@ -75,13 +82,13 @@ type gen struct {
 	workLeft, workDone int
 }
 
-func (g *gen) errf(line int, format string, args ...interface{}) error {
+func (g *gen) errf(line int32, format string, args ...interface{}) error {
 	return fmt.Errorf("%s:%d: %s", g.m.Name, line, fmt.Sprintf(format, args...))
 }
 
 // floatConst returns the pool symbol holding a floating constant.
 func (g *gen) floatConst(v float64, t ir.Type) *ir.Sym {
-	k := fpoolKey{v, t}
+	k := fpoolKey{math.Float64bits(v), t}
 	if s, ok := g.fpool[k]; ok {
 		return s
 	}
@@ -227,7 +234,7 @@ func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 
 	g.cur = nil
 	g.layout = nil
-	g.started = map[*ir.Block]bool{}
+	g.started = g.started[:0]
 	g.startBlock(g.fn.NewBlock())
 	if err := g.stmt(fd.Body); err != nil {
 		return nil, err
@@ -240,9 +247,9 @@ func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 	// early but populated late (join blocks) move to their start point.
 	g.fn.Blocks = g.layout
 	g.pruneUnreachable()
-	regVer := make([]uint32, len(g.fn.Regs))
+	g.cse.function(len(g.fn.Regs))
 	for _, b := range g.fn.Blocks {
-		cseBlock(b, regVer)
+		g.cse.block(b)
 	}
 	g.fn.MarkGlobalRegs()
 	return g.fn, nil
@@ -255,8 +262,11 @@ func (g *gen) startBlock(b *ir.Block) {
 	if g.cur != nil && !g.terminated() {
 		g.cur.AddEdge(b)
 	}
-	if !g.started[b] {
-		g.started[b] = true
+	for len(g.started) <= b.ID {
+		g.started = append(g.started, false)
+	}
+	if !g.started[b.ID] {
+		g.started[b.ID] = true
 		g.layout = append(g.layout, b)
 	}
 	b.LoopDepth = g.depth

@@ -1,6 +1,7 @@
 package ilgen
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -139,6 +140,37 @@ func TestLowerFloatPool(t *testing.T) {
 	}
 	if pool == nil || len(pool.InitF) != 1 || pool.InitF[0] != 3.5 {
 		t.Fatalf("float pool sym = %+v", pool)
+	}
+}
+
+// TestLowerFloatPoolKeepsSignedZero: -0.0 and 0.0 compare equal but
+// are different constants, so each gets its own pool entry and each
+// function loads its own.
+func TestLowerFloatPoolKeepsSignedZero(t *testing.T) {
+	m := lower(t, `double a(double x) { return x * -0.0; }
+double b(double x) { return x * 0.0; }`)
+	for _, c := range []struct {
+		fn  string
+		neg bool
+	}{{"a", true}, {"b", false}} {
+		var pool *ir.Sym
+		var find func(n *ir.Node)
+		find = func(n *ir.Node) {
+			if n.Op == ir.Addr && strings.HasPrefix(n.Sym.Name, ".fc") {
+				pool = n.Sym
+			}
+			for _, k := range n.Kids {
+				find(k)
+			}
+		}
+		for _, b := range m.Lookup(c.fn).Blocks {
+			for _, s := range b.Stmts {
+				find(s)
+			}
+		}
+		if pool == nil || len(pool.InitF) != 1 || pool.InitF[0] != 0 || math.Signbit(pool.InitF[0]) != c.neg {
+			t.Errorf("%s loads its zero from %+v, want one of sign bit %v", c.fn, pool, c.neg)
+		}
 	}
 }
 

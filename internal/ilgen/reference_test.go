@@ -5,16 +5,25 @@ import "marion/internal/ir"
 // The corpus differential lives in package ilgen_test (it needs
 // internal/livermore, which imports this package); these are its doors
 // to the pass and to the oracle.
-var (
-	CSEBlock     = cseBlock
-	ReferenceCSE = referenceCSE
-)
+var ReferenceCSE = referenceCSE
 
-// referenceCSE is cseBlock as it stood before its key was narrowed and
+// CSETable is the pass's table, which Lower keeps for a whole unit.
+type CSETable = cseTable
+
+// CSEFunc value-numbers blocks as the blocks of one function with regs
+// pseudo-registers, on t as Lower does.
+func CSEFunc(t *CSETable, blocks []*ir.Block, regs int) {
+	t.function(regs)
+	for _, b := range blocks {
+		t.block(b)
+	}
+}
+
+// referenceCSE is the pass as it stood before its key was narrowed and
 // its tables sized: maps for the node ids and the register versions, an
 // 80-byte key holding a constant's float64 as such (so +0.0 and -0.0
 // are one value and a NaN is never shared), every map grown by
-// doubling. It is the oracle cseBlock is compared against.
+// doubling. It is the oracle cseTable is compared against.
 func referenceCSE(b *ir.Block) {
 	type key struct {
 		op       ir.Op
@@ -51,7 +60,9 @@ func referenceCSE(b *ir.Block) {
 		k.op, k.t = n.Op, n.Type
 		switch n.Op {
 		case ir.Const:
-			k.ival, k.fval = n.IVal, n.FVal
+			if k.ival = n.IVal; n.Type.IsFloat() {
+				k.ival, k.fval = 0, n.Float()
+			}
 		case ir.Addr:
 			k.sym = n.Sym
 		case ir.Frame, ir.Stack:

@@ -227,7 +227,7 @@ func (p *printer) raw(n *ir.Node) string {
 	switch n.Op {
 	case ir.Const:
 		if n.Type.IsFloat() {
-			return fmt.Sprintf("(const %s %s)", t, formatFloat(n.FVal))
+			return fmt.Sprintf("(const %s %s)", t, formatFloat(n.Float()))
 		}
 		return fmt.Sprintf("(const %s %d)", t, n.IVal)
 	case ir.Reg:
@@ -293,6 +293,8 @@ func Parse(name, src string) (*ir.Module, error) {
 		globals:   map[string]*ir.Sym{},
 		ambiguous: map[string]bool{},
 		fsyms:     map[string]*ir.Sym{},
+		blocks:    map[int]*ir.Block{},
+		defs:      map[int]*ir.Node{},
 	}
 	// Every node is written as one parenthesised form, and the only
 	// other form is (def $N ...), so the text states its node count; a
@@ -338,7 +340,8 @@ type parser struct {
 	slab  ir.Slab
 	stack []*ir.Node
 
-	// Per-function state.
+	// Per-function state; the two maps are emptied, not remade, from
+	// one function to the next.
 	fn     *ir.Func
 	blocks map[int]*ir.Block // by ID, including forward references
 	order  []*ir.Block       // declaration order
@@ -604,10 +607,10 @@ func (p *parser) funcHeader() error {
 		return err
 	}
 	p.fn = ir.NewFunc(n.text, ret)
-	p.blocks = map[int]*ir.Block{}
+	clear(p.blocks)
+	clear(p.defs)
 	p.order = nil
 	p.cur = nil
-	p.defs = map[int]*ir.Node{}
 	return nil
 }
 

@@ -131,7 +131,7 @@ func TestFingerprintMatchesReference(t *testing.T) {
 // block, in walk order.
 func parentCounts(b *ir.Block) []int {
 	var out []int
-	walkNodes(b.Stmts, func(n *ir.Node) { out = append(out, n.Parents) })
+	walkNodes(b.Stmts, func(n *ir.Node) { out = append(out, int(n.Parents)) })
 	return out
 }
 

@@ -40,12 +40,12 @@ type fpWriter struct {
 	// walk's epoch); a register's in reg, indexed by RegID, or — for a
 	// register the function never declared — in undeclared.
 	walk       Walk
-	reg        []uint64
-	undeclared map[RegID]uint64
-	sym        map[*Sym]uint64
+	reg        []uint32
+	undeclared map[RegID]uint32
+	sym        map[*Sym]uint32
 	block      map[*Block]uint64
 	fn         *Func
-	nextID     uint64
+	nextID     uint32
 }
 
 func (w *fpWriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
@@ -79,7 +79,7 @@ func (w *fpWriter) regID(r RegID) {
 	}
 	// Both tables hold number+1, so zero means "not numbered yet".
 	declared := uint(r) < uint(len(w.reg))
-	var id uint64
+	var id uint32
 	if declared {
 		id = w.reg[r]
 	} else {
@@ -87,20 +87,20 @@ func (w *fpWriter) regID(r RegID) {
 	}
 	if id != 0 {
 		w.byte(0xF2)
-		w.u64(id - 1)
+		w.u64(uint64(id - 1))
 		return
 	}
 	id = w.nextID
 	w.nextID++
 	w.byte(0xF1)
-	w.u64(id)
+	w.u64(uint64(id))
 	if declared {
 		w.reg[r] = id + 1
 		w.byte(byte(w.fn.Regs[r].Type))
 		return
 	}
 	if w.undeclared == nil {
-		w.undeclared = map[RegID]uint64{}
+		w.undeclared = map[RegID]uint32{}
 	}
 	w.undeclared[r] = id + 1
 }
@@ -117,14 +117,14 @@ func (w *fpWriter) symRef(s *Sym) {
 	}
 	if id, ok := w.sym[s]; ok {
 		w.byte(0xE2)
-		w.u64(id)
+		w.u64(uint64(id))
 		return
 	}
 	id := w.nextID
 	w.nextID++
 	w.sym[s] = id
 	w.byte(0xE1)
-	w.u64(id)
+	w.u64(uint64(id))
 	w.byte(byte(s.Kind))
 	w.byte(byte(s.Type))
 	w.i64(int64(s.Size))
@@ -165,7 +165,7 @@ func (w *fpWriter) nodeWalk(n *Node) {
 	}
 	if num := w.walk.Number(n, w.nextID); num != w.nextID {
 		w.byte(0xC2)
-		w.u64(num)
+		w.u64(uint64(num))
 		return
 	}
 	w.nextID++
@@ -174,8 +174,16 @@ func (w *fpWriter) nodeWalk(n *Node) {
 	w.byte(byte(n.Type))
 	switch n.Op {
 	case Const:
-		w.i64(n.IVal)
-		w.f64(n.FVal)
+		// An integer constant hashes (value, 0), a floating one
+		// (0, bits): the stream every stored cache key was made from,
+		// which no change of layout may alter.
+		if n.Type.IsFloat() {
+			w.i64(0)
+			w.u64(uint64(n.IVal))
+		} else {
+			w.i64(n.IVal)
+			w.u64(0)
+		}
 	case Reg, Asgn:
 		w.regID(n.Reg)
 	case Addr, Call:
@@ -233,14 +241,14 @@ func (s *FingerprintScratch) Fingerprint(f *Func) Digest {
 	}
 	w.walk = NewWalk()
 	if cap(w.reg) < len(f.Regs) {
-		w.reg = make([]uint64, len(f.Regs))
+		w.reg = make([]uint32, len(f.Regs))
 	} else {
 		w.reg = w.reg[:len(f.Regs)]
 		clear(w.reg)
 	}
 	clear(w.undeclared)
 	if w.sym == nil {
-		w.sym = make(map[*Sym]uint64, len(f.Params)+len(f.Locals))
+		w.sym = make(map[*Sym]uint32, len(f.Params)+len(f.Locals))
 		w.block = make(map[*Block]uint64, len(f.Blocks))
 	} else {
 		clear(w.sym)

@@ -6,6 +6,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync/atomic"
 )
@@ -65,7 +66,7 @@ const (
 	BadOp Op = iota
 
 	// Leaves.
-	Const // integer or floating constant (IVal / FVal)
+	Const // integer or floating constant (IVal; Float for a float type)
 	Reg   // pseudo-register reference (RegID)
 	Addr  // address of a symbol (Sym)
 	Frame // the frame pointer value (resolved to the CWVM %fp register)
@@ -165,6 +166,10 @@ const NoReg RegID = -1
 // Node is an IL expression node. Statement roots live in Block.Stmts in
 // source order; shared subexpressions are represented by shared *Node
 // pointers (a DAG), which the selector forces into registers.
+//
+// Every front end builds nodes by the thousand, so the layout is kept
+// tight (TestLayout pins it): a floating constant keeps its bits in IVal
+// and the 32-bit parent count shares a word with the walk number.
 type Node struct {
 	Op   Op
 	Type Type
@@ -172,22 +177,28 @@ type Node struct {
 	Reg  RegID // Reg, Asgn destination
 	Kids []*Node
 
-	IVal   int64   // Const (integer), also holds char values
-	FVal   float64 // Const (float)
-	Sym    *Sym    // Addr, Call
-	Target *Block  // Branch, Jump
+	// IVal is an integer constant's value (chars included) and, for a
+	// constant of a floating type, the IEEE bits of its value: read
+	// those through Float.
+	IVal   int64
+	Sym    *Sym   // Addr, Call
+	Target *Block // Branch, Jump
 
 	// Parents is the number of parents the node has within its block's
 	// statement DAG; maintained by CountParents. A node with more than
 	// one parent is a local common subexpression.
-	Parents int
+	Parents int32
 
-	// Walk scratch (see Walk): the epoch of the last walk that visited
-	// the node, and that walk's own number for it. Like Parents, it
-	// belongs to whoever owns the function for the moment.
+	// Walk scratch (see Walk): the number the last walk that visited the
+	// node gave it, and that walk's epoch. Like Parents, it belongs to
+	// whoever owns the function for the moment.
+	num  uint32
 	walk uint64
-	num  uint64
 }
+
+// Float returns the value of a constant of a floating type, whose bits
+// IVal holds. Compare bits, not values, where -0 and NaN matter.
+func (n *Node) Float() float64 { return math.Float64frombits(uint64(n.IVal)) }
 
 // walkEpoch hands out walk identities. Only uniqueness matters; no walk
 // reads another's epoch.
@@ -218,7 +229,7 @@ func (w Walk) Visit(n *Node) bool {
 // Number returns the number this walk gave n, which is next when n had
 // none yet: a caller numbering nodes in first-visit order advances next
 // whenever it gets next back.
-func (w Walk) Number(n *Node, next uint64) uint64 {
+func (w Walk) Number(n *Node, next uint32) uint32 {
 	if w.Visit(n) {
 		n.num = next
 	}
@@ -274,7 +285,7 @@ func (c *cloner) node(n *Node) *Node {
 	if n == nil {
 		return nil
 	}
-	if id := c.walk.Number(n, uint64(len(c.copies))); id < uint64(len(c.copies)) {
+	if id := c.walk.Number(n, uint32(len(c.copies))); int(id) < len(c.copies) {
 		return c.copies[id]
 	}
 	cp := c.slab.Node(*n)
@@ -293,7 +304,7 @@ func (n *Node) String() string {
 	switch n.Op {
 	case Const:
 		if n.Type.IsFloat() {
-			return fmt.Sprintf("%g%s", n.FVal, suffix(n.Type))
+			return fmt.Sprintf("%g%s", n.Float(), suffix(n.Type))
 		}
 		return fmt.Sprintf("%d", n.IVal)
 	case Reg:

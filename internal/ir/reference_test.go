@@ -153,8 +153,15 @@ func (w *refFpWriter) nodeWalk(n *Node) {
 	w.byte(byte(n.Type))
 	switch n.Op {
 	case Const:
-		w.i64(n.IVal)
-		w.f64(n.FVal)
+		// (IVal, FVal) as they were before a float's bits moved into
+		// IVal.
+		if n.Type.IsFloat() {
+			w.i64(0)
+			w.f64(n.Float())
+		} else {
+			w.i64(n.IVal)
+			w.f64(0)
+		}
 	case Reg, Asgn:
 		w.regID(n.Reg)
 	case Addr, Call:

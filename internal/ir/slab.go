@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math"
 	"slices"
 	"unsafe"
 )
@@ -93,7 +94,9 @@ func (s *Slab) New(op Op, t Type, kids ...*Node) *Node {
 func (s *Slab) Const(t Type, v int64) *Node { return s.Node(Node{Op: Const, Type: t, IVal: v}) }
 
 // FConst returns a floating constant node from the slab.
-func (s *Slab) FConst(t Type, v float64) *Node { return s.Node(Node{Op: Const, Type: t, FVal: v}) }
+func (s *Slab) FConst(t Type, v float64) *Node {
+	return s.Node(Node{Op: Const, Type: t, IVal: int64(math.Float64bits(v))})
+}
 
 // Reg returns a pseudo-register reference from the slab.
 func (s *Slab) Reg(t Type, r RegID) *Node { return s.Node(Node{Op: Reg, Type: t, Reg: r}) }

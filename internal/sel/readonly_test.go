@@ -42,7 +42,7 @@ func TestSelectLeavesILUntouched(t *testing.T) {
 				var visit func(n *ir.Node)
 				visit = func(n *ir.Node) {
 					if w.Visit(n) {
-						s.parents = append(s.parents, n.Parents)
+						s.parents = append(s.parents, int(n.Parents))
 						for _, k := range n.Kids {
 							visit(k)
 						}

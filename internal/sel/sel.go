@@ -19,6 +19,7 @@ package sel
 
 import (
 	"fmt"
+	"math"
 
 	"marion/internal/asm"
 	"marion/internal/ir"
@@ -144,7 +145,7 @@ type selector struct {
 	// being the next number; memo has an entry per node of the function,
 	// so no block outgrows it; selOps are the block's remembered values.
 	walk   ir.Walk
-	next   uint64
+	next   uint32
 	memo   []nodeMemo
 	selOps []asm.Operand
 
@@ -678,7 +679,10 @@ func (s *selector) matchSem(p *mach.Sem, n *ir.Node, tmpl *mach.Instr, binds []b
 
 	case mach.SemConst:
 		if p.IsFloat {
-			return n.Op == ir.Const && n.Type.IsFloat() && n.FVal == p.FVal
+			// By bits, as the IL tells constants apart: a 0.0 pattern
+			// must not capture -0, and a NaN pattern matches its NaN.
+			return n.Op == ir.Const && n.Type.IsFloat() &&
+				math.Float64bits(n.Float()) == math.Float64bits(p.FVal)
 		}
 		return n.Op == ir.Const && n.Type.IsInt() && n.IVal == p.IVal
 

@@ -75,7 +75,7 @@ func parentCounts(mod *ir.Module) []int {
 		if !w.Visit(n) {
 			return
 		}
-		out = append(out, n.Parents)
+		out = append(out, int(n.Parents))
 		for _, k := range n.Kids {
 			visit(w, k)
 		}
