@@ -8,6 +8,9 @@ package marion
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"marion/internal/asm"
@@ -17,6 +20,7 @@ import (
 	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
+	"marion/internal/mach"
 	"marion/internal/maril"
 	"marion/internal/metrics"
 	"marion/internal/regalloc"
@@ -671,6 +675,94 @@ func BenchmarkWarmHit(b *testing.B) {
 		}
 		b.SetBytes(int64(len(sink)))
 	})
+}
+
+// BenchmarkColdMiss measures what a compile request costs when no
+// function is in the cache, as mariond compiles one: each serve unit
+// of internal/sel/testdata/serve (the benchmark's serve_cold templates,
+// 8 to 20 functions each) on one worker, with the verifier on and a
+// cache of its own, so every function is a miss that is compiled,
+// admission-checked, encoded and stored; for each of the nine code
+// generators (r2000, m88000 and i860 under postpass, ips and rase). One
+// op is every unit under every generator. Lowering and the caches are
+// made outside the timer. `-memprofile` attributes B/op to the phases.
+func BenchmarkColdMiss(b *testing.B) {
+	paths, err := filepath.Glob("internal/sel/testdata/serve/mix*")
+	if err != nil || len(paths) == 0 {
+		b.Fatalf("no serve units: %v", err)
+	}
+	sort.Strings(paths)
+	srcs := make([]string, len(paths))
+	for i, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srcs[i] = string(src)
+	}
+	type gen struct {
+		m    *mach.Machine
+		kind strategy.Kind
+	}
+	var gens []gen
+	for _, target := range []string{"r2000", "m88000", "i860"} {
+		m, err := targets.Load(target)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, kind := range []strategy.Kind{strategy.Postpass, strategy.IPS, strategy.RASE} {
+			gens = append(gens, gen{m, kind})
+		}
+	}
+	type unit struct {
+		gen
+		mod *ir.Module
+		c   *cache.Cache
+	}
+	lower := func() (units []unit, funcs int) {
+		for _, g := range gens {
+			for i, path := range paths {
+				var mod *ir.Module
+				var err error
+				if strings.HasSuffix(path, ".il") {
+					mod, err = iltext.Parse(filepath.Base(path), srcs[i])
+				} else {
+					mod, err = driver.Frontend(filepath.Base(path), srcs[i])
+				}
+				if err != nil {
+					b.Fatalf("%s: %v", path, err)
+				}
+				c, err := cache.New(cache.Options{Registry: metrics.NewRegistry()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				units = append(units, unit{g, mod, c})
+				funcs += len(mod.Funcs)
+			}
+		}
+		return units, funcs
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	funcs := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		units, n := lower()
+		funcs += n
+		b.StartTimer()
+		for _, u := range units {
+			out, err := driver.CompileModule(u.m, u.mod, driver.Config{
+				Strategy: u.kind, Workers: 1, Verify: true, Cache: u.c,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if out.CacheHits != 0 || !out.Verify.Empty() {
+				b.Fatalf("%s: %d cache hits, findings:\n%s", u.mod.Name, out.CacheHits, out.Verify)
+			}
+		}
+	}
+	b.ReportMetric(float64(funcs)/float64(b.N), "functions/op")
 }
 
 // Results the compiler must not discard.

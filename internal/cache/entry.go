@@ -34,13 +34,24 @@ type Entry struct {
 // symbol names). Decode reverses the flattening against the *current*
 // machine and IR, so a hit emits labels and symbols of the module
 // being compiled, byte-identical to a cold compile.
+//
+// The payload is the caller's; Encoder.Encode is the same code on an
+// encoder that keeps its tables and buffer from one function to the next.
 func Encode(m *mach.Machine, fn *ir.Func, af *asm.Func, st *strategy.Stats, sc sel.Counters) ([]byte, error) {
-	e := &enc{
-		regSetIdx: map[*mach.RegSet]int{},
-		blockIdx:  map[*ir.Block]int{},
-		params:    map[*ir.Sym]int{},
-		locals:    map[*ir.Sym]int{},
-	}
+	return new(Encoder).Encode(m, fn, af, st, sc)
+}
+
+// Encoder is the storage encoding works in: the index maps that flatten
+// pointers and the payload buffer, emptied at the start of each use. The
+// payload an Encode returns is valid until the encoder's next Encode
+// (Cache.Put copies what it stores). The zero value is ready to use; an
+// encoder has one owner and is never shared between goroutines.
+type Encoder struct{ e enc }
+
+// Encode is the package's Encode on this encoder.
+func (x *Encoder) Encode(m *mach.Machine, fn *ir.Func, af *asm.Func, st *strategy.Stats, sc sel.Counters) ([]byte, error) {
+	e := &x.e
+	e.reset()
 	for i, rs := range m.RegSets {
 		e.regSetIdx[rs] = i
 	}
@@ -540,6 +551,22 @@ type enc struct {
 	blockIdx  map[*ir.Block]int
 	params    map[*ir.Sym]int
 	locals    map[*ir.Sym]int
+}
+
+// reset empties the buffer and the maps, making the maps on first use.
+func (e *enc) reset() {
+	e.b = e.b[:0]
+	if e.regSetIdx == nil {
+		e.regSetIdx = map[*mach.RegSet]int{}
+		e.blockIdx = map[*ir.Block]int{}
+		e.params = map[*ir.Sym]int{}
+		e.locals = map[*ir.Sym]int{}
+		return
+	}
+	clear(e.regSetIdx)
+	clear(e.blockIdx)
+	clear(e.params)
+	clear(e.locals)
 }
 
 func (e *enc) u(v uint64) { e.b = binary.AppendUvarint(e.b, v) }

@@ -68,8 +68,9 @@ type Options struct {
 // zero value is ready to use. Building block after block on one scratch
 // allocates only when a block outgrows what an earlier one left, but
 // each Build invalidates the graph the previous one returned, so a
-// scratch has one owner (strategy.Apply keeps one per function) and is
-// never shared between goroutines.
+// scratch has one owner (a strategy.Scratch's scheduler, which keeps it
+// from one function to the next) and is never shared between
+// goroutines.
 type Scratch struct {
 	graph Graph // graph.Nodes is the node slab
 

@@ -36,7 +36,9 @@ import (
 )
 
 // Ctx carries one function through the pipeline. Phases read their
-// inputs from it and write their outputs back into it.
+// inputs from it and write their outputs back into it. The runner's Ctx
+// is its claim loop's, reset for every attempt: a phase must not keep
+// it past its own return.
 type Ctx struct {
 	Machine *mach.Machine
 	// IR is the lowered function entering the back end.
@@ -75,6 +77,19 @@ type Ctx struct {
 	Verify *verify.Report
 	// Timings records per-phase wall time, appended by the runner.
 	Timings []PhaseTiming
+
+	// arena is the scratch the standard phases work in (see scratch).
+	arena *arena
+}
+
+// scratch returns the storage the standard phases work in: the claim
+// loop's arena, or for a Ctx built outside Run one of its own, made on
+// first use.
+func (c *Ctx) scratch() *arena {
+	if c.arena == nil {
+		c.arena = new(arena)
+	}
+	return c.arena
 }
 
 // PhaseTiming is one phase's wall time for one function, tagged with
@@ -114,7 +129,7 @@ func Backend() *Pipeline {
 			return nil
 		}},
 		{Name: "select", Run: func(c *Ctx) error {
-			af, counters, err := sel.SelectOpts(c.Machine, c.IR, sel.Options{Linear: c.Cfg.LinearSelect})
+			af, counters, err := c.scratch().sel.SelectOpts(c.Machine, c.IR, sel.Options{Linear: c.Cfg.LinearSelect})
 			c.Sel = counters
 			if err != nil {
 				return err
@@ -123,7 +138,7 @@ func Backend() *Pipeline {
 			return nil
 		}},
 		{Name: "strategy", Run: func(c *Ctx) error {
-			st, err := strategy.Apply(c.Machine, c.Func, c.Cfg.Strategy, c.Cfg.Options)
+			st, err := c.scratch().strategy.Apply(c.Machine, c.Func, c.Cfg.Strategy, c.Cfg.Options)
 			if err != nil {
 				return err
 			}
@@ -134,7 +149,7 @@ func Backend() *Pipeline {
 			if !c.Cfg.Verify || c.Func == nil {
 				return nil
 			}
-			c.Verify = verifyFunc(c.Machine, c.Func, &c.Cfg)
+			c.Verify = verifyFunc(&c.scratch().verify, c.Machine, c.Func, &c.Cfg)
 			return nil
 		}},
 	}}
@@ -142,8 +157,8 @@ func Backend() *Pipeline {
 
 // verifyFunc checks emitted code against the machine description under
 // the hazard rule cfg scheduled it with.
-func verifyFunc(m *mach.Machine, af *asm.Func, cfg *Config) *verify.Report {
-	return verify.Func(m, af, verify.Options{IssueOnly: cfg.Options.CurrentCycleOnly})
+func verifyFunc(vs *verify.Scratch, m *mach.Machine, af *asm.Func, cfg *Config) *verify.Report {
+	return vs.Func(m, af, verify.Options{IssueOnly: cfg.Options.CurrentCycleOnly})
 }
 
 // Config tunes one pipeline run. It is the single declaration of the
@@ -333,13 +348,34 @@ type worker struct {
 	// hists is the histogram of each phase, filled in by the first
 	// function the worker compiles (tryOne); a run of hits looks none up.
 	hists []*metrics.Histogram
-	// undo logs the glue transform's writes into the function being
-	// compiled; its slab holds the nodes the rewrites build, for every
-	// function the worker compiles. It is made by the first miss.
-	undo *xform.Log
 	// fp is the fingerprint's scratch, reset by every function the
 	// worker looks up in the cache.
 	fp ir.FingerprintScratch
+	// arena is every phase's scratch, made by the worker's first miss:
+	// a run of hits builds none.
+	arena *arena
+}
+
+// arena is the storage the back end works in for one claim loop, from
+// one function to the next. Each member is reset at the start of each
+// use, so what a function, or an attempt that failed part-way, leaves
+// in it never reaches the next; it is never shared, pooled or kept past
+// the loop.
+type arena struct {
+	// ctx is the attempt's Ctx.
+	ctx Ctx
+	// undo logs the glue transform's writes into the function being
+	// compiled; its slab holds the nodes the rewrites build, for every
+	// function the worker compiles.
+	undo xform.Log
+	// The selector's tables; the strategy's scheduler (with its code
+	// DAG) and allocator; the verifier's tables, which the verify phase,
+	// the ladder's re-check and the cache's admission check share; and
+	// the cache's encoder.
+	sel      sel.Scratch
+	strategy strategy.Scratch
+	verify   verify.Scratch
+	enc      cache.Encoder
 }
 
 // keyParts carries the per-run cache key components; nil means the
@@ -393,9 +429,11 @@ func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *i
 		return nil
 	}
 
-	rungs := []strategy.Kind{cfg.Strategy}
+	// Attempt 0 is the configured strategy, attempt i the ladder's rung
+	// chain[i-1].
+	var chain []strategy.Kind
 	if !cfg.Strict {
-		rungs = append(rungs, strategy.FallbackChain(cfg.Strategy)...)
+		chain = strategy.FallbackChain(cfg.Strategy)
 	}
 	var firstErr error
 	var firstPhase string
@@ -403,14 +441,21 @@ func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *i
 	// the accepted attempt's Result reports all work spent, not just the
 	// successful rung's share.
 	var prior []PhaseTiming
-	if w.undo == nil {
-		w.undo = new(xform.Log)
+	if w.arena == nil {
+		w.arena = new(arena)
 	}
-	for attempt, kind := range rungs {
+	undo := &w.arena.undo
+	for attempt := 0; attempt <= len(chain); attempt++ {
+		kind := cfg.Strategy
+		if attempt > 0 {
+			kind = chain[attempt-1]
+		}
 		res, timings, phase, err := p.tryOne(ctx, m, index, fn, cfg, kind, attempt, w, fnSpan)
 		if err == nil {
-			w.undo.Keep()
-			res.Timings = append(prior, res.Timings...)
+			undo.Keep()
+			if prior != nil {
+				res.Timings = append(prior, res.Timings...)
+			}
 			if attempt > 0 {
 				fnSpan.Attr("degraded", kind.String())
 				res.Fallback = &Degradation{
@@ -422,11 +467,11 @@ func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *i
 					Reason:   firstErr.Error(),
 				}
 			} else if keys != nil {
-				p.cacheStore(key, m, fn, cfg, res, fnSpan)
+				p.cacheStore(key, m, fn, cfg, res, w.arena, fnSpan)
 			}
 			return res
 		}
-		w.undo.Undo(fn)
+		undo.Undo(fn)
 		prior = append(prior, timings...)
 		if attempt == 0 {
 			firstErr, firstPhase = err, phase
@@ -439,7 +484,7 @@ func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *i
 		}
 	}
 	err := firstErr
-	if n := len(rungs) - 1; n > 0 {
+	if n := len(chain); n > 0 {
 		err = fmt.Errorf("%w (%d fallback attempt(s) also failed)", firstErr, n)
 	}
 	diags.Add(index, fn.Name, firstPhase, err)
@@ -479,7 +524,13 @@ func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *i
 			w.hists[i] = phaseHist(ph.Name)
 		}
 	}
-	c := &Ctx{Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Inject: inj, Undo: w.undo}
+	// Timings has room for every phase and the cache's store.
+	a := w.arena
+	c := &a.ctx
+	*c = Ctx{
+		Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Inject: inj, Undo: &a.undo,
+		Timings: make([]PhaseTiming, 0, len(p.Phases)+1), arena: a,
+	}
 	for i, ph := range p.Phases {
 		if err := actx.Err(); err != nil {
 			// Before the first phase no phase has started, so the
@@ -510,7 +561,7 @@ func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *i
 		rsp := asp.Child("reverify")
 		rep := c.Verify
 		if !cfg.Verify {
-			rep = verifyFunc(c.Machine, c.Func, &cfg)
+			rep = verifyFunc(&a.verify, c.Machine, c.Func, &cfg)
 		}
 		rsp.End()
 		if !rep.Empty() {
@@ -570,18 +621,18 @@ func (p *Pipeline) cacheLookup(key cache.Key, m *mach.Machine, fn *ir.Func, cfg 
 // time only (the miss path pays it once; hits never do). A result that
 // does not prove clean is simply not cached — the run's own output is
 // unaffected.
-func (p *Pipeline) cacheStore(key cache.Key, m *mach.Machine, fn *ir.Func, cfg Config, res *Result, fnSpan *trace.Span) {
+func (p *Pipeline) cacheStore(key cache.Key, m *mach.Machine, fn *ir.Func, cfg Config, res *Result, a *arena, fnSpan *trace.Span) {
 	ssp := fnSpan.Child("cachestore")
 	defer ssp.End()
 	start := time.Now()
 	rep := res.Verify
 	if rep == nil {
-		rep = verifyFunc(m, res.Func, &cfg)
+		rep = verifyFunc(&a.verify, m, res.Func, &cfg)
 	}
 	if !rep.Empty() {
 		return
 	}
-	payload, err := cache.Encode(m, fn, res.Func, res.Stats, res.Sel)
+	payload, err := a.enc.Encode(m, fn, res.Func, res.Stats, res.Sel)
 	if err != nil {
 		return
 	}

@@ -1,8 +1,10 @@
 package regalloc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"marion/internal/asm"
@@ -66,9 +68,24 @@ func Allocate(m *mach.Machine, af *asm.Func) (*Result, error) {
 	return AllocateOpts(m, af, Options{})
 }
 
-// AllocateOpts is Allocate with explicit options.
+// AllocateOpts is Allocate with explicit options, on a scratch of its
+// own.
 func AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Result, error) {
-	a := newAllocator(m, af)
+	return new(Scratch).AllocateOpts(m, af, opts)
+}
+
+// Scratch is the storage allocation works in: the machine's colouring
+// facts, built once per machine, and the per-round tables, resized to
+// each function and cleared. The zero value is ready to use. Allocating
+// function after function on one scratch allocates only the Result and
+// what outgrows an earlier function, and gives what a fresh scratch
+// gives; a scratch has one owner and is never shared between
+// goroutines.
+type Scratch struct{ a allocator }
+
+// AllocateOpts is the package's AllocateOpts on this scratch.
+func (s *Scratch) AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Result, error) {
+	a := s.a.reset(m, af)
 	res := a.res
 	if opts.SpillGlobals {
 		if err := a.spillGlobals(); err != nil {
@@ -130,22 +147,28 @@ func (a *allocator) spillGlobals() error {
 }
 
 // allocator is the state of one AllocateOpts call: the machine's
-// colouring facts, built once, and scratch sized to the function, reused
-// by every build-colour-spill round and dropped with the call.
+// colouring facts, built once per machine, and scratch sized to the
+// function, reused by every build-colour-spill round and, through a
+// Scratch, by the next call.
 type allocator struct {
 	m   *mach.Machine
 	af  *asm.Func
 	res *Result
 
-	// Machine-only facts. Register sets are named by their index in
-	// m.RegSets.
+	// Machine-only facts, valid for m. Register sets are named by their
+	// index in m.RegSets.
 	physWords  int             // words of a bitset over PhysID
 	k          []int           // per set: number of colours
 	colors     [][]mach.PhysID // per set: colours, caller-save first, then ascending
 	weight     []int           // [mine*len(k)+nb]: degreeWeight of a neighbour in set nb
 	calleeSave bitset          // over PhysID
-	succStart  []int32         // CFG successors of block i are succ[succStart[i]:succStart[i+1]],
-	succ       []int32         // as indices into af.Blocks
+
+	// Per function: the CFG successors of block i are
+	// succ[succStart[i]:succStart[i+1]], as indices into af.Blocks;
+	// byID is every block index ordered by its IR block's ID.
+	succStart []int32
+	succ      []int32
+	byID      []int32
 
 	// Per pseudo, over all rounds: index of its register set.
 	set []uint8
@@ -172,11 +195,29 @@ type allocator struct {
 	slot []int32 // per pseudo: spill slot, -1 when not being spilled
 }
 
-// newAllocator derives the machine's colouring facts: K and the colour
+// newAllocator is an allocator for af on a scratch of its own.
+func newAllocator(m *mach.Machine, af *asm.Func) *allocator {
+	return new(allocator).reset(m, af)
+}
+
+// reset readies a for allocating af: the machine's facts when m is not
+// the machine they describe, and the function's successor lists. The
+// per-round tables are resized and cleared by every build.
+func (a *allocator) reset(m *mach.Machine, af *asm.Func) *allocator {
+	if a.m != m {
+		a.machine(m)
+	}
+	a.af, a.res = af, &Result{}
+	a.set = a.set[:0]
+	a.successors()
+	return a
+}
+
+// machine derives the machine's colouring facts: K and the colour
 // order per register set, caller-save first (so callee-save stays
 // untouched when possible).
-func newAllocator(m *mach.Machine, af *asm.Func) *allocator {
-	a := &allocator{m: m, af: af, res: &Result{}, physWords: words(m.NumPhys)}
+func (a *allocator) machine(m *mach.Machine) {
+	a.m, a.physWords = m, words(m.NumPhys)
 	a.calleeSave = make(bitset, a.physWords)
 	for _, rr := range m.Cwvm.CalleeSave {
 		for i := rr.Lo; i <= rr.Hi; i++ {
@@ -231,26 +272,34 @@ func newAllocator(m *mach.Machine, af *asm.Func) *allocator {
 			a.weight[si*sets+sj] = degreeWeight(rs, nb)
 		}
 	}
+}
 
-	// Successors by block index, resolved once through the IR block's
-	// identity (its ID is whatever the IL text's label said).
-	index := make(map[*ir.Block]int32, len(af.Blocks))
+// successors resolves every block's CFG successors to block indices
+// through the IR block's identity: its ID (whatever the IL text's label
+// said) finds it in byID, and a successor outside af is dropped.
+func (a *allocator) successors() {
+	blocks := a.af.Blocks
+	a.byID = resized(a.byID, len(blocks))
 	edges := 0
-	for i, b := range af.Blocks {
-		index[b.IR] = int32(i)
+	for i, b := range blocks {
+		a.byID[i] = int32(i)
 		edges += len(b.IR.Succs)
 	}
-	a.succStart = make([]int32, len(af.Blocks)+1)
-	a.succ = make([]int32, 0, edges)
-	for i, b := range af.Blocks {
+	slices.SortFunc(a.byID, func(x, y int32) int { return cmp.Compare(blocks[x].IR.ID, blocks[y].IR.ID) })
+	a.succStart = resized(a.succStart, len(blocks)+1)
+	a.succ = slices.Grow(a.succ[:0], edges)
+	for i, b := range blocks {
 		for _, s := range b.IR.Succs {
-			if si, ok := index[s]; ok {
-				a.succ = append(a.succ, si)
+			j, _ := slices.BinarySearchFunc(a.byID, s.ID, func(x int32, id int) int { return cmp.Compare(blocks[x].IR.ID, id) })
+			for ; j < len(a.byID) && blocks[a.byID[j]].IR.ID == s.ID; j++ {
+				if blocks[a.byID[j]].IR == s {
+					a.succ = append(a.succ, a.byID[j])
+					break
+				}
 			}
 		}
 		a.succStart[i+1] = int32(len(a.succ))
 	}
-	return a
 }
 
 // resized returns s with length n and every element zero, reusing its
@@ -269,7 +318,7 @@ func resized[T any](s []T, n int) []T {
 func (a *allocator) resize() {
 	n := len(a.af.Pseudos)
 	if done := len(a.set); done < n {
-		a.set = append(make([]uint8, 0, n), a.set...)
+		a.set = slices.Grow(a.set, n-done)
 		for _, info := range a.af.Pseudos[done:] {
 			si := 0
 			for a.m.RegSets[si] != info.Set {

@@ -281,3 +281,68 @@ func TestAllocateMatchesReferenceOnGenerated(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchReuseMatchesFresh: the generated functions of
+// TestAllocateMatchesReferenceOnGenerated, all 800 allocated on one
+// Scratch — the four machines mixed, largest function first and then
+// smallest first, so the machine facts are rebuilt and every table both
+// shrinks and grows — give what a fresh scratch gives: the same Result
+// or error, and the same allocated code. Every other function forces
+// SpillGlobals, the Local strategy's option.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	type job struct {
+		where string
+		m     *mach.Machine
+		src   string
+		opts  regalloc.Options
+		size  int
+	}
+	lower := func(j job) *asm.Func {
+		mod, err := driver.Frontend("gen.c", j.src)
+		if err != nil {
+			t.Fatalf("%s: %v", j.where, err)
+		}
+		return selected(t, j.m, mod.Lookup("f"))
+	}
+	var jobs []job
+	for _, target := range genTargets {
+		m, err := targets.Load(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(1991))
+		for i := 0; i < genPerTarget; i++ {
+			j := job{where: fmt.Sprintf("%s generated #%d", target, i), m: m,
+				src: gentest.Source(r, gentest.ShapeFor(r)), opts: regalloc.Options{SpillGlobals: i%2 == 1}}
+			for _, b := range lower(j).Blocks {
+				j.size += len(b.Insts)
+			}
+			jobs = append(jobs, j)
+		}
+	}
+	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].size > jobs[b].size })
+	var sc regalloc.Scratch
+	check := func(j job) {
+		fresh, warm := lower(j), lower(j)
+		want, werr := regalloc.AllocateOpts(j.m, fresh, j.opts)
+		got, gerr := sc.AllocateOpts(j.m, warm, j.opts)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("%s: error %v on a warmed scratch, %v on a fresh one", j.where, gerr, werr)
+		}
+		if werr != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: result %+v on a warmed scratch, %+v on a fresh one", j.where, got, want)
+		}
+		if g, w := text(j.m, warm), text(j.m, fresh); g != w {
+			t.Fatalf("%s: a warmed scratch allocates\n%s\na fresh one\n%s", j.where, g, w)
+		}
+	}
+	for _, j := range jobs {
+		check(j)
+	}
+	for i := len(jobs) - 1; i >= 0; i-- {
+		check(jobs[i])
+	}
+}

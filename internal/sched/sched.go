@@ -83,8 +83,9 @@ func LiveOutPseudos(af *asm.Func, cross []bool) []bool {
 
 // Scratch is the storage scheduling works in: the code DAG's (Dag) and
 // the state of Run's cycle loop. The zero value is ready to use. A
-// strategy keeps one per function and schedules every block, in every
-// pass, on it, so only a block longer than any before it allocates —
+// strategy.Scratch keeps one from one function to the next and schedules
+// every block, in every pass, on it, so only a block longer than any
+// before it allocates —
 // beyond each Result's Order and Cycles, which are the caller's. A graph
 // built on Dag is overwritten by the next Build or Schedule, and a
 // scratch is never shared between goroutines.

@@ -62,27 +62,72 @@ func Select(m *mach.Machine, fn *ir.Func) (*asm.Func, error) {
 }
 
 // SelectOpts is Select with tuning options, also returning the
-// selection work counters.
+// selection work counters. It selects on a scratch of its own.
 func SelectOpts(m *mach.Machine, fn *ir.Func, opts Options) (*asm.Func, Counters, error) {
+	return new(Scratch).SelectOpts(m, fn, opts)
+}
+
+// Scratch is the storage selection works in: the selector with its
+// bindings stack, the per-node memo, the feasibility answers, the
+// remembered values and the IL-register map, reset at the start of each
+// use. What a selection hands out — the asm.Func, its instructions and
+// the slab they come from — is the function's own. The zero value is
+// ready to use; selecting function after function on one scratch
+// selects what a fresh scratch selects. A scratch has one owner and is
+// never shared between goroutines.
+type Scratch struct{ s selector }
+
+// SelectOpts is the package's SelectOpts on this scratch.
+func (sc *Scratch) SelectOpts(m *mach.Machine, fn *ir.Func, opts Options) (*asm.Func, Counters, error) {
+	s := &sc.s
+	s.reset(m, fn, opts)
+	af, err := s.run()
+	return af, s.counters, err
+}
+
+// reset readies the selector for fn, keeping the storage of its tables.
+func (s *selector) reset(m *mach.Machine, fn *ir.Func, opts Options) {
 	nodes := fn.NodeCount()
-	s := &selector{
+	binds := s.binds[:0]
+	if binds == nil {
+		binds = s.bindBuf[:0]
+	}
+	*s = selector{
 		m:        m,
 		irFn:     fn,
 		af:       &asm.Func{Name: fn.Name, IR: fn, Blocks: make([]*asm.Block, len(fn.Blocks))},
-		irPseudo: make([]asm.PseudoID, len(fn.Regs)),
+		irPseudo: resized(s.irPseudo, len(fn.Regs)),
 		linear:   opts.Linear || !m.SelIndexed(),
-		memo:     make([]nodeMemo, nodes),
+		memo:     resized(s.memo, nodes),
 		out:      make([]*asm.Inst, 0, nodes),
 		slab:     slab{chunk: nodes},
+		intos:    s.intos[:0],
+		selOps:   s.selOps[:0],
+		binds:    binds,
 	}
-	s.binds = s.bindBuf[:0]
 	s.af.Pseudos = make([]asm.PseudoInfo, 0, len(fn.Regs)+nodes/2)
+}
+
+// resized returns s with length n and every element zero, reusing its
+// storage when that is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// run selects the function reset named.
+func (s *selector) run() (*asm.Func, error) {
+	fn := s.irFn
 	// Bind parameters to pseudo-registers up front so the entry moves
 	// (inserted by the strategy) target the right pseudos.
 	for _, r := range fn.ParamRegs {
 		if r != ir.NoReg {
 			if _, err := s.pseudoFor(r); err != nil {
-				return nil, s.counters, err
+				return nil, err
 			}
 		}
 	}
@@ -96,14 +141,14 @@ func SelectOpts(m *mach.Machine, fn *ir.Func, opts Options) (*asm.Func, Counters
 		start := len(s.out)
 		for _, stmt := range b.Stmts {
 			if err := s.stmt(stmt); err != nil {
-				return nil, s.counters, fmt.Errorf("%s: %w", fn.Name, err)
+				return nil, fmt.Errorf("%s: %w", fn.Name, err)
 			}
 		}
 		// Capped: code inserted here later must not grow into the next
 		// block's stretch.
 		s.cur.Insts = s.out[start:len(s.out):len(s.out)]
 	}
-	return s.af, s.counters, nil
+	return s.af, nil
 }
 
 // nodeMemo is what the selector knows about one IL node of the current

@@ -18,11 +18,12 @@ import (
 )
 
 // TestScratchReuseMatchesFresh: scheduling every block of a function, in
-// every pass, on the function's one scratch emits what scheduling each
-// block on a scratch of its own emits — nothing a block or a pass leaves
-// in the scratch reaches the next. The reuse side is the shipped path,
-// driver.CompileModule with four workers (one scratch per Apply call;
-// `go test -race` runs this too); the fresh side applies the strategy
+// every pass, on one scratch emits what scheduling each block on a
+// scratch of its own emits — nothing a block, a pass or a function
+// leaves in the scratch reaches the next. The reuse side is the shipped
+// path, driver.CompileModule with four workers (each worker's scratch
+// serves every function it compiles; `go test -race` runs this too);
+// the fresh side applies the strategy
 // function by function, handing every block a zero scratch. Livermore's
 // functions are multi-block and ips and rase schedule each block twice
 // or three times; the big-block fixture has the long i860 blocks whose

@@ -67,19 +67,21 @@ var kindNames = map[Kind]string{
 // rungs the pipeline retries a failed or over-budget function on, in
 // order. Each rung trades schedule quality for simplicity (RASE → IPS →
 // Postpass → Safe); the baselines Naive and Local fall straight to
-// Safe. Safe itself has no rung below it.
+// Safe. Safe itself has no rung below it. The slice is the tail of one
+// fixed ladder, so the call allocates nothing: callers must not write
+// to it.
 func FallbackChain(k Kind) []Kind {
-	ladder := []Kind{RASE, IPS, Postpass, Safe}
 	for i, rung := range ladder {
 		if rung == k {
 			return ladder[i+1:]
 		}
 	}
-	if k == Safe {
-		return nil
-	}
-	return []Kind{Safe}
+	// The baselines: the ladder's last rung, Safe.
+	return ladder[len(ladder)-1:]
 }
+
+// ladder is the degradation ladder FallbackChain returns the tail of.
+var ladder = [...]Kind{RASE, IPS, Postpass, Safe}
 
 func (k Kind) String() string { return kindNames[k] }
 
@@ -161,18 +163,31 @@ type Options struct {
 }
 
 // Apply runs the full back end pipeline of the given strategy on a
-// selected function: scheduling, allocation, prologue/epilogue. Every
-// block of the function, in every scheduling pass, is built and
-// scheduled on one scratch, which lives as long as the call.
+// selected function: scheduling, allocation, prologue/epilogue, on a
+// scratch of its own.
 func Apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options) (*Stats, error) {
-	sc := new(sched.Scratch)
-	return apply(m, af, kind, opts, func() *sched.Scratch { return sc })
+	return new(Scratch).Apply(m, af, kind, opts)
+}
+
+// Scratch is the storage a strategy works in: the scheduler's, in which
+// every block of the function is built and scheduled in every pass, and
+// the allocator's. The zero value is ready to use; applying function
+// after function on one scratch gives what a fresh scratch gives. A
+// scratch has one owner and is never shared between goroutines.
+type Scratch struct {
+	sched sched.Scratch
+	alloc regalloc.Scratch
+}
+
+// Apply is the package's Apply on this scratch.
+func (s *Scratch) Apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options) (*Stats, error) {
+	return apply(m, af, kind, opts, &s.alloc, func() *sched.Scratch { return &s.sched })
 }
 
 // apply is Apply with the scratch each block is built and scheduled on
 // supplied by the caller, block by block: the reuse test hands every
 // block a fresh one and compares.
-func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, scratch func() *sched.Scratch) (*Stats, error) {
+func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, ra *regalloc.Scratch, scratch func() *sched.Scratch) (*Stats, error) {
 	st := &Stats{}
 
 	// Every pass starts from the caller's design choices; the per-function
@@ -223,7 +238,7 @@ func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, scratch func(
 			return nil, err
 		}
 	}
-	if err := allocate(m, af, st, opts, aopts); err != nil {
+	if err := allocate(m, af, ra, st, opts, aopts); err != nil {
 		return nil, err
 	}
 	if err := scheduleAll(m, af, scratch, st, opts.Inject, post, false); err != nil {
@@ -239,12 +254,12 @@ func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, scratch func(
 	return st, frame(m, af)
 }
 
-func allocate(m *mach.Machine, af *asm.Func, st *Stats, opts Options, aopts regalloc.Options) error {
+func allocate(m *mach.Machine, af *asm.Func, ra *regalloc.Scratch, st *Stats, opts Options, aopts regalloc.Options) error {
 	if err := opts.Inject.Fire("regalloc"); err != nil {
 		return err
 	}
 	aopts.Context = opts.Deadline
-	res, err := regalloc.AllocateOpts(m, af, aopts)
+	res, err := ra.AllocateOpts(m, af, aopts)
 	if err != nil {
 		return err
 	}

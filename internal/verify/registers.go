@@ -64,7 +64,11 @@ func (v *verifier) newSet() bitset { return v.newSets(1).at(0) }
 // buildCFG maps the IR successor edges onto block indices (succs). It
 // reports false for a hand-built function without CFG info.
 func (v *verifier) buildCFG() bool {
-	idx := make(map[*ir.Block]int, len(v.af.Blocks))
+	if v.blockAt == nil {
+		v.blockAt = make(map[*ir.Block]int, len(v.af.Blocks))
+	}
+	idx := v.blockAt
+	clear(idx)
 	for bi, b := range v.af.Blocks {
 		if b.IR == nil {
 			return false

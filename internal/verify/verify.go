@@ -38,6 +38,7 @@ import (
 	"strings"
 
 	"marion/internal/asm"
+	"marion/internal/ir"
 	"marion/internal/mach"
 )
 
@@ -164,9 +165,25 @@ type Options struct {
 }
 
 // Func verifies one compiled function against its machine description
-// and returns the findings (never nil).
+// and returns the findings (never nil), on a scratch of its own.
 func Func(m *mach.Machine, af *asm.Func, opts Options) *Report {
-	v := verifier{m: m, af: af, opts: opts, report: &Report{}}
+	return new(Scratch).Func(m, af, opts)
+}
+
+// Scratch is the storage verification works in: the verifier's dense
+// tables, resized to each function and cleared, so no stamp or entry a
+// function leaves can match in the next. The zero value is ready to
+// use. Verifying function after function on one scratch allocates only
+// the reports and what outgrows an earlier function, and finds what a
+// fresh scratch finds; a scratch has one owner and is never shared
+// between goroutines.
+type Scratch struct{ v verifier }
+
+// Func is the package's Func on this scratch.
+func (s *Scratch) Func(m *mach.Machine, af *asm.Func, opts Options) *Report {
+	v := &s.v
+	v.m, v.af, v.opts, v.report = m, af, opts, &Report{}
+	v.block, v.word = 0, 0
 	v.run()
 	return v.report
 }
@@ -175,18 +192,19 @@ func Func(m *mach.Machine, af *asm.Func, opts Options) *Report {
 // merged findings.
 func Program(p *asm.Program, opts Options) *Report {
 	r := &Report{}
+	var s Scratch
 	for _, f := range p.Funcs {
 		if f != nil {
-			r.Merge(Func(p.Machine, f, opts))
+			r.Merge(s.Func(p.Machine, f, opts))
 		}
 	}
 	return r
 }
 
 // verifier carries the per-function verification state in dense tables
-// sized once per call, not per-block maps or per-instruction slices. A
-// dataflow location is a physical register, or NumPhys+p for
-// pseudo-register p (pre-allocation code in unit tests).
+// sized per call from the function, not per-block maps or
+// per-instruction slices. A dataflow location is a physical register, or
+// NumPhys+p for pseudo-register p (pre-allocation code in unit tests).
 type verifier struct {
 	m      *mach.Machine
 	af     *asm.Func
@@ -202,12 +220,15 @@ type verifier struct {
 	// before instruction j for a call's clobber check (checkClobbers).
 	snapAt []int
 	tickAt []int // per clock: the word stamp of its last tick
+	ints   []int // the slab the six above are carved from
 
-	locs    []loc         // per dataflow location, stamped per block/word
-	latches []latchOwner  // per register set (latch) in m.RegSets
-	busy    []mach.ResSet // stages claimed, per block cycle mod len(busy)
-	bits    []uint64      // bitset slab, carved by newSets
-	snaps   sets          // one bitset per clobber snapshot
+	locs    []loc             // per dataflow location, stamped per block/word
+	latches []latchOwner      // per register set (latch) in m.RegSets
+	busy    []mach.ResSet     // stages claimed, per block cycle mod len(busy)
+	bits    []uint64          // bitset slab, carved by newSets
+	snaps   sets              // one bitset per clobber snapshot
+	slab    []uint64          // the storage bits and snaps are carved from
+	blockAt map[*ir.Block]int // buildCFG's index of af.Blocks
 
 	block, word int32 // stamps of the current block and word
 	pseudo      [1]mach.PhysID
@@ -252,7 +273,8 @@ func (v *verifier) alloc() {
 		}
 	}
 	nSnapAt := nInst * min(nCall, 1) // read only for calls
-	ints := make([]int, nInst+nSnapAt+2*(nb+1)+nEdge+len(v.m.Clocks))
+	v.ints = resized(v.ints, nInst+nSnapAt+2*(nb+1)+nEdge+len(v.m.Clocks))
+	ints := v.ints
 	carve := func(n int) []int {
 		s := ints[:n:n]
 		ints = ints[n:]
@@ -260,14 +282,25 @@ func (v *verifier) alloc() {
 	}
 	v.times, v.snapAt, v.first, v.succAt = carve(nInst), carve(nSnapAt), carve(nb+1), carve(nb+1)
 	v.succ, v.tickAt = carve(nEdge), carve(len(v.m.Clocks))
-	v.locs = make([]loc, v.m.NumPhys+nPseudo)
-	v.latches = make([]latchOwner, len(v.m.RegSets))
+	v.locs = resized(v.locs, v.m.NumPhys+nPseudo)
+	v.latches = resized(v.latches, len(v.m.RegSets))
 	w := (v.m.NumPhys + 63) / 64
 	// Bitsets: per block DA in-set, use, def, live-in and live-out; five
 	// scratch/whole-function sets; one snapshot per call.
-	bits := make([]uint64, w*(5*nb+5+nCall))
-	v.bits, v.snaps = bits[:w*(5*nb+5)], sets{w: w, words: bits[w*(5*nb+5):]}
-	v.busy = make([]mach.ResSet, max(maxRes, 1))
+	v.slab = resized(v.slab, w*(5*nb+5+nCall))
+	v.bits, v.snaps = v.slab[:w*(5*nb+5)], sets{w: w, words: v.slab[w*(5*nb+5):]}
+	v.busy = resized(v.busy, max(maxRes, 1))
+}
+
+// resized returns s with length n and every element zero, reusing its
+// storage when that is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (v *verifier) addf(bi, idx, cycle int, k Kind, format string, args ...any) {
