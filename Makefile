@@ -42,10 +42,10 @@ benchsmoke:
 # The emitted-code verification and chaos sweeps run inside `go test`:
 # TestLivermoreCorpusClean (internal/verify) compiles the Livermore
 # suite on every target under every strategy with the verifier on, and
-# TestGoldenDigests does the same for examples/c and the driver's
-# fixtures; TestFaultMatrix (internal/experiments) arms every
-# fault-injection site x mode on every target under every strategy, and
-# each faulted function must degrade and re-verify clean. Any finding
-# or outright failure fails the test.
+# TestGoldenDigests does the same for gentest.Golden (examples/c and the
+# big-block and pressure fixtures); TestFaultMatrix (internal/experiments)
+# arms every fault-injection site x mode on every target under every
+# strategy, and each faulted function must degrade and re-verify clean.
+# Any finding or outright failure fails the test.
 
 ci: build vet test race benchcheck benchsmoke

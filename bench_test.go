@@ -7,16 +7,13 @@ package marion
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
 	"marion/internal/asm"
 	"marion/internal/cache"
 	"marion/internal/driver"
 	"marion/internal/experiments"
+	"marion/internal/gentest"
 	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
@@ -345,16 +342,26 @@ func BenchmarkParallelBackend(b *testing.B) {
 	}
 }
 
+// frontEnds maps a gentest unit's language to its front end.
+var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
+
+// bigBlock is the text of gentest's big-block fixture.
+func bigBlock() string {
+	for _, u := range gentest.Golden() {
+		if u.Name == gentest.BigBlock {
+			return u.Text
+		}
+	}
+	panic("gentest.Golden has no " + gentest.BigBlock)
+}
+
 // BenchmarkBigBlock measures the back end on one straight-line block of
 // 24, 64, 96 and 128 statements (functions big24/big64/big96/big128 of
 // the golden big-block fixture) under RASE, the strategy with the most
 // scheduling passes: how compile time and allocation grow with block
 // length, per target. Lowering runs outside the timer.
 func BenchmarkBigBlock(b *testing.B) {
-	src, err := os.ReadFile("internal/driver/testdata/bigblock.c")
-	if err != nil {
-		b.Fatal(err)
-	}
+	src := bigBlock()
 	for _, target := range []string{"r2000", "m88000", "i860"} {
 		m, err := targets.Load(target)
 		if err != nil {
@@ -367,7 +374,7 @@ func BenchmarkBigBlock(b *testing.B) {
 					b.StopTimer()
 					// The back end mutates the IL in place, so each run
 					// gets a freshly lowered function.
-					mod, err := driver.Frontend("bigblock.c", string(src))
+					mod, err := driver.Frontend(gentest.BigBlock, src)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -436,10 +443,7 @@ func BenchmarkSelect(b *testing.B) {
 // selection run outside the timer; allocation rewrites the selected code
 // in place, so each iteration selects afresh.
 func BenchmarkRegalloc(b *testing.B) {
-	src, err := os.ReadFile("internal/driver/testdata/bigblock.c")
-	if err != nil {
-		b.Fatal(err)
-	}
+	src := bigBlock()
 	inputs := []struct {
 		name string
 		fns  func() ([]*ir.Func, error)
@@ -452,7 +456,7 @@ func BenchmarkRegalloc(b *testing.B) {
 			return mod.Funcs, nil
 		}},
 		{"big96", func() ([]*ir.Func, error) {
-			mod, err := driver.Frontend("bigblock.c", string(src))
+			mod, err := driver.Frontend(gentest.BigBlock, src)
 			if err != nil {
 				return nil, err
 			}
@@ -498,17 +502,14 @@ func BenchmarkRegalloc(b *testing.B) {
 // only reads the code, so every iteration verifies the same functions;
 // ns/fn is the time per verified function.
 func BenchmarkVerify(b *testing.B) {
-	src, err := os.ReadFile("internal/driver/testdata/bigblock.c")
-	if err != nil {
-		b.Fatal(err)
-	}
+	src := bigBlock()
 	inputs := []struct {
 		name string
 		mod  func() (*ir.Module, error)
 	}{
 		{"livermore", livermore.SuiteModule},
 		{"big96", func() (*ir.Module, error) {
-			mod, err := driver.Frontend("bigblock.c", string(src))
+			mod, err := driver.Frontend(gentest.BigBlock, src)
 			if err != nil {
 				return nil, err
 			}
@@ -678,28 +679,16 @@ func BenchmarkWarmHit(b *testing.B) {
 }
 
 // BenchmarkColdMiss measures what a compile request costs when no
-// function is in the cache, as mariond compiles one: each serve unit
-// of internal/sel/testdata/serve (the benchmark's serve_cold templates,
-// 8 to 20 functions each) on one worker, with the verifier on and a
-// cache of its own, so every function is a miss that is compiled,
+// function is in the cache, as mariond compiles one: each unit of
+// gentest.Serve (the benchmark's serve_cold templates, 8 to 20
+// functions each) on one worker, with the verifier on and a cache of
+// its own, so every function is a miss that is compiled,
 // admission-checked, encoded and stored; for each of the nine code
 // generators (r2000, m88000 and i860 under postpass, ips and rase). One
 // op is every unit under every generator. Lowering and the caches are
 // made outside the timer. `-memprofile` attributes B/op to the phases.
 func BenchmarkColdMiss(b *testing.B) {
-	paths, err := filepath.Glob("internal/sel/testdata/serve/mix*")
-	if err != nil || len(paths) == 0 {
-		b.Fatalf("no serve units: %v", err)
-	}
-	sort.Strings(paths)
-	srcs := make([]string, len(paths))
-	for i, path := range paths {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srcs[i] = string(src)
-	}
+	serve := gentest.Serve()
 	type gen struct {
 		m    *mach.Machine
 		kind strategy.Kind
@@ -721,16 +710,10 @@ func BenchmarkColdMiss(b *testing.B) {
 	}
 	lower := func() (units []unit, funcs int) {
 		for _, g := range gens {
-			for i, path := range paths {
-				var mod *ir.Module
-				var err error
-				if strings.HasSuffix(path, ".il") {
-					mod, err = iltext.Parse(filepath.Base(path), srcs[i])
-				} else {
-					mod, err = driver.Frontend(filepath.Base(path), srcs[i])
-				}
+			for _, u := range serve {
+				mod, err := frontEnds[u.Lang](u.Name, u.Text)
 				if err != nil {
-					b.Fatalf("%s: %v", path, err)
+					b.Fatalf("%s: %v", u.Name, err)
 				}
 				c, err := cache.New(cache.Options{Registry: metrics.NewRegistry()})
 				if err != nil {

@@ -17,6 +17,7 @@ import (
 
 	"marion/internal/client"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/metrics"
 	"marion/internal/overload"
 	"marion/internal/server"
@@ -100,7 +101,7 @@ func drillOverload(t *testing.T) {
 
 	// Breaker: the first three r2000/rase requests fail and trip it;
 	// every later one is rerouted down the fallback chain.
-	ex := exampleSources(t)[0]
+	ex := exampleSources()[0]
 	rase := &server.CompileRequest{Source: ex.src, Filename: ex.name, Target: "r2000", Strategy: "rase"}
 	for i := 0; i < 8; i++ {
 		r := d.compile(t, rase)
@@ -455,7 +456,7 @@ func (d *daemon) get(t *testing.T, path string) []byte {
 // every example to equal driver.Compile's, which is what marionc prints.
 func (d *daemon) requireLibraryOutput(t *testing.T) {
 	t.Helper()
-	for _, ex := range exampleSources(t) {
+	for _, ex := range exampleSources() {
 		res := d.compile(t, &server.CompileRequest{Source: ex.src, Filename: ex.name, Target: "r2000"})
 		if res.Status != http.StatusOK {
 			t.Errorf("%s: status %d", ex.name, res.Status)
@@ -477,20 +478,13 @@ func libraryAsm(t *testing.T, target string, kind strategy.Kind, name, src strin
 
 type example struct{ name, src string }
 
-// exampleSources reads the shipped examples/c sources.
-func exampleSources(t *testing.T) []example {
-	t.Helper()
-	files, err := filepath.Glob("../../examples/c/*.c")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no examples/c sources (%v)", err)
-	}
-	out := make([]example, len(files))
-	for i, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
+// exampleSources returns the examples/c units of gentest.Golden.
+func exampleSources() []example {
+	var out []example
+	for _, u := range gentest.Golden() {
+		if u.Name != gentest.BigBlock && u.Name != gentest.Pressure {
+			out = append(out, example{u.Name, u.Text})
 		}
-		out[i] = example{filepath.Base(f), string(src)}
 	}
 	return out
 }

@@ -2,14 +2,12 @@ package asm_test
 
 import (
 	"math"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
 	"marion/internal/asm"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/mach"
@@ -18,15 +16,10 @@ import (
 )
 
 // The append-based formatter prints, byte for byte, what the fmt-based
-// one did: every unit of the golden corpus on every target under every
-// strategy, whole and instruction by instruction.
+// one did: every unit of the golden corpus and the serve units on every
+// target under every strategy, whole and instruction by instruction.
 func TestPrintMatchesReference(t *testing.T) {
-	srcs, err := filepath.Glob("../../examples/c/*.c")
-	if err != nil || len(srcs) == 0 {
-		t.Fatalf("no examples/c sources: %v", err)
-	}
-	sort.Strings(srcs)
-	srcs = append(srcs, "../driver/testdata/bigblock.c", "../driver/testdata/pressure.c")
+	units := append(gentest.Golden(), gentest.Serve()...)
 
 	insts, packed, halves := 0, 0, 0
 	check := func(where string, p *asm.Program) {
@@ -66,16 +59,16 @@ func TestPrintMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(target+"/"+kind.String()+" livermore", c.Prog)
-			for _, path := range srcs {
-				src, err := os.ReadFile(path)
+			for _, u := range units {
+				compile := driver.Compile
+				if u.Lang == "il" {
+					compile = driver.CompileIL
+				}
+				c, err := compile(target, u.Name, u.Text, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				c, err := driver.Compile(target, filepath.Base(path), string(src), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(target+"/"+kind.String()+" "+path, c.Prog)
+				check(target+"/"+kind.String()+" "+u.Name, c.Prog)
 			}
 		}
 	}

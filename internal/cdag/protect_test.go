@@ -2,17 +2,14 @@ package cdag_test
 
 import (
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 
 	"marion/internal/asm"
 	"marion/internal/cdag"
 	"marion/internal/driver"
 	"marion/internal/gentest"
+	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/mach"
@@ -269,21 +266,19 @@ func stripped(m *mach.Machine, b *asm.Block) *asm.Block {
 	return out
 }
 
+// frontEnds maps a gentest unit's language to its front end.
+var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
+
 // TestProtectMatchesReference: on r2000 and m88000 (the branch-last
 // rule) and on every clocked target (the protection pass as well), the
-// shipped graph of every block of Livermore, examples/c, the big-block
-// and pressure fixtures and the generated high-pressure bodies has the
-// reference's closure, a subset of its edges and its schedules — as
-// selected, as allocated, and as emitted by postpass, ips and rase (both
-// as packed words and stripped for rescheduling, which is the order the
-// second scheduling pass sees temporal sequences interleaved in).
+// shipped graph of every block of Livermore, gentest.Golden, the serve
+// units and 24 generated high-pressure bodies has the reference's
+// closure, a subset of its edges and its schedules — as selected, as
+// allocated, and as emitted by postpass, ips and rase (both as packed
+// words and stripped for rescheduling, which is the order the second
+// scheduling pass sees temporal sequences interleaved in).
 func TestProtectMatchesReference(t *testing.T) {
-	srcs, err := filepath.Glob("../../examples/c/*.c")
-	if err != nil || len(srcs) == 0 {
-		t.Fatalf("no examples/c sources: %v", err)
-	}
-	sort.Strings(srcs)
-	srcs = append(srcs, "../driver/testdata/bigblock.c", "../driver/testdata/pressure.c")
+	units := append(append(gentest.Golden(), gentest.Serve()...), gentest.Generated(24)...)
 	// Lowering is repeated per use: selection and strategies consume
 	// the module they are given.
 	modules := func() []*ir.Module {
@@ -292,23 +287,10 @@ func TestProtectMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		mods := []*ir.Module{suite}
-		for _, path := range srcs {
-			src, err := os.ReadFile(path)
+		for _, u := range units {
+			mod, err := frontEnds[u.Lang](u.Name, u.Text)
 			if err != nil {
-				t.Fatal(err)
-			}
-			mod, err := driver.Frontend(filepath.Base(path), string(src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			mods = append(mods, mod)
-		}
-		r := rand.New(rand.NewSource(1991))
-		for i := 0; i < generated; i++ {
-			name := fmt.Sprintf("gen%d.c", i)
-			mod, err := driver.Frontend(name, gentest.Source(r, gentest.ShapeFor(r)))
-			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", u.Name, err)
 			}
 			mods = append(mods, mod)
 		}
@@ -369,6 +351,3 @@ func TestProtectMatchesReference(t *testing.T) {
 		t.Error("no registered target declares a clock")
 	}
 }
-
-// generated is the number of gentest functions the corpus is widened by.
-const generated = 24

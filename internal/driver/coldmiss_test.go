@@ -1,15 +1,11 @@
 package driver_test
 
 import (
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
-	"strings"
 	"testing"
 
 	"marion/internal/driver"
-	"marion/internal/iltext"
+	"marion/internal/gentest"
 	"marion/internal/ir"
 	"marion/internal/mach"
 	"marion/internal/strategy"
@@ -36,17 +32,11 @@ type coldUnit struct {
 }
 
 // TestColdMissAllocBudget holds the miss path to an allocation budget
-// over the serve units in internal/sel/testdata/serve (the benchmark's
-// serve_cold templates), each compiled for r2000/postpass,
-// m88000/ips and i860/rase, so a regression of the back end's garbage
-// fails `go test` and not only the benchmark. Lowering and the caches
-// are made outside the measurement.
+// over gentest.Serve (the benchmark's serve_cold templates), each
+// compiled for r2000/postpass, m88000/ips and i860/rase, so a regression
+// of the back end's garbage fails `go test` and not only the benchmark.
+// Lowering and the caches are made outside the measurement.
 func TestColdMissAllocBudget(t *testing.T) {
-	paths, err := filepath.Glob("../sel/testdata/serve/mix*")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no serve units: %v", err)
-	}
-	sort.Strings(paths)
 	gens := []struct {
 		target string
 		kind   strategy.Kind
@@ -57,19 +47,10 @@ func TestColdMissAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, path := range paths {
-				src, err := os.ReadFile(path)
+			for _, u := range gentest.Serve() {
+				mod, err := frontEnds[u.Lang](u.Name, u.Text)
 				if err != nil {
-					t.Fatal(err)
-				}
-				var mod *ir.Module
-				if strings.HasSuffix(path, ".il") {
-					mod, err = iltext.Parse(filepath.Base(path), string(src))
-				} else {
-					mod, err = driver.Frontend(filepath.Base(path), string(src))
-				}
-				if err != nil {
-					t.Fatalf("%s: %v", path, err)
+					t.Fatalf("%s: %v", u.Name, err)
 				}
 				cfg := driver.Config{Strategy: g.kind, Workers: 1, Verify: true, Cache: freshCache(t)}
 				units = append(units, coldUnit{m, mod, cfg})

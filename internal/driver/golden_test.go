@@ -6,13 +6,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
 	"marion/internal/asm"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/strategy"
 	"marion/internal/targets"
 )
@@ -21,20 +20,8 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.sha256 from the
 
 const goldenFile = "testdata/golden.sha256"
 
-// bigBlockFixture holds straight-line blocks of 24, 64, 96 and 128
-// statements (functions big24, big64, big96, big128): the long code DAGs
-// the Livermore loops and examples/c lack.
-const bigBlockFixture = "testdata/bigblock.c"
-
-// pressureFixture holds functions with 26 to 56 simultaneously live
-// values (pint32, pdbl30, pmixloop, pcall26, pdblloop36): they spill on
-// every target, which the Livermore loops and examples/c almost never
-// do, so the allocator's spill choice and spill order reach the digest.
-const pressureFixture = "testdata/pressure.c"
-
-// goldenLine compiles the Livermore suite module, every examples/c/*.c
-// and the big-block and pressure fixtures for one target/strategy and
-// renders the golden line:
+// goldenLine compiles the Livermore suite module and every unit of
+// gentest.Golden for one target/strategy and renders the golden line:
 //
 //	<target>/<strategy> <sha256 of every unit's Prog.Print()> <unit>:<fn>=<8 hex>...
 //
@@ -46,22 +33,14 @@ const pressureFixture = "testdata/pressure.c"
 func goldenLine(t *testing.T, target string, kind strategy.Kind) (line string, byFn map[string]string) {
 	t.Helper()
 	units := []*driver.Compiled{compileSuite(t, target, kind, 0)}
-	srcs, err := filepath.Glob("../../examples/c/*.c")
-	if err != nil || len(srcs) == 0 {
-		t.Fatalf("no examples/c sources: %v", err)
-	}
-	sort.Strings(srcs)
-	for _, path := range append(srcs, bigBlockFixture, pressureFixture) {
-		src, err := os.ReadFile(path)
+	// golden.sha256 pins exactly these units: one added to Golden needs -update.
+	for _, u := range gentest.Golden() {
+		c, err := driver.Compile(target, u.Name, u.Text, driver.Config{Strategy: kind, Verify: true})
 		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := driver.Compile(target, filepath.Base(path), string(src), driver.Config{Strategy: kind, Verify: true})
-		if err != nil {
-			t.Fatalf("%s/%s %s: %v", target, kind, path, err)
+			t.Fatalf("%s/%s %s: %v", target, kind, u.Name, err)
 		}
 		if !c.Verify.Empty() {
-			t.Errorf("%s/%s %s: verifier findings:\n%s", target, kind, path, c.Verify)
+			t.Errorf("%s/%s %s: verifier findings:\n%s", target, kind, u.Name, c.Verify)
 		}
 		units = append(units, c)
 	}
@@ -84,11 +63,10 @@ func goldenLine(t *testing.T, target string, kind strategy.Kind) (line string, b
 }
 
 // TestGoldenDigests pins the emitted assembly of every target x
-// strategy over the Livermore suite, examples/c and the big-block and
-// pressure fixtures to the digests in testdata/golden.sha256, so
-// "byte-identical" refactors are checked and not asserted. Run with
-// -update to rewrite the file after a change that is meant to alter the
-// output.
+// strategy over the Livermore suite and gentest.Golden to the digests in
+// testdata/golden.sha256, so "byte-identical" refactors are checked and
+// not asserted. Run with -update to rewrite the file after a change that
+// is meant to alter the output.
 func TestGoldenDigests(t *testing.T) {
 	want := map[string]string{}
 	if data, err := os.ReadFile(goldenFile); err == nil {

@@ -3,12 +3,11 @@ package driver_test
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/pipeline"
@@ -125,18 +124,20 @@ func TestI860RunToRunDeterminism(t *testing.T) {
 	}
 }
 
-// compileTwice compiles a fixture twice on every target under every
-// strategy; two compiles must be one program.
-func compileTwice(t *testing.T, fixture string) {
-	src, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
+// compileTwice compiles the named unit of gentest.Golden twice on every
+// target under every strategy; two compiles must be one program.
+func compileTwice(t *testing.T, name string) {
+	var src string
+	for _, u := range gentest.Golden() {
+		if u.Name == name {
+			src = u.Text
+		}
 	}
 	for _, target := range targets.Names() {
 		for _, kind := range allKinds {
 			var first string
 			for run := 0; run < 2; run++ {
-				c, err := driver.Compile(target, filepath.Base(fixture), string(src), driver.Config{Strategy: kind})
+				c, err := driver.Compile(target, name, src, driver.Config{Strategy: kind})
 				if err != nil {
 					t.Fatalf("%s/%s: %v", target, kind, err)
 				}
@@ -152,12 +153,12 @@ func compileTwice(t *testing.T, fixture string) {
 
 // TestBigBlockRunToRunDeterminism: long blocks are where the code DAG's
 // protection pass and the scheduler's ready list do most of their work.
-func TestBigBlockRunToRunDeterminism(t *testing.T) { compileTwice(t, bigBlockFixture) }
+func TestBigBlockRunToRunDeterminism(t *testing.T) { compileTwice(t, gentest.BigBlock) }
 
 // TestPressureRunToRunDeterminism: spilling functions are where the
 // allocator's tie-breaks (simplify order, spill candidate, spill-list
 // order, colour order) reach the output.
-func TestPressureRunToRunDeterminism(t *testing.T) { compileTwice(t, pressureFixture) }
+func TestPressureRunToRunDeterminism(t *testing.T) { compileTwice(t, gentest.Pressure) }
 
 // brokenModule builds a module whose named functions cannot be selected
 // (a statement no instruction template matches), plus one good one.

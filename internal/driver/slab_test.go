@@ -2,58 +2,48 @@ package driver_test
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 )
 
-// TestFrontEndSlabs lowers the Livermore kernels, examples/c and the
-// big-block and pressure fixtures through both front ends — the C source
-// through Frontend, then its printed IL through iltext.Parse — and holds
-// the nodes they carve from slabs to what the back end relies on: every
-// kid list has cap == len, appending to one node's Kids changes no other
-// node, and the textual IL round-trips byte for byte.
+// TestFrontEndSlabs lowers the Livermore kernels, gentest.Golden and the
+// serve units through both front ends — a C unit through Frontend, then
+// its printed IL through iltext.Parse; an IL unit through iltext.Parse
+// twice — and holds the nodes they carve from slabs to what the back end
+// relies on: every kid list has cap == len, appending to one node's Kids
+// changes no other node, and the textual IL round-trips byte for byte.
 func TestFrontEndSlabs(t *testing.T) {
-	type unit struct{ name, src string }
-	var units []unit
+	var units []gentest.Unit
 	for _, k := range livermore.Kernels {
-		units = append(units, unit{fmt.Sprintf("loop%d.c", k.ID), k.Source})
+		units = append(units, gentest.Unit{Name: fmt.Sprintf("loop%d.c", k.ID), Lang: "c", Text: k.Source})
 	}
-	paths, err := filepath.Glob("../../examples/c/*.c")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no examples/c sources: %v", err)
-	}
-	for _, path := range append(paths, bigBlockFixture, pressureFixture) {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		units = append(units, unit{filepath.Base(path), string(src)})
-	}
-
+	units = append(append(units, gentest.Golden()...), gentest.Serve()...)
 	for _, u := range units {
-		mod, err := driver.Frontend(u.name, u.src)
+		mod, err := frontEnds[u.Lang](u.Name, u.Text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		text := iltext.Print(mod)
-		parsed, err := iltext.Parse(u.name, text)
+		parsed, err := iltext.Parse(u.Name, text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := iltext.Print(parsed); got != text {
-			t.Errorf("%s: Print(Parse(Print(IL))) differs from Print(IL)", u.name)
+			t.Errorf("%s: Print(Parse(Print(IL))) differs from Print(IL)", u.Name)
 		}
-		checkKidLists(t, u.name+" (C)", mod)
-		checkKidLists(t, u.name+" (IL)", parsed)
+		checkKidLists(t, u.Name+" ("+u.Lang+")", mod)
+		checkKidLists(t, u.Name+" (IL)", parsed)
 	}
 }
+
+// frontEnds maps a gentest unit's language to its front end.
+var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
 
 // checkKidLists checks every node of mod for cap(Kids) == len(Kids),
 // then appends a kid to every node and checks that no node's kid list

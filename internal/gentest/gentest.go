@@ -1,30 +1,106 @@
-// Package gentest generates seeded high-pressure C functions for the
-// differential tests of the back end (register allocation, code-DAG
-// protection, scheduling): bodies the golden corpus under-samples.
+// Package gentest is the one place the tests' units come from, as text:
+// the golden corpus, the serve units and seeded high-pressure C bodies.
+// It imports no back-end package, so any package's test can use it. A
+// unit it cannot read is a broken checkout, not an input: it panics.
 package gentest
 
 import (
+	"embed"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path"
+	"path/filepath"
 	"strings"
 )
 
-// Shape is one generated function's pressure profile.
-type Shape struct {
+// Unit is one source text; Lang is its name's extension: "c" for the C
+// front end, "il" for iltext.Parse.
+type Unit struct{ Name, Lang, Text string }
+
+// The fixtures: BigBlock holds straight-line blocks of 24 to 128
+// statements (big24 ... big128), the long code DAGs the Livermore loops
+// and examples/c lack; Pressure holds functions with 26 to 56 live values
+// (pint32, pdbl30, pmixloop, pcall26, pdblloop36) that spill on every
+// target, so the allocator's spill choice and order reach the digests.
+const (
+	BigBlock = "bigblock.c"
+	Pressure = "pressure.c"
+)
+
+//go:embed testdata
+var fixtures embed.FS
+
+// Golden returns examples/c/*.c in name order, then BigBlock and
+// Pressure: with the Livermore suite, the units golden.sha256 pins.
+func Golden() []Unit {
+	units := read(os.DirFS(root()), "examples/c/*.c")
+	return append(units, read(fixtures, "testdata/"+BigBlock, "testdata/"+Pressure)...)
+}
+
+// Serve returns the serve_cold templates at seed 1, C and IL, by name.
+func Serve() []Unit { return read(fixtures, "testdata/serve/*") }
+
+// Generated returns the first n bodies of one seeded stream, named
+// gen0.c, gen1.c, ...: a smaller corpus is a prefix of a larger one.
+func Generated(n int) []Unit {
+	r := rand.New(rand.NewSource(1991))
+	units := make([]Unit, n)
+	for i := range units {
+		units[i] = Unit{fmt.Sprintf("gen%d.c", i), "c", source(r, shapeFor(r))}
+	}
+	return units
+}
+
+// read returns the files each pattern matches, in name order.
+func read(fsys fs.FS, patterns ...string) []Unit {
+	var units []Unit
+	for _, pattern := range patterns {
+		names, err := fs.Glob(fsys, pattern)
+		if err != nil || len(names) == 0 {
+			panic(fmt.Sprintf("gentest: no file matches %s (%v)", pattern, err))
+		}
+		for _, name := range names {
+			text, err := fs.ReadFile(fsys, name)
+			if err != nil {
+				panic(err)
+			}
+			units = append(units, Unit{path.Base(name), strings.TrimPrefix(path.Ext(name), "."), string(text)})
+		}
+	}
+	return units
+}
+
+// root is the module root: the nearest directory holding go.mod above
+// the working directory, which is a test's package directory.
+func root() string {
+	dir, _ := os.Getwd()
+	for dir != filepath.Dir(dir) {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir
+		}
+		dir = filepath.Dir(dir)
+	}
+	panic("gentest: no go.mod above the working directory")
+}
+
+// shape is one generated function's pressure profile.
+type shape struct {
 	ints, doubles int  // simultaneously live values of each type
 	stmts         int  // statements in the body
 	loop          bool // body inside one counted loop
 }
 
-// ShapeFor draws a shape: 6-40 live values, biased towards the high
+// shapeFor draws a shape: 6-40 live values, biased towards the high
 // end (a 24-register file only spills above ~26), all-int, all-double or
 // an even mix.
-func ShapeFor(r *rand.Rand) Shape {
+func shapeFor(r *rand.Rand) shape {
 	live := 6 + r.Intn(15)
 	if r.Intn(10) < 7 {
 		live = 28 + r.Intn(13)
 	}
-	s := Shape{stmts: 8 + r.Intn(33), loop: r.Intn(2) == 0}
+	s := shape{stmts: 8 + r.Intn(33), loop: r.Intn(2) == 0}
 	switch r.Intn(5) {
 	case 0, 1:
 		s.ints = live
@@ -37,11 +113,11 @@ func ShapeFor(r *rand.Rand) Shape {
 	return s
 }
 
-// Source renders a function named f: every value is loaded from a
+// source renders a function named f: every value is loaded from a
 // global at the top and stored back at the bottom, so all of them are
 // live across the whole body; the body (straight-line, or inside one
 // loop) redefines random values from random others.
-func Source(r *rand.Rand, s Shape) string {
+func source(r *rand.Rand, s shape) string {
 	var sb strings.Builder
 	ops := []string{"+", "-", "*"}
 	fmt.Fprintf(&sb, "int gi[%d];\ndouble gd[%d];\n", s.ints+1, s.doubles+1)

@@ -3,10 +3,6 @@ package ilgen_test
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -69,47 +65,30 @@ func dump(b *ir.Block) string {
 	return sb.String()
 }
 
-// TestCSEMatchesReference: on every function of Livermore, examples/c,
-// the driver's big-block and pressure fixtures and the generated
-// high-pressure bodies, the pass shares exactly the nodes the reference
-// shares. (None of these sources holds a -0.0 or a NaN constant, the
-// one place the two are meant to differ: TestCSEConstantsByBits.)
+// TestCSEMatchesReference: on every function of Livermore,
+// gentest.Golden and 100 generated high-pressure bodies, the pass shares
+// exactly the nodes the reference shares. (None of these sources holds a
+// -0.0 or a NaN constant, the one place the two are meant to differ:
+// TestCSEConstantsByBits.)
 func TestCSEMatchesReference(t *testing.T) {
-	type unit struct{ name, src string }
-	var units []unit
-	for i := range livermore.Kernels {
-		k := &livermore.Kernels[i]
-		units = append(units, unit{fmt.Sprintf("loop%d.c", k.ID), k.Source})
+	var units []gentest.Unit
+	for _, k := range livermore.Kernels {
+		units = append(units, gentest.Unit{Name: fmt.Sprintf("loop%d.c", k.ID), Lang: "c", Text: k.Source})
 	}
-	srcs, err := filepath.Glob("../../examples/c/*.c")
-	if err != nil || len(srcs) == 0 {
-		t.Fatalf("no examples/c sources: %v", err)
-	}
-	sort.Strings(srcs)
-	for _, path := range append(srcs, "../driver/testdata/bigblock.c", "../driver/testdata/pressure.c") {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		units = append(units, unit{filepath.Base(path), string(src)})
-	}
-	r := rand.New(rand.NewSource(1991))
-	for i := 0; i < 100; i++ {
-		units = append(units, unit{fmt.Sprintf("gen%d.c", i), gentest.Source(r, gentest.ShapeFor(r))})
-	}
+	units = append(append(units, gentest.Golden()...), gentest.Generated(100)...)
 
 	// One table for the whole corpus, as Lower keeps one for a unit:
 	// every block finds it sized and filled by a different block.
 	var tab ilgen.CSETable
 	fns, shared := 0, 0
 	for _, u := range units {
-		file, err := cc.Compile(u.name, u.src)
+		file, err := cc.Compile(u.Name, u.Text)
 		if err != nil {
-			t.Fatalf("%s: %v", u.name, err)
+			t.Fatalf("%s: %v", u.Name, err)
 		}
 		mod, err := ilgen.Lower(file)
 		if err != nil {
-			t.Fatalf("%s: %v", u.name, err)
+			t.Fatalf("%s: %v", u.Name, err)
 		}
 		for _, fn := range mod.Funcs {
 			fns++
@@ -119,7 +98,7 @@ func TestCSEMatchesReference(t *testing.T) {
 				ilgen.ReferenceCSE(want[bi])
 				g, w := dump(got[bi]), dump(want[bi])
 				if g != w {
-					t.Fatalf("%s:%s block %d: shared differently from the reference\n got %s\nwant %s", u.name, fn.Name, bi, g, w)
+					t.Fatalf("%s:%s block %d: shared differently from the reference\n got %s\nwant %s", u.Name, fn.Name, bi, g, w)
 				}
 				shared += strings.Count(g, "#")
 			}

@@ -7,12 +7,11 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/iltext"
 	"marion/internal/livermore"
 )
@@ -43,7 +42,7 @@ const handIL = "# leading comment\r\n" +
 	"(ret int (reg int t2))\n"
 
 // ilBases returns the IL texts the differential tests start from:
-// Livermore, every examples/c source, and handIL.
+// Livermore, the examples/c units of gentest.Golden, and handIL.
 func ilBases(t testing.TB) []string {
 	t.Helper()
 	suite, err := livermore.SuiteModule()
@@ -51,17 +50,12 @@ func ilBases(t testing.TB) []string {
 		t.Fatal(err)
 	}
 	bases := []string{iltext.Print(suite)}
-	srcs, err := filepath.Glob("../../examples/c/*.c")
-	if err != nil || len(srcs) == 0 {
-		t.Fatalf("no examples/c sources: %v", err)
-	}
-	sort.Strings(srcs)
-	for _, path := range srcs {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+	for _, u := range gentest.Golden() {
+		// parse_errors.golden pins the variants of examples/c alone.
+		if u.Name == gentest.BigBlock || u.Name == gentest.Pressure {
+			continue
 		}
-		mod, err := driver.Frontend(filepath.Base(path), string(src))
+		mod, err := driver.Frontend(u.Name, u.Text)
 		if err != nil {
 			t.Fatal(err)
 		}

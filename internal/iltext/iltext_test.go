@@ -1,13 +1,12 @@
 package iltext_test
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"marion/internal/core"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
@@ -81,19 +80,14 @@ func mustMachine(t *testing.T, target string) *mach.Machine {
 }
 
 func TestRoundTripExamples(t *testing.T) {
-	files, err := filepath.Glob("../../examples/c/*.c")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no example sources: %v", err)
-	}
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
+	for _, u := range gentest.Golden() {
+		if u.Name == gentest.BigBlock || u.Name == gentest.Pressure {
+			continue // the fixtures round-trip in driver's TestFrontEndSlabs
 		}
 		for _, target := range []string{"r2000", "i860"} {
-			roundTrip(t, f, string(src), target, strategy.Postpass)
+			roundTrip(t, u.Name, u.Text, target, strategy.Postpass)
 		}
-		roundTrip(t, f, string(src), "m88000", strategy.RASE)
+		roundTrip(t, u.Name, u.Text, "m88000", strategy.RASE)
 	}
 }
 

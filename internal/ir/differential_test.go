@@ -2,49 +2,36 @@ package ir_test
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
-	"sort"
 	"testing"
 
-	"marion/internal/cc"
-	"marion/internal/ilgen"
+	"marion/internal/driver"
+	"marion/internal/gentest"
+	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 )
 
-// corpus lowers Livermore, every examples/c source and the driver's
-// big-block and pressure fixtures: the functions golden.sha256 pins.
+// corpus lowers Livermore, gentest.Golden (the functions golden.sha256
+// pins) and the serve units, C and textual IL.
 func corpus(t testing.TB) []*ir.Module {
 	t.Helper()
 	suite, err := livermore.SuiteModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs, err := filepath.Glob("../../examples/c/*.c")
-	if err != nil || len(srcs) == 0 {
-		t.Fatalf("no examples/c sources: %v", err)
-	}
-	sort.Strings(srcs)
-	srcs = append(srcs, "../driver/testdata/bigblock.c", "../driver/testdata/pressure.c")
 	mods := []*ir.Module{suite}
-	for _, path := range srcs {
-		src, err := os.ReadFile(path)
+	for _, u := range append(gentest.Golden(), gentest.Serve()...) {
+		mod, err := frontEnds[u.Lang](u.Name, u.Text)
 		if err != nil {
-			t.Fatal(err)
-		}
-		file, err := cc.Compile(filepath.Base(path), string(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mod, err := ilgen.Lower(file)
-		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", u.Name, err)
 		}
 		mods = append(mods, mod)
 	}
 	return mods
 }
+
+// frontEnds maps a gentest unit's language to its front end.
+var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
 
 // callTwice is the one shape the C front end shares across statements:
 // a call appended as a statement root and consumed as a value by a

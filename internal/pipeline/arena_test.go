@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 	"time"
 
 	"marion/internal/cache"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/mach"
@@ -21,10 +21,14 @@ import (
 )
 
 // lowerUnits lowers each named unit afresh — "livermore" is the suite
-// module, anything else a fixture of internal/driver — since the back
-// end consumes the IL it compiles.
+// module, anything else a unit of gentest.Golden — since the back end
+// consumes the IL it compiles.
 func lowerUnits(t *testing.T, names ...string) [][]*ir.Func {
 	t.Helper()
+	golden := map[string]string{}
+	for _, u := range gentest.Golden() {
+		golden[u.Name] = u.Text
+	}
 	var out [][]*ir.Func
 	for _, name := range names {
 		var mod *ir.Module
@@ -32,10 +36,7 @@ func lowerUnits(t *testing.T, names ...string) [][]*ir.Func {
 		if name == "livermore" {
 			mod, err = livermore.SuiteModule()
 		} else {
-			var src []byte
-			if src, err = os.ReadFile("../driver/testdata/" + name); err == nil {
-				mod, err = driver.Frontend(name, string(src))
-			}
+			mod, err = driver.Frontend(name, golden[name])
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +79,7 @@ func sameResult(t *testing.T, where string, m *mach.Machine, got, want *pipeline
 // interleave), and every function is byte-identical to the same
 // function compiled by a worker of its own.
 func TestWarmArenaMatchesFresh(t *testing.T) {
-	units := []string{"livermore", "pressure.c", "bigblock.c", "livermore"}
+	units := []string{"livermore", gentest.Pressure, gentest.BigBlock, "livermore"}
 	for _, target := range []string{"r2000", "m88000", "i860"} {
 		m, err := targets.Load(target)
 		if err != nil {
@@ -110,7 +111,7 @@ func TestWarmArenaMatchesFresh(t *testing.T) {
 // admission check's verifier run on the arena too, and every entry a
 // warmed worker stores is the one a worker of its own stores.
 func TestWarmArenaStoresAsFresh(t *testing.T) {
-	units := []string{"livermore", "pressure.c", "bigblock.c"}
+	units := []string{"livermore", gentest.Pressure, gentest.BigBlock}
 	newCache := func() *cache.Cache {
 		c, err := cache.New(cache.Options{Registry: metrics.NewRegistry()})
 		if err != nil {

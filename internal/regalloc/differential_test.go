@@ -2,9 +2,6 @@ package regalloc_test
 
 import (
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -25,35 +22,28 @@ import (
 	"marion/internal/xform"
 )
 
-// corpus lowers Livermore, every examples/c source and the driver's
-// big-block and pressure fixtures. Each call lowers afresh: selection
-// consumes the module it is given.
+// corpus lowers Livermore, gentest.Golden and the serve units, C and
+// textual IL. Each call lowers afresh: selection consumes the module it
+// is given.
 func corpus(t testing.TB) []*ir.Module {
 	t.Helper()
 	suite, err := livermore.SuiteModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs, err := filepath.Glob("../../examples/c/*.c")
-	if err != nil || len(srcs) == 0 {
-		t.Fatalf("no examples/c sources: %v", err)
-	}
-	sort.Strings(srcs)
-	srcs = append(srcs, "../driver/testdata/bigblock.c", "../driver/testdata/pressure.c")
 	mods := []*ir.Module{suite}
-	for _, path := range srcs {
-		src, err := os.ReadFile(path)
+	for _, u := range append(gentest.Golden(), gentest.Serve()...) {
+		mod, err := frontEnds[u.Lang](u.Name, u.Text)
 		if err != nil {
-			t.Fatal(err)
-		}
-		mod, err := driver.Frontend(filepath.Base(path), string(src))
-		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", u.Name, err)
 		}
 		mods = append(mods, mod)
 	}
 	return mods
 }
+
+// frontEnds maps a gentest unit's language to its front end.
+var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
 
 func selected(t testing.TB, m *mach.Machine, fn *ir.Func) *asm.Func {
 	t.Helper()
@@ -106,7 +96,7 @@ func differ(t *testing.T, where string, m *mach.Machine, afs [3]*asm.Func, opts 
 }
 
 // TestAllocateMatchesReferenceOnCorpus: on every target, every function
-// of Livermore, examples/c and the driver fixtures allocates exactly as
+// of Livermore, gentest.Golden and the serve units allocates exactly as
 // the reference does, with and without SpillGlobals (the Local
 // strategy's option).
 func TestAllocateMatchesReferenceOnCorpus(t *testing.T) {
@@ -238,14 +228,13 @@ func TestAllocateMatchesReferenceOnGenerated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := rand.New(rand.NewSource(1991))
 		spilled, deep := 0, 0
-		for i := 0; i < genPerTarget; i++ {
-			src := gentest.Source(r, gentest.ShapeFor(r))
-			where := fmt.Sprintf("%s generated #%d", target, i)
+		for _, u := range gentest.Generated(genPerTarget) {
+			src := u.Text
+			where := fmt.Sprintf("%s generated %s", target, u.Name)
 			var afs [3]*asm.Func
 			for j := range afs {
-				mod, err := driver.Frontend("gen.c", src)
+				mod, err := driver.Frontend(u.Name, src)
 				if err != nil {
 					t.Fatalf("%s: %v\n%s", where, err, src)
 				}
@@ -264,7 +253,7 @@ func TestAllocateMatchesReferenceOnGenerated(t *testing.T) {
 			if res.Rounds >= 3 {
 				deep++
 			}
-			c, err := driver.Compile(target, "gen.c", src, driver.Config{Strategy: strategy.Postpass, Verify: true, Strict: true})
+			c, err := driver.Compile(target, u.Name, src, driver.Config{Strategy: strategy.Postpass, Verify: true, Strict: true})
 			if err != nil {
 				t.Fatalf("%s: compile: %v\n%s", where, err, src)
 			}
@@ -293,12 +282,12 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	type job struct {
 		where string
 		m     *mach.Machine
-		src   string
+		u     gentest.Unit
 		opts  regalloc.Options
 		size  int
 	}
 	lower := func(j job) *asm.Func {
-		mod, err := driver.Frontend("gen.c", j.src)
+		mod, err := driver.Frontend(j.u.Name, j.u.Text)
 		if err != nil {
 			t.Fatalf("%s: %v", j.where, err)
 		}
@@ -310,10 +299,9 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := rand.New(rand.NewSource(1991))
-		for i := 0; i < genPerTarget; i++ {
-			j := job{where: fmt.Sprintf("%s generated #%d", target, i), m: m,
-				src: gentest.Source(r, gentest.ShapeFor(r)), opts: regalloc.Options{SpillGlobals: i%2 == 1}}
+		for i, u := range gentest.Generated(genPerTarget) {
+			j := job{where: fmt.Sprintf("%s generated %s", target, u.Name), m: m,
+				u: u, opts: regalloc.Options{SpillGlobals: i%2 == 1}}
 			for _, b := range lower(j).Blocks {
 				j.size += len(b.Insts)
 			}

@@ -1,11 +1,11 @@
 package regalloc_test
 
 import (
-	"os"
 	"testing"
 
 	"marion/internal/asm"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/regalloc"
 	"marion/internal/targets"
 )
@@ -28,9 +28,11 @@ func insts(af *asm.Func) int {
 // UsedCalleeSave list, absent when empty) — independent of the number of
 // pseudos and interference edges.
 func TestAllocateAllocsScale(t *testing.T) {
-	src, err := os.ReadFile("../driver/testdata/bigblock.c")
-	if err != nil {
-		t.Fatal(err)
+	var src string
+	for _, u := range gentest.Golden() {
+		if u.Name == gentest.BigBlock {
+			src = u.Text
+		}
 	}
 	flat := 0
 	for _, target := range targets.Names() {
@@ -44,7 +46,7 @@ func TestAllocateAllocsScale(t *testing.T) {
 			const runs = 4
 			var afs []*asm.Func
 			for i := 0; i <= runs; i++ {
-				mod, err := driver.Frontend("bigblock.c", string(src))
+				mod, err := driver.Frontend(gentest.BigBlock, src)
 				if err != nil {
 					t.Fatal(err)
 				}

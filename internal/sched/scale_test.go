@@ -6,7 +6,6 @@ package sched_test
 
 import (
 	"fmt"
-	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -14,6 +13,7 @@ import (
 	"marion/internal/asm"
 	"marion/internal/cdag"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/mach"
 	"marion/internal/sched"
 	"marion/internal/sel"
@@ -26,11 +26,13 @@ import (
 // statement count, the function and its straight-line body.
 func bigBlocks(t *testing.T) (m *mach.Machine, blocks map[int]fixtureBlock) {
 	t.Helper()
-	src, err := os.ReadFile("../driver/testdata/bigblock.c")
-	if err != nil {
-		t.Fatal(err)
+	var src string
+	for _, u := range gentest.Golden() {
+		if u.Name == gentest.BigBlock {
+			src = u.Text
+		}
 	}
-	mod, err := driver.Frontend("bigblock.c", string(src))
+	mod, err := driver.Frontend(gentest.BigBlock, src)
 	if err != nil {
 		t.Fatal(err)
 	}

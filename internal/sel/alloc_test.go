@@ -1,14 +1,11 @@
 package sel_test
 
 import (
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
-	"strings"
 	"testing"
 
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
@@ -68,7 +65,7 @@ func TestSelectAllocBudget(t *testing.T) {
 	}
 }
 
-// serveUnitBytes is what selecting each unit under testdata/serve (the
+// serveUnitBytes is what selecting each unit of gentest.Serve (the
 // benchmark's serve_cold templates at seed 1: mixed leaf, loop and
 // branchy functions, 8 to 20 a unit) and the 28-function Livermore suite
 // allocated, summed over allocTargets, at the commit before selection
@@ -87,43 +84,32 @@ var serveUnitBytes = map[string]uint64{
 	"livermore":  4800192,
 }
 
+// frontEnds maps a gentest unit's language to its front end.
+var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
+
 func TestSelectBytesOnServeUnits(t *testing.T) {
-	paths, err := filepath.Glob("testdata/serve/mix*")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no serve units: %v", err)
-	}
-	sort.Strings(paths)
-	lower := func(path string) *ir.Module {
-		if path == "livermore" {
-			mod, err := livermore.SuiteModule()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return mod
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	lower := func(u gentest.Unit) *ir.Module {
 		var mod *ir.Module
-		if strings.HasSuffix(path, ".il") {
-			mod, err = iltext.Parse(filepath.Base(path), string(src))
+		var err error
+		if u.Name == "livermore" {
+			mod, err = livermore.SuiteModule()
 		} else {
-			mod, err = driver.Frontend(filepath.Base(path), string(src))
+			mod, err = frontEnds[u.Lang](u.Name, u.Text)
 		}
 		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+			t.Fatalf("%s: %v", u.Name, err)
 		}
 		return mod
 	}
-	for _, path := range append(paths, "livermore") {
+	// serveUnitBytes has a figure for exactly these units.
+	for _, u := range append(gentest.Serve(), gentest.Unit{Name: "livermore"}) {
 		var got uint64
 		for _, target := range allocTargets {
 			m, err := targets.Load(target)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mod := lower(path)
+			mod := lower(u)
 			for _, fn := range mod.Funcs {
 				xform.Apply(m, fn)
 			}
@@ -133,10 +119,9 @@ func TestSelectBytesOnServeUnits(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			got += after.TotalAlloc - before.TotalAlloc
 		}
-		name := filepath.Base(path)
-		t.Logf("%s: %d bytes, the parent %d", name, got, serveUnitBytes[name])
-		if want := serveUnitBytes[name]; got > want {
-			t.Errorf("%s: selection allocated %d bytes, the parent %d", name, got, want)
+		t.Logf("%s: %d bytes, the parent %d", u.Name, got, serveUnitBytes[u.Name])
+		if want := serveUnitBytes[u.Name]; got > want {
+			t.Errorf("%s: selection allocated %d bytes, the parent %d", u.Name, got, want)
 		}
 	}
 }

@@ -2,11 +2,11 @@ package strategy_test
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"marion/internal/asm"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/mach"
@@ -29,9 +29,11 @@ import (
 // or three times; the big-block fixture has the long i860 blocks whose
 // protection pass and closure words the scratch carries over.
 func TestScratchReuseMatchesFresh(t *testing.T) {
-	bigSrc, err := os.ReadFile("../driver/testdata/bigblock.c")
-	if err != nil {
-		t.Fatal(err)
+	var bigSrc string
+	for _, u := range gentest.Golden() {
+		if u.Name == gentest.BigBlock {
+			bigSrc = u.Text
+		}
 	}
 	// Lowering is repeated per use: the back end consumes its module.
 	modules := func() []*ir.Module {
@@ -39,7 +41,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		big, err := driver.Frontend("bigblock.c", string(bigSrc))
+		big, err := driver.Frontend(gentest.BigBlock, bigSrc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,11 @@
 package verify_test
 
 import (
-	"os"
 	"testing"
 
 	"marion/internal/asm"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/livermore"
 	"marion/internal/mach"
 	"marion/internal/strategy"
@@ -27,9 +27,11 @@ func verifyAllocs(m *mach.Machine, af *asm.Func) int {
 // function of every target, and on the big-block fixture's 128-statement
 // function within two of a one-block leaf.
 func TestVerifyAllocsConstant(t *testing.T) {
-	src, err := os.ReadFile("../driver/testdata/bigblock.c")
-	if err != nil {
-		t.Fatal(err)
+	var src string
+	for _, u := range gentest.Golden() {
+		if u.Name == gentest.BigBlock {
+			src = u.Text
+		}
 	}
 	const leafSrc = `int leaf(int a, int b) { return a + b; }`
 	for _, target := range targets.Names() {
@@ -46,7 +48,7 @@ func TestVerifyAllocsConstant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		big, err := driver.Compile(target, "bigblock.c", string(src), cfg)
+		big, err := driver.Compile(target, gentest.BigBlock, src, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,14 +7,13 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
 	"marion/internal/asm"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/livermore"
 	"marion/internal/mach"
 	"marion/internal/strategy"
@@ -32,9 +31,9 @@ type namedFunc struct {
 	f    *asm.Func
 }
 
-// compileUnits compiles the Livermore suite, examples/c and the
-// driver's spill-heavy fixture (whose calls and i860 sequences the loops
-// lack) for one target and strategy.
+// compileUnits compiles the Livermore suite and gentest.Golden but the
+// big-block fixture — examples/c and the spill-heavy fixture, whose
+// calls and i860 sequences the loops lack — for one target and strategy.
 func compileUnits(t *testing.T, target string, strat strategy.Kind) (*mach.Machine, []namedFunc) {
 	t.Helper()
 	m, err := targets.Load(target)
@@ -50,17 +49,11 @@ func compileUnits(t *testing.T, target string, strat strategy.Kind) (*mach.Machi
 		t.Fatal(err)
 	}
 	units := []*driver.Compiled{c}
-	srcs, err := filepath.Glob("../../examples/c/*.c")
-	if err != nil || len(srcs) == 0 {
-		t.Fatalf("no examples/c sources: %v", err)
-	}
-	sort.Strings(srcs)
-	for _, path := range append(srcs, "../driver/testdata/pressure.c") {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+	for _, u := range gentest.Golden() {
+		if u.Name == gentest.BigBlock {
+			continue // findings.sha256 was recorded without it
 		}
-		c, err := driver.Compile(target, filepath.Base(path), string(src), driver.Config{Strategy: strat})
+		c, err := driver.Compile(target, u.Name, u.Text, driver.Config{Strategy: strat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +149,7 @@ func findingsLine(name string, m *mach.Machine, funcs []namedFunc, opts verify.O
 
 // TestFindingsGolden pins what the verifier says, finding by finding, to
 // testdata/findings.sha256: the Livermore suite, examples/c and the
-// driver's pressure fixture compiled for every target under postpass and
+// pressure fixture compiled for every target under postpass and
 // rase, verified clean, after each exported mutator applied to every
 // function, and after a seeded perturbation (plus that perturbation once
 // under IssueOnly). The file was written by the verifier before its

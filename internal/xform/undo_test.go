@@ -2,10 +2,6 @@ package xform_test
 
 import (
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
-	"sort"
 	"testing"
 
 	"marion/internal/driver"
@@ -18,8 +14,8 @@ import (
 )
 
 // undoCorpus returns one lowering function per unit of Livermore,
-// examples/c, the driver's big-block and pressure fixtures and 24
-// generated high-pressure bodies. Each call of a function lowers afresh.
+// gentest.Golden, the serve units and 24 generated high-pressure bodies.
+// Each call of a function lowers afresh.
 func undoCorpus(t *testing.T) map[string]func() *ir.Module {
 	t.Helper()
 	units := map[string]func() *ir.Module{
@@ -31,34 +27,20 @@ func undoCorpus(t *testing.T) map[string]func() *ir.Module {
 			return mod
 		},
 	}
-	frontend := func(name, src string) func() *ir.Module {
-		return func() *ir.Module {
-			mod, err := driver.Frontend(name, src)
+	for _, u := range append(append(gentest.Golden(), gentest.Serve()...), gentest.Generated(24)...) {
+		units[u.Name] = func() *ir.Module {
+			mod, err := frontEnds[u.Lang](u.Name, u.Text)
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%s: %v", u.Name, err)
 			}
 			return mod
 		}
 	}
-	srcs, err := filepath.Glob("../../examples/c/*.c")
-	if err != nil || len(srcs) == 0 {
-		t.Fatalf("no examples/c sources: %v", err)
-	}
-	sort.Strings(srcs)
-	for _, path := range append(srcs, "../driver/testdata/bigblock.c", "../driver/testdata/pressure.c") {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		units[filepath.Base(path)] = frontend(filepath.Base(path), string(src))
-	}
-	r := rand.New(rand.NewSource(1991))
-	for i := 0; i < 24; i++ {
-		name := fmt.Sprintf("gen%d.c", i)
-		units[name] = frontend(name, gentest.Source(r, gentest.ShapeFor(r)))
-	}
 	return units
 }
+
+// frontEnds maps a gentest unit's language to its front end.
+var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
 
 func fingerprints(mod *ir.Module) [][32]byte {
 	out := make([][32]byte, len(mod.Funcs))
