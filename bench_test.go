@@ -748,6 +748,55 @@ func BenchmarkColdMiss(b *testing.B) {
 	b.ReportMetric(float64(funcs)/float64(b.N), "functions/op")
 }
 
+// BenchmarkSmallUnits measures a stream of small compiles, as the
+// benchmark's cold_bigblock runs one: every function of the big-block
+// fixture (one straight-line block of 24 to 128 statements) in a module
+// of its own, compiled by CompileModule on one worker with no cache,
+// for each of the nine code generators. Each unit is one Run, so what a
+// Run sets up rather than borrows from the pipeline's pool shows here
+// once a function. One op is every unit under every generator; lowering
+// is outside the timer.
+func BenchmarkSmallUnits(b *testing.B) {
+	type unit struct {
+		m    *mach.Machine
+		kind strategy.Kind
+		mod  *ir.Module
+	}
+	lower := func() (units []unit) {
+		for _, target := range []string{"r2000", "m88000", "i860"} {
+			m, err := targets.Load(target)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, kind := range []strategy.Kind{strategy.Postpass, strategy.IPS, strategy.RASE} {
+				mod, err := driver.Frontend(gentest.BigBlock, bigBlock())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, fn := range mod.Funcs {
+					units = append(units, unit{m, kind, &ir.Module{Name: fn.Name, Globals: mod.Globals, Funcs: []*ir.Func{fn}}})
+				}
+			}
+		}
+		return units
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	funcs := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		units := lower()
+		funcs += len(units)
+		b.StartTimer()
+		for _, u := range units {
+			if _, err := driver.CompileModule(u.m, u.mod, driver.Config{Strategy: u.kind, Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(funcs)/float64(b.N), "functions/op")
+}
+
 // Results the compiler must not discard.
 var (
 	sink       string

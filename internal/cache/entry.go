@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"marion/internal/asm"
 	"marion/internal/ir"
@@ -48,13 +49,19 @@ func Encode(m *mach.Machine, fn *ir.Func, af *asm.Func, st *strategy.Stats, sc s
 // encoder has one owner and is never shared between goroutines.
 type Encoder struct{ e enc }
 
+// Detach drops what the encoder holds of the function it encoded last:
+// the index maps' keys. The maps and the buffer keep their storage.
+func (x *Encoder) Detach() {
+	e := &x.e
+	clear(e.blockIdx)
+	clear(e.params)
+	clear(e.locals)
+}
+
 // Encode is the package's Encode on this encoder.
 func (x *Encoder) Encode(m *mach.Machine, fn *ir.Func, af *asm.Func, st *strategy.Stats, sc sel.Counters) ([]byte, error) {
 	e := &x.e
 	e.reset()
-	for i, rs := range m.RegSets {
-		e.regSetIdx[rs] = i
-	}
 	for i, b := range fn.Blocks {
 		e.blockIdx[b] = i
 	}
@@ -80,8 +87,8 @@ func (x *Encoder) Encode(m *mach.Machine, fn *ir.Func, af *asm.Func, st *strateg
 		if pi.Set == nil {
 			e.i(-1)
 		} else {
-			idx, ok := e.regSetIdx[pi.Set]
-			if !ok {
+			idx := slices.Index(m.RegSets, pi.Set)
+			if idx < 0 {
 				return nil, errors.New("cache: pseudo register set not in machine")
 			}
 			e.i(int64(idx))
@@ -547,23 +554,20 @@ func (d *dec) operand(a *asm.Operand, numPseudos int) error {
 type enc struct {
 	b []byte
 
-	regSetIdx map[*mach.RegSet]int
-	blockIdx  map[*ir.Block]int
-	params    map[*ir.Sym]int
-	locals    map[*ir.Sym]int
+	blockIdx map[*ir.Block]int
+	params   map[*ir.Sym]int
+	locals   map[*ir.Sym]int
 }
 
 // reset empties the buffer and the maps, making the maps on first use.
 func (e *enc) reset() {
 	e.b = e.b[:0]
-	if e.regSetIdx == nil {
-		e.regSetIdx = map[*mach.RegSet]int{}
+	if e.blockIdx == nil {
 		e.blockIdx = map[*ir.Block]int{}
 		e.params = map[*ir.Sym]int{}
 		e.locals = map[*ir.Sym]int{}
 		return
 	}
-	clear(e.regSetIdx)
 	clear(e.blockIdx)
 	clear(e.params)
 	clear(e.locals)

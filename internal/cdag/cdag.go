@@ -107,6 +107,15 @@ type Scratch struct {
 	done  []bool
 }
 
+// Detach drops what the scratch holds of the block it built last: the
+// graph's machine and every node's instruction, in the whole node slab
+// (a longer block built earlier left nodes past the last one's end).
+// The tables keep their storage; the next Build overwrites every node.
+func (s *Scratch) Detach() {
+	clear(s.graph.Nodes[:cap(s.graph.Nodes)])
+	s.graph = Graph{Nodes: s.graph.Nodes[:0]}
+}
+
 // Temporal latch pairing is per (latch, sequence identity): the selector
 // emits each %seq expansion with a unique SeqID, so a reader's producer
 // is its own sequence's writer regardless of how sequences were

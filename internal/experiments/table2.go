@@ -36,8 +36,8 @@ var table2Groups = []struct {
 
 // Table2 counts source lines under the repository root: the paper's
 // phases, then every Go line of the tree in the three parts a simplicity
-// PR reports (ROADMAP item 9). Hidden directories (.git, the benchmark's
-// build cache) are skipped.
+// PR reports (ROADMAP "House rules"). Hidden directories (.git, the
+// benchmark's build cache) are skipped.
 func Table2(root string) ([]Table2Row, error) {
 	perDir := map[string]int{}
 	totals := []Table2Row{

@@ -226,6 +226,16 @@ func (f *Func) Fingerprint() Digest {
 // zero value is ready; one goroutine uses it at a time.
 type FingerprintScratch struct{ w fpWriter }
 
+// Detach drops what the scratch holds of the function it fingerprinted
+// last — the function and the symbols and blocks its maps are keyed by
+// — keeping the buffer and the maps' storage.
+func (s *FingerprintScratch) Detach() {
+	w := &s.w
+	w.fn = nil
+	clear(w.sym)
+	clear(w.block)
+}
+
 // Fingerprint is f.Fingerprint() on the scratch: the same stream into
 // the same hash, so the same digest.
 func (s *FingerprintScratch) Fingerprint(f *Func) Digest {

@@ -9,11 +9,13 @@ import (
 // Slab hands out the nodes and kid lists of IL under construction,
 // carved from chunks, so building a function costs a few allocations
 // instead of two a node. Whoever builds the IL owns the slab — the
-// textual parser for its unit, the C lowering for its unit, a worker for
-// the glue rewrites of the functions it compiles — and sizes its chunks
-// through Expect from what its input says is still to come, so a small
-// unit pays for small chunks. Every kid list has cap == len: appending to
-// one node's Kids reallocates rather than writing into a neighbour's.
+// textual parser for its unit, the C lowering for its unit, a pipeline
+// claim loop for the glue rewrites of the functions it compiles in one
+// Run (its worker drops the slab, not clears it, before it is pooled) —
+// and sizes its chunks through Expect from what its input says is still
+// to come, so a small unit pays for small chunks. Every kid list has
+// cap == len: appending to one node's Kids reallocates rather than
+// writing into a neighbour's.
 //
 // A slab belongs to one goroutine at a time; it is never shared, pooled
 // or package-level. The zero Slab expects nothing and allocates every

@@ -46,11 +46,11 @@ func lowerUnits(t *testing.T, names ...string) [][]*ir.Func {
 	return out
 }
 
-// compileAlone compiles fn in a Run of its own: a worker whose arena
-// has seen nothing else.
+// compileAlone compiles fn in a Run of its own on a fresh worker: an
+// arena that has seen nothing else.
 func compileAlone(t *testing.T, m *mach.Machine, fn *ir.Func, cfg pipeline.Config) *pipeline.Result {
 	t.Helper()
-	res, diags := pipeline.Backend().Run(context.Background(), m, []*ir.Func{fn}, cfg)
+	res, diags := pipeline.Backend().RunFresh(context.Background(), m, []*ir.Func{fn}, cfg)
 	if err := diags.Err(); err != nil {
 		t.Fatalf("%s alone: %v", fn.Name, err)
 	}

@@ -276,7 +276,7 @@ func TestLadderRetryMatchesFreshCompile(t *testing.T) {
 							midRewrite.Add(1)
 						}
 					}()
-					c.Undo.Apply(&mach.Machine{Glues: append(append([]*mach.GlueRule{}, m.Glues...), hostileGlues...)}, c.IR)
+					c.Undo.Apply(&mach.Machine{Glues: append(append([]*mach.GlueRule{}, m.Glues...), hostileGlues...)}, c.IR, c.Nodes)
 					return errors.New("the hostile glue rules did not panic")
 				}
 			} else {

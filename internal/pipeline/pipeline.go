@@ -37,8 +37,8 @@ import (
 
 // Ctx carries one function through the pipeline. Phases read their
 // inputs from it and write their outputs back into it. The runner's Ctx
-// is its claim loop's, reset for every attempt: a phase must not keep
-// it past its own return.
+// is its claim loop's arena's, reset for every attempt and zeroed when
+// the loop returns: a phase must not keep it past its own return.
 type Ctx struct {
 	Machine *mach.Machine
 	// IR is the lowered function entering the back end.
@@ -65,6 +65,10 @@ type Ctx struct {
 	// the xform phase panicked part-way, which is why the phase logs
 	// through Ctx.
 	Undo *xform.Log
+	// Nodes is where the glue transform builds the nodes it splices into
+	// IR: output, like IR itself, shared by the functions the claim loop
+	// compiles in this Run and by none after it.
+	Nodes *ir.Slab
 
 	// Stats is the per-function statistics sink, filled by the strategy
 	// phase.
@@ -125,7 +129,7 @@ type Pipeline struct {
 func Backend() *Pipeline {
 	return &Pipeline{Phases: []Phase{
 		{Name: "xform", Run: func(c *Ctx) error {
-			c.Undo.Apply(c.Machine, c.IR)
+			c.Undo.Apply(c.Machine, c.IR, c.Nodes)
 			return nil
 		}},
 		{Name: "select", Run: func(c *Ctx) error {
@@ -266,6 +270,11 @@ type Result struct {
 // of completion order; a function that failed (or was cancelled) has a
 // nil entry, with its error recorded in the returned Diagnostics.
 func (p *Pipeline) Run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, cfg Config) ([]*Result, *Diagnostics) {
+	return p.run(ctx, m, funcs, cfg, &workers)
+}
+
+// run is Run with its claim loops borrowing their workers from pool.
+func (p *Pipeline) run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, cfg Config, pool pool) ([]*Result, *Diagnostics) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -306,9 +315,10 @@ func (p *Pipeline) Run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, c
 
 	// One loop claims indices from one cursor; the caller runs it beside
 	// workers-1 spawned goroutines, so a single worker is the caller alone.
+	// Each loop borrows its worker from the pool for as long as it runs
+	// and detaches it before giving it back.
 	var cursor atomic.Int64
-	work := func() {
-		var w worker
+	claim := func(w *worker) {
 		for {
 			k := int(cursor.Add(1)) - 1
 			if k >= len(order) {
@@ -321,8 +331,17 @@ func (p *Pipeline) Run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, c
 				diags.Add(i, funcs[i].Name, "pipeline", err)
 				continue
 			}
-			results[i] = p.runOne(ctx, m, i, funcs[i], cfg, keys, &w, diags)
+			results[i] = p.runOne(ctx, m, i, funcs[i], cfg, keys, w, diags)
 		}
+	}
+	work := func() {
+		w, _ := pool.Get().(*worker)
+		if w == nil {
+			w = new(worker)
+		}
+		claim(w)
+		w.detach()
+		pool.Put(w)
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
@@ -343,30 +362,65 @@ func (p *Pipeline) Run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, c
 // server just declined to spend a compile on it right now.
 var ErrCacheOnlyMiss = errors.New("cache-only mode: not in cache")
 
-// worker is what one claim loop keeps from one function to the next.
+// workers is the pool every claim loop borrows its worker from. A
+// worker waits here detached (worker.detach), so an idle one pins no
+// compile; it is a sync.Pool rather than a kept free list so that the
+// collector drops the idle ones, and a process that stops compiling
+// stops holding their scratch.
+var workers sync.Pool
+
+// pool is what a claim loop borrows its worker from: workers, or a
+// test's own. Get returns nil when it has none.
+type pool interface {
+	Get() any
+	Put(any)
+}
+
+// worker is what one claim loop keeps from one function to the next,
+// and what waits in workers between loops.
 type worker struct {
-	// hists is the histogram of each phase, filled in by the first
-	// function the worker compiles (tryOne); a run of hits looks none up.
+	// hists is the histogram of each of the Run's phases, filled in by
+	// the first function the loop compiles (tryOne); a run of hits looks
+	// none up.
 	hists []*metrics.Histogram
 	// fp is the fingerprint's scratch, reset by every function the
 	// worker looks up in the cache.
 	fp ir.FingerprintScratch
+	// nodes is the slab the glue transform builds in (Ctx.Nodes): output,
+	// so it lives one claim loop and is dropped, not cleared, by detach.
+	nodes ir.Slab
 	// arena is every phase's scratch, made by the worker's first miss:
 	// a run of hits builds none.
 	arena *arena
 }
 
-// arena is the storage the back end works in for one claim loop, from
-// one function to the next. Each member is reset at the start of each
-// use, so what a function, or an attempt that failed part-way, leaves
-// in it never reaches the next; it is never shared, pooled or kept past
-// the loop.
+// detach readies w to wait in the pool: every member drops the pointers
+// it holds into the compiles it served (functions, code, IL nodes,
+// deadlines), keeping its storage.
+func (w *worker) detach() {
+	w.hists = w.hists[:0]
+	w.fp.Detach()
+	w.nodes = ir.Slab{}
+	if a := w.arena; a != nil {
+		a.ctx = Ctx{}
+		a.undo.Detach()
+		a.sel.Detach()
+		a.strategy.Detach()
+		a.verify.Detach()
+		a.enc.Detach()
+	}
+}
+
+// arena is the storage the back end works in, from one function to the
+// next. Each member is reset at the start of each use, so what a
+// function, or an attempt that failed part-way, leaves in it never
+// reaches the next. One claim loop at a time owns it; between loops it
+// waits, detached, in its worker in the pool.
 type arena struct {
 	// ctx is the attempt's Ctx.
 	ctx Ctx
 	// undo logs the glue transform's writes into the function being
-	// compiled; its slab holds the nodes the rewrites build, for every
-	// function the worker compiles.
+	// compiled.
 	undo xform.Log
 	// The selector's tables; the strategy's scheduler (with its code
 	// DAG) and allocator; the verifier's tables, which the verify phase,
@@ -517,18 +571,17 @@ func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *i
 	cfg.Options.Inject = inj
 
 	// The lookup builds a name and read-locks the registry every worker
-	// shares, so it is done once per worker and run, not per function.
-	if w.hists == nil {
-		w.hists = make([]*metrics.Histogram, len(p.Phases))
-		for i, ph := range p.Phases {
-			w.hists[i] = phaseHist(ph.Name)
+	// shares, so it is done once per claim loop, not per function.
+	if len(w.hists) == 0 {
+		for _, ph := range p.Phases {
+			w.hists = append(w.hists, phaseHist(ph.Name))
 		}
 	}
 	// Timings has room for every phase and the cache's store.
 	a := w.arena
 	c := &a.ctx
 	*c = Ctx{
-		Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Inject: inj, Undo: &a.undo,
+		Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Inject: inj, Undo: &a.undo, Nodes: &w.nodes,
 		Timings: make([]PhaseTiming, 0, len(p.Phases)+1), arena: a,
 	}
 	for i, ph := range p.Phases {
@@ -583,7 +636,7 @@ func phaseHist(phase string) *metrics.Histogram {
 
 // The two phases that are not in Pipeline.Phases run once per function
 // whatever the phase list is, so their histograms are looked up once per
-// process; tryOne looks up the listed phases' once per worker and run.
+// process; tryOne looks up the listed phases' once per claim loop.
 var (
 	cacheHist      = phaseHist("cache")
 	cachestoreHist = phaseHist("cachestore")

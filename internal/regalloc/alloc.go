@@ -132,6 +132,10 @@ func (s *Scratch) AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Re
 	return res, nil
 }
 
+// Detach drops what the scratch holds of the function it allocated
+// last, keeping the tables' storage and the machines' facts.
+func (s *Scratch) Detach() { s.a.af, s.a.res = nil, nil }
+
 // spillGlobals sends every pseudo that more than one block mentions to
 // memory, as a round's spill list would be.
 func (a *allocator) spillGlobals() error {
@@ -151,17 +155,14 @@ func (a *allocator) spillGlobals() error {
 // function, reused by every build-colour-spill round and, through a
 // Scratch, by the next call.
 type allocator struct {
-	m   *mach.Machine
+	// facts are the colouring facts of the machine being allocated for,
+	// one of known: the facts of every machine the scratch has met, the
+	// most recent last, at most maxKnown of them.
+	facts
+	known []facts
+
 	af  *asm.Func
 	res *Result
-
-	// Machine-only facts, valid for m. Register sets are named by their
-	// index in m.RegSets.
-	physWords  int             // words of a bitset over PhysID
-	k          []int           // per set: number of colours
-	colors     [][]mach.PhysID // per set: colours, caller-save first, then ascending
-	weight     []int           // [mine*len(k)+nb]: degreeWeight of a neighbour in set nb
-	calleeSave bitset          // over PhysID
 
 	// Per function: the CFG successors of block i are
 	// succ[succStart[i]:succStart[i+1]], as indices into af.Blocks;
@@ -195,17 +196,33 @@ type allocator struct {
 	slot []int32 // per pseudo: spill slot, -1 when not being spilled
 }
 
+// facts are one machine's colouring facts. Register sets are named by
+// their index in m.RegSets.
+type facts struct {
+	m          *mach.Machine
+	physWords  int             // words of a bitset over PhysID
+	k          []int           // per set: number of colours
+	colors     [][]mach.PhysID // per set: colours, caller-save first, then ascending
+	weight     []int           // [mine*len(k)+nb]: degreeWeight of a neighbour in set nb
+	calleeSave bitset          // over PhysID
+}
+
+// maxKnown bounds the machines a scratch keeps facts for: more than the
+// shipped targets, so a scratch that meets them in turn builds each
+// machine's facts once.
+const maxKnown = 8
+
 // newAllocator is an allocator for af on a scratch of its own.
 func newAllocator(m *mach.Machine, af *asm.Func) *allocator {
 	return new(allocator).reset(m, af)
 }
 
-// reset readies a for allocating af: the machine's facts when m is not
-// the machine they describe, and the function's successor lists. The
-// per-round tables are resized and cleared by every build.
+// reset readies a for allocating af: m's facts, built when a has not
+// met m before, and the function's successor lists. The per-round
+// tables are resized and cleared by every build.
 func (a *allocator) reset(m *mach.Machine, af *asm.Func) *allocator {
 	if a.m != m {
-		a.machine(m)
+		a.facts = a.factsFor(m)
 	}
 	a.af, a.res = af, &Result{}
 	a.set = a.set[:0]
@@ -213,11 +230,27 @@ func (a *allocator) reset(m *mach.Machine, af *asm.Func) *allocator {
 	return a
 }
 
-// machine derives the machine's colouring facts: K and the colour
+// factsFor returns m's facts from known, building them (and forgetting
+// the oldest machine's when known is full) the first time.
+func (a *allocator) factsFor(m *mach.Machine) facts {
+	for _, f := range a.known {
+		if f.m == m {
+			return f
+		}
+	}
+	if len(a.known) == maxKnown {
+		a.known = append(a.known[:0], a.known[1:]...)
+	}
+	f := machineFacts(m)
+	a.known = append(a.known, f)
+	return f
+}
+
+// machineFacts derives the machine's colouring facts: K and the colour
 // order per register set, caller-save first (so callee-save stays
 // untouched when possible).
-func (a *allocator) machine(m *mach.Machine) {
-	a.m, a.physWords = m, words(m.NumPhys)
+func machineFacts(m *mach.Machine) facts {
+	a := facts{m: m, physWords: words(m.NumPhys)}
 	a.calleeSave = make(bitset, a.physWords)
 	for _, rr := range m.Cwvm.CalleeSave {
 		for i := rr.Lo; i <= rr.Hi; i++ {
@@ -272,6 +305,7 @@ func (a *allocator) machine(m *mach.Machine) {
 			a.weight[si*sets+sj] = degreeWeight(rs, nb)
 		}
 	}
+	return a
 }
 
 // successors resolves every block's CFG successors to block indices

@@ -94,6 +94,16 @@ type Scratch struct {
 	run run
 }
 
+// Detach drops what the scratch holds of the function it scheduled
+// last — the function, its graph, the options' deadline and liveness,
+// and the last Result's Order and Cycles, which are the caller's —
+// keeping the tables' storage.
+func (s *Scratch) Detach() {
+	s.Dag.Detach()
+	r := &s.run
+	r.m, r.af, r.g, r.opts, r.order, r.cycles = nil, nil, nil, Options{}, nil, nil
+}
+
 // Run schedules the block's code DAG without mutating the block, in a
 // scratch of its own. A non-nil error means the scheduler deadlocked — a
 // machine description whose constraints admit no schedule (must be

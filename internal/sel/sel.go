@@ -85,6 +85,18 @@ func (sc *Scratch) SelectOpts(m *mach.Machine, fn *ir.Func, opts Options) (*asm.
 	return af, s.counters, err
 }
 
+// Detach drops what the scratch holds of the function it selected last
+// — the function, its code and the instruction slab, which are the
+// function's own, and the IL nodes and operands left in the tables —
+// keeping the tables' storage.
+func (sc *Scratch) Detach() {
+	s := &sc.s
+	clear(s.intos[:cap(s.intos)])
+	clear(s.selOps[:cap(s.selOps)])
+	clear(s.binds[:cap(s.binds)])
+	*s = selector{irPseudo: s.irPseudo, memo: s.memo, intos: s.intos[:0], selOps: s.selOps[:0], binds: s.binds[:0]}
+}
+
 // reset readies the selector for fn, keeping the storage of its tables.
 func (s *selector) reset(m *mach.Machine, fn *ir.Func, opts Options) {
 	nodes := fn.NodeCount()

@@ -179,6 +179,13 @@ type Scratch struct {
 	alloc regalloc.Scratch
 }
 
+// Detach drops what the scheduler and the allocator hold of the
+// function they worked on last, keeping their storage.
+func (s *Scratch) Detach() {
+	s.sched.Detach()
+	s.alloc.Detach()
+}
+
 // Apply is the package's Apply on this scratch.
 func (s *Scratch) Apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options) (*Stats, error) {
 	return apply(m, af, kind, opts, &s.alloc, func() *sched.Scratch { return &s.sched })

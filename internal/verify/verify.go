@@ -188,6 +188,15 @@ func (s *Scratch) Func(m *mach.Machine, af *asm.Func, opts Options) *Report {
 	return v.report
 }
 
+// Detach drops what the scratch holds of the function it verified last
+// — the function, its report and the CFG map's blocks — keeping the
+// tables' storage.
+func (s *Scratch) Detach() {
+	v := &s.v
+	v.m, v.af, v.report = nil, nil, nil
+	clear(v.blockAt)
+}
+
 // Program verifies every function of a compiled program and returns the
 // merged findings.
 func Program(p *asm.Program, opts Options) *Report {

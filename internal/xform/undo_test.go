@@ -89,7 +89,7 @@ func TestUndoIsExact(t *testing.T) {
 			text, fps, parents := iltext.Print(mod), fingerprints(mod), parentCounts(mod)
 			logs := make([]xform.Log, len(mod.Funcs))
 			for i, fn := range mod.Funcs {
-				logs[i].Apply(m, fn)
+				logs[i].Apply(m, fn, new(ir.Slab))
 			}
 			if iltext.Print(mod) != text {
 				rewrote++
@@ -111,7 +111,7 @@ func TestUndoIsExact(t *testing.T) {
 
 			once := lower()
 			for i, fn := range mod.Funcs {
-				logs[i].Apply(m, fn)
+				logs[i].Apply(m, fn, new(ir.Slab))
 				xform.Apply(m, once.Funcs[i])
 			}
 			if got, want := iltext.Print(mod), iltext.Print(once); got != want {

@@ -13,7 +13,7 @@ import (
 // first matching rule wins), so rules whose right-hand side embeds their
 // own left-hand side terminate.
 func Apply(m *mach.Machine, fn *ir.Func) {
-	new(Log).Apply(m, fn)
+	new(Log).Apply(m, fn, new(ir.Slab))
 }
 
 // Log is the undo log of Apply: every write the rewrite makes into the
@@ -23,12 +23,12 @@ func Apply(m *mach.Machine, fn *ir.Func) {
 // through Apply. Nodes a rule built are not logged: nothing reaches them
 // once the slots are restored.
 //
-// The nodes rules build come from the log's slab. A log reused for the
-// functions one goroutine compiles in turn (Keep between them) keeps its
-// slab, so a built node costs a share of a chunk, not two allocations.
+// The nodes rules build come from the slab the caller passes: they are
+// spliced into the function's IL, so the slab is output, not the log's.
+// A caller compiling functions in turn passes them one slab, so a built
+// node costs a share of a chunk, not two allocations.
 type Log struct {
 	writes []write
-	slab   ir.Slab
 }
 
 // stmtsPerBuilt is how many statements a function has for each node its
@@ -43,8 +43,9 @@ type write struct {
 	old  *ir.Node
 }
 
-// Apply is the package's Apply, recording its writes in l.
-func (l *Log) Apply(m *mach.Machine, fn *ir.Func) {
+// Apply is the package's Apply, recording its writes in l and building
+// the rules' nodes in nodes.
+func (l *Log) Apply(m *mach.Machine, fn *ir.Func, nodes *ir.Slab) {
 	if len(m.Glues) == 0 {
 		return
 	}
@@ -52,7 +53,7 @@ func (l *Log) Apply(m *mach.Machine, fn *ir.Func) {
 	for _, g := range m.Glues {
 		operands = max(operands, len(g.Operands))
 	}
-	x := &xformer{m: m, log: l, walk: ir.NewWalk(), b: bindings{
+	x := &xformer{m: m, log: l, slab: nodes, walk: ir.NewWalk(), b: bindings{
 		nodes:  make([]*ir.Node, operands),
 		blocks: make([]*ir.Block, operands),
 	}}
@@ -60,7 +61,7 @@ func (l *Log) Apply(m *mach.Machine, fn *ir.Func) {
 	for _, b := range fn.Blocks {
 		stmts += len(b.Stmts)
 	}
-	l.slab.Expect(stmts/stmtsPerBuilt, stmts/stmtsPerBuilt)
+	nodes.Expect(stmts/stmtsPerBuilt, stmts/stmtsPerBuilt)
 	for _, b := range fn.Blocks {
 		for i := range b.Stmts {
 			x.rewriteSlot(&b.Stmts[i])
@@ -75,6 +76,13 @@ func (l *Log) Apply(m *mach.Machine, fn *ir.Func) {
 // Keep empties the log and leaves the rewrites in place: the attempt
 // that logged them was accepted.
 func (l *Log) Keep() { l.writes = l.writes[:0] }
+
+// Detach empties the log and drops the IL slots its storage still
+// names, keeping the storage.
+func (l *Log) Detach() {
+	clear(l.writes[:cap(l.writes)])
+	l.writes = l.writes[:0]
+}
 
 // Undo replays the log backwards and empties it, leaving fn's IL —
 // Fingerprint, iltext.Print, parent counts — as before l's Apply calls.
@@ -92,8 +100,9 @@ func (l *Log) Undo(fn *ir.Func) {
 }
 
 type xformer struct {
-	m   *mach.Machine
-	log *Log
+	m    *mach.Machine
+	log  *Log
+	slab *ir.Slab
 	// walk marks the nodes already rewritten; replaced maps the few of
 	// them a rule replaced to their replacement (nil until one is).
 	walk     ir.Walk
@@ -248,10 +257,10 @@ func matchSem(p *mach.Sem, n *ir.Node, ops []mach.OperandSpec, b *bindings) bool
 }
 
 // build instantiates the replacement tree for the matched rule whose
-// bindings are in x.b, from the log's slab; want is the matched node's
+// bindings are in x.b, from the caller's slab; want is the matched node's
 // type at the root, which seeds type synthesis.
 func (x *xformer) build(p *mach.Sem, want ir.Type) *ir.Node {
-	s := &x.log.slab
+	s := x.slab
 	switch p.Kind {
 	case mach.SemOperand:
 		return x.b.nodes[p.OpIdx]

@@ -207,7 +207,8 @@ func TestApplyWithoutMatchIsCheap(t *testing.T) {
 			t.Fatal(err)
 		}
 		var l Log
-		allocs := testing.AllocsPerRun(10, func() { l.Apply(m, fn) })
+		var nodes ir.Slab
+		allocs := testing.AllocsPerRun(10, func() { l.Apply(m, fn, &nodes) })
 		if len(l.writes) != 0 || b.Stmts[0].String() != before {
 			t.Fatalf("%s: a glue rule matched; the test lost its point", target)
 		}
