@@ -142,7 +142,11 @@ func New(tmpl *mach.Instr, args ...Operand) *Inst {
 
 // Append appends the instruction's assembly text — mnemonic, then the
 // operands separated by ", " — to dst.
-func (in *Inst) Append(dst []byte) []byte {
+func (in *Inst) Append(dst []byte) []byte { return in.appendText(dst, 0, nil) }
+
+// appendText is Append, recording in holes (when not nil) each block or
+// symbol operand's span, counted from base.
+func (in *Inst) appendText(dst []byte, base int, holes *[]Hole) []byte {
 	dst = append(dst, in.Tmpl.Mnemonic...)
 	for i, a := range in.Args {
 		if i == 0 {
@@ -150,7 +154,11 @@ func (in *Inst) Append(dst []byte) []byte {
 		} else {
 			dst = append(dst, ", "...)
 		}
+		at := len(dst)
 		dst = a.Append(dst)
+		if holes != nil && (a.Kind == OpBlock || a.Kind == OpSym) {
+			*holes = append(*holes, Hole{Off: at - base, Len: len(dst) - at, Block: a.Block, Sym: a.Sym})
+		}
 	}
 	return dst
 }
@@ -206,6 +214,12 @@ type Func struct {
 	CalleeSaved []mach.PhysID
 	// SpillSlots is the number of 8-byte spill slots in the frame.
 	SpillSlots int
+
+	// Text, when not nil, is the function's assembly as AppendText
+	// prints it, and Blocks is empty: a cache hit (internal/cache)
+	// carries its code as text only. Print copies it verbatim; sim and
+	// verify refuse such a function. It is read-only.
+	Text []byte
 }
 
 // NewSeqID returns a fresh sequence identity for a %seq expansion.
@@ -255,13 +269,14 @@ const printBytesPerInst = 24
 
 // Print renders the program as assembly text.
 func (p *Program) Print() string {
-	insts := 0
+	size := 64 + 32*len(p.Globals)
 	for _, f := range p.Funcs {
+		size += len(f.Text)
 		for _, b := range f.Blocks {
-			insts += len(b.Insts)
+			size += printBytesPerInst * len(b.Insts)
 		}
 	}
-	buf := make([]byte, 0, 64+32*len(p.Globals)+printBytesPerInst*insts)
+	buf := make([]byte, 0, size)
 	buf = append(buf, "; target "...)
 	buf = append(buf, p.Machine.Name...)
 	buf = append(buf, '\n')
@@ -274,23 +289,58 @@ func (p *Program) Print() string {
 	}
 	for _, f := range p.Funcs {
 		buf = append(buf, '\n')
-		buf = append(buf, f.Name...)
-		buf = strconv.AppendInt(append(buf, ":  ; frame="...), int64(f.FrameSize), 10)
-		buf = append(buf, '\n')
-		for _, b := range f.Blocks {
-			buf = append(b.IR.AppendName(buf), ":\n"...)
-			lastCycle := int32(-2)
-			for _, in := range b.Insts {
-				pack := byte(' ')
-				if in.Cycle >= 0 && in.Cycle == lastCycle {
-					pack = '|' // packed with the previous instruction
-				}
-				lastCycle = in.Cycle
-				buf = append(buf, ' ', ' ', pack, ' ')
-				buf = append(in.Append(buf), '\n')
-			}
+		if f.Text != nil {
+			buf = append(buf, f.Text...)
+		} else {
+			buf = f.AppendText(buf, nil)
 		}
 	}
 	// buf is never written again, so the string can share its bytes.
 	return unsafe.String(unsafe.SliceData(buf), len(buf))
+}
+
+// A Hole is a name in a function's text that a cache entry rebinds on
+// a hit (internal/cache, DESIGN §10): the function's own name, a block
+// label, or a symbol operand. Off and Len are its bytes, counted from
+// the start of the function's text.
+type Hole struct {
+	Off, Len int
+	Block    *ir.Block // the block a label names
+	Sym      *ir.Sym   // the symbol an operand names
+	// Block and Sym both nil: the function's name.
+}
+
+// AppendText appends the function's assembly text to dst as Print
+// renders it: the header line, then each block's label and its
+// instructions, one a line, packed ones marked '|'. It is the one
+// printer: Print calls it, and so does the cache's entry encoder, with
+// holes not nil, to learn where in the text each name the entry rebinds
+// sits; the holes are appended in text order.
+func (f *Func) AppendText(dst []byte, holes *[]Hole) []byte {
+	base := len(dst)
+	dst = append(dst, f.Name...)
+	if holes != nil {
+		*holes = append(*holes, Hole{Len: len(f.Name)})
+	}
+	dst = strconv.AppendInt(append(dst, ":  ; frame="...), int64(f.FrameSize), 10)
+	dst = append(dst, '\n')
+	for _, b := range f.Blocks {
+		at := len(dst)
+		dst = b.IR.AppendName(dst)
+		if holes != nil {
+			*holes = append(*holes, Hole{Off: at - base, Len: len(dst) - at, Block: b.IR})
+		}
+		dst = append(dst, ":\n"...)
+		lastCycle := int32(-2)
+		for _, in := range b.Insts {
+			pack := byte(' ')
+			if in.Cycle >= 0 && in.Cycle == lastCycle {
+				pack = '|' // packed with the previous instruction
+			}
+			lastCycle = in.Cycle
+			dst = append(dst, ' ', ' ', pack, ' ')
+			dst = append(in.appendText(dst, base, holes), '\n')
+		}
+	}
+	return dst
 }

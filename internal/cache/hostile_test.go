@@ -1,14 +1,19 @@
 package cache_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"regexp"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 
-	"marion/internal/asm"
 	"marion/internal/cache"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/mach"
@@ -17,9 +22,8 @@ import (
 	"marion/internal/targets"
 )
 
-// hostileSrc has what the Livermore kernels lack: calls (implicit uses
-// and defs), memory-resident locals, an addressed parameter and callee
-// symbols.
+// hostileSrc has what the Livermore kernels lack: calls, memory-resident
+// locals, an addressed parameter and callee symbols.
 const hostileSrc = `
 int g[8];
 double scale;
@@ -35,16 +39,14 @@ int walk(int n, int seed) {
 `
 
 // The allocation a failing Decode may make, as a multiple of the payload
-// length plus a fixed part. Decode holds every count to the bytes still
-// unread before it allocates, so the worst payload is one that spends
-// its bytes where memory per byte is highest: a block count claiming
-// three bytes a block (16 B/B), then an instruction count claiming six
-// bytes an instruction (9 B/B), then operand counts claiming one byte
-// an operand (32 B/B, times 2.2 for the slab's chunking); the fixed
-// part is the symbol table harvested from the IR, which the payload
-// does not control.
+// length plus a fixed part. Decode allocates the Entry with its Func, an
+// error, and — only once a name differs from the stored one, which a
+// probe against the function the entry was stored for never makes —
+// the rebound text, at most 1.125 times the text. The fixed part is
+// what the runtime itself now and then allocates between the two
+// MemStats reads of a probe (5.4 KiB).
 const (
-	hostileAllocPerByte = 160
+	hostileAllocPerByte = 2
 	hostileAllocFixed   = 16 << 10
 )
 
@@ -61,7 +63,7 @@ type realEntry struct {
 // compiles a second lowering warm — which lays out its globals and
 // leaves its IR otherwise as lowered — and fetches each of its
 // functions' entries by content address.
-func realEntries(t *testing.T, target string, kind strategy.Kind, lower func() *ir.Module) (*cache.Cache, []realEntry) {
+func realEntries(t testing.TB, target string, kind strategy.Kind, lower func() *ir.Module) (*cache.Cache, []realEntry) {
 	t.Helper()
 	m, err := targets.Load(target)
 	if err != nil {
@@ -95,9 +97,9 @@ func realEntries(t *testing.T, target string, kind strategy.Kind, lower func() *
 	return c, out
 }
 
-func lowerHostile(t *testing.T) func() *ir.Module {
+func lowerSource(t testing.TB, name, src string) func() *ir.Module {
 	return func() *ir.Module {
-		mod, err := driver.Frontend("hostile.c", hostileSrc)
+		mod, err := driver.Frontend(name, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +107,9 @@ func lowerHostile(t *testing.T) func() *ir.Module {
 	}
 }
 
-func lowerLivermore(t *testing.T) func() *ir.Module {
+func lowerHostile(t testing.TB) func() *ir.Module { return lowerSource(t, "hostile.c", hostileSrc) }
+
+func lowerLivermore(t testing.TB) func() *ir.Module {
 	return func() *ir.Module {
 		mod, err := livermore.SuiteModule()
 		if err != nil {
@@ -113,6 +117,35 @@ func lowerLivermore(t *testing.T) func() *ir.Module {
 		}
 		return mod
 	}
+}
+
+// Hole kinds, as the entry writes them.
+const (
+	holeFunc = iota
+	holeBlock
+	holeParam
+	holeLocal
+	holeGlobal
+	numHoleKinds
+)
+
+// hole is one entry of an entry-v2 relocation list.
+type hole struct {
+	off, n uint64
+	kind   byte
+	idx    uint64
+}
+
+func indexed(kind byte) bool { return kind == holeBlock || kind == holeParam || kind == holeLocal }
+
+// entry is the test's own reading of an entry-v2 payload: the version
+// and statistics, the text, the holes, and where the two counts sit.
+type entry struct {
+	head          []byte
+	text          []byte
+	holes         []hole
+	textLenSite   countSite
+	holeCountSite countSite
 }
 
 // countSite is one count in an encoded entry: what it counts and where
@@ -123,25 +156,7 @@ type countSite struct {
 	value     uint64
 }
 
-// valueSite is one register id, operand half, cycle or sequence id in
-// an encoded entry: what it is and where its varint sits.
-type valueSite struct {
-	what      string
-	off, size int
-	value     int64
-}
-
-// countSites walks an entry-v1 payload and returns every count in it.
-func countSites(t *testing.T, p []byte) []countSite {
-	t.Helper()
-	counts, _ := entrySites(t, p)
-	return counts
-}
-
-// entrySites walks an entry-v1 payload and returns every count and every
-// value site in it. It is the test's own reading of the format Encode
-// writes.
-func entrySites(t *testing.T, p []byte) (counts []countSite, values []valueSite) {
+func parseEntry(t testing.TB, p []byte) entry {
 	t.Helper()
 	pos := 0
 	u := func() uint64 {
@@ -152,95 +167,84 @@ func entrySites(t *testing.T, p []byte) (counts []countSite, values []valueSite)
 		pos += n
 		return v
 	}
-	i := func() {
-		_, n := binary.Varint(p[pos:])
-		if n <= 0 {
-			t.Fatalf("bad varint at %d", pos)
-		}
-		pos += n
-	}
-	count := func(what string) int {
+	count := func(what string) countSite {
 		off := pos
 		v := u()
-		counts = append(counts, countSite{what, off, pos - off, v})
-		return int(v)
+		return countSite{what, off, pos - off, v}
 	}
-	val := func(what string) {
-		v, n := binary.Varint(p[pos:])
-		if n <= 0 {
+	pos += int(u()) // "entry-v2"
+	for range 9 {
+		if _, n := binary.Varint(p[pos:]); n <= 0 {
 			t.Fatalf("bad varint at %d", pos)
-		}
-		values = append(values, valueSite{what, pos, n, v})
-		pos += n
-	}
-	str := func() { pos += int(u()) }
-	physList := func(what string) {
-		for n := count(what); n > 0; n-- {
-			val(what + " id")
+		} else {
+			pos += n
 		}
 	}
-
-	str() // "entry-v1"
-	i()   // frame size
-	i()   // outgoing
-	pos++ // uses calls
-	i()   // spill slots
-	physList("callee-save")
-	for n := count("pseudo"); n > 0; n-- {
-		i()
-		i()
-		val("precolor")
-		pos += 8 + 1
-	}
-	for nb := count("block"); nb > 0; nb-- {
-		u()
-		i()
-		for ni := count("instruction"); ni > 0; ni-- {
-			u()
-			for na := count("operand"); na > 0; na-- {
-				kind := asm.OperandKind(p[pos])
-				pos++
-				switch kind {
-				case asm.OpPseudo, asm.OpImm:
-					i()
-				case asm.OpPhys:
-					val("operand phys")
-				case asm.OpPseudoHalf:
-					i()
-					val("operand half")
-				case asm.OpBlock:
-					u()
-				case asm.OpSym:
-					class := p[pos]
-					pos++
-					switch class {
-					case 1, 2:
-						u()
-					case 3:
-						str()
-					}
-				}
-			}
-			physList("implicit use")
-			physList("implicit def")
-			val("cycle")
-			val("sequence id")
+	var e entry
+	e.head = p[:pos]
+	e.textLenSite = count("text length")
+	e.text = p[pos : pos+int(e.textLenSite.value)]
+	pos += len(e.text)
+	e.holeCountSite = count("hole")
+	for range e.holeCountSite.value {
+		h := hole{off: u(), n: u(), kind: p[pos]}
+		pos++
+		if indexed(h.kind) {
+			h.idx = u()
 		}
-	}
-	for n := 0; n < 9; n++ {
-		i()
+		e.holes = append(e.holes, h)
 	}
 	if pos != len(p) {
 		t.Fatalf("walked %d of %d bytes", pos, len(p))
 	}
-	return counts, values
+	return e
 }
 
-// replaceValue returns p with the value at s replaced by v.
-func replaceValue(p []byte, s valueSite, v int64) []byte {
-	out := append([]byte(nil), p[:s.off]...)
-	out = binary.AppendVarint(out, v)
-	return append(out, p[s.off+s.size:]...)
+// bytes encodes e as Encode would.
+func (e entry) bytes() []byte {
+	p := append([]byte(nil), e.head...)
+	p = binary.AppendUvarint(p, uint64(len(e.text)))
+	p = append(p, e.text...)
+	p = binary.AppendUvarint(p, uint64(len(e.holes)))
+	for _, h := range e.holes {
+		p = binary.AppendUvarint(p, h.off)
+		p = binary.AppendUvarint(p, h.n)
+		p = append(p, h.kind)
+		if indexed(h.kind) {
+			p = binary.AppendUvarint(p, h.idx)
+		}
+	}
+	return p
+}
+
+// clone returns a copy of e that shares nothing with it.
+func (e entry) clone() entry {
+	e.text = slices.Clone(e.text)
+	e.holes = slices.Clone(e.holes)
+	return e
+}
+
+// edit returns e with text[at:at+n] replaced by repl and the holes
+// behind the edit moved with it.
+func (e entry) edit(at, n int, repl string) entry {
+	e = e.clone()
+	e.text = slices.Concat(e.text[:at], []byte(repl), e.text[at+n:])
+	for i := range e.holes {
+		if e.holes[i].off >= uint64(at+n) {
+			e.holes[i].off += uint64(len(repl) - n)
+		}
+	}
+	return e
+}
+
+// inHole reports whether text[at] lies inside a hole.
+func (e entry) inHole(at int) bool {
+	for _, h := range e.holes {
+		if uint64(at) >= h.off && uint64(at) < h.off+h.n {
+			return true
+		}
+	}
+	return false
 }
 
 // inflate returns p with the count at s replaced by v.
@@ -260,10 +264,10 @@ func decodeAlloc(p []byte, e realEntry) (error, uint64) {
 	return err, after.TotalAlloc - before.TotalAlloc
 }
 
-// Every truncation of a real entry, and every count in it — callee-saves,
-// pseudos, blocks, instructions, operands, implicit uses and defs —
-// inflated to any value the bytes behind it cannot back, is an error
-// that costs memory in proportion to the payload, not to the count.
+// Every truncation of a real entry, and both of its counts — the text's
+// length and the number of holes — inflated to any value the bytes
+// behind them cannot back, is an error that costs memory in proportion
+// to the payload, not to the count.
 func TestDecodeHostileCounts(t *testing.T) {
 	var entries []realEntry
 	for _, cfg := range []struct {
@@ -310,24 +314,22 @@ func TestDecodeHostileCounts(t *testing.T) {
 		for k := 0; k < len(e.payload); k++ {
 			check(e, e.payload[:k], "truncation", true)
 		}
-		for _, s := range countSites(t, e.payload) {
+		pe := parseEntry(t, e.payload)
+		for _, s := range []countSite{pe.textLenSite, pe.holeCountSite} {
 			seen[s.what]++
 			rest := uint64(len(e.payload) - s.off - s.size)
 			for _, v := range []uint64{
-				rest, rest + 1, uint64(len(e.payload)), 1 << 16, 1 << 32, math.MaxInt64, math.MaxUint64,
+				rest + 1, uint64(len(e.payload)), 1 << 16, 1 << 32, math.MaxInt64, math.MaxUint64,
 			} {
-				// Nothing Decode counts encodes in under a byte, and an
-				// entry ends in fields that are not counted: as many
-				// items as bytes left cannot all be there. rest is the
-				// largest count the operand and register-list guards
-				// let through to an allocation.
 				check(e, inflate(e.payload, s, v), s.what+" count", true)
 			}
-			// One too many shifts every later field: no panic, no blow-up.
-			check(e, inflate(e.payload, s, s.value+1), s.what+" count + 1", false)
+			// One too many or too few shifts every later field: no
+			// panic, no blow-up.
+			check(e, inflate(e.payload, s, s.value+1), s.what+" count + 1", true)
+			check(e, inflate(e.payload, s, s.value-1), s.what+" count - 1", true)
 		}
 	}
-	for _, what := range []string{"callee-save", "pseudo", "block", "instruction", "operand", "implicit use", "implicit def"} {
+	for _, what := range []string{"text length", "hole"} {
 		if seen[what] == 0 {
 			t.Errorf("no %s count in the corpus", what)
 		}
@@ -335,13 +337,156 @@ func TestDecodeHostileCounts(t *testing.T) {
 	t.Logf("%d entries, %d probes; the costliest failing Decode allocated %.0f%% of its limit", len(entries), probes, 100*worst)
 }
 
-// Every value Decode stores in a field narrower than the varint it
-// reads — a physical register id (an int16), an operand half (a uint8),
-// a cycle or sequence id (an int32) — replaced by one the field cannot
-// hold is an error, not a value wrapped into one that prints as
-// something else. NoPhys is admitted only as a precolor. Each site is
-// also rewritten to a legal value first, which must decode: the error
-// is the value's, not the rewrite's.
+// mutant is one rewrite of a real entry and whether Decode must refuse
+// it.
+type mutant struct {
+	class   string
+	e       entry
+	payload []byte // when set, the payload instead of e's encoding
+	wantErr bool
+}
+
+var physRe = regexp.MustCompile(`[ ,]p(\d+)`)
+
+// mutants rewrites e in every way Decode must see through, and in legal
+// ways beside each, which must decode: the error is the value's, not
+// the rewrite's.
+func mutants(e entry, m *mach.Machine, fn *ir.Func) []mutant {
+	var out []mutant
+	add := func(class string, e entry, wantErr bool) {
+		out = append(out, mutant{class: class, e: e, wantErr: wantErr})
+	}
+	bounds := map[byte]uint64{holeBlock: uint64(len(fn.Blocks)), holeParam: uint64(len(fn.Params)), holeLocal: uint64(len(fn.Locals))}
+	classes := map[byte]string{holeBlock: "block index", holeParam: "param index", holeLocal: "local index"}
+	for i, h := range e.holes {
+		set := func(h hole) entry {
+			c := e.clone()
+			c.holes[i] = h
+			return c
+		}
+		// An index inside the current function, and past it.
+		if indexed(h.kind) {
+			for _, v := range []uint64{0, bounds[h.kind] - 1} {
+				add(classes[h.kind], set(hole{h.off, h.n, h.kind, v}), false)
+			}
+			for _, v := range []uint64{bounds[h.kind], bounds[h.kind] + 1, math.MaxUint64} {
+				add(classes[h.kind], set(hole{h.off, h.n, h.kind, v}), true)
+			}
+		}
+		// A global symbol's name made a parameter's or a local's, which
+		// the corpus's code rarely addresses by name.
+		if h.kind == holeGlobal {
+			for _, k := range []byte{holeParam, holeLocal} {
+				if bounds[k] > 0 {
+					add(classes[k], set(hole{h.off, h.n, k, bounds[k] - 1}), false)
+				}
+				add(classes[k], set(hole{h.off, h.n, k, bounds[k]}), true)
+			}
+			name := h.off + h.n - 1
+			c := e.edit(int(name), 1, "\x01")
+			add("control byte", c, true)
+		}
+		// A kind the format lacks, or one its place does not take.
+		for _, k := range []byte{numHoleKinds, 0xff} {
+			add("hole kind", set(hole{h.off, h.n, k, 0}), true)
+		}
+		switch h.kind {
+		case holeFunc:
+			add("hole kind", set(hole{h.off, h.n, holeGlobal, 0}), true)
+		case holeBlock:
+			if e.text[h.off+h.n] == ':' {
+				add("hole kind", set(hole{h.off, h.n, holeGlobal, 0}), true)
+			}
+		default:
+			add("hole kind", set(hole{h.off, h.n, holeFunc, 0}), true)
+		}
+		if i == 0 {
+			continue
+		}
+		// Offsets out of order, overlapping, or past the text.
+		prev := e.holes[i-1]
+		swapped := e.clone()
+		swapped.holes[i-1], swapped.holes[i] = swapped.holes[i], swapped.holes[i-1]
+		add("unsorted holes", swapped, true)
+		add("overlapping holes", set(hole{prev.off + prev.n - 1, h.n + h.off - (prev.off + prev.n - 1), h.kind, h.idx}), true)
+		if i == len(e.holes)-1 {
+			n := uint64(len(e.text))
+			add("hole past the end", set(hole{n, 1, h.kind, h.idx}), true)
+			add("hole past the end", set(hole{h.off, n - h.off + 1, h.kind, h.idx}), true)
+			add("hole past the end", set(hole{math.MaxUint64, 1, h.kind, h.idx}), true)
+			dropped := e.clone()
+			dropped.holes = dropped.holes[:i]
+			add("missing hole", dropped, true)
+		}
+	}
+
+	// Registers inside and outside the machine; numbers strconv would
+	// not write.
+	for _, loc := range physRe.FindAllSubmatchIndex(e.text, -1) {
+		if e.inHole(loc[2]) {
+			continue
+		}
+		at, n := loc[2], loc[3]-loc[2]
+		id, _ := strconv.Atoi(string(e.text[at:loc[3]]))
+		for _, v := range []int{0, m.NumPhys - 1} {
+			add("physical register", e.edit(at, n, strconv.Itoa(v)), false)
+		}
+		for _, v := range []string{strconv.Itoa(m.NumPhys), strconv.Itoa(m.NumPhys + 1), strconv.Itoa(1<<16 + id), "18446744073709551616", "-1"} {
+			add("physical register", e.edit(at, n, v), true)
+		}
+		add("number", e.edit(at, n, "0"+strconv.Itoa(id)), true)
+	}
+	frame := bytes.Index(e.text, []byte("frame=")) + len("frame=")
+	frameLen := bytes.IndexByte(e.text[frame:], '\n')
+	for _, v := range []string{"0", "-9223372036854775808", "9223372036854775807", "12"} {
+		add("number", e.edit(frame, frameLen, v), false)
+	}
+	for _, v := range []string{"-0", "+12", "012", "9223372036854775808", "-9223372036854775809", "", "1 2"} {
+		add("number", e.edit(frame, frameLen, v), true)
+	}
+
+	// Mnemonics: every template's, and none.
+	lines := bytes.SplitAfter(e.text, []byte("\n"))
+	at := 0
+	for _, line := range lines {
+		if bytes.HasPrefix(line, []byte("  ")) && len(line) > 4 {
+			start := at + 4
+			end := start + bytes.IndexAny(line[4:], " \n")
+			add("template", e.edit(start, end-start, m.Instrs[0].Mnemonic), false)
+			for _, bad := range []string{"bogus", "", string(e.text[start:end]) + "x", "\x00" + string(e.text[start+1:end])} {
+				if !m.HasMnemonic([]byte(bad)) {
+					add("template", e.edit(start, end-start, bad), true)
+				}
+			}
+			add("control byte", e.edit(start-1, 1, "\t"), true)
+			add("control byte", e.edit(at+len(line)-1, 0, "\r"), true)
+			// A hole over the mnemonic: a name where none may stand.
+			c := e.clone()
+			i := slices.IndexFunc(c.holes, func(h hole) bool { return h.off > uint64(start) })
+			if i < 0 {
+				i = len(c.holes)
+			}
+			c.holes = slices.Insert(c.holes, i, hole{uint64(start), uint64(end - start), holeGlobal, 0})
+			add("hole outside a name", c, true)
+		}
+		at += len(line)
+	}
+
+	// Trailing bytes.
+	for _, tail := range [][]byte{{0}, {1, 2, 3}} {
+		out = append(out, mutant{class: "trailing bytes", payload: append(e.bytes(), tail...), wantErr: true})
+	}
+	return out
+}
+
+// Every value and structure of real entries rewritten to one Decode
+// must refuse — an index past the current function, a register past
+// the machine, a mnemonic no template has, a number strconv would not
+// write, holes out of order, overlapping or past the text, a hole kind
+// the format lacks or its place does not take, a control byte, a hole
+// where no name stands or none where one does, trailing bytes — is an
+// error; each class is also rewritten to a legal value, which must
+// decode.
 func TestDecodeHostileValues(t *testing.T) {
 	var entries []realEntry
 	for _, cfg := range []struct {
@@ -355,69 +500,32 @@ func TestDecodeHostileValues(t *testing.T) {
 		_, es := realEntries(t, cfg.target, cfg.kind, lowerHostile(t))
 		entries = append(entries, es...)
 	}
-	const wrap16, wrap32 = 1 << 16, 1 << 32
 	seen := map[string]int{}
 	probes := 0
-	for _, e := range entries {
-		decode := func(p []byte, what string, v int64, wantErr bool) {
+	for _, re := range entries {
+		for _, mu := range mutants(parseEntry(t, re.payload), re.m, re.fn) {
 			probes++
-			_, err := cache.Decode(p, e.m, e.fn)
+			seen[mu.class]++
+			p := mu.payload
+			if p == nil {
+				p = mu.e.bytes()
+			}
+			ent, err := cache.Decode(p, re.m, re.fn)
 			switch {
-			case wantErr && err == nil:
-				t.Fatalf("%s: %s %d decoded without error", e.fn.Name, what, v)
-			case !wantErr && err != nil:
-				t.Fatalf("%s: %s %d: %v", e.fn.Name, what, v, err)
-			}
-		}
-		numPhys := int64(e.m.NumPhys)
-		counts, values := entrySites(t, e.payload)
-		pseudos := false
-		for _, c := range counts {
-			pseudos = pseudos || c.what == "pseudo" && c.value > 0
-		}
-		for _, s := range values {
-			seen[s.what]++
-			var good, bad []int64
-			switch s.what {
-			case "callee-save id", "implicit use id", "implicit def id", "operand phys":
-				good = []int64{0, numPhys - 1}
-				bad = []int64{-1, -2, numPhys, math.MaxInt16 + 1, wrap16 + s.value, math.MinInt64}
-			case "precolor":
-				good = []int64{-1, 0, numPhys - 1}
-				bad = []int64{-2, numPhys, wrap16 - 1, wrap16 + s.value, math.MaxInt64}
-			case "cycle", "sequence id":
-				good = []int64{0, math.MaxInt32, math.MinInt32}
-				bad = []int64{math.MaxInt32 + 1, math.MinInt32 - 1, wrap32 + s.value}
-			default:
-				t.Fatalf("unexpected value site %q", s.what)
-			}
-			for _, v := range good {
-				decode(replaceValue(e.payload, s, v), s.what, v, false)
-			}
-			for _, v := range bad {
-				decode(replaceValue(e.payload, s, v), s.what, v, true)
-			}
-			if s.what != "operand phys" || !pseudos {
-				continue
-			}
-			// Compiled code holds no lo/hi half operands (the allocator
-			// resolves them), so one is made here out of a register
-			// operand: the kind byte before the id, then pseudo 0 and the
-			// half in the id's place.
-			for _, h := range []int64{0, 1, 2, -1, 1 << 8, 1<<8 + 1} {
-				seen["operand half"]++
-				p := append([]byte(nil), e.payload[:s.off-1]...)
-				p = append(p, byte(asm.OpPseudoHalf))
-				p = binary.AppendVarint(p, 0)
-				p = binary.AppendVarint(p, h)
-				p = append(p, e.payload[s.off+s.size:]...)
-				decode(p, "operand half", h, h != 0 && h != 1)
+			case mu.wantErr && err == nil:
+				t.Fatalf("%s: %s decoded without error:\n%s", re.fn.Name, mu.class, ent.Func.Text)
+			case !mu.wantErr && err != nil:
+				t.Fatalf("%s: legal %s: %v\n%s", re.fn.Name, mu.class, err, mu.e.text)
 			}
 		}
 	}
-	for _, what := range []string{"callee-save id", "implicit use id", "implicit def id", "operand phys", "precolor", "cycle", "sequence id", "operand half"} {
-		if seen[what] == 0 {
-			t.Errorf("no %s in the corpus", what)
+	for _, class := range []string{
+		"block index", "param index", "local index", "physical register", "number", "template",
+		"trailing bytes", "unsorted holes", "overlapping holes", "hole past the end", "missing hole",
+		"hole kind", "control byte", "hole outside a name",
+	} {
+		if seen[class] == 0 {
+			t.Errorf("no %s probe in the corpus", class)
 		}
 	}
 	t.Logf("%d entries, %d probes", len(entries), probes)
@@ -442,8 +550,20 @@ func TestHostileEntryRejected(t *testing.T) {
 		for k := 0; k < len(e.payload); k += 7 {
 			bad = append(bad, e.payload[:k])
 		}
-		for _, s := range countSites(t, e.payload) {
+		pe := parseEntry(t, e.payload)
+		for _, s := range []countSite{pe.textLenSite, pe.holeCountSite} {
 			bad = append(bad, inflate(e.payload, s, uint64(len(e.payload))))
+		}
+		classes := map[string]bool{}
+		for _, mu := range mutants(pe, m, e.fn) {
+			if mu.wantErr && !classes[mu.class] {
+				classes[mu.class] = true
+				p := mu.payload
+				if p == nil {
+					p = mu.e.bytes()
+				}
+				bad = append(bad, p)
+			}
 		}
 		for _, p := range bad {
 			before := c.Stats()
@@ -459,5 +579,78 @@ func TestHostileEntryRejected(t *testing.T) {
 				t.Fatalf("%s: entry not healed after the reject", e.fn.Name)
 			}
 		}
+	}
+}
+
+// An entry in the previous format (entry-v1, written by the codec that
+// rebuilt instructions: testdata/entry-v1.bin is the first function of
+// the first golden unit on r2000 under postpass) left on the disk tier
+// heals: Decode refuses it, Reject clears both tiers, a compile stores
+// entry-v2 in its place, and the next compile hits.
+func TestOldEntryHeals(t *testing.T) {
+	v1, err := os.ReadFile("testdata/entry-v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := gentest.Golden()[0]
+	lower := lowerSource(t, u.Name, u.Text)
+	_, entries := realEntries(t, "r2000", strategy.Postpass, lower)
+	e := entries[0]
+	if bytes.Equal(v1, e.payload) || !bytes.HasPrefix(v1, []byte("\x08entry-v1")) {
+		t.Fatal("testdata/entry-v1.bin is not an entry-v1 payload")
+	}
+	if _, err := cache.Decode(v1, e.m, e.fn); err == nil {
+		t.Fatal("an entry-v1 payload decodes")
+	}
+
+	dir := t.TempDir()
+	onDisk := func() *cache.Cache {
+		c, err := cache.New(cache.Options{Dir: dir, Registry: metrics.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	onDisk().Put(e.key, v1)
+	// Reject clears both tiers: the key misses in this cache, whose
+	// memory tier held it, and in a fresh one, which reads the disk.
+	c := onDisk()
+	if p, ok := c.Get(e.key); !ok || !bytes.Equal(p, v1) {
+		t.Fatal("the entry-v1 payload is not on the disk tier")
+	}
+	c.Reject(e.key)
+	if _, ok := c.Get(e.key); ok {
+		t.Fatal("Reject left the entry in the memory tier")
+	}
+	if _, ok := onDisk().Get(e.key); ok {
+		t.Fatal("Reject left the entry on the disk tier")
+	}
+
+	// Through the pipeline: the hit is refused, rejected and recompiled.
+	onDisk().Put(e.key, v1)
+	c = onDisk()
+	cfg := driver.Config{Strategy: strategy.Postpass, Cache: c}
+	cold, err := driver.CompileModule(e.m, lower(), driver.Config{Strategy: strategy.Postpass})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := lower()
+	out, err := driver.CompileModule(e.m, mod, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.DiskHits != 1 || st.Rejects != 1 || out.CacheHits != 0 || st.Stores != int64(len(mod.Funcs)) {
+		t.Fatalf("first compile: %+v, %d hits", st, out.CacheHits)
+	}
+	if out.Prog.Print() != cold.Prog.Print() {
+		t.Fatal("the compile that healed the entry printed other bytes than a cold one")
+	}
+	if p, ok := onDisk().Get(e.key); !ok || !bytes.Equal(p, e.payload) {
+		t.Fatal("the disk tier does not hold the entry-v2 payload")
+	}
+	mod = lower()
+	out, err = driver.CompileModule(e.m, mod, cfg)
+	if err != nil || out.CacheHits != len(mod.Funcs) || out.Prog.Print() != cold.Prog.Print() {
+		t.Fatalf("second compile: %v, %d hits of %d", err, out.CacheHits, len(mod.Funcs))
 	}
 }

@@ -22,20 +22,23 @@ import (
 // driver.CompileModule with tracing off, the parse of the module's
 // textual IL, and the C front end over the kernels' sources. Each is
 // about 15 % above what the code allocated when the ceilings were set.
-// The hits' were set when asm.Inst and asm.Operand shrank and the
-// pipeline's workers kept their fingerprint scratch: 41.5 and 37.0
-// allocations, 21 648 and 15 126 bytes, against 41.6, 45.2, 31 025 and
-// 27 284 before. The front ends' were set when ir.Node, cc.Expr and
-// cc.Stmt shrank and the front ends stopped building a map per block
-// and per scope: parse 89.1 allocations and 12 279 bytes, C front end
-// 152.2 and 34 277, against 97.5, 14 928, 165.8 and 43 359 before.
+// The hits' were set when a cache entry became the function's printed
+// text and a hit a splice: 9.8 and 4.8 allocations, 7 164 and 604
+// bytes, against 41.5, 36.6, 21 622 and 14 478 when entries held
+// instructions (ceilings 48, 43, 24 900 and 17 400). What is left of
+// the hit is the fingerprint's fresh scratch and Print's buffer; the
+// pipeline's workers keep a scratch of their own. The front ends' were
+// set when ir.Node, cc.Expr and cc.Stmt shrank and the front ends
+// stopped building a map per block and per scope: parse 89.1
+// allocations and 12 279 bytes, C front end 152.2 and 34 277, against
+// 97.5, 14 928, 165.8 and 43 359 before.
 const (
-	hitAllocsPerFn        = 48
-	compileHitAllocsPerFn = 43
+	hitAllocsPerFn        = 11.3
+	compileHitAllocsPerFn = 5.6
 	parseAllocsPerFn      = 103
 	frontendAllocsPerFn   = 175
-	hitBytesPerFn         = 24900
-	compileHitBytesPerFn  = 17400
+	hitBytesPerFn         = 8200
+	compileHitBytesPerFn  = 700
 	parseBytesPerFn       = 14100
 	frontendBytesPerFn    = 39400
 )
@@ -172,7 +175,7 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		what, unit string
 		got        float64
-		budget     int
+		budget     float64
 		race       bool // also held under the race detector
 	}{
 		{"a cache hit", "times", hit, hitAllocsPerFn, true},
@@ -180,7 +183,10 @@ func TestWarmHitAllocBudget(t *testing.T) {
 		{"iltext.Parse", "times", parse, parseAllocsPerFn, true},
 		{"the C front end", "times", frontend, frontendAllocsPerFn, true},
 		{"a cache hit", "bytes", hitBytes, hitBytesPerFn, true},
-		{"a cache hit through CompileModule", "bytes", compileHitBytes, compileHitBytesPerFn, true},
+		// Under the race detector the pipeline's pool drops a random
+		// quarter of the workers put back, and a remade worker costs
+		// about 200 bytes a function here.
+		{"a cache hit through CompileModule", "bytes", compileHitBytes, compileHitBytesPerFn, false},
 		{"iltext.Parse", "bytes", parseBytes, parseBytesPerFn, false},
 		{"the C front end", "bytes", frontendBytes, frontendBytesPerFn, false},
 	} {
@@ -188,7 +194,7 @@ func TestWarmHitAllocBudget(t *testing.T) {
 			continue
 		}
 		if c.got/n > float64(c.budget) {
-			t.Errorf("%s allocates %.1f %s per function, budget %d", c.what, c.got/n, c.unit, c.budget)
+			t.Errorf("%s allocates %.1f %s per function, budget %g", c.what, c.got/n, c.unit, c.budget)
 		}
 	}
 }

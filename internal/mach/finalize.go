@@ -208,6 +208,11 @@ func (m *Machine) Finalize() error {
 	// operator so the selector only iterates plausible candidates.
 	m.buildSelIndex()
 
+	m.mnemonics = make(map[string]struct{}, len(m.Instrs))
+	for _, in := range m.Instrs {
+		m.mnemonics[in.Mnemonic] = struct{}{}
+	}
+
 	return m.validate()
 }
 

@@ -460,6 +460,7 @@ type Machine struct {
 	clockByName  map[string]int
 	elemByName   map[string]int
 	instrByLabel map[string]*Instr
+	mnemonics    map[string]struct{} // every template's Mnemonic
 }
 
 // RegSet returns the register set with the given name, or nil.
@@ -515,6 +516,13 @@ func (m *Machine) InstrByLabel(name string) *Instr {
 		}
 	}
 	return nil
+}
+
+// HasMnemonic reports whether some template of the finalized machine
+// prints as name.
+func (m *Machine) HasMnemonic(name []byte) bool {
+	_, ok := m.mnemonics[string(name)]
+	return ok
 }
 
 // Aliases returns every physical register overlapping p, including p.

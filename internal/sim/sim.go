@@ -91,6 +91,8 @@ type Sim struct {
 	cycle int64
 
 	stats Stats
+	// err refuses every Run of a program New could not load.
+	err error
 }
 
 // New loads a program into a fresh simulator.
@@ -111,6 +113,9 @@ func New(prog *asm.Program, opts Options) *Sim {
 	}
 	for i, f := range prog.Funcs {
 		s.funcIdx[f.Name] = i
+		if f.Text != nil && s.err == nil {
+			s.err = fmt.Errorf("sim: function %q is printed text only (a cache hit); compile without a cache to simulate it", f.Name)
+		}
 		var insts []*asm.Inst
 		at := map[int]*asm.Block{}
 		starts := map[*asm.Block]int{}
@@ -200,6 +205,9 @@ func Float64(v float64) Value { return Value{F: v, Float: true} }
 // Run executes the named function with the given arguments and returns
 // run statistics (including the result register contents).
 func (s *Sim) Run(fname string, args ...Value) (*Stats, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
 	fi, ok := s.funcIdx[fname]
 	if !ok {
 		return nil, fmt.Errorf("sim: function %q not in program", fname)

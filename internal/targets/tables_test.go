@@ -14,13 +14,14 @@ var update = flag.Bool("update", false, "rewrite testdata/tables.sha256 from the
 
 const tablesFile = "testdata/tables.sha256"
 
-// TestDescriptionTablesPinned holds what cache.Decode binds by position
-// — a template by its index in m.Instrs, a register set by its index in
-// m.RegSets, a physical register by its PhysID — to a committed digest
-// per target. The machine fingerprint is the digest of the description
-// text, so a change to maril.Parse or mach.Finalize that derives other
-// tables from the same text leaves the cache key alone, and a -cachedir
-// written before the change would decode to the wrong templates after it.
+// TestDescriptionTablesPinned holds the tables a cache entry's text
+// depends on by position — the templates' order in m.Instrs, the
+// register sets' in m.RegSets, which numbers every physical register
+// p<N> the text names — to a committed digest per target. The machine
+// fingerprint is the digest of the description text, so a change to
+// maril.Parse or mach.Finalize that derives other tables from the same
+// text leaves the cache key alone, and a -cachedir written before the
+// change would splice in registers that no longer mean what they did.
 func TestDescriptionTablesPinned(t *testing.T) {
 	want := map[string]string{}
 	if data, err := os.ReadFile(tablesFile); err == nil {

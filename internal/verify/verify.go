@@ -183,6 +183,13 @@ type Scratch struct{ v verifier }
 func (s *Scratch) Func(m *mach.Machine, af *asm.Func, opts Options) *Report {
 	v := &s.v
 	v.m, v.af, v.opts, v.report = m, af, opts, &Report{}
+	if af.Text != nil {
+		// A cache hit has no instructions to replay: refuse it rather
+		// than pass it for want of anything to check.
+		v.report.Findings = append(v.report.Findings, Finding{Kind: KindSchedule, Func: af.Name, Cycle: -1,
+			Msg: "printed text only (a cache hit): nothing to verify; compile without a cache"})
+		return v.report
+	}
 	v.block, v.word = 0, 0
 	v.run()
 	return v.report
