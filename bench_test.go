@@ -394,12 +394,9 @@ func BenchmarkBigBlock(b *testing.B) {
 }
 
 // BenchmarkSelect measures instruction selection alone over the full
-// Livermore suite (28 functions), comparing the operator-indexed +
-// memoized fast path against the linear brute-force reference scan.
-// Lowering and the glue transform run outside the timer, and selection
-// does not mutate the IL, so each iteration selects the same functions.
-// The emitted code is byte-identical between the two variants (see
-// TestIndexedSelectionIdentical); only the matching work differs.
+// Livermore suite (28 functions). Lowering and the glue transform run
+// outside the timer, and selection does not mutate the IL, so each
+// iteration selects the same functions.
 func BenchmarkSelect(b *testing.B) {
 	for _, target := range []string{"r2000", "m88000", "i860"} {
 		m, err := targets.Load(target)
@@ -413,26 +410,20 @@ func BenchmarkSelect(b *testing.B) {
 		for _, fn := range mod.Funcs {
 			xform.Apply(m, fn)
 		}
-		for _, linear := range []bool{false, true} {
-			name := target + "/indexed"
-			if linear {
-				name = target + "/linear"
-			}
-			b.Run(name, func(b *testing.B) {
-				var tried int64
-				for i := 0; i < b.N; i++ {
-					tried = 0
-					for _, fn := range mod.Funcs {
-						_, counters, err := sel.SelectOpts(m, fn, sel.Options{Linear: linear})
-						if err != nil {
-							b.Fatal(err)
-						}
-						tried += counters.Tried
+		b.Run(target, func(b *testing.B) {
+			var tried int64
+			for i := 0; i < b.N; i++ {
+				tried = 0
+				for _, fn := range mod.Funcs {
+					_, counters, err := sel.SelectOpts(m, fn, sel.Options{})
+					if err != nil {
+						b.Fatal(err)
 					}
+					tried += counters.Tried
 				}
-				b.ReportMetric(float64(tried), "templates-tried")
-			})
-		}
+			}
+			b.ReportMetric(float64(tried), "templates-tried")
+		})
 	}
 }
 
@@ -608,7 +599,7 @@ func BenchmarkWarmHit(b *testing.B) {
 		b.Fatalf("%d hits of %d", warm.CacheHits, len(mod.Funcs))
 	}
 	text := iltext.Print(mod)
-	cfgKey := cache.ConfigKey(cfg.Strategy, cfg.Options, cfg.LinearSelect)
+	cfgKey := cache.ConfigKey(cfg.Strategy, cfg.Options, false)
 	payloads := make([][]byte, len(mod.Funcs))
 	for i, fn := range mod.Funcs {
 		var ok bool

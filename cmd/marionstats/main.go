@@ -9,7 +9,6 @@
 //	marionstats -table 4        # Livermore kernels, actual vs estimated
 //	marionstats -speedup        # strategy comparison
 //	marionstats -fig7           # i860 dual-operation schedule
-//	marionstats -selstats       # selection index/memoization work counts
 //	marionstats -all
 package main
 
@@ -26,7 +25,6 @@ func main() {
 	table := flag.Int("table", 0, "regenerate table N (1-4)")
 	speedup := flag.Bool("speedup", false, "strategy speedup comparison")
 	fig7 := flag.Bool("fig7", false, "Figure 7: i860 dual-operation schedule")
-	selstats := flag.Bool("selstats", false, "selection template-index and memoization work counts")
 	all := flag.Bool("all", false, "everything")
 	target := flag.String("target", "r2000", "target for tables 3/4 and speedups")
 	loops := flag.Int("loops", 1, "kernel repetition count")
@@ -103,16 +101,6 @@ func main() {
 				return err
 			}
 			fmt.Print(out)
-			return nil
-		})
-	}
-	if *all || *selstats {
-		run("selstats", func() error {
-			rows, err := experiments.SelectionStats([]string{"r2000", "m88000", "i860"}, *workers)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatSelStats(rows))
 			return nil
 		})
 	}

@@ -16,32 +16,35 @@ import (
 )
 
 // The append-based formatter prints, byte for byte, what the fmt-based
-// one did: every unit of the golden corpus and the serve units on every
-// target under every strategy, whole and instruction by instruction.
+// one it replaced did, recorded in testdata/print.sha256: every unit of
+// the golden corpus and the serve units on every target under every
+// strategy, whole and instruction by instruction.
 func TestPrintMatchesReference(t *testing.T) {
 	units := append(gentest.Golden(), gentest.Serve()...)
+	pins := gentest.ReadPins(t, "testdata/print.sha256")
 
 	insts, packed, halves := 0, 0, 0
-	check := func(where string, p *asm.Program) {
-		got, want := p.Print(), asm.ReferencePrint(p)
-		if got != want {
-			t.Fatalf("%s: Print differs from the reference\n--- now\n%s\n--- reference\n%s", where, got, want)
-		}
-		packed += strings.Count(got, "\n  | ")
-		halves += strings.Count(got, "lo(t") + strings.Count(got, "hi(t")
+	// answer renders what the formatter says of p: the program, then
+	// every block's label and every instruction on its own.
+	answer := func(where string, p *asm.Program) string {
+		var sb strings.Builder
+		text := p.Print()
+		sb.WriteString(text)
+		packed += strings.Count(text, "\n  | ")
+		halves += strings.Count(text, "lo(t") + strings.Count(text, "hi(t")
 		for _, f := range p.Funcs {
 			for _, b := range f.Blocks {
-				if b.Label() != b.IR.Name() || b.Label() != asm.ReferenceOperandString(asm.Operand{Kind: asm.OpBlock, Block: b.IR}) {
+				if b.Label() != b.IR.Name() || b.Label() != (asm.Operand{Kind: asm.OpBlock, Block: b.IR}).String() {
 					t.Fatalf("%s: label %q", where, b.Label())
 				}
+				sb.WriteString(b.Label() + ":\n")
 				for _, in := range b.Insts {
 					insts++
-					if got, want := in.String(), asm.ReferenceInstString(in); got != want {
-						t.Fatalf("%s: instruction %q, reference %q", where, got, want)
-					}
+					sb.WriteString(in.String() + "\n")
 				}
 			}
 		}
+		return sb.String()
 	}
 	for _, target := range targets.Names() {
 		m, err := targets.Load(target)
@@ -49,6 +52,13 @@ func TestPrintMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, kind := range []strategy.Kind{strategy.Naive, strategy.Postpass, strategy.IPS, strategy.RASE, strategy.Local} {
+			key := target + "/" + kind.String()
+			line := gentest.NewLine(key)
+			answers := map[string]string{}
+			add := func(name string, p *asm.Program) {
+				answers[name] = answer(key+" "+name, p)
+				line.Add(name, answers[name])
+			}
 			cfg := driver.Config{Strategy: kind}
 			suite, err := livermore.SuiteModule()
 			if err != nil {
@@ -58,7 +68,7 @@ func TestPrintMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(target+"/"+kind.String()+" livermore", c.Prog)
+			add("livermore", c.Prog)
 			for _, u := range units {
 				compile := driver.Compile
 				if u.Lang == "il" {
@@ -68,7 +78,10 @@ func TestPrintMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				check(target+"/"+kind.String()+" "+u.Name, c.Prog)
+				add(u.Name, c.Prog)
+			}
+			if name, ok := pins.Check(t, line.String()); !ok && name != "" {
+				t.Fatalf("%s %s now prints\n%s", key, name, answers[name])
 			}
 		}
 	}
@@ -81,6 +94,7 @@ func TestPrintMatchesReference(t *testing.T) {
 // Hand cases the corpus has few or none of: every operand kind at the
 // edges of its range, register halves before allocation, instructions
 // without operands, packed and unscheduled lines, negative addresses.
+// The wanted text is what the fmt-based formatter printed.
 func TestFormatterHandCases(t *testing.T) {
 	fn := ir.NewFunc("f", ir.Void)
 	b0, b1 := fn.NewBlock(), fn.NewBlock()
@@ -97,9 +111,20 @@ func TestFormatterHandCases(t *testing.T) {
 		{Kind: asm.OpSym, Sym: sym}, {Kind: asm.OpSym, Sym: &ir.Sym{}},
 		{}, {Kind: asm.OperandKind(99)},
 	}
-	for _, o := range operands {
-		if got, want := o.String(), asm.ReferenceOperandString(o); got != want {
-			t.Errorf("operand %+v: %q, reference %q", o, got, want)
+	wantOps := []string{
+		"t0", "t7", "t-1", "t2147483647",
+		"p0", "p31", "p-1",
+		"lo(t12)",
+		"hi(t12)",
+		"hi(t-1)",
+		"0", "-1", "-32768", "9223372036854775807", "-9223372036854775808",
+		"L0", "L2147483647",
+		".fc0", "",
+		"?", "?",
+	}
+	for i, o := range operands {
+		if got := o.String(); got != wantOps[i] {
+			t.Errorf("operand %+v: %q, want %q", o, got, wantOps[i])
 		}
 		if got := string(o.Append([]byte("x="))); got != "x="+o.String() {
 			t.Errorf("operand %+v: Append gave %q", o, got)
@@ -120,9 +145,20 @@ func TestFormatterHandCases(t *testing.T) {
 		at(asm.New(add, operands[15], operands[17]), 3),
 		at(asm.New(nop), 3), // packed
 	}}
-	for _, in := range block.Insts {
-		if got, want := in.String(), asm.ReferenceInstString(in); got != want {
-			t.Errorf("instruction %q, reference %q", got, want)
+	longLine := long.Mnemonic + " " + strings.Join(wantOps, ", ")
+	wantInsts := []string{
+		"nop",
+		"nop",
+		"add t0, hi(t12), -32768",
+		"add t7, lo(t12), -9223372036854775808",
+		"nop",
+		longLine,
+		"add L0, .fc0",
+		"nop",
+	}
+	for i, in := range block.Insts {
+		if got := in.String(); got != wantInsts[i] {
+			t.Errorf("instruction %q, want %q", got, wantInsts[i])
 		}
 	}
 	p := &asm.Program{
@@ -133,15 +169,28 @@ func TestFormatterHandCases(t *testing.T) {
 			{Name: "empty"},
 		},
 	}
-	got, want := p.Print(), asm.ReferencePrint(p)
-	if got != want {
-		t.Errorf("Print differs from the reference\n--- now\n%s\n--- reference\n%s", got, want)
-	}
-	if n := strings.Count(got, "\n  | "); n != 3 {
-		t.Errorf("%d packed lines, want 3\n%s", n, got)
+	want := "; target hand\n" +
+		".data .fc0 size=8 addr=-8\n" +
+		".data g size=4 addr=1048576\n" +
+		"\n" +
+		"f:  ; frame=-16\n" +
+		"L0:\n" +
+		"    nop\n" +
+		"    nop\n" +
+		"    add t0, hi(t12), -32768\n" +
+		"  | add t7, lo(t12), -9223372036854775808\n" +
+		"  | nop\n" +
+		"    " + longLine + "\n" +
+		"    add L0, .fc0\n" +
+		"  | nop\n" +
+		"L2147483647:\n" +
+		"\n" +
+		"empty:  ; frame=0\n"
+	if got := p.Print(); got != want {
+		t.Errorf("Print\n--- now\n%s\n--- want\n%s", got, want)
 	}
 	empty := &asm.Program{Machine: &mach.Machine{Name: "hand"}}
-	if got, want := empty.Print(), asm.ReferencePrint(empty); got != want {
-		t.Errorf("empty program: %q, reference %q", got, want)
+	if got := empty.Print(); got != "; target hand\n" {
+		t.Errorf("empty program: %q", got)
 	}
 }

@@ -202,11 +202,24 @@ func TestConfigKey(t *testing.T) {
 	if got := hex.EncodeToString(a[:]); got != "491bc7af2cfe866f639d411f56da882758ce6780c5092e86f5a145c0e321bf96" {
 		t.Fatalf("ConfigKey(RASE, Options{}, false) = %s: the key's byte layout moved", got)
 	}
+	// Every caller passes false for the retired linear-selection bit, so
+	// each kind's default key is the one a -cachedir already holds.
+	for kind, want := range map[strategy.Kind]string{
+		strategy.Naive:    "92e94fac5b94a62b9a848a376742cd4502e6caf7fafde65a3bf83b9ca6410a41",
+		strategy.Postpass: "e22533effc7534d5498f6c91fd6bf09a53e66d7acbb1cc965ee1033fed92dbd9",
+		strategy.IPS:      "84ab1ced7aa7154167ff2211c143af199a1978fb63c773e64cb9d1854a15dc4f",
+		strategy.RASE:     "491bc7af2cfe866f639d411f56da882758ce6780c5092e86f5a145c0e321bf96",
+		strategy.Local:    "e684cbe38b68416ff696afe0a67b508f31979db3cedbd8c576fe14c05fe0859b",
+	} {
+		if got := ConfigKey(kind, strategy.Options{}, false); hex.EncodeToString(got[:]) != want {
+			t.Errorf("ConfigKey(%s, Options{}, false) = %x, pinned %s", kind, got, want)
+		}
+	}
 	if ConfigKey(strategy.IPS, o, l) == a {
 		t.Fatal("strategy kind not in key")
 	}
 	if ConfigKey(k, o, true) == a {
-		t.Fatal("linear select not in key")
+		t.Fatal("linear-selection bit not in key")
 	}
 	for name, set := range map[string]func(*strategy.Options){
 		"FIFO":             func(o *strategy.Options) { o.FIFO = true },

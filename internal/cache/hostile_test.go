@@ -81,7 +81,7 @@ func realEntries(t testing.TB, target string, kind strategy.Kind, lower func() *
 	if c, err := driver.CompileModule(m, warm, cfg); err != nil || c.CacheHits != len(warm.Funcs) {
 		t.Fatalf("%s/%s: warm compile: %v, %d hits of %d", target, kind, err, c.CacheHits, len(warm.Funcs))
 	}
-	cfgKey := cache.ConfigKey(cfg.Strategy, cfg.Options, cfg.LinearSelect)
+	cfgKey := cache.ConfigKey(cfg.Strategy, cfg.Options, false)
 	var out []realEntry
 	for _, fn := range warm.Funcs {
 		key := cache.FuncKey(fn.Fingerprint(), m.Fingerprint(), cfgKey)

@@ -10,8 +10,8 @@ import (
 )
 
 // ConfigKey digests every pipeline knob that can change emitted code:
-// the strategy kind, the linear-selection toggle, and the four scheduler
-// design choices of strategy.Options. Per-run plumbing that cannot change
+// the strategy kind and the four scheduler design choices of
+// strategy.Options. Per-run plumbing that cannot change
 // the result — deadlines, fault injectors, worker counts, whether the
 // verifier *reports* — is deliberately excluded, so runs that differ
 // only in parallelism or budgets share cache entries.
@@ -20,7 +20,9 @@ import (
 // pass (strict order, no packing, the cycle cap, the DAG's memory and
 // protection edges, the live-value limits and live-out set) were once
 // hashed; no caller could make them other than zero. They keep the byte
-// stream, and so every disk cache written before, unchanged.
+// stream, and so every disk cache written before, unchanged. So does
+// linearSelect, the bit of the retired linear selector: every caller
+// passes false.
 func ConfigKey(kind strategy.Kind, opts strategy.Options, linearSelect bool) [32]byte {
 	w := &keyFP{h: sha256.New()}
 	w.str("marion-cfg-key-v1")

@@ -136,13 +136,7 @@ func (g *CodeGenerator) CompileModuleCtx(ctx context.Context, mod *ir.Module) (*
 // Execute runs a compiled function on the timing simulator and returns
 // run statistics (cycle counts, result registers, block profile).
 func Execute(p *asm.Program, fn string, args ...sim.Value) (*sim.Stats, error) {
-	return ExecuteOpts(p, sim.Options{}, fn, args...)
-}
-
-// ExecuteOpts is Execute with simulator options (cache model, tracing).
-func ExecuteOpts(p *asm.Program, opts sim.Options, fn string, args ...sim.Value) (*sim.Stats, error) {
-	s := sim.New(p, opts)
-	return s.Run(fn, args...)
+	return sim.New(p, sim.Options{}).Run(fn, args...)
 }
 
 // Session couples a compiled program with a persistent simulator, so one

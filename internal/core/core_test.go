@@ -171,27 +171,3 @@ func TestGeneratorCacheOnly(t *testing.T) {
 		}
 	}
 }
-
-// LinearSelect reaches the selector through the generator and produces
-// assembly byte-identical to the indexed path.
-func TestGeneratorLinearSelect(t *testing.T) {
-	for _, target := range []string{"r2000", "i860"} {
-		idx, err := New(target, IPS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lin := *idx
-		lin.LinearSelect = true
-		a, err := idx.Compile("t.c", twoFuncs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := lin.Compile("t.c", twoFuncs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Program.Print() != b.Program.Print() {
-			t.Errorf("%s: linear selection changed the assembly", target)
-		}
-	}
-}

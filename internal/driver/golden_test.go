@@ -1,11 +1,8 @@
 package driver_test
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -15,8 +12,6 @@ import (
 	"marion/internal/strategy"
 	"marion/internal/targets"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/golden.sha256 from the current output")
 
 const goldenFile = "testdata/golden.sha256"
 
@@ -68,41 +63,13 @@ func goldenLine(t *testing.T, target string, kind strategy.Kind) (line string, b
 // not asserted. Run with -update to rewrite the file after a change that
 // is meant to alter the output.
 func TestGoldenDigests(t *testing.T) {
-	want := map[string]string{}
-	if data, err := os.ReadFile(goldenFile); err == nil {
-		for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-			want[strings.SplitN(l, " ", 2)[0]] = l
-		}
-	} else if !*update {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
+	pins := gentest.ReadPins(t, goldenFile)
 	for _, target := range targets.Names() {
 		for _, kind := range allKinds {
-			got, byFn := goldenLine(t, target, kind)
-			out.WriteString(got + "\n")
-			key := fmt.Sprintf("%s/%s", target, kind)
-			if *update || got == want[key] {
-				continue
+			line, byFn := goldenLine(t, target, kind)
+			if name, ok := pins.Check(t, line); !ok && name != "" {
+				t.Errorf("first differing function %s, now:\n%s", name, byFn[name])
 			}
-			w, g := strings.Fields(want[key]), strings.Fields(got)
-			if len(w) < 2 {
-				t.Errorf("%s: no golden line", key)
-				continue
-			}
-			t.Errorf("%s: digest %s, golden %s", key, g[1], w[1])
-			for i := 2; i < len(g); i++ {
-				if i >= len(w) || g[i] != w[i] {
-					name := g[i][:strings.LastIndexByte(g[i], '=')]
-					t.Errorf("first differing function %s, now:\n%s", name, byFn[name])
-					break
-				}
-			}
-		}
-	}
-	if *update {
-		if err := os.WriteFile(goldenFile, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

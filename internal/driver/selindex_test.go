@@ -4,64 +4,72 @@ import (
 	"fmt"
 	"testing"
 
+	"marion/internal/asm"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/livermore"
 	"marion/internal/strategy"
 	"marion/internal/targets"
 )
 
-// TestIndexedSelectionIdentical compiles the same translation unit with
-// the selection template index + memo caches on and with the linear
-// brute-force reference path, for every registered target and strategy:
-// the fast path must be unobservable in the emitted assembly.
+// selIndexPins holds the assembly the linear brute-force selector — the
+// paper's literal scan of every template, before the operator index and
+// the memo caches — gave for the inputs below, recorded from it.
+const selIndexPins = "testdata/selindex.sha256"
+
+// pinLine renders a compiled program as a pin line, a part per function.
+func pinLine(key string, p *asm.Program) (line string, byFn map[string]string) {
+	l := gentest.NewLine(key)
+	byFn = map[string]string{}
+	for _, f := range p.Funcs {
+		one := asm.Program{Machine: p.Machine, Name: p.Name, Funcs: []*asm.Func{f}}
+		byFn[f.Name] = one.Print()
+		l.Add(f.Name, byFn[f.Name])
+	}
+	return l.String(), byFn
+}
+
+// TestIndexedSelectionIdentical compiles one translation unit for every
+// registered target and strategy: the index and the memo caches must be
+// unobservable in the emitted assembly, which is what the linear path
+// emitted.
 func TestIndexedSelectionIdentical(t *testing.T) {
+	pins := gentest.ReadPins(t, selIndexPins)
 	for _, target := range targets.Names() {
 		for _, kind := range allKinds {
 			t.Run(fmt.Sprintf("%s/%s", target, kind), func(t *testing.T) {
-				idx, err := driver.Compile(target, "par.c", parProg, driver.Config{Strategy: kind})
+				c, err := driver.Compile(target, "par.c", parProg, driver.Config{Strategy: kind})
 				if err != nil {
-					t.Fatalf("indexed: %v", err)
+					t.Fatal(err)
 				}
-				lin, err := driver.Compile(target, "par.c", parProg, driver.Config{Strategy: kind, LinearSelect: true})
-				if err != nil {
-					t.Fatalf("linear: %v", err)
-				}
-				if a, b := idx.Prog.Print(), lin.Prog.Print(); a != b {
-					t.Errorf("assembly differs between indexed and linear selection\n--- indexed ---\n%s\n--- linear ---\n%s", a, b)
-				}
-				if idx.Sel.Tried >= lin.Sel.Tried {
-					t.Errorf("index tried %d templates, linear %d: index should prune", idx.Sel.Tried, lin.Sel.Tried)
-				}
-				if lin.Sel.MemoHits != 0 || lin.Sel.MemoMisses != 0 {
-					t.Errorf("linear path used the memo caches: %+v", lin.Sel)
+				line, byFn := pinLine(fmt.Sprintf("%s/%s", target, kind), c.Prog)
+				if name, ok := pins.Check(t, line); !ok && name != "" {
+					t.Errorf("%s now selects to\n%s", name, byFn[name])
 				}
 			})
 		}
 	}
 }
 
-// TestIndexedSelectionIdenticalSuite repeats the byte-identity check on
-// the full Livermore suite (28 functions) for one target, where the
-// pattern mix is much richer than the unit program above.
+// TestIndexedSelectionIdenticalSuite repeats the check on the full
+// Livermore suite (28 functions) for one target, where the pattern mix
+// is much richer than the unit program above.
 func TestIndexedSelectionIdenticalSuite(t *testing.T) {
-	compile := func(linear bool) string {
-		mod, err := livermore.SuiteModule()
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := targets.Load("r2000")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := driver.CompileModule(m, mod, driver.Config{
-			Strategy: strategy.Postpass, LinearSelect: linear,
-		})
-		if err != nil {
-			t.Fatalf("linear=%v: %v", linear, err)
-		}
-		return c.Prog.Print()
+	pins := gentest.ReadPins(t, "testdata/selindex_suite.sha256")
+	mod, err := livermore.SuiteModule()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if idx, lin := compile(false), compile(true); idx != lin {
-		t.Error("suite assembly differs between indexed and linear selection")
+	m, err := targets.Load("r2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := driver.CompileModule(m, mod, driver.Config{Strategy: strategy.Postpass})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, byFn := pinLine("r2000/postpass", c.Prog)
+	if name, ok := pins.Check(t, line); !ok && name != "" {
+		t.Errorf("%s now selects to\n%s", name, byFn[name])
 	}
 }

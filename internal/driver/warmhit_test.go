@@ -121,7 +121,7 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	want := cold.Prog.Print()
 
 	machFP := m.Fingerprint()
-	cfgKey := cache.ConfigKey(cfg.Strategy, cfg.Options, cfg.LinearSelect)
+	cfgKey := cache.ConfigKey(cfg.Strategy, cfg.Options, false)
 	var got string
 	hit, hitBytes := perRun(10, func() {
 		prog := asm.Program{Machine: m, Name: mod.Name, Globals: warm.Prog.Globals}

@@ -13,7 +13,6 @@ import (
 
 	"marion/internal/driver"
 	"marion/internal/livermore"
-	"marion/internal/sel"
 	"marion/internal/sim"
 	"marion/internal/strategy"
 	"marion/internal/targets"
@@ -355,72 +354,4 @@ func Figure7() (string, error) {
 	}
 	fmt.Fprintf(&sb, "%d instructions in %d words\n", instrs, words)
 	return sb.String(), nil
-}
-
-// ---------------------------------------------------------------------
-// Selection statistics — template-index and memoization work counts.
-
-// SelStatsRow summarizes instruction-selection work over the Livermore
-// suite for one target: the indexed/memoized fast path versus the
-// linear brute-force reference path (identical output, different work).
-type SelStatsRow struct {
-	Target  string
-	Indexed sel.Counters
-	Linear  sel.Counters
-	// IndexedTime / LinearTime sum the select phase's wall time across
-	// all functions.
-	IndexedTime time.Duration
-	LinearTime  time.Duration
-}
-
-// SelectionStats compiles the Livermore suite twice per target — with
-// the selection template index and memo caches on, then with the linear
-// reference path — and reports the matching work of each.
-func SelectionStats(targetNames []string, workers int) ([]SelStatsRow, error) {
-	var rows []SelStatsRow
-	for _, tn := range targetNames {
-		row := SelStatsRow{Target: tn}
-		for _, linear := range []bool{false, true} {
-			var sum sel.Counters
-			var selTime time.Duration
-			for i := range livermore.Kernels {
-				k := &livermore.Kernels[i]
-				c, err := driver.Compile(tn, fmt.Sprintf("loop%d.c", k.ID), k.Source, driver.Config{
-					Strategy:     strategy.Postpass,
-					LinearSelect: linear, Workers: workers,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("%s loop%d: %w", tn, k.ID, err)
-				}
-				sum.Add(c.Sel)
-				selTime += c.PhaseTimes["select"]
-			}
-			if linear {
-				row.Linear, row.LinearTime = sum, selTime
-			} else {
-				row.Indexed, row.IndexedTime = sum, selTime
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// FormatSelStats renders the selection statistics as text.
-func FormatSelStats(rows []SelStatsRow) string {
-	var sb strings.Builder
-	sb.WriteString("Selection work: operator-indexed + memoized vs linear reference (Livermore suite)\n")
-	fmt.Fprintf(&sb, "%-8s %14s %14s %8s %12s %12s %10s %10s\n",
-		"Target", "Tried(idx)", "Tried(lin)", "Ratio", "MemoHits", "MemoMisses", "t(idx)", "t(lin)")
-	for _, r := range rows {
-		ratio := 0.0
-		if r.Linear.Tried > 0 {
-			ratio = float64(r.Indexed.Tried) / float64(r.Linear.Tried)
-		}
-		fmt.Fprintf(&sb, "%-8s %14d %14d %7.1f%% %12d %12d %10s %10s\n",
-			r.Target, r.Indexed.Tried, r.Linear.Tried, 100*ratio,
-			r.Indexed.MemoHits, r.Indexed.MemoMisses,
-			r.IndexedTime.Round(time.Millisecond), r.LinearTime.Round(time.Millisecond))
-	}
-	return sb.String()
 }

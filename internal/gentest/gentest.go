@@ -1,5 +1,6 @@
 // Package gentest is the one place the tests' units come from, as text:
-// the golden corpus, the serve units and seeded high-pressure C bodies.
+// the golden corpus, the serve units and seeded high-pressure C bodies;
+// and the one reader of the digests tests pin their answers to (Pins).
 // It imports no back-end package, so any package's test can use it. A
 // unit it cannot read is a broken checkout, not an input: it panics.
 package gentest

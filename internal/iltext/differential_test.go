@@ -3,7 +3,6 @@ package iltext_test
 import (
 	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -15,8 +14,6 @@ import (
 	"marion/internal/iltext"
 	"marion/internal/livermore"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/parse_errors.golden from the current parser")
 
 // handIL exercises what printed IL never contains: comments, blank
 // runs, CR-LF, tabs, escaped and empty register names, tokens glued to
@@ -98,45 +95,44 @@ func allVariants(t testing.TB) []string {
 // lineShift reports whether src holds a backslash-newline, the one
 // construct whose line accounting this parser corrects: when it falls
 // inside a string literal, every later token is one line further on
-// than the reference says.
+// than the up-front tokenizer said, so the pins leave such inputs out.
 func lineShift(src string) bool { return strings.Contains(src, "\\\n") }
 
-// The on-demand lexer cuts the tokens the up-front tokenizer did —
-// text, string flag and line — from every input; at a string literal
-// its line does not close it stops with an error where the reference
-// swallowed the newline and carried on.
+// The on-demand lexer cuts the tokens the up-front tokenizer it
+// replaced did — text, string flag and line — from every input,
+// recorded in testdata/lexer.sha256; at a string literal its line does
+// not close it stops with an error where the old tokenizer swallowed the
+// newline and carried on, so there the pins hold the tokens before the
+// literal and the error.
 func TestLexerMatchesReference(t *testing.T) {
+	pins := gentest.ReadPins(t, "testdata/lexer.sha256")
+	line := gentest.NewLine("lexer")
+	inputs := map[string]string{}
 	unterminated, shifted, total := 0, 0, 0
-	for _, src := range allVariants(t) {
+	for i, src := range allVariants(t) {
 		total++
 		if lineShift(src) {
 			shifted++
 			continue
 		}
-		want := iltext.ReferenceTokens(src)
 		got, err := iltext.LexTokens(src)
 		if err != nil {
 			unterminated++
 			if !strings.Contains(err.Error(), "unterminated string literal") {
 				t.Fatalf("lexer error %v", err)
 			}
-			// The reference's next token is the literal, left open.
-			if len(got) >= len(want) || !want[len(got)].Str || !strings.HasPrefix(want[len(got)].Text, `"`) {
-				t.Fatalf("lexer stopped after %d tokens with %v; reference has %d", len(got), err, len(want))
-			}
-			if wantErr := fmt.Sprintf("line %d:", want[len(got)].Line); !strings.HasPrefix(err.Error(), wantErr) {
-				t.Fatalf("lexer error %q, want it at %s", err, wantErr)
-			}
-			want = want[:len(got)]
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%d tokens, reference %d\n%s", len(got), len(want), excerpt(src))
+		var sb strings.Builder
+		for _, tok := range got {
+			fmt.Fprintf(&sb, "%d %t %q\n", tok.Line, tok.Str, tok.Text)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("token %d: %+v, reference %+v\n%s", i, got[i], want[i], excerpt(src))
-			}
-		}
+		fmt.Fprintf(&sb, "error %v\n", err)
+		name := fmt.Sprintf("%04d", i)
+		line.Add(name, sb.String())
+		inputs[name] = src
+	}
+	if name, ok := pins.Check(t, line.String()); !ok && name != "" {
+		t.Errorf("variant %s now lexes differently\n%s", name, excerpt(inputs[name]))
 	}
 	if unterminated == 0 {
 		t.Error("no variant left a string literal open")
@@ -171,7 +167,7 @@ func TestParseErrorsMatchParent(t *testing.T) {
 		sum := sha256.Sum256([]byte(src))
 		fmt.Fprintf(&got, "%04d %x %s\n", i, sum[:4], verdict)
 	}
-	if *update {
+	if gentest.Updating() {
 		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,10 @@
 package ir_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"marion/internal/driver"
@@ -49,8 +52,8 @@ func callTwice() *ir.Func {
 }
 
 // undeclared mentions a register its function never declared and a
-// symbol-less address: IR only a test builds, which the reference
-// fingerprints without complaint.
+// symbol-less address: IR only a test builds, which the streaming
+// fingerprint hashed without complaint.
 func undeclared() *ir.Func {
 	fn := ir.NewFunc("f", ir.Void)
 	fn.ParamRegs = []ir.RegID{ir.NoReg, 7}
@@ -71,25 +74,31 @@ func corpusFuncs(t testing.TB) []*ir.Func {
 	return fns
 }
 
+// fnName names the i-th function of corpusFuncs in a pin line.
+func fnName(i int, fn *ir.Func) string { return fmt.Sprintf("%d:%s", i, fn.Name) }
+
 // The buffered, node-stamping Fingerprint hashes the byte stream the
-// streaming one did: equal digests — so equal cache keys — on the
-// corpus, on renumbered clones, and on a second walk over nodes still
-// carrying the first walk's stamps.
+// streaming one did: the digests — so the cache keys — the streaming
+// one gave on the corpus, recorded in testdata/fingerprint.sha256, and
+// the same digest on renumbered clones and on a second walk over nodes
+// still carrying the first walk's stamps.
 func TestFingerprintMatchesReference(t *testing.T) {
 	fns := corpusFuncs(t)
 	if len(fns) < 40 {
 		t.Fatalf("corpus has only %d functions", len(fns))
 	}
+	pins := gentest.ReadPins(t, "testdata/fingerprint.sha256")
+	line := gentest.NewLine("fingerprint")
+	digests := map[string]ir.Digest{}
 	seen := map[ir.Digest]string{}
 	// One scratch for the whole corpus, as a pipeline worker keeps one:
 	// every function after the first finds it holding the last one's
 	// buffer, tables and maps.
 	var scratch ir.FingerprintScratch
 	for i, fn := range fns {
-		want := ir.ReferenceFingerprint(fn)
-		if got := fn.Fingerprint(); got != want {
-			t.Fatalf("%s: digest %s, reference %s", fn.Name, got, want)
-		}
+		want := fn.Fingerprint()
+		line.Add(fnName(i, fn), want.String())
+		digests[fnName(i, fn)] = want
 		if got := fn.Fingerprint(); got != want {
 			t.Fatalf("%s: second walk gave %s, want %s", fn.Name, got, want)
 		}
@@ -102,12 +111,15 @@ func TestFingerprintMatchesReference(t *testing.T) {
 		}
 		c := fn.Clone()
 		permuteNames(c, rand.New(rand.NewSource(int64(i))))
-		if got, ref := c.Fingerprint(), ir.ReferenceFingerprint(c); got != want || ref != want {
-			t.Fatalf("%s: renumbered clone: digest %s, reference %s, original %s", fn.Name, got, ref, want)
+		if got := c.Fingerprint(); got != want {
+			t.Fatalf("%s: renumbered clone: digest %s, original %s", fn.Name, got, want)
 		}
 		if got := scratch.Fingerprint(c); got != want {
 			t.Fatalf("%s: renumbered clone on the reused scratch: digest %s, original %s", fn.Name, got, want)
 		}
+	}
+	if name, ok := pins.Check(t, line.String()); !ok && name != "" {
+		t.Errorf("%s: digest now %s", name, digests[name])
 	}
 	if len(seen) < len(fns)*3/4 {
 		t.Fatalf("only %d distinct digests over %d functions", len(seen), len(fns))
@@ -122,62 +134,61 @@ func parentCounts(b *ir.Block) []int {
 	return out
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// globals snapshots Reg.Global of every register after mark, from all
+// false.
+func globals(fn *ir.Func, mark func()) []bool {
+	for i := range fn.Regs {
+		fn.Regs[i].Global = false
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	mark()
+	out := make([]bool, len(fn.Regs))
+	for i := range fn.Regs {
+		out[i] = fn.Regs[i].Global
 	}
-	return true
+	return out
 }
 
 // CountParents and MarkGlobalRegs, with their visited sets on the
-// nodes, compute what the map-based versions did — also on a function
-// walked twice back to back, and between fingerprint walks.
+// nodes, compute what the map-based versions did, recorded in
+// testdata/walks.sha256 — also on a function walked twice back to back,
+// and between fingerprint walks.
 func TestWalksMatchReference(t *testing.T) {
+	pins := gentest.ReadPins(t, "testdata/walks.sha256")
+	line := gentest.NewLine("walks")
+	answers := map[string]string{}
 	shared := 0
-	for _, fn := range corpusFuncs(t) {
+	for i, fn := range corpusFuncs(t) {
+		var sb strings.Builder
 		for _, b := range fn.Blocks {
-			ir.ReferenceCountParents(b)
-			want := parentCounts(b)
+			var want []int
+			for round := 0; round < 2; round++ {
+				walkNodes(b.Stmts, func(n *ir.Node) { n.Parents = -5 })
+				b.CountParents()
+				got := parentCounts(b)
+				if round == 0 {
+					want = got
+				} else if !slices.Equal(got, want) {
+					t.Fatalf("%s %s round %d: Parents %v, first walk %v", fn.Name, b.Name(), round, got, want)
+				}
+				fn.Fingerprint()
+			}
 			for _, p := range want {
 				if p > 1 {
 					shared++
 				}
 			}
-			for round := 0; round < 2; round++ {
-				walkNodes(b.Stmts, func(n *ir.Node) { n.Parents = -5 })
-				b.CountParents()
-				if got := parentCounts(b); !equalInts(got, want) {
-					t.Fatalf("%s %s round %d: Parents %v, reference %v", fn.Name, b.Name(), round, got, want)
-				}
-				fn.Fingerprint()
-			}
+			fmt.Fprintf(&sb, "%s parents %v\n", b.Name(), want)
 		}
-
-		global := func(mark func()) []bool {
-			out := make([]bool, len(fn.Regs))
-			for i := range fn.Regs {
-				fn.Regs[i].Global = false
-			}
-			mark()
-			for i := range fn.Regs {
-				out[i] = fn.Regs[i].Global
-			}
-			return out
+		want := globals(fn, fn.MarkGlobalRegs)
+		if got := globals(fn, fn.MarkGlobalRegs); !slices.Equal(got, want) {
+			t.Fatalf("%s: globals %v on a second walk, %v on the first", fn.Name, got, want)
 		}
-		want := global(func() { ir.ReferenceMarkGlobalRegs(fn) })
-		for round := 0; round < 2; round++ {
-			got := global(fn.MarkGlobalRegs)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s round %d: t%d global = %v, reference %v", fn.Name, round, i, got[i], want[i])
-				}
-			}
-		}
+		fmt.Fprintf(&sb, "global %v\n", want)
+		line.Add(fnName(i, fn), sb.String())
+		answers[fnName(i, fn)] = sb.String()
+	}
+	if name, ok := pins.Check(t, line.String()); !ok && name != "" {
+		t.Errorf("%s now walks to\n%s", name, answers[name])
 	}
 	if shared == 0 {
 		t.Fatal("corpus has no multi-parent node: the comparison is vacuous")

@@ -104,51 +104,22 @@ func (m *Machine) buildSelIndex() {
 	m.selIdx = idx
 }
 
-// SelIndexed reports whether the machine carries a selection index
-// (i.e. Finalize has run).
-func (m *Machine) SelIndexed() bool { return m.selIdx != nil }
-
 // ValueTmpls returns the value templates whose root can match IL
-// operator op, in description order. ok is false when the machine has no
-// index (callers fall back to scanning Instrs).
-func (m *Machine) ValueTmpls(op ir.Op) (tmpls []*Instr, ok bool) {
-	if m.selIdx == nil {
-		return nil, false
-	}
-	return m.selIdx.value[op], true
-}
+// operator op, in description order. Like every getter below it reads
+// the index Finalize built.
+func (m *Machine) ValueTmpls(op ir.Op) []*Instr { return m.selIdx.value[op] }
 
 // ValueRegTmpls is ValueTmpls restricted to templates with a settable
 // (OperandReg) destination — the candidates of canSelect.
-func (m *Machine) ValueRegTmpls(op ir.Op) (tmpls []*Instr, ok bool) {
-	if m.selIdx == nil {
-		return nil, false
-	}
-	return m.selIdx.valueReg[op], true
-}
+func (m *Machine) ValueRegTmpls(op ir.Op) []*Instr { return m.selIdx.valueReg[op] }
 
 // ValueFixedTmpls is ValueTmpls restricted to templates producing into
 // the specific fixed register p — the candidates of canSelectInto.
-func (m *Machine) ValueFixedTmpls(op ir.Op, p PhysID) (tmpls []*Instr, ok bool) {
-	if m.selIdx == nil {
-		return nil, false
-	}
-	return m.selIdx.valueFixed[op][p], true
-}
+func (m *Machine) ValueFixedTmpls(op ir.Op, p PhysID) []*Instr { return m.selIdx.valueFixed[op][p] }
 
 // StoreTmpls returns the store templates in description order.
-func (m *Machine) StoreTmpls() (tmpls []*Instr, ok bool) {
-	if m.selIdx == nil {
-		return nil, false
-	}
-	return m.selIdx.stores, true
-}
+func (m *Machine) StoreTmpls() []*Instr { return m.selIdx.stores }
 
 // BranchTmpls returns the conditional-branch templates in description
 // order.
-func (m *Machine) BranchTmpls() (tmpls []*Instr, ok bool) {
-	if m.selIdx == nil {
-		return nil, false
-	}
-	return m.selIdx.branches, true
-}
+func (m *Machine) BranchTmpls() []*Instr { return m.selIdx.branches }

@@ -133,7 +133,7 @@ func Backend() *Pipeline {
 			return nil
 		}},
 		{Name: "select", Run: func(c *Ctx) error {
-			af, counters, err := c.scratch().sel.SelectOpts(c.Machine, c.IR, sel.Options{Linear: c.Cfg.LinearSelect})
+			af, counters, err := c.scratch().sel.SelectOpts(c.Machine, c.IR, sel.Options{})
 			c.Sel = counters
 			if err != nil {
 				return err
@@ -172,9 +172,6 @@ func verifyFunc(vs *verify.Scratch, m *mach.Machine, af *asm.Func, cfg *Config) 
 type Config struct {
 	Strategy strategy.Kind
 	Options  strategy.Options
-	// LinearSelect selects the unindexed, unmemoized selection
-	// reference path (see sel.Options.Linear).
-	LinearSelect bool
 	// Verify runs the emitted-code verifier (internal/verify) over
 	// every function after the strategy phase. Findings are data, not
 	// compile errors — callers decide whether they are fatal.
@@ -299,7 +296,7 @@ func (p *Pipeline) run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, c
 	if cfg.Cache != nil && cfg.Faults == nil && m.Fingerprint() != ([32]byte{}) {
 		keys = &keyParts{
 			mach: m.Fingerprint(),
-			cfg:  cache.ConfigKey(cfg.Strategy, cfg.Options, cfg.LinearSelect),
+			cfg:  cache.ConfigKey(cfg.Strategy, cfg.Options, false),
 		}
 	}
 

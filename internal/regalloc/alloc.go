@@ -65,13 +65,7 @@ type Options struct {
 // Allocate colors every pseudo-register of af, inserting spill code as
 // needed. Operands are rewritten in place to physical registers.
 func Allocate(m *mach.Machine, af *asm.Func) (*Result, error) {
-	return AllocateOpts(m, af, Options{})
-}
-
-// AllocateOpts is Allocate with explicit options, on a scratch of its
-// own.
-func AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Result, error) {
-	return new(Scratch).AllocateOpts(m, af, opts)
+	return new(Scratch).AllocateOpts(m, af, Options{})
 }
 
 // Scratch is the storage allocation works in: the machine's colouring
@@ -83,7 +77,7 @@ func AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Result, error) 
 // goroutines.
 type Scratch struct{ a allocator }
 
-// AllocateOpts is the package's AllocateOpts on this scratch.
+// AllocateOpts is Allocate with explicit options, on this scratch.
 func (s *Scratch) AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Result, error) {
 	a := s.a.reset(m, af)
 	res := a.res

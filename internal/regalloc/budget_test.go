@@ -23,7 +23,7 @@ int f(int a, int b) {
 // fails with a typed budget error instead of looping.
 func TestAllocateMaxRoundsCap(t *testing.T) {
 	m, af := selectOn(t, spillPressureSrc, "f")
-	_, err := AllocateOpts(m, af, Options{MaxRounds: 1})
+	_, err := new(Scratch).AllocateOpts(m, af, Options{MaxRounds: 1})
 	if !errors.Is(err, budget.ErrExceeded) {
 		t.Fatalf("err = %v, want budget.ErrExceeded", err)
 	}
@@ -50,7 +50,7 @@ func TestAllocateContextDeadline(t *testing.T) {
 	expired, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
 	m, af := selectOn(t, spillPressureSrc, "f")
-	_, err := AllocateOpts(m, af, Options{Context: expired})
+	_, err := new(Scratch).AllocateOpts(m, af, Options{Context: expired})
 	if !errors.Is(err, budget.ErrExceeded) {
 		t.Errorf("deadline err = %v, want budget.ErrExceeded", err)
 	}
@@ -58,7 +58,7 @@ func TestAllocateContextDeadline(t *testing.T) {
 	cancelled, stop := context.WithCancel(context.Background())
 	stop()
 	m2, af2 := selectOn(t, spillPressureSrc, "f")
-	_, err = AllocateOpts(m2, af2, Options{Context: cancelled})
+	_, err = new(Scratch).AllocateOpts(m2, af2, Options{Context: cancelled})
 	if !errors.Is(err, context.Canceled) || errors.Is(err, budget.ErrExceeded) {
 		t.Errorf("cancel err = %v, want plain context.Canceled", err)
 	}

@@ -60,46 +60,46 @@ func text(m *mach.Machine, af *asm.Func) string {
 	return p.Print()
 }
 
-// differ allocates three identical selections of one function — with
-// AllocateOpts, with the degree-checking stepped driver and with the
-// reference — and requires one outcome: the same error, or the same
-// Result, per-round spill lists and instruction text. It returns the
-// reference's result (nil on error).
-func differ(t *testing.T, where string, m *mach.Machine, afs [3]*asm.Func, opts regalloc.Options) *regalloc.Result {
+// The testdata/alloc_*.sha256 files hold what the map-based allocator
+// that preceded the dense tables answered on the inputs of the test
+// named after each, recorded from it: per function the error, or the
+// rounds, spills, slots, callee-saves, per-round spill lists and
+// allocated text.
+
+// answer allocates two identical selections of one function — with
+// AllocateOpts and with the degree-checking stepped driver — requires
+// one outcome of both, the same error or the same Result, per-round
+// spill lists and instruction text, and renders it for the pins. It
+// returns the result (nil on error).
+func answer(t *testing.T, where string, m *mach.Machine, afs [2]*asm.Func, opts regalloc.Options) (string, *regalloc.Result) {
 	t.Helper()
-	g, gerr := regalloc.AllocateOpts(m, afs[0], opts)
-	s, srounds, serr := regalloc.SteppedAllocate(t, m, afs[1], opts)
-	w, wrounds, werr := regalloc.ReferenceAllocate(m, afs[2], opts)
-	if !reflect.DeepEqual(srounds, wrounds) {
-		t.Errorf("%s: per-round spill lists %v, reference %v", where, srounds, wrounds)
-	}
-	if gerr != nil || serr != nil || werr != nil {
-		if fmt.Sprint(gerr) != fmt.Sprint(werr) || fmt.Sprint(serr) != fmt.Sprint(werr) {
-			t.Errorf("%s: error %v (stepped: %v), reference %v", where, gerr, serr, werr)
+	g, gerr := new(regalloc.Scratch).AllocateOpts(m, afs[0], opts)
+	s, rounds, serr := regalloc.SteppedAllocate(t, m, afs[1], opts)
+	if gerr != nil || serr != nil {
+		if fmt.Sprint(gerr) != fmt.Sprint(serr) {
+			t.Errorf("%s: error %v, stepped %v", where, gerr, serr)
 		}
-		return nil
+		return fmt.Sprintf("spilled %v\nerror %v\n", rounds, gerr), nil
 	}
-	for _, r := range []*regalloc.Result{g, s} {
-		if r.Rounds != w.Rounds || r.Spills != w.Spills || r.SpillSlots != w.SpillSlots ||
-			!reflect.DeepEqual(r.UsedCalleeSave, w.UsedCalleeSave) {
-			t.Errorf("%s: rounds/spills/slots/callee-save %d/%d/%d/%v, reference %d/%d/%d/%v", where,
-				r.Rounds, r.Spills, r.SpillSlots, r.UsedCalleeSave, w.Rounds, w.Spills, w.SpillSlots, w.UsedCalleeSave)
-		}
+	if g.Rounds != s.Rounds || g.Spills != s.Spills || g.SpillSlots != s.SpillSlots ||
+		!reflect.DeepEqual(g.UsedCalleeSave, s.UsedCalleeSave) {
+		t.Errorf("%s: rounds/spills/slots/callee-save %d/%d/%d/%v, stepped %d/%d/%d/%v", where,
+			g.Rounds, g.Spills, g.SpillSlots, g.UsedCalleeSave, s.Rounds, s.Spills, s.SpillSlots, s.UsedCalleeSave)
 	}
-	want := text(m, afs[2])
-	for _, af := range afs[:2] {
-		if got := text(m, af); got != want {
-			t.Errorf("%s: allocated code differs from the reference's\n--- got ---\n%s--- reference ---\n%s", where, got, want)
-		}
+	got, want := text(m, afs[0]), text(m, afs[1])
+	if got != want {
+		t.Errorf("%s: allocated code differs from the stepped driver's\n--- got ---\n%s--- stepped ---\n%s", where, got, want)
 	}
-	return w
+	return fmt.Sprintf("spilled %v\nrounds=%d spills=%d slots=%d callee-save=%v\n%s",
+		rounds, s.Rounds, s.Spills, s.SpillSlots, s.UsedCalleeSave, want), s
 }
 
 // TestAllocateMatchesReferenceOnCorpus: on every target, every function
-// of Livermore, gentest.Golden and the serve units allocates exactly as
-// the reference does, with and without SpillGlobals (the Local
-// strategy's option).
+// of Livermore, gentest.Golden and the serve units allocates as the
+// reference did, with and without SpillGlobals (the Local strategy's
+// option).
 func TestAllocateMatchesReferenceOnCorpus(t *testing.T) {
+	pins := gentest.ReadPins(t, "testdata/alloc_corpus.sha256")
 	for _, target := range targets.Names() {
 		m, err := targets.Load(target)
 		if err != nil {
@@ -107,24 +107,39 @@ func TestAllocateMatchesReferenceOnCorpus(t *testing.T) {
 		}
 		for _, opts := range []regalloc.Options{{}, {SpillGlobals: true}} {
 			fns, spilled := 0, 0
-			mods := [3][]*ir.Module{corpus(t), corpus(t), corpus(t)}
+			line := gentest.NewLine(fmt.Sprintf("corpus/%s/%s", target, optsName(opts)))
+			answers := map[string]string{}
+			mods := [2][]*ir.Module{corpus(t), corpus(t)}
 			for mi := range mods[0] {
 				for fi, fn := range mods[0][mi].Funcs {
-					where := fmt.Sprintf("%s %s:%s globals=%v", target, mods[0][mi].Name, fn.Name, opts.SpillGlobals)
-					var afs [3]*asm.Func
+					name := mods[0][mi].Name + ":" + fn.Name
+					where := fmt.Sprintf("%s %s globals=%v", target, name, opts.SpillGlobals)
+					var afs [2]*asm.Func
 					for j := range afs {
 						afs[j] = selected(t, m, mods[j][mi].Funcs[fi])
 					}
-					res := differ(t, where, m, afs, opts)
+					ans, res := answer(t, where, m, afs, opts)
+					line.Add(name, ans)
+					answers[name] = ans
 					fns++
 					if res != nil && res.Spills > 0 {
 						spilled++
 					}
 				}
 			}
+			if name, ok := pins.Check(t, line.String()); !ok && name != "" {
+				t.Errorf("%s now allocates as\n%s", name, answers[name])
+			}
 			t.Logf("%s globals=%v: %d functions, %d spilled", target, opts.SpillGlobals, fns, spilled)
 		}
 	}
+}
+
+func optsName(opts regalloc.Options) string {
+	if opts.SpillGlobals {
+		return "globals"
+	}
+	return "plain"
 }
 
 // sparseLabelIL is a loop around an if/else whose else block carries the
@@ -163,10 +178,10 @@ block L4 depth 0
 )
 
 // TestAllocateSparseBlockIDs: no table of the allocator may be sized by
-// a block ID. A function with one huge label allocates like the
-// reference, in memory that fits the function, to the text the same
-// function gives under a small label; and the rest of the back end
-// compiles it under every strategy with the emitted-code verifier on.
+// a block ID. A function with one huge label allocates as the reference
+// did, in memory that fits the function, to the text the same function
+// gives under a small label; and the rest of the back end compiles it
+// under every strategy with the emitted-code verifier on.
 func TestAllocateSparseBlockIDs(t *testing.T) {
 	parse := func(m *mach.Machine, src string) *asm.Func {
 		mod, err := iltext.Parse("sparse.il", src)
@@ -175,6 +190,7 @@ func TestAllocateSparseBlockIDs(t *testing.T) {
 		}
 		return selected(t, m, mod.Lookup("f"))
 	}
+	pins := gentest.ReadPins(t, "testdata/alloc_sparse.sha256")
 	for _, target := range targets.Names() {
 		m, err := targets.Load(target)
 		if err != nil {
@@ -182,16 +198,21 @@ func TestAllocateSparseBlockIDs(t *testing.T) {
 		}
 		for _, opts := range []regalloc.Options{{}, {SpillGlobals: true}} {
 			where := fmt.Sprintf("%s sparse labels globals=%v", target, opts.SpillGlobals)
-			afs := [3]*asm.Func{parse(m, sparseLabelIL), parse(m, sparseLabelIL), parse(m, sparseLabelIL)}
+			afs := [2]*asm.Func{parse(m, sparseLabelIL), parse(m, sparseLabelIL)}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			differ(t, where, m, afs, opts)
+			ans, _ := answer(t, where, m, afs, opts)
 			runtime.ReadMemStats(&after)
 			if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
-				t.Errorf("%s: three allocations of a seven-block function allocated %d bytes", where, got)
+				t.Errorf("%s: two allocations of a seven-block function allocated %d bytes", where, got)
+			}
+			line := gentest.NewLine(fmt.Sprintf("sparse/%s/%s", target, optsName(opts)))
+			line.Add("f", ans)
+			if _, ok := pins.Check(t, line.String()); !ok {
+				t.Errorf("%s now allocates as\n%s", where, ans)
 			}
 			small := parse(m, strings.ReplaceAll(sparseLabelIL, hugeLabel, "L7"))
-			if _, err := regalloc.AllocateOpts(m, small, opts); err != nil {
+			if _, err := new(regalloc.Scratch).AllocateOpts(m, small, opts); err != nil {
 				t.Fatalf("%s: small label: %v", where, err)
 			}
 			if got, want := text(m, afs[0]), strings.ReplaceAll(text(m, small), "L7", hugeLabel); got != want {
@@ -220,19 +241,22 @@ const genPerTarget = 200
 // TestAllocateMatchesReferenceOnGenerated samples what the golden
 // corpus under-samples — spill choice, spill-list order, NoSpill
 // temporaries, pair pressure, rounds past the second — on seeded
-// high-pressure functions, and runs each through the whole back end
-// with the emitted-code verifier on.
+// high-pressure functions, each allocated as the reference did, and runs
+// each through the whole back end with the emitted-code verifier on.
 func TestAllocateMatchesReferenceOnGenerated(t *testing.T) {
+	pins := gentest.ReadPins(t, "testdata/alloc_generated.sha256")
 	for _, target := range genTargets {
 		m, err := targets.Load(target)
 		if err != nil {
 			t.Fatal(err)
 		}
 		spilled, deep := 0, 0
+		line := gentest.NewLine("generated/" + target)
+		answers := map[string]string{}
 		for _, u := range gentest.Generated(genPerTarget) {
 			src := u.Text
 			where := fmt.Sprintf("%s generated %s", target, u.Name)
-			var afs [3]*asm.Func
+			var afs [2]*asm.Func
 			for j := range afs {
 				mod, err := driver.Frontend(u.Name, src)
 				if err != nil {
@@ -240,10 +264,12 @@ func TestAllocateMatchesReferenceOnGenerated(t *testing.T) {
 				}
 				afs[j] = selected(t, m, mod.Lookup("f"))
 			}
-			res := differ(t, where, m, afs, regalloc.Options{})
+			ans, res := answer(t, where, m, afs, regalloc.Options{})
 			if t.Failed() {
 				t.Fatalf("%s: source:\n%s", where, src)
 			}
+			line.Add(u.Name, ans)
+			answers[u.Name] = ans + "source:\n" + src
 			if res == nil {
 				continue
 			}
@@ -260,6 +286,9 @@ func TestAllocateMatchesReferenceOnGenerated(t *testing.T) {
 			if !c.Verify.Empty() {
 				t.Fatalf("%s: verifier findings:\n%s\n%s", where, c.Verify, src)
 			}
+		}
+		if name, ok := pins.Check(t, line.String()); !ok && name != "" {
+			t.Errorf("%s %s now allocates as\n%s", target, name, answers[name])
 		}
 		t.Logf("%s: %d generated, %d spilled, %d took >= 3 rounds", target, genPerTarget, spilled, deep)
 		if spilled < genPerTarget/2 {
@@ -312,7 +341,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	var sc regalloc.Scratch
 	check := func(j job) {
 		fresh, warm := lower(j), lower(j)
-		want, werr := regalloc.AllocateOpts(j.m, fresh, j.opts)
+		want, werr := new(regalloc.Scratch).AllocateOpts(j.m, fresh, j.opts)
 		got, gerr := sc.AllocateOpts(j.m, warm, j.opts)
 		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 			t.Fatalf("%s: error %v on a warmed scratch, %v on a fresh one", j.where, gerr, werr)

@@ -2,8 +2,5 @@ package regalloc
 
 // The corpus differential lives in package regalloc_test (it needs
 // internal/driver and internal/livermore, which import this package);
-// these are its doors to the oracle and to the degree-checking driver.
-var (
-	ReferenceAllocate = referenceAllocate
-	SteppedAllocate   = steppedAllocate
-)
+// this is its door to the degree-checking driver.
+var SteppedAllocate = steppedAllocate

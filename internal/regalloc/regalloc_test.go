@@ -160,7 +160,7 @@ int f(int n) {
     return s;
 }`
 	m, af := selectOn(t, src, "f")
-	res, err := AllocateOpts(m, af, Options{SpillGlobals: true})
+	res, err := new(Scratch).AllocateOpts(m, af, Options{SpillGlobals: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestAllocatePseudoCap(t *testing.T) {
 	for len(af.Pseudos) <= maxPseudos {
 		af.NewPseudo(af.Pseudos[0].Set, ir.NoReg)
 	}
-	_, err := AllocateOpts(m, af, Options{})
+	_, err := new(Scratch).AllocateOpts(m, af, Options{})
 	var le *budget.LimitError
 	if !errors.As(err, &le) || le.Stage != "regalloc" || le.Steps != maxPseudos {
 		t.Fatalf("err = %v, want the regalloc pseudo-register cap", err)

@@ -12,7 +12,7 @@ import (
 // be exactly the bit matrix, and before every push each un-removed
 // node's incremental degree must equal a from-scratch recomputation and
 // the low set must be exactly the nodes under K. It also returns each
-// colouring round's spill list, as referenceAllocate does.
+// colouring round's spill list, which numbers the spill slots.
 func steppedAllocate(t testing.TB, m *mach.Machine, af *asm.Func, opts Options) (*Result, [][]asm.PseudoID, error) {
 	var rounds [][]asm.PseudoID
 	a := newAllocator(m, af)

@@ -8,36 +8,29 @@ import (
 	"marion/internal/mach"
 )
 
+// storePattern reports whether tmpl can store the value of Store
+// statement n at all: it must assign an operand to memory and take n's
+// type, and an untyped store writes exactly one register width.
+func storePattern(tmpl *mach.Instr, n *ir.Node) bool {
+	if tmpl.Sem.Kind != mach.SemAssign || tmpl.Sem.Kids[0].Kind != mach.SemMem ||
+		tmpl.Sem.Kids[1].Kind != mach.SemOperand || !typeOK(tmpl.TypeConstraint, n.Type) {
+		return false
+	}
+	val := tmpl.Operands[tmpl.Sem.Kids[1].OpIdx]
+	return tmpl.TypeConstraint != ir.Void ||
+		val.Kind == mach.OperandReg && n.Type.Size() == val.Set.Size && !n.Type.IsFloat()
+}
+
 // selectStore matches store templates against a Store statement.
 func (s *selector) selectStore(n *ir.Node) error {
-	tmpls := s.m.Instrs
-	if !s.linear {
-		if ts, ok := s.m.StoreTmpls(); ok {
-			tmpls = ts
-		}
-	}
-	for _, tmpl := range tmpls {
+	for _, tmpl := range s.m.StoreTmpls() {
 		s.counters.Tried++
-		if tmpl.Sem.Kind != mach.SemAssign || tmpl.Sem.Kids[0].Kind != mach.SemMem {
+		if !storePattern(tmpl, n) {
 			continue
-		}
-		if !typeOK(tmpl.TypeConstraint, n.Type) {
-			continue
-		}
-		rv := tmpl.Sem.Kids[1]
-		if rv.Kind != mach.SemOperand {
-			continue
-		}
-		valSpec := tmpl.Operands[rv.OpIdx]
-		if tmpl.TypeConstraint == ir.Void {
-			// Untyped stores write exactly one register width.
-			if valSpec.Kind != mach.OperandReg || n.Type.Size() != valSpec.Set.Size || n.Type.IsFloat() {
-				continue
-			}
 		}
 		mark, binds := s.pushBinds(tmpl)
 		if !s.matchSem(tmpl.Sem.Kids[0].Kids[0], n.Kids[0], tmpl, binds) ||
-			!s.matchSem(rv, n.Kids[1], tmpl, binds) || !s.bindsSelectable(tmpl, binds) {
+			!s.matchSem(tmpl.Sem.Kids[1], n.Kids[1], tmpl, binds) || !s.bindsSelectable(tmpl, binds) {
 			s.binds = s.binds[:mark]
 			continue
 		}
@@ -50,13 +43,7 @@ func (s *selector) selectStore(n *ir.Node) error {
 
 // selectBranch matches conditional-branch templates.
 func (s *selector) selectBranch(n *ir.Node) error {
-	tmpls := s.m.Instrs
-	if !s.linear {
-		if ts, ok := s.m.BranchTmpls(); ok {
-			tmpls = ts
-		}
-	}
-	for _, tmpl := range tmpls {
+	for _, tmpl := range s.m.BranchTmpls() {
 		s.counters.Tried++
 		if !tmpl.IsBranch {
 			continue

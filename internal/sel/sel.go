@@ -12,9 +12,9 @@
 // bindsSelectable → canSelect → bindsSelectable feasibility recursion
 // that is otherwise exponential on deep expression trees. Both layers
 // preserve description order within each candidate list, so first-match
-// semantics — and the emitted assembly — are identical to a linear
-// scan; Options.Linear re-enables the unindexed, unmemoized reference
-// path for tests and benchmarks.
+// semantics — and the emitted assembly — are those of a linear scan of
+// Machine.Instrs: TestSelIndexBuckets checks the buckets against the
+// matcher on the corpus, and the driver's pins hold the output.
 package sel
 
 import (
@@ -26,15 +26,9 @@ import (
 	"marion/internal/mach"
 )
 
-// Options tune one selection run.
-type Options struct {
-	// Linear disables the operator-indexed template tables and the
-	// feasibility memo caches: every lookup scans Machine.Instrs in
-	// description order, the paper's literal brute force. The emitted
-	// code is byte-identical to the indexed path; only the amount of
-	// matching work differs.
-	Linear bool
-}
+// Options tune one selection run. None are left; the type stays for
+// the callers that pass one.
+type Options struct{}
 
 // Counters reports how much pattern-matching work a selection run did.
 type Counters struct {
@@ -78,9 +72,9 @@ func SelectOpts(m *mach.Machine, fn *ir.Func, opts Options) (*asm.Func, Counters
 type Scratch struct{ s selector }
 
 // SelectOpts is the package's SelectOpts on this scratch.
-func (sc *Scratch) SelectOpts(m *mach.Machine, fn *ir.Func, opts Options) (*asm.Func, Counters, error) {
+func (sc *Scratch) SelectOpts(m *mach.Machine, fn *ir.Func, _ Options) (*asm.Func, Counters, error) {
 	s := &sc.s
-	s.reset(m, fn, opts)
+	s.reset(m, fn)
 	af, err := s.run()
 	return af, s.counters, err
 }
@@ -98,7 +92,7 @@ func (sc *Scratch) Detach() {
 }
 
 // reset readies the selector for fn, keeping the storage of its tables.
-func (s *selector) reset(m *mach.Machine, fn *ir.Func, opts Options) {
+func (s *selector) reset(m *mach.Machine, fn *ir.Func) {
 	nodes := fn.NodeCount()
 	binds := s.binds[:0]
 	if binds == nil {
@@ -109,7 +103,6 @@ func (s *selector) reset(m *mach.Machine, fn *ir.Func, opts Options) {
 		irFn:     fn,
 		af:       &asm.Func{Name: fn.Name, IR: fn, Blocks: make([]*asm.Block, len(fn.Blocks))},
 		irPseudo: resized(s.irPseudo, len(fn.Regs)),
-		linear:   opts.Linear || !m.SelIndexed(),
 		memo:     resized(s.memo, nodes),
 		out:      make([]*asm.Inst, 0, nodes),
 		slab:     slab{chunk: nodes},
@@ -194,8 +187,6 @@ type selector struct {
 	irPseudo []asm.PseudoID
 	out      []*asm.Inst
 
-	// linear selects the unindexed, unmemoized reference path.
-	linear   bool
 	counters Counters
 
 	// walk numbers the current block's nodes in first-visit order, next
@@ -264,20 +255,6 @@ func (s *selector) noteSelected(n *ir.Node, op asm.Operand) {
 	s.state(n).sel = int32(len(s.selOps))
 	s.selOps = append(s.selOps, op)
 	s.dropFeasibility()
-}
-
-// valueTmpls returns the candidate templates for matching value node n:
-// the machine's operator bucket, or all instructions on the linear
-// reference path. Either way the existing per-template guards re-check
-// every condition, so pruning can only skip templates that would have
-// been rejected.
-func (s *selector) valueTmpls(n *ir.Node) []*mach.Instr {
-	if !s.linear {
-		if ts, ok := s.m.ValueTmpls(n.Op); ok {
-			return ts
-		}
-	}
-	return s.m.Instrs
 }
 
 // weight is the spill-cost increment for a reference at the current
@@ -483,7 +460,10 @@ func valuePattern(tmpl *mach.Instr, n *ir.Node) (int, mach.OperandSpec, bool) {
 // against value node n; dst, when non-nil, requests the result in that
 // operand.
 func (s *selector) match(n *ir.Node, dst *asm.Operand) (asm.Operand, error) {
-	for _, tmpl := range s.valueTmpls(n) {
+	// The machine's operator bucket: the per-template guards below
+	// re-check every condition, so the index only skips templates they
+	// would have rejected.
+	for _, tmpl := range s.m.ValueTmpls(n.Op) {
 		s.counters.Tried++
 		dstIdx, dstSpec, ok := valuePattern(tmpl, n)
 		if !ok {
@@ -555,9 +535,6 @@ func (s *selector) canSelectInto(n *ir.Node, phys mach.PhysID) bool {
 	if op, ok := s.selected(n); ok {
 		return op.Kind == asm.OpPhys && op.Phys == phys
 	}
-	if s.linear {
-		return s.canSelectIntoSlow(n, phys)
-	}
 	for _, a := range s.intos {
 		if a.n == n && a.phys == phys {
 			s.counters.MemoHits++
@@ -572,13 +549,7 @@ func (s *selector) canSelectInto(n *ir.Node, phys mach.PhysID) bool {
 
 // canSelectIntoSlow is the uncached template scan behind canSelectInto.
 func (s *selector) canSelectIntoSlow(n *ir.Node, phys mach.PhysID) bool {
-	tmpls := s.m.Instrs
-	if !s.linear {
-		if ts, ok := s.m.ValueFixedTmpls(n.Op, phys); ok {
-			tmpls = ts
-		}
-	}
-	for _, tmpl := range tmpls {
+	for _, tmpl := range s.m.ValueFixedTmpls(n.Op, phys) {
 		s.counters.Tried++
 		// valuePattern approves no untyped load into a fixed register,
 		// as match emits none.
@@ -619,9 +590,6 @@ func (s *selector) canSelect(n *ir.Node, want *mach.RegSet) bool {
 			return true
 		}
 	}
-	if s.linear {
-		return s.canSelectSlow(n)
-	}
 	st := s.state(n)
 	if st.gen != s.gen {
 		st.gen, st.can = s.gen, 0
@@ -643,13 +611,7 @@ func (s *selector) canSelect(n *ir.Node, want *mach.RegSet) bool {
 // not depend on the requesting set: the scan mirrors match, whose
 // result a parent coerces into the wanted set afterwards.
 func (s *selector) canSelectSlow(n *ir.Node) bool {
-	tmpls := s.m.Instrs
-	if !s.linear {
-		if ts, ok := s.m.ValueRegTmpls(n.Op); ok {
-			tmpls = ts
-		}
-	}
-	for _, tmpl := range tmpls {
+	for _, tmpl := range s.m.ValueRegTmpls(n.Op) {
 		s.counters.Tried++
 		_, dstSpec, ok := valuePattern(tmpl, n)
 		if !ok || dstSpec.Kind != mach.OperandReg || !dstSpec.Set.HoldsLoose(n.Type) {

@@ -146,9 +146,10 @@ func TestCacheSharedAcrossRequests(t *testing.T) {
 	}
 }
 
-// TestLinearSelectNotOnWire: the reference selector is not a wire
-// option. A request naming it is the plain request, so it hits every
-// function the plain request stored instead of compiling them again.
+// TestLinearSelectNotOnWire: linear_select, which older clients send,
+// names no option. A request naming it is the plain request, so it hits
+// every function the plain request stored instead of compiling them
+// again.
 func TestLinearSelectNotOnWire(t *testing.T) {
 	s := newTestServer(t, Config{})
 	req := CompileRequest{Source: addC, Filename: "add.c", Target: "r2000"}

@@ -1,16 +1,12 @@
 package targets
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
-	"os"
-	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/tables.sha256 from the current tables")
+	"marion/internal/gentest"
+)
 
 const tablesFile = "testdata/tables.sha256"
 
@@ -23,16 +19,7 @@ const tablesFile = "testdata/tables.sha256"
 // text leaves the cache key alone, and a -cachedir written before the
 // change would splice in registers that no longer mean what they did.
 func TestDescriptionTablesPinned(t *testing.T) {
-	want := map[string]string{}
-	if data, err := os.ReadFile(tablesFile); err == nil {
-		for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-			name, sum, _ := strings.Cut(l, " ")
-			want[name] = sum
-		}
-	} else if !*update {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
+	pins := gentest.ReadPins(t, tablesFile)
 	for _, name := range Names() {
 		m, err := Load(name)
 		if err != nil {
@@ -45,19 +32,12 @@ func TestDescriptionTablesPinned(t *testing.T) {
 		for _, rs := range m.RegSets {
 			fmt.Fprintf(h, "regset %q %d\n", rs.Name, rs.PhysBase)
 		}
-		got := fmt.Sprintf("%x", h.Sum(nil))
-		fmt.Fprintf(&out, "%s %s\n", name, got)
-		if !*update && got != want[name] {
-			t.Errorf("%s: m.Instrs or m.RegSets changed (digest %s, pinned %s).\n"+
+		if _, ok := pins.Check(t, fmt.Sprintf("%s %x", name, h.Sum(nil))); !ok {
+			t.Errorf("%s: m.Instrs or m.RegSets changed.\n"+
 				"If the description text changed, rerun with -update. If it did not, Parse or Finalize now\n"+
 				"derive other tables from the same text, and cache entries bind both by index: bump srcTag\n"+
 				"in internal/maril/parser.go (maril.ParseInfo) so entries older builds wrote to a -cachedir\n"+
-				"miss, then rerun with -update.", name, got, want[name])
-		}
-	}
-	if *update {
-		if err := os.WriteFile(tablesFile, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+				"miss, then rerun with -update.", name)
 		}
 	}
 }

@@ -1,12 +1,9 @@
 package verify_test
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -20,8 +17,6 @@ import (
 	"marion/internal/targets"
 	"marion/internal/verify"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/findings.sha256 from the current verifier")
 
 const findingsFile = "testdata/findings.sha256"
 
@@ -157,14 +152,7 @@ func findingsLine(name string, m *mach.Machine, funcs []namedFunc, opts verify.O
 // -update rewrites it and is meant only for a change that sets out to
 // alter a finding.
 func TestFindingsGolden(t *testing.T) {
-	want := map[string]string{}
-	if data, err := os.ReadFile(findingsFile); err == nil {
-		for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-			want[strings.SplitN(l, " ", 2)[0]] = l
-		}
-	} else if !*update {
-		t.Fatal(err)
-	}
+	pins := gentest.ReadPins(t, findingsFile)
 	edits := []struct {
 		name string
 		fn   func(*mach.Machine, *asm.Func)
@@ -176,46 +164,21 @@ func TestFindingsGolden(t *testing.T) {
 		{"ReassignRegister", func(m *mach.Machine, f *asm.Func) { verify.ReassignRegister(m, f) }},
 		{"CorruptSequence", func(m *mach.Machine, f *asm.Func) { verify.CorruptSequence(m, f) }},
 	}
-	var out bytes.Buffer
-	check := func(got string) {
-		out.WriteString(got + "\n")
-		key := strings.SplitN(got, " ", 2)[0]
-		if *update || got == want[key] {
-			return
-		}
-		w, g := strings.Fields(want[key]), strings.Fields(got)
-		if len(w) < 2 {
-			t.Errorf("%s: no golden line", key)
-			return
-		}
-		t.Errorf("%s: digest %s, golden %s", key, g[1], w[1])
-		for i := 2; i < len(g); i++ {
-			if i >= len(w) || g[i] != w[i] {
-				t.Errorf("%s: first difference %s, golden %s", key, g[i], w[min(i, len(w)-1)])
-				break
-			}
-		}
-	}
 	for _, target := range targets.Names() {
 		for _, strat := range []strategy.Kind{strategy.Postpass, strategy.RASE} {
 			m, funcs := compileUnits(t, target, strat)
 			prefix := fmt.Sprintf("%s/%s/", target, strat)
 			for _, e := range edits {
-				check(findingsLine(prefix+e.name, m, funcs, verify.Options{}, e.fn))
+				pins.Check(t, findingsLine(prefix+e.name, m, funcs, verify.Options{}, e.fn))
 			}
 			var rng *rand.Rand
 			shake := func(_ *mach.Machine, f *asm.Func) { perturb(f, rng) }
 			rng = rand.New(rand.NewSource(1))
-			check(findingsLine(prefix+"perturb", m, funcs, verify.Options{}, shake))
+			pins.Check(t, findingsLine(prefix+"perturb", m, funcs, verify.Options{}, shake))
 			if target == "m88000" && strat == strategy.Postpass {
 				rng = rand.New(rand.NewSource(1))
-				check(findingsLine(prefix+"perturb-issueonly", m, funcs, verify.Options{IssueOnly: true}, shake))
+				pins.Check(t, findingsLine(prefix+"perturb-issueonly", m, funcs, verify.Options{IssueOnly: true}, shake))
 			}
-		}
-	}
-	if *update {
-		if err := os.WriteFile(findingsFile, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
