@@ -4,10 +4,14 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench benchcheck benchsmoke ci
+.PHONY: build fmt test vet race bench benchcheck benchsmoke ci
 
 build:
 	$(GO) build ./...
+
+# Fails when any file, bench/ included, is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -48,4 +52,4 @@ benchsmoke:
 # strategy, and each faulted function must degrade and re-verify clean.
 # Any finding or outright failure fails the test.
 
-ci: build vet test race benchcheck benchsmoke
+ci: build fmt vet test race benchcheck benchsmoke

@@ -12,13 +12,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
-	"marion/internal/core"
+	"marion"
 	"marion/internal/sim"
 	"marion/internal/strategy"
 )
@@ -44,11 +45,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	gen, err := core.New(*target, kind)
+	gen, err := marion.New(*target, kind)
 	if err != nil {
 		fatal(err)
 	}
-	res, err := gen.Compile(flag.Arg(0), string(src))
+	res, err := gen.CompileCtx(context.Background(), flag.Arg(0), string(src))
 	if err != nil {
 		fatal(err)
 	}
@@ -62,9 +63,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	sess := core.NewSession(res.Program, opts)
+	sess := sim.New(res.Program, opts)
 	if *initFn != "" {
-		if _, err := sess.Call(*initFn); err != nil {
+		if _, err := sess.Run(*initFn); err != nil {
 			fatal(err)
 		}
 	}
@@ -72,7 +73,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	st, err := sess.Call(name, args...)
+	st, err := sess.Run(name, args...)
 	if err != nil {
 		fatal(err)
 	}

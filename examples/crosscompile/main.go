@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,15 +39,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := gen.Compile("saxpy.c", source)
+		res, err := gen.CompileCtx(context.Background(), "saxpy.c", source)
 		if err != nil {
 			log.Fatalf("%s: %v", target, err)
 		}
-		sess := marion.NewSession(res.Program, sim.Options{})
-		if _, err := sess.Call("setup"); err != nil {
+		sess := sim.New(res.Program, sim.Options{})
+		if _, err := sess.Run("setup"); err != nil {
 			log.Fatal(err)
 		}
-		st, err := sess.Call("saxpy", sim.Float64(3.0), sim.Int(128))
+		st, err := sess.Run("saxpy", sim.Float64(3.0), sim.Int(128))
 		if err != nil {
 			log.Fatal(err)
 		}

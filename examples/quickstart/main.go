@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,7 @@ func main() {
 	fmt.Println(gen.Describe())
 
 	// 2. Compile.
-	res, err := gen.Compile("dot.c", source)
+	res, err := gen.CompileCtx(context.Background(), "dot.c", source)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,11 +47,11 @@ func main() {
 	fmt.Print(res.Program.Print())
 
 	// 3. Execute on the description-driven simulator.
-	sess := marion.NewSession(res.Program, sim.Options{})
-	if _, err := sess.Call("setup", sim.Int(64)); err != nil {
+	sess := sim.New(res.Program, sim.Options{})
+	if _, err := sess.Run("setup", sim.Int(64)); err != nil {
 		log.Fatal(err)
 	}
-	st, err := sess.Call("run", sim.Int(64))
+	st, err := sess.Run("run", sim.Int(64))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,15 +63,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nres, err := naive.Compile("dot.c", source)
+	nres, err := naive.CompileCtx(context.Background(), "dot.c", source)
 	if err != nil {
 		log.Fatal(err)
 	}
-	nsess := marion.NewSession(nres.Program, sim.Options{})
-	if _, err := nsess.Call("setup", sim.Int(64)); err != nil {
+	nsess := sim.New(nres.Program, sim.Options{})
+	if _, err := nsess.Run("setup", sim.Int(64)); err != nil {
 		log.Fatal(err)
 	}
-	nst, err := nsess.Call("run", sim.Int(64))
+	nst, err := nsess.Run("run", sim.Int(64))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -189,6 +189,26 @@ func TestParseErrorsC(t *testing.T) {
 	}
 }
 
+// An object larger than the 2^31-byte data space is refused where it
+// is declared: laid out, it would overlap another (int a[2^30][8]
+// wraps the simulator's 32-bit addresses onto g) or its size would
+// overflow to 0 (int a[1 << 62]).
+func TestObjectSizeBound(t *testing.T) {
+	for _, src := range []string{
+		"int a[1073741824][8];\nint g;",
+		"int a[1 << 62];",
+		"int f() { char a[2147483648]; return 0; }",
+		"int f(int a[536870912]) { return 0; }",
+	} {
+		if _, err := Parse("t.c", src); err == nil || !strings.Contains(err.Error(), "t.c:1: a is larger than 2147483647 bytes") {
+			t.Errorf("%q: err = %v", src, err)
+		}
+	}
+	if _, err := Parse("t.c", "char a[2147483647];"); err != nil {
+		t.Errorf("largest object refused: %v", err)
+	}
+}
+
 func TestLexerLiterals(t *testing.T) {
 	f := mustCompile(t, `
 int a = 0x10;

@@ -1,6 +1,10 @@
 package cc
 
-import "fmt"
+import (
+	"fmt"
+
+	"marion/internal/ir"
+)
 
 // Parse parses a translation unit. The returned File is not yet
 // type-checked; run Check on it (or use Compile).
@@ -190,7 +194,12 @@ func (p *parser) declarator(base *CType) (string, *CType, error) {
 			return "", nil, err
 		}
 	}
+	size := ty.Size()
 	for i := len(dims) - 1; i >= 0; i-- {
+		if size > ir.MaxSize/dims[i] { // tested before multiplying: no overflow
+			return "", nil, p.errf("%s is larger than %d bytes", name.Text, ir.MaxSize)
+		}
+		size *= dims[i]
 		ty = ArrayOf(ty, dims[i])
 	}
 	return name.Text, ty, nil

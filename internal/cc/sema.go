@@ -265,7 +265,33 @@ func isLvalue(e *Expr) bool {
 	return false
 }
 
+// arith applies the usual arithmetic conversions to both operands of e
+// and returns their common type.
+func (s *sema) arith(e *Expr) *CType {
+	ct := usual(promote(e.L.Type), promote(e.R.Type))
+	e.L = s.convert(e.L, ct)
+	e.R = s.convert(e.R, ct)
+	return ct
+}
+
 func (s *sema) checkExpr(e *Expr) error {
+	// Operands first, in C, L, R order. A call's L is the callee's name,
+	// looked up below, and ?:'s C is a condition.
+	if e.Kind == ECond {
+		if err := s.checkCond(e.C); err != nil {
+			return err
+		}
+	}
+	if e.Kind != ECall {
+		for _, k := range [...]*Expr{e.L, e.R} {
+			if k == nil {
+				continue
+			}
+			if err := s.checkExpr(k); err != nil {
+				return err
+			}
+		}
+	}
 	switch e.Kind {
 	case EIntLit:
 		e.Type = TypeInt
@@ -281,9 +307,6 @@ func (s *sema) checkExpr(e *Expr) error {
 		e.Type = o.Type
 
 	case EUnary:
-		if err := s.checkExpr(e.L); err != nil {
-			return err
-		}
 		switch e.Op {
 		case TMinus:
 			if !e.L.Type.IsArith() {
@@ -322,12 +345,6 @@ func (s *sema) checkExpr(e *Expr) error {
 		}
 
 	case EBinary:
-		if err := s.checkExpr(e.L); err != nil {
-			return err
-		}
-		if err := s.checkExpr(e.R); err != nil {
-			return err
-		}
 		decay(e.L)
 		decay(e.R)
 		lt, rt := e.L.Type, e.R.Type
@@ -350,9 +367,7 @@ func (s *sema) checkExpr(e *Expr) error {
 			if !lt.IsArith() || !rt.IsArith() {
 				return s.errf(e.Line, "bad operands to comparison")
 			}
-			ct := usual(promote(lt), promote(rt))
-			e.L = s.convert(e.L, ct)
-			e.R = s.convert(e.R, ct)
+			s.arith(e)
 			e.Type = TypeInt
 		case TPlus, TMinus:
 			// Pointer arithmetic.
@@ -375,10 +390,7 @@ func (s *sema) checkExpr(e *Expr) error {
 			if !lt.IsArith() || !rt.IsArith() {
 				return s.errf(e.Line, "bad operands to %s", e.Op)
 			}
-			ct := usual(promote(lt), promote(rt))
-			e.L = s.convert(e.L, ct)
-			e.R = s.convert(e.R, ct)
-			e.Type = ct
+			e.Type = s.arith(e)
 		case TPercent, TPipe, TCaret, TAmp, TShl, TShr:
 			if !lt.IsInteger() || !rt.IsInteger() {
 				return s.errf(e.Line, "bad operands to %s", e.Op)
@@ -393,12 +405,6 @@ func (s *sema) checkExpr(e *Expr) error {
 		}
 
 	case EAssign:
-		if err := s.checkExpr(e.L); err != nil {
-			return err
-		}
-		if err := s.checkExpr(e.R); err != nil {
-			return err
-		}
 		if !isLvalue(e.L) {
 			return s.errf(e.Line, "assignment to non-lvalue")
 		}
@@ -422,22 +428,10 @@ func (s *sema) checkExpr(e *Expr) error {
 		e.Type = e.L.Type
 
 	case ECond:
-		if err := s.checkCond(e.C); err != nil {
-			return err
-		}
-		if err := s.checkExpr(e.L); err != nil {
-			return err
-		}
-		if err := s.checkExpr(e.R); err != nil {
-			return err
-		}
 		decay(e.L)
 		decay(e.R)
 		if e.L.Type.IsArith() && e.R.Type.IsArith() {
-			ct := usual(promote(e.L.Type), promote(e.R.Type))
-			e.L = s.convert(e.L, ct)
-			e.R = s.convert(e.R, ct)
-			e.Type = ct
+			e.Type = s.arith(e)
 		} else if e.L.Type.Same(e.R.Type) {
 			e.Type = e.L.Type
 		} else {
@@ -473,12 +467,6 @@ func (s *sema) checkExpr(e *Expr) error {
 		e.Type = o.Type.Elem
 
 	case EIndex:
-		if err := s.checkExpr(e.L); err != nil {
-			return err
-		}
-		if err := s.checkExpr(e.R); err != nil {
-			return err
-		}
 		lt := e.L.Type
 		if lt.Kind != KArray && lt.Kind != KPtr {
 			return s.errf(e.Line, "indexing non-array")
@@ -490,9 +478,6 @@ func (s *sema) checkExpr(e *Expr) error {
 		e.Type = lt.Elem
 
 	case ECast:
-		if err := s.checkExpr(e.L); err != nil {
-			return err
-		}
 		decay(e.L)
 		// The parser put the cast's target in Type.
 		if !e.Type.IsScalar() && e.Type.Kind != KVoid {
@@ -507,9 +492,6 @@ func (s *sema) checkExpr(e *Expr) error {
 		}
 
 	case EPreIncDec, EPostIncDec:
-		if err := s.checkExpr(e.L); err != nil {
-			return err
-		}
 		if !isLvalue(e.L) {
 			return s.errf(e.Line, "++/-- of non-lvalue")
 		}

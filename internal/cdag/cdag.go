@@ -56,8 +56,7 @@ type Graph struct {
 // Options control which edge types are built (the strategy's choice,
 // §4.1) — disabling types is used for ablation studies and tests.
 type Options struct {
-	NoAnti   bool // omit type 3 edges
-	NoMemory bool // omit type 2 edges
+	NoAnti bool // omit type 3 edges
 	// NoProtect disables the temporal-sequence protection pass (unsafe
 	// on EAP machines; for ablation only).
 	NoProtect bool
@@ -350,24 +349,22 @@ func (s *Scratch) Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 			}
 
 			// Type 2: memory ordering.
-			if !opts.NoMemory {
-				reads := tmpl.ReadsMem || tmpl.IsCall
-				writes := tmpl.WritesMem || tmpl.IsCall
-				if reads && !writes {
-					if lastMemWrite >= 0 {
-						s.add(lastMemWrite, i, 1, Memory, -1)
-					}
-					memReads = append(memReads, i)
+			reads := tmpl.ReadsMem || tmpl.IsCall
+			writes := tmpl.WritesMem || tmpl.IsCall
+			if reads && !writes {
+				if lastMemWrite >= 0 {
+					s.add(lastMemWrite, i, 1, Memory, -1)
 				}
-				if writes {
-					if lastMemWrite >= 0 {
-						s.add(lastMemWrite, i, 1, Memory, -1)
-					}
-					for _, r := range memReads {
-						s.add(r, i, 1, Memory, -1)
-					}
-					newMemWrite = i
+				memReads = append(memReads, i)
+			}
+			if writes {
+				if lastMemWrite >= 0 {
+					s.add(lastMemWrite, i, 1, Memory, -1)
 				}
+				for _, r := range memReads {
+					s.add(r, i, 1, Memory, -1)
+				}
+				newMemWrite = i
 			}
 
 			// Defs: type 3 anti and output edges against pre-word state;

@@ -130,10 +130,6 @@ func TestMemoryEdges(t *testing.T) {
 	if _, ok := findEdge(g, 0, 2); ok {
 		t.Error("two loads must not be ordered")
 	}
-	g2 := Build(m, b, Options{NoMemory: true})
-	if _, ok := findEdge(g2, 1, 2); ok {
-		t.Error("NoMemory still built memory edges")
-	}
 }
 
 func TestAntiAndOutputEdges(t *testing.T) {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
+	"marion"
 	"marion/internal/cache"
 	"marion/internal/metrics"
 )
@@ -15,7 +17,7 @@ import (
 // same generator, under `go test -race`, and every result must be
 // byte-identical to a sequential compile of the same unit.
 func TestConcurrentCompile(t *testing.T) {
-	gen, err := New("r2000", Postpass)
+	gen, err := marion.New("r2000", marion.Postpass)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func TestConcurrentCompile(t *testing.T) {
 	}
 	want := make([]string, len(units))
 	for i, src := range units {
-		res, err := gen.Compile(fmt.Sprintf("u%d.c", i), src)
+		res, err := gen.CompileCtx(context.Background(), fmt.Sprintf("u%d.c", i), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +56,7 @@ func TestConcurrentCompile(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(units)
-				res, err := gen.Compile(fmt.Sprintf("u%d.c", i), units[i])
+				res, err := gen.CompileCtx(context.Background(), fmt.Sprintf("u%d.c", i), units[i])
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d round %d: %w", g, r, err)
 					return

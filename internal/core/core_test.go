@@ -1,28 +1,30 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
+	"marion"
 	"marion/internal/cache"
 	"marion/internal/pipeline"
 	"marion/internal/sim"
 )
 
 func TestNewAndCompile(t *testing.T) {
-	gen, err := New("r2000", Postpass)
+	gen, err := marion.New("r2000", marion.Postpass)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := gen.Describe(); !strings.Contains(d, "R2000") || !strings.Contains(d, "postpass") {
 		t.Errorf("describe = %q", d)
 	}
-	res, err := gen.Compile("t.c", `int sq(int x) { return x * x; }`)
+	res, err := gen.CompileCtx(context.Background(), "t.c", `int sq(int x) { return x * x; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Execute(res.Program, "sq", sim.Int(12))
+	st, err := sim.New(res.Program, sim.Options{}).Run("sq", sim.Int(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +77,11 @@ instr {
     %glue r, r, #lab { if ($1 >= $2) goto $3 ==> if (($1 :: $2) >= 0) goto $3; } if !fits($2, zero);
 }
 `
-	gen, err := NewFromDescription("custom.maril", desc, Postpass)
+	gen, err := marion.NewFromDescription("custom.maril", desc, marion.Postpass)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gen.Compile("t.c", `
+	res, err := gen.CompileCtx(context.Background(), "t.c", `
 int tri(int n) {
     int s = 0;
     int i;
@@ -89,7 +91,7 @@ int tri(int n) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Execute(res.Program, "tri", sim.Int(10))
+	st, err := sim.New(res.Program, sim.Options{}).Run("tri", sim.Int(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,24 +101,24 @@ int tri(int n) {
 }
 
 func TestSessionPersistsMemory(t *testing.T) {
-	gen, err := New("toyp", IPS)
+	gen, err := marion.New("toyp", marion.IPS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gen.Compile("t.c", `
+	res, err := gen.CompileCtx(context.Background(), "t.c", `
 int counter;
 void bump() { counter = counter + 1; }
 int get() { return counter; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := NewSession(res.Program, sim.Options{})
+	sess := sim.New(res.Program, sim.Options{})
 	for i := 0; i < 5; i++ {
-		if _, err := sess.Call("bump"); err != nil {
+		if _, err := sess.Run("bump"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := sess.Call("get")
+	st, err := sess.Run("get")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ int get() { return counter; }`)
 }
 
 func TestTargetsList(t *testing.T) {
-	names := Targets()
+	names := marion.Targets()
 	want := map[string]bool{"toyp": true, "r2000": true, "m88000": true, "i860": true, "rs6000": true}
 	for _, n := range names {
 		delete(want, n)
@@ -146,7 +148,7 @@ int mac(int a, int b, int c) { return a * b + c; }
 // drifted away from. CacheOnly with an empty cache must turn every
 // function into an ErrCacheOnlyMiss diagnostic instead of compiling.
 func TestGeneratorCacheOnly(t *testing.T) {
-	gen, err := New("r2000", Postpass)
+	gen, err := marion.New("r2000", marion.Postpass)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestGeneratorCacheOnly(t *testing.T) {
 	}
 	gen.Cache, gen.CacheOnly = ch, true
 
-	_, err = gen.Compile("t.c", twoFuncs)
+	_, err = gen.CompileCtx(context.Background(), "t.c", twoFuncs)
 	var diags *pipeline.Diagnostics
 	if !errors.As(err, &diags) {
 		t.Fatalf("err = %v, want *pipeline.Diagnostics", err)

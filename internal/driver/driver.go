@@ -12,6 +12,7 @@ package driver
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"marion/internal/asm"
@@ -27,12 +28,17 @@ import (
 	"marion/internal/verify"
 )
 
-// DataBase is the absolute address where globals are laid out.
-const DataBase = 0x2000
+// DataBase is the absolute address where globals are laid out, and
+// DataEnd the address they must end by: the shipped descriptions
+// address memory m[0:2147483647].
+const (
+	DataBase = 0x2000
+	DataEnd  = 1 << 31
+)
 
 // Config is the back end's option set. It is declared once, in
 // internal/pipeline where every field is consumed, and passed down
-// unchanged by every layer above (core, server, the CLIs).
+// unchanged by every layer above (package marion, server, the CLIs).
 type Config = pipeline.Config
 
 // Compiled is the result of one compilation.
@@ -136,6 +142,10 @@ func CompileModuleCtx(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg 
 		size := g.Size
 		if size == 0 {
 			size = 8
+		}
+		if size < 0 || size > DataEnd-addr {
+			return nil, fmt.Errorf("%s: global %s (%d bytes at %d) does not fit the data space [%d, %d)",
+				mod.Name, g.Name, size, addr, DataBase, DataEnd)
 		}
 		addr += size
 		out.Prog.Globals = append(out.Prog.Globals, g)

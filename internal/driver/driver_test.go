@@ -1,10 +1,13 @@
 package driver
 
 import (
+	"strings"
 	"testing"
 
 	"marion/internal/asm"
+	"marion/internal/ir"
 	"marion/internal/strategy"
+	"marion/internal/targets"
 )
 
 const tinyProg = `
@@ -167,5 +170,25 @@ func TestStatsPopulated(t *testing.T) {
 	}
 	if st.EstimatedCycles <= 0 {
 		t.Errorf("estimated cycles = %d", st.EstimatedCycles)
+	}
+}
+
+// No two globals overlap: the layout refuses a module whose data would
+// run past the 2^31-byte data space instead of letting the simulator's
+// 32-bit addresses wrap it onto address 0. (The front ends refuse
+// larger single objects: TestObjectSizeBound, TestParseErrors.)
+func TestDataSpaceBound(t *testing.T) {
+	_, err := Compile("r2000", "end.c", "char a[2147483647];\n", Config{Strategy: strategy.Postpass})
+	if err == nil || !strings.Contains(err.Error(), "end.c: global a (2147483647 bytes at 8192) does not fit") {
+		t.Errorf("data past 2^31: err = %v", err)
+	}
+	// A module built in memory skips both parsers.
+	m, err := targets.Load("r2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := &ir.Module{Name: "mem", Globals: []*ir.Sym{{Name: "a", Type: ir.I32, Size: -16}}}
+	if _, err := CompileModule(m, mod, Config{Strategy: strategy.Postpass}); err == nil || !strings.Contains(err.Error(), "mem: global a") {
+		t.Errorf("negative size: err = %v", err)
 	}
 }

@@ -471,6 +471,19 @@ func (p *parser) parseInt(what string) (int64, error) {
 	return v, nil
 }
 
+// size parses "size N", N in [0, ir.MaxSize].
+func (p *parser) size() (int, error) {
+	if err := p.expect("size"); err != nil {
+		return 0, err
+	}
+	t, _ := p.peek()
+	v, err := p.parseInt("size")
+	if err == nil && (v < 0 || v > ir.MaxSize) {
+		err = p.errf(t, "size %d out of range [0, %d]", v, ir.MaxSize)
+	}
+	return int(v), err
+}
+
 func (p *parser) expect(word string) error {
 	t, err := p.next()
 	if err != nil {
@@ -536,14 +549,11 @@ func (p *parser) global() error {
 	if err != nil {
 		return err
 	}
-	if err := p.expect("size"); err != nil {
-		return err
-	}
-	size, err := p.parseInt("size")
+	size, err := p.size()
 	if err != nil {
 		return err
 	}
-	s := &ir.Sym{Name: n.text, Kind: ir.SymGlobal, Type: ty, Size: int(size)}
+	s := &ir.Sym{Name: n.text, Kind: ir.SymGlobal, Type: ty, Size: size}
 	for {
 		t, ok := p.peek()
 		if !ok {
@@ -735,10 +745,7 @@ func (p *parser) frameSym(kind ir.SymKind) (*ir.Sym, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expect("size"); err != nil {
-		return nil, err
-	}
-	size, err := p.parseInt("size")
+	size, err := p.size()
 	if err != nil {
 		return nil, err
 	}
@@ -749,7 +756,7 @@ func (p *parser) frameSym(kind ir.SymKind) (*ir.Sym, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ir.Sym{Name: n.text, Kind: kind, Type: ty, Size: int(size), Offset: int(off)}, nil
+	return &ir.Sym{Name: n.text, Kind: kind, Type: ty, Size: size, Offset: int(off)}, nil
 }
 
 func (p *parser) regToken() (ir.RegID, error) {

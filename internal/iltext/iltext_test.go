@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"marion/internal/core"
 	"marion/internal/driver"
 	"marion/internal/gentest"
 	"marion/internal/iltext"
@@ -142,7 +141,7 @@ block L0 depth 0
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.Execute(c.Prog, "addmul", sim.Int(2), sim.Int(5))
+	st, err := sim.New(c.Prog, sim.Options{}).Run("addmul", sim.Int(2), sim.Int(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +163,10 @@ func TestParseErrors(t *testing.T) {
 		{"fall off end", "func f ret int\nreg t0 int\nblock L0 depth 0\n(asgn int t0 (const int 1))\n", "falls off the end"},
 		{"stmt outside block", "func f ret int\n(ret)\n", "statement outside block"},
 		{"undefined ref", "func f ret int\nblock L0 depth 0\n(ret int $4)\n", "undefined node"},
+		{"negative global size", "global a int size -16\nglobal b int size 4\n", "line 1: size -16 out of range"},
+		{"huge global size", "global a int size 2147483648\n", "line 1: size 2147483648 out of range"},
+		{"negative param size", "func f ret void\nparam p int size -4 offset 0\n", "line 2: size -4 out of range"},
+		{"huge local size", "func f ret void\nlocal l int size 4294967296 offset 0\n", "line 2: size 4294967296 out of range"},
 		{"bad arity", "func f ret int\nreg t0 int\nblock L0 depth 0\n(asgn int t0 (add int (const int 1)))\n(ret int (reg int t0))\n", "expects 2 operand"},
 	}
 	for _, c := range cases {

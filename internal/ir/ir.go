@@ -354,6 +354,10 @@ const (
 	SymFunc
 )
 
+// MaxSize bounds a symbol's size in bytes: the shipped descriptions
+// address memory m[0:2147483647], so no larger object fits.
+const MaxSize = 1<<31 - 1
+
 // Sym is a named program entity: a global, a stack local, a parameter or
 // a function.
 type Sym struct {
@@ -361,7 +365,7 @@ type Sym struct {
 	Kind SymKind
 	Type Type // element type for arrays
 	// Size is the total size in bytes (array size for arrays, element
-	// size for scalars). Functions have size 0.
+	// size for scalars), at most MaxSize. Functions have size 0.
 	Size int
 	// Offset is assigned by the back end: frame offset for locals and
 	// stack-resident params, absolute address for globals.

@@ -166,7 +166,7 @@ func verifyFunc(vs *verify.Scratch, m *mach.Machine, af *asm.Func, cfg *Config) 
 }
 
 // Config tunes one pipeline run. It is the single declaration of the
-// back end's options: driver.Config is an alias of it, core.CodeGenerator
+// back end's options: driver.Config is an alias of it, marion.CodeGenerator
 // embeds it, and the server and CLIs build one value and pass it down,
 // so a new option is added here and nowhere else.
 type Config struct {

@@ -184,6 +184,9 @@ func TestBadRequests(t *testing.T) {
 		{"unknown lang", `{"source":"x","lang":"fortran","target":"r2000"}`, nil, http.StatusBadRequest},
 		{"c syntax error", `{"source":"int f( {","target":"r2000"}`, nil, http.StatusBadRequest},
 		{"il syntax error", `{"source":"(bogus)","lang":"il","target":"r2000"}`, nil, http.StatusBadRequest},
+		{"c object past 2^31 bytes", `{"source":"int a[1073741824][8]; int g;","target":"r2000"}`, nil, http.StatusBadRequest},
+		{"il negative size", `{"source":"global a int size -16\nglobal b int size 4\n","lang":"il","target":"r2000"}`, nil, http.StatusBadRequest},
+		{"data past 2^31 bytes", `{"source":"char a[2147483647];","target":"r2000"}`, nil, http.StatusUnprocessableEntity},
 		{"bad deadline header", `{"source":"int f(){return 0;}","target":"r2000"}`,
 			map[string]string{DeadlineHeader: "soon"}, http.StatusBadRequest},
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // sources maps each shipped target name to its Maril description.
-// Custom descriptions go through core.NewFromDescription instead.
+// Custom descriptions go through marion.NewFromDescription instead.
 var sources = map[string]string{
 	"toyp":   toypMaril,
 	"r2000":  r2000Maril,
