@@ -169,7 +169,7 @@ func ablationCycles(b *testing.B, opts strategy.Options, target string, ids []in
 	var total int64
 	for _, id := range ids {
 		k := livermore.ByID(id)
-		c, err := driver.Compile(target, fmt.Sprintf("loop%d.c", id), k.Source, driver.Config{
+		c, err := driver.Compile(target, "c", fmt.Sprintf("loop%d.c", id), k.Source, driver.Config{
 			Strategy: strategy.Postpass, Options: opts,
 		})
 		if err != nil {
@@ -242,7 +242,7 @@ func BenchmarkAblationEdgeTypes(b *testing.B) {
 				est = 0
 				for _, id := range ids {
 					k := livermore.ByID(id)
-					c, err := driver.Compile("r2000", fmt.Sprintf("loop%d.c", id), k.Source, driver.Config{
+					c, err := driver.Compile("r2000", "c", fmt.Sprintf("loop%d.c", id), k.Source, driver.Config{
 						Strategy: strategy.Postpass,
 						Options:  strategy.Options{NoAnti: noAnti},
 					})
@@ -341,9 +341,6 @@ func BenchmarkParallelBackend(b *testing.B) {
 		})
 	}
 }
-
-// frontEnds maps a gentest unit's language to its front end.
-var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
 
 // bigBlock is the text of gentest's big-block fixture.
 func bigBlock() string {
@@ -702,7 +699,7 @@ func BenchmarkColdMiss(b *testing.B) {
 	lower := func() (units []unit, funcs int) {
 		for _, g := range gens {
 			for _, u := range serve {
-				mod, err := frontEnds[u.Lang](u.Name, u.Text)
+				mod, err := driver.Lower(u.Lang, u.Name, u.Text)
 				if err != nil {
 					b.Fatalf("%s: %v", u.Name, err)
 				}

@@ -51,8 +51,8 @@ func main() {
 		info.DeclareLines, info.CwvmLines, info.InstrLines, info.TotalLines)
 	fmt.Printf("  register sets %d (%d physical registers), resources %d\n",
 		st.RegSets, m.NumPhys, st.Resources)
-	fmt.Printf("  instructions %d, moves %d, seqs %d, escapes %d\n",
-		st.Instrs, st.Moves, st.Seqs, st.Funcs)
+	fmt.Printf("  instructions %d, moves %d, seqs %d\n",
+		st.Instrs, st.Moves, st.Seqs)
 	fmt.Printf("  clocks %d, elements %d, classed ops %d, aux latencies %d, glue %d\n",
 		st.Clocks, st.Elements, st.Classes, st.AuxLats, st.Glues)
 

@@ -77,7 +77,6 @@ import (
 	"marion/internal/driver"
 	"marion/internal/faults"
 	"marion/internal/iltext"
-	"marion/internal/ir"
 	"marion/internal/overload"
 	"marion/internal/pipeline"
 	"marion/internal/strategy"
@@ -151,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, err)
 		}
 		bundle = b
-		u.file, u.src, u.isIL = filepath.Join(*replay, overload.ILFile), il, true
+		u.file, u.src, u.lang = filepath.Join(*replay, overload.ILFile), il, "il"
 		if !set["target"] {
 			u.target = b.Target
 		}
@@ -173,14 +172,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		u.src, u.isIL = string(src), strings.HasSuffix(u.file, ".il")
+		u.src, u.lang = string(src), "c"
+		if strings.HasSuffix(u.file, ".il") {
+			u.lang = "il"
+		}
 		if *emitIL {
-			var mod *ir.Module
-			if u.isIL {
-				mod, err = iltext.Parse(u.file, u.src) // normalizing re-print
-			} else {
-				mod, err = driver.Frontend(u.file, u.src)
-			}
+			mod, err := driver.Lower(u.lang, u.file, u.src) // IL input: a normalizing re-print
 			if err != nil {
 				return fail(stderr, err)
 			}
@@ -240,7 +237,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 type unit struct {
 	target    string
 	file, src string
-	isIL      bool   // textual IL: skip the C front end
+	lang      string // "c", or "il" for textual IL (see driver.Lower)
 	out       string // -o
 	stats     bool   // -stats
 }
@@ -250,11 +247,7 @@ type unit struct {
 // findings — returning the exit status. The normal and -replay paths
 // both end here.
 func compileAndReport(stdout, stderr io.Writer, u unit, cfg driver.Config) int {
-	compile := driver.Compile
-	if u.isIL {
-		compile = driver.CompileIL
-	}
-	res, err := compile(u.target, u.file, u.src, cfg)
+	res, err := driver.Compile(u.target, u.lang, u.file, u.src, cfg)
 	dumpTrace(stderr, cfg.Span, err)
 	if err != nil {
 		return fail(stderr, err)

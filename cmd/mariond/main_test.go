@@ -127,7 +127,7 @@ func drillOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := driver.CompileIL(b.Target, filepath.Join(dir, overload.ILFile), il,
+	got, err := driver.Compile(b.Target, "il", filepath.Join(dir, overload.ILFile), il,
 		b.Options.Config(driver.Config{Strategy: kind}))
 	if err != nil {
 		t.Fatalf("replaying %s: %v", dir, err)
@@ -469,7 +469,7 @@ func (d *daemon) requireLibraryOutput(t *testing.T) {
 // libraryAsm compiles src the way marionc does.
 func libraryAsm(t *testing.T, target string, kind strategy.Kind, name, src string) string {
 	t.Helper()
-	res, err := driver.Compile(target, name, src, driver.Config{Strategy: kind})
+	res, err := driver.Compile(target, "c", name, src, driver.Config{Strategy: kind})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -70,11 +70,7 @@ func TestPrintMatchesReference(t *testing.T) {
 			}
 			add("livermore", c.Prog)
 			for _, u := range units {
-				compile := driver.Compile
-				if u.Lang == "il" {
-					compile = driver.CompileIL
-				}
-				c, err := compile(target, u.Name, u.Text, cfg)
+				c, err := driver.Compile(target, u.Lang, u.Name, u.Text, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,7 +8,6 @@ import (
 	"marion/internal/cache"
 	"marion/internal/driver"
 	"marion/internal/gentest"
-	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/mach"
 	"marion/internal/strategy"
@@ -49,12 +48,11 @@ func longestName(fn *ir.Func) int {
 // gentest.Serve on r2000, m88000 and i860 under postpass, and
 // truncations of each; under plain go test they run as subtests.
 func FuzzDecode(f *testing.F) {
-	frontEnds := map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
 	var cases []fuzzCase
 	for _, target := range []string{"r2000", "m88000", "i860"} {
 		for _, u := range append(gentest.Golden(), gentest.Serve()...) {
 			lower := func() *ir.Module {
-				mod, err := frontEnds[u.Lang](u.Name, u.Text)
+				mod, err := driver.Lower(u.Lang, u.Name, u.Text)
 				if err != nil {
 					f.Fatal(err)
 				}

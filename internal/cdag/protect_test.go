@@ -9,7 +9,6 @@ import (
 	"marion/internal/cdag"
 	"marion/internal/driver"
 	"marion/internal/gentest"
-	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/mach"
@@ -266,9 +265,6 @@ func stripped(m *mach.Machine, b *asm.Block) *asm.Block {
 	return out
 }
 
-// frontEnds maps a gentest unit's language to its front end.
-var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
-
 // TestProtectMatchesReference: on r2000 and m88000 (the branch-last
 // rule) and on every clocked target (the protection pass as well), the
 // shipped graph of every block of Livermore, gentest.Golden, the serve
@@ -288,7 +284,7 @@ func TestProtectMatchesReference(t *testing.T) {
 		}
 		mods := []*ir.Module{suite}
 		for _, u := range units {
-			mod, err := frontEnds[u.Lang](u.Name, u.Text)
+			mod, err := driver.Lower(u.Lang, u.Name, u.Text)
 			if err != nil {
 				t.Fatalf("%s: %v", u.Name, err)
 			}

@@ -39,7 +39,7 @@ func TestCacheColdWarmByteIdentical(t *testing.T) {
 				c := newTestCache(t, "")
 				cfg := Config{Strategy: strat, Cache: c}
 
-				cold, err := Compile(target, "tiny.c", tinyProg, cfg)
+				cold, err := Compile(target, "c", "tiny.c", tinyProg, cfg)
 				if err != nil {
 					t.Fatalf("cold: %v", err)
 				}
@@ -48,7 +48,7 @@ func TestCacheColdWarmByteIdentical(t *testing.T) {
 					t.Fatalf("cold run hit the empty cache: %+v", cs)
 				}
 
-				warm, err := Compile(target, "tiny.c", tinyProg, cfg)
+				warm, err := Compile(target, "c", "tiny.c", tinyProg, cfg)
 				if err != nil {
 					t.Fatalf("warm: %v", err)
 				}
@@ -78,7 +78,7 @@ func TestCacheWarmAcrossWorkerCounts(t *testing.T) {
 	c := newTestCache(t, "")
 	base := Config{Strategy: strategy.RASE, Cache: c}
 
-	cold, err := Compile("r2000", "tiny.c", tinyProg, base)
+	cold, err := Compile("r2000", "c", "tiny.c", tinyProg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCacheWarmAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		cfg := base
 		cfg.Workers = workers
-		warm, err := Compile("r2000", "tiny.c", tinyProg, cfg)
+		warm, err := Compile("r2000", "c", "tiny.c", tinyProg, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -108,7 +108,7 @@ func TestCachePoisonedEntryRejected(t *testing.T) {
 		return Config{Strategy: strategy.Postpass, Cache: c}
 	}
 
-	cold, err := Compile("m88000", "tiny.c", tinyProg, cfgFor(newTestCache(t, dir)))
+	cold, err := Compile("m88000", "c", "tiny.c", tinyProg, cfgFor(newTestCache(t, dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCachePoisonedEntryRejected(t *testing.T) {
 	// A fresh cache over the poisoned directory: every lookup must
 	// reject, recompile, and re-store a good entry.
 	c2 := newTestCache(t, dir)
-	warm, err := Compile("m88000", "tiny.c", tinyProg, cfgFor(c2))
+	warm, err := Compile("m88000", "c", "tiny.c", tinyProg, cfgFor(c2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCachePoisonedEntryRejected(t *testing.T) {
 
 	// Third run: the healed entries serve.
 	c3 := newTestCache(t, dir)
-	again, err := Compile("m88000", "tiny.c", tinyProg, cfgFor(c3))
+	again, err := Compile("m88000", "c", "tiny.c", tinyProg, cfgFor(c3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestCacheDisabledUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newTestCache(t, "")
-	out, err := Compile("toyp", "tiny.c", tinyProg, Config{
+	out, err := Compile("toyp", "c", "tiny.c", tinyProg, Config{
 		Strategy: strategy.Postpass, Faults: set, Cache: c,
 	})
 	if err != nil {
@@ -193,7 +193,7 @@ func TestRetryTimeSeparatedFromPhaseTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Compile("toyp", "tiny.c", tinyProg, Config{
+	out, err := Compile("toyp", "c", "tiny.c", tinyProg, Config{
 		Strategy: strategy.Postpass, Faults: set,
 	})
 	if err != nil {
@@ -219,11 +219,11 @@ func TestRetryTimeSeparatedFromPhaseTimes(t *testing.T) {
 func TestCacheHitVerifyReport(t *testing.T) {
 	c := newTestCache(t, "")
 	cfg := Config{Strategy: strategy.IPS, Verify: true, Cache: c}
-	cold, err := Compile("rs6000", "tiny.c", tinyProg, cfg)
+	cold, err := Compile("rs6000", "c", "tiny.c", tinyProg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Compile("rs6000", "tiny.c", tinyProg, cfg)
+	warm, err := Compile("rs6000", "c", "tiny.c", tinyProg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

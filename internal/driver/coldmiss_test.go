@@ -51,7 +51,7 @@ func TestColdMissAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, u := range gentest.Serve() {
-				mod, err := frontEnds[u.Lang](u.Name, u.Text)
+				mod, err := driver.Lower(u.Lang, u.Name, u.Text)
 				if err != nil {
 					t.Fatalf("%s: %v", u.Name, err)
 				}

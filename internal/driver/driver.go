@@ -72,35 +72,37 @@ type Compiled struct {
 	CacheHits int
 }
 
-// Compile compiles a C translation unit for a shipped target.
-func Compile(target, name, src string, cfg Config) (*Compiled, error) {
+// Compile compiles one source text in language lang (see Lower) for a
+// shipped target.
+func Compile(target, lang, name, src string, cfg Config) (*Compiled, error) {
 	m, err := targets.Load(target)
 	if err != nil {
 		return nil, err
 	}
-	mod, err := Frontend(name, src)
+	mod, err := Lower(lang, name, src)
 	if err != nil {
 		return nil, err
 	}
 	return CompileModule(m, mod, cfg)
 }
 
-// CompileIL compiles textual IL (see internal/iltext) for a shipped
-// target, bypassing the C front end.
-func CompileIL(target, name, src string, cfg Config) (*Compiled, error) {
-	m, err := targets.Load(target)
-	if err != nil {
-		return nil, err
+// Lower is the one place a source language picks its front end: "" or
+// "c" runs the C front end (Frontend), "il" parses textual IL
+// (internal/iltext). Either way the result is a lowered IL module, ready
+// for CompileModuleCtx.
+func Lower(lang, name, src string) (*ir.Module, error) {
+	switch lang {
+	case "", "c":
+		return Frontend(name, src)
+	case "il":
+		return iltext.Parse(name, src)
 	}
-	mod, err := iltext.Parse(name, src)
-	if err != nil {
-		return nil, err
-	}
-	return CompileModule(m, mod, cfg)
+	return nil, fmt.Errorf("unknown lang %q (want \"c\" or \"il\")", lang)
 }
 
 // Frontend runs the C front end alone: source text to a lowered IL
-// module, ready for CompileModule (or iltext.Print).
+// module. Shipped code in this module goes through Lower; Frontend stays
+// exported because the benchmark module (bench/) names it.
 func Frontend(name, src string) (*ir.Module, error) {
 	file, err := cc.Compile(name, src)
 	if err != nil {
@@ -109,7 +111,8 @@ func Frontend(name, src string) (*ir.Module, error) {
 	return ilgen.Lower(file)
 }
 
-// CompileModule runs the back end on an already-lowered module.
+// CompileModule is CompileModuleCtx without a context. It stays only
+// because the benchmark module (bench/) names it.
 func CompileModule(m *mach.Machine, mod *ir.Module, cfg Config) (*Compiled, error) {
 	return CompileModuleCtx(context.Background(), m, mod, cfg)
 }

@@ -38,7 +38,7 @@ int fib(int n) {
 
 func compile(t *testing.T, strat strategy.Kind) *Compiled {
 	t.Helper()
-	c, err := Compile("toyp", "tiny.c", tinyProg, Config{Strategy: strat})
+	c, err := Compile("toyp", "c", "tiny.c", tinyProg, Config{Strategy: strat})
 	if err != nil {
 		t.Fatalf("compile (%v): %v", strat, err)
 	}
@@ -178,7 +178,7 @@ func TestStatsPopulated(t *testing.T) {
 // 32-bit addresses wrap it onto address 0. (The front ends refuse
 // larger single objects: TestObjectSizeBound, TestParseErrors.)
 func TestDataSpaceBound(t *testing.T) {
-	_, err := Compile("r2000", "end.c", "char a[2147483647];\n", Config{Strategy: strategy.Postpass})
+	_, err := Compile("r2000", "c", "end.c", "char a[2147483647];\n", Config{Strategy: strategy.Postpass})
 	if err == nil || !strings.Contains(err.Error(), "end.c: global a (2147483647 bytes at 8192) does not fit") {
 		t.Errorf("data past 2^31: err = %v", err)
 	}

@@ -30,7 +30,7 @@ func goldenLine(t *testing.T, target string, kind strategy.Kind) (line string, b
 	units := []*driver.Compiled{compileSuite(t, target, kind, 0)}
 	// golden.sha256 pins exactly these units: one added to Golden needs -update.
 	for _, u := range gentest.Golden() {
-		c, err := driver.Compile(target, u.Name, u.Text, driver.Config{Strategy: kind, Verify: true})
+		c, err := driver.Compile(target, u.Lang, u.Name, u.Text, driver.Config{Strategy: kind, Verify: true})
 		if err != nil {
 			t.Fatalf("%s/%s %s: %v", target, kind, u.Name, err)
 		}

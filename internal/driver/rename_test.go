@@ -5,7 +5,6 @@ import (
 
 	"marion/internal/driver"
 	"marion/internal/gentest"
-	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/sim"
 	"marion/internal/strategy"
@@ -39,7 +38,6 @@ func rename(mod *ir.Module) {
 // r2000/m88000/i860 under postpass/ips/rase.
 func TestRenamedHitEqualsCold(t *testing.T) {
 	units := append(append(gentest.Golden(), gentest.Serve()...), gentest.Generated(50)...)
-	frontEnds := map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
 	for _, target := range []string{"r2000", "m88000", "i860"} {
 		m, err := targets.Load(target)
 		if err != nil {
@@ -51,7 +49,7 @@ func TestRenamedHitEqualsCold(t *testing.T) {
 				served := 0
 				for _, u := range units {
 					lower := func() *ir.Module {
-						mod, err := frontEnds[u.Lang](u.Name, u.Text)
+						mod, err := driver.Lower(u.Lang, u.Name, u.Text)
 						if err != nil {
 							t.Fatalf("%s: %v", u.Name, err)
 						}
@@ -97,7 +95,7 @@ func TestTextOnlyHitRefused(t *testing.T) {
 	var warm *driver.Compiled
 	for range 2 {
 		var err error
-		if warm, err = driver.Compile("r2000", u.Name, u.Text, cfg); err != nil {
+		if warm, err = driver.Compile("r2000", u.Lang, u.Name, u.Text, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -38,7 +38,7 @@ func TestIndexedSelectionIdentical(t *testing.T) {
 	for _, target := range targets.Names() {
 		for _, kind := range allKinds {
 			t.Run(fmt.Sprintf("%s/%s", target, kind), func(t *testing.T) {
-				c, err := driver.Compile(target, "par.c", parProg, driver.Config{Strategy: kind})
+				c, err := driver.Compile(target, "c", "par.c", parProg, driver.Config{Strategy: kind})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -25,7 +25,7 @@ func TestFrontEndSlabs(t *testing.T) {
 	}
 	units = append(append(units, gentest.Golden()...), gentest.Serve()...)
 	for _, u := range units {
-		mod, err := frontEnds[u.Lang](u.Name, u.Text)
+		mod, err := driver.Lower(u.Lang, u.Name, u.Text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,9 +41,6 @@ func TestFrontEndSlabs(t *testing.T) {
 		checkKidLists(t, u.Name+" (IL)", parsed)
 	}
 }
-
-// frontEnds maps a gentest unit's language to its front end.
-var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
 
 // checkKidLists checks every node of mod for cap(Kids) == len(Kids),
 // then appends a kid to every node and checks that no node's kid list

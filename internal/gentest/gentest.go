@@ -16,8 +16,8 @@ import (
 	"strings"
 )
 
-// Unit is one source text; Lang is its name's extension: "c" for the C
-// front end, "il" for iltext.Parse.
+// Unit is one source text; Lang is its name's extension, the language
+// driver.Lower takes: "c" for the C front end, "il" for textual IL.
 type Unit struct{ Name, Lang, Text string }
 
 // The fixtures: BigBlock holds straight-line blocks of 24 to 128

@@ -8,7 +8,6 @@ import (
 
 	"marion/internal/driver"
 	"marion/internal/gentest"
-	"marion/internal/iltext"
 )
 
 // TestUnits: unit names are unique, every unit passes the front end of
@@ -19,12 +18,7 @@ func TestUnits(t *testing.T) {
 	gen := gentest.Generated(100)
 	seen := map[string]bool{}
 	for _, u := range slices.Concat(gentest.Golden(), gentest.Serve(), gen) {
-		var err error
-		if u.Lang == "il" {
-			_, err = iltext.Parse(u.Name, u.Text)
-		} else {
-			_, err = driver.Frontend(u.Name, u.Text)
-		}
+		_, err := driver.Lower(u.Lang, u.Name, u.Text)
 		if err != nil || seen[u.Name] || u.Lang != "c" && u.Lang != "il" {
 			t.Errorf("%s (language %q, name taken before: %v): %v", u.Name, u.Lang, seen[u.Name], err)
 		}

@@ -137,7 +137,7 @@ block L0 depth 0
 (asgn int t2 (add int (reg int t0) (mul int (reg int t1) (const int 3))))
 (ret int (reg int t2))
 `
-	c, err := driver.CompileIL("r2000", "hand.il", src, driver.Config{Strategy: strategy.Postpass})
+	c, err := driver.Compile("r2000", "il", "hand.il", src, driver.Config{Strategy: strategy.Postpass})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"marion/internal/driver"
 	"marion/internal/gentest"
-	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 )
@@ -24,7 +23,7 @@ func corpus(t testing.TB) []*ir.Module {
 	}
 	mods := []*ir.Module{suite}
 	for _, u := range append(gentest.Golden(), gentest.Serve()...) {
-		mod, err := frontEnds[u.Lang](u.Name, u.Text)
+		mod, err := driver.Lower(u.Lang, u.Name, u.Text)
 		if err != nil {
 			t.Fatalf("%s: %v", u.Name, err)
 		}
@@ -32,9 +31,6 @@ func corpus(t testing.TB) []*ir.Module {
 	}
 	return mods
 }
-
-// frontEnds maps a gentest unit's language to its front end.
-var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
 
 // callTwice is the one shape the C front end shares across statements:
 // a call appended as a statement root and consumed as a value by a

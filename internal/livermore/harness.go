@@ -15,7 +15,7 @@ import (
 // allocator: any finding is a build error.
 func Build(k *Kernel, target string, strat strategy.Kind) (*driver.Compiled, error) {
 	name := fmt.Sprintf("loop%d.c", k.ID)
-	c, err := driver.Compile(target, name, k.Source, driver.Config{
+	c, err := driver.Compile(target, "c", name, k.Source, driver.Config{
 		Strategy: strat, Verify: true,
 	})
 	if err != nil {

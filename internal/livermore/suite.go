@@ -3,8 +3,7 @@ package livermore
 import (
 	"fmt"
 
-	"marion/internal/cc"
-	"marion/internal/ilgen"
+	"marion/internal/driver"
 	"marion/internal/ir"
 )
 
@@ -18,11 +17,7 @@ func SuiteModule() (*ir.Module, error) {
 	out := &ir.Module{Name: "livermore-suite"}
 	for i := range Kernels {
 		k := &Kernels[i]
-		file, err := cc.Compile(fmt.Sprintf("loop%d.c", k.ID), k.Source)
-		if err != nil {
-			return nil, fmt.Errorf("loop%d: %w", k.ID, err)
-		}
-		mod, err := ilgen.Lower(file)
+		mod, err := driver.Lower("c", fmt.Sprintf("loop%d.c", k.ID), k.Source)
 		if err != nil {
 			return nil, fmt.Errorf("loop%d: %w", k.ID, err)
 		}

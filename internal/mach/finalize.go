@@ -352,7 +352,7 @@ func (m *Machine) validate() error {
 type Stats struct {
 	RegSets, Resources, Defs, Labels, Memories int
 	Clocks, Elements                           int
-	Instrs, Moves, Seqs, Funcs                 int
+	Instrs, Moves, Seqs                        int
 	AuxLats, Glues                             int
 	Classes                                    int // instructions carrying a packing class
 }
@@ -367,8 +367,6 @@ func (m *Machine) Stat() Stats {
 	}
 	for _, in := range m.Instrs {
 		switch {
-		case in.EscapeFunc != "":
-			s.Funcs++
 		case len(in.Seq) > 0:
 			s.Seqs++
 		case in.Move:

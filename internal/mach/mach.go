@@ -226,11 +226,11 @@ type SeqArg struct {
 	IVal  int64
 }
 
-// Instr is one machine instruction template (%instr, %move, %seq, %func).
+// Instr is one machine instruction template (%instr, %move, %seq).
 type Instr struct {
 	Index    int
 	Mnemonic string
-	Label    string // optional [tag] used by %seq / escapes to reference it
+	Label    string // optional [tag] used by %seq to reference it
 
 	Operands []OperandSpec
 	// TypeConstraint restricts matching to IL nodes of this type
@@ -239,7 +239,7 @@ type Instr struct {
 	// AffectsClock is the clock this instruction advances, or -1.
 	AffectsClock int
 
-	Sem *Sem // executable semantics; nil for pure escapes
+	Sem *Sem // executable semantics
 
 	Res    [][]ResID // per-cycle resource needs (cycle 0 = issue)
 	ResVec []ResSet  // same, as bitmasks; built by Finalize
@@ -248,9 +248,8 @@ type Instr struct {
 	Latency int // cycles before the result may be used
 	Slots   int // delay slots (+: always executed, -: taken only)
 
-	Move       bool   // %move: register-to-register move template
-	EscapeFunc string // *func escape name ("" if none)
-	Seq        []SeqItem
+	Move bool // %move: register-to-register move template
+	Seq  []SeqItem
 
 	Class ClassSet // long-word elements this op may appear in (packing)
 

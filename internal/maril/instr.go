@@ -11,11 +11,11 @@ func (p *parser) instrSection() error {
 		var err error
 		switch dir {
 		case "instr":
-			err = p.instrDecl(false, false)
+			err = p.instrDecl(false)
 		case "move":
-			err = p.instrDecl(true, false)
+			err = p.instrDecl(true)
 		case "func":
-			err = p.instrDecl(false, true)
+			return p.errf("%%func escapes are not supported: write the expansion as a %%seq")
 		case "seq":
 			err = p.seqDecl()
 		case "aux":
@@ -32,12 +32,11 @@ func (p *parser) instrSection() error {
 	return nil
 }
 
-// instrDecl parses %instr, %move and %func directives:
+// instrDecl parses %instr and %move directives:
 //
 //	%instr mnemonic operands (type; clock)? {sem} [res] (c,l,s) <classes>?
-//	%move [label]? mnemonic operands ... | %move *escape operands ...
-//	%func *escape operands (type)? {sem}
-func (p *parser) instrDecl(isMove, isFunc bool) error {
+//	%move [label]? mnemonic operands ...
+func (p *parser) instrDecl(isMove bool) error {
 	in := &mach.Instr{Move: isMove, AffectsClock: -1}
 
 	if isMove && p.tok.Kind == TokLBrack {
@@ -54,22 +53,13 @@ func (p *parser) instrDecl(isMove, isFunc bool) error {
 		}
 	}
 	if p.tok.Kind == TokStar {
-		if err := p.advance(); err != nil {
-			return err
-		}
-		name, err := p.expectIdent()
-		if err != nil {
-			return err
-		}
-		in.EscapeFunc = name
-		in.Mnemonic = "*" + name
-	} else {
-		name, err := p.expectIdent()
-		if err != nil {
-			return err
-		}
-		in.Mnemonic = name
+		return p.errf("*name escapes are not supported: write the expansion as a %%seq")
 	}
+	name, err := p.expectIdent()
+	if err != nil {
+		return err
+	}
+	in.Mnemonic = name
 
 	ops, err := p.operandList()
 	if err != nil {
@@ -91,12 +81,6 @@ func (p *parser) instrDecl(isMove, isFunc bool) error {
 	in.Sem = sem
 	if _, err := p.expect(TokRBrace); err != nil {
 		return err
-	}
-
-	if isFunc {
-		// Escapes carry no scheduling information of their own.
-		p.m.AddInstr(in)
-		return nil
 	}
 
 	if err := p.resVec(in); err != nil {

@@ -258,6 +258,17 @@ declare { %def a [0:1]; %def a [0:2]; }`, "redeclared"},
 declare { %reg r[0:1] (int); }
 cwvm { %general (int) r; %allocable r[0:1]; %calleesave r[1:1];
        %sp r[1]; %fp r[1]; %retaddr r[0]; }`, "no instructions"},
+		{"func escape", `
+declare { %reg r[0:1] (int); %resource A; }
+cwvm { %general (int) r; %allocable r[0:1]; %calleesave r[1:1];
+       %sp r[1]; %fp r[1]; %retaddr r[0]; }
+instr { %instr mov r, r {$1 = $2;} [A] (1,1,0)
+        %func *movd r, r {$1 = $2;} }`, "t:6: %func escapes are not supported"},
+		{"escape mnemonic", `
+declare { %reg r[0:1] (int); %resource A; }
+cwvm { %general (int) r; %allocable r[0:1]; %calleesave r[1:1];
+       %sp r[1]; %fp r[1]; %retaddr r[0]; }
+instr { %move *movd r, r {$1 = $2;} [A] (1,1,0) }`, "t:5: *name escapes are not supported"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

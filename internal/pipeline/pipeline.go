@@ -82,18 +82,9 @@ type Ctx struct {
 	// Timings records per-phase wall time, appended by the runner.
 	Timings []PhaseTiming
 
-	// arena is the scratch the standard phases work in (see scratch).
+	// arena is the scratch the standard phases work in: the claim loop's,
+	// set by tryOne, the only place a Ctx is built.
 	arena *arena
-}
-
-// scratch returns the storage the standard phases work in: the claim
-// loop's arena, or for a Ctx built outside Run one of its own, made on
-// first use.
-func (c *Ctx) scratch() *arena {
-	if c.arena == nil {
-		c.arena = new(arena)
-	}
-	return c.arena
 }
 
 // PhaseTiming is one phase's wall time for one function, tagged with
@@ -133,7 +124,7 @@ func Backend() *Pipeline {
 			return nil
 		}},
 		{Name: "select", Run: func(c *Ctx) error {
-			af, counters, err := c.scratch().sel.SelectOpts(c.Machine, c.IR, sel.Options{})
+			af, counters, err := c.arena.sel.SelectOpts(c.Machine, c.IR, sel.Options{})
 			c.Sel = counters
 			if err != nil {
 				return err
@@ -142,7 +133,7 @@ func Backend() *Pipeline {
 			return nil
 		}},
 		{Name: "strategy", Run: func(c *Ctx) error {
-			st, err := c.scratch().strategy.Apply(c.Machine, c.Func, c.Cfg.Strategy, c.Cfg.Options)
+			st, err := c.arena.strategy.Apply(c.Machine, c.Func, c.Cfg.Strategy, c.Cfg.Options)
 			if err != nil {
 				return err
 			}
@@ -153,7 +144,7 @@ func Backend() *Pipeline {
 			if !c.Cfg.Verify || c.Func == nil {
 				return nil
 			}
-			c.Verify = verifyFunc(&c.scratch().verify, c.Machine, c.Func, &c.Cfg)
+			c.Verify = verifyFunc(&c.arena.verify, c.Machine, c.Func, &c.Cfg)
 			return nil
 		}},
 	}}

@@ -15,7 +15,6 @@ import (
 	"marion/internal/cache"
 	"marion/internal/driver"
 	"marion/internal/gentest"
-	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/mach"
@@ -25,12 +24,10 @@ import (
 	"marion/internal/targets"
 )
 
-var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
-
 // lowerUnit lowers one unit afresh.
 func lowerUnit(t *testing.T, u gentest.Unit) []*ir.Func {
 	t.Helper()
-	mod, err := frontEnds[u.Lang](u.Name, u.Text)
+	mod, err := driver.Lower(u.Lang, u.Name, u.Text)
 	if err != nil {
 		t.Fatalf("%s: %v", u.Name, err)
 	}

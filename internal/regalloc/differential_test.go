@@ -33,7 +33,7 @@ func corpus(t testing.TB) []*ir.Module {
 	}
 	mods := []*ir.Module{suite}
 	for _, u := range append(gentest.Golden(), gentest.Serve()...) {
-		mod, err := frontEnds[u.Lang](u.Name, u.Text)
+		mod, err := driver.Lower(u.Lang, u.Name, u.Text)
 		if err != nil {
 			t.Fatalf("%s: %v", u.Name, err)
 		}
@@ -41,9 +41,6 @@ func corpus(t testing.TB) []*ir.Module {
 	}
 	return mods
 }
-
-// frontEnds maps a gentest unit's language to its front end.
-var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
 
 func selected(t testing.TB, m *mach.Machine, fn *ir.Func) *asm.Func {
 	t.Helper()
@@ -220,7 +217,7 @@ func TestAllocateSparseBlockIDs(t *testing.T) {
 			}
 		}
 		for k := strategy.Naive; k <= strategy.Safe; k++ {
-			c, err := driver.CompileIL(target, "sparse.il", sparseLabelIL, driver.Config{Strategy: k, Verify: true, Strict: true})
+			c, err := driver.Compile(target, "il", "sparse.il", sparseLabelIL, driver.Config{Strategy: k, Verify: true, Strict: true})
 			if err != nil {
 				t.Fatalf("%s %s: compile: %v", target, k, err)
 			}
@@ -279,7 +276,7 @@ func TestAllocateMatchesReferenceOnGenerated(t *testing.T) {
 			if res.Rounds >= 3 {
 				deep++
 			}
-			c, err := driver.Compile(target, u.Name, src, driver.Config{Strategy: strategy.Postpass, Verify: true, Strict: true})
+			c, err := driver.Compile(target, "c", u.Name, src, driver.Config{Strategy: strategy.Postpass, Verify: true, Strict: true})
 			if err != nil {
 				t.Fatalf("%s: compile: %v\n%s", where, err, src)
 			}

@@ -6,7 +6,6 @@ import (
 
 	"marion/internal/driver"
 	"marion/internal/gentest"
-	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
 	"marion/internal/mach"
@@ -84,9 +83,6 @@ var serveUnitBytes = map[string]uint64{
 	"livermore":  4800192,
 }
 
-// frontEnds maps a gentest unit's language to its front end.
-var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
-
 func TestSelectBytesOnServeUnits(t *testing.T) {
 	lower := func(u gentest.Unit) *ir.Module {
 		var mod *ir.Module
@@ -94,7 +90,7 @@ func TestSelectBytesOnServeUnits(t *testing.T) {
 		if u.Name == "livermore" {
 			mod, err = livermore.SuiteModule()
 		} else {
-			mod, err = frontEnds[u.Lang](u.Name, u.Text)
+			mod, err = driver.Lower(u.Lang, u.Name, u.Text)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", u.Name, err)

@@ -205,39 +205,6 @@ func (s *selector) move(dst, src asm.Operand) (err error) {
 	return err
 }
 
-// Emitter is the interface *func escape functions use to generate code.
-type Emitter struct{ s *selector }
-
-// Machine returns the target machine.
-func (e *Emitter) Machine() *mach.Machine { return e.s.m }
-
-// Emit appends an instruction to the current block.
-func (e *Emitter) Emit(tmpl *mach.Instr, args ...asm.Operand) { e.s.emit(e.s.slab.inst(tmpl, args)) }
-
-// NewPseudo allocates a scratch pseudo-register in the given set.
-func (e *Emitter) NewPseudo(set *mach.RegSet) asm.Operand {
-	return asm.Reg(e.s.af.NewPseudo(set, ir.NoReg))
-}
-
-// Move emits a register move.
-func (e *Emitter) Move(dst, src asm.Operand) error { return e.s.move(dst, src) }
-
-// HalfOf returns the low (0) or high (1) overlapping half of a wide
-// register operand.
-func (e *Emitter) HalfOf(op asm.Operand, half int) (asm.Operand, error) {
-	return halfOf(e.s.m, op, half)
-}
-
-// Escape is a user-written expansion function referenced by a *func
-// directive: the paper's escape mechanism, in Go.
-type Escape func(e *Emitter, tmpl *mach.Instr, args []asm.Operand) error
-
-var escapes = map[string]Escape{}
-
-// RegisterEscape installs an escape function under the name used by
-// *name directives in descriptions.
-func RegisterEscape(name string, fn Escape) { escapes[name] = fn }
-
 // --- Template lookup and instruction building helpers -----------------
 //
 // These give the strategies and the register allocator access to the

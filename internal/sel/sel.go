@@ -2,7 +2,7 @@
 // brute-force tree pattern matcher that tries the description's
 // instruction templates in order, selecting the first that matches
 // (paper §2.1). It creates pseudo-registers for expression temporaries
-// and expands %seq sequences and *func escapes.
+// and expands %seq sequences.
 //
 // Two layers accelerate the paper's literal brute force without
 // changing its result: the machine's operator-indexed template tables
@@ -809,17 +809,9 @@ func (s *selector) emitMatched(tmpl *mach.Instr, binds []binding, dstIdx int, ds
 	return out, nil
 }
 
-// emitExpanded emits a template instance, expanding %seq items and *func
-// escapes.
+// emitExpanded emits a template instance, expanding %seq items.
 func (s *selector) emitExpanded(tmpl *mach.Instr, args []asm.Operand) (err error) {
-	switch {
-	case tmpl.EscapeFunc != "":
-		esc := escapes[tmpl.EscapeFunc]
-		if esc == nil {
-			return fmt.Errorf("escape function %q is not registered", tmpl.EscapeFunc)
-		}
-		return esc(&Emitter{s: s}, tmpl, args)
-	case len(tmpl.Seq) > 0:
+	if len(tmpl.Seq) > 0 {
 		s.out, err = appendSeq(&s.slab, s.m, s.af, s.out, tmpl, args)
 		return err
 	}

@@ -3,6 +3,7 @@ package sel_test
 import (
 	"testing"
 
+	"marion/internal/driver"
 	"marion/internal/gentest"
 	"marion/internal/ir"
 	"marion/internal/livermore"
@@ -82,7 +83,7 @@ func TestSelIndexBuckets(t *testing.T) {
 		}
 		mods := []*ir.Module{suite}
 		for _, u := range units {
-			mod, err := frontEnds[u.Lang](u.Name, u.Text)
+			mod, err := driver.Lower(u.Lang, u.Name, u.Text)
 			if err != nil {
 				t.Fatalf("%s: %v", u.Name, err)
 			}

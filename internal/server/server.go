@@ -719,7 +719,7 @@ func (s *Server) admit(rq *compileReq) (release func(overload.Outcome), ok bool)
 // lower runs the front end: request source to an IL module.
 func (s *Server) lower(rq *compileReq) bool {
 	lsp := rq.root.Child("lower")
-	mod, err := lowerSource(&rq.req)
+	mod, err := driver.Lower(rq.req.Lang, rq.req.unitName(), rq.req.Source)
 	lsp.End()
 	if err != nil {
 		s.failed.Inc()
@@ -1031,7 +1031,7 @@ func (s *Server) quarantine(rq *compileReq, reason error) {
 	if s.cfg.QuarantineDir == "" {
 		return
 	}
-	mod, err := lowerSource(&rq.req)
+	mod, err := driver.Lower(rq.req.Lang, rq.req.unitName(), rq.req.Source)
 	if err != nil {
 		return // cannot happen: the same source lowered earlier this request
 	}
@@ -1076,23 +1076,16 @@ func retryAfterSeconds(d time.Duration) int {
 	return max(1, int(math.Ceil(d.Seconds())))
 }
 
-// lowerSource turns request source into an IL module per the request
-// language.
-func lowerSource(req *CompileRequest) (*ir.Module, error) {
-	name := req.Filename
-	switch req.Lang {
-	case "", "c":
-		if name == "" {
-			name = "input.c"
-		}
-		return driver.Frontend(name, req.Source)
-	case "il":
-		if name == "" {
-			name = "input.il"
-		}
-		return iltext.Parse(name, req.Source)
+// unitName is the request's Filename, or the wire default for its
+// language: input.il for IL, input.c otherwise.
+func (req *CompileRequest) unitName() string {
+	switch {
+	case req.Filename != "":
+		return req.Filename
+	case req.Lang == "il":
+		return "input.il"
 	}
-	return nil, fmt.Errorf("unknown lang %q (want \"c\" or \"il\")", req.Lang)
+	return "input.c"
 }
 
 // toDiags flattens a back end error into wire diagnostics.

@@ -97,7 +97,7 @@ func TestCompileMatchesDriver(t *testing.T) {
 			t.Fatalf("%s: status %d: %s", target, w.Code, w.Body.String())
 		}
 		resp := decode[CompileResponse](t, w)
-		want, err := driver.Compile(target, "add.c", addC, driver.Config{Strategy: strategy.Postpass})
+		want, err := driver.Compile(target, "c", "add.c", addC, driver.Config{Strategy: strategy.Postpass})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -558,7 +558,7 @@ func TestBreakerTripRerouteReset(t *testing.T) {
 	if b.Key != "r2000/rase" || b.Strategy != "rase" || !strings.Contains(b.Reason, "injected") {
 		t.Fatalf("bundle = %+v", b)
 	}
-	if rep, err := driver.CompileIL(b.Target, "replay.il", il, driver.Config{Strategy: strategy.RASE}); err != nil || len(rep.Prog.Funcs) == 0 {
+	if rep, err := driver.Compile(b.Target, "il", "replay.il", il, driver.Config{Strategy: strategy.RASE}); err != nil || len(rep.Prog.Funcs) == 0 {
 		t.Fatalf("bundle does not replay: %v", err)
 	}
 

@@ -85,7 +85,7 @@ func TestPropertyRandomExpressions(t *testing.T) {
 		target := targetsList[trial%len(targetsList)]
 		strat := strategies[trial%len(strategies)]
 
-		c, err := driver.Compile(target, "prop.c", src, driver.Config{Strategy: strat})
+		c, err := driver.Compile(target, "c", "prop.c", src, driver.Config{Strategy: strat})
 		if err != nil {
 			t.Fatalf("trial %d (%s/%s): compile %s: %v", trial, target, strat, src, err)
 		}
@@ -146,7 +146,7 @@ func TestPropertyRandomDoubleExpressions(t *testing.T) {
 		}
 		src := fmt.Sprintf("double f(double x, double y) { return %s; }", e.src)
 		target := []string{"toyp", "r2000", "m88000", "i860"}[trial%4]
-		c, err := driver.Compile(target, "prop.c", src, driver.Config{Strategy: strategy.Postpass})
+		c, err := driver.Compile(target, "c", "prop.c", src, driver.Config{Strategy: strategy.Postpass})
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v\n%s", trial, target, err, src)
 		}

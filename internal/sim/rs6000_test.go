@@ -20,7 +20,7 @@ double axpy(int n) {
     for (i = 0; i < n; i++) s = s + 2.5 * a[i] + b[i];
     return s;
 }`
-	c, err := driver.Compile("rs6000", "t.c", src, driver.Config{Strategy: strategy.Postpass})
+	c, err := driver.Compile("rs6000", "c", "t.c", src, driver.Config{Strategy: strategy.Postpass})
 	if err != nil {
 		t.Fatal(err)
 	}

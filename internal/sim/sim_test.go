@@ -10,7 +10,7 @@ import (
 
 func compileRun(t *testing.T, src, fn string, strat strategy.Kind, cache bool, args ...Value) (*Stats, *Sim) {
 	t.Helper()
-	c, err := driver.Compile("toyp", "t.c", src, driver.Config{Strategy: strat})
+	c, err := driver.Compile("toyp", "c", "t.c", src, driver.Config{Strategy: strat})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -83,7 +83,7 @@ double sumsq(int n) {
     return dot;
 }`
 	for _, k := range allStrategies {
-		c, err := driver.Compile("toyp", "t.c", src, driver.Config{Strategy: k})
+		c, err := driver.Compile("toyp", "c", "t.c", src, driver.Config{Strategy: k})
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
@@ -243,7 +243,7 @@ double work(int n) {
 		want += ai*bi + ai + 3.0*bi
 	}
 	for _, k := range allStrategies {
-		c, err := driver.Compile("toyp", "t.c", src, driver.Config{Strategy: k})
+		c, err := driver.Compile("toyp", "c", "t.c", src, driver.Config{Strategy: k})
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
@@ -279,7 +279,7 @@ double sweep(int n) {
     for (i = 0; i < n; i++) s = s + a[i];
     return s;
 }`
-	c, err := driver.Compile("toyp", "t.c", src, driver.Config{Strategy: strategy.Postpass})
+	c, err := driver.Compile("toyp", "c", "t.c", src, driver.Config{Strategy: strategy.Postpass})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestDilationAndWords(t *testing.T) {
 // second run wants the multiplier before that claim would lapse.
 func TestRunsAreIndependentTimings(t *testing.T) {
 	src := `void f(int a, int b) { int x = a * b; }`
-	c, err := driver.Compile("r2000", "t.c", src, driver.Config{Strategy: strategy.Postpass})
+	c, err := driver.Compile("r2000", "c", "t.c", src, driver.Config{Strategy: strategy.Postpass})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -48,11 +48,11 @@ func TestVerifyAllocsConstant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		big, err := driver.Compile(target, gentest.BigBlock, src, cfg)
+		big, err := driver.Compile(target, "c", gentest.BigBlock, src, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		leaf, err := driver.Compile(target, "leaf.c", leafSrc, cfg)
+		leaf, err := driver.Compile(target, "c", "leaf.c", leafSrc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func compileUnits(t *testing.T, target string, strat strategy.Kind) (*mach.Machi
 		if u.Name == gentest.BigBlock {
 			continue // findings.sha256 was recorded without it
 		}
-		c, err := driver.Compile(target, u.Name, u.Text, driver.Config{Strategy: strat})
+		c, err := driver.Compile(target, u.Lang, u.Name, u.Text, driver.Config{Strategy: strat})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ import (
 // test unless the result verifies with zero findings.
 func compileClean(t *testing.T, target, src string) (*mach.Machine, *asm.Func) {
 	t.Helper()
-	c, err := driver.Compile(target, "mut.c", src, driver.Config{Strategy: strategy.Postpass, Verify: true})
+	c, err := driver.Compile(target, "c", "mut.c", src, driver.Config{Strategy: strategy.Postpass, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func undoCorpus(t *testing.T) map[string]func() *ir.Module {
 	}
 	for _, u := range append(append(gentest.Golden(), gentest.Serve()...), gentest.Generated(24)...) {
 		units[u.Name] = func() *ir.Module {
-			mod, err := frontEnds[u.Lang](u.Name, u.Text)
+			mod, err := driver.Lower(u.Lang, u.Name, u.Text)
 			if err != nil {
 				t.Fatalf("%s: %v", u.Name, err)
 			}
@@ -38,9 +38,6 @@ func undoCorpus(t *testing.T) map[string]func() *ir.Module {
 	}
 	return units
 }
-
-// frontEnds maps a gentest unit's language to its front end.
-var frontEnds = map[string]func(name, src string) (*ir.Module, error){"c": driver.Frontend, "il": iltext.Parse}
 
 func fingerprints(mod *ir.Module) [][32]byte {
 	out := make([][32]byte, len(mod.Funcs))

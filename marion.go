@@ -35,7 +35,6 @@ import (
 
 	"marion/internal/asm"
 	"marion/internal/driver"
-	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/mach"
 	"marion/internal/maril"
@@ -109,7 +108,7 @@ type Result struct {
 // through the pipeline into the scheduler and allocator cycle loops, so
 // a request deadline interrupts the back end instead of hanging behind it.
 func (g *CodeGenerator) CompileCtx(ctx context.Context, filename, source string) (*Result, error) {
-	mod, err := driver.Frontend(filename, source)
+	mod, err := driver.Lower("c", filename, source)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +118,7 @@ func (g *CodeGenerator) CompileCtx(ctx context.Context, filename, source string)
 // CompileILCtx compiles textual IL (see internal/iltext), bypassing the
 // C front end — the direct route for other front ends.
 func (g *CodeGenerator) CompileILCtx(ctx context.Context, filename, source string) (*Result, error) {
-	mod, err := iltext.Parse(filename, source)
+	mod, err := driver.Lower("il", filename, source)
 	if err != nil {
 		return nil, err
 	}
@@ -140,6 +139,6 @@ func (g *CodeGenerator) CompileModuleCtx(ctx context.Context, mod *ir.Module) (*
 func (g *CodeGenerator) Describe() string {
 	st := g.Machine.Stat()
 	return fmt.Sprintf("%s: %d instructions (%d escapes), %d resources, %d clocks, strategy %s",
-		g.Machine.Name, st.Instrs+st.Moves, st.Funcs+st.Seqs, len(g.Machine.Resources),
+		g.Machine.Name, st.Instrs+st.Moves, st.Seqs, len(g.Machine.Resources),
 		st.Clocks, g.Strategy)
 }
