@@ -134,11 +134,12 @@ func TestFailPrintsEveryDiagnostic(t *testing.T) {
 }
 
 // TestPrintFindingsListsAll pins the verify-findings output: every
-// finding appears with its kind and instruction anchor.
+// finding appears with its kind (Kind 1 prints as latency, 4 as
+// control) and instruction anchor.
 func TestPrintFindingsListsAll(t *testing.T) {
 	rep := &verify.Report{Findings: []verify.Finding{
-		{Kind: verify.KindLatency, Func: "f", Block: "b0", Index: 3, Cycle: 2, Msg: "too close"},
-		{Kind: verify.KindControl, Func: "g", Block: "b1", Index: 0, Cycle: 5, Msg: "slot missing"},
+		{Kind: verify.Kind(1), Func: "f", Block: "b0", Index: 3, Cycle: 2, Msg: "too close"},
+		{Kind: verify.Kind(4), Func: "g", Block: "b1", Index: 0, Cycle: 5, Msg: "slot missing"},
 	}}
 	var errb strings.Builder
 	printFindings(&errb, rep)

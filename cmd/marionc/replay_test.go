@@ -113,7 +113,7 @@ const parentConfigJSON = `{
 func TestReplayParentFormatConfig(t *testing.T) {
 	il := mustReadBundleIL(t, buildBundle(t, "r2000", "rase"))
 	dir := t.TempDir()
-	for name, text := range map[string]string{overload.ConfigFile: parentConfigJSON, overload.ILFile: il} {
+	for name, text := range map[string]string{"config.json": parentConfigJSON, overload.ILFile: il} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
 			t.Fatal(err)
 		}

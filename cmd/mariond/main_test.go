@@ -18,7 +18,6 @@ import (
 	"marion/internal/client"
 	"marion/internal/driver"
 	"marion/internal/gentest"
-	"marion/internal/metrics"
 	"marion/internal/overload"
 	"marion/internal/server"
 	"marion/internal/strategy"
@@ -112,7 +111,7 @@ func drillOverload(t *testing.T) {
 			t.Errorf("r2000/rase request %d: status %d, want 200 rerouted by the open breaker", i, r.Status)
 		}
 	}
-	bundles, _ := filepath.Glob(filepath.Join(quarantine, "*", overload.ConfigFile))
+	bundles, _ := filepath.Glob(filepath.Join(quarantine, "*", "config.json"))
 	if len(bundles) != 1 {
 		t.Fatalf("breaker trip left %d quarantine bundles, want 1", len(bundles))
 	}
@@ -212,7 +211,7 @@ func drillTrace(t *testing.T) {
 
 	// /metrics is Prometheus text exposition with the request counter.
 	body := d.get(t, "/metrics")
-	if _, err := metrics.ParsePrometheusText(bytes.NewReader(body)); err != nil {
+	if _, err := gentest.ParsePrometheusText(bytes.NewReader(body)); err != nil {
 		t.Errorf("/metrics is not Prometheus text: %v", err)
 	}
 	if !bytes.Contains(body, []byte("marion_server_requests")) {
@@ -221,7 +220,7 @@ func drillTrace(t *testing.T) {
 
 	// /tracez keeps the hung request as a breaching, expired trace whose
 	// spans account for its wall time.
-	var tz server.Tracez
+	var tz struct{ Traces []trace.Summary }
 	if err := json.Unmarshal(d.get(t, "/tracez"), &tz); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ const NoPseudo PseudoID = -1
 type OperandKind uint8
 
 const (
-	OpNone OperandKind = iota
+	opNone OperandKind = iota
 	OpPseudo
 	OpPhys
 	OpPseudoHalf // lo/hi half of a wide pseudo (resolved after allocation)
@@ -59,9 +59,9 @@ func (o Operand) IsReg() bool {
 	return o.Kind == OpPseudo || o.Kind == OpPhys || o.Kind == OpPseudoHalf
 }
 
-// Append appends the operand's assembly text to dst. It is the one
+// appendTo appends the operand's assembly text to dst. It is the one
 // operand formatter: String and Program.Print both go through it.
-func (o Operand) Append(dst []byte) []byte {
+func (o Operand) appendTo(dst []byte) []byte {
 	switch o.Kind {
 	case OpPseudo:
 		return strconv.AppendInt(append(dst, 't'), int64(o.Pseudo), 10)
@@ -86,7 +86,7 @@ func (o Operand) Append(dst []byte) []byte {
 
 func (o Operand) String() string {
 	var buf [24]byte
-	return string(o.Append(buf[:0]))
+	return string(o.appendTo(buf[:0]))
 }
 
 // Inst is one instruction: a machine template plus actual operands. It
@@ -140,12 +140,9 @@ func New(tmpl *mach.Instr, args ...Operand) *Inst {
 	return &Inst{Tmpl: tmpl, Args: args, Cycle: -1}
 }
 
-// Append appends the instruction's assembly text — mnemonic, then the
-// operands separated by ", " — to dst.
-func (in *Inst) Append(dst []byte) []byte { return in.appendText(dst, 0, nil) }
-
-// appendText is Append, recording in holes (when not nil) each block or
-// symbol operand's span, counted from base.
+// appendText appends the instruction's assembly text — mnemonic, then
+// the operands separated by ", " — to dst, recording in holes (when not
+// nil) each block or symbol operand's span, counted from base.
 func (in *Inst) appendText(dst []byte, base int, holes *[]Hole) []byte {
 	dst = append(dst, in.Tmpl.Mnemonic...)
 	for i, a := range in.Args {
@@ -155,7 +152,7 @@ func (in *Inst) appendText(dst []byte, base int, holes *[]Hole) []byte {
 			dst = append(dst, ", "...)
 		}
 		at := len(dst)
-		dst = a.Append(dst)
+		dst = a.appendTo(dst)
 		if holes != nil && (a.Kind == OpBlock || a.Kind == OpSym) {
 			*holes = append(*holes, Hole{Off: at - base, Len: len(dst) - at, Block: a.Block, Sym: a.Sym})
 		}
@@ -165,7 +162,7 @@ func (in *Inst) appendText(dst []byte, base int, holes *[]Hole) []byte {
 
 func (in *Inst) String() string {
 	var buf [64]byte
-	return string(in.Append(buf[:0]))
+	return string(in.appendText(buf[:0], 0, nil))
 }
 
 // PseudoInfo describes one back end pseudo-register.

@@ -84,7 +84,7 @@ func TestInstDefsUses(t *testing.T) {
 	}
 	// Immediates are not registers: ld's third operand is skipped.
 	ld := New(m.InstrByLabel("ld"), Reg(0), Phys(3), Imm(8))
-	if got, want := collect(ld.RegUses(m)), []effect{{Key: PhysKey(3), Op: 1}}; !reflect.DeepEqual(got, want) {
+	if got, want := collect(ld.RegUses(m)), []effect{{Key: physKey(3), Op: 1}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("ld uses = %v, want %v", got, want)
 	}
 }
@@ -96,7 +96,7 @@ func TestRegKeyDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := PhysKey(5); k != 5 || k.IsPseudo(m) || k.Phys() != 5 {
+	if k := physKey(5); k != 5 || k.IsPseudo(m) || k.Phys() != 5 {
 		t.Errorf("phys key %d", k)
 	}
 	k := PseudoKey(m, 7)
@@ -136,18 +136,18 @@ func TestEffectsEquivPair(t *testing.T) {
 	r, d := m.RegSet("r"), m.RegSet("d")
 	fadd := New(m.InstrByLabel("fadd.d"), Phys(d.Phys(2)), Phys(d.Phys(3)), Phys(d.Phys(3)))
 	want := []effect{
-		{Key: PhysKey(d.Phys(2)), Op: 0},
-		{Key: PhysKey(r.Phys(4)), Op: 0},
-		{Key: PhysKey(r.Phys(5)), Op: 0},
+		{Key: physKey(d.Phys(2)), Op: 0},
+		{Key: physKey(r.Phys(4)), Op: 0},
+		{Key: physKey(r.Phys(5)), Op: 0},
 	}
 	if got := collect(fadd.RegDefs(m)); !reflect.DeepEqual(got, want) {
 		t.Errorf("fadd.d defs = %v, want %v", got, want)
 	}
-	if got := collect(fadd.RegUses(m)); len(got) != 6 || got[0].Key != PhysKey(d.Phys(3)) || got[3].Op != 2 {
+	if got := collect(fadd.RegUses(m)); len(got) != 6 || got[0].Key != physKey(d.Phys(3)) || got[3].Op != 2 {
 		t.Errorf("fadd.d uses = %v", got)
 	}
 	add := New(m.InstrByLabel("add"), Phys(r.Phys(7)), Phys(r.Phys(8)), Phys(r.Phys(9)))
-	want = []effect{{Key: PhysKey(r.Phys(7)), Op: 0}, {Key: PhysKey(d.Phys(3)), Op: 0}}
+	want = []effect{{Key: physKey(r.Phys(7)), Op: 0}, {Key: physKey(d.Phys(3)), Op: 0}}
 	if got := collect(add.RegDefs(m)); !reflect.DeepEqual(got, want) {
 		t.Errorf("add defs = %v, want %v", got, want)
 	}
@@ -164,13 +164,13 @@ func TestEffectsImplicitAndHard(t *testing.T) {
 	r, d := m.RegSet("r"), m.RegSet("d")
 	call := New(m.InstrByLabel("bsr"), Operand{Kind: OpSym, Sym: &ir.Sym{Name: "g"}})
 	call.Imp = &Implicit{Uses: []mach.PhysID{r.Phys(2)}, Defs: []mach.PhysID{d.Phys(1), r.Phys(9)}}
-	want := []effect{{Key: PhysKey(r.Phys(2)), Op: -1}, {Key: PhysKey(d.Phys(1)), Op: -1}}
+	want := []effect{{Key: physKey(r.Phys(2)), Op: -1}, {Key: physKey(d.Phys(1)), Op: -1}}
 	if got := collect(call.RegUses(m)); !reflect.DeepEqual(got, want) {
 		t.Errorf("call uses = %v, want %v", got, want)
 	}
 	want = []effect{
-		{Key: PhysKey(d.Phys(1)), Op: -1}, {Key: PhysKey(r.Phys(2)), Op: -1}, {Key: PhysKey(r.Phys(3)), Op: -1},
-		{Key: PhysKey(r.Phys(9)), Op: -1}, {Key: PhysKey(d.Phys(4)), Op: -1},
+		{Key: physKey(d.Phys(1)), Op: -1}, {Key: physKey(r.Phys(2)), Op: -1}, {Key: physKey(r.Phys(3)), Op: -1},
+		{Key: physKey(r.Phys(9)), Op: -1}, {Key: physKey(d.Phys(4)), Op: -1},
 	}
 	if got := collect(call.RegDefs(m)); !reflect.DeepEqual(got, want) {
 		t.Errorf("call defs = %v, want %v", got, want)
@@ -179,7 +179,7 @@ func TestEffectsImplicitAndHard(t *testing.T) {
 	// r[0] is wired to zero; d[0] overlays it.
 	add := New(m.InstrByLabel("add"), Phys(r.Phys(7)), Phys(r.Phys(0)), Reg(1))
 	want = []effect{
-		{Key: PhysKey(r.Phys(0)), Op: 1, Hard: true}, {Key: PhysKey(d.Phys(0)), Op: 1, Hard: true},
+		{Key: physKey(r.Phys(0)), Op: 1, Hard: true}, {Key: physKey(d.Phys(0)), Op: 1, Hard: true},
 		{Key: PseudoKey(m, 1), Op: 2},
 	}
 	if got := collect(add.RegUses(m)); !reflect.DeepEqual(got, want) {

@@ -122,9 +122,6 @@ func TestFormatterHandCases(t *testing.T) {
 		if got := o.String(); got != wantOps[i] {
 			t.Errorf("operand %+v: %q, want %q", o, got, wantOps[i])
 		}
-		if got := string(o.Append([]byte("x="))); got != "x="+o.String() {
-			t.Errorf("operand %+v: Append gave %q", o, got)
-		}
 	}
 
 	add := &mach.Instr{Mnemonic: "add"}

@@ -8,8 +8,8 @@ import "marion/internal/mach"
 // internal/verify, the independent oracle, deliberately does not use it.
 type RegKey int32
 
-// PhysKey returns the key of a physical register.
-func PhysKey(p mach.PhysID) RegKey { return RegKey(p) }
+// physKey returns the key of a physical register.
+func physKey(p mach.PhysID) RegKey { return RegKey(p) }
 
 // PseudoKey returns the key of a pseudo-register on machine m.
 func PseudoKey(m *mach.Machine, p PseudoID) RegKey { return RegKey(m.NumPhys) + RegKey(p) }
@@ -95,7 +95,7 @@ func (e *Effects) Next() bool {
 		e.Half = false
 		_, e.Hard = e.m.IsHard(p)
 	}
-	e.Key, e.al = PhysKey(e.al[0]), e.al[1:]
+	e.Key, e.al = physKey(e.al[0]), e.al[1:]
 	return true
 }
 

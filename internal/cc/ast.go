@@ -12,19 +12,19 @@ import (
 type TypeKind uint8
 
 const (
-	KVoid TypeKind = iota
-	KChar
-	KShort
-	KInt
-	KUnsigned
-	KFloat
-	KDouble
+	kVoid TypeKind = iota
+	kChar
+	kShort
+	kInt
+	kUnsigned
+	kFloat
+	kDouble
 	KPtr
 	KArray
-	KFunc
+	kFunc
 )
 
-// CType is a C type. Types are structural; compare with Same.
+// CType is a C type. Types are structural; compare with same.
 type CType struct {
 	Kind   TypeKind
 	Elem   *CType   // Ptr, Array element / Func return
@@ -33,43 +33,43 @@ type CType struct {
 }
 
 var (
-	TypeVoid     = &CType{Kind: KVoid}
-	TypeChar     = &CType{Kind: KChar}
-	TypeShort    = &CType{Kind: KShort}
-	TypeInt      = &CType{Kind: KInt}
-	TypeUnsigned = &CType{Kind: KUnsigned}
-	TypeFloat    = &CType{Kind: KFloat}
-	TypeDouble   = &CType{Kind: KDouble}
+	typeVoid     = &CType{Kind: kVoid}
+	typeChar     = &CType{Kind: kChar}
+	typeShort    = &CType{Kind: kShort}
+	typeInt      = &CType{Kind: kInt}
+	typeUnsigned = &CType{Kind: kUnsigned}
+	typeFloat    = &CType{Kind: kFloat}
+	typeDouble   = &CType{Kind: kDouble}
 )
 
-// PtrTo returns a pointer type.
-func PtrTo(e *CType) *CType { return &CType{Kind: KPtr, Elem: e} }
+// ptrTo returns a pointer type.
+func ptrTo(e *CType) *CType { return &CType{Kind: KPtr, Elem: e} }
 
-// ArrayOf returns an array type.
-func ArrayOf(e *CType, n int) *CType { return &CType{Kind: KArray, Elem: e, Len: n} }
+// arrayOf returns an array type.
+func arrayOf(e *CType, n int) *CType { return &CType{Kind: KArray, Elem: e, Len: n} }
 
-// IsArith reports whether t is an arithmetic type.
-func (t *CType) IsArith() bool { return t.Kind >= KChar && t.Kind <= KDouble }
+// isArith reports whether t is an arithmetic type.
+func (t *CType) isArith() bool { return t.Kind >= kChar && t.Kind <= kDouble }
 
 // IsInteger reports whether t is an integer type.
-func (t *CType) IsInteger() bool { return t.Kind >= KChar && t.Kind <= KUnsigned }
+func (t *CType) IsInteger() bool { return t.Kind >= kChar && t.Kind <= kUnsigned }
 
 // IsFloat reports whether t is float or double.
-func (t *CType) IsFloat() bool { return t.Kind == KFloat || t.Kind == KDouble }
+func (t *CType) IsFloat() bool { return t.Kind == kFloat || t.Kind == kDouble }
 
-// IsScalar reports whether t is arithmetic or a pointer.
-func (t *CType) IsScalar() bool { return t.IsArith() || t.Kind == KPtr }
+// isScalar reports whether t is arithmetic or a pointer.
+func (t *CType) isScalar() bool { return t.isArith() || t.Kind == KPtr }
 
 // Size returns the size of the type in bytes.
 func (t *CType) Size() int {
 	switch t.Kind {
-	case KVoid:
+	case kVoid:
 		return 0
-	case KChar:
+	case kChar:
 		return 1
-	case KShort:
+	case kShort:
 		return 2
-	case KDouble:
+	case kDouble:
 		return 8
 	case KArray:
 		return t.Len * t.Elem.Size()
@@ -86,8 +86,8 @@ func (t *CType) BaseElem() *CType {
 	return t
 }
 
-// Same reports structural type equality.
-func (t *CType) Same(o *CType) bool {
+// same reports structural type equality.
+func (t *CType) same(o *CType) bool {
 	if t == o {
 		return true
 	}
@@ -96,15 +96,15 @@ func (t *CType) Same(o *CType) bool {
 	}
 	switch t.Kind {
 	case KPtr:
-		return t.Elem.Same(o.Elem)
+		return t.Elem.same(o.Elem)
 	case KArray:
-		return t.Len == o.Len && t.Elem.Same(o.Elem)
-	case KFunc:
-		if !t.Elem.Same(o.Elem) || len(t.Params) != len(o.Params) {
+		return t.Len == o.Len && t.Elem.same(o.Elem)
+	case kFunc:
+		if !t.Elem.same(o.Elem) || len(t.Params) != len(o.Params) {
 			return false
 		}
 		for i := range t.Params {
-			if !t.Params[i].Same(o.Params[i]) {
+			if !t.Params[i].same(o.Params[i]) {
 				return false
 			}
 		}
@@ -116,19 +116,19 @@ func (t *CType) Same(o *CType) bool {
 // IR returns the IL type corresponding to a scalar C type.
 func (t *CType) IR() ir.Type {
 	switch t.Kind {
-	case KVoid:
+	case kVoid:
 		return ir.Void
-	case KChar:
+	case kChar:
 		return ir.I8
-	case KShort:
+	case kShort:
 		return ir.I16
-	case KInt:
+	case kInt:
 		return ir.I32
-	case KUnsigned:
+	case kUnsigned:
 		return ir.U32
-	case KFloat:
+	case kFloat:
 		return ir.F32
-	case KDouble:
+	case kDouble:
 		return ir.F64
 	case KPtr, KArray:
 		return ir.Ptr
@@ -138,25 +138,25 @@ func (t *CType) IR() ir.Type {
 
 func (t *CType) String() string {
 	switch t.Kind {
-	case KVoid:
+	case kVoid:
 		return "void"
-	case KChar:
+	case kChar:
 		return "char"
-	case KShort:
+	case kShort:
 		return "short"
-	case KInt:
+	case kInt:
 		return "int"
-	case KUnsigned:
+	case kUnsigned:
 		return "unsigned"
-	case KFloat:
+	case kFloat:
 		return "float"
-	case KDouble:
+	case kDouble:
 		return "double"
 	case KPtr:
 		return t.Elem.String() + "*"
 	case KArray:
 		return fmt.Sprintf("%s[%d]", t.Elem, t.Len)
-	case KFunc:
+	case kFunc:
 		var ps []string
 		for _, p := range t.Params {
 			ps = append(ps, p.String())
@@ -173,7 +173,7 @@ const (
 	ObjGlobal ObjKind = iota
 	ObjLocal
 	ObjParam
-	ObjFunc
+	objFunc
 )
 
 // Obj is a declared name: a variable or function.

@@ -2,11 +2,11 @@ package cc
 
 // Compile parses and type-checks a translation unit.
 func Compile(file, src string) (*File, error) {
-	f, err := Parse(file, src)
+	f, err := parse(file, src)
 	if err != nil {
 		return nil, err
 	}
-	if err := Check(f); err != nil {
+	if err := check(f); err != nil {
 		return nil, err
 	}
 	return f, nil

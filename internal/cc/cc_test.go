@@ -27,7 +27,7 @@ int *p;
 		t.Fatalf("globals = %d", len(f.Globals))
 	}
 	n := f.Globals[0]
-	if n.Type.Kind != KInt || len(n.InitI) != 1 || n.InitI[0] != 42 {
+	if n.Type.Kind != kInt || len(n.InitI) != 1 || n.InitI[0] != 42 {
 		t.Errorf("n = %+v", n)
 	}
 	u := f.Globals[2]
@@ -42,7 +42,7 @@ int *p;
 		t.Errorf("w init = %v", w.InitF)
 	}
 	p := f.Globals[5]
-	if p.Type.Kind != KPtr || p.Type.Elem.Kind != KInt {
+	if p.Type.Kind != KPtr || p.Type.Elem.Kind != kInt {
 		t.Errorf("p type = %v", p.Type)
 	}
 }
@@ -60,7 +60,7 @@ void nothing(void) { return; }
 	if add.Obj.Name != "add" || len(add.Params) != 2 {
 		t.Errorf("add = %+v", add.Obj)
 	}
-	if add.Obj.Type.Elem.Kind != KInt {
+	if add.Obj.Type.Elem.Kind != kInt {
 		t.Errorf("add return = %v", add.Obj.Type.Elem)
 	}
 }
@@ -85,7 +85,7 @@ int main() {
 	if decl.Kind != SDecl || decl.DeclInit.Kind != ECast {
 		t.Errorf("expected implicit cast in init, got %v", decl.DeclInit.Kind)
 	}
-	if decl.DeclInit.Type.Kind != KDouble {
+	if decl.DeclInit.Type.Kind != kDouble {
 		t.Errorf("cast type = %v", decl.DeclInit.Type)
 	}
 }
@@ -99,7 +99,7 @@ double get(int i, int j) { return u[i][j]; }
 	if ret.Kind != SReturn {
 		t.Fatal("expected return")
 	}
-	if ret.E.Type.Kind != KDouble {
+	if ret.E.Type.Kind != kDouble {
 		t.Errorf("u[i][j] type = %v", ret.E.Type)
 	}
 	inner := ret.E.L
@@ -183,7 +183,7 @@ func TestParseErrorsC(t *testing.T) {
 		`int a[0];`,
 	}
 	for _, src := range cases {
-		if _, err := Parse("t.c", src); err == nil {
+		if _, err := parse("t.c", src); err == nil {
 			t.Errorf("no error for %q", src)
 		}
 	}
@@ -200,11 +200,11 @@ func TestObjectSizeBound(t *testing.T) {
 		"int f() { char a[2147483648]; return 0; }",
 		"int f(int a[536870912]) { return 0; }",
 	} {
-		if _, err := Parse("t.c", src); err == nil || !strings.Contains(err.Error(), "t.c:1: a is larger than 2147483647 bytes") {
+		if _, err := parse("t.c", src); err == nil || !strings.Contains(err.Error(), "t.c:1: a is larger than 2147483647 bytes") {
 			t.Errorf("%q: err = %v", src, err)
 		}
 	}
-	if _, err := Parse("t.c", "char a[2147483647];"); err != nil {
+	if _, err := parse("t.c", "char a[2147483647];"); err != nil {
 		t.Errorf("largest object refused: %v", err)
 	}
 }

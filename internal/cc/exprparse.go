@@ -1,7 +1,7 @@
 package cc
 
 // expr parses a full expression. The comma operator is supported only in
-// for-statement clauses, where it builds a right-nested EBinary TComma...
+// for-statement clauses, where it builds a right-nested EBinary tComma...
 // in fact the subset omits the comma operator; expr == assignExpr.
 func (p *parser) expr() (*Expr, error) { return p.assignExpr() }
 
@@ -31,7 +31,7 @@ func (p *parser) condExpr() (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.tok.Kind != TQuest {
+	if p.tok.Kind != tQuest {
 		return c, nil
 	}
 	line := p.tok.Line
@@ -42,7 +42,7 @@ func (p *parser) condExpr() (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TColon); err != nil {
+	if _, err := p.expect(tColon); err != nil {
 		return nil, err
 	}
 	f, err := p.condExpr()
@@ -132,7 +132,7 @@ func (p *parser) unaryExpr() (*Expr, error) {
 		}
 		return p.unaryExpr()
 
-	case TInc, TDec:
+	case tInc, TDec:
 		op := p.tok.Kind
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -143,7 +143,7 @@ func (p *parser) unaryExpr() (*Expr, error) {
 		}
 		return p.slab.expr(Expr{Kind: EPreIncDec, Op: op, L: k, Line: line}), nil
 
-	case TLParen:
+	case tLParen:
 		// Cast?
 		if next, err := p.peek(1); err != nil {
 			return nil, err
@@ -160,9 +160,9 @@ func (p *parser) unaryExpr() (*Expr, error) {
 				if err := p.advance(); err != nil {
 					return nil, err
 				}
-				ty = PtrTo(ty)
+				ty = ptrTo(ty)
 			}
-			if _, err := p.expect(TRParen); err != nil {
+			if _, err := p.expect(tRParen); err != nil {
 				return nil, err
 			}
 			k, err := p.unaryExpr()
@@ -183,7 +183,7 @@ func (p *parser) postfixExpr() (*Expr, error) {
 	for {
 		line := p.tok.Line
 		switch p.tok.Kind {
-		case TLBrack:
+		case tLBrack:
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
@@ -191,24 +191,24 @@ func (p *parser) postfixExpr() (*Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(TRBrack); err != nil {
+			if _, err := p.expect(tRBrack); err != nil {
 				return nil, err
 			}
 			e = p.slab.expr(Expr{Kind: EIndex, L: e, R: idx, Line: line})
 
-		case TLParen:
+		case tLParen:
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
 			call := p.slab.expr(Expr{Kind: ECall, L: e, Line: line})
 			base := len(p.args)
-			for p.tok.Kind != TRParen {
+			for p.tok.Kind != tRParen {
 				arg, err := p.assignExpr()
 				if err != nil {
 					return nil, err
 				}
 				p.args = append(p.args, arg)
-				if ok, err := p.accept(TComma); err != nil {
+				if ok, err := p.accept(tComma); err != nil {
 					return nil, err
 				} else if !ok {
 					break
@@ -216,12 +216,12 @@ func (p *parser) postfixExpr() (*Expr, error) {
 			}
 			call.Args = append([]*Expr(nil), p.args[base:]...)
 			p.args = p.args[:base]
-			if _, err := p.expect(TRParen); err != nil {
+			if _, err := p.expect(tRParen); err != nil {
 				return nil, err
 			}
 			e = call
 
-		case TInc, TDec:
+		case tInc, TDec:
 			op := p.tok.Kind
 			if err := p.advance(); err != nil {
 				return nil, err
@@ -237,16 +237,16 @@ func (p *parser) postfixExpr() (*Expr, error) {
 func (p *parser) primaryExpr() (*Expr, error) {
 	line := p.tok.Line
 	switch p.tok.Kind {
-	case TIntLit, TCharLit:
+	case tIntLit, tCharLit:
 		v := p.tok.IVal
 		return p.slab.expr(Expr{Kind: EIntLit, IVal: v, Line: line}), p.advance()
-	case TFloatLit:
+	case tFloatLit:
 		v := floatBits(p.tok.FVal)
 		return p.slab.expr(Expr{Kind: EFloatLit, IVal: v, Line: line}), p.advance()
-	case TIdent:
+	case tIdent:
 		name := p.tok.Text
 		return p.slab.expr(Expr{Kind: EIdent, Name: name, Line: line}), p.advance()
-	case TLParen:
+	case tLParen:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -254,7 +254,7 @@ func (p *parser) primaryExpr() (*Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, err = p.expect(TRParen)
+		_, err = p.expect(tRParen)
 		return e, err
 	}
 	return nil, p.errf("unexpected %s in expression", p.tok.Kind)

@@ -18,42 +18,42 @@ import (
 type Tok uint8
 
 const (
-	TEOF Tok = iota
-	TIdent
-	TIntLit
-	TFloatLit
-	TCharLit
+	tEOF Tok = iota
+	tIdent
+	tIntLit
+	tFloatLit
+	tCharLit
 	// Keywords.
-	TVoid
-	TChar
-	TShort
-	TInt
-	TLong
-	TUnsigned
-	TSigned
-	TFloat
-	TDouble
-	TIf
-	TElse
-	TWhile
-	TDo
-	TFor
-	TReturn
-	TBreak
-	TContinue
-	TStatic
-	TConst
+	tVoid
+	tChar
+	tShort
+	tInt
+	tLong
+	tUnsigned
+	tSigned
+	tFloat
+	tDouble
+	tIf
+	tElse
+	tWhile
+	tDo
+	tFor
+	tReturn
+	tBreak
+	tContinue
+	tStatic
+	tConst
 	// Punctuation and operators.
-	TLParen
-	TRParen
-	TLBrace
-	TRBrace
-	TLBrack
-	TRBrack
-	TSemi
-	TComma
-	TQuest
-	TColon
+	tLParen
+	tRParen
+	tLBrace
+	tRBrace
+	tLBrack
+	tRBrack
+	tSemi
+	tComma
+	tQuest
+	tColon
 	TAssign
 	TPlusEq
 	TMinusEq
@@ -80,43 +80,43 @@ const (
 	TPercent
 	TBang
 	TTilde
-	TInc
+	tInc
 	TDec
 )
 
 var tokNames = map[Tok]string{
-	TEOF: "end of file", TIdent: "identifier", TIntLit: "integer literal",
-	TFloatLit: "float literal", TCharLit: "char literal",
-	TVoid: "void", TChar: "char", TShort: "short", TInt: "int",
-	TLong: "long", TUnsigned: "unsigned", TSigned: "signed",
-	TFloat: "float", TDouble: "double",
-	TIf: "if", TElse: "else", TWhile: "while", TDo: "do", TFor: "for",
-	TReturn: "return", TBreak: "break", TContinue: "continue",
-	TStatic: "static", TConst: "const",
-	TLParen: "(", TRParen: ")", TLBrace: "{", TRBrace: "}",
-	TLBrack: "[", TRBrack: "]", TSemi: ";", TComma: ",",
-	TQuest: "?", TColon: ":", TAssign: "=",
+	tEOF: "end of file", tIdent: "identifier", tIntLit: "integer literal",
+	tFloatLit: "float literal", tCharLit: "char literal",
+	tVoid: "void", tChar: "char", tShort: "short", tInt: "int",
+	tLong: "long", tUnsigned: "unsigned", tSigned: "signed",
+	tFloat: "float", tDouble: "double",
+	tIf: "if", tElse: "else", tWhile: "while", tDo: "do", tFor: "for",
+	tReturn: "return", tBreak: "break", tContinue: "continue",
+	tStatic: "static", tConst: "const",
+	tLParen: "(", tRParen: ")", tLBrace: "{", tRBrace: "}",
+	tLBrack: "[", tRBrack: "]", tSemi: ";", tComma: ",",
+	tQuest: "?", tColon: ":", TAssign: "=",
 	TPlusEq: "+=", TMinusEq: "-=", TStarEq: "*=", TSlashEq: "/=", TPercentEq: "%=",
 	TOrOr: "||", TAndAnd: "&&", TPipe: "|", TCaret: "^", TAmp: "&",
 	TEq: "==", TNe: "!=", TLt: "<", TLe: "<=", TGt: ">", TGe: ">=",
 	TShl: "<<", TShr: ">>", TPlus: "+", TMinus: "-", TStar: "*",
 	TSlash: "/", TPercent: "%", TBang: "!", TTilde: "~",
-	TInc: "++", TDec: "--",
+	tInc: "++", TDec: "--",
 }
 
 func (t Tok) String() string { return tokNames[t] }
 
 var keywords = map[string]Tok{
-	"void": TVoid, "char": TChar, "short": TShort, "int": TInt,
-	"long": TLong, "unsigned": TUnsigned, "signed": TSigned,
-	"float": TFloat, "double": TDouble, "if": TIf, "else": TElse,
-	"while": TWhile, "do": TDo, "for": TFor, "return": TReturn,
-	"break": TBreak, "continue": TContinue, "static": TStatic,
-	"const": TConst,
+	"void": tVoid, "char": tChar, "short": tShort, "int": tInt,
+	"long": tLong, "unsigned": tUnsigned, "signed": tSigned,
+	"float": tFloat, "double": tDouble, "if": tIf, "else": tElse,
+	"while": tWhile, "do": tDo, "for": tFor, "return": tReturn,
+	"break": tBreak, "continue": tContinue, "static": tStatic,
+	"const": tConst,
 }
 
-// Token is one token with its value and position.
-type Token struct {
+// token is one token with its value and position.
+type token struct {
 	Kind Tok
 	Text string
 	IVal int64
@@ -124,14 +124,14 @@ type Token struct {
 	Line int32
 }
 
-// Error is a front end diagnostic.
-type Error struct {
+// posError is a front end diagnostic.
+type posError struct {
 	File string
 	Line int
 	Msg  string
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("%s:%d: %s", e.File, e.Line, e.Msg) }
+func (e *posError) Error() string { return fmt.Sprintf("%s:%d: %s", e.File, e.Line, e.Msg) }
 
 type lexer struct {
 	file string
@@ -140,8 +140,8 @@ type lexer struct {
 	line int32
 }
 
-func (lx *lexer) errf(format string, args ...interface{}) *Error {
-	return &Error{File: lx.file, Line: int(lx.line), Msg: fmt.Sprintf(format, args...)}
+func (lx *lexer) errf(format string, args ...interface{}) *posError {
+	return &posError{File: lx.file, Line: int(lx.line), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (lx *lexer) at(off int) byte {
@@ -196,13 +196,13 @@ func (lx *lexer) skip() error {
 	return nil
 }
 
-func (lx *lexer) next() (Token, error) {
+func (lx *lexer) next() (token, error) {
 	if err := lx.skip(); err != nil {
-		return Token{}, err
+		return token{}, err
 	}
-	tok := Token{Line: lx.line}
+	tok := token{Line: lx.line}
 	if lx.pos >= len(lx.src) {
-		tok.Kind = TEOF
+		tok.Kind = tEOF
 		return tok, nil
 	}
 	c := lx.src[lx.pos]
@@ -218,7 +218,7 @@ func (lx *lexer) next() (Token, error) {
 			tok.Text = text
 			return tok, nil
 		}
-		tok.Kind = TIdent
+		tok.Kind = tIdent
 		tok.Text = text
 		return tok, nil
 	}
@@ -235,7 +235,7 @@ func (lx *lexer) next() (Token, error) {
 			if err != nil {
 				return tok, lx.errf("bad hex literal %q", lx.src[start:lx.pos])
 			}
-			tok.Kind = TIntLit
+			tok.Kind = tIntLit
 			tok.IVal = int64(int32(v))
 			lx.eatIntSuffix()
 			return tok, nil
@@ -266,7 +266,7 @@ func (lx *lexer) next() (Token, error) {
 			if err != nil {
 				return tok, lx.errf("bad float literal %q", text)
 			}
-			tok.Kind = TFloatLit
+			tok.Kind = tFloatLit
 			tok.FVal = f
 			if lx.pos < len(lx.src) && (lx.src[lx.pos] == 'f' || lx.src[lx.pos] == 'F') {
 				lx.pos++
@@ -277,7 +277,7 @@ func (lx *lexer) next() (Token, error) {
 		if err != nil {
 			return tok, lx.errf("bad integer literal %q", text)
 		}
-		tok.Kind = TIntLit
+		tok.Kind = tIntLit
 		tok.IVal = v
 		lx.eatIntSuffix()
 		return tok, nil
@@ -316,34 +316,34 @@ func (lx *lexer) next() (Token, error) {
 			return tok, lx.errf("unterminated char literal")
 		}
 		lx.pos++
-		tok.Kind = TCharLit
+		tok.Kind = tCharLit
 		tok.IVal = v
 		return tok, nil
 	}
 
-	one := func(k Tok) (Token, error) { lx.pos++; tok.Kind = k; return tok, nil }
-	two := func(k Tok) (Token, error) { lx.pos += 2; tok.Kind = k; return tok, nil }
+	one := func(k Tok) (token, error) { lx.pos++; tok.Kind = k; return tok, nil }
+	two := func(k Tok) (token, error) { lx.pos += 2; tok.Kind = k; return tok, nil }
 	switch c {
 	case '(':
-		return one(TLParen)
+		return one(tLParen)
 	case ')':
-		return one(TRParen)
+		return one(tRParen)
 	case '{':
-		return one(TLBrace)
+		return one(tLBrace)
 	case '}':
-		return one(TRBrace)
+		return one(tRBrace)
 	case '[':
-		return one(TLBrack)
+		return one(tLBrack)
 	case ']':
-		return one(TRBrack)
+		return one(tRBrack)
 	case ';':
-		return one(TSemi)
+		return one(tSemi)
 	case ',':
-		return one(TComma)
+		return one(tComma)
 	case '?':
-		return one(TQuest)
+		return one(tQuest)
 	case ':':
-		return one(TColon)
+		return one(tColon)
 	case '~':
 		return one(TTilde)
 	case '=':
@@ -374,7 +374,7 @@ func (lx *lexer) next() (Token, error) {
 		return one(TGt)
 	case '+':
 		if lx.at(1) == '+' {
-			return two(TInc)
+			return two(tInc)
 		}
 		if lx.at(1) == '=' {
 			return two(TPlusEq)

@@ -6,15 +6,15 @@ import (
 	"marion/internal/ir"
 )
 
-// Parse parses a translation unit. The returned File is not yet
-// type-checked; run Check on it (or use Compile).
-func Parse(file, src string) (*File, error) {
+// parse parses a translation unit. The returned File is not yet
+// type-checked; Compile runs check on it.
+func parse(file, src string) (*File, error) {
 	f := &File{Name: file}
 	p := &parser{lx: &lexer{file: file, src: src, line: 1}, slab: &f.slab}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	for p.tok.Kind != TEOF {
+	for p.tok.Kind != tEOF {
 		if err := p.topLevel(f); err != nil {
 			return nil, err
 		}
@@ -24,8 +24,8 @@ func Parse(file, src string) (*File, error) {
 
 type parser struct {
 	lx  *lexer
-	tok Token
-	la  []Token
+	tok token
+	la  []token
 
 	// slab holds the unit's nodes; stmts and args collect the statements
 	// of a block and the arguments of a call until the list is complete.
@@ -43,7 +43,7 @@ func (p *parser) stmtList(base int) []*Stmt {
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
-	return &Error{File: p.lx.file, Line: int(p.tok.Line), Msg: fmt.Sprintf(format, args...)}
+	return &posError{File: p.lx.file, Line: int(p.tok.Line), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *parser) advance() error {
@@ -60,20 +60,20 @@ func (p *parser) advance() error {
 	return nil
 }
 
-func (p *parser) peek(n int) (Token, error) {
+func (p *parser) peek(n int) (token, error) {
 	for len(p.la) < n {
 		t, err := p.lx.next()
 		if err != nil {
-			return Token{}, err
+			return token{}, err
 		}
 		p.la = append(p.la, t)
 	}
 	return p.la[n-1], nil
 }
 
-func (p *parser) expect(k Tok) (Token, error) {
+func (p *parser) expect(k Tok) (token, error) {
 	if p.tok.Kind != k {
-		return Token{}, p.errf("expected %s, got %s", k, p.tok.Kind)
+		return token{}, p.errf("expected %s, got %s", k, p.tok.Kind)
 	}
 	t := p.tok
 	return t, p.advance()
@@ -88,7 +88,7 @@ func (p *parser) accept(k Tok) (bool, error) {
 
 func isTypeTok(k Tok) bool {
 	switch k {
-	case TVoid, TChar, TShort, TInt, TLong, TUnsigned, TSigned, TFloat, TDouble:
+	case tVoid, tChar, tShort, tInt, tLong, tUnsigned, tSigned, tFloat, tDouble:
 		return true
 	}
 	return false
@@ -97,31 +97,31 @@ func isTypeTok(k Tok) bool {
 // typeSpec parses the declaration-specifier part: storage class and const
 // qualifiers are accepted and ignored.
 func (p *parser) typeSpec() (*CType, error) {
-	for p.tok.Kind == TStatic || p.tok.Kind == TConst {
+	for p.tok.Kind == tStatic || p.tok.Kind == tConst {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 	}
 	var base *CType
 	switch p.tok.Kind {
-	case TVoid:
-		base = TypeVoid
-	case TChar:
-		base = TypeChar
-	case TShort:
-		base = TypeShort
-	case TInt:
-		base = TypeInt
-	case TLong:
-		base = TypeInt
-	case TUnsigned:
-		base = TypeUnsigned
-	case TSigned:
-		base = TypeInt
-	case TFloat:
-		base = TypeFloat
-	case TDouble:
-		base = TypeDouble
+	case tVoid:
+		base = typeVoid
+	case tChar:
+		base = typeChar
+	case tShort:
+		base = typeShort
+	case tInt:
+		base = typeInt
+	case tLong:
+		base = typeInt
+	case tUnsigned:
+		base = typeUnsigned
+	case tSigned:
+		base = typeInt
+	case tFloat:
+		base = typeFloat
+	case tDouble:
+		base = typeDouble
 	default:
 		return nil, p.errf("expected type, got %s", p.tok.Kind)
 	}
@@ -131,16 +131,16 @@ func (p *parser) typeSpec() (*CType, error) {
 	// "unsigned int", "long int", "short int", "unsigned long", ...
 	for isTypeTok(p.tok.Kind) {
 		switch p.tok.Kind {
-		case TInt, TLong:
+		case tInt, tLong:
 			// keep base
-		case TChar:
-			if base == TypeUnsigned {
-				base = TypeChar
+		case tChar:
+			if base == typeUnsigned {
+				base = typeChar
 			}
-		case TShort:
-			base = TypeShort
-		case TDouble:
-			base = TypeDouble
+		case tShort:
+			base = typeShort
+		case tDouble:
+			base = typeDouble
 		default:
 			return nil, p.errf("bad type combination")
 		}
@@ -148,7 +148,7 @@ func (p *parser) typeSpec() (*CType, error) {
 			return nil, err
 		}
 	}
-	for p.tok.Kind == TConst {
+	for p.tok.Kind == tConst {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -164,21 +164,21 @@ func (p *parser) declarator(base *CType) (string, *CType, error) {
 		if err := p.advance(); err != nil {
 			return "", nil, err
 		}
-		for p.tok.Kind == TConst {
+		for p.tok.Kind == tConst {
 			if err := p.advance(); err != nil {
 				return "", nil, err
 			}
 		}
-		ty = PtrTo(ty)
+		ty = ptrTo(ty)
 	}
-	name, err := p.expect(TIdent)
+	name, err := p.expect(tIdent)
 	if err != nil {
 		return "", nil, err
 	}
 	// Array dimensions apply outermost-first: int a[2][3] is array 2 of
 	// array 3 of int. Collect then fold right-to-left.
 	var dims []int
-	for p.tok.Kind == TLBrack {
+	for p.tok.Kind == tLBrack {
 		if err := p.advance(); err != nil {
 			return "", nil, err
 		}
@@ -190,7 +190,7 @@ func (p *parser) declarator(base *CType) (string, *CType, error) {
 			return "", nil, p.errf("bad array length %d", n)
 		}
 		dims = append(dims, int(n))
-		if _, err := p.expect(TRBrack); err != nil {
+		if _, err := p.expect(tRBrack); err != nil {
 			return "", nil, err
 		}
 	}
@@ -200,7 +200,7 @@ func (p *parser) declarator(base *CType) (string, *CType, error) {
 			return "", nil, p.errf("%s is larger than %d bytes", name.Text, ir.MaxSize)
 		}
 		size *= dims[i]
-		ty = ArrayOf(ty, dims[i])
+		ty = arrayOf(ty, dims[i])
 	}
 	return name.Text, ty, nil
 }
@@ -215,7 +215,7 @@ func (p *parser) topLevel(f *File) error {
 	if err != nil {
 		return err
 	}
-	if p.tok.Kind == TLParen {
+	if p.tok.Kind == tLParen {
 		return p.funcRest(f, name, ty)
 	}
 	// Global variable declaration(s).
@@ -229,7 +229,7 @@ func (p *parser) topLevel(f *File) error {
 			}
 		}
 		f.Globals = append(f.Globals, obj)
-		if ok, err := p.accept(TComma); err != nil {
+		if ok, err := p.accept(tComma); err != nil {
 			return err
 		} else if !ok {
 			break
@@ -238,7 +238,7 @@ func (p *parser) topLevel(f *File) error {
 			return err
 		}
 	}
-	_, err = p.expect(TSemi)
+	_, err = p.expect(tSemi)
 	return err
 }
 
@@ -249,21 +249,21 @@ func (p *parser) globalInit(obj *Obj) error {
 		obj.Type.IsFloat()
 	var walk func() error
 	walk = func() error {
-		if p.tok.Kind == TLBrace {
+		if p.tok.Kind == tLBrace {
 			if err := p.advance(); err != nil {
 				return err
 			}
-			for p.tok.Kind != TRBrace {
+			for p.tok.Kind != tRBrace {
 				if err := walk(); err != nil {
 					return err
 				}
-				if ok, err := p.accept(TComma); err != nil {
+				if ok, err := p.accept(tComma); err != nil {
 					return err
 				} else if !ok {
 					break
 				}
 			}
-			_, err := p.expect(TRBrace)
+			_, err := p.expect(tRBrace)
 			return err
 		}
 		e, err := p.condExpr()
@@ -292,20 +292,20 @@ func (p *parser) globalInit(obj *Obj) error {
 
 func (p *parser) funcRest(f *File, name string, ret *CType) error {
 	fd := &FuncDecl{Line: p.tok.Line}
-	if _, err := p.expect(TLParen); err != nil {
+	if _, err := p.expect(tLParen); err != nil {
 		return err
 	}
-	ft := &CType{Kind: KFunc, Elem: ret}
-	if p.tok.Kind == TVoid {
+	ft := &CType{Kind: kFunc, Elem: ret}
+	if p.tok.Kind == tVoid {
 		if next, err := p.peek(1); err != nil {
 			return err
-		} else if next.Kind == TRParen {
+		} else if next.Kind == tRParen {
 			if err := p.advance(); err != nil {
 				return err
 			}
 		}
 	}
-	for p.tok.Kind != TRParen {
+	for p.tok.Kind != tRParen {
 		base, err := p.typeSpec()
 		if err != nil {
 			return err
@@ -315,24 +315,24 @@ func (p *parser) funcRest(f *File, name string, ret *CType) error {
 			return err
 		}
 		if pty.Kind == KArray {
-			pty = PtrTo(pty.Elem) // arrays decay in parameter position
+			pty = ptrTo(pty.Elem) // arrays decay in parameter position
 		}
 		obj := &Obj{Name: pname, Kind: ObjParam, Type: pty, Line: p.tok.Line}
 		fd.Params = append(fd.Params, obj)
 		ft.Params = append(ft.Params, pty)
-		if ok, err := p.accept(TComma); err != nil {
+		if ok, err := p.accept(tComma); err != nil {
 			return err
 		} else if !ok {
 			break
 		}
 	}
-	if _, err := p.expect(TRParen); err != nil {
+	if _, err := p.expect(tRParen); err != nil {
 		return err
 	}
-	fd.Obj = &Obj{Name: name, Kind: ObjFunc, Type: ft, Line: fd.Line}
+	fd.Obj = &Obj{Name: name, Kind: objFunc, Type: ft, Line: fd.Line}
 
 	// Prototype only?
-	if ok, err := p.accept(TSemi); err != nil {
+	if ok, err := p.accept(tSemi); err != nil {
 		return err
 	} else if ok {
 		f.Globals = append(f.Globals, fd.Obj)
@@ -349,12 +349,12 @@ func (p *parser) funcRest(f *File, name string, ret *CType) error {
 
 func (p *parser) block() (*Stmt, error) {
 	line := p.tok.Line
-	if _, err := p.expect(TLBrace); err != nil {
+	if _, err := p.expect(tLBrace); err != nil {
 		return nil, err
 	}
 	s := p.slab.stmt(Stmt{Kind: SBlock, Line: line})
 	base := len(p.stmts)
-	for p.tok.Kind != TRBrace {
+	for p.tok.Kind != tRBrace {
 		st, err := p.stmt()
 		if err != nil {
 			return nil, err
@@ -369,24 +369,24 @@ func (p *parser) stmt() (*Stmt, error) {
 	p.slab.expect(p.lx.pos, len(p.lx.src)-p.lx.pos)
 	line := p.tok.Line
 	switch p.tok.Kind {
-	case TLBrace:
+	case tLBrace:
 		return p.block()
 
-	case TSemi:
+	case tSemi:
 		return p.slab.stmt(Stmt{Kind: SEmpty, Line: line}), p.advance()
 
-	case TIf:
+	case tIf:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TLParen); err != nil {
+		if _, err := p.expect(tLParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TRParen); err != nil {
+		if _, err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
 		body, err := p.stmt()
@@ -394,7 +394,7 @@ func (p *parser) stmt() (*Stmt, error) {
 			return nil, err
 		}
 		s := p.slab.stmt(Stmt{Kind: SIf, Cond: cond, Body: body, Line: line})
-		if ok, err := p.accept(TElse); err != nil {
+		if ok, err := p.accept(tElse); err != nil {
 			return nil, err
 		} else if ok {
 			if s.Else, err = p.stmt(); err != nil {
@@ -403,18 +403,18 @@ func (p *parser) stmt() (*Stmt, error) {
 		}
 		return s, nil
 
-	case TWhile:
+	case tWhile:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TLParen); err != nil {
+		if _, err := p.expect(tLParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TRParen); err != nil {
+		if _, err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
 		body, err := p.stmt()
@@ -423,7 +423,7 @@ func (p *parser) stmt() (*Stmt, error) {
 		}
 		return p.slab.stmt(Stmt{Kind: SWhile, Cond: cond, Body: body, Line: line}), nil
 
-	case TDo:
+	case tDo:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -431,33 +431,33 @@ func (p *parser) stmt() (*Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TWhile); err != nil {
+		if _, err := p.expect(tWhile); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TLParen); err != nil {
+		if _, err := p.expect(tLParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TRParen); err != nil {
+		if _, err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TSemi); err != nil {
+		if _, err := p.expect(tSemi); err != nil {
 			return nil, err
 		}
 		return p.slab.stmt(Stmt{Kind: SDoWhile, Cond: cond, Body: body, Line: line}), nil
 
-	case TFor:
+	case tFor:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TLParen); err != nil {
+		if _, err := p.expect(tLParen); err != nil {
 			return nil, err
 		}
 		s := p.slab.stmt(Stmt{Kind: SFor, Line: line})
-		if p.tok.Kind != TSemi {
+		if p.tok.Kind != tSemi {
 			if isTypeTok(p.tok.Kind) {
 				init, err := p.declStmt()
 				if err != nil {
@@ -470,31 +470,31 @@ func (p *parser) stmt() (*Stmt, error) {
 					return nil, err
 				}
 				s.Init = p.slab.stmt(Stmt{Kind: SExpr, E: e, Line: line})
-				if _, err := p.expect(TSemi); err != nil {
+				if _, err := p.expect(tSemi); err != nil {
 					return nil, err
 				}
 			}
 		} else if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if p.tok.Kind != TSemi {
+		if p.tok.Kind != tSemi {
 			cond, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
 			s.Cond = cond
 		}
-		if _, err := p.expect(TSemi); err != nil {
+		if _, err := p.expect(tSemi); err != nil {
 			return nil, err
 		}
-		if p.tok.Kind != TRParen {
+		if p.tok.Kind != tRParen {
 			post, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
 			s.Post = post
 		}
-		if _, err := p.expect(TRParen); err != nil {
+		if _, err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
 		body, err := p.stmt()
@@ -504,37 +504,37 @@ func (p *parser) stmt() (*Stmt, error) {
 		s.Body = body
 		return s, nil
 
-	case TReturn:
+	case tReturn:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		s := p.slab.stmt(Stmt{Kind: SReturn, Line: line})
-		if p.tok.Kind != TSemi {
+		if p.tok.Kind != tSemi {
 			e, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
 			s.E = e
 		}
-		_, err := p.expect(TSemi)
+		_, err := p.expect(tSemi)
 		return s, err
 
-	case TBreak:
+	case tBreak:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		_, err := p.expect(TSemi)
+		_, err := p.expect(tSemi)
 		return p.slab.stmt(Stmt{Kind: SBreak, Line: line}), err
 
-	case TContinue:
+	case tContinue:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		_, err := p.expect(TSemi)
+		_, err := p.expect(tSemi)
 		return p.slab.stmt(Stmt{Kind: SContinue, Line: line}), err
 	}
 
-	if isTypeTok(p.tok.Kind) || p.tok.Kind == TStatic || p.tok.Kind == TConst {
+	if isTypeTok(p.tok.Kind) || p.tok.Kind == tStatic || p.tok.Kind == tConst {
 		return p.declStmt()
 	}
 
@@ -542,7 +542,7 @@ func (p *parser) stmt() (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TSemi); err != nil {
+	if _, err := p.expect(tSemi); err != nil {
 		return nil, err
 	}
 	return p.slab.stmt(Stmt{Kind: SExpr, E: e, Line: line}), nil
@@ -572,13 +572,13 @@ func (p *parser) declStmt() (*Stmt, error) {
 			}
 		}
 		p.stmts = append(p.stmts, s)
-		if ok, err := p.accept(TComma); err != nil {
+		if ok, err := p.accept(tComma); err != nil {
 			return nil, err
 		} else if !ok {
 			break
 		}
 	}
-	if _, err := p.expect(TSemi); err != nil {
+	if _, err := p.expect(tSemi); err != nil {
 		return nil, err
 	}
 	if len(p.stmts) == first+1 {

@@ -2,9 +2,9 @@ package cc
 
 import "fmt"
 
-// Check resolves names and types the file, inserting implicit conversions
+// check resolves names and types the file, inserting implicit conversions
 // so that the lowering pass sees fully typed, explicitly converted trees.
-func Check(f *File) error {
+func check(f *File) error {
 	s := &sema{file: f.Name, globals: map[string]*Obj{}, slab: &f.slab}
 	for _, g := range f.Globals {
 		if err := s.declare(g); err != nil {
@@ -14,7 +14,7 @@ func Check(f *File) error {
 	for _, fd := range f.Funcs {
 		// A definition may follow its own prototype.
 		if prev := s.lookup(fd.Obj.Name); prev != nil {
-			if prev.Kind != ObjFunc || !prev.Type.Same(fd.Obj.Type) {
+			if prev.Kind != objFunc || !prev.Type.same(fd.Obj.Type) {
 				return s.errf(fd.Line, "redeclaration of %q", fd.Obj.Name)
 			}
 			fd.Obj = prev
@@ -49,7 +49,7 @@ type sema struct {
 }
 
 func (s *sema) errf(line int32, format string, args ...interface{}) error {
-	return &Error{File: s.file, Line: int(line), Msg: fmt.Sprintf(format, args...)}
+	return &posError{File: s.file, Line: int(line), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (s *sema) push() { s.marks = append(s.marks, len(s.locals)) }
@@ -112,7 +112,7 @@ func (s *sema) checkStmt(st *Stmt) error {
 			}
 		}
 	case SDecl:
-		if st.Decl.Type.Kind == KVoid {
+		if st.Decl.Type.Kind == kVoid {
 			return s.errf(st.Line, "void variable %q", st.Decl.Name)
 		}
 		if err := s.declare(st.Decl); err != nil {
@@ -171,12 +171,12 @@ func (s *sema) checkStmt(st *Stmt) error {
 	case SReturn:
 		ret := s.fn.Obj.Type.Elem
 		if st.E == nil {
-			if ret.Kind != KVoid {
+			if ret.Kind != kVoid {
 				return s.errf(st.Line, "return without value in %q", s.fn.Obj.Name)
 			}
 			return nil
 		}
-		if ret.Kind == KVoid {
+		if ret.Kind == kVoid {
 			return s.errf(st.Line, "void function %q returns a value", s.fn.Obj.Name)
 		}
 		if err := s.checkExpr(st.E); err != nil {
@@ -198,7 +198,7 @@ func (s *sema) checkCond(e *Expr) error {
 	if err := s.checkExpr(e); err != nil {
 		return err
 	}
-	if !e.Type.IsScalar() {
+	if !e.Type.isScalar() {
 		return s.errf(e.Line, "condition is not scalar")
 	}
 	return nil
@@ -207,40 +207,40 @@ func (s *sema) checkCond(e *Expr) error {
 // promote applies the integer promotions.
 func promote(t *CType) *CType {
 	switch t.Kind {
-	case KChar, KShort:
-		return TypeInt
+	case kChar, kShort:
+		return typeInt
 	}
 	return t
 }
 
 // usual applies the usual arithmetic conversions.
 func usual(a, b *CType) *CType {
-	if a.Kind == KDouble || b.Kind == KDouble {
-		return TypeDouble
+	if a.Kind == kDouble || b.Kind == kDouble {
+		return typeDouble
 	}
-	if a.Kind == KFloat || b.Kind == KFloat {
-		return TypeFloat
+	if a.Kind == kFloat || b.Kind == kFloat {
+		return typeFloat
 	}
-	if a.Kind == KUnsigned || b.Kind == KUnsigned {
-		return TypeUnsigned
+	if a.Kind == kUnsigned || b.Kind == kUnsigned {
+		return typeUnsigned
 	}
-	return TypeInt
+	return typeInt
 }
 
 // decay converts array-typed expressions to pointers.
 func decay(e *Expr) {
 	if e.Type.Kind == KArray {
-		e.Type = PtrTo(e.Type.Elem)
+		e.Type = ptrTo(e.Type.Elem)
 	}
 }
 
 // convert returns e converted to type ty, inserting a cast node if
 // needed; nil if the conversion is not allowed.
 func (s *sema) convert(e *Expr, ty *CType) *Expr {
-	if e.Type.Same(ty) {
+	if e.Type.same(ty) {
 		return e
 	}
-	if e.Type.IsArith() && ty.IsArith() {
+	if e.Type.isArith() && ty.isArith() {
 		return s.slab.expr(Expr{Kind: ECast, L: e, Type: ty, Line: e.Line})
 	}
 	if e.Type.Kind == KPtr && ty.Kind == KPtr {
@@ -256,7 +256,7 @@ func (s *sema) convert(e *Expr, ty *CType) *Expr {
 func isLvalue(e *Expr) bool {
 	switch e.Kind {
 	case EIdent:
-		return e.Obj != nil && e.Obj.Kind != ObjFunc && e.Obj.Type.Kind != KArray
+		return e.Obj != nil && e.Obj.Kind != objFunc && e.Obj.Type.Kind != KArray
 	case EIndex:
 		return e.Type.Kind != KArray
 	case EUnary:
@@ -294,9 +294,9 @@ func (s *sema) checkExpr(e *Expr) error {
 	}
 	switch e.Kind {
 	case EIntLit:
-		e.Type = TypeInt
+		e.Type = typeInt
 	case EFloatLit:
-		e.Type = TypeDouble
+		e.Type = typeDouble
 
 	case EIdent:
 		o := s.lookup(e.Name)
@@ -309,7 +309,7 @@ func (s *sema) checkExpr(e *Expr) error {
 	case EUnary:
 		switch e.Op {
 		case TMinus:
-			if !e.L.Type.IsArith() {
+			if !e.L.Type.isArith() {
 				return s.errf(e.Line, "bad operand to unary -")
 			}
 			e.L = s.convert(e.L, promote(e.L.Type))
@@ -321,11 +321,11 @@ func (s *sema) checkExpr(e *Expr) error {
 			e.L = s.convert(e.L, promote(e.L.Type))
 			e.Type = e.L.Type
 		case TBang:
-			if !e.L.Type.IsScalar() && e.L.Type.Kind != KArray {
+			if !e.L.Type.isScalar() && e.L.Type.Kind != KArray {
 				return s.errf(e.Line, "bad operand to !")
 			}
 			decay(e.L)
-			e.Type = TypeInt
+			e.Type = typeInt
 		case TStar:
 			decay(e.L)
 			if e.L.Type.Kind != KPtr {
@@ -335,13 +335,13 @@ func (s *sema) checkExpr(e *Expr) error {
 		case TAmp:
 			if e.L.Kind == EIdent && e.L.Obj != nil && e.L.Obj.Type.Kind == KArray {
 				// &array == array address.
-				e.Type = PtrTo(e.L.Obj.Type.Elem)
+				e.Type = ptrTo(e.L.Obj.Type.Elem)
 				return nil
 			}
 			if !isLvalue(e.L) {
 				return s.errf(e.Line, "address of non-lvalue")
 			}
-			e.Type = PtrTo(e.L.Type)
+			e.Type = ptrTo(e.L.Type)
 		}
 
 	case EBinary:
@@ -350,44 +350,44 @@ func (s *sema) checkExpr(e *Expr) error {
 		lt, rt := e.L.Type, e.R.Type
 		switch e.Op {
 		case TOrOr, TAndAnd:
-			if !lt.IsScalar() || !rt.IsScalar() {
+			if !lt.isScalar() || !rt.isScalar() {
 				return s.errf(e.Line, "bad operands to logical operator")
 			}
-			e.Type = TypeInt
+			e.Type = typeInt
 		case TEq, TNe, TLt, TLe, TGt, TGe:
 			if lt.Kind == KPtr && rt.Kind == KPtr {
-				e.Type = TypeInt
+				e.Type = typeInt
 				return nil
 			}
 			if lt.Kind == KPtr && e.R.Kind == EIntLit && e.R.IVal == 0 {
 				e.R = s.convert(e.R, lt)
-				e.Type = TypeInt
+				e.Type = typeInt
 				return nil
 			}
-			if !lt.IsArith() || !rt.IsArith() {
+			if !lt.isArith() || !rt.isArith() {
 				return s.errf(e.Line, "bad operands to comparison")
 			}
 			s.arith(e)
-			e.Type = TypeInt
+			e.Type = typeInt
 		case TPlus, TMinus:
 			// Pointer arithmetic.
 			if lt.Kind == KPtr && rt.IsInteger() {
-				e.R = s.convert(e.R, TypeInt)
+				e.R = s.convert(e.R, typeInt)
 				e.Type = lt
 				return nil
 			}
 			if e.Op == TPlus && lt.IsInteger() && rt.Kind == KPtr {
-				e.L, e.R = e.R, s.convert(e.L, TypeInt)
+				e.L, e.R = e.R, s.convert(e.L, typeInt)
 				e.Type = e.L.Type
 				return nil
 			}
 			if e.Op == TMinus && lt.Kind == KPtr && rt.Kind == KPtr {
-				e.Type = TypeInt
+				e.Type = typeInt
 				return nil
 			}
 			fallthrough
 		case TStar, TSlash:
-			if !lt.IsArith() || !rt.IsArith() {
+			if !lt.isArith() || !rt.isArith() {
 				return s.errf(e.Line, "bad operands to %s", e.Op)
 			}
 			e.Type = s.arith(e)
@@ -418,7 +418,7 @@ func (s *sema) checkExpr(e *Expr) error {
 				e.Type = e.L.Type
 				return nil
 			}
-			if !e.L.Type.IsArith() || !e.R.Type.IsArith() {
+			if !e.L.Type.isArith() || !e.R.Type.isArith() {
 				return s.errf(e.Line, "bad operands to compound assignment")
 			}
 		}
@@ -430,9 +430,9 @@ func (s *sema) checkExpr(e *Expr) error {
 	case ECond:
 		decay(e.L)
 		decay(e.R)
-		if e.L.Type.IsArith() && e.R.Type.IsArith() {
+		if e.L.Type.isArith() && e.R.Type.isArith() {
 			e.Type = s.arith(e)
-		} else if e.L.Type.Same(e.R.Type) {
+		} else if e.L.Type.same(e.R.Type) {
 			e.Type = e.L.Type
 		} else {
 			return s.errf(e.Line, "mismatched ?: arms")
@@ -446,7 +446,7 @@ func (s *sema) checkExpr(e *Expr) error {
 		if o == nil {
 			return s.errf(e.Line, "call to undeclared function %q", e.L.Name)
 		}
-		if o.Type.Kind != KFunc {
+		if o.Type.Kind != kFunc {
 			return s.errf(e.Line, "%q is not a function", e.L.Name)
 		}
 		e.L.Obj = o
@@ -474,16 +474,16 @@ func (s *sema) checkExpr(e *Expr) error {
 		if !e.R.Type.IsInteger() {
 			return s.errf(e.Line, "array index is not an integer")
 		}
-		e.R = s.convert(e.R, TypeInt)
+		e.R = s.convert(e.R, typeInt)
 		e.Type = lt.Elem
 
 	case ECast:
 		decay(e.L)
 		// The parser put the cast's target in Type.
-		if !e.Type.IsScalar() && e.Type.Kind != KVoid {
+		if !e.Type.isScalar() && e.Type.Kind != kVoid {
 			return s.errf(e.Line, "bad cast target %s", e.Type)
 		}
-		if !e.L.Type.IsScalar() {
+		if !e.L.Type.isScalar() {
 			return s.errf(e.Line, "bad cast operand")
 		}
 		if e.L.Type.Kind == KPtr && e.Type.IsFloat() ||
@@ -495,7 +495,7 @@ func (s *sema) checkExpr(e *Expr) error {
 		if !isLvalue(e.L) {
 			return s.errf(e.Line, "++/-- of non-lvalue")
 		}
-		if !e.L.Type.IsScalar() {
+		if !e.L.Type.isScalar() {
 			return s.errf(e.Line, "++/-- of non-scalar")
 		}
 		e.Type = e.L.Type

@@ -21,9 +21,9 @@ type EdgeType uint8
 
 const (
 	True   EdgeType = 1 // value flows producer -> consumer
-	Memory EdgeType = 2 // memory reference ordering
-	Anti   EdgeType = 3 // anti / output dependence
-	Extra  EdgeType = 4 // branch-last and temporal-protection edges
+	memory EdgeType = 2 // memory reference ordering
+	anti   EdgeType = 3 // anti / output dependence
+	extra  EdgeType = 4 // branch-last and temporal-protection edges
 )
 
 // Edge is one dependence edge. It is twelve bytes: a long i860 block has
@@ -353,16 +353,16 @@ func (s *Scratch) Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 			writes := tmpl.WritesMem || tmpl.IsCall
 			if reads && !writes {
 				if lastMemWrite >= 0 {
-					s.add(lastMemWrite, i, 1, Memory, -1)
+					s.add(lastMemWrite, i, 1, memory, -1)
 				}
 				memReads = append(memReads, i)
 			}
 			if writes {
 				if lastMemWrite >= 0 {
-					s.add(lastMemWrite, i, 1, Memory, -1)
+					s.add(lastMemWrite, i, 1, memory, -1)
 				}
 				for _, r := range memReads {
-					s.add(r, i, 1, Memory, -1)
+					s.add(r, i, 1, memory, -1)
 				}
 				newMemWrite = i
 			}
@@ -373,10 +373,10 @@ func (s *Scratch) Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 				if !opts.NoAnti {
 					r := regs[d.Key]
 					if r.def != 0 {
-						s.add(int(r.def-1), i, 1, Anti, -1) // output dependence
+						s.add(int(r.def-1), i, 1, anti, -1) // output dependence
 					}
 					for l := r.firstUse; l != 0; l = readers[l-1].next {
-						s.add(int(readers[l-1].node), i, 0, Anti, -1) // anti dependence
+						s.add(int(readers[l-1].node), i, 0, anti, -1) // anti dependence
 					}
 				}
 				defUpds = append(defUpds, defUpd{d.Key, i, d.Op})
@@ -415,7 +415,7 @@ func (s *Scratch) Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 	if n > 0 && b.Insts[n-1].Tmpl.Transfers() {
 		for i := 0; i < n-1; i++ {
 			if s.out[i] == 0 {
-				s.add(i, n-1, 0, Extra, -1)
+				s.add(i, n-1, 0, extra, -1)
 			}
 		}
 	}

@@ -104,7 +104,7 @@ func TestAuxLatencyOverride(t *testing.T) {
 	// t1 is undefined here, so the only edge is the memory edge.
 	g2 := Build(m, b2, Options{})
 	e2, ok := findEdge(g2, 0, 1)
-	if !ok || e2.Type != Memory {
+	if !ok || e2.Type != memory {
 		t.Fatalf("expected memory edge, got %+v ok=%v", e2, ok)
 	}
 }
@@ -121,10 +121,10 @@ func TestMemoryEdges(t *testing.T) {
 		asm.New(ld, asm.Reg(2), asm.Phys(fp), asm.Imm(16)), // 2: load after store
 	)
 	g := Build(m, b, Options{})
-	if e, ok := findEdge(g, 0, 1); !ok || e.Type != Memory {
+	if e, ok := findEdge(g, 0, 1); !ok || e.Type != memory {
 		t.Errorf("load->store edge missing: %+v %v", e, ok)
 	}
-	if e, ok := findEdge(g, 1, 2); !ok || e.Type != Memory {
+	if e, ok := findEdge(g, 1, 2); !ok || e.Type != memory {
 		t.Errorf("store->load edge missing: %+v %v", e, ok)
 	}
 	if _, ok := findEdge(g, 0, 2); ok {
@@ -141,10 +141,10 @@ func TestAntiAndOutputEdges(t *testing.T) {
 		asm.New(add, asm.Reg(0), asm.Reg(4), asm.Reg(4)), // 2: redef t0
 	)
 	g := Build(m, b, Options{})
-	if e, ok := findEdge(g, 1, 2); !ok || e.Type != Anti || e.Latency != 0 {
+	if e, ok := findEdge(g, 1, 2); !ok || e.Type != anti || e.Latency != 0 {
 		t.Errorf("anti edge use->redef: %+v %v", e, ok)
 	}
-	if e, ok := findEdge(g, 0, 2); !ok || e.Type != Anti || e.Latency != 1 {
+	if e, ok := findEdge(g, 0, 2); !ok || e.Type != anti || e.Latency != 1 {
 		t.Errorf("output edge def->redef: %+v %v", e, ok)
 	}
 	g2 := Build(m, b, Options{NoAnti: true})

@@ -69,8 +69,8 @@ func (s *Scratch) protect() {
 		if reach.reaches(int(from), int(h)) {
 			return // by a path: the edge would constrain nothing
 		}
-		s.link(&g.Nodes[from].Succs, Edge{To: h, Type: Extra, Clock: -1})
-		s.link(&g.Nodes[h].Preds, Edge{To: from, Type: Extra, Clock: -1})
+		s.link(&g.Nodes[from].Succs, Edge{To: h, Type: extra, Clock: -1})
+		s.link(&g.Nodes[h].Preds, Edge{To: from, Type: extra, Clock: -1})
 		reach.addEdge(int(from), int(h))
 	}
 	// entry handles the alternate entry from y into h's sequence.

@@ -113,9 +113,9 @@ type Result struct {
 	RequestIDs []string
 }
 
-// Retryable reports whether a status is worth retrying under the
+// retryable reports whether a status is worth retrying under the
 // server's shedding contract.
-func Retryable(status int) bool {
+func retryable(status int) bool {
 	switch status {
 	case http.StatusTooManyRequests, http.StatusBadGateway,
 		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
@@ -166,7 +166,7 @@ func (c *Client) Compile(ctx context.Context, req *server.CompileRequest, deadli
 				res.Retries++
 				continue
 			}
-			if !Retryable(resp.StatusCode) || attempt >= c.cfg.MaxRetries {
+			if !retryable(resp.StatusCode) || attempt >= c.cfg.MaxRetries {
 				return res, nil
 			}
 			if werr := c.sleep(ctx, c.backoff(attempt, retryAfter)); werr != nil {

@@ -1,6 +1,6 @@
 // Package core keeps the three names the benchmark module (bench/)
 // still imports, as aliases of package marion, which owns the code
-// generator. ROADMAP item 1 moves bench/ onto package marion and
+// generator. ROADMAP item 2 moves bench/ onto package marion and
 // deletes this package.
 package core
 

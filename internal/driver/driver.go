@@ -29,11 +29,11 @@ import (
 )
 
 // DataBase is the absolute address where globals are laid out, and
-// DataEnd the address they must end by: the shipped descriptions
+// dataEnd the address they must end by: the shipped descriptions
 // address memory m[0:2147483647].
 const (
 	DataBase = 0x2000
-	DataEnd  = 1 << 31
+	dataEnd  = 1 << 31
 )
 
 // Config is the back end's option set. It is declared once, in
@@ -146,9 +146,9 @@ func CompileModuleCtx(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg 
 		if size == 0 {
 			size = 8
 		}
-		if size < 0 || size > DataEnd-addr {
+		if size < 0 || size > dataEnd-addr {
 			return nil, fmt.Errorf("%s: global %s (%d bytes at %d) does not fit the data space [%d, %d)",
-				mod.Name, g.Name, size, addr, DataBase, DataEnd)
+				mod.Name, g.Name, size, addr, DataBase, dataEnd)
 		}
 		addr += size
 		out.Prog.Globals = append(out.Prog.Globals, g)

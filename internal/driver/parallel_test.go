@@ -176,7 +176,7 @@ func brokenModule(broken ...string) *ir.Module {
 	good := ir.NewFunc("ok", ir.I32)
 	gb := good.NewBlock()
 	ret := &ir.Node{Op: ir.Ret, Type: ir.I32}
-	ret.Kids = []*ir.Node{ir.NewConst(ir.I32, 7)}
+	ret.Kids = []*ir.Node{new(ir.Slab).Const(ir.I32, 7)}
 	gb.Stmts = append(gb.Stmts, ret)
 	good.Blocks = append(good.Blocks, gb)
 	mod.Funcs = append(mod.Funcs, good)

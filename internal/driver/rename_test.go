@@ -106,7 +106,11 @@ func TestTextOnlyHitRefused(t *testing.T) {
 	if _, err := sim.New(warm.Prog, sim.Options{}).Run(f.Name); err == nil {
 		t.Error("the simulator ran a text-only function")
 	}
-	if rep := verify.Program(warm.Prog, verify.Options{}); len(rep.Findings) != len(warm.Prog.Funcs) {
+	rep := &verify.Report{}
+	for _, f := range warm.Prog.Funcs {
+		rep.Merge(verify.Func(warm.Prog.Machine, f, verify.Options{}))
+	}
+	if len(rep.Findings) != len(warm.Prog.Funcs) {
 		t.Errorf("the verifier reported %d findings for %d text-only functions:\n%s", len(rep.Findings), len(warm.Prog.Funcs), rep)
 	}
 }

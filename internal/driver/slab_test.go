@@ -74,7 +74,7 @@ func checkKidLists(t *testing.T, name string, mod *ir.Module) {
 		}
 		was[i], kids[i] = n.Kids, slices.Clone(n.Kids)
 	}
-	extra := ir.NewConst(ir.I32, 0)
+	extra := new(ir.Slab).Const(ir.I32, 0)
 	for _, n := range nodes {
 		n.Kids = append(n.Kids, extra)
 	}

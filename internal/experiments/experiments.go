@@ -18,9 +18,9 @@ import (
 	"marion/internal/targets"
 )
 
-// ClockHz is the paper's DECstation 5000 clock (25 MHz), used to report
+// clockHz is the paper's DECstation 5000 clock (25 MHz), used to report
 // simulated cycles as seconds like Table 4.
-const ClockHz = 25e6
+const clockHz = 25e6
 
 // ---------------------------------------------------------------------
 // Table 1 — machine description statistics.
@@ -100,11 +100,11 @@ type Table3Row struct {
 	Dilation  float64       // executed / generated
 }
 
-// CompileSuite compiles the whole Livermore suite for one target and
+// compileSuite compiles the whole Livermore suite for one target and
 // strategy. workers bounds the parallel per-function back end
 // (<= 0 means GOMAXPROCS); the generated code is identical for any
 // worker count.
-func CompileSuite(target string, kind strategy.Kind, workers int) ([]*driver.Compiled, error) {
+func compileSuite(target string, kind strategy.Kind, workers int) ([]*driver.Compiled, error) {
 	var out []*driver.Compiled
 	for i := range livermore.Kernels {
 		k := &livermore.Kernels[i]
@@ -128,7 +128,7 @@ func Table3(targetNames []string, strategies []strategy.Kind, workers int) ([]Ta
 		for _, st := range strategies {
 			row := Table3Row{Target: tn, Strategy: st}
 			start := time.Now()
-			compiled, err := CompileSuite(tn, st, workers)
+			compiled, err := compileSuite(tn, st, workers)
 			if err != nil {
 				return nil, err
 			}
@@ -181,8 +181,8 @@ type Table4Row struct {
 	Ratio [3]float64
 }
 
-// Table4Strategies orders the strategy columns.
-var Table4Strategies = []strategy.Kind{strategy.Postpass, strategy.IPS, strategy.RASE}
+// table4Strategies orders the strategy columns.
+var table4Strategies = []strategy.Kind{strategy.Postpass, strategy.IPS, strategy.RASE}
 
 // Table4 reproduces Table 4 on the given target.
 func Table4(target string, loops int) ([]Table4Row, error) {
@@ -190,7 +190,7 @@ func Table4(target string, loops int) ([]Table4Row, error) {
 	for i := range livermore.Kernels {
 		k := &livermore.Kernels[i]
 		row := Table4Row{Kernel: k.ID}
-		for si, st := range Table4Strategies {
+		for si, st := range table4Strategies {
 			c, err := livermore.Build(k, target, st)
 			if err != nil {
 				return nil, fmt.Errorf("loop%d/%s: %w", k.ID, st, err)
@@ -206,7 +206,7 @@ func Table4(target string, loops int) ([]Table4Row, error) {
 				est += int64(blk.SchedCost) * n
 			}
 			actual := stats.Cycles
-			row.Exec[si] = float64(actual) / ClockHz
+			row.Exec[si] = float64(actual) / clockHz
 			if est > 0 {
 				row.Ratio[si] = float64(actual) / float64(est)
 			}

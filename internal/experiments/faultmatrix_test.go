@@ -49,13 +49,13 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, site := range faults.Sites() {
-				for _, mode := range faults.Modes() {
-					set, err := faults.Parse(site + ":" + mode.String())
+				for _, mode := range []string{"panic", "err", "hang"} {
+					set, err := faults.Parse(site + ":" + mode)
 					if err != nil {
 						t.Fatal(err)
 					}
 					var budget time.Duration
-					if mode == faults.Hang {
+					if mode == "hang" {
 						budget = chaosBudget
 					}
 					for _, st := range strats {

@@ -31,7 +31,7 @@
 // so a spec misbehaves identically on every run.
 //
 // Beyond the pipeline sites (Sites), the compile service arms faults at
-// server-level sites (ServeSites): mariond fires "serve" around each
+// server-level sites (serveSites, only "serve"): mariond fires it around each
 // admitted request, with the breaker key (target/strategy) as the
 // function name and the per-key request sequence number as the index.
 // `serve:err@fn=r2000/rase@max=3` therefore makes exactly the first
@@ -50,13 +50,13 @@ import (
 type Mode uint8
 
 const (
-	None Mode = iota
-	Panic
-	Error
-	Hang
+	modeNone Mode = iota
+	modePanic
+	modeError
+	modeHang
 )
 
-var modeNames = map[Mode]string{Panic: "panic", Error: "err", Hang: "hang"}
+var modeNames = map[Mode]string{modePanic: "panic", modeError: "err", modeHang: "hang"}
 
 func (m Mode) String() string {
 	if n, ok := modeNames[m]; ok {
@@ -65,17 +65,14 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
-// Modes lists the injectable fault modes.
-func Modes() []Mode { return []Mode{Panic, Error, Hang} }
-
-// ParseMode converts a mode name.
-func ParseMode(s string) (Mode, error) {
+// parseMode converts a mode name.
+func parseMode(s string) (Mode, error) {
 	for m, n := range modeNames {
 		if n == s {
 			return m, nil
 		}
 	}
-	return None, fmt.Errorf("unknown fault mode %q (want panic, err, hang)", s)
+	return modeNone, fmt.Errorf("unknown fault mode %q (want panic, err, hang)", s)
 }
 
 // Sites is the PIPELINE injection-site catalogue: every named point in
@@ -86,12 +83,12 @@ func Sites() []string {
 	return []string{"xform", "select", "strategy", "sched", "regalloc", "frame", "verify"}
 }
 
-// ServeSites is the server-level catalogue: sites fired by mariond
+// serveSites is the server-level catalogue: sites fired by mariond
 // around request handling rather than inside the back end, so chaos
 // specs can fail whole requests (and trip circuit breakers)
 // deterministically. They are accepted by Parse but excluded from
 // Sites so the pipeline chaos sweep's axis is unchanged.
-func ServeSites() []string { return []string{"serve"} }
+func serveSites() []string { return []string{"serve"} }
 
 func knownSite(s string) bool {
 	for _, k := range Sites() {
@@ -99,7 +96,7 @@ func knownSite(s string) bool {
 			return true
 		}
 	}
-	for _, k := range ServeSites() {
+	for _, k := range serveSites() {
 		if k == s {
 			return true
 		}
@@ -183,7 +180,7 @@ func Parse(spec string) (*Set, error) {
 			return nil, fmt.Errorf("fault %q: unknown site %q (want %s)",
 				entry, f.Site, strings.Join(Sites(), ", "))
 		}
-		mode, err := ParseMode(head[colon+1:])
+		mode, err := parseMode(head[colon+1:])
 		if err != nil {
 			return nil, fmt.Errorf("fault %q: %w", entry, err)
 		}
@@ -236,13 +233,13 @@ func (e *InjectedError) Error() string {
 	return fmt.Sprintf("injected fault at %s (%s)", e.Site, e.Fn)
 }
 
-// InjectedPanic is the value a panic-mode fault panics with.
-type InjectedPanic struct {
+// injectedPanic is the value a panic-mode fault panics with.
+type injectedPanic struct {
 	Site string
 	Fn   string
 }
 
-func (p *InjectedPanic) String() string {
+func (p *injectedPanic) String() string {
 	return fmt.Sprintf("injected panic at %s (%s)", p.Site, p.Fn)
 }
 
@@ -269,10 +266,10 @@ func New(set *Set, ctx context.Context, fn string, index, attempt int) *Injector
 	return &Injector{set: set, ctx: ctx, fn: fn, index: index, attempt: attempt}
 }
 
-// Mode probes the armed mode at a site without firing it.
-func (in *Injector) Mode(site string) Mode {
+// mode probes the armed mode at a site without firing it.
+func (in *Injector) mode(site string) Mode {
 	if in == nil {
-		return None
+		return modeNone
 	}
 	for i := range in.set.Faults {
 		f := &in.set.Faults[i]
@@ -280,11 +277,11 @@ func (in *Injector) Mode(site string) Mode {
 			return f.Mode
 		}
 	}
-	return None
+	return modeNone
 }
 
 // Fire triggers any fault armed at the site: panic-mode faults panic
-// with an *InjectedPanic, err-mode faults return an *InjectedError, and
+// with an *injectedPanic, err-mode faults return an *InjectedError, and
 // hang-mode faults block until the attempt's context is done, then
 // return its error (a deadline when a budget is set) wrapped with the
 // site name.
@@ -292,12 +289,12 @@ func (in *Injector) Fire(site string) error {
 	if in == nil {
 		return nil
 	}
-	switch in.Mode(site) {
-	case Panic:
-		panic(&InjectedPanic{Site: site, Fn: in.fn})
-	case Error:
+	switch in.mode(site) {
+	case modePanic:
+		panic(&injectedPanic{Site: site, Fn: in.fn})
+	case modeError:
 		return &InjectedError{Site: site, Fn: in.fn}
-	case Hang:
+	case modeHang:
 		<-in.ctx.Done()
 		return fmt.Errorf("injected hang at %s (%s): %w", site, in.fn, in.ctx.Err())
 	}

@@ -24,11 +24,11 @@ func TestParseEmptyAndSpecs(t *testing.T) {
 		t.Fatalf("faults = %d, want 3", len(set.Faults))
 	}
 	f := set.Faults[0]
-	if f.Site != "select" || f.Mode != Panic || f.Fn != "3" || f.All {
+	if f.Site != "select" || f.Mode != modePanic || f.Fn != "3" || f.All {
 		t.Errorf("fault 0 = %+v", f)
 	}
 	f = set.Faults[2]
-	if f.Site != "regalloc" || f.Mode != Error || f.Fn != "inner" || !f.All {
+	if f.Site != "regalloc" || f.Mode != modeError || f.Fn != "inner" || !f.All {
 		t.Errorf("fault 2 = %+v", f)
 	}
 
@@ -111,7 +111,7 @@ func TestInjectorPanicMode(t *testing.T) {
 	in := New(set, context.Background(), "f", 0, 0)
 	defer func() {
 		v := recover()
-		p, ok := v.(*InjectedPanic)
+		p, ok := v.(*injectedPanic)
 		if !ok || p.Site != "xform" || p.Fn != "f" {
 			t.Errorf("recovered %#v", v)
 		}
@@ -135,7 +135,7 @@ func TestInjectorHangMode(t *testing.T) {
 
 func TestNilInjectorIsNoOp(t *testing.T) {
 	var in *Injector
-	if in.Mode("select") != None {
+	if in.mode("select") != modeNone {
 		t.Error("nil injector has a mode")
 	}
 	if err := in.Fire("select"); err != nil {
@@ -185,7 +185,7 @@ func TestServeSiteAndMax(t *testing.T) {
 			t.Error("serve leaked into the pipeline site catalogue")
 		}
 	}
-	if len(ServeSites()) == 0 {
+	if len(serveSites()) == 0 {
 		t.Error("no serve sites")
 	}
 

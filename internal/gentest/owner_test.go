@@ -2,50 +2,53 @@ package gentest
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
 
+// corpusNames returns the string literals in f that name a fixture or
+// the examples directory.
+func corpusNames(f GoFile) []*ast.BasicLit {
+	forbidden := []string{BigBlock, Pressure, "testdata/serve", "examples/c"}
+	var bad []*ast.BasicLit
+	ast.Inspect(f.AST, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			s, _ := strconv.Unquote(lit.Value)
+			for _, name := range forbidden {
+				if strings.Contains(s, name) {
+					bad = append(bad, lit)
+					break
+				}
+			}
+		}
+		return true
+	})
+	return bad
+}
+
 // TestCorpusHasOneOwner keeps private corpus loaders from growing back:
 // no _test.go file outside this package may name a fixture or the
 // examples directory in a string literal.
 func TestCorpusHasOneOwner(t *testing.T) {
-	forbidden := []string{BigBlock, Pressure, "testdata/serve", "examples/c"}
-	fset := token.NewFileSet()
-	files := 0
-	err := filepath.WalkDir(root(), func(path string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir() && (d.Name() == "gentest" || strings.HasPrefix(d.Name(), ".")):
-			return filepath.SkipDir
-		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
-			return nil
+	t.Run("planted", func(t *testing.T) {
+		f := Planted(t, "internal/p/p_test.go", `package p
+var a = "../gentest/testdata/bigblock.c"
+var b = "../../examples/c/*.c"
+var c = "serve"`)
+		if got := len(corpusNames(f)); got != 2 {
+			t.Fatalf("found %d of the 2 planted corpus names", got)
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files++
-		ast.Inspect(f, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				s, _ := strconv.Unquote(lit.Value)
-				for _, name := range forbidden {
-					if strings.Contains(s, name) {
-						t.Errorf("%s: %q names %s: range over gentest.Golden, Serve or Generated", fset.Position(lit.Pos()), s, name)
-					}
-				}
-			}
-			return true
-		})
-		return nil
 	})
-	if err != nil || files < 50 {
-		t.Fatalf("%d test files scanned: %v", files, err)
+
+	fset := token.NewFileSet()
+	for _, f := range TestFiles(t, fset) {
+		if f.Dir == "internal/gentest" {
+			continue
+		}
+		for _, lit := range corpusNames(f) {
+			t.Errorf("%s: %s names the corpus: range over gentest.Golden, Serve or Generated", fset.Position(lit.Pos()), lit.Value)
+		}
 	}
 }

@@ -122,10 +122,11 @@ func TestCSEMatchesReference(t *testing.T) {
 // different values (1/x tells them apart), and a NaN is the same value
 // as itself although it compares unequal.
 func TestCSEConstantsByBits(t *testing.T) {
+	var slab ir.Slab
 	nan := math.NaN()
 	negZero := math.Copysign(0, -1)
 	store := func(v float64) *ir.Node {
-		return ir.New(ir.Store, ir.F64, ir.New(ir.Frame, ir.Ptr), ir.NewFConst(ir.F64, v))
+		return slab.New(ir.Store, ir.F64, slab.New(ir.Frame, ir.Ptr), slab.FConst(ir.F64, v))
 	}
 	b := &ir.Block{Stmts: []*ir.Node{store(0), store(negZero), store(0), store(nan), store(nan), store(1.5), store(1.5)}}
 	ilgen.CSEFunc(new(ilgen.CSETable), []*ir.Block{b}, 0)

@@ -42,7 +42,7 @@ func TestLowerSimpleAdd(t *testing.T) {
 	if len(fn.ParamRegs) != 2 || fn.ParamRegs[0] == ir.NoReg {
 		t.Fatalf("param regs = %v", fn.ParamRegs)
 	}
-	entry := fn.Entry()
+	entry := fn.Blocks[0]
 	last := entry.Stmts[len(entry.Stmts)-1]
 	if last.Op != ir.Ret || len(last.Kids) != 1 || last.Kids[0].Op != ir.Add {
 		t.Errorf("unexpected entry block:\n%s", dumpFunc(fn))
@@ -67,7 +67,7 @@ void set(int i, double v) { x[i] = v; n = i; }
 		t.Errorf("no store emitted:\n%s", d)
 	}
 	// x[i] address should be Addr(x) + (i << 3).
-	st := fn.Entry().Stmts[0]
+	st := fn.Blocks[0].Stmts[0]
 	if st.Op != ir.Store {
 		t.Fatalf("first stmt = %v", st)
 	}
@@ -210,7 +210,7 @@ int f(int i) { g = i++; return i; }
 	d := dumpFunc(fn)
 	// The store to g must use the OLD value: a temp captured before the
 	// increment.
-	entry := fn.Entry()
+	entry := fn.Blocks[0]
 	if len(entry.Stmts) < 3 {
 		t.Fatalf("stmts:\n%s", d)
 	}
@@ -222,8 +222,8 @@ int f(int i) { g = i++; return i; }
 func TestLowerConstFold(t *testing.T) {
 	m := lower(t, `int f() { return 2 + 3 * 4; }`)
 	fn := m.Lookup("f")
-	ret := fn.Entry().Stmts[0]
-	if ret.Op != ir.Ret || !ret.Kids[0].IsIntConst(14) {
+	ret := fn.Blocks[0].Stmts[0]
+	if ret.Op != ir.Ret || ret.Kids[0].Op != ir.Const || ret.Kids[0].IVal != 14 {
 		t.Errorf("not folded: %v", ret)
 	}
 }
@@ -231,7 +231,7 @@ func TestLowerConstFold(t *testing.T) {
 func TestLowerPointerArith(t *testing.T) {
 	m := lower(t, `double f(double *p, int i) { return *(p + i); }`)
 	fn := m.Lookup("f")
-	ret := fn.Entry().Stmts[len(fn.Entry().Stmts)-1]
+	ret := fn.Blocks[0].Stmts[len(fn.Blocks[0].Stmts)-1]
 	ld := ret.Kids[0]
 	if ld.Op != ir.Load {
 		t.Fatalf("ret kid = %v", ld)
@@ -253,7 +253,7 @@ double u[4][3];
 double get(int i, int j) { return u[i][j]; }
 `)
 	fn := m.Lookup("get")
-	ret := fn.Entry().Stmts[len(fn.Entry().Stmts)-1]
+	ret := fn.Blocks[0].Stmts[len(fn.Blocks[0].Stmts)-1]
 	if ret.Kids[0].Op != ir.Load {
 		t.Fatalf("expected load, got %v", ret.Kids[0])
 	}

@@ -38,12 +38,13 @@ func corpus(t testing.TB) []*ir.Module {
 func callTwice() *ir.Func {
 	fn := ir.NewFunc("f", ir.I32)
 	r := fn.NewReg(ir.I32, "r")
-	arg := ir.New(ir.Add, ir.I32, ir.NewReg(ir.I32, r), ir.NewConst(ir.I32, 1))
+	var slab ir.Slab
+	arg := slab.New(ir.Add, ir.I32, slab.Reg(ir.I32, r), slab.Const(ir.I32, 1))
 	call := &ir.Node{Op: ir.Call, Type: ir.I32, Sym: &ir.Sym{Name: "g", Kind: ir.SymFunc}, Kids: []*ir.Node{arg, arg}}
 	b0, b1 := fn.NewBlock(), fn.NewBlock()
 	b0.AddEdge(b1)
 	b0.Stmts = []*ir.Node{call, {Op: ir.Asgn, Type: ir.I32, Reg: r, Kids: []*ir.Node{call}}}
-	b1.Stmts = []*ir.Node{{Op: ir.Ret, Type: ir.I32, Kids: []*ir.Node{ir.NewReg(ir.I32, r)}}}
+	b1.Stmts = []*ir.Node{{Op: ir.Ret, Type: ir.I32, Kids: []*ir.Node{slab.Reg(ir.I32, r)}}}
 	return fn
 }
 
@@ -55,7 +56,7 @@ func undeclared() *ir.Func {
 	fn.ParamRegs = []ir.RegID{ir.NoReg, 7}
 	b := fn.NewBlock()
 	b.Stmts = []*ir.Node{
-		{Op: ir.Asgn, Type: ir.I32, Reg: 7, Kids: []*ir.Node{ir.NewReg(ir.I32, 9)}},
+		{Op: ir.Asgn, Type: ir.I32, Reg: 7, Kids: []*ir.Node{new(ir.Slab).Reg(ir.I32, 9)}},
 		{Op: ir.Asgn, Type: ir.I32, Reg: 9, Kids: []*ir.Node{{Op: ir.Addr, Type: ir.Ptr}}},
 		{Op: ir.Ret},
 	}

@@ -158,6 +158,7 @@ func TestFingerprintSensitiveToSemantics(t *testing.T) {
 // into registers), so a shared subtree must fingerprint differently
 // from an unshared but structurally equal tree.
 func TestFingerprintSensitiveToSharing(t *testing.T) {
+	var slab ir.Slab
 	build := func(share bool) *ir.Func {
 		fn := ir.NewFunc("f", ir.I32)
 		r0 := fn.NewReg(ir.I32, "a")
@@ -165,14 +166,14 @@ func TestFingerprintSensitiveToSharing(t *testing.T) {
 		dst := fn.NewReg(ir.I32, "x")
 		b := fn.NewBlock()
 		mk := func() *ir.Node {
-			return ir.New(ir.Mul, ir.I32, ir.NewReg(ir.I32, r0), ir.NewReg(ir.I32, r1))
+			return slab.New(ir.Mul, ir.I32, slab.Reg(ir.I32, r0), slab.Reg(ir.I32, r1))
 		}
 		l := mk()
 		r := mk()
 		if share {
 			r = l
 		}
-		sum := ir.New(ir.Add, ir.I32, l, r)
+		sum := slab.New(ir.Add, ir.I32, l, r)
 		b.Stmts = []*ir.Node{{Op: ir.Asgn, Type: ir.I32, Reg: dst, Kids: []*ir.Node{sum}}}
 		return fn
 	}
@@ -199,8 +200,9 @@ func TestCloneKeepsFingerprint(t *testing.T) {
 
 // Node.Clone must preserve sharing within the cloned expression DAG.
 func TestNodeCloneKeepsSharing(t *testing.T) {
-	shared := ir.New(ir.Mul, ir.I32, ir.NewReg(ir.I32, 0), ir.NewReg(ir.I32, 1))
-	sum := ir.New(ir.Add, ir.I32, shared, shared)
+	var slab ir.Slab
+	shared := slab.New(ir.Mul, ir.I32, slab.Reg(ir.I32, 0), slab.Reg(ir.I32, 1))
+	sum := slab.New(ir.Add, ir.I32, shared, shared)
 	c := sum.Clone()
 	if c.Kids[0] != c.Kids[1] {
 		t.Fatal("Node.Clone un-shared a common subexpression")

@@ -138,15 +138,6 @@ func (op Op) String() string {
 // IsRel reports whether op is a relational comparison operator.
 func (op Op) IsRel() bool { return op >= Eq && op <= Ge }
 
-// IsStmt reports whether op can only appear as a statement root.
-func (op Op) IsStmt() bool {
-	switch op {
-	case Store, Asgn, Branch, Jump, Call, Ret:
-		return true
-	}
-	return false
-}
-
 // Commutative reports whether the operator is commutative on its kids.
 func (op Op) Commutative() bool {
 	switch op {
@@ -236,31 +227,8 @@ func (w Walk) Number(n *Node, next uint32) uint32 {
 	return n.num
 }
 
-// The package-level constructors build one node on its own, for tests
-// and hand-built IL; a front end builds from its Slab instead.
-
-// NewConst returns an integer constant node of the given type.
-func NewConst(t Type, v int64) *Node { return new(Slab).Const(t, v) }
-
-// NewFConst returns a floating constant node of the given type.
-func NewFConst(t Type, v float64) *Node { return new(Slab).FConst(t, v) }
-
-// NewReg returns a pseudo-register reference.
-func NewReg(t Type, r RegID) *Node { return new(Slab).Reg(t, r) }
-
-// NewAddr returns an address-of-symbol leaf.
-func NewAddr(s *Sym) *Node { return new(Slab).Addr(s) }
-
-// New returns an operator node.
-func New(op Op, t Type, kids ...*Node) *Node { return new(Slab).New(op, t, kids...) }
-
 // IsConst reports whether n is a constant node.
 func (n *Node) IsConst() bool { return n.Op == Const }
-
-// IsIntConst reports whether n is an integer constant with value v.
-func (n *Node) IsIntConst(v int64) bool {
-	return n.Op == Const && n.Type.IsInt() && n.IVal == v
-}
 
 // Clone returns a deep copy of the expression DAG rooted at n. Sharing
 // is preserved: a subtree reachable along more than one path (a local
@@ -459,9 +427,6 @@ func (f *Func) NewBlock() *Block {
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
-
-// Entry returns the function's entry block.
-func (f *Func) Entry() *Block { return f.Blocks[0] }
 
 // SetNextBlockID sets the ID the next NewBlock call will allocate.
 // Reconstruction paths (the textual IL parser) use it to restore the

@@ -35,30 +35,27 @@ func TestOpClassification(t *testing.T) {
 	if Add.IsRel() || Cmp.IsRel() {
 		t.Error("non-relational misclassified")
 	}
-	for _, op := range []Op{Store, Asgn, Branch, Jump, Call, Ret} {
-		if !op.IsStmt() {
-			t.Errorf("%s should be a statement", op)
-		}
-	}
 	if !Add.Commutative() || Sub.Commutative() || Shl.Commutative() {
 		t.Error("commutativity wrong")
 	}
 }
 
 func TestNodeStringForms(t *testing.T) {
-	n := New(Add, I32, NewConst(I32, 1), NewReg(I32, 3))
+	var slab Slab
+	n := slab.New(Add, I32, slab.Const(I32, 1), slab.Reg(I32, 3))
 	if got := n.String(); got != "(1 + t3)" {
 		t.Errorf("string = %q", got)
 	}
 	s := &Sym{Name: "g"}
-	ld := New(Load, F64, New(Add, Ptr, NewAddr(s), NewConst(I32, 8)))
+	ld := slab.New(Load, F64, slab.New(Add, Ptr, slab.Addr(s), slab.Const(I32, 8)))
 	if !strings.Contains(ld.String(), "&g") {
 		t.Errorf("load string = %q", ld.String())
 	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	n := New(Add, I32, NewConst(I32, 1), NewConst(I32, 2))
+	var slab Slab
+	n := slab.New(Add, I32, slab.Const(I32, 1), slab.Const(I32, 2))
 	c := n.Clone()
 	c.Kids[0].IVal = 99
 	if n.Kids[0].IVal != 1 {
@@ -69,8 +66,9 @@ func TestCloneIsDeep(t *testing.T) {
 func TestCountParents(t *testing.T) {
 	fn := NewFunc("f", I32)
 	b := fn.NewBlock()
-	shared := New(Mul, I32, NewReg(I32, 0), NewReg(I32, 1))
-	sum := New(Add, I32, shared, shared)
+	var slab Slab
+	shared := slab.New(Mul, I32, slab.Reg(I32, 0), slab.Reg(I32, 1))
+	sum := slab.New(Add, I32, shared, shared)
 	b.Stmts = []*Node{{Op: Asgn, Type: I32, Reg: 2, Kids: []*Node{sum}}}
 	b.CountParents()
 	if shared.Parents != 2 {
@@ -82,17 +80,18 @@ func TestCountParents(t *testing.T) {
 }
 
 func TestMarkGlobalRegs(t *testing.T) {
+	var slab Slab
 	fn := NewFunc("f", I32)
 	local := fn.NewReg(I32, "local")
 	global := fn.NewReg(I32, "global")
 	b1 := fn.NewBlock()
 	b2 := fn.NewBlock()
 	b1.Stmts = []*Node{
-		{Op: Asgn, Type: I32, Reg: local, Kids: []*Node{NewConst(I32, 1)}},
-		{Op: Asgn, Type: I32, Reg: global, Kids: []*Node{NewReg(I32, local)}},
+		{Op: Asgn, Type: I32, Reg: local, Kids: []*Node{slab.Const(I32, 1)}},
+		{Op: Asgn, Type: I32, Reg: global, Kids: []*Node{slab.Reg(I32, local)}},
 	}
 	b2.Stmts = []*Node{
-		{Op: Asgn, Type: I32, Reg: global, Kids: []*Node{New(Add, I32, NewReg(I32, global), NewConst(I32, 1))}},
+		{Op: Asgn, Type: I32, Reg: global, Kids: []*Node{slab.New(Add, I32, slab.Reg(I32, global), slab.Const(I32, 1))}},
 	}
 	fn.MarkGlobalRegs()
 	if fn.Regs[local].Global {
@@ -118,15 +117,16 @@ func TestCFGEdges(t *testing.T) {
 
 // Property: Clone never shares Node pointers with the original tree.
 func TestCloneNoSharingProperty(t *testing.T) {
+	var slab Slab
 	f := func(depth uint8, vals [8]int8) bool {
 		var build func(d int, i *int) *Node
 		build = func(d int, i *int) *Node {
 			v := int64(vals[*i%8])
 			*i++
 			if d <= 0 {
-				return NewConst(I32, v)
+				return slab.Const(I32, v)
 			}
-			return New(Add, I32, build(d-1, i), build(d-1, i))
+			return slab.New(Add, I32, build(d-1, i), build(d-1, i))
 		}
 		idx := 0
 		n := build(int(depth%4), &idx)

@@ -2,23 +2,18 @@ package ir_test
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
+
+	"marion/internal/gentest"
 )
 
-// nodeConstructors are the package-level constructors that build a node
-// on its own, outside any slab.
-var nodeConstructors = map[string]bool{
-	"New": true, "NewConst": true, "NewFConst": true, "NewReg": true, "NewAddr": true,
-}
+// slabOwners are the packages that build IL.
+var slabOwners = map[string]bool{"internal/cc": true, "internal/ilgen": true, "internal/iltext": true, "internal/xform": true}
 
 // nodesOutsideSlab returns where f builds an ir.Node other than through
-// a Slab: &ir.Node{...}, new(ir.Node) or a package-level constructor. A
-// plain ir.Node{...} value is what Slab.Node copies, and is allowed.
+// a Slab: &ir.Node{...} or new(ir.Node). A plain ir.Node{...} value is
+// what Slab.Node copies, and is allowed.
 func nodesOutsideSlab(f *ast.File) []ast.Node {
 	isIRNode := func(x ast.Expr) bool {
 		sel, ok := x.(*ast.SelectorExpr)
@@ -36,15 +31,8 @@ func nodesOutsideSlab(f *ast.File) []ast.Node {
 				bad = append(bad, n)
 			}
 		case *ast.CallExpr:
-			switch fun := n.Fun.(type) {
-			case *ast.Ident:
-				if fun.Name == "new" && len(n.Args) == 1 && isIRNode(n.Args[0]) {
-					bad = append(bad, n)
-				}
-			case *ast.SelectorExpr:
-				if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "ir" && nodeConstructors[fun.Sel.Name] {
-					bad = append(bad, n)
-				}
+			if fun, ok := n.Fun.(*ast.Ident); ok && fun.Name == "new" && len(n.Args) == 1 && isIRNode(n.Args[0]) {
+				bad = append(bad, n)
 			}
 		}
 		return true
@@ -57,51 +45,26 @@ func nodesOutsideSlab(f *ast.File) []ast.Node {
 // rewrites — makes a node outside its owner's slab.
 func TestFrontEndsBuildFromSlabs(t *testing.T) {
 	t.Run("planted", func(t *testing.T) {
-		const src = `package p
+		f := gentest.Planted(t, "internal/cc/planted.go", `package p
 func f(s *ir.Slab, k *ir.Node) {
 	_ = &ir.Node{Op: ir.Ret}
 	_ = new(ir.Node)
-	_ = ir.New(ir.Neg, ir.I32, k)
-	_ = ir.NewConst(ir.I32, 1)
-	_ = ir.NewReg(ir.I32, 0)
 	_ = s.Node(ir.Node{Op: ir.Ret})
+	_ = s.New(ir.Neg, ir.I32, k)
 	_ = ir.NewWalk()
-}`
-		f, err := parser.ParseFile(token.NewFileSet(), "planted.go", src, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(nodesOutsideSlab(f)); got != 5 {
-			t.Fatalf("found %d of the 5 planted nodes built outside a slab", got)
+}`)
+		if got := len(nodesOutsideSlab(f.AST)); got != 2 {
+			t.Fatalf("found %d of the 2 planted nodes built outside a slab", got)
 		}
 	})
 
 	fset := token.NewFileSet()
-	files := 0
-	for _, pkg := range []string{"cc", "ilgen", "iltext", "xform"} {
-		paths, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
-		if err != nil {
-			t.Fatal(err)
+	for _, f := range gentest.Shipped(t, fset) {
+		if !slabOwners[f.Dir] {
+			continue
 		}
-		for _, path := range paths {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
-			}
-			src, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files++
-			for _, n := range nodesOutsideSlab(f) {
-				t.Errorf("%s: builds an ir.Node outside the slab", fset.Position(n.Pos()))
-			}
+		for _, n := range nodesOutsideSlab(f.AST) {
+			t.Errorf("%s: builds an ir.Node outside the slab", fset.Position(n.Pos()))
 		}
-	}
-	if files < 10 {
-		t.Fatalf("only %d files scanned: wrong working directory?", files)
 	}
 }

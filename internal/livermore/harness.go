@@ -2,7 +2,6 @@ package livermore
 
 import (
 	"fmt"
-	"math"
 
 	"marion/internal/driver"
 	"marion/internal/sim"
@@ -39,32 +38,4 @@ func Run(c *driver.Compiled, loops int, cache sim.CacheConfig) (float64, *sim.St
 		return 0, nil, fmt.Errorf("kern: %w", err)
 	}
 	return st.RetF, st, nil
-}
-
-// Verify compiles and runs the kernel, comparing the simulated checksum
-// against the Go reference (operation order matches, so agreement is
-// essentially bit-exact).
-func Verify(k *Kernel, target string, strat strategy.Kind, loops int) error {
-	c, err := Build(k, target, strat)
-	if err != nil {
-		return fmt.Errorf("kernel %d (%s): %w", k.ID, k.Name, err)
-	}
-	got, _, err := Run(c, loops, sim.CacheConfig{})
-	if err != nil {
-		return fmt.Errorf("kernel %d (%s): %w", k.ID, k.Name, err)
-	}
-	want := k.Ref(loops)
-	if !close(got, want) {
-		return fmt.Errorf("kernel %d (%s) on %s/%s: checksum %.17g, want %.17g",
-			k.ID, k.Name, target, strat, got, want)
-	}
-	return nil
-}
-
-func close(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= 1e-9*scale
 }

@@ -114,9 +114,9 @@ func (m *Machine) Finalize() error {
 	for _, rs := range m.RegSets {
 		m.NumPhys += rs.Count()
 	}
-	if m.NumPhys > MaxPhys {
+	if m.NumPhys > maxPhys {
 		return fmt.Errorf("machine %s declares %d physical registers; a PhysID numbers at most %d",
-			m.Name, m.NumPhys, MaxPhys)
+			m.Name, m.NumPhys, maxPhys)
 	}
 	base := 0
 	for _, rs := range m.RegSets {
@@ -244,7 +244,7 @@ func (m *Machine) finalizeInstr(in *Instr) error {
 		in.Sem = &Sem{Kind: SemEmpty}
 	}
 	s := in.Sem
-	in.DefOps, in.UseOps = s.OperandRefs()
+	in.DefOps, in.UseOps = s.operandRefs()
 	switch s.Kind {
 	case SemIfGoto:
 		in.IsBranch = true
@@ -304,7 +304,7 @@ func (m *Machine) finalizeInstr(in *Instr) error {
 	// Operand index sanity.
 	maxOp := len(in.Operands)
 	bad := -1
-	s.Walk(func(n *Sem) {
+	s.walk(func(n *Sem) {
 		if n.Kind == SemOperand && n.OpIdx >= maxOp {
 			bad = n.OpIdx
 		}
@@ -341,7 +341,7 @@ func (m *Machine) validate() error {
 		}
 	}
 	for t, rs := range c.General {
-		if !rs.Holds(t) {
+		if !rs.holds(t) {
 			return fmt.Errorf("cwvm: %%general set %s cannot hold %s", rs.Name, t)
 		}
 	}

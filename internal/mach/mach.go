@@ -21,8 +21,8 @@ type ResSet uint64
 // Has reports whether r contains resource id.
 func (r ResSet) Has(id ResID) bool { return r&(1<<uint(id)) != 0 }
 
-// Intersects reports whether two resource sets share a resource.
-func (r ResSet) Intersects(o ResSet) bool { return r&o != 0 }
+// intersects reports whether two resource sets share a resource.
+func (r ResSet) intersects(o ResSet) bool { return r&o != 0 }
 
 // ClassSet is a bitmask over a machine's long-instruction-word elements
 // (the "class elements" of §4.5). Up to 256 elements are supported.
@@ -51,9 +51,9 @@ type PhysID int16
 // NoPhys means "no physical register".
 const NoPhys PhysID = -1
 
-// MaxPhys is the most physical registers a machine may declare: every
-// PhysID from 0 to MaxPhys-1 fits the type.
-const MaxPhys = math.MaxInt16 + 1
+// maxPhys is the most physical registers a machine may declare: every
+// PhysID from 0 to maxPhys-1 fits the type.
+const maxPhys = math.MaxInt16 + 1
 
 // RegSet is an array of registers declared with %reg.
 type RegSet struct {
@@ -80,8 +80,8 @@ func (rs *RegSet) Count() int { return rs.Hi - rs.Lo + 1 }
 // Phys returns the dense PhysID of register index i of the set.
 func (rs *RegSet) Phys(i int) PhysID { return rs.PhysBase + PhysID(i-rs.Lo) }
 
-// Holds reports whether the set can hold values of type t.
-func (rs *RegSet) Holds(t ir.Type) bool {
+// holds reports whether the set can hold values of type t.
+func (rs *RegSet) holds(t ir.Type) bool {
 	for _, ty := range rs.Types {
 		if ty == t {
 			return true
@@ -95,14 +95,14 @@ func (rs *RegSet) Holds(t ir.Type) bool {
 // answer for both readers of an operand's register set: the glue
 // transformer (xform) and the selector.
 func (rs *RegSet) HoldsLoose(t ir.Type) bool {
-	if rs.Holds(t) {
+	if rs.holds(t) {
 		return true
 	}
 	switch t {
 	case ir.I8, ir.I16, ir.U32, ir.Ptr:
-		return rs.Holds(ir.I32) || rs.Holds(ir.Ptr)
+		return rs.holds(ir.I32) || rs.holds(ir.Ptr)
 	case ir.I32:
-		return rs.Holds(ir.Ptr)
+		return rs.holds(ir.Ptr)
 	}
 	return false
 }
@@ -447,7 +447,7 @@ type Machine struct {
 	// Derived tables:
 	NumPhys  int
 	aliasTab [][]PhysID // per PhysID: overlapping PhysIDs (incl. self)
-	selIdx   *SelIndex  // operator-indexed template tables (selindex.go)
+	selIdx   *selIndex  // operator-indexed template tables (selindex.go)
 	// fingerprint is the digest of the description text (see Fingerprint).
 	fingerprint [32]byte
 

@@ -12,7 +12,7 @@ func TestResSet(t *testing.T) {
 	var a, b ResSet
 	a = 0b1010
 	b = 0b0110
-	if !a.Intersects(b) {
+	if !a.intersects(b) {
 		t.Error("should intersect")
 	}
 	if !a.Has(1) || a.Has(0) {
@@ -221,7 +221,7 @@ func TestSemOperandRefs(t *testing.T) {
 		{Kind: SemMem, Kids: []*Sem{NewSemOp(ir.Add, NewSemOperand(1), NewSemOperand(2))}},
 		NewSemOperand(0),
 	}}
-	defs, uses := s.OperandRefs()
+	defs, uses := s.operandRefs()
 	if len(defs) != 0 {
 		t.Errorf("store should have no reg defs: %v", defs)
 	}

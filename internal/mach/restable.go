@@ -42,7 +42,7 @@ func (t *ResTable) Fits(vec []ResSet, issueOnly bool) bool {
 		vec = vec[:1]
 	}
 	for c, rs := range vec {
-		if rs.Intersects(t.ring[(t.head+c)%len(t.ring)]) {
+		if rs.intersects(t.ring[(t.head+c)%len(t.ring)]) {
 			return false
 		}
 	}

@@ -2,13 +2,13 @@ package mach
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"math/rand"
-	"path/filepath"
+	"path"
 	"strings"
 	"testing"
+
+	"marion/internal/gentest"
 )
 
 // TestResTableMatchesModel drives a ResTable and a map from absolute
@@ -80,15 +80,43 @@ func TestResTableMatchesModel(t *testing.T) {
 	}
 }
 
-// resVecReader reports whether the file at path is one of the places
+// resVecReader reports whether file is one of the places
 // allowed to look inside an instruction's resource vector: mach builds
 // the vectors and owns the reservation table, verify is the deliberately
 // independent oracle, and the delay-slot filler compares two vectors at
 // a distance no table holds. Everyone else hands the vector to a
 // ResTable.
-func resVecReader(path string) bool {
-	dir := filepath.Base(filepath.Dir(path))
-	return dir == "mach" || dir == "verify" || dir == "sched" && filepath.Base(path) == "slots.go"
+func resVecReader(file string) bool {
+	dir := path.Dir(file)
+	return dir == "internal/mach" || dir == "internal/verify" || file == "internal/sched/slots.go"
+}
+
+// resVecReads returns where f looks inside a .ResVec (ranges over,
+// indexes or slices it) and, in the simulator, names its old sliding
+// window.
+func resVecReads(f gentest.GoFile) []ast.Node {
+	gone := map[string]bool{"busy": true, "busyBase": true, "busyAt": true, "reserve": true}
+	var bad []ast.Node
+	ast.Inspect(f.AST, func(n ast.Node) bool {
+		var x ast.Expr // what is ranged over, indexed or sliced
+		switch n := n.(type) {
+		case *ast.RangeStmt:
+			x = n.X
+		case *ast.IndexExpr:
+			x = n.X
+		case *ast.SliceExpr:
+			x = n.X
+		case *ast.Ident:
+			if f.Dir == "internal/sim" && gone[n.Name] {
+				bad = append(bad, n)
+			}
+		}
+		if sel, ok := x.(*ast.SelectorExpr); ok && sel.Sel.Name == "ResVec" {
+			bad = append(bad, n)
+		}
+		return true
+	})
+	return bad
 }
 
 // TestResVecHasOneReader keeps private reservation rings from growing
@@ -96,46 +124,28 @@ func resVecReader(path string) bool {
 // index a .ResVec (passing it on, or taking its length, is fine), and the
 // simulator's old sliding window stays gone.
 func TestResVecHasOneReader(t *testing.T) {
-	gone := map[string]bool{"busy": true, "busyBase": true, "busyAt": true, "reserve": true}
-	fset := token.NewFileSet()
-	files := 0
-	for _, root := range []string{"../../internal", "../../cmd"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			files++
-			inSim := filepath.Base(filepath.Dir(path)) == "sim"
-			ast.Inspect(f, func(n ast.Node) bool {
-				var x ast.Expr // what is ranged over, indexed or sliced
-				switch n := n.(type) {
-				case *ast.RangeStmt:
-					x = n.X
-				case *ast.IndexExpr:
-					x = n.X
-				case *ast.SliceExpr:
-					x = n.X
-				case *ast.Ident:
-					if inSim && gone[n.Name] {
-						t.Errorf("%s: %s: the simulator's hazards live in its mach.ResTable", fset.Position(n.Pos()), n.Name)
-					}
-				}
-				if sel, ok := x.(*ast.SelectorExpr); ok && sel.Sel.Name == "ResVec" && !resVecReader(path) {
-					t.Errorf("%s: reads inside a .ResVec: ask a mach.ResTable", fset.Position(n.Pos()))
-				}
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	t.Run("planted", func(t *testing.T) {
+		f := gentest.Planted(t, "internal/sim/p.go", `package sim
+func f(in *mach.Instr, t *mach.ResTable) {
+	for range in.ResVec {}
+	_ = in.ResVec[0]
+	_ = in.ResVec[1:]
+	var busy []mach.ResSet
+	t.Reserve(in.ResVec)
+	_ = len(in.ResVec)
+}`)
+		if got := len(resVecReads(f)); got != 4 {
+			t.Fatalf("found %d of the 4 planted reads", got)
 		}
-	}
-	if files < 50 {
-		t.Fatalf("only %d files scanned: wrong working directory?", files)
+	})
+
+	fset := token.NewFileSet()
+	for _, f := range gentest.Shipped(t, fset) {
+		if !strings.HasPrefix(f.Dir, "internal/") && !strings.HasPrefix(f.Dir, "cmd/") || resVecReader(f.Path) {
+			continue
+		}
+		for _, n := range resVecReads(f) {
+			t.Errorf("%s: reads inside a .ResVec or keeps a sliding window: ask a mach.ResTable", fset.Position(n.Pos()))
+		}
 	}
 }

@@ -2,7 +2,7 @@ package mach
 
 import "marion/internal/ir"
 
-// SelIndex is the operator-indexed template table built by Finalize: for
+// selIndex is the operator-indexed template table built by Finalize: for
 // every IL operator it lists, in description order, exactly the value
 // templates whose semantics root can possibly match a node with that
 // operator. The selector's brute-force matcher (paper §2.1) tries
@@ -18,7 +18,7 @@ import "marion/internal/ir"
 // The index is immutable after Finalize; a Machine (cached by
 // targets.Load) is shared by concurrent per-function selectors, so all
 // query methods are read-only.
-type SelIndex struct {
+type selIndex struct {
 	// value[op] lists every value template ({$dst = rhs;} with a
 	// register destination) whose rhs root can match IL operator op.
 	value [ir.NumOps][]*Instr
@@ -64,7 +64,7 @@ func rootOps(in *Instr, rv *Sem) []ir.Op {
 // buildSelIndex derives the selection index from the finalized
 // instruction list.
 func (m *Machine) buildSelIndex() {
-	idx := &SelIndex{}
+	idx := &selIndex{}
 	for _, in := range m.Instrs {
 		if in.IsBranch {
 			idx.branches = append(idx.branches, in)

@@ -104,20 +104,20 @@ func (s *Sem) Clone() *Sem {
 	return &c
 }
 
-// Walk calls fn for every node of the tree (preorder).
-func (s *Sem) Walk(fn func(*Sem)) {
+// walk calls fn for every node of the tree (preorder).
+func (s *Sem) walk(fn func(*Sem)) {
 	if s == nil {
 		return
 	}
 	fn(s)
 	for _, k := range s.Kids {
-		k.Walk(fn)
+		k.walk(fn)
 	}
 }
 
-// OperandRefs returns the 0-based operand indices referenced in the tree,
+// operandRefs returns the 0-based operand indices referenced in the tree,
 // split into written (lvalue positions) and read.
-func (s *Sem) OperandRefs() (defs, uses []int) {
+func (s *Sem) operandRefs() (defs, uses []int) {
 	addUnique := func(list []int, v int) []int {
 		for _, x := range list {
 			if x == v {

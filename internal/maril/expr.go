@@ -9,13 +9,13 @@ import (
 // directive's formal operands (for $n validation).
 func (p *parser) stmt(ops []mach.OperandSpec) (*mach.Sem, error) {
 	switch {
-	case p.tok.Kind == TokRBrace:
+	case p.tok.Kind == tokRBrace:
 		return &mach.Sem{Kind: mach.SemEmpty}, nil
-	case p.tok.Kind == TokSemi:
+	case p.tok.Kind == tokSemi:
 		return &mach.Sem{Kind: mach.SemEmpty}, p.advance()
-	case p.tok.Kind == TokIdent && p.tok.Text == "if":
+	case p.tok.Kind == tokIdent && p.tok.Text == "if":
 		return p.ifGoto(ops, true)
-	case p.tok.Kind == TokIdent && (p.tok.Text == "goto" || p.tok.Text == "call" || p.tok.Text == "callr"):
+	case p.tok.Kind == tokIdent && (p.tok.Text == "goto" || p.tok.Text == "call" || p.tok.Text == "callr"):
 		kw := p.tok.Text
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -24,7 +24,7 @@ func (p *parser) stmt(ops []mach.OperandSpec) (*mach.Sem, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TokSemi); err != nil {
+		if _, err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
 		kind := mach.SemGoto
@@ -35,11 +35,11 @@ func (p *parser) stmt(ops []mach.OperandSpec) (*mach.Sem, error) {
 			kind = mach.SemCallReg
 		}
 		return &mach.Sem{Kind: kind, OpIdx: n}, nil
-	case p.tok.Kind == TokIdent && (p.tok.Text == "ret" || p.tok.Text == "return"):
+	case p.tok.Kind == tokIdent && (p.tok.Text == "ret" || p.tok.Text == "return"):
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TokSemi); err != nil {
+		if _, err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
 		return &mach.Sem{Kind: mach.SemRet}, nil
@@ -49,14 +49,14 @@ func (p *parser) stmt(ops []mach.OperandSpec) (*mach.Sem, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokAssign); err != nil {
+	if _, err := p.expect(tokAssign); err != nil {
 		return nil, err
 	}
 	rhs, err := p.expr(ops)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokSemi); err != nil {
+	if _, err := p.expect(tokSemi); err != nil {
 		return nil, err
 	}
 	return &mach.Sem{Kind: mach.SemAssign, Kids: []*mach.Sem{lv, rhs}}, nil
@@ -67,14 +67,14 @@ func (p *parser) ifGoto(ops []mach.OperandSpec, consumeSemi bool) (*mach.Sem, er
 	if _, err := p.expectIdentText("if"); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokLParen); err != nil {
+	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
 	cond, err := p.expr(ops)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokRParen); err != nil {
+	if _, err := p.expect(tokRParen); err != nil {
 		return nil, err
 	}
 	if _, err := p.expectIdentText("goto"); err != nil {
@@ -85,16 +85,16 @@ func (p *parser) ifGoto(ops []mach.OperandSpec, consumeSemi bool) (*mach.Sem, er
 		return nil, err
 	}
 	if consumeSemi {
-		if _, err := p.expect(TokSemi); err != nil {
+		if _, err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
 	}
 	return &mach.Sem{Kind: mach.SemIfGoto, OpIdx: n, Kids: []*mach.Sem{cond}}, nil
 }
 
-func (p *parser) expectIdentText(text string) (Token, error) {
-	if p.tok.Kind != TokIdent || p.tok.Text != text {
-		return Token{}, p.errf("expected %q, got %s", text, p.tok)
+func (p *parser) expectIdentText(text string) (token, error) {
+	if p.tok.Kind != tokIdent || p.tok.Text != text {
+		return token{}, p.errf("expected %q, got %s", text, p.tok)
 	}
 	t := p.tok
 	return t, p.advance()
@@ -102,7 +102,7 @@ func (p *parser) expectIdentText(text string) (Token, error) {
 
 // dollarRef parses $n and returns the 0-based operand index.
 func (p *parser) dollarRef(ops []mach.OperandSpec) (int, error) {
-	if _, err := p.expect(TokDollar); err != nil {
+	if _, err := p.expect(tokDollar); err != nil {
 		return 0, err
 	}
 	n, err := p.expectInt()
@@ -117,26 +117,26 @@ func (p *parser) dollarRef(ops []mach.OperandSpec) (int, error) {
 
 func (p *parser) lvalue(ops []mach.OperandSpec) (*mach.Sem, error) {
 	switch p.tok.Kind {
-	case TokDollar:
+	case tokDollar:
 		n, err := p.dollarRef(ops)
 		if err != nil {
 			return nil, err
 		}
 		return mach.NewSemOperand(n), nil
-	case TokIdent:
+	case tokIdent:
 		name := p.tok.Text
 		if md := p.m.Memory(name); md != nil {
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(TokLBrack); err != nil {
+			if _, err := p.expect(tokLBrack); err != nil {
 				return nil, err
 			}
 			addr, err := p.expr(ops)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(TokRBrack); err != nil {
+			if _, err := p.expect(tokRBrack); err != nil {
 				return nil, err
 			}
 			return &mach.Sem{Kind: mach.SemMem, Mem: md, Kids: []*mach.Sem{addr}}, nil
@@ -151,17 +151,17 @@ func (p *parser) lvalue(ops []mach.OperandSpec) (*mach.Sem, error) {
 
 // Binary operator precedence, lowest first.
 var binLevels = [][]struct {
-	tok TokKind
+	tok tokKind
 	op  ir.Op
 }{
-	{{TokEq, ir.Eq}, {TokNe, ir.Ne}},
-	{{TokLt, ir.Lt}, {TokLe, ir.Le}, {TokGt, ir.Gt}, {TokGe, ir.Ge}, {TokDColon, ir.Cmp}},
-	{{TokPipe, ir.Or}},
-	{{TokCaret, ir.Xor}},
-	{{TokAmp, ir.And}},
-	{{TokShl, ir.Shl}, {TokShr, ir.Shr}},
-	{{TokPlus, ir.Add}, {TokMinus, ir.Sub}},
-	{{TokStar, ir.Mul}, {TokSlash, ir.Div}, {TokPercent, ir.Rem}},
+	{{tokEq, ir.Eq}, {tokNe, ir.Ne}},
+	{{tokLt, ir.Lt}, {tokLe, ir.Le}, {tokGt, ir.Gt}, {tokGe, ir.Ge}, {tokDColon, ir.Cmp}},
+	{{tokPipe, ir.Or}},
+	{{tokCaret, ir.Xor}},
+	{{tokAmp, ir.And}},
+	{{tokShl, ir.Shl}, {tokShr, ir.Shr}},
+	{{tokPlus, ir.Add}, {tokMinus, ir.Sub}},
+	{{tokStar, ir.Mul}, {tokSlash, ir.Div}, {tokPercent, ir.Rem}},
 }
 
 func (p *parser) expr(ops []mach.OperandSpec) (*mach.Sem, error) {
@@ -201,19 +201,19 @@ func (p *parser) binExpr(ops []mach.OperandSpec, level int) (*mach.Sem, error) {
 
 func (p *parser) unary(ops []mach.OperandSpec) (*mach.Sem, error) {
 	switch p.tok.Kind {
-	case TokMinus:
+	case tokMinus:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		// Fold negation of literals.
-		if p.tok.Kind == TokInt {
+		if p.tok.Kind == tokInt {
 			v := p.tok.IVal
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
 			return mach.NewSemConst(-v), nil
 		}
-		if p.tok.Kind == TokFloat {
+		if p.tok.Kind == tokFloat {
 			v := p.tok.FVal
 			if err := p.advance(); err != nil {
 				return nil, err
@@ -225,7 +225,7 @@ func (p *parser) unary(ops []mach.OperandSpec) (*mach.Sem, error) {
 			return nil, err
 		}
 		return mach.NewSemOp(ir.Neg, k), nil
-	case TokTilde:
+	case tokTilde:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -234,7 +234,7 @@ func (p *parser) unary(ops []mach.OperandSpec) (*mach.Sem, error) {
 			return nil, err
 		}
 		return mach.NewSemOp(ir.Not, k), nil
-	case TokLParen:
+	case tokLParen:
 		// Possible cast: "(type) unary".
 		t1, err := p.peek(1)
 		if err != nil {
@@ -244,7 +244,7 @@ func (p *parser) unary(ops []mach.OperandSpec) (*mach.Sem, error) {
 		if err != nil {
 			return nil, err
 		}
-		if t1.Kind == TokIdent && t2.Kind == TokRParen {
+		if t1.Kind == tokIdent && t2.Kind == tokRParen {
 			if ty, ok := typeNames[t1.Text]; ok {
 				if err := p.advance(); err != nil { // (
 					return nil, err
@@ -268,22 +268,22 @@ func (p *parser) unary(ops []mach.OperandSpec) (*mach.Sem, error) {
 
 func (p *parser) primary(ops []mach.OperandSpec) (*mach.Sem, error) {
 	switch p.tok.Kind {
-	case TokDollar:
+	case tokDollar:
 		n, err := p.dollarRef(ops)
 		if err != nil {
 			return nil, err
 		}
 		return mach.NewSemOperand(n), nil
 
-	case TokInt:
+	case tokInt:
 		v := p.tok.IVal
 		return mach.NewSemConst(v), p.advance()
 
-	case TokFloat:
+	case tokFloat:
 		v := p.tok.FVal
 		return &mach.Sem{Kind: mach.SemConst, FVal: v, IsFloat: true}, p.advance()
 
-	case TokLParen:
+	case tokLParen:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -291,26 +291,26 @@ func (p *parser) primary(ops []mach.OperandSpec) (*mach.Sem, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TokRParen); err != nil {
+		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
 		return e, nil
 
-	case TokIdent:
+	case tokIdent:
 		name := p.tok.Text
 		switch name {
 		case "high", "low":
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(TokLParen); err != nil {
+			if _, err := p.expect(tokLParen); err != nil {
 				return nil, err
 			}
 			k, err := p.expr(ops)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(TokRParen); err != nil {
+			if _, err := p.expect(tokRParen); err != nil {
 				return nil, err
 			}
 			op := ir.High
@@ -323,14 +323,14 @@ func (p *parser) primary(ops []mach.OperandSpec) (*mach.Sem, error) {
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(TokLBrack); err != nil {
+			if _, err := p.expect(tokLBrack); err != nil {
 				return nil, err
 			}
 			addr, err := p.expr(ops)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(TokRBrack); err != nil {
+			if _, err := p.expect(tokRBrack); err != nil {
 				return nil, err
 			}
 			return &mach.Sem{Kind: mach.SemMem, Mem: md, Kids: []*mach.Sem{addr}}, nil

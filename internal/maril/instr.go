@@ -3,7 +3,7 @@ package maril
 import "marion/internal/mach"
 
 func (p *parser) instrSection() error {
-	for p.tok.Kind == TokDirective {
+	for p.tok.Kind == tokDirective {
 		dir := p.tok.Text
 		if err := p.advance(); err != nil {
 			return err
@@ -39,7 +39,7 @@ func (p *parser) instrSection() error {
 func (p *parser) instrDecl(isMove bool) error {
 	in := &mach.Instr{Move: isMove, AffectsClock: -1}
 
-	if isMove && p.tok.Kind == TokLBrack {
+	if isMove && p.tok.Kind == tokLBrack {
 		if err := p.advance(); err != nil {
 			return err
 		}
@@ -48,11 +48,11 @@ func (p *parser) instrDecl(isMove bool) error {
 			return err
 		}
 		in.Label = lab
-		if _, err := p.expect(TokRBrack); err != nil {
+		if _, err := p.expect(tokRBrack); err != nil {
 			return err
 		}
 	}
-	if p.tok.Kind == TokStar {
+	if p.tok.Kind == tokStar {
 		return p.errf("*name escapes are not supported: write the expansion as a %%seq")
 	}
 	name, err := p.expectIdent()
@@ -71,7 +71,7 @@ func (p *parser) instrDecl(isMove bool) error {
 		return err
 	}
 
-	if _, err := p.expect(TokLBrace); err != nil {
+	if _, err := p.expect(tokLBrace); err != nil {
 		return err
 	}
 	sem, err := p.stmt(in.Operands)
@@ -79,7 +79,7 @@ func (p *parser) instrDecl(isMove bool) error {
 		return err
 	}
 	in.Sem = sem
-	if _, err := p.expect(TokRBrace); err != nil {
+	if _, err := p.expect(tokRBrace); err != nil {
 		return err
 	}
 
@@ -100,7 +100,7 @@ func (p *parser) instrDecl(isMove bool) error {
 // at '(' (type constraint), '{' (semantics) or '=' (%seq expansion).
 func (p *parser) operandList() ([]mach.OperandSpec, error) {
 	var ops []mach.OperandSpec
-	if p.tok.Kind != TokIdent && p.tok.Kind != TokHash {
+	if p.tok.Kind != tokIdent && p.tok.Kind != tokHash {
 		return ops, nil
 	}
 	for {
@@ -109,7 +109,7 @@ func (p *parser) operandList() ([]mach.OperandSpec, error) {
 			return nil, err
 		}
 		ops = append(ops, op)
-		if ok, err := p.accept(TokComma); err != nil {
+		if ok, err := p.accept(tokComma); err != nil {
 			return nil, err
 		} else if !ok {
 			break
@@ -119,7 +119,7 @@ func (p *parser) operandList() ([]mach.OperandSpec, error) {
 }
 
 func (p *parser) operand() (mach.OperandSpec, error) {
-	if ok, err := p.accept(TokHash); err != nil {
+	if ok, err := p.accept(tokHash); err != nil {
 		return mach.OperandSpec{}, err
 	} else if ok {
 		name, err := p.expectIdent()
@@ -145,7 +145,7 @@ func (p *parser) operand() (mach.OperandSpec, error) {
 	if rs == nil {
 		return mach.OperandSpec{}, p.errf("unknown register set %q", name)
 	}
-	if p.tok.Kind == TokLBrack {
+	if p.tok.Kind == tokLBrack {
 		if err := p.advance(); err != nil {
 			return mach.OperandSpec{}, err
 		}
@@ -153,7 +153,7 @@ func (p *parser) operand() (mach.OperandSpec, error) {
 		if err != nil {
 			return mach.OperandSpec{}, err
 		}
-		if _, err := p.expect(TokRBrack); err != nil {
+		if _, err := p.expect(tokRBrack); err != nil {
 			return mach.OperandSpec{}, err
 		}
 		return mach.OperandSpec{Kind: mach.OperandFixedReg, Set: rs, Index: int(idx)}, nil
@@ -163,7 +163,7 @@ func (p *parser) operand() (mach.OperandSpec, error) {
 
 // typeClock parses the optional "(type)" or "(type; clock)" constraint.
 func (p *parser) typeClock(in *mach.Instr) error {
-	if p.tok.Kind != TokLParen {
+	if p.tok.Kind != tokLParen {
 		return nil
 	}
 	if err := p.advance(); err != nil {
@@ -178,7 +178,7 @@ func (p *parser) typeClock(in *mach.Instr) error {
 		return p.errf("unknown type %q", tn)
 	}
 	in.TypeConstraint = t
-	if ok, err := p.accept(TokSemi); err != nil {
+	if ok, err := p.accept(tokSemi); err != nil {
 		return err
 	} else if ok {
 		cn, err := p.expectIdent()
@@ -189,17 +189,17 @@ func (p *parser) typeClock(in *mach.Instr) error {
 			return p.errf("unknown clock %q", cn)
 		}
 	}
-	_, err = p.expect(TokRParen)
+	_, err = p.expect(tokRParen)
 	return err
 }
 
 // resVec parses "[cyc; cyc; ...]" where each cyc is a comma-separated
 // resource list (possibly empty).
 func (p *parser) resVec(in *mach.Instr) error {
-	if _, err := p.expect(TokLBrack); err != nil {
+	if _, err := p.expect(tokLBrack); err != nil {
 		return err
 	}
-	if p.tok.Kind == TokRBrack {
+	if p.tok.Kind == tokRBrack {
 		return wrap(p, p.advanceErr())
 	}
 	var cyc []mach.ResID
@@ -209,7 +209,7 @@ func (p *parser) resVec(in *mach.Instr) error {
 	}
 	for {
 		switch p.tok.Kind {
-		case TokIdent:
+		case tokIdent:
 			id, ok := p.m.Resource(p.tok.Text)
 			if !ok {
 				return p.errf("unknown resource %q", p.tok.Text)
@@ -218,16 +218,16 @@ func (p *parser) resVec(in *mach.Instr) error {
 			if err := p.advance(); err != nil {
 				return err
 			}
-		case TokComma:
+		case tokComma:
 			if err := p.advance(); err != nil {
 				return err
 			}
-		case TokSemi:
+		case tokSemi:
 			flush()
 			if err := p.advance(); err != nil {
 				return err
 			}
-		case TokRBrack:
+		case tokRBrack:
 			if len(cyc) > 0 || len(in.Res) == 0 {
 				flush()
 			}
@@ -241,28 +241,28 @@ func (p *parser) resVec(in *mach.Instr) error {
 func (p *parser) advanceErr() error { return p.advance() }
 
 func (p *parser) costTriple(in *mach.Instr) error {
-	if _, err := p.expect(TokLParen); err != nil {
+	if _, err := p.expect(tokLParen); err != nil {
 		return err
 	}
 	c, err := p.expectInt()
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect(TokComma); err != nil {
+	if _, err := p.expect(tokComma); err != nil {
 		return err
 	}
 	l, err := p.expectInt()
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect(TokComma); err != nil {
+	if _, err := p.expect(tokComma); err != nil {
 		return err
 	}
 	s, err := p.expectInt()
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect(TokRParen); err != nil {
+	if _, err := p.expect(tokRParen); err != nil {
 		return err
 	}
 	in.Cost, in.Latency, in.Slots = int(c), int(l), int(s)
@@ -271,7 +271,7 @@ func (p *parser) costTriple(in *mach.Instr) error {
 
 // classList parses "<e1, e2, ...>" packing classes.
 func (p *parser) classList(in *mach.Instr) error {
-	if p.tok.Kind != TokLt {
+	if p.tok.Kind != tokLt {
 		return nil
 	}
 	if err := p.advance(); err != nil {
@@ -283,13 +283,13 @@ func (p *parser) classList(in *mach.Instr) error {
 			return err
 		}
 		in.Class.Add(p.m.Element(name))
-		if ok, err := p.accept(TokComma); err != nil {
+		if ok, err := p.accept(tokComma); err != nil {
 			return err
 		} else if !ok {
 			break
 		}
 	}
-	_, err := p.expect(TokGt)
+	_, err := p.expect(tokGt)
 	return err
 }
 
@@ -311,46 +311,46 @@ func (p *parser) seqDecl() error {
 	if err := p.typeClock(in); err != nil {
 		return err
 	}
-	if _, err := p.expect(TokLBrace); err != nil {
+	if _, err := p.expect(tokLBrace); err != nil {
 		return err
 	}
 	if in.Sem, err = p.stmt(in.Operands); err != nil {
 		return err
 	}
-	if _, err := p.expect(TokRBrace); err != nil {
+	if _, err := p.expect(tokRBrace); err != nil {
 		return err
 	}
-	if _, err := p.expect(TokAssign); err != nil {
+	if _, err := p.expect(tokAssign); err != nil {
 		return err
 	}
-	for p.tok.Kind == TokIdent {
+	for p.tok.Kind == tokIdent {
 		item := mach.SeqItem{InstrName: p.tok.Text}
 		if err := p.advance(); err != nil {
 			return err
 		}
-		if ok, err := p.accept(TokLParen); err != nil {
+		if ok, err := p.accept(tokLParen); err != nil {
 			return err
 		} else if ok {
-			if p.tok.Kind != TokRParen {
+			if p.tok.Kind != tokRParen {
 				for {
 					arg, err := p.seqArg(len(in.Operands))
 					if err != nil {
 						return err
 					}
 					item.Args = append(item.Args, arg)
-					if ok, err := p.accept(TokComma); err != nil {
+					if ok, err := p.accept(tokComma); err != nil {
 						return err
 					} else if !ok {
 						break
 					}
 				}
 			}
-			if _, err := p.expect(TokRParen); err != nil {
+			if _, err := p.expect(tokRParen); err != nil {
 				return err
 			}
 		}
 		in.Seq = append(in.Seq, item)
-		if _, err := p.expect(TokSemi); err != nil {
+		if _, err := p.expect(tokSemi); err != nil {
 			return err
 		}
 	}
@@ -363,7 +363,7 @@ func (p *parser) seqDecl() error {
 
 func (p *parser) seqArg(nops int) (mach.SeqArg, error) {
 	switch p.tok.Kind {
-	case TokDollar:
+	case tokDollar:
 		if err := p.advance(); err != nil {
 			return mach.SeqArg{}, err
 		}
@@ -375,13 +375,13 @@ func (p *parser) seqArg(nops int) (mach.SeqArg, error) {
 			return mach.SeqArg{}, p.errf("$%d out of range", n)
 		}
 		return mach.SeqArg{Kind: mach.SeqOperand, OpIdx: int(n) - 1}, nil
-	case TokInt, TokMinus:
+	case tokInt, tokMinus:
 		v, err := p.expectInt()
 		if err != nil {
 			return mach.SeqArg{}, err
 		}
 		return mach.SeqArg{Kind: mach.SeqConst, IVal: v}, nil
-	case TokIdent:
+	case tokIdent:
 		fn := p.tok.Text
 		if fn != "lo" && fn != "hi" {
 			return mach.SeqArg{}, p.errf("unknown %%seq argument function %q", fn)
@@ -389,17 +389,17 @@ func (p *parser) seqArg(nops int) (mach.SeqArg, error) {
 		if err := p.advance(); err != nil {
 			return mach.SeqArg{}, err
 		}
-		if _, err := p.expect(TokLParen); err != nil {
+		if _, err := p.expect(tokLParen); err != nil {
 			return mach.SeqArg{}, err
 		}
-		if _, err := p.expect(TokDollar); err != nil {
+		if _, err := p.expect(tokDollar); err != nil {
 			return mach.SeqArg{}, err
 		}
 		n, err := p.expectInt()
 		if err != nil {
 			return mach.SeqArg{}, err
 		}
-		if _, err := p.expect(TokRParen); err != nil {
+		if _, err := p.expect(tokRParen); err != nil {
 			return mach.SeqArg{}, err
 		}
 		if n < 1 || int(n) > nops {
@@ -424,20 +424,20 @@ func (p *parser) auxDecl() error {
 	if a.First, err = p.expectIdent(); err != nil {
 		return err
 	}
-	if _, err := p.expect(TokColon); err != nil {
+	if _, err := p.expect(tokColon); err != nil {
 		return err
 	}
 	if a.Second, err = p.expectIdent(); err != nil {
 		return err
 	}
-	if _, err := p.expect(TokLParen); err != nil {
+	if _, err := p.expect(tokLParen); err != nil {
 		return err
 	}
 	first, err := p.expectInt()
 	if err != nil {
 		return err
 	}
-	if ok, err := p.accept(TokRParen); err != nil {
+	if ok, err := p.accept(tokRParen); err != nil {
 		return err
 	} else if ok {
 		// Unconditional form: (latency).
@@ -450,17 +450,17 @@ func (p *parser) auxDecl() error {
 	if first != 1 {
 		return p.errf("%%aux condition must start with 1.$n")
 	}
-	if _, err := p.expect(TokDot); err != nil {
+	if _, err := p.expect(tokDot); err != nil {
 		return err
 	}
-	if _, err := p.expect(TokDollar); err != nil {
+	if _, err := p.expect(tokDollar); err != nil {
 		return err
 	}
 	i, err := p.expectInt()
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect(TokEq); err != nil {
+	if _, err := p.expect(tokEq); err != nil {
 		return err
 	}
 	two, err := p.expectInt()
@@ -470,27 +470,27 @@ func (p *parser) auxDecl() error {
 	if two != 2 {
 		return p.errf("%%aux condition must compare against 2.$n")
 	}
-	if _, err := p.expect(TokDot); err != nil {
+	if _, err := p.expect(tokDot); err != nil {
 		return err
 	}
-	if _, err := p.expect(TokDollar); err != nil {
+	if _, err := p.expect(tokDollar); err != nil {
 		return err
 	}
 	j, err := p.expectInt()
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect(TokRParen); err != nil {
+	if _, err := p.expect(tokRParen); err != nil {
 		return err
 	}
-	if _, err := p.expect(TokLParen); err != nil {
+	if _, err := p.expect(tokLParen); err != nil {
 		return err
 	}
 	lat, err := p.expectInt()
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect(TokRParen); err != nil {
+	if _, err := p.expect(tokRParen); err != nil {
 		return err
 	}
 	a.FirstOp, a.SecondOp, a.Latency = int(i), int(j), int(lat)
@@ -509,11 +509,11 @@ func (p *parser) glueDecl() error {
 	if g.Operands, err = p.operandList(); err != nil {
 		return err
 	}
-	if _, err := p.expect(TokLBrace); err != nil {
+	if _, err := p.expect(tokLBrace); err != nil {
 		return err
 	}
 	parseSide := func() (*mach.Sem, error) {
-		if p.tok.Kind == TokIdent && p.tok.Text == "if" {
+		if p.tok.Kind == tokIdent && p.tok.Text == "if" {
 			return p.ifGoto(g.Operands, false)
 		}
 		return p.expr(g.Operands)
@@ -521,24 +521,24 @@ func (p *parser) glueDecl() error {
 	if g.LHS, err = parseSide(); err != nil {
 		return err
 	}
-	if _, err := p.expect(TokArrow); err != nil {
+	if _, err := p.expect(tokArrow); err != nil {
 		return err
 	}
 	if g.RHS, err = parseSide(); err != nil {
 		return err
 	}
-	if _, err := p.expect(TokSemi); err != nil {
+	if _, err := p.expect(tokSemi); err != nil {
 		return err
 	}
-	if _, err := p.expect(TokRBrace); err != nil {
+	if _, err := p.expect(tokRBrace); err != nil {
 		return err
 	}
-	if p.tok.Kind == TokIdent && p.tok.Text == "if" {
+	if p.tok.Kind == tokIdent && p.tok.Text == "if" {
 		if err := p.advance(); err != nil {
 			return err
 		}
 		guard := &mach.GlueGuard{}
-		if ok, err := p.accept(TokBang); err != nil {
+		if ok, err := p.accept(tokBang); err != nil {
 			return err
 		} else if ok {
 			guard.Negate = true
@@ -550,10 +550,10 @@ func (p *parser) glueDecl() error {
 		if fn != "fits" {
 			return p.errf("unknown guard function %q", fn)
 		}
-		if _, err := p.expect(TokLParen); err != nil {
+		if _, err := p.expect(tokLParen); err != nil {
 			return err
 		}
-		if _, err := p.expect(TokDollar); err != nil {
+		if _, err := p.expect(tokDollar); err != nil {
 			return err
 		}
 		n, err := p.expectInt()
@@ -564,7 +564,7 @@ func (p *parser) glueDecl() error {
 			return p.errf("guard $%d out of range", n)
 		}
 		guard.OpIdx = int(n) - 1
-		if _, err := p.expect(TokComma); err != nil {
+		if _, err := p.expect(tokComma); err != nil {
 			return err
 		}
 		dn, err := p.expectIdent()
@@ -574,10 +574,10 @@ func (p *parser) glueDecl() error {
 		if guard.Def = p.m.Def(dn); guard.Def == nil {
 			return p.errf("unknown %%def %q", dn)
 		}
-		if _, err := p.expect(TokRParen); err != nil {
+		if _, err := p.expect(tokRParen); err != nil {
 			return err
 		}
-		if _, err := p.expect(TokSemi); err != nil {
+		if _, err := p.expect(tokSemi); err != nil {
 			return err
 		}
 		g.Guard = guard

@@ -8,95 +8,95 @@ import (
 	"strconv"
 )
 
-// TokKind classifies a token.
-type TokKind uint8
+// tokKind classifies a token.
+type tokKind uint8
 
 const (
-	TokEOF TokKind = iota
-	TokIdent
-	TokDirective // %reg, %instr, ... (Text holds the name without '%')
-	TokInt
-	TokFloat
-	TokDollar // $
-	TokHash   // #
-	TokStar   // *
-	TokLBrace
-	TokRBrace
-	TokLBrack
-	TokRBrack
-	TokLParen
-	TokRParen
-	TokSemi
-	TokComma
-	TokColon
-	TokDColon // ::
-	TokDot
-	TokPlus
-	TokMinus
-	TokSlash
-	TokPercent // '%' not followed by a letter (modulus)
-	TokAmp
-	TokPipe
-	TokCaret
-	TokTilde
-	TokBang
-	TokAssign // =
-	TokEq     // ==
-	TokNe     // !=
-	TokLt
-	TokLe
-	TokGt
-	TokGe
-	TokShl
-	TokShr
-	TokArrow // ==>
+	tokEOF tokKind = iota
+	tokIdent
+	tokDirective // %reg, %instr, ... (Text holds the name without '%')
+	tokInt
+	tokFloat
+	tokDollar // $
+	tokHash   // #
+	tokStar   // *
+	tokLBrace
+	tokRBrace
+	tokLBrack
+	tokRBrack
+	tokLParen
+	tokRParen
+	tokSemi
+	tokComma
+	tokColon
+	tokDColon // ::
+	tokDot
+	tokPlus
+	tokMinus
+	tokSlash
+	tokPercent // '%' not followed by a letter (modulus)
+	tokAmp
+	tokPipe
+	tokCaret
+	tokTilde
+	tokBang
+	tokAssign // =
+	tokEq     // ==
+	tokNe     // !=
+	tokLt
+	tokLe
+	tokGt
+	tokGe
+	tokShl
+	tokShr
+	tokArrow // ==>
 )
 
-var tokNames = map[TokKind]string{
-	TokEOF: "end of file", TokIdent: "identifier", TokDirective: "directive",
-	TokInt: "integer", TokFloat: "float", TokDollar: "$", TokHash: "#",
-	TokStar: "*", TokLBrace: "{", TokRBrace: "}", TokLBrack: "[",
-	TokRBrack: "]", TokLParen: "(", TokRParen: ")", TokSemi: ";",
-	TokComma: ",", TokColon: ":", TokDColon: "::", TokDot: ".",
-	TokPlus: "+", TokMinus: "-", TokSlash: "/", TokPercent: "%",
-	TokAmp: "&", TokPipe: "|", TokCaret: "^", TokTilde: "~", TokBang: "!",
-	TokAssign: "=", TokEq: "==", TokNe: "!=", TokLt: "<", TokLe: "<=",
-	TokGt: ">", TokGe: ">=", TokShl: "<<", TokShr: ">>", TokArrow: "==>",
+var tokNames = map[tokKind]string{
+	tokEOF: "end of file", tokIdent: "identifier", tokDirective: "directive",
+	tokInt: "integer", tokFloat: "float", tokDollar: "$", tokHash: "#",
+	tokStar: "*", tokLBrace: "{", tokRBrace: "}", tokLBrack: "[",
+	tokRBrack: "]", tokLParen: "(", tokRParen: ")", tokSemi: ";",
+	tokComma: ",", tokColon: ":", tokDColon: "::", tokDot: ".",
+	tokPlus: "+", tokMinus: "-", tokSlash: "/", tokPercent: "%",
+	tokAmp: "&", tokPipe: "|", tokCaret: "^", tokTilde: "~", tokBang: "!",
+	tokAssign: "=", tokEq: "==", tokNe: "!=", tokLt: "<", tokLe: "<=",
+	tokGt: ">", tokGe: ">=", tokShl: "<<", tokShr: ">>", tokArrow: "==>",
 }
 
-func (k TokKind) String() string { return tokNames[k] }
+func (k tokKind) String() string { return tokNames[k] }
 
-// Token is one lexical token.
-type Token struct {
-	Kind TokKind
+// token is one lexical token.
+type token struct {
+	Kind tokKind
 	Text string
 	IVal int64
 	FVal float64
 	Line int
 }
 
-func (t Token) String() string {
+func (t token) String() string {
 	switch t.Kind {
-	case TokIdent:
+	case tokIdent:
 		return t.Text
-	case TokDirective:
+	case tokDirective:
 		return "%" + t.Text
-	case TokInt:
+	case tokInt:
 		return strconv.FormatInt(t.IVal, 10)
-	case TokFloat:
+	case tokFloat:
 		return strconv.FormatFloat(t.FVal, 'g', -1, 64)
 	}
 	return t.Kind.String()
 }
 
-// Error is a description error with position information.
-type Error struct {
+// posError is a description error with position information.
+type posError struct {
 	File string
 	Line int
 	Msg  string
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("%s:%d: %s", e.File, e.Line, e.Msg) }
+func (e *posError) Error() string { return fmt.Sprintf("%s:%d: %s", e.File, e.Line, e.Msg) }
 
 type lexer struct {
 	file string
@@ -107,8 +107,8 @@ type lexer struct {
 
 func newLexer(file, src string) *lexer { return &lexer{file: file, src: src, line: 1} }
 
-func (lx *lexer) errf(format string, args ...interface{}) *Error {
-	return &Error{File: lx.file, Line: lx.line, Msg: fmt.Sprintf(format, args...)}
+func (lx *lexer) errf(format string, args ...interface{}) *posError {
+	return &posError{File: lx.file, Line: lx.line, Msg: fmt.Sprintf(format, args...)}
 }
 
 func isLetter(c byte) bool {
@@ -162,13 +162,13 @@ func (lx *lexer) skipSpace() error {
 }
 
 // next returns the next token.
-func (lx *lexer) next() (Token, error) {
+func (lx *lexer) next() (token, error) {
 	if err := lx.skipSpace(); err != nil {
-		return Token{}, err
+		return token{}, err
 	}
-	tok := Token{Line: lx.line}
+	tok := token{Line: lx.line}
 	if lx.pos >= len(lx.src) {
-		tok.Kind = TokEOF
+		tok.Kind = tokEOF
 		return tok, nil
 	}
 	c := lx.src[lx.pos]
@@ -182,7 +182,7 @@ func (lx *lexer) next() (Token, error) {
 		for lx.pos > start+1 && lx.src[lx.pos-1] == '.' {
 			lx.pos--
 		}
-		tok.Kind = TokIdent
+		tok.Kind = tokIdent
 		tok.Text = lx.src[start:lx.pos]
 		return tok, nil
 
@@ -200,7 +200,7 @@ func (lx *lexer) next() (Token, error) {
 			if err != nil {
 				return tok, lx.errf("bad float %q", lx.src[start:lx.pos])
 			}
-			tok.Kind = TokFloat
+			tok.Kind = tokFloat
 			tok.FVal = f
 			return tok, nil
 		}
@@ -208,7 +208,7 @@ func (lx *lexer) next() (Token, error) {
 		if err != nil {
 			return tok, lx.errf("bad integer %q", lx.src[start:lx.pos])
 		}
-		tok.Kind = TokInt
+		tok.Kind = tokInt
 		tok.IVal = v
 		return tok, nil
 
@@ -219,21 +219,21 @@ func (lx *lexer) next() (Token, error) {
 			for lx.pos < len(lx.src) && isIdentCont(lx.src[lx.pos]) {
 				lx.pos++
 			}
-			tok.Kind = TokDirective
+			tok.Kind = tokDirective
 			tok.Text = lx.src[start:lx.pos]
 			return tok, nil
 		}
 		lx.pos++
-		tok.Kind = TokPercent
+		tok.Kind = tokPercent
 		return tok, nil
 	}
 
-	two := func(k TokKind) (Token, error) {
+	two := func(k tokKind) (token, error) {
 		lx.pos += 2
 		tok.Kind = k
 		return tok, nil
 	}
-	one := func(k TokKind) (Token, error) {
+	one := func(k tokKind) (token, error) {
 		lx.pos++
 		tok.Kind = k
 		return tok, nil
@@ -243,76 +243,76 @@ func (lx *lexer) next() (Token, error) {
 		if lx.peekByte(1) == '=' {
 			if lx.peekByte(2) == '>' {
 				lx.pos += 3
-				tok.Kind = TokArrow
+				tok.Kind = tokArrow
 				return tok, nil
 			}
-			return two(TokEq)
+			return two(tokEq)
 		}
-		return one(TokAssign)
+		return one(tokAssign)
 	case '!':
 		if lx.peekByte(1) == '=' {
-			return two(TokNe)
+			return two(tokNe)
 		}
-		return one(TokBang)
+		return one(tokBang)
 	case '<':
 		if lx.peekByte(1) == '=' {
-			return two(TokLe)
+			return two(tokLe)
 		}
 		if lx.peekByte(1) == '<' {
-			return two(TokShl)
+			return two(tokShl)
 		}
-		return one(TokLt)
+		return one(tokLt)
 	case '>':
 		if lx.peekByte(1) == '=' {
-			return two(TokGe)
+			return two(tokGe)
 		}
 		if lx.peekByte(1) == '>' {
-			return two(TokShr)
+			return two(tokShr)
 		}
-		return one(TokGt)
+		return one(tokGt)
 	case ':':
 		if lx.peekByte(1) == ':' {
-			return two(TokDColon)
+			return two(tokDColon)
 		}
-		return one(TokColon)
+		return one(tokColon)
 	case '$':
-		return one(TokDollar)
+		return one(tokDollar)
 	case '#':
-		return one(TokHash)
+		return one(tokHash)
 	case '*':
-		return one(TokStar)
+		return one(tokStar)
 	case '{':
-		return one(TokLBrace)
+		return one(tokLBrace)
 	case '}':
-		return one(TokRBrace)
+		return one(tokRBrace)
 	case '[':
-		return one(TokLBrack)
+		return one(tokLBrack)
 	case ']':
-		return one(TokRBrack)
+		return one(tokRBrack)
 	case '(':
-		return one(TokLParen)
+		return one(tokLParen)
 	case ')':
-		return one(TokRParen)
+		return one(tokRParen)
 	case ';':
-		return one(TokSemi)
+		return one(tokSemi)
 	case ',':
-		return one(TokComma)
+		return one(tokComma)
 	case '.':
-		return one(TokDot)
+		return one(tokDot)
 	case '+':
-		return one(TokPlus)
+		return one(tokPlus)
 	case '-':
-		return one(TokMinus)
+		return one(tokMinus)
 	case '/':
-		return one(TokSlash)
+		return one(tokSlash)
 	case '&':
-		return one(TokAmp)
+		return one(tokAmp)
 	case '|':
-		return one(TokPipe)
+		return one(tokPipe)
 	case '^':
-		return one(TokCaret)
+		return one(tokCaret)
 	case '~':
-		return one(TokTilde)
+		return one(tokTilde)
 	}
 	return tok, lx.errf("unexpected character %q", string(c))
 }

@@ -2,6 +2,8 @@ package maril
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,16 +11,16 @@ import (
 	"marion/internal/mach"
 )
 
-func lexAll(t *testing.T, src string) []Token {
+func lexAll(t *testing.T, src string) []token {
 	t.Helper()
 	lx := newLexer("test", src)
-	var toks []Token
+	var toks []token
 	for {
 		tok, err := lx.next()
 		if err != nil {
 			t.Fatalf("lex error: %v", err)
 		}
-		if tok.Kind == TokEOF {
+		if tok.Kind == tokEOF {
 			return toks
 		}
 		toks = append(toks, tok)
@@ -27,8 +29,8 @@ func lexAll(t *testing.T, src string) []Token {
 
 func TestLexerBasicTokens(t *testing.T) {
 	toks := lexAll(t, "%reg r[0:7] (int); // comment\n/* block */ fadd.d")
-	want := []TokKind{TokDirective, TokIdent, TokLBrack, TokInt, TokColon,
-		TokInt, TokRBrack, TokLParen, TokIdent, TokRParen, TokSemi, TokIdent}
+	want := []tokKind{tokDirective, tokIdent, tokLBrack, tokInt, tokColon,
+		tokInt, tokRBrack, tokLParen, tokIdent, tokRParen, tokSemi, tokIdent}
 	if len(toks) != len(want) {
 		t.Fatalf("got %d tokens, want %d: %v", len(toks), len(want), toks)
 	}
@@ -47,9 +49,9 @@ func TestLexerBasicTokens(t *testing.T) {
 
 func TestLexerOperators(t *testing.T) {
 	toks := lexAll(t, ":: ==> == != <= >= << >> = < > 1.$1 2.5")
-	want := []TokKind{TokDColon, TokArrow, TokEq, TokNe, TokLe, TokGe,
-		TokShl, TokShr, TokAssign, TokLt, TokGt, TokInt, TokDot, TokDollar,
-		TokInt, TokFloat}
+	want := []tokKind{tokDColon, tokArrow, tokEq, tokNe, tokLe, tokGe,
+		tokShl, tokShr, tokAssign, tokLt, tokGt, tokInt, tokDot, tokDollar,
+		tokInt, tokFloat}
 	if len(toks) != len(want) {
 		t.Fatalf("got %d tokens %v, want %d", len(toks), toks, len(want))
 	}
@@ -65,7 +67,7 @@ func TestLexerOperators(t *testing.T) {
 
 func TestLexerPercentAsModulus(t *testing.T) {
 	toks := lexAll(t, "$2 % $3")
-	if toks[2].Kind != TokPercent {
+	if toks[2].Kind != tokPercent {
 		t.Fatalf("expected modulus token, got %v", toks[2])
 	}
 }
@@ -120,7 +122,7 @@ func TestParseMiniDeclare(t *testing.T) {
 	if rs == nil || rs.Count() != 4 {
 		t.Fatalf("regset r missing or wrong size: %+v", rs)
 	}
-	if !rs.Holds(ir.I32) || !rs.Holds(ir.Ptr) || rs.Holds(ir.F64) {
+	if !slices.Contains(rs.Types, ir.I32) || !slices.Contains(rs.Types, ir.Ptr) || slices.Contains(rs.Types, ir.F64) {
 		t.Errorf("regset types wrong: %v", rs.Types)
 	}
 	if len(m.Resources) != 3 {
@@ -390,8 +392,9 @@ instr {
 
 // A machine numbers its physical registers densely in a mach.PhysID, so
 // a description declaring more than the type can number is refused by
-// name, not numbered modulo its range. Exactly mach.MaxPhys is accepted.
+// name, not numbered modulo its range. Exactly maxPhys is accepted.
 func TestTooManyPhysicalRegisters(t *testing.T) {
+	const maxPhys = math.MaxInt16 + 1 // mach.PhysID is an int16
 	desc := func(hi int) string {
 		return fmt.Sprintf(`
 declare { %%reg r[0:31] (int); %%reg x[0:%d] (int); %%resource A; }
@@ -399,22 +402,22 @@ cwvm { %%general (int) r; %%allocable r[0:1]; %%calleesave r[1:1];
        %%sp r[1]; %%fp r[1]; %%retaddr r[0]; }
 instr { %%instr add r, r, r {$1 = $2 + $3;} [A] (1,1,0) }`, hi)
 	}
-	hi := mach.MaxPhys - 32 - 1 // x[0:hi] brings the total to MaxPhys
+	hi := maxPhys - 32 - 1 // x[0:hi] brings the total to maxPhys
 	m, err := Parse("wide", desc(hi))
 	if err != nil {
-		t.Fatalf("%d registers: %v", mach.MaxPhys, err)
+		t.Fatalf("%d registers: %v", maxPhys, err)
 	}
-	if m.NumPhys != mach.MaxPhys {
-		t.Fatalf("NumPhys = %d, want %d", m.NumPhys, mach.MaxPhys)
+	if m.NumPhys != maxPhys {
+		t.Fatalf("NumPhys = %d, want %d", m.NumPhys, maxPhys)
 	}
-	if last := m.RegSet("x").Phys(hi); int(last) != mach.MaxPhys-1 {
-		t.Fatalf("last register numbered %d, want %d", last, mach.MaxPhys-1)
+	if last := m.RegSet("x").Phys(hi); int(last) != maxPhys-1 {
+		t.Fatalf("last register numbered %d, want %d", last, maxPhys-1)
 	}
 	_, err = Parse("wider", desc(hi+1))
 	if err == nil {
-		t.Fatalf("%d registers accepted", mach.MaxPhys+1)
+		t.Fatalf("%d registers accepted", maxPhys+1)
 	}
-	for _, want := range []string{"wider", fmt.Sprint(mach.MaxPhys + 1)} {
+	for _, want := range []string{"wider", fmt.Sprint(maxPhys + 1)} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
 		}

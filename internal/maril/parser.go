@@ -45,7 +45,7 @@ func ParseInfo(file, src string) (*mach.Machine, *Info, error) {
 	}
 	p.info.TotalLines = p.lx.line
 	if err := p.m.Finalize(); err != nil {
-		return nil, nil, &Error{File: file, Line: 0, Msg: err.Error()}
+		return nil, nil, &posError{File: file, Line: 0, Msg: err.Error()}
 	}
 	p.m.SetFingerprint(sha256.Sum256([]byte(srcTag + "\x00" + p.m.Name + "\x00" + src)))
 	return p.m, p.info, nil
@@ -53,14 +53,14 @@ func ParseInfo(file, src string) (*mach.Machine, *Info, error) {
 
 type parser struct {
 	lx   *lexer
-	tok  Token
-	la   []Token // lookahead queue
+	tok  token
+	la   []token // lookahead queue
 	m    *mach.Machine
 	info *Info
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
-	return &Error{File: p.lx.file, Line: p.tok.Line, Msg: fmt.Sprintf(format, args...)}
+	return &posError{File: p.lx.file, Line: p.tok.Line, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *parser) advance() error {
@@ -78,39 +78,39 @@ func (p *parser) advance() error {
 }
 
 // peek returns the n'th token after the current one (n >= 1).
-func (p *parser) peek(n int) (Token, error) {
+func (p *parser) peek(n int) (token, error) {
 	for len(p.la) < n {
 		t, err := p.lx.next()
 		if err != nil {
-			return Token{}, err
+			return token{}, err
 		}
 		p.la = append(p.la, t)
 	}
 	return p.la[n-1], nil
 }
 
-func (p *parser) expect(k TokKind) (Token, error) {
+func (p *parser) expect(k tokKind) (token, error) {
 	if p.tok.Kind != k {
-		return Token{}, p.errf("expected %s, got %s", k, p.tok)
+		return token{}, p.errf("expected %s, got %s", k, p.tok)
 	}
 	t := p.tok
 	return t, p.advance()
 }
 
 func (p *parser) expectIdent() (string, error) {
-	t, err := p.expect(TokIdent)
+	t, err := p.expect(tokIdent)
 	return t.Text, err
 }
 
 func (p *parser) expectInt() (int64, error) {
 	neg := false
-	if p.tok.Kind == TokMinus {
+	if p.tok.Kind == tokMinus {
 		neg = true
 		if err := p.advance(); err != nil {
 			return 0, err
 		}
 	}
-	t, err := p.expect(TokInt)
+	t, err := p.expect(tokInt)
 	if err != nil {
 		return 0, err
 	}
@@ -120,7 +120,7 @@ func (p *parser) expectInt() (int64, error) {
 	return t.IVal, nil
 }
 
-func (p *parser) accept(k TokKind) (bool, error) {
+func (p *parser) accept(k tokKind) (bool, error) {
 	if p.tok.Kind == k {
 		return true, p.advance()
 	}
@@ -134,8 +134,8 @@ var typeNames = map[string]ir.Type{
 }
 
 func (p *parser) description() error {
-	for p.tok.Kind != TokEOF {
-		if p.tok.Kind == TokDirective && p.tok.Text == "machine" {
+	for p.tok.Kind != tokEOF {
+		if p.tok.Kind == tokDirective && p.tok.Text == "machine" {
 			if err := p.advance(); err != nil {
 				return err
 			}
@@ -144,7 +144,7 @@ func (p *parser) description() error {
 				return err
 			}
 			p.m.Name = name
-			if _, err := p.expect(TokSemi); err != nil {
+			if _, err := p.expect(tokSemi); err != nil {
 				return err
 			}
 			continue
@@ -154,7 +154,7 @@ func (p *parser) description() error {
 			return err
 		}
 		start := p.tok.Line
-		if _, err := p.expect(TokLBrace); err != nil {
+		if _, err := p.expect(tokLBrace); err != nil {
 			return err
 		}
 		switch sec {
@@ -173,7 +173,7 @@ func (p *parser) description() error {
 		if err != nil {
 			return err
 		}
-		if _, err := p.expect(TokRBrace); err != nil {
+		if _, err := p.expect(tokRBrace); err != nil {
 			return err
 		}
 	}
@@ -182,7 +182,7 @@ func (p *parser) description() error {
 
 func (p *parser) flags() ([]string, error) {
 	var fl []string
-	for p.tok.Kind == TokPlus {
+	for p.tok.Kind == tokPlus {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -205,19 +205,19 @@ func hasFlag(fl []string, name string) bool {
 }
 
 func (p *parser) intRange() (lo, hi int64, err error) {
-	if _, err = p.expect(TokLBrack); err != nil {
+	if _, err = p.expect(tokLBrack); err != nil {
 		return
 	}
 	if lo, err = p.expectInt(); err != nil {
 		return
 	}
-	if _, err = p.expect(TokColon); err != nil {
+	if _, err = p.expect(tokColon); err != nil {
 		return
 	}
 	if hi, err = p.expectInt(); err != nil {
 		return
 	}
-	_, err = p.expect(TokRBrack)
+	_, err = p.expect(tokRBrack)
 	return
 }
 
@@ -231,14 +231,14 @@ func (p *parser) regRef() (mach.RegRef, error) {
 	if rs == nil {
 		return mach.RegRef{}, p.errf("unknown register set %q", name)
 	}
-	if _, err := p.expect(TokLBrack); err != nil {
+	if _, err := p.expect(tokLBrack); err != nil {
 		return mach.RegRef{}, err
 	}
 	idx, err := p.expectInt()
 	if err != nil {
 		return mach.RegRef{}, err
 	}
-	if _, err := p.expect(TokRBrack); err != nil {
+	if _, err := p.expect(tokRBrack); err != nil {
 		return mach.RegRef{}, err
 	}
 	if int(idx) < rs.Lo || int(idx) > rs.Hi {
@@ -257,7 +257,7 @@ func (p *parser) regRange() (mach.RegRange, error) {
 	if rs == nil {
 		return mach.RegRange{}, p.errf("unknown register set %q", name)
 	}
-	if p.tok.Kind != TokLBrack {
+	if p.tok.Kind != tokLBrack {
 		return mach.RegRange{Set: rs, Lo: rs.Lo, Hi: rs.Hi}, nil
 	}
 	if err := p.advance(); err != nil {
@@ -268,21 +268,21 @@ func (p *parser) regRange() (mach.RegRange, error) {
 		return mach.RegRange{}, err
 	}
 	hi := lo
-	if ok, err := p.accept(TokColon); err != nil {
+	if ok, err := p.accept(tokColon); err != nil {
 		return mach.RegRange{}, err
 	} else if ok {
 		if hi, err = p.expectInt(); err != nil {
 			return mach.RegRange{}, err
 		}
 	}
-	if _, err := p.expect(TokRBrack); err != nil {
+	if _, err := p.expect(tokRBrack); err != nil {
 		return mach.RegRange{}, err
 	}
 	return mach.RegRange{Set: rs, Lo: int(lo), Hi: int(hi)}, nil
 }
 
 func (p *parser) declareSection() error {
-	for p.tok.Kind == TokDirective {
+	for p.tok.Kind == tokDirective {
 		dir := p.tok.Text
 		if err := p.advance(); err != nil {
 			return err
@@ -319,14 +319,14 @@ func (p *parser) regDecl() error {
 		return err
 	}
 	rs := &mach.RegSet{Name: name, Clock: -1}
-	if p.tok.Kind == TokLBrack {
+	if p.tok.Kind == tokLBrack {
 		lo, hi, err := p.intRange()
 		if err != nil {
 			return err
 		}
 		rs.Lo, rs.Hi = int(lo), int(hi)
 	}
-	if _, err := p.expect(TokLParen); err != nil {
+	if _, err := p.expect(tokLParen); err != nil {
 		return err
 	}
 	for {
@@ -339,13 +339,13 @@ func (p *parser) regDecl() error {
 			return p.errf("unknown type %q", tn)
 		}
 		rs.Types = append(rs.Types, t)
-		if ok, err := p.accept(TokComma); err != nil {
+		if ok, err := p.accept(tokComma); err != nil {
 			return err
 		} else if !ok {
 			break
 		}
 	}
-	if ok, err := p.accept(TokSemi); err != nil {
+	if ok, err := p.accept(tokSemi); err != nil {
 		return err
 	} else if ok {
 		// (type; clock) — temporal register's clock.
@@ -357,7 +357,7 @@ func (p *parser) regDecl() error {
 			return p.errf("unknown clock %q", cn)
 		}
 	}
-	if _, err := p.expect(TokRParen); err != nil {
+	if _, err := p.expect(tokRParen); err != nil {
 		return err
 	}
 	fl, err := p.flags()
@@ -368,7 +368,7 @@ func (p *parser) regDecl() error {
 	if rs.Temporal && rs.Clock < 0 {
 		return p.errf("temporal register %q needs a clock", name)
 	}
-	if _, err := p.expect(TokSemi); err != nil {
+	if _, err := p.expect(tokSemi); err != nil {
 		return err
 	}
 	if err := p.m.AddRegSet(rs); err != nil {
@@ -386,7 +386,7 @@ func (p *parser) equivDecl() error {
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect(TokSemi); err != nil {
+	if _, err := p.expect(tokSemi); err != nil {
 		return err
 	}
 	wide, narrow := a, b
@@ -413,13 +413,13 @@ func (p *parser) resourceDecl() error {
 		if err := p.m.AddResource(name); err != nil {
 			return p.errf("%s", err)
 		}
-		if ok, err := p.accept(TokComma); err != nil {
+		if ok, err := p.accept(tokComma); err != nil {
 			return err
 		} else if !ok {
 			break
 		}
 	}
-	_, err := p.expect(TokSemi)
+	_, err := p.expect(tokSemi)
 	return err
 }
 
@@ -436,7 +436,7 @@ func (p *parser) rangeDecl(isLabel bool) error {
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect(TokSemi); err != nil {
+	if _, err := p.expect(tokSemi); err != nil {
 		return err
 	}
 	if isLabel {
@@ -461,7 +461,7 @@ func (p *parser) memoryDecl() error {
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect(TokSemi); err != nil {
+	if _, err := p.expect(tokSemi); err != nil {
 		return err
 	}
 	return wrap(p, p.m.AddMemory(&mach.MemDef{Name: name, Lo: lo, Hi: hi}))
@@ -472,7 +472,7 @@ func (p *parser) clockDecl() error {
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect(TokSemi); err != nil {
+	if _, err := p.expect(tokSemi); err != nil {
 		return err
 	}
 	_, err = p.m.AddClock(name)
@@ -481,14 +481,14 @@ func (p *parser) clockDecl() error {
 
 func (p *parser) cwvmSection() error {
 	c := &p.m.Cwvm
-	for p.tok.Kind == TokDirective {
+	for p.tok.Kind == tokDirective {
 		dir := p.tok.Text
 		if err := p.advance(); err != nil {
 			return err
 		}
 		switch dir {
 		case "general":
-			if _, err := p.expect(TokLParen); err != nil {
+			if _, err := p.expect(tokLParen); err != nil {
 				return err
 			}
 			var types []ir.Type
@@ -502,13 +502,13 @@ func (p *parser) cwvmSection() error {
 					return p.errf("unknown type %q", tn)
 				}
 				types = append(types, t)
-				if ok, err := p.accept(TokComma); err != nil {
+				if ok, err := p.accept(tokComma); err != nil {
 					return err
 				} else if !ok {
 					break
 				}
 			}
-			if _, err := p.expect(TokRParen); err != nil {
+			if _, err := p.expect(tokRParen); err != nil {
 				return err
 			}
 			name, err := p.expectIdent()
@@ -522,7 +522,7 @@ func (p *parser) cwvmSection() error {
 			for _, t := range types {
 				c.General[t] = rs
 			}
-			if _, err := p.expect(TokSemi); err != nil {
+			if _, err := p.expect(tokSemi); err != nil {
 				return err
 			}
 
@@ -537,13 +537,13 @@ func (p *parser) cwvmSection() error {
 				} else {
 					c.CalleeSave = append(c.CalleeSave, rr)
 				}
-				if ok, err := p.accept(TokComma); err != nil {
+				if ok, err := p.accept(tokComma); err != nil {
 					return err
 				} else if !ok {
 					break
 				}
 			}
-			if _, err := p.expect(TokSemi); err != nil {
+			if _, err := p.expect(tokSemi); err != nil {
 				return err
 			}
 
@@ -555,7 +555,7 @@ func (p *parser) cwvmSection() error {
 			if _, err := p.flags(); err != nil {
 				return err
 			}
-			if _, err := p.expect(TokSemi); err != nil {
+			if _, err := p.expect(tokSemi); err != nil {
 				return err
 			}
 			switch dir {
@@ -578,13 +578,13 @@ func (p *parser) cwvmSection() error {
 			if err != nil {
 				return err
 			}
-			if _, err := p.expect(TokSemi); err != nil {
+			if _, err := p.expect(tokSemi); err != nil {
 				return err
 			}
 			c.Hard = append(c.Hard, mach.HardReg{Ref: ref, Value: v})
 
 		case "arg":
-			if _, err := p.expect(TokLParen); err != nil {
+			if _, err := p.expect(tokLParen); err != nil {
 				return err
 			}
 			tn, err := p.expectIdent()
@@ -595,7 +595,7 @@ func (p *parser) cwvmSection() error {
 			if !ok {
 				return p.errf("unknown type %q", tn)
 			}
-			if _, err := p.expect(TokRParen); err != nil {
+			if _, err := p.expect(tokRParen); err != nil {
 				return err
 			}
 			ref, err := p.regRef()
@@ -606,7 +606,7 @@ func (p *parser) cwvmSection() error {
 			if err != nil {
 				return err
 			}
-			if _, err := p.expect(TokSemi); err != nil {
+			if _, err := p.expect(tokSemi); err != nil {
 				return err
 			}
 			c.Args = append(c.Args, mach.ArgSpec{Type: t, Ref: ref, Pos: int(pos)})
@@ -616,7 +616,7 @@ func (p *parser) cwvmSection() error {
 			if err != nil {
 				return err
 			}
-			if _, err := p.expect(TokLParen); err != nil {
+			if _, err := p.expect(tokLParen); err != nil {
 				return err
 			}
 			tn, err := p.expectIdent()
@@ -627,10 +627,10 @@ func (p *parser) cwvmSection() error {
 			if !ok {
 				return p.errf("unknown type %q", tn)
 			}
-			if _, err := p.expect(TokRParen); err != nil {
+			if _, err := p.expect(tokRParen); err != nil {
 				return err
 			}
-			if _, err := p.expect(TokSemi); err != nil {
+			if _, err := p.expect(tokSemi); err != nil {
 				return err
 			}
 			c.Results = append(c.Results, mach.ResultSpec{Ref: ref, Type: t})
@@ -640,7 +640,7 @@ func (p *parser) cwvmSection() error {
 			if err != nil {
 				return err
 			}
-			if _, err := p.expect(TokSemi); err != nil {
+			if _, err := p.expect(tokSemi); err != nil {
 				return err
 			}
 			c.StackArgOffset = int(off)

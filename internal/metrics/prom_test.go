@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"marion/internal/gentest"
 )
 
 func TestQuantile(t *testing.T) {
@@ -96,11 +98,11 @@ func TestMicroUnits(t *testing.T) {
 }
 
 func TestPromName(t *testing.T) {
-	if got := PromName("server.compile.seconds"); got != "marion_server_compile_seconds" {
-		t.Errorf("PromName = %q", got)
+	if got := promName("server.compile.seconds"); got != "marion_server_compile_seconds" {
+		t.Errorf("promName = %q", got)
 	}
-	if got := PromName("a b/c"); got != "marion_a_b_c" {
-		t.Errorf("PromName = %q", got)
+	if got := promName("a b/c"); got != "marion_a_b_c" {
+		t.Errorf("promName = %q", got)
 	}
 }
 
@@ -132,7 +134,7 @@ func TestPromRoundTrip(t *testing.T) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
 	}
-	n, err := ParsePrometheusText(strings.NewReader(out))
+	n, err := gentest.ParsePrometheusText(strings.NewReader(out))
 	if err != nil {
 		t.Fatalf("own output rejected: %v\n%s", err, out)
 	}
@@ -163,7 +165,7 @@ func TestPromParserRejects(t *testing.T) {
 			"# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n"},
 	}
 	for _, c := range cases {
-		if _, err := ParsePrometheusText(strings.NewReader(c.text)); err == nil {
+		if _, err := gentest.ParsePrometheusText(strings.NewReader(c.text)); err == nil {
 			t.Errorf("%s: parser accepted:\n%s", c.name, c.text)
 		}
 	}
@@ -172,7 +174,7 @@ func TestPromParserRejects(t *testing.T) {
 	good := "# TYPE foo counter\n" +
 		"foo{path=\"a\\\\b\\\"c\\nd\"} 1 1700000000\n" +
 		"# TYPE bar gauge\nbar +Inf\n"
-	if n, err := ParsePrometheusText(strings.NewReader(good)); err != nil || n != 2 {
+	if n, err := gentest.ParsePrometheusText(strings.NewReader(good)); err != nil || n != 2 {
 		t.Errorf("valid corner cases rejected: %d, %v", n, err)
 	}
 }

@@ -9,28 +9,28 @@ import (
 	"marion/internal/trace"
 )
 
-// BreakerState is one circuit breaker's state.
-type BreakerState uint8
+// breakerState is one circuit breaker's state.
+type breakerState uint8
 
 const (
-	// Closed: requests flow normally; consecutive breaker-relevant
+	// stateClosed: requests flow normally; consecutive breaker-relevant
 	// failures are counted.
-	Closed BreakerState = iota
-	// Open: requests are rerouted (down the strategy fallback chain)
+	stateClosed breakerState = iota
+	// stateOpen: requests are rerouted (down the strategy fallback chain)
 	// until the cooldown elapses.
-	Open
-	// HalfOpen: the cooldown elapsed and exactly one probe request is
+	stateOpen
+	// stateHalfOpen: the cooldown elapsed and exactly one probe request is
 	// in flight; its outcome closes or re-opens the breaker.
-	HalfOpen
+	stateHalfOpen
 )
 
-func (s BreakerState) String() string {
+func (s breakerState) String() string {
 	switch s {
-	case Closed:
+	case stateClosed:
 		return "closed"
-	case Open:
+	case stateOpen:
 		return "open"
-	case HalfOpen:
+	case stateHalfOpen:
 		return "half-open"
 	}
 	return "state(?)"
@@ -62,10 +62,10 @@ func (c *BreakerConfig) fill() {
 }
 
 type breaker struct {
-	state   BreakerState
-	fails   int // consecutive failures while Closed
+	state   breakerState
+	fails   int // consecutive failures while closed
 	opened  time.Time
-	probing bool // a HalfOpen probe is in flight
+	probing bool // a half-open probe is in flight
 }
 
 // Breakers is a keyed set of circuit breakers — one per
@@ -102,16 +102,16 @@ func (bs *Breakers) Allow(key string) (allowed, probe bool) {
 		return true, false
 	}
 	switch b.state {
-	case Closed:
+	case stateClosed:
 		return true, false
-	case Open:
+	case stateOpen:
 		if now.Sub(b.opened) >= bs.cfg.Cooldown {
-			b.state = HalfOpen
+			b.state = stateHalfOpen
 			b.probing = true
 			return true, true
 		}
 		return false, false
-	case HalfOpen:
+	case stateHalfOpen:
 		if !b.probing {
 			b.probing = true
 			return true, true
@@ -131,12 +131,12 @@ func (bs *Breakers) Success(key string) {
 		return
 	}
 	switch b.state {
-	case HalfOpen:
-		b.state = Closed
+	case stateHalfOpen:
+		b.state = stateClosed
 		b.fails = 0
 		b.probing = false
 		bs.resets++
-	case Closed:
+	case stateClosed:
 		b.fails = 0
 	}
 }
@@ -151,7 +151,7 @@ func (bs *Breakers) Cancel(key string) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	b := bs.m[key]
-	if b != nil && b.state == HalfOpen {
+	if b != nil && b.state == stateHalfOpen {
 		b.probing = false
 	}
 }
@@ -172,22 +172,22 @@ func (bs *Breakers) Failure(key string, sp *trace.Span) (tripped bool) {
 	}
 	fails := 0
 	switch b.state {
-	case Closed:
+	case stateClosed:
 		b.fails++
 		fails = b.fails
 		if b.fails >= bs.cfg.Threshold {
-			b.state = Open
+			b.state = stateOpen
 			b.opened = now
 			bs.trips++
 			tripped = true
 		}
-	case HalfOpen:
-		b.state = Open
+	case stateHalfOpen:
+		b.state = stateOpen
 		b.opened = now
 		b.probing = false
 		bs.trips++
 		tripped = true
-	case Open:
+	case stateOpen:
 		// A request admitted before the trip finishing late; keep open.
 		b.opened = now
 	}
@@ -211,7 +211,7 @@ func (bs *Breakers) States() map[string]string {
 	out := make(map[string]string, len(bs.m))
 	for k, b := range bs.m {
 		s := b.state.String()
-		if b.state == Closed && b.fails > 0 {
+		if b.state == stateClosed && b.fails > 0 {
 			s = fmt.Sprintf("closed(%d fails)", b.fails)
 		}
 		out[k] = s

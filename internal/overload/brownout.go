@@ -9,8 +9,8 @@ import (
 // includes everything above it; the ladder is climbed and descended one
 // level at a time.
 const (
-	// LevelNormal serves full-quality responses.
-	LevelNormal = 0
+	// levelNormal serves full-quality responses.
+	levelNormal = 0
 	// LevelNoVerify disables the optional verify phase on requests that
 	// asked for it (the cheapest quality give-back: results are still
 	// exactly the requested strategy's code).
@@ -26,23 +26,6 @@ const (
 	// retry hint instead of compiling anything.
 	LevelCacheOnly = 4
 )
-
-// LevelString names a brownout level for responses and logs.
-func LevelString(l int) string {
-	switch l {
-	case LevelNormal:
-		return "normal"
-	case LevelNoVerify:
-		return "no-verify"
-	case LevelCheapStrategy:
-		return "cheap-strategy"
-	case LevelSafe:
-		return "safe-only"
-	case LevelCacheOnly:
-		return "cache-only"
-	}
-	return "level(?)"
-}
 
 // The ladder's hysteresis constants.
 const (
@@ -68,7 +51,7 @@ type BrownoutConfig struct {
 	Clock func() time.Time
 }
 
-// Brownout is the hysteretic degradation ladder, LevelNormal through
+// Brownout is the hysteretic degradation ladder, levelNormal through
 // LevelCacheOnly. Observe is fed the limiter's pressure signal (from
 // request handling and from a periodic tick, so recovery happens even
 // when no requests arrive).
@@ -130,7 +113,7 @@ func (b *Brownout) Level() int {
 func (b *Brownout) Force(level int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.lvl = min(max(level, LevelNormal), LevelCacheOnly)
+	b.lvl = min(max(level, levelNormal), LevelCacheOnly)
 	b.last = b.cfg.Clock()
 	b.calm = time.Time{}
 }

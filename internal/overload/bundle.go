@@ -67,10 +67,10 @@ func (o BundleOptions) Config(base pipeline.Config) pipeline.Config {
 	return base
 }
 
-// ILFile and ConfigFile are the bundle's member names.
+// ILFile and configFile are the bundle's member names.
 const (
 	ILFile     = "input.il"
-	ConfigFile = "config.json"
+	configFile = "config.json"
 )
 
 // WriteBundle writes a quarantine bundle under dir, in a fresh
@@ -96,7 +96,7 @@ func WriteBundle(dir string, b *Bundle, il string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := os.WriteFile(filepath.Join(path, ConfigFile), append(cfg, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(path, configFile), append(cfg, '\n'), 0o644); err != nil {
 		return "", err
 	}
 	if err := os.WriteFile(filepath.Join(path, ILFile), []byte(il), 0o644); err != nil {
@@ -108,13 +108,13 @@ func WriteBundle(dir string, b *Bundle, il string) (string, error) {
 // LoadBundle reads a quarantine bundle directory back: the config and
 // the IL text.
 func LoadBundle(path string) (*Bundle, string, error) {
-	cfg, err := os.ReadFile(filepath.Join(path, ConfigFile))
+	cfg, err := os.ReadFile(filepath.Join(path, configFile))
 	if err != nil {
 		return nil, "", err
 	}
 	b := &Bundle{}
 	if err := json.Unmarshal(cfg, b); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", ConfigFile, err)
+		return nil, "", fmt.Errorf("%s: %w", configFile, err)
 	}
 	il, err := os.ReadFile(filepath.Join(path, ILFile))
 	if err != nil {

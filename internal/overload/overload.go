@@ -47,8 +47,8 @@ import (
 type Decision uint8
 
 const (
-	// Admitted: the caller holds a slot and must call the release func.
-	Admitted Decision = iota
+	// admitted: the caller holds a slot and must call the release func.
+	admitted Decision = iota
 	// ShedFull: the wait queue was full; retry after RetryAfter.
 	ShedFull
 	// ShedDoomed: the request's remaining deadline is below the service
@@ -60,7 +60,7 @@ const (
 
 func (d Decision) String() string {
 	switch d {
-	case Admitted:
+	case admitted:
 		return "admitted"
 	case ShedFull:
 		return "shed-full"
@@ -155,7 +155,7 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 	return &Limiter{cfg: cfg, limit: cfg.Initial}
 }
 
-// Acquire takes an admission slot. On Admitted the returned release
+// Acquire takes an admission slot. On admitted the returned release
 // func MUST be called exactly once when the work finishes; its Outcome
 // argument reports whether the work completed (Done), died on its
 // deadline (Breached — the sample still counts against the SLO), or
@@ -174,7 +174,7 @@ func (l *Limiter) Acquire(ctx context.Context, sp *trace.Span) (release func(o O
 	if l.inflight < l.limit && len(l.queue) == 0 {
 		l.inflight++
 		l.mu.Unlock()
-		return l.releaser(time.Now()), Admitted
+		return l.releaser(time.Now()), admitted
 	}
 	if len(l.queue) >= l.cfg.MaxQueue {
 		l.mu.Unlock()
@@ -197,8 +197,8 @@ func (l *Limiter) Acquire(ctx context.Context, sp *trace.Span) (release func(o O
 
 	select {
 	case d := <-w.res:
-		if d == Admitted {
-			return l.releaser(time.Now()), Admitted
+		if d == admitted {
+			return l.releaser(time.Now()), admitted
 		}
 		return nil, d
 	case <-ctx.Done():
@@ -207,7 +207,7 @@ func (l *Limiter) Acquire(ctx context.Context, sp *trace.Span) (release func(o O
 		case d := <-w.res:
 			// Raced with a resolver. An admission must be handed back:
 			// the caller is giving up.
-			if d == Admitted {
+			if d == admitted {
 				l.inflight--
 				l.admitLocked()
 			}
@@ -308,7 +308,7 @@ func (l *Limiter) admitLocked() {
 		w := l.queue[0]
 		l.queue = l.queue[1:]
 		l.inflight++
-		w.res <- Admitted
+		w.res <- admitted
 	}
 }
 

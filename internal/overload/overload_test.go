@@ -16,7 +16,7 @@ func TestLimiterAdmitAndQueue(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 1})
 
 	rel, dec := l.Acquire(context.Background(), nil)
-	if dec != Admitted || rel == nil {
+	if dec != admitted || rel == nil {
 		t.Fatalf("first acquire: %v", dec)
 	}
 	if l.Snapshot().Inflight != 1 {
@@ -41,8 +41,8 @@ func TestLimiterAdmitAndQueue(t *testing.T) {
 
 	rel(Done)
 	g := <-c
-	if g.dec != Admitted {
-		t.Fatalf("queued acquire: %v, want Admitted", g.dec)
+	if g.dec != admitted {
+		t.Fatalf("queued acquire: %v, want admitted", g.dec)
 	}
 	g.rel(Done)
 	if l.Snapshot().Inflight != 0 || l.Snapshot().Queued != 0 {
@@ -124,7 +124,7 @@ func TestLimiterAIMD(t *testing.T) {
 	// Additive increase: one full round of in-SLO completions per +1.
 	fast := func() {
 		rel, dec := l.Acquire(context.Background(), nil)
-		if dec != Admitted {
+		if dec != admitted {
 			t.Fatalf("acquire: %v", dec)
 		}
 		rel(Done) // ~0ms, inside the SLO
@@ -167,7 +167,7 @@ func TestLimiterSkippedNoSample(t *testing.T) {
 	l.Prime(5 * time.Second)
 	for i := 0; i < 50; i++ {
 		rel, dec := l.Acquire(context.Background(), nil)
-		if dec != Admitted {
+		if dec != admitted {
 			t.Fatalf("acquire %d: %v", i, dec)
 		}
 		rel(Skipped) // near-zero service time, but no sample
@@ -187,7 +187,7 @@ func TestLimiterFixedWithoutSLO(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 3, MaxQueue: 1})
 	for i := 0; i < 10; i++ {
 		rel, dec := l.Acquire(context.Background(), nil)
-		if dec != Admitted {
+		if dec != admitted {
 			t.Fatal(dec)
 		}
 		rel(Done)
@@ -249,7 +249,7 @@ func TestLimiterPressure(t *testing.T) {
 func TestLimiterConcurrency(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 4, MaxQueue: 64, SLO: time.Millisecond})
 	var wg sync.WaitGroup
-	var admitted, other sync.Map
+	var got, other sync.Map
 	for i := 0; i < 200; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -257,8 +257,8 @@ func TestLimiterConcurrency(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			defer cancel()
 			rel, dec := l.Acquire(ctx, nil)
-			if dec == Admitted {
-				admitted.Store(i, true)
+			if dec == admitted {
+				got.Store(i, true)
 				if n := l.Snapshot().Inflight; n > 4*4 {
 					t.Errorf("inflight %d exceeded 4 x Initial", n)
 				}
@@ -349,7 +349,7 @@ func TestBrownoutHysteresis(t *testing.T) {
 	clk.advance(501 * time.Millisecond)
 	b.Observe(0.1)
 	clk.advance(501 * time.Millisecond)
-	if lvl := b.Observe(0.1); lvl != LevelNormal {
+	if lvl := b.Observe(0.1); lvl != levelNormal {
 		t.Fatalf("full recovery: %d, want 0", lvl)
 	}
 }
@@ -367,17 +367,6 @@ func TestBrownoutForce(t *testing.T) {
 	b.Force(-1)
 	if b.Level() != 0 {
 		t.Fatalf("force below 0 = %d", b.Level())
-	}
-}
-
-func TestLevelString(t *testing.T) {
-	want := map[int]string{
-		0: "normal", 1: "no-verify", 2: "cheap-strategy", 3: "safe-only", 4: "cache-only",
-	}
-	for l, s := range want {
-		if LevelString(l) != s {
-			t.Errorf("LevelString(%d) = %q, want %q", l, LevelString(l), s)
-		}
 	}
 }
 

@@ -76,8 +76,8 @@ func TestAcquireTracedQueueEvictionEvent(t *testing.T) {
 func TestAcquireNilSpan(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
 	rel, dec := l.Acquire(context.Background(), nil)
-	if dec != Admitted {
-		t.Fatalf("decision = %v, want Admitted", dec)
+	if dec != admitted {
+		t.Fatalf("decision = %v, want admitted", dec)
 	}
 	rel(Done)
 }

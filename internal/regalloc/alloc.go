@@ -14,11 +14,11 @@ import (
 	"marion/internal/sel"
 )
 
-// DefaultMaxRounds is the build-color-spill iteration cap when
+// defaultMaxRounds is the build-color-spill iteration cap when
 // Options.MaxRounds is unset. Real allocations converge in a handful of
 // rounds; a description whose spill code itself cannot be colored would
 // otherwise iterate forever.
-const DefaultMaxRounds = 24
+const defaultMaxRounds = 24
 
 // maxPseudos caps the pseudo-registers of one function (spill
 // temporaries included). The interference matrix takes n(n-1)/2 bits:
@@ -54,7 +54,7 @@ type Options struct {
 	// MaxRounds caps the build-color-spill loop; exceeding it returns a
 	// typed budget error (errors.Is budget.ErrExceeded) instead of
 	// iterating forever on a non-convergent machine description.
-	// 0 means DefaultMaxRounds.
+	// 0 means defaultMaxRounds.
 	MaxRounds int
 
 	// Context, when non-nil, is polled between rounds: a deadline
@@ -88,7 +88,7 @@ func (s *Scratch) AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Re
 	}
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
+		maxRounds = defaultMaxRounds
 	}
 	for round := 0; ; round++ {
 		if round >= maxRounds {
@@ -205,11 +205,6 @@ type facts struct {
 // shipped targets, so a scratch that meets them in turn builds each
 // machine's facts once.
 const maxKnown = 8
-
-// newAllocator is an allocator for af on a scratch of its own.
-func newAllocator(m *mach.Machine, af *asm.Func) *allocator {
-	return new(allocator).reset(m, af)
-}
 
 // reset readies a for allocating af: m's facts, built when a has not
 // met m before, and the function's successor lists. The per-round

@@ -38,7 +38,7 @@ func TestAllocateMaxRoundsCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds < 2 || res.Rounds > DefaultMaxRounds {
+	if res.Rounds < 2 || res.Rounds > defaultMaxRounds {
 		t.Errorf("rounds = %d", res.Rounds)
 	}
 }

@@ -179,7 +179,7 @@ int f(int a) {
     return x - 1;
 }`
 	m, af := selectOn(t, src, "f")
-	a := newAllocator(m, af)
+	a := new(allocator).reset(m, af)
 	a.resize()
 	a.liveness()
 	// x's pseudo must be live out of the entry block.

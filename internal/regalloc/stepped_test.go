@@ -15,13 +15,13 @@ import (
 // colouring round's spill list, which numbers the spill slots.
 func steppedAllocate(t testing.TB, m *mach.Machine, af *asm.Func, opts Options) (*Result, [][]asm.PseudoID, error) {
 	var rounds [][]asm.PseudoID
-	a := newAllocator(m, af)
+	a := new(allocator).reset(m, af)
 	if opts.SpillGlobals {
 		if err := a.spillGlobals(); err != nil {
 			return nil, rounds, err
 		}
 	}
-	for round := 0; round < DefaultMaxRounds; round++ {
+	for round := 0; round < defaultMaxRounds; round++ {
 		a.res.Rounds = round + 1
 		a.build()
 		checkAdjacency(t, a)
@@ -44,7 +44,7 @@ func steppedAllocate(t testing.TB, m *mach.Machine, af *asm.Func, opts Options) 
 			return nil, rounds, err
 		}
 	}
-	t.Fatalf("%s: no convergence in %d rounds", af.Name, DefaultMaxRounds)
+	t.Fatalf("%s: no convergence in %d rounds", af.Name, defaultMaxRounds)
 	return nil, rounds, nil
 }
 

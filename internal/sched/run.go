@@ -22,9 +22,9 @@ type run struct {
 	opts Options
 
 	// The schedule so far: node indices in issue order and their cycles,
-	// priced with the delay-slot nops Apply will insert. Cycles are
+	// priced with the delay-slot nops apply will insert. Cycles are
 	// nondecreasing along order, so placement order is issue order, which
-	// is the order Apply lays the block out in.
+	// is the order apply lays the block out in.
 	order, cycles []int
 	layout        slotLayout
 

@@ -13,11 +13,11 @@ import (
 	"marion/internal/mach"
 )
 
-// DefaultMaxCycles is the scheduler's cycle-loop step cap when
+// defaultMaxCycles is the scheduler's cycle-loop step cap when
 // Options.MaxCycles is unset: far beyond any real schedule, so only a
 // wedged scheduler (a machine description whose constraints admit no
 // schedule) can reach it.
-const DefaultMaxCycles = 1000000
+const defaultMaxCycles = 1000000
 
 // Options configure one scheduling run.
 type Options struct {
@@ -55,7 +55,7 @@ type Options struct {
 
 	// MaxCycles caps the scheduler's cycle loop; when the loop runs past
 	// the cap a typed budget error (errors.Is budget.ErrExceeded) is
-	// returned instead of hanging. 0 means DefaultMaxCycles.
+	// returned instead of hanging. 0 means defaultMaxCycles.
 	MaxCycles int
 
 	// Context, when non-nil, is polled inside the cycle loop: a deadline
@@ -129,7 +129,7 @@ func (s *Scratch) Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph
 	r.start()
 	maxCycles := opts.MaxCycles
 	if maxCycles <= 0 {
-		maxCycles = DefaultMaxCycles
+		maxCycles = defaultMaxCycles
 	}
 	for len(r.order) < n {
 		if opts.Context != nil && r.cycle&255 == 0 {
@@ -167,8 +167,8 @@ func (s *Scratch) Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph
 // instructions that follow a call in emission order would otherwise
 // execute in its delay slots before control reaches the callee — is
 // followed by |Slots| nop cycles, and everything after it issues that
-// many cycles later. Run prices a schedule with it and Apply commits
-// the schedule with it, so the estimate equals the post-Apply SchedCost
+// many cycles later. Run prices a schedule with it and apply commits
+// the schedule with it, so the estimate equals the post-apply SchedCost
 // by construction.
 type slotLayout struct {
 	shift int // nop cycles inserted so far
@@ -195,10 +195,10 @@ func (l *slotLayout) place(t *mach.Instr, cycle int) (at, slots int) {
 // cost is the block's cycle count for everything placed so far.
 func (l *slotLayout) cost() int { return l.last + 1 }
 
-// Apply commits a schedule to the block: instructions are put in issue
+// apply commits a schedule to the block: instructions are put in issue
 // order (res.Order is, as Run returns it), Cycle fields are set, and
 // branch delay slots are filled with nops.
-func Apply(m *mach.Machine, b *asm.Block, res Result) {
+func apply(m *mach.Machine, b *asm.Block, res Result) {
 	if len(res.Order) == 0 {
 		b.SchedCost = res.Cost
 		return
@@ -227,6 +227,6 @@ func (s *Scratch) Schedule(m *mach.Machine, af *asm.Func, b *asm.Block, opts Opt
 	if err != nil {
 		return 0, err
 	}
-	Apply(m, b, res)
+	apply(m, b, res)
 	return res.Cost, nil
 }

@@ -211,8 +211,8 @@ func (s *selector) move(dst, src asm.Operand) (err error) {
 // description-derived instructions they need for prologue/epilogue code,
 // spill code and register moves, without duplicating target knowledge.
 
-// FindMoveTmpl returns a move template for the given register set.
-func FindMoveTmpl(m *mach.Machine, set *mach.RegSet) *mach.Instr {
+// findMoveTmpl returns a move template for the given register set.
+func findMoveTmpl(m *mach.Machine, set *mach.RegSet) *mach.Instr {
 	var fallback *mach.Instr
 	for _, tmpl := range m.Instrs {
 		if tmpl.Sem.Kind != mach.SemAssign {
@@ -297,7 +297,7 @@ func appendMove(a *slab, m *mach.Machine, af *asm.Func, out []*asm.Inst, dst, sr
 	if set == nil {
 		return out, fmt.Errorf("move %s <- %s: cannot determine register set", dst, src)
 	}
-	tmpl := FindMoveTmpl(m, set)
+	tmpl := findMoveTmpl(m, set)
 	if tmpl == nil {
 		return out, fmt.Errorf("machine %s has no move for register set %s", m.Name, set.Name)
 	}
@@ -379,9 +379,9 @@ func operandSetOf(m *mach.Machine, af *asm.Func, op asm.Operand) *mach.RegSet {
 	return nil
 }
 
-// FindLoadTmpl returns a base+immediate load for values of type t into
+// findLoadTmpl returns a base+immediate load for values of type t into
 // registers of the given set.
-func FindLoadTmpl(m *mach.Machine, set *mach.RegSet, t ir.Type) *mach.Instr {
+func findLoadTmpl(m *mach.Machine, set *mach.RegSet, t ir.Type) *mach.Instr {
 	for _, tmpl := range m.Instrs {
 		if tmpl.Sem.Kind != mach.SemAssign {
 			continue
@@ -404,9 +404,9 @@ func FindLoadTmpl(m *mach.Machine, set *mach.RegSet, t ir.Type) *mach.Instr {
 	return nil
 }
 
-// FindStoreTmpl returns a base+immediate store of values of type t from
+// findStoreTmpl returns a base+immediate store of values of type t from
 // registers of the given set.
-func FindStoreTmpl(m *mach.Machine, set *mach.RegSet, t ir.Type) *mach.Instr {
+func findStoreTmpl(m *mach.Machine, set *mach.RegSet, t ir.Type) *mach.Instr {
 	for _, tmpl := range m.Instrs {
 		if tmpl.Sem.Kind != mach.SemAssign {
 			continue
@@ -459,7 +459,7 @@ func baseImmAddr(tmpl *mach.Instr, addr *mach.Sem) (ok bool, baseIdx, immIdx int
 // BuildLoad builds "dst = m[base + off]".
 func BuildLoad(m *mach.Machine, af *asm.Func, dst asm.Operand, base mach.PhysID, off int64, t ir.Type) (*asm.Inst, error) {
 	set := operandSetOf(m, af, dst)
-	tmpl := FindLoadTmpl(m, set, t)
+	tmpl := findLoadTmpl(m, set, t)
 	if tmpl == nil {
 		return nil, fmt.Errorf("machine %s has no load for %s/%s", m.Name, set.Name, t)
 	}
@@ -478,7 +478,7 @@ func BuildLoad(m *mach.Machine, af *asm.Func, dst asm.Operand, base mach.PhysID,
 // BuildStore builds "m[base + off] = src".
 func BuildStore(m *mach.Machine, af *asm.Func, src asm.Operand, base mach.PhysID, off int64, t ir.Type) (*asm.Inst, error) {
 	set := operandSetOf(m, af, src)
-	tmpl := FindStoreTmpl(m, set, t)
+	tmpl := findStoreTmpl(m, set, t)
 	if tmpl == nil {
 		return nil, fmt.Errorf("machine %s has no store for %s/%s", m.Name, set.Name, t)
 	}
@@ -494,8 +494,8 @@ func BuildStore(m *mach.Machine, af *asm.Func, src asm.Operand, base mach.PhysID
 	return asm.New(tmpl, args...), nil
 }
 
-// FindAddImmTmpl returns "reg = reg + imm" in the int general set.
-func FindAddImmTmpl(m *mach.Machine) *mach.Instr {
+// findAddImmTmpl returns "reg = reg + imm" in the int general set.
+func findAddImmTmpl(m *mach.Machine) *mach.Instr {
 	set := m.Cwvm.GeneralSet(ir.I32)
 	for _, tmpl := range m.Instrs {
 		if tmpl.Sem.Kind != mach.SemAssign {
@@ -525,7 +525,7 @@ func FindAddImmTmpl(m *mach.Machine) *mach.Instr {
 
 // BuildAddImm builds "dst = src + imm" on physical registers.
 func BuildAddImm(m *mach.Machine, dst, src mach.PhysID, imm int64) (*asm.Inst, error) {
-	tmpl := FindAddImmTmpl(m)
+	tmpl := findAddImmTmpl(m)
 	if tmpl == nil {
 		return nil, fmt.Errorf("machine %s has no add-immediate", m.Name)
 	}

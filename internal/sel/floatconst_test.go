@@ -14,6 +14,7 @@ import (
 // then emit as +0.0, and a NaN pattern must match its own NaN although
 // the two compare unequal as float64.
 func TestFloatConstPatternMatchesBits(t *testing.T) {
+	var slab ir.Slab
 	negZero := math.Copysign(0, -1)
 	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
 	for _, c := range []struct {
@@ -21,14 +22,14 @@ func TestFloatConstPatternMatchesBits(t *testing.T) {
 		node    *ir.Node
 		want    bool
 	}{
-		{0, ir.NewFConst(ir.F64, 0), true},
-		{0, ir.NewFConst(ir.F64, negZero), false},
-		{negZero, ir.NewFConst(ir.F64, negZero), true},
-		{negZero, ir.NewFConst(ir.F64, 0), false},
-		{math.NaN(), ir.NewFConst(ir.F64, math.NaN()), true},
-		{math.NaN(), ir.NewFConst(ir.F64, otherNaN), false},
-		{1.5, ir.NewFConst(ir.F32, 1.5), true},
-		{0, ir.NewConst(ir.I32, 0), false},
+		{0, slab.FConst(ir.F64, 0), true},
+		{0, slab.FConst(ir.F64, negZero), false},
+		{negZero, slab.FConst(ir.F64, negZero), true},
+		{negZero, slab.FConst(ir.F64, 0), false},
+		{math.NaN(), slab.FConst(ir.F64, math.NaN()), true},
+		{math.NaN(), slab.FConst(ir.F64, otherNaN), false},
+		{1.5, slab.FConst(ir.F32, 1.5), true},
+		{0, slab.Const(ir.I32, 0), false},
 	} {
 		var s selector
 		p := &mach.Sem{Kind: mach.SemConst, FVal: c.pattern, IsFloat: true}

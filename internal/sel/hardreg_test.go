@@ -53,7 +53,8 @@ func TestHardRegWrongSetNotSelectable(t *testing.T) {
 	b := fn.NewBlock()
 	x := fn.NewReg(ir.I32, "x")
 	dst := fn.NewReg(ir.I32, "y")
-	add := ir.New(ir.Add, ir.I32, ir.NewReg(ir.I32, x), ir.NewConst(ir.I32, 42))
+	var slab ir.Slab
+	add := slab.New(ir.Add, ir.I32, slab.Reg(ir.I32, x), slab.Const(ir.I32, 42))
 	b.Stmts = append(b.Stmts, &ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: dst, Kids: []*ir.Node{add}})
 
 	af, err := Select(m, fn)
@@ -115,7 +116,8 @@ instr {
 	b := fn.NewBlock()
 	x := fn.NewReg(ir.I32, "x")
 	dst := fn.NewReg(ir.I32, "y")
-	add := ir.New(ir.Add, ir.I32, ir.NewReg(ir.I32, x), ir.NewConst(ir.I32, 0))
+	var slab ir.Slab
+	add := slab.New(ir.Add, ir.I32, slab.Reg(ir.I32, x), slab.Const(ir.I32, 0))
 	b.Stmts = append(b.Stmts, &ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: dst, Kids: []*ir.Node{add}})
 
 	af, err := Select(m, fn)

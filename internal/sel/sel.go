@@ -6,7 +6,7 @@
 //
 // Two layers accelerate the paper's literal brute force without
 // changing its result: the machine's operator-indexed template tables
-// (mach.SelIndex, built once per machine at Finalize time) restrict
+// (mach's selIndex, built once per machine at Finalize time) restrict
 // every matching loop to templates whose root can possibly match the
 // node, and per-selector memo caches collapse the
 // bindsSelectable → canSelect → bindsSelectable feasibility recursion

@@ -70,8 +70,9 @@ type CompileResponse struct {
 	// ElapsedMs is the total server-side time, admission included.
 	ElapsedMs float64 `json:"elapsed_ms"`
 	// BrownoutLevel is the overload-degradation level the request ran
-	// under (0 = normal; see overload.LevelString). Brownout lists what
-	// the ladder changed: verify disabled, strategy capped, cache-only.
+	// under: 0 normal, 1 no-verify, 2 cheap-strategy (capped at
+	// Postpass), 3 safe-only, 4 cache-only. Brownout lists what the
+	// ladder changed: verify disabled, strategy capped, cache-only.
 	BrownoutLevel int      `json:"brownout_level,omitempty"`
 	Brownout      []string `json:"brownout,omitempty"`
 	// BreakerReroute records that an open circuit breaker routed this
@@ -139,8 +140,8 @@ type Statz struct {
 	// below the service estimate (doomed-in-queue).
 	Evicted int64 `json:"evicted"`
 
-	// PressureLevel is the current brownout level (0 = normal); see
-	// overload.LevelString for names.
+	// PressureLevel is the current brownout level, numbered as
+	// CompileResponse.BrownoutLevel.
 	PressureLevel int `json:"pressure_level"`
 
 	// Breakers maps target/strategy to circuit-breaker state ("closed",
@@ -161,10 +162,10 @@ type Statz struct {
 	TraceCapacity int `json:"trace_capacity,omitempty"`
 }
 
-// Tracez is the body of GET /tracez (without ?id): the ring's shape
+// tracez is the body of GET /tracez (without ?id): the ring's shape
 // plus a summary of every retained trace, newest first. GET
 // /tracez?id=<request id> returns the one trace.Trace instead.
-type Tracez struct {
+type tracez struct {
 	Capacity int             `json:"capacity"`
 	SLOMs    float64         `json:"slo_ms"`
 	Traces   []trace.Summary `json:"traces"`

@@ -483,7 +483,7 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, t)
 		return
 	}
-	writeJSON(w, http.StatusOK, &Tracez{
+	writeJSON(w, http.StatusOK, &tracez{
 		Capacity: s.ring.Cap(),
 		SLOMs:    float64(s.ring.SLO()) / float64(time.Millisecond),
 		Traces:   s.ring.List(),

@@ -215,7 +215,7 @@ func TestBadRequests(t *testing.T) {
 func occupySlot(t *testing.T, s *Server) func(overload.Outcome) {
 	t.Helper()
 	rel, dec := s.lim.Acquire(context.Background(), nil)
-	if dec != overload.Admitted {
+	if rel == nil {
 		t.Fatalf("could not occupy slot: %v", dec)
 	}
 	return rel

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"marion/internal/faults"
-	"marion/internal/metrics"
+	"marion/internal/gentest"
 	"marion/internal/overload"
 	"marion/internal/trace"
 )
@@ -36,7 +36,7 @@ func TestTraceRingCapturesCompile(t *testing.T) {
 	if lw.Code != http.StatusOK {
 		t.Fatalf("/tracez: %d", lw.Code)
 	}
-	tz := decode[Tracez](t, lw)
+	tz := decode[tracez](t, lw)
 	if tz.Capacity != 8 || len(tz.Traces) != 1 || tz.Traces[0].ID != resp.RequestID {
 		t.Fatalf("/tracez = %+v", tz)
 	}
@@ -353,7 +353,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	if _, err := metrics.ParsePrometheusText(bytes.NewReader(w.Body.Bytes())); err != nil {
+	if _, err := gentest.ParsePrometheusText(bytes.NewReader(w.Body.Bytes())); err != nil {
 		t.Fatalf("/metrics rejected by parser: %v\n%s", err, w.Body.String())
 	}
 	if !strings.Contains(w.Body.String(), "marion_server_requests 1") {

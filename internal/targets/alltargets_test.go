@@ -1,6 +1,7 @@
 package targets
 
 import (
+	"slices"
 	"testing"
 
 	"marion/internal/ir"
@@ -73,8 +74,8 @@ func TestRS6000MultiIssue(t *testing.T) {
 	br := m.InstrByLabel("beq0")
 	fx := m.InstrByLabel("cax")
 	fp := m.InstrByLabel("fa")
-	if br.ResVec[0].Intersects(fx.ResVec[0]) || fx.ResVec[0].Intersects(fp.ResVec[0]) ||
-		br.ResVec[0].Intersects(fp.ResVec[0]) {
+	if br.ResVec[0]&fx.ResVec[0] != 0 || fx.ResVec[0]&fp.ResVec[0] != 0 ||
+		br.ResVec[0]&fp.ResVec[0] != 0 {
 		t.Error("functional units share resources; multi-issue impossible")
 	}
 	if br.Slots != 0 {
@@ -106,12 +107,12 @@ func TestM88000Pairs(t *testing.T) {
 // HoldsLoose used to give: int-width leniency through an int set only,
 // where the selector's copy also went through a pointer-only set.
 func narrowLoose(rs *mach.RegSet, t ir.Type) bool {
-	if rs.Holds(t) {
+	if slices.Contains(rs.Types, t) {
 		return true
 	}
 	switch t {
 	case ir.I8, ir.I16, ir.U32, ir.Ptr:
-		return rs.Holds(ir.I32)
+		return slices.Contains(rs.Types, ir.I32)
 	}
 	return false
 }

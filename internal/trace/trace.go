@@ -129,14 +129,6 @@ func New(id, name string) *Span {
 	return &Span{tr: tr}
 }
 
-// TraceID returns the trace's request ID ("" on a nil span).
-func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	return s.tr.id
-}
-
 // Child opens a nested span under s. Returns nil on a nil receiver.
 func (s *Span) Child(name string) *Span {
 	if s == nil {

@@ -54,9 +54,6 @@ func TestSpanTree(t *testing.T) {
 
 func TestNilSpanIsNoOp(t *testing.T) {
 	var s *Span
-	if got := s.TraceID(); got != "" {
-		t.Errorf("nil TraceID = %q", got)
-	}
 	c := s.Child("x")
 	if c != nil {
 		t.Errorf("nil Child = %v, want nil", c)

@@ -18,3 +18,22 @@ func OracleUses(in *asm.Inst) (out []mach.PhysID) {
 	(&verifier{}).instUses(in, func(p mach.PhysID) { out = append(out, p) })
 	return out
 }
+
+// The finding kinds, for the external test package.
+const (
+	KindSchedule = kindSchedule
+	KindLatency  = kindLatency
+	KindResource = kindResource
+	KindTemporal = kindTemporal
+	KindControl  = kindControl
+	KindRegister = kindRegister
+)
+
+// Kinds lists every finding kind.
+func Kinds() []Kind {
+	var out []Kind
+	for k := kindSchedule; k <= kindRegister; k++ {
+		out = append(out, k)
+	}
+	return out
+}

@@ -62,15 +62,15 @@ func (v *verifier) checkDataHazards(bi int, b *asm.Block, times []int) {
 				ow := v.latches[slices.Index(v.m.RegSets, ts)]
 				switch {
 				case ow.block != v.block:
-					v.addf(bi, k, t, KindTemporal,
+					v.addf(bi, k, t, kindTemporal,
 						"%s reads latch set %s holding no live value (never written, or its clock ticked)",
 						in.Tmpl.Mnemonic, ts.Name)
 				case ow.seq != in.SeqID:
-					v.addf(bi, k, t, KindTemporal,
+					v.addf(bi, k, t, kindTemporal,
 						"%s (seq %d) reads latch set %s written by a different sequence (%s, seq %d)",
 						in.Tmpl.Mnemonic, in.SeqID, ts.Name, b.Insts[ow.idx].Tmpl.Mnemonic, ow.seq)
 				case t-ow.time < ow.lat:
-					v.addf(bi, k, t, KindTemporal,
+					v.addf(bi, k, t, kindTemporal,
 						"%s reads latch set %s %d cycle(s) after its write (latency %d)",
 						in.Tmpl.Mnemonic, ts.Name, t-ow.time, ow.lat)
 				}
@@ -91,7 +91,7 @@ func (v *verifier) checkDataHazards(bi int, b *asm.Block, times []int) {
 				continue
 			}
 			if in.Cycle >= 0 && lastMem >= 0 && t <= lastMem {
-				v.addf(bi, k, t, KindLatency,
+				v.addf(bi, k, t, kindLatency,
 					"memory reference %s issues in the same cycle as an earlier memory write",
 					tm.Mnemonic)
 			}
@@ -114,7 +114,7 @@ func (v *verifier) checkDataHazards(bi int, b *asm.Block, times []int) {
 				for _, key := range v.keys(o) {
 					l := &v.locs[key]
 					if l.word == v.word && sched && b.Insts[l.wordIdx].Cycle >= 0 {
-						v.addf(bi, k, t, KindRegister,
+						v.addf(bi, k, t, kindRegister,
 							"%s and %s both write %s in one instruction word",
 							b.Insts[l.wordIdx].Tmpl.Mnemonic, in.Tmpl.Mnemonic, v.regName(key))
 					}
@@ -134,7 +134,7 @@ func (v *verifier) checkDataHazards(bi int, b *asm.Block, times []int) {
 			for _, ts := range in.Tmpl.WritesTRegs {
 				ow := &v.latches[slices.Index(v.m.RegSets, ts)]
 				if ow.block == v.block && ow.time == t {
-					v.addf(bi, k, t, KindTemporal,
+					v.addf(bi, k, t, kindTemporal,
 						"%s and %s both write latch set %s in one instruction word",
 						b.Insts[ow.idx].Tmpl.Mnemonic, in.Tmpl.Mnemonic, ts.Name)
 				}
@@ -179,7 +179,7 @@ func (v *verifier) checkUse(bi int, b *asm.Block, t, i int, in *asm.Inst, o asm.
 		prod := b.Insts[d.idx]
 		lat := v.latencyOf(prod, in)
 		if dist := t - int(d.time); dist < lat {
-			v.addf(bi, i, t, KindLatency,
+			v.addf(bi, i, t, kindLatency,
 				"%s uses %s %d cycle(s) after %s writes it (latency %d)",
 				in.Tmpl.Mnemonic, v.regName(k), dist, prod.Tmpl.Mnemonic, lat)
 		}

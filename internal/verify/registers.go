@@ -197,7 +197,7 @@ func (v *verifier) daFlow(bi int, s bitset) {
 		for k := i; k < j; k++ {
 			v.instUses(b.Insts[k], func(p mach.PhysID) {
 				if _, hard := v.m.IsHard(p); !hard && !s.has(int(p)) {
-					v.addf(bi, k, times[k], KindRegister,
+					v.addf(bi, k, times[k], kindRegister,
 						"%s reads %s, which is not written on every path to this point",
 						b.Insts[k].Tmpl.Mnemonic, v.m.PhysName(p))
 				}
@@ -286,7 +286,7 @@ func (v *verifier) checkClobbers(use, def sets) {
 			}
 			for _, p := range in.ImpDefs() {
 				if after.has(int(p)) && !results.has(int(p)) {
-					v.addf(bi, i, times[i], KindRegister,
+					v.addf(bi, i, times[i], kindRegister,
 						"%s clobbers %s, which is live after the call",
 						in.Tmpl.Mnemonic, v.m.PhysName(p))
 				}
@@ -337,7 +337,7 @@ func (v *verifier) checkCalleeSaveDiscipline() {
 				if o.Kind != asm.OpPhys || !csave.has(int(o.Phys)) || saved.has(int(o.Phys)) || v.isHardPhys(o) {
 					continue
 				}
-				v.addf(bi, i, times[i], KindRegister,
+				v.addf(bi, i, times[i], kindRegister,
 					"%s writes callee-save register %s, which the function does not save",
 					in.Tmpl.Mnemonic, v.m.PhysName(o.Phys))
 			}

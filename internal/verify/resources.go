@@ -40,7 +40,7 @@ func (v *verifier) checkResources(bi int, b *asm.Block, times []int) {
 			}
 			for c, rs := range in.Tmpl.ResVec {
 				if conflict := busy[(t+c)%len(busy)] & rs; conflict != 0 && (c == 0 || !v.opts.IssueOnly) {
-					v.addf(bi, k, t, KindResource,
+					v.addf(bi, k, t, kindResource,
 						"%s oversubscribes resource(s) %s at cycle %d",
 						in.Tmpl.Mnemonic, v.resNames(conflict), t+c)
 				}
@@ -65,7 +65,7 @@ func (v *verifier) checkResources(bi int, b *asm.Block, times []int) {
 			}
 			cls = cls.Intersect(c)
 			if cls.IsEmpty() {
-				v.addf(bi, k, t, KindResource,
+				v.addf(bi, k, t, kindResource,
 					"%s cannot pack into this word: no common long-word element (%s)",
 					b.Insts[k].Tmpl.Mnemonic, wordShape(b.Insts[i:j]))
 				break
@@ -100,7 +100,7 @@ func (v *verifier) checkControl(bi int, b *asm.Block, times []int) {
 				continue
 			}
 			if first >= 0 {
-				v.addf(bi, k, times[k], KindControl,
+				v.addf(bi, k, times[k], kindControl,
 					"%s shares an instruction word with control transfer %s",
 					b.Insts[k].Tmpl.Mnemonic, b.Insts[first].Tmpl.Mnemonic)
 				continue
@@ -128,7 +128,7 @@ func (v *verifier) checkSlots(bi int, b *asm.Block, times []int, ti, next int) {
 			k++
 		}
 		if k == len(times) || times[k] != at {
-			v.addf(bi, ti, times[ti], KindControl,
+			v.addf(bi, ti, times[ti], kindControl,
 				"delay slot %d of %s is missing: no instruction word at cycle %d",
 				s, in.Tmpl.Mnemonic, at)
 			continue
@@ -140,15 +140,15 @@ func (v *verifier) checkSlots(bi int, b *asm.Block, times []int, ti, next int) {
 			}
 			switch {
 			case sin.Tmpl.Transfers():
-				v.addf(bi, k, at, KindControl,
+				v.addf(bi, k, at, kindControl,
 					"control transfer %s sits in a delay slot of %s",
 					sin.Tmpl.Mnemonic, in.Tmpl.Mnemonic)
 			case annulled:
-				v.addf(bi, k, at, KindControl,
+				v.addf(bi, k, at, kindControl,
 					"%s sits in a taken-only (annulled) delay slot of %s: it is skipped on fall-through",
 					sin.Tmpl.Mnemonic, in.Tmpl.Mnemonic)
 			case !slotSafe(sin):
-				v.addf(bi, k, at, KindControl,
+				v.addf(bi, k, at, kindControl,
 					"%s is not safe in a delay slot of %s",
 					sin.Tmpl.Mnemonic, in.Tmpl.Mnemonic)
 			}

@@ -36,7 +36,7 @@ func (v *verifier) timeline(bi int, b *asm.Block) []int {
 		case c >= 0 && prev >= 0 && c > prev:
 			t += c - prev
 		case c >= 0 && prev >= 0 && c < prev:
-			v.addf(bi, i, t+1, KindSchedule,
+			v.addf(bi, i, t+1, kindSchedule,
 				"issue cycle %d follows cycle %d: block schedule is not nondecreasing", c, prev)
 			t++
 		default:

@@ -46,40 +46,30 @@ import (
 type Kind uint8
 
 const (
-	KindSchedule Kind = iota // malformed schedule (non-monotone cycles)
-	KindLatency              // data dependence issued inside the latency window
-	KindResource             // resource oversubscription / illegal packing
-	KindTemporal             // temporal-latch / clock-advancement violation
-	KindControl              // delay-slot structure violation
-	KindRegister             // undefined use / live-value clobber
-	numKinds
+	kindSchedule Kind = iota // malformed schedule (non-monotone cycles)
+	kindLatency              // data dependence issued inside the latency window
+	kindResource             // resource oversubscription / illegal packing
+	kindTemporal             // temporal-latch / clock-advancement violation
+	kindControl              // delay-slot structure violation
+	kindRegister             // undefined use / live-value clobber
 )
 
 func (k Kind) String() string {
 	switch k {
-	case KindSchedule:
+	case kindSchedule:
 		return "schedule"
-	case KindLatency:
+	case kindLatency:
 		return "latency"
-	case KindResource:
+	case kindResource:
 		return "resource"
-	case KindTemporal:
+	case kindTemporal:
 		return "temporal"
-	case KindControl:
+	case kindControl:
 		return "control"
-	case KindRegister:
+	case kindRegister:
 		return "register"
 	}
 	return fmt.Sprintf("kind%d", int(k))
-}
-
-// Kinds lists every finding kind.
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
 }
 
 // Finding is one invariant violation, anchored to an instruction.
@@ -186,7 +176,7 @@ func (s *Scratch) Func(m *mach.Machine, af *asm.Func, opts Options) *Report {
 	if af.Text != nil {
 		// A cache hit has no instructions to replay: refuse it rather
 		// than pass it for want of anything to check.
-		v.report.Findings = append(v.report.Findings, Finding{Kind: KindSchedule, Func: af.Name, Cycle: -1,
+		v.report.Findings = append(v.report.Findings, Finding{Kind: kindSchedule, Func: af.Name, Cycle: -1,
 			Msg: "printed text only (a cache hit): nothing to verify; compile without a cache"})
 		return v.report
 	}
@@ -202,19 +192,6 @@ func (s *Scratch) Detach() {
 	v := &s.v
 	v.m, v.af, v.report = nil, nil, nil
 	clear(v.blockAt)
-}
-
-// Program verifies every function of a compiled program and returns the
-// merged findings.
-func Program(p *asm.Program, opts Options) *Report {
-	r := &Report{}
-	var s Scratch
-	for _, f := range p.Funcs {
-		if f != nil {
-			r.Merge(s.Func(p.Machine, f, opts))
-		}
-	}
-	return r
 }
 
 // verifier carries the per-function verification state in dense tables

@@ -19,7 +19,8 @@ func TestGlueRewritesCompareBranch(t *testing.T) {
 	tgt := fn.NewBlock()
 	a := fn.NewReg(ir.I32, "a")
 	c := fn.NewReg(ir.I32, "c")
-	cond := ir.New(ir.Lt, ir.I32, ir.NewReg(ir.I32, a), ir.NewReg(ir.I32, c))
+	var slab ir.Slab
+	cond := slab.New(ir.Lt, ir.I32, slab.Reg(ir.I32, a), slab.Reg(ir.I32, c))
 	b.Stmts = []*ir.Node{{Op: ir.Branch, Kids: []*ir.Node{cond}, Target: tgt}}
 	Apply(m, fn)
 	got := b.Stmts[0].String()
@@ -28,7 +29,7 @@ func TestGlueRewritesCompareBranch(t *testing.T) {
 	}
 	// Shape: if ((a :: c) < 0) goto ...
 	rel := b.Stmts[0].Kids[0]
-	if rel.Op != ir.Lt || rel.Kids[0].Op != ir.Cmp || !rel.Kids[1].IsIntConst(0) {
+	if rel.Op != ir.Lt || rel.Kids[0].Op != ir.Cmp || rel.Kids[1].Op != ir.Const || rel.Kids[1].IVal != 0 {
 		t.Errorf("rewritten condition wrong: %s", got)
 	}
 }
@@ -42,7 +43,8 @@ func TestGlueZeroGuardSuppressesRewrite(t *testing.T) {
 	b := fn.NewBlock()
 	tgt := fn.NewBlock()
 	a := fn.NewReg(ir.I32, "a")
-	cond := ir.New(ir.Eq, ir.I32, ir.NewReg(ir.I32, a), ir.NewConst(ir.I32, 0))
+	var slab ir.Slab
+	cond := slab.New(ir.Eq, ir.I32, slab.Reg(ir.I32, a), slab.Const(ir.I32, 0))
 	b.Stmts = []*ir.Node{{Op: ir.Branch, Kids: []*ir.Node{cond}, Target: tgt}}
 	Apply(m, fn)
 	// Comparison against literal zero keeps the direct beq0 form.
@@ -52,6 +54,7 @@ func TestGlueZeroGuardSuppressesRewrite(t *testing.T) {
 }
 
 func TestGlueBigConstantSplit(t *testing.T) {
+	var slab ir.Slab
 	m, err := targets.Load("toyp")
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +63,8 @@ func TestGlueBigConstantSplit(t *testing.T) {
 	b := fn.NewBlock()
 	d := fn.NewReg(ir.I32, "d")
 	b.Stmts = []*ir.Node{
-		{Op: ir.Asgn, Type: ir.I32, Reg: d, Kids: []*ir.Node{ir.NewConst(ir.I32, 100000)}},
-		{Op: ir.Asgn, Type: ir.I32, Reg: d, Kids: []*ir.Node{ir.NewConst(ir.I32, 42)}},
+		{Op: ir.Asgn, Type: ir.I32, Reg: d, Kids: []*ir.Node{slab.Const(ir.I32, 100000)}},
+		{Op: ir.Asgn, Type: ir.I32, Reg: d, Kids: []*ir.Node{slab.Const(ir.I32, 42)}},
 	}
 	Apply(m, fn)
 	big := b.Stmts[0].Kids[0]
@@ -85,7 +88,8 @@ func TestGlueTerminates(t *testing.T) {
 	tgt := fn.NewBlock()
 	a := fn.NewReg(ir.I32, "a")
 	c := fn.NewReg(ir.I32, "c")
-	cond := ir.New(ir.Eq, ir.I32, ir.NewReg(ir.I32, a), ir.NewReg(ir.I32, c))
+	var slab ir.Slab
+	cond := slab.New(ir.Eq, ir.I32, slab.Reg(ir.I32, a), slab.Reg(ir.I32, c))
 	b.Stmts = []*ir.Node{{Op: ir.Branch, Kids: []*ir.Node{cond}, Target: tgt}}
 	Apply(m, fn) // must not hang
 	rel := b.Stmts[0].Kids[0]
@@ -106,7 +110,7 @@ func TestGlueSharedSubtreeRewrittenOnce(t *testing.T) {
 	b := fn.NewBlock()
 	d := fn.NewReg(ir.I32, "d")
 	e := fn.NewReg(ir.I32, "e")
-	shared := ir.NewConst(ir.I32, 100000)
+	shared := new(ir.Slab).Const(ir.I32, 100000)
 	b.Stmts = []*ir.Node{
 		{Op: ir.Asgn, Type: ir.I32, Reg: d, Kids: []*ir.Node{shared}},
 		{Op: ir.Asgn, Type: ir.I32, Reg: e, Kids: []*ir.Node{shared}},
@@ -123,9 +127,10 @@ func TestGlueSharedSubtreeRewrittenOnce(t *testing.T) {
 func TestMatchGlueMissAllocatesNothing(t *testing.T) {
 	fn := ir.NewFunc("f", ir.Void)
 	tgt := fn.NewBlock()
-	leaf := ir.NewReg(ir.F64, fn.NewReg(ir.F64, "x"))
+	var slab ir.Slab
+	leaf := slab.Reg(ir.F64, fn.NewReg(ir.F64, "x"))
 	misses := map[string]*ir.Node{
-		"root":       ir.New(ir.Neg, ir.F64, leaf),
+		"root":       slab.New(ir.Neg, ir.F64, leaf),
 		"below root": {Op: ir.Branch, Kids: []*ir.Node{leaf}, Target: tgt},
 	}
 	rules := 0
@@ -176,9 +181,10 @@ func TestGlueRepeatedMetavariableAfterFailedAttempt(t *testing.T) {
 	}}
 	fn := ir.NewFunc("f", ir.Void)
 	b := fn.NewBlock()
-	p := ir.NewReg(ir.I32, fn.NewReg(ir.I32, "p"))
-	q := ir.NewReg(ir.I32, fn.NewReg(ir.I32, "q"))
-	square := ir.New(ir.Mul, ir.I32, ir.New(ir.Add, ir.I32, p, q), ir.New(ir.Add, ir.I32, p, q))
+	var slab ir.Slab
+	p := slab.Reg(ir.I32, fn.NewReg(ir.I32, "p"))
+	q := slab.Reg(ir.I32, fn.NewReg(ir.I32, "q"))
+	square := slab.New(ir.Mul, ir.I32, slab.New(ir.Add, ir.I32, p, q), slab.New(ir.Add, ir.I32, p, q))
 	b.Stmts = []*ir.Node{{Op: ir.Asgn, Type: ir.I32, Reg: fn.NewReg(ir.I32, "d"), Kids: []*ir.Node{square}}}
 	Apply(m, fn)
 	got := b.Stmts[0].Kids[0]
@@ -194,10 +200,11 @@ func TestGlueRepeatedMetavariableAfterFailedAttempt(t *testing.T) {
 func TestApplyWithoutMatchIsCheap(t *testing.T) {
 	fn := ir.NewFunc("f", ir.Void)
 	b := fn.NewBlock()
-	x := ir.NewReg(ir.I32, fn.NewReg(ir.I32, "x"))
-	sum := ir.New(ir.Add, ir.I32, x, ir.NewConst(ir.I32, 4))
+	var slab ir.Slab
+	x := slab.Reg(ir.I32, fn.NewReg(ir.I32, "x"))
+	sum := slab.New(ir.Add, ir.I32, x, slab.Const(ir.I32, 4))
 	for i := 0; i < 8; i++ { // sum is shared: second visits take the walk's early exit
-		b.Stmts = append(b.Stmts, &ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: fn.NewReg(ir.I32, ""), Kids: []*ir.Node{ir.New(ir.Mul, ir.I32, sum, sum)}})
+		b.Stmts = append(b.Stmts, &ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: fn.NewReg(ir.I32, ""), Kids: []*ir.Node{slab.New(ir.Mul, ir.I32, sum, sum)}})
 	}
 	b.Stmts = append(b.Stmts, &ir.Node{Op: ir.Ret})
 	before := b.Stmts[0].String()
