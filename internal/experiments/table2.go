@@ -10,13 +10,13 @@ import (
 	"strings"
 )
 
-// Table2Row is one phase of the system with its size in source lines
+// table2Row is one phase of the system with its size in source lines
 // (the paper reported C lines; we report Go lines of this reproduction,
 // and Maril lines for the target-dependent parts the paper's CGG emitted
 // as generated C).
-type Table2Row struct {
-	Phase string
-	Lines int
+type table2Row struct {
+	phase string
+	lines int
 }
 
 // table2Groups maps the paper's phases onto this repository's packages.
@@ -34,16 +34,16 @@ var table2Groups = []struct {
 	{"Strategy-dependent (SD)", []string{"internal/strategy"}},
 }
 
-// Table2 counts source lines under the repository root: the paper's
+// table2Rows counts source lines under the repository root: the paper's
 // phases, then every Go line of the tree in the three parts a simplicity
 // PR reports (ROADMAP "House rules"). Hidden directories (.git, the
 // benchmark's build cache) are skipped.
-func Table2(root string) ([]Table2Row, error) {
+func table2Rows(root string) ([]table2Row, error) {
 	perDir := map[string]int{}
-	totals := []Table2Row{
-		{Phase: "Whole tree: Go outside bench/, tests excluded"},
-		{Phase: "Whole tree: tests outside bench/"},
-		{Phase: "Whole tree: bench/"},
+	totals := []table2Row{
+		{phase: "Whole tree: Go outside bench/, tests excluded"},
+		{phase: "Whole tree: tests outside bench/"},
+		{phase: "Whole tree: bench/"},
 	}
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		switch {
@@ -62,32 +62,32 @@ func Table2(root string) ([]Table2Row, error) {
 		rel, lines := filepath.ToSlash(rel), bytes.Count(src, []byte("\n"))
 		switch {
 		case strings.HasPrefix(rel, "bench/"):
-			totals[2].Lines += lines
+			totals[2].lines += lines
 		case strings.HasSuffix(rel, "_test.go"):
-			totals[1].Lines += lines
+			totals[1].lines += lines
 		default:
-			totals[0].Lines += lines
+			totals[0].lines += lines
 			perDir[path.Dir(rel)] += lines
 		}
 		return nil
 	})
-	var rows []Table2Row
+	var rows []table2Row
 	for _, g := range table2Groups {
 		total := 0
 		for _, d := range g.dirs {
 			total += perDir[d]
 		}
-		rows = append(rows, Table2Row{Phase: g.phase, Lines: total})
+		rows = append(rows, table2Row{phase: g.phase, lines: total})
 	}
 	return append(rows, totals...), err
 }
 
-// FormatTable2 renders Table 2 as text.
-func FormatTable2(rows []Table2Row) string {
+// table2 renders Table 2.
+func table2(root string) (string, error) {
+	rows, err := table2Rows(root)
 	var sb strings.Builder
-	sb.WriteString("Table 2: Marion system source size (Go lines, tests excluded)\n")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-50s %6d\n", r.Phase, r.Lines)
+		fmt.Fprintf(&sb, "%-50s %6d\n", r.phase, r.lines)
 	}
-	return sb.String()
+	return sb.String(), err
 }

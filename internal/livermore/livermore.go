@@ -14,28 +14,16 @@ type Kernel struct {
 	Source string
 	// Ref computes the reference checksum for a given loop count.
 	Ref func(loop int) float64
-	// Loops is the default repetition count used by tests and benches.
-	Loops int
 }
 
 // Kernels holds loops 1-14 in order.
 var Kernels = []Kernel{k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14}
 
-// ByID returns kernel number id (1-based).
-func ByID(id int) *Kernel {
-	for i := range Kernels {
-		if Kernels[i].ID == id {
-			return &Kernels[i]
-		}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------
 // Kernel 1 — hydro fragment.
 
 var k1 = Kernel{
-	ID: 1, Name: "hydro fragment", Loops: 4,
+	ID: 1, Name: "hydro fragment",
 	Source: `
 double x1a[1001], y1a[1001], z1a[1011];
 void init() {
@@ -80,7 +68,7 @@ double kern(int loop) {
 // Kernel 2 — ICCG excerpt (incomplete Cholesky conjugate gradient).
 
 var k2 = Kernel{
-	ID: 2, Name: "ICCG excerpt", Loops: 4,
+	ID: 2, Name: "ICCG excerpt",
 	Source: `
 double x2a[1001], v2a[1001];
 void init() {
@@ -144,7 +132,7 @@ double kern(int loop) {
 // Kernel 3 — inner product.
 
 var k3 = Kernel{
-	ID: 3, Name: "inner product", Loops: 8,
+	ID: 3, Name: "inner product",
 	Source: `
 double x3a[1001], z3a[1001];
 void init() {
@@ -183,7 +171,7 @@ double kern(int loop) {
 // Kernel 4 — banded linear equations.
 
 var k4 = Kernel{
-	ID: 4, Name: "banded linear equations", Loops: 8,
+	ID: 4, Name: "banded linear equations",
 	Source: `
 double x4a[1001], y4a[1001];
 void init() {
@@ -240,7 +228,7 @@ double kern(int loop) {
 // Kernel 5 — tri-diagonal elimination, below diagonal (recurrence).
 
 var k5 = Kernel{
-	ID: 5, Name: "tri-diagonal elimination", Loops: 8,
+	ID: 5, Name: "tri-diagonal elimination",
 	Source: `
 double x5a[1001], y5a[1001], z5a[1001];
 void init() {
@@ -285,7 +273,7 @@ double kern(int loop) {
 // Kernel 6 — general linear recurrence equations.
 
 var k6 = Kernel{
-	ID: 6, Name: "linear recurrence", Loops: 4,
+	ID: 6, Name: "linear recurrence",
 	Source: `
 double w6a[101], b6a[64][64];
 void init() {
@@ -336,7 +324,7 @@ double kern(int loop) {
 // Kernel 7 — equation of state fragment.
 
 var k7 = Kernel{
-	ID: 7, Name: "equation of state", Loops: 4,
+	ID: 7, Name: "equation of state",
 	Source: `
 double x7a[1001], y7a[1001], z7a[1001], u7a[1007];
 void init() {

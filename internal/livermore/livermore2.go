@@ -4,7 +4,7 @@ package livermore
 // Kernel 8 — ADI integration.
 
 var k8 = Kernel{
-	ID: 8, Name: "ADI integration", Loops: 4,
+	ID: 8, Name: "ADI integration",
 	Source: `
 double u1a[2][101][5], u2a[2][101][5], u3a[2][101][5];
 double du1a[101], du2a[101], du3a[101];
@@ -86,7 +86,7 @@ double kern(int loop) {
 // Kernel 9 — integrate predictors.
 
 var k9 = Kernel{
-	ID: 9, Name: "integrate predictors", Loops: 8,
+	ID: 9, Name: "integrate predictors",
 	Source: `
 double px9a[101][13];
 void init() {
@@ -138,7 +138,7 @@ double kern(int loop) {
 // Kernel 10 — difference predictors.
 
 var k10 = Kernel{
-	ID: 10, Name: "difference predictors", Loops: 8,
+	ID: 10, Name: "difference predictors",
 	Source: `
 double px10a[101][14], cx10a[101][14];
 void init() {
@@ -213,7 +213,7 @@ double kern(int loop) {
 // Kernel 11 — first sum.
 
 var k11 = Kernel{
-	ID: 11, Name: "first sum", Loops: 8,
+	ID: 11, Name: "first sum",
 	Source: `
 double x11a[1001], y11a[1001];
 void init() {
@@ -258,7 +258,7 @@ double kern(int loop) {
 // Kernel 12 — first difference.
 
 var k12 = Kernel{
-	ID: 12, Name: "first difference", Loops: 8,
+	ID: 12, Name: "first difference",
 	Source: `
 double x12a[1001], y12a[1002];
 void init() {
@@ -298,7 +298,7 @@ double kern(int loop) {
 // Kernel 13 — 2-D particle in cell.
 
 var k13 = Kernel{
-	ID: 13, Name: "2-D particle in cell", Loops: 4,
+	ID: 13, Name: "2-D particle in cell",
 	Source: `
 double p13a[64][4], b13a[32][32], c13a[32][32], h13a[32][32], y13a[96];
 int e13a[96], f13a[96];
@@ -408,7 +408,7 @@ double kern(int loop) {
 // Kernel 14 — 1-D particle in cell.
 
 var k14 = Kernel{
-	ID: 14, Name: "1-D particle in cell", Loops: 4,
+	ID: 14, Name: "1-D particle in cell",
 	Source: `
 double vx14a[150], xx14a[150], xi14a[150], ex14a[150], dex14a[150],
        grd14a[150], rx14a[150], rh14a[256], exg14a[151], dexg14a[151];

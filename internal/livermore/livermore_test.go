@@ -39,6 +39,16 @@ func TestKernelsAllStrategies(t *testing.T) {
 	}
 }
 
+// ByID returns kernel number id (1-based).
+func ByID(id int) *Kernel {
+	for i := range Kernels {
+		if Kernels[i].ID == id {
+			return &Kernels[i]
+		}
+	}
+	return nil
+}
+
 func TestByID(t *testing.T) {
 	if ByID(3) == nil || ByID(3).Name != "inner product" {
 		t.Error("ByID(3) wrong")

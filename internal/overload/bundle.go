@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -37,8 +38,8 @@ type Bundle struct {
 // receiver's default".
 type BundleOptions struct {
 	// Workers bounds the per-function back end pool (default: the
-	// server's per-request worker count). Output is byte-identical for
-	// any value.
+	// server's per-request worker count), capped at GOMAXPROCS. Output
+	// is byte-identical for any value.
 	Workers int `json:"workers,omitempty"`
 	// Verify runs the machine-description-driven verifier; findings are
 	// returned (they do not fail the request).
@@ -55,11 +56,13 @@ type BundleOptions struct {
 // one place the two meet, shared by the request path and by
 // `marionc -replay`. base supplies everything the wire does not carry
 // (cache, faults, span) plus the Workers and Budget defaults that a zero
-// wire value leaves in force.
+// wire value leaves in force. A wire Workers is capped at GOMAXPROCS:
+// output is the same for any count, and more workers than cores only
+// buys one request more goroutines and worker arenas.
 func (o BundleOptions) Config(base pipeline.Config) pipeline.Config {
 	base.Verify, base.Strict = o.Verify, o.Strict
 	if o.Workers > 0 {
-		base.Workers = o.Workers
+		base.Workers = min(o.Workers, runtime.GOMAXPROCS(0))
 	}
 	if o.BudgetMs > 0 {
 		base.Budget = time.Duration(o.BudgetMs) * time.Millisecond

@@ -3,9 +3,12 @@ package overload
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"marion/internal/pipeline"
 )
 
 // --------------------------------------------------------------------
@@ -526,5 +529,19 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached in 5s")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBundleOptionsCapWorkers holds a request's wire workers to
+// GOMAXPROCS, and leaves a zero wire value on the operator's default.
+func TestBundleOptionsCapWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	base := pipeline.Config{Workers: 3}
+	for _, c := range []struct{ wire, want int }{
+		{0, 3}, {1, 1}, {procs, procs}, {procs + 1, procs}, {1 << 30, procs},
+	} {
+		if got := (BundleOptions{Workers: c.wire}).Config(base).Workers; got != c.want {
+			t.Errorf("wire workers %d: Config gives %d, want %d", c.wire, got, c.want)
+		}
 	}
 }

@@ -671,7 +671,11 @@ func (s *Server) identify(rq *compileReq) bool {
 		if perr != nil || ms <= 0 {
 			return s.answer(rq, "bad-request", http.StatusBadRequest, "bad "+DeadlineHeader+" header", nil)
 		}
-		rq.deadline = min(time.Duration(ms)*time.Millisecond, s.cfg.MaxDeadline)
+		// Clamp before the multiply: a huge ms overflows Duration.
+		rq.deadline = s.cfg.MaxDeadline
+		if ms < int64(s.cfg.MaxDeadline/time.Millisecond) {
+			rq.deadline = time.Duration(ms) * time.Millisecond
+		}
 	}
 	return true
 }

@@ -209,6 +209,19 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestHugeDeadlineClamped sends deadline headers whose milliseconds
+// overflow a time.Duration: each must be clamped to MaxDeadline and
+// compile, not wrap negative and answer 504.
+func TestHugeDeadlineClamped(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, ms := range []string{"10000000000000", "9223372036854775807"} {
+		w := post(t, s, CompileRequest{Source: addC, Target: "r2000"}, map[string]string{DeadlineHeader: ms})
+		if w.Code != http.StatusOK {
+			t.Errorf("%s ms: status %d, want 200: %s", ms, w.Code, w.Body.String())
+		}
+	}
+}
+
 // occupySlot takes the server's admission slot directly through the
 // limiter, returning its release; tests use it to force queueing
 // deterministically.

@@ -176,13 +176,14 @@ func (s *Sim) evalExpr(in *asm.Inst, sem *mach.Sem, ctx *execCtx) (val, error) {
 		}
 
 	case mach.SemOp:
-		kids := make([]val, len(sem.Kids))
-		for i, kSem := range sem.Kids {
+		var buf [3]val // operands of the usual operators; more spill to the heap
+		kids := buf[:0]
+		for _, kSem := range sem.Kids {
 			k, err := s.evalExpr(in, kSem, ctx)
 			if err != nil {
 				return val{}, err
 			}
-			kids[i] = k
+			kids = append(kids, k)
 		}
 		return s.applyOp(in, sem.Op, kids)
 	}

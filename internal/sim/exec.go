@@ -16,7 +16,8 @@ func (s *Sim) exec(fi int) error {
 	// instructions execute (branch delay slots); none while it is 0.
 	var pendTarget uint32
 	pendSlots := 0
-	var curBlock *asm.Block
+	// One write queue for the run, emptied for every word.
+	var ctx execCtx
 
 	for {
 		if s.cycle > maxCycles {
@@ -28,7 +29,6 @@ func (s *Sim) exec(fi int) error {
 		}
 		if b := s.blockAt[f][i]; b != nil {
 			s.stats.BlockCounts[b]++
-			curBlock = b
 		}
 
 		// Gather the instruction word: consecutive instructions in the
@@ -46,9 +46,6 @@ func (s *Sim) exec(fi int) error {
 		t := s.issue(word)
 		s.stats.Words++
 		s.stats.Instrs += int64(len(word))
-		if curBlock != nil {
-			s.stats.BlockCycles[curBlock] += t + 1 - s.cycle
-		}
 		if s.opts.Trace != nil {
 			for _, in := range word {
 				s.opts.Trace("cyc %4d (stall %d): %s", t, t-s.cycle, in)
@@ -57,9 +54,10 @@ func (s *Sim) exec(fi int) error {
 
 		// Execute the word in two phases: all reads, then all writes.
 		var transferIn *asm.Inst // the word's taken control transfer
-		ctx := &execCtx{}
+		ctx.regWrites, ctx.latchWrites, ctx.memWrites = ctx.regWrites[:0], ctx.latchWrites[:0], ctx.memWrites[:0]
+		ctx.loadPenalty = 0
 		for _, in := range word {
-			taken, err := s.execute(in, ctx)
+			taken, err := s.execute(in, &ctx)
 			if err != nil {
 				return err
 			}

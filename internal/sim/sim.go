@@ -51,9 +51,6 @@ type Stats struct {
 	LoadMisses  int64
 	Loads       int64
 	BlockCounts map[*asm.Block]int64
-	// BlockCycles attributes issue cycles to the block being executed
-	// (diagnostic; includes stalls charged to the entered block).
-	BlockCycles map[*asm.Block]int64
 	// Ret is the raw result register bits at halt.
 	RetI int64
 	RetF float64
@@ -212,7 +209,7 @@ func (s *Sim) Run(fname string, args ...Value) (*Stats, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: function %q not in program", fname)
 	}
-	s.stats = Stats{BlockCounts: map[*asm.Block]int64{}, BlockCycles: map[*asm.Block]int64{}}
+	s.stats = Stats{BlockCounts: map[*asm.Block]int64{}}
 	// Each Run is an independent timing measurement: reset the scoreboard
 	// (memory and cache state persist deliberately, so an init call can
 	// prepare data for a measured kernel call).
