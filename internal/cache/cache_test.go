@@ -222,7 +222,6 @@ func TestConfigKey(t *testing.T) {
 		t.Fatal("linear-selection bit not in key")
 	}
 	for name, set := range map[string]func(*strategy.Options){
-		"FIFO":             func(o *strategy.Options) { o.FIFO = true },
 		"CurrentCycleOnly": func(o *strategy.Options) { o.CurrentCycleOnly = true },
 		"NoAnti":           func(o *strategy.Options) { o.NoAnti = true },
 		"FillDelaySlots":   func(o *strategy.Options) { o.FillDelaySlots = true },

@@ -10,16 +10,16 @@ import (
 )
 
 // ConfigKey digests every pipeline knob that can change emitted code:
-// the strategy kind and the four scheduler design choices of
+// the strategy kind and the three scheduler design choices of
 // strategy.Options. Per-run plumbing that cannot change
 // the result — deadlines, fault injectors, worker counts, whether the
 // verifier *reports* — is deliberately excluded, so runs that differ
 // only in parallelism or budgets share cache entries.
 //
 // The zeros stand where scheduler settings the strategy now sets per
-// pass (strict order, no packing, the cycle cap, the DAG's memory and
-// protection edges, the live-value limits and live-out set) were once
-// hashed; no caller could make them other than zero. They keep the byte
+// pass (FIFO order, strict order, no packing, the cycle cap, the DAG's
+// memory and protection edges, the live-value limits and live-out set)
+// were once hashed; no caller could make them other than zero. They keep the byte
 // stream, and so every disk cache written before, unchanged. So does
 // linearSelect, the bit of the retired linear selector: every caller
 // passes false.
@@ -30,7 +30,7 @@ func ConfigKey(kind strategy.Kind, opts strategy.Options, linearSelect bool) [32
 	w.bool(linearSelect)
 	w.bool(opts.FillDelaySlots)
 	w.bool(opts.CurrentCycleOnly)
-	w.bool(opts.FIFO)
+	w.bool(false) // FIFO, now the Naive strategy
 	w.bool(false) // Sequential
 	w.bool(false) // NoPack
 	w.i64(0)      // MaxCycles

@@ -128,15 +128,13 @@ type Stats struct {
 	SlotsFilled int
 }
 
-// Options are the paper's four scheduler design choices (§4), which the
-// ablation benchmarks turn on one at a time, plus the per-attempt
+// Options are three of the paper's scheduler design choices (§4), which
+// the evaluation's ablations turn on one at a time (the fourth, FIFO
+// candidate order, is the Naive strategy), plus the per-attempt
 // deadline and fault injector the pipeline fills in. Everything else a
 // scheduling pass needs (register limits, live-out sets, strict order,
 // packing) the strategy sets per pass.
 type Options struct {
-	// FIFO disables the max-distance priority: candidates are picked in
-	// code-thread order (sched.Options.FIFO).
-	FIFO bool
 	// CurrentCycleOnly checks structural hazards at the issue cycle only,
 	// as the paper's implementation does (§4.3); the verifier then checks
 	// under the same rule (sched.Options.CurrentCycleOnly).
@@ -200,7 +198,6 @@ func apply(m *mach.Machine, af *asm.Func, kind Kind, opts Options, ra *regalloc.
 	// Every pass starts from the caller's design choices; the per-function
 	// budget context reaches every bounded loop.
 	base := sched.Options{
-		FIFO:             opts.FIFO,
 		CurrentCycleOnly: opts.CurrentCycleOnly,
 		Dag:              cdag.Options{NoAnti: opts.NoAnti},
 		Context:          opts.Deadline,
