@@ -26,8 +26,11 @@ vet:
 race:
 	$(GO) test -race ./...
 
+# The root package times the back end and its layers; internal/driver
+# times the warm and cold request paths, with each pipeline phase's time
+# per function, on the workloads its allocation budgets hold.
 bench:
-	$(GO) test -bench . -benchmem
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/driver
 
 # bench/ is its own module, so `go build ./...` and `go test ./...`
 # never compile it; vet and test it here so a change to the
@@ -37,7 +40,7 @@ benchcheck:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# One-iteration benchmark pass: keeps BenchmarkSelect /
+# One-iteration benchmark pass: keeps BenchmarkColdMiss /
 # BenchmarkParallelBackend and friends compiling and running under CI
 # without paying for real measurement.
 benchsmoke:

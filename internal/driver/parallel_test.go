@@ -124,15 +124,10 @@ func TestI860RunToRunDeterminism(t *testing.T) {
 	}
 }
 
-// compileTwice compiles the named unit of gentest.Golden twice on every
+// compileTwice compiles the named fixture of gentest twice on every
 // target under every strategy; two compiles must be one program.
 func compileTwice(t *testing.T, name string) {
-	var src string
-	for _, u := range gentest.Golden() {
-		if u.Name == name {
-			src = u.Text
-		}
-	}
+	src := gentest.Fixture(name).Text
 	for _, target := range targets.Names() {
 		for _, kind := range allKinds {
 			var first string

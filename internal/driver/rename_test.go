@@ -8,7 +8,6 @@ import (
 	"marion/internal/ir"
 	"marion/internal/sim"
 	"marion/internal/strategy"
-	"marion/internal/targets"
 	"marion/internal/verify"
 )
 
@@ -38,52 +37,46 @@ func rename(mod *ir.Module) {
 // r2000/m88000/i860 under postpass/ips/rase.
 func TestRenamedHitEqualsCold(t *testing.T) {
 	units := append(append(gentest.Golden(), gentest.Serve()...), gentest.Generated(50)...)
-	for _, target := range []string{"r2000", "m88000", "i860"} {
-		m, err := targets.Load(target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, kind := range []strategy.Kind{strategy.Postpass, strategy.IPS, strategy.RASE} {
-			t.Run(target+"/"+kind.String(), func(t *testing.T) {
-				t.Parallel()
-				served := 0
-				for _, u := range units {
-					lower := func() *ir.Module {
-						mod, err := driver.Lower(u.Lang, u.Name, u.Text)
-						if err != nil {
-							t.Fatalf("%s: %v", u.Name, err)
-						}
-						return mod
-					}
-					cached := driver.Config{Strategy: kind, Cache: freshCache(t)}
-					if _, err := driver.CompileModule(m, lower(), cached); err != nil {
-						t.Fatalf("%s: %v", u.Name, err)
-					}
-					warmMod := lower()
-					rename(warmMod)
-					warm, err := driver.CompileModule(m, warmMod, cached)
-					if err != nil || warm.CacheHits != len(warmMod.Funcs) {
-						t.Fatalf("%s: renamed module: %v, %d hits of %d", u.Name, err, warm.CacheHits, len(warmMod.Funcs))
-					}
-					coldMod := lower()
-					rename(coldMod)
-					cold, err := driver.CompileModule(m, coldMod, driver.Config{Strategy: kind})
+	for _, g := range codeGens(t) {
+		t.Run(g.target+"/"+g.kind.String(), func(t *testing.T) {
+			t.Parallel()
+			served := 0
+			for _, u := range units {
+				lower := func() *ir.Module {
+					mod, err := driver.Lower(u.Lang, u.Name, u.Text)
 					if err != nil {
 						t.Fatalf("%s: %v", u.Name, err)
 					}
-					if got, want := warm.Prog.Print(), cold.Prog.Print(); got != want {
-						t.Fatalf("%s: the renamed hit prints\n%s\na cold compile of the renamed module\n%s", u.Name, got, want)
-					}
-					for _, f := range warm.Prog.Funcs {
-						if f.Text == nil {
-							t.Fatalf("%s %s: a hit with instructions", u.Name, f.Name)
-						}
-					}
-					served += len(warmMod.Funcs)
+					return mod
 				}
-				t.Logf("%d renamed functions served from the cache", served)
-			})
-		}
+				cached := driver.Config{Strategy: g.kind, Cache: freshCache(t)}
+				if _, err := driver.CompileModule(g.m, lower(), cached); err != nil {
+					t.Fatalf("%s: %v", u.Name, err)
+				}
+				warmMod := lower()
+				rename(warmMod)
+				warm, err := driver.CompileModule(g.m, warmMod, cached)
+				if err != nil || warm.CacheHits != len(warmMod.Funcs) {
+					t.Fatalf("%s: renamed module: %v, %d hits of %d", u.Name, err, warm.CacheHits, len(warmMod.Funcs))
+				}
+				coldMod := lower()
+				rename(coldMod)
+				cold, err := driver.CompileModule(g.m, coldMod, driver.Config{Strategy: g.kind})
+				if err != nil {
+					t.Fatalf("%s: %v", u.Name, err)
+				}
+				if got, want := warm.Prog.Print(), cold.Prog.Print(); got != want {
+					t.Fatalf("%s: the renamed hit prints\n%s\na cold compile of the renamed module\n%s", u.Name, got, want)
+				}
+				for _, f := range warm.Prog.Funcs {
+					if f.Text == nil {
+						t.Fatalf("%s %s: a hit with instructions", u.Name, f.Name)
+					}
+				}
+				served += len(warmMod.Funcs)
+			}
+			t.Logf("%d renamed functions served from the cache", served)
+		})
 	}
 }
 

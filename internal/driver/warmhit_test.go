@@ -2,12 +2,12 @@ package driver_test
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"marion/internal/asm"
 	"marion/internal/cache"
 	"marion/internal/driver"
+	"marion/internal/gentest"
 	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
@@ -17,48 +17,22 @@ import (
 	"marion/internal/targets"
 )
 
-// Allocations and bytes per function on the Livermore suite module for
-// r2000/postpass: a cache hit (Get, Decode, Print), the same hit through
-// driver.CompileModule with tracing off, the parse of the module's
-// textual IL, and the C front end over the kernels' sources. Each is
-// about 15 % above what the code allocated when the ceilings were set.
-// The hits' were set when a cache entry became the function's printed
-// text and a hit a splice: 9.8 and 4.8 allocations, 7 164 and 604
-// bytes, against 41.5, 36.6, 21 622 and 14 478 when entries held
-// instructions (ceilings 48, 43, 24 900 and 17 400). What is left of
-// the hit is the fingerprint's fresh scratch and Print's buffer; the
-// pipeline's workers keep a scratch of their own. The front ends' were
-// set when ir.Node, cc.Expr and cc.Stmt shrank and the front ends
-// stopped building a map per block and per scope: parse 89.1
-// allocations and 12 279 bytes, C front end 152.2 and 34 277, against
-// 97.5, 14 928, 165.8 and 43 359 before.
-const (
-	hitAllocsPerFn        = 11.3
-	compileHitAllocsPerFn = 5.6
-	parseAllocsPerFn      = 103
-	frontendAllocsPerFn   = 175
-	hitBytesPerFn         = 8200
-	compileHitBytesPerFn  = 700
-	parseBytesPerFn       = 14100
-	frontendBytesPerFn    = 39400
-)
-
 // coldWarm compiles the Livermore suite module twice against the fresh
 // cache in cfg, each time from a freshly lowered module as a recompile
 // would, and holds the second compile to the first: the same assembly,
 // Stats and Sel counters, and one hit for every function, each of which
 // the first compile stored. It returns the warm compile's module
 // (globals laid out, IL as lowered).
-func coldWarm(t *testing.T, m *mach.Machine, cfg driver.Config) (mod *ir.Module, cold, warm *driver.Compiled) {
-	t.Helper()
+func coldWarm(tb testing.TB, m *mach.Machine, cfg driver.Config) (mod *ir.Module, cold, warm *driver.Compiled) {
+	tb.Helper()
 	compile := func() (*ir.Module, *driver.Compiled) {
 		mod, err := livermore.SuiteModule()
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		out, err := driver.CompileModule(m, mod, cfg)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		return mod, out
 	}
@@ -67,25 +41,25 @@ func coldWarm(t *testing.T, m *mach.Machine, cfg driver.Config) (mod *ir.Module,
 	mod, warm = compile()
 	hits := cfg.Cache.Stats().Hits() - stored.Hits()
 	if n := int64(len(mod.Funcs)); stored.Stores != n || hits != n || warm.CacheHits != len(mod.Funcs) {
-		t.Fatalf("%d functions: %d stored, %d cache hits, %d served", n, stored.Stores, hits, warm.CacheHits)
+		tb.Fatalf("%d functions: %d stored, %d cache hits, %d served", n, stored.Stores, hits, warm.CacheHits)
 	}
 	if warm.Prog.Print() != cold.Prog.Print() {
-		t.Error("warm assembly differs from cold")
+		tb.Error("warm assembly differs from cold")
 	}
 	if !reflect.DeepEqual(warm.Stats, cold.Stats) {
-		t.Error("warm Stats differ from cold")
+		tb.Error("warm Stats differ from cold")
 	}
 	if warm.Sel != cold.Sel {
-		t.Errorf("warm Sel %+v, cold %+v", warm.Sel, cold.Sel)
+		tb.Errorf("warm Sel %+v, cold %+v", warm.Sel, cold.Sel)
 	}
 	return mod, cold, warm
 }
 
-func freshCache(t *testing.T) *cache.Cache {
-	t.Helper()
+func freshCache(tb testing.TB) *cache.Cache {
+	tb.Helper()
 	c, err := cache.New(cache.Options{Registry: metrics.NewRegistry()})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return c
 }
@@ -104,113 +78,200 @@ func TestWarmEqualsColdOnLivermore(t *testing.T) {
 	}
 }
 
-// TestWarmHitAllocBudget holds the cache-hit path — fingerprint, key,
-// Get, Decode, Print — on its own and through CompileModule, and both
-// front ends, iltext.Parse and Frontend, to an allocation budget, so a
-// regression on the warm path fails `go test` and not only the
-// benchmark. (It lives here and not in cache_test.go because that file
-// is package driver, which livermore imports.)
-func TestWarmHitAllocBudget(t *testing.T) {
+// warmHit is a compile request when every function is in the cache: the
+// Livermore suite module (28 functions) for r2000/postpass on one worker
+// with tracing off, compiled once to fill a fresh cache and once from
+// it. Its methods are the leaves the benchmark times and the test holds
+// to a budget, each one call over the whole module.
+type warmHit struct {
+	m        *mach.Machine
+	cfg      driver.Config
+	mod      *ir.Module // the warm compile's: globals laid out, IL as lowered
+	warm     *driver.Compiled
+	want     string // what the cold compile printed
+	text     string // mod as textual IL
+	cfgKey   [32]byte
+	payloads [][]byte // each function's cache entry
+}
+
+func newWarmHit(tb testing.TB) *warmHit {
 	m, err := targets.Load("r2000")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	c := freshCache(t)
-	cfg := driver.Config{Strategy: strategy.Postpass, Workers: 1, Cache: c}
-	mod, cold, warm := coldWarm(t, m, cfg)
-	want := cold.Prog.Print()
-
-	machFP := m.Fingerprint()
-	cfgKey := cache.ConfigKey(cfg.Strategy, cfg.Options, false)
-	var got string
-	hit, hitBytes := perRun(10, func() {
-		prog := asm.Program{Machine: m, Name: mod.Name, Globals: warm.Prog.Globals}
-		prog.Funcs = make([]*asm.Func, 0, len(mod.Funcs))
-		for _, fn := range mod.Funcs {
-			payload, ok := c.Get(cache.FuncKey(fn.Fingerprint(), machFP, cfgKey))
-			if !ok {
-				t.Fatalf("%s: not in the cache", fn.Name)
-			}
-			ent, err := cache.Decode(payload, m, fn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog.Funcs = append(prog.Funcs, ent.Func)
+	cfg := driver.Config{Strategy: strategy.Postpass, Workers: 1, Cache: freshCache(tb)}
+	mod, cold, warm := coldWarm(tb, m, cfg)
+	w := &warmHit{m: m, cfg: cfg, mod: mod, warm: warm, want: cold.Prog.Print(), text: iltext.Print(mod),
+		cfgKey: cache.ConfigKey(cfg.Strategy, cfg.Options, false)}
+	for _, fn := range mod.Funcs {
+		payload, ok := w.get(fn)
+		if !ok {
+			tb.Fatalf("%s: not in the cache", fn.Name)
 		}
-		got = prog.Print()
-	})
-	if got != want {
-		t.Fatal("the measured hit path does not print what the cold compile printed")
+		w.payloads = append(w.payloads, payload)
 	}
+	return w
+}
 
-	if cfg.Span != nil {
-		t.Fatal("the compile below is to run with tracing off")
+// get is fn's entry: fingerprint, key, Get.
+func (w *warmHit) get(fn *ir.Func) ([]byte, bool) {
+	return w.cfg.Cache.Get(cache.FuncKey(fn.Fingerprint(), w.m.Fingerprint(), w.cfgKey))
+}
+
+// splice serves every function as a hit does, without the pipeline
+// (get, Decode), and prints the program.
+func (w *warmHit) splice(tb testing.TB) string {
+	prog := asm.Program{Machine: w.m, Name: w.mod.Name, Globals: w.warm.Prog.Globals}
+	prog.Funcs = make([]*asm.Func, 0, len(w.mod.Funcs))
+	for _, fn := range w.mod.Funcs {
+		payload, ok := w.get(fn)
+		if !ok {
+			tb.Fatalf("%s: not in the cache", fn.Name)
+		}
+		ent, err := cache.Decode(payload, w.m, fn)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		prog.Funcs = append(prog.Funcs, ent.Func)
 	}
-	compileHit, compileHitBytes := perRun(10, func() {
-		out, err := driver.CompileModule(m, mod, cfg)
-		if err != nil || out.CacheHits != len(mod.Funcs) {
-			t.Fatalf("%v, %d hits", err, out.CacheHits)
-		}
-	})
+	return prog.Print()
+}
 
-	text := iltext.Print(mod)
-	parse, parseBytes := perRun(10, func() {
-		if _, err := iltext.Parse(mod.Name, text); err != nil {
-			t.Fatal(err)
-		}
-	})
-	frontend, frontendBytes := perRun(10, func() {
-		for i := range livermore.Kernels {
-			if _, err := driver.Frontend("loop.c", livermore.Kernels[i].Source); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
+// hit is the same through CompileModule.
+func (w *warmHit) hit(tb testing.TB) *driver.Compiled {
+	out, err := driver.CompileModule(w.m, w.mod, w.cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if out.CacheHits != len(w.mod.Funcs) {
+		tb.Fatalf("%d hits of %d functions", out.CacheHits, len(w.mod.Funcs))
+	}
+	return out
+}
 
-	n := float64(len(mod.Funcs))
-	t.Logf("per function: hit %.1f allocations, through CompileModule %.1f, parse %.1f, C front end %.1f",
-		hit/n, compileHit/n, parse/n, frontend/n)
-	t.Logf("per function: hit %.0f bytes, through CompileModule %.0f, parse %.0f, C front end %.0f",
-		hitBytes/n, compileHitBytes/n, parseBytes/n, frontendBytes/n)
-	for _, c := range []struct {
-		what, unit string
-		got        float64
-		budget     float64
-		race       bool // also held under the race detector
-	}{
-		{"a cache hit", "times", hit, hitAllocsPerFn, true},
-		{"a cache hit through CompileModule", "times", compileHit, compileHitAllocsPerFn, true},
-		{"iltext.Parse", "times", parse, parseAllocsPerFn, true},
-		{"the C front end", "times", frontend, frontendAllocsPerFn, true},
-		{"a cache hit", "bytes", hitBytes, hitBytesPerFn, true},
-		// Under the race detector the pipeline's pool drops a random
-		// quarter of the workers put back, and a remade worker costs
-		// about 200 bytes a function here.
-		{"a cache hit through CompileModule", "bytes", compileHitBytes, compileHitBytesPerFn, false},
-		{"iltext.Parse", "bytes", parseBytes, parseBytesPerFn, false},
-		{"the C front end", "bytes", frontendBytes, frontendBytesPerFn, false},
-	} {
-		if raceEnabled && !c.race {
-			continue
-		}
-		if c.got/n > float64(c.budget) {
-			t.Errorf("%s allocates %.1f %s per function, budget %g", c.what, c.got/n, c.unit, c.budget)
+// parse is the IL front end: the module's textual IL parsed.
+func (w *warmHit) parse(tb testing.TB) {
+	if _, err := iltext.Parse(w.mod.Name, w.text); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// frontend is the C front end over the kernels' sources.
+func (w *warmHit) frontend(tb testing.TB) {
+	for i := range livermore.Kernels {
+		if _, err := driver.Frontend("loop.c", livermore.Kernels[i].Source); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
 
-// perRun is testing.AllocsPerRun reporting bytes beside the count: what
-// one call of f allocates on average over runs calls, after a warm-up
-// call, with one P so that nothing else runs in between.
-func perRun(runs int, f func()) (allocs, bytes float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
+func (w *warmHit) fingerprint(testing.TB) {
+	for _, fn := range w.mod.Funcs {
+		sinkDigest = fn.Fingerprint()
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs),
-		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+func (w *warmHit) decode(tb testing.TB) {
+	for j, fn := range w.mod.Funcs {
+		if _, err := cache.Decode(w.payloads[j], w.m, fn); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func (w *warmHit) print(testing.TB) { sink = w.warm.Prog.Print() }
+
+// Results the compiler must not discard.
+var (
+	sink       string
+	sinkDigest ir.Digest
+)
+
+// BenchmarkWarmHit measures what a compile request costs when every
+// function is in the cache (warmHit): the whole hit through
+// CompileModule and the printer, and each leaf it is made of — the
+// front end, from the module's textual IL or the kernels' C sources,
+// fingerprinting, decoding the cached entries, printing. One op is the
+// whole module.
+func BenchmarkWarmHit(b *testing.B) {
+	w := newWarmHit(b)
+	source := 0
+	for i := range livermore.Kernels {
+		source += len(livermore.Kernels[i].Source)
+	}
+	for _, leaf := range []struct {
+		name  string
+		bytes int
+		run   func(testing.TB)
+	}{
+		{"hit", 0, func(tb testing.TB) { sink = w.hit(tb).Prog.Print() }},
+		{"parse", len(w.text), w.parse},
+		{"frontend", source, w.frontend},
+		{"fingerprint", 0, w.fingerprint},
+		{"decode", 0, w.decode},
+		{"print", len(w.want), w.print},
+	} {
+		b.Run(leaf.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(leaf.bytes))
+			for range b.N {
+				leaf.run(b)
+			}
+		})
+	}
+}
+
+// Allocations and bytes per function of the warm leaves: a cache hit
+// (splice), the same hit through CompileModule, the parse of the
+// module's textual IL, and the C front end. Each is about 15 % above
+// what the code allocated when the ceilings were set: the hits 9.8 and
+// 4.8 allocations, 7 164 and 604 bytes, once a hit became a splice of
+// printed text (what is left is the fingerprint's fresh scratch and
+// Print's buffer); parse 89.1 allocations and 12 279 bytes, the C front
+// end 152.2 and 34 277, once the front ends built from slabs.
+const (
+	hitAllocsPerFn        = 11.3
+	compileHitAllocsPerFn = 5.6
+	parseAllocsPerFn      = 103
+	frontendAllocsPerFn   = 175
+	hitBytesPerFn         = 8200
+	compileHitBytesPerFn  = 700
+	parseBytesPerFn       = 14100
+	frontendBytesPerFn    = 39400
+)
+
+// TestWarmHitAllocBudget holds four warm leaves to an allocation budget,
+// so a regression on the warm path fails `go test` and not only the
+// benchmark.
+func TestWarmHitAllocBudget(t *testing.T) {
+	w := newWarmHit(t)
+	n := float64(len(w.mod.Funcs))
+	var got string
+	for _, c := range []struct {
+		what          string
+		run           func()
+		allocs, bytes float64 // budgets per function
+		// Bytes are held under the race detector only for the hit: there
+		// the pipeline's pool drops a random quarter of the workers put
+		// back, and a remade worker costs about 200 bytes a function.
+		raceBytes bool
+	}{
+		{"a cache hit", func() { got = w.splice(t) }, hitAllocsPerFn, hitBytesPerFn, true},
+		{"a cache hit through CompileModule", func() { w.hit(t) }, compileHitAllocsPerFn, compileHitBytesPerFn, false},
+		{"iltext.Parse", func() { w.parse(t) }, parseAllocsPerFn, parseBytesPerFn, false},
+		{"the C front end", func() { w.frontend(t) }, frontendAllocsPerFn, frontendBytesPerFn, false},
+	} {
+		allocs, bytes := gentest.AllocsPerRun(10, nil, c.run)
+		allocs, bytes = allocs/n, bytes/n
+		t.Logf("%s allocates %.1f times and %.0f bytes per function", c.what, allocs, bytes)
+		if allocs > c.allocs {
+			t.Errorf("%s allocates %.1f times per function, budget %g", c.what, allocs, c.allocs)
+		}
+		if (c.raceBytes || !raceEnabled) && bytes > c.bytes {
+			t.Errorf("%s allocates %.0f bytes per function, budget %g", c.what, bytes, c.bytes)
+		}
+	}
+	if got != w.want {
+		t.Error("the measured hit path does not print what the cold compile printed")
+	}
 }

@@ -1,6 +1,7 @@
 // Package gentest is the one place the tests' units come from, as text:
 // the golden corpus, the serve units and seeded high-pressure C bodies;
-// and the one reader of the digests tests pin their answers to (Pins).
+// the one reader of the digests tests pin their answers to (Pins); and
+// the one counter the allocation budgets read (AllocsPerRun).
 // It imports no back-end package, so any package's test can use it. A
 // unit it cannot read is a broken checkout, not an input: it panics.
 package gentest
@@ -37,8 +38,11 @@ var fixtures embed.FS
 // Pressure: with the Livermore suite, the units golden.sha256 pins.
 func Golden() []Unit {
 	units := read(os.DirFS(root()), "examples/c/*.c")
-	return append(units, read(fixtures, "testdata/"+BigBlock, "testdata/"+Pressure)...)
+	return append(units, Fixture(BigBlock), Fixture(Pressure))
 }
+
+// Fixture returns the fixture named name: BigBlock or Pressure.
+func Fixture(name string) Unit { return read(fixtures, "testdata/"+name)[0] }
 
 // Serve returns the serve_cold templates at seed 1, C and IL, by name.
 func Serve() []Unit { return read(fixtures, "testdata/serve/*") }

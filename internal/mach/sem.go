@@ -91,19 +91,6 @@ func (s *Sem) String() string {
 	return "?"
 }
 
-// Clone returns a deep copy of the semantics tree.
-func (s *Sem) Clone() *Sem {
-	if s == nil {
-		return nil
-	}
-	c := *s
-	c.Kids = make([]*Sem, len(s.Kids))
-	for i, k := range s.Kids {
-		c.Kids[i] = k.Clone()
-	}
-	return &c
-}
-
 // walk calls fn for every node of the tree (preorder).
 func (s *Sem) walk(fn func(*Sem)) {
 	if s == nil {

@@ -36,31 +36,6 @@ func (s breakerState) String() string {
 	return "state(?)"
 }
 
-// BreakerConfig tunes the per-key breakers.
-type BreakerConfig struct {
-	// Threshold is the number of consecutive breaker-relevant failures
-	// (panics, budget exhaustions) that trips a key open. <= 0 means 5.
-	Threshold int
-	// Cooldown is how long a tripped key stays open before one probe is
-	// admitted (default 1s).
-	Cooldown time.Duration
-	// Clock is the time source (default time.Now), injectable for
-	// deterministic tests.
-	Clock func() time.Time
-}
-
-func (c *BreakerConfig) fill() {
-	if c.Threshold <= 0 {
-		c.Threshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
-}
-
 type breaker struct {
 	state   breakerState
 	fails   int // consecutive failures while closed
@@ -72,17 +47,22 @@ type breaker struct {
 // (target, strategy) combination the server compiles under. All
 // methods are safe for concurrent use.
 type Breakers struct {
-	mu  sync.Mutex
-	cfg BreakerConfig
-	m   map[string]*breaker
+	mu        sync.Mutex
+	threshold int
+	cooldown  time.Duration
+	clock     func() time.Time
+	m         map[string]*breaker
 
 	trips, resets int64
 }
 
-// NewBreakers builds an empty breaker set.
-func NewBreakers(cfg BreakerConfig) *Breakers {
-	cfg.fill()
-	return &Breakers{cfg: cfg, m: map[string]*breaker{}}
+// NewBreakers builds an empty breaker set: threshold consecutive
+// breaker-relevant failures (panics, budget exhaustions) trip a key
+// open, and a tripped key stays open for cooldown before one probe is
+// admitted. clock is the time source, injectable for deterministic
+// tests.
+func NewBreakers(threshold int, cooldown time.Duration, clock func() time.Time) *Breakers {
+	return &Breakers{threshold: threshold, cooldown: cooldown, clock: clock, m: map[string]*breaker{}}
 }
 
 // Key names a breaker for a (target, strategy) combination.
@@ -94,7 +74,7 @@ func Key(target, strategy string) string { return target + "/" + strategy }
 // false the caller should reroute the request (and must NOT report
 // Success/Failure under this key).
 func (bs *Breakers) Allow(key string) (allowed, probe bool) {
-	now := bs.cfg.Clock()
+	now := bs.clock()
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	b := bs.m[key]
@@ -105,7 +85,7 @@ func (bs *Breakers) Allow(key string) (allowed, probe bool) {
 	case stateClosed:
 		return true, false
 	case stateOpen:
-		if now.Sub(b.opened) >= bs.cfg.Cooldown {
+		if now.Sub(b.opened) >= bs.cooldown {
 			b.state = stateHalfOpen
 			b.probing = true
 			return true, true
@@ -163,7 +143,7 @@ func (bs *Breakers) Cancel(key string) {
 // event on sp (nil sp traces nothing), so the request that tripped a
 // key carries the moment in its own trace.
 func (bs *Breakers) Failure(key string, sp *trace.Span) (tripped bool) {
-	now := bs.cfg.Clock()
+	now := bs.clock()
 	bs.mu.Lock()
 	b := bs.m[key]
 	if b == nil {
@@ -175,7 +155,7 @@ func (bs *Breakers) Failure(key string, sp *trace.Span) (tripped bool) {
 	case stateClosed:
 		b.fails++
 		fails = b.fails
-		if b.fails >= bs.cfg.Threshold {
+		if b.fails >= bs.threshold {
 			b.state = stateOpen
 			b.opened = now
 			bs.trips++

@@ -44,39 +44,28 @@ const (
 	holdDwell = 500 * time.Millisecond
 )
 
-// BrownoutConfig tunes the ladder.
-type BrownoutConfig struct {
-	// Clock is the time source (default time.Now); injectable so the
-	// hysteresis is deterministic under test.
-	Clock func() time.Time
-}
-
 // Brownout is the hysteretic degradation ladder, levelNormal through
 // LevelCacheOnly. Observe is fed the limiter's pressure signal (from
 // request handling and from a periodic tick, so recovery happens even
 // when no requests arrive).
 type Brownout struct {
-	mu   sync.Mutex
-	cfg  BrownoutConfig
-	lvl  int
-	last time.Time // time of the last level change
-	calm time.Time // since when pressure has stayed <= exitPressure (zero: it hasn't)
+	mu    sync.Mutex
+	clock func() time.Time
+	lvl   int
+	last  time.Time // time of the last level change
+	calm  time.Time // since when pressure has stayed <= exitPressure (zero: it hasn't)
 }
 
-// NewBrownout builds a Brownout at level 0.
-func NewBrownout(cfg BrownoutConfig) *Brownout {
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
-	return &Brownout{cfg: cfg}
-}
+// NewBrownout builds a Brownout at level 0 reading time from clock,
+// injectable so the hysteresis is deterministic under test.
+func NewBrownout(clock func() time.Time) *Brownout { return &Brownout{clock: clock} }
 
 // Observe feeds one pressure sample and returns the (possibly changed)
 // level. Rising is fast (one level per riseDwell while pressure stays
 // at or above enterPressure); falling is slow (one level per holdDwell
 // of continuously calm pressure).
 func (b *Brownout) Observe(p float64) int {
-	now := b.cfg.Clock()
+	now := b.clock()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch {
@@ -114,6 +103,6 @@ func (b *Brownout) Force(level int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.lvl = min(max(level, levelNormal), LevelCacheOnly)
-	b.last = b.cfg.Clock()
+	b.last = b.clock()
 	b.calm = time.Time{}
 }

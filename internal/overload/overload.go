@@ -104,27 +104,6 @@ const (
 	alpha = 0.3
 )
 
-// LimiterConfig tunes a Limiter.
-type LimiterConfig struct {
-	// Initial is the starting concurrency limit (and the permanent one
-	// when SLO is zero). <= 0 means 1.
-	Initial int
-	// SLO is the target service time driving AIMD adaptation; zero
-	// keeps the limit fixed at Initial (the static-semaphore behavior).
-	SLO time.Duration
-	// MaxQueue bounds the wait queue; <= 0 means 2 * Initial.
-	MaxQueue int
-}
-
-func (c *LimiterConfig) fill() {
-	if c.Initial <= 0 {
-		c.Initial = 1
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 2 * c.Initial
-	}
-}
-
 // waiter is one queued Acquire; res is buffered so the limiter never
 // blocks resolving it.
 type waiter struct {
@@ -137,7 +116,9 @@ type waiter struct {
 // for concurrent use.
 type Limiter struct {
 	mu       sync.Mutex
-	cfg      LimiterConfig
+	initial  int           // the starting limit; the limit grows to maxLimitFactor times it
+	slo      time.Duration // 0: the limit stays at initial
+	maxQueue int
 	limit    int
 	inflight int
 	queue    []*waiter
@@ -149,10 +130,12 @@ type Limiter struct {
 	evicted int64
 }
 
-// NewLimiter builds a Limiter.
-func NewLimiter(cfg LimiterConfig) *Limiter {
-	cfg.fill()
-	return &Limiter{cfg: cfg, limit: cfg.Initial}
+// NewLimiter builds a Limiter admitting initial (at least 1) requests
+// at once and queueing up to maxQueue more. slo is the target service
+// time driving AIMD adaptation; zero keeps the limit fixed at initial
+// (the static-semaphore behavior).
+func NewLimiter(initial int, slo time.Duration, maxQueue int) *Limiter {
+	return &Limiter{initial: initial, slo: slo, maxQueue: maxQueue, limit: initial}
 }
 
 // Acquire takes an admission slot. On admitted the returned release
@@ -176,7 +159,7 @@ func (l *Limiter) Acquire(ctx context.Context, sp *trace.Span) (release func(o O
 		l.mu.Unlock()
 		return l.releaser(time.Now()), admitted
 	}
-	if len(l.queue) >= l.cfg.MaxQueue {
+	if len(l.queue) >= l.maxQueue {
 		l.mu.Unlock()
 		return nil, ShedFull
 	}
@@ -246,14 +229,14 @@ func (l *Limiter) observeLocked(d time.Duration, ok bool) {
 	} else {
 		l.est = alpha*s + (1-alpha)*l.est
 	}
-	if l.cfg.SLO <= 0 {
+	if l.slo <= 0 {
 		return
 	}
-	if ok && d <= l.cfg.SLO {
+	if ok && d <= l.slo {
 		l.succ++
 		// One full round of in-SLO completions at the current limit
 		// earns one more slot (additive increase).
-		if l.succ >= l.limit && l.limit < maxLimitFactor*l.cfg.Initial {
+		if l.succ >= l.limit && l.limit < maxLimitFactor*l.initial {
 			l.limit++
 			l.succ = 0
 		}
@@ -263,7 +246,7 @@ func (l *Limiter) observeLocked(d time.Duration, ok bool) {
 	// at most once per SLO interval so one slow burst is one cut.
 	l.succ = 0
 	now := time.Now()
-	if now.Sub(l.lastDec) < l.cfg.SLO {
+	if now.Sub(l.lastDec) < l.slo {
 		return
 	}
 	next := max(int(math.Floor(float64(l.limit)*decreaseFactor)), minLimit)
@@ -353,7 +336,7 @@ func (l *Limiter) Pressure() float64 {
 	if l.inflight < l.limit && len(l.queue) == 0 {
 		return 0.5 * float64(l.inflight) / float64(l.limit)
 	}
-	qf := float64(len(l.queue)) / float64(l.cfg.MaxQueue)
+	qf := float64(len(l.queue)) / float64(l.maxQueue)
 	if qf > 1 {
 		qf = 1
 	}

@@ -16,7 +16,7 @@ import (
 // --------------------------------------------------------------------
 
 func TestLimiterAdmitAndQueue(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 1})
+	l := NewLimiter(1, 0, 1)
 
 	rel, dec := l.Acquire(context.Background(), nil)
 	if dec != admitted || rel == nil {
@@ -54,7 +54,7 @@ func TestLimiterAdmitAndQueue(t *testing.T) {
 }
 
 func TestLimiterDoomedShedUpFront(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
+	l := NewLimiter(1, 0, 4)
 	rel, _ := l.Acquire(context.Background(), nil)
 	defer rel(Done)
 
@@ -97,7 +97,7 @@ func TestLimiterDoomedShedUpFront(t *testing.T) {
 }
 
 func TestLimiterSweepEvictsQueuedDoomed(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
+	l := NewLimiter(1, 0, 4)
 	rel, _ := l.Acquire(context.Background(), nil)
 
 	// Queue a waiter with a 100ms deadline while no estimate exists.
@@ -122,7 +122,7 @@ func TestLimiterSweepEvictsQueuedDoomed(t *testing.T) {
 
 func TestLimiterAIMD(t *testing.T) {
 	slo := 10 * time.Millisecond
-	l := NewLimiter(LimiterConfig{Initial: 2, MaxQueue: 4, SLO: slo})
+	l := NewLimiter(2, slo, 4)
 
 	// Additive increase: one full round of in-SLO completions per +1.
 	fast := func() {
@@ -166,7 +166,7 @@ func TestLimiterAIMD(t *testing.T) {
 // invalid requests must move neither the estimate nor the limit.
 func TestLimiterSkippedNoSample(t *testing.T) {
 	slo := 10 * time.Millisecond
-	l := NewLimiter(LimiterConfig{Initial: 2, MaxQueue: 4, SLO: slo})
+	l := NewLimiter(2, slo, 4)
 	l.Prime(5 * time.Second)
 	for i := 0; i < 50; i++ {
 		rel, dec := l.Acquire(context.Background(), nil)
@@ -187,7 +187,7 @@ func TestLimiterSkippedNoSample(t *testing.T) {
 }
 
 func TestLimiterFixedWithoutSLO(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 3, MaxQueue: 1})
+	l := NewLimiter(3, 0, 1)
 	for i := 0; i < 10; i++ {
 		rel, dec := l.Acquire(context.Background(), nil)
 		if dec != admitted {
@@ -201,7 +201,7 @@ func TestLimiterFixedWithoutSLO(t *testing.T) {
 }
 
 func TestLimiterRetryAfter(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 2, MaxQueue: 8})
+	l := NewLimiter(2, 0, 8)
 	if got := l.RetryAfter(); got != time.Second {
 		t.Fatalf("retry-after with no estimate = %v, want 1s", got)
 	}
@@ -218,7 +218,7 @@ func TestLimiterRetryAfter(t *testing.T) {
 }
 
 func TestLimiterPressure(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 2, MaxQueue: 2})
+	l := NewLimiter(2, 0, 2)
 	if p := l.Pressure(); p != 0 {
 		t.Fatalf("idle pressure = %v", p)
 	}
@@ -250,7 +250,7 @@ func TestLimiterPressure(t *testing.T) {
 }
 
 func TestLimiterConcurrency(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 4, MaxQueue: 64, SLO: time.Millisecond})
+	l := NewLimiter(4, time.Millisecond, 64)
 	var wg sync.WaitGroup
 	var got, other sync.Map
 	for i := 0; i < 200; i++ {
@@ -301,7 +301,7 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func TestBrownoutHysteresis(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := NewBrownout(BrownoutConfig{Clock: clk.now})
+	b := NewBrownout(clk.now)
 
 	// First high sample raises immediately; further raises are paced.
 	if lvl := b.Observe(0.9); lvl != 1 {
@@ -358,7 +358,7 @@ func TestBrownoutHysteresis(t *testing.T) {
 }
 
 func TestBrownoutForce(t *testing.T) {
-	b := NewBrownout(BrownoutConfig{})
+	b := NewBrownout(time.Now)
 	b.Force(LevelSafe)
 	if b.Level() != LevelSafe {
 		t.Fatalf("forced level = %d", b.Level())
@@ -379,7 +379,7 @@ func TestBrownoutForce(t *testing.T) {
 
 func TestBreakerTripRerouteProbeReset(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(2000, 0)}
-	bs := NewBreakers(BreakerConfig{Threshold: 2, Cooldown: time.Second, Clock: clk.now})
+	bs := NewBreakers(2, time.Second, clk.now)
 	key := Key("r2000", "rase")
 
 	if ok, probe := bs.Allow(key); !ok || probe {
@@ -447,7 +447,7 @@ func TestBreakerTripRerouteProbeReset(t *testing.T) {
 // again, and only a real success closes it.
 func TestBreakerCancelProbe(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(3000, 0)}
-	bs := NewBreakers(BreakerConfig{Threshold: 1, Cooldown: time.Second, Clock: clk.now})
+	bs := NewBreakers(1, time.Second, clk.now)
 	key := Key("r2000", "rase")
 
 	if !bs.Failure(key, nil) {

@@ -26,7 +26,7 @@ func findEvent(tr *trace.Trace, name string) map[string]string {
 // An up-front doomed shed leaves an overload.evict event on the span,
 // carrying the estimate that doomed the request.
 func TestAcquireTracedDoomedEvent(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
+	l := NewLimiter(1, 0, 4)
 	rel, _ := l.Acquire(context.Background(), nil)
 	defer rel(Done)
 	l.Prime(10 * time.Second)
@@ -49,7 +49,7 @@ func TestAcquireTracedDoomedEvent(t *testing.T) {
 // A waiter evicted from the queue by the sweep gets the event too,
 // with the in-queue reason.
 func TestAcquireTracedQueueEvictionEvent(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
+	l := NewLimiter(1, 0, 4)
 	rel, _ := l.Acquire(context.Background(), nil)
 
 	root := trace.New("req", "compile")
@@ -74,7 +74,7 @@ func TestAcquireTracedQueueEvictionEvent(t *testing.T) {
 
 // A nil span is free: same decisions, no trace required.
 func TestAcquireNilSpan(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
+	l := NewLimiter(1, 0, 4)
 	rel, dec := l.Acquire(context.Background(), nil)
 	if dec != admitted {
 		t.Fatalf("decision = %v, want admitted", dec)
@@ -87,7 +87,7 @@ func TestAcquireNilSpan(t *testing.T) {
 // breaker.trip.
 func TestFailureTracedEvents(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(3000, 0)}
-	bs := NewBreakers(BreakerConfig{Threshold: 2, Cooldown: time.Second, Clock: clk.now})
+	bs := NewBreakers(2, time.Second, clk.now)
 	key := Key("r2000", "rase")
 
 	root := trace.New("req1", "compile")
@@ -112,7 +112,7 @@ func TestFailureTracedEvents(t *testing.T) {
 	}
 
 	// Nil span: same verdicts, no trace.
-	bs2 := NewBreakers(BreakerConfig{Threshold: 1, Cooldown: time.Second, Clock: clk.now})
+	bs2 := NewBreakers(1, time.Second, clk.now)
 	if !bs2.Failure(key, nil) {
 		t.Fatal("nil-span failure did not trip")
 	}

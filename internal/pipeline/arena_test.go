@@ -21,14 +21,10 @@ import (
 )
 
 // lowerUnits lowers each named unit afresh — "livermore" is the suite
-// module, anything else a unit of gentest.Golden — since the back end
-// consumes the IL it compiles.
+// module, anything else a gentest fixture — since the back end consumes
+// the IL it compiles.
 func lowerUnits(t *testing.T, names ...string) [][]*ir.Func {
 	t.Helper()
-	golden := map[string]string{}
-	for _, u := range gentest.Golden() {
-		golden[u.Name] = u.Text
-	}
 	var out [][]*ir.Func
 	for _, name := range names {
 		var mod *ir.Module
@@ -36,7 +32,7 @@ func lowerUnits(t *testing.T, names ...string) [][]*ir.Func {
 		if name == "livermore" {
 			mod, err = livermore.SuiteModule()
 		} else {
-			mod, err = driver.Frontend(name, golden[name])
+			mod, err = driver.Frontend(name, gentest.Fixture(name).Text)
 		}
 		if err != nil {
 			t.Fatal(err)

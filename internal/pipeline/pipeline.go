@@ -57,9 +57,6 @@ type Ctx struct {
 	// Attempt is 0 for the primary compilation and counts up the
 	// degradation ladder's retries.
 	Attempt int
-	// Inject fires this attempt's armed fault-injection sites; nil
-	// injects nothing.
-	Inject *faults.Injector
 	// Undo logs every write the glue transform makes into IR. It is the
 	// worker's; the ladder replays it when the attempt fails — also when
 	// the xform phase panicked part-way, which is why the phase logs
@@ -569,7 +566,7 @@ func (p *Pipeline) tryOne(ctx context.Context, m *mach.Machine, index int, fn *i
 	a := w.arena
 	c := &a.ctx
 	*c = Ctx{
-		Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Inject: inj, Undo: &a.undo, Nodes: &w.nodes,
+		Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Undo: &a.undo, Nodes: &w.nodes,
 		Timings: make([]PhaseTiming, 0, len(p.Phases)+1), arena: a,
 	}
 	for i, ph := range p.Phases {
@@ -698,7 +695,7 @@ func runPhase(c *Ctx, ph Phase) (err error) {
 			}
 		}
 	}()
-	if err := c.Inject.Fire(ph.Name); err != nil {
+	if err := c.Cfg.Options.Inject.Fire(ph.Name); err != nil {
 		return err
 	}
 	return ph.Run(c)

@@ -28,12 +28,7 @@ func insts(af *asm.Func) int {
 // UsedCalleeSave list, absent when empty) — independent of the number of
 // pseudos and interference edges.
 func TestAllocateAllocsScale(t *testing.T) {
-	var src string
-	for _, u := range gentest.Golden() {
-		if u.Name == gentest.BigBlock {
-			src = u.Text
-		}
-	}
+	src := gentest.Fixture(gentest.BigBlock).Text
 	flat := 0
 	for _, target := range targets.Names() {
 		m, err := targets.Load(target)

@@ -26,12 +26,7 @@ import (
 // statement count, the function and its straight-line body.
 func bigBlocks(t *testing.T) (m *mach.Machine, blocks map[int]fixtureBlock) {
 	t.Helper()
-	var src string
-	for _, u := range gentest.Golden() {
-		if u.Name == gentest.BigBlock {
-			src = u.Text
-		}
-	}
+	src := gentest.Fixture(gentest.BigBlock).Text
 	mod, err := driver.Frontend(gentest.BigBlock, src)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"testing"
 
 	"marion/internal/gentest"
@@ -44,7 +43,7 @@ func TestTracingCostPerHit(t *testing.T) {
 			funcs += resp.CacheHits
 			bodies = append(bodies, body)
 		}
-		allocs, bytes = perRun(20, func() {
+		allocs, bytes = gentest.AllocsPerRun(20, nil, func() {
 			for _, body := range bodies {
 				postRaw(s, body, nil)
 			}
@@ -69,20 +68,4 @@ func TestTracingCostPerHit(t *testing.T) {
 	if dBytes > traceBytesPerFn {
 		t.Errorf("tracing adds %.0f bytes a function, budget %d", dBytes, traceBytesPerFn)
 	}
-}
-
-// perRun reports what one call of f allocates on average over runs
-// calls, after a warm-up call, with one P so that nothing else runs in
-// between.
-func perRun(runs int, f func()) (allocs, bytes float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs),
-		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -175,6 +175,12 @@ func (c *Config) fill() {
 	if c.TraceSLO <= 0 {
 		c.TraceSLO = time.Second
 	}
+	if c.BreakerCooldown <= 0 {
+		c.BreakerCooldown = time.Second
+	}
+	if c.Clock == nil {
+		c.Clock = time.Now
+	}
 }
 
 // Server is the compile service. Create with New; all methods are safe
@@ -224,11 +230,7 @@ func New(cfg Config) (*Server, error) {
 		machines: make(map[string]*mach.Machine, len(cfg.Targets)),
 		start:    time.Now(),
 		seq:      map[string]int{},
-		lim: overload.NewLimiter(overload.LimiterConfig{
-			Initial:  cfg.MaxInflight,
-			SLO:      cfg.SLO,
-			MaxQueue: cfg.MaxQueue,
-		}),
+		lim:      overload.NewLimiter(cfg.MaxInflight, cfg.SLO, cfg.MaxQueue),
 
 		requests:   cfg.Registry.Counter("server.requests"),
 		accepted:   cfg.Registry.Counter("server.accepted"),
@@ -246,16 +248,12 @@ func New(cfg Config) (*Server, error) {
 	s.limitGauge.Set(int64(s.lim.Limit()))
 	s.ring = trace.NewRing(cfg.TraceRing, cfg.TraceSLO)
 	if cfg.Brownout {
-		s.brown = overload.NewBrownout(overload.BrownoutConfig{Clock: cfg.Clock})
+		s.brown = overload.NewBrownout(cfg.Clock)
 		s.stop = make(chan struct{})
 		go s.observeLoop()
 	}
 	if cfg.BreakerThreshold > 0 {
-		s.breakers = overload.NewBreakers(overload.BreakerConfig{
-			Threshold: cfg.BreakerThreshold,
-			Cooldown:  cfg.BreakerCooldown,
-			Clock:     cfg.Clock,
-		})
+		s.breakers = overload.NewBreakers(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock)
 	}
 	for _, t := range cfg.Targets {
 		m, err := targets.Load(t)

@@ -40,7 +40,7 @@ block L0 depth 0
 (ret int (reg int t2))
 `
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
@@ -170,27 +170,30 @@ func TestLinearSelectNotOnWire(t *testing.T) {
 	}
 }
 
+// badRequests are requests the server refuses, and the status each
+// gets; FuzzCompileRequest starts from their bodies.
+var badRequests = []struct {
+	name string
+	body string
+	hdr  map[string]string
+	want int
+}{
+	{"bad json", "{", nil, http.StatusBadRequest},
+	{"unknown target", `{"source":"int f(){return 0;}","target":"vax"}`, nil, http.StatusBadRequest},
+	{"unknown strategy", `{"source":"int f(){return 0;}","target":"r2000","strategy":"magic"}`, nil, http.StatusBadRequest},
+	{"unknown lang", `{"source":"x","lang":"fortran","target":"r2000"}`, nil, http.StatusBadRequest},
+	{"c syntax error", `{"source":"int f( {","target":"r2000"}`, nil, http.StatusBadRequest},
+	{"il syntax error", `{"source":"(bogus)","lang":"il","target":"r2000"}`, nil, http.StatusBadRequest},
+	{"c object past 2^31 bytes", `{"source":"int a[1073741824][8]; int g;","target":"r2000"}`, nil, http.StatusBadRequest},
+	{"il negative size", `{"source":"global a int size -16\nglobal b int size 4\n","lang":"il","target":"r2000"}`, nil, http.StatusBadRequest},
+	{"data past 2^31 bytes", `{"source":"char a[2147483647];","target":"r2000"}`, nil, http.StatusUnprocessableEntity},
+	{"bad deadline header", `{"source":"int f(){return 0;}","target":"r2000"}`,
+		map[string]string{DeadlineHeader: "soon"}, http.StatusBadRequest},
+}
+
 func TestBadRequests(t *testing.T) {
 	s := newTestServer(t, Config{})
-	cases := []struct {
-		name string
-		body string
-		hdr  map[string]string
-		want int
-	}{
-		{"bad json", "{", nil, http.StatusBadRequest},
-		{"unknown target", `{"source":"int f(){return 0;}","target":"vax"}`, nil, http.StatusBadRequest},
-		{"unknown strategy", `{"source":"int f(){return 0;}","target":"r2000","strategy":"magic"}`, nil, http.StatusBadRequest},
-		{"unknown lang", `{"source":"x","lang":"fortran","target":"r2000"}`, nil, http.StatusBadRequest},
-		{"c syntax error", `{"source":"int f( {","target":"r2000"}`, nil, http.StatusBadRequest},
-		{"il syntax error", `{"source":"(bogus)","lang":"il","target":"r2000"}`, nil, http.StatusBadRequest},
-		{"c object past 2^31 bytes", `{"source":"int a[1073741824][8]; int g;","target":"r2000"}`, nil, http.StatusBadRequest},
-		{"il negative size", `{"source":"global a int size -16\nglobal b int size 4\n","lang":"il","target":"r2000"}`, nil, http.StatusBadRequest},
-		{"data past 2^31 bytes", `{"source":"char a[2147483647];","target":"r2000"}`, nil, http.StatusUnprocessableEntity},
-		{"bad deadline header", `{"source":"int f(){return 0;}","target":"r2000"}`,
-			map[string]string{DeadlineHeader: "soon"}, http.StatusBadRequest},
-	}
-	for _, c := range cases {
+	for _, c := range badRequests {
 		w := postRaw(s, []byte(c.body), c.hdr)
 		if w.Code != c.want {
 			t.Errorf("%s: status %d, want %d: %s", c.name, w.Code, c.want, w.Body.String())
@@ -209,12 +212,15 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestHugeDeadlineClamped sends deadline headers whose milliseconds
-// overflow a time.Duration: each must be clamped to MaxDeadline and
-// compile, not wrap negative and answer 504.
+// hugeDeadlines are deadline headers whose milliseconds overflow a
+// time.Duration.
+var hugeDeadlines = []string{"10000000000000", "9223372036854775807"}
+
+// TestHugeDeadlineClamped sends hugeDeadlines: each must be clamped to
+// MaxDeadline and compile, not wrap negative and answer 504.
 func TestHugeDeadlineClamped(t *testing.T) {
 	s := newTestServer(t, Config{})
-	for _, ms := range []string{"10000000000000", "9223372036854775807"} {
+	for _, ms := range hugeDeadlines {
 		w := post(t, s, CompileRequest{Source: addC, Target: "r2000"}, map[string]string{DeadlineHeader: ms})
 		if w.Code != http.StatusOK {
 			t.Errorf("%s ms: status %d, want 200: %s", ms, w.Code, w.Body.String())

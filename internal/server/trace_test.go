@@ -23,12 +23,7 @@ import (
 // well under a millisecond, a single OS preemption in a gap between
 // spans could halve it on a loaded box.
 func TestTraceRingCapturesCompile(t *testing.T) {
-	var unit gentest.Unit
-	for _, u := range gentest.Golden() {
-		if u.Name == gentest.Pressure {
-			unit = u
-		}
-	}
+	unit := gentest.Fixture(gentest.Pressure)
 	s := newTestServer(t, Config{TraceRing: 8})
 	w := post(t, s, CompileRequest{Source: unit.Text, Filename: unit.Name, Target: "r2000", Strategy: "rase"}, nil)
 	if w.Code != http.StatusOK {
@@ -84,26 +79,31 @@ func TestTraceRingCapturesCompile(t *testing.T) {
 	}
 }
 
+// A well-formed and a hostile client-supplied request ID.
+const (
+	clientID  = "client-id.7"
+	hostileID = `bad id"}\n{"fake`
+)
+
 // A well-formed client-supplied ID is honored; a hostile one is
 // replaced, never echoed.
 func TestRequestIDValidation(t *testing.T) {
 	s := newTestServer(t, Config{TraceRing: 8})
 
 	w := post(t, s, CompileRequest{Source: addC, Target: "r2000"},
-		map[string]string{RequestIDHeader: "client-id.7"})
+		map[string]string{RequestIDHeader: clientID})
 	resp := decode[CompileResponse](t, w)
-	if resp.RequestID != "client-id.7" {
+	if resp.RequestID != clientID {
 		t.Fatalf("valid client ID not honored: %q", resp.RequestID)
 	}
-	if _, ok := s.ring.Get("client-id.7"); !ok {
+	if _, ok := s.ring.Get(clientID); !ok {
 		t.Fatal("trace not retained under the client's ID")
 	}
 
-	hostile := `bad id"}\n{"fake`
 	w = post(t, s, CompileRequest{Source: addC, Target: "r2000"},
-		map[string]string{RequestIDHeader: hostile})
+		map[string]string{RequestIDHeader: hostileID})
 	resp = decode[CompileResponse](t, w)
-	if resp.RequestID == hostile || !trace.ValidID(resp.RequestID) {
+	if resp.RequestID == hostileID || !trace.ValidID(resp.RequestID) {
 		t.Fatalf("hostile ID echoed or replacement invalid: %q", resp.RequestID)
 	}
 }

@@ -29,12 +29,7 @@ import (
 // or three times; the big-block fixture has the long i860 blocks whose
 // protection pass and closure words the scratch carries over.
 func TestScratchReuseMatchesFresh(t *testing.T) {
-	var bigSrc string
-	for _, u := range gentest.Golden() {
-		if u.Name == gentest.BigBlock {
-			bigSrc = u.Text
-		}
-	}
+	bigSrc := gentest.Fixture(gentest.BigBlock).Text
 	// Lowering is repeated per use: the back end consumes its module.
 	modules := func() []*ir.Module {
 		suite, err := livermore.SuiteModule()

@@ -27,12 +27,7 @@ func verifyAllocs(m *mach.Machine, af *asm.Func) int {
 // function of every target, and on the big-block fixture's 128-statement
 // function within two of a one-block leaf.
 func TestVerifyAllocsConstant(t *testing.T) {
-	var src string
-	for _, u := range gentest.Golden() {
-		if u.Name == gentest.BigBlock {
-			src = u.Text
-		}
-	}
+	src := gentest.Fixture(gentest.BigBlock).Text
 	const leafSrc = `int leaf(int a, int b) { return a + b; }`
 	for _, target := range targets.Names() {
 		m, err := targets.Load(target)
