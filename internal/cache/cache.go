@@ -7,8 +7,8 @@
 // that key triple (see Key / FuncKey) to a serialized compiled function
 // (see Encode / Decode) through two tiers:
 //
-//   - a sharded in-memory LRU, sized in bytes, lock-striped so the
-//     parallel per-function back end workers rarely contend, and
+//   - an in-memory LRU under one lock, holding at most MaxBytes of
+//     framed blobs (or a single larger entry), and
 //   - an optional on-disk tier, one checksummed file per entry, written
 //     atomically (temp + rename), shared across processes and runs.
 //
@@ -43,14 +43,10 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // changes so stale disk tiers read as misses, not decode errors.
 var magic = []byte("MCE1")
 
-// numShards is the memory tier's lock-stripe count. A key's shard is its
-// first byte modulo numShards, and each shard holds an even share of
-// Options.MaxBytes.
-const numShards = 16
-
 // Options configure a Cache.
 type Options struct {
-	// MaxBytes bounds the in-memory tier (sum of blob sizes);
+	// MaxBytes bounds the in-memory tier (sum of framed blob sizes);
+	// only a single entry larger than it is ever held over it.
 	// <= 0 means 64 MiB.
 	MaxBytes int64
 	// Dir, when non-empty, enables the on-disk tier rooted there (the
@@ -80,20 +76,16 @@ func (s Stats) Hits() int64 { return s.MemHits + s.DiskHits }
 // Cache is the two-tier content-addressed store. All methods are safe
 // for concurrent use.
 type Cache struct {
-	shards [numShards]shard
-	perCap int64
-	dir    string
+	mu       sync.Mutex
+	items    map[Key]*entryNode
+	head     *entryNode // most recent
+	tail     *entryNode // least recent
+	bytes    int64
+	maxBytes int64
+	dir      string
 
 	memHits, diskHits, misses  *metrics.Counter
 	stores, evictions, rejects *metrics.Counter
-}
-
-type shard struct {
-	mu    sync.Mutex
-	items map[Key]*entryNode
-	head  *entryNode // most recent
-	tail  *entryNode // least recent
-	bytes int64
 }
 
 type entryNode struct {
@@ -114,7 +106,8 @@ func New(o Options) (*Cache, error) {
 		reg = metrics.Default()
 	}
 	c := &Cache{
-		perCap:    o.MaxBytes / numShards,
+		items:     map[Key]*entryNode{},
+		maxBytes:  o.MaxBytes,
 		dir:       o.Dir,
 		memHits:   reg.Counter("cache.hits.mem"),
 		diskHits:  reg.Counter("cache.hits.disk"),
@@ -122,12 +115,6 @@ func New(o Options) (*Cache, error) {
 		stores:    reg.Counter("cache.stores"),
 		evictions: reg.Counter("cache.evictions"),
 		rejects:   reg.Counter("cache.rejects"),
-	}
-	if c.perCap < 1<<16 {
-		c.perCap = 1 << 16
-	}
-	for i := range c.shards {
-		c.shards[i].items = map[Key]*entryNode{}
 	}
 	var err error
 	if c.dir != "" {
@@ -138,8 +125,6 @@ func New(o Options) (*Cache, error) {
 	}
 	return c, err
 }
-
-func (c *Cache) shardOf(k Key) *shard { return &c.shards[int(k[0])%len(c.shards)] }
 
 // frame wraps a payload with magic and checksum.
 func frame(payload []byte) []byte {
@@ -168,12 +153,11 @@ func unframe(blob []byte) ([]byte, error) {
 // consulted first; a disk hit is promoted into memory. A corrupt disk
 // entry counts as a reject (the file is deleted) and reads as a miss.
 func (c *Cache) Get(k Key) ([]byte, bool) {
-	s := c.shardOf(k)
-	s.mu.Lock()
-	if n, ok := s.items[k]; ok {
-		s.moveToFront(n)
+	c.mu.Lock()
+	if n, ok := c.items[k]; ok {
+		c.moveToFront(n)
 		blob := n.blob
-		s.mu.Unlock()
+		c.mu.Unlock()
 		payload, err := unframe(blob)
 		if err != nil {
 			// Memory corruption is next to impossible, but never
@@ -184,7 +168,7 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 		c.memHits.Inc()
 		return payload, true
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 
 	if c.dir != "" {
 		path := c.path(k)
@@ -222,12 +206,11 @@ func (c *Cache) Put(k Key, payload []byte) {
 // pipeline calls it when a blob fails structural decode (e.g. a stale
 // format inside a valid frame).
 func (c *Cache) Reject(k Key) {
-	s := c.shardOf(k)
-	s.mu.Lock()
-	if n, ok := s.items[k]; ok {
-		s.remove(n)
+	c.mu.Lock()
+	if n, ok := c.items[k]; ok {
+		c.remove(n)
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	if c.dir != "" {
 		os.Remove(c.path(k))
 	}
@@ -244,25 +227,22 @@ func (c *Cache) Flush() int {
 	if c.dir == "" {
 		return 0
 	}
+	c.mu.Lock()
+	pending := make(map[Key][]byte, len(c.items))
+	for k, n := range c.items {
+		pending[k] = n.blob
+	}
+	c.mu.Unlock()
+	// Write outside the lock: blobs are immutable once framed
+	// (replacement swaps the slice, never mutates it), and identical
+	// content by construction.
 	written := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		pending := make(map[Key][]byte, len(s.items))
-		for k, n := range s.items {
-			pending[k] = n.blob
+	for k, blob := range pending {
+		if _, err := os.Stat(c.path(k)); err == nil {
+			continue
 		}
-		s.mu.Unlock()
-		// Write outside the shard lock: blobs are immutable once framed
-		// (replacement swaps the slice, never mutates it), and identical
-		// content by construction.
-		for k, blob := range pending {
-			if _, err := os.Stat(c.path(k)); err == nil {
-				continue
-			}
-			c.writeFile(k, blob)
-			written++
-		}
+		c.writeFile(k, blob)
+		written++
 	}
 	return written
 }
@@ -280,23 +260,22 @@ func (c *Cache) Stats() Stats {
 }
 
 func (c *Cache) insert(k Key, blob []byte) {
-	s := c.shardOf(k)
-	s.mu.Lock()
-	if n, ok := s.items[k]; ok {
-		s.bytes += int64(len(blob)) - int64(len(n.blob))
+	c.mu.Lock()
+	if n, ok := c.items[k]; ok {
+		c.bytes += int64(len(blob)) - int64(len(n.blob))
 		n.blob = blob
-		s.moveToFront(n)
+		c.moveToFront(n)
 	} else {
 		n = &entryNode{key: k, blob: blob}
-		s.items[k] = n
-		s.pushFront(n)
-		s.bytes += int64(len(blob))
+		c.items[k] = n
+		c.pushFront(n)
+		c.bytes += int64(len(blob))
 	}
-	for s.bytes > c.perCap && s.tail != nil && s.tail != s.head {
+	for c.bytes > c.maxBytes && c.tail != c.head {
 		c.evictions.Inc()
-		s.remove(s.tail)
+		c.remove(c.tail)
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 }
 
 func (c *Cache) path(k Key) string {
@@ -323,44 +302,44 @@ func (c *Cache) writeFile(k Key, blob []byte) {
 	}
 }
 
-// Intrusive LRU list ops (shard lock held).
+// Intrusive LRU list ops (c.mu held).
 
-func (s *shard) pushFront(n *entryNode) {
+func (c *Cache) pushFront(n *entryNode) {
 	n.prev = nil
-	n.next = s.head
-	if s.head != nil {
-		s.head.prev = n
+	n.next = c.head
+	if c.head != nil {
+		c.head.prev = n
 	}
-	s.head = n
-	if s.tail == nil {
-		s.tail = n
+	c.head = n
+	if c.tail == nil {
+		c.tail = n
 	}
 }
 
-func (s *shard) moveToFront(n *entryNode) {
-	if s.head == n {
+func (c *Cache) moveToFront(n *entryNode) {
+	if c.head == n {
 		return
 	}
-	s.unlink(n)
-	s.pushFront(n)
+	c.unlink(n)
+	c.pushFront(n)
 }
 
-func (s *shard) unlink(n *entryNode) {
+func (c *Cache) unlink(n *entryNode) {
 	if n.prev != nil {
 		n.prev.next = n.next
 	} else {
-		s.head = n.next
+		c.head = n.next
 	}
 	if n.next != nil {
 		n.next.prev = n.prev
 	} else {
-		s.tail = n.prev
+		c.tail = n.prev
 	}
 	n.prev, n.next = nil, nil
 }
 
-func (s *shard) remove(n *entryNode) {
-	s.unlink(n)
-	delete(s.items, n.key)
-	s.bytes -= int64(len(n.blob))
+func (c *Cache) remove(n *entryNode) {
+	c.unlink(n)
+	delete(c.items, n.key)
+	c.bytes -= int64(len(n.blob))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -47,37 +48,122 @@ func TestMemoryHit(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	// Keys that all fall in shard 0 so the LRU order is observable; cap
-	// small enough (the per-shard floor, 64 KiB) that a few large blobs
-	// force eviction.
-	c, err := New(Options{MaxBytes: 1, Registry: metrics.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
+// TestLRUMatchesModel drives the memory tier with seeded puts and gets
+// over keys that differ in their first byte and holds it, operation by
+// operation, to a reference LRU: a slice in recency order and a byte
+// count, evicting from the old end while the count is over MaxBytes
+// and more than one entry is held. Every hit, miss, payload and
+// eviction count must agree, and the tier must never hold more than
+// MaxBytes unless it holds a single entry.
+func TestLRUMatchesModel(t *testing.T) {
+	type held struct {
+		key     Key
+		payload []byte
 	}
-	key := func(i int) Key { return testKey(i * numShards) }
-	blob := make([]byte, 30<<10)
-	for i := 0; i < 3; i++ {
-		c.Put(key(i), blob)
+	framed := func(payload []byte) int64 { return int64(len(frame(payload))) }
+	for _, maxBytes := range []int64{1, 4 << 10, 64 << 10} {
+		t.Run(fmt.Sprint(maxBytes), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(maxBytes))
+			keys := make([]Key, 48)
+			for i := range keys {
+				rng.Read(keys[i][:])
+				keys[i][0] = byte(i * 5) // every key its own first byte
+			}
+			c := newMem(t, maxBytes)
+			var model []held // most recent first
+			var modelBytes, hits, misses, evictions int64
+			find := func(k Key) int {
+				for i, h := range model {
+					if h.key == k {
+						return i
+					}
+				}
+				return -1
+			}
+			touch := func(i int) held {
+				h := model[i]
+				model = append(model[:i], model[i+1:]...)
+				model = append([]held{h}, model...)
+				return h
+			}
+			for op := range 6000 {
+				k := keys[rng.Intn(len(keys))]
+				if rng.Intn(2) == 0 {
+					size := rng.Intn(int(maxBytes/3) + 1)
+					if rng.Intn(50) == 0 {
+						size = int(maxBytes) + 1 // larger than the whole tier
+					}
+					payload := make([]byte, size)
+					rng.Read(payload)
+					c.Put(k, payload)
+					if i := find(k); i >= 0 {
+						modelBytes -= framed(touch(i).payload)
+						model[0].payload = payload
+					} else {
+						model = append([]held{{k, payload}}, model...)
+					}
+					modelBytes += framed(payload)
+					for modelBytes > maxBytes && len(model) > 1 {
+						modelBytes -= framed(model[len(model)-1].payload)
+						model = model[:len(model)-1]
+						evictions++
+					}
+				} else {
+					got, ok := c.Get(k)
+					i := find(k)
+					if ok != (i >= 0) {
+						t.Fatalf("op %d: Get(%x...) hit = %v, model %v", op, k[:4], ok, i >= 0)
+					}
+					if ok {
+						hits++
+						if want := touch(i).payload; !bytes.Equal(got, want) {
+							t.Fatalf("op %d: Get(%x...) returned %d bytes, model %d", op, k[:4], len(got), len(want))
+						}
+					} else {
+						misses++
+					}
+				}
+				s := c.Stats()
+				if s.MemHits != hits || s.Misses != misses || s.Evictions != evictions {
+					t.Fatalf("op %d: hits/misses/evictions %d/%d/%d, model %d/%d/%d",
+						op, s.MemHits, s.Misses, s.Evictions, hits, misses, evictions)
+				}
+				order, held := lruState(c)
+				if len(order) != len(model) || held != modelBytes {
+					t.Fatalf("op %d: tier holds %d entries, %d bytes; model %d, %d", op, len(order), held, len(model), modelBytes)
+				}
+				for i, k := range order {
+					if k != model[i].key {
+						t.Fatalf("op %d: recency position %d holds %x..., model %x...", op, i, k[:4], model[i].key[:4])
+					}
+				}
+				if held > maxBytes && len(order) > 1 {
+					t.Fatalf("op %d: %d entries hold %d bytes over MaxBytes %d", op, len(order), held, maxBytes)
+				}
+			}
+			if evictions == 0 || hits == 0 || misses == 0 {
+				t.Fatalf("the run never saw an eviction, hit and miss: %d/%d/%d", evictions, hits, misses)
+			}
+		})
 	}
-	// 3 x 30KiB > 64KiB: the first (least recent) entry must be gone.
-	if _, ok := c.Get(key(0)); ok {
-		t.Fatal("LRU victim still present")
+}
+
+// lruState returns the memory tier's keys, most recent first, and the
+// bytes their blobs hold. It is -1 when the tier's own byte count or
+// its map disagrees with the list.
+func lruState(c *Cache) ([]Key, int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var order []Key
+	var sum int64
+	for n := c.head; n != nil; n = n.next {
+		order = append(order, n.key)
+		sum += int64(len(n.blob))
 	}
-	if _, ok := c.Get(key(2)); !ok {
-		t.Fatal("most recent entry evicted")
+	if sum != c.bytes || len(order) != len(c.items) {
+		sum = -1
 	}
-	if c.Stats().Evictions == 0 {
-		t.Fatal("no evictions counted")
-	}
-	// Touch entry 1, add another: entry 1 must survive over entry 2.
-	if _, ok := c.Get(key(1)); !ok {
-		t.Fatal("entry 1 missing before touch test")
-	}
-	c.Put(key(3), blob)
-	if _, ok := c.Get(key(1)); !ok {
-		t.Fatal("recently used entry evicted before older one")
-	}
+	return order, sum
 }
 
 func TestDiskTierAndPromotion(t *testing.T) {

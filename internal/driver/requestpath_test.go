@@ -125,8 +125,7 @@ func benchJobs(b *testing.B, build func() ([]job, int), each func(*driver.Compil
 // allocsPerFunc is what compiling one set of jobs allocates per
 // function: a set is built before each compile, outside the count, the
 // first compiled as the warm-up and the next two measured. The last set
-// is dropped before the next is built: how much stays live sets when
-// the GC runs, and each GC can drop the pipeline's pooled arenas.
+// is dropped before the next is built, so one set is live at a time.
 func allocsPerFunc(t *testing.T, build func() ([]job, int)) (allocs, bytes float64) {
 	var jobs []job
 	funcs := 0

@@ -320,9 +320,6 @@ func (m *Machine) finalizeInstr(in *Instr) error {
 
 func (m *Machine) validate() error {
 	c := &m.Cwvm
-	if len(m.Instrs) == 0 {
-		return fmt.Errorf("machine %s declares no instructions", m.Name)
-	}
 	if !c.SP.Valid() {
 		return fmt.Errorf("cwvm: no %%sp declared")
 	}

@@ -454,8 +454,9 @@ func (p *Pipeline) runOne(ctx context.Context, m *mach.Machine, index int, fn *i
 		if res := p.cacheLookup(key, m, fn, cfg); res != nil {
 			csp.Attr("result", "hit")
 			csp.End()
-			res.Timings = []PhaseTiming{{Phase: "cache", Time: time.Since(start)}}
-			cacheHist.ObserveDuration(time.Since(start))
+			elapsed := time.Since(start)
+			res.Timings = []PhaseTiming{{Phase: "cache", Time: elapsed}}
+			cacheHist.ObserveDuration(elapsed)
 			return res
 		}
 		csp.Attr("result", "miss")

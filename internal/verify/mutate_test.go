@@ -108,9 +108,9 @@ func DeleteDelaySlotNop(m *mach.Machine, af *asm.Func) bool {
 }
 
 // MergeIllegalPair packs two adjacent, independent instruction words
-// into one even though their issue resources collide (or, on a
-// long-word machine, their packing classes do not intersect):
-// the scheduler's structural-hazard rule in reverse (kindResource).
+// into one even though their issue resources collide: the scheduler's
+// structural-hazard rule in reverse (kindResource). It never breaks the
+// packing-class rule alone; TestDisjointClassesCannotPack does.
 func MergeIllegalPair(m *mach.Machine, af *asm.Func) bool {
 	for _, b := range af.Blocks {
 		for i := 0; i+1 < len(b.Insts); i++ {

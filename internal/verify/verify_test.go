@@ -152,6 +152,66 @@ func TestSameWordMemoryOrder(t *testing.T) {
 	}
 }
 
+// wordDesc is a two-unit long-word machine: an integer add in the <int>
+// word element, a floating add in <fp> only and a floating subtract in
+// both, each on its own unit, so no two of them collide on a resource.
+const wordDesc = `
+declare {
+    %reg r[0:7] (int, ptr);
+    %reg f[0:7] (double);
+    %resource IEX, FEX;
+    %memory m[0:65535];
+}
+cwvm {
+    %general (int, ptr) r; %general (double) f;
+    %allocable r[1:5], f[1:5];
+    %sp r[7]; %fp r[6]; %retaddr r[1];
+}
+instr {
+    %instr add r, r, r {$1 = $2 + $3;} [IEX] (1,1,0) <int>
+    %instr fadd f, f, f (double) {$1 = $2 + $3;} [FEX] (1,1,0) <fp>
+    %instr fsub f, f, f (double) {$1 = $2 - $3;} [FEX] (1,1,0) <int, fp>
+    %instr nop {;} [IEX] (1,1,0)
+}
+`
+
+// TestDisjointClassesCannotPack pins the long-word packing rule on a
+// hand-built word: two independent instructions whose resources do not
+// collide but whose packing classes share no element are flagged, and
+// the same word with classes in common is clean.
+func TestDisjointClassesCannotPack(t *testing.T) {
+	m, err := maril.Parse("word", wordDesc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		fp   string
+		want string // the finding's text, "" for a clean word
+	}{
+		{"fadd", "fadd cannot pack into this word: no common long-word element (add|fadd)"},
+		{"fsub", ""},
+	} {
+		add := asm.New(m.InstrByLabel("add"), asm.Reg(0), asm.Reg(1), asm.Reg(1))
+		fop := asm.New(m.InstrByLabel(tc.fp), asm.Reg(2), asm.Reg(3), asm.Reg(3))
+		add.Cycle, fop.Cycle = 0, 0
+		af := unitFunc(t, add, fop)
+		af.NewPseudo(m.RegSet("r"), ir.NoReg)
+		af.NewPseudo(m.RegSet("r"), ir.NoReg)
+		af.NewPseudo(m.RegSet("f"), ir.NoReg)
+		af.NewPseudo(m.RegSet("f"), ir.NoReg)
+		rep := verify.Func(m, af, verify.Options{})
+		if tc.want == "" {
+			if !rep.Empty() {
+				t.Errorf("add|%s: classes in common flagged:\n%s", tc.fp, rep)
+			}
+			continue
+		}
+		if len(rep.Findings) != 1 || rep.Findings[0].Kind != verify.KindResource || rep.Findings[0].Msg != tc.want {
+			t.Errorf("add|%s: want one %s finding %q; report:\n%s", tc.fp, verify.KindResource, tc.want, rep)
+		}
+	}
+}
+
 func TestReportBasics(t *testing.T) {
 	var nilRep *verify.Report
 	if !nilRep.Empty() || nilRep.Count(verify.KindLatency) != 0 || nilRep.Err() != nil {
