@@ -78,7 +78,6 @@ import (
 	"marion/internal/faults"
 	"marion/internal/iltext"
 	"marion/internal/overload"
-	"marion/internal/pipeline"
 	"marion/internal/strategy"
 	"marion/internal/targets"
 	"marion/internal/trace"
@@ -315,16 +314,16 @@ func emit(stdout, stderr io.Writer, out, text string) int {
 }
 
 // fail prints a compile failure and returns the exit status. A
-// *pipeline.Diagnostics error is expanded into one line per failing
+// *driver.Diagnostics error is expanded into one line per failing
 // function (with its phase); anything else prints as-is.
 func fail(stderr io.Writer, err error) int {
-	var diags *pipeline.Diagnostics
+	var diags *driver.Diagnostics
 	if errors.As(err, &diags) {
 		all := diags.All()
 		fmt.Fprintf(stderr, "marionc: %d function(s) failed:\n", len(all))
 		for _, d := range all {
 			fmt.Fprintf(stderr, "  %s: %s: %v\n", d.Func, d.Phase, d.Err)
-			var pe *pipeline.PanicError
+			var pe *driver.PanicError
 			if errors.As(d.Err, &pe) {
 				for _, line := range strings.Split(pe.Stack, "\n") {
 					fmt.Fprintf(stderr, "    %s\n", line)

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"marion/internal/pipeline"
+	"marion/internal/driver"
 	"marion/internal/verify"
 )
 
@@ -114,10 +114,10 @@ func TestRunUsageErrors(t *testing.T) {
 }
 
 // TestFailPrintsEveryDiagnostic pins the multi-failure contract: a
-// *pipeline.Diagnostics error prints one attributed line per failing
+// *driver.Diagnostics error prints one attributed line per failing
 // function, not just the first.
 func TestFailPrintsEveryDiagnostic(t *testing.T) {
-	diags := &pipeline.Diagnostics{}
+	diags := &driver.Diagnostics{}
 	diags.Add(0, "bad1", "select", errors.New("no template matches"))
 	diags.Add(1, "bad2", "strategy", errors.New("allocation failed"))
 	var errb strings.Builder

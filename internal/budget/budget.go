@@ -1,13 +1,13 @@
 // Package budget defines the typed errors of the back end's resource
 // budgets. A budget turns a hang into an error: per-function wall-clock
-// deadlines (pipeline.Config.Budget, enforced through context), the
+// deadlines (driver.Config.Budget, enforced through context), the
 // scheduler's cycle-loop step cap (sched.Options.MaxCycles) and the
 // register allocator's build-color-spill round cap
 // (regalloc.Options.MaxRounds) all surface here, so callers can test
 // errors.Is(err, budget.ErrExceeded) without knowing which limit fired.
 //
 // The package is a leaf (std-lib imports only) so that sched, regalloc,
-// strategy and pipeline can all share the sentinel without cycles.
+// strategy and driver can all share the sentinel without cycles.
 package budget
 
 import (

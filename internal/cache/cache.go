@@ -15,7 +15,7 @@
 // Every stored blob is framed with a SHA-256 payload checksum; a
 // corrupt or truncated disk entry is rejected (and deleted) on read,
 // so a poisoned cache degrades to a recompile, never to wrong code.
-// Admission policy is the caller's: the pipeline only stores entries
+// Admission policy is the caller's: the driver only stores entries
 // after internal/verify passes the compiled function.
 package cache
 
@@ -203,7 +203,7 @@ func (c *Cache) Put(k Key, payload []byte) {
 }
 
 // Reject removes k from both tiers and counts a rejected entry; the
-// pipeline calls it when a blob fails structural decode (e.g. a stale
+// driver calls it when a blob fails structural decode (e.g. a stale
 // format inside a valid frame).
 func (c *Cache) Reject(k Key) {
 	c.mu.Lock()

@@ -9,7 +9,7 @@ import (
 	"marion/internal/strategy"
 )
 
-// ConfigKey digests every pipeline knob that can change emitted code:
+// ConfigKey digests every back end option that can change emitted code:
 // the strategy kind and the three scheduler design choices of
 // strategy.Options. Per-run plumbing that cannot change
 // the result — deadlines, fault injectors, worker counts, whether the

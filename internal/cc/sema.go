@@ -126,6 +126,7 @@ func (s *sema) checkStmt(st *Stmt) error {
 			if err := s.checkExpr(st.DeclInit); err != nil {
 				return err
 			}
+			decay(st.DeclInit) // as assignment does: int *p = v;
 			st.DeclInit = s.convert(st.DeclInit, st.Decl.Type)
 			if st.DeclInit == nil {
 				return s.errf(st.Line, "cannot initialize %s with given expression", st.Decl.Type)

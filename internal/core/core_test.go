@@ -8,7 +8,7 @@ import (
 
 	"marion"
 	"marion/internal/cache"
-	"marion/internal/pipeline"
+	"marion/internal/driver"
 	"marion/internal/sim"
 )
 
@@ -143,7 +143,7 @@ int dbl(int x) { return x + x; }
 int mac(int a, int b, int c) { return a * b + c; }
 `
 
-// The generator embeds pipeline.Config, so it can express every back
+// The generator embeds driver.Config, so it can express every back
 // end option — including the two its hand-copied field list had
 // drifted away from. CacheOnly with an empty cache must turn every
 // function into an ErrCacheOnlyMiss diagnostic instead of compiling.
@@ -159,16 +159,16 @@ func TestGeneratorCacheOnly(t *testing.T) {
 	gen.Cache, gen.CacheOnly = ch, true
 
 	_, err = gen.CompileCtx(context.Background(), "t.c", twoFuncs)
-	var diags *pipeline.Diagnostics
+	var diags *driver.Diagnostics
 	if !errors.As(err, &diags) {
-		t.Fatalf("err = %v, want *pipeline.Diagnostics", err)
+		t.Fatalf("err = %v, want *driver.Diagnostics", err)
 	}
 	all := diags.All()
 	if len(all) != 2 {
 		t.Fatalf("got %d diagnostics, want one per function (2): %v", len(all), err)
 	}
 	for _, d := range all {
-		if !errors.Is(d.Err, pipeline.ErrCacheOnlyMiss) {
+		if !errors.Is(d.Err, driver.ErrCacheOnlyMiss) {
 			t.Errorf("%s: err = %v, want ErrCacheOnlyMiss", d.Func, d.Err)
 		}
 	}

@@ -1,13 +1,18 @@
-// Package driver ties Marion's phases into a compiler pipeline:
-// C source -> front end -> IL -> back end pipeline (glue transform ->
-// instruction selection -> code generation strategy: scheduling +
-// register allocation) -> target program.
+// Package driver is Marion's compiler driver: C source (or textual IL)
+// -> front end -> IL -> back end (glue transform -> instruction
+// selection -> code generation strategy: scheduling + register
+// allocation) -> target program.
 //
-// The back end runs as an explicit pipeline (internal/pipeline) over
-// the module's functions with a bounded worker pool; results commit in
-// source order, so the emitted assembly is byte-identical whatever the
-// worker count, and per-function failures are accumulated as structured
-// diagnostics instead of aborting at the first error.
+// Lower is the one place a language picks its front end, and
+// CompileModuleCtx the one way into the back end. The back end is an
+// ordered list of named phases (glue transform, selection, strategy,
+// verifier), each with a uniform signature over a per-function context.
+// Because each function's back end is independent, it runs over the
+// module's functions with a bounded pool of workers, while results keep
+// source order: the emitted assembly is byte-identical whatever the
+// worker count. Per-function failures are collected as Diagnostics
+// instead of aborting at the first error, so one compile reports every
+// failing function.
 package driver
 
 import (
@@ -16,15 +21,17 @@ import (
 	"time"
 
 	"marion/internal/asm"
+	"marion/internal/cache"
 	"marion/internal/cc"
+	"marion/internal/faults"
 	"marion/internal/ilgen"
 	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/mach"
-	"marion/internal/pipeline"
 	"marion/internal/sel"
 	"marion/internal/strategy"
 	"marion/internal/targets"
+	"marion/internal/trace"
 	"marion/internal/verify"
 )
 
@@ -36,10 +43,64 @@ const (
 	dataEnd  = 1 << 31
 )
 
-// Config is the back end's option set. It is declared once, in
-// internal/pipeline where every field is consumed, and passed down
-// unchanged by every layer above (package marion, server, the CLIs).
-type Config = pipeline.Config
+// Config tunes one compilation. It is the single declaration of the
+// back end's options: marion.CodeGenerator embeds it, overload's wire
+// options map onto it, and the server and CLIs build one value and pass
+// it down, so a new option is added here and nowhere else.
+type Config struct {
+	Strategy strategy.Kind
+	Options  strategy.Options
+	// Verify runs the emitted-code verifier (internal/verify) over
+	// every function after the strategy phase. Findings are data, not
+	// compile errors — callers decide whether they are fatal.
+	Verify bool
+	// Workers bounds the per-function worker pool; <= 0 means
+	// runtime.GOMAXPROCS(0). Output is identical for any worker count.
+	Workers int
+
+	// Budget is the per-function wall-clock deadline, enforced through
+	// context on every attempt (each ladder rung gets a fresh budget).
+	// The scheduler's cycle loop, the allocator's round loop and
+	// hang-mode faults all observe it, so a hung function becomes a
+	// typed budget error instead of a stuck worker. 0 means no budget.
+	Budget time.Duration
+
+	// Strict disables the graceful-degradation ladder: a function that
+	// fails or exhausts its budget is reported as a diagnostic instead
+	// of being retried down the strategy chain.
+	Strict bool
+
+	// Faults arms the deterministic fault-injection harness
+	// (internal/faults); nil injects nothing.
+	Faults *faults.Set
+
+	// CacheOnly serves functions exclusively from the cache: a miss (or
+	// a disabled cache — nil Cache, armed Faults, or a machine with no
+	// fingerprint) is reported as an ErrCacheOnlyMiss diagnostic instead
+	// of compiling. This is the server's deepest brownout level — under
+	// extreme overload mariond keeps answering for warm code at near-zero
+	// cost and sheds the rest.
+	CacheOnly bool
+
+	// Span, when non-nil, is the parent trace span for the whole run;
+	// each function gets a child span, with attempt and phase spans
+	// nested below. Nil means tracing is off and costs one nil check.
+	Span *trace.Span
+
+	// Cache, when non-nil, is the content-addressed compilation cache:
+	// each function is looked up by (canonical IR fingerprint, machine
+	// fingerprint, config key) before any phase runs; a hit bypasses the
+	// whole back end and rebinds the stored code onto the current IR.
+	// Entries are admitted only after the primary (non-degraded) attempt
+	// verifies clean against the machine description — when Verify is
+	// off, the admission check runs internal/verify anyway and a dirty
+	// result is simply not cached. The cache is ignored entirely when
+	// Faults is armed: injected failures must not poison the cache, and
+	// hits must not mask the sites under test. It is ignored too for a
+	// machine with the zero fingerprint (one maril.Parse did not build):
+	// nothing identifies it, so it must share entries with no other.
+	Cache *cache.Cache
+}
 
 // Compiled is the result of one compilation.
 type Compiled struct {
@@ -47,7 +108,7 @@ type Compiled struct {
 	Module  *ir.Module
 	Prog    *asm.Program
 	Stats   map[string]*strategy.Stats
-	// PhaseTimes sums back end wall time per pipeline phase across all
+	// PhaseTimes sums back end wall time per phase across all
 	// functions (under parallel compilation the sum can exceed the
 	// elapsed wall time). Only the accepted attempt of each function is
 	// counted — a function that walked the degradation ladder reports
@@ -66,9 +127,9 @@ type Compiled struct {
 	// Degradations lists, in source order, every function the
 	// degradation ladder emitted via a fallback rung (each one
 	// re-verified clean before acceptance).
-	Degradations []pipeline.Degradation
+	Degradations []Degradation
 	// CacheHits counts functions served from the compilation cache
-	// without running any pipeline phase.
+	// without running any back end phase.
 	CacheHits int
 }
 
@@ -117,12 +178,12 @@ func CompileModule(m *mach.Machine, mod *ir.Module, cfg Config) (*Compiled, erro
 	return CompileModuleCtx(context.Background(), m, mod, cfg)
 }
 
-// CompileModuleCtx is CompileModule with cancellation: the context
-// reaches the scheduler and allocator cycle loops through the pipeline,
-// so a cancelled caller (an HTTP request, a deadline) stops the back end
-// instead of waiting for it. When any function fails, the returned error
-// is a *pipeline.Diagnostics listing every failing function with its
-// phase.
+// CompileModuleCtx lays out mod's globals and compiles every function
+// through the back end. The context reaches the scheduler and allocator
+// cycle loops, so a cancelled caller (an HTTP request, a deadline) stops
+// the back end instead of waiting for it. When any function fails, the
+// returned error is a *Diagnostics listing every failing function with
+// its phase.
 func CompileModuleCtx(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg Config) (*Compiled, error) {
 	out := &Compiled{
 		Machine:    m,
@@ -154,7 +215,7 @@ func CompileModuleCtx(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg 
 		out.Prog.Globals = append(out.Prog.Globals, g)
 	}
 
-	results, diags := pipeline.Backend().Run(ctx, m, mod.Funcs, cfg)
+	results, diags := newBackend().run(ctx, m, mod.Funcs, cfg, &workers)
 	if err := diags.Err(); err != nil {
 		return nil, err
 	}
@@ -174,7 +235,7 @@ func CompileModuleCtx(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg 
 		if r.CacheHit {
 			out.CacheHits++
 		}
-		// A Result's timings include every ladder attempt; attribute
+		// A result's timings include every ladder attempt; attribute
 		// only the accepted one to the per-phase totals so a degraded
 		// function is not double-counted across rungs.
 		accepted := 0

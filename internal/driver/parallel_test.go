@@ -1,16 +1,18 @@
 package driver_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"marion/internal/driver"
 	"marion/internal/gentest"
 	"marion/internal/ir"
 	"marion/internal/livermore"
-	"marion/internal/pipeline"
 	"marion/internal/strategy"
 	"marion/internal/targets"
 )
@@ -95,16 +97,84 @@ func compileSuite(t *testing.T, target string, kind strategy.Kind, workers int) 
 	return c
 }
 
-// TestSuiteParallelDeterminism repeats the check on a large module (all
-// Livermore kernels merged, 28 functions), where worker interleaving is
-// actually exercised, on every target.
+// TestSuiteParallelDeterminism compiles the 28-function Livermore
+// module at worker counts from the caller alone to one per function:
+// fault-free on every target, and on r2000 under IPS with two fault
+// sets — errors on every rung that degrade one function and fail two,
+// and a panic and a budget hang that degrade one function each. Each
+// function's assembly, rung and per-attempt phase names, the
+// degradations and the diagnostics (and their order) are those of the
+// single-worker run. Under -race this is also the check that the claim
+// loops share nothing but their cursor. The budget is many times the
+// slowest function's compile under -race, so only the hang meets it.
 func TestSuiteParallelDeterminism(t *testing.T) {
+	type run struct {
+		name, target string
+		cfg          driver.Config
+		// check rejects an unexpected single-worker baseline.
+		check func(base string) bool
+	}
+	var runs []run
 	for _, target := range targets.Names() {
-		seq := compileSuite(t, target, strategy.Postpass, 1).Prog.Print()
-		par := compileSuite(t, target, strategy.Postpass, 8).Prog.Print()
-		if seq != par {
-			t.Errorf("%s: suite assembly differs between workers=1 and workers=8", target)
-		}
+		runs = append(runs, run{target + "/postpass", target, driver.Config{Strategy: strategy.Postpass},
+			func(base string) bool { return !strings.Contains(base, ": failed\n") }})
+	}
+	runs = append(runs,
+		run{"r2000/ips-rung-errors", "r2000", driver.Config{Strategy: strategy.IPS,
+			Faults: mustFaults(t, "sched:err@fn=3;regalloc:err@fn=7@all;select:err@fn=20@all")},
+			// functions 7 and 20 fail, 3 degrades
+			func(base string) bool {
+				return strings.Count(base, ": failed\n") == 2 && strings.Count(base, "degraded ips -> postpass") == 1 &&
+					strings.Contains(base, "3: postpass")
+			}},
+		run{"r2000/ips-panic-hang", "r2000", driver.Config{Strategy: strategy.IPS, Budget: 250 * time.Millisecond,
+			Faults: mustFaults(t, "select:panic@fn=0;sched:hang@fn=1")},
+			// functions 0 and 1 degrade, 1 by the budget
+			func(base string) bool {
+				return !strings.Contains(base, ": failed\n") && strings.Count(base, "degraded ips -> postpass") == 2 &&
+					strings.Contains(base, "budget exceeded")
+			}})
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			m, err := targets.Load(r.target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shot := func(workers int) string {
+				_, funcs := suiteOn(t, r.target)
+				cfg := r.cfg
+				cfg.Workers = workers
+				results, diags := driver.NewBackend().Run(context.Background(), m, funcs, cfg)
+				var sb strings.Builder
+				for i, r := range results {
+					if r == nil {
+						fmt.Fprintf(&sb, "%d: failed\n", i)
+						continue
+					}
+					fmt.Fprintf(&sb, "%d: %s", i, r.Strategy)
+					for _, pt := range r.Timings {
+						fmt.Fprintf(&sb, " %s/%d", pt.Phase, pt.Attempt)
+					}
+					if r.Fallback != nil {
+						fmt.Fprintf(&sb, "\n%s", r.Fallback)
+					}
+					fmt.Fprintf(&sb, "\n%s", printFunc(m, r.Func))
+				}
+				for _, d := range diags.All() {
+					fmt.Fprintf(&sb, "diag %d %s\n", d.Index, d.Error())
+				}
+				return sb.String()
+			}
+			base := shot(1)
+			if !r.check(base) {
+				t.Fatalf("unexpected single-worker baseline:\n%s", base)
+			}
+			for _, w := range []int{2, 8, 28} {
+				if got := shot(w); got != base {
+					t.Errorf("workers=%d output differs from workers=1", w)
+				}
+			}
+		})
 	}
 }
 
@@ -192,9 +262,9 @@ func TestDiagnosticsReportAllFailures(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected compilation failure")
 	}
-	var diags *pipeline.Diagnostics
+	var diags *driver.Diagnostics
 	if !errors.As(err, &diags) {
-		t.Fatalf("error is %T, want *pipeline.Diagnostics: %v", err, err)
+		t.Fatalf("error is %T, want *driver.Diagnostics: %v", err, err)
 	}
 	all := diags.All()
 	if len(all) != 2 {

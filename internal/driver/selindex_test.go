@@ -7,8 +7,6 @@ import (
 	"marion/internal/asm"
 	"marion/internal/driver"
 	"marion/internal/gentest"
-	"marion/internal/livermore"
-	"marion/internal/strategy"
 	"marion/internal/targets"
 )
 
@@ -48,28 +46,5 @@ func TestIndexedSelectionIdentical(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestIndexedSelectionIdenticalSuite repeats the check on the full
-// Livermore suite (28 functions) for one target, where the pattern mix
-// is much richer than the unit program above.
-func TestIndexedSelectionIdenticalSuite(t *testing.T) {
-	pins := gentest.ReadPins(t, "testdata/selindex_suite.sha256")
-	mod, err := livermore.SuiteModule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := targets.Load("r2000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := driver.CompileModule(m, mod, driver.Config{Strategy: strategy.Postpass})
-	if err != nil {
-		t.Fatal(err)
-	}
-	line, byFn := pinLine("r2000/postpass", c.Prog)
-	if name, ok := pins.Check(t, line); !ok && name != "" {
-		t.Errorf("%s now selects to\n%s", name, byFn[name])
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"marion/internal/driver"
 	"marion/internal/faults"
-	"marion/internal/pipeline"
 	"marion/internal/strategy"
 	"marion/internal/targets"
 )
@@ -69,7 +68,7 @@ func TestFaultMatrix(t *testing.T) {
 							Strategy: st, Workers: 2,
 							Verify: true, Budget: budget, Faults: set,
 						})
-						var diags *pipeline.Diagnostics
+						var diags *driver.Diagnostics
 						switch {
 						case errors.As(err, &diags):
 							t.Errorf("%s %s/%s: %d outright failure(s):\n%v", set, tn, st, len(diags.All()), err)

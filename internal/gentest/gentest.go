@@ -25,10 +25,13 @@ type Unit struct{ Name, Lang, Text string }
 // statements (big24 ... big128), the long code DAGs the Livermore loops
 // and examples/c lack; Pressure holds functions with 26 to 56 live values
 // (pint32, pdbl30, pmixloop, pcall26, pdblloop36) that spill on every
-// target, so the allocator's spill choice and order reach the digests.
+// target, so the allocator's spill choice and order reach the digests;
+// Regress holds one function per fixed miscompile, each returning a value
+// its test states, and is in no digest.
 const (
 	BigBlock = "bigblock.c"
 	Pressure = "pressure.c"
+	Regress  = "regress.c"
 )
 
 //go:embed testdata
@@ -41,7 +44,7 @@ func Golden() []Unit {
 	return append(units, Fixture(BigBlock), Fixture(Pressure))
 }
 
-// Fixture returns the fixture named name: BigBlock or Pressure.
+// Fixture returns the fixture named name: BigBlock, Pressure or Regress.
 func Fixture(name string) Unit { return read(fixtures, "testdata/"+name)[0] }
 
 // Serve returns the serve_cold templates at seed 1, C and IL, by name.

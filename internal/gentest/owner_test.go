@@ -11,7 +11,7 @@ import (
 // corpusNames returns the string literals in f that name a fixture or
 // the examples directory.
 func corpusNames(f GoFile) []*ast.BasicLit {
-	forbidden := []string{BigBlock, Pressure, "testdata/serve", "examples/c"}
+	forbidden := []string{BigBlock, Pressure, Regress, "testdata/serve", "examples/c"}
 	var bad []*ast.BasicLit
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {

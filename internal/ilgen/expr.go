@@ -356,22 +356,12 @@ func (g *gen) assign(e *cc.Expr) (*ir.Node, error) {
 	// Register-resident destination.
 	if e.L.Kind == cc.EIdent {
 		if r, ok := g.regs[e.L.Obj]; ok {
-			var v *ir.Node
-			var err error
-			if e.Op == cc.TAssign {
-				v, err = g.expr(e.R)
-			} else {
-				var rhs *ir.Node
-				rhs, err = g.expr(e.R)
-				if err != nil {
-					return nil, err
-				}
-				cur := g.slab.Reg(e.L.Type.IR(), r)
-				v = g.slab.New(binOp(e.Op), e.L.Type.IR(), cur, rhs)
-				normalizeCommutative(v)
-			}
+			v, err := g.expr(e.R)
 			if err != nil {
 				return nil, err
+			}
+			if e.Op != cc.TAssign {
+				v = g.compound(e, g.slab.Reg(e.L.Type.IR(), r), v)
 			}
 			g.asgn(v.Type, r, v)
 			return v, nil
@@ -383,31 +373,32 @@ func (g *gen) assign(e *cc.Expr) (*ir.Node, error) {
 		return nil, err
 	}
 	t := e.L.Type.IR()
-	var v *ir.Node
-	if e.Op == cc.TAssign {
-		v, err = g.expr(e.R)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		rhs, err := g.expr(e.R)
-		if err != nil {
-			return nil, err
-		}
-		cur := g.load(b, off, t)
-		if e.L.Type.Kind == cc.KPtr && e.R.Type.IsInteger() {
-			size := int64(e.L.Type.Elem.Size())
-			if rhs.IsConst() {
-				rhs = g.slab.Const(ir.I32, rhs.IVal*size)
-			} else {
-				rhs = g.scale(rhs, size)
-			}
-		}
-		v = g.slab.New(binOp(e.Op), t, cur, rhs)
-		normalizeCommutative(v)
+	v, err := g.expr(e.R)
+	if err != nil {
+		return nil, err
+	}
+	if e.Op != cc.TAssign {
+		v = g.compound(e, g.load(b, off, t), v)
 	}
 	g.store(b, off, v, t)
 	return v, nil
+}
+
+// compound combines a compound assignment's destination value cur with
+// its lowered right operand rhs. A pointer's integer operand is scaled by
+// the element size, as in p + n.
+func (g *gen) compound(e *cc.Expr, cur, rhs *ir.Node) *ir.Node {
+	if e.L.Type.Kind == cc.KPtr && e.R.Type.IsInteger() {
+		size := int64(e.L.Type.Elem.Size())
+		if rhs.IsConst() {
+			rhs = g.slab.Const(ir.I32, rhs.IVal*size)
+		} else {
+			rhs = g.scale(rhs, size)
+		}
+	}
+	v := g.slab.New(binOp(e.Op), e.L.Type.IR(), cur, rhs)
+	normalizeCommutative(v)
+	return v
 }
 
 // incDec lowers ++/--; post-forms capture the old value in a temporary.

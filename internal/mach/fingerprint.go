@@ -5,7 +5,7 @@ package mach
 // across retargets and is the machine component of the compilation-cache
 // key (internal/cache). Two loads of the same text are equal; any edit to
 // the text or the machine name changes it. A machine that did not come
-// from maril.Parse has the zero fingerprint, which pipeline.Run reads as
+// from maril.Parse has the zero fingerprint, which the driver reads as
 // "no cache for this run".
 func (m *Machine) Fingerprint() [32]byte { return m.fingerprint }
 

@@ -1,6 +1,6 @@
 // Package metrics is Marion's lightweight observability layer: a named
 // registry of lock-free counters and fixed-bucket histograms, shared by
-// the compilation cache (hit/miss/eviction counts) and the pipeline
+// the compilation cache (hit/miss/eviction counts) and the back end
 // (per-phase wall-time distributions). A Snapshot is what /statz and the
 // Prometheus exposition (prom.go) render.
 //

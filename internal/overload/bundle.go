@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"marion/internal/pipeline"
+	"marion/internal/driver"
 )
 
 // Bundle is the replayable quarantine record a breaker trip leaves
@@ -59,7 +59,7 @@ type BundleOptions struct {
 // wire value leaves in force. A wire Workers is capped at GOMAXPROCS:
 // output is the same for any count, and more workers than cores only
 // buys one request more goroutines and worker arenas.
-func (o BundleOptions) Config(base pipeline.Config) pipeline.Config {
+func (o BundleOptions) Config(base driver.Config) driver.Config {
 	base.Verify, base.Strict = o.Verify, o.Strict
 	if o.Workers > 0 {
 		base.Workers = min(o.Workers, runtime.GOMAXPROCS(0))

@@ -29,7 +29,7 @@
 //     behind.
 //
 // The package has no HTTP dependency and touches the compiler only
-// through pipeline.Config (the bundle's options map onto it);
+// through driver.Config (the bundle's options map onto it);
 // internal/server wires it to requests.
 package overload
 

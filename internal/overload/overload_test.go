@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"marion/internal/pipeline"
+	"marion/internal/driver"
 )
 
 // --------------------------------------------------------------------
@@ -536,7 +536,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // GOMAXPROCS, and leaves a zero wire value on the operator's default.
 func TestBundleOptionsCapWorkers(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
-	base := pipeline.Config{Workers: 3}
+	base := driver.Config{Workers: 3}
 	for _, c := range []struct{ wire, want int }{
 		{0, 3}, {1, 1}, {procs, procs}, {procs + 1, procs}, {1 << 30, procs},
 	} {

@@ -62,7 +62,6 @@ import (
 	"marion/internal/mach"
 	"marion/internal/metrics"
 	"marion/internal/overload"
-	"marion/internal/pipeline"
 	"marion/internal/strategy"
 	"marion/internal/targets"
 	"marion/internal/trace"
@@ -987,10 +986,10 @@ func breakerRelevant(err error) bool {
 	if errors.As(err, &inj) {
 		return true
 	}
-	var diags *pipeline.Diagnostics
+	var diags *driver.Diagnostics
 	if errors.As(err, &diags) {
 		for _, d := range diags.All() {
-			var pe *pipeline.PanicError
+			var pe *driver.PanicError
 			if errors.As(d.Err, &pe) {
 				return true
 			}
@@ -1008,12 +1007,12 @@ func breakerRelevant(err error) bool {
 // cacheOnlyMiss reports whether a compile failed purely because the
 // cache-only brownout level had no entries to serve.
 func cacheOnlyMiss(err error) bool {
-	var diags *pipeline.Diagnostics
+	var diags *driver.Diagnostics
 	if !errors.As(err, &diags) {
 		return false
 	}
 	for _, d := range diags.All() {
-		if !errors.Is(d.Err, pipeline.ErrCacheOnlyMiss) {
+		if !errors.Is(d.Err, driver.ErrCacheOnlyMiss) {
 			return false
 		}
 	}
@@ -1092,7 +1091,7 @@ func (req *CompileRequest) unitName() string {
 
 // toDiags flattens a back end error into wire diagnostics.
 func toDiags(err error) []Diag {
-	var diags *pipeline.Diagnostics
+	var diags *driver.Diagnostics
 	if !errors.As(err, &diags) {
 		return nil
 	}

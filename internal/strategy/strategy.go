@@ -64,7 +64,7 @@ var kindNames = map[Kind]string{
 }
 
 // FallbackChain returns the degradation ladder below a strategy: the
-// rungs the pipeline retries a failed or over-budget function on, in
+// rungs the driver retries a failed or over-budget function on, in
 // order. Each rung trades schedule quality for simplicity (RASE → IPS →
 // Postpass → Safe); the baselines Naive and Local fall straight to
 // Safe. Safe itself has no rung below it. The slice is the tail of one
@@ -131,7 +131,7 @@ type Stats struct {
 // Options are three of the paper's scheduler design choices (§4), which
 // the evaluation's ablations turn on one at a time (the fourth, FIFO
 // candidate order, is the Naive strategy), plus the per-attempt
-// deadline and fault injector the pipeline fills in. Everything else a
+// deadline and fault injector the driver fills in. Everything else a
 // scheduling pass needs (register limits, live-out sets, strict order,
 // packing) the strategy sets per pass.
 type Options struct {
@@ -152,7 +152,7 @@ type Options struct {
 	// Deadline, when non-nil, is the per-function budget context: the
 	// scheduler's cycle loop and the allocator's round loop poll it, so
 	// an expired budget surfaces as a typed error instead of a hang.
-	// Set by the pipeline from Config.Budget.
+	// Set by the driver from Config.Budget.
 	Deadline context.Context
 
 	// Inject is the fault-injection hook for this function attempt

@@ -20,7 +20,7 @@
 //
 // It is configured by setting the back end options it embeds —
 // gen.Strategy, gen.Workers, gen.Verify, gen.Budget, gen.Strict,
-// gen.Cache, ... — declared once in internal/pipeline.Config. The
+// gen.Cache, ... — declared once in internal/driver.Config. The
 // description-driven simulator runs the result:
 // sim.New(res.Program, opts).Run(fn, args...) keeps its memory across
 // Runs, so an init function can prepare data for a measured kernel.
@@ -38,7 +38,6 @@ import (
 	"marion/internal/ir"
 	"marion/internal/mach"
 	"marion/internal/maril"
-	"marion/internal/pipeline"
 	"marion/internal/strategy"
 	"marion/internal/targets"
 	"marion/internal/verify"
@@ -68,7 +67,7 @@ func Targets() []string { return targets.Names() }
 // mutate the fields while compiles are in flight.
 type CodeGenerator struct {
 	Machine *mach.Machine
-	pipeline.Config
+	driver.Config
 }
 
 // New builds a code generator for one of the shipped targets
@@ -78,7 +77,7 @@ func New(target string, strat Strategy) (*CodeGenerator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CodeGenerator{Machine: m, Config: pipeline.Config{Strategy: strat}}, nil
+	return &CodeGenerator{Machine: m, Config: driver.Config{Strategy: strat}}, nil
 }
 
 // NewFromDescription builds a code generator from Maril description text
@@ -88,7 +87,7 @@ func NewFromDescription(name, source string, strat Strategy) (*CodeGenerator, er
 	if err != nil {
 		return nil, err
 	}
-	return &CodeGenerator{Machine: m, Config: pipeline.Config{Strategy: strat}}, nil
+	return &CodeGenerator{Machine: m, Config: driver.Config{Strategy: strat}}, nil
 }
 
 // Result is a compiled translation unit plus per-function statistics.
@@ -101,11 +100,11 @@ type Result struct {
 	Verify *verify.Report
 	// Degradations lists every function emitted by a fallback rung of
 	// the degradation ladder (source order, each re-verified clean).
-	Degradations []pipeline.Degradation
+	Degradations []driver.Degradation
 }
 
 // CompileCtx compiles C-subset source text. The context propagates
-// through the pipeline into the scheduler and allocator cycle loops, so
+// through the back end into the scheduler and allocator cycle loops, so
 // a request deadline interrupts the back end instead of hanging behind it.
 func (g *CodeGenerator) CompileCtx(ctx context.Context, filename, source string) (*Result, error) {
 	mod, err := driver.Lower("c", filename, source)
