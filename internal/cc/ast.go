@@ -285,6 +285,4 @@ type File struct {
 	Name    string
 	Globals []*Obj
 	Funcs   []*FuncDecl
-
-	slab slab // the unit's nodes, for the parser and then sema
 }

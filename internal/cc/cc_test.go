@@ -183,7 +183,7 @@ func TestParseErrorsC(t *testing.T) {
 		`int a[0];`,
 	}
 	for _, src := range cases {
-		if _, err := parse("t.c", src); err == nil {
+		if _, err := new(Scratch).parse("t.c", src); err == nil {
 			t.Errorf("no error for %q", src)
 		}
 	}
@@ -200,11 +200,11 @@ func TestObjectSizeBound(t *testing.T) {
 		"int f() { char a[2147483648]; return 0; }",
 		"int f(int a[536870912]) { return 0; }",
 	} {
-		if _, err := parse("t.c", src); err == nil || !strings.Contains(err.Error(), "t.c:1: a is larger than 2147483647 bytes") {
+		if _, err := new(Scratch).parse("t.c", src); err == nil || !strings.Contains(err.Error(), "t.c:1: a is larger than 2147483647 bytes") {
 			t.Errorf("%q: err = %v", src, err)
 		}
 	}
-	if _, err := parse("t.c", "char a[2147483647];"); err != nil {
+	if _, err := new(Scratch).parse("t.c", "char a[2147483647];"); err != nil {
 		t.Errorf("largest object refused: %v", err)
 	}
 }

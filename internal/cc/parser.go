@@ -6,11 +6,13 @@ import (
 	"marion/internal/ir"
 )
 
-// parse parses a translation unit. The returned File is not yet
+// parse parses a translation unit into s. The returned File is not yet
 // type-checked; Compile runs check on it.
-func parse(file, src string) (*File, error) {
+func (s *Scratch) parse(file, src string) (*File, error) {
 	f := &File{Name: file}
-	p := &parser{lx: &lexer{file: file, src: src, line: 1}, slab: &f.slab}
+	s.lx = lexer{file: file, src: src, line: 1}
+	p := &s.p
+	p.lx, p.slab = &s.lx, &s.slab
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -27,8 +29,9 @@ type parser struct {
 	tok token
 	la  []token
 
-	// slab holds the unit's nodes; stmts and args collect the statements
-	// of a block and the arguments of a call until the list is complete.
+	// slab holds the unit's nodes and objects; stmts and args collect
+	// the statements of a block and the arguments of a call until the
+	// list is complete.
 	slab  *slab
 	stmts []*Stmt
 	args  []*Expr
@@ -49,7 +52,7 @@ func (p *parser) errf(format string, args ...interface{}) error {
 func (p *parser) advance() error {
 	if len(p.la) > 0 {
 		p.tok = p.la[0]
-		p.la = p.la[1:]
+		p.la = p.la[:copy(p.la, p.la[1:])]
 		return nil
 	}
 	t, err := p.lx.next()
@@ -220,7 +223,7 @@ func (p *parser) topLevel(f *File) error {
 	}
 	// Global variable declaration(s).
 	for {
-		obj := &Obj{Name: name, Kind: ObjGlobal, Type: ty, Line: p.tok.Line}
+		obj := p.slab.obj(Obj{Name: name, Kind: ObjGlobal, Type: ty, Line: p.tok.Line})
 		if ok, err := p.accept(TAssign); err != nil {
 			return err
 		} else if ok {
@@ -317,7 +320,7 @@ func (p *parser) funcRest(f *File, name string, ret *CType) error {
 		if pty.Kind == KArray {
 			pty = ptrTo(pty.Elem) // arrays decay in parameter position
 		}
-		obj := &Obj{Name: pname, Kind: ObjParam, Type: pty, Line: p.tok.Line}
+		obj := p.slab.obj(Obj{Name: pname, Kind: ObjParam, Type: pty, Line: p.tok.Line})
 		fd.Params = append(fd.Params, obj)
 		ft.Params = append(ft.Params, pty)
 		if ok, err := p.accept(tComma); err != nil {
@@ -329,7 +332,7 @@ func (p *parser) funcRest(f *File, name string, ret *CType) error {
 	if _, err := p.expect(tRParen); err != nil {
 		return err
 	}
-	fd.Obj = &Obj{Name: name, Kind: objFunc, Type: ft, Line: fd.Line}
+	fd.Obj = p.slab.obj(Obj{Name: name, Kind: objFunc, Type: ft, Line: fd.Line})
 
 	// Prototype only?
 	if ok, err := p.accept(tSemi); err != nil {
@@ -562,7 +565,7 @@ func (p *parser) declStmt() (*Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		obj := &Obj{Name: name, Kind: ObjLocal, Type: ty, Line: line}
+		obj := p.slab.obj(Obj{Name: name, Kind: ObjLocal, Type: ty, Line: line})
 		s := p.slab.stmt(Stmt{Kind: SDecl, Decl: obj, Line: line})
 		if ok, err := p.accept(TAssign); err != nil {
 			return nil, err

@@ -4,8 +4,12 @@ import "fmt"
 
 // check resolves names and types the file, inserting implicit conversions
 // so that the lowering pass sees fully typed, explicitly converted trees.
-func check(f *File) error {
-	s := &sema{file: f.Name, globals: map[string]*Obj{}, slab: &f.slab}
+func (sc *Scratch) check(f *File) error {
+	s := &sc.sema
+	s.file, s.slab = f.Name, &sc.slab
+	if s.globals == nil {
+		s.globals = map[string]*Obj{}
+	}
 	for _, g := range f.Globals {
 		if err := s.declare(g); err != nil {
 			return err
@@ -411,17 +415,25 @@ func (s *sema) checkExpr(e *Expr) error {
 		}
 		decay(e.R)
 		if e.Op != TAssign {
-			// Compound assignment: type rules of the matching binary op.
+			// Compound assignment a op= b is a = (T)(a op b): the type
+			// rules of the matching binary op, the right operand
+			// converted to the operation's type (ilgen converts a to it
+			// and the result back to a's type).
+			e.Type = e.L.Type
 			if e.L.Type.Kind == KPtr {
 				if (e.Op != TPlusEq && e.Op != TMinusEq) || !e.R.Type.IsInteger() {
 					return s.errf(e.Line, "bad compound assignment to pointer")
 				}
-				e.Type = e.L.Type
 				return nil
 			}
 			if !e.L.Type.isArith() || !e.R.Type.isArith() {
 				return s.errf(e.Line, "bad operands to compound assignment")
 			}
+			if e.Op == TPercentEq && (!e.L.Type.IsInteger() || !e.R.Type.IsInteger()) {
+				return s.errf(e.Line, "bad operands to %s", e.Op)
+			}
+			e.R = s.convert(e.R, usual(promote(e.L.Type), promote(e.R.Type)))
+			return nil
 		}
 		if e.R = s.convert(e.R, e.L.Type); e.R == nil {
 			return s.errf(e.Line, "incompatible assignment")

@@ -18,6 +18,7 @@ package driver
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"marion/internal/asm"
@@ -164,12 +165,43 @@ func Lower(lang, name, src string) (*ir.Module, error) {
 // Frontend runs the C front end alone: source text to a lowered IL
 // module. Shipped code in this module goes through Lower; Frontend stays
 // exported because the benchmark module (bench/) names it.
-func Frontend(name, src string) (*ir.Module, error) {
-	file, err := cc.Compile(name, src)
+func Frontend(name, src string) (*ir.Module, error) { return lowerC(name, src, &frontEnds) }
+
+// frontEnds is the pool the C front end borrows its scratch from, as a
+// claim loop of the back end borrows its worker (workers): a frontEnd
+// waits here detached, so an idle one pins no unit.
+var frontEnds sync.Pool
+
+// frontEnd is the C front end's scratch: the parser's and checker's
+// (cc.Scratch) and the lowering's (ilgen.Scratch). The module a lowering
+// returns is built in storage of its own, so detaching the scratch
+// leaves it whole.
+type frontEnd struct {
+	cc cc.Scratch
+	il ilgen.Scratch
+}
+
+// lowerC lowers a C unit on a frontEnd borrowed from p, and detaches the
+// frontEnd before putting it back, whether or not the unit lowered. A
+// panic, which only a bug can cause, drops it instead.
+func lowerC(name, src string, p pool) (*ir.Module, error) {
+	fe, _ := p.Get().(*frontEnd)
+	if fe == nil {
+		fe = new(frontEnd)
+	}
+	mod, err := fe.lower(name, src)
+	fe.cc.Detach()
+	fe.il.Detach()
+	p.Put(fe)
+	return mod, err
+}
+
+func (fe *frontEnd) lower(name, src string) (*ir.Module, error) {
+	file, err := fe.cc.Compile(name, src)
 	if err != nil {
 		return nil, err
 	}
-	return ilgen.Lower(file)
+	return fe.il.Lower(file)
 }
 
 // CompileModule is CompileModuleCtx without a context. It stays only

@@ -76,3 +76,6 @@ func (k *Kept) Workers() []any {
 func (b backend) RunOn(k *Kept, ctx context.Context, m *mach.Machine, funcs []*ir.Func, cfg Config) ([]*Result, *Diagnostics) {
 	return b.run(ctx, m, funcs, cfg, k)
 }
+
+// LowerOn is Lower's C front end with its scratch borrowed from k.
+func LowerOn(k *Kept, name, src string) (*ir.Module, error) { return lowerC(name, src, k) }

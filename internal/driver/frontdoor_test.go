@@ -9,8 +9,8 @@ import (
 	"marion/internal/gentest"
 )
 
-// frontEnds are the calls that pick a front end by hand.
-var frontEnds = map[string]bool{
+// frontEndCalls are the calls that pick a front end by hand.
+var frontEndCalls = map[string]bool{
 	"marion/internal/iltext.Parse":    true,
 	"marion/internal/cc.Compile":      true,
 	"marion/internal/ilgen.Lower":     true,
@@ -28,7 +28,7 @@ func sideDoors(f gentest.GoFile) []*ast.SelectorExpr {
 	var bad []*ast.SelectorExpr
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if x, ok := sel.X.(*ast.Ident); ok && frontEnds[f.Imports[x.Name]+"."+sel.Sel.Name] {
+			if x, ok := sel.X.(*ast.Ident); ok && frontEndCalls[f.Imports[x.Name]+"."+sel.Sel.Name] {
 				bad = append(bad, sel)
 			}
 		}

@@ -9,10 +9,13 @@ import (
 )
 
 // FuzzLowerC feeds arbitrary text to the C front end (lexer, parser,
-// type checker, lowering) through driver.Lower: it may refuse the text,
-// but must not panic. The seeds are the C units of gentest.Golden and the
-// Livermore kernels, whole and cut short; under plain go test they run
-// as subtests.
+// type checker, lowering) on a frontEnd kept between inputs, as the pool
+// keeps it: it may refuse the text, but must not panic, must leave
+// nothing of the text in the frontEnd, and must leave the frontEnd
+// lowering a fixed unit (the first Livermore kernel) as it did first.
+// The seeds are the C units of gentest.Golden, the Livermore kernels,
+// whole and cut short, and units that fail in the parser, the checker
+// and the lowering; under plain go test they run as subtests.
 func FuzzLowerC(f *testing.F) {
 	var seeds []string
 	for _, u := range gentest.Golden() {
@@ -27,7 +30,19 @@ func FuzzLowerC(f *testing.F) {
 		f.Add(src)
 		f.Add(src[:len(src)/2])
 	}
+	for _, src := range frontFailures {
+		f.Add(src)
+	}
+	fixed := livermore.Kernels[0].Source
+	want := lowerFresh("fixed.c", fixed)
+	kept := new(driver.Kept)
 	f.Fuzz(func(t *testing.T, src string) {
-		driver.Lower("c", "fuzz.c", src)
+		driver.LowerOn(kept, "fuzz.c", src)
+		if path := frontEndPin(kept.Workers()[0]); path != "" {
+			t.Fatalf("after the input, the pooled frontEnd holds %s", path)
+		}
+		if got := lowered(driver.LowerOn(kept, "fixed.c", fixed)); got != want {
+			t.Fatalf("after the input, the pooled frontEnd lowers the fixed unit to\n%s", got)
+		}
 	})
 }

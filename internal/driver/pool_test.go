@@ -13,9 +13,13 @@ import (
 
 	"marion/internal/asm"
 	"marion/internal/cache"
+	"marion/internal/cc"
 	"marion/internal/driver"
 	"marion/internal/gentest"
+	"marion/internal/ilgen"
+	"marion/internal/iltext"
 	"marion/internal/ir"
+	"marion/internal/livermore"
 	"marion/internal/mach"
 	"marion/internal/metrics"
 	"marion/internal/strategy"
@@ -204,6 +208,180 @@ func TestPooledArenaPinsNothing(t *testing.T) {
 	runtime.KeepAlive(kept)
 }
 
+// frontFailures are C units the front end refuses part-way: in the
+// parser, in the checker, and in the lowering, once the function before
+// the failing one is lowered (f returns an array, which nothing can
+// index).
+var frontFailures = []string{
+	"int g; int f() { int a; a = g + 1; return a +; }",
+	"int g; int f() { int a; a = g + 1; return b; }",
+	"int g; int f[3]() { int a[3]; a[0] = g; return a; }\nint h() { return f()[1]; }",
+}
+
+// lowered is what a lowering gives: the module's text, or the error's.
+func lowered(mod *ir.Module, err error) string {
+	if err != nil {
+		return err.Error()
+	}
+	return iltext.Print(mod)
+}
+
+// lowerFresh is the C front end on scratch of its own, the oracle a
+// pooled frontEnd is held to.
+func lowerFresh(name, src string) string {
+	file, err := cc.Compile(name, src)
+	if err != nil {
+		return err.Error()
+	}
+	return lowered(ilgen.Lower(file))
+}
+
+// cUnits are the C units of gentest.Golden, Serve and Generated(n).
+func cUnits(n int) []gentest.Unit {
+	var units []gentest.Unit
+	for _, u := range append(append(gentest.Golden(), gentest.Serve()...), gentest.Generated(n)...) {
+		if u.Lang == "c" {
+			units = append(units, u)
+		}
+	}
+	return units
+}
+
+// TestPooledFrontEndMatchesFresh: one frontEnd, kept between units as
+// the pool keeps it, lowers the big-block fixture, then each C unit of
+// the corpus, then a unit that fails in the parser, the checker or the
+// lowering, then the big-block fixture again. Each lowering prints what
+// the same unit lowered on fresh scratch prints, or fails as it does,
+// and a module stays whole when the frontEnd lowers the next unit.
+func TestPooledFrontEndMatchesFresh(t *testing.T) {
+	big := gentest.Fixture(gentest.BigBlock)
+	kept := new(driver.Kept)
+	var last *ir.Module
+	var lastText string
+	lower := func(name, src string) {
+		t.Helper()
+		want := lowerFresh(name, src)
+		mod, err := driver.LowerOn(kept, name, src)
+		if got := lowered(mod, err); got != want {
+			t.Fatalf("%s: the pooled front end gives\n%s\nwant\n%s", name, got, want)
+		}
+		if last != nil && iltext.Print(last) != lastText {
+			t.Fatalf("%s: lowering it changed the module lowered before it", name)
+		}
+		if err == nil {
+			last, lastText = mod, want
+		}
+	}
+	units := cUnits(50)
+	for i, u := range units {
+		lower(big.Name, big.Text)
+		lower(u.Name, u.Text)
+		lower("bad.c", frontFailures[i%len(frontFailures)])
+		lower(big.Name, big.Text)
+	}
+	if n := len(kept.Workers()); n != 1 {
+		t.Fatalf("%d frontEnds wait in the pool, want the one every unit borrowed", n)
+	}
+	t.Logf("%d units, each between the big-block fixture and a failing unit", len(units))
+}
+
+// TestPooledFrontEndConcurrent: three goroutines at a time lower the C
+// units of the corpus and the failing units through driver.Lower,
+// borrowing from the package's pool, and every lowering equals its fresh
+// one. Under
+// -race this checks that a frontEnd goes back only once its unit is
+// lowered and detached.
+func TestPooledFrontEndConcurrent(t *testing.T) {
+	type unit struct{ name, src, want string }
+	var units []unit
+	for _, u := range cUnits(10) {
+		units = append(units, unit{u.Name, u.Text, lowerFresh(u.Name, u.Text)})
+	}
+	for _, src := range frontFailures {
+		units = append(units, unit{"bad.c", src, lowerFresh("bad.c", src)})
+	}
+	var wg sync.WaitGroup
+	for g := range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 2 * len(units) {
+				u := units[(i+g*7)%len(units)]
+				if got := lowered(driver.Lower("c", u.name, u.src)); got != u.want {
+					t.Errorf("%s: a pooled frontEnd gives\n%s", u.name, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPooledFrontEndPinsNothing: a frontEnd waiting in the pool holds
+// nothing of the units it lowered. One frontEnd lowers the Livermore
+// kernels, the C units of the corpus and the failing units. Then, with
+// the modules dropped and the frontEnd held as the pool holds it:
+//   - nothing reachable from it is a unit's own — no IL function,
+//     block, node or symbol, no C object or type, no name or source
+//     text — the walk naming the field that holds one;
+//   - after two collections (and a few more for finalizers queued
+//     behind others), the finalizer of every module's global symbols
+//     and every function's register table has run.
+func TestPooledFrontEndPinsNothing(t *testing.T) {
+	kept := new(driver.Kept)
+	var want, ran atomic.Int64
+	watch := func(obj any) {
+		want.Add(1)
+		runtime.SetFinalizer(obj, func(any) { ran.Add(1) })
+	}
+	var srcs []string
+	for _, k := range livermore.Kernels {
+		srcs = append(srcs, k.Source)
+	}
+	for _, u := range cUnits(20) {
+		srcs = append(srcs, u.Text)
+	}
+	for _, src := range append(srcs, frontFailures...) {
+		mod, err := driver.LowerOn(kept, "unit.c", src)
+		if err != nil {
+			continue
+		}
+		for _, g := range mod.Globals {
+			watch(g)
+		}
+		for _, fn := range mod.Funcs {
+			if len(fn.Regs) > 0 {
+				watch(&fn.Regs[0])
+			}
+		}
+	}
+	fes := kept.Workers()
+	if len(fes) != 1 {
+		t.Fatalf("%d frontEnds wait in the pool, want 1", len(fes))
+	}
+	if path := frontEndPin(fes[0]); path != "" {
+		t.Errorf("the pooled frontEnd holds a unit's storage at %s", path)
+	}
+	runtime.GC()
+	runtime.GC()
+	for i := 0; i < 20 && ran.Load() != want.Load(); i++ {
+		time.Sleep(5 * time.Millisecond)
+		runtime.GC()
+	}
+	if r, w := ran.Load(), want.Load(); r != w {
+		t.Errorf("%d of %d finalizers of global symbols and register tables have not run: the pooled frontEnd pins them", w-r, w)
+	}
+	runtime.KeepAlive(kept)
+}
+
+// frontEndPin returns the path to the first thing of a unit a pooled
+// frontEnd holds, or "" when it holds none.
+func frontEndPin(fe any) string {
+	w := newWalker()
+	w.strings = true
+	return w.pinned(reflect.ValueOf(fe), "frontEnd")
+}
+
 // compilePooled compiles the Livermore suite and the serve units on
 // one worker kept in k, watching every IL function's register table,
 // every asm function and the first instruction chunk of each. Nothing it made outlives it but
@@ -277,14 +455,23 @@ var compileTypes = map[reflect.Type]bool{
 	reflect.TypeOf(asm.Inst{}): true, reflect.TypeOf(asm.Implicit{}): true,
 }
 
+// unitTypes are the C front end's types whose values belong to one
+// unit: a pooled frontEnd may hold no pointer to one, though it keeps
+// the chunks their values were carved from, zeroed.
+var unitTypes = map[reflect.Type]bool{
+	reflect.TypeOf(cc.Obj{}): true, reflect.TypeOf(cc.CType{}): true,
+}
+
 var contextType = reflect.TypeOf((*context.Context)(nil)).Elem()
 
 // walker follows every pointer, interface, map entry and slice element
 // (up to the slice's capacity: the collector sees the whole array) from
 // a value, except into the machine description, which outlives every
-// compile.
+// compile. With strings set, a non-empty string is a pin too: a unit's
+// names and source are its own.
 type walker struct {
-	seen map[walkKey]bool
+	seen    map[walkKey]bool
+	strings bool
 }
 
 type walkKey struct {
@@ -297,6 +484,16 @@ func newWalker() *walker { return &walker{seen: map[walkKey]bool{}} }
 // pinned returns the path to the first compile's value reachable from
 // v, or "" when there is none.
 func (w *walker) pinned(v reflect.Value, path string) string {
+	if p := w.find(v); p != "" {
+		return path + p
+	}
+	return ""
+}
+
+// find returns the path from v to the first compile's value reachable
+// from it, or "" when there is none. The path is built only once one is
+// found, so a clean walk allocates for nothing but its seen set.
+func (w *walker) find(v reflect.Value) string {
 	t := v.Type()
 	if t.PkgPath() == "marion/internal/mach" {
 		return ""
@@ -306,25 +503,29 @@ func (w *walker) pinned(v reflect.Value, path string) string {
 		if v.IsNil() || t.Elem().PkgPath() == "marion/internal/mach" {
 			return ""
 		}
-		if compileTypes[t.Elem()] {
-			return path + " (" + t.String() + ")"
+		if compileTypes[t.Elem()] || unitTypes[t.Elem()] {
+			return " (" + t.String() + ")"
 		}
 		if !w.first(v.Pointer(), t) {
 			return ""
 		}
-		return w.pinned(v.Elem(), path)
+		return w.find(v.Elem())
+	case reflect.String:
+		if w.strings && v.Len() > 0 {
+			return fmt.Sprintf(" (the string %.20q)", v.String())
+		}
 	case reflect.Interface:
 		if v.IsNil() {
 			return ""
 		}
 		if t == contextType {
-			return path + " (a deadline)"
+			return " (a deadline)"
 		}
-		return w.pinned(v.Elem(), path)
+		return w.find(v.Elem())
 	case reflect.Struct:
 		for i := range v.NumField() {
-			if p := w.pinned(v.Field(i), path+"."+t.Field(i).Name); p != "" {
-				return p
+			if p := w.find(v.Field(i)); p != "" {
+				return "." + t.Field(i).Name + p
 			}
 		}
 	case reflect.Array:
@@ -332,8 +533,8 @@ func (w *walker) pinned(v reflect.Value, path string) string {
 			return ""
 		}
 		for i := range v.Len() {
-			if p := w.pinned(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
-				return p
+			if p := w.find(v.Index(i)); p != "" {
+				return fmt.Sprintf("[%d]%s", i, p)
 			}
 		}
 	case reflect.Slice:
@@ -341,24 +542,24 @@ func (w *walker) pinned(v reflect.Value, path string) string {
 			return ""
 		}
 		if compileTypes[t.Elem()] {
-			return fmt.Sprintf("%s (a %s chunk of %d)", path, t.Elem(), v.Cap())
+			return fmt.Sprintf(" (a %s chunk of %d)", t.Elem(), v.Cap())
 		}
 		if !hasPointers(t.Elem()) || !w.first(v.Pointer(), t) {
 			return ""
 		}
 		all := v.Slice3(0, v.Cap(), v.Cap())
 		for i := range all.Len() {
-			if p := w.pinned(all.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
-				return p
+			if p := w.find(all.Index(i)); p != "" {
+				return fmt.Sprintf("[%d]%s", i, p)
 			}
 		}
 	case reflect.Map:
 		for it := v.MapRange(); it.Next(); {
-			if p := w.pinned(it.Key(), path+"[key]"); p != "" {
-				return p
+			if p := w.find(it.Key()); p != "" {
+				return "[key]" + p
 			}
-			if p := w.pinned(it.Value(), path+"[value]"); p != "" {
-				return p
+			if p := w.find(it.Value()); p != "" {
+				return "[value]" + p
 			}
 		}
 	}
@@ -377,10 +578,10 @@ func (w *walker) first(p uintptr, t reflect.Type) bool {
 }
 
 // hasPointers reports whether a value of type t can hold a pointer the
-// walk follows.
+// walk follows, a string's included.
 func hasPointers(t reflect.Type) bool {
 	switch t.Kind() {
-	case reflect.Pointer, reflect.Interface, reflect.Map, reflect.Slice:
+	case reflect.Pointer, reflect.Interface, reflect.Map, reflect.Slice, reflect.String:
 		return true
 	case reflect.Array:
 		return t.Len() > 0 && hasPointers(t.Elem())

@@ -24,6 +24,8 @@ func TestRegressUnits(t *testing.T) {
 		{"ptrwalk", nil, int64(4)},
 		{"dptradd", nil, 2.0},
 		{"ptrinit", nil, int64(6)},
+		{"cmpdmul", nil, int64(10)},
+		{"cmpdadd", nil, int64(9)},
 	}
 	u := gentest.Fixture(gentest.Regress)
 	for _, target := range targets.Names() {

@@ -167,12 +167,13 @@ func BenchmarkSmallUnits(b *testing.B) {
 // with the cache and the verifier on, as mariond compiles a request:
 // the back end on one worker, the admission check and the store. Each
 // is about 15 % above what the code allocated when the ceilings were
-// set, when a Run began borrowing its worker and arena from the
-// pipeline's pool: 157.5 allocations and 17 338 bytes. Under -race, where the pool drops a random quarter of what is put
-// back, the count reads about 164.
+// set, when the scheduler began keeping each Result's Order and Cycles
+// in its scratch: 132.8 allocations and 15 296 bytes. Under -race,
+// where the pool drops a random quarter of what is put back, the count
+// reads about 140.
 const (
-	coldMissAllocsPerFn = 181
-	coldMissBytesPerFn  = 20000
+	coldMissAllocsPerFn = 153
+	coldMissBytesPerFn  = 17600
 )
 
 // TestColdMissAllocBudget holds the miss path (coldMissJobs) on the
@@ -192,14 +193,14 @@ func TestColdMissAllocBudget(t *testing.T) {
 
 // Allocations and bytes per function of a stream of one-function units
 // compiled with no cache, about 15 % above what the code allocated when
-// the ceilings were set, when a Run began borrowing its worker and arena
-// from the pipeline's pool instead of building them: 178.1 allocations
-// and 95 572 bytes. Neither is held
-// under -race, where sync.Pool drops a random quarter of what is put
-// back, so a Run builds a new arena as often as the draw says.
+// the ceilings were set, when the scheduler began keeping each Result's
+// Order and Cycles in its scratch: 173.0 allocations and 83 505 bytes.
+// Neither is held under -race, where sync.Pool drops a random quarter
+// of what is put back, so a Run builds a new arena as often as the draw
+// says.
 const (
-	smallUnitAllocsPerFn = 205
-	smallUnitBytesPerFn  = 110000
+	smallUnitAllocsPerFn = 199
+	smallUnitBytesPerFn  = 96100
 )
 
 // TestSmallUnitAllocBudget holds a stream of small compiles (smallJobs)

@@ -227,17 +227,21 @@ func BenchmarkWarmHit(b *testing.B) {
 // what the code allocated when the ceilings were set: the hits 9.8 and
 // 4.8 allocations, 7 164 and 604 bytes, once a hit became a splice of
 // printed text (what is left is the fingerprint's fresh scratch and
-// Print's buffer); parse 89.1 allocations and 12 279 bytes, the C front
-// end 152.2 and 34 277, once the front ends built from slabs.
+// Print's buffer); parse 89.1 allocations and 12 279 bytes, once the
+// front ends built from slabs; the C front end 110.9 and 16 725, once it
+// borrowed its scratch from a pool. Under -race, where the pool drops a
+// random quarter of what is put back, the C front end's count reads 125
+// to 130, and is held to its own ceiling.
 const (
-	hitAllocsPerFn        = 11.3
-	compileHitAllocsPerFn = 5.6
-	parseAllocsPerFn      = 103
-	frontendAllocsPerFn   = 175
-	hitBytesPerFn         = 8200
-	compileHitBytesPerFn  = 700
-	parseBytesPerFn       = 14100
-	frontendBytesPerFn    = 39400
+	hitAllocsPerFn          = 11.3
+	compileHitAllocsPerFn   = 5.6
+	parseAllocsPerFn        = 103
+	frontendAllocsPerFn     = 128
+	frontendRaceAllocsPerFn = 148
+	hitBytesPerFn           = 8200
+	compileHitBytesPerFn    = 700
+	parseBytesPerFn         = 14100
+	frontendBytesPerFn      = 19300
 )
 
 // TestWarmHitAllocBudget holds four warm leaves to an allocation budget,
@@ -247,6 +251,10 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	w := newWarmHit(t)
 	n := float64(len(w.mod.Funcs))
 	var got string
+	frontendAllocs := float64(frontendAllocsPerFn)
+	if raceEnabled {
+		frontendAllocs = frontendRaceAllocsPerFn
+	}
 	for _, c := range []struct {
 		what          string
 		run           func()
@@ -259,7 +267,7 @@ func TestWarmHitAllocBudget(t *testing.T) {
 		{"a cache hit", func() { got = w.splice(t) }, hitAllocsPerFn, hitBytesPerFn, true},
 		{"a cache hit through CompileModule", func() { w.hit(t) }, compileHitAllocsPerFn, compileHitBytesPerFn, false},
 		{"iltext.Parse", func() { w.parse(t) }, parseAllocsPerFn, parseBytesPerFn, false},
-		{"the C front end", func() { w.frontend(t) }, frontendAllocsPerFn, frontendBytesPerFn, false},
+		{"the C front end", func() { w.frontend(t) }, frontendAllocs, frontendBytesPerFn, false},
 	} {
 		allocs, bytes := gentest.AllocsPerRun(10, nil, c.run)
 		allocs, bytes = allocs/n, bytes/n

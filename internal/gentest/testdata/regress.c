@@ -58,3 +58,17 @@ int ptrinit() {
     v[0] = 1; v[1] = 2; v[2] = 3; v[3] = 4;
     return p[1] + p[3];
 }
+
+/* Compound assignment computes in the usual arithmetic conversions and
+   converts the result back: i *= 1.5 is i = (int)(i * 1.5). */
+int cmpdmul() {
+    int i = 7;
+    i *= 1.5;
+    return i;
+}
+
+int cmpdadd() {
+    int i = 7;
+    i += 2.75;
+    return i;
+}

@@ -44,7 +44,8 @@ type cseEntry struct {
 // clearing a Go map would; the entries it points at are appended and
 // dropped wholesale. regVer holds the current function's register
 // versions, indexed by RegID: they only ever grow, and the index is
-// emptied between blocks, so no version is shared across blocks.
+// emptied between blocks, so no version is shared across blocks. A
+// Scratch keeps the table from one unit to the next.
 type cseTable struct {
 	index   []int32 // 1 + the entry at a position, 0 when empty
 	mask    uint64
@@ -118,6 +119,12 @@ func (t *cseTable) block(b *ir.Block) {
 		}
 	}
 	b.CountParents()
+}
+
+// detach zeroes every entry, so that the table holds no node or symbol
+// of the unit, and drops what has grown past keepBytes.
+func (t *cseTable) detach() {
+	t.entries, t.index, t.regVer = emptied(t.entries), emptied(t.index), emptied(t.regVer)
 }
 
 // idOf is the canonical id of a canonical node.

@@ -386,19 +386,29 @@ func (g *gen) assign(e *cc.Expr) (*ir.Node, error) {
 
 // compound combines a compound assignment's destination value cur with
 // its lowered right operand rhs. A pointer's integer operand is scaled by
-// the element size, as in p + n.
+// the element size, as in p + n. An arithmetic one is of the operation's
+// type (sema converted it): cur is converted up to it and the result back
+// to the destination's type, so int i; i *= 1.5 multiplies in double.
+// When both types are integers the operation is done in the
+// destination's: a register holds an integer extended to 32 bits either
+// way, and cast widens by retyping, which would turn a sub-word load of
+// cur into a word load.
 func (g *gen) compound(e *cc.Expr, cur, rhs *ir.Node) *ir.Node {
-	if e.L.Type.Kind == cc.KPtr && e.R.Type.IsInteger() {
+	t, op := e.L.Type.IR(), e.R.Type.IR()
+	if e.L.Type.Kind == cc.KPtr {
 		size := int64(e.L.Type.Elem.Size())
 		if rhs.IsConst() {
 			rhs = g.slab.Const(ir.I32, rhs.IVal*size)
 		} else {
 			rhs = g.scale(rhs, size)
 		}
+		op = t
+	} else if t.IsInt() && op.IsInt() {
+		rhs, op = g.cast(rhs, op, t), t
 	}
-	v := g.slab.New(binOp(e.Op), e.L.Type.IR(), cur, rhs)
+	v := g.slab.New(binOp(e.Op), op, g.cast(cur, t, op), rhs)
 	normalizeCommutative(v)
-	return v
+	return g.cast(v, op, t)
 }
 
 // incDec lowers ++/--; post-forms capture the old value in a temporary.

@@ -5,23 +5,36 @@ package ilgen
 import (
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
 	"marion/internal/cc"
 	"marion/internal/ir"
 )
 
-// Lower converts a checked translation unit into an IL module.
-func Lower(file *cc.File) (*ir.Module, error) {
-	g := &gen{
-		m:       &ir.Module{Name: file.Name},
-		globals: map[*cc.Obj]*ir.Sym{},
-		fpool:   map[fpoolKey]*ir.Sym{},
-	}
+// Lower converts a checked translation unit into an IL module, on a
+// scratch of its own.
+func Lower(file *cc.File) (*ir.Module, error) { return new(Scratch).Lower(file) }
+
+// Scratch is the storage the lowering works in, kept from one unit to
+// the next: the CSE table, the block layout, the call-argument and loop
+// stacks, and the maps from the unit's objects to their registers and
+// symbols. The zero value is ready to use. What Lower returns is the
+// caller's: the module's nodes come from a slab of the unit's own, and
+// nothing of it stays in s past the next Lower or Detach. A scratch
+// belongs to one goroutine at a time.
+type Scratch struct{ g gen }
+
+// Lower converts a checked translation unit into an IL module, in s.
+func (s *Scratch) Lower(file *cc.File) (*ir.Module, error) {
+	s.Detach()
+	g := &s.g
+	g.m = &ir.Module{Name: file.Name}
 	for _, o := range file.Globals {
 		if o.Kind != cc.ObjGlobal {
 			continue
 		}
-		s := &ir.Sym{
+		sym := &ir.Sym{
 			Name:    o.Name,
 			Kind:    ir.SymGlobal,
 			Type:    o.Type.BaseElem().IR(),
@@ -30,9 +43,9 @@ func Lower(file *cc.File) (*ir.Module, error) {
 			InitI:   o.InitI,
 			InitF:   o.InitF,
 		}
-		g.m.Globals = append(g.m.Globals, s)
-		g.globals[o] = s
-		o.Sym = s
+		g.m.Globals = append(g.m.Globals, sym)
+		g.globals[o] = sym
+		o.Sym = sym
 	}
 	for _, fd := range file.Funcs {
 		fn, err := g.lowerFunc(fd)
@@ -42,6 +55,59 @@ func Lower(file *cc.File) (*ir.Module, error) {
 		g.m.Funcs = append(g.m.Funcs, fn)
 	}
 	return g.m, nil
+}
+
+// keepBytes bounds what a Scratch keeps of each list and table for the
+// next unit, and keepEntries each map: what a unit grew beyond them is
+// dropped at Detach, so one huge unit compiled in a long-lived process
+// does not pin its storage in the pool.
+const (
+	keepBytes   = 512 << 10
+	keepEntries = 8 << 10
+)
+
+// Detach readies s to wait in a pool: it drops every pointer it holds
+// into the unit it lowered last — the module, its functions, blocks,
+// nodes and symbols, the unit's objects — keeping storage up to
+// keepBytes or keepEntries of each kind for the next unit.
+func (s *Scratch) Detach() {
+	g := &s.g
+	g.m, g.fd, g.fn, g.cur = nil, nil, nil, nil
+	g.slab = ir.Slab{}
+	g.globals = emptiedMap(g.globals)
+	g.fpool = emptiedMap(g.fpool)
+	g.regs = emptiedMap(g.regs)
+	g.mems = emptiedMap(g.mems)
+	g.taken = emptiedMap(g.taken)
+	g.breaks = emptied(g.breaks)
+	g.conts = emptied(g.conts)
+	g.layout = emptied(g.layout)
+	g.started = emptied(g.started)
+	g.stack = emptied(g.stack)
+	g.depth, g.workLeft, g.workDone = 0, 0, 0
+	g.cse.detach()
+}
+
+// emptied returns a list a Scratch keeps for the next unit: l with every
+// slot it ever held zeroed, or nil when it has grown past keepBytes.
+func emptied[T any](l []T) []T {
+	var zero T
+	if cap(l)*int(unsafe.Sizeof(zero)) > keepBytes {
+		return nil
+	}
+	clear(l[:cap(l)])
+	return l[:0]
+}
+
+// emptiedMap returns a map a Scratch keeps for the next unit: m emptied,
+// or a new one when m is nil or held more than keepEntries (clearing a
+// Go map keeps its buckets).
+func emptiedMap[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil || len(m) > keepEntries {
+		return map[K]V{}
+	}
+	clear(m)
+	return m
 }
 
 // fpoolKey names a pooled constant by its bits, not its value: -0.0
@@ -61,12 +127,14 @@ type gen struct {
 	cur    *ir.Block
 	regs   map[*cc.Obj]ir.RegID // register-resident variables
 	mems   map[*cc.Obj]*ir.Sym  // memory-resident locals/params
+	taken  map[*cc.Obj]bool     // locals and params whose address is taken
 	breaks []*ir.Block
 	conts  []*ir.Block
 	depth  int // current loop nesting depth
 	// layout records blocks in the order they are started: the emission
 	// order, which defines branch fallthrough. started is indexed by
-	// block ID, dense from NewBlock, and kept from function to function.
+	// block ID, dense from NewBlock. Both are kept from function to
+	// function; a function's Blocks is a copy of its layout.
 	layout  []*ir.Block
 	started []bool
 
@@ -104,48 +172,35 @@ func (g *gen) floatConst(v float64, t ir.Type) *ir.Sym {
 	return s
 }
 
-// addrTaken computes the set of objects whose address is taken anywhere
-// in the function body, and counts the body's statements and expressions
-// (its work, to size the slab by).
-func addrTaken(fd *cc.FuncDecl) (taken map[*cc.Obj]bool, work int) {
-	taken = map[*cc.Obj]bool{}
-	var walkE func(e *cc.Expr)
-	walkE = func(e *cc.Expr) {
-		if e == nil {
-			return
-		}
-		work++
-		if e.Kind == cc.EUnary && e.Op == cc.TAmp && e.L.Kind == cc.EIdent {
-			if o := e.L.Obj; o != nil && (o.Kind == cc.ObjLocal || o.Kind == cc.ObjParam) {
-				taken[o] = true
-			}
-		}
-		walkE(e.L)
-		walkE(e.R)
-		walkE(e.C)
-		for _, a := range e.Args {
-			walkE(a)
+// addrTaken records in g.taken the objects whose address is taken
+// anywhere in the function body, and counts the body's statements and
+// expressions (its work, to size the slab by).
+func (g *gen) addrTaken(s *cc.Stmt) (work int) {
+	if s == nil {
+		return 0
+	}
+	work = 1 + g.addrTakenExpr(s.E) + g.addrTakenExpr(s.Cond) + g.addrTakenExpr(s.Post) +
+		g.addrTakenExpr(s.DeclInit) + g.addrTaken(s.Init) + g.addrTaken(s.Body) + g.addrTaken(s.Else)
+	for _, k := range s.List {
+		work += g.addrTaken(k)
+	}
+	return work
+}
+
+func (g *gen) addrTakenExpr(e *cc.Expr) (work int) {
+	if e == nil {
+		return 0
+	}
+	if e.Kind == cc.EUnary && e.Op == cc.TAmp && e.L.Kind == cc.EIdent {
+		if o := e.L.Obj; o != nil && (o.Kind == cc.ObjLocal || o.Kind == cc.ObjParam) {
+			g.taken[o] = true
 		}
 	}
-	var walkS func(s *cc.Stmt)
-	walkS = func(s *cc.Stmt) {
-		if s == nil {
-			return
-		}
-		work++
-		walkE(s.E)
-		walkE(s.Cond)
-		walkE(s.Post)
-		walkE(s.DeclInit)
-		walkS(s.Init)
-		walkS(s.Body)
-		walkS(s.Else)
-		for _, k := range s.List {
-			walkS(k)
-		}
+	work = 1 + g.addrTakenExpr(e.L) + g.addrTakenExpr(e.R) + g.addrTakenExpr(e.C)
+	for _, a := range e.Args {
+		work += g.addrTakenExpr(a)
 	}
-	walkS(fd.Body)
-	return taken, work
+	return work
 }
 
 // begin starts lowering work statements and expressions. First it sizes
@@ -179,12 +234,10 @@ func countExprs(e *cc.Expr) int {
 func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 	g.fd = fd
 	g.fn = ir.NewFunc(fd.Obj.Name, fd.Obj.Type.Elem.IR())
-	g.regs = map[*cc.Obj]ir.RegID{}
-	g.mems = map[*cc.Obj]*ir.Sym{}
-	g.breaks, g.conts = nil, nil
-
-	var taken map[*cc.Obj]bool
-	taken, g.workLeft = addrTaken(fd)
+	clear(g.regs)
+	clear(g.mems)
+	clear(g.taken)
+	g.workLeft = g.addrTaken(fd.Body)
 
 	frame := 0
 	newFrameSym := func(o *cc.Obj, kind ir.SymKind) *ir.Sym {
@@ -212,7 +265,7 @@ func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 		sym := &ir.Sym{Name: p.Name, Kind: ir.SymParam, Type: p.Type.IR(), Size: p.Type.Size()}
 		g.fn.Params = append(g.fn.Params, sym)
 		p.Sym = sym
-		if taken[p] {
+		if g.taken[p] {
 			newFrameSym(p, ir.SymLocal)
 			g.fn.ParamRegs = append(g.fn.ParamRegs, ir.NoReg)
 		} else {
@@ -224,7 +277,7 @@ func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 
 	// Locals: arrays and address-taken scalars go to the frame.
 	for _, o := range fd.Locals {
-		if o.Type.Kind == cc.KArray || taken[o] {
+		if o.Type.Kind == cc.KArray || g.taken[o] {
 			newFrameSym(o, ir.SymLocal)
 		} else {
 			g.regs[o] = g.fn.NewReg(o.Type.IR(), o.Name)
@@ -233,7 +286,7 @@ func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 	g.fn.LocalFrame = frame
 
 	g.cur = nil
-	g.layout = nil
+	g.layout = g.layout[:0]
 	g.started = g.started[:0]
 	g.startBlock(g.fn.NewBlock())
 	if err := g.stmt(fd.Body); err != nil {
@@ -245,8 +298,8 @@ func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 	}
 	// Emission order is start order, not creation order: blocks created
 	// early but populated late (join blocks) move to their start point.
-	g.fn.Blocks = g.layout
-	g.pruneUnreachable()
+	g.layout = pruneUnreachable(g.layout)
+	g.fn.Blocks = slices.Clone(g.layout)
 	g.cse.function(len(g.fn.Regs))
 	for _, b := range g.fn.Blocks {
 		g.cse.block(b)
@@ -298,11 +351,11 @@ func (g *gen) jump(b *ir.Block) {
 	g.cur.AddEdge(b)
 }
 
-// pruneUnreachable drops blocks that have no predecessors and are not the
-// entry block (created by code after return, etc.).
-func (g *gen) pruneUnreachable() {
-	keep := g.fn.Blocks[:1]
-	for _, b := range g.fn.Blocks[1:] {
+// pruneUnreachable drops from blocks those that have no predecessors
+// and are not the entry block (created by code after return, etc.).
+func pruneUnreachable(blocks []*ir.Block) []*ir.Block {
+	keep := blocks[:1]
+	for _, b := range blocks[1:] {
 		if len(b.Preds) > 0 {
 			keep = append(keep, b)
 			continue
@@ -317,7 +370,7 @@ func (g *gen) pruneUnreachable() {
 			}
 		}
 	}
-	g.fn.Blocks = keep
+	return keep
 }
 
 func (g *gen) stmt(s *cc.Stmt) error {

@@ -17,10 +17,14 @@ import (
 // cap == len: appending to one node's Kids reallocates rather than
 // writing into a neighbour's.
 //
-// A slab belongs to one goroutine at a time; it is never shared, pooled
-// or package-level. The zero Slab expects nothing and allocates every
-// node and list on its own: the package-level constructors are one-liners
-// over it, so nodes have one constructor whatever owns them.
+// A slab belongs to one goroutine at a time and is never shared or
+// package-level. Unlike the front ends' scratch (the C parser's own
+// slab, the lowering's tables), which waits in a pool between units, it
+// is never pooled: the nodes it carves are output, the IL a caller is
+// handed, so each unit's slab is its own and is dropped, never cleared.
+// The zero Slab expects nothing and allocates every node and list on
+// its own: the package-level constructors are one-liners over it, so
+// nodes have one constructor whatever owns them.
 type Slab struct {
 	nodesDue, kidsDue int // still expected, counted down as carved
 	built, kidsBuilt  int // carved in all

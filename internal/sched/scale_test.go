@@ -104,9 +104,9 @@ func TestRunAllocsScale(t *testing.T) {
 	if long > 6*short {
 		t.Errorf("sched.Run allocates %v times at 96 statements, %v at 24: more than 6x", long, short)
 	}
-	// On a warmed scratch a Run allocates what escapes and no more: the
-	// Result's Order and Cycles — once on the 96-statement block too,
-	// which wedges and is scheduled again in thread order on the same two.
+	// On a warmed scratch a Run allocates nothing, the Result's Order
+	// and Cycles included — on the 96-statement block too, which wedges
+	// and is scheduled again in thread order on the same two.
 	var sc sched.Scratch
 	for _, stmts := range []int{96, 24, 64} {
 		fb := blocks[stmts]
@@ -117,8 +117,8 @@ func TestRunAllocsScale(t *testing.T) {
 			}
 		}
 		run()
-		if n := testing.AllocsPerRun(5, run); n > 2 {
-			t.Errorf("Run of the %d-statement block on a warmed scratch allocates %v times, want at most 2", stmts, n)
+		if n := testing.AllocsPerRun(5, run); n > 0 {
+			t.Errorf("Run of the %d-statement block on a warmed scratch allocates %v times, want none", stmts, n)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package sched
 
 import (
 	"context"
+	"slices"
 
 	"marion/internal/asm"
 	"marion/internal/cdag"
@@ -63,7 +64,9 @@ type Options struct {
 	Context context.Context
 }
 
-// Result is a pure scheduling outcome.
+// Result is a pure scheduling outcome. The package's Run returns Order
+// and Cycles of their own; a Scratch's Run returns them in its storage,
+// valid until the next Run on the same Scratch.
 type Result struct {
 	Order  []int // node indices in issue order
 	Cycles []int // issue cycle of each Order entry
@@ -85,23 +88,22 @@ func LiveOutPseudos(af *asm.Func, cross []bool) []bool {
 // the state of Run's cycle loop. The zero value is ready to use. A
 // strategy.Scratch keeps one from one function to the next and schedules
 // every block, in every pass, on it, so only a block longer than any
-// before it allocates —
-// beyond each Result's Order and Cycles, which are the caller's. A graph
-// built on Dag is overwritten by the next Build or Schedule, and a
-// scratch is never shared between goroutines.
+// before it allocates. A graph built on Dag, and a Result's Order and
+// Cycles, are overwritten by the next Build or Schedule, and a scratch
+// is never shared between goroutines.
 type Scratch struct {
 	Dag cdag.Scratch
 	run run
 }
 
 // Detach drops what the scratch holds of the function it scheduled
-// last — the function, its graph, the options' deadline and liveness,
-// and the last Result's Order and Cycles, which are the caller's —
-// keeping the tables' storage.
+// last — the function, its graph, the options' deadline and liveness —
+// keeping the tables' storage, the last Result's Order and Cycles
+// included.
 func (s *Scratch) Detach() {
 	s.Dag.Detach()
 	r := &s.run
-	r.m, r.af, r.g, r.opts, r.order, r.cycles = nil, nil, nil, Options{}, nil, nil
+	r.m, r.af, r.g, r.opts = nil, nil, nil, Options{}
 }
 
 // Run schedules the block's code DAG without mutating the block, in a
@@ -125,7 +127,7 @@ func (s *Scratch) Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph
 	r := &s.run
 	r.m, r.af, r.g, r.opts = m, af, g, opts
 	r.heights = g.HeightsInto(r.heights)
-	r.order, r.cycles = make([]int, 0, n), make([]int, 0, n)
+	r.order, r.cycles = slices.Grow(r.order[:0], n), slices.Grow(r.cycles[:0], n)
 	r.start()
 	maxCycles := opts.MaxCycles
 	if maxCycles <= 0 {
