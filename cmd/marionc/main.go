@@ -45,7 +45,7 @@
 // An armed -faults spec disables the cache for that run.
 //
 // -replay takes a quarantine bundle directory written by mariond when
-// a circuit breaker trips (internal/overload): the bundle's IL is
+// a circuit breaker trips (internal/server): the bundle's IL is
 // compiled under the bundle's recorded target, strategy, and options,
 // reproducing the failing request offline. Combine with -faults to
 // re-arm the injection that tripped it, or -strategy/-target to
@@ -77,7 +77,7 @@ import (
 	"marion/internal/driver"
 	"marion/internal/faults"
 	"marion/internal/iltext"
-	"marion/internal/overload"
+	"marion/internal/server"
 	"marion/internal/strategy"
 	"marion/internal/targets"
 	"marion/internal/trace"
@@ -138,18 +138,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	u := unit{target: *target, out: *out, stats: *stats}
 	stratName, spec := *strat, *faultSpec
-	var bundle *overload.Bundle
+	var bundle *server.Bundle
 	if *replay != "" {
 		if fs.NArg() != 0 {
 			fmt.Fprintln(stderr, "usage: marionc -replay <bundle-dir>")
 			return 2
 		}
-		b, il, err := overload.LoadBundle(*replay)
+		b, il, err := server.LoadBundle(*replay)
 		if err != nil {
 			return fail(stderr, err)
 		}
 		bundle = b
-		u.file, u.src, u.lang = filepath.Join(*replay, overload.ILFile), il, "il"
+		u.file, u.src, u.lang = filepath.Join(*replay, server.ILFile), il, "il"
 		if !set["target"] {
 			u.target = b.Target
 		}

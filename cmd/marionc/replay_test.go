@@ -1,16 +1,17 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"marion/internal/overload"
+	"marion/internal/server"
 )
 
-// buildBundle writes a quarantine bundle the way mariond would: the
-// module as textual IL plus the recorded configuration.
+// buildBundle writes a quarantine bundle as mariond would: the module
+// as textual IL plus the recorded configuration.
 func buildBundle(t *testing.T, target, strat string) string {
 	t.Helper()
 	file := writeTemp(t, "q.c", robustSrc)
@@ -18,18 +19,30 @@ func buildBundle(t *testing.T, target, strat string) string {
 	if code := run([]string{"-emit-il", file}, &il, &errb); code != 0 {
 		t.Fatalf("emit-il exit %d: %s", code, errb.String())
 	}
-	dir := t.TempDir()
-	path, err := overload.WriteBundle(dir, &overload.Bundle{
+	cfg, err := json.MarshalIndent(&server.Bundle{
 		Key:      target + "/" + strat,
 		Target:   target,
 		Strategy: strat,
 		Reason:   "injected panic at select",
 		Failures: 2,
-	}, il.String())
+	}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return path
+	return writeBundleDir(t, string(cfg), il.String())
+}
+
+// writeBundleDir writes a bundle directory of the two members
+// server.LoadBundle reads: config.json and the IL.
+func writeBundleDir(t *testing.T, config, il string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, text := range map[string]string{"config.json": config, server.ILFile: il} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }
 
 // TestReplayBundle pins -replay: the bundle compiles under its
@@ -112,12 +125,7 @@ const parentConfigJSON = `{
 // key is ignored.
 func TestReplayParentFormatConfig(t *testing.T) {
 	il := mustReadBundleIL(t, buildBundle(t, "r2000", "rase"))
-	dir := t.TempDir()
-	for name, text := range map[string]string{"config.json": parentConfigJSON, overload.ILFile: il} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := writeBundleDir(t, parentConfigJSON, il)
 
 	var got, want, errb strings.Builder
 	if code := run([]string{"-replay", dir}, &got, &errb); code != 0 {
@@ -168,7 +176,7 @@ func TestReplayMissingBundle(t *testing.T) {
 
 func mustReadBundleIL(t *testing.T, path string) string {
 	t.Helper()
-	_, il, err := overload.LoadBundle(path)
+	_, il, err := server.LoadBundle(path)
 	if err != nil {
 		t.Fatal(err)
 	}

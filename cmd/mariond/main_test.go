@@ -18,7 +18,6 @@ import (
 	"marion/internal/client"
 	"marion/internal/driver"
 	"marion/internal/gentest"
-	"marion/internal/overload"
 	"marion/internal/server"
 	"marion/internal/strategy"
 	"marion/internal/trace"
@@ -118,7 +117,7 @@ func drillOverload(t *testing.T) {
 	// The bundle replays: its IL under its options compiles to what the
 	// library makes of the request's source.
 	dir := filepath.Dir(bundles[0])
-	b, il, err := overload.LoadBundle(dir)
+	b, il, err := server.LoadBundle(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func drillOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := driver.Compile(b.Target, "il", filepath.Join(dir, overload.ILFile), il,
+	got, err := driver.Compile(b.Target, "il", filepath.Join(dir, server.ILFile), il,
 		b.Options.Config(driver.Config{Strategy: kind}))
 	if err != nil {
 		t.Fatalf("replaying %s: %v", dir, err)

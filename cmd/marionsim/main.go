@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -25,33 +26,43 @@ import (
 )
 
 func main() {
-	target := flag.String("target", "r2000", "target machine")
-	strat := flag.String("strategy", "postpass", "code generation strategy")
-	call := flag.String("call", "", "function call, e.g. 'kern(4)'")
-	initFn := flag.String("init", "", "initialization function to run first")
-	cache := flag.Bool("cache", false, "enable the data cache model")
-	trace := flag.Bool("trace", false, "trace issued instructions")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if flag.NArg() != 1 || *call == "" {
-		fmt.Fprintln(os.Stderr, "usage: marionsim -call 'fn(args)' [-init init] [-cache] file.c")
-		os.Exit(2)
+// run is main with its environment made explicit, so tests can drive
+// the full command. Exit status: 0 success, 1 compile or run error, 2
+// usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("marionsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	target := fs.String("target", "r2000", "target machine")
+	strat := fs.String("strategy", "postpass", "code generation strategy")
+	call := fs.String("call", "", "function call, e.g. 'kern(4)'")
+	initFn := fs.String("init", "", "initialization function to run first")
+	cache := fs.Bool("cache", false, "enable the data cache model")
+	trace := fs.Bool("trace", false, "trace issued instructions")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	if fs.NArg() != 1 || *call == "" {
+		fmt.Fprintln(stderr, "usage: marionsim -call 'fn(args)' [-init init] [-cache] file.c")
+		return 2
+	}
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	kind, err := strategy.ParseKind(*strat)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	gen, err := marion.New(*target, kind)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
-	res, err := gen.CompileCtx(context.Background(), flag.Arg(0), string(src))
+	res, err := gen.CompileCtx(context.Background(), fs.Arg(0), string(src))
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 
 	opts := sim.Options{}
@@ -60,29 +71,30 @@ func main() {
 	}
 	if *trace {
 		opts.Trace = func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
 	sess := sim.New(res.Program, opts)
 	if *initFn != "" {
 		if _, err := sess.Run(*initFn); err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
 	}
-	name, args, err := parseCall(*call)
+	name, callArgs, err := parseCall(*call)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
-	st, err := sess.Run(name, args...)
+	st, err := sess.Run(name, callArgs...)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
-	fmt.Printf("%s -> int %d, double %g\n", *call, st.RetI, st.RetF)
-	fmt.Printf("cycles %d, instructions %d, words %d", st.Cycles, st.Instrs, st.Words)
+	fmt.Fprintf(stdout, "%s -> int %d, double %g\n", *call, st.RetI, st.RetF)
+	fmt.Fprintf(stdout, "cycles %d, instructions %d, words %d", st.Cycles, st.Instrs, st.Words)
 	if st.Loads > 0 {
-		fmt.Printf(", loads %d (%d misses)", st.Loads, st.LoadMisses)
+		fmt.Fprintf(stdout, ", loads %d (%d misses)", st.Loads, st.LoadMisses)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
+	return 0
 }
 
 func parseCall(s string) (string, []sim.Value, error) {
@@ -114,7 +126,7 @@ func parseCall(s string) (string, []sim.Value, error) {
 	return name, args, nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "marionsim:", err)
-	os.Exit(1)
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "marionsim:", err)
+	return 1
 }

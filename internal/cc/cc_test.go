@@ -160,6 +160,8 @@ func TestSemaErrors(t *testing.T) {
 		{"deref int", `int f(int x) { return *x; }`, "non-pointer"},
 		{"float mod", `double f(double x) { return x % 2.0; }`, "bad operands"},
 		{"return in void", `void f() { return 3; }`, "returns a value"},
+		{"returns array", `int g; int f[3]() { int a[3]; return a; }`, `t.c:1: function "f" cannot return int[3]`},
+		{"prototype returns array", "int f[2]();\nint g() { return 0; }", `t.c:1: function "f" cannot return int[2]`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

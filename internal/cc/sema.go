@@ -64,8 +64,14 @@ func (s *sema) pop() {
 }
 
 // declare adds o to the innermost open scope, the file scope when no
-// function's is open.
+// function's is open. A function returning an array or a function is
+// refused here, at its declaration: C has no such function.
 func (s *sema) declare(o *Obj) error {
+	if o.Kind == objFunc {
+		if r := o.Type.Elem; r.Kind == KArray || r.Kind == kFunc {
+			return s.errf(o.Line, "function %q cannot return %s", o.Name, r)
+		}
+	}
 	if len(s.marks) == 0 {
 		if _, ok := s.globals[o.Name]; ok {
 			return s.errf(o.Line, "redeclaration of %q", o.Name)

@@ -45,7 +45,7 @@ const (
 )
 
 // Config tunes one compilation. It is the single declaration of the
-// back end's options: marion.CodeGenerator embeds it, overload's wire
+// back end's options: marion.CodeGenerator embeds it, the server's wire
 // options map onto it, and the server and CLIs build one value and pass
 // it down, so a new option is added here and nowhere else.
 type Config struct {
@@ -204,6 +204,31 @@ func (fe *frontEnd) lower(name, src string) (*ir.Module, error) {
 	return fe.il.Lower(file)
 }
 
+// checkRegTypes refuses every function that declares a register of a
+// type no general register set of m holds (float, on every shipped
+// target): each rung of the degradation ladder would fail selection on
+// it, so it is reported once, naming the target and the type, instead.
+// A module that passes allocates nothing here.
+func checkRegTypes(m *mach.Machine, funcs []*ir.Func) error {
+	var diags *Diagnostics
+	for i, f := range funcs {
+		for _, r := range f.Regs {
+			if m.Cwvm.GeneralSet(r.Type) == nil {
+				if diags == nil {
+					diags = &Diagnostics{}
+				}
+				diags.Add(i, f.Name, "registers",
+					fmt.Errorf("target %s has no general register set for type %s", m.Name, r.Type))
+				break
+			}
+		}
+	}
+	if diags == nil {
+		return nil
+	}
+	return diags
+}
+
 // CompileModule is CompileModuleCtx without a context. It stays only
 // because the benchmark module (bench/) names it.
 func CompileModule(m *mach.Machine, mod *ir.Module, cfg Config) (*Compiled, error) {
@@ -215,8 +240,12 @@ func CompileModule(m *mach.Machine, mod *ir.Module, cfg Config) (*Compiled, erro
 // cycle loops, so a cancelled caller (an HTTP request, a deadline) stops
 // the back end instead of waiting for it. When any function fails, the
 // returned error is a *Diagnostics listing every failing function with
-// its phase.
+// its phase. A function with a register of a type the target cannot
+// hold is refused before any phase runs (checkRegTypes).
 func CompileModuleCtx(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg Config) (*Compiled, error) {
+	if err := checkRegTypes(m, mod.Funcs); err != nil {
+		return nil, err
+	}
 	out := &Compiled{
 		Machine:    m,
 		Module:     mod,

@@ -14,8 +14,8 @@ import (
 // nothing of the text in the frontEnd, and must leave the frontEnd
 // lowering a fixed unit (the first Livermore kernel) as it did first.
 // The seeds are the C units of gentest.Golden, the Livermore kernels,
-// whole and cut short, and units that fail in the parser, the checker
-// and the lowering; under plain go test they run as subtests.
+// whole and cut short, and units that fail in the parser and the
+// checker; under plain go test they run as subtests.
 func FuzzLowerC(f *testing.F) {
 	var seeds []string
 	for _, u := range gentest.Golden() {

@@ -209,13 +209,15 @@ func TestPooledArenaPinsNothing(t *testing.T) {
 }
 
 // frontFailures are C units the front end refuses part-way: in the
-// parser, in the checker, and in the lowering, once the function before
-// the failing one is lowered (f returns an array, which nothing can
-// index).
+// parser, in the checker within a function, and in the checker once the
+// function before the failing one is checked. No C unit fails in the
+// lowering: each lvalue ilgen addresses is one the checker accepted, and
+// the one array value it could not address, a call's, is refused where
+// the function is declared.
 var frontFailures = []string{
 	"int g; int f() { int a; a = g + 1; return a +; }",
 	"int g; int f() { int a; a = g + 1; return b; }",
-	"int g; int f[3]() { int a[3]; a[0] = g; return a; }\nint h() { return f()[1]; }",
+	"int g; int f() { int a[3]; a[0] = g; return a[0]; }\nint h() { return f()[1]; }",
 }
 
 // lowered is what a lowering gives: the module's text, or the error's.
@@ -249,8 +251,8 @@ func cUnits(n int) []gentest.Unit {
 
 // TestPooledFrontEndMatchesFresh: one frontEnd, kept between units as
 // the pool keeps it, lowers the big-block fixture, then each C unit of
-// the corpus, then a unit that fails in the parser, the checker or the
-// lowering, then the big-block fixture again. Each lowering prints what
+// the corpus, then a unit that fails in the parser or the checker,
+// then the big-block fixture again. Each lowering prints what
 // the same unit lowered on fresh scratch prints, or fails as it does,
 // and a module stays whole when the frontEnd lowers the next unit.
 func TestPooledFrontEndMatchesFresh(t *testing.T) {

@@ -13,9 +13,7 @@ import (
 // file outside their package names, kept on purpose: package directory
 // and name ("Type.Method" for a method), and why.
 var exportAllowed = map[string]string{
-	"internal/overload.Brownout.Force": "the server tests' seam: pins the brownout level without load",
-	"internal/overload.Limiter.Prime":  "the server tests' seam: seeds the service estimate so a deadline sheds",
-	"internal/trace.Trace.Coverage":    "what the trace drills in trace, server and cmd/mariond assert of a kept trace",
+	"internal/trace.Trace.Coverage": "what the trace drills in trace, server and cmd/mariond assert of a kept trace",
 	"internal/mach.Machine.InstrByLabel": "finalize resolves %seq labels through it, and the tests of eight " +
 		"packages build instructions by label or mnemonic with it",
 }

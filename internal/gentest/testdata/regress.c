@@ -72,3 +72,51 @@ int cmpdadd() {
     i += 2.75;
     return i;
 }
+
+/* A narrowing conversion truncates and sign-extends, into a register
+   as well as through a cast: c = 300 keeps 44, s = 70000 keeps 4464. */
+int narrowchar(int x) {
+    char c;
+    c = x;
+    return c;
+}
+
+int narrowshort(int x) {
+    short s;
+    s = x;
+    return s;
+}
+
+int castchar(int x) {
+    return (char)x;
+}
+
+int castconst() {
+    return (char)300;
+}
+
+int castneg() {
+    return (char)200;
+}
+
+/* A register-resident char keeps its arithmetic narrowed: c += x and
+   ++c wrap to a negative char, as C truncates the result. */
+int cmpdchar(int x) {
+    char c;
+    c = 100;
+    c += x;
+    return c;
+}
+
+int postincchar(int x) {
+    char c;
+    c = x;
+    c++;
+    return c;
+}
+
+int preincchar(int x) {
+    char c;
+    c = x;
+    return ++c;
+}

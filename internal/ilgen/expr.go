@@ -271,7 +271,9 @@ func (g *gen) expr(e *cc.Expr) (*ir.Node, error) {
 }
 
 // cast converts value v from IL type from to IL type to, folding
-// constants and dropping conversions with no machine-level effect.
+// constants and dropping conversions with no machine-level effect. A
+// narrowing integer conversion truncates and sign-extends: a constant
+// is folded, and a value is extended.
 func (g *gen) cast(v *ir.Node, from, to ir.Type) *ir.Node {
 	if from == to {
 		return v
@@ -281,24 +283,56 @@ func (g *gen) cast(v *ir.Node, from, to ir.Type) *ir.Node {
 		case from.IsFloat() && to.IsFloat():
 			return g.slab.FConst(to, v.Float())
 		case from.IsFloat() && to.IsInt():
-			return g.slab.Const(to, int64(v.Float()))
+			return g.slab.Const(to, narrow(int64(v.Float()), to))
 		case from.IsInt() && to.IsFloat():
 			// Floating constants must live in memory.
 			s := g.floatConst(float64(v.IVal), to)
 			return g.load(g.slab.Addr(s), 0, to)
 		default:
-			return g.slab.Const(to, v.IVal)
+			return g.slab.Const(to, narrow(v.IVal, to))
 		}
 	}
-	// Integer-to-integer conversions are free: registers hold extended
-	// 32-bit values and narrow stores truncate. The retyped copy shares
-	// v's kid list.
+	// Other integer-to-integer conversions are free: registers hold
+	// extended 32-bit values.
 	if from.IsInt() && to.IsInt() {
-		v2 := g.slab.Node(*v)
-		v2.Type = to
-		return v2
+		if to.Size() < from.Size() {
+			return g.extend(v, to)
+		}
+		return g.retype(v, to)
 	}
 	return g.slab.Node(ir.Node{Op: ir.Cvt, Type: to, From: from}, v)
+}
+
+// retype is v as type to, for a conversion with no machine-level
+// effect. The retyped copy shares v's kid list.
+func (g *gen) retype(v *ir.Node, to ir.Type) *ir.Node {
+	v2 := g.slab.Node(*v)
+	v2.Type = to
+	return v2
+}
+
+// extend sign-extends the low bits of v that a sub-word type t holds
+// to 32, as (v << k) >> k with k = 32 - 8*size; other types keep v as
+// it is. A register holds an integer extended to 32 bits.
+func (g *gen) extend(v *ir.Node, t ir.Type) *ir.Node {
+	if t != ir.I8 && t != ir.I16 {
+		return v
+	}
+	k := int64(32 - 8*t.Size())
+	up := g.slab.New(ir.Shl, ir.I32, v, g.slab.Const(ir.I32, k))
+	return g.slab.New(ir.Shr, ir.I32, up, g.slab.Const(ir.I32, k))
+}
+
+// narrow truncates an integer constant to a sub-word type t and
+// sign-extends it back; other types keep it as it is.
+func narrow(x int64, t ir.Type) int64 {
+	switch t {
+	case ir.I8:
+		return int64(int8(x))
+	case ir.I16:
+		return int64(int16(x))
+	}
+	return x
 }
 
 // normalizeCommutative moves a constant operand of a commutative operator
@@ -361,7 +395,8 @@ func (g *gen) assign(e *cc.Expr) (*ir.Node, error) {
 				return nil, err
 			}
 			if e.Op != cc.TAssign {
-				v = g.compound(e, g.slab.Reg(e.L.Type.IR(), r), v)
+				t := e.L.Type.IR()
+				v = g.extend(g.compound(e, g.slab.Reg(t, r), v), t)
 			}
 			g.asgn(v.Type, r, v)
 			return v, nil
@@ -390,9 +425,11 @@ func (g *gen) assign(e *cc.Expr) (*ir.Node, error) {
 // type (sema converted it): cur is converted up to it and the result back
 // to the destination's type, so int i; i *= 1.5 multiplies in double.
 // When both types are integers the operation is done in the
-// destination's: a register holds an integer extended to 32 bits either
-// way, and cast widens by retyping, which would turn a sub-word load of
-// cur into a word load.
+// destination's and rhs is only retyped: a register holds an integer
+// extended to 32 bits either way, and cast widens by retyping, which
+// would turn a sub-word load of cur into a word load. The result is not
+// narrowed here: a store truncates, and assign extends what a register
+// is given.
 func (g *gen) compound(e *cc.Expr, cur, rhs *ir.Node) *ir.Node {
 	t, op := e.L.Type.IR(), e.R.Type.IR()
 	if e.L.Type.Kind == cc.KPtr {
@@ -404,7 +441,10 @@ func (g *gen) compound(e *cc.Expr, cur, rhs *ir.Node) *ir.Node {
 		}
 		op = t
 	} else if t.IsInt() && op.IsInt() {
-		rhs, op = g.cast(rhs, op, t), t
+		if op != t {
+			rhs = g.retype(rhs, t)
+		}
+		op = t
 	}
 	v := g.slab.New(binOp(e.Op), op, g.cast(cur, t, op), rhs)
 	normalizeCommutative(v)
@@ -412,6 +452,7 @@ func (g *gen) compound(e *cc.Expr, cur, rhs *ir.Node) *ir.Node {
 }
 
 // incDec lowers ++/--; post-forms capture the old value in a temporary.
+// A register is given its new value extended, as in assign.
 func (g *gen) incDec(e *cc.Expr) (*ir.Node, error) {
 	t := e.L.Type.IR()
 	var one *ir.Node
@@ -437,10 +478,10 @@ func (g *gen) incDec(e *cc.Expr) (*ir.Node, error) {
 				// Capture the old value first.
 				tmp := g.fn.NewReg(t, "")
 				g.asgn(t, tmp, oldv)
-				g.asgn(t, r, g.slab.New(op, t, g.slab.Reg(t, r), one))
+				g.asgn(t, r, g.extend(g.slab.New(op, t, g.slab.Reg(t, r), one), t))
 				return g.slab.Reg(t, tmp), nil
 			}
-			g.asgn(t, r, g.slab.New(op, t, oldv, one))
+			g.asgn(t, r, g.extend(g.slab.New(op, t, oldv, one), t))
 			return g.slab.Reg(t, r), nil
 		}
 	}

@@ -58,8 +58,8 @@ type Histogram struct {
 	n      atomic.Int64
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
+// observe records one value.
+func (h *Histogram) observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	addSaturating(&h.sum, microUnits(v))
@@ -98,7 +98,7 @@ func addSaturating(a *atomic.Int64, d int64) {
 }
 
 // ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
+func (h *Histogram) ObserveDuration(d time.Duration) { h.observe(d.Seconds()) }
 
 // HistogramSnapshot is a consistent-enough copy of a histogram: counts
 // are read bucket by bucket, so a snapshot taken under concurrent

@@ -52,7 +52,7 @@ func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", []float64{1, 10, 100})
 	for _, v := range []float64{0.5, 5, 50, 500, 7} {
-		h.Observe(v)
+		h.observe(v)
 	}
 	s := h.Snapshot()
 	want := []int64{1, 2, 1, 1} // <=1, <=10, <=100, overflow
@@ -84,7 +84,7 @@ func TestHistogramSameInstance(t *testing.T) {
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Add(3)
-	r.Histogram("h", []float64{1}).Observe(0.5)
+	r.Histogram("h", []float64{1}).observe(0.5)
 	b, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestHistogramSnapshotConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				h.Observe(vals[(w+i)%len(vals)])
+				h.observe(vals[(w+i)%len(vals)])
 			}
 		}(w)
 	}

@@ -51,9 +51,9 @@ func TestObserveSumSaturates(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("x", []float64{1})
 	huge := math.MaxInt64 / 1e6 * 2 // micro-units overflow int64
-	h.Observe(huge)
-	h.Observe(huge)
-	h.Observe(1)
+	h.observe(huge)
+	h.observe(huge)
+	h.observe(1)
 	s := h.Snapshot()
 	if s.Sum < 0 {
 		t.Fatalf("sum wrapped negative: %v", s.Sum)
@@ -114,7 +114,7 @@ func TestPromRoundTrip(t *testing.T) {
 	r.Gauge("server.limit").Set(4)
 	h := r.Histogram("server.compile.seconds", []float64{0.01, 0.1, 1})
 	for _, v := range []float64{0.005, 0.05, 0.5, 5} {
-		h.Observe(v)
+		h.observe(v)
 	}
 
 	var buf bytes.Buffer

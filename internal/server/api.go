@@ -2,8 +2,11 @@
 package server
 
 import (
+	"runtime"
+	"time"
+
 	"marion/internal/cache"
-	"marion/internal/overload"
+	"marion/internal/driver"
 	"marion/internal/strategy"
 	"marion/internal/trace"
 )
@@ -39,11 +42,42 @@ type CompileRequest struct {
 	Options *CompileOptions `json:"options,omitempty"`
 }
 
-// CompileOptions are the per-request knobs a client may set. It is the
-// same wire type a quarantine bundle records (declared once, in
-// internal/overload, together with its mapping onto the back end
-// configuration).
-type CompileOptions = overload.BundleOptions
+// CompileOptions are the back end options that cross a wire: a client
+// sets them per request and a quarantine Bundle records them for
+// replay. Zero values mean "the receiver's default".
+type CompileOptions struct {
+	// Workers bounds the per-function back end pool (default: the
+	// server's per-request worker count), capped at GOMAXPROCS. Output
+	// is byte-identical for any value.
+	Workers int `json:"workers,omitempty"`
+	// Verify runs the machine-description-driven verifier; findings are
+	// returned (they do not fail the request).
+	Verify bool `json:"verify,omitempty"`
+	// Strict disables the graceful-degradation ladder.
+	Strict bool `json:"strict,omitempty"`
+	// BudgetMs is the per-function compilation budget in milliseconds
+	// (default: the server's). A request deadline still applies on top:
+	// whichever expires first interrupts the function.
+	BudgetMs int64 `json:"budget_ms,omitempty"`
+}
+
+// Config maps the wire options onto the back end's option struct — the
+// one place the two meet, shared by the request path and by
+// `marionc -replay`. base supplies everything the wire does not carry
+// (cache, faults, span) plus the Workers and Budget defaults that a zero
+// wire value leaves in force. A wire Workers is capped at GOMAXPROCS:
+// output is the same for any count, and more workers than cores only
+// buys one request more goroutines and worker arenas.
+func (o CompileOptions) Config(base driver.Config) driver.Config {
+	base.Verify, base.Strict = o.Verify, o.Strict
+	if o.Workers > 0 {
+		base.Workers = min(o.Workers, runtime.GOMAXPROCS(0))
+	}
+	if o.BudgetMs > 0 {
+		base.Budget = time.Duration(o.BudgetMs) * time.Millisecond
+	}
+	return base
+}
 
 // CompileResponse is the body of a successful POST /compile.
 type CompileResponse struct {

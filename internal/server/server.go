@@ -7,29 +7,31 @@
 // produced by any client serves every later client asking for the same
 // (canonical IR, machine, config) triple.
 //
-// Admission control is an adaptive concurrency limiter
-// (internal/overload): Config.MaxInflight seeds the limit, and with an
-// SLO configured, AIMD walks it against measured compile latency. The
-// bounded wait queue (Config.MaxQueue) sheds overflow with 429 and a
-// COMPUTED Retry-After (queue depth x EWMA service estimate), and
-// evicts queued requests whose remaining deadline is below the service
-// estimate — shed-before-doomed, so load beyond capacity degrades to
-// fast, honest rejections instead of unbounded queueing. Per-request
-// deadlines (the X-Marion-Deadline-Ms header, or Config.DefaultDeadline)
+// Admission control is an adaptive concurrency limiter (limiter.go):
+// Config.MaxInflight seeds the limit, and with an SLO configured, AIMD
+// walks it against measured compile latency. The bounded wait queue
+// (Config.MaxQueue) sheds overflow with 429 and a COMPUTED Retry-After
+// (queue depth x EWMA service estimate), and evicts queued requests
+// whose remaining deadline is below the service estimate —
+// shed-before-doomed, so load beyond capacity degrades to fast, honest
+// rejections instead of unbounded queueing. Per-request deadlines (the
+// X-Marion-Deadline-Ms header, or Config.DefaultDeadline)
 // propagate through context.Context into the pipeline's
 // budget/degradation machinery: an expired request returns structured
 // per-function diagnostics, never a hung connection.
 //
-// Sustained pressure engages the brownout ladder (Config.Brownout):
-// verify off -> strategies capped at postpass -> safe only ->
-// cache-hits only, each level recorded in responses and /statz, and
-// recovered level by level with hysteresis once pressure falls.
+// Sustained pressure engages the brownout ladder (Config.Brownout;
+// brownout.go holds the levels and what each one cuts): verify off ->
+// strategies capped at postpass -> safe only -> cache-hits only, each
+// level recorded in responses and /statz, and recovered level by level
+// with hysteresis once pressure falls.
 //
-// A per-(target, strategy) circuit breaker (Config.BreakerThreshold)
-// trips on repeated panics, budget exhaustions and injected server
-// faults, reroutes that combination down strategy.FallbackChain while
-// other combinations keep serving, and writes a replayable quarantine
-// bundle (Config.QuarantineDir) that `marionc -replay` reproduces.
+// A per-(target, strategy) circuit breaker (Config.BreakerThreshold;
+// breaker.go, with the reroute) trips on repeated panics, budget
+// exhaustions and injected server faults, reroutes that combination
+// down strategy.FallbackChain while other combinations keep serving,
+// and writes a replayable quarantine bundle (Config.QuarantineDir;
+// bundle.go) that `marionc -replay` reproduces.
 //
 // Graceful drain: BeginDrain flips /readyz to 503 and rejects new
 // compiles; the owner then lets http.Server.Shutdown finish in-flight
@@ -53,15 +55,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"marion/internal/budget"
 	"marion/internal/cache"
 	"marion/internal/driver"
 	"marion/internal/faults"
-	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/mach"
 	"marion/internal/metrics"
-	"marion/internal/overload"
 	"marion/internal/strategy"
 	"marion/internal/targets"
 	"marion/internal/trace"
@@ -191,10 +190,10 @@ type Server struct {
 	mux      *http.ServeMux
 	start    time.Time
 
-	lim      *overload.Limiter  // adaptive admission controller
-	brown    *overload.Brownout // nil unless Config.Brownout
-	breakers *overload.Breakers // nil unless Config.BreakerThreshold > 0
-	ring     *trace.Ring        // nil unless Config.TraceRing > 0
+	lim      *limiter    // adaptive admission controller
+	brown    *brownout   // nil unless Config.Brownout
+	breakers *breakerSet // nil unless Config.BreakerThreshold > 0
+	ring     *trace.Ring // nil unless Config.TraceRing > 0
 	draining atomic.Bool
 	warn     error // non-fatal setup problems (cache disk tier)
 
@@ -229,7 +228,7 @@ func New(cfg Config) (*Server, error) {
 		machines: make(map[string]*mach.Machine, len(cfg.Targets)),
 		start:    time.Now(),
 		seq:      map[string]int{},
-		lim:      overload.NewLimiter(cfg.MaxInflight, cfg.SLO, cfg.MaxQueue),
+		lim:      newLimiter(cfg.MaxInflight, cfg.SLO, cfg.MaxQueue),
 
 		requests:   cfg.Registry.Counter("server.requests"),
 		accepted:   cfg.Registry.Counter("server.accepted"),
@@ -244,15 +243,15 @@ func New(cfg Config) (*Server, error) {
 		compileSec: cfg.Registry.Histogram("server.compile.seconds", metrics.TimeBuckets),
 		queueSec:   cfg.Registry.Histogram("server.queue.seconds", metrics.TimeBuckets),
 	}
-	s.limitGauge.Set(int64(s.lim.Limit()))
+	s.limitGauge.Set(int64(s.lim.currentLimit()))
 	s.ring = trace.NewRing(cfg.TraceRing, cfg.TraceSLO)
 	if cfg.Brownout {
-		s.brown = overload.NewBrownout(cfg.Clock)
+		s.brown = &brownout{clock: cfg.Clock}
 		s.stop = make(chan struct{})
 		go s.observeLoop()
 	}
 	if cfg.BreakerThreshold > 0 {
-		s.breakers = overload.NewBreakers(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock)
+		s.breakers = newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock)
 	}
 	for _, t := range cfg.Targets {
 		m, err := targets.Load(t)
@@ -330,8 +329,8 @@ func (s *Server) observeLoop() {
 		case <-s.stop:
 			return
 		case <-t.C:
-			s.levelGauge.Set(int64(s.brown.Observe(s.lim.Pressure())))
-			s.limitGauge.Set(int64(s.lim.Limit()))
+			s.levelGauge.Set(int64(s.brown.observe(s.lim.pressure())))
+			s.limitGauge.Set(int64(s.lim.currentLimit()))
 		}
 	}
 }
@@ -341,7 +340,7 @@ func (s *Server) level() int {
 	if s.brown == nil {
 		return 0
 	}
-	return s.brown.Level()
+	return s.brown.level()
 }
 
 // nextSeq returns and advances the per-breaker-key request sequence
@@ -394,7 +393,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.lim.RetryAfter())))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.lim.retryAfter())))
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -402,13 +401,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	snap := s.lim.Snapshot()
 	st := Statz{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Targets:       s.cfg.Targets,
 		Draining:      s.draining.Load(),
-		Inflight:      snap.Inflight,
-		Queued:        snap.Queued,
 		Capacity:      s.cfg.MaxInflight,
 		QueueLimit:    s.cfg.MaxQueue,
 		Requests:      s.requests.Value(),
@@ -416,17 +412,12 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Shed:          s.shed.Value(),
 		Expired:       s.expired.Value(),
 		Failed:        s.failed.Value(),
-		Limit:         snap.Limit,
-		Pressure:      snap.Pressure,
-		EstimateMs:    snap.EstimateSeconds * 1000,
-		Evicted:       snap.Evicted,
 		PressureLevel: s.level(),
 		Cache:         s.cache.Stats(),
 	}
+	s.lim.statz(&st)
 	if s.breakers != nil {
-		st.Breakers = s.breakers.States()
-		bs := s.breakers.Snapshot()
-		st.BreakerTrips, st.BreakerResets = bs.Trips, bs.Resets
+		s.breakers.statz(&st)
 	}
 	if s.ring != nil {
 		st.TraceCount, st.TraceCapacity = s.ring.Len(), s.ring.Cap()
@@ -513,7 +504,7 @@ type compileReq struct {
 	level   int     // brownout level observed at admission
 	// slot is what the release of the admission slot will report; only a
 	// request that reached the compile upgrades it from Skipped.
-	slot overload.Outcome
+	slot slotOutcome
 
 	// lower
 	mod *ir.Module
@@ -554,7 +545,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		r:       r,
 		started: time.Now(),
 		outcome: "ok",
-		slot:    overload.Skipped,
+		slot:    slotSkipped,
 	}
 	s.requests.Inc()
 
@@ -684,31 +675,31 @@ func (s *Server) identify(rq *compileReq) bool {
 // in the response, the access log and server.queue.seconds alike. The
 // brownout level is observed here, at admission, and decides how much
 // fidelity plan gives the request.
-func (s *Server) admit(rq *compileReq) (release func(overload.Outcome), ok bool) {
+func (s *Server) admit(rq *compileReq) (release func(slotOutcome), ok bool) {
 	queued := time.Now()
 	asp := rq.root.Child("admission")
-	release, dec := s.lim.Acquire(rq.ctx, asp)
+	release, dec := s.lim.acquire(rq.ctx, asp)
 	asp.Attr("decision", dec.String())
 	asp.End()
 	wait := time.Since(queued)
 	rq.queueMs = float64(wait) / float64(time.Millisecond)
 	s.queueSec.ObserveDuration(wait)
 	switch dec {
-	case overload.ShedFull:
+	case shedFull:
 		s.shed.Inc()
 		return nil, s.answer(rq, "shed-full", http.StatusTooManyRequests, "over capacity, retry later", nil)
-	case overload.ShedDoomed:
+	case shedDoomed:
 		s.shed.Inc()
 		s.evictedC.Inc()
 		return nil, s.answer(rq, "shed-doomed", http.StatusTooManyRequests,
 			"remaining deadline below the service estimate; shed instead of queued", nil)
-	case overload.Expired:
+	case expired:
 		s.expired.Inc()
 		return nil, s.answer(rq, "expired", http.StatusGatewayTimeout, "deadline expired while queued", nil)
 	}
-	s.limitGauge.Set(int64(s.lim.Limit()))
+	s.limitGauge.Set(int64(s.lim.currentLimit()))
 	if s.brown != nil {
-		rq.level = s.brown.Observe(s.lim.Pressure())
+		rq.level = s.brown.observe(s.lim.pressure())
 		s.levelGauge.Set(int64(rq.level))
 		if rq.level > 0 {
 			rq.root.Event("brownout", "level", strconv.Itoa(rq.level))
@@ -755,30 +746,6 @@ func (s *Server) plan(rq *compileReq) bool {
 	return true
 }
 
-// route asks the circuit breakers which strategy may run: an open
-// (target, strategy) reroutes down the fallback chain to the first
-// healthy rung. It reports false when every rung is open.
-func (s *Server) route(rq *compileReq, kind strategy.Kind) (strategy.Kind, bool) {
-	rq.bkey = overload.Key(rq.req.Target, kind.String())
-	if s.breakers == nil {
-		return kind, true
-	}
-	if allowed, _ := s.breakers.Allow(rq.bkey); allowed {
-		return kind, true
-	}
-	orig := rq.bkey
-	for _, rung := range strategy.FallbackChain(kind) {
-		k := overload.Key(rq.req.Target, rung.String())
-		if ok, _ := s.breakers.Allow(k); ok {
-			rq.bkey, rq.reroute = k, orig+" -> "+k
-			rq.root.Event("breaker.reroute", "from", orig, "to", k)
-			s.rerouted.Inc()
-			return rung, true
-		}
-	}
-	return kind, false
-}
-
 // compile runs the planned compile, settles the admission slot's and
 // the breaker's verdicts, and answers a failed compile itself.
 func (s *Server) compile(rq *compileReq) (*driver.Compiled, bool) {
@@ -787,9 +754,9 @@ func (s *Server) compile(rq *compileReq) (*driver.Compiled, bool) {
 	rq.cfg.Span.End()
 	// This request reached the compile: its service time is an SLO
 	// sample, counted against the SLO when its deadline cut it off.
-	rq.slot = overload.Done
+	rq.slot = slotDone
 	if rq.ctx.Err() != nil {
-		rq.slot = overload.Breached
+		rq.slot = slotBreached
 	}
 	s.settleBreaker(rq, err)
 	if err != nil {
@@ -801,28 +768,6 @@ func (s *Server) compile(rq *compileReq) (*driver.Compiled, bool) {
 	rq.elapsed = time.Since(rq.started)
 	s.compileSec.ObserveDuration(rq.elapsed)
 	return res, true
-}
-
-// settleBreaker resolves the attempt plan opened under rq.bkey.
-func (s *Server) settleBreaker(rq *compileReq, err error) {
-	if s.breakers == nil {
-		return
-	}
-	switch {
-	case breakerRelevant(err):
-		if s.breakers.Failure(rq.bkey, rq.root) {
-			s.quarantine(rq, err)
-		}
-	case rq.cfg.CacheOnly:
-		// A cache-only attempt never exercised the pipeline: it can
-		// neither close a half-open breaker nor reset a failure
-		// streak. Return the probe slot without a verdict.
-		s.breakers.Cancel(rq.bkey)
-	default:
-		// Anything else — success, a user error, a client deadline —
-		// resolves the attempt so a half-open probe can never wedge.
-		s.breakers.Success(rq.bkey)
-	}
 }
 
 // compileFailed answers a compile that returned an error.
@@ -885,46 +830,6 @@ func (s *Server) respond(rq *compileReq, res *driver.Compiled) {
 	writeJSON(rq.w, http.StatusOK, resp)
 }
 
-// applyBrownout maps a brownout level onto one request's fidelity:
-// which strategy actually runs, whether verify runs, and whether only
-// cache hits are served. The returned notes name each cut for the
-// response body.
-func applyBrownout(lvl int, kind strategy.Kind, verify bool) (strategy.Kind, bool, bool, []string) {
-	var notes []string
-	if lvl >= overload.LevelNoVerify && verify {
-		verify = false
-		notes = append(notes, "verify disabled")
-	}
-	switch {
-	case lvl >= overload.LevelCacheOnly:
-		// Cache keys include the strategy, so the REQUESTED strategy is
-		// kept: that is what earlier full-fidelity compiles cached under.
-		notes = append(notes, "cache-only")
-		return kind, verify, true, notes
-	case lvl >= overload.LevelSafe:
-		if kind != strategy.Safe {
-			notes = append(notes, "strategy forced "+kind.String()+" -> "+strategy.Safe.String())
-			kind = strategy.Safe
-		}
-	case lvl >= overload.LevelCheapStrategy:
-		if cheaper := capStrategy(kind); cheaper != kind {
-			notes = append(notes, "strategy capped "+kind.String()+" -> "+cheaper.String())
-			kind = cheaper
-		}
-	}
-	return kind, verify, false, notes
-}
-
-// capStrategy caps expensive strategies at postpass (the cheap-strategy
-// brownout level); already-cheap kinds pass through.
-func capStrategy(k strategy.Kind) strategy.Kind {
-	switch k {
-	case strategy.RASE, strategy.IPS, strategy.Local:
-		return strategy.Postpass
-	}
-	return k
-}
-
 // compileGuarded runs one admitted compile with the server-level fault
 // site and last-resort panic isolation (the pipeline already isolates
 // phase panics; this guard covers the serve site and anything outside
@@ -970,40 +875,6 @@ func (e *servePanicError) Error() string {
 	return fmt.Sprintf("panic while serving compile: %v", e.val)
 }
 
-// breakerRelevant classifies a compile failure for the circuit
-// breaker: panics, budget exhaustions and injected server faults are
-// service faults that count toward a trip; user errors, client
-// deadlines and cache-only misses are not.
-func breakerRelevant(err error) bool {
-	if err == nil {
-		return false
-	}
-	var sp *servePanicError
-	if errors.As(err, &sp) {
-		return true
-	}
-	var inj *faults.InjectedError
-	if errors.As(err, &inj) {
-		return true
-	}
-	var diags *driver.Diagnostics
-	if errors.As(err, &diags) {
-		for _, d := range diags.All() {
-			var pe *driver.PanicError
-			if errors.As(d.Err, &pe) {
-				return true
-			}
-			if errors.Is(d.Err, budget.ErrExceeded) {
-				return true
-			}
-			if errors.As(d.Err, &inj) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // cacheOnlyMiss reports whether a compile failed purely because the
 // cache-only brownout level had no entries to serve.
 func cacheOnlyMiss(err error) bool {
@@ -1019,36 +890,6 @@ func cacheOnlyMiss(err error) bool {
 	return true
 }
 
-// quarantine writes the replayable bundle for a breaker trip. The IL
-// is re-lowered from the pristine request source at trip time: the
-// compiled module was mutated in place by the glue transform, and
-// under concurrency the tripping request cannot be predicted up front
-// (other in-flight failures under the same key advance the streak), so
-// capturing before the compile could leave the trip without a bundle.
-// The bundle records the planned wire options with the server defaults
-// that were in force filled in, so `marionc -replay` maps them back onto
-// the same configuration.
-func (s *Server) quarantine(rq *compileReq, reason error) {
-	if s.cfg.QuarantineDir == "" {
-		return
-	}
-	mod, err := driver.Lower(rq.req.Lang, rq.req.unitName(), rq.req.Source)
-	if err != nil {
-		return // cannot happen: the same source lowered earlier this request
-	}
-	s.quarC.Inc()
-	opts := rq.opts
-	opts.Workers, opts.BudgetMs = rq.cfg.Workers, rq.cfg.Budget.Milliseconds()
-	_, _ = overload.WriteBundle(s.cfg.QuarantineDir, &overload.Bundle{
-		Key:      rq.bkey,
-		Target:   rq.req.Target,
-		Strategy: rq.strategy,
-		Reason:   reason.Error(),
-		Failures: s.cfg.BreakerThreshold,
-		Options:  opts,
-	}, iltext.Print(mod))
-}
-
 // answer writes a non-2xx /compile answer and records the answering
 // stage's outcome. The load-shedding statuses (429/503) carry the
 // computed Retry-After in both the header and the JSON body; a 504
@@ -1061,7 +902,7 @@ func (s *Server) answer(rq *compileReq, outcome string, status int, msg string, 
 	resp := &ErrorResponse{Error: msg, Diagnostics: diags}
 	switch status {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		secs := retryAfterSeconds(s.lim.RetryAfter())
+		secs := retryAfterSeconds(s.lim.retryAfter())
 		if status != http.StatusGatewayTimeout {
 			rq.w.Header().Set("Retry-After", strconv.Itoa(secs))
 		}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,8 +17,9 @@ import (
 	"marion/internal/driver"
 	"marion/internal/faults"
 	"marion/internal/metrics"
-	"marion/internal/overload"
 	"marion/internal/strategy"
+	"marion/internal/targets"
+	"marion/internal/trace"
 )
 
 const addC = `
@@ -231,9 +233,9 @@ func TestHugeDeadlineClamped(t *testing.T) {
 // occupySlot takes the server's admission slot directly through the
 // limiter, returning its release; tests use it to force queueing
 // deterministically.
-func occupySlot(t *testing.T, s *Server) func(overload.Outcome) {
+func occupySlot(t *testing.T, s *Server) func(slotOutcome) {
 	t.Helper()
-	rel, dec := s.lim.Acquire(context.Background(), nil)
+	rel, dec := s.lim.acquire(context.Background(), nil)
 	if rel == nil {
 		t.Fatalf("could not occupy slot: %v", dec)
 	}
@@ -250,7 +252,7 @@ func TestAdmissionShed(t *testing.T) {
 	req := CompileRequest{Source: addC, Target: "r2000"}
 	queued := make(chan *httptest.ResponseRecorder)
 	go func() { queued <- post(t, s, req, nil) }()
-	waitFor(t, func() bool { return s.lim.Snapshot().Queued == 1 })
+	waitFor(t, func() bool { return limiterStatz(s.lim).Queued == 1 })
 
 	w := post(t, s, req, nil)
 	if w.Code != http.StatusTooManyRequests {
@@ -263,7 +265,7 @@ func TestAdmissionShed(t *testing.T) {
 		t.Errorf("429 body retry_after_seconds = %v, want >= 1", resp.RetryAfterSeconds)
 	}
 
-	rel(overload.Done) // free the slot; the queued request proceeds
+	rel(slotDone) // free the slot; the queued request proceeds
 	if w := <-queued; w.Code != http.StatusOK {
 		t.Fatalf("queued request: status %d, want 200: %s", w.Code, w.Body.String())
 	}
@@ -279,7 +281,7 @@ func TestAdmissionShed(t *testing.T) {
 func TestQueuedDeadline(t *testing.T) {
 	s := newTestServer(t, Config{MaxInflight: 1, MaxQueue: 4})
 	rel := occupySlot(t, s)
-	defer rel(overload.Done)
+	defer rel(slotDone)
 
 	w := post(t, s, CompileRequest{Source: addC, Target: "r2000"},
 		map[string]string{DeadlineHeader: "30"})
@@ -301,9 +303,9 @@ func TestQueuedDeadline(t *testing.T) {
 // of deadline-aware eviction.
 func TestDoomedShed(t *testing.T) {
 	s := newTestServer(t, Config{MaxInflight: 1, MaxQueue: 4})
-	s.lim.Prime(2 * time.Second) // est >> the 30ms deadline below
+	s.lim.prime(2 * time.Second) // est >> the 30ms deadline below
 	rel := occupySlot(t, s)
-	defer rel(overload.Done)
+	defer rel(slotDone)
 
 	start := time.Now()
 	w := post(t, s, CompileRequest{Source: addC, Target: "r2000"},
@@ -325,8 +327,8 @@ func TestDoomedShed(t *testing.T) {
 	if !strings.Contains(resp.Error, "shed") {
 		t.Errorf("error %q does not explain the shed", resp.Error)
 	}
-	if s.lim.Snapshot().Evicted != 1 {
-		t.Errorf("evicted = %d, want 1", s.lim.Snapshot().Evicted)
+	if limiterStatz(s.lim).Evicted != 1 {
+		t.Errorf("evicted = %d, want 1", limiterStatz(s.lim).Evicted)
 	}
 }
 
@@ -362,7 +364,7 @@ func TestDrain(t *testing.T) {
 	rel := occupySlot(t, s) // make the next request queue after admission
 	inflight := make(chan *httptest.ResponseRecorder)
 	go func() { inflight <- post(t, s, req, nil) }()
-	waitFor(t, func() bool { return s.lim.Snapshot().Queued == 1 })
+	waitFor(t, func() bool { return limiterStatz(s.lim).Queued == 1 })
 
 	s.BeginDrain()
 
@@ -378,7 +380,7 @@ func TestDrain(t *testing.T) {
 		t.Errorf("healthz while draining: status %d, want 200", w.Code)
 	}
 
-	rel(overload.Done) // the admitted request now runs to completion
+	rel(slotDone) // the admitted request now runs to completion
 	if w := <-inflight; w.Code != http.StatusOK {
 		t.Fatalf("in-flight request during drain: status %d, want 200: %s", w.Code, w.Body.String())
 	}
@@ -486,7 +488,7 @@ func TestBrownoutLadder(t *testing.T) {
 	}
 
 	// Level 1: verify is dropped, the strategy is kept.
-	s.brown.Force(overload.LevelNoVerify)
+	s.brown.force(levelNoVerify)
 	resp = decode[CompileResponse](t, post(t, s, req, nil))
 	if resp.BrownoutLevel != 1 || resp.Strategy != "rase" {
 		t.Fatalf("level 1: %+v", resp)
@@ -496,14 +498,14 @@ func TestBrownoutLadder(t *testing.T) {
 	}
 
 	// Level 2: expensive strategies are capped at postpass.
-	s.brown.Force(overload.LevelCheapStrategy)
+	s.brown.force(levelCheapStrategy)
 	resp = decode[CompileResponse](t, post(t, s, req, nil))
 	if resp.Strategy != "postpass" {
 		t.Fatalf("level 2 strategy = %q, want postpass (%v)", resp.Strategy, resp.Brownout)
 	}
 
 	// Level 3: everything runs safe.
-	s.brown.Force(overload.LevelSafe)
+	s.brown.force(levelSafe)
 	resp = decode[CompileResponse](t, post(t, s, req, nil))
 	if resp.Strategy != "safe" {
 		t.Fatalf("level 3 strategy = %q, want safe", resp.Strategy)
@@ -511,7 +513,7 @@ func TestBrownoutLadder(t *testing.T) {
 
 	// Level 4: only cache hits are served. addC was compiled as rase at
 	// level 0, so the identical request is a hit; a cold unit is shed.
-	s.brown.Force(overload.LevelCacheOnly)
+	s.brown.force(levelCacheOnly)
 	w = post(t, s, req, nil)
 	resp = decode[CompileResponse](t, w)
 	if w.Code != 200 {
@@ -570,7 +572,7 @@ func TestBreakerTripRerouteReset(t *testing.T) {
 	}
 
 	// The trip wrote a replayable quarantine bundle.
-	b, il, err := overload.LoadBundle(filepath.Join(qdir, "r2000-rase-1"))
+	b, il, err := LoadBundle(filepath.Join(qdir, "r2000-rase-1"))
 	if err != nil {
 		t.Fatalf("quarantine bundle: %v", err)
 	}
@@ -659,5 +661,33 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached in 5s")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRegisterTypeRefused: a function whose registers no general
+// register set of the target holds (float, on every shipped target) is
+// answered 422 with the refusal as its one diagnostic, naming the target
+// and the type. Nothing of the back end runs: the trace holds no
+// function span, so no ladder rung was tried and no retry time spent.
+func TestRegisterTypeRefused(t *testing.T) {
+	s := newTestServer(t, Config{Targets: targets.Names(), TraceRing: 8})
+	src := "float fa(float a, float b) { return a * b; }\nint ok(int x) { return x; }\n"
+	for _, target := range targets.Names() {
+		w := post(t, s, CompileRequest{Source: src, Filename: "fa.c", Target: target, Strategy: "rase"}, nil)
+		if w.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422: %s", target, w.Code, w.Body.String())
+		}
+		resp := decode[ErrorResponse](t, w)
+		reason := "target " + s.machines[target].Name + " has no general register set for type float"
+		want := []Diag{{Func: "fa", Phase: "registers", Error: reason}}
+		if !reflect.DeepEqual(resp.Diagnostics, want) || resp.RetryAfterSeconds != 0 {
+			t.Errorf("%s: answer %+v, want diagnostics %+v and no retry hint", target, resp, want)
+		}
+		tr := decode[trace.Trace](t, get(s, "/tracez?id="+w.Header().Get(RequestIDHeader)))
+		for _, sp := range tr.Spans {
+			if strings.HasPrefix(sp.Name, "fn:") || sp.Name == "attempt" {
+				t.Errorf("%s: the refused compile ran the back end: span %q", target, sp.Name)
+			}
+		}
 	}
 }

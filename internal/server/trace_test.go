@@ -12,7 +12,6 @@ import (
 
 	"marion/internal/faults"
 	"marion/internal/gentest"
-	"marion/internal/overload"
 	"marion/internal/trace"
 )
 
@@ -239,7 +238,7 @@ func TestQueueMsIsAdmissionWait(t *testing.T) {
 // TestStageOutcomes drives one request into every early exit of the
 // request stages and checks each exit's contract: its HTTP status,
 // exactly one access-log line carrying its outcome, the admission slot
-// handed back (inflight returns to 0), and the right overload.Outcome
+// handed back (inflight returns to 0), and the right slotOutcome
 // on release — only a request that reached the compile may feed the
 // limiter's service-time estimate.
 func TestStageOutcomes(t *testing.T) {
@@ -255,7 +254,7 @@ func TestStageOutcomes(t *testing.T) {
 	// hold takes the only slot without ever feeding the estimate.
 	hold := func(t *testing.T, s *Server) func() {
 		rel := occupySlot(t, s)
-		return func() { rel(overload.Skipped) }
+		return func() { rel(slotSkipped) }
 	}
 	cases := []struct {
 		name    string // defaults to outcome
@@ -281,7 +280,7 @@ func TestStageOutcomes(t *testing.T) {
 				undo := hold(t, s)
 				queued := make(chan int)
 				go func() { queued <- post(t, s, addReq, nil).Code }()
-				waitFor(t, func() bool { return s.lim.Snapshot().Queued == 1 })
+				waitFor(t, func() bool { return limiterStatz(s.lim).Queued == 1 })
 				return func() {
 					undo()
 					if code := <-queued; code != http.StatusOK {
@@ -292,7 +291,7 @@ func TestStageOutcomes(t *testing.T) {
 		{outcome: "shed-doomed", req: addReq, hdr: short, status: http.StatusTooManyRequests,
 			cfg: Config{MaxInflight: 1, MaxQueue: 4},
 			prep: func(t *testing.T, s *Server) func() {
-				s.lim.Prime(2 * time.Second) // est >> the 30ms deadline
+				s.lim.prime(2 * time.Second) // est >> the 30ms deadline
 				return hold(t, s)
 			}},
 		{outcome: "expired", req: addReq, hdr: short, status: http.StatusGatewayTimeout,
@@ -301,13 +300,13 @@ func TestStageOutcomes(t *testing.T) {
 			req: CompileRequest{Source: addC, Target: "r2000", Strategy: "safe"},
 			cfg: Config{BreakerThreshold: 1, BreakerCooldown: time.Hour, Clock: fixedClock()},
 			prep: func(t *testing.T, s *Server) func() {
-				s.breakers.Failure("r2000/safe", nil) // safe is the last rung
+				s.breakers.failure("r2000/safe", nil) // safe is the last rung
 				return nil
 			}},
 		{outcome: "shed-cache-only", req: addReq, status: http.StatusTooManyRequests, sampled: true,
 			cfg: Config{Brownout: true, Clock: fixedClock()},
 			prep: func(t *testing.T, s *Server) func() {
-				s.brown.Force(overload.LevelCacheOnly)
+				s.brown.force(levelCacheOnly)
 				return func() { s.Close() }
 			}},
 		{outcome: "failed", req: addReq, status: http.StatusUnprocessableEntity, sampled: true,
@@ -325,9 +324,9 @@ func TestStageOutcomes(t *testing.T) {
 			if c.prep != nil {
 				undo = c.prep(t, s)
 			}
-			before := s.lim.Snapshot().EstimateSeconds
+			before := limiterStatz(s.lim).EstimateMs
 			w := post(t, s, c.req, c.hdr)
-			sampled := s.lim.Snapshot().EstimateSeconds != before
+			sampled := limiterStatz(s.lim).EstimateMs != before
 			if undo != nil {
 				undo()
 			}
