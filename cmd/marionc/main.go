@@ -42,7 +42,8 @@
 // fresh compile. -cachedir persists entries on disk (checksummed;
 // corrupt entries are rejected and recompiled) so repeated marionc runs
 // share them. With -stats, cache hit/miss counts print to stderr.
-// An armed -faults spec disables the cache for that run.
+// A -faults spec arming a pipeline site (every site but mariond's
+// serve) disables the cache for that run.
 //
 // -replay takes a quarantine bundle directory written by mariond when
 // a circuit breaker trips (internal/server): the bundle's IL is
@@ -108,7 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	strict := fs.Bool("strict", false,
 		"disable the graceful-degradation ladder: failures and budget exhaustion are fatal")
 	faultSpec := fs.String("faults", os.Getenv("MARION_FAULTS"),
-		"fault-injection spec, e.g. 'select:panic@fn=3' (default $MARION_FAULTS)")
+		"fault-injection spec, e.g. 'select:panic@fn=3'; sites "+strings.Join(faults.Sites(), ", ")+
+			"; armed, they turn the cache off (default $MARION_FAULTS)")
 	useCache := fs.Bool("cache", false,
 		"enable the content-addressed compilation cache (in-memory; add -cachedir to persist)")
 	cacheDir := fs.String("cachedir", "",

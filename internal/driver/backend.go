@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"marion/internal/asm"
-	"marion/internal/budget"
 	"marion/internal/cache"
 	"marion/internal/faults"
 	"marion/internal/ir"
@@ -204,10 +203,11 @@ func (b backend) run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, cfg
 	}
 
 	// The machine and config components of the cache key are shared by
-	// every function in the run; compute them once. Armed faults and a
-	// machine with no fingerprint disable the cache (see Config.Cache).
+	// every function in the run; compute them once. Faults armed at a
+	// pipeline site and a machine with no fingerprint disable the cache
+	// (see Config.Cache).
 	var keys *keyParts
-	if cfg.Cache != nil && cfg.Faults == nil && m.Fingerprint() != ([32]byte{}) {
+	if cfg.Cache != nil && !cfg.Faults.ArmsPipeline() && m.Fingerprint() != ([32]byte{}) {
 		keys = &keyParts{
 			mach: m.Fingerprint(),
 			cfg:  cache.ConfigKey(cfg.Strategy, cfg.Options, false),
@@ -506,7 +506,7 @@ func (b backend) tryOne(ctx context.Context, m *mach.Machine, index int, fn *ir.
 				at = "pipeline"
 			}
 			asp.Attr("error", at)
-			return nil, c.Timings, at, budgetize(at, err, ctx, cfg.Budget)
+			return nil, c.Timings, at, budgetize(at, err, actx, ctx, cfg.Budget)
 		}
 		psp := asp.Child(ph.Name)
 		start := time.Now()
@@ -517,7 +517,7 @@ func (b backend) tryOne(ctx context.Context, m *mach.Machine, index int, fn *ir.
 		w.hists[i].ObserveDuration(elapsed)
 		if err != nil {
 			asp.Attr("error", ph.Name)
-			return nil, c.Timings, ph.Name, budgetize(ph.Name, err, ctx, cfg.Budget)
+			return nil, c.Timings, ph.Name, budgetize(ph.Name, err, actx, ctx, cfg.Budget)
 		}
 	}
 	if attempt > 0 {
@@ -628,13 +628,14 @@ func runPhase(c *funcCtx, ph phase) (err error) {
 	return ph.Run(c)
 }
 
-// budgetize converts a per-attempt deadline into a typed budget error
-// (errors.Is budget.ErrExceeded). Run-wide cancellations pass through
-// untouched: outer is the run's context, still live exactly when the
-// deadline that fired was the attempt's own budget.
-func budgetize(phase string, err error, outer context.Context, b time.Duration) error {
-	if errors.Is(err, context.DeadlineExceeded) && outer.Err() == nil {
-		return &budget.LimitError{Stage: phase, Elapsed: b, Detail: err.Error()}
+// budgetize is the one place a deadline becomes a typed budget error
+// (errors.Is faults.ErrExceeded): the phases return their context's
+// error as it is. A deadline is the attempt's budget exactly when the
+// attempt's context expired and the run's is still live; a run-wide
+// deadline or cancellation (a client's) passes through untouched.
+func budgetize(phase string, err error, attempt, run context.Context, b time.Duration) error {
+	if errors.Is(err, context.DeadlineExceeded) && attempt.Err() != nil && run.Err() == nil {
+		return &faults.LimitError{Stage: phase, Elapsed: b, Detail: err.Error()}
 	}
 	return err
 }

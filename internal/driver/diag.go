@@ -69,6 +69,17 @@ func (d *Diagnostics) Err() error {
 	return d
 }
 
+// Unwrap exposes every recorded failure, in source order, so
+// errors.Is/As see through the accumulator to each phase error.
+func (d *Diagnostics) Unwrap() []error {
+	all := d.All()
+	out := make([]error, len(all))
+	for i, dg := range all {
+		out[i] = dg
+	}
+	return out
+}
+
 // Error renders every recorded failure, one per line.
 func (d *Diagnostics) Error() string {
 	all := d.All()

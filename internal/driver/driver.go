@@ -62,8 +62,10 @@ type Config struct {
 	// Budget is the per-function wall-clock deadline, enforced through
 	// context on every attempt (each ladder rung gets a fresh budget).
 	// The scheduler's cycle loop, the allocator's round loop and
-	// hang-mode faults all observe it, so a hung function becomes a
-	// typed budget error instead of a stuck worker. 0 means no budget.
+	// hang-mode faults all observe it, and the runner types its expiry
+	// as a budget error (faults.ErrExceeded) while the run's own context
+	// is live, so a hung function degrades instead of parking a worker.
+	// 0 means no budget.
 	Budget time.Duration
 
 	// Strict disables the graceful-degradation ladder: a function that
@@ -72,15 +74,16 @@ type Config struct {
 	Strict bool
 
 	// Faults arms the deterministic fault-injection harness
-	// (internal/faults); nil injects nothing.
+	// (internal/faults); nil injects nothing. The back end fires only
+	// its pipeline sites, so a set may carry the server's serve site too.
 	Faults *faults.Set
 
 	// CacheOnly serves functions exclusively from the cache: a miss (or
-	// a disabled cache — nil Cache, armed Faults, or a machine with no
-	// fingerprint) is reported as an ErrCacheOnlyMiss diagnostic instead
-	// of compiling. This is the server's deepest brownout level — under
-	// extreme overload mariond keeps answering for warm code at near-zero
-	// cost and sheds the rest.
+	// a disabled cache — nil Cache, Faults arming a pipeline site, or a
+	// machine with no fingerprint) is reported as an ErrCacheOnlyMiss
+	// diagnostic instead of compiling. This is the server's deepest
+	// brownout level — under extreme overload mariond keeps answering
+	// for warm code at near-zero cost and sheds the rest.
 	CacheOnly bool
 
 	// Span, when non-nil, is the parent trace span for the whole run;
@@ -96,10 +99,12 @@ type Config struct {
 	// verifies clean against the machine description — when Verify is
 	// off, the admission check runs internal/verify anyway and a dirty
 	// result is simply not cached. The cache is ignored entirely when
-	// Faults is armed: injected failures must not poison the cache, and
-	// hits must not mask the sites under test. It is ignored too for a
-	// machine with the zero fingerprint (one maril.Parse did not build):
-	// nothing identifies it, so it must share entries with no other.
+	// Faults arms a pipeline site (faults.Set.ArmsPipeline): injected
+	// failures must not poison the cache, and hits must not mask the
+	// sites under test; a set arming only the serve site keeps it. It is
+	// ignored too for a machine with the zero fingerprint (one
+	// maril.Parse did not build): nothing identifies it, so it must
+	// share entries with no other.
 	Cache *cache.Cache
 }
 

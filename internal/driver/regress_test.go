@@ -50,17 +50,30 @@ func TestRegressUnits(t *testing.T) {
 }
 
 // storeC stores a char in memory; toyp has no char store (ROADMAP 17,
-// missing stores), so it runs on the other targets.
-const storeC = "char g;\nint ma(int x) { return g = x; }\n"
+// missing stores), so it runs on the other targets. shortC stores a
+// short, which only r2000, r2000s and m88000 can.
+const (
+	storeC = "char g;\nint ma(int x) { return g = x; }\n" +
+		"int mc(int x) { g = 100; return g += x; }\nint mi(int x) { g = x; return ++g; }\n"
+	shortC = "short h;\nint ms(int x) { h = 30000; return h += x; }\n"
+)
 
-// TestRegressStoreUnits: the value of an assignment to a char in
-// memory is the narrowed value, as the store keeps it.
+// TestRegressStoreUnits: the value of an assignment, a compound
+// assignment or a pre-increment of a sub-word in memory is the narrowed
+// value, as the store keeps it.
 func TestRegressStoreUnits(t *testing.T) {
-	want := []regressCall{{"ma", []sim.Value{sim.Int(300)}, int64(44)}}
+	want := []regressCall{
+		{"ma", []sim.Value{sim.Int(300)}, int64(44)},
+		{"mc", []sim.Value{sim.Int(100)}, int64(-56)},
+		{"mi", []sim.Value{sim.Int(127)}, int64(-128)},
+	}
 	for _, target := range targets.Names() {
 		if target != "toyp" {
 			runRegress(t, target, "store.c", storeC, want)
 		}
+	}
+	for _, target := range []string{"r2000", "r2000s", "m88000"} {
+		runRegress(t, target, "short.c", shortC, []regressCall{{"ms", []sim.Value{sim.Int(10000)}, int64(-25536)}})
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"marion/internal/budget"
 	"marion/internal/driver"
 	"marion/internal/faults"
 	"marion/internal/strategy"
@@ -134,8 +133,8 @@ func TestHangFaultBecomesBudgetError(t *testing.T) {
 	if len(all) != 1 {
 		t.Fatalf("diagnostics = %v, want one", all)
 	}
-	if !errors.Is(all[0].Err, budget.ErrExceeded) {
-		t.Errorf("err = %v, want budget.ErrExceeded", all[0].Err)
+	if !errors.Is(all[0].Err, faults.ErrExceeded) {
+		t.Errorf("err = %v, want faults.ErrExceeded", all[0].Err)
 	}
 
 	// Ladder on: the hang degrades and the run succeeds.
@@ -152,6 +151,52 @@ func TestHangFaultBecomesBudgetError(t *testing.T) {
 	fb := results[0].Fallback
 	if fb == nil || !strings.Contains(fb.Reason, "budget exceeded") {
 		t.Errorf("fallback = %+v, want a budget-exceeded reason", fb)
+	}
+}
+
+// TestDeadlineIsABudgetOnlyInTheDriver: a phase cut off by the run's
+// own deadline (a client's) reports that deadline, while one cut off by
+// the attempt's Budget reports a budget error. The strategy phase waits
+// out its context first, so the scheduler and the allocator see it
+// expired and the runner alone decides which of the two it was.
+func TestDeadlineIsABudgetOnlyInTheDriver(t *testing.T) {
+	b := driver.NewBackend()
+	for i := range b {
+		if run := b[i].Run; b[i].Name == "strategy" {
+			b[i].Run = func(c *driver.Ctx) error {
+				<-c.Cfg.Options.Deadline.Done()
+				return run(c)
+			}
+		}
+	}
+	// compile runs one function under a run-wide deadline or a Budget.
+	// The phase waits for either whatever its length; 50 ms keeps a
+	// loaded machine from reaching it before the strategy phase starts.
+	const wait = 50 * time.Millisecond
+	compile := func(deadline, budget time.Duration) error {
+		t.Helper()
+		m, funcs := lowerModule(t, "int one() { return 1; }\n")
+		ctx := context.Background()
+		if deadline > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, deadline)
+			defer cancel()
+		}
+		_, diags := b.Run(ctx, m, funcs, driver.Config{
+			Strategy: strategy.Postpass, Strict: true, Workers: 1, Budget: budget,
+		})
+		all := diags.All()
+		if len(all) != 1 || all[0].Phase != "strategy" {
+			t.Fatalf("diagnostics = %v, want one in strategy", all)
+		}
+		return all[0].Err
+	}
+
+	if err := compile(wait, 0); !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, faults.ErrExceeded) {
+		t.Errorf("run-wide deadline: err = %v, want the deadline, not a budget", err)
+	}
+	if err := compile(0, wait); errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, faults.ErrExceeded) {
+		t.Errorf("Budget: err = %v, want a budget, not the deadline", err)
 	}
 }
 

@@ -1,4 +1,15 @@
-// Package faults is Marion's deterministic fault-injection harness.
+// Package faults is Marion's failure model: the typed errors of the
+// back end's resource budgets and a deterministic fault-injection
+// harness.
+//
+// A budget turns a hang into an error. The scheduler's cycle-loop step
+// cap (sched.Options.MaxCycles) and the register allocator's round cap
+// (regalloc.Options.MaxRounds) return a *LimitError where they fire; a
+// per-function wall-clock deadline (driver.Config.Budget) becomes one
+// only in the driver, which alone can tell the attempt's own deadline
+// from the run's. Callers test errors.Is(err, faults.ErrExceeded)
+// without knowing which limit fired.
+//
 // Named injection sites are threaded through every back end phase; a
 // parsed spec (the -faults flag or MARION_FAULTS) arms faults at those
 // sites, selected by function and attempt, so chaos tests can prove the
@@ -31,7 +42,7 @@
 // so a spec misbehaves identically on every run.
 //
 // Beyond the pipeline sites (Sites), the compile service arms faults at
-// server-level sites (serveSites, only "serve"): mariond fires it around each
+// the server-level site "serve": mariond fires it around each
 // admitted request, with the breaker key (target/strategy) as the
 // function name and the per-key request sequence number as the index.
 // `serve:err@fn=r2000/rase@max=3` therefore makes exactly the first
@@ -41,10 +52,50 @@ package faults
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"time"
 )
+
+// ErrExceeded is the sentinel matched by errors.Is for every budget
+// violation, whatever the concrete limit.
+var ErrExceeded = errors.New("budget exceeded")
+
+// LimitError reports which budget a computation exhausted.
+type LimitError struct {
+	// Stage names the bounded computation ("sched", "regalloc", the
+	// driver phase a deadline cut off, ...).
+	Stage string
+	// Steps is the step cap that was exceeded (0 for wall-clock
+	// deadlines).
+	Steps int
+	// Elapsed is the wall-clock budget that was exhausted (0 for step
+	// caps). Rendered only when nonzero, so step-cap messages stay
+	// byte-identical across runs.
+	Elapsed time.Duration
+	// Detail optionally carries diagnostic state gathered at the limit.
+	Detail string
+}
+
+func (e *LimitError) Error() string {
+	msg := e.Stage + ": budget exceeded"
+	switch {
+	case e.Steps > 0:
+		msg += fmt.Sprintf(" (step cap %d)", e.Steps)
+	case e.Elapsed > 0:
+		msg += fmt.Sprintf(" (deadline %v)", e.Elapsed)
+	}
+	if e.Detail != "" {
+		msg += ": " + e.Detail
+	}
+	return msg
+}
+
+// Is makes errors.Is(err, ErrExceeded) hold for every LimitError.
+func (e *LimitError) Is(target error) bool { return target == ErrExceeded }
 
 // Mode is what an armed fault does when its site fires.
 type Mode uint8
@@ -83,26 +134,14 @@ func Sites() []string {
 	return []string{"xform", "select", "strategy", "sched", "regalloc", "frame", "verify"}
 }
 
-// serveSites is the server-level catalogue: sites fired by mariond
-// around request handling rather than inside the back end, so chaos
-// specs can fail whole requests (and trip circuit breakers)
-// deterministically. They are accepted by Parse but excluded from
-// Sites so the pipeline chaos sweep's axis is unchanged.
-func serveSites() []string { return []string{"serve"} }
+// serveSite is the one server-level site: mariond fires it around
+// request handling rather than inside the back end, so chaos specs can
+// fail whole requests (and trip circuit breakers) deterministically.
+// Parse accepts it, but it is not in Sites, so the pipeline chaos
+// sweep's axis is unchanged.
+const serveSite = "serve"
 
-func knownSite(s string) bool {
-	for _, k := range Sites() {
-		if k == s {
-			return true
-		}
-	}
-	for _, k := range serveSites() {
-		if k == s {
-			return true
-		}
-	}
-	return false
-}
+func knownSite(s string) bool { return s == serveSite || slices.Contains(Sites(), s) }
 
 // Fault is one armed fault.
 type Fault struct {
@@ -144,6 +183,22 @@ type Set struct {
 
 // Empty reports whether no faults are armed.
 func (s *Set) Empty() bool { return s == nil || len(s.Faults) == 0 }
+
+// ArmsPipeline reports whether the set arms a back end site (one of
+// Sites). Only such a set can fail a compile from inside, so it is what
+// switches the compilation cache off; a set arming only the serve site
+// leaves the back end as it is.
+func (s *Set) ArmsPipeline() bool {
+	if s == nil {
+		return false
+	}
+	for _, f := range s.Faults {
+		if slices.Contains(Sites(), f.Site) {
+			return true
+		}
+	}
+	return false
+}
 
 func (s *Set) String() string {
 	if s.Empty() {

@@ -185,8 +185,14 @@ func TestServeSiteAndMax(t *testing.T) {
 			t.Error("serve leaked into the pipeline site catalogue")
 		}
 	}
-	if len(serveSites()) == 0 {
-		t.Error("no serve sites")
+	// Only a pipeline site reaches the back end.
+	mixed, err := Parse("serve:err;sched:hang")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.ArmsPipeline() || (*Set)(nil).ArmsPipeline() || !mixed.ArmsPipeline() {
+		t.Errorf("ArmsPipeline: serve-only %v, nil %v, mixed %v; want false, false, true",
+			set.ArmsPipeline(), (*Set)(nil).ArmsPipeline(), mixed.ArmsPipeline())
 	}
 
 	// Bad @max values are rejected.

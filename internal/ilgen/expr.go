@@ -385,7 +385,8 @@ func (g *gen) foldConst(n *ir.Node) *ir.Node {
 }
 
 // assign lowers plain and compound assignment; the result is the stored
-// value.
+// value, as the destination holds it: a compound result is extended from
+// a sub-word type, whether a register or memory takes it.
 func (g *gen) assign(e *cc.Expr) (*ir.Node, error) {
 	// Register-resident destination.
 	if e.L.Kind == cc.EIdent {
@@ -412,11 +413,13 @@ func (g *gen) assign(e *cc.Expr) (*ir.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.Op != cc.TAssign {
-		v = g.compound(e, g.load(b, off, t), v)
+	if e.Op == cc.TAssign {
+		g.store(b, off, v, t)
+		return v, nil
 	}
+	v = g.compound(e, g.load(b, off, t), v)
 	g.store(b, off, v, t)
-	return v, nil
+	return g.extend(v, t), nil
 }
 
 // compound combines a compound assignment's destination value cur with
@@ -429,7 +432,7 @@ func (g *gen) assign(e *cc.Expr) (*ir.Node, error) {
 // extended to 32 bits either way, and cast widens by retyping, which
 // would turn a sub-word load of cur into a word load. The result is not
 // narrowed here: a store truncates, and assign extends what a register
-// is given.
+// is given and what the expression yields.
 func (g *gen) compound(e *cc.Expr, cur, rhs *ir.Node) *ir.Node {
 	t, op := e.L.Type.IR(), e.R.Type.IR()
 	if e.L.Type.Kind == cc.KPtr {
@@ -452,7 +455,8 @@ func (g *gen) compound(e *cc.Expr, cur, rhs *ir.Node) *ir.Node {
 }
 
 // incDec lowers ++/--; post-forms capture the old value in a temporary.
-// A register is given its new value extended, as in assign.
+// A register is given its new value extended, as in assign, and a
+// pre-form on memory returns it extended too.
 func (g *gen) incDec(e *cc.Expr) (*ir.Node, error) {
 	t := e.L.Type.IR()
 	var one *ir.Node
@@ -495,7 +499,7 @@ func (g *gen) incDec(e *cc.Expr) (*ir.Node, error) {
 	if e.Kind == cc.EPostIncDec {
 		return oldv, nil
 	}
-	return newv, nil
+	return g.extend(newv, t), nil
 }
 
 // call lowers a function call; the Call node itself is the value. The

@@ -8,7 +8,7 @@ import (
 	"sort"
 
 	"marion/internal/asm"
-	"marion/internal/budget"
+	"marion/internal/faults"
 	"marion/internal/ir"
 	"marion/internal/mach"
 	"marion/internal/sel"
@@ -52,13 +52,14 @@ type Options struct {
 	SpillGlobals bool
 
 	// MaxRounds caps the build-color-spill loop; exceeding it returns a
-	// typed budget error (errors.Is budget.ErrExceeded) instead of
+	// typed budget error (errors.Is faults.ErrExceeded) instead of
 	// iterating forever on a non-convergent machine description.
 	// 0 means defaultMaxRounds.
 	MaxRounds int
 
-	// Context, when non-nil, is polled between rounds: a deadline
-	// becomes a typed budget error, a cancellation is returned as-is.
+	// Context, when non-nil, is polled between rounds; once it is done
+	// its error is returned, wrapped with the round allocation stopped
+	// at and never typed as a budget (the driver decides that).
 	Context context.Context
 }
 
@@ -92,20 +93,16 @@ func (s *Scratch) AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Re
 	}
 	for round := 0; ; round++ {
 		if round >= maxRounds {
-			return nil, &budget.LimitError{Stage: "regalloc", Steps: maxRounds,
+			return nil, &faults.LimitError{Stage: "regalloc", Steps: maxRounds,
 				Detail: fmt.Sprintf("%s: build-color-spill did not converge", af.Name)}
 		}
 		if opts.Context != nil {
 			if err := opts.Context.Err(); err != nil {
-				if err == context.DeadlineExceeded {
-					return nil, &budget.LimitError{Stage: "regalloc",
-						Detail: fmt.Sprintf("%s: deadline after %d round(s)", af.Name, round)}
-				}
-				return nil, err
+				return nil, fmt.Errorf("regalloc: %s: stopped after %d round(s): %w", af.Name, round, err)
 			}
 		}
 		if n := len(af.Pseudos); n > maxPseudos {
-			return nil, &budget.LimitError{Stage: "regalloc", Steps: maxPseudos,
+			return nil, &faults.LimitError{Stage: "regalloc", Steps: maxPseudos,
 				Detail: fmt.Sprintf("%s: %d pseudo-registers", af.Name, n)}
 		}
 		res.Rounds = round + 1

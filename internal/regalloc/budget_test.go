@@ -3,10 +3,11 @@ package regalloc
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
-	"marion/internal/budget"
+	"marion/internal/faults"
 )
 
 // spillPressureSrc needs at least two build-color-spill rounds on
@@ -24,10 +25,10 @@ int f(int a, int b) {
 func TestAllocateMaxRoundsCap(t *testing.T) {
 	m, af := selectOn(t, spillPressureSrc, "f")
 	_, err := new(Scratch).AllocateOpts(m, af, Options{MaxRounds: 1})
-	if !errors.Is(err, budget.ErrExceeded) {
-		t.Fatalf("err = %v, want budget.ErrExceeded", err)
+	if !errors.Is(err, faults.ErrExceeded) {
+		t.Fatalf("err = %v, want faults.ErrExceeded", err)
 	}
-	var le *budget.LimitError
+	var le *faults.LimitError
 	if !errors.As(err, &le) || le.Stage != "regalloc" || le.Steps != 1 {
 		t.Errorf("limit error = %#v", le)
 	}
@@ -43,23 +44,27 @@ func TestAllocateMaxRoundsCap(t *testing.T) {
 	}
 }
 
-// TestAllocateContextDeadline pins budget enforcement between rounds:
-// an expired deadline is a typed budget error, plain cancellation is
-// not.
+// TestAllocateContextDeadline: the round loop stops on an expired or
+// cancelled context and returns the context's error untyped, wrapped
+// with where it stopped; only the driver makes a deadline a budget
+// error.
 func TestAllocateContextDeadline(t *testing.T) {
 	expired, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
 	m, af := selectOn(t, spillPressureSrc, "f")
 	_, err := new(Scratch).AllocateOpts(m, af, Options{Context: expired})
-	if !errors.Is(err, budget.ErrExceeded) {
-		t.Errorf("deadline err = %v, want budget.ErrExceeded", err)
+	if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, faults.ErrExceeded) {
+		t.Errorf("deadline err = %v, want plain context.DeadlineExceeded", err)
+	}
+	if !strings.Contains(err.Error(), "regalloc: f: stopped after 0 round(s)") {
+		t.Errorf("deadline err = %q, want where allocation stopped", err)
 	}
 
 	cancelled, stop := context.WithCancel(context.Background())
 	stop()
 	m2, af2 := selectOn(t, spillPressureSrc, "f")
 	_, err = new(Scratch).AllocateOpts(m2, af2, Options{Context: cancelled})
-	if !errors.Is(err, context.Canceled) || errors.Is(err, budget.ErrExceeded) {
+	if !errors.Is(err, context.Canceled) || errors.Is(err, faults.ErrExceeded) {
 		t.Errorf("cancel err = %v, want plain context.Canceled", err)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"marion/internal/asm"
-	"marion/internal/budget"
 	"marion/internal/cc"
+	"marion/internal/faults"
 	"marion/internal/ilgen"
 	"marion/internal/ir"
 	"marion/internal/mach"
@@ -204,7 +204,7 @@ func TestAllocatePseudoCap(t *testing.T) {
 		af.NewPseudo(af.Pseudos[0].Set, ir.NoReg)
 	}
 	_, err := new(Scratch).AllocateOpts(m, af, Options{})
-	var le *budget.LimitError
+	var le *faults.LimitError
 	if !errors.As(err, &le) || le.Stage != "regalloc" || le.Steps != maxPseudos {
 		t.Fatalf("err = %v, want the regalloc pseudo-register cap", err)
 	}

@@ -3,11 +3,12 @@ package sched
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"marion/internal/asm"
-	"marion/internal/budget"
+	"marion/internal/faults"
 )
 
 // TestScheduleMaxCyclesCap pins the scheduler's step cap: a cycle loop
@@ -28,10 +29,10 @@ func TestScheduleMaxCyclesCap(t *testing.T) {
 	)
 	mkPseudos(af, f, 6)
 	_, err := new(Scratch).Schedule(m, af, b, Options{MaxCycles: 1})
-	if !errors.Is(err, budget.ErrExceeded) {
-		t.Fatalf("err = %v, want budget.ErrExceeded", err)
+	if !errors.Is(err, faults.ErrExceeded) {
+		t.Fatalf("err = %v, want faults.ErrExceeded", err)
 	}
-	var le *budget.LimitError
+	var le *faults.LimitError
 	if !errors.As(err, &le) || le.Stage != "sched" || le.Steps != 1 {
 		t.Errorf("limit error = %#v", le)
 	}
@@ -48,9 +49,9 @@ func TestScheduleMaxCyclesCap(t *testing.T) {
 	mustSchedule(t, m, af2, b2, Options{})
 }
 
-// TestScheduleContextDeadline pins budget enforcement: an expired
-// per-function deadline surfaces from the cycle loop as a typed budget
-// error, while plain cancellation passes through untyped.
+// TestScheduleContextDeadline: the cycle loop stops on an expired or
+// cancelled context and returns the context's error untyped, wrapped with
+// where it stopped; only the driver makes a deadline a budget error.
 func TestScheduleContextDeadline(t *testing.T) {
 	m := loadDesc(t, pipeDesc)
 	r := m.RegSet("r")
@@ -68,15 +69,18 @@ func TestScheduleContextDeadline(t *testing.T) {
 	defer cancel()
 	af, b := mkBlock()
 	_, err := new(Scratch).Schedule(m, af, b, Options{Context: expired})
-	if !errors.Is(err, budget.ErrExceeded) {
-		t.Errorf("deadline err = %v, want budget.ErrExceeded", err)
+	if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, faults.ErrExceeded) {
+		t.Errorf("deadline err = %v, want plain context.DeadlineExceeded", err)
+	}
+	if !strings.Contains(err.Error(), "sched: stopped at cycle 0") {
+		t.Errorf("deadline err = %q, want where the loop stopped", err)
 	}
 
 	cancelled, stop := context.WithCancel(context.Background())
 	stop()
 	af2, b2 := mkBlock()
 	_, err = new(Scratch).Schedule(m, af2, b2, Options{Context: cancelled})
-	if !errors.Is(err, context.Canceled) || errors.Is(err, budget.ErrExceeded) {
+	if !errors.Is(err, context.Canceled) || errors.Is(err, faults.ErrExceeded) {
 		t.Errorf("cancel err = %v, want plain context.Canceled", err)
 	}
 }

@@ -1,14 +1,13 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"strings"
 
 	"marion/internal/asm"
-	"marion/internal/budget"
 	"marion/internal/cdag"
+	"marion/internal/faults"
 	"marion/internal/mach"
 )
 
@@ -330,15 +329,15 @@ func (r *run) wedged() bool {
 	return !r.opts.Sequential && len(r.waiting) == 0 && r.cycle-r.lastProgress >= r.word.table.Window()
 }
 
-// interrupted polls Options.Context: a deadline becomes a typed budget
-// error so the caller can degrade, a cancellation is returned as-is.
+// interrupted polls Options.Context and returns its error wrapped with
+// where the loop stopped. Whether a deadline was a budget is the
+// driver's to say: only it knows the attempt's context from the run's.
 func (r *run) interrupted() error {
-	err := r.opts.Context.Err()
-	if err == context.DeadlineExceeded {
-		return &budget.LimitError{Stage: "sched", Detail: fmt.Sprintf("deadline at cycle %d, %d of %d unscheduled",
-			r.cycle, len(r.g.Nodes)-len(r.order), len(r.g.Nodes))}
+	if err := r.opts.Context.Err(); err != nil {
+		return fmt.Errorf("sched: stopped at cycle %d, %d of %d unscheduled: %w",
+			r.cycle, len(r.g.Nodes)-len(r.order), len(r.g.Nodes), err)
 	}
-	return err
+	return nil
 }
 
 // deadlock is the step cap's error, with enough state to diagnose a
@@ -365,7 +364,7 @@ func (r *run) deadlock(maxCycles int) error {
 		}
 		msg.WriteString("\n")
 	}
-	return &budget.LimitError{Stage: "sched", Steps: maxCycles, Detail: msg.String()}
+	return &faults.LimitError{Stage: "sched", Steps: maxCycles, Detail: msg.String()}
 }
 
 // addMember adds node i to a temporal group's member list.

@@ -55,12 +55,13 @@ type Options struct {
 	NoPack bool
 
 	// MaxCycles caps the scheduler's cycle loop; when the loop runs past
-	// the cap a typed budget error (errors.Is budget.ErrExceeded) is
+	// the cap a typed budget error (errors.Is faults.ErrExceeded) is
 	// returned instead of hanging. 0 means defaultMaxCycles.
 	MaxCycles int
 
-	// Context, when non-nil, is polled inside the cycle loop: a deadline
-	// becomes a typed budget error, a cancellation is returned as-is.
+	// Context, when non-nil, is polled inside the cycle loop; once it is
+	// done its error is returned, wrapped with the cycle the loop stopped
+	// at and never typed as a budget (the driver decides that).
 	Context context.Context
 }
 

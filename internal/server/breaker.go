@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"marion/internal/budget"
 	"marion/internal/driver"
 	"marion/internal/faults"
 	"marion/internal/strategy"
@@ -120,37 +119,17 @@ func (s *Server) settleBreaker(rq *compileReq, err error) {
 }
 
 // breakerRelevant classifies a compile failure for the circuit
-// breaker: panics, budget exhaustions and injected server faults are
+// breaker: panics, budget exhaustions and injected faults, wherever they
+// sit in the error (Diagnostics unwraps to every function's), are
 // service faults that count toward a trip; user errors, client
 // deadlines and cache-only misses are not.
 func breakerRelevant(err error) bool {
-	if err == nil {
-		return false
-	}
-	var sp *servePanicError
-	if errors.As(err, &sp) {
-		return true
-	}
-	var inj *faults.InjectedError
-	if errors.As(err, &inj) {
-		return true
-	}
-	var diags *driver.Diagnostics
-	if errors.As(err, &diags) {
-		for _, d := range diags.All() {
-			var pe *driver.PanicError
-			if errors.As(d.Err, &pe) {
-				return true
-			}
-			if errors.Is(d.Err, budget.ErrExceeded) {
-				return true
-			}
-			if errors.As(d.Err, &inj) {
-				return true
-			}
-		}
-	}
-	return false
+	var (
+		sp  *servePanicError
+		pe  *driver.PanicError
+		inj *faults.InjectedError
+	)
+	return errors.As(err, &sp) || errors.As(err, &pe) || errors.As(err, &inj) || errors.Is(err, faults.ErrExceeded)
 }
 
 // allow reports whether a request may run under key. probe is true

@@ -123,8 +123,8 @@ type Config struct {
 	// around each admitted compile with the breaker key as the function
 	// name and the per-key request sequence as the index, so
 	// serve:err@fn=r2000/rase@max=3 fails exactly that key's first
-	// three requests. Pipeline-site entries are passed down to the back
-	// end as usual.
+	// three requests. The whole set goes down to the back end, which
+	// fires only its pipeline sites.
 	Faults *faults.Set
 	// Clock is the time source for brownout/breaker pacing (default
 	// time.Now), injectable for deterministic tests.
@@ -198,10 +198,10 @@ type Server struct {
 	warn     error // non-fatal setup problems (cache disk tier)
 
 	// base is the back end configuration every request starts from: the
-	// server's Workers and Budget defaults, the shared cache, and the
-	// pipeline-site subset of Config.Faults. Serve-site-only specs must
-	// NOT reach the pipeline (an armed set disables the compilation
-	// cache, which would mask the cache-only brownout level under chaos).
+	// server's Workers and Budget defaults, the shared cache, and
+	// Config.Faults whole. The driver fires only its pipeline sites, and
+	// only a set arming one switches the cache off, so a serve-only spec
+	// leaves the cache (and the cache-only brownout level) working.
 	base driver.Config
 
 	seqMu sync.Mutex
@@ -270,7 +270,7 @@ func New(cfg Config) (*Server, error) {
 		Workers: cfg.Workers,
 		Budget:  cfg.Budget,
 		Cache:   ch,
-		Faults:  pipelineFaults(cfg.Faults),
+		Faults:  cfg.Faults,
 	}
 
 	mux := http.NewServeMux()
@@ -351,28 +351,6 @@ func (s *Server) nextSeq(key string) int {
 	n := s.seq[key]
 	s.seq[key] = n + 1
 	return n
-}
-
-// pipelineFaults extracts the pipeline-site subset of an armed fault
-// set; nil when nothing remains.
-func pipelineFaults(set *faults.Set) *faults.Set {
-	if set.Empty() {
-		return nil
-	}
-	pipe := map[string]bool{}
-	for _, site := range faults.Sites() {
-		pipe[site] = true
-	}
-	out := &faults.Set{}
-	for _, f := range set.Faults {
-		if pipe[f.Site] {
-			out.Faults = append(out.Faults, f)
-		}
-	}
-	if len(out.Faults) == 0 {
-		return nil
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -643,6 +645,59 @@ func TestBreakerAllTripped(t *testing.T) {
 	}
 	if w.Header().Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
+	}
+}
+
+// TestBreakerRelevant: a service fault counts toward a trip wherever it
+// sits in the error, a client's deadline and a cache-only miss never do.
+func TestBreakerRelevant(t *testing.T) {
+	diags := func(err error) error {
+		d := &driver.Diagnostics{}
+		d.Add(0, "ok", "strategy", errors.New("fine"))
+		d.Add(1, "f", "strategy", err)
+		return d
+	}
+	deadline := fmt.Errorf("sched: stopped at cycle 0, 2 of 2 unscheduled: %w", context.DeadlineExceeded)
+	for _, c := range []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"nil", nil, false},
+		{"user error", diags(errors.New("no template")), false},
+		{"deadline", diags(deadline), false},
+		{"cache-only miss", diags(driver.ErrCacheOnlyMiss), false},
+		{"budget", diags(&faults.LimitError{Stage: "strategy", Elapsed: time.Millisecond, Detail: deadline.Error()}), true},
+		{"step cap", diags(fmt.Errorf("%w (1 fallback attempt(s) also failed)", &faults.LimitError{Stage: "sched", Steps: 9})), true},
+		{"panic", diags(&driver.PanicError{Phase: "select", Func: "f", Value: "boom"}), true},
+		{"injected", diags(&faults.InjectedError{Site: "select", Fn: "f"}), true},
+		{"injected serve", &faults.InjectedError{Site: "serve", Fn: "r2000/rase"}, true},
+		{"serve panic", &servePanicError{val: "boom"}, true},
+	} {
+		if got := breakerRelevant(c.err); got != c.want {
+			t.Errorf("%s: breakerRelevant(%v) = %v, want %v", c.name, c.err, got, c.want)
+		}
+	}
+}
+
+// TestServeFaultKeepsCache: a spec arming only the serve site reaches
+// the back end whole but switches no cache off, so a repeated compile
+// under a key the fault does not name is still a hit.
+func TestServeFaultKeepsCache(t *testing.T) {
+	fset, err := faults.Parse("serve:err@fn=r2000/rase@max=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Faults: fset})
+	req := CompileRequest{Source: addC, Filename: "add.c", Target: "r2000", Strategy: "postpass"}
+	for i, want := range []int{0, 1} {
+		w := post(t, s, req, nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, w.Code, w.Body.String())
+		}
+		if got := decode[CompileResponse](t, w).CacheHits; got != want {
+			t.Errorf("request %d: %d cache hit(s), want %d", i, got, want)
+		}
 	}
 }
 

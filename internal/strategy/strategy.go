@@ -149,10 +149,10 @@ type Options struct {
 	// emits nops. The Safe rung ignores it (nops stay nops).
 	FillDelaySlots bool
 
-	// Deadline, when non-nil, is the per-function budget context: the
-	// scheduler's cycle loop and the allocator's round loop poll it, so
-	// an expired budget surfaces as a typed error instead of a hang.
-	// Set by the driver from Config.Budget.
+	// Deadline, when non-nil, is the attempt's context: the scheduler's
+	// cycle loop and the allocator's round loop poll it and stop with its
+	// error instead of hanging. Set by the driver, which alone types an
+	// expired Config.Budget as a budget error.
 	Deadline context.Context
 
 	// Inject is the fault-injection hook for this function attempt
