@@ -111,7 +111,6 @@ type Config struct {
 // Compiled is the result of one compilation.
 type Compiled struct {
 	Machine *mach.Machine
-	Module  *ir.Module
 	Prog    *asm.Program
 	Stats   map[string]*strategy.Stats
 	// PhaseTimes sums back end wall time per phase across all
@@ -140,73 +139,123 @@ type Compiled struct {
 }
 
 // Compile compiles one source text in language lang (see Lower) for a
-// shipped target.
+// shipped target. The IL is the compile's own (LowerScoped): the
+// result's code reaches the module's functions and blocks, but no
+// statement.
 func Compile(target, lang, name, src string, cfg Config) (*Compiled, error) {
 	m, err := targets.Load(target)
 	if err != nil {
 		return nil, err
 	}
-	mod, err := Lower(lang, name, src)
+	mod, done, err := LowerScoped(lang, name, src)
 	if err != nil {
 		return nil, err
 	}
-	return CompileModule(m, mod, cfg)
+	c, err := CompileModule(m, mod, cfg)
+	done()
+	return c, err
 }
 
 // Lower is the one place a source language picks its front end: "" or
-// "c" runs the C front end (Frontend), "il" parses textual IL
-// (internal/iltext). Either way the result is a lowered IL module, ready
-// for CompileModuleCtx.
+// "c" runs the C front end, "il" parses textual IL (internal/iltext).
+// Either way the result is a lowered IL module, ready for
+// CompileModuleCtx. The module is the caller's to keep: its nodes are
+// carved from a slab of its own, which the front end does not keep.
 func Lower(lang, name, src string) (*ir.Module, error) {
-	switch lang {
-	case "", "c":
-		return Frontend(name, src)
-	case "il":
-		return iltext.Parse(name, src)
-	}
-	return nil, fmt.Errorf("unknown lang %q (want \"c\" or \"il\")", lang)
+	mod, _, err := lower(&frontEnds, lang, name, src, false)
+	return mod, err
+}
+
+// LowerScoped is Lower for a compile that lowers its own source and
+// keeps nothing of the IL once the back end has returned
+// (marion.CodeGenerator.CompileCtx, mariond's /compile). The module's
+// nodes are carved from the front end's kept slab, and done gives them
+// back: it empties every block's Stmts, so the compiled code, which
+// reaches the module's functions and blocks, reaches no node, then
+// rewinds the slab and returns the front end to the pool. The caller
+// calls done once, after the compile; a compile that panics drops the
+// front end instead. On an error there is nothing to give back.
+func LowerScoped(lang, name, src string) (mod *ir.Module, done func(), err error) {
+	return lower(&frontEnds, lang, name, src, true)
 }
 
 // Frontend runs the C front end alone: source text to a lowered IL
-// module. Shipped code in this module goes through Lower; Frontend stays
-// exported because the benchmark module (bench/) names it.
-func Frontend(name, src string) (*ir.Module, error) { return lowerC(name, src, &frontEnds) }
+// module, as Lower("c", ...). Shipped code in this module goes through
+// Lower; Frontend stays exported because the benchmark module (bench/)
+// names it.
+func Frontend(name, src string) (*ir.Module, error) { return Lower("c", name, src) }
 
-// frontEnds is the pool the C front end borrows its scratch from, as a
+// frontEnds is the pool the front ends borrow their scratch from, as a
 // claim loop of the back end borrows its worker (workers): a frontEnd
 // waits here detached, so an idle one pins no unit.
 var frontEnds sync.Pool
 
-// frontEnd is the C front end's scratch: the parser's and checker's
-// (cc.Scratch) and the lowering's (ilgen.Scratch). The module a lowering
-// returns is built in storage of its own, so detaching the scratch
-// leaves it whole.
+// frontEnd is the front ends' scratch: the C parser's and checker's
+// (cc.Scratch), the lowering's (ilgen.Scratch), and the slab a scoped
+// unit's nodes are carved from, C or IL. The C scratch is detached as
+// soon as its unit is lowered; the slab holds the unit's nodes until
+// the compile's done rewinds it.
 type frontEnd struct {
-	cc cc.Scratch
-	il ilgen.Scratch
+	cc   cc.Scratch
+	il   ilgen.Scratch
+	slab ir.Slab
 }
 
-// lowerC lowers a C unit on a frontEnd borrowed from p, and detaches the
-// frontEnd before putting it back, whether or not the unit lowered. A
-// panic, which only a bug can cause, drops it instead.
-func lowerC(name, src string, p pool) (*ir.Module, error) {
+// lower is Lower and LowerScoped on a frontEnd borrowed from p. The two
+// differ only in where the nodes go: an escaping module's into a slab of
+// its own, a scoped one's into the frontEnd's, which its done gives back.
+// A panic, which only a bug can cause, drops the frontEnd instead of
+// putting it back.
+func lower(p pool, lang, name, src string, scoped bool) (*ir.Module, func(), error) {
+	switch lang {
+	case "", "c", "il":
+	default:
+		return nil, nil, fmt.Errorf("unknown lang %q (want \"c\" or \"il\")", lang)
+	}
 	fe, _ := p.Get().(*frontEnd)
 	if fe == nil {
 		fe = new(frontEnd)
 	}
-	mod, err := fe.lower(name, src)
+	if !scoped {
+		mod, err := fe.lower(lang, name, src, new(ir.Slab))
+		p.Put(fe)
+		return mod, nil, err
+	}
+	mod, err := fe.lower(lang, name, src, &fe.slab)
+	if err != nil {
+		fe.release(p)
+		return nil, nil, err
+	}
+	return mod, func() {
+		for _, fn := range mod.Funcs {
+			for _, b := range fn.Blocks {
+				b.Stmts = nil
+			}
+		}
+		fe.release(p)
+	}, nil
+}
+
+// lower lowers one unit, carving its nodes from nodes, and detaches the
+// C scratch, whether or not the unit lowered.
+func (fe *frontEnd) lower(lang, name, src string, nodes *ir.Slab) (*ir.Module, error) {
+	if lang == "il" {
+		return iltext.ParseOn(nodes, name, src)
+	}
+	file, err := fe.cc.Compile(name, src)
+	var mod *ir.Module
+	if err == nil {
+		mod, err = fe.il.Lower(file, nodes)
+	}
 	fe.cc.Detach()
 	fe.il.Detach()
-	p.Put(fe)
 	return mod, err
 }
 
-func (fe *frontEnd) lower(name, src string) (*ir.Module, error) {
-	file, err := fe.cc.Compile(name, src)
-	if err != nil {
-		return nil, err
-	}
-	return fe.il.Lower(file)
+// release rewinds the slab, whose nodes are dead, and puts fe back in p.
+func (fe *frontEnd) release(p pool) {
+	fe.slab.Rewind()
+	p.Put(fe)
 }
 
 // checkRegTypes refuses every function that declares a register of a
@@ -253,7 +302,6 @@ func CompileModuleCtx(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg 
 	}
 	out := &Compiled{
 		Machine:    m,
-		Module:     mod,
 		Prog:       &asm.Program{Machine: m, Name: mod.Name},
 		Stats:      map[string]*strategy.Stats{},
 		PhaseTimes: map[string]time.Duration{},

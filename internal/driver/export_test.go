@@ -78,4 +78,12 @@ func (b backend) RunOn(k *Kept, ctx context.Context, m *mach.Machine, funcs []*i
 }
 
 // LowerOn is Lower's C front end with its scratch borrowed from k.
-func LowerOn(k *Kept, name, src string) (*ir.Module, error) { return lowerC(name, src, k) }
+func LowerOn(k *Kept, name, src string) (*ir.Module, error) {
+	mod, _, err := lower(k, "c", name, src, false)
+	return mod, err
+}
+
+// LowerScopedOn is LowerScoped with its scratch borrowed from k.
+func LowerScopedOn(k *Kept, lang, name, src string) (*ir.Module, func(), error) {
+	return lower(k, lang, name, src, true)
+}

@@ -12,6 +12,7 @@ import (
 // frontEndCalls are the calls that pick a front end by hand.
 var frontEndCalls = map[string]bool{
 	"marion/internal/iltext.Parse":    true,
+	"marion/internal/iltext.ParseOn":  true,
 	"marion/internal/cc.Compile":      true,
 	"marion/internal/ilgen.Lower":     true,
 	"marion/internal/driver.Frontend": true,
@@ -23,7 +24,8 @@ var frontEndCalls = map[string]bool{
 var frontDoorOwners = map[string]bool{"internal/driver": true, "internal/cc": true,
 	"internal/ilgen": true, "internal/iltext": true}
 
-// sideDoors returns where f calls a front end other than through Lower.
+// sideDoors returns where f calls a front end other than through Lower
+// or LowerScoped.
 func sideDoors(f gentest.GoFile) []*ast.SelectorExpr {
 	var bad []*ast.SelectorExpr
 	ast.Inspect(f.AST, func(n ast.Node) bool {
@@ -37,9 +39,9 @@ func sideDoors(f gentest.GoFile) []*ast.SelectorExpr {
 	return bad
 }
 
-// TestSourceHasOneFrontDoor keeps the choice of front end in Lower:
-// outside frontDoorOwners and bench/, no shipped file calls a front end
-// directly.
+// TestSourceHasOneFrontDoor keeps the choice of front end in Lower and
+// LowerScoped, which share their code: outside frontDoorOwners and
+// bench/, no shipped file calls a front end directly.
 func TestSourceHasOneFrontDoor(t *testing.T) {
 	t.Run("planted", func(t *testing.T) {
 		f := gentest.Planted(t, "internal/p/p.go", `package p
@@ -51,11 +53,13 @@ import (
 func f() {
 	front.Compile("a.c", "")
 	iltext.Parse("a.il", "")
+	iltext.ParseOn(nil, "a.il", "")
 	driver.Frontend("a.c", "")
 	driver.Lower("c", "a.c", "")
+	driver.LowerScoped("c", "a.c", "")
 }`)
-		if got := len(sideDoors(f)); got != 3 {
-			t.Fatalf("found %d of the 3 planted side doors", got)
+		if got := len(sideDoors(f)); got != 4 {
+			t.Fatalf("found %d of the 4 planted side doors", got)
 		}
 	})
 
@@ -67,6 +71,55 @@ func f() {
 		for _, sel := range sideDoors(f) {
 			t.Errorf("%s: %s.%s: choose the front end through driver.Lower",
 				fset.Position(sel.Pos()), sel.X.(*ast.Ident).Name, sel.Sel.Name)
+		}
+	}
+}
+
+// slabRewinds returns where f names a method Rewind, which only ir.Slab
+// has: a call, or a method value to call later.
+func slabRewinds(f gentest.GoFile) []*ast.SelectorExpr {
+	var found []*ast.SelectorExpr
+	ast.Inspect(f.AST, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Rewind" {
+			found = append(found, sel)
+		}
+		return true
+	})
+	return found
+}
+
+// TestSlabHasOneRewinder keeps the decision "is this IL dead?" with the
+// driver: no shipped file outside this package rewinds an ir.Slab, so
+// the only nodes ever zeroed and carved again are those of a unit
+// lowered by LowerScoped, once its done has emptied the module's
+// blocks. A front end or a phase that built IL drops its slab with the
+// IL instead.
+func TestSlabHasOneRewinder(t *testing.T) {
+	t.Run("planted", func(t *testing.T) {
+		f := gentest.Planted(t, "internal/p/p.go", `package p
+import "marion/internal/ir"
+type keep struct{ nodes ir.Slab }
+func f(s *ir.Slab, k *keep) {
+	s.Rewind()
+	k.nodes.Rewind()
+	_ = s.Const(ir.I32, 0)
+	k.nodes = ir.Slab{}
+	rewind := s.Rewind
+	_ = rewind
+}`)
+		if got := len(slabRewinds(f)); got != 3 {
+			t.Fatalf("found %d of the 3 planted rewinds", got)
+		}
+	})
+
+	fset := token.NewFileSet()
+	for _, f := range gentest.Shipped(t, fset) {
+		if f.Dir == "internal/driver" {
+			continue
+		}
+		for _, sel := range slabRewinds(f) {
+			t.Errorf("%s: Rewind: only the driver knows when a unit's IL is dead",
+				fset.Position(sel.Pos()))
 		}
 	}
 }

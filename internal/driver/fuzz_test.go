@@ -10,9 +10,11 @@ import (
 
 // FuzzLowerC feeds arbitrary text to the C front end (lexer, parser,
 // type checker, lowering) on a frontEnd kept between inputs, as the pool
-// keeps it: it may refuse the text, but must not panic, must leave
-// nothing of the text in the frontEnd, and must leave the frontEnd
-// lowering a fixed unit (the first Livermore kernel) as it did first.
+// keeps it: it may refuse the text, but must not panic, must lower it
+// into the frontEnd's rewound slab (LowerScoped) as a fresh front end
+// lowers it, must leave nothing of the text in the frontEnd, and must
+// leave the frontEnd lowering a fixed unit (the first Livermore kernel)
+// as it did first.
 // The seeds are the C units of gentest.Golden, the Livermore kernels,
 // whole and cut short, and units that fail in the parser and the
 // checker; under plain go test they run as subtests.
@@ -37,6 +39,9 @@ func FuzzLowerC(f *testing.F) {
 	want := lowerFresh("fixed.c", fixed)
 	kept := new(driver.Kept)
 	f.Fuzz(func(t *testing.T, src string) {
+		if got, want := lowerScoped(t, kept, "c", "fuzz.c", src), lowerFresh("fuzz.c", src); got != want {
+			t.Fatalf("on a rewound slab, the input lowers to\n%s\nwant\n%s", got, want)
+		}
 		driver.LowerOn(kept, "fuzz.c", src)
 		if path := frontEndPin(kept.Workers()[0]); path != "" {
 			t.Fatalf("after the input, the pooled frontEnd holds %s", path)

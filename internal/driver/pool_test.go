@@ -238,6 +238,36 @@ func lowerFresh(name, src string) string {
 	return lowered(ilgen.Lower(file))
 }
 
+// lowerScoped lowers a unit through LowerScoped on a frontEnd from k,
+// prints it, and gives its IL back; after that no block of the module
+// may hold a statement.
+func lowerScoped(t *testing.T, k *driver.Kept, lang, name, src string) string {
+	t.Helper()
+	mod, done, err := driver.LowerScopedOn(k, lang, name, src)
+	if err != nil {
+		return err.Error()
+	}
+	text := iltext.Print(mod)
+	done()
+	if where := heldStmts(mod.Funcs); where != "" {
+		t.Fatalf("%s: after done, %s", name, where)
+	}
+	return text
+}
+
+// heldStmts names the first block of funcs that holds a statement, or
+// returns "" when none does.
+func heldStmts(funcs []*ir.Func) string {
+	for _, fn := range funcs {
+		for _, b := range fn.Blocks {
+			if len(b.Stmts) > 0 {
+				return fmt.Sprintf("block %s of %s holds %d statements", b.Name(), fn.Name, len(b.Stmts))
+			}
+		}
+	}
+	return ""
+}
+
 // cUnits are the C units of gentest.Golden, Serve and Generated(n).
 func cUnits(n int) []gentest.Unit {
 	var units []gentest.Unit
@@ -252,9 +282,11 @@ func cUnits(n int) []gentest.Unit {
 // TestPooledFrontEndMatchesFresh: one frontEnd, kept between units as
 // the pool keeps it, lowers the big-block fixture, then each C unit of
 // the corpus, then a unit that fails in the parser or the checker,
-// then the big-block fixture again. Each lowering prints what
-// the same unit lowered on fresh scratch prints, or fails as it does,
-// and a module stays whole when the frontEnd lowers the next unit.
+// then the big-block fixture again, each unit first scoped (into the
+// frontEnd's kept slab, given back at once) and then to keep. Each
+// lowering prints what the same unit lowered on fresh scratch prints,
+// or fails as it does, and a kept module stays whole when the frontEnd
+// lowers the next units into its slab.
 func TestPooledFrontEndMatchesFresh(t *testing.T) {
 	big := gentest.Fixture(gentest.BigBlock)
 	kept := new(driver.Kept)
@@ -263,6 +295,9 @@ func TestPooledFrontEndMatchesFresh(t *testing.T) {
 	lower := func(name, src string) {
 		t.Helper()
 		want := lowerFresh(name, src)
+		if got := lowerScoped(t, kept, "c", name, src); got != want {
+			t.Fatalf("%s: the pooled front end, scoped, gives\n%s\nwant\n%s", name, got, want)
+		}
 		mod, err := driver.LowerOn(kept, name, src)
 		if got := lowered(mod, err); got != want {
 			t.Fatalf("%s: the pooled front end gives\n%s\nwant\n%s", name, got, want)
@@ -288,19 +323,21 @@ func TestPooledFrontEndMatchesFresh(t *testing.T) {
 }
 
 // TestPooledFrontEndConcurrent: three goroutines at a time lower the C
-// units of the corpus and the failing units through driver.Lower,
-// borrowing from the package's pool, and every lowering equals its fresh
-// one. Under
-// -race this checks that a frontEnd goes back only once its unit is
-// lowered and detached.
+// units of the corpus, their printed IL and the failing units through
+// driver.Lower and driver.LowerScoped, borrowing from the package's
+// pool, and every lowering equals its fresh one; a scoped one is printed,
+// then given back, and then holds no statement. Under -race this checks
+// that a frontEnd goes back only once its unit is lowered and detached,
+// and a scoped unit's slab only once its done has run.
 func TestPooledFrontEndConcurrent(t *testing.T) {
-	type unit struct{ name, src, want string }
+	type unit struct{ lang, name, src, want string }
 	var units []unit
 	for _, u := range cUnits(10) {
-		units = append(units, unit{u.Name, u.Text, lowerFresh(u.Name, u.Text)})
+		want := lowerFresh(u.Name, u.Text)
+		units = append(units, unit{"c", u.Name, u.Text, want}, unit{"il", u.Name, want, want})
 	}
 	for _, src := range frontFailures {
-		units = append(units, unit{"bad.c", src, lowerFresh("bad.c", src)})
+		units = append(units, unit{"c", "bad.c", src, lowerFresh("bad.c", src)})
 	}
 	var wg sync.WaitGroup
 	for g := range 3 {
@@ -309,8 +346,21 @@ func TestPooledFrontEndConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := range 2 * len(units) {
 				u := units[(i+g*7)%len(units)]
-				if got := lowered(driver.Lower("c", u.name, u.src)); got != u.want {
-					t.Errorf("%s: a pooled frontEnd gives\n%s", u.name, got)
+				if got := lowered(driver.Lower(u.lang, u.name, u.src)); got != u.want {
+					t.Errorf("%s (%s): a pooled frontEnd gives\n%s", u.name, u.lang, got)
+					return
+				}
+				mod, done, err := driver.LowerScoped(u.lang, u.name, u.src)
+				if got := lowered(mod, err); got != u.want {
+					t.Errorf("%s (%s): a pooled frontEnd, scoped, gives\n%s", u.name, u.lang, got)
+					return
+				}
+				if err != nil {
+					continue
+				}
+				done()
+				if where := heldStmts(mod.Funcs); where != "" {
+					t.Errorf("%s (%s): after done, %s", u.name, u.lang, where)
 					return
 				}
 			}
@@ -326,6 +376,10 @@ func TestPooledFrontEndConcurrent(t *testing.T) {
 //   - nothing reachable from it is a unit's own — no IL function,
 //     block, node or symbol, no C object or type, no name or source
 //     text — the walk naming the field that holds one;
+//   - the same holds once it has lowered each unit again for a compile
+//     of its own (LowerScoped, the back end, done): its kept slab chunks
+//     are zero, and nothing reachable from a compile's result or module
+//     points into one;
 //   - after two collections (and a few more for finalizers queued
 //     behind others), the finalizer of every module's global symbols
 //     and every function's register table has run.
@@ -364,6 +418,44 @@ func TestPooledFrontEndPinsNothing(t *testing.T) {
 	if path := frontEndPin(fes[0]); path != "" {
 		t.Errorf("the pooled frontEnd holds a unit's storage at %s", path)
 	}
+
+	// The same frontEnd lowers the units again, each for a compile of its
+	// own, and gives each unit's IL back; the compiles' results are kept.
+	m, err := targets.Load("r2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []any
+	for _, src := range append(srcs, frontFailures...) {
+		mod, done, err := driver.LowerScopedOn(kept, "c", "unit.c", src)
+		if err != nil {
+			continue
+		}
+		c, err := driver.CompileModuleCtx(context.Background(), m, mod,
+			driver.Config{Strategy: strategy.Postpass, Workers: 1, Verify: true})
+		done()
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, c, mod)
+	}
+	fes = kept.Workers()
+	if len(fes) != 1 {
+		t.Fatalf("after the scoped compiles, %d frontEnds wait in the pool, want 1", len(fes))
+	}
+	if path := frontEndPin(fes[0]); path != "" {
+		t.Errorf("after the scoped compiles, the pooled frontEnd holds a unit's storage at %s", path)
+	}
+	chunks := keptChunks(reflect.ValueOf(fes[0]).Elem().FieldByName("slab"))
+	if len(chunks) == 0 {
+		t.Fatal("the pooled frontEnd keeps no slab chunk")
+	}
+	for i, r := range results {
+		if path := pointsInto(reflect.ValueOf(r), chunks, map[walkKey]bool{}); path != "" {
+			t.Errorf("result %d reaches a kept slab chunk: %s", i/2, path)
+		}
+	}
+	runtime.KeepAlive(results)
 	runtime.GC()
 	runtime.GC()
 	for i := 0; i < 20 && ran.Load() != want.Load(); i++ {
@@ -376,12 +468,158 @@ func TestPooledFrontEndPinsNothing(t *testing.T) {
 	runtime.KeepAlive(kept)
 }
 
+// TestScopedCompileKeepsItsCode: a compile that lowers its own source —
+// LowerScoped, the back end, then done, as marion's CompileCtx does —
+// hands back code that outlives its IL. One frontEnd, kept in a test's
+// pool, serves a C unit, then an IL unit and the big-block fixture,
+// each carved into the chunks the one before it gave back. After each
+// compile, every result so far prints as it did when it was made, and
+// no block of its IL functions holds a statement.
+func TestScopedCompileKeepsItsCode(t *testing.T) {
+	m, err := targets.Load("i860")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units []gentest.Unit
+	for _, lang := range []string{"c", "il"} {
+		for _, u := range gentest.Serve() {
+			if u.Lang == lang {
+				units = append(units, u)
+				break
+			}
+		}
+	}
+	units = append(units, gentest.Fixture(gentest.BigBlock))
+	kept := new(driver.Kept)
+	var done []*driver.Compiled
+	var printed []string
+	for _, u := range units {
+		mod, giveBack, err := driver.LowerScopedOn(kept, u.Lang, u.Name, u.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := driver.CompileModuleCtx(context.Background(), m, mod,
+			driver.Config{Strategy: strategy.RASE, Workers: 1, Verify: true})
+		giveBack()
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		done, printed = append(done, c), append(printed, c.Prog.Print())
+		for i, c := range done {
+			if c.Prog.Print() != printed[i] {
+				t.Fatalf("after %s, the program of %s prints differently", u.Name, units[i].Name)
+			}
+			var funcs []*ir.Func
+			for _, f := range c.Prog.Funcs {
+				funcs = append(funcs, f.IR)
+			}
+			if where := heldStmts(funcs); where != "" {
+				t.Fatalf("after %s, the program of %s reaches IL: %s", u.Name, units[i].Name, where)
+			}
+		}
+	}
+	if n := len(kept.Workers()); n != 1 {
+		t.Fatalf("%d frontEnds wait in the pool, want the one every unit borrowed", n)
+	}
+}
+
 // frontEndPin returns the path to the first thing of a unit a pooled
-// frontEnd holds, or "" when it holds none.
+// frontEnd holds, or "" when it holds none. Its slab's chunks are its
+// own, but must be zero.
 func frontEndPin(fe any) string {
 	w := newWalker()
-	w.strings = true
+	w.strings, w.chunks = true, true
 	return w.pinned(reflect.ValueOf(fe), "frontEnd")
+}
+
+// span is the storage of one slab chunk, [lo, hi).
+type span struct{ lo, hi uintptr }
+
+// keptChunks returns the storage of every chunk an ir.Slab keeps,
+// nodes and kid lists alike.
+func keptChunks(slab reflect.Value) []span {
+	var spans []span
+	for _, kind := range []string{"nodes", "kids"} {
+		all := slab.FieldByName(kind).FieldByName("all")
+		for i := range all.Len() {
+			ch := all.Index(i)
+			if ch.Cap() > 0 {
+				lo := ch.Pointer()
+				spans = append(spans, span{lo, lo + uintptr(ch.Cap())*ch.Type().Elem().Size()})
+			}
+		}
+	}
+	return spans
+}
+
+// pointsInto returns the path from v to the first pointer reachable
+// from it (a slice's array included) into one of spans, or "" when
+// there is none. It follows everything but the machine description.
+func pointsInto(v reflect.Value, spans []span, seen map[walkKey]bool) string {
+	inside := func(p uintptr) bool {
+		for _, s := range spans {
+			if p >= s.lo && p < s.hi {
+				return true
+			}
+		}
+		return false
+	}
+	t := v.Type()
+	if t.PkgPath() == "marion/internal/mach" {
+		return ""
+	}
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || t.Elem().PkgPath() == "marion/internal/mach" {
+			return ""
+		}
+		if inside(v.Pointer()) {
+			return " (a " + t.String() + ")"
+		}
+		if k := (walkKey{v.Pointer(), t}); !seen[k] {
+			seen[k] = true
+			return pointsInto(v.Elem(), spans, seen)
+		}
+	case reflect.Interface:
+		if !v.IsNil() {
+			return pointsInto(v.Elem(), spans, seen)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if p := pointsInto(v.Field(i), spans, seen); p != "" {
+				return "." + t.Field(i).Name + p
+			}
+		}
+	case reflect.Array:
+		for i := range v.Len() {
+			if p := pointsInto(v.Index(i), spans, seen); p != "" {
+				return fmt.Sprintf("[%d]%s", i, p)
+			}
+		}
+	case reflect.Slice:
+		if v.IsNil() || v.Cap() == 0 {
+			return ""
+		}
+		if inside(v.Pointer()) {
+			return " (a " + t.String() + ")"
+		}
+		if k := (walkKey{v.Pointer(), t}); !seen[k] {
+			seen[k] = true
+			all := v.Slice3(0, v.Cap(), v.Cap())
+			for i := range all.Len() {
+				if p := pointsInto(all.Index(i), spans, seen); p != "" {
+					return fmt.Sprintf("[%d]%s", i, p)
+				}
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if p := pointsInto(it.Value(), spans, seen); p != "" {
+				return "[value]" + p
+			}
+		}
+	}
+	return ""
 }
 
 // compilePooled compiles the Livermore suite and the serve units on
@@ -470,11 +708,18 @@ var contextType = reflect.TypeOf((*context.Context)(nil)).Elem()
 // (up to the slice's capacity: the collector sees the whole array) from
 // a value, except into the machine description, which outlives every
 // compile. With strings set, a non-empty string is a pin too: a unit's
-// names and source are its own.
+// names and source are its own. With chunks set, a chunk of IL nodes or
+// kid pointers is not, as a frontEnd's kept slab holds them, but every
+// value in it must be zero.
 type walker struct {
-	seen    map[walkKey]bool
-	strings bool
+	seen            map[walkKey]bool
+	strings, chunks bool
 }
+
+var (
+	nodeType    = reflect.TypeOf(ir.Node{})
+	nodePtrType = reflect.TypeOf((*ir.Node)(nil))
+)
 
 type walkKey struct {
 	p uintptr
@@ -541,6 +786,15 @@ func (w *walker) find(v reflect.Value) string {
 		}
 	case reflect.Slice:
 		if v.IsNil() || v.Cap() == 0 {
+			return ""
+		}
+		if w.chunks && (t.Elem() == nodeType || t.Elem() == nodePtrType) {
+			all := v.Slice3(0, v.Cap(), v.Cap())
+			for i := range all.Len() {
+				if !all.Index(i).IsZero() {
+					return fmt.Sprintf("[%d] (a kept %s chunk of %d holds a unit's value)", i, t.Elem(), v.Cap())
+				}
+			}
 			return ""
 		}
 		if compileTypes[t.Elem()] {

@@ -49,9 +49,9 @@ func TestRegressUnits(t *testing.T) {
 	}
 }
 
-// storeC stores a char in memory; toyp has no char store (ROADMAP 17,
-// missing stores), so it runs on the other targets. shortC stores a
-// short, which only r2000, r2000s and m88000 can.
+// storeC stores a char in memory and shortC a short; toyp has no
+// sub-word store (ROADMAP 17, missing stores), so both run on the other
+// targets.
 const (
 	storeC = "char g;\nint ma(int x) { return g = x; }\n" +
 		"int mc(int x) { g = 100; return g += x; }\nint mi(int x) { g = x; return ++g; }\n"
@@ -70,10 +70,8 @@ func TestRegressStoreUnits(t *testing.T) {
 	for _, target := range targets.Names() {
 		if target != "toyp" {
 			runRegress(t, target, "store.c", storeC, want)
+			runRegress(t, target, "short.c", shortC, []regressCall{{"ms", []sim.Value{sim.Int(10000)}, int64(-25536)}})
 		}
-	}
-	for _, target := range []string{"r2000", "r2000s", "m88000"} {
-		runRegress(t, target, "short.c", shortC, []regressCall{{"ms", []sim.Value{sim.Int(10000)}, int64(-25536)}})
 	}
 }
 

@@ -167,13 +167,13 @@ func BenchmarkSmallUnits(b *testing.B) {
 // with the cache and the verifier on, as mariond compiles a request:
 // the back end on one worker, the admission check and the store. Each
 // is about 15 % above what the code allocated when the ceilings were
-// set, when the scheduler began keeping each Result's Order and Cycles
-// in its scratch: 132.8 allocations and 15 296 bytes. Under -race,
-// where the pool drops a random quarter of what is put back, the count
-// reads about 140.
+// set, when the frame, entry-move and schedule rewrites of a block began
+// building one exactly sized list each: 97.9 allocations and 13 869
+// bytes. Under -race, where the pool drops a random quarter of what is
+// put back, the count reads about 106.
 const (
-	coldMissAllocsPerFn = 153
-	coldMissBytesPerFn  = 17600
+	coldMissAllocsPerFn = 113
+	coldMissBytesPerFn  = 16000
 )
 
 // TestColdMissAllocBudget holds the miss path (coldMissJobs) on the
@@ -193,14 +193,15 @@ func TestColdMissAllocBudget(t *testing.T) {
 
 // Allocations and bytes per function of a stream of one-function units
 // compiled with no cache, about 15 % above what the code allocated when
-// the ceilings were set, when the scheduler began keeping each Result's
-// Order and Cycles in its scratch: 173.0 allocations and 83 505 bytes.
+// the ceilings were set, when the frame, entry-move and schedule
+// rewrites of a block began building one exactly sized list each: 155.9
+// allocations and 73 198 bytes.
 // Neither is held under -race, where sync.Pool drops a random quarter
 // of what is put back, so a Run builds a new arena as often as the draw
 // says.
 const (
-	smallUnitAllocsPerFn = 199
-	smallUnitBytesPerFn  = 96100
+	smallUnitAllocsPerFn = 179
+	smallUnitBytesPerFn  = 84200
 )
 
 // TestSmallUnitAllocBudget holds a stream of small compiles (smallJobs)

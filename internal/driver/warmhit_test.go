@@ -149,20 +149,24 @@ func (w *warmHit) hit(tb testing.TB) *driver.Compiled {
 	return out
 }
 
-// parse is the IL front end: the module's textual IL parsed.
-func (w *warmHit) parse(tb testing.TB) {
-	if _, err := iltext.Parse(w.mod.Name, w.text); err != nil {
-		tb.Fatal(err)
+// parse is the IL front end as a compile runs it: the module's textual
+// IL parsed (LowerScoped), and given back.
+func (w *warmHit) parse(tb testing.TB) { lowerAndGiveBack(tb, "il", w.mod.Name, w.text) }
+
+// frontend is the C front end as a compile runs it over the kernels'
+// sources: each lowered (LowerScoped), and given back.
+func (w *warmHit) frontend(tb testing.TB) {
+	for i := range livermore.Kernels {
+		lowerAndGiveBack(tb, "c", "loop.c", livermore.Kernels[i].Source)
 	}
 }
 
-// frontend is the C front end over the kernels' sources.
-func (w *warmHit) frontend(tb testing.TB) {
-	for i := range livermore.Kernels {
-		if _, err := driver.Frontend("loop.c", livermore.Kernels[i].Source); err != nil {
-			tb.Fatal(err)
-		}
+func lowerAndGiveBack(tb testing.TB, lang, name, src string) {
+	_, done, err := driver.LowerScoped(lang, name, src)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	done()
 }
 
 func (w *warmHit) fingerprint(testing.TB) {
@@ -223,25 +227,26 @@ func BenchmarkWarmHit(b *testing.B) {
 
 // Allocations and bytes per function of the warm leaves: a cache hit
 // (splice), the same hit through CompileModule, the parse of the
-// module's textual IL, and the C front end. Each is about 15 % above
-// what the code allocated when the ceilings were set: the hits 9.8 and
-// 4.8 allocations, 7 164 and 604 bytes, once a hit became a splice of
+// module's textual IL, and the C front end, each front end lowering as a
+// compile does and giving its IL back. Each is about 15 % above what the
+// code allocated when the ceilings were set: the hits 9.8 and 4.8
+// allocations, 7 164 and 604 bytes, once a hit became a splice of
 // printed text (what is left is the fingerprint's fresh scratch and
-// Print's buffer); parse 89.1 allocations and 12 279 bytes, once the
-// front ends built from slabs; the C front end 110.9 and 16 725, once it
-// borrowed its scratch from a pool. Under -race, where the pool drops a
-// random quarter of what is put back, the C front end's count reads 125
-// to 130, and is held to its own ceiling.
+// Print's buffer); parse 89.0 allocations and 4 049 bytes, and the C
+// front end 107.9 and 4 277, once both carved their nodes from the
+// pooled front end's slab. Under -race, where the pool drops a random
+// quarter of what is put back, the C front end's count reads 122 to
+// 126, and is held to its own ceiling.
 const (
 	hitAllocsPerFn          = 11.3
 	compileHitAllocsPerFn   = 5.6
-	parseAllocsPerFn        = 103
-	frontendAllocsPerFn     = 128
-	frontendRaceAllocsPerFn = 148
+	parseAllocsPerFn        = 102
+	frontendAllocsPerFn     = 124
+	frontendRaceAllocsPerFn = 144
 	hitBytesPerFn           = 8200
 	compileHitBytesPerFn    = 700
-	parseBytesPerFn         = 14100
-	frontendBytesPerFn      = 19300
+	parseBytesPerFn         = 4700
+	frontendBytesPerFn      = 4950
 )
 
 // TestWarmHitAllocBudget holds four warm leaves to an allocation budget,

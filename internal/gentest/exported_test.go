@@ -152,11 +152,17 @@ func unusedExports(files []GoFile) []export {
 	return unused
 }
 
-// recvName is the type name of a method's receiver (no shipped type
-// has type parameters).
+// recvName is the type name of a method's receiver, a generic type's
+// without its type parameters.
 func recvName(x ast.Expr) string {
 	if star, ok := x.(*ast.StarExpr); ok {
 		x = star.X
+	}
+	switch g := x.(type) {
+	case *ast.IndexExpr:
+		x = g.X
+	case *ast.IndexListExpr:
+		x = g.X
 	}
 	return x.(*ast.Ident).Name
 }

@@ -13,23 +13,24 @@ import (
 )
 
 // Lower converts a checked translation unit into an IL module, on a
-// scratch of its own.
-func Lower(file *cc.File) (*ir.Module, error) { return new(Scratch).Lower(file) }
+// scratch and a slab of its own.
+func Lower(file *cc.File) (*ir.Module, error) { return new(Scratch).Lower(file, new(ir.Slab)) }
 
 // Scratch is the storage the lowering works in, kept from one unit to
 // the next: the CSE table, the block layout, the call-argument and loop
 // stacks, and the maps from the unit's objects to their registers and
 // symbols. The zero value is ready to use. What Lower returns is the
-// caller's: the module's nodes come from a slab of the unit's own, and
+// caller's: the module's nodes come from the slab the caller gives, and
 // nothing of it stays in s past the next Lower or Detach. A scratch
 // belongs to one goroutine at a time.
 type Scratch struct{ g gen }
 
-// Lower converts a checked translation unit into an IL module, in s.
-func (s *Scratch) Lower(file *cc.File) (*ir.Module, error) {
+// Lower converts a checked translation unit into an IL module, in s,
+// carving its nodes from nodes.
+func (s *Scratch) Lower(file *cc.File, nodes *ir.Slab) (*ir.Module, error) {
 	s.Detach()
 	g := &s.g
-	g.m = &ir.Module{Name: file.Name}
+	g.m, g.slab = &ir.Module{Name: file.Name}, nodes
 	for _, o := range file.Globals {
 		if o.Kind != cc.ObjGlobal {
 			continue
@@ -68,12 +69,13 @@ const (
 
 // Detach readies s to wait in a pool: it drops every pointer it holds
 // into the unit it lowered last — the module, its functions, blocks,
-// nodes and symbols, the unit's objects — keeping storage up to
-// keepBytes or keepEntries of each kind for the next unit.
+// symbols and the slab its nodes came from, the unit's objects —
+// keeping storage up to keepBytes or keepEntries of each kind for the
+// next unit.
 func (s *Scratch) Detach() {
 	g := &s.g
 	g.m, g.fd, g.fn, g.cur = nil, nil, nil, nil
-	g.slab = ir.Slab{}
+	g.slab = nil
 	g.globals = emptiedMap(g.globals)
 	g.fpool = emptiedMap(g.fpool)
 	g.regs = emptiedMap(g.regs)
@@ -141,11 +143,11 @@ type gen struct {
 	// cse is the unit's value-numbering table, reused block to block.
 	cse cseTable
 
-	// slab holds the unit's nodes and kid lists; stack collects a call's
-	// arguments, which are carved once all are lowered. workLeft counts
-	// the statements and expressions of the function not yet begun,
-	// workDone those of the unit begun.
-	slab               ir.Slab
+	// slab is where the unit's nodes and kid lists are carved, the
+	// caller's; stack collects a call's arguments, which are carved once
+	// all are lowered. workLeft counts the statements and expressions of
+	// the function not yet begun, workDone those of the unit begun.
+	slab               *ir.Slab
 	stack              []*ir.Node
 	workLeft, workDone int
 }

@@ -281,14 +281,20 @@ func formatFloat(v float64) string {
 // Parser
 // ---------------------------------------------------------------------
 
-// Parse reads the textual IL format back into a module. The result
-// satisfies the same invariants ilgen establishes: CFG edges follow
-// statement order with fallthrough last, per-block parent counts are
-// set, and global pseudo-registers are marked.
-func Parse(name, src string) (*ir.Module, error) {
+// Parse reads the textual IL format back into a module, its nodes
+// carved from a slab of its own. The result satisfies the same
+// invariants ilgen establishes: CFG edges follow statement order with
+// fallthrough last, per-block parent counts are set, and global
+// pseudo-registers are marked.
+func Parse(name, src string) (*ir.Module, error) { return ParseOn(new(ir.Slab), name, src) }
+
+// ParseOn is Parse with the module's nodes carved from nodes, the
+// caller's.
+func ParseOn(nodes *ir.Slab, name, src string) (*ir.Module, error) {
 	p := &parser{
 		src:       src,
 		line:      1,
+		slab:      nodes,
 		mod:       &ir.Module{Name: name},
 		globals:   map[string]*ir.Sym{},
 		ambiguous: map[string]bool{},
@@ -299,8 +305,8 @@ func Parse(name, src string) (*ir.Module, error) {
 	// Every node is written as one parenthesised form, and the only
 	// other form is (def $N ...), so the text states its node count; a
 	// statement DAG has about one kid slot a node.
-	nodes := strings.Count(src, "(") - strings.Count(src, "(def ")
-	p.slab.Expect(nodes, nodes)
+	forms := strings.Count(src, "(") - strings.Count(src, "(def ")
+	nodes.Expect(forms, forms)
 	err := p.file()
 	if p.lexErr != nil {
 		// The parser saw the input end where the lexer gave up, and
@@ -335,9 +341,10 @@ type parser struct {
 	ambiguous map[string]bool
 	fsyms     map[string]*ir.Sym
 
-	// slab holds the unit's nodes and kid lists; stack collects the
-	// kids of the forms being parsed, which are carved once complete.
-	slab  ir.Slab
+	// slab is where the unit's nodes and kid lists are carved, the
+	// caller's; stack collects the kids of the forms being parsed, which
+	// are carved once complete.
+	slab  *ir.Slab
 	stack []*ir.Node
 
 	// Per-function state; the two maps are emptied, not remade, from

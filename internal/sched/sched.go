@@ -182,12 +182,7 @@ type slotLayout struct {
 // issues in once the nops of earlier transfers are in, slots the number
 // of nops that follow it.
 func (l *slotLayout) place(t *mach.Instr, cycle int) (at, slots int) {
-	at = cycle + l.shift
-	if t.Transfers() {
-		if slots = t.Slots; slots < 0 {
-			slots = -slots
-		}
-	}
+	at, slots = cycle+l.shift, delaySlots(t)
 	l.shift += slots
 	if at+slots > l.last {
 		l.last = at + slots
@@ -195,18 +190,32 @@ func (l *slotLayout) place(t *mach.Instr, cycle int) (at, slots int) {
 	return at, slots
 }
 
+// delaySlots is the number of nops that follow t in issue order: its
+// delay slots when it transfers control, else none.
+func delaySlots(t *mach.Instr) int {
+	if !t.Transfers() {
+		return 0
+	}
+	return max(t.Slots, -t.Slots)
+}
+
 // cost is the block's cycle count for everything placed so far.
 func (l *slotLayout) cost() int { return l.last + 1 }
 
 // apply commits a schedule to the block: instructions are put in issue
 // order (res.Order is, as Run returns it), Cycle fields are set, and
-// branch delay slots are filled with nops.
+// branch delay slots are filled with nops. The new list is made once,
+// exactly sized for the instructions and their nops.
 func apply(m *mach.Machine, b *asm.Block, res Result) {
 	if len(res.Order) == 0 {
 		b.SchedCost = res.Cost
 		return
 	}
-	out := make([]*asm.Inst, 0, len(res.Order))
+	n := len(res.Order)
+	for _, i := range res.Order {
+		n += delaySlots(b.Insts[i].Tmpl)
+	}
+	out := make([]*asm.Inst, 0, n)
 	var lay slotLayout
 	for k, i := range res.Order {
 		in := b.Insts[i]

@@ -486,6 +486,9 @@ type compileReq struct {
 
 	// lower
 	mod *ir.Module
+	// done gives mod's nodes back to the front end's pool (LowerScoped);
+	// nil before lower, and after a panic, which drops them instead.
+	done func()
 
 	// plan
 	opts     CompileOptions // the wire options as planned (brownout applied)
@@ -594,7 +597,17 @@ func (s *Server) serveCompile(rq *compileReq) {
 	// limit past what real compiles sustain.
 	defer func() { release(rq.slot) }()
 
-	if !s.lower(rq) || !s.plan(rq) {
+	if !s.lower(rq) {
+		return
+	}
+	// The IL is the request's own: once the answer is written, whatever
+	// it was, its nodes go back to the front end's pool.
+	defer func() {
+		if rq.done != nil {
+			rq.done()
+		}
+	}()
+	if !s.plan(rq) {
 		return
 	}
 	if res, ok := s.compile(rq); ok {
@@ -689,13 +702,13 @@ func (s *Server) admit(rq *compileReq) (release func(slotOutcome), ok bool) {
 // lower runs the front end: request source to an IL module.
 func (s *Server) lower(rq *compileReq) bool {
 	lsp := rq.root.Child("lower")
-	mod, err := driver.Lower(rq.req.Lang, rq.req.unitName(), rq.req.Source)
+	mod, done, err := driver.LowerScoped(rq.req.Lang, rq.req.unitName(), rq.req.Source)
 	lsp.End()
 	if err != nil {
 		s.failed.Inc()
 		return s.answer(rq, "bad-request", http.StatusBadRequest, err.Error(), nil)
 	}
-	rq.mod = mod
+	rq.mod, rq.done = mod, done
 	return true
 }
 
@@ -815,7 +828,8 @@ func (s *Server) respond(rq *compileReq, res *driver.Compiled) {
 func (s *Server) compileGuarded(rq *compileReq) (res *driver.Compiled, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, &servePanicError{val: r}
+			// The back end may still hold the IL: drop it, never pool it.
+			res, err, rq.done = nil, &servePanicError{val: r}, nil
 		}
 	}()
 	if !s.cfg.Faults.Empty() {

@@ -55,8 +55,12 @@ func frame(m *mach.Machine, af *asm.Func) error {
 		return ir.I32
 	}
 
-	// Prologue.
-	var pro []*asm.Inst
+	// Prologue, in front of block 0's code: one list, exactly sized.
+	var body []*asm.Inst
+	if len(af.Blocks) > 0 {
+		body = af.Blocks[0].Insts
+	}
+	pro := make([]*asm.Inst, 0, 3+raSlots+saves+len(body))
 	dec, err := sel.BuildAddImm(m, sp, sp, -int64(size))
 	if err != nil {
 		return fmt.Errorf("%s: prologue: %w", af.Name, err)
@@ -91,47 +95,56 @@ func frame(m *mach.Machine, af *asm.Func) error {
 		in.Cycle = -1
 	}
 	if len(af.Blocks) > 0 {
-		af.Blocks[0].Insts = append(pro, af.Blocks[0].Insts...)
+		af.Blocks[0].Insts = append(pro, body...)
 	}
 
-	// Epilogue, before every return instruction.
+	// Epilogue, before every return instruction. A block with no return
+	// keeps its list; one with returns gets one list, exactly sized.
 	for _, b := range af.Blocks {
-		var out []*asm.Inst
+		rets := 0
+		for _, in := range b.Insts {
+			if in.Tmpl.IsRet {
+				rets++
+			}
+		}
+		if rets == 0 {
+			continue
+		}
+		out := make([]*asm.Inst, 0, len(b.Insts)+rets*(saves+raSlots+2))
 		for _, in := range b.Insts {
 			if !in.Tmpl.IsRet {
 				out = append(out, in)
 				continue
 			}
-			var epi []*asm.Inst
+			epi := len(out)
 			for i, cs := range af.CalleeSaved {
 				ld, err := sel.BuildLoad(m, af, asm.Phys(cs), fp, csOff(i), regType(cs))
 				if err != nil {
 					return fmt.Errorf("%s: epilogue: %w", af.Name, err)
 				}
-				epi = append(epi, ld)
+				out = append(out, ld)
 			}
 			if needRA {
 				ldra, err := sel.BuildLoad(m, af, asm.Phys(ra), fp, raOff, ir.I32)
 				if err != nil {
 					return fmt.Errorf("%s: epilogue: %w", af.Name, err)
 				}
-				epi = append(epi, ldra)
+				out = append(out, ldra)
 			}
 			inc, err := sel.BuildAddImm(m, sp, sp, int64(size))
 			if err != nil {
 				return fmt.Errorf("%s: epilogue: %w", af.Name, err)
 			}
-			epi = append(epi, inc)
+			out = append(out, inc)
 			// Restore fp last, through itself.
 			ldfp, err := sel.BuildLoad(m, af, asm.Phys(fp), fp, fpOff, ir.I32)
 			if err != nil {
 				return fmt.Errorf("%s: epilogue: %w", af.Name, err)
 			}
-			epi = append(epi, ldfp)
-			for _, e := range epi {
+			out = append(out, ldfp)
+			for _, e := range out[epi:] {
 				e.Cycle = -1
 			}
-			out = append(out, epi...)
 			out = append(out, in)
 		}
 		b.Insts = out

@@ -24,6 +24,7 @@ package strategy
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -401,7 +402,8 @@ func raseEstimates(m *mach.Machine, af *asm.Func, scratch func() *sched.Scratch,
 
 // insertEntryMoves binds incoming parameters: moves from CWVM argument
 // registers into parameter pseudos, loads for stack-resident arguments,
-// and stores for address-taken parameters that live in the frame.
+// and stores for address-taken parameters that live in the frame. They
+// go in front of block 0's code in one list, exactly sized.
 func insertEntryMoves(m *mach.Machine, af *asm.Func) error {
 	fn := af.IR
 	if fn == nil || len(fn.Params) == 0 {
@@ -472,7 +474,7 @@ func insertEntryMoves(m *mach.Machine, af *asm.Func) error {
 		return nil
 	}
 	b0 := af.Blocks[0]
-	b0.Insts = append(entry, b0.Insts...)
+	b0.Insts = slices.Concat(entry, b0.Insts)
 	return nil
 }
 

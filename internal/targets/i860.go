@@ -72,9 +72,11 @@ instr {
        pipelined load/store port. */
     %instr ld.l r, r, #imm16 {$1 = m[$2 + $3];} [IEX; LS] (1,2,0)
     %instr ld.b r, r, #imm16 (char) {$1 = m[$2 + $3];} [IEX; LS] (1,2,0)
+    %instr ld.s r, r, #imm16 (short) {$1 = m[$2 + $3];} [IEX; LS] (1,2,0)
     %instr fld.d f, r, #imm16 (double) {$1 = m[$2 + $3];} [IEX, LS; LS] (1,3,0)
     %instr st.l r, r, #imm16 {m[$2 + $3] = $1;} [IEX; LS] (1,1,0)
     %instr st.b r, r, #imm16 (char) {m[$2 + $3] = $1;} [IEX; LS] (1,1,0)
+    %instr st.s r, r, #imm16 (short) {m[$2 + $3] = $1;} [IEX; LS] (1,1,0)
     %instr fst.d f, r, #imm16 (double) {m[$2 + $3] = $1;} [IEX, LS; LS] (1,1,0)
 
     /* Integer core. */

@@ -50,9 +50,11 @@ instr {
     /* Fixed point unit. */
     %instr l r, r, #imm16 {$1 = m[$2 + $3];} [FXD; FXC; FXW] (1,2,0)
     %instr lbz r, r, #imm16 (char) {$1 = m[$2 + $3];} [FXD; FXC; FXW] (1,2,0)
+    %instr lha r, r, #imm16 (short) {$1 = m[$2 + $3];} [FXD; FXC; FXW] (1,2,0)
     %instr lfd f, r, #imm16 (double) {$1 = m[$2 + $3];} [FXD; FXC; FXW] (1,2,0)
     %instr st r, r, #imm16 {m[$2 + $3] = $1;} [FXD; FXC; FXW] (1,1,0)
     %instr stb r, r, #imm16 (char) {m[$2 + $3] = $1;} [FXD; FXC; FXW] (1,1,0)
+    %instr sth r, r, #imm16 (short) {m[$2 + $3] = $1;} [FXD; FXC; FXW] (1,1,0)
     %instr stfd f, r, #imm16 (double) {m[$2 + $3] = $1;} [FXD; FXC; FXW] (1,1,0)
     %instr cal r, r, #imm16 {$1 = $2 + $3;} [FXD; FXW] (1,1,0)
     %instr cax r, r, r {$1 = $2 + $3;} [FXD; FXW] (1,1,0)

@@ -93,7 +93,6 @@ func NewFromDescription(name, source string, strat Strategy) (*CodeGenerator, er
 // Result is a compiled translation unit plus per-function statistics.
 type Result struct {
 	Program *asm.Program
-	Module  *ir.Module
 	Stats   map[string]*strategy.Stats
 	// Verify holds the emitted-code verifier's findings; non-nil
 	// exactly when CodeGenerator.Verify was set.
@@ -107,21 +106,27 @@ type Result struct {
 // through the back end into the scheduler and allocator cycle loops, so
 // a request deadline interrupts the back end instead of hanging behind it.
 func (g *CodeGenerator) CompileCtx(ctx context.Context, filename, source string) (*Result, error) {
-	mod, err := driver.Lower("c", filename, source)
-	if err != nil {
-		return nil, err
-	}
-	return g.CompileModuleCtx(ctx, mod)
+	return g.compileSource(ctx, "c", filename, source)
 }
 
 // CompileILCtx compiles textual IL (see internal/iltext), bypassing the
 // C front end — the direct route for other front ends.
 func (g *CodeGenerator) CompileILCtx(ctx context.Context, filename, source string) (*Result, error) {
-	mod, err := driver.Lower("il", filename, source)
+	return g.compileSource(ctx, "il", filename, source)
+}
+
+// compileSource lowers source in language lang and compiles it. The IL
+// is the compile's own: once the back end has returned, its nodes go
+// back to the front end's pool, and the result's code reaches the
+// module's functions and blocks but no statement.
+func (g *CodeGenerator) compileSource(ctx context.Context, lang, filename, source string) (*Result, error) {
+	mod, done, err := driver.LowerScoped(lang, filename, source)
 	if err != nil {
 		return nil, err
 	}
-	return g.CompileModuleCtx(ctx, mod)
+	res, err := g.CompileModuleCtx(ctx, mod)
+	done()
+	return res, err
 }
 
 // CompileModuleCtx compiles an already-lowered IL module.
@@ -130,7 +135,7 @@ func (g *CodeGenerator) CompileModuleCtx(ctx context.Context, mod *ir.Module) (*
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Program: c.Prog, Module: c.Module, Stats: c.Stats,
+	return &Result{Program: c.Prog, Stats: c.Stats,
 		Verify: c.Verify, Degradations: c.Degradations}, nil
 }
 

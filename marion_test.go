@@ -52,3 +52,40 @@ func TestCompileILMatchesModule(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileKeepsNoIL: what CompileCtx returns is code, not IL. A unit
+// is compiled and its result kept; then another unit is compiled, on
+// the front end's pool, which the first compile's IL went back to. The
+// first result prints as it did, and no block of its IL functions holds
+// a statement.
+func TestCompileKeepsNoIL(t *testing.T) {
+	g, err := New("r2000", Postpass)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	big := gentest.Fixture(gentest.BigBlock)
+	var a *Result
+	for _, u := range gentest.Serve() {
+		if u.Lang == "c" {
+			if a, err = g.CompileCtx(ctx, u.Name, u.Text); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	want := a.Program.Print()
+	if _, err := g.CompileCtx(ctx, big.Name, big.Text); err != nil {
+		t.Fatal(err)
+	}
+	if a.Program.Print() != want {
+		t.Error("compiling a second unit changed the first unit's program")
+	}
+	for _, f := range a.Program.Funcs {
+		for _, b := range f.IR.Blocks {
+			if len(b.Stmts) > 0 {
+				t.Fatalf("block %s of %s holds %d IL statements", b.Name(), f.Name, len(b.Stmts))
+			}
+		}
+	}
+}
