@@ -176,6 +176,14 @@ func drillOverload(t *testing.T) {
 	d.waitStatz(t, "recovery to pressure level 0", func(st *server.Statz) bool {
 		return st.PressureLevel == 0
 	})
+	// Each eviction is counted once, so /statz and /metrics agree.
+	var st server.Statz
+	if err := json.Unmarshal(d.get(t, "/statz"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if m := d.get(t, "/metrics"); !bytes.Contains(m, fmt.Appendf(nil, "\nmarion_server_evicted %d\n", st.Evicted)) {
+		t.Errorf("/statz evicted = %d, but /metrics shows\n%s", st.Evicted, m)
+	}
 	d.requireLibraryOutput(t)
 	d.drain(t)
 	requireDiskTier(t, d)

@@ -49,18 +49,22 @@ func TestRegressUnits(t *testing.T) {
 	}
 }
 
-// storeC stores a char in memory and shortC a short; toyp has no
-// sub-word store (ROADMAP 17, missing stores), so both run on the other
+// storeC stores a char in memory and shortC a short, and subwordC reads
+// each back from a word whose other bytes hold a neighbour; toyp has no
+// sub-word store (ROADMAP 17, missing stores), so they run on the other
 // targets.
 const (
 	storeC = "char g;\nint ma(int x) { return g = x; }\n" +
 		"int mc(int x) { g = 100; return g += x; }\nint mi(int x) { g = x; return ++g; }\n"
-	shortC = "short h;\nint ms(int x) { h = 30000; return h += x; }\n"
+	shortC   = "short h;\nint ms(int x) { h = 30000; return h += x; }\n"
+	subwordC = "int rc() { char cb[4]; cb[1] = 1; cb[0] = 5; return cb[0]; }\n" +
+		"int rs(int x) { short s[2]; s[1] = 7; s[0] = x; return s[0]; }\n"
 )
 
 // TestRegressStoreUnits: the value of an assignment, a compound
 // assignment or a pre-increment of a sub-word in memory is the narrowed
-// value, as the store keeps it.
+// value, as the store keeps it, and a sub-word read widened to int
+// reads only its own bytes.
 func TestRegressStoreUnits(t *testing.T) {
 	want := []regressCall{
 		{"ma", []sim.Value{sim.Int(300)}, int64(44)},
@@ -71,6 +75,10 @@ func TestRegressStoreUnits(t *testing.T) {
 		if target != "toyp" {
 			runRegress(t, target, "store.c", storeC, want)
 			runRegress(t, target, "short.c", shortC, []regressCall{{"ms", []sim.Value{sim.Int(10000)}, int64(-25536)}})
+			runRegress(t, target, "subword.c", subwordC, []regressCall{
+				{"rc", nil, int64(5)},
+				{"rs", []sim.Value{sim.Int(3)}, int64(3)},
+			})
 		}
 	}
 }

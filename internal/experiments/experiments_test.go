@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"marion/internal/driver"
 	"marion/internal/livermore"
 	"marion/internal/mach"
 	"marion/internal/strategy"
@@ -163,5 +164,27 @@ func TestLocalBaselineAndStarvedRegisters(t *testing.T) {
 	}
 	if want := cells * len(livermore.Kernels); s.checked != want {
 		t.Errorf("%d checksums checked, want %d", s.checked, want)
+	}
+}
+
+// A compile the degradation ladder rescued measures a fallback rung, so
+// the sweep refuses it, naming the function, the rung and the reason.
+func TestSweepRefusesDegradation(t *testing.T) {
+	comp := &driver.Compiled{}
+	if err := undegraded(comp); err != nil {
+		t.Fatalf("clean compile refused: %v", err)
+	}
+	comp.Degradations = []driver.Degradation{{
+		Func: "kern", From: strategy.IPS, To: strategy.Postpass, Attempts: 2,
+		Phase: "strategy", Reason: "deadlock at cycle 1000095",
+	}}
+	err := undegraded(comp)
+	if err == nil {
+		t.Fatal("degraded compile accepted")
+	}
+	for _, want := range []string{"kern", "postpass", "deadlock at cycle 1000095"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name %q", err, want)
+		}
 	}
 }

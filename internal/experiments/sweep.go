@@ -150,6 +150,9 @@ func (c cell) measure(k *livermore.Kernel) (run, int, error) {
 			err = comp.Verify.Err()
 		}
 	}
+	if err == nil {
+		err = undegraded(comp)
+	}
 	if err != nil {
 		return run{}, 0, err
 	}
@@ -188,4 +191,14 @@ func (c cell) measure(k *livermore.Kernel) (run, int, error) {
 		}
 	}
 	return r, len(caches), nil
+}
+
+// undegraded refuses a compile a fallback rung rescued: that code
+// measures the rung, not the cell's strategy. The error names the first
+// such function, its rung and the reason.
+func undegraded(comp *driver.Compiled) error {
+	if len(comp.Degradations) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%d function(s) degraded, first %s", len(comp.Degradations), &comp.Degradations[0])
 }

@@ -293,10 +293,14 @@ func (g *gen) cast(v *ir.Node, from, to ir.Type) *ir.Node {
 		}
 	}
 	// Other integer-to-integer conversions are free: registers hold
-	// extended 32-bit values.
+	// extended 32-bit values. A widened sub-word load keeps its type,
+	// and so its width in memory: the load itself extends the value.
 	if from.IsInt() && to.IsInt() {
 		if to.Size() < from.Size() {
 			return g.extend(v, to)
+		}
+		if v.Op == ir.Load && from.Size() < to.Size() {
+			return v
 		}
 		return g.retype(v, to)
 	}

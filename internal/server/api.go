@@ -170,8 +170,8 @@ type Statz struct {
 	Limit      int     `json:"limit"`
 	Pressure   float64 `json:"pressure"`
 	EstimateMs float64 `json:"estimate_ms"`
-	// Evicted counts requests shed because their remaining deadline was
-	// below the service estimate (doomed-in-queue).
+	// Evicted counts requests shed as doomed, up front or from the
+	// queue: the server.evicted counter /metrics shows.
 	Evicted int64 `json:"evicted"`
 
 	// PressureLevel is the current brownout level, numbered as

@@ -77,16 +77,13 @@ func breakerKey(target, strategy string) string { return target + "/" + strategy
 // healthy rung. It reports false when every rung is open.
 func (s *Server) route(rq *compileReq, kind strategy.Kind) (strategy.Kind, bool) {
 	rq.bkey = breakerKey(rq.req.Target, kind.String())
-	if s.breakers == nil {
-		return kind, true
-	}
-	if allowed, _ := s.breakers.allow(rq.bkey); allowed {
+	if s.breakers == nil || s.breakers.allow(rq.bkey) {
 		return kind, true
 	}
 	orig := rq.bkey
 	for _, rung := range strategy.FallbackChain(kind) {
 		k := breakerKey(rq.req.Target, rung.String())
-		if ok, _ := s.breakers.allow(k); ok {
+		if s.breakers.allow(k) {
 			rq.bkey, rq.reroute = k, orig+" -> "+k
 			rq.root.Event("breaker.reroute", "from", orig, "to", k)
 			s.rerouted.Inc()
@@ -132,37 +129,34 @@ func breakerRelevant(err error) bool {
 	return errors.As(err, &sp) || errors.As(err, &pe) || errors.As(err, &inj) || errors.Is(err, faults.ErrExceeded)
 }
 
-// allow reports whether a request may run under key. probe is true
-// when the request is the single half-open probe after a cooldown —
-// its success or failure decides the breaker's fate. When allowed is
-// false the caller should reroute the request (and must NOT report
-// success/failure under this key).
-func (bs *breakerSet) allow(key string) (allowed, probe bool) {
+// allow reports whether a request may run under key. After a cooldown
+// the one request allowed is the half-open probe, whose success or
+// failure decides the breaker's fate. When it reports false the caller
+// should reroute the request (and must NOT report success/failure under
+// this key).
+func (bs *breakerSet) allow(key string) bool {
 	now := bs.clock()
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	b := bs.m[key]
 	if b == nil {
-		return true, false
+		return true
 	}
 	switch b.state {
-	case stateClosed:
-		return true, false
 	case stateOpen:
-		if now.Sub(b.opened) >= bs.cooldown {
-			b.state = stateHalfOpen
-			b.probing = true
-			return true, true
+		if now.Sub(b.opened) < bs.cooldown {
+			return false
 		}
-		return false, false
+		b.state = stateHalfOpen
 	case stateHalfOpen:
-		if !b.probing {
-			b.probing = true
-			return true, true
+		if b.probing {
+			return false
 		}
-		return false, false
+	default:
+		return true
 	}
-	return true, false
+	b.probing = true
+	return true
 }
 
 // success records a completed request under key: a half-open probe

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sync"
 	"time"
 
 	"marion/internal/strategy"
@@ -32,67 +31,88 @@ const (
 // The ladder's hysteresis constants.
 const (
 	// enterPressure is the pressure at or above which the level rises:
-	// the wait queue half full (see limiter.pressure).
+	// the wait queue half full (see limiter.pressureLocked).
 	enterPressure = 0.75
 	// exitPressure is the pressure at or below which recovery begins.
 	// Between the two the level holds — that band is the hysteresis
 	// that stops flapping.
 	exitPressure = 0.45
-	// riseDwell is the minimum dwell between two raises, so a single
-	// burst climbs the ladder level-by-level, not in one jump.
+	// riseDwell is the dwell between two raises, so a single burst
+	// climbs the ladder level by level, not in one jump.
 	riseDwell = 50 * time.Millisecond
 	// holdDwell is how long pressure must stay at or below exitPressure
 	// before each one-level recovery step.
 	holdDwell = 500 * time.Millisecond
 )
 
-// brownout is the hysteretic degradation ladder, levelNormal through
-// levelCacheOnly. observe is fed the limiter's pressure signal (from
-// request handling and from a periodic tick, so recovery happens even
-// when no requests arrive).
-type brownout struct {
-	mu    sync.Mutex
-	clock func() time.Time
-	lvl   int
-	last  time.Time // time of the last level change
-	calm  time.Time // since when pressure has stayed <= exitPressure (zero: it hasn't)
-}
+// regime is where pressure sits against the thresholds, as the way it
+// moves the level: calm (at or below exitPressure) lowers it, high (at
+// or above enterPressure) raises it, and the band between holds it.
+type regime int8
 
-// observe feeds one pressure sample and returns the (possibly changed)
-// level. Rising is fast (one level per riseDwell while pressure stays
-// at or above enterPressure); falling is slow (one level per holdDwell
-// of continuously calm pressure).
-func (b *brownout) observe(p float64) int {
-	now := b.clock()
-	b.mu.Lock()
-	defer b.mu.Unlock()
+const calm, band, high regime = -1, 0, 1
+
+func regimeOf(p float64) regime {
 	switch {
 	case p >= enterPressure:
-		b.calm = time.Time{}
-		if b.lvl < levelCacheOnly && (b.lvl == 0 || now.Sub(b.last) >= riseDwell) {
-			b.lvl++
-			b.last = now
-		}
+		return high
 	case p <= exitPressure:
-		if b.calm.IsZero() {
-			b.calm = now
-		}
-		if b.lvl > 0 && now.Sub(b.calm) >= holdDwell && now.Sub(b.last) >= holdDwell {
-			b.lvl--
-			b.last = now
-		}
-	default:
-		// Hysteresis band: hold the level, restart the calm clock.
-		b.calm = time.Time{}
+		return calm
 	}
-	return b.lvl
+	return band
 }
 
-// level returns the current brownout level without observing.
-func (b *brownout) level() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lvl
+// advanceLocked brings the ladder up to the admission state the limiter
+// holds now and returns its level (levelNormal when the ladder is off).
+// It first takes every step the elapsed time allows under the regime
+// that held, then switches to the regime the current pressure gives.
+// The limiter calls it at every change of admission state and every
+// read, so no goroutine has to poll the pressure.
+func (l *limiter) advanceLocked() int {
+	if l.clock == nil {
+		return levelNormal
+	}
+	now := l.clock()
+	l.stepLocked(now)
+	if r := regimeOf(l.pressureLocked()); r != l.regime {
+		l.regime, l.regimeSince = r, now
+		l.stepLocked(now)
+	}
+	return l.lvl
+}
+
+// stepLocked takes every step that falls due by now under the regime
+// that holds. In high, the level rises a step at once from levelNormal,
+// then one per riseDwell; in calm, it falls a step per holdDwell of
+// calm, and no sooner than holdDwell after the last change. A step is
+// dated when it fell due, not when it is seen, so the level does not
+// depend on how often the ladder is advanced.
+func (l *limiter) stepLocked(now time.Time) {
+	for {
+		var due time.Time
+		switch {
+		case l.regime == high && l.lvl == levelNormal:
+			due = l.regimeSince
+		case l.regime == high && l.lvl < levelCacheOnly:
+			due = later(l.regimeSince, l.lvlSince.Add(riseDwell))
+		case l.regime == calm && l.lvl > levelNormal:
+			due = later(l.regimeSince, l.lvlSince).Add(holdDwell)
+		default:
+			return
+		}
+		if due.After(now) {
+			return
+		}
+		l.lvl += int(l.regime)
+		l.lvlSince = due
+	}
+}
+
+func later(a, b time.Time) time.Time {
+	if a.After(b) {
+		return a
+	}
+	return b
 }
 
 // applyBrownout maps a brownout level onto one request's fidelity:

@@ -80,8 +80,9 @@ type waiter struct {
 }
 
 // limiter is the adaptive admission controller: an AIMD concurrency
-// limit driven by measured service time against the SLO, and a
-// deadline-aware wait queue. All methods are safe for concurrent use.
+// limit driven by measured service time against the SLO, a
+// deadline-aware wait queue, and the brownout ladder that admission
+// pressure drives. All methods are safe for concurrent use.
 type limiter struct {
 	mu       sync.Mutex
 	initial  int           // the starting limit; the limit grows to maxLimitFactor times it
@@ -95,15 +96,21 @@ type limiter struct {
 	succ    int     // in-SLO completions since the last limit change
 	lastDec time.Time
 
-	evicted int64
+	// The brownout ladder (brownout.go), advanced by advanceLocked.
+	clock       func() time.Time // its time source; nil: no ladder
+	lvl         int              // its level, levelNormal to levelCacheOnly
+	lvlSince    time.Time        // when lvl last changed
+	regime      regime           // the pressure regime that holds
+	regimeSince time.Time        // since when regime has held
 }
 
 // newLimiter builds a limiter admitting initial (at least 1) requests
 // at once and queueing up to maxQueue more. slo is the target service
 // time driving AIMD adaptation; zero keeps the limit fixed at initial
-// (the static-semaphore behavior).
-func newLimiter(initial int, slo time.Duration, maxQueue int) *limiter {
-	return &limiter{initial: initial, slo: slo, maxQueue: maxQueue, limit: initial}
+// (the static-semaphore behavior). A non-nil clock arms the brownout
+// ladder and is its time source.
+func newLimiter(initial int, slo time.Duration, maxQueue int, clock func() time.Time) *limiter {
+	return &limiter{initial: initial, slo: slo, maxQueue: maxQueue, limit: initial, clock: clock}
 }
 
 // acquire takes an admission slot. On admitted the returned release
@@ -113,61 +120,62 @@ func newLimiter(initial int, slo time.Duration, maxQueue int) *limiter {
 // the SLO), or never ran (slotSkipped — the slot is returned without a
 // sample). Every other decision returns a nil release.
 //
-// The context's deadline drives doomed-shedding: when the remaining
-// deadline is below the EWMA service estimate, queueing cannot help and
-// the request is shed as shedDoomed.
-//
-// Admission-path decisions that are otherwise invisible to the caller —
-// an up-front doomed shed, a later in-queue eviction when the service
-// estimate moves — are recorded as events on sp (nil sp traces nothing).
+// A full queue sheds the request as shedFull. The context's deadline
+// drives doomed-shedding: when the remaining deadline is below the EWMA
+// service estimate, queueing cannot help and the request is shed as
+// shedDoomed, up front or later from the queue, each time with an
+// overload.evict event on sp (nil sp traces nothing).
 func (l *limiter) acquire(ctx context.Context, sp *trace.Span) (release func(o slotOutcome), dec decision) {
 	l.mu.Lock()
-	if l.inflight < l.limit && len(l.queue) == 0 {
-		l.inflight++
-		l.mu.Unlock()
+	var w *waiter
+	dl, _ := ctx.Deadline()
+	switch {
+	case l.inflight < l.limit && len(l.queue) == 0:
+		l.inflight++ // dec is admitted
+	case len(l.queue) >= l.maxQueue:
+		dec = shedFull
+	case l.doomedLocked(dl, time.Now()):
+		sp.Event("overload.evict", "reason", "doomed-upfront",
+			"estimate_ms", strconv.FormatInt(int64(l.est*1e3), 10))
+		dec = shedDoomed
+	default:
+		w = &waiter{res: make(chan decision, 1), deadline: dl, sp: sp}
+		l.queue = append(l.queue, w)
+	}
+	l.advanceLocked()
+	l.mu.Unlock()
+	if w != nil {
+		select {
+		case dec = <-w.res:
+		case <-ctx.Done():
+			dec = l.leave(w)
+		}
+	}
+	if dec == admitted {
 		return l.releaser(time.Now()), admitted
 	}
-	if len(l.queue) >= l.maxQueue {
-		l.mu.Unlock()
-		return nil, shedFull
-	}
-	if dl, ok := ctx.Deadline(); ok && l.doomedLocked(dl, time.Now()) {
-		l.evicted++
-		est := l.est
-		l.mu.Unlock()
-		sp.Event("overload.evict", "reason", "doomed-upfront",
-			"estimate_ms", strconv.FormatInt(int64(est*1e3), 10))
-		return nil, shedDoomed
-	}
-	w := &waiter{res: make(chan decision, 1), sp: sp}
-	if dl, ok := ctx.Deadline(); ok {
-		w.deadline = dl
-	}
-	l.queue = append(l.queue, w)
-	l.mu.Unlock()
+	return nil, dec
+}
 
+// leave takes a waiter whose context finished out of the queue. A
+// waiter the limiter already resolved keeps that decision — a doomed
+// eviction stays shedDoomed — except an admission, whose slot goes back
+// because the caller is giving up. Every other waiter has expired.
+func (l *limiter) leave(w *waiter) decision {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	defer l.advanceLocked()
 	select {
 	case d := <-w.res:
-		if d == admitted {
-			return l.releaser(time.Now()), admitted
+		if d != admitted {
+			return d
 		}
-		return nil, d
-	case <-ctx.Done():
-		l.mu.Lock()
-		select {
-		case d := <-w.res:
-			// Raced with a resolver. An admission must be handed back:
-			// the caller is giving up.
-			if d == admitted {
-				l.inflight--
-				l.admitLocked()
-			}
-		default:
-			l.removeLocked(w)
-		}
-		l.mu.Unlock()
-		return nil, expired
+		l.inflight--
+		l.admitLocked()
+	default:
+		l.removeLocked(w)
 	}
+	return expired
 }
 
 // releaser returns the release closure for one admitted request.
@@ -183,6 +191,7 @@ func (l *limiter) releaser(start time.Time) func(o slotOutcome) {
 			l.inflight--
 			l.sweepLocked(time.Now())
 			l.admitLocked()
+			l.advanceLocked()
 			l.mu.Unlock()
 		})
 	}
@@ -225,27 +234,20 @@ func (l *limiter) observeLocked(d time.Duration, ok bool) {
 }
 
 // doomedLocked reports whether a deadline cannot outlast the estimated
-// service time (plus the wait already ahead of it).
+// service time. No deadline (zero) and no estimate (0) doom nothing.
 func (l *limiter) doomedLocked(deadline, now time.Time) bool {
-	if l.est == 0 {
-		return false
-	}
-	return deadline.Sub(now).Seconds() < l.est
+	return l.est > 0 && !deadline.IsZero() && deadline.Sub(now).Seconds() < l.est
 }
 
 // sweepLocked evicts queued waiters that have become doomed: their
 // remaining deadline fell below the (possibly updated) estimate.
 func (l *limiter) sweepLocked(now time.Time) {
-	if l.est == 0 {
-		return
-	}
 	kept := l.queue[:0]
 	for _, w := range l.queue {
-		if !w.deadline.IsZero() && l.doomedLocked(w.deadline, now) {
+		if l.doomedLocked(w.deadline, now) {
 			w.sp.Event("overload.evict", "reason", "doomed-in-queue",
 				"estimate_ms", strconv.FormatInt(int64(l.est*1e3), 10))
 			w.res <- shedDoomed
-			l.evicted++
 			continue
 		}
 		kept = append(kept, w)
@@ -292,12 +294,10 @@ func (l *limiter) retryAfter() time.Duration {
 	return d
 }
 
-// pressure is the scalar the brownout ladder consumes, in [0, 1]: the
-// lower half tracks slot occupancy, the upper half queue occupancy, so
-// 0.5 means "every slot busy, queue empty" and 1.0 "queue full".
-func (l *limiter) pressure() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// pressureLocked is the scalar the brownout ladder consumes, in [0, 1]:
+// the lower half tracks slot occupancy, the upper half queue occupancy,
+// so 0.5 means "every slot busy, queue empty" and 1.0 "queue full".
+func (l *limiter) pressureLocked() float64 {
 	if l.limit <= 0 {
 		return 1
 	}
@@ -311,18 +311,19 @@ func (l *limiter) pressure() float64 {
 	return 0.5 + 0.5*qf
 }
 
-// statz fills /statz's admission fields from one locked read.
-func (l *limiter) statz(st *Statz) {
-	st.Pressure = l.pressure()
+// level is the brownout level now.
+func (l *limiter) level() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st.Limit, st.Inflight, st.Queued, st.Evicted = l.limit, l.inflight, len(l.queue), l.evicted
-	st.EstimateMs = l.est * 1000
+	return l.advanceLocked()
 }
 
-// currentLimit returns the adaptive concurrency limit.
-func (l *limiter) currentLimit() int {
+// statz fills /statz's admission and brownout fields in one locked read.
+func (l *limiter) statz(st *Statz) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.limit
+	st.PressureLevel = l.advanceLocked()
+	st.Pressure = l.pressureLocked()
+	st.Limit, st.Inflight, st.Queued = l.limit, l.inflight, len(l.queue)
+	st.EstimateMs = l.est * 1000
 }

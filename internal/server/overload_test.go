@@ -29,6 +29,13 @@ func breakerStatz(bs *breakerSet) Statz {
 	return st
 }
 
+// allowState asks whether a request may run under key, and reads key's
+// state after the answer: "half-open" when the request is the probe.
+func allowState(bs *breakerSet, key string) (bool, string) {
+	ok := bs.allow(key)
+	return ok, breakerStatz(bs).Breakers[key]
+}
+
 // prime seeds the service-time estimate, so that a deadline below it
 // sheds without a slow compile first.
 func (l *limiter) prime(d time.Duration) {
@@ -38,7 +45,7 @@ func (l *limiter) prime(d time.Duration) {
 }
 
 func TestLimiterAdmitAndQueue(t *testing.T) {
-	l := newLimiter(1, 0, 1)
+	l := newLimiter(1, 0, 1, nil)
 
 	rel, dec := l.acquire(context.Background(), nil)
 	if dec != admitted || rel == nil {
@@ -76,7 +83,7 @@ func TestLimiterAdmitAndQueue(t *testing.T) {
 }
 
 func TestLimiterDoomedShedUpFront(t *testing.T) {
-	l := newLimiter(1, 0, 4)
+	l := newLimiter(1, 0, 4, nil)
 	rel, _ := l.acquire(context.Background(), nil)
 	defer rel(slotDone)
 
@@ -101,8 +108,8 @@ func TestLimiterDoomedShedUpFront(t *testing.T) {
 	if time.Since(start) > 40*time.Millisecond {
 		t.Error("doomed shed waited instead of returning immediately")
 	}
-	if limiterStatz(l).Evicted != 1 {
-		t.Errorf("evicted = %d, want 1", limiterStatz(l).Evicted)
+	if limiterStatz(l).Queued != 0 {
+		t.Errorf("doomed request joined the queue")
 	}
 	// A long deadline still queues.
 	ctx3, cancel3 := context.WithCancel(context.Background())
@@ -119,7 +126,7 @@ func TestLimiterDoomedShedUpFront(t *testing.T) {
 }
 
 func TestLimiterSweepEvictsQueuedDoomed(t *testing.T) {
-	l := newLimiter(1, 0, 4)
+	l := newLimiter(1, 0, 4, nil)
 	rel, _ := l.acquire(context.Background(), nil)
 
 	// Queue a waiter with a 100ms deadline while no estimate exists.
@@ -144,7 +151,7 @@ func TestLimiterSweepEvictsQueuedDoomed(t *testing.T) {
 
 func TestLimiterAIMD(t *testing.T) {
 	slo := 10 * time.Millisecond
-	l := newLimiter(2, slo, 4)
+	l := newLimiter(2, slo, 4, nil)
 
 	// Additive increase: one full round of in-SLO completions per +1.
 	fast := func() {
@@ -157,13 +164,13 @@ func TestLimiterAIMD(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		fast()
 	}
-	if got := l.currentLimit(); got != 3 {
+	if got := limiterStatz(l).Limit; got != 3 {
 		t.Fatalf("limit after one in-SLO round = %d, want 3", got)
 	}
 	for i := 0; i < 3; i++ {
 		fast()
 	}
-	if got := l.currentLimit(); got != 4 {
+	if got := limiterStatz(l).Limit; got != 4 {
 		t.Fatalf("limit after second round = %d, want 4", got)
 	}
 
@@ -172,13 +179,13 @@ func TestLimiterAIMD(t *testing.T) {
 	rel, _ := l.acquire(context.Background(), nil)
 	time.Sleep(2 * slo)
 	rel(slotDone)
-	if got := l.currentLimit(); got != 2 {
+	if got := limiterStatz(l).Limit; got != 2 {
 		t.Fatalf("limit after over-SLO sample = %d, want 2", got)
 	}
 	// A second slow sample inside the pacing window must not cut again.
 	rel2, _ := l.acquire(context.Background(), nil)
 	rel2(slotBreached)
-	if got := l.currentLimit(); got != 2 {
+	if got := limiterStatz(l).Limit; got != 2 {
 		t.Fatalf("limit cut twice within one SLO interval: %d", got)
 	}
 }
@@ -188,7 +195,7 @@ func TestLimiterAIMD(t *testing.T) {
 // invalid requests must move neither the estimate nor the limit.
 func TestLimiterSkippedNoSample(t *testing.T) {
 	slo := 10 * time.Millisecond
-	l := newLimiter(2, slo, 4)
+	l := newLimiter(2, slo, 4, nil)
 	l.prime(5 * time.Second)
 	for i := 0; i < 50; i++ {
 		rel, dec := l.acquire(context.Background(), nil)
@@ -197,7 +204,7 @@ func TestLimiterSkippedNoSample(t *testing.T) {
 		}
 		rel(slotSkipped) // near-zero service time, but no sample
 	}
-	if got := l.currentLimit(); got != 2 {
+	if got := limiterStatz(l).Limit; got != 2 {
 		t.Fatalf("limit moved on skipped releases: %d, want 2", got)
 	}
 	if est := limiterStatz(l).EstimateMs; est != 5000 {
@@ -209,7 +216,7 @@ func TestLimiterSkippedNoSample(t *testing.T) {
 }
 
 func TestLimiterFixedWithoutSLO(t *testing.T) {
-	l := newLimiter(3, 0, 1)
+	l := newLimiter(3, 0, 1, nil)
 	for i := 0; i < 10; i++ {
 		rel, dec := l.acquire(context.Background(), nil)
 		if dec != admitted {
@@ -217,13 +224,13 @@ func TestLimiterFixedWithoutSLO(t *testing.T) {
 		}
 		rel(slotDone)
 	}
-	if got := l.currentLimit(); got != 3 {
+	if got := limiterStatz(l).Limit; got != 3 {
 		t.Fatalf("limit drifted without SLO: %d, want 3", got)
 	}
 }
 
 func TestLimiterRetryAfter(t *testing.T) {
-	l := newLimiter(2, 0, 8)
+	l := newLimiter(2, 0, 8, nil)
 	if got := l.retryAfter(); got != time.Second {
 		t.Fatalf("retry-after with no estimate = %v, want 1s", got)
 	}
@@ -240,16 +247,16 @@ func TestLimiterRetryAfter(t *testing.T) {
 }
 
 func TestLimiterPressure(t *testing.T) {
-	l := newLimiter(2, 0, 2)
-	if p := l.pressure(); p != 0 {
+	l := newLimiter(2, 0, 2, nil)
+	if p := limiterStatz(l).Pressure; p != 0 {
 		t.Fatalf("idle pressure = %v", p)
 	}
 	r1, _ := l.acquire(context.Background(), nil)
-	if p := l.pressure(); p != 0.25 {
+	if p := limiterStatz(l).Pressure; p != 0.25 {
 		t.Fatalf("half-busy pressure = %v, want 0.25", p)
 	}
 	r2, _ := l.acquire(context.Background(), nil)
-	if p := l.pressure(); p != 0.5 {
+	if p := limiterStatz(l).Pressure; p != 0.5 {
 		t.Fatalf("all-slots-busy pressure = %v, want 0.5", p)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -262,7 +269,7 @@ func TestLimiterPressure(t *testing.T) {
 		}()
 	}
 	waitFor(t, func() bool { return limiterStatz(l).Queued == 2 })
-	if p := l.pressure(); p != 1 {
+	if p := limiterStatz(l).Pressure; p != 1 {
 		t.Fatalf("full-queue pressure = %v, want 1", p)
 	}
 	cancel()
@@ -272,7 +279,7 @@ func TestLimiterPressure(t *testing.T) {
 }
 
 func TestLimiterConcurrency(t *testing.T) {
-	l := newLimiter(4, time.Millisecond, 64)
+	l := newLimiter(4, time.Millisecond, 64, nil)
 	var wg sync.WaitGroup
 	var got, other sync.Map
 	for i := 0; i < 200; i++ {
@@ -303,87 +310,164 @@ func TestLimiterConcurrency(t *testing.T) {
 // Brownout
 // --------------------------------------------------------------------
 
-// force pins the brownout level without load, resetting the
+// force pins the brownout level without load, restarting the
 // hysteresis clocks.
-func (b *brownout) force(level int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.lvl = min(max(level, levelNormal), levelCacheOnly)
-	b.last = b.clock()
-	b.calm = time.Time{}
+func (l *limiter) force(level int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.advanceLocked()
+	l.lvl = min(max(level, levelNormal), levelCacheOnly)
+	l.lvlSince, l.regimeSince = l.clock(), l.clock()
+}
+
+// ladderRig drives a limiter's brownout ladder through real admission
+// changes on a step clock. The limiter has two slots and a queue of two,
+// so its pressure reads 0.25 (calm) with one slot held, 0.5 (band) with
+// both, and 0.75 (high) with both and a waiter queued.
+type ladderRig struct {
+	t       *testing.T
+	clk     *stepClock
+	l       *limiter
+	held    []func(slotOutcome)
+	waiters []context.CancelFunc
+	wg      sync.WaitGroup
+}
+
+func newLadderRig(t *testing.T) *ladderRig {
+	clk := &stepClock{now: time.Unix(1000, 0)}
+	r := &ladderRig{t: t, clk: clk, l: newLimiter(2, 0, 2, clk.time)}
+	t.Cleanup(func() {
+		r.unqueue()
+		for len(r.held) > 0 {
+			r.free()
+		}
+	})
+	return r
+}
+
+// hold takes a slot.
+func (r *ladderRig) hold() {
+	rel, dec := r.l.acquire(context.Background(), nil)
+	if dec != admitted {
+		r.t.Fatalf("hold: %v", dec)
+	}
+	r.held = append(r.held, rel)
+}
+
+// free releases the last slot taken, without a service-time sample.
+func (r *ladderRig) free() {
+	rel := r.held[len(r.held)-1]
+	r.held = r.held[:len(r.held)-1]
+	rel(slotSkipped)
+}
+
+// queue parks one more waiter.
+func (r *ladderRig) queue() {
+	ctx, cancel := context.WithCancel(context.Background())
+	r.waiters = append(r.waiters, cancel)
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		r.l.acquire(ctx, nil)
+	}()
+	n := len(r.waiters)
+	waitFor(r.t, func() bool { return limiterStatz(r.l).Queued == n })
+}
+
+// unqueue cancels every parked waiter and waits until they have left.
+func (r *ladderRig) unqueue() {
+	for _, cancel := range r.waiters {
+		cancel()
+	}
+	r.waiters = nil
+	r.wg.Wait()
+}
+
+// high holds both slots and queues a waiter: pressure 0.75.
+func (r *ladderRig) high() {
+	for len(r.held) < 2 {
+		r.hold()
+	}
+	r.queue()
+}
+
+// expect reads the level and requires want.
+func (r *ladderRig) expect(what string, want int) {
+	r.t.Helper()
+	if got := r.l.level(); got != want {
+		r.t.Fatalf("%s: level %d, want %d", what, got, want)
+	}
 }
 
 func TestBrownoutHysteresis(t *testing.T) {
-	clk := &stepClock{now: time.Unix(1000, 0)}
-	b := &brownout{clock: clk.time}
+	r := newLadderRig(t)
 
-	// First high sample raises immediately; further raises are paced.
-	if lvl := b.observe(0.9); lvl != 1 {
-		t.Fatalf("first high observation: level %d, want 1", lvl)
-	}
-	if lvl := b.observe(0.9); lvl != 1 {
-		t.Fatalf("unpaced second raise: level %d", lvl)
-	}
-	clk.advance(60 * time.Millisecond)
-	if lvl := b.observe(1.0); lvl != 2 {
-		t.Fatalf("paced raise: level %d, want 2", lvl)
-	}
-	clk.advance(60 * time.Millisecond)
-	b.observe(1.0)
-	clk.advance(60 * time.Millisecond)
-	b.observe(1.0)
-	clk.advance(60 * time.Millisecond)
-	if lvl := b.observe(1.0); lvl != levelCacheOnly {
-		t.Fatalf("ladder cap: level %d, want %d", lvl, levelCacheOnly)
-	}
+	// First high pressure raises immediately; further raises are paced.
+	r.high()
+	r.expect("first high pressure", 1)
+	r.queue() // pressure 1.0
+	r.expect("unpaced second raise", 1)
+	r.clk.advance(60 * time.Millisecond)
+	r.expect("paced raise", 2)
+	r.clk.advance(60 * time.Millisecond)
+	r.l.level()
+	r.clk.advance(60 * time.Millisecond)
+	r.l.level()
+	r.clk.advance(60 * time.Millisecond)
+	r.expect("ladder cap", levelCacheOnly)
 
 	// The hysteresis band holds the level — neither up nor down.
-	clk.advance(time.Hour)
-	if lvl := b.observe(0.6); lvl != levelCacheOnly {
-		t.Fatalf("band observation changed level: %d", lvl)
-	}
+	r.clk.advance(time.Hour)
+	r.unqueue() // pressure 0.5
+	r.expect("band", levelCacheOnly)
 
 	// Recovery: calm pressure must persist for 500ms per step, one level
 	// at a time.
-	if lvl := b.observe(0.1); lvl != levelCacheOnly {
-		t.Fatalf("instant recovery: %d", lvl)
-	}
-	clk.advance(501 * time.Millisecond)
-	if lvl := b.observe(0.1); lvl != levelSafe {
-		t.Fatalf("first recovery step: %d, want %d", lvl, levelSafe)
-	}
+	r.free() // pressure 0.25
+	r.expect("instant recovery", levelCacheOnly)
+	r.clk.advance(501 * time.Millisecond)
+	r.expect("first recovery step", levelSafe)
 	// A spike into the band restarts the calm clock.
-	clk.advance(400 * time.Millisecond)
-	b.observe(0.6)
-	clk.advance(400 * time.Millisecond)
-	if lvl := b.observe(0.1); lvl != levelSafe {
-		t.Fatalf("calm clock not restarted by band spike: %d", lvl)
-	}
-	clk.advance(501 * time.Millisecond)
-	if lvl := b.observe(0.1); lvl != levelCheapStrategy {
-		t.Fatalf("second recovery step: %d, want %d", lvl, levelCheapStrategy)
-	}
-	clk.advance(501 * time.Millisecond)
-	b.observe(0.1)
-	clk.advance(501 * time.Millisecond)
-	if lvl := b.observe(0.1); lvl != levelNormal {
-		t.Fatalf("full recovery: %d, want 0", lvl)
-	}
+	r.clk.advance(400 * time.Millisecond)
+	r.hold()
+	r.clk.advance(400 * time.Millisecond)
+	r.free()
+	r.expect("calm clock not restarted by band spike", levelSafe)
+	r.clk.advance(501 * time.Millisecond)
+	r.expect("second recovery step", levelCheapStrategy)
+	r.clk.advance(501 * time.Millisecond)
+	r.l.level()
+	r.clk.advance(501 * time.Millisecond)
+	r.expect("full recovery", levelNormal)
+
+	// The ladder moves with time, not with how often it is read. Pressure
+	// held high for three rise dwells, with no admission event and no
+	// read, climbs to the cap.
+	r.high()
+	r.expect("high pressure begins", 1)
+	r.clk.advance(3 * riseDwell)
+	r.expect("three silent rise dwells", levelCacheOnly)
+	// After calm begins, one read after three silent hold dwells finds
+	// three levels gone.
+	r.unqueue()
+	r.free()
+	r.clk.advance(3 * holdDwell)
+	r.expect("three silent hold dwells", levelNoVerify)
 }
 
 func TestBrownoutForce(t *testing.T) {
-	b := &brownout{clock: time.Now}
-	b.force(levelSafe)
-	if b.level() != levelSafe {
-		t.Fatalf("forced level = %d", b.level())
+	l := newLimiter(1, 0, 1, fixedClock())
+	l.force(levelSafe)
+	if l.level() != levelSafe {
+		t.Fatalf("forced level = %d", l.level())
 	}
-	b.force(99)
-	if b.level() != levelCacheOnly {
-		t.Fatalf("force beyond cap = %d", b.level())
+	l.force(99)
+	if l.level() != levelCacheOnly {
+		t.Fatalf("force beyond cap = %d", l.level())
 	}
-	b.force(-1)
-	if b.level() != 0 {
-		t.Fatalf("force below 0 = %d", b.level())
+	l.force(-1)
+	if l.level() != 0 {
+		t.Fatalf("force below 0 = %d", l.level())
 	}
 }
 
@@ -396,8 +480,8 @@ func TestBreakerTripRerouteProbeReset(t *testing.T) {
 	bs := newBreakerSet(2, time.Second, clk.time)
 	key := breakerKey("r2000", "rase")
 
-	if ok, probe := bs.allow(key); !ok || probe {
-		t.Fatalf("fresh key Allow = %v, %v", ok, probe)
+	if ok, st := allowState(bs, key); !ok || st != "" {
+		t.Fatalf("fresh key allow = %v (%s)", ok, st)
 	}
 	if bs.failure(key, nil) {
 		t.Fatal("tripped below threshold")
@@ -405,7 +489,7 @@ func TestBreakerTripRerouteProbeReset(t *testing.T) {
 	if !bs.failure(key, nil) {
 		t.Fatal("threshold failure did not trip")
 	}
-	if ok, _ := bs.allow(key); ok {
+	if bs.allow(key) {
 		t.Fatal("open breaker allowed a request before cooldown")
 	}
 	if st := breakerStatz(bs).Breakers[key]; st != "open" {
@@ -414,29 +498,28 @@ func TestBreakerTripRerouteProbeReset(t *testing.T) {
 
 	// Cooldown elapses: exactly one probe is admitted.
 	clk.advance(1100 * time.Millisecond)
-	ok, probe := bs.allow(key)
-	if !ok || !probe {
-		t.Fatalf("post-cooldown Allow = %v, %v, want probe", ok, probe)
+	if ok, st := allowState(bs, key); !ok || st != "half-open" {
+		t.Fatalf("post-cooldown allow = %v (%s), want the half-open probe", ok, st)
 	}
-	if ok, _ := bs.allow(key); ok {
+	if bs.allow(key) {
 		t.Fatal("second concurrent probe admitted")
 	}
 	// Probe fails: re-open (counts as a trip), fresh cooldown.
 	if !bs.failure(key, nil) {
 		t.Fatal("failed probe did not re-trip")
 	}
-	if ok, _ := bs.allow(key); ok {
+	if bs.allow(key) {
 		t.Fatal("re-opened breaker allowed a request")
 	}
 
 	// Second probe succeeds: closed, streak reset.
 	clk.advance(1100 * time.Millisecond)
-	if ok, probe := bs.allow(key); !ok || !probe {
+	if ok, st := allowState(bs, key); !ok || st != "half-open" {
 		t.Fatal("second probe not admitted")
 	}
 	bs.success(key)
-	if ok, probe := bs.allow(key); !ok || probe {
-		t.Fatalf("closed breaker Allow = %v, %v", ok, probe)
+	if ok, st := allowState(bs, key); !ok || st != "closed" {
+		t.Fatalf("closed breaker allow = %v (%s)", ok, st)
 	}
 	if st := breakerStatz(bs).Breakers[key]; st != "closed" {
 		t.Fatalf("state after reset = %q", st)
@@ -468,17 +551,16 @@ func TestBreakerCancelProbe(t *testing.T) {
 		t.Fatal("threshold-1 failure did not trip")
 	}
 	clk.advance(1100 * time.Millisecond)
-	if ok, probe := bs.allow(key); !ok || !probe {
-		t.Fatalf("post-cooldown Allow = %v, %v, want probe", ok, probe)
+	if ok, st := allowState(bs, key); !ok || st != "half-open" {
+		t.Fatalf("post-cooldown allow = %v (%s), want the half-open probe", ok, st)
 	}
 	bs.cancel(key)
 	if st := breakerStatz(bs).Breakers[key]; st != "half-open" {
 		t.Fatalf("state after cancelled probe = %q, want half-open", st)
 	}
 	// The probe slot was returned: the next attempt is a probe again.
-	ok, probe := bs.allow(key)
-	if !ok || !probe {
-		t.Fatalf("Allow after Cancel = %v, %v, want a fresh probe", ok, probe)
+	if ok, st := allowState(bs, key); !ok || st != "half-open" {
+		t.Fatalf("allow after cancel = %v (%s), want a fresh probe", ok, st)
 	}
 	bs.success(key)
 	if st := breakerStatz(bs).Breakers[key]; st != "closed" {
@@ -487,8 +569,8 @@ func TestBreakerCancelProbe(t *testing.T) {
 	// Cancel on a closed (or untracked) key is a no-op.
 	bs.cancel(key)
 	bs.cancel("nosuch/key")
-	if ok, probe := bs.allow(key); !ok || probe {
-		t.Fatalf("closed breaker after Cancel: %v, %v", ok, probe)
+	if ok, st := allowState(bs, key); !ok || st != "closed" {
+		t.Fatalf("closed breaker after cancel: %v (%s)", ok, st)
 	}
 }
 

@@ -1,7 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,7 +31,7 @@ func findEvent(tr *trace.Trace, name string) map[string]string {
 // An up-front doomed shed leaves an overload.evict event on the span,
 // carrying the estimate that doomed the request.
 func TestAcquireTracedDoomedEvent(t *testing.T) {
-	l := newLimiter(1, 0, 4)
+	l := newLimiter(1, 0, 4, nil)
 	rel, _ := l.acquire(context.Background(), nil)
 	defer rel(slotDone)
 	l.prime(10 * time.Second)
@@ -49,7 +54,7 @@ func TestAcquireTracedDoomedEvent(t *testing.T) {
 // A waiter evicted from the queue by the sweep gets the event too,
 // with the in-queue reason.
 func TestAcquireTracedQueueEvictionEvent(t *testing.T) {
-	l := newLimiter(1, 0, 4)
+	l := newLimiter(1, 0, 4, nil)
 	rel, _ := l.acquire(context.Background(), nil)
 
 	root := trace.New("req", "compile")
@@ -72,9 +77,69 @@ func TestAcquireTracedQueueEvictionEvent(t *testing.T) {
 	}
 }
 
+// A queued request the sweep has already evicted as doomed, whose
+// context finishes before it wakes, answers with the limiter's decision:
+// 429 shed-doomed. Its trace, /statz and /metrics count the one eviction.
+func TestEvictionCountedOnce(t *testing.T) {
+	s := newTestServer(t, Config{MaxInflight: 1, MaxQueue: 4, TraceRing: 16})
+	rel := occupySlot(t, s)
+	defer rel(slotDone)
+
+	body, err := json.Marshal(CompileRequest{Source: addC, Target: "r2000"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := httptest.NewRequest(http.MethodPost, "/compile", bytes.NewReader(body)).WithContext(ctx)
+	r.Header.Set(DeadlineHeader, "5000")
+	r.Header.Set(RequestIDHeader, "evicted-1")
+	w := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Handler().ServeHTTP(w, r)
+	}()
+	waitFor(t, func() bool { return limiterStatz(s.lim).Queued == 1 })
+
+	// Both under the limiter's lock, so the waiter wakes to both: its
+	// context finishes, and a sweep with an estimate above its 5 s
+	// deadline evicts it.
+	s.lim.mu.Lock()
+	cancel()
+	s.lim.est = 10
+	s.lim.sweepLocked(time.Now())
+	s.lim.mu.Unlock()
+	<-served
+
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("evicted request: status %d, want 429: %s", w.Code, w.Body.String())
+	}
+	if resp := decode[ErrorResponse](t, w); !strings.Contains(resp.Error, "shed") {
+		t.Errorf("error %q does not explain the shed", resp.Error)
+	}
+	tr, ok := s.ring.Get("evicted-1")
+	if !ok {
+		t.Fatal("no trace kept for the evicted request")
+	}
+	if tr.Outcome != "shed-doomed" {
+		t.Errorf("trace outcome %q, want shed-doomed", tr.Outcome)
+	}
+	if attrs := findEvent(tr, "overload.evict"); attrs["reason"] != "doomed-in-queue" {
+		t.Errorf("evict event attrs = %v", attrs)
+	}
+	st := decode[Statz](t, get(s, "/statz"))
+	if st.Evicted != 1 || st.Shed != 1 || st.Expired != 0 {
+		t.Errorf("statz evicted/shed/expired = %d/%d/%d, want 1/1/0", st.Evicted, st.Shed, st.Expired)
+	}
+	if m := get(s, "/metrics").Body.String(); !strings.Contains(m, "\nmarion_server_evicted 1\n") {
+		t.Errorf("/metrics lacks marion_server_evicted 1:\n%s", m)
+	}
+}
+
 // A nil span is free: same decisions, no trace required.
 func TestAcquireNilSpan(t *testing.T) {
-	l := newLimiter(1, 0, 4)
+	l := newLimiter(1, 0, 4, nil)
 	rel, dec := l.acquire(context.Background(), nil)
 	if dec != admitted {
 		t.Fatalf("decision = %v, want admitted", dec)

@@ -24,7 +24,9 @@
 // brownout.go holds the levels and what each one cuts): verify off ->
 // strategies capped at postpass -> safe only -> cache-hits only, each
 // level recorded in responses and /statz, and recovered level by level
-// with hysteresis once pressure falls.
+// with hysteresis once pressure falls. The limiter owns the ladder and
+// advances it wherever admission state changes or the level is read,
+// so the server runs no goroutine of its own.
 //
 // A per-(target, strategy) circuit breaker (Config.BreakerThreshold;
 // breaker.go, with the reroute) trips on repeated panics, budget
@@ -190,8 +192,7 @@ type Server struct {
 	mux      *http.ServeMux
 	start    time.Time
 
-	lim      *limiter    // adaptive admission controller
-	brown    *brownout   // nil unless Config.Brownout
+	lim      *limiter    // adaptive admission controller and brownout ladder
 	breakers *breakerSet // nil unless Config.BreakerThreshold > 0
 	ring     *trace.Ring // nil unless Config.TraceRing > 0
 	draining atomic.Bool
@@ -207,9 +208,6 @@ type Server struct {
 	seqMu sync.Mutex
 	seq   map[string]int // per-breaker-key request sequence (fault index)
 
-	stop     chan struct{} // stops the brownout observer goroutine
-	stopOnce sync.Once
-
 	requests, accepted, shed  *metrics.Counter
 	expired, failed           *metrics.Counter
 	evictedC, rerouted, quarC *metrics.Counter
@@ -223,12 +221,16 @@ type Server struct {
 // it is reported by Warning, not returned.
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
+	var ladder func() time.Time // nil: no brownout ladder
+	if cfg.Brownout {
+		ladder = cfg.Clock
+	}
 	s := &Server{
 		cfg:      cfg,
 		machines: make(map[string]*mach.Machine, len(cfg.Targets)),
 		start:    time.Now(),
 		seq:      map[string]int{},
-		lim:      newLimiter(cfg.MaxInflight, cfg.SLO, cfg.MaxQueue),
+		lim:      newLimiter(cfg.MaxInflight, cfg.SLO, cfg.MaxQueue, ladder),
 
 		requests:   cfg.Registry.Counter("server.requests"),
 		accepted:   cfg.Registry.Counter("server.accepted"),
@@ -243,13 +245,7 @@ func New(cfg Config) (*Server, error) {
 		compileSec: cfg.Registry.Histogram("server.compile.seconds", metrics.TimeBuckets),
 		queueSec:   cfg.Registry.Histogram("server.queue.seconds", metrics.TimeBuckets),
 	}
-	s.limitGauge.Set(int64(s.lim.currentLimit()))
 	s.ring = trace.NewRing(cfg.TraceRing, cfg.TraceSLO)
-	if cfg.Brownout {
-		s.brown = &brownout{clock: cfg.Clock}
-		s.stop = make(chan struct{})
-		go s.observeLoop()
-	}
 	if cfg.BreakerThreshold > 0 {
 		s.breakers = newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock)
 	}
@@ -307,41 +303,10 @@ func (s *Server) Targets() []string { return s.cfg.Targets }
 // them with http.Server.Shutdown and then calls Close.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Close stops the brownout observer, flushes the shared cache's disk
-// tier (entries whose disk write was lost are rewritten) and returns
-// the number of entries flushed. Call after in-flight requests have
-// drained.
-func (s *Server) Close() int {
-	if s.stop != nil {
-		s.stopOnce.Do(func() { close(s.stop) })
-	}
-	return s.cache.Flush()
-}
-
-// observeLoop feeds admission pressure into the brownout controller on
-// a fixed cadence, so recovery happens even when no requests arrive to
-// observe it.
-func (s *Server) observeLoop() {
-	t := time.NewTicker(100 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.levelGauge.Set(int64(s.brown.observe(s.lim.pressure())))
-			s.limitGauge.Set(int64(s.lim.currentLimit()))
-		}
-	}
-}
-
-// level is the current brownout level (0 when brownout is disabled).
-func (s *Server) level() int {
-	if s.brown == nil {
-		return 0
-	}
-	return s.brown.level()
-}
+// Close flushes the shared cache's disk tier (entries whose disk write
+// was lost are rewritten) and returns the number of entries flushed.
+// Call after in-flight requests have drained.
+func (s *Server) Close() int { return s.cache.Flush() }
 
 // nextSeq returns and advances the per-breaker-key request sequence
 // number — the serve fault site's index.
@@ -390,7 +355,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Shed:          s.shed.Value(),
 		Expired:       s.expired.Value(),
 		Failed:        s.failed.Value(),
-		PressureLevel: s.level(),
+		Evicted:       s.evictedC.Value(),
 		Cache:         s.cache.Stats(),
 	}
 	s.lim.statz(&st)
@@ -425,8 +390,13 @@ func latencyQuantiles(snap metrics.Snapshot) map[string]map[string]float64 {
 }
 
 // handleMetrics renders the whole registry in the Prometheus text
-// exposition format (version 0.0.4).
+// exposition format (version 0.0.4). The limit and brownout gauges are
+// set first, from the locked read /statz makes.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	var st Statz
+	s.lim.statz(&st)
+	s.limitGauge.Set(int64(st.Limit))
+	s.levelGauge.Set(int64(st.PressureLevel))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = metrics.WritePrometheus(w, s.cfg.Registry.Snapshot())
 }
@@ -479,7 +449,7 @@ type compileReq struct {
 
 	// admit
 	queueMs float64 // wait for an admission slot
-	level   int     // brownout level observed at admission
+	level   int     // brownout level read at admission
 	// slot is what the release of the admission slot will report; only a
 	// request that reached the compile upgrades it from Skipped.
 	slot slotOutcome
@@ -664,8 +634,9 @@ func (s *Server) identify(rq *compileReq) bool {
 // full, or doomed: remaining deadline below the service estimate), or
 // expires while queued. The measured wait is the request's queue_ms —
 // in the response, the access log and server.queue.seconds alike. The
-// brownout level is observed here, at admission, and decides how much
-// fidelity plan gives the request.
+// brownout level is read here, at admission, and decides how much
+// fidelity plan gives the request. An eviction (a doomed shed, up front
+// or from the queue) is counted here and nowhere else.
 func (s *Server) admit(rq *compileReq) (release func(slotOutcome), ok bool) {
 	queued := time.Now()
 	asp := rq.root.Child("admission")
@@ -688,13 +659,8 @@ func (s *Server) admit(rq *compileReq) (release func(slotOutcome), ok bool) {
 		s.expired.Inc()
 		return nil, s.answer(rq, "expired", http.StatusGatewayTimeout, "deadline expired while queued", nil)
 	}
-	s.limitGauge.Set(int64(s.lim.currentLimit()))
-	if s.brown != nil {
-		rq.level = s.brown.observe(s.lim.pressure())
-		s.levelGauge.Set(int64(rq.level))
-		if rq.level > 0 {
-			rq.root.Event("brownout", "level", strconv.Itoa(rq.level))
-		}
+	if rq.level = s.lim.level(); rq.level > 0 {
+		rq.root.Event("brownout", "level", strconv.Itoa(rq.level))
 	}
 	return release, true
 }
@@ -898,7 +864,7 @@ func (s *Server) answer(rq *compileReq, outcome string, status int, msg string, 
 		if status != http.StatusGatewayTimeout {
 			rq.w.Header().Set("Retry-After", strconv.Itoa(secs))
 		}
-		resp.RetryAfterSeconds, resp.BrownoutLevel = float64(secs), s.level()
+		resp.RetryAfterSeconds, resp.BrownoutLevel = float64(secs), s.lim.level()
 	}
 	writeJSON(rq.w, status, resp)
 	return false

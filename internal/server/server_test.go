@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -329,8 +330,8 @@ func TestDoomedShed(t *testing.T) {
 	if !strings.Contains(resp.Error, "shed") {
 		t.Errorf("error %q does not explain the shed", resp.Error)
 	}
-	if limiterStatz(s.lim).Evicted != 1 {
-		t.Errorf("evicted = %d, want 1", limiterStatz(s.lim).Evicted)
+	if st := decode[Statz](t, get(s, "/statz")); st.Evicted != 1 {
+		t.Errorf("evicted = %d, want 1", st.Evicted)
 	}
 }
 
@@ -444,6 +445,20 @@ func TestStatzAndAux(t *testing.T) {
 	}
 }
 
+// The server runs nothing of its own between requests: the brownout
+// ladder advances where admission state changes, so New with every
+// overload control and tracing on starts no goroutine.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for range 4 {
+		s := newTestServer(t, Config{Brownout: true, SLO: time.Second, BreakerThreshold: 3, TraceRing: 16})
+		defer s.Close()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("four servers took the goroutine count from %d to %d", before, after)
+	}
+}
+
 // fixedClock never advances: brownout hysteresis can neither raise nor
 // lower a Force()d level, and breakers never leave Open by cooldown.
 func fixedClock() func() time.Time {
@@ -490,7 +505,7 @@ func TestBrownoutLadder(t *testing.T) {
 	}
 
 	// Level 1: verify is dropped, the strategy is kept.
-	s.brown.force(levelNoVerify)
+	s.lim.force(levelNoVerify)
 	resp = decode[CompileResponse](t, post(t, s, req, nil))
 	if resp.BrownoutLevel != 1 || resp.Strategy != "rase" {
 		t.Fatalf("level 1: %+v", resp)
@@ -500,14 +515,14 @@ func TestBrownoutLadder(t *testing.T) {
 	}
 
 	// Level 2: expensive strategies are capped at postpass.
-	s.brown.force(levelCheapStrategy)
+	s.lim.force(levelCheapStrategy)
 	resp = decode[CompileResponse](t, post(t, s, req, nil))
 	if resp.Strategy != "postpass" {
 		t.Fatalf("level 2 strategy = %q, want postpass (%v)", resp.Strategy, resp.Brownout)
 	}
 
 	// Level 3: everything runs safe.
-	s.brown.force(levelSafe)
+	s.lim.force(levelSafe)
 	resp = decode[CompileResponse](t, post(t, s, req, nil))
 	if resp.Strategy != "safe" {
 		t.Fatalf("level 3 strategy = %q, want safe", resp.Strategy)
@@ -515,7 +530,7 @@ func TestBrownoutLadder(t *testing.T) {
 
 	// Level 4: only cache hits are served. addC was compiled as rase at
 	// level 0, so the identical request is a hit; a cold unit is shed.
-	s.brown.force(levelCacheOnly)
+	s.lim.force(levelCacheOnly)
 	w = post(t, s, req, nil)
 	resp = decode[CompileResponse](t, w)
 	if w.Code != 200 {

@@ -306,7 +306,7 @@ func TestStageOutcomes(t *testing.T) {
 		{outcome: "shed-cache-only", req: addReq, status: http.StatusTooManyRequests, sampled: true,
 			cfg: Config{Brownout: true, Clock: fixedClock()},
 			prep: func(t *testing.T, s *Server) func() {
-				s.brown.force(levelCacheOnly)
+				s.lim.force(levelCacheOnly)
 				return func() { s.Close() }
 			}},
 		{outcome: "failed", req: addReq, status: http.StatusUnprocessableEntity, sampled: true,
