@@ -135,11 +135,6 @@ func (in *Inst) ImpDefs() []mach.PhysID {
 	return in.Imp.Defs
 }
 
-// New returns an instruction instance for the given template.
-func New(tmpl *mach.Instr, args ...Operand) *Inst {
-	return &Inst{Tmpl: tmpl, Args: args, Cycle: -1}
-}
-
 // appendText appends the instruction's assembly text — mnemonic, then
 // the operands separated by ", " — to dst, recording in holes (when not
 // nil) each block or symbol operand's span, counted from base.
@@ -190,7 +185,11 @@ type Block struct {
 // Label returns the block's assembly label.
 func (b *Block) Label() string { return b.IR.Name() }
 
-// Func is one compiled function.
+// Func is one compiled function. Its code — blocks, lists,
+// instructions, operands, pseudo table — is built in the arena of the
+// worker that compiles it when Arena.Func made it, and on the heap when
+// it was built by hand; CopyOut gives it code of its own before it
+// outlives the arena.
 type Func struct {
 	Name    string
 	IR      *ir.Func
@@ -217,6 +216,10 @@ type Func struct {
 	// carries its code as text only. Print copies it verbatim; sim and
 	// verify refuse such a function. It is read-only.
 	Text []byte
+
+	// code is the arena the function's code is built in, nil once it
+	// is copied out or when it never was in one.
+	code *Arena
 }
 
 // NewSeqID returns a fresh sequence identity for a %seq expansion.
@@ -225,9 +228,14 @@ func (f *Func) NewSeqID() int32 {
 	return f.seqCounter
 }
 
-// NewPseudo allocates a fresh pseudo-register constrained to set.
+// NewPseudo allocates a fresh pseudo-register constrained to set, in
+// the table of f's arena while f is the arena's newest function, else in
+// a table of f's own.
 func (f *Func) NewPseudo(set *mach.RegSet, irReg ir.RegID) PseudoID {
 	f.Pseudos = append(f.Pseudos, PseudoInfo{Set: set, IR: irReg, Precolor: mach.NoPhys})
+	if a := f.code; a != nil && a.owner == f {
+		a.pseudos = f.Pseudos
+	}
 	return PseudoID(len(f.Pseudos) - 1)
 }
 

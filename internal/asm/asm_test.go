@@ -70,7 +70,7 @@ func TestInstDefsUses(t *testing.T) {
 		t.Fatal(err)
 	}
 	add := m.InstrByLabel("add")
-	in := New(add, Reg(0), Reg(1), Reg(2))
+	in := New(nil, add, Reg(0), Reg(1), Reg(2))
 	defs := collect(in.RegDefs(m))
 	uses := collect(in.RegUses(m))
 	if want := []effect{{Key: PseudoKey(m, 0), Op: 0}}; !reflect.DeepEqual(defs, want) {
@@ -83,7 +83,7 @@ func TestInstDefsUses(t *testing.T) {
 		t.Errorf("string = %q", got)
 	}
 	// Immediates are not registers: ld's third operand is skipped.
-	ld := New(m.InstrByLabel("ld"), Reg(0), Phys(3), Imm(8))
+	ld := New(nil, m.InstrByLabel("ld"), Reg(0), Phys(3), Imm(8))
 	if got, want := collect(ld.RegUses(m)), []effect{{Key: physKey(3), Op: 1}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("ld uses = %v, want %v", got, want)
 	}
@@ -114,7 +114,7 @@ func TestEffectsHalfOperand(t *testing.T) {
 	}
 	lo := Operand{Kind: OpPseudoHalf, Pseudo: 4, Half: 0}
 	hi := Operand{Kind: OpPseudoHalf, Pseudo: 5, Half: 1}
-	in := New(m.InstrByLabel("add"), lo, hi, Reg(6))
+	in := New(nil, m.InstrByLabel("add"), lo, hi, Reg(6))
 	if got, want := collect(in.RegDefs(m)), []effect{{Key: PseudoKey(m, 4), Op: 0, Half: true}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("defs = %v, want %v", got, want)
 	}
@@ -134,7 +134,7 @@ func TestEffectsEquivPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, d := m.RegSet("r"), m.RegSet("d")
-	fadd := New(m.InstrByLabel("fadd.d"), Phys(d.Phys(2)), Phys(d.Phys(3)), Phys(d.Phys(3)))
+	fadd := New(nil, m.InstrByLabel("fadd.d"), Phys(d.Phys(2)), Phys(d.Phys(3)), Phys(d.Phys(3)))
 	want := []effect{
 		{Key: physKey(d.Phys(2)), Op: 0},
 		{Key: physKey(r.Phys(4)), Op: 0},
@@ -146,7 +146,7 @@ func TestEffectsEquivPair(t *testing.T) {
 	if got := collect(fadd.RegUses(m)); len(got) != 6 || got[0].Key != physKey(d.Phys(3)) || got[3].Op != 2 {
 		t.Errorf("fadd.d uses = %v", got)
 	}
-	add := New(m.InstrByLabel("add"), Phys(r.Phys(7)), Phys(r.Phys(8)), Phys(r.Phys(9)))
+	add := New(nil, m.InstrByLabel("add"), Phys(r.Phys(7)), Phys(r.Phys(8)), Phys(r.Phys(9)))
 	want = []effect{{Key: physKey(r.Phys(7)), Op: 0}, {Key: physKey(d.Phys(3)), Op: 0}}
 	if got := collect(add.RegDefs(m)); !reflect.DeepEqual(got, want) {
 		t.Errorf("add defs = %v, want %v", got, want)
@@ -162,7 +162,7 @@ func TestEffectsImplicitAndHard(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, d := m.RegSet("r"), m.RegSet("d")
-	call := New(m.InstrByLabel("bsr"), Operand{Kind: OpSym, Sym: &ir.Sym{Name: "g"}})
+	call := New(nil, m.InstrByLabel("bsr"), Operand{Kind: OpSym, Sym: &ir.Sym{Name: "g"}})
 	call.Imp = &Implicit{Uses: []mach.PhysID{r.Phys(2)}, Defs: []mach.PhysID{d.Phys(1), r.Phys(9)}}
 	want := []effect{{Key: physKey(r.Phys(2)), Op: -1}, {Key: physKey(d.Phys(1)), Op: -1}}
 	if got := collect(call.RegUses(m)); !reflect.DeepEqual(got, want) {
@@ -177,7 +177,7 @@ func TestEffectsImplicitAndHard(t *testing.T) {
 	}
 
 	// r[0] is wired to zero; d[0] overlays it.
-	add := New(m.InstrByLabel("add"), Phys(r.Phys(7)), Phys(r.Phys(0)), Reg(1))
+	add := New(nil, m.InstrByLabel("add"), Phys(r.Phys(7)), Phys(r.Phys(0)), Reg(1))
 	want = []effect{
 		{Key: physKey(r.Phys(0)), Op: 1, Hard: true}, {Key: physKey(d.Phys(0)), Op: 1, Hard: true},
 		{Key: PseudoKey(m, 1), Op: 2},
@@ -195,7 +195,7 @@ func TestEffectsAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, d := m.RegSet("r"), m.RegSet("d")
-	in := New(m.InstrByLabel("fadd.d"), Reg(0), Phys(d.Phys(3)), Operand{Kind: OpPseudoHalf, Pseudo: 2})
+	in := New(nil, m.InstrByLabel("fadd.d"), Reg(0), Phys(d.Phys(3)), Operand{Kind: OpPseudoHalf, Pseudo: 2})
 	in.Imp = &Implicit{Uses: []mach.PhysID{r.Phys(2)}, Defs: m.CallerSave()}
 	n := 0
 	allocs := testing.AllocsPerRun(100, func() {
@@ -224,8 +224,8 @@ func TestPseudoHomes(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		af.NewPseudo(m.RegSet("r"), ir.NoReg)
 	}
-	b0 := &Block{IR: fn.NewBlock(), Insts: []*Inst{New(add, Reg(0), Reg(1), Reg(1))}}
-	b1 := &Block{IR: fn.NewBlock(), Insts: []*Inst{New(add, Reg(2), Operand{Kind: OpPseudoHalf, Pseudo: 1}, Reg(2))}}
+	b0 := &Block{IR: fn.NewBlock(), Insts: []*Inst{New(nil, add, Reg(0), Reg(1), Reg(1))}}
+	b1 := &Block{IR: fn.NewBlock(), Insts: []*Inst{New(nil, add, Reg(2), Operand{Kind: OpPseudoHalf, Pseudo: 1}, Reg(2))}}
 	af.Blocks = []*Block{b0, b1}
 	home, cross := af.PseudoHomes()
 	if want := []*Block{b0, b0, b1, nil}; !reflect.DeepEqual(home, want) {
@@ -266,8 +266,8 @@ func TestProgramPrintPacking(t *testing.T) {
 	add := m.InstrByLabel("add")
 	fn := ir.NewFunc("f", ir.Void)
 	irb := fn.NewBlock()
-	a := New(add, Reg(0), Reg(1), Reg(1))
-	b := New(add, Reg(2), Reg(1), Reg(1))
+	a := New(nil, add, Reg(0), Reg(1), Reg(1))
+	b := New(nil, add, Reg(2), Reg(1), Reg(1))
 	a.Cycle, b.Cycle = 0, 0 // packed
 	af := &Func{Name: "f", IR: fn, Blocks: []*Block{{IR: irb, Insts: []*Inst{a, b}}}}
 	prog := &Program{Machine: m, Funcs: []*Func{af}}

@@ -129,14 +129,14 @@ func TestFormatterHandCases(t *testing.T) {
 	long := &mach.Instr{Mnemonic: strings.Repeat("pfmul.ss.", 12)}
 	at := func(in *asm.Inst, cycle int32) *asm.Inst { in.Cycle = cycle; return in }
 	block := &asm.Block{IR: b0, Insts: []*asm.Inst{
-		asm.New(nop), // unscheduled: Cycle -1 never packs
-		asm.New(nop),
-		at(asm.New(add, operands[0], operands[8], operands[12]), 0),
-		at(asm.New(add, operands[1], operands[7], operands[14]), 0), // packed
-		at(asm.New(nop), 0), // packed
-		at(asm.New(long, operands...), 1),
-		at(asm.New(add, operands[15], operands[17]), 3),
-		at(asm.New(nop), 3), // packed
+		asm.New(nil, nop), // unscheduled: Cycle -1 never packs
+		asm.New(nil, nop),
+		at(asm.New(nil, add, operands[0], operands[8], operands[12]), 0),
+		at(asm.New(nil, add, operands[1], operands[7], operands[14]), 0), // packed
+		at(asm.New(nil, nop), 0), // packed
+		at(asm.New(nil, long, operands...), 1),
+		at(asm.New(nil, add, operands[15], operands[17]), 3),
+		at(asm.New(nil, nop), 3), // packed
 	}}
 	longLine := long.Mnemonic + " " + strings.Join(wantOps, ", ")
 	wantInsts := []string{

@@ -102,9 +102,13 @@ func (e *Effects) Next() bool {
 // PseudoHomes is the cross-block pseudo analysis: for every pseudo of
 // f, home is the first block whose instructions mention it (nil when
 // none does) and cross reports whether a second block mentions it too.
+// Both lists come from f's arena when it has one.
 func (f *Func) PseudoHomes() (home []*Block, cross []bool) {
-	home = make([]*Block, len(f.Pseudos))
-	cross = make([]bool, len(f.Pseudos))
+	if n := len(f.Pseudos); f.code != nil && n > 0 {
+		home, cross = f.code.blockLists.CarveN(n), f.code.bools.CarveN(n)
+	} else {
+		home, cross = make([]*Block, n), make([]bool, n)
+	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Insts {
 			for _, a := range in.Args {

@@ -162,6 +162,10 @@ func TestSemaErrors(t *testing.T) {
 		{"return in void", `void f() { return 3; }`, "returns a value"},
 		{"returns array", `int g; int f[3]() { int a[3]; return a; }`, `t.c:1: function "f" cannot return int[3]`},
 		{"prototype returns array", "int f[2]();\nint g() { return 0; }", `t.c:1: function "f" cannot return int[2]`},
+		{"unsigned char", "int f(int x) {\n  unsigned char c[2];\n  c[0] = x;\n  return c[0];\n}",
+			"t.c:2: unsigned char is not supported: the IL has no unsigned 8-bit type"},
+		{"unsigned short", "unsigned short int g;\nint f() { return g; }",
+			"t.c:1: unsigned short is not supported: the IL has no unsigned 16-bit type"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

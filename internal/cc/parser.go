@@ -136,11 +136,16 @@ func (p *parser) typeSpec() (*CType, error) {
 		switch p.tok.Kind {
 		case tInt, tLong:
 			// keep base
+		// The IL has no U8 or U16: an unsigned char or short would be
+		// read back sign-extended, so both are refused.
 		case tChar:
 			if base == typeUnsigned {
-				base = typeChar
+				return nil, p.errf("unsigned char is not supported: the IL has no unsigned 8-bit type")
 			}
 		case tShort:
+			if base == typeUnsigned {
+				return nil, p.errf("unsigned short is not supported: the IL has no unsigned 16-bit type")
+			}
 			base = typeShort
 		case tDouble:
 			base = typeDouble

@@ -71,8 +71,8 @@ func TestTrueDependenceLatency(t *testing.T) {
 	r := m.RegSet("r")
 	// t0 = m[r6+0]; t1 = t0 + t0
 	b := block(
-		asm.New(ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
-		asm.New(add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
+		asm.New(nil, ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
+		asm.New(nil, add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
 	)
 	g := Build(m, b, Options{})
 	e, ok := findEdge(g, 0, 1)
@@ -88,8 +88,8 @@ func TestAuxLatencyOverride(t *testing.T) {
 	r := m.RegSet("r")
 	// ld t0; st t0 -> same first operand: %aux raises latency to 5.
 	b := block(
-		asm.New(ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
-		asm.New(st, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(8)),
+		asm.New(nil, ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
+		asm.New(nil, st, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(8)),
 	)
 	g := Build(m, b, Options{})
 	e, ok := findEdge(g, 0, 1)
@@ -98,8 +98,8 @@ func TestAuxLatencyOverride(t *testing.T) {
 	}
 	// Different registers: normal latency 3 applies.
 	b2 := block(
-		asm.New(ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
-		asm.New(st, asm.Reg(1), asm.Phys(r.Phys(6)), asm.Imm(8)),
+		asm.New(nil, ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
+		asm.New(nil, st, asm.Reg(1), asm.Phys(r.Phys(6)), asm.Imm(8)),
 	)
 	// t1 is undefined here, so the only edge is the memory edge.
 	g2 := Build(m, b2, Options{})
@@ -116,9 +116,9 @@ func TestMemoryEdges(t *testing.T) {
 	r := m.RegSet("r")
 	fp := r.Phys(6)
 	b := block(
-		asm.New(ld, asm.Reg(0), asm.Phys(fp), asm.Imm(0)),  // 0: load
-		asm.New(st, asm.Reg(1), asm.Phys(fp), asm.Imm(8)),  // 1: store (anti on mem)
-		asm.New(ld, asm.Reg(2), asm.Phys(fp), asm.Imm(16)), // 2: load after store
+		asm.New(nil, ld, asm.Reg(0), asm.Phys(fp), asm.Imm(0)),  // 0: load
+		asm.New(nil, st, asm.Reg(1), asm.Phys(fp), asm.Imm(8)),  // 1: store (anti on mem)
+		asm.New(nil, ld, asm.Reg(2), asm.Phys(fp), asm.Imm(16)), // 2: load after store
 	)
 	g := Build(m, b, Options{})
 	if e, ok := findEdge(g, 0, 1); !ok || e.Type != memory {
@@ -136,9 +136,9 @@ func TestAntiAndOutputEdges(t *testing.T) {
 	m := testMachine(t)
 	add := m.InstrByLabel("add")
 	b := block(
-		asm.New(add, asm.Reg(0), asm.Reg(1), asm.Reg(2)), // 0: def t0
-		asm.New(add, asm.Reg(3), asm.Reg(0), asm.Reg(0)), // 1: use t0
-		asm.New(add, asm.Reg(0), asm.Reg(4), asm.Reg(4)), // 2: redef t0
+		asm.New(nil, add, asm.Reg(0), asm.Reg(1), asm.Reg(2)), // 0: def t0
+		asm.New(nil, add, asm.Reg(3), asm.Reg(0), asm.Reg(0)), // 1: use t0
+		asm.New(nil, add, asm.Reg(0), asm.Reg(4), asm.Reg(4)), // 2: redef t0
 	)
 	g := Build(m, b, Options{})
 	if e, ok := findEdge(g, 1, 2); !ok || e.Type != anti || e.Latency != 0 {
@@ -161,9 +161,9 @@ func TestBranchStaysLast(t *testing.T) {
 	b0 := fn.NewBlock()
 	tgt := fn.NewBlock()
 	b := &asm.Block{IR: b0, Insts: []*asm.Inst{
-		asm.New(add, asm.Reg(0), asm.Reg(1), asm.Reg(2)),
-		asm.New(add, asm.Reg(3), asm.Reg(4), asm.Reg(5)),
-		asm.New(beq, asm.Reg(0), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
+		asm.New(nil, add, asm.Reg(0), asm.Reg(1), asm.Reg(2)),
+		asm.New(nil, add, asm.Reg(3), asm.Reg(4), asm.Reg(5)),
+		asm.New(nil, beq, asm.Reg(0), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
 	}}
 	g := Build(m, b, Options{})
 	if _, ok := findEdge(g, 1, 2); !ok {
@@ -176,9 +176,9 @@ func TestBranchStaysLast(t *testing.T) {
 	// A node that precedes the branch through a successor needs no edge
 	// of its own: only the sinks get one.
 	b.Insts = []*asm.Inst{
-		asm.New(add, asm.Reg(0), asm.Reg(1), asm.Reg(2)),
-		asm.New(add, asm.Reg(3), asm.Reg(0), asm.Reg(0)),
-		asm.New(beq, asm.Reg(4), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
+		asm.New(nil, add, asm.Reg(0), asm.Reg(1), asm.Reg(2)),
+		asm.New(nil, add, asm.Reg(3), asm.Reg(0), asm.Reg(0)),
+		asm.New(nil, beq, asm.Reg(4), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
 	}
 	g = Build(m, b, Options{})
 	if _, ok := findEdge(g, 1, 2); !ok {
@@ -195,8 +195,8 @@ func TestHardRegisterNoEdge(t *testing.T) {
 	r := m.RegSet("r")
 	// Both read r0 (hard zero): no dependence between them.
 	b := block(
-		asm.New(add, asm.Reg(0), asm.Phys(r.Phys(0)), asm.Reg(1)),
-		asm.New(add, asm.Reg(2), asm.Phys(r.Phys(0)), asm.Reg(3)),
+		asm.New(nil, add, asm.Reg(0), asm.Phys(r.Phys(0)), asm.Reg(1)),
+		asm.New(nil, add, asm.Reg(2), asm.Phys(r.Phys(0)), asm.Reg(3)),
 	)
 	g := Build(m, b, Options{})
 	if _, ok := findEdge(g, 0, 1); ok {
@@ -210,10 +210,10 @@ func TestHeights(t *testing.T) {
 	add := m.InstrByLabel("add")
 	r := m.RegSet("r")
 	b := block(
-		asm.New(ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)), // h = 3+1 = 4
-		asm.New(add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),         // h = 1
-		asm.New(add, asm.Reg(2), asm.Reg(1), asm.Reg(1)),         // h = 0
-		asm.New(add, asm.Reg(3), asm.Reg(4), asm.Reg(5)),         // h = 0 (independent)
+		asm.New(nil, ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)), // h = 3+1 = 4
+		asm.New(nil, add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),         // h = 1
+		asm.New(nil, add, asm.Reg(2), asm.Reg(1), asm.Reg(1)),         // h = 0
+		asm.New(nil, add, asm.Reg(3), asm.Reg(4), asm.Reg(5)),         // h = 0 (independent)
 	)
 	g := Build(m, b, Options{})
 	h := g.HeightsInto(nil)
@@ -261,9 +261,9 @@ func TestTemporalEdgeSurvivesMerge(t *testing.T) {
 	f := m.RegSet("f")
 	// The producer writes the latch and, implicitly, f3; the consumer
 	// reads both.
-	prod := asm.New(m.InstrByLabel("Ml"), asm.Reg(0), asm.Reg(1))
+	prod := asm.New(nil, m.InstrByLabel("Ml"), asm.Reg(0), asm.Reg(1))
 	prod.Imp = &asm.Implicit{Defs: []mach.PhysID{f.Phys(3)}}
-	cons := asm.New(m.InstrByLabel("FWA"), asm.Reg(2), asm.Phys(f.Phys(3)))
+	cons := asm.New(nil, m.InstrByLabel("FWA"), asm.Reg(2), asm.Phys(f.Phys(3)))
 	prod.SeqID, cons.SeqID = 1, 1
 	g := Build(m, block(prod, cons), Options{})
 

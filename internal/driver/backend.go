@@ -88,22 +88,30 @@ type phaseTiming struct {
 	Attempt int
 }
 
-// phase is one named back end step with the uniform signature.
+// phase is one named back end step with the uniform signature, and the
+// histogram its wall time goes to (nil for a phase a test builds, whose
+// time goes nowhere).
 type phase struct {
 	Name string
 	Run  func(*funcCtx) error
+	hist *metrics.Histogram
 }
 
 // backend is the ordered list of phases the runner applies to each
 // function.
 type backend []phase
 
+// standard is the back end CompileModuleCtx runs, built once per
+// process.
+var standard = newBackend()
+
 // newBackend returns the paper's back end: glue transform, instruction
 // selection, code generation strategy (scheduling + register allocation
-// + prologue/epilogue), then the verifier when Config.Verify is set.
-// Each call returns a list of its own, so a test may wrap a phase.
+// + prologue/epilogue), then the verifier when Config.Verify is set,
+// each phase with its histogram. Each call returns a list of its own,
+// so a test may wrap a phase.
 func newBackend() backend {
-	return backend{
+	b := backend{
 		{Name: "xform", Run: func(c *funcCtx) error {
 			c.Undo.Apply(c.Machine, c.IR, c.Nodes)
 			return nil
@@ -133,6 +141,10 @@ func newBackend() backend {
 			return nil
 		}},
 	}
+	for i := range b {
+		b[i].hist = phaseHist(b[i].Name)
+	}
+	return b
 }
 
 // verifyFunc checks emitted code against the machine description under
@@ -290,10 +302,6 @@ type pool interface {
 // worker is what one claim loop keeps from one function to the next,
 // and what waits in workers between loops.
 type worker struct {
-	// hists is the histogram of each of the Run's phases, filled in by
-	// the first function the loop compiles (tryOne); a run of hits looks
-	// none up.
-	hists []*metrics.Histogram
 	// fp is the fingerprint's scratch, reset by every function the
 	// worker looks up in the cache.
 	fp ir.FingerprintScratch
@@ -307,14 +315,15 @@ type worker struct {
 
 // detach readies w to wait in the pool: every member drops the pointers
 // it holds into the compiles it served (functions, code, IL nodes,
-// deadlines), keeping its storage.
+// deadlines), keeping its storage; the code arena, whose last function
+// was copied out or failed, is rewound.
 func (w *worker) detach() {
-	w.hists = w.hists[:0]
 	w.fp.Detach()
 	w.nodes = ir.Slab{}
 	if a := w.arena; a != nil {
 		a.ctx = funcCtx{}
 		a.undo.Detach()
+		a.sel.Code.Rewind()
 		a.sel.Detach()
 		a.strategy.Detach()
 		a.verify.Detach()
@@ -333,10 +342,12 @@ type arena struct {
 	// undo logs the glue transform's writes into the function being
 	// compiled.
 	undo xform.Log
-	// The selector's tables; the strategy's scheduler (with its code
-	// DAG) and allocator; the verifier's tables, which the verify phase,
-	// the ladder's re-check and the cache's admission check share; and
-	// the cache's encoder.
+	// The selector's tables and the code arena every phase builds the
+	// attempt's code in (sel.Code: rewound at the start of each attempt,
+	// the accepted function copied out of it before runOne returns); the
+	// strategy's scheduler (with its code DAG) and allocator; the
+	// verifier's tables, which the verify phase, the ladder's re-check
+	// and the cache's admission check share; and the cache's encoder.
 	sel      sel.Scratch
 	strategy strategy.Scratch
 	verify   verify.Scratch
@@ -419,6 +430,7 @@ func (b backend) runOne(ctx context.Context, m *mach.Machine, index int, fn *ir.
 		res, timings, phase, err := b.tryOne(ctx, m, index, fn, cfg, kind, attempt, w, fnSpan)
 		if err == nil {
 			undo.Keep()
+			res.Func.CopyOut()
 			if prior != nil {
 				res.Timings = append(prior, res.Timings...)
 			}
@@ -482,15 +494,11 @@ func (b backend) tryOne(ctx context.Context, m *mach.Machine, index int, fn *ir.
 	cfg.Options.Deadline = actx
 	cfg.Options.Inject = inj
 
-	// The lookup builds a name and read-locks the registry every worker
-	// shares, so it is done once per claim loop, not per function.
-	if len(w.hists) == 0 {
-		for _, ph := range b {
-			w.hists = append(w.hists, phaseHist(ph.Name))
-		}
-	}
-	// Timings has room for every phase and the cache's store.
+	// The attempt builds its code in the worker's arena, which holds
+	// nothing live: the last function was copied out, or failed.
 	a := w.arena
+	a.sel.Code.Rewind()
+	// Timings has room for every phase and the cache's store.
 	c := &a.ctx
 	*c = funcCtx{
 		Machine: m, IR: fn, Cfg: cfg, Attempt: attempt, Undo: &a.undo, Nodes: &w.nodes,
@@ -514,7 +522,9 @@ func (b backend) tryOne(ctx context.Context, m *mach.Machine, index int, fn *ir.
 		elapsed := time.Since(start)
 		psp.End()
 		c.Timings = append(c.Timings, phaseTiming{Phase: ph.Name, Time: elapsed, Attempt: attempt})
-		w.hists[i].ObserveDuration(elapsed)
+		if ph.hist != nil {
+			ph.hist.ObserveDuration(elapsed)
+		}
 		if err != nil {
 			asp.Attr("error", ph.Name)
 			return nil, c.Timings, ph.Name, budgetize(ph.Name, err, actx, ctx, cfg.Budget)
@@ -547,8 +557,8 @@ func phaseHist(phase string) *metrics.Histogram {
 }
 
 // The two phases that are not in the backend list run once per function
-// whatever the phase list is, so their histograms are looked up once per
-// process; tryOne looks up the listed phases' once per claim loop.
+// whatever the phase list is; their histograms, like the listed phases',
+// are looked up once per process.
 var (
 	cacheHist      = phaseHist("cache")
 	cachestoreHist = phaseHist("cachestore")

@@ -297,6 +297,12 @@ func CompileModule(m *mach.Machine, mod *ir.Module, cfg Config) (*Compiled, erro
 // its phase. A function with a register of a type the target cannot
 // hold is refused before any phase runs (checkRegTypes).
 func CompileModuleCtx(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg Config) (*Compiled, error) {
+	return compileModule(ctx, m, mod, cfg, &workers)
+}
+
+// compileModule is CompileModuleCtx with its claim loops borrowing
+// their workers from p.
+func compileModule(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg Config, p pool) (*Compiled, error) {
 	if err := checkRegTypes(m, mod.Funcs); err != nil {
 		return nil, err
 	}
@@ -329,7 +335,7 @@ func CompileModuleCtx(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg 
 		out.Prog.Globals = append(out.Prog.Globals, g)
 	}
 
-	results, diags := newBackend().run(ctx, m, mod.Funcs, cfg, &workers)
+	results, diags := standard.run(ctx, m, mod.Funcs, cfg, p)
 	if err := diags.Err(); err != nil {
 		return nil, err
 	}

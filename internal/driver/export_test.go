@@ -77,6 +77,12 @@ func (b backend) RunOn(k *Kept, ctx context.Context, m *mach.Machine, funcs []*i
 	return b.run(ctx, m, funcs, cfg, k)
 }
 
+// CompileModuleOn is CompileModuleCtx with its claim loops borrowing
+// from k.
+func CompileModuleOn(k *Kept, ctx context.Context, m *mach.Machine, mod *ir.Module, cfg Config) (*Compiled, error) {
+	return compileModule(ctx, m, mod, cfg, k)
+}
+
 // LowerOn is Lower's C front end with its scratch borrowed from k.
 func LowerOn(k *Kept, name, src string) (*ir.Module, error) {
 	mod, _, err := lower(k, "c", name, src, false)

@@ -75,12 +75,22 @@ func f() {
 	}
 }
 
-// slabRewinds returns where f names a method Rewind, which only ir.Slab
-// has: a call, or a method value to call later.
+// lifetimeCalls are the methods that end what a slab or an arena
+// handed out, by name, which no other method of the module has:
+// ir.Slab's and asm.Arena's Rewind, and asm.Func's CopyOut, which frees
+// the arena a function was built in to be rewound. Each maps to what
+// only the driver knows.
+var lifetimeCalls = map[string]string{
+	"Rewind":  "only the driver knows when a unit's IL or a worker's code is dead",
+	"CopyOut": "only the driver copies a finished function out of its worker's code arena",
+}
+
+// slabRewinds returns where f names one of lifetimeCalls: a call, or a
+// method value to call later.
 func slabRewinds(f gentest.GoFile) []*ast.SelectorExpr {
 	var found []*ast.SelectorExpr
 	ast.Inspect(f.AST, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Rewind" {
+		if sel, ok := n.(*ast.SelectorExpr); ok && lifetimeCalls[sel.Sel.Name] != "" {
 			found = append(found, sel)
 		}
 		return true
@@ -88,27 +98,36 @@ func slabRewinds(f gentest.GoFile) []*ast.SelectorExpr {
 	return found
 }
 
-// TestSlabHasOneRewinder keeps the decision "is this IL dead?" with the
-// driver: no shipped file outside this package rewinds an ir.Slab, so
-// the only nodes ever zeroed and carved again are those of a unit
-// lowered by LowerScoped, once its done has emptied the module's
-// blocks. A front end or a phase that built IL drops its slab with the
-// IL instead.
+// TestSlabHasOneRewinder keeps the decisions "is this IL dead?" and "is
+// this code dead?" with the driver: no shipped file outside this
+// package rewinds an ir.Slab or an asm.Arena, or copies a function out
+// of its arena. So the only nodes ever zeroed and carved again are
+// those of a unit lowered by LowerScoped, once its done has emptied the
+// module's blocks, and the only code those of an attempt that failed or
+// of a function copied out. A front end or a phase that built IL drops
+// its slab with the IL instead, and a scratch nobody rewinds keeps the
+// code built in it.
 func TestSlabHasOneRewinder(t *testing.T) {
 	t.Run("planted", func(t *testing.T) {
 		f := gentest.Planted(t, "internal/p/p.go", `package p
-import "marion/internal/ir"
+import (
+	"marion/internal/ir"
+	"marion/internal/sel"
+)
 type keep struct{ nodes ir.Slab }
-func f(s *ir.Slab, k *keep) {
+func f(s *ir.Slab, k *keep, sc *sel.Scratch) {
 	s.Rewind()
 	k.nodes.Rewind()
 	_ = s.Const(ir.I32, 0)
 	k.nodes = ir.Slab{}
 	rewind := s.Rewind
 	_ = rewind
+	sc.Code.Rewind()
+	af, _, _ := sc.SelectOpts(nil, nil, sel.Options{})
+	af.CopyOut()
 }`)
-		if got := len(slabRewinds(f)); got != 3 {
-			t.Fatalf("found %d of the 3 planted rewinds", got)
+		if got := len(slabRewinds(f)); got != 5 {
+			t.Fatalf("found %d of the 5 planted rewinds and copies", got)
 		}
 	})
 
@@ -118,8 +137,7 @@ func f(s *ir.Slab, k *keep) {
 			continue
 		}
 		for _, sel := range slabRewinds(f) {
-			t.Errorf("%s: Rewind: only the driver knows when a unit's IL is dead",
-				fset.Position(sel.Pos()))
+			t.Errorf("%s: %s: %s", fset.Position(sel.Pos()), sel.Sel.Name, lifetimeCalls[sel.Sel.Name])
 		}
 	}
 }

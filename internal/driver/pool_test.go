@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"marion/internal/asm"
 	"marion/internal/cache"
@@ -22,6 +21,7 @@ import (
 	"marion/internal/livermore"
 	"marion/internal/mach"
 	"marion/internal/metrics"
+	"marion/internal/sim"
 	"marion/internal/strategy"
 	"marion/internal/targets"
 )
@@ -157,35 +157,51 @@ func compileTwoLoops(t *testing.T, g generator, funcs []*ir.Func, run runFunc) [
 // of the compiles it served. One worker compiles the Livermore suite
 // and every serve unit under three code generators, with the cache and
 // the verifier on so that every member of its arena works. Then, with
-// the results dropped and the worker held as the pool holds it:
+// the worker held as the pool holds it:
 //   - nothing reachable from the worker is a compile's own — no IL or
 //     asm function, block, node, instruction, symbol or implicit effect,
-//     no slab chunk of nodes or instructions, no deadline — the walk
-//     naming the field that holds one;
-//   - after two collections (and a few more for finalizers queued
-//     behind others), the finalizer of every IL function's register
-//     table, every *asm.Func and the first chunk of every function's
-//     selected instructions has run. (An *ir.Func's own finalizer never
-//     runs: it is on a cycle through its blocks' Fn. Its register table
-//     is on none, and lives exactly as long as it.)
+//     no deadline — the walk naming the field that holds one; the
+//     chunks of its code arena are its own, but every value in them is
+//     zero;
+//   - nothing reachable from a result points into a kept code chunk;
+//   - once the results are dropped too, after two collections (and a
+//     few more for finalizers queued behind others), the finalizer of
+//     every IL function's register table, every *asm.Func and every
+//     result's copied instruction array has run. (An *ir.Func's own
+//     finalizer never runs: it is on a cycle through its blocks' Fn. Its
+//     register table is on none, and lives exactly as long as it.)
 func TestPooledArenaPinsNothing(t *testing.T) {
 	kept := new(driver.Kept)
-	var want, ran [3]atomic.Int64 // IL register tables, asm functions, instruction chunks
+	var want, ran [3]atomic.Int64 // IL register tables, asm functions, instruction arrays
 	watch := func(class int, obj any) {
 		want[class].Add(1)
 		runtime.SetFinalizer(obj, func(any) { ran[class].Add(1) })
 	}
-	compilePooled(t, kept, watch)
+	results := compilePooled(t, kept, watch)
 
 	ws := kept.Workers()
 	if len(ws) != 1 {
 		t.Fatalf("%d workers wait in the pool, want 1", len(ws))
 	}
-	if path := newWalker().pinned(reflect.ValueOf(ws[0]), "worker"); path != "" {
+	w := newWalker()
+	w.chunks = true
+	if path := w.pinned(reflect.ValueOf(ws[0]), "worker"); path != "" {
 		t.Errorf("the pooled worker holds a compile's storage at %s", path)
 	}
+	chunks := keptChunks(reflect.ValueOf(ws[0]).Elem().FieldByName("arena").Elem().FieldByName("sel").FieldByName("Code"))
+	if len(chunks) == 0 {
+		t.Fatal("the pooled worker keeps no code chunk")
+	}
+	seen := map[walkKey]bool{}
+	for i, r := range results {
+		if path := pointsInto(reflect.ValueOf(r), chunks, seen); path != "" {
+			t.Errorf("result %d (%s) reaches a kept code chunk: %s", i, r.IR.Name, path)
+		}
+	}
+	runtime.KeepAlive(results)
+	results = nil
 
-	names := [3]string{"IL register table", "*asm.Func", "instruction chunk"}
+	names := [3]string{"IL register table", "*asm.Func", "copied instruction array"}
 	done := func() bool {
 		for c := range want {
 			if ran[c].Load() != want[c].Load() {
@@ -523,6 +539,80 @@ func TestScopedCompileKeepsItsCode(t *testing.T) {
 	}
 }
 
+// TestCodeOutlivesItsWorker: the code a compile hands back is its own,
+// not its worker's. One worker, kept in a test's pool, compiles the
+// Livermore suite, then each serve unit, then the big-block fixture,
+// every compile building its code in the arena the one before it built
+// in and rewound, and every result is kept. After each compile, every
+// program so far prints what it printed right after its own compile;
+// at the end the Livermore program, run on the simulator, gives kernel
+// 1's reference checksum.
+func TestCodeOutlivesItsWorker(t *testing.T) {
+	m, err := targets.Load("r2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := livermore.SuiteModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mods := []*ir.Module{suite}
+	for _, u := range append(gentest.Serve(), gentest.Fixture(gentest.BigBlock)) {
+		mod, err := driver.Lower(u.Lang, u.Name, u.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods = append(mods, mod)
+	}
+	kept := new(driver.Kept)
+	var done []*driver.Compiled
+	var printed []string
+	for _, mod := range mods {
+		c, err := driver.CompileModuleOn(kept, context.Background(), m, mod,
+			driver.Config{Strategy: strategy.RASE, Workers: 1, Verify: true})
+		if err != nil {
+			t.Fatalf("%s: %v", mod.Name, err)
+		}
+		text, ok := printProgram(c.Prog)
+		if !ok {
+			t.Fatalf("%s: the program cannot be printed right after its compile", mod.Name)
+		}
+		done, printed = append(done, c), append(printed, text)
+		for i, c := range done {
+			if got, ok := printProgram(c.Prog); !ok || got != printed[i] {
+				t.Fatalf("after %s, the program of %s prints differently", mod.Name, mods[i].Name)
+			}
+		}
+	}
+	if n := len(kept.Workers()); n != 1 {
+		t.Fatalf("%d workers wait in the pool, want the one every compile borrowed", n)
+	}
+	k := livermore.Kernels[0]
+	s := sim.New(done[0].Prog, sim.Options{})
+	if _, err := s.Run(fmt.Sprint("init", k.ID)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Run(fmt.Sprint("kern", k.ID), sim.Int(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := k.Ref(1); st.RetF != want {
+		t.Errorf("kernel %d, kept while the worker compiled %d more units, checksums %.17g, want %.17g",
+			k.ID, len(mods)-1, st.RetF, want)
+	}
+}
+
+// printProgram returns p's text, or false when printing it panics, as it
+// does on code a rewind has zeroed.
+func printProgram(p *asm.Program) (text string, ok bool) {
+	defer func() {
+		if recover() != nil {
+			text, ok = "", false
+		}
+	}()
+	return p.Print(), true
+}
+
 // frontEndPin returns the path to the first thing of a unit a pooled
 // frontEnd holds, or "" when it holds none. Its slab's chunks are its
 // own, but must be zero.
@@ -532,20 +622,28 @@ func frontEndPin(fe any) string {
 	return w.pinned(reflect.ValueOf(fe), "frontEnd")
 }
 
-// span is the storage of one slab chunk, [lo, hi).
+// span is the storage of one kept chunk, [lo, hi).
 type span struct{ lo, hi uintptr }
 
-// keptChunks returns the storage of every chunk an ir.Slab keeps,
-// nodes and kid lists alike.
-func keptChunks(slab reflect.Value) []span {
+// keptChunks returns the storage of every chunk an ir.Slab or an
+// asm.Arena keeps: each of its ir.Chunks fields' chunks, and the
+// arena's pseudo-register table.
+func keptChunks(store reflect.Value) []span {
 	var spans []span
-	for _, kind := range []string{"nodes", "kids"} {
-		all := slab.FieldByName(kind).FieldByName("all")
-		for i := range all.Len() {
-			ch := all.Index(i)
-			if ch.Cap() > 0 {
-				lo := ch.Pointer()
-				spans = append(spans, span{lo, lo + uintptr(ch.Cap())*ch.Type().Elem().Size()})
+	add := func(ch reflect.Value) {
+		if ch.Cap() > 0 {
+			lo := ch.Pointer()
+			spans = append(spans, span{lo, lo + uintptr(ch.Cap())*ch.Type().Elem().Size()})
+		}
+	}
+	for i := range store.NumField() {
+		switch f := store.Field(i); {
+		case f.Kind() == reflect.Slice:
+			add(f)
+		case f.Kind() == reflect.Struct && f.FieldByName("all").IsValid():
+			all := f.FieldByName("all")
+			for i := range all.Len() {
+				add(all.Index(i))
 			}
 		}
 	}
@@ -624,23 +722,12 @@ func pointsInto(v reflect.Value, spans []span, seen map[walkKey]bool) string {
 
 // compilePooled compiles the Livermore suite and the serve units on
 // one worker kept in k, watching every IL function's register table,
-// every asm function and the first instruction chunk of each. Nothing it made outlives it but
-// what k holds.
-func compilePooled(t *testing.T, k *driver.Kept, watch func(int, any)) {
+// every asm function and the instruction array each was copied into.
+// Nothing it made outlives it but what k holds and the results it
+// returns.
+func compilePooled(t *testing.T, k *driver.Kept, watch func(int, any)) []*driver.Result {
 	p := driver.NewBackend()
-	for i, ph := range p {
-		if ph.Name != "select" {
-			continue
-		}
-		selectPhase := ph.Run
-		p[i].Run = func(c *driver.Ctx) error {
-			err := selectPhase(c)
-			if c.Func != nil {
-				watch(2, firstChunk(c.Func))
-			}
-			return err
-		}
-	}
+	var results []*driver.Result
 	for _, g := range generators(t)[:3] {
 		c, err := cache.New(cache.Options{Registry: metrics.NewRegistry()})
 		if err != nil {
@@ -664,30 +751,31 @@ func compilePooled(t *testing.T, k *driver.Kept, watch func(int, any)) {
 			}
 			for _, r := range res {
 				watch(1, r.Func)
+				if in := firstInst(r.Func); in != nil {
+					watch(2, in)
+				}
 			}
+			results = append(results, res...)
 		}
 	}
+	return results
 }
 
-// firstChunk returns the start of the first chunk the selector carved
-// af's instructions from. The selector fills each chunk from its first
-// slot and emits every instruction it carves, so the lowest-addressed
-// instruction of a selected function starts a chunk.
-func firstChunk(af *asm.Func) *asm.Inst {
-	var low *asm.Inst
+// firstInst returns the start of the array af's instructions were
+// copied into, which holds them in list order: its first instruction,
+// or nil when it has none (a cache hit's, whose code is text).
+func firstInst(af *asm.Func) *asm.Inst {
 	for _, b := range af.Blocks {
-		for _, in := range b.Insts {
-			if low == nil || uintptr(unsafe.Pointer(in)) < uintptr(unsafe.Pointer(low)) {
-				low = in
-			}
+		if len(b.Insts) > 0 {
+			return b.Insts[0]
 		}
 	}
-	return low
+	return nil
 }
 
 // compileTypes are the types whose values belong to one compile: a
 // pooled worker may hold no pointer to one, nor a slice of the last
-// four (a slab chunk).
+// four, a chunk, but for the kept chunks of its code arena, zeroed.
 var compileTypes = map[reflect.Type]bool{
 	reflect.TypeOf(ir.Func{}): true, reflect.TypeOf(ir.Block{}): true,
 	reflect.TypeOf(ir.Sym{}): true, reflect.TypeOf(asm.Func{}): true,
@@ -708,18 +796,23 @@ var contextType = reflect.TypeOf((*context.Context)(nil)).Elem()
 // (up to the slice's capacity: the collector sees the whole array) from
 // a value, except into the machine description, which outlives every
 // compile. With strings set, a non-empty string is a pin too: a unit's
-// names and source are its own. With chunks set, a chunk of IL nodes or
-// kid pointers is not, as a frontEnd's kept slab holds them, but every
-// value in it must be zero.
+// names and source are its own. With chunks set, a chunk of one of
+// chunkTypes is not, as a frontEnd's kept slab and a worker's code
+// arena hold them, but every value in it must be zero.
 type walker struct {
 	seen            map[walkKey]bool
 	strings, chunks bool
 }
 
-var (
-	nodeType    = reflect.TypeOf(ir.Node{})
-	nodePtrType = reflect.TypeOf((*ir.Node)(nil))
-)
+// chunkTypes are the element types of the chunks a kept ir.Slab or
+// asm.Arena holds.
+var chunkTypes = map[reflect.Type]bool{
+	reflect.TypeOf(ir.Node{}): true, reflect.TypeOf((*ir.Node)(nil)): true,
+	reflect.TypeOf(asm.Inst{}): true, reflect.TypeOf(asm.Operand{}): true,
+	reflect.TypeOf(asm.Implicit{}): true, reflect.TypeOf((*asm.Inst)(nil)): true,
+	reflect.TypeOf(asm.Block{}): true, reflect.TypeOf((*asm.Block)(nil)): true,
+	reflect.TypeOf(asm.PseudoInfo{}): true,
+}
 
 type walkKey struct {
 	p uintptr
@@ -788,11 +881,11 @@ func (w *walker) find(v reflect.Value) string {
 		if v.IsNil() || v.Cap() == 0 {
 			return ""
 		}
-		if w.chunks && (t.Elem() == nodeType || t.Elem() == nodePtrType) {
+		if w.chunks && chunkTypes[t.Elem()] {
 			all := v.Slice3(0, v.Cap(), v.Cap())
 			for i := range all.Len() {
 				if !all.Index(i).IsZero() {
-					return fmt.Sprintf("[%d] (a kept %s chunk of %d holds a unit's value)", i, t.Elem(), v.Cap())
+					return fmt.Sprintf("[%d] (a kept %s chunk of %d is not zeroed)", i, t.Elem(), v.Cap())
 				}
 			}
 			return ""

@@ -74,7 +74,7 @@ func (s *Slab) Kids(n int) []*Node {
 	if n == 0 {
 		return nil
 	}
-	return s.kids.carveN(n)
+	return s.kids.CarveN(n)
 }
 
 // New returns an operator node from the slab.
@@ -112,6 +112,7 @@ type Chunks[T any] struct {
 	all        [][]T
 	used       int
 	due, built int // still expected, counted down as carved; carved since Reset
+	floor      int // the fewest values a new chunk holds
 }
 
 // Expect tells c that about n more values are still to be carved: a new
@@ -119,6 +120,11 @@ type Chunks[T any] struct {
 // rounds up to a size class (a larger one is rounded up to whole pages,
 // and whatever the rounding adds is waste at the end of a unit).
 func (c *Chunks[T]) Expect(n int) { c.due = n }
+
+// Floor makes every new chunk hold at least n values, for an owner
+// whose estimates may run short: once what was expected is carved, a
+// new chunk holds n values rather than only the request that opens it.
+func (c *Chunks[T]) Floor(n int) { c.floor = n }
 
 // Built reports how many values c has carved since the last Reset.
 func (c *Chunks[T]) Built() int { return c.built }
@@ -135,9 +141,9 @@ func (c *Chunks[T]) Carve(v T) *T {
 	return &(*cur)[len(*cur)-1]
 }
 
-// carveN returns n adjacent zero values carved from the chunks, as a
+// CarveN returns n adjacent zero values carved from the chunks, as a
 // list with cap == len.
-func (c *Chunks[T]) carveN(n int) []T {
+func (c *Chunks[T]) CarveN(n int) []T {
 	if c.used == 0 || cap(c.all[c.used-1])-len(c.all[c.used-1]) < n {
 		c.open(n)
 	}
@@ -160,7 +166,7 @@ func (c *Chunks[T]) open(need int) {
 	if c.used == len(c.all) {
 		var zero T
 		most := 32 << 10 / int(unsafe.Sizeof(zero))
-		c.all = append(c.all, slices.Grow([]T(nil), max(need, min(c.due, most))))
+		c.all = append(c.all, slices.Grow([]T(nil), max(need, min(max(c.due, c.floor), most))))
 	}
 	c.used++
 }

@@ -125,7 +125,13 @@ func (s *Scratch) AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Re
 
 // Detach drops what the scratch holds of the function it allocated
 // last, keeping the tables' storage and the machines' facts.
-func (s *Scratch) Detach() { s.a.af, s.a.res = nil, nil }
+func (s *Scratch) Detach() {
+	a := &s.a
+	a.af, a.res = nil, nil
+	clear(a.list[:cap(a.list)])
+	clear(a.loads[:cap(a.loads)])
+	clear(a.stores[:cap(a.stores)])
+}
 
 // spillGlobals sends every pseudo that more than one block mentions to
 // memory, as a round's spill list would be.
@@ -183,8 +189,11 @@ type allocator struct {
 	stack     []asm.PseudoID
 	remaining int
 
-	// insertSpills' scratch.
-	slot []int32 // per pseudo: spill slot, -1 when not being spilled
+	// insertSpills' scratch: per pseudo, its spill slot, -1 when not
+	// being spilled; a block's rewritten code; one instruction's spill
+	// loads and stores.
+	slot                []int32
+	list, loads, stores []*asm.Inst
 }
 
 // facts are one machine's colouring facts. Register sets are named by
@@ -650,7 +659,8 @@ func spillType(set *mach.RegSet) ir.Type {
 // insertSpills rewrites every reference to a spilled pseudo through a
 // fresh temporary with a load/store to its frame slot. Instructions that
 // mention no spilled pseudo cost one slot lookup per operand, and blocks
-// without one keep their instruction slice.
+// without one keep their instruction list; one with one gets a new list
+// of af's.
 func (a *allocator) insertSpills(spilled []asm.PseudoID) error {
 	m, af := a.m, a.af
 	a.slot = resized(a.slot, len(af.Pseudos))
@@ -666,9 +676,10 @@ func (a *allocator) insertSpills(spilled []asm.PseudoID) error {
 	// One temporary per spilled pseudo per instruction.
 	type tmp struct{ of, is asm.PseudoID }
 	var tmps []tmp
-	var loads, stores []*asm.Inst
+	loads, stores := a.loads[:0], a.stores[:0]
 	for _, b := range af.Blocks {
-		var out []*asm.Inst // nil until the block's first spilled operand
+		// out gathers the block's code from its first spilled operand on.
+		out, rewritten := a.list[:0], false
 		for ii, in := range b.Insts {
 			tmps, loads, stores = tmps[:0], loads[:0], stores[:0]
 			// Operand roles as bit sets over the template operand index;
@@ -698,8 +709,8 @@ func (a *allocator) insertSpills(spilled []asm.PseudoID) error {
 							isDef |= 1 << d.Op
 						}
 					}
-					if out == nil {
-						out = append(make([]*asm.Inst, 0, len(b.Insts)+2), b.Insts[:ii]...)
+					if !rewritten {
+						out, rewritten = append(out, b.Insts[:ii]...), true
 					}
 				}
 				set := af.Pseudos[arg.Pseudo].Set
@@ -736,16 +747,18 @@ func (a *allocator) insertSpills(spilled []asm.PseudoID) error {
 				arg.Pseudo = t
 				in.Args[oi] = arg
 			}
-			if out != nil {
+			if rewritten {
 				out = append(out, loads...)
 				out = append(out, in)
 				out = append(out, stores...)
 			}
 		}
-		if out != nil {
-			b.Insts = out
+		if rewritten {
+			b.Insts = af.List(out)
 		}
+		a.list = out[:0]
 	}
+	a.loads, a.stores = loads[:0], stores[:0]
 	return nil
 }
 

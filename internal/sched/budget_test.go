@@ -21,11 +21,11 @@ func TestScheduleMaxCyclesCap(t *testing.T) {
 	// Five chained latency-2 fadds need ~8 cycles; MaxCycles=1 caps the
 	// loop at 1 + 5 = 6.
 	af, b := newBlock(
-		asm.New(fadd, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
-		asm.New(fadd, asm.Reg(2), asm.Reg(1), asm.Reg(1)),
-		asm.New(fadd, asm.Reg(3), asm.Reg(2), asm.Reg(2)),
-		asm.New(fadd, asm.Reg(4), asm.Reg(3), asm.Reg(3)),
-		asm.New(fadd, asm.Reg(5), asm.Reg(4), asm.Reg(4)),
+		asm.New(nil, fadd, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
+		asm.New(nil, fadd, asm.Reg(2), asm.Reg(1), asm.Reg(1)),
+		asm.New(nil, fadd, asm.Reg(3), asm.Reg(2), asm.Reg(2)),
+		asm.New(nil, fadd, asm.Reg(4), asm.Reg(3), asm.Reg(3)),
+		asm.New(nil, fadd, asm.Reg(5), asm.Reg(4), asm.Reg(4)),
 	)
 	mkPseudos(af, f, 6)
 	_, err := new(Scratch).Schedule(m, af, b, Options{MaxCycles: 1})
@@ -39,11 +39,11 @@ func TestScheduleMaxCyclesCap(t *testing.T) {
 
 	// The same block schedules fine under the default cap.
 	af2, b2 := newBlock(
-		asm.New(fadd, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
-		asm.New(fadd, asm.Reg(2), asm.Reg(1), asm.Reg(1)),
-		asm.New(fadd, asm.Reg(3), asm.Reg(2), asm.Reg(2)),
-		asm.New(fadd, asm.Reg(4), asm.Reg(3), asm.Reg(3)),
-		asm.New(fadd, asm.Reg(5), asm.Reg(4), asm.Reg(4)),
+		asm.New(nil, fadd, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
+		asm.New(nil, fadd, asm.Reg(2), asm.Reg(1), asm.Reg(1)),
+		asm.New(nil, fadd, asm.Reg(3), asm.Reg(2), asm.Reg(2)),
+		asm.New(nil, fadd, asm.Reg(4), asm.Reg(3), asm.Reg(3)),
+		asm.New(nil, fadd, asm.Reg(5), asm.Reg(4), asm.Reg(4)),
 	)
 	mkPseudos(af2, f, 6)
 	mustSchedule(t, m, af2, b2, Options{})
@@ -58,8 +58,8 @@ func TestScheduleContextDeadline(t *testing.T) {
 	add := m.InstrByLabel("add")
 	mkBlock := func() (*asm.Func, *asm.Block) {
 		af, b := newBlock(
-			asm.New(add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
-			asm.New(add, asm.Reg(2), asm.Reg(1), asm.Reg(1)),
+			asm.New(nil, add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
+			asm.New(nil, add, asm.Reg(2), asm.Reg(1), asm.Reg(1)),
 		)
 		mkPseudos(af, r, 3)
 		return af, b

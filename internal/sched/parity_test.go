@@ -56,13 +56,13 @@ func TestEstimateAppliesMidBlockCallSlots(t *testing.T) {
 	fn := ir.NewFunc("t", ir.Void)
 	irb := fn.NewBlock()
 	af := &asm.Func{Name: "t", IR: fn}
-	call := asm.New(jal, asm.Operand{Kind: asm.OpSym, Sym: &ir.Sym{Name: "g", Kind: ir.SymFunc}})
+	call := asm.New(nil, jal, asm.Operand{Kind: asm.OpSym, Sym: &ir.Sym{Name: "g", Kind: ir.SymFunc}})
 	call.Imp = &asm.Implicit{Defs: m.CallerSave()}
 	b := &asm.Block{IR: irb, Insts: []*asm.Inst{
-		asm.New(add, asm.Reg(0), asm.Phys(r.Phys(4)), asm.Phys(r.Phys(4))),
+		asm.New(nil, add, asm.Reg(0), asm.Phys(r.Phys(4)), asm.Phys(r.Phys(4))),
 		call,
-		asm.New(add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
-		asm.New(ret),
+		asm.New(nil, add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
+		asm.New(nil, ret),
 	}}
 	af.Blocks = []*asm.Block{b}
 	for i := 0; i < 2; i++ {
@@ -75,7 +75,7 @@ func TestEstimateAppliesMidBlockCallSlots(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	est := res.Cost
-	sched.Apply(m, b, res)
+	sched.Apply(m, af, b, res)
 	if est != b.SchedCost {
 		t.Errorf("Run cost %d != post-Apply SchedCost %d", est, b.SchedCost)
 	}
@@ -141,7 +141,7 @@ int f(int x) {
 					t.Fatalf("block %d: run: %v", bi, err)
 				}
 				est := res.Cost
-				sched.Apply(m, b, res)
+				sched.Apply(m, af, b, res)
 				if est != b.SchedCost {
 					t.Errorf("block %d: Run cost %d != post-Apply SchedCost %d", bi, est, b.SchedCost)
 				}

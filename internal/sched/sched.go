@@ -95,16 +95,21 @@ func LiveOutPseudos(af *asm.Func, cross []bool) []bool {
 type Scratch struct {
 	Dag cdag.Scratch
 	run run
+	// list gathers a scheduled block's instructions and nops, which the
+	// block gets a list of.
+	list []*asm.Inst
 }
 
 // Detach drops what the scratch holds of the function it scheduled
-// last — the function, its graph, the options' deadline and liveness —
-// keeping the tables' storage, the last Result's Order and Cycles
-// included.
+// last — the function, its graph, its instructions, the options'
+// deadline and liveness — keeping the tables' storage, the last
+// Result's Order and Cycles included.
 func (s *Scratch) Detach() {
 	s.Dag.Detach()
 	r := &s.run
 	r.m, r.af, r.g, r.opts = nil, nil, nil, Options{}
+	clear(s.list[:cap(s.list)])
+	s.list = s.list[:0]
 }
 
 // Run schedules the block's code DAG without mutating the block, in a
@@ -204,32 +209,29 @@ func (l *slotLayout) cost() int { return l.last + 1 }
 
 // apply commits a schedule to the block: instructions are put in issue
 // order (res.Order is, as Run returns it), Cycle fields are set, and
-// branch delay slots are filled with nops. The new list is made once,
-// exactly sized for the instructions and their nops.
-func apply(m *mach.Machine, b *asm.Block, res Result) {
+// branch delay slots are filled with nops of af's. The block's code is
+// gathered in s.list, and the block gets a list of af's holding it.
+func (s *Scratch) apply(m *mach.Machine, af *asm.Func, b *asm.Block, res Result) {
 	if len(res.Order) == 0 {
 		b.SchedCost = res.Cost
 		return
 	}
-	n := len(res.Order)
-	for _, i := range res.Order {
-		n += delaySlots(b.Insts[i].Tmpl)
-	}
-	out := make([]*asm.Inst, 0, n)
+	out := s.list[:0]
 	var lay slotLayout
 	for k, i := range res.Order {
 		in := b.Insts[i]
 		c, slots := lay.place(in.Tmpl, res.Cycles[k])
 		in.Cycle = int32(c)
 		out = append(out, in)
-		for s := 0; s < slots; s++ {
-			nop := asm.New(m.Nop)
-			nop.Cycle = int32(c + 1 + s)
+		for d := range slots {
+			nop := asm.New(af, m.Nop)
+			nop.Cycle = int32(c + 1 + d)
 			out = append(out, nop)
 		}
 	}
-	b.Insts = out
+	b.Insts = af.List(out)
 	b.SchedCost = lay.cost()
+	s.list = out[:0]
 }
 
 // Schedule builds the code DAG on s.Dag, runs the list scheduler and
@@ -239,6 +241,6 @@ func (s *Scratch) Schedule(m *mach.Machine, af *asm.Func, b *asm.Block, opts Opt
 	if err != nil {
 		return 0, err
 	}
-	apply(m, b, res)
+	s.apply(m, af, b, res)
 	return res.Cost, nil
 }

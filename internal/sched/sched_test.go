@@ -116,9 +116,9 @@ func TestScheduleFillsLoadDelay(t *testing.T) {
 	add := m.InstrByLabel("add")
 	// ld t0; add t1 = t0+t0; add t2 = t3+t3 (independent)
 	af, b := newBlock(
-		asm.New(ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
-		asm.New(add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
-		asm.New(add, asm.Reg(2), asm.Reg(3), asm.Reg(3)),
+		asm.New(nil, ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
+		asm.New(nil, add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
+		asm.New(nil, add, asm.Reg(2), asm.Reg(3), asm.Reg(3)),
 	)
 	mkPseudos(af, r, 4)
 	cost := mustSchedule(t, m, af, b, Options{})
@@ -145,8 +145,8 @@ func TestScheduleDualIssue(t *testing.T) {
 	add := m.InstrByLabel("add")
 	fadd := m.InstrByLabel("fadd")
 	af, b := newBlock(
-		asm.New(add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),
-		asm.New(fadd, asm.Reg(2), asm.Reg(3), asm.Reg(3)),
+		asm.New(nil, add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),
+		asm.New(nil, fadd, asm.Reg(2), asm.Reg(3), asm.Reg(3)),
 	)
 	af.NewPseudo(r, ir.NoReg)
 	af.NewPseudo(r, ir.NoReg)
@@ -167,8 +167,8 @@ func TestScheduleStructuralHazard(t *testing.T) {
 	add := m.InstrByLabel("add")
 	// Two independent int adds: both need IEX -> serialized.
 	af, b := newBlock(
-		asm.New(add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),
-		asm.New(add, asm.Reg(2), asm.Reg(3), asm.Reg(3)),
+		asm.New(nil, add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),
+		asm.New(nil, add, asm.Reg(2), asm.Reg(3), asm.Reg(3)),
 	)
 	mkPseudos(af, r, 4)
 	cost := mustSchedule(t, m, af, b, Options{})
@@ -190,8 +190,8 @@ func TestScheduleDelaySlotNop(t *testing.T) {
 	tgt := fn.NewBlock()
 	af := &asm.Func{Name: "t", IR: fn}
 	b := &asm.Block{IR: irb, Insts: []*asm.Inst{
-		asm.New(add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),
-		asm.New(beq, asm.Reg(0), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
+		asm.New(nil, add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),
+		asm.New(nil, beq, asm.Reg(0), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
 	}}
 	af.Blocks = []*asm.Block{b}
 	mkPseudos(af, r, 2)
@@ -214,9 +214,9 @@ func TestScheduleMaxDistancePriority(t *testing.T) {
 	// Thread order: cheap add first, then a load chain. Max-distance must
 	// hoist the load to cycle 0.
 	af, b := newBlock(
-		asm.New(add, asm.Reg(4), asm.Reg(5), asm.Reg(5)),
-		asm.New(ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
-		asm.New(add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
+		asm.New(nil, add, asm.Reg(4), asm.Reg(5), asm.Reg(5)),
+		asm.New(nil, ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
+		asm.New(nil, add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
 	)
 	mkPseudos(af, r, 6)
 	mustSchedule(t, m, af, b, Options{})
@@ -226,9 +226,9 @@ func TestScheduleMaxDistancePriority(t *testing.T) {
 
 	// FIFO ablation keeps thread order.
 	af2, b2 := newBlock(
-		asm.New(add, asm.Reg(4), asm.Reg(5), asm.Reg(5)),
-		asm.New(ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
-		asm.New(add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
+		asm.New(nil, add, asm.Reg(4), asm.Reg(5), asm.Reg(5)),
+		asm.New(nil, ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
+		asm.New(nil, add, asm.Reg(1), asm.Reg(0), asm.Reg(0)),
 	)
 	mkPseudos(af2, r, 6)
 	mustSchedule(t, m, af2, b2, Options{FIFO: true})
@@ -247,14 +247,14 @@ func TestScheduleRegisterPressureLimit(t *testing.T) {
 	// Unlimited: all loads hoist first (4 live). Limit 2: at most 2 live.
 	mk := func() (*asm.Func, *asm.Block) {
 		af, b := newBlock(
-			asm.New(ld, asm.Reg(0), asm.Phys(fp), asm.Imm(0)),
-			asm.New(add, asm.Reg(4), asm.Reg(0), asm.Reg(0)),
-			asm.New(ld, asm.Reg(1), asm.Phys(fp), asm.Imm(8)),
-			asm.New(add, asm.Reg(5), asm.Reg(1), asm.Reg(1)),
-			asm.New(ld, asm.Reg(2), asm.Phys(fp), asm.Imm(16)),
-			asm.New(add, asm.Reg(6), asm.Reg(2), asm.Reg(2)),
-			asm.New(ld, asm.Reg(3), asm.Phys(fp), asm.Imm(24)),
-			asm.New(add, asm.Reg(7), asm.Reg(3), asm.Reg(3)),
+			asm.New(nil, ld, asm.Reg(0), asm.Phys(fp), asm.Imm(0)),
+			asm.New(nil, add, asm.Reg(4), asm.Reg(0), asm.Reg(0)),
+			asm.New(nil, ld, asm.Reg(1), asm.Phys(fp), asm.Imm(8)),
+			asm.New(nil, add, asm.Reg(5), asm.Reg(1), asm.Reg(1)),
+			asm.New(nil, ld, asm.Reg(2), asm.Phys(fp), asm.Imm(16)),
+			asm.New(nil, add, asm.Reg(6), asm.Reg(2), asm.Reg(2)),
+			asm.New(nil, ld, asm.Reg(3), asm.Phys(fp), asm.Imm(24)),
+			asm.New(nil, add, asm.Reg(7), asm.Reg(3), asm.Reg(3)),
 		)
 		mkPseudos(af, r, 8)
 		return af, b
@@ -316,14 +316,14 @@ func TestTemporalPipelineOverlap(t *testing.T) {
 	// Two full multiplies: Ml;M2;M3;FWB twice. Overlapped EAP scheduling
 	// should finish in 5 cycles instead of 8.
 	af, b := newBlock(
-		asm.New(Ml, asm.Reg(0), asm.Reg(1)),
-		asm.New(M2),
-		asm.New(M3),
-		asm.New(FWB, asm.Reg(2)),
-		asm.New(Ml, asm.Reg(3), asm.Reg(4)),
-		asm.New(M2),
-		asm.New(M3),
-		asm.New(FWB, asm.Reg(5)),
+		asm.New(nil, Ml, asm.Reg(0), asm.Reg(1)),
+		asm.New(nil, M2),
+		asm.New(nil, M3),
+		asm.New(nil, FWB, asm.Reg(2)),
+		asm.New(nil, Ml, asm.Reg(3), asm.Reg(4)),
+		asm.New(nil, M2),
+		asm.New(nil, M3),
+		asm.New(nil, FWB, asm.Reg(5)),
 	)
 	mkPseudos(af, f, 6)
 	cost := mustSchedule(t, m, af, b, Options{})
@@ -362,9 +362,9 @@ func TestFigure6DeadlockProtection(t *testing.T) {
 	// destination and also output-depends on p (alternate entry). Without
 	// the protection edge p->q, scheduling q first deadlocks under Rule 1.
 	af, b := newBlock(
-		asm.New(Ml, asm.Reg(0), asm.Reg(1)),     // q
-		asm.New(MTRANS, asm.Reg(2), asm.Reg(3)), // p: affects clk_m, defs t2
-		asm.New(FWB1, asm.Reg(2)),               // r: temporal dest, redefs t2
+		asm.New(nil, Ml, asm.Reg(0), asm.Reg(1)),     // q
+		asm.New(nil, MTRANS, asm.Reg(2), asm.Reg(3)), // p: affects clk_m, defs t2
+		asm.New(nil, FWB1, asm.Reg(2)),               // r: temporal dest, redefs t2
 	)
 	mkPseudos(af, f, 4)
 
@@ -433,7 +433,7 @@ instr {
 func testProtectionAcrossClocks(t *testing.T) {
 	m := loadDesc(t, eap2Desc)
 	inst := func(label string, seq int32, args ...asm.Operand) *asm.Inst {
-		in := asm.New(m.InstrByLabel(label), args...)
+		in := asm.New(nil, m.InstrByLabel(label), args...)
 		in.SeqID = seq
 		return in
 	}
@@ -499,8 +499,8 @@ func TestScheduleCurrentCycleOnly(t *testing.T) {
 	// checking separates them; current-cycle-only packs issue cycles
 	// back-to-back and accepts the later structural conflict.
 	af, b := newBlock(
-		asm.New(ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
-		asm.New(ld, asm.Reg(1), asm.Phys(r.Phys(6)), asm.Imm(8)),
+		asm.New(nil, ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0)),
+		asm.New(nil, ld, asm.Reg(1), asm.Phys(r.Phys(6)), asm.Imm(8)),
 	)
 	mkPseudos(af, r, 2)
 	full := mustEstimate(t, m, af, b, Options{})
@@ -519,9 +519,9 @@ func TestStallCyclesAllocateNothing(t *testing.T) {
 	r := m.RegSet("r")
 	ld := m.InstrByLabel("ld")
 	// A pointer chase: each load waits out the previous one's latency.
-	insts := []*asm.Inst{asm.New(ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0))}
+	insts := []*asm.Inst{asm.New(nil, ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0))}
 	for i := 1; i < 12; i++ {
-		insts = append(insts, asm.New(ld, asm.Reg(asm.PseudoID(i)), asm.Reg(asm.PseudoID(i-1)), asm.Imm(0)))
+		insts = append(insts, asm.New(nil, ld, asm.Reg(asm.PseudoID(i)), asm.Reg(asm.PseudoID(i-1)), asm.Imm(0)))
 	}
 	af, b := newBlock(insts...)
 	mkPseudos(af, r, len(insts))
@@ -585,9 +585,9 @@ func TestTemporalGroupChecksWholeVectors(t *testing.T) {
 	m := loadDesc(t, fanDesc)
 	block := func() (*asm.Func, *asm.Block) {
 		af, b := newBlock(
-			asm.New(m.InstrByLabel("Ml"), asm.Reg(0), asm.Reg(1)),
-			asm.New(m.InstrByLabel("RDA"), asm.Reg(2)),
-			asm.New(m.InstrByLabel("RDB"), asm.Reg(3)),
+			asm.New(nil, m.InstrByLabel("Ml"), asm.Reg(0), asm.Reg(1)),
+			asm.New(nil, m.InstrByLabel("RDA"), asm.Reg(2)),
+			asm.New(nil, m.InstrByLabel("RDB"), asm.Reg(3)),
 		)
 		mkPseudos(af, m.RegSet("f"), 4)
 		return af, b

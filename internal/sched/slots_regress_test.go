@@ -30,9 +30,9 @@ func TestFillDelaySlotsSkipsAnnulledSlots(t *testing.T) {
 	tgt := fn.NewBlock()
 	af := &asm.Func{Name: "t", IR: fn}
 	b := &asm.Block{IR: irb, Insts: []*asm.Inst{
-		asm.New(add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),
-		asm.New(add, asm.Reg(4), asm.Reg(3), asm.Reg(3)),
-		asm.New(beq, asm.Reg(4), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
+		asm.New(nil, add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),
+		asm.New(nil, add, asm.Reg(4), asm.Reg(3), asm.Reg(3)),
+		asm.New(nil, beq, asm.Reg(4), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
 	}}
 	af.Blocks = []*asm.Block{b}
 	mkPseudos(af, r, 5)
@@ -59,10 +59,10 @@ func TestFillDelaySlotsChecksResources(t *testing.T) {
 	irb := fn.NewBlock()
 	tgt := fn.NewBlock()
 	af := &asm.Func{Name: "t", IR: fn}
-	i0 := asm.New(div, asm.Reg(0), asm.Reg(1), asm.Reg(1))
-	i1 := asm.New(div, asm.Reg(2), asm.Reg(3), asm.Reg(3))
-	i2 := asm.New(beq, asm.Reg(2), asm.Operand{Kind: asm.OpBlock, Block: tgt})
-	i3 := asm.New(m.Nop)
+	i0 := asm.New(nil, div, asm.Reg(0), asm.Reg(1), asm.Reg(1))
+	i1 := asm.New(nil, div, asm.Reg(2), asm.Reg(3), asm.Reg(3))
+	i2 := asm.New(nil, beq, asm.Reg(2), asm.Operand{Kind: asm.OpBlock, Block: tgt})
+	i3 := asm.New(nil, m.Nop)
 	i0.Cycle, i1.Cycle, i2.Cycle, i3.Cycle = 0, 4, 5, 6
 	b := &asm.Block{IR: irb, Insts: []*asm.Inst{i0, i1, i2, i3}}
 	af.Blocks = []*asm.Block{b}
@@ -94,9 +94,9 @@ func TestFillDelaySlotsSkipsClockTickers(t *testing.T) {
 	tgt := fn.NewBlock()
 	af := &asm.Func{Name: "t", IR: fn}
 	b := &asm.Block{IR: irb, Insts: []*asm.Inst{
-		asm.New(mtrans, asm.Reg(0), asm.Reg(1)),
-		asm.New(add, asm.Reg(2), asm.Reg(3), asm.Reg(3)),
-		asm.New(beq, asm.Reg(2), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
+		asm.New(nil, mtrans, asm.Reg(0), asm.Reg(1)),
+		asm.New(nil, add, asm.Reg(2), asm.Reg(3), asm.Reg(3)),
+		asm.New(nil, beq, asm.Reg(2), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
 	}}
 	af.Blocks = []*asm.Block{b}
 	mkPseudos(af, f, 2)

@@ -19,9 +19,9 @@ func TestFillDelaySlots(t *testing.T) {
 	// add t0 = t1+t1 (independent of branch); add t2 = t3+t3 (branch
 	// reads t2? no — branch reads t4). Branch on t4.
 	b := &asm.Block{IR: irb, Insts: []*asm.Inst{
-		asm.New(add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),
-		asm.New(add, asm.Reg(4), asm.Reg(3), asm.Reg(3)),
-		asm.New(beq, asm.Reg(4), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
+		asm.New(nil, add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),
+		asm.New(nil, add, asm.Reg(4), asm.Reg(3), asm.Reg(3)),
+		asm.New(nil, beq, asm.Reg(4), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
 	}}
 	af.Blocks = []*asm.Block{b}
 	mkPseudos(af, r, 5)
@@ -61,8 +61,8 @@ func TestFillDelaySlotsRespectsDependences(t *testing.T) {
 	af := &asm.Func{Name: "t", IR: fn}
 	// Only instruction computes the branch condition: must NOT move.
 	b := &asm.Block{IR: irb, Insts: []*asm.Inst{
-		asm.New(add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),
-		asm.New(beq, asm.Reg(0), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
+		asm.New(nil, add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),
+		asm.New(nil, beq, asm.Reg(0), asm.Operand{Kind: asm.OpBlock, Block: tgt}),
 	}}
 	af.Blocks = []*asm.Block{b}
 	mkPseudos(af, r, 2)

@@ -67,9 +67,9 @@ func (s *selector) selectJump(n *ir.Node) error {
 		if !tmpl.IsJump {
 			continue
 		}
-		args := s.slab.args(len(tmpl.Operands))
+		args := s.af.Operands(len(tmpl.Operands))
 		args[tmpl.BranchOp] = asm.Operand{Kind: asm.OpBlock, Block: n.Target}
-		s.emit(s.slab.inst(tmpl, args))
+		s.emit(asm.New(s.af, tmpl, args...))
 		return nil
 	}
 	return fmt.Errorf("machine %s has no jump instruction", s.m.Name)
@@ -97,8 +97,8 @@ func (s *selector) selectRet(n *ir.Node) error {
 	if tmpl == nil {
 		return fmt.Errorf("machine %s has no return instruction", s.m.Name)
 	}
-	in := s.slab.inst(tmpl, s.slab.args(len(tmpl.Operands)))
-	in.Imp = s.slab.implicit(append(imp, s.m.Cwvm.RetAddr.Phys()), nil)
+	in := asm.New(s.af, tmpl, s.af.Operands(len(tmpl.Operands))...)
+	in.Imp = s.af.Implicit(append(imp, s.m.Cwvm.RetAddr.Phys()), nil)
 	s.emit(in)
 	return nil
 }
@@ -170,14 +170,14 @@ func (s *selector) selectCall(n *ir.Node) (asm.Operand, error) {
 	if callTmpl == nil {
 		return asm.Operand{}, fmt.Errorf("machine %s has no call instruction", s.m.Name)
 	}
-	args := s.slab.args(len(callTmpl.Operands))
+	args := s.af.Operands(len(callTmpl.Operands))
 	args[callTmpl.BranchOp] = asm.Operand{Kind: asm.OpSym, Sym: n.Sym}
-	in := s.slab.inst(callTmpl, args)
+	in := asm.New(s.af, callTmpl, args...)
 	defs := append(s.m.CallerSave(), s.m.Cwvm.RetAddr.Phys())
 	for _, r := range s.m.Cwvm.Results {
 		defs = append(defs, r.Ref.Phys())
 	}
-	in.Imp = s.slab.implicit(argRegs, defs)
+	in.Imp = s.af.Implicit(argRegs, defs)
 	s.emit(in)
 
 	// Result.
@@ -200,7 +200,7 @@ func (s *selector) selectCall(n *ir.Node) (asm.Operand, error) {
 // move emits a register-to-register move (a no-op when dst == src).
 func (s *selector) move(dst, src asm.Operand) (err error) {
 	if dst != src {
-		s.out, err = appendMove(&s.slab, s.m, s.af, s.out, dst, src)
+		s.out, err = appendMove(s.m, s.af, s.out, dst, src)
 	}
 	return err
 }
@@ -239,57 +239,22 @@ func findMoveTmpl(m *mach.Machine, set *mach.RegSet) *mach.Instr {
 	return fallback
 }
 
-// slab hands out the operand lists and instructions the selector emits
-// for one function from chunks sized by the function's IL node count
-// (chunk; a function takes about 1.4 operands and 0.6 instructions a
-// node, so four or five chunks), so a small function pays for small
-// chunks. The zero slab allocates each one separately, which is what
-// the exported builders want: the strategies and the allocator add a
-// few instructions each, whenever. The implicit effects of returns and
-// calls come from a chunk of two: a function has a return or two and
-// seldom a call.
-type slab struct {
-	chunk int
-	ops   []asm.Operand
-	insts []asm.Inst
-	imps  []asm.Implicit
-}
+// The builders below make their instructions, operand lists and lists
+// in af's code, as asm.New does: in its arena when it has one.
 
-// args returns n zeroed operands nothing else refers to.
-func (a *slab) args(n int) []asm.Operand {
-	if n > cap(a.ops)-len(a.ops) {
-		a.ops = make([]asm.Operand, 0, max(n, a.chunk/3))
-	}
-	top := len(a.ops)
-	a.ops = a.ops[:top+n]
-	return a.ops[top : top+n : top+n]
-}
-
-// inst is asm.New on the slab.
-func (a *slab) inst(tmpl *mach.Instr, args []asm.Operand) *asm.Inst {
-	if len(a.insts) == cap(a.insts) {
-		a.insts = make([]asm.Inst, 0, max(1, a.chunk/6))
-	}
-	a.insts = append(a.insts, asm.Inst{Tmpl: tmpl, Args: args, Cycle: -1})
-	return &a.insts[len(a.insts)-1]
-}
-
-// implicit returns the implicit effects uses and defs.
-func (a *slab) implicit(uses, defs []mach.PhysID) *asm.Implicit {
-	if len(a.imps) == cap(a.imps) {
-		a.imps = make([]asm.Implicit, 0, 2)
-	}
-	a.imps = append(a.imps, asm.Implicit{Uses: uses, Defs: defs})
-	return &a.imps[len(a.imps)-1]
-}
-
-// BuildMove builds the instruction(s) moving src into dst (same set).
+// BuildMove builds the instruction(s) moving src into dst (same set), as
+// a list of af's.
 func BuildMove(m *mach.Machine, af *asm.Func, dst, src asm.Operand) ([]*asm.Inst, error) {
-	return appendMove(new(slab), m, af, nil, dst, src)
+	var buf [4]*asm.Inst
+	out, err := appendMove(m, af, buf[:0], dst, src)
+	if err != nil {
+		return nil, err
+	}
+	return af.List(out), nil
 }
 
 // appendMove appends BuildMove's instructions to out.
-func appendMove(a *slab, m *mach.Machine, af *asm.Func, out []*asm.Inst, dst, src asm.Operand) ([]*asm.Inst, error) {
+func appendMove(m *mach.Machine, af *asm.Func, out []*asm.Inst, dst, src asm.Operand) ([]*asm.Inst, error) {
 	set := operandSetOf(m, af, dst)
 	if set == nil {
 		set = operandSetOf(m, af, src)
@@ -302,7 +267,7 @@ func appendMove(a *slab, m *mach.Machine, af *asm.Func, out []*asm.Inst, dst, sr
 		return out, fmt.Errorf("machine %s has no move for register set %s", m.Name, set.Name)
 	}
 	lv, rv := tmpl.Sem.Kids[0], tmpl.Sem.Kids[1]
-	args := a.args(len(tmpl.Operands))
+	args := af.Operands(len(tmpl.Operands))
 	for i, spec := range tmpl.Operands {
 		switch {
 		case i == lv.OpIdx:
@@ -316,17 +281,17 @@ func appendMove(a *slab, m *mach.Machine, af *asm.Func, out []*asm.Inst, dst, sr
 		}
 	}
 	if len(tmpl.Seq) > 0 {
-		return appendSeq(a, m, af, out, tmpl, args)
+		return appendSeq(m, af, out, tmpl, args)
 	}
-	return append(out, a.inst(tmpl, args)), nil
+	return append(out, asm.New(af, tmpl, args...)), nil
 }
 
 // appendSeq appends the items of a %seq template with operand wiring.
 // All items share a fresh sequence identity for temporal-latch pairing.
-func appendSeq(a *slab, m *mach.Machine, af *asm.Func, out []*asm.Inst, tmpl *mach.Instr, args []asm.Operand) ([]*asm.Inst, error) {
+func appendSeq(m *mach.Machine, af *asm.Func, out []*asm.Inst, tmpl *mach.Instr, args []asm.Operand) ([]*asm.Inst, error) {
 	seqID := af.NewSeqID()
 	for _, item := range tmpl.Seq {
-		sub := a.args(len(item.Args))
+		sub := af.Operands(len(item.Args))
 		for i, arg := range item.Args {
 			switch arg.Kind {
 			case mach.SeqOperand:
@@ -345,7 +310,7 @@ func appendSeq(a *slab, m *mach.Machine, af *asm.Func, out []*asm.Inst, tmpl *ma
 				sub[i] = h
 			}
 		}
-		in := a.inst(item.Instr, sub)
+		in := asm.New(af, item.Instr, sub...)
 		in.SeqID = seqID
 		out = append(out, in)
 	}
@@ -468,11 +433,11 @@ func BuildLoad(m *mach.Machine, af *asm.Func, dst asm.Operand, base mach.PhysID,
 	if d := tmpl.Operands[iIdx].Def; d != nil && !d.Fits(off) {
 		return nil, fmt.Errorf("frame offset %d exceeds immediate range of %s", off, tmpl.Mnemonic)
 	}
-	args := make([]asm.Operand, len(tmpl.Operands))
+	args := af.Operands(len(tmpl.Operands))
 	args[lv.OpIdx] = dst
 	args[bIdx] = asm.Phys(base)
 	args[iIdx] = asm.Imm(off)
-	return asm.New(tmpl, args...), nil
+	return asm.New(af, tmpl, args...), nil
 }
 
 // BuildStore builds "m[base + off] = src".
@@ -487,11 +452,11 @@ func BuildStore(m *mach.Machine, af *asm.Func, src asm.Operand, base mach.PhysID
 	if d := tmpl.Operands[iIdx].Def; d != nil && !d.Fits(off) {
 		return nil, fmt.Errorf("frame offset %d exceeds immediate range of %s", off, tmpl.Mnemonic)
 	}
-	args := make([]asm.Operand, len(tmpl.Operands))
+	args := af.Operands(len(tmpl.Operands))
 	args[rv.OpIdx] = src
 	args[bIdx] = asm.Phys(base)
 	args[iIdx] = asm.Imm(off)
-	return asm.New(tmpl, args...), nil
+	return asm.New(af, tmpl, args...), nil
 }
 
 // findAddImmTmpl returns "reg = reg + imm" in the int general set.
@@ -524,7 +489,7 @@ func findAddImmTmpl(m *mach.Machine) *mach.Instr {
 }
 
 // BuildAddImm builds "dst = src + imm" on physical registers.
-func BuildAddImm(m *mach.Machine, dst, src mach.PhysID, imm int64) (*asm.Inst, error) {
+func BuildAddImm(m *mach.Machine, af *asm.Func, dst, src mach.PhysID, imm int64) (*asm.Inst, error) {
 	tmpl := findAddImmTmpl(m)
 	if tmpl == nil {
 		return nil, fmt.Errorf("machine %s has no add-immediate", m.Name)
@@ -534,9 +499,9 @@ func BuildAddImm(m *mach.Machine, dst, src mach.PhysID, imm int64) (*asm.Inst, e
 	if d := tmpl.Operands[b.OpIdx].Def; d != nil && !d.Fits(imm) {
 		return nil, fmt.Errorf("immediate %d exceeds range of %s", imm, tmpl.Mnemonic)
 	}
-	args := make([]asm.Operand, len(tmpl.Operands))
+	args := af.Operands(len(tmpl.Operands))
 	args[lv.OpIdx] = asm.Phys(dst)
 	args[a.OpIdx] = asm.Phys(src)
 	args[b.OpIdx] = asm.Imm(imm)
-	return asm.New(tmpl, args...), nil
+	return asm.New(af, tmpl, args...), nil
 }

@@ -6,6 +6,7 @@ import (
 	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/livermore"
+	"marion/internal/sel"
 	"marion/internal/targets"
 	"marion/internal/xform"
 )
@@ -57,7 +58,7 @@ func TestSelectLeavesILUntouched(t *testing.T) {
 			return s
 		}
 		before := snapshot()
-		selectAll(t, m, mod)
+		selectAll(t, new(sel.Scratch), m, mod)
 		after := snapshot()
 		if after.text != before.text {
 			t.Errorf("%s: selection changed the IL", target)

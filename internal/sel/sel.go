@@ -63,36 +63,46 @@ func SelectOpts(m *mach.Machine, fn *ir.Func, opts Options) (*asm.Func, Counters
 
 // Scratch is the storage selection works in: the selector with its
 // bindings stack, the per-node memo, the feasibility answers, the
-// remembered values and the IL-register map, reset at the start of each
-// use. What a selection hands out — the asm.Func, its instructions and
-// the slab they come from — is the function's own. The zero value is
-// ready to use; selecting function after function on one scratch
-// selects what a fresh scratch selects. A scratch has one owner and is
-// never shared between goroutines.
-type Scratch struct{ s selector }
+// remembered values, the IL-register map and the list a block's code
+// is gathered in, reset at the start of each use, and the code arena
+// the selected function is built in. The zero value is ready to use;
+// selecting function after function on one scratch selects what a
+// fresh scratch selects. A scratch has one owner and is never shared
+// between goroutines.
+type Scratch struct {
+	s selector
+
+	// Code is the arena every function selected here is built in, and
+	// that the passes after selection build its code in too. Whoever
+	// owns the scratch decides when that code is dead and rewinds Code;
+	// until then each function's code is its own.
+	Code asm.Arena
+}
 
 // SelectOpts is the package's SelectOpts on this scratch.
 func (sc *Scratch) SelectOpts(m *mach.Machine, fn *ir.Func, _ Options) (*asm.Func, Counters, error) {
 	s := &sc.s
-	s.reset(m, fn)
+	s.reset(m, fn, &sc.Code)
 	af, err := s.run()
 	return af, s.counters, err
 }
 
 // Detach drops what the scratch holds of the function it selected last
-// — the function, its code and the instruction slab, which are the
-// function's own, and the IL nodes and operands left in the tables —
-// keeping the tables' storage.
+// — the function and the IL nodes, operands and instructions left in
+// the tables — keeping the tables' storage. It leaves Code as it is:
+// rewinding it is for the scratch's owner.
 func (sc *Scratch) Detach() {
 	s := &sc.s
 	clear(s.intos[:cap(s.intos)])
 	clear(s.selOps[:cap(s.selOps)])
 	clear(s.binds[:cap(s.binds)])
-	*s = selector{irPseudo: s.irPseudo, memo: s.memo, intos: s.intos[:0], selOps: s.selOps[:0], binds: s.binds[:0]}
+	clear(s.out[:cap(s.out)])
+	*s = selector{irPseudo: s.irPseudo, memo: s.memo, intos: s.intos[:0], selOps: s.selOps[:0], binds: s.binds[:0], out: s.out[:0]}
 }
 
-// reset readies the selector for fn, keeping the storage of its tables.
-func (s *selector) reset(m *mach.Machine, fn *ir.Func) {
+// reset readies the selector for fn, built in code, keeping the storage
+// of its tables.
+func (s *selector) reset(m *mach.Machine, fn *ir.Func, code *asm.Arena) {
 	nodes := fn.NodeCount()
 	binds := s.binds[:0]
 	if binds == nil {
@@ -101,16 +111,14 @@ func (s *selector) reset(m *mach.Machine, fn *ir.Func) {
 	*s = selector{
 		m:        m,
 		irFn:     fn,
-		af:       &asm.Func{Name: fn.Name, IR: fn, Blocks: make([]*asm.Block, len(fn.Blocks))},
+		af:       code.Func(fn, nodes),
 		irPseudo: resized(s.irPseudo, len(fn.Regs)),
 		memo:     resized(s.memo, nodes),
-		out:      make([]*asm.Inst, 0, nodes),
-		slab:     slab{chunk: nodes},
+		out:      s.out[:0],
 		intos:    s.intos[:0],
 		selOps:   s.selOps[:0],
 		binds:    binds,
 	}
-	s.af.Pseudos = make([]asm.PseudoInfo, 0, len(fn.Regs)+nodes/2)
 }
 
 // resized returns s with length n and every element zero, reusing its
@@ -136,22 +144,17 @@ func (s *selector) run() (*asm.Func, error) {
 			}
 		}
 	}
-	blocks := make([]asm.Block, len(fn.Blocks))
 	for i, b := range fn.Blocks {
-		s.cur = &blocks[i]
-		s.cur.IR = b
-		s.af.Blocks[i] = s.cur
+		s.cur = s.af.Blocks[i]
 		s.walk, s.next, s.selOps = ir.NewWalk(), 0, append(s.selOps[:0], asm.Operand{})
 		s.dropFeasibility()
-		start := len(s.out)
+		s.out = s.out[:0]
 		for _, stmt := range b.Stmts {
 			if err := s.stmt(stmt); err != nil {
 				return nil, fmt.Errorf("%s: %w", fn.Name, err)
 			}
 		}
-		// Capped: code inserted here later must not grow into the next
-		// block's stretch.
-		s.cur.Insts = s.out[start:len(s.out):len(s.out)]
+		s.cur.Insts = s.af.List(s.out)
 	}
 	return s.af, nil
 }
@@ -182,8 +185,8 @@ type selector struct {
 	af   *asm.Func
 	cur  *asm.Block
 	// irPseudo is 1 + the asm pseudo of each IL pseudo-register, 0 for
-	// none yet; out is every instruction emitted so far, a finished
-	// block's Insts being its stretch of it.
+	// none yet; out gathers the current block's instructions, which the
+	// block gets a list of once it is selected.
 	irPseudo []asm.PseudoID
 	out      []*asm.Inst
 
@@ -211,7 +214,6 @@ type selector struct {
 	// bindBuf, part of the selector's own allocation.
 	binds   []binding
 	bindBuf [32]binding
-	slab    slab
 }
 
 // state returns n's memo entry, numbering n on its first visit.
@@ -743,7 +745,7 @@ func hasFlag(flags []string, name string) bool {
 // emitMatched selects bound subtrees and emits the instruction. dstIdx is
 // the template operand index of the destination.
 func (s *selector) emitMatched(tmpl *mach.Instr, binds []binding, dstIdx int, dst *asm.Operand) (asm.Operand, error) {
-	args := s.slab.args(len(tmpl.Operands))
+	args := s.af.Operands(len(tmpl.Operands))
 	for i, spec := range tmpl.Operands {
 		if i == dstIdx {
 			continue
@@ -812,10 +814,10 @@ func (s *selector) emitMatched(tmpl *mach.Instr, binds []binding, dstIdx int, ds
 // emitExpanded emits a template instance, expanding %seq items.
 func (s *selector) emitExpanded(tmpl *mach.Instr, args []asm.Operand) (err error) {
 	if len(tmpl.Seq) > 0 {
-		s.out, err = appendSeq(&s.slab, s.m, s.af, s.out, tmpl, args)
+		s.out, err = appendSeq(s.m, s.af, s.out, tmpl, args)
 		return err
 	}
-	s.emit(s.slab.inst(tmpl, args))
+	s.emit(asm.New(s.af, tmpl, args...))
 	return nil
 }
 

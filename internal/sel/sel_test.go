@@ -291,7 +291,7 @@ func TestBuildHelpers(t *testing.T) {
 	if err != nil || st.Tmpl.Mnemonic != "st.d" {
 		t.Fatalf("BuildStore: %v %v", st, err)
 	}
-	ai, err := BuildAddImm(m, m.Cwvm.SP.Phys(), m.Cwvm.SP.Phys(), -64)
+	ai, err := BuildAddImm(m, af, m.Cwvm.SP.Phys(), m.Cwvm.SP.Phys(), -64)
 	if err != nil || ai.Tmpl.Mnemonic != "addi" {
 		t.Fatalf("BuildAddImm: %v %v", ai, err)
 	}

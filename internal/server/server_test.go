@@ -190,6 +190,7 @@ var badRequests = []struct {
 	{"c syntax error", `{"source":"int f( {","target":"r2000"}`, nil, http.StatusBadRequest},
 	{"il syntax error", `{"source":"(bogus)","lang":"il","target":"r2000"}`, nil, http.StatusBadRequest},
 	{"c object past 2^31 bytes", `{"source":"int a[1073741824][8]; int g;","target":"r2000"}`, nil, http.StatusBadRequest},
+	{"unsigned char", `{"source":"unsigned char g;","target":"r2000"}`, nil, http.StatusBadRequest},
 	{"il negative size", `{"source":"global a int size -16\nglobal b int size 4\n","lang":"il","target":"r2000"}`, nil, http.StatusBadRequest},
 	{"data past 2^31 bytes", `{"source":"char a[2147483647];","target":"r2000"}`, nil, http.StatusUnprocessableEntity},
 	{"bad deadline header", `{"source":"int f(){return 0;}","target":"r2000"}`,

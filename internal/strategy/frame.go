@@ -55,13 +55,10 @@ func frame(m *mach.Machine, af *asm.Func) error {
 		return ir.I32
 	}
 
-	// Prologue, in front of block 0's code: one list, exactly sized.
-	var body []*asm.Inst
-	if len(af.Blocks) > 0 {
-		body = af.Blocks[0].Insts
-	}
-	pro := make([]*asm.Inst, 0, 3+raSlots+saves+len(body))
-	dec, err := sel.BuildAddImm(m, sp, sp, -int64(size))
+	// Prologue, in front of block 0's code.
+	var buf [8]*asm.Inst
+	pro := buf[:0]
+	dec, err := sel.BuildAddImm(m, af, sp, sp, -int64(size))
 	if err != nil {
 		return fmt.Errorf("%s: prologue: %w", af.Name, err)
 	}
@@ -72,7 +69,7 @@ func frame(m *mach.Machine, af *asm.Func) error {
 		return fmt.Errorf("%s: prologue: %w", af.Name, err)
 	}
 	pro = append(pro, stfp)
-	setfp, err := sel.BuildAddImm(m, fp, sp, int64(size))
+	setfp, err := sel.BuildAddImm(m, af, fp, sp, int64(size))
 	if err != nil {
 		return fmt.Errorf("%s: prologue: %w", af.Name, err)
 	}
@@ -95,59 +92,48 @@ func frame(m *mach.Machine, af *asm.Func) error {
 		in.Cycle = -1
 	}
 	if len(af.Blocks) > 0 {
-		af.Blocks[0].Insts = append(pro, body...)
+		af.Blocks[0].Insts = af.List(pro, af.Blocks[0].Insts)
 	}
 
-	// Epilogue, before every return instruction. A block with no return
-	// keeps its list; one with returns gets one list, exactly sized.
+	// Epilogue, before every return instruction: a block with a return
+	// gets a new list with the epilogue in front of it.
 	for _, b := range af.Blocks {
-		rets := 0
-		for _, in := range b.Insts {
-			if in.Tmpl.IsRet {
-				rets++
-			}
-		}
-		if rets == 0 {
-			continue
-		}
-		out := make([]*asm.Inst, 0, len(b.Insts)+rets*(saves+raSlots+2))
-		for _, in := range b.Insts {
-			if !in.Tmpl.IsRet {
-				out = append(out, in)
+		for at := 0; at < len(b.Insts); at++ {
+			if !b.Insts[at].Tmpl.IsRet {
 				continue
 			}
-			epi := len(out)
+			epi := buf[:0]
 			for i, cs := range af.CalleeSaved {
 				ld, err := sel.BuildLoad(m, af, asm.Phys(cs), fp, csOff(i), regType(cs))
 				if err != nil {
 					return fmt.Errorf("%s: epilogue: %w", af.Name, err)
 				}
-				out = append(out, ld)
+				epi = append(epi, ld)
 			}
 			if needRA {
 				ldra, err := sel.BuildLoad(m, af, asm.Phys(ra), fp, raOff, ir.I32)
 				if err != nil {
 					return fmt.Errorf("%s: epilogue: %w", af.Name, err)
 				}
-				out = append(out, ldra)
+				epi = append(epi, ldra)
 			}
-			inc, err := sel.BuildAddImm(m, sp, sp, int64(size))
+			inc, err := sel.BuildAddImm(m, af, sp, sp, int64(size))
 			if err != nil {
 				return fmt.Errorf("%s: epilogue: %w", af.Name, err)
 			}
-			out = append(out, inc)
+			epi = append(epi, inc)
 			// Restore fp last, through itself.
 			ldfp, err := sel.BuildLoad(m, af, asm.Phys(fp), fp, fpOff, ir.I32)
 			if err != nil {
 				return fmt.Errorf("%s: epilogue: %w", af.Name, err)
 			}
-			out = append(out, ldfp)
-			for _, e := range out[epi:] {
+			epi = append(epi, ldfp)
+			for _, e := range epi {
 				e.Cycle = -1
 			}
-			out = append(out, in)
+			b.Insts = af.List(b.Insts[:at], epi, b.Insts[at:])
+			at += len(epi)
 		}
-		b.Insts = out
 	}
 	return nil
 }

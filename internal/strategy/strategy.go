@@ -24,7 +24,6 @@ package strategy
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -403,14 +402,15 @@ func raseEstimates(m *mach.Machine, af *asm.Func, scratch func() *sched.Scratch,
 // insertEntryMoves binds incoming parameters: moves from CWVM argument
 // registers into parameter pseudos, loads for stack-resident arguments,
 // and stores for address-taken parameters that live in the frame. They
-// go in front of block 0's code in one list, exactly sized.
+// go in front of block 0's code.
 func insertEntryMoves(m *mach.Machine, af *asm.Func) error {
 	fn := af.IR
 	if fn == nil || len(fn.Params) == 0 {
 		return nil
 	}
 	fp := m.Cwvm.FP.Phys()
-	var entry []*asm.Inst
+	var buf [8]*asm.Inst
+	entry := buf[:0]
 	types := make([]ir.Type, len(fn.Params))
 	for i, sym := range fn.Params {
 		types[i] = sym.Type
@@ -474,7 +474,7 @@ func insertEntryMoves(m *mach.Machine, af *asm.Func) error {
 		return nil
 	}
 	b0 := af.Blocks[0]
-	b0.Insts = slices.Concat(entry, b0.Insts)
+	b0.Insts = af.List(entry, b0.Insts)
 	return nil
 }
 

@@ -52,8 +52,8 @@ func TestNonMonotoneCyclesFlagged(t *testing.T) {
 		t.Fatal(err)
 	}
 	add := m.InstrByLabel("add")
-	i0 := asm.New(add, asm.Reg(0), asm.Reg(1), asm.Reg(1))
-	i1 := asm.New(add, asm.Reg(2), asm.Reg(1), asm.Reg(1))
+	i0 := asm.New(nil, add, asm.Reg(0), asm.Reg(1), asm.Reg(1))
+	i1 := asm.New(nil, add, asm.Reg(2), asm.Reg(1), asm.Reg(1))
 	i0.Cycle, i1.Cycle = 2, 1
 	af := unitFunc(t, i0, i1)
 	af.NewPseudo(m.RegSet("r"), ir.NoReg)
@@ -76,8 +76,8 @@ func TestLatencyWindowFlagged(t *testing.T) {
 	// ld t0 at 0 (latency 3); a dependent add at 1 sits inside the
 	// window. t0 feeds the add's SECOND source so the %aux override
 	// (which matches the first source) stays out of the way.
-	i0 := asm.New(ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0))
-	i1 := asm.New(add, asm.Reg(1), asm.Reg(2), asm.Reg(0))
+	i0 := asm.New(nil, ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0))
+	i1 := asm.New(nil, add, asm.Reg(1), asm.Reg(2), asm.Reg(0))
 	i0.Cycle, i1.Cycle = 0, 1
 	af := unitFunc(t, i0, i1)
 	for i := 0; i < 3; i++ {
@@ -104,8 +104,8 @@ func TestAuxLatencyOverride(t *testing.T) {
 	add := m.InstrByLabel("add")
 	// t0 feeds the add's FIRST source, so %aux ld:add raises the
 	// required distance from 3 to 5: distance 3 must now be flagged.
-	i0 := asm.New(ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0))
-	i1 := asm.New(add, asm.Reg(1), asm.Reg(0), asm.Reg(2))
+	i0 := asm.New(nil, ld, asm.Reg(0), asm.Phys(r.Phys(6)), asm.Imm(0))
+	i1 := asm.New(nil, add, asm.Reg(1), asm.Reg(0), asm.Reg(2))
 	i0.Cycle, i1.Cycle = 0, 3
 	af := unitFunc(t, i0, i1)
 	for i := 0; i < 3; i++ {
@@ -135,8 +135,8 @@ func TestSameWordMemoryOrder(t *testing.T) {
 		storeFirst bool
 		want       int
 	}{{"st;ld", true, 1}, {"ld;st", false, 0}} {
-		ld := asm.New(m.InstrByLabel("ld"), asm.Reg(0), fp, asm.Imm(0))
-		st := asm.New(m.InstrByLabel("st"), asm.Reg(1), fp, asm.Imm(4))
+		ld := asm.New(nil, m.InstrByLabel("ld"), asm.Reg(0), fp, asm.Imm(0))
+		st := asm.New(nil, m.InstrByLabel("st"), asm.Reg(1), fp, asm.Imm(4))
 		ld.Cycle, st.Cycle = 0, 0
 		insts := []*asm.Inst{ld, st}
 		if tc.storeFirst {
@@ -191,8 +191,8 @@ func TestDisjointClassesCannotPack(t *testing.T) {
 		{"fadd", "fadd cannot pack into this word: no common long-word element (add|fadd)"},
 		{"fsub", ""},
 	} {
-		add := asm.New(m.InstrByLabel("add"), asm.Reg(0), asm.Reg(1), asm.Reg(1))
-		fop := asm.New(m.InstrByLabel(tc.fp), asm.Reg(2), asm.Reg(3), asm.Reg(3))
+		add := asm.New(nil, m.InstrByLabel("add"), asm.Reg(0), asm.Reg(1), asm.Reg(1))
+		fop := asm.New(nil, m.InstrByLabel(tc.fp), asm.Reg(2), asm.Reg(3), asm.Reg(3))
 		add.Cycle, fop.Cycle = 0, 0
 		af := unitFunc(t, add, fop)
 		af.NewPseudo(m.RegSet("r"), ir.NoReg)

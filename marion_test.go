@@ -89,3 +89,24 @@ func TestCompileKeepsNoIL(t *testing.T) {
 		}
 	}
 }
+
+// TestUnsignedSubwordRefused: until the IL has unsigned 8- and 16-bit
+// types, CompileCtx refuses unsigned char and unsigned short on every
+// target with an error that names the unit, the line and the type,
+// rather than compiling them as signed (where x = 200 stored into an
+// unsigned char reads back as -56).
+func TestUnsignedSubwordRefused(t *testing.T) {
+	for _, ty := range []struct{ name, bits string }{{"char", "8"}, {"short", "16"}} {
+		src := "int f(int x) {\n  unsigned " + ty.name + " c[2];\n  c[0] = x;\n  return c[0];\n}\n"
+		want := "u.c:2: unsigned " + ty.name + " is not supported: the IL has no unsigned " + ty.bits + "-bit type"
+		for _, target := range Targets() {
+			g, err := New(target, Postpass)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.CompileCtx(context.Background(), "u.c", src); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: unsigned %s: err = %v, want %q", target, ty.name, err, want)
+			}
+		}
+	}
+}
