@@ -1,8 +1,6 @@
 package asm
 
 import (
-	"unsafe"
-
 	"marion/internal/ir"
 	"marion/internal/mach"
 )
@@ -18,12 +16,12 @@ import (
 //
 // An arena has one owner and is never shared between goroutines. What
 // it hands out lives until Rewind, which zeroes everything carved since
-// the last Rewind and keeps chunks, up to keepBytes of each kind, and
-// the table, up to keepBytes, for the next function. Whoever rewinds
-// must know that nothing reaches the code any more: a function that is
-// to outlive the Rewind is first copied out (Func.CopyOut). An arena
-// that nobody rewinds never hands out storage twice, so every function
-// built in it keeps its code. The zero Arena is ready to use.
+// the last Rewind and keeps chunks and the table, up to the bound every
+// pooled scratch keeps to (ir.Keep), for the next function. Whoever
+// rewinds must know that nothing reaches the code any more: a function
+// that is to outlive the Rewind is first copied out (Func.CopyOut). An
+// arena that nobody rewinds never hands out storage twice, so every
+// function built in it keeps its code. The zero Arena is ready to use.
 type Arena struct {
 	insts      ir.Chunks[Inst]
 	ops        ir.Chunks[Operand]
@@ -38,11 +36,6 @@ type Arena struct {
 	pseudos []PseudoInfo
 	owner   *Func
 }
-
-// keepBytes bounds what Rewind keeps of the pseudo-register table, as
-// ir.Chunks keeps of each kind of chunk: one huge function does not pin
-// its storage in a pooled worker.
-const keepBytes = 512 << 10
 
 // chunkFloor is the fewest values a new chunk of the arena holds: what
 // the passes after selection add — nops, spill code, the frame and
@@ -80,10 +73,8 @@ func (a *Arena) Func(fn *ir.Func, nodes int) *Func {
 		// table.
 		a.pseudos = nil
 	}
-	if cap(a.pseudos) < pseudos {
-		a.pseudos = make([]PseudoInfo, 0, pseudos)
-	}
-	f.Pseudos, a.owner = a.pseudos[:0], f
+	a.pseudos = ir.Grow(a.pseudos, pseudos)[:0]
+	f.Pseudos, a.owner = a.pseudos, f
 	return f
 }
 
@@ -97,7 +88,7 @@ func expect[T any](c *ir.Chunks[T], n int) {
 
 // Rewind readies the arena for the next function: every value it
 // handed out since the last Rewind is zeroed, and its chunks and table
-// are kept, up to keepBytes of each kind. Nothing may reach the code
+// are kept, up to the bound of each kind. Nothing may reach the code
 // built in it: a function that outlives the Rewind was copied out.
 func (a *Arena) Rewind() {
 	a.insts.Reset()
@@ -107,12 +98,7 @@ func (a *Arena) Rewind() {
 	a.blocks.Reset()
 	a.blockLists.Reset()
 	a.bools.Reset()
-	clear(a.pseudos)
-	a.pseudos = a.pseudos[:0]
-	if cap(a.pseudos)*int(unsafe.Sizeof(PseudoInfo{})) > keepBytes {
-		a.pseudos = nil
-	}
-	a.owner = nil
+	a.pseudos, a.owner = ir.Keep(a.pseudos), nil
 }
 
 // New returns an instruction of f for tmpl with the operand list args,

@@ -81,21 +81,15 @@ type Encoder struct {
 
 // Detach drops what the encoder holds of the function it encoded last:
 // the holes' pointers and the index maps' keys. The buffers and maps
-// keep their storage.
+// keep their storage up to the bound.
 func (x *Encoder) Detach() {
-	clear(x.holes[:cap(x.holes)])
-	clear(x.blockIdx)
-	clear(x.params)
-	clear(x.locals)
+	x.holes = ir.Keep(x.holes)
+	x.blockIdx, x.params, x.locals = ir.KeepMap(x.blockIdx), ir.KeepMap(x.params), ir.KeepMap(x.locals)
+	x.b, x.text = ir.Keep(x.b), ir.Keep(x.text)
 }
 
 // Encode is the package's Encode on this encoder.
 func (x *Encoder) Encode(m *mach.Machine, fn *ir.Func, af *asm.Func, st *strategy.Stats, sc sel.Counters) ([]byte, error) {
-	if x.blockIdx == nil {
-		x.blockIdx = map[*ir.Block]int{}
-		x.params = map[*ir.Sym]int{}
-		x.locals = map[*ir.Sym]int{}
-	}
 	x.Detach()
 	for i, b := range fn.Blocks {
 		x.blockIdx[b] = i
@@ -106,10 +100,9 @@ func (x *Encoder) Encode(m *mach.Machine, fn *ir.Func, af *asm.Func, st *strateg
 	for i, s := range fn.Locals {
 		x.locals[s] = i
 	}
-	x.holes = x.holes[:0]
-	x.text = af.AppendText(x.text[:0], &x.holes)
+	x.text = af.AppendText(x.text, &x.holes)
 
-	b := binary.AppendUvarint(x.b[:0], uint64(len("entry-v2")))
+	b := binary.AppendUvarint(x.b, uint64(len("entry-v2")))
 	b = append(b, "entry-v2"...)
 	for _, v := range [...]int64{
 		int64(st.Spills), int64(st.SpillSlots), int64(st.AllocRounds),

@@ -1,5 +1,7 @@
 package cc
 
+import "marion/internal/ir"
+
 // Compile parses and type-checks a translation unit on a scratch of its
 // own.
 func Compile(file, src string) (*File, error) { return new(Scratch).Compile(file, src) }
@@ -34,23 +36,19 @@ func (s *Scratch) Compile(file, src string) (*File, error) {
 
 // Detach readies s to wait in a pool: it drops every pointer it holds
 // into the unit it compiled last — the File's nodes and objects are
-// zeroed, not freed, the source and the names are let go — keeping up
-// to keepBytes of each chunk set and list, and the scope map up to
-// keepEntries, for the next unit.
+// zeroed, not freed, the source and the names are let go — keeping each
+// chunk set, list and the scope map up to the bound (ir.Keep) for the
+// next unit.
 func (s *Scratch) Detach() {
 	s.slab.reset()
 	s.lx = lexer{}
 	s.p.tok = token{}
-	s.p.la = emptied(s.p.la)
-	s.p.stmts = emptied(s.p.stmts)
-	s.p.args = emptied(s.p.args)
+	s.p.la = ir.Keep(s.p.la)
+	s.p.stmts = ir.Keep(s.p.stmts)
+	s.p.args = ir.Keep(s.p.args)
 	m := &s.sema
 	m.file, m.fn, m.loops = "", nil, 0
-	m.locals = emptied(m.locals)
-	m.marks = emptied(m.marks)
-	if len(m.globals) > keepEntries { // clearing a Go map keeps its buckets
-		m.globals = nil
-	} else {
-		clear(m.globals)
-	}
+	m.locals = ir.Keep(m.locals)
+	m.marks = ir.Keep(m.marks)
+	m.globals = ir.KeepMap(m.globals)
 }

@@ -166,6 +166,13 @@ func TestSemaErrors(t *testing.T) {
 			"t.c:2: unsigned char is not supported: the IL has no unsigned 8-bit type"},
 		{"unsigned short", "unsigned short int g;\nint f() { return g; }",
 			"t.c:1: unsigned short is not supported: the IL has no unsigned 16-bit type"},
+		{"char unsigned", "int f(int x) {\n  char unsigned c[2];\n  c[0] = x;\n  return c[0];\n}",
+			"t.c:2: unsigned char is not supported: the IL has no unsigned 8-bit type"},
+		{"short unsigned", "int g;\nshort int unsigned h;\nint f() { return g; }",
+			"t.c:2: unsigned short is not supported: the IL has no unsigned 16-bit type"},
+		{"signed unsigned", "int f() { signed unsigned a; return 0; }", "t.c:1: bad type combination"},
+		{"int int", "int f() { int int a; return 0; }", "t.c:1: bad type combination"},
+		{"unsigned double", "unsigned double g;", "t.c:1: bad type combination"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -177,6 +184,27 @@ func TestSemaErrors(t *testing.T) {
 				t.Errorf("error %q missing %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestSpecifiersInAnyOrder: the type specifiers are a set, as in C, so
+// every order of one set names one type, and signed sets only the sign.
+func TestSpecifiersInAnyOrder(t *testing.T) {
+	for _, c := range []struct{ spellings, want string }{
+		{"char, signed char, char signed", "char"},
+		{"short, short int, signed short, short signed, int short signed", "short"},
+		{"int, signed, signed int, int signed, long, long int, signed long, long signed int", "int"},
+		{"unsigned, unsigned int, int unsigned, unsigned long, long unsigned, long int unsigned", "unsigned"},
+		{"double, long double, double long", "double"},
+	} {
+		for _, spelling := range strings.Split(c.spellings, ", ") {
+			f, err := Compile("t.c", spelling+" g;")
+			if err != nil {
+				t.Errorf("%s: %v", spelling, err)
+			} else if got := f.Globals[0].Type.String(); got != c.want {
+				t.Errorf("%s is %s, want %s", spelling, got, c.want)
+			}
+		}
 	}
 }
 

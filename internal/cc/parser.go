@@ -97,71 +97,61 @@ func isTypeTok(k Tok) bool {
 	return false
 }
 
-// typeSpec parses the declaration-specifier part: storage class and const
-// qualifiers are accepted and ignored.
+// typeSpec parses the declaration specifiers. Storage class and const
+// qualifiers are accepted and ignored; the type specifiers are a set, in
+// any order, as in C: signed and unsigned set only the sign, short int
+// is short, long and long int are int, and long double is double.
 func (p *parser) typeSpec() (*CType, error) {
-	for p.tok.Kind == tStatic || p.tok.Kind == tConst {
+	var set uint16 // the type specifiers seen, a bit per Tok
+	var at token   // the first of them
+	for p.tok.Kind == tStatic || p.tok.Kind == tConst || isTypeTok(p.tok.Kind) {
+		if k := p.tok.Kind; isTypeTok(k) {
+			if set == 0 {
+				at = p.tok
+			} else if set&(1<<k) != 0 && k != tLong {
+				return nil, p.errf("bad type combination")
+			}
+			set |= 1 << k
+		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 	}
-	var base *CType
-	switch p.tok.Kind {
-	case tVoid:
-		base = typeVoid
-	case tChar:
-		base = typeChar
-	case tShort:
-		base = typeShort
-	case tInt:
-		base = typeInt
-	case tLong:
-		base = typeInt
-	case tUnsigned:
-		base = typeUnsigned
-	case tSigned:
-		base = typeInt
-	case tFloat:
-		base = typeFloat
-	case tDouble:
-		base = typeDouble
-	default:
+	if set == 0 {
 		return nil, p.errf("expected type, got %s", p.tok.Kind)
 	}
-	if err := p.advance(); err != nil {
-		return nil, err
+	const sign = 1<<tSigned | 1<<tUnsigned
+	base, unsigned := set&^sign, set&(1<<tUnsigned) != 0
+	if base&(1<<tShort|1<<tLong) != 0 {
+		base &^= 1 << tInt
 	}
-	// "unsigned int", "long int", "short int", "unsigned long", ...
-	for isTypeTok(p.tok.Kind) {
-		switch p.tok.Kind {
-		case tInt, tLong:
-			// keep base
-		// The IL has no U8 or U16: an unsigned char or short would be
-		// read back sign-extended, so both are refused.
-		case tChar:
-			if base == typeUnsigned {
-				return nil, p.errf("unsigned char is not supported: the IL has no unsigned 8-bit type")
-			}
-		case tShort:
-			if base == typeUnsigned {
-				return nil, p.errf("unsigned short is not supported: the IL has no unsigned 16-bit type")
-			}
-			base = typeShort
-		case tDouble:
-			base = typeDouble
-		default:
-			return nil, p.errf("bad type combination")
+	errAt := func(msg string) error { return &posError{File: p.lx.file, Line: int(at.Line), Msg: msg} }
+	switch {
+	case set&sign == sign: // signed unsigned
+	case base == 0, base == 1<<tInt, base == 1<<tLong:
+		if unsigned {
+			return typeUnsigned, nil
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		return typeInt, nil
+	// The IL has no U8 or U16: an unsigned char or short would be read
+	// back sign-extended, so both are refused.
+	case base == 1<<tChar && unsigned:
+		return nil, errAt("unsigned char is not supported: the IL has no unsigned 8-bit type")
+	case base == 1<<tShort && unsigned:
+		return nil, errAt("unsigned short is not supported: the IL has no unsigned 16-bit type")
+	case base == 1<<tChar:
+		return typeChar, nil
+	case base == 1<<tShort:
+		return typeShort, nil
+	case set&sign != 0: // a sign on void, float or double
+	case base == 1<<tVoid:
+		return typeVoid, nil
+	case base == 1<<tFloat:
+		return typeFloat, nil
+	case base == 1<<tDouble, base == 1<<tLong|1<<tDouble:
+		return typeDouble, nil
 	}
-	for p.tok.Kind == tConst {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	}
-	return base, nil
+	return nil, errAt("bad type combination")
 }
 
 // declarator parses ('*')* name ('[' n ']')* and returns the name and

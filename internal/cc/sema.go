@@ -7,9 +7,6 @@ import "fmt"
 func (sc *Scratch) check(f *File) error {
 	s := &sc.sema
 	s.file, s.slab = f.Name, &sc.slab
-	if s.globals == nil {
-		s.globals = map[string]*Obj{}
-	}
 	for _, g := range f.Globals {
 		if err := s.declare(g); err != nil {
 			return err

@@ -1,10 +1,6 @@
 package cc
 
-import (
-	"unsafe"
-
-	"marion/internal/ir"
-)
+import "marion/internal/ir"
 
 // slab carves a unit's expressions, statements and objects from chunks
 // (ir.Chunks, the type an ir.Slab carves the IL from), so parsing costs
@@ -28,16 +24,6 @@ const (
 	bytesPerExpr = 16
 	bytesPerStmt = 48
 	bytesPerObj  = 128
-)
-
-// keepBytes bounds what a Scratch keeps of each list for the next unit,
-// and keepEntries its file scope map: what a unit grew beyond them is
-// dropped at Detach, so one huge unit compiled in a long-lived process
-// does not pin its storage in the pool. (ir.Chunks keeps to the same
-// bound, and ilgen's Scratch to the same two.)
-const (
-	keepBytes   = 512 << 10
-	keepEntries = 8 << 10
 )
 
 // expect sizes the next chunks for the unread bytes of a source of which
@@ -66,20 +52,9 @@ func (s *slab) stmt(st Stmt) *Stmt { return s.stmts.Carve(st) }
 func (s *slab) obj(o Obj) *Obj { return s.objs.Carve(o) }
 
 // reset empties the slab for the next unit, zeroing what the unit carved
-// and keeping the first chunks of each kind up to keepBytes.
+// and keeping the first chunks of each kind up to the bound.
 func (s *slab) reset() {
 	s.exprs.Reset()
 	s.stmts.Reset()
 	s.objs.Reset()
-}
-
-// emptied returns a list a Scratch keeps for the next unit: l with every
-// slot it ever held zeroed, or nil when it has grown past keepBytes.
-func emptied[T any](l []T) []T {
-	var zero T
-	if cap(l)*int(unsafe.Sizeof(zero)) > keepBytes {
-		return nil
-	}
-	clear(l[:cap(l)])
-	return l[:0]
 }

@@ -13,6 +13,7 @@ package cdag
 
 import (
 	"marion/internal/asm"
+	"marion/internal/ir"
 	"marion/internal/mach"
 )
 
@@ -63,9 +64,10 @@ type Options struct {
 }
 
 // Scratch is the storage code DAGs are built in: the node slab, the edge
-// arena and every table Build and the protection pass work from. The
-// zero value is ready to use. Building block after block on one scratch
-// allocates only when a block outgrows what an earlier one left, but
+// arena and every table Build and the protection pass work from, each
+// sized by ir.Grow. The zero value is ready to use. Building block after
+// block on one scratch allocates only when a block outgrows what an
+// earlier one left, and then with room to grow, as append does; but
 // each Build invalidates the graph the previous one returned, so a
 // scratch has one owner (a strategy.Scratch's scheduler, which keeps it
 // from one function to the next) and is never shared between
@@ -109,10 +111,10 @@ type Scratch struct {
 // Detach drops what the scratch holds of the block it built last: the
 // graph's machine and every node's instruction, in the whole node slab
 // (a longer block built earlier left nodes past the last one's end).
-// The tables keep their storage; the next Build overwrites every node.
+// The tables keep their storage up to the bound; the next Build
+// overwrites every node.
 func (s *Scratch) Detach() {
-	clear(s.graph.Nodes[:cap(s.graph.Nodes)])
-	s.graph = Graph{Nodes: s.graph.Nodes[:0]}
+	s.graph = Graph{Nodes: ir.Keep(s.graph.Nodes)}
 }
 
 // Temporal latch pairing is per (latch, sequence identity): the selector
@@ -137,15 +139,6 @@ type defUpd struct {
 type twUpd struct {
 	k tkey
 	i int
-}
-
-// sized returns buf with length n, reallocated when it is too short. The
-// contents are whatever the last use left.
-func sized[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
 }
 
 // push appends e to the discovery list. The list doubles when full:
@@ -217,9 +210,7 @@ func (s *Scratch) layout() {
 	if s.temporal {
 		room += room/2 + 16
 	}
-	if s.edges = s.edges[:0]; cap(s.edges) < room {
-		s.edges = make([]Edge, 0, room)
-	}
+	s.edges = ir.Grow(s.edges, room)[:0]
 	succs := s.carve(len(s.preds))
 	nodes := s.graph.Nodes
 	so := 0
@@ -264,16 +255,12 @@ func Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 // scratch held before.
 func (s *Scratch) Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 	n := len(b.Insts)
-	s.graph = Graph{M: m, Nodes: sized(s.graph.Nodes, n)}
-	s.ints = sized(s.ints, 3*n+1)
+	s.graph = Graph{M: m, Nodes: ir.Grow(s.graph.Nodes, n)}
+	s.ints = ir.Grow(s.ints, 3*n+1)
 	s.start, s.out, s.last = s.ints[:n+1], s.ints[n+1:2*n+1], s.ints[2*n+1:]
-	clear(s.out)
 	// A straight-line block has up to four edges an instruction.
-	if s.preds = s.preds[:0]; cap(s.preds) < 4*n+16 {
-		s.preds = make([]Edge, 0, 4*n+16)
-	}
-	s.clocks, s.temporal = sized(s.clocks, len(m.Clocks)), false
-	clear(s.clocks)
+	s.preds = ir.Grow(s.preds, 4*n+16)[:0]
+	s.clocks, s.temporal = ir.Grow(s.clocks, len(m.Clocks)), false
 	// The register tracking table is indexed by the one dense
 	// asm.RegKey: physical registers, then the pseudos the block
 	// mentions.
@@ -289,18 +276,14 @@ func (s *Scratch) Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 			}
 		}
 	}
-	s.regs = sized(s.regs, keys)
-	clear(s.regs)
+	s.regs = ir.Grow(s.regs, keys)
 	regs := s.regs
-	if s.readers = s.readers[:0]; cap(s.readers) < 2*n+4 {
-		s.readers = make([]reader, 0, 2*n+4)
-	}
+	s.readers = ir.Grow(s.readers, 2*n+4)[:0]
 	readers := s.readers
 	lastMemWrite := -1 // last store/call
 	memReads := s.memReads[:0]
-	// The latch table is only ever indexed, never ranged over, and stays
-	// nil until a block has temporal sub-operations.
-	clear(s.tWrites)
+	// The latch table is only ever indexed, never ranged over.
+	s.tWrites = ir.KeepMap(s.tWrites)
 	defUpds, twUpds := s.defUpds, s.twUpds
 
 	wordStart := 0
@@ -396,9 +379,6 @@ func (s *Scratch) Build(m *mach.Machine, b *asm.Block, opts Options) *Graph {
 			regs[u.k] = regState{def: int32(u.i + 1), defOp: int32(u.op)}
 		}
 		for _, u := range twUpds {
-			if s.tWrites == nil {
-				s.tWrites = map[tkey]int{}
-			}
 			s.tWrites[u.k] = u.i
 		}
 		if newMemWrite >= 0 {

@@ -1,6 +1,10 @@
 package cdag
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"marion/internal/ir"
+)
 
 // seqState is a node's place among the temporal sequences of the clock
 // being processed: the head of its sequence (following that clock's
@@ -53,7 +57,7 @@ type seqState struct {
 func (s *Scratch) protect() {
 	g := &s.graph
 	n := len(g.Nodes)
-	s.seq = sized(s.seq, n)
+	s.seq = ir.Grow(s.seq, n)
 	seq := s.seq
 	reach := &s.reach
 	reach.words = 0 // not built yet
@@ -173,11 +177,9 @@ func (s *Scratch) buildClosure() {
 	n := len(s.graph.Nodes)
 	c := &s.reach
 	c.words = (n + 63) / 64
-	s.words = sized(s.words, (2*n+1)*c.words)
-	clear(s.words)
+	s.words = ir.Grow(s.words, (2*n+1)*c.words)
 	c.desc, c.up, c.affects = s.words[:n*c.words], s.words[n*c.words:2*n*c.words], s.words[2*n*c.words:]
-	s.done = sized(s.done, 2*n)
-	clear(s.done)
+	s.done = ir.Grow(s.done, 2*n)
 	for a := 0; a < n; a++ {
 		s.fill(c.desc, s.done[:n], false, a)
 		s.fill(c.up, s.done[n:], true, a)
@@ -240,7 +242,7 @@ func (c *closure) spread(m, opposite []uint64, a, b int) {
 // distance to any leaf — the paper's list scheduling priority heuristic
 // — in buf when buf is long enough.
 func (g *Graph) HeightsInto(buf []int) []int {
-	h := sized(buf, len(g.Nodes))
+	h := ir.Grow(buf, len(g.Nodes))
 	for i := range h {
 		h[i] = -1 // not computed yet
 	}

@@ -2,8 +2,8 @@
 // service: retries with exponential backoff and full jitter, honoring
 // the server's computed Retry-After (header and JSON hint), optional
 // hedged requests against tail latency, and context-aware cancellation
-// throughout. cmd/marionload drives its load through this client; any
-// program embedding Marion can use it directly.
+// throughout. cmd/marionload drives its load through this client. The
+// package is internal: only this module's programs can import it.
 //
 // The retry policy matches the server's shedding contract: 429/503 mean
 // "come back after the hint", 502/504 and transport errors mean "the

@@ -315,8 +315,8 @@ type worker struct {
 
 // detach readies w to wait in the pool: every member drops the pointers
 // it holds into the compiles it served (functions, code, IL nodes,
-// deadlines), keeping its storage; the code arena, whose last function
-// was copied out or failed, is rewound.
+// deadlines), keeping its storage up to the bound; the code arena,
+// whose last function was copied out or failed, is rewound.
 func (w *worker) detach() {
 	w.fp.Detach()
 	w.nodes = ir.Slab{}

@@ -224,6 +224,72 @@ func TestPooledArenaPinsNothing(t *testing.T) {
 	runtime.KeepAlive(kept)
 }
 
+// keepBound is the most a pooled scratch keeps of one table, list or
+// map from one use to the next: internal/ir's keepBytes.
+const keepBound = 512 << 10
+
+// TestPooledScratchKeepsToTheBound: a table one huge function grew is
+// not kept for as long as the worker lives. One kept worker and one kept
+// frontEnd compile a unit of 1 200 live ints, whose allocation grows
+// tables of megabytes, then every serve unit, with the cache and the
+// verifier on so that every member of the worker's arena works. Then no
+// slice or map reachable from either holds more than keepBound (where
+// each package kept its own tables, the allocator's bit slab and
+// adjacency list stayed past it).
+func TestPooledScratchKeepsToTheBound(t *testing.T) {
+	m, err := targets.Load("r2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cache.New(cache.Options{Registry: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := driver.Config{Strategy: strategy.RASE, Workers: 1, Verify: true, Cache: c}
+	workers, frontEnds := new(driver.Kept), new(driver.Kept)
+	for _, u := range append([]gentest.Unit{gentest.Live(1200)}, gentest.Serve()...) {
+		mod, done, err := driver.LowerScopedOn(frontEnds, u.Lang, u.Name, u.Text)
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		_, err = driver.CompileModuleOn(workers, context.Background(), m, mod, cfg)
+		done()
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+	}
+	ws, fes := workers.Workers(), frontEnds.Workers()
+	if len(ws) != 1 || len(fes) != 1 {
+		t.Fatalf("%d workers and %d frontEnds wait in the pools, want 1 of each", len(ws), len(fes))
+	}
+	for _, held := range []struct {
+		name string
+		v    any
+	}{{"worker", ws[0]}, {"frontEnd", fes[0]}} {
+		for _, path := range bigTables(held.v, held.name) {
+			t.Errorf("after the serve units, the pooled %s holds %s", held.name, path)
+		}
+	}
+}
+
+// bigTables returns the path to every slice and map reachable from v
+// whose storage holds more than keepBound, one walk a table, or to the
+// first pin, which ends the search.
+func bigTables(v any, name string) []string {
+	over := map[uintptr]bool{}
+	var paths []string
+	for len(paths) == len(over) {
+		w := newWalker()
+		w.chunks, w.bound, w.over = true, keepBound, over
+		path := w.pinned(reflect.ValueOf(v), name)
+		if path == "" {
+			break
+		}
+		paths = append(paths, path)
+	}
+	return paths
+}
+
 // frontFailures are C units the front end refuses part-way: in the
 // parser, in the checker within a function, and in the checker once the
 // function before the failing one is checked. No C unit fails in the
@@ -798,10 +864,14 @@ var contextType = reflect.TypeOf((*context.Context)(nil)).Elem()
 // compile. With strings set, a non-empty string is a pin too: a unit's
 // names and source are its own. With chunks set, a chunk of one of
 // chunkTypes is not, as a frontEnd's kept slab and a worker's code
-// arena hold them, but every value in it must be zero.
+// arena hold them, but every value in it must be zero. With bound set,
+// so is a slice or map whose storage holds more than bound bytes and is
+// not yet in over, which records it.
 type walker struct {
 	seen            map[walkKey]bool
 	strings, chunks bool
+	bound           int
+	over            map[uintptr]bool
 }
 
 // chunkTypes are the element types of the chunks a kept ir.Slab or
@@ -881,6 +951,9 @@ func (w *walker) find(v reflect.Value) string {
 		if v.IsNil() || v.Cap() == 0 {
 			return ""
 		}
+		if w.big(v, v.Cap()*int(t.Elem().Size())) {
+			return fmt.Sprintf(" (a %s table of %d KiB)", t.Elem(), v.Cap()*int(t.Elem().Size())>>10)
+		}
 		if w.chunks && chunkTypes[t.Elem()] {
 			all := v.Slice3(0, v.Cap(), v.Cap())
 			for i := range all.Len() {
@@ -903,6 +976,9 @@ func (w *walker) find(v reflect.Value) string {
 			}
 		}
 	case reflect.Map:
+		if size := v.Len() * int(t.Key().Size()+t.Elem().Size()); w.big(v, size) {
+			return fmt.Sprintf(" (a map of %d KiB)", size>>10)
+		}
 		for it := v.MapRange(); it.Next(); {
 			if p := w.find(it.Key()); p != "" {
 				return "[key]" + p
@@ -913,6 +989,16 @@ func (w *walker) find(v reflect.Value) string {
 		}
 	}
 	return ""
+}
+
+// big reports whether v, a slice or map of size bytes, is a table past
+// the bound not reported before, and records it.
+func (w *walker) big(v reflect.Value, size int) bool {
+	if w.bound == 0 || size <= w.bound || w.over[v.Pointer()] {
+		return false
+	}
+	w.over[v.Pointer()] = true
+	return true
 }
 
 // first reports whether the walk reaches the storage at p, as a t, for

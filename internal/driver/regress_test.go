@@ -49,16 +49,19 @@ func TestRegressUnits(t *testing.T) {
 	}
 }
 
-// storeC stores a char in memory and shortC a short, and subwordC reads
-// each back from a word whose other bytes hold a neighbour; toyp has no
-// sub-word store (ROADMAP 17, missing stores), so they run on the other
-// targets.
+// storeC stores a char in memory and shortC a short, subwordC reads
+// each back from a word whose other bytes hold a neighbour, and signedC
+// reads back a signed char and a short signed (the specifiers in either
+// order); toyp has no sub-word store (ROADMAP 17, missing stores), so
+// they run on the other targets.
 const (
 	storeC = "char g;\nint ma(int x) { return g = x; }\n" +
 		"int mc(int x) { g = 100; return g += x; }\nint mi(int x) { g = x; return ++g; }\n"
 	shortC   = "short h;\nint ms(int x) { h = 30000; return h += x; }\n"
 	subwordC = "int rc() { char cb[4]; cb[1] = 1; cb[0] = 5; return cb[0]; }\n" +
 		"int rs(int x) { short s[2]; s[1] = 7; s[0] = x; return s[0]; }\n"
+	signedC = "int sc(int x) { signed char c[2]; c[0] = x; return c[0]; }\n" +
+		"int ss(int x) { short signed s[2]; s[0] = x; return s[0]; }\n"
 )
 
 // TestRegressStoreUnits: the value of an assignment, a compound
@@ -78,6 +81,10 @@ func TestRegressStoreUnits(t *testing.T) {
 			runRegress(t, target, "subword.c", subwordC, []regressCall{
 				{"rc", nil, int64(5)},
 				{"rs", []sim.Value{sim.Int(3)}, int64(3)},
+			})
+			runRegress(t, target, "signed.c", signedC, []regressCall{
+				{"sc", []sim.Value{sim.Int(200)}, int64(-56)},
+				{"ss", []sim.Value{sim.Int(40000)}, int64(-25536)},
 			})
 		}
 	}

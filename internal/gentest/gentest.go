@@ -61,6 +61,14 @@ func Generated(n int) []Unit {
 	return units
 }
 
+// Live returns one function, f, that holds ints int values live across
+// its whole body, named liveN.c: a unit small beside a request body's
+// cap whose register allocation still grows tables of megabytes.
+func Live(ints int) Unit {
+	r := rand.New(rand.NewSource(1991))
+	return Unit{fmt.Sprintf("live%d.c", ints), "c", source(r, shape{ints: ints, stmts: 16})}
+}
+
 // read returns the files each pattern matches, in name order.
 func read(fsys fs.FS, patterns ...string) []Unit {
 	var units []Unit

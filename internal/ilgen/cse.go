@@ -71,12 +71,7 @@ func countNodes(n *ir.Node) int {
 // function starts a function with regs pseudo-registers, all at
 // version 0.
 func (t *cseTable) function(regs int) {
-	if cap(t.regVer) < regs {
-		t.regVer = make([]uint32, regs)
-	} else {
-		t.regVer = t.regVer[:regs]
-		clear(t.regVer)
-	}
+	t.regVer = ir.Grow(t.regVer, regs)
 }
 
 // block value-numbers the statement trees of one block, sharing
@@ -93,18 +88,9 @@ func (t *cseTable) block(b *ir.Block) {
 	for size < 2*nodes {
 		size <<= 1
 	}
-	if cap(t.index) < size {
-		t.index = make([]int32, size)
-	} else {
-		t.index = t.index[:size]
-		clear(t.index)
-	}
+	t.index = ir.Grow(t.index, size)
 	t.mask = uint64(size - 1)
-	if cap(t.entries) < nodes {
-		t.entries = make([]cseEntry, 0, nodes)
-	} else {
-		t.entries = t.entries[:0]
-	}
+	t.entries = ir.Grow(t.entries, nodes)[:0]
 	t.walk, t.nextID, t.memEpoch = ir.NewWalk(), 1, 0
 
 	for _, s := range b.Stmts {
@@ -122,9 +108,9 @@ func (t *cseTable) block(b *ir.Block) {
 }
 
 // detach zeroes every entry, so that the table holds no node or symbol
-// of the unit, and drops what has grown past keepBytes.
+// of the unit, and drops what has grown past the bound.
 func (t *cseTable) detach() {
-	t.entries, t.index, t.regVer = emptied(t.entries), emptied(t.index), emptied(t.regVer)
+	t.entries, t.index, t.regVer = ir.Keep(t.entries), ir.Keep(t.index), ir.Keep(t.regVer)
 }
 
 // idOf is the canonical id of a canonical node.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"unsafe"
 
 	"marion/internal/cc"
 	"marion/internal/ir"
@@ -58,58 +57,27 @@ func (s *Scratch) Lower(file *cc.File, nodes *ir.Slab) (*ir.Module, error) {
 	return g.m, nil
 }
 
-// keepBytes bounds what a Scratch keeps of each list and table for the
-// next unit, and keepEntries each map: what a unit grew beyond them is
-// dropped at Detach, so one huge unit compiled in a long-lived process
-// does not pin its storage in the pool.
-const (
-	keepBytes   = 512 << 10
-	keepEntries = 8 << 10
-)
-
 // Detach readies s to wait in a pool: it drops every pointer it holds
 // into the unit it lowered last — the module, its functions, blocks,
 // symbols and the slab its nodes came from, the unit's objects —
-// keeping storage up to keepBytes or keepEntries of each kind for the
+// keeping each list and map's storage up to the bound (ir.Keep) for the
 // next unit.
 func (s *Scratch) Detach() {
 	g := &s.g
 	g.m, g.fd, g.fn, g.cur = nil, nil, nil, nil
 	g.slab = nil
-	g.globals = emptiedMap(g.globals)
-	g.fpool = emptiedMap(g.fpool)
-	g.regs = emptiedMap(g.regs)
-	g.mems = emptiedMap(g.mems)
-	g.taken = emptiedMap(g.taken)
-	g.breaks = emptied(g.breaks)
-	g.conts = emptied(g.conts)
-	g.layout = emptied(g.layout)
-	g.started = emptied(g.started)
-	g.stack = emptied(g.stack)
+	g.globals = ir.KeepMap(g.globals)
+	g.fpool = ir.KeepMap(g.fpool)
+	g.regs = ir.KeepMap(g.regs)
+	g.mems = ir.KeepMap(g.mems)
+	g.taken = ir.KeepMap(g.taken)
+	g.breaks = ir.Keep(g.breaks)
+	g.conts = ir.Keep(g.conts)
+	g.layout = ir.Keep(g.layout)
+	g.started = ir.Keep(g.started)
+	g.stack = ir.Keep(g.stack)
 	g.depth, g.workLeft, g.workDone = 0, 0, 0
 	g.cse.detach()
-}
-
-// emptied returns a list a Scratch keeps for the next unit: l with every
-// slot it ever held zeroed, or nil when it has grown past keepBytes.
-func emptied[T any](l []T) []T {
-	var zero T
-	if cap(l)*int(unsafe.Sizeof(zero)) > keepBytes {
-		return nil
-	}
-	clear(l[:cap(l)])
-	return l[:0]
-}
-
-// emptiedMap returns a map a Scratch keeps for the next unit: m emptied,
-// or a new one when m is nil or held more than keepEntries (clearing a
-// Go map keeps its buckets).
-func emptiedMap[K comparable, V any](m map[K]V) map[K]V {
-	if m == nil || len(m) > keepEntries {
-		return map[K]V{}
-	}
-	clear(m)
-	return m
 }
 
 // fpoolKey names a pooled constant by its bits, not its value: -0.0
@@ -236,9 +204,7 @@ func countExprs(e *cc.Expr) int {
 func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 	g.fd = fd
 	g.fn = ir.NewFunc(fd.Obj.Name, fd.Obj.Type.Elem.IR())
-	clear(g.regs)
-	clear(g.mems)
-	clear(g.taken)
+	g.regs, g.mems, g.taken = ir.KeepMap(g.regs), ir.KeepMap(g.mems), ir.KeepMap(g.taken)
 	g.workLeft = g.addrTaken(fd.Body)
 
 	frame := 0

@@ -228,12 +228,11 @@ type FingerprintScratch struct{ w fpWriter }
 
 // Detach drops what the scratch holds of the function it fingerprinted
 // last — the function and the symbols and blocks its maps are keyed by
-// — keeping the buffer and the maps' storage.
+// — keeping the buffer and the maps' storage up to the bound.
 func (s *FingerprintScratch) Detach() {
 	w := &s.w
 	w.fn = nil
-	clear(w.sym)
-	clear(w.block)
+	w.sym, w.block, w.undeclared = KeepMap(w.sym), KeepMap(w.block), KeepMap(w.undeclared)
 }
 
 // Fingerprint is f.Fingerprint() on the scratch: the same stream into
@@ -244,25 +243,14 @@ func (s *FingerprintScratch) Fingerprint(f *Func) Digest {
 		stmts += len(b.Stmts)
 	}
 	w := &s.w
-	if n := fpBytesPerStmt*stmts + fpBytesFixed; cap(w.buf) < n {
-		w.buf = make([]byte, 0, n)
-	} else {
-		w.buf = w.buf[:0]
-	}
+	w.buf = Grow(w.buf, fpBytesPerStmt*stmts+fpBytesFixed)[:0]
 	w.walk = NewWalk()
-	if cap(w.reg) < len(f.Regs) {
-		w.reg = make([]uint32, len(f.Regs))
-	} else {
-		w.reg = w.reg[:len(f.Regs)]
-		clear(w.reg)
-	}
-	clear(w.undeclared)
+	w.reg = Grow(w.reg, len(f.Regs))
 	if w.sym == nil {
 		w.sym = make(map[*Sym]uint32, len(f.Params)+len(f.Locals))
 		w.block = make(map[*Block]uint64, len(f.Blocks))
 	} else {
-		clear(w.sym)
-		clear(w.block)
+		s.Detach()
 	}
 	w.fn, w.nextID = f, 0
 

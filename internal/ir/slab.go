@@ -96,10 +96,76 @@ func (s *Slab) Reg(t Type, r RegID) *Node { return s.Node(Node{Op: Reg, Type: t,
 // Addr returns an address-of-symbol leaf from the slab.
 func (s *Slab) Addr(sym *Sym) *Node { return s.Node(Node{Op: Addr, Type: Ptr, Sym: sym}) }
 
-// keepBytes bounds what Reset keeps of one Chunks for the next use: what
-// a unit grew beyond it is dropped, so one huge unit compiled in a
-// long-lived process does not pin its storage in a pool.
+// keepBytes is the one keep rule of every pooled scratch: what it keeps
+// of one table, list, map or set of chunks from one use to the next. A
+// unit or function that grew one past it leaves it to the collector at
+// the next use that needs less, so one huge input compiled in a
+// long-lived process does not pin its storage in a pool. Grow sizes a
+// table, Keep empties a list, KeepMap a map, and Chunks.Reset a set of
+// chunks, each to this bound; no other package sizes storage by bytes.
 const keepBytes = 512 << 10
+
+// bytesOf is the size of n values of T.
+func bytesOf[T any](n int) int {
+	var zero T
+	return n * int(unsafe.Sizeof(zero))
+}
+
+// Grow returns s with length n and every element zero, for a table a
+// scratch sizes to each use. It reuses s's storage when that holds n,
+// and grows it as append does when it does not, so a scratch sized to
+// a growing run of requests reallocates O(log n) times, not at each new
+// maximum. Storage past keepBytes is reused only for a request that is
+// itself past it: otherwise it is dropped for storage of n.
+func Grow[T any](s []T, n int) []T {
+	if bytesOf[T](cap(s)) > keepBytes && bytesOf[T](n) <= keepBytes {
+		s = nil
+	}
+	if cap(s) < n {
+		return make([]T, n, grown(cap(s), n))
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// grown is the capacity append gives a list of capacity c grown to hold
+// n > c values (runtime.nextslicecap, before rounding to a size class):
+// double while small, then a quarter more, and n itself past double.
+func grown(c, n int) int {
+	if n > 2*c {
+		return n
+	}
+	if c < 256 {
+		return 2 * c
+	}
+	for c < n {
+		c += (c + 3*256) / 4
+	}
+	return c
+}
+
+// Keep returns l emptied for the next use, for a list a scratch empties
+// at Detach: every slot up to cap is zeroed, so nothing stays reachable
+// from it, or l is dropped (nil) when its storage is past keepBytes.
+func Keep[T any](l []T) []T {
+	if bytesOf[T](cap(l)) > keepBytes {
+		return nil
+	}
+	clear(l[:cap(l)])
+	return l[:0]
+}
+
+// KeepMap is Keep for a map: m cleared, or a new map when m is nil or
+// its entries' keys and values hold more than keepBytes (clearing a Go
+// map keeps its buckets).
+func KeepMap[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil || bytesOf[K](len(m))+bytesOf[V](len(m)) > keepBytes {
+		return map[K]V{}
+	}
+	clear(m)
+	return m
+}
 
 // Chunks carves values of one type from chunks, so building values costs
 // an allocation a chunk rather than one a value: the IL's nodes and kid
@@ -164,8 +230,7 @@ func (c *Chunks[T]) open(need int) {
 		c.used++
 	}
 	if c.used == len(c.all) {
-		var zero T
-		most := 32 << 10 / int(unsafe.Sizeof(zero))
+		most := 32 << 10 / bytesOf[T](1)
 		c.all = append(c.all, slices.Grow([]T(nil), max(need, min(max(c.due, c.floor), most))))
 	}
 	c.used++
@@ -179,10 +244,9 @@ func (c *Chunks[T]) Reset() {
 		clear(ch)
 		c.all[i] = ch[:0]
 	}
-	var zero T
 	kept, n := 0, 0
 	for ; n < len(c.all); n++ {
-		if kept += cap(c.all[n]) * int(unsafe.Sizeof(zero)); kept > keepBytes {
+		if kept += bytesOf[T](cap(c.all[n])); kept > keepBytes {
 			break
 		}
 	}

@@ -124,13 +124,12 @@ func (s *Scratch) AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Re
 }
 
 // Detach drops what the scratch holds of the function it allocated
-// last, keeping the tables' storage and the machines' facts.
+// last, keeping the tables' storage up to the bound and the machines'
+// facts.
 func (s *Scratch) Detach() {
 	a := &s.a
 	a.af, a.res = nil, nil
-	clear(a.list[:cap(a.list)])
-	clear(a.loads[:cap(a.loads)])
-	clear(a.stores[:cap(a.stores)])
+	a.list, a.loads, a.stores = ir.Keep(a.list), ir.Keep(a.loads), ir.Keep(a.stores)
 }
 
 // spillGlobals sends every pseudo that more than one block mentions to
@@ -220,7 +219,7 @@ func (a *allocator) reset(m *mach.Machine, af *asm.Func) *allocator {
 		a.facts = a.factsFor(m)
 	}
 	a.af, a.res = af, &Result{}
-	a.set = a.set[:0]
+	a.set = ir.Grow(a.set, len(af.Pseudos))[:0]
 	a.successors()
 	return a
 }
@@ -308,15 +307,15 @@ func machineFacts(m *mach.Machine) facts {
 // said) finds it in byID, and a successor outside af is dropped.
 func (a *allocator) successors() {
 	blocks := a.af.Blocks
-	a.byID = resized(a.byID, len(blocks))
+	a.byID = ir.Grow(a.byID, len(blocks))
 	edges := 0
 	for i, b := range blocks {
 		a.byID[i] = int32(i)
 		edges += len(b.IR.Succs)
 	}
 	slices.SortFunc(a.byID, func(x, y int32) int { return cmp.Compare(blocks[x].IR.ID, blocks[y].IR.ID) })
-	a.succStart = resized(a.succStart, len(blocks)+1)
-	a.succ = slices.Grow(a.succ[:0], edges)
+	a.succStart = ir.Grow(a.succStart, len(blocks)+1)
+	a.succ = ir.Grow(a.succ, edges)[:0]
 	for i, b := range blocks {
 		for _, s := range b.IR.Succs {
 			j, _ := slices.BinarySearchFunc(a.byID, s.ID, func(x int32, id int) int { return cmp.Compare(blocks[x].IR.ID, id) })
@@ -329,17 +328,6 @@ func (a *allocator) successors() {
 		}
 		a.succStart[i+1] = int32(len(a.succ))
 	}
-}
-
-// resized returns s with length n and every element zero, reusing its
-// storage when that is large enough.
-func resized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // resize sizes the round's scratch to the function as it now stands
@@ -359,7 +347,7 @@ func (a *allocator) resize() {
 	a.n = n
 	a.keyWords = words(a.m.NumPhys + n)
 	blocks, pw := len(a.af.Blocks), words(n)
-	a.slab = resized(a.slab, (2*blocks+1)*a.keyWords+words(n*(n-1)/2)+n*a.physWords+3*pw+a.physWords)
+	a.slab = ir.Grow(a.slab, (2*blocks+1)*a.keyWords+words(n*(n-1)/2)+n*a.physWords+3*pw+a.physWords)
 	rest := a.slab
 	take := func(k int) []uint64 {
 		s := rest[:k:k]
@@ -372,9 +360,9 @@ func (a *allocator) resize() {
 	a.forbid = take(n * a.physWords)
 	a.present, a.removed, a.low = take(pw), take(pw), take(pw)
 	a.blocked = take(a.physWords)
-	a.adjStart = resized(a.adjStart, n+1)
-	a.deg = resized(a.deg, n)
-	a.stack = resized(a.stack, n)[:0]
+	a.adjStart = ir.Grow(a.adjStart, n+1)
+	a.deg = ir.Grow(a.deg, n)
+	a.stack = ir.Grow(a.stack, n)[:0]
 }
 
 func (a *allocator) liveIn(block int) liveSet {
@@ -431,7 +419,7 @@ func (a *allocator) build() {
 		total, a.adjStart[p] = total+a.adjStart[p], total
 	}
 	a.adjStart[a.n] = total
-	a.adj = resized(a.adj, int(total))
+	a.adj = ir.Grow(a.adj, int(total))
 	fill := a.deg    // borrowed as the per-node fill cursor
 	hi, base := 1, 0 // matrix row hi is bits [base, base+hi)
 	for i := a.matrix.next(0); i >= 0; i = a.matrix.next(i + 1) {
@@ -608,7 +596,7 @@ func (a *allocator) remove(p asm.PseudoID) {
 // pop order, are the round's spill list.
 func (a *allocator) selectColors() ([]asm.PseudoID, error) {
 	m, af := a.m, a.af
-	assigned := resized(a.res.Assignment, a.n)
+	assigned := ir.Grow(a.res.Assignment, a.n)
 	for i := range assigned {
 		assigned[i] = mach.NoPhys
 	}
@@ -663,7 +651,7 @@ func spillType(set *mach.RegSet) ir.Type {
 // of af's.
 func (a *allocator) insertSpills(spilled []asm.PseudoID) error {
 	m, af := a.m, a.af
-	a.slot = resized(a.slot, len(af.Pseudos))
+	a.slot = ir.Grow(a.slot, len(af.Pseudos))
 	for i := range a.slot {
 		a.slot[i] = -1
 	}

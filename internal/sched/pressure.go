@@ -1,9 +1,8 @@
 package sched
 
 import (
-	"slices"
-
 	"marion/internal/asm"
+	"marion/internal/ir"
 	"marion/internal/mach"
 )
 
@@ -26,9 +25,7 @@ func (r *run) startPressure() {
 		return
 	}
 	pseudos := len(r.af.Pseudos)
-	r.usesLeft, r.live = slices.Grow(r.usesLeft[:0], pseudos)[:pseudos], slices.Grow(r.live[:0], pseudos)[:pseudos]
-	clear(r.usesLeft)
-	clear(r.live)
+	r.usesLeft, r.live = ir.Grow(r.usesLeft, pseudos), ir.Grow(r.live, pseudos)
 	for i := range r.g.Nodes {
 		for u := r.g.Nodes[i].Inst.RegUses(r.m); u.Next(); {
 			if q, ok := r.pseudo(u.Key); ok {

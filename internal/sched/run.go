@@ -8,6 +8,7 @@ import (
 	"marion/internal/asm"
 	"marion/internal/cdag"
 	"marion/internal/faults"
+	"marion/internal/ir"
 	"marion/internal/mach"
 )
 
@@ -84,10 +85,9 @@ func (r *run) start() {
 	r.order, r.cycles, r.layout = r.order[:0], r.cycles[:0], slotLayout{}
 	r.cycle, r.lastProgress, r.nextSeq = 0, 0, 0
 
-	r.ints = slices.Grow(r.ints[:0], 5*n)[:5*n]
+	r.ints = ir.Grow(r.ints, 5*n)
 	r.predsLeft, r.earliest, r.placedCycle = r.ints[:n], r.ints[n:2*n], r.ints[2*n:3*n]
 	r.ready, r.waiting = r.ints[3*n:3*n:4*n], r.ints[4*n:4*n]
-	clear(r.earliest)
 	window := 0
 	for i := range r.g.Nodes {
 		nd := &r.g.Nodes[i]

@@ -7,10 +7,10 @@ package sched
 
 import (
 	"context"
-	"slices"
 
 	"marion/internal/asm"
 	"marion/internal/cdag"
+	"marion/internal/ir"
 	"marion/internal/mach"
 )
 
@@ -102,14 +102,13 @@ type Scratch struct {
 
 // Detach drops what the scratch holds of the function it scheduled
 // last — the function, its graph, its instructions, the options'
-// deadline and liveness — keeping the tables' storage, the last
-// Result's Order and Cycles included.
+// deadline and liveness — keeping the tables' storage up to the bound,
+// the last Result's Order and Cycles included.
 func (s *Scratch) Detach() {
 	s.Dag.Detach()
 	r := &s.run
 	r.m, r.af, r.g, r.opts = nil, nil, nil, Options{}
-	clear(s.list[:cap(s.list)])
-	s.list = s.list[:0]
+	s.list = ir.Keep(s.list)
 }
 
 // Run schedules the block's code DAG without mutating the block, in a
@@ -133,7 +132,7 @@ func (s *Scratch) Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph
 	r := &s.run
 	r.m, r.af, r.g, r.opts = m, af, g, opts
 	r.heights = g.HeightsInto(r.heights)
-	r.order, r.cycles = slices.Grow(r.order[:0], n), slices.Grow(r.cycles[:0], n)
+	r.order, r.cycles = ir.Grow(r.order, n)[:0], ir.Grow(r.cycles, n)[:0]
 	r.start()
 	maxCycles := opts.MaxCycles
 	if maxCycles <= 0 {

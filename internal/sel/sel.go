@@ -89,15 +89,11 @@ func (sc *Scratch) SelectOpts(m *mach.Machine, fn *ir.Func, _ Options) (*asm.Fun
 
 // Detach drops what the scratch holds of the function it selected last
 // — the function and the IL nodes, operands and instructions left in
-// the tables — keeping the tables' storage. It leaves Code as it is:
-// rewinding it is for the scratch's owner.
+// the tables — keeping the tables' storage up to the bound. It leaves
+// Code as it is: rewinding it is for the scratch's owner.
 func (sc *Scratch) Detach() {
 	s := &sc.s
-	clear(s.intos[:cap(s.intos)])
-	clear(s.selOps[:cap(s.selOps)])
-	clear(s.binds[:cap(s.binds)])
-	clear(s.out[:cap(s.out)])
-	*s = selector{irPseudo: s.irPseudo, memo: s.memo, intos: s.intos[:0], selOps: s.selOps[:0], binds: s.binds[:0], out: s.out[:0]}
+	*s = selector{irPseudo: s.irPseudo, memo: s.memo, intos: ir.Keep(s.intos), selOps: ir.Keep(s.selOps), binds: ir.Keep(s.binds), out: ir.Keep(s.out)}
 }
 
 // reset readies the selector for fn, built in code, keeping the storage
@@ -112,24 +108,13 @@ func (s *selector) reset(m *mach.Machine, fn *ir.Func, code *asm.Arena) {
 		m:        m,
 		irFn:     fn,
 		af:       code.Func(fn, nodes),
-		irPseudo: resized(s.irPseudo, len(fn.Regs)),
-		memo:     resized(s.memo, nodes),
+		irPseudo: ir.Grow(s.irPseudo, len(fn.Regs)),
+		memo:     ir.Grow(s.memo, nodes),
 		out:      s.out[:0],
 		intos:    s.intos[:0],
 		selOps:   s.selOps[:0],
 		binds:    binds,
 	}
-}
-
-// resized returns s with length n and every element zero, reusing its
-// storage when that is large enough.
-func resized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // run selects the function reset named.

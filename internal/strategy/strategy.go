@@ -178,7 +178,7 @@ type Scratch struct {
 }
 
 // Detach drops what the scheduler and the allocator hold of the
-// function they worked on last, keeping their storage.
+// function they worked on last, keeping their storage up to the bound.
 func (s *Scratch) Detach() {
 	s.sched.Detach()
 	s.alloc.Detach()

@@ -64,11 +64,8 @@ func (v *verifier) newSet() bitset { return v.newSets(1).at(0) }
 // buildCFG maps the IR successor edges onto block indices (succs). It
 // reports false for a hand-built function without CFG info.
 func (v *verifier) buildCFG() bool {
-	if v.blockAt == nil {
-		v.blockAt = make(map[*ir.Block]int, len(v.af.Blocks))
-	}
+	v.blockAt = ir.KeepMap(v.blockAt)
 	idx := v.blockAt
-	clear(idx)
 	for bi, b := range v.af.Blocks {
 		if b.IR == nil {
 			return false

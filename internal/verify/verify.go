@@ -187,11 +187,11 @@ func (s *Scratch) Func(m *mach.Machine, af *asm.Func, opts Options) *Report {
 
 // Detach drops what the scratch holds of the function it verified last
 // — the function, its report and the CFG map's blocks — keeping the
-// tables' storage.
+// tables' storage up to the bound.
 func (s *Scratch) Detach() {
 	v := &s.v
 	v.m, v.af, v.report = nil, nil, nil
-	clear(v.blockAt)
+	v.blockAt = ir.KeepMap(v.blockAt)
 }
 
 // verifier carries the per-function verification state in dense tables
@@ -266,7 +266,7 @@ func (v *verifier) alloc() {
 		}
 	}
 	nSnapAt := nInst * min(nCall, 1) // read only for calls
-	v.ints = resized(v.ints, nInst+nSnapAt+2*(nb+1)+nEdge+len(v.m.Clocks))
+	v.ints = ir.Grow(v.ints, nInst+nSnapAt+2*(nb+1)+nEdge+len(v.m.Clocks))
 	ints := v.ints
 	carve := func(n int) []int {
 		s := ints[:n:n]
@@ -275,25 +275,14 @@ func (v *verifier) alloc() {
 	}
 	v.times, v.snapAt, v.first, v.succAt = carve(nInst), carve(nSnapAt), carve(nb+1), carve(nb+1)
 	v.succ, v.tickAt = carve(nEdge), carve(len(v.m.Clocks))
-	v.locs = resized(v.locs, v.m.NumPhys+nPseudo)
-	v.latches = resized(v.latches, len(v.m.RegSets))
+	v.locs = ir.Grow(v.locs, v.m.NumPhys+nPseudo)
+	v.latches = ir.Grow(v.latches, len(v.m.RegSets))
 	w := (v.m.NumPhys + 63) / 64
 	// Bitsets: per block DA in-set, use, def, live-in and live-out; five
 	// scratch/whole-function sets; one snapshot per call.
-	v.slab = resized(v.slab, w*(5*nb+5+nCall))
+	v.slab = ir.Grow(v.slab, w*(5*nb+5+nCall))
 	v.bits, v.snaps = v.slab[:w*(5*nb+5)], sets{w: w, words: v.slab[w*(5*nb+5):]}
-	v.busy = resized(v.busy, max(maxRes, 1))
-}
-
-// resized returns s with length n and every element zero, reusing its
-// storage when that is large enough.
-func resized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
+	v.busy = ir.Grow(v.busy, max(maxRes, 1))
 }
 
 func (v *verifier) addf(bi, idx, cycle int, k Kind, format string, args ...any) {

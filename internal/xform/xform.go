@@ -78,11 +78,8 @@ func (l *Log) Apply(m *mach.Machine, fn *ir.Func, nodes *ir.Slab) {
 func (l *Log) Keep() { l.writes = l.writes[:0] }
 
 // Detach empties the log and drops the IL slots its storage still
-// names, keeping the storage.
-func (l *Log) Detach() {
-	clear(l.writes[:cap(l.writes)])
-	l.writes = l.writes[:0]
-}
+// names, keeping the storage up to the bound.
+func (l *Log) Detach() { l.writes = ir.Keep(l.writes) }
 
 // Undo replays the log backwards and empties it, leaving fn's IL —
 // Fingerprint, iltext.Print, parent counts — as before l's Apply calls.

@@ -91,13 +91,17 @@ func TestCompileKeepsNoIL(t *testing.T) {
 }
 
 // TestUnsignedSubwordRefused: until the IL has unsigned 8- and 16-bit
-// types, CompileCtx refuses unsigned char and unsigned short on every
-// target with an error that names the unit, the line and the type,
+// types, CompileCtx refuses unsigned char and unsigned short, the
+// specifiers in either order, on every target with an error that names
+// the unit, the line and the type,
 // rather than compiling them as signed (where x = 200 stored into an
 // unsigned char reads back as -56).
 func TestUnsignedSubwordRefused(t *testing.T) {
-	for _, ty := range []struct{ name, bits string }{{"char", "8"}, {"short", "16"}} {
-		src := "int f(int x) {\n  unsigned " + ty.name + " c[2];\n  c[0] = x;\n  return c[0];\n}\n"
+	for _, ty := range []struct{ name, spelling, bits string }{
+		{"char", "unsigned char", "8"}, {"char", "char unsigned", "8"},
+		{"short", "unsigned short", "16"}, {"short", "short unsigned", "16"},
+	} {
+		src := "int f(int x) {\n  " + ty.spelling + " c[2];\n  c[0] = x;\n  return c[0];\n}\n"
 		want := "u.c:2: unsigned " + ty.name + " is not supported: the IL has no unsigned " + ty.bits + "-bit type"
 		for _, target := range Targets() {
 			g, err := New(target, Postpass)
@@ -105,7 +109,7 @@ func TestUnsignedSubwordRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := g.CompileCtx(context.Background(), "u.c", src); err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: unsigned %s: err = %v, want %q", target, ty.name, err, want)
+				t.Errorf("%s: %s: err = %v, want %q", target, ty.spelling, err, want)
 			}
 		}
 	}
