@@ -37,28 +37,11 @@ type Arena struct {
 	owner   *Func
 }
 
-// chunkFloor is the fewest values a new chunk of the arena holds: what
-// the passes after selection add — nops, spill code, the frame and
-// every rebuilt list — is not in Func's estimate.
-const chunkFloor = 64
-
 // Func returns an empty function for fn, built in a: one block per
 // block of fn, in order, and the pseudo-register table a keeps, with
-// room for fn's registers. nodes is fn's IL node count, from which the
-// chunks a opens for the function are sized: on the benchmark's
-// corpora a function ends with about 0.8 instructions and 1.8 operands
-// a node, and its passes carve two to four list entries a node.
-func (a *Arena) Func(fn *ir.Func, nodes int) *Func {
+// room for fn's registers.
+func (a *Arena) Func(fn *ir.Func) *Func {
 	n := len(fn.Blocks)
-	pseudos := len(fn.Regs) + nodes/2
-	expect(&a.insts, nodes)
-	expect(&a.ops, 2*nodes)
-	expect(&a.imps, 2)
-	expect(&a.lists, 4*nodes)
-	expect(&a.blocks, n)
-	expect(&a.blockLists, n+pseudos)
-	expect(&a.bools, pseudos)
-
 	f := &Func{Name: fn.Name, IR: fn, code: a}
 	if n > 0 {
 		f.Blocks = a.blockLists.CarveN(n)
@@ -73,17 +56,9 @@ func (a *Arena) Func(fn *ir.Func, nodes int) *Func {
 		// table.
 		a.pseudos = nil
 	}
-	a.pseudos = ir.Grow(a.pseudos, pseudos)[:0]
+	a.pseudos = ir.Grow(a.pseudos, len(fn.Regs))[:0]
 	f.Pseudos, a.owner = a.pseudos, f
 	return f
-}
-
-// expect tells c that about n values are still to be carved for the
-// function being made, and that a chunk opened once they are carved
-// holds at least chunkFloor.
-func expect[T any](c *ir.Chunks[T], n int) {
-	c.Expect(n)
-	c.Floor(chunkFloor)
 }
 
 // Rewind readies the arena for the next function: every value it

@@ -204,7 +204,6 @@ func (p *parser) declarator(base *CType) (string, *CType, error) {
 }
 
 func (p *parser) topLevel(f *File) error {
-	p.slab.expect(p.lx.pos, len(p.lx.src)-p.lx.pos)
 	base, err := p.typeSpec()
 	if err != nil {
 		return err
@@ -364,7 +363,6 @@ func (p *parser) block() (*Stmt, error) {
 }
 
 func (p *parser) stmt() (*Stmt, error) {
-	p.slab.expect(p.lx.pos, len(p.lx.src)-p.lx.pos)
 	line := p.tok.Line
 	switch p.tok.Kind {
 	case tLBrace:

@@ -111,10 +111,17 @@ type Scratch struct {
 // Detach drops what the scratch holds of the block it built last: the
 // graph's machine and every node's instruction, in the whole node slab
 // (a longer block built earlier left nodes past the last one's end).
-// The tables keep their storage up to the bound; the next Build
-// overwrites every node.
+// The tables keep their storage up to the bound, and the views carved
+// from them go; the next Build overwrites every node and carves them
+// again.
 func (s *Scratch) Detach() {
-	s.graph = Graph{Nodes: ir.Keep(s.graph.Nodes)}
+	*s = Scratch{
+		graph: Graph{Nodes: ir.Keep(s.graph.Nodes)},
+		preds: ir.Trim(s.preds), edges: ir.Trim(s.edges), ints: ir.Trim(s.ints),
+		regs: ir.Trim(s.regs), readers: ir.Trim(s.readers), memReads: ir.Trim(s.memReads),
+		tWrites: ir.KeepMap(s.tWrites), defUpds: ir.Trim(s.defUpds), twUpds: ir.Trim(s.twUpds),
+		clocks: ir.Trim(s.clocks), seq: ir.Trim(s.seq), words: ir.Trim(s.words), done: ir.Trim(s.done),
+	}
 }
 
 // Temporal latch pairing is per (latch, sequence identity): the selector

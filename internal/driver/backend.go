@@ -192,11 +192,11 @@ type result struct {
 }
 
 // run compiles every function through the phases with a bounded worker
-// pool, each claim loop borrowing its worker from pool. Results are
+// pool, each claim loop borrowing its worker from idle. Results are
 // returned indexed by source order regardless of completion order; a
 // function that failed (or was cancelled) has a nil entry, with its
 // error recorded in the returned Diagnostics.
-func (b backend) run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, cfg Config, pool pool) ([]*result, *Diagnostics) {
+func (b backend) run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, cfg Config, idle *freeList[worker]) ([]*result, *Diagnostics) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -238,8 +238,8 @@ func (b backend) run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, cfg
 
 	// One loop claims indices from one cursor; the caller runs it beside
 	// workers-1 spawned goroutines, so a single worker is the caller alone.
-	// Each loop borrows its worker from the pool for as long as it runs
-	// and detaches it before giving it back.
+	// Each loop borrows its worker from idle for as long as it runs and
+	// detaches it before giving it back.
 	var cursor atomic.Int64
 	claim := func(w *worker) {
 		for {
@@ -258,13 +258,10 @@ func (b backend) run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, cfg
 		}
 	}
 	work := func() {
-		w, _ := pool.Get().(*worker)
-		if w == nil {
-			w = new(worker)
-		}
+		w := idle.get()
 		claim(w)
 		w.detach()
-		pool.Put(w)
+		idle.put(w)
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
@@ -285,18 +282,53 @@ func (b backend) run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, cfg
 // server just declined to spend a compile on it right now.
 var ErrCacheOnlyMiss = errors.New("cache-only mode: not in cache")
 
-// workers is the pool every claim loop borrows its worker from. A
+// workers is the list every claim loop borrows its worker from. A
 // worker waits here detached (worker.detach), so an idle one pins no
-// compile; it is a sync.Pool rather than a kept free list so that the
-// collector drops the idle ones, and a process that stops compiling
-// stops holding their scratch.
-var workers sync.Pool
+// compile, only the storage its scratch keeps to the bound (ir.Keep).
+var workers freeList[worker]
 
-// pool is what a claim loop borrows its worker from: workers, or a
-// test's own. Get returns nil when it has none.
-type pool interface {
-	Get() any
-	Put(any)
+// freeList keeps what is put in it until someone takes it: the back
+// end's workers and the front ends' scratch, each with the storage it
+// grew for the compiles it served. No collection empties it, so no
+// worker is made again only to regrow every table from zero. It holds
+// at most GOMAXPROCS idle entries, since no more claim loops than that
+// run at the same instant; a put past that drops the entry that has
+// waited longest. The nil list keeps nothing: every get makes a new
+// entry, and put drops it.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	idle []*T
+}
+
+// get takes the entry put back last, or makes a new one.
+func (l *freeList[T]) get() *T {
+	if l == nil {
+		return new(T)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.idle)
+	if n == 0 {
+		return new(T)
+	}
+	x := l.idle[n-1]
+	l.idle[n-1], l.idle = nil, l.idle[:n-1]
+	return x
+}
+
+// put gives x back to the list, dropping the entry that has waited
+// longest when more than GOMAXPROCS would wait. x must be detached: it
+// waits here for as long as no one takes it.
+func (l *freeList[T]) put(x *T) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.idle = append(l.idle, x)
+	if over := len(l.idle) - runtime.GOMAXPROCS(0); over > 0 {
+		l.idle = slices.Delete(l.idle, 0, over)
+	}
 }
 
 // worker is what one claim loop keeps from one function to the next,
@@ -313,7 +345,7 @@ type worker struct {
 	arena *arena
 }
 
-// detach readies w to wait in the pool: every member drops the pointers
+// detach readies w to wait in workers: every member drops the pointers
 // it holds into the compiles it served (functions, code, IL nodes,
 // deadlines), keeping its storage up to the bound; the code arena,
 // whose last function was copied out or failed, is rewound.
@@ -335,7 +367,7 @@ func (w *worker) detach() {
 // next. Each member is reset at the start of each use, so what a
 // function, or an attempt that failed part-way, leaves in it never
 // reaches the next. One claim loop at a time owns it; between loops it
-// waits, detached, in its worker in the pool.
+// waits, detached, with its worker in the free list.
 type arena struct {
 	// ctx is the attempt's funcCtx.
 	ctx funcCtx

@@ -18,7 +18,6 @@ package driver
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"marion/internal/asm"
@@ -172,7 +171,7 @@ func Lower(lang, name, src string) (*ir.Module, error) {
 // nodes are carved from the front end's kept slab, and done gives them
 // back: it empties every block's Stmts, so the compiled code, which
 // reaches the module's functions and blocks, reaches no node, then
-// rewinds the slab and returns the front end to the pool. The caller
+// rewinds the slab and returns the front end to its list. The caller
 // calls done once, after the compile; a compile that panics drops the
 // front end instead. On an error there is nothing to give back.
 func LowerScoped(lang, name, src string) (mod *ir.Module, done func(), err error) {
@@ -185,10 +184,10 @@ func LowerScoped(lang, name, src string) (mod *ir.Module, done func(), err error
 // names it.
 func Frontend(name, src string) (*ir.Module, error) { return Lower("c", name, src) }
 
-// frontEnds is the pool the front ends borrow their scratch from, as a
+// frontEnds is the list the front ends borrow their scratch from, as a
 // claim loop of the back end borrows its worker (workers): a frontEnd
 // waits here detached, so an idle one pins no unit.
-var frontEnds sync.Pool
+var frontEnds freeList[frontEnd]
 
 // frontEnd is the front ends' scratch: the C parser's and checker's
 // (cc.Scratch), the lowering's (ilgen.Scratch), and the slab a scoped
@@ -206,19 +205,16 @@ type frontEnd struct {
 // its own, a scoped one's into the frontEnd's, which its done gives back.
 // A panic, which only a bug can cause, drops the frontEnd instead of
 // putting it back.
-func lower(p pool, lang, name, src string, scoped bool) (*ir.Module, func(), error) {
+func lower(p *freeList[frontEnd], lang, name, src string, scoped bool) (*ir.Module, func(), error) {
 	switch lang {
 	case "", "c", "il":
 	default:
 		return nil, nil, fmt.Errorf("unknown lang %q (want \"c\" or \"il\")", lang)
 	}
-	fe, _ := p.Get().(*frontEnd)
-	if fe == nil {
-		fe = new(frontEnd)
-	}
+	fe := p.get()
 	if !scoped {
 		mod, err := fe.lower(lang, name, src, new(ir.Slab))
-		p.Put(fe)
+		p.put(fe)
 		return mod, nil, err
 	}
 	mod, err := fe.lower(lang, name, src, &fe.slab)
@@ -253,9 +249,9 @@ func (fe *frontEnd) lower(lang, name, src string, nodes *ir.Slab) (*ir.Module, e
 }
 
 // release rewinds the slab, whose nodes are dead, and puts fe back in p.
-func (fe *frontEnd) release(p pool) {
+func (fe *frontEnd) release(p *freeList[frontEnd]) {
 	fe.slab.Rewind()
-	p.Put(fe)
+	p.put(fe)
 }
 
 // checkRegTypes refuses every function that declares a register of a
@@ -302,7 +298,7 @@ func CompileModuleCtx(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg 
 
 // compileModule is CompileModuleCtx with its claim loops borrowing
 // their workers from p.
-func compileModule(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg Config, p pool) (*Compiled, error) {
+func compileModule(ctx context.Context, m *mach.Machine, mod *ir.Module, cfg Config, p *freeList[worker]) (*Compiled, error) {
 	if err := checkRegTypes(m, mod.Funcs); err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package driver
 
 import (
 	"context"
-	"sync"
 
 	"marion/internal/ir"
 	"marion/internal/mach"
@@ -22,74 +21,58 @@ type (
 func NewBackend() Backend { return newBackend() }
 
 // Run is the runner CompileModuleCtx calls, its claim loops borrowing
-// from the package's pool.
+// from the package's free list.
 func (b backend) Run(ctx context.Context, m *mach.Machine, funcs []*ir.Func, cfg Config) ([]*Result, *Diagnostics) {
 	return b.run(ctx, m, funcs, cfg, &workers)
 }
 
 // RunFresh is Run with every claim loop on a worker of its own, made for
-// it and dropped after: the oracle a pooled worker is held to.
+// it and dropped after (the nil list): the oracle a kept worker is held
+// to.
 func (b backend) RunFresh(ctx context.Context, m *mach.Machine, funcs []*ir.Func, cfg Config) ([]*Result, *Diagnostics) {
-	return b.run(ctx, m, funcs, cfg, fresh{})
+	return b.run(ctx, m, funcs, cfg, nil)
 }
 
-type fresh struct{}
+// WorkerList and FrontEndList are the free lists the package keeps its
+// workers and front ends in, for a test that decides which one a
+// compile borrows and holds them while they wait.
+type (
+	WorkerList   = freeList[worker]
+	FrontEndList = freeList[frontEnd]
+)
 
-func (fresh) Get() any { return nil }
-func (fresh) Put(any)  {}
-
-// Kept is a pool that holds every worker put into it until a claim loop
-// takes it again, the newest first, so a test decides which worker a
-// Run borrows and holds the workers while they wait, as the package's
-// pool does between two collections.
-type Kept struct {
-	mu sync.Mutex
-	ws []any
-}
-
-func (k *Kept) Get() any {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	n := len(k.ws)
-	if n == 0 {
-		return nil
+// Idle is what waits in l, the entry put back last at the end.
+func (l *freeList[T]) Idle() []any {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	idle := make([]any, len(l.idle))
+	for i, x := range l.idle {
+		idle[i] = x
 	}
-	w := k.ws[n-1]
-	k.ws = k.ws[:n-1]
-	return w
+	return idle
 }
 
-func (k *Kept) Put(w any) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.ws = append(k.ws, w)
-}
+// Idle is what waits in the package's own lists.
+func Idle() (workerList, frontEndList []any) { return workers.Idle(), frontEnds.Idle() }
 
-// Workers is what waits in k: the workers, as the pool holds them.
-func (k *Kept) Workers() []any {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return append([]any(nil), k.ws...)
-}
-
-// RunOn is Run with its claim loops borrowing from k.
-func (b backend) RunOn(k *Kept, ctx context.Context, m *mach.Machine, funcs []*ir.Func, cfg Config) ([]*Result, *Diagnostics) {
-	return b.run(ctx, m, funcs, cfg, k)
+// RunOn is Run with its claim loops borrowing from l.
+func (b backend) RunOn(l *WorkerList, ctx context.Context, m *mach.Machine, funcs []*ir.Func, cfg Config) ([]*Result, *Diagnostics) {
+	return b.run(ctx, m, funcs, cfg, l)
 }
 
 // CompileModuleOn is CompileModuleCtx with its claim loops borrowing
-// from k.
-func CompileModuleOn(k *Kept, ctx context.Context, m *mach.Machine, mod *ir.Module, cfg Config) (*Compiled, error) {
-	return compileModule(ctx, m, mod, cfg, k)
+// from l.
+func CompileModuleOn(l *WorkerList, ctx context.Context, m *mach.Machine, mod *ir.Module, cfg Config) (*Compiled, error) {
+	return compileModule(ctx, m, mod, cfg, l)
 }
 
-// LowerOn is Lower's C front end with its scratch borrowed from k.
-func LowerOn(k *Kept, name, src string) (*ir.Module, error) {
-	mod, _, err := lower(k, "c", name, src, false)
+// LowerOn is Lower's C front end with its scratch borrowed from l.
+func LowerOn(l *FrontEndList, name, src string) (*ir.Module, error) {
+	mod, _, err := lower(l, "c", name, src, false)
 	return mod, err
 }
 
-// LowerScopedOn is LowerScoped with its scratch borrowed from k.
-func LowerScopedOn(k *Kept, lang, name, src string) (*ir.Module, func(), error) {
-	return lower(k, lang, name, src, true)
+// LowerScopedOn is LowerScoped with its scratch borrowed from l.
+func LowerScopedOn(l *FrontEndList, lang, name, src string) (*ir.Module, func(), error) {
+	return lower(l, lang, name, src, true)
 }

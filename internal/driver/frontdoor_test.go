@@ -141,3 +141,48 @@ func f(s *ir.Slab, k *keep, sc *sel.Scratch) {
 		}
 	}
 }
+
+// runtimePools returns where f names the sync package's Pool type.
+func runtimePools(f gentest.GoFile) []*ast.SelectorExpr {
+	var found []*ast.SelectorExpr
+	ast.Inspect(f.AST, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pool" {
+			if x, ok := sel.X.(*ast.Ident); ok && f.Imports[x.Name] == "sync" {
+				found = append(found, sel)
+			}
+		}
+		return true
+	})
+	return found
+}
+
+// TestSourceHasOneFreeList keeps the package's free list the only pool
+// of scratch: no shipped file, bench/ included, names sync's Pool, whose
+// entries a collection drops, so that a worker or a front end made again
+// regrows every table from zero.
+func TestSourceHasOneFreeList(t *testing.T) {
+	t.Run("planted", func(t *testing.T) {
+		f := gentest.Planted(t, "internal/p/p.go", `package p
+import (
+	"sync"
+	pools "sync"
+)
+var a sync.Pool
+var b = &pools.Pool{New: func() any { return nil }}
+type c struct {
+	p  *sync.Pool
+	mu sync.Mutex
+}`)
+		if got := len(runtimePools(f)); got != 3 {
+			t.Fatalf("found %d of the 3 planted pools", got)
+		}
+	})
+
+	fset := token.NewFileSet()
+	for _, f := range gentest.Shipped(t, fset) {
+		for _, sel := range runtimePools(f) {
+			t.Errorf("%s: %s.Pool: keep scratch in driver's freeList, which no collection empties",
+				fset.Position(sel.Pos()), sel.X.(*ast.Ident).Name)
+		}
+	}
+}

@@ -281,7 +281,7 @@ func TestDiagnosticsReportAllFailures(t *testing.T) {
 }
 
 // TestPhaseTimesPopulated checks the per-phase timing sink survives the
-// trip through the pool.
+// trip through the worker pool.
 func TestPhaseTimesPopulated(t *testing.T) {
 	c, err := driver.Compile("r2000", "c", "par.c", parProg, driver.Config{Strategy: strategy.Postpass})
 	if err != nil {

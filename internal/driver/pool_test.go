@@ -75,7 +75,7 @@ func TestPooledArenaMatchesFresh(t *testing.T) {
 	gens := generators(t)
 	sites := []string{"sched:panic@fn=0", "regalloc:hang@fn=0"}
 	units := append(append(gentest.Golden(), gentest.Serve()...), gentest.Generated(200)...)
-	kept := new(driver.Kept)
+	kept := new(driver.WorkerList)
 	p := driver.NewBackend()
 	runs, failed := 0, 0
 	for _, u := range units {
@@ -100,15 +100,15 @@ func TestPooledArenaMatchesFresh(t *testing.T) {
 			runs++
 		}
 	}
-	if n := len(kept.Workers()); n != 1 {
-		t.Fatalf("%d workers wait in the pool, want the one every Run borrowed", n)
+	if n := len(kept.Idle()); n != 1 {
+		t.Fatalf("%d workers wait in the free list, want the one every Run borrowed", n)
 	}
 	t.Logf("%d Runs on one worker, %d after a failed Run", runs, failed)
 }
 
 // TestPooledArenaConcurrentRuns: two Runs at a time, each with two
-// claim loops, borrow their workers from the package's pool, and every
-// function equals its compile on a fresh worker. Under -race this
+// claim loops, borrow their workers from the package's free list, and
+// every function equals its compile on a fresh worker. Under -race this
 // checks that a worker goes back only after its loop has returned.
 func TestPooledArenaConcurrentRuns(t *testing.T) {
 	gens := generators(t)[:3]
@@ -153,11 +153,11 @@ func compileTwoLoops(t *testing.T, g generator, funcs []*ir.Func, run runFunc) [
 	return res
 }
 
-// TestPooledArenaPinsNothing: a worker waiting in the pool holds nothing
+// TestPooledArenaPinsNothing: a worker waiting in the free list holds nothing
 // of the compiles it served. One worker compiles the Livermore suite
 // and every serve unit under three code generators, with the cache and
 // the verifier on so that every member of its arena works. Then, with
-// the worker held as the pool holds it:
+// the worker held as the free list holds it:
 //   - nothing reachable from the worker is a compile's own — no IL or
 //     asm function, block, node, instruction, symbol or implicit effect,
 //     no deadline — the walk naming the field that holds one; the
@@ -171,7 +171,7 @@ func compileTwoLoops(t *testing.T, g generator, funcs []*ir.Func, run runFunc) [
 //     finalizer never runs: it is on a cycle through its blocks' Fn. Its
 //     register table is on none, and lives exactly as long as it.)
 func TestPooledArenaPinsNothing(t *testing.T) {
-	kept := new(driver.Kept)
+	kept := new(driver.WorkerList)
 	var want, ran [3]atomic.Int64 // IL register tables, asm functions, instruction arrays
 	watch := func(class int, obj any) {
 		want[class].Add(1)
@@ -179,9 +179,9 @@ func TestPooledArenaPinsNothing(t *testing.T) {
 	}
 	results := compilePooled(t, kept, watch)
 
-	ws := kept.Workers()
+	ws := kept.Idle()
 	if len(ws) != 1 {
-		t.Fatalf("%d workers wait in the pool, want 1", len(ws))
+		t.Fatalf("%d workers wait in the free list, want 1", len(ws))
 	}
 	w := newWalker()
 	w.chunks = true
@@ -232,10 +232,13 @@ const keepBound = 512 << 10
 // not kept for as long as the worker lives. One kept worker and one kept
 // frontEnd compile a unit of 1 200 live ints, whose allocation grows
 // tables of megabytes, then every serve unit, with the cache and the
-// verifier on so that every member of the worker's arena works. Then no
-// slice or map reachable from either holds more than keepBound (where
-// each package kept its own tables, the allocator's bit slab and
-// adjacency list stayed past it).
+// verifier on so that every member of the worker's arena works. Right
+// after the big unit, while both wait idle in their lists, and again
+// after the serve units, no slice or map reachable from either holds
+// more than keepBound: an idle entry waits in its list with no time
+// limit, so it is held to the bound when it is put back, not at its
+// next use (where each package kept its own tables, the allocator's
+// bit slab and adjacency list stayed past it).
 func TestPooledScratchKeepsToTheBound(t *testing.T) {
 	m, err := targets.Load("r2000")
 	if err != nil {
@@ -246,8 +249,8 @@ func TestPooledScratchKeepsToTheBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := driver.Config{Strategy: strategy.RASE, Workers: 1, Verify: true, Cache: c}
-	workers, frontEnds := new(driver.Kept), new(driver.Kept)
-	for _, u := range append([]gentest.Unit{gentest.Live(1200)}, gentest.Serve()...) {
+	workers, frontEnds := new(driver.WorkerList), new(driver.FrontEndList)
+	for i, u := range append([]gentest.Unit{gentest.Live(1200)}, gentest.Serve()...) {
 		mod, done, err := driver.LowerScopedOn(frontEnds, u.Lang, u.Name, u.Text)
 		if err != nil {
 			t.Fatalf("%s: %v", u.Name, err)
@@ -257,17 +260,27 @@ func TestPooledScratchKeepsToTheBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", u.Name, err)
 		}
+		if i == 0 {
+			checkIdleBound(t, workers, frontEnds, "right after "+u.Name)
+		}
 	}
-	ws, fes := workers.Workers(), frontEnds.Workers()
+	checkIdleBound(t, workers, frontEnds, "after the serve units")
+}
+
+// checkIdleBound fails t for every table past keepBound that the one
+// worker and the one frontEnd waiting in the lists hold.
+func checkIdleBound(t *testing.T, workers *driver.WorkerList, frontEnds *driver.FrontEndList, when string) {
+	t.Helper()
+	ws, fes := workers.Idle(), frontEnds.Idle()
 	if len(ws) != 1 || len(fes) != 1 {
-		t.Fatalf("%d workers and %d frontEnds wait in the pools, want 1 of each", len(ws), len(fes))
+		t.Fatalf("%s, %d workers and %d frontEnds wait in the free lists, want 1 of each", when, len(ws), len(fes))
 	}
 	for _, held := range []struct {
 		name string
 		v    any
 	}{{"worker", ws[0]}, {"frontEnd", fes[0]}} {
 		for _, path := range bigTables(held.v, held.name) {
-			t.Errorf("after the serve units, the pooled %s holds %s", held.name, path)
+			t.Errorf("%s, the idle %s holds %s", when, held.name, path)
 		}
 	}
 }
@@ -323,7 +336,7 @@ func lowerFresh(name, src string) string {
 // lowerScoped lowers a unit through LowerScoped on a frontEnd from k,
 // prints it, and gives its IL back; after that no block of the module
 // may hold a statement.
-func lowerScoped(t *testing.T, k *driver.Kept, lang, name, src string) string {
+func lowerScoped(t *testing.T, k *driver.FrontEndList, lang, name, src string) string {
 	t.Helper()
 	mod, done, err := driver.LowerScopedOn(k, lang, name, src)
 	if err != nil {
@@ -362,7 +375,7 @@ func cUnits(n int) []gentest.Unit {
 }
 
 // TestPooledFrontEndMatchesFresh: one frontEnd, kept between units as
-// the pool keeps it, lowers the big-block fixture, then each C unit of
+// the free list keeps it, lowers the big-block fixture, then each C unit of
 // the corpus, then a unit that fails in the parser or the checker,
 // then the big-block fixture again, each unit first scoped (into the
 // frontEnd's kept slab, given back at once) and then to keep. Each
@@ -371,7 +384,7 @@ func cUnits(n int) []gentest.Unit {
 // lowers the next units into its slab.
 func TestPooledFrontEndMatchesFresh(t *testing.T) {
 	big := gentest.Fixture(gentest.BigBlock)
-	kept := new(driver.Kept)
+	kept := new(driver.FrontEndList)
 	var last *ir.Module
 	var lastText string
 	lower := func(name, src string) {
@@ -398,8 +411,8 @@ func TestPooledFrontEndMatchesFresh(t *testing.T) {
 		lower("bad.c", frontFailures[i%len(frontFailures)])
 		lower(big.Name, big.Text)
 	}
-	if n := len(kept.Workers()); n != 1 {
-		t.Fatalf("%d frontEnds wait in the pool, want the one every unit borrowed", n)
+	if n := len(kept.Idle()); n != 1 {
+		t.Fatalf("%d frontEnds wait in the free list, want the one every unit borrowed", n)
 	}
 	t.Logf("%d units, each between the big-block fixture and a failing unit", len(units))
 }
@@ -407,7 +420,7 @@ func TestPooledFrontEndMatchesFresh(t *testing.T) {
 // TestPooledFrontEndConcurrent: three goroutines at a time lower the C
 // units of the corpus, their printed IL and the failing units through
 // driver.Lower and driver.LowerScoped, borrowing from the package's
-// pool, and every lowering equals its fresh one; a scoped one is printed,
+// free list, and every lowering equals its fresh one; a scoped one is printed,
 // then given back, and then holds no statement. Under -race this checks
 // that a frontEnd goes back only once its unit is lowered and detached,
 // and a scoped unit's slab only once its done has run.
@@ -451,10 +464,10 @@ func TestPooledFrontEndConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPooledFrontEndPinsNothing: a frontEnd waiting in the pool holds
+// TestPooledFrontEndPinsNothing: a frontEnd waiting in the free list holds
 // nothing of the units it lowered. One frontEnd lowers the Livermore
 // kernels, the C units of the corpus and the failing units. Then, with
-// the modules dropped and the frontEnd held as the pool holds it:
+// the modules dropped and the frontEnd held as the free list holds it:
 //   - nothing reachable from it is a unit's own — no IL function,
 //     block, node or symbol, no C object or type, no name or source
 //     text — the walk naming the field that holds one;
@@ -466,7 +479,7 @@ func TestPooledFrontEndConcurrent(t *testing.T) {
 //     behind others), the finalizer of every module's global symbols
 //     and every function's register table has run.
 func TestPooledFrontEndPinsNothing(t *testing.T) {
-	kept := new(driver.Kept)
+	kept := new(driver.FrontEndList)
 	var want, ran atomic.Int64
 	watch := func(obj any) {
 		want.Add(1)
@@ -493,9 +506,9 @@ func TestPooledFrontEndPinsNothing(t *testing.T) {
 			}
 		}
 	}
-	fes := kept.Workers()
+	fes := kept.Idle()
 	if len(fes) != 1 {
-		t.Fatalf("%d frontEnds wait in the pool, want 1", len(fes))
+		t.Fatalf("%d frontEnds wait in the free list, want 1", len(fes))
 	}
 	if path := frontEndPin(fes[0]); path != "" {
 		t.Errorf("the pooled frontEnd holds a unit's storage at %s", path)
@@ -521,9 +534,9 @@ func TestPooledFrontEndPinsNothing(t *testing.T) {
 		}
 		results = append(results, c, mod)
 	}
-	fes = kept.Workers()
+	fes = kept.Idle()
 	if len(fes) != 1 {
-		t.Fatalf("after the scoped compiles, %d frontEnds wait in the pool, want 1", len(fes))
+		t.Fatalf("after the scoped compiles, %d frontEnds wait in the free list, want 1", len(fes))
 	}
 	if path := frontEndPin(fes[0]); path != "" {
 		t.Errorf("after the scoped compiles, the pooled frontEnd holds a unit's storage at %s", path)
@@ -553,7 +566,7 @@ func TestPooledFrontEndPinsNothing(t *testing.T) {
 // TestScopedCompileKeepsItsCode: a compile that lowers its own source —
 // LowerScoped, the back end, then done, as marion's CompileCtx does —
 // hands back code that outlives its IL. One frontEnd, kept in a test's
-// pool, serves a C unit, then an IL unit and the big-block fixture,
+// free list, serves a C unit, then an IL unit and the big-block fixture,
 // each carved into the chunks the one before it gave back. After each
 // compile, every result so far prints as it did when it was made, and
 // no block of its IL functions holds a statement.
@@ -572,7 +585,7 @@ func TestScopedCompileKeepsItsCode(t *testing.T) {
 		}
 	}
 	units = append(units, gentest.Fixture(gentest.BigBlock))
-	kept := new(driver.Kept)
+	kept := new(driver.FrontEndList)
 	var done []*driver.Compiled
 	var printed []string
 	for _, u := range units {
@@ -600,13 +613,13 @@ func TestScopedCompileKeepsItsCode(t *testing.T) {
 			}
 		}
 	}
-	if n := len(kept.Workers()); n != 1 {
-		t.Fatalf("%d frontEnds wait in the pool, want the one every unit borrowed", n)
+	if n := len(kept.Idle()); n != 1 {
+		t.Fatalf("%d frontEnds wait in the free list, want the one every unit borrowed", n)
 	}
 }
 
 // TestCodeOutlivesItsWorker: the code a compile hands back is its own,
-// not its worker's. One worker, kept in a test's pool, compiles the
+// not its worker's. One worker, kept in a test's free list, compiles the
 // Livermore suite, then each serve unit, then the big-block fixture,
 // every compile building its code in the arena the one before it built
 // in and rewound, and every result is kept. After each compile, every
@@ -630,7 +643,7 @@ func TestCodeOutlivesItsWorker(t *testing.T) {
 		}
 		mods = append(mods, mod)
 	}
-	kept := new(driver.Kept)
+	kept := new(driver.WorkerList)
 	var done []*driver.Compiled
 	var printed []string
 	for _, mod := range mods {
@@ -650,8 +663,8 @@ func TestCodeOutlivesItsWorker(t *testing.T) {
 			}
 		}
 	}
-	if n := len(kept.Workers()); n != 1 {
-		t.Fatalf("%d workers wait in the pool, want the one every compile borrowed", n)
+	if n := len(kept.Idle()); n != 1 {
+		t.Fatalf("%d workers wait in the free list, want the one every compile borrowed", n)
 	}
 	k := livermore.Kernels[0]
 	s := sim.New(done[0].Prog, sim.Options{})
@@ -791,7 +804,7 @@ func pointsInto(v reflect.Value, spans []span, seen map[walkKey]bool) string {
 // every asm function and the instruction array each was copied into.
 // Nothing it made outlives it but what k holds and the results it
 // returns.
-func compilePooled(t *testing.T, k *driver.Kept, watch func(int, any)) []*driver.Result {
+func compilePooled(t *testing.T, k *driver.WorkerList, watch func(int, any)) []*driver.Result {
 	p := driver.NewBackend()
 	var results []*driver.Result
 	for _, g := range generators(t)[:3] {
@@ -1028,4 +1041,30 @@ func hasPointers(t reflect.Type) bool {
 		}
 	}
 	return false
+}
+
+// TestWorkerOutlivesCollections: a worker and a front end put back wait
+// for the next compile through collections. One compile on one
+// goroutine, two collections, then a second compile: it borrows the
+// worker and the front end the first one put back, so neither regrows
+// its tables from zero.
+func TestWorkerOutlivesCollections(t *testing.T) {
+	src := gentest.Serve()[0]
+	compile := func() (worker, frontEnd any) {
+		t.Helper()
+		if _, err := driver.Compile("r2000", src.Lang, src.Name, src.Text, driver.Config{Strategy: strategy.RASE, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		ws, fes := driver.Idle()
+		if len(ws) == 0 || len(fes) == 0 {
+			t.Fatalf("after a compile, %d workers and %d front ends wait, want one of each at least", len(ws), len(fes))
+		}
+		return ws[len(ws)-1], fes[len(fes)-1]
+	}
+	w, fe := compile()
+	runtime.GC()
+	runtime.GC()
+	if w2, fe2 := compile(); w2 != w || fe2 != fe {
+		t.Errorf("after two collections, the compile borrowed a new worker (%t) or a new front end (%t)", w2 != w, fe2 != fe)
+	}
 }

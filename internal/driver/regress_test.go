@@ -52,8 +52,7 @@ func TestRegressUnits(t *testing.T) {
 // storeC stores a char in memory and shortC a short, subwordC reads
 // each back from a word whose other bytes hold a neighbour, and signedC
 // reads back a signed char and a short signed (the specifiers in either
-// order); toyp has no sub-word store (ROADMAP 17, missing stores), so
-// they run on the other targets.
+// order).
 const (
 	storeC = "char g;\nint ma(int x) { return g = x; }\n" +
 		"int mc(int x) { g = 100; return g += x; }\nint mi(int x) { g = x; return ++g; }\n"
@@ -75,18 +74,16 @@ func TestRegressStoreUnits(t *testing.T) {
 		{"mi", []sim.Value{sim.Int(127)}, int64(-128)},
 	}
 	for _, target := range targets.Names() {
-		if target != "toyp" {
-			runRegress(t, target, "store.c", storeC, want)
-			runRegress(t, target, "short.c", shortC, []regressCall{{"ms", []sim.Value{sim.Int(10000)}, int64(-25536)}})
-			runRegress(t, target, "subword.c", subwordC, []regressCall{
-				{"rc", nil, int64(5)},
-				{"rs", []sim.Value{sim.Int(3)}, int64(3)},
-			})
-			runRegress(t, target, "signed.c", signedC, []regressCall{
-				{"sc", []sim.Value{sim.Int(200)}, int64(-56)},
-				{"ss", []sim.Value{sim.Int(40000)}, int64(-25536)},
-			})
-		}
+		runRegress(t, target, "store.c", storeC, want)
+		runRegress(t, target, "short.c", shortC, []regressCall{{"ms", []sim.Value{sim.Int(10000)}, int64(-25536)}})
+		runRegress(t, target, "subword.c", subwordC, []regressCall{
+			{"rc", nil, int64(5)},
+			{"rs", []sim.Value{sim.Int(3)}, int64(3)},
+		})
+		runRegress(t, target, "signed.c", signedC, []regressCall{
+			{"sc", []sim.Value{sim.Int(200)}, int64(-56)},
+			{"ss", []sim.Value{sim.Int(40000)}, int64(-25536)},
+		})
 	}
 }
 

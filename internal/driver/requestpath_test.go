@@ -169,13 +169,11 @@ func BenchmarkSmallUnits(b *testing.B) {
 // is about 15 % above what the code allocated when the ceilings were
 // set, when every phase began building code in the worker's arena and
 // the driver copying each finished function out once: 42.6 allocations
-// and 11 647 bytes. Under -race, where the pool drops a random quarter
-// of what is put back and a remade worker grows its arena again, the
-// count reads 49 to 52, and is held to its own ceiling.
+// and 11 647 bytes. The worker is kept between compiles, also under
+// -race, so one ceiling holds with and without it.
 const (
-	coldMissAllocsPerFn     = 49
-	coldMissRaceAllocsPerFn = 59
-	coldMissBytesPerFn      = 13400
+	coldMissAllocsPerFn = 49
+	coldMissBytesPerFn  = 13400
 )
 
 // TestColdMissAllocBudget holds the miss path (coldMissJobs) on the
@@ -185,14 +183,10 @@ func TestColdMissAllocBudget(t *testing.T) {
 	gens := diagonal(codeGens(t))
 	allocs, bytes := allocsPerFunc(t, func() ([]job, int) { return coldMissJobs(t, gens) })
 	t.Logf("a miss allocates %.1f times and %.0f bytes per function", allocs, bytes)
-	budget := coldMissAllocsPerFn
-	if raceEnabled {
-		budget = coldMissRaceAllocsPerFn
+	if allocs > coldMissAllocsPerFn {
+		t.Errorf("a miss allocates %.1f times per function, budget %d", allocs, coldMissAllocsPerFn)
 	}
-	if allocs > float64(budget) {
-		t.Errorf("a miss allocates %.1f times per function, budget %d", allocs, budget)
-	}
-	if !raceEnabled && bytes > coldMissBytesPerFn {
+	if bytes > coldMissBytesPerFn {
 		t.Errorf("a miss allocates %.0f bytes per function, budget %d", bytes, coldMissBytesPerFn)
 	}
 }
@@ -201,10 +195,7 @@ func TestColdMissAllocBudget(t *testing.T) {
 // compiled with no cache, about 15 % above what the code allocated when
 // the ceilings were set, when every phase began building code in the
 // worker's arena and the driver copying each finished function out
-// once: 45.9 allocations and 45 381 bytes.
-// Neither is held under -race, where sync.Pool drops a random quarter
-// of what is put back, so a Run builds a new arena as often as the draw
-// says.
+// once: 45.9 allocations and 45 381 bytes. Both hold under -race too.
 const (
 	smallUnitAllocsPerFn = 53
 	smallUnitBytesPerFn  = 52200
@@ -216,10 +207,10 @@ func TestSmallUnitAllocBudget(t *testing.T) {
 	gens := diagonal(codeGens(t))
 	allocs, bytes := allocsPerFunc(t, func() ([]job, int) { return smallJobs(t, gens) })
 	t.Logf("a one-function unit allocates %.1f times and %.0f bytes per function", allocs, bytes)
-	if !raceEnabled && allocs > smallUnitAllocsPerFn {
+	if allocs > smallUnitAllocsPerFn {
 		t.Errorf("a one-function unit allocates %.1f times per function, budget %d", allocs, smallUnitAllocsPerFn)
 	}
-	if !raceEnabled && bytes > smallUnitBytesPerFn {
+	if bytes > smallUnitBytesPerFn {
 		t.Errorf("a one-function unit allocates %.0f bytes per function, budget %d", bytes, smallUnitBytesPerFn)
 	}
 }

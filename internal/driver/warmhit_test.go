@@ -234,19 +234,18 @@ func BenchmarkWarmHit(b *testing.B) {
 // printed text (what is left is the fingerprint's fresh scratch and
 // Print's buffer); parse 89.0 allocations and 4 049 bytes, and the C
 // front end 107.9 and 4 277, once both carved their nodes from the
-// pooled front end's slab. Under -race, where the pool drops a random
-// quarter of what is put back, the C front end's count reads 122 to
-// 126, and is held to its own ceiling.
+// pooled front end's slab. The worker and the front end are kept
+// between compiles, also under -race, so one ceiling holds with and
+// without it.
 const (
-	hitAllocsPerFn          = 11.3
-	compileHitAllocsPerFn   = 5.6
-	parseAllocsPerFn        = 102
-	frontendAllocsPerFn     = 124
-	frontendRaceAllocsPerFn = 144
-	hitBytesPerFn           = 8200
-	compileHitBytesPerFn    = 700
-	parseBytesPerFn         = 4700
-	frontendBytesPerFn      = 4950
+	hitAllocsPerFn        = 11.3
+	compileHitAllocsPerFn = 5.6
+	parseAllocsPerFn      = 102
+	frontendAllocsPerFn   = 124
+	hitBytesPerFn         = 8200
+	compileHitBytesPerFn  = 700
+	parseBytesPerFn       = 4700
+	frontendBytesPerFn    = 4950
 )
 
 // TestWarmHitAllocBudget holds four warm leaves to an allocation budget,
@@ -256,23 +255,15 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	w := newWarmHit(t)
 	n := float64(len(w.mod.Funcs))
 	var got string
-	frontendAllocs := float64(frontendAllocsPerFn)
-	if raceEnabled {
-		frontendAllocs = frontendRaceAllocsPerFn
-	}
 	for _, c := range []struct {
 		what          string
 		run           func()
 		allocs, bytes float64 // budgets per function
-		// Bytes are held under the race detector only for the hit: there
-		// the pipeline's pool drops a random quarter of the workers put
-		// back, and a remade worker costs about 200 bytes a function.
-		raceBytes bool
 	}{
-		{"a cache hit", func() { got = w.splice(t) }, hitAllocsPerFn, hitBytesPerFn, true},
-		{"a cache hit through CompileModule", func() { w.hit(t) }, compileHitAllocsPerFn, compileHitBytesPerFn, false},
-		{"iltext.Parse", func() { w.parse(t) }, parseAllocsPerFn, parseBytesPerFn, false},
-		{"the C front end", func() { w.frontend(t) }, frontendAllocs, frontendBytesPerFn, false},
+		{"a cache hit", func() { got = w.splice(t) }, hitAllocsPerFn, hitBytesPerFn},
+		{"a cache hit through CompileModule", func() { w.hit(t) }, compileHitAllocsPerFn, compileHitBytesPerFn},
+		{"iltext.Parse", func() { w.parse(t) }, parseAllocsPerFn, parseBytesPerFn},
+		{"the C front end", func() { w.frontend(t) }, frontendAllocsPerFn, frontendBytesPerFn},
 	} {
 		allocs, bytes := gentest.AllocsPerRun(10, nil, c.run)
 		allocs, bytes = allocs/n, bytes/n
@@ -280,7 +271,7 @@ func TestWarmHitAllocBudget(t *testing.T) {
 		if allocs > c.allocs {
 			t.Errorf("%s allocates %.1f times per function, budget %g", c.what, allocs, c.allocs)
 		}
-		if (c.raceBytes || !raceEnabled) && bytes > c.bytes {
+		if bytes > c.bytes {
 			t.Errorf("%s allocates %.0f bytes per function, budget %g", c.what, bytes, c.bytes)
 		}
 	}

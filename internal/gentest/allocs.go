@@ -8,13 +8,12 @@ import (
 // AllocsPerRun is testing.AllocsPerRun reporting bytes beside the
 // count: what one call of f allocates on average over runs calls, after
 // a warm-up call, with one P from the warm-up on, so that nothing else
-// runs in between and whatever f puts back in a sync.Pool stays on the
-// P that takes it again. prepare, when not nil, runs before each call
-// of f, outside the count. The collector runs only when asked: once
-// before each call, so every call starts from the same pool state
-// (what the call before put back sits in the pools' victim caches,
-// where a Get still finds it) and no collection during f drops what
-// f's own earlier steps put back.
+// runs in between. prepare, when not nil, runs before each call of f,
+// outside the count. The collector runs only when asked: once before
+// each call, so every call starts from the same heap, and never during
+// f. What f puts back in the driver's free lists waits there through
+// the collections, so every call after the warm-up borrows the worker
+// and the front end the one before it put back.
 func AllocsPerRun(runs int, prepare, f func()) (allocs, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

@@ -76,7 +76,7 @@ func (s *Scratch) Detach() {
 	g.layout = ir.Keep(g.layout)
 	g.started = ir.Keep(g.started)
 	g.stack = ir.Keep(g.stack)
-	g.depth, g.workLeft, g.workDone = 0, 0, 0
+	g.depth = 0
 	g.cse.detach()
 }
 
@@ -113,11 +113,9 @@ type gen struct {
 
 	// slab is where the unit's nodes and kid lists are carved, the
 	// caller's; stack collects a call's arguments, which are carved once
-	// all are lowered. workLeft counts the statements and expressions of
-	// the function not yet begun, workDone those of the unit begun.
-	slab               *ir.Slab
-	stack              []*ir.Node
-	workLeft, workDone int
+	// all are lowered.
+	slab  *ir.Slab
+	stack []*ir.Node
 }
 
 func (g *gen) errf(line int32, format string, args ...interface{}) error {
@@ -143,69 +141,45 @@ func (g *gen) floatConst(v float64, t ir.Type) *ir.Sym {
 }
 
 // addrTaken records in g.taken the objects whose address is taken
-// anywhere in the function body, and counts the body's statements and
-// expressions (its work, to size the slab by).
-func (g *gen) addrTaken(s *cc.Stmt) (work int) {
+// anywhere in the function body.
+func (g *gen) addrTaken(s *cc.Stmt) {
 	if s == nil {
-		return 0
+		return
 	}
-	work = 1 + g.addrTakenExpr(s.E) + g.addrTakenExpr(s.Cond) + g.addrTakenExpr(s.Post) +
-		g.addrTakenExpr(s.DeclInit) + g.addrTaken(s.Init) + g.addrTaken(s.Body) + g.addrTaken(s.Else)
+	g.addrTakenExpr(s.E)
+	g.addrTakenExpr(s.Cond)
+	g.addrTakenExpr(s.Post)
+	g.addrTakenExpr(s.DeclInit)
+	g.addrTaken(s.Init)
+	g.addrTaken(s.Body)
+	g.addrTaken(s.Else)
 	for _, k := range s.List {
-		work += g.addrTaken(k)
+		g.addrTaken(k)
 	}
-	return work
 }
 
-func (g *gen) addrTakenExpr(e *cc.Expr) (work int) {
+func (g *gen) addrTakenExpr(e *cc.Expr) {
 	if e == nil {
-		return 0
+		return
 	}
 	if e.Kind == cc.EUnary && e.Op == cc.TAmp && e.L.Kind == cc.EIdent {
 		if o := e.L.Obj; o != nil && (o.Kind == cc.ObjLocal || o.Kind == cc.ObjParam) {
 			g.taken[o] = true
 		}
 	}
-	work = 1 + g.addrTakenExpr(e.L) + g.addrTakenExpr(e.R) + g.addrTakenExpr(e.C)
+	g.addrTakenExpr(e.L)
+	g.addrTakenExpr(e.R)
+	g.addrTakenExpr(e.C)
 	for _, a := range e.Args {
-		work += g.addrTakenExpr(a)
+		g.addrTakenExpr(a)
 	}
-	return work
-}
-
-// begin starts lowering work statements and expressions. First it sizes
-// the slab's next chunks for what the function has still to lower, at
-// the rate of nodes and kid slots the unit has built per unit of work so
-// far (one of each before it has built any), plus a few for the jumps
-// and return a function ends with. Lowering builds 1.1 to 2.1 nodes an
-// expression, depending on the code, so no fixed rate fits: one would
-// leave chunks' tails unused or cut chunks short.
-func (g *gen) begin(work int) {
-	nodes, kids := g.slab.Built()
-	done := max(g.workDone, 1)
-	due := func(built int) int { return g.workLeft*max(built, done)/done + 8 }
-	g.slab.Expect(due(nodes), due(kids))
-	g.workLeft -= work
-	g.workDone += work
-}
-
-// countExprs is the number of expressions in the tree under e.
-func countExprs(e *cc.Expr) int {
-	if e == nil {
-		return 0
-	}
-	n := 1 + countExprs(e.L) + countExprs(e.R) + countExprs(e.C)
-	for _, a := range e.Args {
-		n += countExprs(a)
-	}
-	return n
 }
 
 func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 	g.fd = fd
 	g.fn = ir.NewFunc(fd.Obj.Name, fd.Obj.Type.Elem.IR())
 	g.regs, g.mems, g.taken = ir.KeepMap(g.regs), ir.KeepMap(g.mems), ir.KeepMap(g.taken)
-	g.workLeft = g.addrTaken(fd.Body)
+	g.addrTaken(fd.Body)
 
 	frame := 0
 	newFrameSym := func(o *cc.Obj, kind ir.SymKind) *ir.Sym {
@@ -342,7 +316,6 @@ func pruneUnreachable(blocks []*ir.Block) []*ir.Block {
 }
 
 func (g *gen) stmt(s *cc.Stmt) error {
-	g.begin(1 + countExprs(s.E) + countExprs(s.Cond) + countExprs(s.DeclInit))
 	switch s.Kind {
 	case cc.SEmpty:
 		return nil
@@ -477,7 +450,6 @@ func (g *gen) stmt(s *cc.Stmt) error {
 		g.conts = g.conts[:len(g.conts)-1]
 		g.startBlock(post)
 		if s.Post != nil {
-			g.begin(countExprs(s.Post))
 			if _, err := g.expr(s.Post); err != nil {
 				return err
 			}

@@ -302,11 +302,6 @@ func ParseOn(nodes *ir.Slab, name, src string) (*ir.Module, error) {
 		blocks:    map[int]*ir.Block{},
 		defs:      map[int]*ir.Node{},
 	}
-	// Every node is written as one parenthesised form, and the only
-	// other form is (def $N ...), so the text states its node count; a
-	// statement DAG has about one kid slot a node.
-	forms := strings.Count(src, "(") - strings.Count(src, "(def ")
-	nodes.Expect(forms, forms)
 	err := p.file()
 	if p.lexErr != nil {
 		// The parser saw the input end where the lexer gave up, and

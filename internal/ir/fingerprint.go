@@ -231,7 +231,7 @@ type FingerprintScratch struct{ w fpWriter }
 // — keeping the buffer and the maps' storage up to the bound.
 func (s *FingerprintScratch) Detach() {
 	w := &s.w
-	w.fn = nil
+	w.fn, w.buf, w.reg = nil, Trim(w.buf), Trim(w.reg)
 	w.sym, w.block, w.undeclared = KeepMap(w.sym), KeepMap(w.block), KeepMap(w.undeclared)
 }
 

@@ -11,11 +11,10 @@ import (
 // instead of two a node. Whoever builds the IL owns the slab — the
 // driver's front end for the unit it lowers (the C lowering and the
 // textual parser carve into the slab they are given), a pipeline claim
-// loop for the glue rewrites of the functions it compiles in one Run —
-// and sizes its chunks through Expect from what its input says is still
-// to come, so a small unit pays for small chunks. Every kid list has
-// cap == len: appending to one node's Kids reallocates rather than
-// writing into a neighbour's.
+// loop for the glue rewrites of the functions it compiles in one Run.
+// Its chunks size themselves (Chunks), so a small unit pays for small
+// chunks. Every kid list has cap == len: appending to one node's Kids
+// reallocates rather than writing into a neighbour's.
 //
 // A slab belongs to one goroutine at a time and is never shared or
 // package-level. Its nodes live as long as the IL they make up. When
@@ -24,28 +23,11 @@ import (
 // once a compile that lowered its own source has returned and the
 // module's blocks hold no statement — Rewind zeroes what was carved and
 // keeps the chunks for the next unit, as the C parser's scratch keeps
-// its own. The zero Slab expects nothing and allocates every node and
-// list on its own.
+// its own. The zero Slab is ready to use.
 type Slab struct {
 	nodes Chunks[Node]
 	kids  Chunks[*Node]
 }
-
-// Expect tells the slab that about nodes more nodes, holding about kids
-// kid slots between them, are still to be built. New chunks are sized
-// from it (a chunk is never smaller than the request that opens it): an
-// estimate that runs short costs extra chunks, one that runs long costs
-// the unused tail of the last. Kept chunks are filled first, whatever
-// their size.
-func (s *Slab) Expect(nodes, kids int) {
-	s.nodes.Expect(nodes)
-	s.kids.Expect(kids)
-}
-
-// Built reports how many nodes and kid slots the slab has handed out
-// since it was made or rewound, for an owner that estimates what is to
-// come from what it has built.
-func (s *Slab) Built() (nodes, kids int) { return s.nodes.Built(), s.kids.Built() }
 
 // Rewind readies the slab for the next unit: every node and kid list it
 // handed out is zeroed, and its chunks, up to keepBytes of each kind,
@@ -102,7 +84,8 @@ func (s *Slab) Addr(sym *Sym) *Node { return s.Node(Node{Op: Addr, Type: Ptr, Sy
 // the next use that needs less, so one huge input compiled in a
 // long-lived process does not pin its storage in a pool. Grow sizes a
 // table, Keep empties a list, KeepMap a map, and Chunks.Reset a set of
-// chunks, each to this bound; no other package sizes storage by bytes.
+// chunks, each to this bound; Trim holds a table to it while its
+// scratch waits idle. No other package sizes storage by bytes.
 const keepBytes = 512 << 10
 
 // bytesOf is the size of n values of T.
@@ -156,6 +139,18 @@ func Keep[T any](l []T) []T {
 	return l[:0]
 }
 
+// Trim returns t, or nil when its storage is past keepBytes: what a
+// scratch's Detach does to a table Grow sizes, so that a scratch waiting
+// idle in a free list keeps no more than its next use could. Unlike
+// Keep it clears nothing: a table of values that point at no compile is
+// cleared by Grow at its next use.
+func Trim[T any](t []T) []T {
+	if bytesOf[T](cap(t)) > keepBytes {
+		return nil
+	}
+	return t
+}
+
 // KeepMap is Keep for a map: m cleared, or a new map when m is nil or
 // its entries' keys and values hold more than keepBytes (clearing a Go
 // map keeps its buckets).
@@ -169,38 +164,29 @@ func KeepMap[K comparable, V any](m map[K]V) map[K]V {
 
 // Chunks carves values of one type from chunks, so building values costs
 // an allocation a chunk rather than one a value: the IL's nodes and kid
-// lists (Slab), and the C parser's expressions, statements and objects.
-// all[:used] hold the values carved since the last Reset, the last of
-// them the chunk being filled; all[used:] are empty chunks kept from
-// before, taken, whatever their size, before any new one is made. The
-// zero value is ready to use.
+// lists (Slab), the C parser's expressions, statements and objects, and
+// a function's code (asm.Arena). all[:used] hold the values carved since
+// the last Reset, the last of them the chunk being filled; all[used:]
+// are empty chunks kept from before, taken, whatever their size, before
+// any new one is made. The zero value is ready to use.
+//
+// A chunk sizes itself from what was carved since the last Reset: a new
+// one holds as many values again, at least 512 bytes of them and at most
+// 32 KiB (the largest allocation Go rounds up to a size class; a larger
+// one is rounded up to whole pages), and never fewer than the request
+// that opens it. So the chunks of one use grow as append grows a list,
+// and a small unit pays for small chunks.
 type Chunks[T any] struct {
-	all        [][]T
-	used       int
-	due, built int // still expected, counted down as carved; carved since Reset
-	floor      int // the fewest values a new chunk holds
+	all   [][]T
+	used  int
+	built int // values carved since Reset
 }
-
-// Expect tells c that about n more values are still to be carved: a new
-// chunk holds that many, and at most 32 KiB, the largest allocation Go
-// rounds up to a size class (a larger one is rounded up to whole pages,
-// and whatever the rounding adds is waste at the end of a unit).
-func (c *Chunks[T]) Expect(n int) { c.due = n }
-
-// Floor makes every new chunk hold at least n values, for an owner
-// whose estimates may run short: once what was expected is carved, a
-// new chunk holds n values rather than only the request that opens it.
-func (c *Chunks[T]) Floor(n int) { c.floor = n }
-
-// Built reports how many values c has carved since the last Reset.
-func (c *Chunks[T]) Built() int { return c.built }
 
 // Carve returns a copy of v carved from the chunks.
 func (c *Chunks[T]) Carve(v T) *T {
 	if c.used == 0 || len(c.all[c.used-1]) == cap(c.all[c.used-1]) {
 		c.open(1)
 	}
-	c.due--
 	c.built++
 	cur := &c.all[c.used-1]
 	*cur = append(*cur, v)
@@ -213,7 +199,6 @@ func (c *Chunks[T]) CarveN(n int) []T {
 	if c.used == 0 || cap(c.all[c.used-1])-len(c.all[c.used-1]) < n {
 		c.open(n)
 	}
-	c.due -= n
 	c.built += n
 	cur := &c.all[c.used-1]
 	at := len(*cur)
@@ -224,14 +209,15 @@ func (c *Chunks[T]) CarveN(n int) []T {
 // open makes the next chunk with room for need values the one being
 // filled: the next kept chunk that has the room (a kept chunk too small
 // for the request is passed over, empty, until the next Reset), or a new
-// one holding what is due.
+// one sized by the rule above.
 func (c *Chunks[T]) open(need int) {
 	for c.used < len(c.all) && cap(c.all[c.used]) < need {
 		c.used++
 	}
 	if c.used == len(c.all) {
-		most := 32 << 10 / bytesOf[T](1)
-		c.all = append(c.all, slices.Grow([]T(nil), max(need, min(max(c.due, c.floor), most))))
+		size := bytesOf[T](1)
+		n := max(need, min(32<<10/size, max(c.built, 512/size)))
+		c.all = append(c.all, slices.Grow([]T(nil), n))
 	}
 	c.used++
 }
@@ -252,5 +238,5 @@ func (c *Chunks[T]) Reset() {
 	}
 	clear(c.all[n:])
 	c.all = c.all[:n]
-	c.used, c.due, c.built = 0, 0, 0
+	c.used, c.built = 0, 0
 }

@@ -125,11 +125,17 @@ func (s *Scratch) AllocateOpts(m *mach.Machine, af *asm.Func, opts Options) (*Re
 
 // Detach drops what the scratch holds of the function it allocated
 // last, keeping the tables' storage up to the bound and the machines'
-// facts.
+// facts. The bitsets carved from slab go with it; every round carves
+// them again.
 func (s *Scratch) Detach() {
 	a := &s.a
-	a.af, a.res = nil, nil
-	a.list, a.loads, a.stores = ir.Keep(a.list), ir.Keep(a.loads), ir.Keep(a.stores)
+	*a = allocator{
+		facts: a.facts, known: a.known,
+		succStart: ir.Trim(a.succStart), succ: ir.Trim(a.succ), byID: ir.Trim(a.byID), set: ir.Trim(a.set),
+		slab: ir.Trim(a.slab), adjStart: ir.Trim(a.adjStart), adj: ir.Trim(a.adj), deg: ir.Trim(a.deg),
+		stack: ir.Trim(a.stack), slot: ir.Trim(a.slot),
+		list: ir.Keep(a.list), loads: ir.Keep(a.loads), stores: ir.Keep(a.stores),
+	}
 }
 
 // spillGlobals sends every pseudo that more than one block mentions to

@@ -103,11 +103,20 @@ type Scratch struct {
 // Detach drops what the scratch holds of the function it scheduled
 // last — the function, its graph, its instructions, the options'
 // deadline and liveness — keeping the tables' storage up to the bound,
-// the last Result's Order and Cycles included.
+// the last Result's Order and Cycles included. The views carved from
+// ints go; the next Run carves them again.
 func (s *Scratch) Detach() {
 	s.Dag.Detach()
 	r := &s.run
-	r.m, r.af, r.g, r.opts = nil, nil, nil, Options{}
+	groups := r.pending[:cap(r.pending)] // newPending's lists too
+	for k, l := range groups {
+		groups[k] = ir.Trim(l)
+	}
+	*r = run{
+		order: ir.Trim(r.order), cycles: ir.Trim(r.cycles), word: r.word, trial: r.trial,
+		ints: ir.Trim(r.ints), heights: ir.Trim(r.heights), pending: ir.Trim(r.pending), members: ir.Trim(r.members),
+		limited: ir.Trim(r.limited), usesLeft: ir.Trim(r.usesLeft), live: ir.Trim(r.live),
+	}
 	s.list = ir.Keep(s.list)
 }
 

@@ -93,7 +93,7 @@ func (sc *Scratch) SelectOpts(m *mach.Machine, fn *ir.Func, _ Options) (*asm.Fun
 // Code as it is: rewinding it is for the scratch's owner.
 func (sc *Scratch) Detach() {
 	s := &sc.s
-	*s = selector{irPseudo: s.irPseudo, memo: s.memo, intos: ir.Keep(s.intos), selOps: ir.Keep(s.selOps), binds: ir.Keep(s.binds), out: ir.Keep(s.out)}
+	*s = selector{irPseudo: ir.Trim(s.irPseudo), memo: ir.Trim(s.memo), intos: ir.Keep(s.intos), selOps: ir.Keep(s.selOps), binds: ir.Keep(s.binds), out: ir.Keep(s.out)}
 }
 
 // reset readies the selector for fn, built in code, keeping the storage
@@ -107,7 +107,7 @@ func (s *selector) reset(m *mach.Machine, fn *ir.Func, code *asm.Arena) {
 	*s = selector{
 		m:        m,
 		irFn:     fn,
-		af:       code.Func(fn, nodes),
+		af:       code.Func(fn),
 		irPseudo: ir.Grow(s.irPseudo, len(fn.Regs)),
 		memo:     ir.Grow(s.memo, nodes),
 		out:      s.out[:0],

@@ -43,8 +43,12 @@ cwvm {
 instr {
     /* Loads and stores. */
     %instr ld r, r, #const16 {$1 = m[$2 + $3];} [IF; ID; IE; IA; IW] (1,3,0)
+    %instr ld.b r, r, #const16 (char) {$1 = m[$2 + $3];} [IF; ID; IE; IA; IW] (1,3,0)
+    %instr ld.h r, r, #const16 (short) {$1 = m[$2 + $3];} [IF; ID; IE; IA; IW] (1,3,0)
     %instr ld.d d, r, #const16 (double) {$1 = m[$2 + $3];} [IF; ID; IE; IA; IW] (1,3,0)
     %instr st r, r, #const16 {m[$2 + $3] = $1;} [IF; ID; IE; IA; IW] (1,1,0)
+    %instr st.b r, r, #const16 (char) {m[$2 + $3] = $1;} [IF; ID; IE; IA; IW] (1,1,0)
+    %instr st.h r, r, #const16 (short) {m[$2 + $3] = $1;} [IF; ID; IE; IA; IW] (1,1,0)
     %instr st.d d, r, #const16 (double) {m[$2 + $3] = $1;} [IF; ID; IE; IA; IW] (1,1,0)
 
     /* Integer arithmetic. */

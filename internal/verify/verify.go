@@ -187,11 +187,14 @@ func (s *Scratch) Func(m *mach.Machine, af *asm.Func, opts Options) *Report {
 
 // Detach drops what the scratch holds of the function it verified last
 // — the function, its report and the CFG map's blocks — keeping the
-// tables' storage up to the bound.
+// tables' storage up to the bound. The views carved from ints and slab
+// go with it; alloc carves them again.
 func (s *Scratch) Detach() {
 	v := &s.v
-	v.m, v.af, v.report = nil, nil, nil
-	v.blockAt = ir.KeepMap(v.blockAt)
+	*v = verifier{
+		ints: ir.Trim(v.ints), locs: ir.Trim(v.locs), latches: ir.Trim(v.latches),
+		busy: ir.Trim(v.busy), slab: ir.Trim(v.slab), blockAt: ir.KeepMap(v.blockAt),
+	}
 }
 
 // verifier carries the per-function verification state in dense tables

@@ -31,13 +31,6 @@ type Log struct {
 	writes []write
 }
 
-// stmtsPerBuilt is how many statements a function has for each node its
-// rewrites build, about: the rules rewrite branch conditions, one or two
-// nodes per loop or if, and the Livermore loops, the densest case, build
-// one node for every 2.2 statements. A short estimate costs another
-// chunk; a long one is left to the next function the log rewrites.
-const stmtsPerBuilt = 2
-
 type write struct {
 	slot **ir.Node
 	old  *ir.Node
@@ -57,11 +50,6 @@ func (l *Log) Apply(m *mach.Machine, fn *ir.Func, nodes *ir.Slab) {
 		nodes:  make([]*ir.Node, operands),
 		blocks: make([]*ir.Block, operands),
 	}}
-	stmts := 0
-	for _, b := range fn.Blocks {
-		stmts += len(b.Stmts)
-	}
-	nodes.Expect(stmts/stmtsPerBuilt, stmts/stmtsPerBuilt)
 	for _, b := range fn.Blocks {
 		for i := range b.Stmts {
 			x.rewriteSlot(&b.Stmts[i])
