@@ -224,8 +224,9 @@ func TestPseudoHomes(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		af.NewPseudo(m.RegSet("r"), ir.NoReg)
 	}
-	b0 := &Block{IR: fn.NewBlock(), Insts: []*Inst{New(nil, add, Reg(0), Reg(1), Reg(1))}}
-	b1 := &Block{IR: fn.NewBlock(), Insts: []*Inst{New(nil, add, Reg(2), Operand{Kind: OpPseudoHalf, Pseudo: 1}, Reg(2))}}
+	fn.Blocks = []*ir.Block{{ID: 0, Fn: fn}, {ID: 1, Fn: fn}}
+	b0 := &Block{IR: fn.Blocks[0], Insts: []*Inst{New(nil, add, Reg(0), Reg(1), Reg(1))}}
+	b1 := &Block{IR: fn.Blocks[1], Insts: []*Inst{New(nil, add, Reg(2), Operand{Kind: OpPseudoHalf, Pseudo: 1}, Reg(2))}}
 	af.Blocks = []*Block{b0, b1}
 	home, cross := af.PseudoHomes()
 	if want := []*Block{b0, b0, b1, nil}; !reflect.DeepEqual(home, want) {
@@ -242,7 +243,8 @@ func TestFuncHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn := ir.NewFunc("f", ir.Void)
-	irb := fn.NewBlock()
+	fn.Blocks = []*ir.Block{{ID: 0, Fn: fn}, {ID: 1, Fn: fn}}
+	irb := fn.Blocks[0]
 	af := &Func{Name: "f", IR: fn}
 	p := af.NewPseudo(m.RegSet("r"), ir.NoReg)
 	if p != 0 || af.Pseudos[p].Set.Name != "r" {
@@ -250,7 +252,7 @@ func TestFuncHelpers(t *testing.T) {
 	}
 	b := &Block{IR: irb}
 	af.Blocks = append(af.Blocks, b)
-	if af.Block(irb) != b || af.Block(fn.NewBlock()) != nil {
+	if af.Block(irb) != b || af.Block(fn.Blocks[1]) != nil {
 		t.Error("Block lookup")
 	}
 	if af.NewSeqID() == af.NewSeqID() {
@@ -265,7 +267,8 @@ func TestProgramPrintPacking(t *testing.T) {
 	}
 	add := m.InstrByLabel("add")
 	fn := ir.NewFunc("f", ir.Void)
-	irb := fn.NewBlock()
+	irb := &ir.Block{Fn: fn}
+	fn.Blocks = []*ir.Block{irb}
 	a := New(nil, add, Reg(0), Reg(1), Reg(1))
 	b := New(nil, add, Reg(2), Reg(1), Reg(1))
 	a.Cycle, b.Cycle = 0, 0 // packed

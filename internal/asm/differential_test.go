@@ -93,8 +93,8 @@ func TestPrintMatchesReference(t *testing.T) {
 // The wanted text is what the fmt-based formatter printed.
 func TestFormatterHandCases(t *testing.T) {
 	fn := ir.NewFunc("f", ir.Void)
-	b0, b1 := fn.NewBlock(), fn.NewBlock()
-	b1.ID = math.MaxInt32
+	b0, b1 := &ir.Block{ID: 0, Fn: fn}, &ir.Block{ID: math.MaxInt32, Fn: fn}
+	fn.Blocks = []*ir.Block{b0, b1}
 	sym := &ir.Sym{Name: ".fc0", Kind: ir.SymGlobal, Size: 8, Offset: -8}
 	operands := []asm.Operand{
 		asm.Reg(0), asm.Reg(7), asm.Reg(asm.NoPseudo), asm.Reg(math.MaxInt32),

@@ -44,7 +44,8 @@ func testMachine(t *testing.T) *mach.Machine {
 
 func block(insts ...*asm.Inst) *asm.Block {
 	fn := ir.NewFunc("t", ir.Void)
-	return &asm.Block{IR: fn.NewBlock(), Insts: insts}
+	fn.Blocks = []*ir.Block{{Fn: fn}}
+	return &asm.Block{IR: fn.Blocks[0], Insts: insts}
 }
 
 func findEdge(g *Graph, from, to int) (Edge, bool) {
@@ -158,8 +159,8 @@ func TestBranchStaysLast(t *testing.T) {
 	add := m.InstrByLabel("add")
 	beq := m.InstrByLabel("beq0")
 	fn := ir.NewFunc("t", ir.Void)
-	b0 := fn.NewBlock()
-	tgt := fn.NewBlock()
+	b0, tgt := &ir.Block{ID: 0, Fn: fn}, &ir.Block{ID: 1, Fn: fn}
+	fn.Blocks = []*ir.Block{b0, tgt}
 	b := &asm.Block{IR: b0, Insts: []*asm.Inst{
 		asm.New(nil, add, asm.Reg(0), asm.Reg(1), asm.Reg(2)),
 		asm.New(nil, add, asm.Reg(3), asm.Reg(4), asm.Reg(5)),

@@ -190,13 +190,15 @@ func Frontend(name, src string) (*ir.Module, error) { return Lower("c", name, sr
 var frontEnds freeList[frontEnd]
 
 // frontEnd is the front ends' scratch: the C parser's and checker's
-// (cc.Scratch), the lowering's (ilgen.Scratch), and the slab a scoped
-// unit's nodes are carved from, C or IL. The C scratch is detached as
-// soon as its unit is lowered; the slab holds the unit's nodes until
-// the compile's done rewinds it.
+// (cc.Scratch), the lowering's (ilgen.Scratch), the IL parser's
+// (iltext.Scratch), and the slab a scoped unit's nodes and statement
+// lists are carved from, C or IL. Each scratch is detached as soon as
+// its unit is lowered; the slab holds the unit's IL until the compile's
+// done rewinds it.
 type frontEnd struct {
 	cc   cc.Scratch
 	il   ilgen.Scratch
+	text iltext.Scratch
 	slab ir.Slab
 }
 
@@ -233,10 +235,12 @@ func lower(p *freeList[frontEnd], lang, name, src string, scoped bool) (*ir.Modu
 }
 
 // lower lowers one unit, carving its nodes from nodes, and detaches the
-// C scratch, whether or not the unit lowered.
+// scratch it used, whether or not the unit lowered.
 func (fe *frontEnd) lower(lang, name, src string, nodes *ir.Slab) (*ir.Module, error) {
 	if lang == "il" {
-		return iltext.ParseOn(nodes, name, src)
+		mod, err := fe.text.Parse(name, src, nodes)
+		fe.text.Detach()
+		return mod, err
 	}
 	file, err := fe.cc.Compile(name, src)
 	var mod *ir.Module
@@ -256,27 +260,43 @@ func (fe *frontEnd) release(p *freeList[frontEnd]) {
 
 // checkRegTypes refuses every function that declares a register of a
 // type no general register set of m holds (float, on every shipped
-// target): each rung of the degradation ladder would fail selection on
-// it, so it is reported once, naming the target and the type, instead.
-// A module that passes allocates nothing here.
+// target), or loads or stores a value of such a type, which selection
+// would have to hold in one: each rung of the degradation ladder would
+// fail selection on it, so it is reported once, naming the target and
+// the type, instead. The loads and stores are read from the types the
+// front end recorded (ir.Func.MemTypes), not from the IL. A module that
+// passes allocates nothing here.
 func checkRegTypes(m *mach.Machine, funcs []*ir.Func) error {
 	var diags *Diagnostics
 	for i, f := range funcs {
-		for _, r := range f.Regs {
-			if m.Cwvm.GeneralSet(r.Type) == nil {
-				if diags == nil {
-					diags = &Diagnostics{}
-				}
-				diags.Add(i, f.Name, "registers",
-					fmt.Errorf("target %s has no general register set for type %s", m.Name, r.Type))
-				break
+		if t, ok := unheldType(m, f); ok {
+			if diags == nil {
+				diags = &Diagnostics{}
 			}
+			diags.Add(i, f.Name, "registers",
+				fmt.Errorf("target %s has no general register set for type %s", m.Name, t))
 		}
 	}
 	if diags == nil {
 		return nil
 	}
 	return diags
+}
+
+// unheldType returns a type no general register set of m holds that f
+// has a register of, or loads or stores.
+func unheldType(m *mach.Machine, f *ir.Func) (ir.Type, bool) {
+	for _, r := range f.Regs {
+		if m.Cwvm.GeneralSet(r.Type) == nil {
+			return r.Type, true
+		}
+	}
+	for t := ir.I8; t <= ir.Ptr; t++ {
+		if f.MemTypes.Has(t) && m.Cwvm.GeneralSet(t) == nil {
+			return t, true
+		}
+	}
+	return ir.Void, false
 }
 
 // CompileModule is CompileModuleCtx without a context. It stays only

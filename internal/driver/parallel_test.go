@@ -229,22 +229,22 @@ func TestPressureRunToRunDeterminism(t *testing.T) { compileTwice(t, gentest.Pre
 // (a statement no instruction template matches), plus one good one.
 func brokenModule(broken ...string) *ir.Module {
 	mod := &ir.Module{Name: "broken.c"}
-	for _, name := range broken {
+	var slab ir.Slab
+	var cfg ir.CFG
+	build := func(name string, stmts ...*ir.Node) {
 		fn := ir.NewFunc(name, ir.I32)
-		b := fn.NewBlock()
-		b.Stmts = append(b.Stmts,
-			&ir.Node{Op: ir.BadOp, Type: ir.I32},
-			&ir.Node{Op: ir.Ret})
-		fn.Blocks = append(fn.Blocks, b)
+		cfg.Begin(fn)
+		cfg.Start(cfg.NewBlock(), 0)
+		cfg.Append(stmts...)
+		if err := cfg.Finish(&slab, false); err != nil {
+			panic(err)
+		}
 		mod.Funcs = append(mod.Funcs, fn)
 	}
-	good := ir.NewFunc("ok", ir.I32)
-	gb := good.NewBlock()
-	ret := &ir.Node{Op: ir.Ret, Type: ir.I32}
-	ret.Kids = []*ir.Node{new(ir.Slab).Const(ir.I32, 7)}
-	gb.Stmts = append(gb.Stmts, ret)
-	good.Blocks = append(good.Blocks, gb)
-	mod.Funcs = append(mod.Funcs, good)
+	for _, name := range broken {
+		build(name, slab.New(ir.BadOp, ir.I32), slab.New(ir.Ret, ir.Void))
+	}
+	build("ok", slab.New(ir.Ret, ir.I32, slab.Const(ir.I32, 7)))
 	return mod
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"marion/internal/driver"
 	"marion/internal/gentest"
+	"marion/internal/iltext"
 	"marion/internal/sim"
 	"marion/internal/strategy"
 	"marion/internal/targets"
@@ -130,28 +131,56 @@ func runRegress(t *testing.T, target, name, src string, want []regressCall) {
 }
 
 // floatC declares float registers, which no shipped target's general
-// register sets hold.
-const floatC = "float fa(float a, float b) { return a * b; }\nint ok(int x) { return x; }\n"
+// register sets hold; floatStoreC has none, but stores and loads a
+// float, which selection would have to hold in one.
+const (
+	floatC      = "float fa(float a, float b) { return a * b; }\nint ok(int x) { return x; }\n"
+	floatStoreC = "float g;\ndouble fm(int x) { g = 2; return g; }\nint ok(int x) { return x; }\n"
+)
 
 // TestRegisterTypeRefused: a function with a register of a type the
-// target cannot hold is refused once, before any phase runs, by a
-// diagnostic naming the target and the type, not by a degradation
-// ladder whose every rung fails in selection.
+// target cannot hold, or a load or store of one, is refused once, before
+// any phase runs, by a diagnostic naming the target and the type, not
+// by a degradation ladder whose every rung fails in selection. The IL
+// the C front end prints is refused as the C is.
 func TestRegisterTypeRefused(t *testing.T) {
+	want := map[string][2]string{
+		"toyp": {"fa: registers: target TOYP has no general register set for type float",
+			"fm: registers: target TOYP has no general register set for type float"},
+		"r2000": {"fa: registers: target R2000 has no general register set for type float",
+			"fm: registers: target R2000 has no general register set for type float"},
+		"r2000s": {"fa: registers: target R2000S has no general register set for type float",
+			"fm: registers: target R2000S has no general register set for type float"},
+		"m88000": {"fa: registers: target M88000 has no general register set for type float",
+			"fm: registers: target M88000 has no general register set for type float"},
+		"i860": {"fa: registers: target I860 has no general register set for type float",
+			"fm: registers: target I860 has no general register set for type float"},
+		"rs6000": {"fa: registers: target RS6000 has no general register set for type float",
+			"fm: registers: target RS6000 has no general register set for type float"},
+	}
+	if len(want) != len(targets.Names()) {
+		t.Fatalf("messages for %d targets, %d ship", len(want), len(targets.Names()))
+	}
 	for _, target := range targets.Names() {
-		m, err := targets.Load(target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := driver.Compile(target, "c", "fa.c", floatC, driver.Config{Strategy: strategy.RASE})
-		var diags *driver.Diagnostics
-		if c != nil || !errors.As(err, &diags) {
-			t.Fatalf("%s: compiled %v, error %v; want a refusal", target, c != nil, err)
-		}
-		all := diags.All()
-		want := "fa: registers: target " + m.Name + " has no general register set for type float"
-		if len(all) != 1 || all[0].Error() != want {
-			t.Errorf("%s: diagnostics %v, want the one %q", target, all, want)
+		for i, src := range []string{floatC, floatStoreC} {
+			mod, err := driver.Lower("c", "fa.c", src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lang := range []string{"c", "il"} {
+				text := src
+				if lang == "il" {
+					text = iltext.Print(mod)
+				}
+				c, err := driver.Compile(target, lang, "fa.c", text, driver.Config{Strategy: strategy.RASE})
+				var diags *driver.Diagnostics
+				if c != nil || !errors.As(err, &diags) {
+					t.Fatalf("%s %s: compiled %v, error %v; want a refusal", target, lang, c != nil, err)
+				}
+				if all := diags.All(); len(all) != 1 || all[0].Error() != want[target][i] {
+					t.Errorf("%s %s: diagnostics %v, want the one %q", target, lang, all, want[target][i])
+				}
+			}
 		}
 	}
 }

@@ -232,20 +232,20 @@ func BenchmarkWarmHit(b *testing.B) {
 // code allocated when the ceilings were set: the hits 9.8 and 4.8
 // allocations, 7 164 and 604 bytes, once a hit became a splice of
 // printed text (what is left is the fingerprint's fresh scratch and
-// Print's buffer); parse 89.0 allocations and 4 049 bytes, and the C
-// front end 107.9 and 4 277, once both carved their nodes from the
-// pooled front end's slab. The worker and the front end are kept
-// between compiles, also under -race, so one ceiling holds with and
-// without it.
+// Print's buffer); parse 13.0 allocations and 2 542 bytes, and the C
+// front end 36.0 and 3 143, once both built each function's CFG in the
+// pooled front end's kept ir.CFG and copied it out once. The worker and
+// the front end are kept between compiles, also under -race, so one
+// ceiling holds with and without it.
 const (
 	hitAllocsPerFn        = 11.3
 	compileHitAllocsPerFn = 5.6
-	parseAllocsPerFn      = 102
-	frontendAllocsPerFn   = 124
+	parseAllocsPerFn      = 15
+	frontendAllocsPerFn   = 41.5
 	hitBytesPerFn         = 8200
 	compileHitBytesPerFn  = 700
-	parseBytesPerFn       = 4700
-	frontendBytesPerFn    = 4950
+	parseBytesPerFn       = 2950
+	frontendBytesPerFn    = 3650
 )
 
 // TestWarmHitAllocBudget holds four warm leaves to an allocation budget,

@@ -57,6 +57,9 @@ type cseTable struct {
 	walk     ir.Walk
 	nextID   uint32
 	memEpoch uint64
+
+	// mem is every type the function's blocks so far load or store.
+	mem ir.Types
 }
 
 // countNodes is the size of the expression under n as a tree.
@@ -69,9 +72,10 @@ func countNodes(n *ir.Node) int {
 }
 
 // function starts a function with regs pseudo-registers, all at
-// version 0.
+// version 0, that loads and stores nothing yet.
 func (t *cseTable) function(regs int) {
 	t.regVer = ir.Grow(t.regVer, regs)
+	t.mem = 0
 }
 
 // block value-numbers the statement trees of one block, sharing
@@ -100,7 +104,10 @@ func (t *cseTable) block(b *ir.Block) {
 		switch s.Op {
 		case ir.Asgn:
 			t.regVer[s.Reg]++
-		case ir.Store, ir.Call:
+		case ir.Store:
+			t.memEpoch++
+			t.mem.Add(s.Type)
+		case ir.Call:
 			t.memEpoch++
 		}
 	}
@@ -144,6 +151,7 @@ func (t *cseTable) canon(n *ir.Node) *ir.Node {
 		k.payload = uint64(uint32(n.Reg))<<32 | uint64(t.regVer[n.Reg])
 	case ir.Load:
 		k.a, k.payload = t.idOf(n.Kids[0]), t.memEpoch
+		t.mem.Add(n.Type)
 	case ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Rem, ir.Neg, ir.And, ir.Or,
 		ir.Xor, ir.Not, ir.Shl, ir.Shr, ir.High, ir.Low, ir.Cmp,
 		ir.Eq, ir.Ne, ir.Lt, ir.Le, ir.Gt, ir.Ge:

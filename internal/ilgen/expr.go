@@ -484,7 +484,7 @@ func (g *gen) incDec(e *cc.Expr) (*ir.Node, error) {
 			oldv := g.slab.Reg(t, r)
 			if e.Kind == cc.EPostIncDec {
 				// Capture the old value first.
-				tmp := g.fn.NewReg(t, "")
+				tmp := g.cfg.NewReg(t, "")
 				g.asgn(t, tmp, oldv)
 				g.asgn(t, r, g.extend(g.slab.New(op, t, g.slab.Reg(t, r), one), t))
 				return g.slab.Reg(t, tmp), nil
@@ -539,10 +539,10 @@ func (g *gen) funcSym(o *cc.Obj) *ir.Sym {
 func (g *gen) condValue(e *cc.Expr) (*ir.Node, error) {
 	if e.Kind == cc.ECond {
 		t := e.Type.IR()
-		tmp := g.fn.NewReg(t, "")
-		tb := g.fn.NewBlock()
-		fb := g.fn.NewBlock()
-		end := g.fn.NewBlock()
+		tmp := g.cfg.NewReg(t, "")
+		tb := g.cfg.NewBlock()
+		fb := g.cfg.NewBlock()
+		end := g.cfg.NewBlock()
 		if err := g.cond(e.C, tb, fb, tb); err != nil {
 			return nil, err
 		}
@@ -563,10 +563,10 @@ func (g *gen) condValue(e *cc.Expr) (*ir.Node, error) {
 		return g.slab.Reg(t, tmp), nil
 	}
 
-	tmp := g.fn.NewReg(ir.I32, "")
-	tb := g.fn.NewBlock()
-	fb := g.fn.NewBlock()
-	end := g.fn.NewBlock()
+	tmp := g.cfg.NewReg(ir.I32, "")
+	tb := g.cfg.NewBlock()
+	fb := g.cfg.NewBlock()
+	end := g.cfg.NewBlock()
 	if err := g.cond(e, tb, fb, tb); err != nil {
 		return nil, err
 	}

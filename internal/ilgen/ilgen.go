@@ -5,7 +5,6 @@ package ilgen
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"marion/internal/cc"
 	"marion/internal/ir"
@@ -16,12 +15,12 @@ import (
 func Lower(file *cc.File) (*ir.Module, error) { return new(Scratch).Lower(file, new(ir.Slab)) }
 
 // Scratch is the storage the lowering works in, kept from one unit to
-// the next: the CSE table, the block layout, the call-argument and loop
-// stacks, and the maps from the unit's objects to their registers and
-// symbols. The zero value is ready to use. What Lower returns is the
-// caller's: the module's nodes come from the slab the caller gives, and
-// nothing of it stays in s past the next Lower or Detach. A scratch
-// belongs to one goroutine at a time.
+// the next: the CSE table, the function's CFG under construction, the
+// call-argument and loop stacks, and the maps from the unit's objects to
+// their registers and symbols. The zero value is ready to use. What
+// Lower returns is the caller's: the module's nodes come from the slab
+// the caller gives, and nothing of it stays in s past the next Lower or
+// Detach. A scratch belongs to one goroutine at a time.
 type Scratch struct{ g gen }
 
 // Lower converts a checked translation unit into an IL module, in s,
@@ -64,7 +63,7 @@ func (s *Scratch) Lower(file *cc.File, nodes *ir.Slab) (*ir.Module, error) {
 // next unit.
 func (s *Scratch) Detach() {
 	g := &s.g
-	g.m, g.fd, g.fn, g.cur = nil, nil, nil, nil
+	g.m, g.fd, g.fn = nil, nil, nil
 	g.slab = nil
 	g.globals = ir.KeepMap(g.globals)
 	g.fpool = ir.KeepMap(g.fpool)
@@ -73,9 +72,8 @@ func (s *Scratch) Detach() {
 	g.taken = ir.KeepMap(g.taken)
 	g.breaks = ir.Keep(g.breaks)
 	g.conts = ir.Keep(g.conts)
-	g.layout = ir.Keep(g.layout)
-	g.started = ir.Keep(g.started)
 	g.stack = ir.Keep(g.stack)
+	g.cfg.Detach()
 	g.depth = 0
 	g.cse.detach()
 }
@@ -94,19 +92,16 @@ type gen struct {
 
 	fd     *cc.FuncDecl
 	fn     *ir.Func
-	cur    *ir.Block
 	regs   map[*cc.Obj]ir.RegID // register-resident variables
 	mems   map[*cc.Obj]*ir.Sym  // memory-resident locals/params
 	taken  map[*cc.Obj]bool     // locals and params whose address is taken
-	breaks []*ir.Block
-	conts  []*ir.Block
+	breaks []ir.BlockRef
+	conts  []ir.BlockRef
 	depth  int // current loop nesting depth
-	// layout records blocks in the order they are started: the emission
-	// order, which defines branch fallthrough. started is indexed by
-	// block ID, dense from NewBlock. Both are kept from function to
-	// function; a function's Blocks is a copy of its layout.
-	layout  []*ir.Block
-	started []bool
+	// cfg is the function's blocks, statements and registers under
+	// construction. Blocks are laid out in the order they are started,
+	// the emission order, which defines branch fallthrough.
+	cfg ir.CFG
 
 	// cse is the unit's value-numbering table, reused block to block.
 	cse cseTable
@@ -178,6 +173,7 @@ func (g *gen) addrTakenExpr(e *cc.Expr) {
 func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 	g.fd = fd
 	g.fn = ir.NewFunc(fd.Obj.Name, fd.Obj.Type.Elem.IR())
+	g.cfg.Begin(g.fn)
 	g.regs, g.mems, g.taken = ir.KeepMap(g.regs), ir.KeepMap(g.mems), ir.KeepMap(g.taken)
 	g.addrTaken(fd.Body)
 
@@ -211,7 +207,7 @@ func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 			newFrameSym(p, ir.SymLocal)
 			g.fn.ParamRegs = append(g.fn.ParamRegs, ir.NoReg)
 		} else {
-			r := g.fn.NewReg(p.Type.IR(), p.Name)
+			r := g.cfg.NewReg(p.Type.IR(), p.Name)
 			g.regs[p] = r
 			g.fn.ParamRegs = append(g.fn.ParamRegs, r)
 		}
@@ -222,15 +218,12 @@ func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 		if o.Type.Kind == cc.KArray || g.taken[o] {
 			newFrameSym(o, ir.SymLocal)
 		} else {
-			g.regs[o] = g.fn.NewReg(o.Type.IR(), o.Name)
+			g.regs[o] = g.cfg.NewReg(o.Type.IR(), o.Name)
 		}
 	}
 	g.fn.LocalFrame = frame
 
-	g.cur = nil
-	g.layout = g.layout[:0]
-	g.started = g.started[:0]
-	g.startBlock(g.fn.NewBlock())
+	g.startBlock(g.cfg.NewBlock())
 	if err := g.stmt(fd.Body); err != nil {
 		return nil, err
 	}
@@ -240,79 +233,41 @@ func (g *gen) lowerFunc(fd *cc.FuncDecl) (*ir.Func, error) {
 	}
 	// Emission order is start order, not creation order: blocks created
 	// early but populated late (join blocks) move to their start point.
-	g.layout = pruneUnreachable(g.layout)
-	g.fn.Blocks = slices.Clone(g.layout)
+	// Blocks code after a return or a jump left unreachable go.
+	if err := g.cfg.Finish(g.slab, true); err != nil {
+		return nil, err
+	}
 	g.cse.function(len(g.fn.Regs))
 	for _, b := range g.fn.Blocks {
 		g.cse.block(b)
 	}
-	g.fn.MarkGlobalRegs()
+	g.fn.MemTypes = g.cse.mem
+	g.cfg.MarkGlobalRegs(g.fn)
 	return g.fn, nil
 }
 
-// startBlock makes b the current block, recording the fallthrough edge
-// from the previous block when it does not end in an unconditional
-// transfer.
-func (g *gen) startBlock(b *ir.Block) {
-	if g.cur != nil && !g.terminated() {
-		g.cur.AddEdge(b)
-	}
-	for len(g.started) <= b.ID {
-		g.started = append(g.started, false)
-	}
-	if !g.started[b.ID] {
-		g.started[b.ID] = true
-		g.layout = append(g.layout, b)
-	}
-	b.LoopDepth = g.depth
-	g.cur = b
-}
+// startBlock makes b, which has not started, the current block: the
+// next in the layout, which the current one falls through to unless it
+// ends in an unconditional transfer.
+func (g *gen) startBlock(b ir.BlockRef) { g.cfg.Start(b, g.depth) }
 
 // terminated reports whether the current block ends with an
 // unconditional control transfer.
 func (g *gen) terminated() bool {
-	n := len(g.cur.Stmts)
-	if n == 0 {
-		return false
-	}
-	switch g.cur.Stmts[n-1].Op {
-	case ir.Jump, ir.Ret:
-		return true
+	if n := g.cfg.Last(); n != nil {
+		return n.Op == ir.Jump || n.Op == ir.Ret
 	}
 	return false
 }
 
-func (g *gen) append(n *ir.Node) { g.cur.Stmts = append(g.cur.Stmts, n) }
+func (g *gen) append(n *ir.Node) { g.cfg.Append(n) }
 
 // jump appends an unconditional jump to b (unless already terminated).
-func (g *gen) jump(b *ir.Block) {
+func (g *gen) jump(b ir.BlockRef) {
 	if g.terminated() {
 		return
 	}
-	g.append(g.slab.Node(ir.Node{Op: ir.Jump, Target: b}))
-	g.cur.AddEdge(b)
-}
-
-// pruneUnreachable drops from blocks those that have no predecessors
-// and are not the entry block (created by code after return, etc.).
-func pruneUnreachable(blocks []*ir.Block) []*ir.Block {
-	keep := blocks[:1]
-	for _, b := range blocks[1:] {
-		if len(b.Preds) > 0 {
-			keep = append(keep, b)
-			continue
-		}
-		// Remove edges from the dead block.
-		for _, s := range b.Succs {
-			for i, p := range s.Preds {
-				if p == b {
-					s.Preds = append(s.Preds[:i], s.Preds[i+1:]...)
-					break
-				}
-			}
-		}
-	}
-	return keep
+	g.append(g.cfg.Jump(g.slab, b))
 }
 
 func (g *gen) stmt(s *cc.Stmt) error {
@@ -352,11 +307,11 @@ func (g *gen) stmt(s *cc.Stmt) error {
 		return err
 
 	case cc.SIf:
-		thenB := g.fn.NewBlock()
-		var elseB, endB *ir.Block
-		endB = g.fn.NewBlock()
+		thenB := g.cfg.NewBlock()
+		var elseB, endB ir.BlockRef
+		endB = g.cfg.NewBlock()
 		if s.Else != nil {
-			elseB = g.fn.NewBlock()
+			elseB = g.cfg.NewBlock()
 		} else {
 			elseB = endB
 		}
@@ -378,9 +333,9 @@ func (g *gen) stmt(s *cc.Stmt) error {
 		return nil
 
 	case cc.SWhile:
-		head := g.fn.NewBlock()
-		body := g.fn.NewBlock()
-		end := g.fn.NewBlock()
+		head := g.cfg.NewBlock()
+		body := g.cfg.NewBlock()
+		end := g.cfg.NewBlock()
 		g.jump(head)
 		g.depth++
 		g.startBlock(head)
@@ -401,9 +356,9 @@ func (g *gen) stmt(s *cc.Stmt) error {
 		return nil
 
 	case cc.SDoWhile:
-		body := g.fn.NewBlock()
-		check := g.fn.NewBlock()
-		end := g.fn.NewBlock()
+		body := g.cfg.NewBlock()
+		check := g.cfg.NewBlock()
+		end := g.cfg.NewBlock()
 		g.jump(body)
 		g.depth++
 		g.startBlock(body)
@@ -428,10 +383,10 @@ func (g *gen) stmt(s *cc.Stmt) error {
 				return err
 			}
 		}
-		head := g.fn.NewBlock()
-		body := g.fn.NewBlock()
-		post := g.fn.NewBlock()
-		end := g.fn.NewBlock()
+		head := g.cfg.NewBlock()
+		body := g.cfg.NewBlock()
+		post := g.cfg.NewBlock()
+		end := g.cfg.NewBlock()
 		g.jump(head)
 		g.depth++
 		g.startBlock(head)
@@ -469,17 +424,17 @@ func (g *gen) stmt(s *cc.Stmt) error {
 			}
 			g.append(g.slab.New(ir.Ret, v.Type, v))
 		}
-		g.startBlock(g.fn.NewBlock())
+		g.startBlock(g.cfg.NewBlock())
 		return nil
 
 	case cc.SBreak:
 		g.jump(g.breaks[len(g.breaks)-1])
-		g.startBlock(g.fn.NewBlock())
+		g.startBlock(g.cfg.NewBlock())
 		return nil
 
 	case cc.SContinue:
 		g.jump(g.conts[len(g.conts)-1])
-		g.startBlock(g.fn.NewBlock())
+		g.startBlock(g.cfg.NewBlock())
 		return nil
 	}
 	return g.errf(s.Line, "unhandled statement kind %d", s.Kind)
@@ -507,13 +462,13 @@ func invertRel(op ir.Op) ir.Op {
 // cond lowers expression e as a branch: control goes to t when e is
 // true, to f otherwise. next names the block the caller will lay out
 // immediately after (t or f), so the branch can fall through to it.
-func (g *gen) cond(e *cc.Expr, t, f, next *ir.Block) error {
+func (g *gen) cond(e *cc.Expr, t, f, next ir.BlockRef) error {
 	switch {
 	case e.Kind == cc.EUnary && e.Op == cc.TBang:
 		return g.cond(e.L, f, t, next)
 
 	case e.Kind == cc.EBinary && e.Op == cc.TAndAnd:
-		mid := g.fn.NewBlock()
+		mid := g.cfg.NewBlock()
 		if err := g.cond(e.L, mid, f, mid); err != nil {
 			return err
 		}
@@ -521,7 +476,7 @@ func (g *gen) cond(e *cc.Expr, t, f, next *ir.Block) error {
 		return g.cond(e.R, t, f, next)
 
 	case e.Kind == cc.EBinary && e.Op == cc.TOrOr:
-		mid := g.fn.NewBlock()
+		mid := g.cfg.NewBlock()
 		if err := g.cond(e.L, t, mid, mid); err != nil {
 			return err
 		}
@@ -559,11 +514,9 @@ func (g *gen) cond(e *cc.Expr, t, f, next *ir.Block) error {
 	if next == t {
 		// Branch on the inverse to f; fall through to t.
 		c.Op = invertRel(c.Op)
-		g.append(g.slab.Node(ir.Node{Op: ir.Branch, Target: f}, c))
-		g.cur.AddEdge(f)
+		g.append(g.cfg.Branch(g.slab, f, c))
 	} else {
-		g.append(g.slab.Node(ir.Node{Op: ir.Branch, Target: t}, c))
-		g.cur.AddEdge(t)
+		g.append(g.cfg.Branch(g.slab, t, c))
 	}
 	return nil
 }

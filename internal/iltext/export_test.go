@@ -21,3 +21,6 @@ func LexTokens(src string) ([]Token, error) {
 		p.advance()
 	}
 }
+
+// IsNumber is the parser's probe for the end of an init list.
+var IsNumber = isNumber

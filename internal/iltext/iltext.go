@@ -32,7 +32,6 @@ package iltext
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -281,27 +280,28 @@ func formatFloat(v float64) string {
 // Parser
 // ---------------------------------------------------------------------
 
-// Parse reads the textual IL format back into a module, its nodes
-// carved from a slab of its own. The result satisfies the same
-// invariants ilgen establishes: CFG edges follow statement order with
-// fallthrough last, per-block parent counts are set, and global
-// pseudo-registers are marked.
-func Parse(name, src string) (*ir.Module, error) { return ParseOn(new(ir.Slab), name, src) }
+// Parse reads the textual IL format back into a module, on a scratch
+// and a slab of its own. The result satisfies the same invariants ilgen
+// establishes: CFG edges follow statement order with fallthrough last
+// (ir.CFG), per-block parent counts are set, and global pseudo-registers
+// are marked.
+func Parse(name, src string) (*ir.Module, error) { return new(Scratch).Parse(name, src, new(ir.Slab)) }
 
-// ParseOn is Parse with the module's nodes carved from nodes, the
-// caller's.
-func ParseOn(nodes *ir.Slab, name, src string) (*ir.Module, error) {
-	p := &parser{
-		src:       src,
-		line:      1,
-		slab:      nodes,
-		mod:       &ir.Module{Name: name},
-		globals:   map[string]*ir.Sym{},
-		ambiguous: map[string]bool{},
-		fsyms:     map[string]*ir.Sym{},
-		blocks:    map[int]*ir.Block{},
-		defs:      map[int]*ir.Node{},
-	}
+// Scratch is the storage the parser works in, kept from one unit to the
+// next: the lexer's state, the maps from the unit's names to its
+// symbols, blocks and shared nodes, the operand stack, and the
+// function's CFG under construction. The zero value is ready to use.
+// What Parse returns is the caller's: the module's nodes come from the
+// slab the caller gives, and nothing of it stays in s past the next
+// Parse or Detach. A scratch belongs to one goroutine at a time.
+type Scratch struct{ p parser }
+
+// Parse is the package's Parse in s, carving the module's nodes from
+// nodes, the caller's.
+func (s *Scratch) Parse(name, src string, nodes *ir.Slab) (*ir.Module, error) {
+	s.Detach()
+	p := &s.p
+	p.src, p.line, p.slab, p.mod = src, 1, nodes, &ir.Module{Name: name}
 	err := p.file()
 	if p.lexErr != nil {
 		// The parser saw the input end where the lexer gave up, and
@@ -313,6 +313,20 @@ func ParseOn(nodes *ir.Slab, name, src string) (*ir.Module, error) {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	return p.mod, nil
+}
+
+// Detach readies s to wait in a pool: it drops every pointer it holds
+// into the unit it parsed last — the source, the module, its symbols,
+// blocks and nodes, the slab — keeping each list and map's storage up
+// to the bound (ir.Keep) for the next unit.
+func (s *Scratch) Detach() {
+	p := &s.p
+	p.src, p.off, p.tok, p.have, p.lexErr = "", 0, token{}, false, nil
+	p.mod, p.slab, p.fn, p.inBody = nil, nil, nil, false
+	p.globals, p.ambiguous, p.fsyms = ir.KeepMap(p.globals), ir.KeepMap(p.ambiguous), ir.KeepMap(p.fsyms)
+	p.blocks, p.defs = ir.KeepMap(p.blocks), ir.KeepMap(p.defs)
+	p.stack = ir.Keep(p.stack)
+	p.cfg.Detach()
 }
 
 type token struct {
@@ -343,11 +357,12 @@ type parser struct {
 	stack []*ir.Node
 
 	// Per-function state; the two maps are emptied, not remade, from
-	// one function to the next.
+	// one function to the next. cfg holds the function's blocks in
+	// declaration order, their statements and its registers.
 	fn     *ir.Func
-	blocks map[int]*ir.Block // by ID, including forward references
-	order  []*ir.Block       // declaration order
-	cur    *ir.Block
+	cfg    ir.CFG
+	blocks map[int]ir.BlockRef // by ID, including forward references
+	inBody bool                // a block of the function was declared
 	defs   map[int]*ir.Node
 }
 
@@ -599,11 +614,29 @@ func (p *parser) global() error {
 // init lists know where they end).
 func (p *parser) nextIsNumber() bool {
 	t, ok := p.peek()
-	if !ok || t.str || t.text == "(" || t.text == ")" {
+	if !ok || t.str {
 		return false
 	}
-	_, err := strconv.ParseFloat(t.text, 64)
-	return err == nil
+	return isNumber(t.text)
+}
+
+// isNumber reports whether strconv.ParseFloat accepts s, without the
+// error a refusal allocates for the words that end an init list: only a
+// digit or a '.' after the sign can start a number ParseFloat parses,
+// but for its three words.
+func isNumber(s string) bool {
+	u := s
+	if u != "" && (u[0] == '+' || u[0] == '-') {
+		u = u[1:]
+	}
+	switch {
+	case u == "":
+		return false
+	case u[0] >= '0' && u[0] <= '9' || u[0] == '.':
+		_, err := strconv.ParseFloat(s, 64)
+		return err == nil
+	}
+	return strings.EqualFold(u, "inf") || strings.EqualFold(u, "infinity") || strings.EqualFold(s, "nan")
 }
 
 func (p *parser) funcHeader() error {
@@ -619,10 +652,10 @@ func (p *parser) funcHeader() error {
 		return err
 	}
 	p.fn = ir.NewFunc(n.text, ret)
+	p.cfg.Begin(p.fn)
 	clear(p.blocks)
 	clear(p.defs)
-	p.order = nil
-	p.cur = nil
+	p.inBody = false
 	return nil
 }
 
@@ -634,8 +667,8 @@ func (p *parser) funcItem(t token) error {
 		if err != nil {
 			return err
 		}
-		if int(id) != len(p.fn.Regs) {
-			return p.errf(t, "reg t%d declared out of order (want t%d)", id, len(p.fn.Regs))
+		if int(id) != p.cfg.Regs() {
+			return p.errf(t, "reg t%d declared out of order (want t%d)", id, p.cfg.Regs())
 		}
 		ty, err := p.parseType()
 		if err != nil {
@@ -646,7 +679,7 @@ func (p *parser) funcItem(t token) error {
 			p.advance()
 			name = nt.text
 		}
-		p.fn.NewReg(ty, name)
+		p.cfg.NewReg(ty, name)
 		return nil
 
 	case "param":
@@ -668,7 +701,7 @@ func (p *parser) funcItem(t token) error {
 			if err != nil {
 				return err
 			}
-			if int(id) >= len(p.fn.Regs) {
+			if int(id) >= p.cfg.Regs() {
 				return p.errf(nt, "param register t%d not declared", id)
 			}
 			p.fn.ParamRegs = append(p.fn.ParamRegs, id)
@@ -706,10 +739,8 @@ func (p *parser) funcItem(t token) error {
 			return err
 		}
 		b := p.blockByID(id)
-		for _, o := range p.order {
-			if o == b {
-				return p.errf(t, "duplicate block L%d", id)
-			}
+		if p.cfg.Started(b) {
+			return p.errf(t, "duplicate block L%d", id)
 		}
 		if err := p.expect("depth"); err != nil {
 			return err
@@ -718,20 +749,19 @@ func (p *parser) funcItem(t token) error {
 		if err != nil {
 			return err
 		}
-		b.LoopDepth = int(d)
-		p.order = append(p.order, b)
-		p.cur = b
+		p.cfg.Start(b, int(d))
+		p.inBody = true
 		return nil
 
 	case "(":
-		if p.cur == nil {
+		if !p.inBody {
 			return p.errf(t, "statement outside block")
 		}
 		n, err := p.sexpr()
 		if err != nil {
 			return err
 		}
-		p.cur.Stmts = append(p.cur.Stmts, n)
+		p.cfg.Append(n)
 		return nil
 	}
 	return p.errf(t, "unexpected %q", t.text)
@@ -791,11 +821,11 @@ func (p *parser) labelToken() (int, error) {
 	return v, nil
 }
 
-func (p *parser) blockByID(id int) *ir.Block {
+func (p *parser) blockByID(id int) ir.BlockRef {
 	if b, ok := p.blocks[id]; ok {
 		return b
 	}
-	b := &ir.Block{ID: id, Fn: p.fn}
+	b := p.cfg.Labeled(id)
 	p.blocks[id] = b
 	return b
 }
@@ -902,7 +932,7 @@ func (p *parser) form(head token) (*ir.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		if int(id) >= len(p.fn.Regs) {
+		if int(id) >= p.cfg.Regs() {
 			return nil, p.errf(head, "register t%d not declared", id)
 		}
 		return p.slab.Reg(ty, id), nil
@@ -952,7 +982,7 @@ func (p *parser) form(head token) (*ir.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		if int(id) >= len(p.fn.Regs) {
+		if int(id) >= p.cfg.Regs() {
 			return nil, p.errf(head, "register t%d not declared", id)
 		}
 		k, err := p.operand()
@@ -970,14 +1000,14 @@ func (p *parser) form(head token) (*ir.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.slab.Node(ir.Node{Op: ir.Branch, Target: p.blockByID(id)}, k), nil
+		return p.cfg.Branch(p.slab, p.blockByID(id), k), nil
 
 	case "jump":
 		id, err := p.labelToken()
 		if err != nil {
 			return nil, err
 		}
-		return p.slab.Node(ir.Node{Op: ir.Jump, Target: p.blockByID(id)}), nil
+		return p.cfg.Jump(p.slab, p.blockByID(id)), nil
 
 	case "call":
 		ty, err := p.parseType()
@@ -1029,6 +1059,9 @@ func (p *parser) form(head token) (*ir.Node, error) {
 	if want := arity(op); want >= 0 && len(kids) != want {
 		return nil, p.errf(head, "%s expects %d operand(s), got %d", head.text, want, len(kids))
 	}
+	if op == ir.Load || op == ir.Store {
+		p.fn.MemTypes.Add(ty)
+	}
 	return p.slab.New(op, ty, kids...), nil
 }
 
@@ -1066,69 +1099,26 @@ func arity(op ir.Op) int {
 }
 
 // endFunc finishes the function under construction: checks that every
-// referenced block was declared, rebuilds CFG edges in statement order
-// with fallthrough last (ilgen's edge order), recounts DAG parents and
-// marks global pseudo-registers.
+// referenced block was declared, copies the function out of the CFG,
+// which derives its edges in statement order with fallthrough last
+// (ilgen's edge order), recounts DAG parents and marks global
+// pseudo-registers.
 func (p *parser) endFunc() error {
 	if p.fn == nil {
 		return nil
 	}
 	fn := p.fn
 	p.fn = nil
-	if len(p.order) == 0 {
+	if !p.inBody {
 		return fmt.Errorf("func %s: no blocks", fn.Name)
 	}
-	if len(p.order) != len(p.blocks) {
-		var missing []int
-		for id, b := range p.blocks {
-			found := false
-			for _, o := range p.order {
-				if o == b {
-					found = true
-					break
-				}
-			}
-			if !found {
-				missing = append(missing, id)
-			}
-		}
-		sort.Ints(missing)
-		return fmt.Errorf("func %s: referenced block L%d never declared", fn.Name, missing[0])
-	}
-	fn.Blocks = p.order
-	maxID := 0
-	for _, b := range fn.Blocks {
-		if b.ID > maxID {
-			maxID = b.ID
-		}
-	}
-	fn.SetNextBlockID(maxID + 1)
-
-	for i, b := range fn.Blocks {
-		term := false
-		for _, s := range b.Stmts {
-			switch s.Op {
-			case ir.Branch, ir.Jump:
-				b.AddEdge(s.Target)
-			}
-		}
-		if n := len(b.Stmts); n > 0 {
-			switch b.Stmts[n-1].Op {
-			case ir.Jump, ir.Ret:
-				term = true
-			}
-		}
-		if !term {
-			if i+1 >= len(fn.Blocks) {
-				return fmt.Errorf("func %s: block L%d falls off the end of the function", fn.Name, b.ID)
-			}
-			b.AddEdge(fn.Blocks[i+1])
-		}
+	if err := p.cfg.Finish(p.slab, false); err != nil {
+		return err
 	}
 	for _, b := range fn.Blocks {
 		b.CountParents()
 	}
-	fn.MarkGlobalRegs()
+	p.cfg.MarkGlobalRegs(fn)
 	if len(fn.ParamRegs) != len(fn.Params) {
 		return fmt.Errorf("func %s: %d param(s) but %d param register entries",
 			fn.Name, len(fn.Params), len(fn.ParamRegs))

@@ -1,6 +1,7 @@
 package iltext_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -197,5 +198,23 @@ block L0 depth 0
 	b := mod.Funcs[0].Blocks[0]
 	if b.Stmts[0].Kids[0] != b.Stmts[1].Kids[0].Kids[0] {
 		t.Error("def/$ reference did not preserve node identity")
+	}
+}
+
+// TestNumberProbe: the init-list probe accepts what strconv.ParseFloat
+// accepts, and refuses the words that end a list without allocating.
+func TestNumberProbe(t *testing.T) {
+	words := []string{"global", "func", "array", "initi", "initf", "module", "(", ")", "in", "infin", "+nan", "nan"}
+	for _, s := range append(words, "", "0", "-1", "+2.5", ".5", "1e3", "1e400", "0x1p-2", "1_0", "0x_1p0",
+		"1x", "-", "+", "inf", "-Inf", "+INFINITY", "infinity", "NaN", "-nan", "--1", "1.2.3", "$0", "t1", "L2") {
+		_, err := strconv.ParseFloat(s, 64)
+		if got := iltext.IsNumber(s); got != (err == nil) {
+			t.Errorf("IsNumber(%q) = %v, ParseFloat's error %v", s, got, err)
+		}
+	}
+	for _, s := range words[:10] {
+		if allocs := testing.AllocsPerRun(10, func() { iltext.IsNumber(s) }); allocs != 0 {
+			t.Errorf("IsNumber(%q) allocates %.0f times", s, allocs)
+		}
 	}
 }

@@ -37,14 +37,24 @@ func corpus(t testing.TB) []*ir.Module {
 // later one, so a root is also somebody's kid.
 func callTwice() *ir.Func {
 	fn := ir.NewFunc("f", ir.I32)
-	r := fn.NewReg(ir.I32, "r")
+	var cfg ir.CFG
+	cfg.Begin(fn)
+	r := cfg.NewReg(ir.I32, "r")
 	var slab ir.Slab
 	arg := slab.New(ir.Add, ir.I32, slab.Reg(ir.I32, r), slab.Const(ir.I32, 1))
 	call := &ir.Node{Op: ir.Call, Type: ir.I32, Sym: &ir.Sym{Name: "g", Kind: ir.SymFunc}, Kids: []*ir.Node{arg, arg}}
-	b0, b1 := fn.NewBlock(), fn.NewBlock()
-	b0.AddEdge(b1)
-	b0.Stmts = []*ir.Node{call, {Op: ir.Asgn, Type: ir.I32, Reg: r, Kids: []*ir.Node{call}}}
-	b1.Stmts = []*ir.Node{{Op: ir.Ret, Type: ir.I32, Kids: []*ir.Node{slab.Reg(ir.I32, r)}}}
+	cfg.Start(cfg.NewBlock(), 0)
+	cfg.Append(call, &ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: r, Kids: []*ir.Node{call}})
+	cfg.Start(cfg.NewBlock(), 0)
+	cfg.Append(&ir.Node{Op: ir.Ret, Type: ir.I32, Kids: []*ir.Node{slab.Reg(ir.I32, r)}})
+	return finish(fn, &cfg, &slab)
+}
+
+// finish copies out fn, which cfg built and must be well formed.
+func finish(fn *ir.Func, cfg *ir.CFG, slab *ir.Slab) *ir.Func {
+	if err := cfg.Finish(slab, false); err != nil {
+		panic(err)
+	}
 	return fn
 }
 
@@ -54,13 +64,15 @@ func callTwice() *ir.Func {
 func undeclared() *ir.Func {
 	fn := ir.NewFunc("f", ir.Void)
 	fn.ParamRegs = []ir.RegID{ir.NoReg, 7}
-	b := fn.NewBlock()
-	b.Stmts = []*ir.Node{
-		{Op: ir.Asgn, Type: ir.I32, Reg: 7, Kids: []*ir.Node{new(ir.Slab).Reg(ir.I32, 9)}},
-		{Op: ir.Asgn, Type: ir.I32, Reg: 9, Kids: []*ir.Node{{Op: ir.Addr, Type: ir.Ptr}}},
-		{Op: ir.Ret},
-	}
-	return fn
+	var cfg ir.CFG
+	cfg.Begin(fn)
+	cfg.Start(cfg.NewBlock(), 0)
+	var slab ir.Slab
+	cfg.Append(
+		&ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: 7, Kids: []*ir.Node{slab.Reg(ir.I32, 9)}},
+		&ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: 9, Kids: []*ir.Node{{Op: ir.Addr, Type: ir.Ptr}}},
+		&ir.Node{Op: ir.Ret})
+	return finish(fn, &cfg, &slab)
 }
 
 func corpusFuncs(t testing.TB) []*ir.Func {
@@ -176,8 +188,10 @@ func TestWalksMatchReference(t *testing.T) {
 			}
 			fmt.Fprintf(&sb, "%s parents %v\n", b.Name(), want)
 		}
-		want := globals(fn, fn.MarkGlobalRegs)
-		if got := globals(fn, fn.MarkGlobalRegs); !slices.Equal(got, want) {
+		var cfg ir.CFG
+		mark := func() { cfg.MarkGlobalRegs(fn) }
+		want := globals(fn, mark)
+		if got := globals(fn, mark); !slices.Equal(got, want) {
 			t.Fatalf("%s: globals %v on a second walk, %v on the first", fn.Name, got, want)
 		}
 		fmt.Fprintf(&sb, "global %v\n", want)

@@ -161,10 +161,12 @@ func TestFingerprintSensitiveToSharing(t *testing.T) {
 	var slab ir.Slab
 	build := func(share bool) *ir.Func {
 		fn := ir.NewFunc("f", ir.I32)
-		r0 := fn.NewReg(ir.I32, "a")
-		r1 := fn.NewReg(ir.I32, "b")
-		dst := fn.NewReg(ir.I32, "x")
-		b := fn.NewBlock()
+		var cfg ir.CFG
+		cfg.Begin(fn)
+		r0 := cfg.NewReg(ir.I32, "a")
+		r1 := cfg.NewReg(ir.I32, "b")
+		dst := cfg.NewReg(ir.I32, "x")
+		cfg.Start(cfg.NewBlock(), 0)
 		mk := func() *ir.Node {
 			return slab.New(ir.Mul, ir.I32, slab.Reg(ir.I32, r0), slab.Reg(ir.I32, r1))
 		}
@@ -174,8 +176,8 @@ func TestFingerprintSensitiveToSharing(t *testing.T) {
 			r = l
 		}
 		sum := slab.New(ir.Add, ir.I32, l, r)
-		b.Stmts = []*ir.Node{{Op: ir.Asgn, Type: ir.I32, Reg: dst, Kids: []*ir.Node{sum}}}
-		return fn
+		cfg.Append(&ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: dst, Kids: []*ir.Node{sum}}, slab.New(ir.Ret, ir.Void))
+		return finish(fn, &cfg, &slab)
 	}
 	if build(true).Fingerprint() == build(false).Fingerprint() {
 		t.Fatal("shared DAG and unshared tree fingerprint equal")

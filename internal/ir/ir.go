@@ -170,7 +170,8 @@ type Node struct {
 
 	// IVal is an integer constant's value (chars included) and, for a
 	// constant of a floating type, the IEEE bits of its value: read
-	// those through Float.
+	// those through Float. A Branch or a Jump a CFG is building holds
+	// its target's BlockRef here until the function is copied out.
 	IVal   int64
 	Sym    *Sym   // Addr, Call
 	Target *Block // Branch, Jump
@@ -370,12 +371,6 @@ func (b *Block) AppendName(dst []byte) []byte {
 	return strconv.AppendInt(append(dst, 'L'), int64(b.ID), 10)
 }
 
-// AddEdge records a CFG edge from b to s.
-func (b *Block) AddEdge(s *Block) {
-	b.Succs = append(b.Succs, s)
-	s.Preds = append(s.Preds, b)
-}
-
 // RegInfo describes one pseudo-register of a function.
 type RegInfo struct {
 	Type Type
@@ -385,7 +380,17 @@ type RegInfo struct {
 	Global bool
 }
 
-// Func is a function: a CFG of basic blocks plus the pseudo-register table.
+// Types is a set of IL types.
+type Types uint16
+
+// Add puts t in the set.
+func (s *Types) Add(t Type) { *s |= 1 << t }
+
+// Has reports whether t is in the set.
+func (s Types) Has(t Type) bool { return s&(1<<t) != 0 }
+
+// Func is a function: a CFG of basic blocks plus the pseudo-register
+// table. A front end builds one in a CFG.
 type Func struct {
 	Name    string
 	Params  []*Sym
@@ -403,7 +408,10 @@ type Func struct {
 	// allocated at negative offsets from the frame pointer.
 	LocalFrame int
 
-	nextBlock int
+	// MemTypes holds every type the function loads or stores, as its
+	// front end records it, so that a type no register of the target
+	// holds is refused without a walk of the IL.
+	MemTypes Types
 }
 
 // NewFunc returns an empty function.
@@ -411,28 +419,8 @@ func NewFunc(name string, ret Type) *Func {
 	return &Func{Name: name, RetType: ret}
 }
 
-// NewReg allocates a fresh pseudo-register of type t.
-func (f *Func) NewReg(t Type, name string) RegID {
-	f.Regs = append(f.Regs, RegInfo{Type: t, Name: name})
-	return RegID(len(f.Regs) - 1)
-}
-
 // RegType returns the type of pseudo-register r.
 func (f *Func) RegType(r RegID) Type { return f.Regs[r].Type }
-
-// NewBlock appends a fresh empty block to the function.
-func (f *Func) NewBlock() *Block {
-	b := &Block{ID: f.nextBlock, Fn: f}
-	f.nextBlock++
-	f.Blocks = append(f.Blocks, b)
-	return b
-}
-
-// SetNextBlockID sets the ID the next NewBlock call will allocate.
-// Reconstruction paths (the textual IL parser) use it to restore the
-// counter after rebuilding a block list whose IDs are sparse because
-// unreachable blocks were pruned.
-func (f *Func) SetNextBlockID(n int) { f.nextBlock = n }
 
 // Clone returns a deep copy of the function: fresh blocks and fresh
 // expression nodes, with DAG sharing preserved (a node shared between
@@ -451,7 +439,7 @@ func (f *Func) Clone() *Func {
 		RetType:    f.RetType,
 		ParamRegs:  append([]RegID(nil), f.ParamRegs...),
 		LocalFrame: f.LocalFrame,
-		nextBlock:  f.nextBlock,
+		MemTypes:   f.MemTypes,
 	}
 	blocks := make(map[*Block]*Block, len(f.Blocks))
 	for _, b := range f.Blocks {
@@ -545,36 +533,5 @@ func (w Walk) addParents(n *Node) {
 		if w.Visit(k) {
 			w.addParents(k)
 		}
-	}
-}
-
-// MarkGlobalRegs sets RegInfo.Global for every pseudo-register referenced
-// in more than one basic block.
-func (f *Func) MarkGlobalRegs() {
-	// first[r] is 1 + the index of the first block that mentions r.
-	first := make([]int, len(f.Regs))
-	for i, b := range f.Blocks {
-		w := NewWalk()
-		for _, s := range b.Stmts {
-			f.markRegs(w, s, first, i+1)
-		}
-	}
-}
-
-func (f *Func) markRegs(w Walk, n *Node, first []int, bid int) {
-	if !w.Visit(n) {
-		return
-	}
-	// A register the function never declared has no RegInfo to mark.
-	if (n.Op == Reg || n.Op == Asgn) && uint(n.Reg) < uint(len(first)) {
-		switch fb := first[n.Reg]; {
-		case fb == 0:
-			first[n.Reg] = bid
-		case fb != bid:
-			f.Regs[n.Reg].Global = true
-		}
-	}
-	for _, k := range n.Kids {
-		f.markRegs(w, k, first, bid)
 	}
 }

@@ -64,8 +64,7 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestCountParents(t *testing.T) {
-	fn := NewFunc("f", I32)
-	b := fn.NewBlock()
+	b := new(Block)
 	var slab Slab
 	shared := slab.New(Mul, I32, slab.Reg(I32, 0), slab.Reg(I32, 1))
 	sum := slab.New(Add, I32, shared, shared)
@@ -81,19 +80,25 @@ func TestCountParents(t *testing.T) {
 
 func TestMarkGlobalRegs(t *testing.T) {
 	var slab Slab
+	var cfg CFG
 	fn := NewFunc("f", I32)
-	local := fn.NewReg(I32, "local")
-	global := fn.NewReg(I32, "global")
-	b1 := fn.NewBlock()
-	b2 := fn.NewBlock()
-	b1.Stmts = []*Node{
-		{Op: Asgn, Type: I32, Reg: local, Kids: []*Node{slab.Const(I32, 1)}},
-		{Op: Asgn, Type: I32, Reg: global, Kids: []*Node{slab.Reg(I32, local)}},
+	cfg.Begin(fn)
+	local := cfg.NewReg(I32, "local")
+	global := cfg.NewReg(I32, "global")
+	cfg.Start(cfg.NewBlock(), 0)
+	cfg.Append(
+		&Node{Op: Asgn, Type: I32, Reg: local, Kids: []*Node{slab.Const(I32, 1)}},
+		&Node{Op: Asgn, Type: I32, Reg: global, Kids: []*Node{slab.Reg(I32, local)}},
+	)
+	cfg.Start(cfg.NewBlock(), 0)
+	cfg.Append(
+		&Node{Op: Asgn, Type: I32, Reg: global, Kids: []*Node{slab.New(Add, I32, slab.Reg(I32, global), slab.Const(I32, 1))}},
+		slab.New(Ret, Void),
+	)
+	if err := cfg.Finish(&slab, false); err != nil {
+		t.Fatal(err)
 	}
-	b2.Stmts = []*Node{
-		{Op: Asgn, Type: I32, Reg: global, Kids: []*Node{slab.New(Add, I32, slab.Reg(I32, global), slab.Const(I32, 1))}},
-	}
-	fn.MarkGlobalRegs()
+	cfg.MarkGlobalRegs(fn)
 	if fn.Regs[local].Global {
 		t.Error("local marked global")
 	}
@@ -102,16 +107,96 @@ func TestMarkGlobalRegs(t *testing.T) {
 	}
 }
 
-func TestCFGEdges(t *testing.T) {
+// cfgFunc builds, in layout order, b0: branch to b2, falling through to
+// b1; b1: jump to b3; d1: jump to d2; b2: jump to b3; d2: return; b3:
+// return. d1 has no predecessor and d2 none but d1, which comes first.
+func cfgFunc(cfg *CFG, slab *Slab) *Func {
 	fn := NewFunc("f", Void)
-	a := fn.NewBlock()
-	b := fn.NewBlock()
-	a.AddEdge(b)
-	if len(a.Succs) != 1 || a.Succs[0] != b || len(b.Preds) != 1 || b.Preds[0] != a {
-		t.Error("edge bookkeeping wrong")
+	cfg.Begin(fn)
+	b0, b1, d1, b2, d2, b3 := cfg.NewBlock(), cfg.NewBlock(), cfg.NewBlock(), cfg.NewBlock(), cfg.NewBlock(), cfg.NewBlock()
+	cfg.Start(b0, 0)
+	cfg.Append(cfg.Branch(slab, b2, slab.Const(I32, 1)))
+	cfg.Start(b1, 0)
+	cfg.Append(cfg.Jump(slab, b3))
+	cfg.Start(d1, 0)
+	cfg.Append(cfg.Jump(slab, d2))
+	cfg.Start(b2, 2)
+	cfg.Append(cfg.Jump(slab, b3))
+	cfg.Start(d2, 0)
+	cfg.Append(slab.New(Ret, Void))
+	cfg.Start(b3, 0)
+	cfg.Append(slab.New(Ret, Void))
+	return fn
+}
+
+// TestCFGFinish: edges follow the statements and the layout, pruning
+// drops the blocks nothing reaches in layout order, IDs survive, branch
+// targets name the built blocks, and every list is a cap == len view.
+func TestCFGFinish(t *testing.T) {
+	var cfg CFG
+	var slab Slab
+	names := func(bs []*Block) string {
+		var s []string
+		for _, b := range bs {
+			s = append(s, b.Name())
+		}
+		return strings.Join(s, " ")
 	}
-	if a.Name() == b.Name() {
-		t.Error("block names collide")
+	for _, c := range []struct {
+		prune              bool
+		blocks, succs, pre string
+	}{
+		{true, "L0 L1 L3 L5", "L3 L1|L5|L5|", "|L0|L0|L1 L3"},
+		{false, "L0 L1 L2 L3 L4 L5", "L3 L1|L5|L4|L5||", "|L0||L0|L2|L1 L3"},
+	} {
+		fn := cfgFunc(&cfg, &slab)
+		if err := cfg.Finish(&slab, c.prune); err != nil {
+			t.Fatal(err)
+		}
+		var succs, preds []string
+		for _, b := range fn.Blocks {
+			succs, preds = append(succs, names(b.Succs)), append(preds, names(b.Preds))
+			for _, l := range [][]*Block{b.Succs, b.Preds} {
+				if cap(l) != len(l) {
+					t.Errorf("%s: a list of cap %d holds %d", b.Name(), cap(l), len(l))
+				}
+			}
+			if cap(b.Stmts) != len(b.Stmts) {
+				t.Errorf("%s: statements of cap %d hold %d", b.Name(), cap(b.Stmts), len(b.Stmts))
+			}
+			if last := b.Stmts[len(b.Stmts)-1]; last.Target != nil && last.Target.Fn != fn {
+				t.Errorf("%s: branch target outside the function", b.Name())
+			}
+			if want := map[string]int{"L3": 2}[b.Name()]; b.LoopDepth != want {
+				t.Errorf("%s: loop depth %d, want %d", b.Name(), b.LoopDepth, want)
+			}
+		}
+		if got := names(fn.Blocks); got != c.blocks || cap(fn.Blocks) != len(fn.Blocks) {
+			t.Errorf("prune %v: blocks %q (cap %d), want %q", c.prune, got, cap(fn.Blocks), c.blocks)
+		}
+		if got := strings.Join(succs, "|"); got != c.succs {
+			t.Errorf("prune %v: succs %q, want %q", c.prune, got, c.succs)
+		}
+		if got := strings.Join(preds, "|"); got != c.pre {
+			t.Errorf("prune %v: preds %q, want %q", c.prune, got, c.pre)
+		}
+		if j := fn.Blocks[1].Stmts[0]; j.Target != fn.Blocks[len(fn.Blocks)-1] {
+			t.Errorf("prune %v: L1's jump goes to %v", c.prune, j.Target)
+		}
+	}
+
+	fn := NewFunc("f", Void)
+	cfg.Begin(fn)
+	b0 := cfg.NewBlock()
+	cfg.Start(b0, 0)
+	cfg.Append(cfg.Jump(&slab, cfg.Labeled(7)))
+	if err := cfg.Finish(&slab, false); err == nil || err.Error() != "func f: referenced block L7 never declared" {
+		t.Errorf("an undeclared target gives %v", err)
+	}
+	cfg.Begin(fn)
+	cfg.Start(cfg.NewBlock(), 0)
+	if err := cfg.Finish(&slab, false); err == nil || err.Error() != "func f: block L0 falls off the end of the function" {
+		t.Errorf("a last block that falls through gives %v", err)
 	}
 }
 

@@ -54,7 +54,8 @@ func TestEstimateAppliesMidBlockCallSlots(t *testing.T) {
 	ret := m.InstrByLabel("ret")
 
 	fn := ir.NewFunc("t", ir.Void)
-	irb := fn.NewBlock()
+	irb := &ir.Block{Fn: fn}
+	fn.Blocks = []*ir.Block{irb}
 	af := &asm.Func{Name: "t", IR: fn}
 	call := asm.New(nil, jal, asm.Operand{Kind: asm.OpSym, Sym: &ir.Sym{Name: "g", Kind: ir.SymFunc}})
 	call.Imp = &asm.Implicit{Defs: m.CallerSave()}

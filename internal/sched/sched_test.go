@@ -72,7 +72,8 @@ func loadDesc(t *testing.T, src string) *mach.Machine {
 
 func newBlock(insts ...*asm.Inst) (*asm.Func, *asm.Block) {
 	fn := ir.NewFunc("t", ir.Void)
-	irb := fn.NewBlock()
+	irb := &ir.Block{Fn: fn}
+	fn.Blocks = []*ir.Block{irb}
 	af := &asm.Func{Name: "t", IR: fn}
 	b := &asm.Block{IR: irb, Insts: insts}
 	af.Blocks = []*asm.Block{b}
@@ -186,8 +187,8 @@ func TestScheduleDelaySlotNop(t *testing.T) {
 	add := m.InstrByLabel("add")
 	beq := m.InstrByLabel("beq0")
 	fn := ir.NewFunc("t", ir.Void)
-	irb := fn.NewBlock()
-	tgt := fn.NewBlock()
+	irb, tgt := &ir.Block{ID: 0, Fn: fn}, &ir.Block{ID: 1, Fn: fn}
+	fn.Blocks = []*ir.Block{irb, tgt}
 	af := &asm.Func{Name: "t", IR: fn}
 	b := &asm.Block{IR: irb, Insts: []*asm.Inst{
 		asm.New(nil, add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),

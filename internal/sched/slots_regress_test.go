@@ -26,8 +26,8 @@ func TestFillDelaySlotsSkipsAnnulledSlots(t *testing.T) {
 	add := m.InstrByLabel("add")
 	beq := m.InstrByLabel("beq0")
 	fn := ir.NewFunc("t", ir.Void)
-	irb := fn.NewBlock()
-	tgt := fn.NewBlock()
+	irb, tgt := &ir.Block{ID: 0, Fn: fn}, &ir.Block{ID: 1, Fn: fn}
+	fn.Blocks = []*ir.Block{irb, tgt}
 	af := &asm.Func{Name: "t", IR: fn}
 	b := &asm.Block{IR: irb, Insts: []*asm.Inst{
 		asm.New(nil, add, asm.Reg(0), asm.Reg(1), asm.Reg(1)),
@@ -56,8 +56,8 @@ func TestFillDelaySlotsChecksResources(t *testing.T) {
 	div := m.InstrByLabel("div")
 	beq := m.InstrByLabel("beq0")
 	fn := ir.NewFunc("t", ir.Void)
-	irb := fn.NewBlock()
-	tgt := fn.NewBlock()
+	irb, tgt := &ir.Block{ID: 0, Fn: fn}, &ir.Block{ID: 1, Fn: fn}
+	fn.Blocks = []*ir.Block{irb, tgt}
 	af := &asm.Func{Name: "t", IR: fn}
 	i0 := asm.New(nil, div, asm.Reg(0), asm.Reg(1), asm.Reg(1))
 	i1 := asm.New(nil, div, asm.Reg(2), asm.Reg(3), asm.Reg(3))
@@ -90,8 +90,8 @@ func TestFillDelaySlotsSkipsClockTickers(t *testing.T) {
 	add := m.InstrByLabel("add")
 	beq := m.InstrByLabel("beq0")
 	fn := ir.NewFunc("t", ir.Void)
-	irb := fn.NewBlock()
-	tgt := fn.NewBlock()
+	irb, tgt := &ir.Block{ID: 0, Fn: fn}, &ir.Block{ID: 1, Fn: fn}
+	fn.Blocks = []*ir.Block{irb, tgt}
 	af := &asm.Func{Name: "t", IR: fn}
 	b := &asm.Block{IR: irb, Insts: []*asm.Inst{
 		asm.New(nil, mtrans, asm.Reg(0), asm.Reg(1)),

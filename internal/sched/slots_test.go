@@ -13,8 +13,8 @@ func TestFillDelaySlots(t *testing.T) {
 	add := m.InstrByLabel("add")
 	beq := m.InstrByLabel("beq0")
 	fn := ir.NewFunc("t", ir.Void)
-	irb := fn.NewBlock()
-	tgt := fn.NewBlock()
+	irb, tgt := &ir.Block{ID: 0, Fn: fn}, &ir.Block{ID: 1, Fn: fn}
+	fn.Blocks = []*ir.Block{irb, tgt}
 	af := &asm.Func{Name: "t", IR: fn}
 	// add t0 = t1+t1 (independent of branch); add t2 = t3+t3 (branch
 	// reads t2? no — branch reads t4). Branch on t4.
@@ -56,8 +56,8 @@ func TestFillDelaySlotsRespectsDependences(t *testing.T) {
 	add := m.InstrByLabel("add")
 	beq := m.InstrByLabel("beq0")
 	fn := ir.NewFunc("t", ir.Void)
-	irb := fn.NewBlock()
-	tgt := fn.NewBlock()
+	irb, tgt := &ir.Block{ID: 0, Fn: fn}, &ir.Block{ID: 1, Fn: fn}
+	fn.Blocks = []*ir.Block{irb, tgt}
 	af := &asm.Func{Name: "t", IR: fn}
 	// Only instruction computes the branch condition: must NOT move.
 	b := &asm.Block{IR: irb, Insts: []*asm.Inst{

@@ -49,13 +49,13 @@ func TestHardRegWrongSetNotSelectable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	fn := ir.NewFunc("t", ir.I32)
-	b := fn.NewBlock()
-	x := fn.NewReg(ir.I32, "x")
-	dst := fn.NewReg(ir.I32, "y")
 	var slab ir.Slab
-	add := slab.New(ir.Add, ir.I32, slab.Reg(ir.I32, x), slab.Const(ir.I32, 42))
-	b.Stmts = append(b.Stmts, &ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: dst, Kids: []*ir.Node{add}})
+	fn := oneBlock(t, &slab, func(cfg *ir.CFG) *ir.Node {
+		x := cfg.NewReg(ir.I32, "x")
+		dst := cfg.NewReg(ir.I32, "y")
+		add := slab.New(ir.Add, ir.I32, slab.Reg(ir.I32, x), slab.Const(ir.I32, 42))
+		return &ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: dst, Kids: []*ir.Node{add}}
+	})
 
 	af, err := Select(m, fn)
 	if err != nil {
@@ -112,19 +112,34 @@ instr {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	fn := ir.NewFunc("t", ir.I32)
-	b := fn.NewBlock()
-	x := fn.NewReg(ir.I32, "x")
-	dst := fn.NewReg(ir.I32, "y")
 	var slab ir.Slab
-	add := slab.New(ir.Add, ir.I32, slab.Reg(ir.I32, x), slab.Const(ir.I32, 0))
-	b.Stmts = append(b.Stmts, &ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: dst, Kids: []*ir.Node{add}})
+	fn := oneBlock(t, &slab, func(cfg *ir.CFG) *ir.Node {
+		x := cfg.NewReg(ir.I32, "x")
+		dst := cfg.NewReg(ir.I32, "y")
+		add := slab.New(ir.Add, ir.I32, slab.Reg(ir.I32, x), slab.Const(ir.I32, 0))
+		return &ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: dst, Kids: []*ir.Node{add}}
+	})
 
 	af, err := Select(m, fn)
 	if err != nil {
 		t.Fatalf("select: %v", err)
 	}
-	if len(af.Blocks) != 1 || len(af.Blocks[0].Insts) != 1 || af.Blocks[0].Insts[0].Tmpl.Mnemonic != "addb" {
-		t.Errorf("expected a single addb binding the hard zero, got %v", af.Blocks[0].Insts)
+	if len(af.Blocks) != 1 || len(af.Blocks[0].Insts) != 2 || af.Blocks[0].Insts[0].Tmpl.Mnemonic != "addb" {
+		t.Errorf("expected a single addb binding the hard zero, then the return, got %v", af.Blocks[0].Insts)
 	}
+}
+
+// oneBlock builds a function of one block: the statement stmt makes in
+// the function's CFG, then a return.
+func oneBlock(t *testing.T, slab *ir.Slab, stmt func(*ir.CFG) *ir.Node) *ir.Func {
+	t.Helper()
+	fn := ir.NewFunc("t", ir.I32)
+	var cfg ir.CFG
+	cfg.Begin(fn)
+	cfg.Start(cfg.NewBlock(), 0)
+	cfg.Append(stmt(&cfg), slab.New(ir.Ret, ir.Void))
+	if err := cfg.Finish(slab, false); err != nil {
+		t.Fatal(err)
+	}
+	return fn
 }

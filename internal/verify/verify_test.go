@@ -40,7 +40,8 @@ instr {
 func unitFunc(t *testing.T, insts ...*asm.Inst) *asm.Func {
 	t.Helper()
 	fn := ir.NewFunc("t", ir.Void)
-	irb := fn.NewBlock()
+	irb := &ir.Block{Fn: fn}
+	fn.Blocks = []*ir.Block{irb}
 	af := &asm.Func{Name: "t", IR: fn}
 	af.Blocks = []*asm.Block{{IR: irb, Insts: insts}}
 	return af

@@ -9,19 +9,35 @@ import (
 	"marion/internal/targets"
 )
 
+// finish lays out b holding stmts, then ret, which returns, and copies
+// fn, which cfg has begun, out: it returns b as built.
+func finish(t *testing.T, fn *ir.Func, cfg *ir.CFG, slab *ir.Slab, b, ret ir.BlockRef, stmts ...*ir.Node) *ir.Block {
+	t.Helper()
+	cfg.Start(b, 0)
+	cfg.Append(stmts...)
+	cfg.Start(ret, 0)
+	cfg.Append(slab.New(ir.Ret, ir.Void))
+	if err := cfg.Finish(slab, false); err != nil {
+		t.Fatal(err)
+	}
+	return fn.Blocks[0]
+}
+
 func TestGlueRewritesCompareBranch(t *testing.T) {
 	m, err := targets.Load("toyp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fn := ir.NewFunc("f", ir.Void)
-	b := fn.NewBlock()
-	tgt := fn.NewBlock()
-	a := fn.NewReg(ir.I32, "a")
-	c := fn.NewReg(ir.I32, "c")
+	var cfg ir.CFG
+	cfg.Begin(fn)
+	ref := cfg.NewBlock()
+	tgt := cfg.NewBlock()
+	a := cfg.NewReg(ir.I32, "a")
+	c := cfg.NewReg(ir.I32, "c")
 	var slab ir.Slab
 	cond := slab.New(ir.Lt, ir.I32, slab.Reg(ir.I32, a), slab.Reg(ir.I32, c))
-	b.Stmts = []*ir.Node{{Op: ir.Branch, Kids: []*ir.Node{cond}, Target: tgt}}
+	b := finish(t, fn, &cfg, &slab, ref, tgt, cfg.Branch(&slab, tgt, cond))
 	Apply(m, fn)
 	got := b.Stmts[0].String()
 	if !strings.Contains(got, "::") {
@@ -40,12 +56,14 @@ func TestGlueZeroGuardSuppressesRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn := ir.NewFunc("f", ir.Void)
-	b := fn.NewBlock()
-	tgt := fn.NewBlock()
-	a := fn.NewReg(ir.I32, "a")
+	var cfg ir.CFG
+	cfg.Begin(fn)
+	ref := cfg.NewBlock()
+	tgt := cfg.NewBlock()
+	a := cfg.NewReg(ir.I32, "a")
 	var slab ir.Slab
 	cond := slab.New(ir.Eq, ir.I32, slab.Reg(ir.I32, a), slab.Const(ir.I32, 0))
-	b.Stmts = []*ir.Node{{Op: ir.Branch, Kids: []*ir.Node{cond}, Target: tgt}}
+	b := finish(t, fn, &cfg, &slab, ref, tgt, cfg.Branch(&slab, tgt, cond))
 	Apply(m, fn)
 	// Comparison against literal zero keeps the direct beq0 form.
 	if b.Stmts[0].Kids[0].Op != ir.Eq || b.Stmts[0].Kids[0].Kids[0].Op == ir.Cmp {
@@ -60,12 +78,14 @@ func TestGlueBigConstantSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn := ir.NewFunc("f", ir.Void)
-	b := fn.NewBlock()
-	d := fn.NewReg(ir.I32, "d")
-	b.Stmts = []*ir.Node{
-		{Op: ir.Asgn, Type: ir.I32, Reg: d, Kids: []*ir.Node{slab.Const(ir.I32, 100000)}},
-		{Op: ir.Asgn, Type: ir.I32, Reg: d, Kids: []*ir.Node{slab.Const(ir.I32, 42)}},
-	}
+	var cfg ir.CFG
+	cfg.Begin(fn)
+	ref := cfg.NewBlock()
+	d := cfg.NewReg(ir.I32, "d")
+	b := finish(t, fn, &cfg, &slab, ref, cfg.NewBlock(),
+		&ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: d, Kids: []*ir.Node{slab.Const(ir.I32, 100000)}},
+		&ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: d, Kids: []*ir.Node{slab.Const(ir.I32, 42)}},
+	)
 	Apply(m, fn)
 	big := b.Stmts[0].Kids[0]
 	if big.Op != ir.Or || big.Kids[0].Op != ir.High || big.Kids[1].Op != ir.Low {
@@ -84,13 +104,15 @@ func TestGlueTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn := ir.NewFunc("f", ir.Void)
-	b := fn.NewBlock()
-	tgt := fn.NewBlock()
-	a := fn.NewReg(ir.I32, "a")
-	c := fn.NewReg(ir.I32, "c")
+	var cfg ir.CFG
+	cfg.Begin(fn)
+	ref := cfg.NewBlock()
+	tgt := cfg.NewBlock()
+	a := cfg.NewReg(ir.I32, "a")
+	c := cfg.NewReg(ir.I32, "c")
 	var slab ir.Slab
 	cond := slab.New(ir.Eq, ir.I32, slab.Reg(ir.I32, a), slab.Reg(ir.I32, c))
-	b.Stmts = []*ir.Node{{Op: ir.Branch, Kids: []*ir.Node{cond}, Target: tgt}}
+	b := finish(t, fn, &cfg, &slab, ref, tgt, cfg.Branch(&slab, tgt, cond))
 	Apply(m, fn) // must not hang
 	rel := b.Stmts[0].Kids[0]
 	if rel.Op != ir.Eq || rel.Kids[0].Op != ir.Cmp {
@@ -107,14 +129,17 @@ func TestGlueSharedSubtreeRewrittenOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn := ir.NewFunc("f", ir.Void)
-	b := fn.NewBlock()
-	d := fn.NewReg(ir.I32, "d")
-	e := fn.NewReg(ir.I32, "e")
-	shared := new(ir.Slab).Const(ir.I32, 100000)
-	b.Stmts = []*ir.Node{
-		{Op: ir.Asgn, Type: ir.I32, Reg: d, Kids: []*ir.Node{shared}},
-		{Op: ir.Asgn, Type: ir.I32, Reg: e, Kids: []*ir.Node{shared}},
-	}
+	var cfg ir.CFG
+	cfg.Begin(fn)
+	ref := cfg.NewBlock()
+	d := cfg.NewReg(ir.I32, "d")
+	e := cfg.NewReg(ir.I32, "e")
+	var slab ir.Slab
+	shared := slab.Const(ir.I32, 100000)
+	b := finish(t, fn, &cfg, &slab, ref, cfg.NewBlock(),
+		&ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: d, Kids: []*ir.Node{shared}},
+		&ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: e, Kids: []*ir.Node{shared}},
+	)
 	Apply(m, fn)
 	if b.Stmts[0].Kids[0] != b.Stmts[1].Kids[0] {
 		t.Error("sharing broken by rewrite")
@@ -126,12 +151,14 @@ func TestGlueSharedSubtreeRewrittenOnce(t *testing.T) {
 // the root operator nor one that gets past the root and fails below it.
 func TestMatchGlueMissAllocatesNothing(t *testing.T) {
 	fn := ir.NewFunc("f", ir.Void)
-	tgt := fn.NewBlock()
+	var cfg ir.CFG
+	cfg.Begin(fn)
+	tgt := cfg.NewBlock()
 	var slab ir.Slab
-	leaf := slab.Reg(ir.F64, fn.NewReg(ir.F64, "x"))
+	leaf := slab.Reg(ir.F64, cfg.NewReg(ir.F64, "x"))
 	misses := map[string]*ir.Node{
 		"root":       slab.New(ir.Neg, ir.F64, leaf),
-		"below root": {Op: ir.Branch, Kids: []*ir.Node{leaf}, Target: tgt},
+		"below root": cfg.Branch(&slab, tgt, leaf),
 	}
 	rules := 0
 	for _, target := range targets.Names() {
@@ -180,12 +207,15 @@ func TestGlueRepeatedMetavariableAfterFailedAttempt(t *testing.T) {
 		},
 	}}
 	fn := ir.NewFunc("f", ir.Void)
-	b := fn.NewBlock()
+	var cfg ir.CFG
+	cfg.Begin(fn)
+	ref := cfg.NewBlock()
 	var slab ir.Slab
-	p := slab.Reg(ir.I32, fn.NewReg(ir.I32, "p"))
-	q := slab.Reg(ir.I32, fn.NewReg(ir.I32, "q"))
+	p := slab.Reg(ir.I32, cfg.NewReg(ir.I32, "p"))
+	q := slab.Reg(ir.I32, cfg.NewReg(ir.I32, "q"))
 	square := slab.New(ir.Mul, ir.I32, slab.New(ir.Add, ir.I32, p, q), slab.New(ir.Add, ir.I32, p, q))
-	b.Stmts = []*ir.Node{{Op: ir.Asgn, Type: ir.I32, Reg: fn.NewReg(ir.I32, "d"), Kids: []*ir.Node{square}}}
+	b := finish(t, fn, &cfg, &slab, ref, cfg.NewBlock(),
+		&ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: cfg.NewReg(ir.I32, "d"), Kids: []*ir.Node{square}})
 	Apply(m, fn)
 	got := b.Stmts[0].Kids[0]
 	if got.Op != ir.Sub || got.Kids[0] != p || got.Kids[1] != q {
@@ -199,14 +229,17 @@ func TestGlueRepeatedMetavariableAfterFailedAttempt(t *testing.T) {
 // fourth allocation) nor, being nil, indexed.
 func TestApplyWithoutMatchIsCheap(t *testing.T) {
 	fn := ir.NewFunc("f", ir.Void)
-	b := fn.NewBlock()
+	var cfg ir.CFG
+	cfg.Begin(fn)
+	ref := cfg.NewBlock()
 	var slab ir.Slab
-	x := slab.Reg(ir.I32, fn.NewReg(ir.I32, "x"))
+	x := slab.Reg(ir.I32, cfg.NewReg(ir.I32, "x"))
 	sum := slab.New(ir.Add, ir.I32, x, slab.Const(ir.I32, 4))
+	var stmts []*ir.Node
 	for i := 0; i < 8; i++ { // sum is shared: second visits take the walk's early exit
-		b.Stmts = append(b.Stmts, &ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: fn.NewReg(ir.I32, ""), Kids: []*ir.Node{slab.New(ir.Mul, ir.I32, sum, sum)}})
+		stmts = append(stmts, &ir.Node{Op: ir.Asgn, Type: ir.I32, Reg: cfg.NewReg(ir.I32, ""), Kids: []*ir.Node{slab.New(ir.Mul, ir.I32, sum, sum)}})
 	}
-	b.Stmts = append(b.Stmts, &ir.Node{Op: ir.Ret})
+	b := finish(t, fn, &cfg, &slab, ref, cfg.NewBlock(), stmts...)
 	before := b.Stmts[0].String()
 	for _, target := range targets.Names() {
 		m, err := targets.Load(target)
